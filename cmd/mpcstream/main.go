@@ -57,7 +57,9 @@
 // checkpoint is an incremental delta carrying only the replayed updates and
 // the state they dirtied, compacted into a fresh full base every
 // -max-delta-chain deltas; stale temp files from an interrupted checkpoint
-// are swept before loading. With -scenario, -crash-every k injects a seeded
+// are swept before loading. The replay runs on an internal/session Session
+// (the same lifecycle mpcserve and the harness use); snapshots written by a
+// build from before that package are rejected by their meta section tag. With -scenario, -crash-every k injects a seeded
 // kill/restore cycle roughly every k batches into the differential harness
 // run — every scenario doubles as a crash/recovery scenario, and the oracle
 // checks must still pass after every restore — and -delta-every k cuts a
@@ -85,103 +87,92 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 
-	"repro/internal/bipartite"
-	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/harness"
-	"repro/internal/matching"
-	"repro/internal/mpc"
-	"repro/internal/msf"
-	"repro/internal/oracle"
 	"repro/internal/profiling"
-	"repro/internal/snapshot"
-	"repro/internal/streamio"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
+// options carries every parsed flag: one struct handed to validateFlags and
+// run, so adding a flag cannot silently swap two ints at a call site.
+type options struct {
+	algo                               string
+	n, batches                         int
+	phi                                float64
+	seed                               uint64
+	alpha, eps                         float64
+	maxWeight                          int64
+	insertBias                         float64
+	streamFile, traceFile, convertFile string
+	window                             int64
+	traceBatches, queries              int
+	scenario                           string
+	parallelism                        int
+	checkpointFile, resumeFile         string
+	resumeMachines                     int
+	crashEvery, faultEvery, deltaEvery int
+	maxDeltaChain                      int
+	cpuProfile, memProfile             string
+}
+
 func main() {
-	algo := flag.String("algo", "connectivity", "algorithm to run")
-	n := flag.Int("n", 256, "number of vertices")
-	phi := flag.Float64("phi", 0.6, "local-memory exponent")
-	batches := flag.Int("batches", 20, "number of update batches")
-	seed := flag.Uint64("seed", 1, "workload and algorithm seed")
-	alpha := flag.Float64("alpha", 4, "matching approximation parameter")
-	eps := flag.Float64("eps", 0.25, "MSF approximation parameter")
-	maxWeight := flag.Int64("maxweight", 64, "maximum edge weight")
-	insertBias := flag.Float64("insertbias", 0.6, "probability of keeping an existing edge")
-	streamFile := flag.String("stream", "", "replay updates from a streamio-format text file (with -convert: the text output path)")
-	traceFile := flag.String("trace", "", "replay updates from a binary trace file (internal/trace format; with -convert: the binary output path)")
-	convertFile := flag.String("convert", "", "convert this SNAP-style edge-list file into the -trace and/or -stream output(s) instead of running an algorithm")
-	window := flag.Int64("window", 0, "with -convert: expire each edge this many time units after insertion, emitting deletions (0 = keep edges forever)")
-	traceBatches := flag.Int("trace-batches", 0, "with -trace replay: apply at most this many trace batches (0 = all); combine with -checkpoint and a later -resume to continue mid-trace")
-	queries := flag.Int("queries", 0,
+	var o options
+	flag.StringVar(&o.algo, "algo", "connectivity", "algorithm to run")
+	flag.IntVar(&o.n, "n", 256, "number of vertices")
+	flag.Float64Var(&o.phi, "phi", 0.6, "local-memory exponent")
+	flag.IntVar(&o.batches, "batches", 20, "number of update batches")
+	flag.Uint64Var(&o.seed, "seed", 1, "workload and algorithm seed")
+	flag.Float64Var(&o.alpha, "alpha", 4, "matching approximation parameter")
+	flag.Float64Var(&o.eps, "eps", 0.25, "MSF approximation parameter")
+	flag.Int64Var(&o.maxWeight, "maxweight", 64, "maximum edge weight")
+	flag.Float64Var(&o.insertBias, "insertbias", 0.6, "probability of keeping an existing edge")
+	flag.StringVar(&o.streamFile, "stream", "", "replay updates from a streamio-format text file (with -convert: the text output path)")
+	flag.StringVar(&o.traceFile, "trace", "", "replay updates from a binary trace file (internal/trace format; with -convert: the binary output path)")
+	flag.StringVar(&o.convertFile, "convert", "", "convert this SNAP-style edge-list file into the -trace and/or -stream output(s) instead of running an algorithm")
+	flag.Int64Var(&o.window, "window", 0, "with -convert: expire each edge this many time units after insertion, emitting deletions (0 = keep edges forever)")
+	flag.IntVar(&o.traceBatches, "trace-batches", 0, "with -trace replay: apply at most this many trace batches (0 = all); combine with -checkpoint and a later -resume to continue mid-trace")
+	flag.IntVar(&o.queries, "queries", 0,
 		"read/write mix: issue this many batched connectivity queries after every update batch (-algo connectivity; answers are oracle-verified)")
-	scenario := flag.String("scenario", "",
+	flag.StringVar(&o.scenario, "scenario", "",
 		fmt.Sprintf("run a registered workload scenario under the differential harness (have %v)", workload.Names()))
-	parallelism := flag.Int("parallelism", runtime.NumCPU(),
+	flag.IntVar(&o.parallelism, "parallelism", runtime.NumCPU(),
 		"execution-engine workers per cluster (0 or 1 = sequential, <0 = NumCPU); results are identical at every setting")
-	checkpointFile := flag.String("checkpoint", "",
+	flag.StringVar(&o.checkpointFile, "checkpoint", "",
 		"write a crash-safe snapshot of the final state to this file (-algo connectivity, generated or -stream mode)")
-	resumeFile := flag.String("resume", "",
+	flag.StringVar(&o.resumeFile, "resume", "",
 		"restore state from a -checkpoint snapshot before replaying further updates (requires -stream)")
-	resumeMachines := flag.Int("resume-machines", 0,
+	flag.IntVar(&o.resumeMachines, "resume-machines", 0,
 		"with -resume: re-shard the restored state onto a fleet of exactly this many machines before replaying (0 = keep the snapshot's shape)")
-	crashEvery := flag.Int("crash-every", 0,
+	flag.IntVar(&o.crashEvery, "crash-every", 0,
 		"with -scenario: inject a seeded kill+checkpoint+restore cycle roughly every k batches (0 disables)")
-	faultEvery := flag.Int("fault-every", 0,
+	flag.IntVar(&o.faultEvery, "fault-every", 0,
 		"with -scenario: kill a seeded machine roughly every k batches; each loss recovers by re-sharding the last checkpoint onto the survivors and replaying the journal (0 disables)")
-	deltaEvery := flag.Int("delta-every", 0,
+	flag.IntVar(&o.deltaEvery, "delta-every", 0,
 		"with -scenario: checkpoint every k batches into an in-memory chain (full base, then deltas), so crash restores replay base+chain (0 disables)")
-	maxDeltaChain := flag.Int("max-delta-chain", 8,
+	flag.IntVar(&o.maxDeltaChain, "max-delta-chain", 8,
 		"delta checkpoints allowed per full base before compaction (0 = full checkpoints only)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
 	// Validate flags before constructing generators or clusters, so a bad
 	// combination is a usage error on stderr, not a raw panic from deep
 	// inside a constructor (e.g. workload.NewQueryMix on n < 2).
-	if err := validateFlags(flagSet{
-		n: *n, batches: *batches, queries: *queries, crashEvery: *crashEvery,
-		faultEvery: *faultEvery, resumeMachines: *resumeMachines, deltaEvery: *deltaEvery,
-		maxDeltaChain: *maxDeltaChain, traceBatches: *traceBatches, maxWeight: *maxWeight,
-		window: *window, insertBias: *insertBias, algo: *algo, streamFile: *streamFile,
-		traceFile: *traceFile, convertFile: *convertFile, scenario: *scenario,
-		checkpointFile: *checkpointFile, resumeFile: *resumeFile,
-	}); err != nil {
+	if err := validateFlags(o); err != nil {
 		fmt.Fprintln(os.Stderr, "mpcstream:", err)
 		os.Exit(2)
 	}
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProfiles, err := profiling.Start(o.cpuProfile, o.memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mpcstream:", err)
 		os.Exit(2)
 	}
-	switch {
-	case *convertFile != "":
-		err = runConvert(*convertFile, *traceFile, *streamFile, *window)
-	case *traceFile != "":
-		err = runTrace(*algo, *traceFile, *phi, *seed, *parallelism, *maxDeltaChain, *resumeMachines, *traceBatches, *resumeFile, *checkpointFile)
-	case *streamFile != "":
-		err = runStream(*algo, *streamFile, *phi, *seed, *parallelism, *maxDeltaChain, *resumeMachines, *resumeFile, *checkpointFile)
-	case *scenario != "":
-		err = runScenario(*algo, *scenario, harness.Options{
-			N: *n, Batches: *batches, Seed: *seed, Phi: *phi, Parallelism: *parallelism,
-			Alpha: *alpha, Eps: *eps, MaxWeight: *maxWeight, CrashEvery: *crashEvery,
-			FaultEvery:      *faultEvery,
-			CheckpointEvery: *deltaEvery, MaxDeltaChain: *maxDeltaChain,
-		})
-	default:
-		err = run(*algo, *n, *phi, *batches, *seed, *alpha, *eps, *maxWeight, *insertBias, *parallelism, *queries, *maxDeltaChain, *checkpointFile)
-	}
+	err = run(o, os.Stdout)
 	// Profiles are written even for a failed run — a hang or slow failure
 	// is exactly when a profile is wanted.
 	if perr := stopProfiles(); perr != nil {
@@ -196,21 +187,34 @@ func main() {
 	}
 }
 
-// flagSet carries every parsed flag validateFlags cross-checks; a struct
-// rather than a positional list, so adding a flag cannot silently swap two
-// ints at a call site.
-type flagSet struct {
-	n, batches, queries, crashEvery, faultEvery int
-	resumeMachines, deltaEvery, maxDeltaChain   int
-	traceBatches                                int
-	maxWeight, window                           int64
-	insertBias                                  float64
-	algo, streamFile, traceFile, convertFile    string
-	scenario, checkpointFile, resumeFile        string
+// run executes the mode the (validated) options select, printing to out.
+func run(o options, out io.Writer) error {
+	switch {
+	case o.convertFile != "":
+		return runConvert(o, out)
+	case o.traceFile != "" || o.streamFile != "":
+		return replay(o, out)
+	case o.scenario != "":
+		// Stream a registered scenario through the named algorithm under
+		// the differential harness, oracle-checking every batch.
+		rep, err := harness.Run(o.algo, o.scenario, harness.Options{
+			N: o.n, Batches: o.batches, Seed: o.seed, Phi: o.phi, Parallelism: o.parallelism,
+			Alpha: o.alpha, Eps: o.eps, MaxWeight: o.maxWeight, CrashEvery: o.crashEvery,
+			FaultEvery:      o.faultEvery,
+			CheckpointEvery: o.deltaEvery, MaxDeltaChain: o.maxDeltaChain,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, rep)
+		return nil
+	default:
+		return runGenerated(o, out)
+	}
 }
 
 // validateFlags rejects invalid or incoherent flag combinations up front.
-func validateFlags(f flagSet) error {
+func validateFlags(f options) error {
 	if f.n < 2 {
 		return fmt.Errorf("-n must be at least 2 (got %d)", f.n)
 	}
@@ -301,621 +305,4 @@ func validateFlags(f flagSet) error {
 		return fmt.Errorf("-checkpoint is supported for -algo connectivity in the generated, -stream, and -trace modes")
 	}
 	return nil
-}
-
-// runScenario streams a registered scenario through the named algorithm
-// under the differential harness, oracle-checking every batch.
-func runScenario(algo, scenario string, opt harness.Options) error {
-	rep, err := harness.Run(algo, scenario, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep)
-	return nil
-}
-
-func run(algo string, n int, phi float64, batches int, seed uint64, alpha, eps float64, maxWeight int64, insertBias float64, parallelism, queries, maxDeltaChain int, checkpointFile string) error {
-	cfg := core.Config{N: n, Phi: phi, Seed: seed, Parallelism: parallelism}
-	gen := workload.NewChurn(workload.Config{N: n, Seed: seed + 1, MaxWeight: maxWeight, InsertBias: insertBias})
-	switch algo {
-	case "connectivity":
-		dc, err := core.NewDynamicConnectivity(cfg)
-		if err != nil {
-			return err
-		}
-		mix := workload.NewQueryMix(gen, n, seed+2)
-		queryRounds, answered, connected := 0, 0, 0
-		for i := 0; i < batches; i++ {
-			if err := dc.ApplyBatch(mix.Next(dc.MaxBatch())); err != nil {
-				return err
-			}
-			if queries == 0 {
-				continue
-			}
-			raw := mix.NextQueries(queries)
-			pairs := make([]core.Pair, len(raw))
-			for j, q := range raw {
-				pairs[j] = core.Pair{U: q[0], V: q[1]}
-			}
-			before := dc.Cluster().Stats().Rounds
-			ans := dc.ConnectedAll(pairs)
-			queryRounds += dc.Cluster().Stats().Rounds - before
-			want := mix.OracleAnswers(raw)
-			for j := range ans {
-				if ans[j] != want[j] {
-					return fmt.Errorf("batch %d: query %v answered %v, oracle %v", i, raw[j], ans[j], want[j])
-				}
-				if ans[j] {
-					connected++
-				}
-			}
-			answered += len(ans)
-		}
-		fmt.Printf("components: %d (oracle %d)\n", dc.NumComponents(), oracle.NumComponents(gen.Mirror()))
-		fmt.Printf("forest edges: %d\n", len(dc.SnapshotForest()))
-		if answered > 0 {
-			fmt.Printf("queries: %d batched, %d connected, %d query rounds (%.4f rounds/query, oracle-verified)\n",
-				answered, connected, queryRounds, float64(queryRounds)/float64(answered))
-		}
-		report(dc.Cluster().Stats(), batches)
-		if checkpointFile != "" {
-			// A fresh chain is never linked to on-disk state, so this writes a
-			// full base (and sweeps any stale deltas left at that path).
-			st := &streamState{n: n, phi: phi, seed: seed, parallelism: parallelism, dc: dc, mirror: gen.Mirror()}
-			if err := writeCheckpoint(snapshot.OpenChain(checkpointFile, maxDeltaChain), st); err != nil {
-				return err
-			}
-		}
-	case "msf":
-		m, err := msf.NewExactMSF(cfg)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < batches; i++ {
-			b := gen.NextInsertOnly(m.Forest().Config().MaxBatch())
-			var edges []graph.WeightedEdge
-			for _, u := range b {
-				edges = append(edges, graph.WeightedEdge{Edge: u.Edge, Weight: u.Weight})
-			}
-			if err := m.InsertBatch(edges); err != nil {
-				return err
-			}
-		}
-		_, want := oracle.MSF(gen.Mirror())
-		fmt.Printf("msf weight: %d (kruskal %d, exchange waves %d)\n", m.Weight(), want, m.SwapWaves())
-		report(m.Forest().Cluster().Stats(), batches)
-	case "approxmsf":
-		a, err := msf.NewApproxMSF(cfg, eps, maxWeight)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < batches; i++ {
-			if err := a.ApplyBatch(gen.Next(a.MaxBatch())); err != nil {
-				return err
-			}
-		}
-		_, want := oracle.MSF(gen.Mirror())
-		fmt.Printf("approx msf weight: %d (kruskal %d, levels %d, eps %.2f)\n", a.Weight(), want, a.Levels(), eps)
-	case "bipartite":
-		bt, err := bipartite.New(cfg)
-		if err != nil {
-			return err
-		}
-		bgen := workload.NewBipartiteish(n, seed+1, batches/2)
-		for i := 0; i < batches; i++ {
-			if err := bt.ApplyBatch(bgen.Next(bt.MaxBatch())); err != nil {
-				return err
-			}
-			fmt.Printf("step %2d: bipartite=%v (oracle %v)\n", i, bt.IsBipartite(), oracle.IsBipartite(bgen.Mirror()))
-		}
-		report(bt.Graph().Cluster().Stats(), batches)
-	case "matching":
-		gm, err := matching.NewGreedyInsertOnly(n, alpha, 0)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < batches; i++ {
-			b := gen.NextInsertOnly(n / 8)
-			var edges []graph.Edge
-			for _, u := range b {
-				edges = append(edges, u.Edge)
-			}
-			if err := gm.InsertBatch(edges); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("matching size: %d (cap %d, max matching %d)\n",
-			gm.Size(), gm.Cap(), oracle.MaxMatchingSize(gen.Mirror()))
-		report(gm.Cluster().Stats(), batches)
-	case "dynmatching":
-		d, err := matching.NewAKLYDynamic(n, alpha, seed)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < batches; i++ {
-			if err := d.ApplyBatch(gen.Next(n / 8)); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("matching size: %d (max matching %d, instances %d, sampler words %d)\n",
-			d.Size(), oracle.MaxMatchingSize(gen.Mirror()), d.Instances(), d.SparsifierWords())
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
-	}
-	return nil
-}
-
-// Section tags of the CLI layer of a snapshot: run metadata and the mirror
-// graph, written ahead of the connectivity state so a resuming process can
-// size its cluster before restoring. Delta containers use their own pair:
-// the meta echo is repeated (tiny, keeps every container self-validating)
-// and the mirror section carries only the updates applied since the last
-// acknowledged checkpoint.
-const (
-	tagCLIMeta        = 0x50
-	tagCLIMirror      = 0x51
-	tagCLIMetaDelta   = 0x52
-	tagCLIMirrorDelta = 0x53
-)
-
-// streamState is the CLI's checkpoint unit: the run parameters, the mirror
-// graph (so a resumed replay can still be oracle-verified), and the
-// connectivity instance. It implements snapshot.DeltaState, so a checkpoint
-// chain can alternate full bases with cheap deltas.
-type streamState struct {
-	n           int
-	phi         float64
-	seed        uint64
-	parallelism int
-	// vpm is the cluster's VerticesPerMachine override (0 = default shape).
-	// It is part of the meta echo so a resume rebuilds the fleet at the
-	// machine count the checkpoint was cut at — which, after a
-	// -resume-machines re-shard, differs from the config default.
-	vpm int
-	// applied counts the input batches applied to the state since the start
-	// of its stream. It rides the meta echo so a -trace -resume can seek the
-	// trace's footer index straight to batch `applied` instead of replaying
-	// the prefix. (Text -stream resumes replay a separate continuation file,
-	// so they ignore it.)
-	applied int
-	dc      *core.DynamicConnectivity
-	mirror  *graph.Graph
-
-	// pending journals every update applied since the last acknowledged
-	// checkpoint; delta checkpoints ship it instead of the whole mirror.
-	pending graph.Batch
-}
-
-// Checkpoint implements snapshot.Checkpointer.
-func (s *streamState) Checkpoint(e *snapshot.Encoder) {
-	e.Begin(tagCLIMeta)
-	e.Int(s.n)
-	e.F64(s.phi)
-	e.U64(s.seed)
-	e.Int(s.vpm)
-	e.Int(s.applied)
-	e.Begin(tagCLIMirror)
-	snapshot.EncodeGraph(e, s.mirror)
-	s.dc.Checkpoint(e)
-}
-
-// Restore implements snapshot.Restorer: the cluster is rebuilt from the
-// snapshot's run metadata (the current -parallelism flag still selects the
-// execution engine — it is not state) and the mirror graph and connectivity
-// state are reloaded.
-func (s *streamState) Restore(d *snapshot.Decoder) error {
-	d.Begin(tagCLIMeta)
-	s.n, s.phi, s.seed = d.Int(), d.F64(), d.U64()
-	s.vpm = d.Int()
-	s.applied = d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	// The meta section is the config source here (nothing to cross-check it
-	// against yet), so sanity-validate it before sizing a graph or cluster
-	// from it: a malformed value must be a diagnostic, not a make() panic.
-	if s.n < 2 || s.n > 1<<31 {
-		return fmt.Errorf("snapshot declares %d vertices (want 2..2^31)", s.n)
-	}
-	if s.phi <= 0 || s.phi > 1 {
-		return fmt.Errorf("snapshot declares Phi=%v (want (0,1])", s.phi)
-	}
-	if s.vpm < 0 || s.vpm > s.n {
-		return fmt.Errorf("snapshot declares VerticesPerMachine=%d (want 0..%d)", s.vpm, s.n)
-	}
-	if s.applied < 0 {
-		return fmt.Errorf("snapshot declares %d applied batches (want >= 0)", s.applied)
-	}
-	d.Begin(tagCLIMirror)
-	s.mirror = graph.New(s.n)
-	if err := snapshot.DecodeGraphInto(d, s.mirror); err != nil {
-		return err
-	}
-	var err error
-	s.dc, err = core.NewDynamicConnectivity(s.config())
-	if err != nil {
-		return err
-	}
-	return s.dc.Restore(d)
-}
-
-// config is the cluster configuration the state's checkpoints describe.
-func (s *streamState) config() core.Config {
-	return core.Config{N: s.n, Phi: s.phi, Seed: s.seed, Parallelism: s.parallelism, VerticesPerMachine: s.vpm}
-}
-
-// reshard migrates the restored state onto a fleet of exactly machines
-// machines: an in-memory checkpoint of the live instance is re-shard-restored
-// into a fresh fleet at the target shape, which then replaces the instance.
-func (s *streamState) reshard(machines int) error {
-	tcfg, err := core.ResizeConfig(s.config(), machines)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := snapshot.Save(&buf, s.dc); err != nil {
-		return err
-	}
-	fresh, err := core.NewDynamicConnectivity(tcfg)
-	if err != nil {
-		return err
-	}
-	if err := snapshot.Reshard(bytes.NewReader(buf.Bytes()), fresh); err != nil {
-		return err
-	}
-	s.dc, s.vpm = fresh, tcfg.VerticesPerMachine
-	return nil
-}
-
-// CheckpointDelta implements snapshot.DeltaCheckpointer: the mirror section
-// carries only the journaled updates — replaying them onto the restored
-// base mirror reproduces the full mirror exactly.
-func (s *streamState) CheckpointDelta(e *snapshot.Encoder) {
-	e.Begin(tagCLIMetaDelta)
-	e.Int(s.n)
-	e.F64(s.phi)
-	e.U64(s.seed)
-	e.Int(s.vpm)
-	e.Int(s.applied)
-	e.Begin(tagCLIMirrorDelta)
-	snapshot.EncodeUpdates(e, s.pending)
-	s.dc.CheckpointDelta(e)
-}
-
-// RestoreDelta implements snapshot.DeltaRestorer: it replays one delta on
-// top of the previously restored state.
-func (s *streamState) RestoreDelta(d *snapshot.Decoder) error {
-	d.Begin(tagCLIMetaDelta)
-	n, phi, seed := d.Int(), d.F64(), d.U64()
-	vpm := d.Int()
-	applied := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != s.n || phi != s.phi || seed != s.seed {
-		return fmt.Errorf("delta declares (n=%d, phi=%v, seed=%d), base restored (n=%d, phi=%v, seed=%d)",
-			n, phi, seed, s.n, s.phi, s.seed)
-	}
-	if vpm != s.vpm {
-		return fmt.Errorf("delta written at VerticesPerMachine=%d cannot extend a base restored at %d", vpm, s.vpm)
-	}
-	if applied < s.applied {
-		return fmt.Errorf("delta says %d batches applied but the chain so far says %d — links out of order", applied, s.applied)
-	}
-	s.applied = applied
-	d.Begin(tagCLIMirrorDelta)
-	if err := snapshot.DecodeUpdatesInto(d, s.mirror); err != nil {
-		return err
-	}
-	return s.dc.RestoreDelta(d)
-}
-
-// AckCheckpoint implements snapshot.DeltaState: the chain calls it once the
-// container is durable, making the written state the new delta baseline.
-func (s *streamState) AckCheckpoint() {
-	s.pending = nil
-	s.dc.AckCheckpoint()
-}
-
-// writeCheckpoint saves the next checkpoint of the chain atomically (temp
-// file, fsync, rename) — a delta when the chain was resumed from disk and
-// has room, a full base otherwise — so an interrupted write never clobbers
-// a previous good checkpoint with a truncated one.
-func writeCheckpoint(chain *snapshot.Chain, st *streamState) error {
-	kind, bytes, err := chain.Checkpoint(st)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s checkpoint written to %s (%d bytes, chain length %d)\n", kind, chain.Path(), bytes, chain.Len())
-	return nil
-}
-
-// resumeState restores a streamState from a checkpoint chain rooted at
-// path: stale temp files from an interrupted checkpoint are swept, then the
-// base snapshot and every delta linking to it are replayed in sequence.
-func resumeState(path string, parallelism, maxDeltaChain int) (*streamState, *snapshot.Chain, error) {
-	if swept, err := snapshot.SweepStaleTemps(path); err != nil {
-		return nil, nil, err
-	} else if len(swept) > 0 {
-		fmt.Printf("swept %d stale checkpoint temp file(s)\n", len(swept))
-	}
-	st := &streamState{parallelism: parallelism}
-	chain := snapshot.OpenChain(path, maxDeltaChain)
-	ok, err := chain.Restore(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !ok {
-		return nil, nil, fmt.Errorf("no snapshot at %s", path)
-	}
-	return st, chain, nil
-}
-
-// resumeOrFresh restores a streamState from resumeFile (applying any
-// -resume-machines re-shard and re-basing the chain) or builds a fresh one
-// over n vertices. It is the shared front half of runStream and runTrace.
-func resumeOrFresh(n int, phi float64, seed uint64, parallelism, maxDeltaChain, resumeMachines int, resumeFile string) (*streamState, *snapshot.Chain, error) {
-	if resumeFile == "" {
-		if n < 2 {
-			return nil, nil, fmt.Errorf("stream references fewer than 2 vertices")
-		}
-		dc, err := core.NewDynamicConnectivity(core.Config{N: n, Phi: phi, Seed: seed, Parallelism: parallelism})
-		if err != nil {
-			return nil, nil, err
-		}
-		return &streamState{n: n, phi: phi, seed: seed, parallelism: parallelism, dc: dc, mirror: graph.New(n)}, nil, nil
-	}
-	st, chain, err := resumeState(resumeFile, parallelism, maxDeltaChain)
-	if err != nil {
-		return nil, nil, fmt.Errorf("resume %s: %w", resumeFile, err)
-	}
-	fmt.Printf("resumed %d vertices, %d edges from %s (chain length %d)\n", st.n, st.mirror.M(), resumeFile, chain.Len())
-	if resumeMachines > 0 {
-		was := st.dc.Config().MachineCount()
-		if err := st.reshard(resumeMachines); err != nil {
-			return nil, nil, fmt.Errorf("re-shard onto %d machines: %w", resumeMachines, err)
-		}
-		// The restored chain describes the old shape: re-base it so a
-		// -checkpoint onto the same path writes a fresh full base rather
-		// than a delta extending old-shape containers.
-		chain.Rebase()
-		fmt.Printf("re-sharded %d -> %d machines (VerticesPerMachine=%d)\n", was, resumeMachines, st.vpm)
-	}
-	return st, chain, nil
-}
-
-// replay pulls batches from the validating source and applies them to the
-// connectivity state, chunked to the cluster's MaxBatch, until io.EOF or
-// (maxBatches > 0) that many source batches. Every applied update is
-// journaled so a delta checkpoint ships just the replayed suffix, and
-// st.applied advances per source batch so a trace checkpoint records the
-// resume position.
-func (s *streamState) replay(src *workload.Mirrored, maxBatches int) (int, error) {
-	replayed := 0
-	for maxBatches <= 0 || replayed < maxBatches {
-		b, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return replayed, err
-		}
-		if len(b) == 0 {
-			continue
-		}
-		for len(b) > 0 {
-			k := s.dc.MaxBatch()
-			if k > len(b) {
-				k = len(b)
-			}
-			if err := s.dc.ApplyBatch(b[:k]); err != nil {
-				return replayed, err
-			}
-			s.pending = append(s.pending, b[:k]...)
-			b = b[k:]
-		}
-		replayed++
-		s.applied++
-	}
-	return replayed, nil
-}
-
-// finishReplay verifies the replayed state against the mirror, prints the
-// summary (identical across the text and trace paths, so CI can diff
-// them), and writes the checkpoint if requested.
-func (s *streamState) finishReplay(replayed int, mirror *graph.Graph, chain *snapshot.Chain, maxDeltaChain int, resumeFile, checkpointFile string) error {
-	if err := harness.VerifyConnectivity(s.dc, mirror); err != nil {
-		return fmt.Errorf("replay diverged from the oracle: %w", err)
-	}
-	fmt.Printf("replayed %d batches on %d vertices: %d components (oracle-verified)\n",
-		replayed, s.n, s.dc.NumComponents())
-	report(s.dc.Cluster().Stats(), replayed)
-	if checkpointFile != "" {
-		s.mirror = mirror
-		if chain == nil || checkpointFile != resumeFile {
-			// Writing somewhere other than the resumed chain: start a fresh
-			// chain there, which forces a full base.
-			chain = snapshot.OpenChain(checkpointFile, maxDeltaChain)
-		}
-		return writeCheckpoint(chain, s)
-	}
-	return nil
-}
-
-// runStream replays a text stream file through the connectivity algorithm,
-// optionally resuming from and/or writing a checkpoint. When -resume and
-// -checkpoint name the same path, the written checkpoint extends the
-// restored chain as a cheap delta (carrying only the replayed updates and
-// the state they dirtied) instead of rewriting the full snapshot. The file
-// is streamed, never materialized: a first pass scans for the vertex-space
-// size (skipped when a resumed snapshot already pins it), a second replays
-// batch by batch, each validated against the mirror as it is pulled.
-func runStream(algo, path string, phi float64, seed uint64, parallelism, maxDeltaChain, resumeMachines int, resumeFile, checkpointFile string) error {
-	if algo != "connectivity" {
-		return fmt.Errorf("-stream currently supports -algo connectivity, got %q", algo)
-	}
-	n := 0
-	if resumeFile == "" {
-		// Pass 1: fold the max vertex without holding more than one batch.
-		file, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		r := streamio.NewReader(file)
-		for {
-			b, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				file.Close()
-				return err
-			}
-			if m := b.MaxVertex(); m >= n {
-				n = m + 1
-			}
-		}
-		file.Close()
-	}
-	st, chain, err := resumeOrFresh(n, phi, seed, parallelism, maxDeltaChain, resumeMachines, resumeFile)
-	if err != nil {
-		return err
-	}
-	file, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	shape := workload.Shape{N: st.n, Batches: -1, Updates: -1}
-	src := workload.NewMirroredFrom(st.mirror, workload.NewFuncSource(shape, streamio.NewReader(file).Next))
-	replayed, err := st.replay(src, 0)
-	if err != nil {
-		return err
-	}
-	return st.finishReplay(replayed, src.Mirror(), chain, maxDeltaChain, resumeFile, checkpointFile)
-}
-
-// runTrace replays a binary trace (internal/trace format) through the
-// connectivity algorithm. Unlike the text path, the trace's footer already
-// carries the vertex-space size (no scanning pass) and a seekable segment
-// index: resuming a checkpoint cut mid-trace seeks straight to the first
-// unapplied batch, decoding only the segments from there on.
-func runTrace(algo, path string, phi float64, seed uint64, parallelism, maxDeltaChain, resumeMachines, traceBatches int, resumeFile, checkpointFile string) error {
-	if algo != "connectivity" {
-		return fmt.Errorf("-trace currently supports -algo connectivity, got %q", algo)
-	}
-	file, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	tr, err := trace.NewReader(file)
-	if err != nil {
-		return err
-	}
-	shape := tr.Shape()
-	st, chain, err := resumeOrFresh(shape.N, phi, seed, parallelism, maxDeltaChain, resumeMachines, resumeFile)
-	if err != nil {
-		return err
-	}
-	if shape.N > st.n {
-		return fmt.Errorf("trace spans %d vertices but the resumed snapshot covers [0,%d)", shape.N, st.n)
-	}
-	if resumeFile != "" {
-		if st.applied > shape.Batches {
-			return fmt.Errorf("snapshot says %d batches already applied but the trace holds only %d — wrong trace for this checkpoint?", st.applied, shape.Batches)
-		}
-		if err := tr.SeekBatch(st.applied); err != nil {
-			return err
-		}
-		fmt.Printf("continuing at trace batch %d of %d (segment index seek)\n", st.applied, shape.Batches)
-	}
-	src := workload.NewMirroredFrom(st.mirror, tr)
-	replayed, err := st.replay(src, traceBatches)
-	if err != nil {
-		return err
-	}
-	return st.finishReplay(replayed, src.Mirror(), chain, maxDeltaChain, resumeFile, checkpointFile)
-}
-
-// multiSink fans converted batches out to every output format requested.
-type multiSink []trace.Sink
-
-func (m multiSink) WriteBatch(b graph.Batch) error {
-	for _, s := range m {
-		if err := s.WriteBatch(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runConvert streams a SNAP-style edge list into the requested trace
-// (binary) and/or stream (text) outputs. Input and outputs are all
-// streamed; memory is bounded by the live-edge window plus one segment.
-func runConvert(in, tracePath, streamPath string, window int64) error {
-	inf, err := os.Open(in)
-	if err != nil {
-		return err
-	}
-	defer inf.Close()
-	var sinks multiSink
-	var tw *trace.Writer
-	var sw *streamio.Writer
-	var outs []*os.File
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		outs = append(outs, f)
-		if tw, err = trace.NewWriter(f, trace.WriterOptions{}); err != nil {
-			return err
-		}
-		sinks = append(sinks, tw)
-	}
-	if streamPath != "" {
-		f, err := os.Create(streamPath)
-		if err != nil {
-			return err
-		}
-		outs = append(outs, f)
-		sw = streamio.NewWriter(f)
-		sinks = append(sinks, sw)
-	}
-	stats, err := trace.ConvertEdgeList(inf, sinks, trace.ConvertOptions{Window: window})
-	if err != nil {
-		return err
-	}
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			return err
-		}
-	}
-	if sw != nil {
-		if err := sw.Flush(); err != nil {
-			return err
-		}
-	}
-	for _, f := range outs {
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	weighted := "unweighted"
-	if stats.Weighted {
-		weighted = "weighted"
-	}
-	fmt.Printf("converted %d lines: %d batches, %d updates on %d vertices (%s)\n",
-		stats.Lines, stats.Batches, stats.Updates, stats.N, weighted)
-	fmt.Printf("normalized: %d duplicates, %d self-loops skipped; %d window expirations emitted\n",
-		stats.Duplicates, stats.SelfLoops, stats.Expired)
-	return nil
-}
-
-func report(st mpc.Stats, batches int) {
-	fmt.Printf("rounds: %d (%.1f/batch)  messages: %d  words sent: %d\n",
-		st.Rounds, float64(st.Rounds)/float64(batches), st.Messages, st.WordsSent)
-	fmt.Printf("peak machine words: %d  peak total words: %d  violations: %d\n",
-		st.PeakMachineWords, st.PeakTotalWords, len(st.Violations))
 }

@@ -256,6 +256,42 @@ func (g *Graph) Apply(b Batch) error {
 	return nil
 }
 
+// Check reports whether b applies cleanly to g as one atomic batch, without
+// applying it: every canonical endpoint in [0, N), no self-loops, each edge
+// touched at most once (so the updates are valid in any order, which is how
+// the algorithms apply them — inserts before deletes), inserts only of
+// absent edges, deletes only of present ones, and no unknown op. It is the
+// one batch validator behind every front door that admits outside updates.
+func (g *Graph) Check(b Batch) error {
+	touched := make(map[Edge]struct{}, len(b))
+	for i, up := range b {
+		e := up.Edge.Canonical()
+		if e.U < 0 || e.V >= g.n {
+			return fmt.Errorf("update %d: edge {%d,%d} outside vertex range [0,%d)", i, e.U, e.V, g.n)
+		}
+		if e.U == e.V {
+			return fmt.Errorf("update %d: self-loop {%d,%d}", i, e.U, e.V)
+		}
+		if _, dup := touched[e]; dup {
+			return fmt.Errorf("update %d: edge {%d,%d} touched twice in one batch", i, e.U, e.V)
+		}
+		touched[e] = struct{}{}
+		switch up.Op {
+		case Insert:
+			if g.Has(e.U, e.V) {
+				return fmt.Errorf("update %d: insert of present edge {%d,%d}", i, e.U, e.V)
+			}
+		case Delete:
+			if !g.Has(e.U, e.V) {
+				return fmt.Errorf("update %d: delete of absent edge {%d,%d}", i, e.U, e.V)
+			}
+		default:
+			return fmt.Errorf("update %d: unknown op %d", i, up.Op)
+		}
+	}
+	return nil
+}
+
 // Neighbors calls fn for every neighbor of u with the edge weight, in
 // unspecified order, stopping early if fn returns false.
 func (g *Graph) Neighbors(u int, fn func(v int, w int64) bool) {

@@ -154,6 +154,50 @@ func TestGraphApply(t *testing.T) {
 	}
 }
 
+// TestGraphCheck is the table of the one batch validator every front door
+// shares (it was the server's TestValidateBatch): a valid batch passes,
+// every kind of invalid one is refused with its own diagnostic, and Check
+// never mutates the graph — not even for a batch that fails half-way.
+func TestGraphCheck(t *testing.T) {
+	g := New(8)
+	if err := g.Insert(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Check(Batch{Ins(2, 3), Del(0, 1)}); err != nil {
+		t.Errorf("valid batch refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		b    Batch
+		want string
+	}{
+		{"dup insert", Batch{Ins(0, 1)}, "update 0: insert of present edge {0,1}"},
+		{"absent delete", Batch{Del(4, 5)}, "update 0: delete of absent edge {4,5}"},
+		{"touch twice", Batch{Ins(2, 3), Del(2, 3)}, "update 1: edge {2,3} touched twice in one batch"},
+		// Delete-then-insert of a present edge is valid update by update, but
+		// the algorithms apply a batch's inserts before its deletes.
+		{"delete then reinsert", Batch{Del(0, 1), Ins(0, 1)}, "update 1: edge {0,1} touched twice in one batch"},
+		{"out of range", Batch{{Op: Insert, Edge: Edge{U: 0, V: 99}}}, "update 0: edge {0,99} outside vertex range [0,8)"},
+		{"negative", Batch{{Op: Insert, Edge: Edge{U: -1, V: 2}}}, "update 0: edge {-1,2} outside vertex range [0,8)"},
+		// Non-canonical endpoint order must not slip past the range check
+		// into an index panic in Has.
+		{"non-canonical out of range", Batch{{Op: Insert, Edge: Edge{U: 13, V: 3}}}, "update 0: edge {3,13} outside vertex range [0,8)"},
+		{"self-loop", Batch{{Op: Insert, Edge: Edge{U: 3, V: 3}}}, "update 0: self-loop {3,3}"},
+		{"unknown op", Batch{{Op: Op(7), Edge: Edge{U: 2, V: 3}}}, "update 0: unknown op 7"},
+		{"fails half-way", Batch{Ins(2, 3), Ins(4, 5), Del(6, 7)}, "update 2: delete of absent edge {6,7}"},
+	} {
+		err := g.Check(tc.b)
+		if err == nil {
+			t.Errorf("%s: batch accepted", tc.name)
+		} else if err.Error() != tc.want {
+			t.Errorf("%s: diagnostic %q, want %q", tc.name, err, tc.want)
+		}
+	}
+	if g.M() != 1 || !g.Has(0, 1) {
+		t.Errorf("Check mutated the graph: M = %d", g.M())
+	}
+}
+
 func TestGraphNeighborsAndDegree(t *testing.T) {
 	g := New(4)
 	_ = g.Insert(0, 1, 1)

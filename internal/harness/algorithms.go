@@ -10,7 +10,6 @@ import (
 	"repro/internal/msf"
 	"repro/internal/nowickionak"
 	"repro/internal/oracle"
-	"repro/internal/snapshot"
 )
 
 // This file adapts every dynamic algorithm in the repository to the
@@ -63,55 +62,41 @@ func VerifyConnectivity(dc *core.DynamicConnectivity, g *graph.Graph) error {
 	return nil
 }
 
-type connectivityInstance struct{ dc *core.DynamicConnectivity }
+// The adapters embed their algorithm, so whatever part of the Instance (and
+// snapshot.DeltaState, Elastic) contract the algorithm already implements
+// under the contract's own method names is promoted as is; an adapter spells
+// out only what the algorithm names differently or does not have.
 
-func (c connectivityInstance) MaxBatch() int                     { return c.dc.MaxBatch() }
-func (c connectivityInstance) Apply(b graph.Batch) error         { return c.dc.ApplyBatch(b) }
-func (c connectivityInstance) Check(g *graph.Graph) error        { return VerifyConnectivity(c.dc, g) }
-func (c connectivityInstance) Rounds() int                       { return c.dc.Cluster().Stats().Rounds }
-func (c connectivityInstance) Checkpoint(e *snapshot.Encoder)    { c.dc.Checkpoint(e) }
-func (c connectivityInstance) Restore(d *snapshot.Decoder) error { return c.dc.Restore(d) }
+// connectivity supports delta checkpoints (snapshot.DeltaState), so harness
+// chains alternate full and delta containers for it, and elastic
+// re-sharding (Options.FaultEvery).
+type connectivityInstance struct{ *core.DynamicConnectivity }
 
-// connectivity additionally supports delta checkpoints (snapshot.DeltaState),
-// so harness chains alternate full and delta containers for it.
-func (c connectivityInstance) CheckpointDelta(e *snapshot.Encoder)    { c.dc.CheckpointDelta(e) }
-func (c connectivityInstance) RestoreDelta(d *snapshot.Decoder) error { return c.dc.RestoreDelta(d) }
-func (c connectivityInstance) AckCheckpoint()                         { c.dc.AckCheckpoint() }
-
-// ... and elastic re-sharding (harness.Elastic, Options.FaultEvery).
-func (c connectivityInstance) Machines() int { return c.dc.Cluster().Machines() }
-func (c connectivityInstance) ReshardRestore(d *snapshot.Decoder) error {
-	return c.dc.ReshardRestore(d)
+func (c connectivityInstance) Check(g *graph.Graph) error {
+	return VerifyConnectivity(c.DynamicConnectivity, g)
 }
+func (c connectivityInstance) Rounds() int   { return c.Cluster().Stats().Rounds }
+func (c connectivityInstance) Machines() int { return c.Cluster().Machines() }
 
-type bipartiteInstance struct{ t *bipartite.Tester }
+type bipartiteInstance struct{ *bipartite.Tester }
 
-func (b bipartiteInstance) MaxBatch() int                     { return b.t.MaxBatch() }
-func (b bipartiteInstance) Apply(bt graph.Batch) error        { return b.t.ApplyBatch(bt) }
-func (b bipartiteInstance) Checkpoint(e *snapshot.Encoder)    { b.t.Checkpoint(e) }
-func (b bipartiteInstance) Restore(d *snapshot.Decoder) error { return b.t.Restore(d) }
 func (b bipartiteInstance) Rounds() int {
-	return b.t.Graph().Cluster().Stats().Rounds + b.t.Cover().Cluster().Stats().Rounds
+	return b.Graph().Cluster().Stats().Rounds + b.Cover().Cluster().Stats().Rounds
 }
 func (b bipartiteInstance) Check(g *graph.Graph) error {
-	got, want := b.t.IsBipartite(), oracle.IsBipartite(g)
+	got, want := b.IsBipartite(), oracle.IsBipartite(g)
 	if got != want {
 		return fmt.Errorf("bipartiteness %v, oracle %v", got, want)
 	}
 	return nil
 }
 
-type exactMSFInstance struct{ m *msf.ExactMSF }
+type exactMSFInstance struct{ *msf.ExactMSF }
 
-func (e exactMSFInstance) MaxBatch() int                     { return e.m.Forest().Config().MaxBatch() }
-func (e exactMSFInstance) Rounds() int                       { return e.m.Forest().Cluster().Stats().Rounds }
-func (e exactMSFInstance) Checkpoint(enc *snapshot.Encoder)  { e.m.Checkpoint(enc) }
-func (e exactMSFInstance) Restore(d *snapshot.Decoder) error { return e.m.Restore(d) }
-func (e exactMSFInstance) Machines() int                     { return e.m.Forest().Cluster().Machines() }
-func (e exactMSFInstance) ReshardRestore(d *snapshot.Decoder) error {
-	return e.m.ReshardRestore(d)
-}
-func (e exactMSFInstance) Apply(b graph.Batch) error {
+func (e exactMSFInstance) MaxBatch() int { return e.Forest().Config().MaxBatch() }
+func (e exactMSFInstance) Rounds() int   { return e.Forest().Cluster().Stats().Rounds }
+func (e exactMSFInstance) Machines() int { return e.Forest().Cluster().Machines() }
+func (e exactMSFInstance) ApplyBatch(b graph.Batch) error {
 	edges := make([]graph.WeightedEdge, 0, len(b))
 	for _, u := range b {
 		if u.Op != graph.Insert {
@@ -119,14 +104,14 @@ func (e exactMSFInstance) Apply(b graph.Batch) error {
 		}
 		edges = append(edges, graph.WeightedEdge{Edge: u.Edge, Weight: u.Weight})
 	}
-	return e.m.InsertBatch(edges)
+	return e.InsertBatch(edges)
 }
 func (e exactMSFInstance) Check(g *graph.Graph) error {
 	_, want := oracle.MSF(g)
-	if got := e.m.Weight(); got != want {
+	if got := e.Weight(); got != want {
 		return fmt.Errorf("MSF weight %d, Kruskal %d", got, want)
 	}
-	snapshot := e.m.Snapshot()
+	snapshot := e.Snapshot()
 	forest := make([]graph.Edge, 0, len(snapshot))
 	var total int64
 	for _, we := range snapshot {
@@ -143,55 +128,40 @@ func (e exactMSFInstance) Check(g *graph.Graph) error {
 }
 
 type approxMSFInstance struct {
-	a   *msf.ApproxMSF
+	*msf.ApproxMSF
 	eps float64
 }
 
-func (a approxMSFInstance) MaxBatch() int                     { return a.a.MaxBatch() }
-func (a approxMSFInstance) Apply(b graph.Batch) error         { return a.a.ApplyBatch(b) }
-func (a approxMSFInstance) Rounds() int                       { return -1 }
-func (a approxMSFInstance) Checkpoint(e *snapshot.Encoder)    { a.a.Checkpoint(e) }
-func (a approxMSFInstance) Restore(d *snapshot.Decoder) error { return a.a.Restore(d) }
-func (a approxMSFInstance) Machines() int                     { return a.a.Machines() }
-func (a approxMSFInstance) ReshardRestore(d *snapshot.Decoder) error {
-	return a.a.ReshardRestore(d)
-}
+func (a approxMSFInstance) Rounds() int { return -1 }
 func (a approxMSFInstance) Check(g *graph.Graph) error {
 	_, want := oracle.MSF(g)
 	if want == 0 {
 		// No spanning edges: both estimates must read exactly zero (a stale
 		// positive weight after the last deletion is a real divergence).
-		if est := a.a.Weight(); est != 0 {
+		if est := a.Weight(); est != 0 {
 			return fmt.Errorf("weight estimate %d on a forestless mirror", est)
 		}
-		if fw := a.a.ForestWeight(); fw != 0 {
+		if fw := a.ForestWeight(); fw != 0 {
 			return fmt.Errorf("forest weight %d on a forestless mirror", fw)
 		}
 		return nil
 	}
 	bound := (1 + a.eps) * float64(want)
-	if est := a.a.Weight(); float64(est) < float64(want) || float64(est) > bound {
+	if est := a.Weight(); float64(est) < float64(want) || float64(est) > bound {
 		return fmt.Errorf("weight estimate %d outside [%d, %.1f]", est, want, bound)
 	}
-	if fw := a.a.ForestWeight(); float64(fw) < float64(want) || float64(fw) > bound {
+	if fw := a.ForestWeight(); float64(fw) < float64(want) || float64(fw) > bound {
 		return fmt.Errorf("forest weight %d outside [%d, %.1f]", fw, want, bound)
 	}
 	return nil
 }
 
-type greedyMatchingInstance struct {
-	gm *matching.GreedyInsertOnly
-}
+type greedyMatchingInstance struct{ *matching.GreedyInsertOnly }
 
-func (g greedyMatchingInstance) MaxBatch() int                     { return 8 }
-func (g greedyMatchingInstance) Rounds() int                       { return g.gm.Cluster().Stats().Rounds }
-func (g greedyMatchingInstance) Checkpoint(e *snapshot.Encoder)    { g.gm.Checkpoint(e) }
-func (g greedyMatchingInstance) Restore(d *snapshot.Decoder) error { return g.gm.Restore(d) }
-func (g greedyMatchingInstance) Machines() int                     { return g.gm.Cluster().Machines() }
-func (g greedyMatchingInstance) ReshardRestore(d *snapshot.Decoder) error {
-	return g.gm.ReshardRestore(d)
-}
-func (g greedyMatchingInstance) Apply(b graph.Batch) error {
+func (g greedyMatchingInstance) MaxBatch() int { return 8 }
+func (g greedyMatchingInstance) Rounds() int   { return g.Cluster().Stats().Rounds }
+func (g greedyMatchingInstance) Machines() int { return g.Cluster().Machines() }
+func (g greedyMatchingInstance) ApplyBatch(b graph.Batch) error {
 	edges := make([]graph.Edge, 0, len(b))
 	for _, u := range b {
 		if u.Op != graph.Insert {
@@ -199,15 +169,15 @@ func (g greedyMatchingInstance) Apply(b graph.Batch) error {
 		}
 		edges = append(edges, u.Edge)
 	}
-	return g.gm.InsertBatch(edges)
+	return g.InsertBatch(edges)
 }
 func (g greedyMatchingInstance) Check(mirror *graph.Graph) error {
-	m := g.gm.Matching()
-	if g.gm.Size() < g.gm.Cap() {
+	m := g.Matching()
+	if g.Size() < g.Cap() {
 		// Below the α-cap the greedy matching must be maximal (hence a
 		// 2-approximation); at the cap it legitimately stops growing.
 		if !oracle.IsMaximalMatching(mirror, m) {
-			return fmt.Errorf("matching of size %d not maximal below cap %d", g.gm.Size(), g.gm.Cap())
+			return fmt.Errorf("matching of size %d not maximal below cap %d", g.Size(), g.Cap())
 		}
 		return nil
 	}
@@ -218,22 +188,19 @@ func (g greedyMatchingInstance) Check(mirror *graph.Graph) error {
 }
 
 type aklyInstance struct {
-	d     *matching.AKLYDynamic
+	*matching.AKLYDynamic
 	alpha float64
 }
 
-func (a aklyInstance) MaxBatch() int                     { return 8 }
-func (a aklyInstance) Apply(b graph.Batch) error         { return a.d.ApplyBatch(b) }
-func (a aklyInstance) Rounds() int                       { return -1 }
-func (a aklyInstance) Checkpoint(e *snapshot.Encoder)    { a.d.Checkpoint(e) }
-func (a aklyInstance) Restore(d *snapshot.Decoder) error { return a.d.Restore(d) }
+func (a aklyInstance) MaxBatch() int { return 8 }
+func (a aklyInstance) Rounds() int   { return -1 }
 func (a aklyInstance) Check(g *graph.Graph) error {
-	m := a.d.Matching()
+	m := a.Matching()
 	if !oracle.IsMatching(g, m) {
 		return fmt.Errorf("AKLY output is not a matching of the mirror")
 	}
-	if opt := oracle.MaxMatchingSize(g); a.d.Size() > opt {
-		return fmt.Errorf("AKLY size %d exceeds maximum matching %d", a.d.Size(), opt)
+	if opt := oracle.MaxMatchingSize(g); a.Size() > opt {
+		return fmt.Errorf("AKLY size %d exceeds maximum matching %d", a.Size(), opt)
 	}
 	return nil
 }
@@ -243,21 +210,18 @@ func (a aklyInstance) Check(g *graph.Graph) error {
 // to demand after every batch but stable at the end of a seeded stream.
 func (a aklyInstance) FinalCheck(g *graph.Graph) error {
 	opt := oracle.MaxMatchingSize(g)
-	if got := a.d.Size(); float64(got)*4*a.alpha < float64(opt) {
+	if got := a.Size(); float64(got)*4*a.alpha < float64(opt) {
 		return fmt.Errorf("AKLY size %d not within 4α of OPT %d (α=%.1f)", got, opt, a.alpha)
 	}
 	return nil
 }
 
-type nowickiOnakInstance struct{ m *nowickionak.Matcher }
+type nowickiOnakInstance struct{ *nowickionak.Matcher }
 
-func (n nowickiOnakInstance) MaxBatch() int                     { return 8 }
-func (n nowickiOnakInstance) Apply(b graph.Batch) error         { return n.m.ApplyBatch(b) }
-func (n nowickiOnakInstance) Rounds() int                       { return n.m.Cluster().Stats().Rounds }
-func (n nowickiOnakInstance) Checkpoint(e *snapshot.Encoder)    { n.m.Checkpoint(e) }
-func (n nowickiOnakInstance) Restore(d *snapshot.Decoder) error { return n.m.Restore(d) }
+func (n nowickiOnakInstance) MaxBatch() int { return 8 }
+func (n nowickiOnakInstance) Rounds() int   { return n.Cluster().Stats().Rounds }
 func (n nowickiOnakInstance) Check(g *graph.Graph) error {
-	if !oracle.IsMaximalMatching(g, n.m.Matching()) {
+	if !oracle.IsMaximalMatching(g, n.Matching()) {
 		return fmt.Errorf("maintained matching is not maximal on the mirror")
 	}
 	return nil

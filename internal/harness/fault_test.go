@@ -35,29 +35,29 @@ func fingerprint(t *testing.T, inst Instance) string {
 	t.Helper()
 	switch v := inst.(type) {
 	case connectivityInstance:
-		n := v.dc.Config().N
+		n := v.Config().N
 		pairs := make([]core.Pair, 0, 2*n)
 		for i := 0; i+1 < n; i++ {
 			pairs = append(pairs, core.Pair{U: i, V: i + 1}, core.Pair{U: 0, V: i + 1})
 		}
-		forest := v.dc.SnapshotForest()
+		forest := v.SnapshotForest()
 		sort.Slice(forest, func(i, j int) bool {
 			return forest[i].ID(n) < forest[j].ID(n)
 		})
 		return fmt.Sprintf("comp=%v forest=%v conn=%v",
-			v.dc.SnapshotComponents(), forest, v.dc.ConnectedAll(pairs))
+			v.SnapshotComponents(), forest, v.ConnectedAll(pairs))
 	case exactMSFInstance:
-		forest := v.m.Snapshot()
+		forest := v.Snapshot()
 		sort.Slice(forest, func(i, j int) bool {
-			return forest[i].ID(v.m.Forest().Config().N) < forest[j].ID(v.m.Forest().Config().N)
+			return forest[i].ID(v.Forest().Config().N) < forest[j].ID(v.Forest().Config().N)
 		})
-		return fmt.Sprintf("weight=%d forest=%v", v.m.Weight(), forest)
+		return fmt.Sprintf("weight=%d forest=%v", v.Weight(), forest)
 	case approxMSFInstance:
-		return fmt.Sprintf("weight=%d forestweight=%d", v.a.Weight(), v.a.ForestWeight())
+		return fmt.Sprintf("weight=%d forestweight=%d", v.Weight(), v.ForestWeight())
 	case greedyMatchingInstance:
-		m := v.gm.Matching()
+		m := v.Matching()
 		sort.Slice(m, func(i, j int) bool { return m[i].ID(48) < m[j].ID(48) })
-		return fmt.Sprintf("size=%d matching=%v", v.gm.Size(), m)
+		return fmt.Sprintf("size=%d matching=%v", v.Size(), m)
 	}
 	t.Fatalf("no fingerprint for instance type %T", inst)
 	return ""

@@ -14,12 +14,12 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/session"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
 
@@ -64,9 +64,8 @@ type Options struct {
 	// batch indices (one crash per CrashEvery batches on average, drawn
 	// from workload.NewCrashSchedule) the instance is checkpointed, torn
 	// down, rebuilt from scratch, and restored — so every scenario doubles
-	// as a crash/recovery scenario. Requires the algorithm to implement
-	// Checkpointable. Results, oracle checks, and (for deterministic
-	// algorithms) Stats are identical to an uninterrupted run.
+	// as a crash/recovery scenario. Results, oracle checks, and (for
+	// deterministic algorithms) Stats are identical to an uninterrupted run.
 	//
 	// Checkpoints ride an in-memory chain: the first is a full base, later
 	// ones are deltas when the algorithm implements snapshot.DeltaState
@@ -135,12 +134,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Instance is one live algorithm run under the harness.
+// Instance is one live algorithm run under the harness: a session.State
+// (it applies batches and checkpoints itself, which is what lets
+// Options.CrashEvery turn any scenario into a crash/recovery scenario) that
+// can also be checked against the oracles.
 type Instance interface {
-	// MaxBatch returns the largest batch the instance accepts.
-	MaxBatch() int
-	// Apply feeds one batch.
-	Apply(b graph.Batch) error
+	session.State
 	// Check cross-checks the maintained solution against the brute-force
 	// oracles on the mirror graph.
 	Check(mirror *graph.Graph) error
@@ -156,17 +155,6 @@ type finalChecker interface {
 	FinalCheck(mirror *graph.Graph) error
 }
 
-// Checkpointable is the optional Instance extension for crash-safe
-// checkpoint/restore: Checkpoint serializes the instance's full state into
-// a snapshot encoder and Restore loads it into a freshly constructed
-// instance of the same options. Every registered algorithm implements it,
-// which is what lets Options.CrashEvery turn any scenario into a
-// crash/recovery scenario.
-type Checkpointable interface {
-	snapshot.Checkpointer
-	snapshot.Restorer
-}
-
 // Elastic is the optional Instance extension for machine-loss recovery
 // (Options.FaultEvery): an elastic instance reports its cluster size and
 // can load a full checkpoint written at a different machine count,
@@ -174,7 +162,6 @@ type Checkpointable interface {
 // algorithms with per-vertex sharded state (connectivity, the MSF pair,
 // greedy matching) implement it.
 type Elastic interface {
-	Checkpointable
 	snapshot.ReshardRestorer
 	// Machines returns the instance's MPC machine count (including the
 	// coordinator).
@@ -314,35 +301,16 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 		return nil, opt, nil, err
 	}
 	opt = opt.withDefaults()
-	inst, err := algo.New(opt)
+	sess, err := newSession(algo, opt)
 	if err != nil {
 		return nil, opt, nil, err
 	}
-	var crash *workload.CrashSchedule
-	var fault *workload.MachineFaultSchedule
-	var chain *memChain
-	if opt.CrashEvery > 0 || opt.CheckpointEvery > 0 || opt.FaultEvery > 0 {
-		if _, ok := inst.(Checkpointable); !ok {
-			return nil, opt, nil, fmt.Errorf("harness: %s does not support checkpoint/restore (CrashEvery/CheckpointEvery/FaultEvery)", algo.Name)
-		}
-		chain = &memChain{maxDeltas: opt.MaxDeltaChain}
-	}
-	if opt.CrashEvery > 0 {
-		crash = workload.NewCrashSchedule(opt.CrashSeed, opt.CrashEvery)
-	}
-	if opt.FaultEvery > 0 {
-		if _, ok := inst.(Elastic); !ok {
-			return nil, opt, nil, fmt.Errorf("harness: %s does not support elastic re-sharding (FaultEvery)", algo.Name)
-		}
-		fault = workload.NewMachineFaultSchedule(opt.FaultSeed, opt.FaultEvery)
-	}
-	gen := sc.New(opt.N, opt.Seed+1)
-	size := inst.MaxBatch()
+	size := sess.State().MaxBatch()
 	if opt.BatchSize > 0 && opt.BatchSize < size {
 		size = opt.BatchSize
 	}
-	src := workload.NewGeneratorSource(gen, opt.Batches, size)
-	return driveSource(algo, sc.Name, inst, src, opt, size, crash, fault, chain)
+	src := workload.NewGeneratorSource(sc.New(opt.N, opt.Seed+1), opt.Batches, size)
+	return driveSource(algo, sc.Name, sess, src, opt)
 }
 
 // RunSource streams an external batch source (a replayed trace, a converted
@@ -369,79 +337,108 @@ func RunSource(algoName, streamName string, src workload.MirrorSource, opt Optio
 		return nil, fmt.Errorf("harness: %s needs weighted updates but source %s is unweighted", algoName, streamName)
 	}
 	opt = opt.withDefaults()
-	inst, err := algo.New(opt)
+	sess, err := newSession(algo, opt)
 	if err != nil {
 		return nil, err
 	}
-	var crash *workload.CrashSchedule
-	var fault *workload.MachineFaultSchedule
-	var chain *memChain
-	if opt.CrashEvery > 0 || opt.CheckpointEvery > 0 || opt.FaultEvery > 0 {
-		if _, ok := inst.(Checkpointable); !ok {
-			return nil, fmt.Errorf("harness: %s does not support checkpoint/restore (CrashEvery/CheckpointEvery/FaultEvery)", algo.Name)
-		}
-		chain = &memChain{maxDeltas: opt.MaxDeltaChain}
-	}
-	if opt.CrashEvery > 0 {
-		crash = workload.NewCrashSchedule(opt.CrashSeed, opt.CrashEvery)
-	}
-	if opt.FaultEvery > 0 {
-		if _, ok := inst.(Elastic); !ok {
-			return nil, fmt.Errorf("harness: %s does not support elastic re-sharding (FaultEvery)", algo.Name)
-		}
-		fault = workload.NewMachineFaultSchedule(opt.FaultSeed, opt.FaultEvery)
-	}
-	size := inst.MaxBatch()
-	if opt.BatchSize > 0 && opt.BatchSize < size {
-		size = opt.BatchSize
-	}
-	_, _, rep, err := driveSource(algo, streamName, inst, src, opt, size, crash, fault, chain)
+	_, _, rep, err := driveSource(algo, streamName, sess, src, opt)
 	return rep, err
 }
 
+// newSession starts the run's session: a fresh instance at the options'
+// shape, on an in-memory chain when any failure decoration is on (the chain
+// must outlive the instance it checkpoints, not the process).
+func newSession(algo Algorithm, opt Options) (*session.Session, error) {
+	cfg := session.Config{
+		Shape: opt.coreCfg(),
+		New: func(sh session.Shape) (session.State, error) {
+			at := opt
+			at.VerticesPerMachine = sh.VerticesPerMachine
+			return algo.New(at)
+		},
+		BatchSize: opt.BatchSize,
+	}
+	if opt.CrashEvery > 0 || opt.CheckpointEvery > 0 || opt.FaultEvery > 0 {
+		cfg.Chain = snapshot.OpenChainIn(snapshot.NewMemStore(), algo.Name, opt.MaxDeltaChain)
+	}
+	sess, err := session.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := sess.State().(Elastic); opt.FaultEvery > 0 && !ok {
+		return nil, fmt.Errorf("harness: %s does not support elastic re-sharding (FaultEvery)", algo.Name)
+	}
+	return sess, nil
+}
+
 // driveSource is the shared engine of RunScenario and RunSource: it pulls
-// batches from src until io.EOF, applies each (chunked to size), and runs
+// batches from src until io.EOF, applies each through the session, and runs
 // the differential checks and fault decorations at source-batch indices.
 // Empty batches advance the index without touching the instance, so a
 // stalled generator iteration and a skipped batch stay aligned with the
 // seeded crash/fault schedules.
-func driveSource(algo Algorithm, scName string, inst Instance, src workload.MirrorSource, opt Options, size int, crash *workload.CrashSchedule, fault *workload.MachineFaultSchedule, chain *memChain) (Instance, Options, *Report, error) {
-	// cur tracks the live cluster shape: machine-fault recovery shrinks
-	// VerticesPerMachine, and every rebuild (crash or fault) must use the
-	// current shape, not the original one. pending journals the batches
-	// applied since the last checkpoint — the replay set of a fault.
-	cur := opt
-	var pending []graph.Batch
-	var err error
+func driveSource(algo Algorithm, scName string, sess *session.Session, src workload.MirrorSource, opt Options) (Instance, Options, *Report, error) {
+	var crash *workload.CrashSchedule
+	var fault *workload.MachineFaultSchedule
+	if opt.CrashEvery > 0 {
+		crash = workload.NewCrashSchedule(opt.CrashSeed, opt.CrashEvery)
+	}
+	if opt.FaultEvery > 0 {
+		fault = workload.NewMachineFaultSchedule(opt.FaultSeed, opt.FaultEvery)
+	}
 	rep := &Report{Algorithm: algo.Name, Scenario: scName, Rounds: -1}
+	fail := func(format string, args ...any) (Instance, Options, *Report, error) {
+		return nil, opt, nil, fmt.Errorf("harness: %s over %s"+format, append([]any{algo.Name, scName}, args...)...)
+	}
+	checkpoint := func() error {
+		cut, err := sess.Checkpoint()
+		if err != nil {
+			return fmt.Errorf("checkpoint (%s): %w", cut.Kind, err)
+		}
+		if cut.Kind == snapshot.KindDelta {
+			rep.DeltaCheckpoints++
+		} else {
+			rep.FullCheckpoints++
+		}
+		return nil
+	}
+	// pending journals the batches applied since the last checkpoint — the
+	// replay set of a fault.
+	var pending []graph.Batch
+	inst := func() Instance { return sess.State().(Instance) }
 	for i := 0; ; i++ {
 		b, serr := src.Next()
 		if serr == io.EOF {
 			break
 		}
 		if serr != nil {
-			return nil, cur, nil, fmt.Errorf("harness: %s over %s: batch %d: %w", algo.Name, scName, i, serr)
+			return fail(": batch %d: %w", i, serr)
 		}
 		if len(b) == 0 {
 			continue // stalled (e.g. saturated insert-only stream)
 		}
 		if fault != nil {
-			if _, dead := fault.Fault(inst.(Elastic).Machines()); dead {
+			machines := inst().(Elastic).Machines()
+			if _, dead := fault.Fault(machines); dead {
 				// The machine died while batch i was in flight: the
-				// poisoned batch never lands on the old fleet. Recovery
-				// re-shards the last checkpoint onto the survivors and
-				// replays pending; batch i itself is replayed by the
-				// Apply below, on the recovered instance.
-				inst, cur, err = faultReshard(algo, cur, chain, pending, size, rep)
-				if err != nil {
-					return nil, cur, nil, fmt.Errorf("harness: %s over %s: machine fault at batch %d: %w", algo.Name, scName, i, err)
+				// poisoned batch never lands on the old fleet. Unlike a
+				// crash, the dying fleet cannot be checkpointed — its last
+				// round is poisoned — so recovery re-shards the last
+				// durable checkpoint onto the survivors, replays pending,
+				// and re-bases the chain at the new shape; batch i itself
+				// is replayed by the Apply below, on the recovered
+				// instance.
+				if err := recoverFault(sess, machines-1, pending, checkpoint); err != nil {
+					return fail(": machine fault at batch %d: %w", i, err)
 				}
+				rep.Faults++
+				rep.Reshards++
+				rep.ReplayedBatches += len(pending) + 1 // + the in-flight batch
 				pending = pending[:0]
-				rep.ReplayedBatches++ // the in-flight batch
 			}
 		}
-		if err := applyChunked(inst, b, size); err != nil {
-			return nil, cur, nil, fmt.Errorf("harness: %s over %s: batch %d: %w", algo.Name, scName, i, err)
+		if err := sess.Apply(b); err != nil {
+			return fail(": batch %d: %w", i, err)
 		}
 		if fault != nil {
 			pending = append(pending, append(graph.Batch(nil), b...))
@@ -449,194 +446,66 @@ func driveSource(algo Algorithm, scName string, inst Instance, src workload.Mirr
 		rep.Batches++
 		rep.Updates += len(b)
 		if opt.CheckEvery > 0 && (i+1)%opt.CheckEvery == 0 {
-			if err := inst.Check(src.Mirror()); err != nil {
-				return nil, cur, nil, fmt.Errorf("harness: %s over %s diverged at batch %d: %w", algo.Name, scName, i, err)
+			if err := inst().Check(src.Mirror()); err != nil {
+				return fail(" diverged at batch %d: %w", i, err)
 			}
 			rep.Checks++
 		}
 		if opt.CheckpointEvery > 0 && (i+1)%opt.CheckpointEvery == 0 {
-			if err := chain.checkpoint(inst, rep); err != nil {
-				return nil, cur, nil, fmt.Errorf("harness: %s over %s: checkpoint at batch %d: %w", algo.Name, scName, i, err)
+			if err := checkpoint(); err != nil {
+				return fail(": checkpoint at batch %d: %w", i, err)
 			}
 			pending = pending[:0]
 		}
 		if crash != nil && crash.Crash() {
-			inst, err = killRestore(algo, cur, inst, chain, rep)
+			// A process crash: the live instance is checkpointed (extending
+			// the chain, so the crash-instant state is the tip), dropped,
+			// and a fresh one restored from the whole chain. The generator
+			// (the outside world) survives; only the cluster state dies.
+			err := checkpoint()
+			if err == nil {
+				_, err = sess.Restore()
+			}
 			if err != nil {
-				return nil, cur, nil, fmt.Errorf("harness: %s over %s: crash at batch %d: %w", algo.Name, scName, i, err)
+				return fail(": crash at batch %d: %w", i, err)
 			}
 			rep.Crashes++
 			pending = pending[:0]
 		}
 	}
 	if opt.CheckEvery >= 0 {
-		if err := inst.Check(src.Mirror()); err != nil {
-			return nil, cur, nil, fmt.Errorf("harness: %s over %s diverged at end of stream: %w", algo.Name, scName, err)
+		if err := inst().Check(src.Mirror()); err != nil {
+			return fail(" diverged at end of stream: %w", err)
 		}
 		rep.Checks++
-		if fc, ok := inst.(finalChecker); ok {
+		if fc, ok := inst().(finalChecker); ok {
 			if err := fc.FinalCheck(src.Mirror()); err != nil {
-				return nil, cur, nil, fmt.Errorf("harness: %s over %s failed the final check: %w", algo.Name, scName, err)
+				return fail(" failed the final check: %w", err)
 			}
 			rep.Checks++
 		}
 	}
 	rep.FinalEdges = src.Mirror().M()
-	rep.Rounds = inst.Rounds()
-	return inst, cur, rep, nil
+	rep.Rounds = inst().Rounds()
+	opt.VerticesPerMachine = sess.Shape().VerticesPerMachine
+	return inst(), opt, rep, nil
 }
 
-// applyChunked feeds one source batch to the instance in pieces of at most
-// size updates: external sources (traces) batch by their own cadence, which
-// need not fit the algorithm's MaxBatch.
-func applyChunked(inst Instance, b graph.Batch, size int) error {
-	for len(b) > size {
-		if err := inst.Apply(b[:size]); err != nil {
-			return err
-		}
-		b = b[size:]
-	}
-	return inst.Apply(b)
-}
-
-// memChain is the harness's in-memory checkpoint chain: a full base
-// container plus delta containers, the exact composition snapshot.Chain
-// keeps on disk. Restores replay base + every delta, so crash recovery
-// exercises multi-link chain restores, not just the latest snapshot.
-type memChain struct {
-	maxDeltas int
-	base      bytes.Buffer
-	baseID    uint64
-	tipID     uint64
-	deltas    []*bytes.Buffer
-}
-
-// checkpoint appends the next link: a delta when the instance supports it,
-// a base exists, and the chain is under maxDeltas; a fresh full base
-// otherwise (compaction folds the chain). Acknowledges on success so the
-// next delta covers only subsequent changes.
-func (c *memChain) checkpoint(inst Instance, rep *Report) error {
-	ds, deltaCapable := inst.(snapshot.DeltaState)
-	if !deltaCapable || c.base.Len() == 0 || len(c.deltas) >= c.maxDeltas {
-		c.base.Reset()
-		c.deltas = nil
-		id, err := snapshot.SaveBase(&c.base, inst.(Checkpointable))
-		if err != nil {
-			return fmt.Errorf("checkpoint (full): %w", err)
-		}
-		c.baseID, c.tipID = id, id
-		if deltaCapable {
-			ds.AckCheckpoint()
-		}
-		rep.FullCheckpoints++
-		return nil
-	}
-	var buf bytes.Buffer
-	link := snapshot.ChainLink{Base: c.baseID, Prev: c.tipID, Seq: uint64(len(c.deltas) + 1)}
-	id, err := snapshot.SaveDelta(&buf, link, ds)
-	if err != nil {
-		return fmt.Errorf("checkpoint (delta): %w", err)
-	}
-	c.deltas = append(c.deltas, &buf)
-	c.tipID = id
-	ds.AckCheckpoint()
-	rep.DeltaCheckpoints++
-	return nil
-}
-
-// reset drops the chain; the next checkpoint writes a fresh full base.
-// Fault recovery uses it because the old links describe a cluster shape
-// that no longer exists.
-func (c *memChain) reset() {
-	c.base.Reset()
-	c.deltas = nil
-	c.baseID, c.tipID = 0, 0
-}
-
-// restore loads base + chain into inst.
-func (c *memChain) restore(inst Instance) error {
-	if _, err := snapshot.LoadBase(bytes.NewReader(c.base.Bytes()), inst.(Checkpointable)); err != nil {
-		return fmt.Errorf("restore (base): %w", err)
-	}
-	prev := c.baseID
-	for i, d := range c.deltas {
-		want := snapshot.ChainLink{Base: c.baseID, Prev: prev, Seq: uint64(i + 1)}
-		id, err := snapshot.LoadDelta(bytes.NewReader(d.Bytes()), want, inst.(snapshot.DeltaRestorer))
-		if err != nil {
-			return fmt.Errorf("restore (delta %d): %w", i+1, err)
-		}
-		prev = id
-	}
-	return nil
-}
-
-// killRestore simulates a process crash: the live instance is checkpointed
-// (extending the chain, so the crash-instant state is the tip), dropped,
-// and a fresh instance built from the same options is restored from the
-// whole chain. The generator (the outside world) survives; only the
-// cluster state dies.
-func killRestore(algo Algorithm, opt Options, inst Instance, chain *memChain, rep *Report) (Instance, error) {
-	if err := chain.checkpoint(inst, rep); err != nil {
-		return nil, err
-	}
-	fresh, err := algo.New(opt)
-	if err != nil {
-		return nil, fmt.Errorf("rebuild: %w", err)
-	}
-	if err := chain.restore(fresh); err != nil {
-		return nil, err
-	}
-	return fresh, nil
-}
-
-// faultReshard recovers from the loss of one machine, the supervised path
-// described in Options.FaultEvery. Unlike a crash, the dying fleet cannot
-// be checkpointed — its last round is poisoned — so recovery starts from
-// the last durable checkpoint: restore the whole chain into a staging
-// instance at the failed fleet's shape, re-encode it as one full snapshot,
-// reshard that onto a fleet one machine smaller, replay the journaled
-// batches, and re-base the checkpoint chain at the new shape. Returns the
-// recovered instance and the shrunken options.
-func faultReshard(algo Algorithm, cur Options, chain *memChain, pending []graph.Batch, size int, rep *Report) (Instance, Options, error) {
-	staging, err := algo.New(cur)
-	if err != nil {
-		return nil, cur, fmt.Errorf("staging rebuild: %w", err)
-	}
-	if chain.base.Len() > 0 {
-		if err := chain.restore(staging); err != nil {
-			return nil, cur, err
-		}
-	}
-	var full bytes.Buffer
-	if err := snapshot.Save(&full, staging.(Checkpointable)); err != nil {
-		return nil, cur, fmt.Errorf("re-encode: %w", err)
-	}
-	machines := staging.(Elastic).Machines()
-	if machines < 3 {
-		return nil, cur, fmt.Errorf("fleet of %d machines cannot lose one and keep a coordinator", machines)
-	}
-	next := cur
-	// ceil(N/(M-2)) vertices per machine packs the N vertices onto the
-	// surviving M-1 machines (one of which stays a pure coordinator).
-	next.VerticesPerMachine = (cur.N + machines - 3) / (machines - 2)
-	fresh, err := algo.New(next)
-	if err != nil {
-		return nil, cur, fmt.Errorf("rebuild on %d machines: %w", machines-1, err)
-	}
-	if err := snapshot.Reshard(bytes.NewReader(full.Bytes()), fresh.(Elastic)); err != nil {
-		return nil, cur, fmt.Errorf("reshard onto %d machines: %w", machines-1, err)
+// recoverFault is the supervised recovery from the loss of one machine:
+// the session re-shards its last checkpoint onto the survivors, the
+// journaled batches are replayed on the recovered instance, and the
+// checkpoint that follows re-bases the chain at the new shape.
+func recoverFault(sess *session.Session, survivors int, pending []graph.Batch, checkpoint func() error) error {
+	if err := sess.RecoverOnto(survivors); err != nil {
+		return err
 	}
 	for j, b := range pending {
-		if err := applyChunked(fresh, b, size); err != nil {
-			return nil, cur, fmt.Errorf("replay batch %d of %d: %w", j+1, len(pending), err)
+		if err := sess.Apply(b); err != nil {
+			return fmt.Errorf("replay batch %d of %d: %w", j+1, len(pending), err)
 		}
 	}
-	rep.Faults++
-	rep.Reshards++
-	rep.ReplayedBatches += len(pending)
-	chain.reset()
-	if err := chain.checkpoint(fresh, rep); err != nil {
-		return nil, cur, fmt.Errorf("re-base checkpoint: %w", err)
+	if err := checkpoint(); err != nil {
+		return fmt.Errorf("re-base: %w", err)
 	}
-	return fresh, next, nil
+	return nil
 }

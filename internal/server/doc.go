@@ -7,13 +7,15 @@
 //
 // # Instances and concurrency
 //
-// Each instance is an independent core.DynamicConnectivity over its own MPC
-// cluster, identified by an integer id in [0, Instances). The instance
-// enforces the core query engine's single-writer/many-reader contract (see
-// internal/core/query.go) with a per-instance RWMutex: exactly one applier
-// goroutine drains the instance's update queue and applies batches under
-// the write lock, while any number of request handlers answer query batches
-// under the read lock. Warm queries touch only the label cache and run
+// Each instance is an independent session.Session over a
+// core.DynamicConnectivity on its own MPC cluster, identified by an integer
+// id in [0, Instances). The session owns the lifecycle — apply, checkpoint,
+// restore, resize — and takes no locks; the instance wraps it in the
+// server's own. It enforces the core query engine's single-writer/
+// many-reader contract (see internal/core/query.go) with a per-instance
+// RWMutex: exactly one applier goroutine drains the instance's update queue
+// and calls Session.Apply under the write lock, while any number of request
+// handlers answer query batches under the read lock. Warm queries touch only the label cache and run
 // fully in parallel; cache misses serialize their one collective among
 // themselves but never overlap an update.
 //
@@ -28,9 +30,12 @@
 //
 // Updates are JSON batches {"updates": [{"op": "insert"|"delete", "u": 0,
 // "v": 1, "weight": 3}, ...]}; a batch is validated against the instance's
-// mirror graph at admission (vertex range, no self-loops, each edge touched
-// at most once, inserts of absent edges, deletes of present ones) and then
-// applied asynchronously, in admission order, by the applier. A successful
+// admission mirror (session.Mirror.Admit over graph.Check: vertex range, no
+// self-loops, each edge touched at most once, inserts of absent edges,
+// deletes of present ones — a refused batch leaves the mirror untouched)
+// and then applied asynchronously, in admission order, by the applier. The
+// mirror is the session's companion state, not part of the cluster state,
+// because it runs ahead of the applier by whatever the queue holds. A successful
 // enqueue returns 202 Accepted — read-your-write is NOT guaranteed until
 // the queue drains; the queue_depth field of the response and the
 // mpcserve_queue_depth gauge expose the lag. Queries are JSON pair batches
@@ -49,13 +54,21 @@
 // # Checkpointing
 //
 // Close drains every queue (new updates get 503), then — when
-// Config.CheckpointDir is set — checkpoints every instance into
-// instance-NNN.snap files via snapshot.WriteFileAtomic (temp file, fsync,
-// rename), so a crash during shutdown never truncates a previous good
-// checkpoint. New restores any instance whose snapshot file exists, after
-// config-echo validation, and the restored label cache keeps warm queries
-// warm: answers after a graceful restart are bit-identical to a process
-// that never restarted.
+// Config.CheckpointDir is set — checkpoints every instance through its
+// session's snapshot.Chain on the file store (instance-NNN.snap plus
+// .delta-NNN files; temp file, fsync, rename), so a crash during shutdown
+// never truncates a previous good checkpoint. With Config.CheckpointEvery
+// the same checkpoint also runs periodically on a quiesced instance
+// (admission held, queue drained). Every container opens with the session's
+// meta echo, followed by the mirror (its edge set in a full base, the
+// journal of admitted updates in a delta) and the cluster state. New
+// restores any instance whose base exists, after config-echo validation and
+// at the fleet shape the checkpoint was cut at, and the restored label cache
+// keeps warm queries warm: answers after a graceful restart are
+// bit-identical to a process that never restarted. Without a CheckpointDir
+// the mirror journals nothing. Checkpoints written by a build from before
+// internal/session carry a different meta section tag and are rejected with
+// a diagnostic at startup — rejected, never migrated.
 //
 // # Metrics
 //

@@ -203,7 +203,7 @@ func TestServerResizeErrors(t *testing.T) {
 	// label cache — per-vertex coordinator state a one-vertex machine's
 	// budget cannot absorb.
 	const hn = 64
-	heavy, err := newInstance(0, core.Config{N: hn, Phi: 0.6, SketchCopies: 1, Seed: 23, Parallelism: 1}, 4)
+	heavy, err := newInstance(0, core.Config{N: hn, Phi: 0.6, SketchCopies: 1, Seed: 23, Parallelism: 1}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"net/http"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -12,20 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/session"
 	"repro/internal/snapshot"
-)
-
-// Section tags of the server layer of an instance snapshot: run metadata
-// (config echo + restore-cycle count) and the admission mirror, written
-// ahead of the connectivity state. Delta containers use their own pair: the
-// meta echo is repeated (cheap, and it keeps every container
-// self-validating) while the mirror section carries only the update journal
-// accumulated since the last acknowledged checkpoint.
-const (
-	tagServerMeta        = 0x60
-	tagServerMirror      = 0x61
-	tagServerMetaDelta   = 0x62
-	tagServerMirrorDelta = 0x63
 )
 
 // latencyBuckets are the upper bounds, in seconds, of the batch-apply
@@ -45,10 +31,10 @@ type badBatchError struct{ err error }
 func (e *badBatchError) Error() string { return e.err.Error() }
 func (e *badBatchError) Unwrap() error { return e.err }
 
-// instance is one independently served graph: a DynamicConnectivity under
-// the single-writer/many-reader lock, a bounded update queue drained by one
-// applier goroutine, and an admission mirror that keeps every queued batch
-// valid by construction.
+// instance is one independently served graph: a session over a
+// DynamicConnectivity under the single-writer/many-reader lock, a bounded
+// update queue drained by one applier goroutine, and an admission mirror
+// that keeps every queued batch valid by construction.
 type instance struct {
 	id  int
 	cfg core.Config
@@ -59,16 +45,18 @@ type instance struct {
 	// (only the applier removes elements).
 	adm       sync.Mutex
 	accepting bool
-	mirror    *graph.Graph
-	queue     chan graph.Batch
-	// mirrorDelta journals every admitted update since the last acknowledged
-	// checkpoint (guarded by adm, like the mirror it shadows); delta
-	// checkpoints ship it instead of the whole mirror edge set.
-	mirrorDelta graph.Batch
+	// mirror is the admission mirror, the session's companion state. It runs
+	// ahead of the cluster by whatever the queue holds, and is guarded by
+	// adm, not mu.
+	mirror *session.Mirror
+	queue  chan graph.Batch
 
-	// chain is the on-disk checkpoint chain (nil when checkpointing is off).
-	// Only the quiesced checkpoint path touches it.
-	chain *snapshot.Chain
+	// sess owns the cluster state, the checkpoint chain (durable reports
+	// whether there is one) and the lifecycle over them. It takes no locks:
+	// the applier calls Apply under mu, and Checkpoint and Resize run
+	// quiesced, holding adm and mu both.
+	sess    *session.Session
+	durable bool
 
 	// pending counts batches enqueued but not yet fully applied; the
 	// quiesced checkpoint path waits on it (with admission locked) so the
@@ -79,19 +67,14 @@ type instance struct {
 
 	// mu is the instance's single-writer/many-reader contract lock: the
 	// applier applies batches under Lock, handlers answer queries under
-	// RLock (see the core query engine's concurrency contract). dc is an
-	// atomic pointer because an elastic resize swaps in a fresh fleet
-	// (holding both adm and mu) while lock-free paths — MaxBatch sizing in
-	// admission, metric scrapes — read it concurrently.
+	// RLock (see the core query engine's concurrency contract). dc is the
+	// session's live state, published as an atomic pointer because an
+	// elastic resize swaps in a fresh fleet (holding both adm and mu) while
+	// lock-free paths — MaxBatch sizing in admission, metric scrapes — read
+	// it concurrently. cfg itself stays immutable — handlers read cfg.N
+	// without locks.
 	mu sync.RWMutex
 	dc atomic.Pointer[core.DynamicConnectivity]
-
-	// vpm is the live VerticesPerMachine override (0 = the config default
-	// shape). It tracks dc across resizes and is persisted in every
-	// checkpoint's meta echo so a restart rebuilds the fleet at the shape
-	// the snapshot was cut at. cfg itself stays immutable — handlers read
-	// cfg.N without locks.
-	vpm atomic.Int64
 
 	// quiesced is true while admission is deliberately paused (a quiesced
 	// checkpoint or a resize); per-instance readiness reports 503 for its
@@ -131,25 +114,49 @@ type instance struct {
 // traffic afterwards (its state may be mid-batch).
 type applyFailure struct{ err error }
 
-// newInstance builds an instance and starts its applier.
-func newInstance(id int, cfg core.Config, queueDepth int) (*instance, error) {
-	dc, err := core.NewDynamicConnectivity(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("server: instance %d: %w", id, err)
-	}
+// newInstance builds an instance — restored from chain when it holds a
+// checkpoint (config-echo validated, fleet rebuilt at the persisted shape),
+// empty otherwise — and starts its applier. chain is nil when checkpointing
+// is off.
+func newInstance(id int, cfg core.Config, queueDepth int, chain *snapshot.Chain) (*instance, error) {
 	in := &instance{
 		id:        id,
 		cfg:       cfg,
 		accepting: true,
-		mirror:    graph.New(cfg.N),
+		mirror:    session.NewMirror(cfg.N),
 		queue:     make(chan graph.Batch, queueDepth),
+		durable:   chain != nil,
 	}
-	in.dc.Store(dc)
-	in.vpm.Store(int64(cfg.VerticesPerMachine))
+	scfg := session.Config{
+		Shape:  cfg,
+		New:    func(sh session.Shape) (session.State, error) { return core.NewDynamicConnectivity(sh) },
+		Chain:  chain,
+		Mirror: in.mirror,
+	}
+	var err error
+	restored := false
+	if in.durable {
+		in.sess, restored, err = session.Resume(scfg)
+	}
+	if err == nil && !restored {
+		in.sess, err = session.New(scfg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("server: instance %d: %w", id, err)
+	}
+	in.publish()
 	in.pendCond = sync.NewCond(&in.pendMu)
 	in.wg.Add(1)
 	go in.applier()
 	return in, nil
+}
+
+// publish exposes the session's live state and counters to the lock-free
+// readers. The caller holds the instance exclusively (construction, or adm
+// and mu both).
+func (in *instance) publish() {
+	in.dc.Store(in.sess.State().(*core.DynamicConnectivity))
+	in.restoreCycles.Store(in.sess.RestoreCycles())
 }
 
 // applier is the instance's single writer: it drains the queue and applies
@@ -162,9 +169,8 @@ func (in *instance) applier() {
 	for b := range in.queue {
 		start := time.Now()
 		in.mu.Lock()
-		dc := in.dc.Load()
-		err := dc.ApplyBatch(b)
-		rounds := dc.Cluster().Stats().Rounds
+		err := in.sess.Apply(b)
+		rounds := in.dc.Load().Cluster().Stats().Rounds
 		in.mu.Unlock()
 		in.observeApply(time.Since(start))
 		in.rounds.Store(int64(rounds))
@@ -251,15 +257,10 @@ func (in *instance) offer(b graph.Batch) error {
 		in.batchesRejected.Add(1)
 		return errQueueFull
 	}
-	if err := validateBatch(in.mirror, b); err != nil {
+	if err := in.mirror.Admit(b); err != nil {
 		return &badBatchError{err}
 	}
-	if err := in.mirror.Apply(b); err != nil {
-		// Unreachable after validateBatch; fail loudly rather than desync.
-		return fmt.Errorf("admission mirror diverged: %w", err)
-	}
 	in.queue <- b
-	in.mirrorDelta = append(in.mirrorDelta, b...)
 	in.pendMu.Lock()
 	in.pending++
 	in.pendMu.Unlock()
@@ -275,40 +276,6 @@ func (in *instance) waitIdle() {
 		in.pendCond.Wait()
 	}
 	in.pendMu.Unlock()
-}
-
-// validateBatch checks that b applies cleanly to g as one atomic batch:
-// every vertex in range, no self-loops, each edge touched at most once (so
-// sequential validity equals independent validity), inserts only of absent
-// edges, deletes only of present ones.
-func validateBatch(g *graph.Graph, b graph.Batch) error {
-	touched := make(map[graph.Edge]bool, len(b))
-	for i, up := range b {
-		e := up.Edge.Canonical()
-		if e.U == e.V {
-			return fmt.Errorf("update %d: self-loop {%d,%d}", i, e.U, e.V)
-		}
-		if e.U < 0 || e.V >= g.N() {
-			return fmt.Errorf("update %d: edge {%d,%d} outside vertex range [0,%d)", i, e.U, e.V, g.N())
-		}
-		if touched[e] {
-			return fmt.Errorf("update %d: edge {%d,%d} touched twice in one batch", i, e.U, e.V)
-		}
-		touched[e] = true
-		switch up.Op {
-		case graph.Insert:
-			if g.Has(e.U, e.V) {
-				return fmt.Errorf("update %d: insert of present edge {%d,%d}", i, e.U, e.V)
-			}
-		case graph.Delete:
-			if !g.Has(e.U, e.V) {
-				return fmt.Errorf("update %d: delete of absent edge {%d,%d}", i, e.U, e.V)
-			}
-		default:
-			return fmt.Errorf("update %d: unknown op %v", i, up.Op)
-		}
-	}
-	return nil
 }
 
 // drain stops admission (new offers get errDraining) and waits until every
@@ -328,229 +295,93 @@ func instancePath(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("instance-%03d.snap", id))
 }
 
-// Checkpoint implements snapshot.Checkpointer. The caller must have drained
-// the instance (or otherwise hold it exclusively): Close checkpoints only
-// after drain, so no applier or query traffic is in flight.
-func (in *instance) Checkpoint(e *snapshot.Encoder) {
-	e.Begin(tagServerMeta)
-	e.Int(in.cfg.N)
-	e.F64(in.cfg.Phi)
-	e.U64(in.cfg.Seed)
-	e.U64(in.restoreCycles.Load())
-	e.Int(int(in.vpm.Load()))
-	e.Begin(tagServerMirror)
-	snapshot.EncodeGraph(e, in.mirror)
-	in.dc.Load().Checkpoint(e)
-}
-
-// checkMeta validates a config echo against the instance's configuration.
-func (in *instance) checkMeta(n int, phi float64, seed uint64) error {
-	if n != in.cfg.N || phi != in.cfg.Phi || seed != in.cfg.Seed {
-		return fmt.Errorf("server: snapshot holds (n=%d, phi=%v, seed=%d), instance %d is configured (n=%d, phi=%v, seed=%d)",
-			n, phi, seed, in.id, in.cfg.N, in.cfg.Phi, in.cfg.Seed)
+// quiesce pauses the instance for an operation that needs it whole: admission
+// is held (readiness reports 503) and the applier drained of in-flight
+// batches, so the mirror, the journal, and the cluster state agree, and the
+// write lock is taken. The instance stays live: resume, the returned func,
+// puts it back in service.
+func (in *instance) quiesce() (resume func(), err error) {
+	in.adm.Lock()
+	in.quiesced.Store(true)
+	in.waitIdle()
+	if err := in.failed(); err != nil {
+		in.quiesced.Store(false)
+		in.adm.Unlock()
+		return nil, err
 	}
-	return nil
-}
-
-// Restore implements snapshot.Restorer: it loads a full snapshot into this
-// freshly constructed instance, after validating the config echo, and bumps
-// the restore-cycle counter (which persists across restarts via the meta
-// section).
-func (in *instance) Restore(d *snapshot.Decoder) error {
-	d.Begin(tagServerMeta)
-	n, phi, seed, cycles := d.Int(), d.F64(), d.U64(), d.U64()
-	svpm := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := in.checkMeta(n, phi, seed); err != nil {
-		return err
-	}
-	if int64(svpm) != in.vpm.Load() {
-		// The snapshot was cut after a resize: rebuild the fleet at the
-		// persisted shape before restoring into it, so a restarted server
-		// resumes at the machine count the instance last ran at.
-		cfg := in.cfg
-		cfg.VerticesPerMachine = svpm
-		dc, err := core.NewDynamicConnectivity(cfg)
-		if err != nil {
-			return fmt.Errorf("server: instance %d: rebuilding at snapshot shape (VerticesPerMachine=%d): %w", in.id, svpm, err)
-		}
-		in.dc.Store(dc)
-		in.vpm.Store(int64(svpm))
-	}
-	d.Begin(tagServerMirror)
-	if err := snapshot.DecodeGraphInto(d, in.mirror); err != nil {
-		return err
-	}
-	if err := in.dc.Load().Restore(d); err != nil {
-		return err
-	}
-	in.restoreCycles.Store(cycles + 1)
-	return nil
-}
-
-// CheckpointDelta implements snapshot.DeltaCheckpointer: the meta echo is
-// repeated in full (it is tiny and keeps each container self-validating),
-// but the mirror section carries only the updates admitted since the last
-// acknowledged checkpoint — replaying them onto the restored base mirror
-// reproduces the full mirror exactly. Same quiescence contract as
-// Checkpoint.
-func (in *instance) CheckpointDelta(e *snapshot.Encoder) {
-	e.Begin(tagServerMetaDelta)
-	e.Int(in.cfg.N)
-	e.F64(in.cfg.Phi)
-	e.U64(in.cfg.Seed)
-	e.U64(in.restoreCycles.Load())
-	e.Int(int(in.vpm.Load()))
-	e.Begin(tagServerMirrorDelta)
-	snapshot.EncodeUpdates(e, in.mirrorDelta)
-	in.dc.Load().CheckpointDelta(e)
-}
-
-// RestoreDelta implements snapshot.DeltaRestorer: it replays one delta on
-// top of the previously restored state. The restore-cycle counter is carried
-// in every delta, so the tip delta's count wins — deltas appended after a
-// restart carry the post-restart count.
-func (in *instance) RestoreDelta(d *snapshot.Decoder) error {
-	d.Begin(tagServerMetaDelta)
-	n, phi, seed, cycles := d.Int(), d.F64(), d.U64(), d.U64()
-	svpm := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := in.checkMeta(n, phi, seed); err != nil {
-		return err
-	}
-	if int64(svpm) != in.vpm.Load() {
-		// Deltas never span a resize: every resize re-bases the chain with a
-		// full checkpoint at the new shape, so a shape mismatch here means
-		// the chain is corrupt.
-		return fmt.Errorf("server: delta written at VerticesPerMachine=%d cannot extend a base restored at %d", svpm, in.vpm.Load())
-	}
-	d.Begin(tagServerMirrorDelta)
-	if err := snapshot.DecodeUpdatesInto(d, in.mirror); err != nil {
-		return err
-	}
-	if err := in.dc.Load().RestoreDelta(d); err != nil {
-		return err
-	}
-	in.restoreCycles.Store(cycles + 1)
-	return nil
-}
-
-// AckCheckpoint implements snapshot.DeltaState: the chain calls it once the
-// container is durably on disk, making the written state the new delta
-// baseline.
-func (in *instance) AckCheckpoint() {
-	in.mirrorDelta = nil
-	in.dc.Load().AckCheckpoint()
+	in.mu.Lock()
+	return func() {
+		in.mu.Unlock()
+		in.quiesced.Store(false)
+		in.adm.Unlock()
+	}, nil
 }
 
 // checkpointQuiesced cuts a checkpoint (full or delta, the chain decides)
-// with the instance quiesced but still live: admission is held and the
-// applier drained of in-flight batches, so the mirror, the journal, and the
-// cluster state agree, but the instance resumes serving as soon as the
-// checkpoint is cut. No-op when checkpointing is off (nil chain).
+// with the instance quiesced. No-op when checkpointing is off.
 func (in *instance) checkpointQuiesced() error {
-	if in.chain == nil {
+	if !in.durable {
 		return nil
 	}
-	in.adm.Lock()
-	defer in.adm.Unlock()
-	in.quiesced.Store(true)
-	defer in.quiesced.Store(false)
-	in.waitIdle()
-	if err := in.failed(); err != nil {
+	resume, err := in.quiesce()
+	if err != nil {
 		return fmt.Errorf("skipping checkpoint: %w", err)
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	start := time.Now()
-	kind, bytes, err := in.chain.Checkpoint(in)
-	nanos := int64(time.Since(start))
+	defer resume()
+	cut, err := in.sess.Checkpoint()
 	if err != nil {
 		in.failure.CompareAndSwap(nil, &applyFailure{err: fmt.Errorf("checkpoint: %w", err)})
 		return fmt.Errorf("instance %d checkpoint: %w", in.id, err)
 	}
-	switch kind {
-	case snapshot.KindDelta:
-		in.ckptDeltaCount.Add(1)
-		in.ckptDeltaBytes.Add(uint64(bytes))
-		in.ckptDeltaNanos.Add(nanos)
-	default:
-		in.ckptFullCount.Add(1)
-		in.ckptFullBytes.Add(uint64(bytes))
-		in.ckptFullNanos.Add(nanos)
-	}
+	in.observeCheckpoint(cut)
 	return nil
 }
 
-// resizeError wraps a resize failure with the HTTP status it maps onto: 400
-// for a shape no equal-range partition realizes, 409 for a migration the
-// target fleet's memory budget rejects.
-type resizeError struct {
-	status int
-	err    error
+// observeCheckpoint records one written container in the per-kind metrics.
+func (in *instance) observeCheckpoint(cut session.Cut) {
+	switch cut.Kind {
+	case snapshot.KindDelta:
+		in.ckptDeltaCount.Add(1)
+		in.ckptDeltaBytes.Add(uint64(cut.Bytes))
+		in.ckptDeltaNanos.Add(int64(cut.Took))
+	case snapshot.KindFull:
+		in.ckptFullCount.Add(1)
+		in.ckptFullBytes.Add(uint64(cut.Bytes))
+		in.ckptFullNanos.Add(int64(cut.Took))
+	}
 }
 
-func (e *resizeError) Error() string { return e.err.Error() }
-func (e *resizeError) Unwrap() error { return e.err }
-
 // resize migrates the instance's live state onto a fleet of exactly machines
-// machines: admission pauses (readiness flips to 503), the queue drains, the
-// quiesced state is checkpointed in memory, and a fresh fleet at the target
-// shape restores it through the re-sharding path. A memory-cap rejection —
-// shrinking the per-machine budget below what the migrated state needs —
-// leaves the instance untouched, still serving at its old shape. On success
-// the on-disk chain (if any) is re-based with a full checkpoint at the new
-// shape, so a restart resumes there and no delta ever extends old-shape
-// containers.
+// machines (session.Resize) with the instance quiesced. A memory-cap
+// rejection — shrinking the per-machine budget below what the migrated
+// state needs — leaves the instance untouched, still serving at its old
+// shape. The error is a *session.ResizeError when the request, not the
+// server, is at fault.
 func (in *instance) resize(machines int) error {
-	cfg := in.cfg
-	cfg.VerticesPerMachine = int(in.vpm.Load())
-	tcfg, err := core.ResizeConfig(cfg, machines)
-	if err != nil {
-		return &resizeError{http.StatusBadRequest, err}
+	// Refuse a size no fleet realizes before pausing admission for it.
+	if _, err := core.ResizeConfig(in.cfg, machines); err != nil {
+		return &session.ResizeError{Phase: session.ResizeShape, Err: err}
 	}
-	in.adm.Lock()
-	defer in.adm.Unlock()
-	in.quiesced.Store(true)
-	defer in.quiesced.Store(false)
-	in.waitIdle()
-	if err := in.failed(); err != nil {
+	resume, err := in.quiesce()
+	if err != nil {
 		return err
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
+	defer resume()
 	start := time.Now()
-	var buf bytes.Buffer
-	if err := snapshot.Save(&buf, in.dc.Load()); err != nil {
-		return fmt.Errorf("instance %d resize: checkpoint: %w", in.id, err)
+	cut, err := in.sess.Resize(machines)
+	var re *session.ResizeError
+	rebaseFailed := errors.As(err, &re) && re.Phase == session.ResizeRebase
+	if err != nil && !rebaseFailed {
+		return fmt.Errorf("instance %d resize to %d machines: %w", in.id, machines, err)
 	}
-	fresh, err := core.NewDynamicConnectivity(tcfg)
-	if err != nil {
-		return fmt.Errorf("instance %d resize: %w", in.id, err)
-	}
-	if err := snapshot.Reshard(bytes.NewReader(buf.Bytes()), fresh); err != nil {
-		return &resizeError{http.StatusConflict,
-			fmt.Errorf("instance %d resize to %d machines: %w", in.id, machines, err)}
-	}
-	in.dc.Store(fresh)
-	in.vpm.Store(int64(tcfg.VerticesPerMachine))
+	// The state migrated, even if re-basing the chain then failed.
+	in.publish()
 	in.reshardCount.Add(1)
-	in.reshardNanos.Add(int64(time.Since(start)))
-	if in.chain != nil {
-		in.chain.Rebase()
-		ckStart := time.Now()
-		_, nbytes, err := in.chain.Checkpoint(in) // always full after Rebase
-		if err != nil {
-			in.failure.CompareAndSwap(nil, &applyFailure{err: fmt.Errorf("post-resize checkpoint: %w", err)})
-			return fmt.Errorf("instance %d post-resize checkpoint: %w", in.id, err)
-		}
-		in.ckptFullCount.Add(1)
-		in.ckptFullBytes.Add(uint64(nbytes))
-		in.ckptFullNanos.Add(int64(time.Since(ckStart)))
+	in.reshardNanos.Add(int64(time.Since(start) - cut.Took))
+	if rebaseFailed {
+		in.failure.CompareAndSwap(nil, &applyFailure{err: fmt.Errorf("post-resize checkpoint: %w", err)})
+		return fmt.Errorf("instance %d post-resize checkpoint: %w", in.id, err)
 	}
+	in.observeCheckpoint(cut)
 	return nil
 }

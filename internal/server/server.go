@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/session"
 	"repro/internal/snapshot"
 )
 
@@ -108,24 +109,21 @@ func New(cfg Config) (*Server, error) {
 			Seed:        cfg.Seed + uint64(i)*0x9e3779b9,
 			Parallelism: cfg.Parallelism,
 		}
-		in, err := newInstance(i, icfg, cfg.QueueDepth)
-		if err != nil {
-			s.stopInstances()
-			return nil, err
-		}
-		s.insts = append(s.insts, in)
+		var chain *snapshot.Chain
 		if cfg.CheckpointDir != "" {
 			path := instancePath(cfg.CheckpointDir, i)
 			if _, err := snapshot.SweepStaleTemps(path); err != nil {
 				s.stopInstances()
 				return nil, fmt.Errorf("server: sweeping stale temps for instance %d: %w", i, err)
 			}
-			in.chain = snapshot.OpenChain(path, cfg.MaxDeltaChain)
-			if _, err := in.chain.Restore(in); err != nil {
-				s.stopInstances()
-				return nil, fmt.Errorf("server: restore instance %d from %s: %w", i, path, err)
-			}
+			chain = snapshot.OpenChain(path, cfg.MaxDeltaChain)
 		}
+		in, err := newInstance(i, icfg, cfg.QueueDepth, chain)
+		if err != nil {
+			s.stopInstances()
+			return nil, err
+		}
+		s.insts = append(s.insts, in)
 	}
 	s.routes()
 	if cfg.CheckpointDir != "" && cfg.CheckpointEvery > 0 {
@@ -453,12 +451,17 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := in.resize(machines); err != nil {
-		var re *resizeError
+		status := http.StatusInternalServerError
+		var re *session.ResizeError
 		if errors.As(err, &re) {
-			http.Error(w, re.Error(), re.status)
-			return
+			switch re.Phase {
+			case session.ResizeShape:
+				status = http.StatusBadRequest
+			case session.ResizeMigrate:
+				status = http.StatusConflict
+			}
 		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), status)
 		return
 	}
 	writeJSON(w, http.StatusOK, ResizeResponse{

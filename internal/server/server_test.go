@@ -166,6 +166,68 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerAdmissionDiagnostic pins the admission front door onto the one
+// shared validator: a batch the mirror refuses is a 422 whose body is
+// graph.Check's own diagnostic, and the refusal — even of a batch that only
+// fails at its last update — leaves the admission mirror untouched.
+func TestServerAdmissionDiagnostic(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig(t))
+	resp := postJSON(t, ts.URL+"/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "insert", U: 1, V: 2}}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("setup batch: status %d", resp.StatusCode)
+	}
+	mirror := srv.insts[0].mirror.Graph()
+	for name, b := range map[string]graph.Batch{
+		// Valid update by update, but the algorithm applies a batch's
+		// inserts before its deletes.
+		"touched twice":  {graph.Del(1, 2), graph.Ins(1, 2)},
+		"fails half-way": {graph.Ins(3, 4), graph.Ins(4, 5), graph.Del(0, 3)},
+	} {
+		want := mirror.Check(b)
+		if want == nil {
+			t.Fatalf("%s: test batch is not invalid", name)
+		}
+		req := UpdateRequest{}
+		for _, up := range b {
+			req.Updates = append(req.Updates, WireUpdate{Op: up.Op.String(), U: up.Edge.U, V: up.Edge.V})
+		}
+		resp := postJSON(t, ts.URL+"/instances/0/updates", req)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422", name, resp.StatusCode)
+		}
+		if body := strings.TrimSpace(readAll(t, resp)); body != "invalid batch: "+want.Error() {
+			t.Errorf("%s: body %q, want the shared diagnostic %q", name, body, want)
+		}
+		if mirror.M() != 1 || !mirror.Has(1, 2) {
+			t.Errorf("%s: refused batch changed the admission mirror (M=%d)", name, mirror.M())
+		}
+	}
+}
+
+// TestServerWithoutCheckpointsKeepsNoJournal is the regression test of the
+// admission-journal leak: with no checkpoint directory nothing will ever
+// ask for a delta, so admitted updates must not pile up in a journal.
+func TestServerWithoutCheckpointsKeepsNoJournal(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig(t))
+	in := srv.insts[0]
+	for i := 0; i < 24; i++ {
+		op := "insert"
+		if i%2 == 1 {
+			op = "delete"
+		}
+		resp := postJSON(t, ts.URL+"/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: op, U: 0, V: 1}}})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("batch %d: status %d", i, resp.StatusCode)
+		}
+		waitDrained(t, in)
+	}
+	if got := in.mirror.JournalLen(); got != 0 {
+		t.Errorf("admission journal holds %d updates on a server that never checkpoints, want 0", got)
+	}
+}
+
 // TestServerBackpressure pins the 429 contract: with the applier stalled
 // (we hold the instance read lock, which blocks its write-lock acquisition)
 // the bounded queue fills and the next batch is refused, with the refusal
@@ -265,7 +327,7 @@ func TestServerCheckpointRestore(t *testing.T) {
 		if got := in.restoreCycles.Load(); got != 1 {
 			t.Errorf("instance %d: restore cycles = %d, want 1", in.id, got)
 		}
-		if got := in.mirror.M(); got != 3 {
+		if got := in.mirror.Graph().M(); got != 3 {
 			t.Errorf("instance %d: restored mirror has %d edges, want 3", in.id, got)
 		}
 	}
@@ -367,32 +429,6 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
-	}
-}
-
-func TestValidateBatch(t *testing.T) {
-	g := graph.New(8)
-	if err := g.Insert(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	ok := graph.Batch{graph.Ins(2, 3), graph.Del(0, 1)}
-	if err := validateBatch(g, ok); err != nil {
-		t.Errorf("valid batch refused: %v", err)
-	}
-	for name, b := range map[string]graph.Batch{
-		"dup insert":    {graph.Ins(0, 1)},
-		"absent delete": {graph.Del(4, 5)},
-		"touch twice":   {graph.Ins(2, 3), graph.Del(2, 3)},
-		"out of range":  {{Op: graph.Insert, Edge: graph.Edge{U: 0, V: 99}}},
-		"negative":      {{Op: graph.Insert, Edge: graph.Edge{U: -1, V: 2}}},
-	} {
-		if err := validateBatch(g, b); err == nil {
-			t.Errorf("%s: batch accepted", name)
-		}
-	}
-	// validateBatch never mutates the graph.
-	if g.M() != 1 {
-		t.Errorf("validation mutated the graph: M = %d", g.M())
 	}
 }
 

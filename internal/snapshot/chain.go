@@ -1,19 +1,29 @@
 package snapshot
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 )
 
-// Chain manages a checkpoint chain on disk: one full base snapshot at path
-// plus a bounded run of delta files path.delta-001, path.delta-002, …, each
+// State is what a Chain checkpoints: anything that can write and reload a
+// full snapshot of itself. A state that also implements DeltaState lets the
+// chain write deltas; one that does not gets a full base every time.
+type State interface {
+	Checkpointer
+	Restorer
+}
+
+// Chain manages a checkpoint chain in a Store: one full base snapshot at
+// path plus a bounded run of deltas path.delta-001, path.delta-002, …, each
 // naming (via its ChainLink header) the exact base and predecessor it
 // extends. Checkpoint decides full-vs-delta and handles compaction; Restore
 // replays base + chain and tolerates the leftovers a crash mid-compaction
 // can leave behind. A Chain is a single-writer object — the process that
 // owns the snapshot directory.
 type Chain struct {
+	store     Store
 	path      string
 	maxDeltas int
 
@@ -37,12 +47,17 @@ const (
 	KindDelta = "delta"
 )
 
-// OpenChain returns a chain manager rooted at path. maxDeltas bounds the
-// chain length: once that many deltas extend the base, the next Checkpoint
-// folds everything into a fresh full base (compaction). maxDeltas <= 0
-// disables deltas entirely — every Checkpoint is full.
+// OpenChain returns a chain manager over files rooted at path. maxDeltas
+// bounds the chain length: once that many deltas extend the base, the next
+// Checkpoint folds everything into a fresh full base (compaction).
+// maxDeltas <= 0 disables deltas entirely — every Checkpoint is full.
 func OpenChain(path string, maxDeltas int) *Chain {
-	return &Chain{path: path, maxDeltas: maxDeltas}
+	return OpenChainIn(FileStore{}, path, maxDeltas)
+}
+
+// OpenChainIn is OpenChain over any Store; path names the base container.
+func OpenChainIn(store Store, path string, maxDeltas int) *Chain {
+	return &Chain{store: store, path: path, maxDeltas: maxDeltas}
 }
 
 // Path returns the base snapshot path the chain is rooted at.
@@ -66,38 +81,32 @@ func (c *Chain) deltaPath(seq int) string {
 }
 
 // Checkpoint writes the next checkpoint in the chain: a delta extending the
-// current tip when one exists and the chain is still under maxDeltas, a
-// fresh full base otherwise (first checkpoint, compaction due, or the
-// previous write failed). The write is atomic either way; on success every
-// state's AckCheckpoint runs, so dirty tracking resets only once the bytes
-// are durable. Compaction is crash-safe by ordering: the new base replaces
+// current tip when one exists, the chain is still under maxDeltas and every
+// state implements DeltaState; a fresh full base otherwise (first
+// checkpoint, compaction due, the previous write failed, or a state that
+// cannot write deltas). The write is atomic either way; on success every
+// DeltaState's AckCheckpoint runs, so dirty tracking resets only once the
+// bytes are durable. Compaction is crash-safe by ordering: the new base replaces
 // the old atomically first, and only then are the now-stale delta files
 // removed — a crash in between leaves deltas whose Base identity no longer
 // matches, which Restore detects and sweeps.
 //
 // It reports which kind was written ("full" or "delta") and the container
 // size in bytes.
-func (c *Chain) Checkpoint(states ...DeltaState) (kind string, bytes int64, err error) {
+func (c *Chain) Checkpoint(states ...State) (kind string, bytes int64, err error) {
 	if c.linked && c.maxDeltas > 0 && c.seq < c.maxDeltas {
-		return c.checkpointDelta(states)
+		if deltas, ok := deltaStates(states); ok {
+			return c.checkpointDelta(deltas)
+		}
 	}
-	return c.checkpointFull(states)
-}
-
-func (c *Chain) checkpointFull(states []DeltaState) (string, int64, error) {
 	staleDeltas := c.seq
 	if !c.linked {
-		// We did not materialize the on-disk chain; there may be delta files
-		// from a previous incarnation beyond what we know about. Scan.
-		staleDeltas = c.countDeltaFiles()
+		// We did not materialize the stored chain; there may be deltas from
+		// a previous incarnation beyond what we know about. Scan.
+		staleDeltas = c.countDeltas()
 	}
-	var n countingSaver
-	id, err := writeFileAtomic(c.path, func(w io.Writer) (uint64, error) {
-		n.reset(w)
-		return SaveBase(&n, states2checkpointers(states)...)
-	})
+	id, n, err := c.put(c.path, Magic, encodeFull(states))
 	if err != nil {
-		c.linked = false
 		return KindFull, 0, err
 	}
 	// The new base is durable; stale deltas reference the old base identity
@@ -105,27 +114,20 @@ func (c *Chain) checkpointFull(states []DeltaState) (string, int64, error) {
 	// leftovers carry a mismatching Base and Restore ignores them — but we
 	// try here so the directory stays tidy.
 	for s := 1; s <= staleDeltas; s++ {
-		os.Remove(c.deltaPath(s))
+		c.store.Remove(c.deltaPath(s))
 	}
 	c.linked = true
 	c.baseID = id
 	c.tipID = id
 	c.seq = 0
-	for _, s := range states {
-		s.AckCheckpoint()
-	}
-	return KindFull, n.n, nil
+	ack(states)
+	return KindFull, n, nil
 }
 
 func (c *Chain) checkpointDelta(states []DeltaState) (string, int64, error) {
 	link := ChainLink{Base: c.baseID, Prev: c.tipID, Seq: uint64(c.seq + 1)}
-	var n countingSaver
-	id, err := writeFileAtomic(c.deltaPath(c.seq+1), func(w io.Writer) (uint64, error) {
-		n.reset(w)
-		return SaveDelta(&n, link, states2deltaCheckpointers(states)...)
-	})
+	id, n, err := c.put(c.deltaPath(c.seq+1), DeltaMagic, encodeDelta(link, states))
 	if err != nil {
-		c.linked = false
 		return KindDelta, 0, err
 	}
 	c.seq++
@@ -133,17 +135,55 @@ func (c *Chain) checkpointDelta(states []DeltaState) (string, int64, error) {
 	for _, s := range states {
 		s.AckCheckpoint()
 	}
-	return KindDelta, n.n, nil
+	return KindDelta, n, nil
 }
 
-// countDeltaFiles returns the highest contiguous delta sequence present on
-// disk starting at 1.
-func (c *Chain) countDeltaFiles() int {
+// put stores one container atomically and returns its identity and size.
+// Any doubt about what the store now holds unlinks the chain.
+func (c *Chain) put(name string, magic uint64, e *Encoder) (id uint64, n int64, err error) {
+	err = c.store.Put(name, func(w io.Writer) (err error) {
+		n, id, err = e.WriteContainer(w, magic)
+		return err
+	})
+	if err != nil {
+		c.linked = false
+	}
+	return id, n, err
+}
+
+// deltaStates narrows states to DeltaState; ok is false unless every one
+// qualifies.
+func deltaStates(states []State) ([]DeltaState, bool) {
+	out := make([]DeltaState, len(states))
+	for i, s := range states {
+		ds, ok := s.(DeltaState)
+		if !ok {
+			return nil, false
+		}
+		out[i] = ds
+	}
+	return out, true
+}
+
+// ack runs AckCheckpoint on every state that tracks dirtiness.
+func ack(states []State) {
+	for _, s := range states {
+		if ds, ok := s.(DeltaState); ok {
+			ds.AckCheckpoint()
+		}
+	}
+}
+
+// countDeltas returns the highest contiguous delta sequence present in the
+// store starting at 1.
+func (c *Chain) countDeltas() int {
 	n := 0
 	for {
-		if _, err := os.Stat(c.deltaPath(n + 1)); err != nil {
+		f, err := c.store.Open(c.deltaPath(n + 1))
+		if err != nil {
 			return n
 		}
+		f.Close()
 		n++
 	}
 }
@@ -155,19 +195,23 @@ func (c *Chain) countDeltaFiles() int {
 // a delta naming a different base is an orphan from a crash mid-compaction
 // and is removed (counted in OrphansRemoved) along with everything after
 // it; a corrupt or torn container is a hard error, because the chain it
-// belongs to cannot be trusted.
-func (c *Chain) Restore(states ...DeltaState) (bool, error) {
+// belongs to cannot be trusted — and so is a delta in front of a state that
+// cannot replay one.
+func (c *Chain) Restore(states ...State) (bool, error) {
 	c.linked = false
 	c.orphansRemoved = 0
-	f, err := os.Open(c.path)
-	if os.IsNotExist(err) {
+	f, err := c.store.Open(c.path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
 	if err != nil {
 		return false, err
 	}
-	baseID, err := LoadBase(f, states2restorers(states)...)
+	d, baseID, err := NewContainerDecoder(f, Magic, "snapshot")
 	f.Close()
+	if err == nil {
+		err = restoreAll(d, states)
+	}
 	if err != nil {
 		return false, fmt.Errorf("restoring base %s: %w", c.path, err)
 	}
@@ -176,35 +220,37 @@ func (c *Chain) Restore(states ...DeltaState) (bool, error) {
 	c.seq = 0
 	for {
 		next := c.deltaPath(c.seq + 1)
-		df, err := os.Open(next)
-		if os.IsNotExist(err) {
+		df, err := c.store.Open(next)
+		if errors.Is(err, fs.ErrNotExist) {
 			break
 		}
 		if err != nil {
 			return false, err
 		}
-		want := ChainLink{Base: c.baseID, Prev: c.tipID, Seq: uint64(c.seq + 1)}
-		// Peek the header first: an orphaned delta (stale Base from a crash
-		// between compaction's base rewrite and its delta cleanup) is swept,
-		// not an error. Anything else wrong — corruption, truncation, a
-		// sequence break — is.
-		link, _, err := PeekDelta(df)
+		// One decode serves both questions: the container is verified and
+		// its header read first, so an orphaned delta (stale Base from a
+		// crash between compaction's base rewrite and its delta cleanup) is
+		// swept, not an error. Anything else wrong — corruption, truncation,
+		// a sequence break — is.
+		d, id, err := NewContainerDecoder(df, DeltaMagic, "delta snapshot")
+		df.Close()
+		var link ChainLink
+		if err == nil {
+			link, err = readChainHeader(d)
+		}
 		if err != nil {
-			df.Close()
 			return false, fmt.Errorf("restoring delta %s: %w", next, err)
 		}
 		if link.Base != c.baseID {
-			df.Close()
 			c.removeOrphansFrom(c.seq + 1)
 			break
 		}
-		if _, err := df.Seek(0, io.SeekStart); err != nil {
-			df.Close()
-			return false, err
+		deltas, ok := deltaStates(states)
+		if !ok {
+			return false, fmt.Errorf("restoring delta %s: the state being restored cannot replay deltas", next)
 		}
-		id, err := LoadDelta(df, want, states2deltaRestorers(states)...)
-		df.Close()
-		if err != nil {
+		want := ChainLink{Base: c.baseID, Prev: c.tipID, Seq: uint64(c.seq + 1)}
+		if err := restoreDelta(d, link, want, deltas); err != nil {
 			return false, fmt.Errorf("restoring delta %s: %w", next, err)
 		}
 		c.seq++
@@ -214,60 +260,13 @@ func (c *Chain) Restore(states ...DeltaState) (bool, error) {
 	return true, nil
 }
 
-// removeOrphansFrom deletes delta files from sequence seq upward until a
-// gap, counting the removals.
+// removeOrphansFrom deletes deltas from sequence seq upward until a gap,
+// counting the removals.
 func (c *Chain) removeOrphansFrom(seq int) {
 	for s := seq; ; s++ {
-		if err := os.Remove(c.deltaPath(s)); err != nil {
+		if err := c.store.Remove(c.deltaPath(s)); err != nil {
 			return
 		}
 		c.orphansRemoved++
 	}
-}
-
-// countingSaver counts bytes written through it so Checkpoint can report
-// container sizes without re-statting files.
-type countingSaver struct {
-	w io.Writer
-	n int64
-}
-
-func (cs *countingSaver) reset(w io.Writer) { cs.w, cs.n = w, 0 }
-
-func (cs *countingSaver) Write(p []byte) (int, error) {
-	n, err := cs.w.Write(p)
-	cs.n += int64(n)
-	return n, err
-}
-
-func states2checkpointers(states []DeltaState) []Checkpointer {
-	out := make([]Checkpointer, len(states))
-	for i, s := range states {
-		out[i] = s
-	}
-	return out
-}
-
-func states2deltaCheckpointers(states []DeltaState) []DeltaCheckpointer {
-	out := make([]DeltaCheckpointer, len(states))
-	for i, s := range states {
-		out[i] = s
-	}
-	return out
-}
-
-func states2restorers(states []DeltaState) []Restorer {
-	out := make([]Restorer, len(states))
-	for i, s := range states {
-		out[i] = s
-	}
-	return out
-}
-
-func states2deltaRestorers(states []DeltaState) []DeltaRestorer {
-	out := make([]DeltaRestorer, len(states))
-	for i, s := range states {
-		out[i] = s
-	}
-	return out
 }

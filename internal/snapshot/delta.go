@@ -17,7 +17,7 @@ const DeltaMagic uint64 = 0x4d504344454c5431
 const tagChain = 0x0D
 
 // ChainLink identifies one delta's position in a checkpoint chain. Snapshot
-// identities are container CRC words (see Encoder.writeTo): a deterministic
+// identities are container CRC words (see Encoder.WriteContainer): a deterministic
 // fingerprint of the full container bytes, so a delta names precisely which
 // byte-exact base and predecessor it extends.
 type ChainLink struct {
@@ -64,18 +64,13 @@ type DeltaState interface {
 // and returns its identity for use as ChainLink.Base. It does not call
 // AckCheckpoint — the caller acknowledges after the write is durable.
 func SaveBase(w io.Writer, states ...Checkpointer) (uint64, error) {
-	e := NewEncoder()
-	for _, s := range states {
-		s.Checkpoint(e)
-	}
-	_, id, err := e.writeTo(w, Magic)
+	_, id, err := encodeFull(states).WriteContainer(w, Magic)
 	return id, err
 }
 
-// SaveDelta writes one delta container: the chain header first, then each
-// state's delta sections in order. It returns the delta's identity (the
-// next link's Prev). Like SaveBase it does not acknowledge the checkpoint.
-func SaveDelta(w io.Writer, link ChainLink, states ...DeltaCheckpointer) (uint64, error) {
+// encodeDelta builds one delta container's sections: the chain header
+// first, then each state's delta sections in order.
+func encodeDelta[S DeltaCheckpointer](link ChainLink, states []S) *Encoder {
 	e := NewEncoder()
 	e.Begin(tagChain)
 	e.U64(link.Base)
@@ -84,7 +79,14 @@ func SaveDelta(w io.Writer, link ChainLink, states ...DeltaCheckpointer) (uint64
 	for _, s := range states {
 		s.CheckpointDelta(e)
 	}
-	_, id, err := e.writeTo(w, DeltaMagic)
+	return e
+}
+
+// SaveDelta writes one delta container. It returns the delta's identity
+// (the next link's Prev). Like SaveBase it does not acknowledge the
+// checkpoint.
+func SaveDelta(w io.Writer, link ChainLink, states ...DeltaCheckpointer) (uint64, error) {
+	_, id, err := encodeDelta(link, states).WriteContainer(w, DeltaMagic)
 	return id, err
 }
 
@@ -92,23 +94,17 @@ func SaveDelta(w io.Writer, link ChainLink, states ...DeltaCheckpointer) (uint64
 // returns the container identity, the value deltas of the chain must name
 // as their Base.
 func LoadBase(r io.Reader, states ...Restorer) (uint64, error) {
-	d, id, err := newDecoder(r, Magic, "snapshot")
+	d, id, err := NewContainerDecoder(r, Magic, "snapshot")
 	if err != nil {
 		return 0, err
 	}
-	for _, s := range states {
-		if err := s.Restore(d); err != nil {
-			return 0, err
-		}
-	}
-	return id, d.Finish()
+	return id, restoreAll(d, states)
 }
 
 // PeekDelta verifies one delta container and returns its chain header and
-// identity without touching any state — the chain manager uses it to decide
-// which on-disk deltas still link to the current base before applying any.
+// identity without touching any state.
 func PeekDelta(r io.Reader) (ChainLink, uint64, error) {
-	d, id, err := newDecoder(r, DeltaMagic, "delta snapshot")
+	d, id, err := NewContainerDecoder(r, DeltaMagic, "delta snapshot")
 	if err != nil {
 		return ChainLink{}, 0, err
 	}
@@ -133,7 +129,7 @@ func readChainHeader(d *Decoder) (ChainLink, error) {
 // delta at the wrong position or off a different predecessor as
 // out-of-order. It returns the delta's identity (the next link's Prev).
 func LoadDelta(r io.Reader, want ChainLink, states ...DeltaRestorer) (uint64, error) {
-	d, id, err := newDecoder(r, DeltaMagic, "delta snapshot")
+	d, id, err := NewContainerDecoder(r, DeltaMagic, "delta snapshot")
 	if err != nil {
 		return 0, err
 	}
@@ -141,17 +137,23 @@ func LoadDelta(r io.Reader, want ChainLink, states ...DeltaRestorer) (uint64, er
 	if err != nil {
 		return 0, err
 	}
+	return id, restoreDelta(d, link, want, states)
+}
+
+// restoreDelta checks a delta's header against the expected chain position
+// and, only then, applies its sections to the states.
+func restoreDelta[S DeltaRestorer](d *Decoder, link, want ChainLink, states []S) error {
 	if link.Base != want.Base {
-		return 0, fmt.Errorf("snapshot: orphaned delta: built on base %#x, restoring chain of base %#x", link.Base, want.Base)
+		return fmt.Errorf("snapshot: orphaned delta: built on base %#x, restoring chain of base %#x", link.Base, want.Base)
 	}
 	if link.Seq != want.Seq || link.Prev != want.Prev {
-		return 0, fmt.Errorf("snapshot: out-of-order delta: link (seq %d, prev %#x) where (seq %d, prev %#x) was expected",
+		return fmt.Errorf("snapshot: out-of-order delta: link (seq %d, prev %#x) where (seq %d, prev %#x) was expected",
 			link.Seq, link.Prev, want.Seq, want.Prev)
 	}
 	for _, s := range states {
 		if err := s.RestoreDelta(d); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	return id, d.Finish()
+	return d.Finish()
 }

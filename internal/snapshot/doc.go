@@ -49,6 +49,16 @@
 // base (written atomically first, stale deltas removed after, so a crash
 // between the two leaves only orphans), and Restore-time orphan sweeping.
 //
+// A Chain keeps its containers in a Store, a three-method interface —
+// atomic Put, Open, Remove. FileStore is the durable one (temp file, fsync,
+// rename, directory sync; OpenChain uses it); MemStore holds containers in
+// memory for chains that must outlive the state they checkpoint but not the
+// process, which is what the harness's crash and fault decorators need.
+// There is one chain implementation over both. It accepts any
+// Checkpointer+Restorer (State) and writes deltas only while every state it
+// is handed also implements DeltaState; the lifecycle around it — who
+// applies, when to checkpoint, how to resize — is internal/session's.
+//
 // Subsystems opt in by implementing DeltaState: CheckpointDelta writes
 // only the regions dirtied since the last acknowledged checkpoint,
 // RestoreDelta applies them in chain order on top of a restored base, and
@@ -76,10 +86,11 @@
 //     the full state to migrate. Re-sharding a delta chain goes through a
 //     staging instance at the source shape: restore the chain, checkpoint
 //     it fully in memory, Reshard that.
-//   - After a resize, the on-disk history describes the old shape. Chain
-//     callers invoke Rebase so the next Checkpoint writes a fresh full
-//     base (and sweeps stale old-shape deltas) rather than appending a
-//     delta that could never be applied to the migrated state.
+//   - After a resize, the stored history describes the old shape.
+//     session.Session — the one caller of Reshard — invokes Rebase so the
+//     next Checkpoint writes a fresh full base (and sweeps stale old-shape
+//     deltas) rather than appending a delta that could never be applied to
+//     the migrated state.
 //
 // Because the logical state is preserved exactly, a re-sharded instance
 // answers every query bit-identically to an instance that ran at the

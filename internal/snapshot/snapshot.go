@@ -42,12 +42,17 @@ type Restorer interface {
 // Save checkpoints the given states, in order, into one snapshot written to
 // w.
 func Save(w io.Writer, states ...Checkpointer) error {
+	_, err := encodeFull(states).WriteTo(w)
+	return err
+}
+
+// encodeFull builds one full container's sections, each state's in order.
+func encodeFull[S Checkpointer](states []S) *Encoder {
 	e := NewEncoder()
 	for _, s := range states {
 		s.Checkpoint(e)
 	}
-	_, err := e.WriteTo(w)
-	return err
+	return e
 }
 
 // Load reads one snapshot from r and restores the given states in order
@@ -59,6 +64,12 @@ func Load(r io.Reader, states ...Restorer) error {
 	if err != nil {
 		return err
 	}
+	return restoreAll(d, states)
+}
+
+// restoreAll hands the decoder to each state in order and verifies the
+// whole container was consumed.
+func restoreAll[S Restorer](d *Decoder, states []S) error {
 	for _, s := range states {
 		if err := s.Restore(d); err != nil {
 			return err
@@ -155,15 +166,20 @@ func (e *Encoder) String(s string) {
 // WriteTo serializes the snapshot container — header, payload frames,
 // CRC — to w and returns the bytes written.
 func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
-	n, _, err := e.writeTo(w, Magic)
+	n, _, err := e.WriteContainer(w, Magic)
 	return n, err
 }
 
-// writeTo serializes the container under the given magic word and returns
-// the bytes written plus the container's identity: the trailing CRC word,
-// which is a deterministic function of the full container bytes and is what
-// delta chains use to name their base and predecessor (see delta.go).
-func (e *Encoder) writeTo(w io.Writer, magic uint64) (int64, uint64, error) {
+// WriteContainer serializes the encoder's sections as a container branded
+// with the given magic word (version word, declared payload length, trailing
+// CRC-32C) and returns the bytes written plus the container's identity: the
+// CRC word, which is a deterministic function of the full container bytes
+// and is what delta chains use to name their base and predecessor (see
+// delta.go). Other packages reuse the container format for their own files —
+// the segmented trace format of internal/trace brands its segments and
+// footer this way — so every on-disk word stream in the repository shares
+// one header/checksum discipline and one corruption-rejection path.
+func (e *Encoder) WriteContainer(w io.Writer, magic uint64) (int64, uint64, error) {
 	e.flush()
 	payload := e.batch.Raw()
 	buf := make([]byte, 8*(headerWords+len(payload)))
@@ -177,26 +193,6 @@ func (e *Encoder) writeTo(w io.Writer, magic uint64) (int64, uint64, error) {
 	binary.LittleEndian.PutUint64(buf[len(buf)-8:], uint64(crc))
 	n, err := w.Write(buf)
 	return int64(n), uint64(crc), err
-}
-
-// WriteContainer serializes the encoder's sections as a container branded
-// with the given magic word, under the same discipline as WriteTo (version
-// word, declared payload length, trailing CRC-32C), and returns the bytes
-// written plus the container identity (the CRC word). Other packages reuse
-// the snapshot container format for their own files — the segmented trace
-// format of internal/trace brands its segments and footer this way — so
-// every on-disk word stream in the repository shares one header/checksum
-// discipline and one corruption-rejection path.
-func (e *Encoder) WriteContainer(w io.Writer, magic uint64) (int64, uint64, error) {
-	return e.writeTo(w, magic)
-}
-
-// NewContainerDecoder is NewDecoder parameterized over the expected magic
-// word: it verifies magic, version, declared length, CRC, and frame
-// structure before handing out a section, returning the container identity
-// alongside. kind names the expected flavor in diagnostics.
-func NewContainerDecoder(r io.Reader, magic uint64, kind string) (*Decoder, uint64, error) {
-	return newDecoder(r, magic, kind)
 }
 
 // Decoder reads a verified snapshot payload section by section. Accessors
@@ -216,14 +212,15 @@ type Decoder struct {
 // Any violation is returned as a diagnostic error before a single section
 // is handed out.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	d, _, err := newDecoder(r, Magic, "snapshot")
+	d, _, err := NewContainerDecoder(r, Magic, "snapshot")
 	return d, err
 }
 
-// newDecoder is NewDecoder parameterized over the expected magic word; it
-// also returns the container identity (the verified trailing CRC word), the
-// same value writeTo reported when the container was produced.
-func newDecoder(r io.Reader, magic uint64, kind string) (*Decoder, uint64, error) {
+// NewContainerDecoder is NewDecoder parameterized over the expected magic
+// word (kind names the expected flavor in diagnostics); it also returns the
+// container identity (the verified trailing CRC word), the same value
+// WriteContainer reported when the container was produced.
+func NewContainerDecoder(r io.Reader, magic uint64, kind string) (*Decoder, uint64, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("snapshot: %w", err)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -243,7 +244,9 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 
 // TestMirroredRejectsInvalidStreams checks that Mirrored.Next surfaces
 // descriptive errors (not panics) for streams that are inconsistent with
-// their own history or reference vertices outside the declared space.
+// their own history or reference vertices outside the declared space: the
+// refusal carries graph.Check's diagnostic for the offending batch, and the
+// mirror is left exactly as it was before that batch.
 func TestMirroredRejectsInvalidStreams(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -252,11 +255,35 @@ func TestMirroredRejectsInvalidStreams(t *testing.T) {
 		{"duplicate insert", []graph.Batch{{graph.Ins(0, 1)}, {graph.Ins(0, 1)}}},
 		{"delete absent", []graph.Batch{{graph.Del(2, 3)}}},
 		{"vertex out of range", []graph.Batch{{graph.Ins(0, 99)}}},
+		// Valid update by update, but the algorithms apply a batch's inserts
+		// before its deletes.
+		{"edge touched twice", []graph.Batch{{graph.Ins(1, 2)}, {graph.Del(1, 2), graph.Ins(1, 2)}}},
+		{"fails half-way", []graph.Batch{{graph.Ins(0, 1)}, {graph.Ins(1, 2), graph.Ins(2, 3), graph.Del(0, 3)}}},
+		{"non-canonical out of range", []graph.Batch{{{Op: graph.Insert, Edge: graph.Edge{U: 9, V: 3}}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Drain(NewMirrored(NewSliceSource(4, tc.batches))); err == nil {
+			last := len(tc.batches) - 1
+			want := graph.New(4)
+			for _, b := range tc.batches[:last] {
+				if err := want.Apply(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			diagnostic := want.Check(tc.batches[last])
+			if diagnostic == nil {
+				t.Fatal("test case is not invalid")
+			}
+			m := NewMirrored(NewSliceSource(4, tc.batches))
+			_, err := Drain(m)
+			if err == nil {
 				t.Fatal("invalid stream replayed without error")
+			}
+			if !strings.Contains(err.Error(), "invalid batch: "+diagnostic.Error()) {
+				t.Errorf("error %q lacks the shared diagnostic %q", err, diagnostic)
+			}
+			if !reflect.DeepEqual(edgeSet(m.Mirror()), edgeSet(want)) {
+				t.Errorf("refused batch changed the mirror: %v, want %v", edgeSet(m.Mirror()), edgeSet(want))
 			}
 		})
 	}

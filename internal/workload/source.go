@@ -166,21 +166,20 @@ func NewMirroredFrom(g *graph.Graph, src BatchSource) *Mirrored {
 	return &Mirrored{src: src, g: g}
 }
 
-// Next implements BatchSource, validating the batch against the mirror.
+// Next implements BatchSource, validating the batch against the mirror with
+// graph.Check before applying it: a refused batch leaves the mirror exactly
+// as it was.
 func (m *Mirrored) Next() (graph.Batch, error) {
 	b, err := m.src.Next()
 	if err != nil {
 		return nil, err
 	}
-	// Bounds-check before Apply: an out-of-range endpoint must be a
-	// diagnostic, not an index panic inside the mirror.
-	for _, u := range b {
-		if u.Edge.U < 0 || u.Edge.V >= m.g.N() {
-			return nil, fmt.Errorf("workload: replayed batch %d: edge %v outside the vertex space [0,%d)", m.batch, u.Edge, m.g.N())
-		}
+	if err := m.g.Check(b); err != nil {
+		return nil, fmt.Errorf("workload: replayed batch %d: invalid batch: %w", m.batch, err)
 	}
 	if err := m.g.Apply(b); err != nil {
-		return nil, fmt.Errorf("workload: replayed batch %d invalid against the stream so far: %w", m.batch, err)
+		// Unreachable after Check; fail loudly rather than desync.
+		return nil, fmt.Errorf("workload: replayed batch %d: mirror diverged: %w", m.batch, err)
 	}
 	m.batch++
 	return b, nil
