@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/graph"
 	"repro/internal/mpc"
 	"repro/internal/workload"
 )
@@ -132,28 +131,6 @@ func BenchmarkE15QueryThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.E15QueryThroughput([]int{64}, 4, 128, uint64(i))
 	}
-}
-
-// BenchmarkBatchApplyThroughput times raw update throughput of the core
-// algorithm (wall-clock of the simulator, not an MPC metric; useful for
-// tracking implementation regressions).
-func BenchmarkBatchApplyThroughput(b *testing.B) {
-	dc, err := core.NewDynamicConnectivity(core.Config{N: 256, Phi: 0.6, Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := workload.NewChurn(workload.Config{N: 256, Seed: 12, InsertBias: 0.6})
-	k := dc.MaxBatch()
-	b.ResetTimer()
-	updates := 0
-	for i := 0; i < b.N; i++ {
-		batch := gen.Next(k)
-		if err := dc.ApplyBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-		updates += len(batch)
-	}
-	b.ReportMetric(float64(updates)/float64(b.N), "updates/op")
 }
 
 // stepBenchWorkers is the worker count of the pool variants of
@@ -315,25 +292,5 @@ func BenchmarkStepParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("pool-skew/%d", machines), func(b *testing.B) {
 			benchmarkStep(b, machines, stepBenchWorkers, true)
 		})
-	}
-}
-
-// BenchmarkForestLink isolates the Euler-tour Link path.
-func BenchmarkForestLink(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f, err := core.NewForest(core.Config{N: 256, Phi: 0.8, Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var edges []graph.WeightedEdge
-		for v := 0; v < 64; v++ {
-			edges = append(edges, graph.NewWeightedEdge(v, v+1, 1))
-		}
-		for j := 0; j < len(edges); j += 16 {
-			if err := f.Link(edges[j : j+16]); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }

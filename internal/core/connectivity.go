@@ -31,6 +31,12 @@ func (s *sketchShard) Words() int { return s.arena.Words() + 1 }
 
 func (s *sketchShard) of(v int) sketch.VertexSketch { return s.arena.VertexAt(v-s.lo, s.n) }
 
+// sShard returns machine mm's sketch shard, or nil for the coordinator.
+func sShard(mm *mpc.Machine) *sketchShard {
+	s, _ := mm.Get(slotSketch).(*sketchShard)
+	return s
+}
+
 // workspace is the coordinator's transient state during the replacement
 // search: the merged sketch of every supernode (views into the aggregated
 // batch buffer).

@@ -1,12 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/hash"
+	"repro/internal/mpc"
 	"repro/internal/oracle"
+	"repro/internal/snapshot"
 )
 
 // mirror pairs a DynamicConnectivity with a sequential reference graph and
@@ -629,5 +636,206 @@ func TestFailureInjectionStarvedSketches(t *testing.T) {
 	}
 	if !divergedSomewhere {
 		t.Error("starved sketches never diverged; the failure-injection workload is too weak")
+	}
+}
+
+// handEcho writes a forest's configuration echo word by word: the tests below
+// build their containers as outside input would arrive, not through the
+// package's own writers.
+func handEcho(e *snapshot.Encoder, f *Forest) {
+	e.Int(f.cfg.N)
+	e.F64(f.cfg.Phi)
+	e.Int(f.cfg.SketchCopies)
+	e.U64(f.cfg.Seed)
+	e.Int(f.cfg.VerticesPerMachine)
+	e.Bool(f.weighted)
+	e.Int(f.cl.Machines())
+}
+
+// handRecord writes the six words that follow a live tree-edge record's
+// endpoints (tour, dart positions, weight).
+func handRecord(e *snapshot.Encoder) {
+	e.U64(1)
+	for _, pos := range []int{0, 3, 1, 2} {
+		e.Int(pos)
+	}
+	e.I64(0)
+}
+
+// TestLoadRejectsTreeEdgeOnTwoShards hand-builds a full forest container
+// (valid CRC) in which one tree edge is filed on its owner's shard only, or
+// on a second shard too: the former loads, the latter is rejected by both
+// full-container verbs.
+func TestLoadRejectsTreeEdgeOnTwoShards(t *testing.T) {
+	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
+	f, err := NewForest(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := f.cl.Machines()
+	ed := graph.Edge{U: 1, V: 2}
+	owner := f.edgeOwner(ed)
+	build := func(shards ...int) []byte {
+		e := snapshot.NewEncoder()
+		e.Begin(tagForest)
+		handEcho(e, f)
+		e.U64(2) // next tour id
+		e.U64(1) // label-cache epoch
+		e.Int(0) // no valid labels
+		e.Int(0)
+		e.Bool(false) // no component count
+		e.Ints(make([]int, cfg.N))
+		e.Int(cfg.N)
+		for v := 0; v < cfg.N; v++ {
+			e.U64(0)
+		}
+		snapshot.EncodeClusterStats(e, mpc.Stats{})
+		for i := 0; i < m; i++ {
+			e.Begin(tagForestShard)
+			e.Int(i)
+			e.Bool(i != f.coord)
+			if i != f.coord {
+				lo, hi := f.part.Range(i)
+				e.Int(lo)
+				e.Int(hi)
+				e.Int(hi - lo)
+				for v := lo; v < hi; v++ {
+					e.Int(v)
+				}
+				e.Int(0) // empty fragment map
+			}
+			filed := 0
+			for _, sh := range shards {
+				if sh == i {
+					filed = 1
+				}
+			}
+			e.Int(filed)
+			if filed == 1 {
+				e.Int(ed.U)
+				e.Int(ed.V)
+				handRecord(e)
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := e.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	load := func(r io.Reader, f *Forest) error { return snapshot.Load(r, f) }
+	reshard := func(r io.Reader, f *Forest) error { return snapshot.Reshard(r, f) }
+	for name, verb := range map[string]func(io.Reader, *Forest) error{"Load": load, "Reshard": reshard} {
+		fresh, err := NewForest(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = verb(bytes.NewReader(build(owner, (owner+1)%m)), fresh)
+		if err == nil || !strings.Contains(err.Error(), "{1,2} on two shards") {
+			t.Fatalf("%s: tree edge filed on two shards not rejected: %v", name, err)
+		}
+		if got := fresh.SnapshotForest(); len(got) != 0 {
+			t.Fatalf("%s: rejected container left %d forest edges behind", name, len(got))
+		}
+		if err := verb(bytes.NewReader(build(owner)), fresh); err != nil {
+			t.Fatalf("%s: the same container with the edge filed once: %v", name, err)
+		}
+		if got := fresh.SnapshotForest(); len(got) != 1 || got[0].Edge != ed {
+			t.Fatalf("%s: loaded forest %v, want [%v]", name, got, ed)
+		}
+	}
+}
+
+// TestDeltaRejectsMisfiledEdge hand-builds a delta container (valid CRC,
+// correct chain position) whose one tree-edge upsert or tombstone sits in
+// the section of a machine that does not own the edge: restoring the chain
+// must fail naming the edge and both machines, where the same delta with the
+// record in its owner's section restores.
+func TestDeltaRejectsMisfiledEdge(t *testing.T) {
+	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
+	f, err := NewForest(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := f.cl.Machines()
+	ed := graph.Edge{U: 1, V: 2}
+	owner := f.edgeOwner(ed)
+	wrong := (owner + 1) % m
+	store := snapshot.NewMemStore()
+	if _, _, err := snapshot.OpenChainIn(store, "ckpt", 8).Checkpoint(f); err != nil {
+		t.Fatal(err)
+	}
+	r, err := store.Open("ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A container's identity is its trailing CRC word.
+	baseID := binary.LittleEndian.Uint64(base[len(base)-8:])
+	for _, upsert := range []bool{true, false} {
+		for _, at := range []int{wrong, owner} {
+			e := snapshot.NewEncoder()
+			e.Begin(0x0D) // snapshot's chain header: base, predecessor, position
+			e.U64(baseID)
+			e.U64(baseID)
+			e.U64(1)
+			e.Begin(tagForestDelta)
+			handEcho(e, f)
+			e.U64(2) // next tour id
+			e.U64(1) // label-cache epoch
+			e.Int(0)
+			e.Bool(false) // no component count
+			e.Int(0)      // no label-cache entries
+			snapshot.EncodeClusterStats(e, mpc.Stats{})
+			for i := 0; i < m; i++ {
+				e.Begin(tagForestShardDelta)
+				e.Int(i)
+				e.Bool(i != f.coord)
+				if i != f.coord {
+					e.Int(0)      // no component changes
+					e.Bool(false) // fragment map untouched
+				}
+				if i != at {
+					e.Int(0)
+					continue
+				}
+				e.Int(1)
+				e.Int(ed.U)
+				e.Int(ed.V)
+				e.Bool(upsert)
+				if upsert {
+					handRecord(e)
+				}
+			}
+			err := store.Put("ckpt.delta-001", func(w io.Writer) error {
+				_, _, err := e.WriteContainer(w, snapshot.DeltaMagic)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewForest(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = snapshot.OpenChainIn(store, "ckpt", 8).Restore(fresh)
+			if at == owner {
+				if err != nil {
+					t.Fatalf("upsert=%v filed on its owner: %v", upsert, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Fatalf("upsert=%v for edge %v filed on machine %d (owner %d) was applied", upsert, ed, wrong, owner)
+			}
+			for _, want := range []string{"{1,2}", fmt.Sprintf("machine %d", wrong), fmt.Sprintf("machine %d", owner)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("upsert=%v: diagnostic %q does not name %q", upsert, err, want)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,10 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,53 +16,76 @@ import (
 	"repro/internal/workload"
 )
 
-// deltaChain is the in-memory test double of snapshot.Chain: a base
-// container plus delta containers with their identities.
-type deltaChain struct {
-	base   bytes.Buffer
-	baseID uint64
-	tipID  uint64
-	deltas []*bytes.Buffer
+// ckpt is the base container's name in the tests' in-memory chain stores;
+// the chain files its k-th delta under ckpt.delta-00k.
+const ckpt = "ckpt"
+
+// tagChain is package snapshot's reserved first section of a delta
+// container (the chain-identity header).
+const tagChain = 0x0D
+
+// checkpoint writes the next container of the chain and demands its kind.
+func checkpoint(tb testing.TB, chain *snapshot.Chain, dc *core.DynamicConnectivity, wantKind string) {
+	tb.Helper()
+	kind, _, err := chain.Checkpoint(dc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if kind != wantKind {
+		tb.Fatalf("chain wrote a %s checkpoint, want %s", kind, wantKind)
+	}
 }
 
-func (c *deltaChain) saveBase(t testing.TB, dc *core.DynamicConnectivity) {
-	t.Helper()
-	id, err := snapshot.SaveBase(&c.base, dc)
-	if err != nil {
-		t.Fatal(err)
+// restoreChain replays the chain held in store into dc.
+func restoreChain(tb testing.TB, store snapshot.Store, dc *core.DynamicConnectivity) *snapshot.Chain {
+	tb.Helper()
+	chain := snapshot.OpenChainIn(store, ckpt, 8)
+	if ok, err := chain.Restore(dc); err != nil || !ok {
+		tb.Fatalf("chain restore: ok=%v err=%v", ok, err)
 	}
-	c.baseID = id
-	c.tipID = id
-	dc.AckCheckpoint()
+	return chain
 }
 
-func (c *deltaChain) saveDelta(t testing.TB, dc *core.DynamicConnectivity) {
-	t.Helper()
-	var buf bytes.Buffer
-	link := snapshot.ChainLink{Base: c.baseID, Prev: c.tipID, Seq: uint64(len(c.deltas) + 1)}
-	id, err := snapshot.SaveDelta(&buf, link, dc)
+// container returns the bytes stored under name.
+func container(tb testing.TB, store snapshot.Store, name string) []byte {
+	tb.Helper()
+	r, err := store.Open(name)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	c.deltas = append(c.deltas, &buf)
-	c.tipID = id
-	dc.AckCheckpoint()
+	defer r.Close()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
-func (c *deltaChain) restore(t testing.TB, dc *core.DynamicConnectivity) {
-	t.Helper()
-	id, err := snapshot.LoadBase(bytes.NewReader(c.base.Bytes()), dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := id
-	for i, buf := range c.deltas {
-		want := snapshot.ChainLink{Base: c.baseID, Prev: prev, Seq: uint64(i + 1)}
-		next, err := snapshot.LoadDelta(bytes.NewReader(buf.Bytes()), want, dc)
-		if err != nil {
-			t.Fatalf("delta %d: %v", i+1, err)
+// storeOf returns a store holding exactly the given containers.
+func storeOf(tb testing.TB, files map[string][]byte) snapshot.Store {
+	tb.Helper()
+	store := snapshot.NewMemStore()
+	for name, data := range files {
+		if err := store.Put(name, func(w io.Writer) error { _, err := w.Write(data); return err }); err != nil {
+			tb.Fatal(err)
 		}
-		prev = next
+	}
+	return store
+}
+
+// writeDelta writes dc's pending delta as a container the way the chain
+// does, but without acknowledging it, so the same dirty set can be encoded
+// again (the chain position it claims is arbitrary).
+func writeDelta(tb testing.TB, w io.Writer, dc *core.DynamicConnectivity) {
+	tb.Helper()
+	e := snapshot.NewEncoder()
+	e.Begin(tagChain)
+	e.U64(1)
+	e.U64(1)
+	e.U64(1)
+	dc.CheckpointDelta(e)
+	if _, _, err := e.WriteContainer(w, snapshot.DeltaMagic); err != nil {
+		tb.Fatal(err)
 	}
 }
 
@@ -71,8 +98,9 @@ func (c *deltaChain) restore(t testing.TB, dc *core.DynamicConnectivity) {
 func TestDeltaChainRestoreBitIdentical(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		dc, mix := warmInstance(t, 64, par, 4, 17)
-		var chain deltaChain
-		chain.saveBase(t, dc)
+		store := snapshot.NewMemStore()
+		chain := snapshot.OpenChainIn(store, ckpt, 8)
+		checkpoint(t, chain, dc, snapshot.KindFull)
 		// Three deltas, each covering two batches of churn plus queries (so
 		// the label cache is warm and epoch-scoped entries ride the delta).
 		for k := 0; k < 3; k++ {
@@ -82,7 +110,7 @@ func TestDeltaChainRestoreBitIdentical(t *testing.T) {
 				}
 				dc.ConnectedAllInto(nil, toPairs(mix.NextQueries(16)))
 			}
-			chain.saveDelta(t, dc)
+			checkpoint(t, chain, dc, snapshot.KindDelta)
 		}
 		var full bytes.Buffer
 		if err := snapshot.Save(&full, dc); err != nil {
@@ -97,7 +125,9 @@ func TestDeltaChainRestoreBitIdentical(t *testing.T) {
 			return r
 		}
 		fromChain := fresh()
-		chain.restore(t, fromChain)
+		if got := restoreChain(t, store, fromChain).Len(); got != 3 {
+			t.Fatalf("par %d: chain restore replayed %d deltas, want 3", par, got)
+		}
 		fromFull := fresh()
 		if err := snapshot.Load(bytes.NewReader(full.Bytes()), fromFull); err != nil {
 			t.Fatal(err)
@@ -138,46 +168,54 @@ func TestDeltaChainRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDeltaRejectsOrphanAndOutOfOrder pins the chain-identity validation:
-// a delta naming the wrong base (orphaned) or the wrong position (out of
-// order) is rejected before any state section is decoded.
+// TestDeltaRejectsOrphanAndOutOfOrder pins the chain-identity validation,
+// through the chain: a delta naming another base (an orphan of a crash
+// mid-compaction) is swept and counted, a delta at the wrong position (out
+// of order) or a full container filed as a delta is a hard error, and each
+// is decided before any of that delta's state sections is decoded.
 func TestDeltaRejectsOrphanAndOutOfOrder(t *testing.T) {
 	dc, mix := warmInstance(t, 64, 1, 3, 19)
-	var chain deltaChain
-	chain.saveBase(t, dc)
+	store := snapshot.NewMemStore()
+	chain := snapshot.OpenChainIn(store, ckpt, 8)
+	checkpoint(t, chain, dc, snapshot.KindFull)
 	if err := dc.ApplyBatch(mix.Next(dc.MaxBatch())); err != nil {
 		t.Fatal(err)
 	}
-	chain.saveDelta(t, dc)
-	delta := chain.deltas[0].Bytes()
+	checkpoint(t, chain, dc, snapshot.KindDelta)
+	base, delta := container(t, store, ckpt), container(t, store, ckpt+".delta-001")
 
 	fresh, err := core.NewDynamicConnectivity(core.Config{N: 64, Phi: 0.6, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot.LoadBase(bytes.NewReader(chain.base.Bytes()), fresh); err != nil {
+	// Orphan: the base was rewritten (here, as a full snapshot of the current
+	// state) and the delta of the old base was left behind.
+	var rebased bytes.Buffer
+	if err := snapshot.Save(&rebased, dc); err != nil {
 		t.Fatal(err)
 	}
-	wrongBase := snapshot.ChainLink{Base: chain.baseID + 1, Prev: chain.baseID + 1, Seq: 1}
-	if _, err := snapshot.LoadDelta(bytes.NewReader(delta), wrongBase, fresh); err == nil ||
-		!strings.Contains(err.Error(), "orphaned delta") {
-		t.Fatalf("orphaned delta not rejected: %v", err)
+	orphaned := storeOf(t, map[string][]byte{ckpt: rebased.Bytes(), ckpt + ".delta-001": delta})
+	if got := restoreChain(t, orphaned, fresh); got.OrphansRemoved() != 1 || got.Len() != 0 {
+		t.Fatalf("orphaned delta: %d swept, chain length %d; want 1 and 0", got.OrphansRemoved(), got.Len())
 	}
-	wrongSeq := snapshot.ChainLink{Base: chain.baseID, Prev: chain.baseID, Seq: 2}
-	if _, err := snapshot.LoadDelta(bytes.NewReader(delta), wrongSeq, fresh); err == nil ||
-		!strings.Contains(err.Error(), "out-of-order delta") {
-		t.Fatalf("out-of-order delta not rejected: %v", err)
+	if _, err := orphaned.Open(ckpt + ".delta-001"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("orphaned delta still in the store: %v", err)
 	}
-	// A full container where a delta is expected is caught by the magic word.
-	if _, err := snapshot.LoadDelta(bytes.NewReader(chain.base.Bytes()), wrongSeq, fresh); err == nil ||
-		!strings.Contains(err.Error(), "full snapshot container") {
-		t.Fatalf("full container not rejected as delta: %v", err)
+	for name, tc := range map[string]struct {
+		second []byte
+		want   string
+	}{
+		"out-of-order": {delta, "out-of-order delta"},
+		// Caught by the magic word.
+		"full-as-delta": {base, "full snapshot container"},
+	} {
+		bad := storeOf(t, map[string][]byte{ckpt: base, ckpt + ".delta-001": delta, ckpt + ".delta-002": tc.second})
+		if _, err := snapshot.OpenChainIn(bad, ckpt, 8).Restore(fresh); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: not rejected: %v", name, err)
+		}
 	}
-	// The rejections above touched no state: the correct delta still applies.
-	want := snapshot.ChainLink{Base: chain.baseID, Prev: chain.baseID, Seq: 1}
-	if _, err := snapshot.LoadDelta(bytes.NewReader(delta), want, fresh); err != nil {
-		t.Fatal(err)
-	}
+	// The rejected attempts do not poison the instance for the correct chain.
+	restoreChain(t, store, fresh)
 	if !reflect.DeepEqual(dc.SnapshotComponents(), fresh.SnapshotComponents()) {
 		t.Fatal("chain restore after rejected attempts diverged")
 	}
@@ -211,8 +249,9 @@ func bigInstance(tb testing.TB) (*core.DynamicConnectivity, *workload.Churn) {
 // restore must reproduce the full state.
 func TestDeltaCheckpointCheaper(t *testing.T) {
 	dc, churn := bigInstance(t)
-	var chain deltaChain
-	chain.saveBase(t, dc)
+	store := snapshot.NewMemStore()
+	chain := snapshot.OpenChainIn(store, ckpt, 8)
+	checkpoint(t, chain, dc, snapshot.KindFull)
 	if err := dc.ApplyBatch(churn.NextInsertOnly(64)); err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +275,9 @@ func TestDeltaCheckpointCheaper(t *testing.T) {
 		}
 	})
 	var deltaBuf bytes.Buffer
-	link := snapshot.ChainLink{Base: chain.baseID, Prev: chain.tipID, Seq: 1}
 	deltaNs := time1(func() {
 		deltaBuf.Reset()
-		if _, err := snapshot.SaveDelta(&deltaBuf, link, dc); err != nil {
-			t.Fatal(err)
-		}
+		writeDelta(t, &deltaBuf, dc)
 	})
 	t.Logf("full: %d bytes in %v; delta: %d bytes in %v (ratios %.1f× bytes, %.1f× ns)",
 		fullBuf.Len(), fullNs, deltaBuf.Len(), deltaNs,
@@ -255,13 +291,15 @@ func TestDeltaCheckpointCheaper(t *testing.T) {
 
 	// The cheap delta still carries everything: base + delta equals the live
 	// state.
-	chain.deltas = append(chain.deltas, &deltaBuf)
-	dc.AckCheckpoint()
+	checkpoint(t, chain, dc, snapshot.KindDelta)
+	if got := len(container(t, store, ckpt+".delta-001")); got != deltaBuf.Len() {
+		t.Fatalf("the chain's delta is %d bytes, the measured one %d", got, deltaBuf.Len())
+	}
 	fresh, err := core.NewDynamicConnectivity(core.Config{N: 1 << 16, Phi: 0.6, SketchCopies: 2, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain.restore(t, fresh)
+	restoreChain(t, store, fresh)
 	if !reflect.DeepEqual(dc.Cluster().Stats(), fresh.Cluster().Stats()) {
 		t.Fatal("chain-restored Stats differ at acceptance scale")
 	}
@@ -299,24 +337,16 @@ func BenchmarkCheckpointFull64K(b *testing.B) {
 // same dirty set.
 func BenchmarkCheckpointDelta(b *testing.B) {
 	dc, churn := bigInstance(b)
-	var base bytes.Buffer
-	baseID, err := snapshot.SaveBase(&base, dc)
-	if err != nil {
-		b.Fatal(err)
-	}
 	dc.AckCheckpoint()
 	if err := dc.ApplyBatch(churn.NextInsertOnly(64)); err != nil {
 		b.Fatal(err)
 	}
-	link := snapshot.ChainLink{Base: baseID, Prev: baseID, Seq: 1}
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if _, err := snapshot.SaveDelta(&buf, link, dc); err != nil {
-			b.Fatal(err)
-		}
+		writeDelta(b, &buf, dc)
 	}
 	b.SetBytes(int64(buf.Len()))
 }
@@ -326,37 +356,44 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 // are idempotent, so reapplying the chain each iteration is well-defined).
 func BenchmarkRestoreChain(b *testing.B) {
 	dc, churn := bigInstance(b)
-	var chain deltaChain
-	chain.saveBase(b, dc)
-	for k := 0; k < 4; k++ {
+	store := snapshot.NewMemStore()
+	chain := snapshot.OpenChainIn(store, ckpt, 8)
+	checkpoint(b, chain, dc, snapshot.KindFull)
+	var deltas [][]byte
+	var total int64
+	for k := 1; k <= 4; k++ {
 		if err := dc.ApplyBatch(churn.NextInsertOnly(64)); err != nil {
 			b.Fatal(err)
 		}
-		chain.saveDelta(b, dc)
+		checkpoint(b, chain, dc, snapshot.KindDelta)
+		deltas = append(deltas, container(b, store, fmt.Sprintf("%s.delta-%03d", ckpt, k)))
+		total += int64(len(deltas[k-1]))
 	}
 	target, err := core.NewDynamicConnectivity(core.Config{N: 1 << 16, Phi: 0.6, SketchCopies: 2, Seed: 21})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := snapshot.LoadBase(bytes.NewReader(chain.base.Bytes()), target); err != nil {
-		b.Fatal(err)
-	}
-	var total int64
-	for _, d := range chain.deltas {
-		total += int64(d.Len())
-	}
+	restoreChain(b, store, target)
 	b.ReportAllocs()
 	b.SetBytes(total)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prev := chain.baseID
-		for j, d := range chain.deltas {
-			want := snapshot.ChainLink{Base: chain.baseID, Prev: prev, Seq: uint64(j + 1)}
-			next, err := snapshot.LoadDelta(bytes.NewReader(d.Bytes()), want, target)
+		for _, data := range deltas {
+			// What Chain.Restore does per delta, minus the position check.
+			d, _, err := snapshot.NewContainerDecoder(bytes.NewReader(data), snapshot.DeltaMagic, "delta snapshot")
 			if err != nil {
 				b.Fatal(err)
 			}
-			prev = next
+			d.Begin(tagChain)
+			d.U64()
+			d.U64()
+			d.U64()
+			if err := target.RestoreDelta(d); err != nil {
+				b.Fatal(err)
+			}
+			if err := d.Finish(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -100,22 +100,3 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 	b.StopTimer()
 	reportRoundsPerQuery(b, dc, start, 1)
 }
-
-// BenchmarkQueryMix is the end-to-end read/write-mix regime: one update
-// batch plus 256 batched queries per op (the workload the E15 experiment
-// sweeps).
-func BenchmarkQueryMix(b *testing.B) {
-	dc, mix := newQueryRun(b, 256, 1, 31)
-	dst := make([]bool, 0, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch := mix.Next(dc.MaxBatch())
-		if len(batch) > 0 {
-			if err := dc.ApplyBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		dst = dc.ConnectedAllInto(dst, toPairs(mix.NextQueries(256)))
-	}
-}

@@ -1,30 +1,38 @@
 package core
 
-// Elastic re-sharding: restoring a checkpoint onto a cluster with a
-// different machine count. The insight that makes this a deterministic
-// state migration rather than a consensus problem is that every piece of
-// checkpointed state is either machine-count-independent logical state
-// (component ids, tree-edge records, per-vertex sketch words, the
-// coordinator's tour counter and label cache, cluster stats) or pure
-// placement, and placement is a deterministic function of (vertex, machine
-// count): vertices live in contiguous mpc.Partition ranges and edge records
-// on hash.Hash(edgeID) % machines. Re-sharding therefore decodes the
-// snapshot into a placement-neutral image, re-validates the per-machine
-// s-words budget of the target shape, and installs the image under the
-// target placement maps — a resharded instance is indistinguishable from a
-// fresh instance at the target machine count that was fed the same update
-// stream (labels, forest, sketches, and query answers are bit-identical;
-// only the carried-over execution Stats reflect the source fleet's history).
+// Loading a full checkpoint, at the fleet shape that wrote it or any other.
+// The insight that makes elastic re-sharding a deterministic state migration
+// rather than a consensus problem is that every piece of checkpointed state
+// is either machine-count-independent logical state (component ids,
+// tree-edge records, per-vertex sketch words, the coordinator's tour counter
+// and label cache, cluster stats) or pure placement, and placement is a
+// deterministic function of (vertex or edge, machine count): vertices live in
+// contiguous mpc.Partition ranges and edge records on
+// hash.Hash(edgeID) % machines. Restoring at the shape that wrote the file is
+// then just the case where source and target placement coincide, so each
+// state has one loader for its full container: it decodes the sections, at
+// whatever machine count wrote them, into an image free of the source's
+// sharding, re-validates the per-machine s-words budget of this instance's
+// shape, and installs the image under this instance's placement maps.
+// ReshardRestore is that loader as is; Restore is the same loader with one
+// extra demand, checked on the configuration echo before anything else is
+// read: the writer's VerticesPerMachine and machine count equal the
+// instance's. A loaded instance is indistinguishable from a fresh instance at
+// its shape that was fed the same update stream (labels, forest, sketches,
+// and query answers are bit-identical); its execution Stats are the
+// checkpoint's, carried over verbatim.
 //
-// The memory-cap re-validation runs before any target state is touched: a
-// shrink of the per-machine s-words budget that cannot hold the migrated
-// state is rejected with a diagnostic, never silently installed in
-// violation of the model.
+// Failure contract, the same for both verbs: a configuration mismatch or a
+// memory-cap rejection — a per-machine budget that cannot hold the state is
+// never silently installed in violation of the model — is reported before
+// any target state is touched, so the instance may be reused. Any other
+// error is structural (the container's CRC verified, yet a section
+// contradicts the layout) and may surface after the forest is installed,
+// while the sketch sections stream into the arenas: discard the instance.
 
 import (
 	"fmt"
 
-	"repro/internal/eulertour"
 	"repro/internal/graph"
 	"repro/internal/mpc"
 	"repro/internal/snapshot"
@@ -54,13 +62,9 @@ func ResizeConfig(cfg Config, machines int) (Config, error) {
 	return out, nil
 }
 
-// forestImage is the placement-neutral decode of a forest checkpoint: all
-// logical state, none of the source fleet's sharding.
+// forestImage is the decode of a forest checkpoint: all logical state, none
+// of the source fleet's sharding.
 type forestImage struct {
-	srcVpm  int
-	srcMach int
-	srcPart mpc.Partition
-
 	nextID     uint64
 	epoch      uint32
 	valid      int
@@ -72,45 +76,30 @@ type forestImage struct {
 
 	comp []int          // component id per vertex, len N
 	frag map[int]uint64 // transient fragment keys, keyed by vertex
-	recs []treeEdge     // every tree-edge record, owner-agnostic
+	// recs holds every tree-edge record, already grouped by the machine that
+	// owns it under the loading instance's placement.
+	recs []map[graph.Edge]*treeEdge
 }
 
-// decodeForestImage reads a tagForest section group written at any machine
-// count, validating the state-shaping configuration (N, Phi, SketchCopies,
-// Seed, weightedness) against cfg but accepting any source
-// VerticesPerMachine / machine count — that is the whole point.
-func decodeForestImage(d *snapshot.Decoder, cfg Config, weighted bool) (*forestImage, error) {
+// readImage decodes the tagForest section group written at any machine count
+// (at this instance's, if sameShape) and returns the image plus the source
+// fleet's vertex partition.
+func (f *Forest) readImage(d *snapshot.Decoder, sameShape bool) (*forestImage, mpc.Partition, error) {
 	d.Begin(tagForest)
-	n := d.Int()
-	phi := d.F64()
-	copies := d.Int()
-	seed := d.U64()
-	srcVpm := d.Int()
-	srcWeighted := d.Bool()
-	srcMach := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
+	srcMach, err := f.readConfig(d, sameShape)
+	if err != nil {
+		return nil, mpc.Partition{}, err
 	}
-	switch {
-	case n != cfg.N:
-		return nil, fmt.Errorf("core: reshard of snapshot with N=%d into N=%d", n, cfg.N)
-	case phi != cfg.Phi:
-		return nil, fmt.Errorf("core: reshard of snapshot with Phi=%v into Phi=%v", phi, cfg.Phi)
-	case copies != cfg.SketchCopies:
-		return nil, fmt.Errorf("core: reshard of snapshot with SketchCopies=%d into SketchCopies=%d", copies, cfg.SketchCopies)
-	case seed != cfg.Seed:
-		return nil, fmt.Errorf("core: reshard of snapshot with Seed=%d into Seed=%d", seed, cfg.Seed)
-	case srcWeighted != weighted:
-		return nil, fmt.Errorf("core: reshard of snapshot with weighted=%v into weighted=%v", srcWeighted, weighted)
-	case srcMach < 2:
-		return nil, fmt.Errorf("core: snapshot claims %d machines (corrupt)", srcMach)
-	}
+	n := f.cfg.N
+	src := mpc.Partition{N: n, Machines: srcMach - 1}
 	img := &forestImage{
-		srcVpm:  srcVpm,
-		srcMach: srcMach,
-		srcPart: mpc.Partition{N: n, Machines: srcMach - 1},
-		comp:    make([]int, n),
-		frag:    map[int]uint64{},
+		comp:  make([]int, n),
+		stamp: make([]uint32, n),
+		frag:  map[int]uint64{},
+		recs:  make([]map[graph.Edge]*treeEdge, f.cl.Machines()),
+	}
+	for i := range img.recs {
+		img.recs[i] = map[graph.Edge]*treeEdge{}
 	}
 	img.nextID = d.U64()
 	img.epoch = uint32(d.U64())
@@ -119,111 +108,68 @@ func decodeForestImage(d *snapshot.Decoder, cfg Config, weighted bool) (*forestI
 	img.numCompsOK = d.Bool()
 	img.labels = d.Ints()
 	if d.Err() == nil && len(img.labels) != n {
-		return nil, fmt.Errorf("core: snapshot label cache of %d entries, want %d", len(img.labels), n)
+		return nil, src, fmt.Errorf("core: snapshot label cache of %d entries, want %d", len(img.labels), n)
 	}
-	ns := d.Int()
-	if d.Err() == nil && ns != n {
-		return nil, fmt.Errorf("core: snapshot stamp array of %d entries, want %d", ns, n)
+	if ns := d.Int(); d.Err() == nil && ns != n {
+		return nil, src, fmt.Errorf("core: snapshot stamp array of %d entries, want %d", ns, n)
 	}
-	img.stamp = make([]uint32, n)
-	for i := 0; i < ns && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		img.stamp[i] = uint32(d.U64())
 	}
 	img.stats = snapshot.DecodeClusterStats(d)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	seen := make(map[graph.Edge]bool)
 	for i := 0; i < srcMach; i++ {
-		if err := decodeForestShard(d, img, i, seen); err != nil {
-			return nil, err
+		has, err := readShardHeader(d, tagForestShard, i, srcMach)
+		if err != nil {
+			return nil, src, err
 		}
-	}
-	return img, d.Err()
-}
-
-// decodeForestShard folds source machine i's tagForestShard section into the
-// image, validating it against the source partition's layout.
-func decodeForestShard(d *snapshot.Decoder, img *forestImage, i int, seen map[graph.Edge]bool) error {
-	d.Begin(tagForestShard)
-	id := d.Int()
-	hasV := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if id != i {
-		return fmt.Errorf("core: shard section for machine %d where %d was expected", id, i)
-	}
-	if hasV != (i != img.srcMach-1) {
-		return fmt.Errorf("core: snapshot machine %d of %d disagrees with the coordinator-last layout", i, img.srcMach)
-	}
-	n := img.srcPart.N
-	if hasV {
-		lo, hi := d.Int(), d.Int()
-		comp := d.Ints()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		wantLo, wantHi := img.srcPart.Range(i)
-		if lo != wantLo || hi != wantHi {
-			return fmt.Errorf("core: snapshot shard %d covers [%d,%d), source layout says [%d,%d)", i, lo, hi, wantLo, wantHi)
-		}
-		if len(comp) != hi-lo {
-			return fmt.Errorf("core: snapshot shard %d has %d component entries, want %d", i, len(comp), hi-lo)
-		}
-		copy(img.comp[lo:hi], comp)
-		nf := d.Count(2)
-		for j := 0; j < nf && d.Err() == nil; j++ {
-			v := d.Int()
-			k := d.U64()
-			if v < lo || v >= hi {
-				return fmt.Errorf("core: snapshot shard %d holds fragment entry for foreign vertex %d", i, v)
+		if has {
+			lo, hi := d.Int(), d.Int()
+			nc := d.Count(1)
+			if err := d.Err(); err != nil {
+				return nil, src, err
 			}
-			img.frag[v] = k
+			if wantLo, wantHi := src.Range(i); lo != wantLo || hi != wantHi {
+				return nil, src, fmt.Errorf("core: snapshot shard %d covers [%d,%d), source layout says [%d,%d)", i, lo, hi, wantLo, wantHi)
+			}
+			if nc != hi-lo {
+				return nil, src, fmt.Errorf("core: snapshot shard %d has %d component entries, want %d", i, nc, hi-lo)
+			}
+			for v := lo; v < hi; v++ {
+				img.comp[v] = d.Int()
+			}
+			if err := readFrag(d, lo, hi, img.frag); err != nil {
+				return nil, src, err
+			}
+		}
+		nr := d.Count(8)
+		for j := 0; j < nr; j++ {
+			ed, te, err := readTreeEdge(d, n, false)
+			if err != nil {
+				return nil, src, err
+			}
+			owned := img.recs[f.edgeOwner(ed)]
+			if owned[ed] != nil {
+				return nil, src, fmt.Errorf("core: snapshot holds tree edge {%d,%d} on two shards", ed.U, ed.V)
+			}
+			owned[ed] = te
 		}
 	}
-	nr := d.Count(8)
-	for j := 0; j < nr && d.Err() == nil; j++ {
-		u, v := d.Int(), d.Int()
-		tour := d.U64()
-		u0, u1 := d.Int(), d.Int()
-		v0, v1 := d.Int(), d.Int()
-		w := d.I64()
-		if d.Err() != nil {
-			break
-		}
-		if u < 0 || v < 0 || u >= v || v >= n {
-			return fmt.Errorf("core: snapshot shard %d holds invalid tree edge {%d,%d}", i, u, v)
-		}
-		e := graph.Edge{U: u, V: v}
-		if seen[e] {
-			return fmt.Errorf("core: snapshot holds tree edge {%d,%d} on two shards", u, v)
-		}
-		seen[e] = true
-		img.recs = append(img.recs, newTreeEdge(e, tour, u0, u1, v0, v1, w))
-	}
-	return d.Err()
+	return img, src, d.Err()
 }
 
-// validateImageCaps tallies, per target machine, the words the migrated
-// state will occupy and rejects the reshard if any machine would exceed its
-// s-words budget (the cluster's LocalMemory). sketchStride is the
-// per-vertex sketch footprint (0 for a bare forest). Runs before any state
-// is touched, so a rejected reshard leaves the target instance untouched.
-func (f *Forest) validateImageCaps(img *forestImage, sketchStride int) ([][]treeEdge, error) {
+// checkCaps tallies, per machine of this instance, the words the image will
+// occupy once installed and rejects the load if any machine would exceed its
+// s-words budget (the cluster's LocalMemory). sketchStride is the per-vertex
+// sketch footprint (0 for a bare forest). It touches no state.
+func (f *Forest) checkCaps(img *forestImage, sketchStride int) error {
 	m := f.cl.Machines()
 	budget := f.cl.LocalMemory()
-	recsByOwner := make([][]treeEdge, m)
-	for _, te := range img.recs {
-		o := f.edgeOwner(te.rec.E)
-		recsByOwner[o] = append(recsByOwner[o], te)
-	}
 	fragByOwner := make([]int, m)
 	for v := range img.frag {
 		fragByOwner[f.part.Owner(v)]++
 	}
 	for i := 0; i < m; i++ {
-		words := 8*len(recsByOwner[i]) + 1 // edge shard
+		words := 8*len(img.recs[i]) + 1 // edge shard
 		if i == f.coord {
 			words += 2 * img.valid // label-cache meter
 			if img.numCompsOK {
@@ -237,16 +183,16 @@ func (f *Forest) validateImageCaps(img *forestImage, sketchStride int) ([][]tree
 			}
 		}
 		if words > budget {
-			return nil, fmt.Errorf("core: reshard onto %d machines (VerticesPerMachine=%d) rejected: machine %d needs %d words but the per-machine s-words budget is %d — the shrunken budget cannot hold the migrated state",
+			return fmt.Errorf("core: restore onto %d machines (VerticesPerMachine=%d) rejected: machine %d needs %d words but the per-machine s-words budget is %d — the budget cannot hold the checkpointed state",
 				m, f.cfg.verticesPerMachine(), i, words, budget)
 		}
 	}
-	return recsByOwner, nil
+	return nil
 }
 
-// installImage overwrites the freshly constructed forest with the image
-// under the target placement maps. Infallible: every validation already ran.
-func (f *Forest) installImage(img *forestImage, recsByOwner [][]treeEdge) {
+// installImage overwrites the forest with the image under this instance's
+// placement maps. Infallible: every validation already ran.
+func (f *Forest) installImage(img *forestImage) {
 	f.nextID = img.nextID
 	lc := &f.cache
 	lc.epoch = img.epoch
@@ -255,128 +201,102 @@ func (f *Forest) installImage(img *forestImage, recsByOwner [][]treeEdge) {
 	lc.numCompsOK = img.numCompsOK
 	copy(lc.labels, img.labels)
 	copy(lc.stamp, img.stamp)
-	f.cl.RestoreStats(img.stats)
 	f.cl.LocalAll(func(mm *mpc.Machine) {
 		if vs := vShard(mm); vs != nil {
 			copy(vs.comp, img.comp[vs.lo:vs.hi])
 			vs.frag = map[int]uint64{}
 			for v, k := range img.frag {
-				if v >= vs.lo && v < vs.hi {
+				if vs.owns(v) {
 					vs.frag[v] = k
 				}
 			}
-			vs.resetJournal()
 		}
-		es := eShard(mm)
-		es.recs = make(map[graph.Edge]*treeEdge, len(recsByOwner[mm.ID]))
-		for _, te := range recsByOwner[mm.ID] {
-			cp := te
-			es.recs[cp.rec.E] = &cp
-		}
-		es.resetJournal()
+		eShard(mm).recs = img.recs[mm.ID]
 	})
+	// Last, so that LocalAll's memory metering of the install itself does not
+	// leak into the metrics: a loaded instance's Stats are the checkpoint's.
+	f.cl.RestoreStats(img.stats)
+	f.AckCheckpoint() // the loaded state is the new delta baseline
+}
+
+// load is the forest's one full-checkpoint loader (see the file comment):
+// decode at any source shape — this instance's, if sameShape — validate the
+// memory caps, install. It returns the source fleet's vertex partition, by
+// which a DynamicConnectivity locates the sketch sections that follow.
+func (f *Forest) load(d *snapshot.Decoder, sameShape bool, sketchStride int) (mpc.Partition, error) {
+	img, src, err := f.readImage(d, sameShape)
+	if err != nil {
+		return src, err
+	}
+	if err := f.checkCaps(img, sketchStride); err != nil {
+		return src, err
+	}
+	f.installImage(img)
+	return src, nil
+}
+
+// Restore loads a full forest checkpoint written at this instance's fleet
+// shape; a checkpoint of any other shape is rejected with a diagnostic
+// naming both (ReshardRestore takes those).
+func (f *Forest) Restore(d *snapshot.Decoder) error {
+	_, err := f.load(d, true, 0)
+	return err
 }
 
 // ReshardRestore loads a full forest checkpoint written at any machine
-// count into this freshly constructed forest, redistributing vertex and
-// edge state under the target shape's placement maps. The per-machine
-// memory cap is re-validated first; on any error the forest is untouched
-// and may be discarded or reused.
+// count, redistributing vertex and edge state under this instance's
+// placement maps.
 func (f *Forest) ReshardRestore(d *snapshot.Decoder) error {
-	img, err := decodeForestImage(d, f.cfg, f.weighted)
-	if err != nil {
-		return err
-	}
-	recsByOwner, err := f.validateImageCaps(img, 0)
-	if err != nil {
-		return err
-	}
-	f.installImage(img, recsByOwner)
-	return nil
+	_, err := f.load(d, false, 0)
+	return err
 }
 
-// decodeSketchImage reads the per-machine tagSketchShard sections written at
-// the image's source shape into one flat N*stride word image.
-func decodeSketchImage(d *snapshot.Decoder, img *forestImage, stride int) ([]uint64, error) {
-	flat := make([]uint64, img.srcPart.N*stride)
-	for i := 0; i < img.srcMach; i++ {
-		d.Begin(tagSketchShard)
-		id := d.Int()
-		hasS := d.Bool()
-		if err := d.Err(); err != nil {
-			return nil, err
+// load is the connectivity stack's one full-checkpoint loader: the forest's,
+// told the sketch footprint so the memory caps cover the arenas, then every
+// source shard's sketch words copied straight from the decoder into the
+// arenas of the machines whose vertex ranges overlap that shard's.
+func (dc *DynamicConnectivity) load(d *snapshot.Decoder, sameShape bool) error {
+	f := dc.f
+	stride := dc.space.SketchWords()
+	src, err := f.load(d, sameShape, stride)
+	if err != nil {
+		return err
+	}
+	srcMach := src.Machines + 1 // the vertex machines plus the coordinator
+	for i := 0; i < srcMach; i++ {
+		has, err := readShardHeader(d, tagSketchShard, i, srcMach)
+		if err != nil {
+			return err
 		}
-		if id != i {
-			return nil, fmt.Errorf("core: sketch section for machine %d where %d was expected", id, i)
-		}
-		if hasS != (i != img.srcMach-1) {
-			return nil, fmt.Errorf("core: snapshot sketch layout disagrees with the coordinator-last layout at machine %d", i)
-		}
-		if !hasS {
+		if !has {
 			continue
 		}
 		words := d.U64s()
 		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		lo, hi := img.srcPart.Range(i)
-		if len(words) != (hi-lo)*stride {
-			return nil, fmt.Errorf("core: snapshot sketch shard %d holds %d words, want %d (shape mismatch)", i, len(words), (hi-lo)*stride)
-		}
-		copy(flat[lo*stride:hi*stride], words)
-	}
-	return flat, nil
-}
-
-// ReshardRestore loads a full dynamic-connectivity checkpoint written at
-// any machine count into this freshly constructed instance: the forest
-// image plus every vertex's sketch block, re-sliced onto the target
-// machines' arenas. The per-machine memory cap (vertex bundle, sketch
-// arena, edge records, coordinator caches) is re-validated against the
-// target budget before any state is touched; a shrink that cannot hold the
-// migrated state is rejected with a diagnostic.
-func (dc *DynamicConnectivity) ReshardRestore(d *snapshot.Decoder) error {
-	f := dc.f
-	img, err := decodeForestImage(d, f.cfg, false)
-	if err != nil {
-		return err
-	}
-	stride := dc.space.SketchWords()
-	flat, err := decodeSketchImage(d, img, stride)
-	if err != nil {
-		return err
-	}
-	recsByOwner, err := f.validateImageCaps(img, stride)
-	if err != nil {
-		return err
-	}
-	f.installImage(img, recsByOwner)
-	errs := make([]error, f.cl.Machines())
-	f.cl.LocalAll(func(mm *mpc.Machine) {
-		sh, ok := mm.Get(slotSketch).(*sketchShard)
-		if !ok {
-			return
-		}
-		vs := vShard(mm)
-		errs[mm.ID] = sh.arena.LoadRaw(flat[vs.lo*stride : vs.hi*stride])
-	})
-	for _, err := range errs {
-		if err != nil {
 			return err
 		}
+		lo, hi := src.Range(i)
+		if len(words) != (hi-lo)*stride {
+			return fmt.Errorf("core: snapshot sketch shard %d holds %d words, want %d (shape mismatch)", i, len(words), (hi-lo)*stride)
+		}
+		for v := lo; v < hi; v++ {
+			sh := sShard(f.cl.Machine(f.part.Owner(v)))
+			if err := sh.arena.ApplyRegion(v-sh.lo, words[(v-lo)*stride:(v-lo+1)*stride]); err != nil {
+				return err
+			}
+		}
 	}
+	dc.AckCheckpoint() // the loaded arenas are the new delta baseline
 	return nil
 }
 
-// newTreeEdge builds a treeEdge from decoded words.
-func newTreeEdge(e graph.Edge, tour uint64, u0, u1, v0, v1 int, w int64) treeEdge {
-	return treeEdge{
-		rec: eulertour.Record{
-			E:    e,
-			Tour: eulertour.TourID(tour),
-			UPos: [2]eulertour.Pos{u0, u1},
-			VPos: [2]eulertour.Pos{v0, v1},
-		},
-		weight: w,
-	}
-}
+// Restore loads a full dynamic-connectivity checkpoint written at this
+// instance's fleet shape (see Forest.Restore). The sketch spaces are rebuilt
+// from the seed by the constructor; only the arena cell words are reloaded.
+func (dc *DynamicConnectivity) Restore(d *snapshot.Decoder) error { return dc.load(d, true) }
+
+// ReshardRestore loads a full dynamic-connectivity checkpoint written at any
+// machine count: the forest image plus every vertex's sketch block, re-sliced
+// onto this instance's arenas. The memory cap it re-validates covers the
+// vertex bundle, sketch arena, edge records and coordinator caches.
+func (dc *DynamicConnectivity) ReshardRestore(d *snapshot.Decoder) error { return dc.load(d, false) }

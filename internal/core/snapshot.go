@@ -9,15 +9,16 @@ package core
 // is reconstructed deterministically from the configuration seed, so it is
 // validated, not serialized.
 //
-// Restore must be called on a freshly constructed instance of the same
-// configuration; mismatches are rejected with a descriptive error. On any
-// error the instance is left in an undefined state and must be discarded —
-// the container-level checks (magic, version, CRC) have already rejected
-// corrupt files before restore begins.
+// This file holds the writers (Checkpoint, CheckpointDelta), the delta reader
+// (RestoreDelta) and the record codecs they share; the one reader of a full
+// container — behind both Restore and ReshardRestore — is in reshard.go. The
+// container-level checks (magic, version, CRC) have already rejected corrupt
+// files before any reader here runs.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/eulertour"
 	"repro/internal/graph"
@@ -34,9 +35,15 @@ const (
 	tagSketchShardDelta = 0x15
 )
 
-// checkpointConfig writes the configuration echo shared by full and delta
-// sections: the state-shaping parameters a restoring instance must match.
-func (f *Forest) checkpointConfig(e *snapshot.Encoder) {
+// Record codecs: the configuration echo, the shard header, the fragment map
+// and the tree-edge record each have one writer and one reader, shared by the
+// full and the delta container, so a layout or validation change is made
+// once.
+
+// writeConfig writes the configuration echo that opens the forest's full and
+// delta sections: the state-shaping parameters a restoring instance must
+// match, then the shape of the fleet that wrote the container.
+func (f *Forest) writeConfig(e *snapshot.Encoder) {
 	e.Int(f.cfg.N)
 	e.F64(f.cfg.Phi)
 	e.Int(f.cfg.SketchCopies)
@@ -46,8 +53,12 @@ func (f *Forest) checkpointConfig(e *snapshot.Encoder) {
 	e.Int(f.cl.Machines())
 }
 
-// restoreConfig reads and validates the configuration echo.
-func (f *Forest) restoreConfig(d *snapshot.Decoder) error {
+// readConfig reads the configuration echo, validates the state-shaping
+// parameters (Parallelism and Strict are execution-engine choices, not
+// state, and may differ between writer and reader) and returns the writer's
+// machine count. sameShape adds the demand that the writer's fleet shape
+// equals this instance's.
+func (f *Forest) readConfig(d *snapshot.Decoder, sameShape bool) (int, error) {
 	n := d.Int()
 	phi := d.F64()
 	copies := d.Int()
@@ -56,25 +67,132 @@ func (f *Forest) restoreConfig(d *snapshot.Decoder) error {
 	weighted := d.Bool()
 	mach := d.Int()
 	if err := d.Err(); err != nil {
-		return err
+		return 0, err
 	}
 	switch {
 	case n != f.cfg.N:
-		return fmt.Errorf("core: snapshot of N=%d restored into N=%d", n, f.cfg.N)
+		return 0, fmt.Errorf("core: snapshot of N=%d restored into N=%d", n, f.cfg.N)
 	case phi != f.cfg.Phi:
-		return fmt.Errorf("core: snapshot of Phi=%v restored into Phi=%v", phi, f.cfg.Phi)
+		return 0, fmt.Errorf("core: snapshot of Phi=%v restored into Phi=%v", phi, f.cfg.Phi)
 	case copies != f.cfg.SketchCopies:
-		return fmt.Errorf("core: snapshot of SketchCopies=%d restored into SketchCopies=%d", copies, f.cfg.SketchCopies)
+		return 0, fmt.Errorf("core: snapshot of SketchCopies=%d restored into SketchCopies=%d", copies, f.cfg.SketchCopies)
 	case seed != f.cfg.Seed:
-		return fmt.Errorf("core: snapshot of Seed=%d restored into Seed=%d", seed, f.cfg.Seed)
-	case vpm != f.cfg.VerticesPerMachine:
-		return fmt.Errorf("core: snapshot of VerticesPerMachine=%d restored into VerticesPerMachine=%d", vpm, f.cfg.VerticesPerMachine)
+		return 0, fmt.Errorf("core: snapshot of Seed=%d restored into Seed=%d", seed, f.cfg.Seed)
 	case weighted != f.weighted:
-		return fmt.Errorf("core: snapshot weighted=%v restored into weighted=%v", weighted, f.weighted)
-	case mach != f.cl.Machines():
-		return fmt.Errorf("core: snapshot of %d machines restored into %d", mach, f.cl.Machines())
+		return 0, fmt.Errorf("core: snapshot weighted=%v restored into weighted=%v", weighted, f.weighted)
+	case mach < 2:
+		return 0, fmt.Errorf("core: snapshot claims %d machines (corrupt)", mach)
+	case sameShape && (vpm != f.cfg.VerticesPerMachine || mach != f.cl.Machines()):
+		return 0, fmt.Errorf("core: snapshot of VerticesPerMachine=%d on %d machines restored into VerticesPerMachine=%d on %d machines (re-shard it instead)",
+			vpm, mach, f.cfg.VerticesPerMachine, f.cl.Machines())
 	}
-	return nil
+	return mach, nil
+}
+
+// writeShardHeader opens machine i's section under tag; has says whether the
+// machine carries vertex state (every machine but the coordinator does).
+func writeShardHeader(e *snapshot.Encoder, tag uint64, i int, has bool) {
+	e.Begin(tag)
+	e.Int(i)
+	e.Bool(has)
+}
+
+// readShardHeader opens the section under tag that machine i of a fleet of
+// mach machines wrote, checks it against the coordinator-last layout, and
+// reports whether it carries vertex state.
+func readShardHeader(d *snapshot.Decoder, tag uint64, i, mach int) (bool, error) {
+	d.Begin(tag)
+	id := d.Int()
+	has := d.Bool()
+	if err := d.Err(); err != nil {
+		return false, err
+	}
+	if id != i {
+		return false, fmt.Errorf("core: section %#x of machine %d where machine %d was expected", tag, id, i)
+	}
+	if has != (i != mach-1) {
+		return false, fmt.Errorf("core: section %#x of machine %d of %d disagrees with the coordinator-last layout", tag, i, mach)
+	}
+	return has, nil
+}
+
+// writeFrag writes a fragment map in vertex order, so a container is a
+// deterministic function of the logical state.
+func writeFrag(e *snapshot.Encoder, frag map[int]uint64) {
+	verts := make([]int, 0, len(frag))
+	for v := range frag {
+		verts = append(verts, v)
+	}
+	slices.Sort(verts)
+	e.Int(len(verts))
+	for _, v := range verts {
+		e.Int(v)
+		e.U64(frag[v])
+	}
+}
+
+// readFrag reads the fragment map of the shard covering [lo,hi) into frag.
+func readFrag(d *snapshot.Decoder, lo, hi int, frag map[int]uint64) error {
+	n := d.Count(2)
+	for j := 0; j < n; j++ {
+		v, k := d.Int(), d.U64()
+		if v < lo || v >= hi {
+			return fmt.Errorf("core: fragment entry for vertex %d filed on the shard covering [%d,%d)", v, lo, hi)
+		}
+		frag[v] = k
+	}
+	return d.Err()
+}
+
+// sortedEdges returns the map's keys in edge-id order.
+func sortedEdges[V any](m map[graph.Edge]V, n int) []graph.Edge {
+	edges := make([]graph.Edge, 0, len(m))
+	for ed := range m {
+		edges = append(edges, ed)
+	}
+	slices.SortFunc(edges, func(a, b graph.Edge) int { return cmp.Compare(a.ID(n), b.ID(n)) })
+	return edges
+}
+
+// writeTreeEdges writes the records of the given edges of shard es. The
+// delta layout flags each record present or deleted (a tombstone, te == nil);
+// the full layout holds live records only.
+func writeTreeEdges(e *snapshot.Encoder, edges []graph.Edge, es *edgeShard, delta bool) {
+	e.Int(len(edges))
+	for _, ed := range edges {
+		te := es.recs[ed]
+		e.Int(ed.U)
+		e.Int(ed.V)
+		if delta {
+			e.Bool(te != nil)
+			if te == nil {
+				continue
+			}
+		}
+		e.U64(uint64(te.rec.Tour))
+		e.Int(te.rec.UPos[0])
+		e.Int(te.rec.UPos[1])
+		e.Int(te.rec.VPos[0])
+		e.Int(te.rec.VPos[1])
+		e.I64(te.weight)
+	}
+}
+
+// readTreeEdge reads one record of a forest on n vertices; in the delta
+// layout a nil record is a tombstone for the returned edge.
+func readTreeEdge(d *snapshot.Decoder, n int, delta bool) (graph.Edge, *treeEdge, error) {
+	ed := graph.Edge{U: d.Int(), V: d.Int()}
+	if d.Err() == nil && (ed.U < 0 || ed.U >= ed.V || ed.V >= n) {
+		return ed, nil, fmt.Errorf("core: snapshot holds invalid tree edge {%d,%d}", ed.U, ed.V)
+	}
+	if delta && !d.Bool() {
+		return ed, nil, d.Err()
+	}
+	te := &treeEdge{rec: eulertour.Record{E: ed, Tour: eulertour.TourID(d.U64())}}
+	te.rec.UPos = [2]eulertour.Pos{d.Int(), d.Int()}
+	te.rec.VPos = [2]eulertour.Pos{d.Int(), d.Int()}
+	te.weight = d.I64()
+	return ed, te, d.Err()
 }
 
 // Checkpoint serializes the forest: configuration echo, tour-id counter,
@@ -83,7 +201,7 @@ func (f *Forest) restoreConfig(d *snapshot.Decoder) error {
 // durably written.
 func (f *Forest) Checkpoint(e *snapshot.Encoder) {
 	e.Begin(tagForest)
-	f.checkpointConfig(e)
+	f.writeConfig(e)
 	e.U64(f.nextID)
 	lc := &f.cache
 	e.U64(uint64(lc.epoch))
@@ -97,165 +215,18 @@ func (f *Forest) Checkpoint(e *snapshot.Encoder) {
 	}
 	snapshot.EncodeClusterStats(e, f.cl.Stats())
 	for i := 0; i < f.cl.Machines(); i++ {
-		f.checkpointShard(e, i)
-	}
-}
-
-// checkpointShard writes machine i's vertex and edge shard. Map contents
-// are emitted in sorted key order so a checkpoint is a deterministic
-// function of the logical state.
-func (f *Forest) checkpointShard(e *snapshot.Encoder, i int) {
-	mm := f.cl.Machine(i)
-	e.Begin(tagForestShard)
-	e.Int(i)
-	vs := vShard(mm)
-	e.Bool(vs != nil)
-	if vs != nil {
-		e.Int(vs.lo)
-		e.Int(vs.hi)
-		e.Ints(vs.comp)
-		verts := make([]int, 0, len(vs.frag))
-		for v := range vs.frag {
-			verts = append(verts, v)
-		}
-		sort.Ints(verts)
-		e.Int(len(verts))
-		for _, v := range verts {
-			e.Int(v)
-			e.U64(vs.frag[v])
-		}
-	}
-	es := eShard(mm)
-	recs := make([]*treeEdge, 0, len(es.recs))
-	for _, te := range es.recs {
-		recs = append(recs, te)
-	}
-	n := f.cfg.N
-	sort.Slice(recs, func(a, b int) bool { return recs[a].rec.E.ID(n) < recs[b].rec.E.ID(n) })
-	e.Int(len(recs))
-	for _, te := range recs {
-		e.Int(te.rec.E.U)
-		e.Int(te.rec.E.V)
-		e.U64(uint64(te.rec.Tour))
-		e.Int(te.rec.UPos[0])
-		e.Int(te.rec.UPos[1])
-		e.Int(te.rec.VPos[0])
-		e.Int(te.rec.VPos[1])
-		e.I64(te.weight)
-	}
-}
-
-// Restore loads a checkpoint written by Checkpoint into this freshly
-// constructed forest, after validating that the snapshot's configuration
-// matches (Parallelism and Strict are execution-engine choices, not state,
-// and may differ between the checkpointing and the restoring process).
-func (f *Forest) Restore(d *snapshot.Decoder) error {
-	d.Begin(tagForest)
-	if err := f.restoreConfig(d); err != nil {
-		return err
-	}
-	f.nextID = d.U64()
-	lc := &f.cache
-	lc.epoch = uint32(d.U64())
-	lc.valid = d.Int()
-	lc.numComps = d.Int()
-	lc.numCompsOK = d.Bool()
-	labels := d.Ints()
-	if d.Err() == nil && len(labels) != f.cfg.N {
-		return fmt.Errorf("core: snapshot label cache of %d entries, want %d", len(labels), f.cfg.N)
-	}
-	copy(lc.labels, labels)
-	ns := d.Int()
-	if d.Err() == nil && ns != f.cfg.N {
-		return fmt.Errorf("core: snapshot stamp array of %d entries, want %d", ns, f.cfg.N)
-	}
-	for i := 0; i < ns && d.Err() == nil; i++ {
-		lc.stamp[i] = uint32(d.U64())
-	}
-	st := snapshot.DecodeClusterStats(d)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	f.cl.RestoreStats(st)
-	for i := 0; i < f.cl.Machines(); i++ {
-		if err := f.restoreShard(d, i); err != nil {
-			return err
-		}
-	}
-	return d.Err()
-}
-
-// restoreShard loads machine i's vertex and edge shard.
-func (f *Forest) restoreShard(d *snapshot.Decoder, i int) error {
-	mm := f.cl.Machine(i)
-	d.Begin(tagForestShard)
-	id := d.Int()
-	hasV := d.Bool()
-	vs := vShard(mm)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if id != i {
-		return fmt.Errorf("core: shard section for machine %d where %d was expected", id, i)
-	}
-	if hasV != (vs != nil) {
-		return fmt.Errorf("core: snapshot/instance disagree on machine %d holding a vertex shard", i)
-	}
-	if vs != nil {
-		lo, hi := d.Int(), d.Int()
-		comp := d.Ints()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if lo != vs.lo || hi != vs.hi {
-			return fmt.Errorf("core: snapshot shard %d covers [%d,%d), instance covers [%d,%d)", i, lo, hi, vs.lo, vs.hi)
-		}
-		if len(comp) != hi-lo {
-			return fmt.Errorf("core: snapshot shard %d has %d component entries, want %d", i, len(comp), hi-lo)
-		}
-		copy(vs.comp, comp)
-		nf := d.Count(2)
-		vs.frag = make(map[int]uint64, nf)
-		for j := 0; j < nf && d.Err() == nil; j++ {
-			v := d.Int()
-			k := d.U64()
-			if v < vs.lo || v >= vs.hi {
-				return fmt.Errorf("core: snapshot shard %d holds fragment entry for foreign vertex %d", i, v)
-			}
-			vs.frag[v] = k
-		}
-	}
-	es := eShard(mm)
-	nr := d.Count(8)
-	es.recs = make(map[graph.Edge]*treeEdge, nr)
-	for j := 0; j < nr && d.Err() == nil; j++ {
-		u, v := d.Int(), d.Int()
-		tour := eulertour.TourID(d.U64())
-		u0, u1 := d.Int(), d.Int()
-		v0, v1 := d.Int(), d.Int()
-		w := d.I64()
-		if u < 0 || v < 0 || u >= v || v >= f.cfg.N {
-			return fmt.Errorf("core: snapshot shard %d holds invalid tree edge {%d,%d}", i, u, v)
-		}
-		te := &treeEdge{
-			rec: eulertour.Record{
-				E:    graph.Edge{U: u, V: v},
-				Tour: tour,
-				UPos: [2]eulertour.Pos{u0, u1},
-				VPos: [2]eulertour.Pos{v0, v1},
-			},
-			weight: w,
-		}
-		es.recs[te.rec.E] = te
-	}
-	if d.Err() == nil {
-		// The restored state is the new delta baseline.
+		mm := f.cl.Machine(i)
+		vs := vShard(mm)
+		writeShardHeader(e, tagForestShard, i, vs != nil)
 		if vs != nil {
-			vs.resetJournal()
+			e.Int(vs.lo)
+			e.Int(vs.hi)
+			e.Ints(vs.comp)
+			writeFrag(e, vs.frag)
 		}
-		es.resetJournal()
+		es := eShard(mm)
+		writeTreeEdges(e, sortedEdges(es.recs, f.cfg.N), es, false)
 	}
-	return d.Err()
 }
 
 // CheckpointDelta serializes only what changed since the last acknowledged
@@ -263,11 +234,12 @@ func (f *Forest) restoreShard(d *snapshot.Decoder, i int) error {
 // current epoch's label-cache entries, cluster stats — all small and
 // epoch-scoped, so diffing buys nothing) plus per-shard journals (changed
 // component entries, the fragment map when touched, changed or deleted tree
-// edges). Like Checkpoint it does not reset the journals; AckCheckpoint
-// does, once the container is durable.
+// edges), in sorted order so a delta is a deterministic function of the
+// logical change set. Like Checkpoint it does not reset the journals;
+// AckCheckpoint does, once the container is durable.
 func (f *Forest) CheckpointDelta(e *snapshot.Encoder) {
 	e.Begin(tagForestDelta)
-	f.checkpointConfig(e)
+	f.writeConfig(e)
 	e.U64(f.nextID)
 	lc := &f.cache
 	e.U64(uint64(lc.epoch))
@@ -282,75 +254,39 @@ func (f *Forest) CheckpointDelta(e *snapshot.Encoder) {
 	}
 	snapshot.EncodeClusterStats(e, f.cl.Stats())
 	for i := 0; i < f.cl.Machines(); i++ {
-		f.checkpointShardDelta(e, i)
-	}
-}
-
-// checkpointShardDelta writes machine i's journaled changes, in sorted
-// order so a delta is a deterministic function of the logical change set.
-func (f *Forest) checkpointShardDelta(e *snapshot.Encoder, i int) {
-	mm := f.cl.Machine(i)
-	e.Begin(tagForestShardDelta)
-	e.Int(i)
-	vs := vShard(mm)
-	e.Bool(vs != nil)
-	if vs != nil {
-		e.Int(vs.compDirtyCount)
-		vs.forEachDirtyComp(func(idx, c int) {
-			e.Int(idx)
-			e.Int(c)
-		})
-		e.Bool(vs.fragDirty)
-		if vs.fragDirty {
+		mm := f.cl.Machine(i)
+		vs := vShard(mm)
+		writeShardHeader(e, tagForestShardDelta, i, vs != nil)
+		if vs != nil {
+			e.Int(vs.compDirtyCount)
+			vs.forEachDirtyComp(func(idx, c int) {
+				e.Int(idx)
+				e.Int(c)
+			})
 			// The fragment map is transient and rebuilt wholesale by Cut;
 			// ship it whole (it is empty or tiny between batches).
-			verts := make([]int, 0, len(vs.frag))
-			for v := range vs.frag {
-				verts = append(verts, v)
-			}
-			sort.Ints(verts)
-			e.Int(len(verts))
-			for _, v := range verts {
-				e.Int(v)
-				e.U64(vs.frag[v])
+			e.Bool(vs.fragDirty)
+			if vs.fragDirty {
+				writeFrag(e, vs.frag)
 			}
 		}
-	}
-	es := eShard(mm)
-	edges := make([]graph.Edge, 0, len(es.dirty))
-	for ed := range es.dirty {
-		edges = append(edges, ed)
-	}
-	n := f.cfg.N
-	sort.Slice(edges, func(a, b int) bool { return edges[a].ID(n) < edges[b].ID(n) })
-	e.Int(len(edges))
-	for _, ed := range edges {
-		te, present := es.recs[ed]
-		e.Int(ed.U)
-		e.Int(ed.V)
-		e.Bool(present)
-		if present {
-			e.U64(uint64(te.rec.Tour))
-			e.Int(te.rec.UPos[0])
-			e.Int(te.rec.UPos[1])
-			e.Int(te.rec.VPos[0])
-			e.Int(te.rec.VPos[1])
-			e.I64(te.weight)
-		}
+		es := eShard(mm)
+		writeTreeEdges(e, sortedEdges(es.dirty, f.cfg.N), es, true)
 	}
 }
 
 // RestoreDelta applies a delta written by CheckpointDelta on top of already
-// restored state (the base snapshot plus any earlier deltas of the chain).
-// Upserts and tombstones are idempotent, so replaying a delta that overlaps
-// an already-applied one (a retried checkpoint after a failed write) is
-// harmless. Label-cache entries are restored by clearing every stamp and
-// re-stamping the delta's current-epoch entries — observationally identical
-// to the full restore's stamp image, because stale stamps behave exactly
-// like cleared ones (the epoch is never 0).
+// restored state (the base snapshot plus any earlier deltas of the chain) of
+// the same fleet shape. Upserts and tombstones are idempotent, so replaying
+// a delta that overlaps an already-applied one (a retried checkpoint after a
+// failed write) is harmless. Label-cache entries are restored by clearing
+// every stamp and re-stamping the delta's current-epoch entries —
+// observationally identical to the full restore's stamp image, because stale
+// stamps behave exactly like cleared ones (the epoch is never 0). On error
+// the instance must be discarded.
 func (f *Forest) RestoreDelta(d *snapshot.Decoder) error {
 	d.Begin(tagForestDelta)
-	if err := f.restoreConfig(d); err != nil {
+	if _, err := f.readConfig(d, true); err != nil {
 		return err
 	}
 	f.nextID = d.U64()
@@ -363,12 +299,8 @@ func (f *Forest) RestoreDelta(d *snapshot.Decoder) error {
 		return err
 	}
 	clear(lc.stamp)
-	for j := 0; j < nv && d.Err() == nil; j++ {
-		v := d.Int()
-		label := d.Int()
-		if d.Err() != nil {
-			break
-		}
+	for j := 0; j < nv; j++ {
+		v, label := d.Int(), d.Int()
 		if v < 0 || v >= f.cfg.N {
 			return fmt.Errorf("core: delta label-cache entry for vertex %d out of range [0,%d)", v, f.cfg.N)
 		}
@@ -386,95 +318,50 @@ func (f *Forest) RestoreDelta(d *snapshot.Decoder) error {
 			return err
 		}
 	}
-	return d.Err()
+	f.AckCheckpoint() // the restored state is the new delta baseline
+	return nil
 }
 
 // restoreShardDelta applies machine i's journaled changes.
 func (f *Forest) restoreShardDelta(d *snapshot.Decoder, i int) error {
 	mm := f.cl.Machine(i)
-	d.Begin(tagForestShardDelta)
-	id := d.Int()
-	hasV := d.Bool()
-	vs := vShard(mm)
-	if err := d.Err(); err != nil {
+	has, err := readShardHeader(d, tagForestShardDelta, i, f.cl.Machines())
+	if err != nil {
 		return err
 	}
-	if id != i {
-		return fmt.Errorf("core: delta shard section for machine %d where %d was expected", id, i)
-	}
-	if hasV != (vs != nil) {
-		return fmt.Errorf("core: delta/instance disagree on machine %d holding a vertex shard", i)
-	}
-	if vs != nil {
+	if has {
+		vs := vShard(mm)
 		nc := d.Count(2)
-		for j := 0; j < nc && d.Err() == nil; j++ {
-			idx := d.Int()
-			c := d.Int()
-			if d.Err() != nil {
-				break
-			}
+		for j := 0; j < nc; j++ {
+			idx, c := d.Int(), d.Int()
 			if idx < 0 || idx >= vs.hi-vs.lo {
 				return fmt.Errorf("core: delta shard %d component index %d out of range [0,%d)", i, idx, vs.hi-vs.lo)
 			}
 			vs.comp[idx] = c
 		}
 		if d.Bool() {
-			nf := d.Count(2)
-			frag := make(map[int]uint64, nf)
-			for j := 0; j < nf && d.Err() == nil; j++ {
-				v := d.Int()
-				k := d.U64()
-				if d.Err() != nil {
-					break
-				}
-				if v < vs.lo || v >= vs.hi {
-					return fmt.Errorf("core: delta shard %d holds fragment entry for foreign vertex %d", i, v)
-				}
-				frag[v] = k
+			frag := map[int]uint64{}
+			if err := readFrag(d, vs.lo, vs.hi, frag); err != nil {
+				return err
 			}
-			if d.Err() == nil {
-				vs.frag = frag
-			}
+			vs.frag = frag
 		}
 	}
 	es := eShard(mm)
 	ne := d.Count(3)
-	for j := 0; j < ne && d.Err() == nil; j++ {
-		u, v := d.Int(), d.Int()
-		present := d.Bool()
-		if d.Err() != nil {
-			break
+	for j := 0; j < ne; j++ {
+		ed, te, err := readTreeEdge(d, f.cfg.N, true)
+		if err != nil {
+			return err
 		}
-		if u < 0 || v < 0 || u >= v || v >= f.cfg.N {
-			return fmt.Errorf("core: delta shard %d holds invalid tree edge {%d,%d}", i, u, v)
+		if o := f.edgeOwner(ed); o != i {
+			return fmt.Errorf("core: delta files tree edge {%d,%d} on machine %d, but machine %d owns it", ed.U, ed.V, i, o)
 		}
-		ed := graph.Edge{U: u, V: v}
-		if !present {
+		if te == nil {
 			delete(es.recs, ed)
-			continue
+		} else {
+			es.recs[ed] = te
 		}
-		tour := eulertour.TourID(d.U64())
-		u0, u1 := d.Int(), d.Int()
-		v0, v1 := d.Int(), d.Int()
-		w := d.I64()
-		if d.Err() != nil {
-			break
-		}
-		es.recs[ed] = &treeEdge{
-			rec: eulertour.Record{
-				E:    ed,
-				Tour: tour,
-				UPos: [2]eulertour.Pos{u0, u1},
-				VPos: [2]eulertour.Pos{v0, v1},
-			},
-			weight: w,
-		}
-	}
-	if d.Err() == nil {
-		if vs != nil {
-			vs.resetJournal()
-		}
-		es.resetJournal()
 	}
 	return d.Err()
 }
@@ -497,50 +384,12 @@ func (f *Forest) AckCheckpoint() {
 func (dc *DynamicConnectivity) Checkpoint(e *snapshot.Encoder) {
 	dc.f.Checkpoint(e)
 	for i := 0; i < dc.f.cl.Machines(); i++ {
-		mm := dc.f.cl.Machine(i)
-		sh, ok := mm.Get(slotSketch).(*sketchShard)
-		e.Begin(tagSketchShard)
-		e.Int(i)
-		e.Bool(ok)
-		if ok {
+		sh := sShard(dc.f.cl.Machine(i))
+		writeShardHeader(e, tagSketchShard, i, sh != nil)
+		if sh != nil {
 			e.U64s(sh.arena.Raw())
 		}
 	}
-}
-
-// Restore loads a checkpoint written by Checkpoint into this freshly
-// constructed instance. The sketch spaces are rebuilt from the seed by the
-// constructor; only the arena cell words are reloaded.
-func (dc *DynamicConnectivity) Restore(d *snapshot.Decoder) error {
-	if err := dc.f.Restore(d); err != nil {
-		return err
-	}
-	for i := 0; i < dc.f.cl.Machines(); i++ {
-		mm := dc.f.cl.Machine(i)
-		sh, ok := mm.Get(slotSketch).(*sketchShard)
-		d.Begin(tagSketchShard)
-		id := d.Int()
-		hasS := d.Bool()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id != i {
-			return fmt.Errorf("core: sketch section for machine %d where %d was expected", id, i)
-		}
-		if hasS != ok {
-			return fmt.Errorf("core: snapshot/instance disagree on machine %d holding sketches", i)
-		}
-		if ok {
-			words := d.U64s()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			if err := sh.arena.LoadRaw(words); err != nil {
-				return err
-			}
-		}
-	}
-	return d.Err()
 }
 
 // CheckpointDelta serializes the forest delta plus only the sketch-arena
@@ -550,12 +399,9 @@ func (dc *DynamicConnectivity) Restore(d *snapshot.Decoder) error {
 func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) {
 	dc.f.CheckpointDelta(e)
 	for i := 0; i < dc.f.cl.Machines(); i++ {
-		mm := dc.f.cl.Machine(i)
-		sh, ok := mm.Get(slotSketch).(*sketchShard)
-		e.Begin(tagSketchShardDelta)
-		e.Int(i)
-		e.Bool(ok)
-		if ok {
+		sh := sShard(dc.f.cl.Machine(i))
+		writeShardHeader(e, tagSketchShardDelta, i, sh != nil)
+		if sh != nil {
 			e.Int(sh.arena.DirtyCount())
 			sh.arena.ForEachDirtyRegion(func(r int, words []uint64) {
 				e.Int(r)
@@ -572,37 +418,25 @@ func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder) error {
 	if err := dc.f.RestoreDelta(d); err != nil {
 		return err
 	}
-	for i := 0; i < dc.f.cl.Machines(); i++ {
-		mm := dc.f.cl.Machine(i)
-		sh, ok := mm.Get(slotSketch).(*sketchShard)
-		d.Begin(tagSketchShardDelta)
-		id := d.Int()
-		hasS := d.Bool()
-		if err := d.Err(); err != nil {
+	m := dc.f.cl.Machines()
+	for i := 0; i < m; i++ {
+		has, err := readShardHeader(d, tagSketchShardDelta, i, m)
+		if err != nil {
 			return err
 		}
-		if id != i {
-			return fmt.Errorf("core: delta sketch section for machine %d where %d was expected", id, i)
-		}
-		if hasS != ok {
-			return fmt.Errorf("core: delta/instance disagree on machine %d holding sketches", i)
-		}
-		if !ok {
+		if !has {
 			continue
 		}
+		sh := sShard(dc.f.cl.Machine(i))
 		nr := d.Count(2)
-		for j := 0; j < nr && d.Err() == nil; j++ {
-			r := d.Int()
-			words := d.U64s()
-			if d.Err() != nil {
-				break
+		for j := 0; j < nr; j++ {
+			r, words := d.Int(), d.U64s()
+			if err := d.Err(); err != nil {
+				return err
 			}
 			if err := sh.arena.ApplyRegion(r, words); err != nil {
 				return err
 			}
-		}
-		if err := d.Err(); err != nil {
-			return err
 		}
 	}
 	return d.Err()
@@ -613,7 +447,7 @@ func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder) error {
 func (dc *DynamicConnectivity) AckCheckpoint() {
 	dc.f.AckCheckpoint()
 	for i := 0; i < dc.f.cl.Machines(); i++ {
-		if sh, ok := dc.f.cl.Machine(i).Get(slotSketch).(*sketchShard); ok {
+		if sh := sShard(dc.f.cl.Machine(i)); sh != nil {
 			sh.arena.ResetDirty()
 		}
 	}

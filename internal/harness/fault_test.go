@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
 
@@ -122,6 +125,90 @@ func TestFaultReshardTwinBitIdentical(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestLoadIsReshardAtTheSourceShape pins the single full-checkpoint loader
+// of every elastic algorithm from the outside: snapshot.Load and
+// snapshot.Reshard of one container into two fresh instances of the shape
+// that wrote it produce instances whose own checkpoints equal each other and
+// the input byte for byte, and Load — unlike Reshard — still refuses a
+// container of another shape with a diagnostic naming both.
+func TestLoadIsReshardAtTheSourceShape(t *testing.T) {
+	scenarioFor := map[string]string{
+		"connectivity": "churn", "msf": "grow-weighted", "approxmsf": "churn-weighted", "matching": "grow",
+	}
+	for _, name := range elasticAlgos {
+		t.Run(name, func(t *testing.T) {
+			algo, err := GetAlgorithm(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := workload.Get(scenarioFor[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := faultOptions(1)
+			opt.FaultEvery = 0
+			live, opt, _, err := runScenario(algo, sc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var input bytes.Buffer
+			if err := snapshot.Save(&input, live); err != nil {
+				t.Fatal(err)
+			}
+			resave := func(o Options, verb func(Instance) error) ([]byte, error) {
+				inst, err := algo.New(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := verb(inst); err != nil {
+					return nil, err
+				}
+				var out bytes.Buffer
+				if err := snapshot.Save(&out, inst); err != nil {
+					t.Fatal(err)
+				}
+				return out.Bytes(), nil
+			}
+			load := func(inst Instance) error { return snapshot.Load(bytes.NewReader(input.Bytes()), inst) }
+			reshard := func(inst Instance) error {
+				return snapshot.Reshard(bytes.NewReader(input.Bytes()), inst.(Elastic))
+			}
+			loaded, err := resave(opt, load)
+			if err != nil {
+				t.Fatalf("Load at the source shape: %v", err)
+			}
+			resharded, err := resave(opt, reshard)
+			if err != nil {
+				t.Fatalf("Reshard at the source shape: %v", err)
+			}
+			if !bytes.Equal(loaded, input.Bytes()) || !bytes.Equal(resharded, input.Bytes()) {
+				t.Fatalf("re-saved containers differ from the input (%d bytes): Load %d bytes (equal %v), Reshard %d bytes (equal %v)",
+					input.Len(), len(loaded), bytes.Equal(loaded, input.Bytes()), len(resharded), bytes.Equal(resharded, input.Bytes()))
+			}
+			// 16 vertices/machine is a 4-machine fleet; the container's is 7
+			// machines at 8.
+			other := opt
+			other.VerticesPerMachine = 16
+			if _, err := resave(other, reshard); err != nil {
+				t.Fatalf("Reshard onto another shape: %v", err)
+			}
+			_, err = resave(other, load)
+			if err == nil {
+				t.Fatal("Load accepted a container of another fleet shape")
+			}
+			shapes := []string{"VerticesPerMachine=8", "VerticesPerMachine=16"}
+			if name == "matching" { // its echo records the machine count only
+				shapes = []string{"machines=7", "machines=4"}
+			}
+			for _, shape := range shapes {
+				if !strings.Contains(err.Error(), shape) {
+					t.Fatalf("shape-mismatch diagnostic %q does not name %s", err, shape)
+				}
+			}
+		})
 	}
 }
 

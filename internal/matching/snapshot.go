@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/mpc"
 	"repro/internal/snapshot"
 )
 
@@ -44,37 +45,44 @@ func (g *GreedyInsertOnly) Checkpoint(e *snapshot.Encoder) {
 	}
 }
 
-// Restore loads a checkpoint written by Checkpoint into this freshly
-// constructed instance. On error the instance must be discarded.
-func (g *GreedyInsertOnly) Restore(d *snapshot.Decoder) error {
+// load is the greedy matching's one full-checkpoint loader (see
+// core/reshard.go for the scheme): match pointers are per-vertex logical
+// state, so a checkpoint written at any machine count — this instance's, if
+// sameShape — is decoded into a flat per-vertex image and re-sliced onto this
+// instance's contiguous vertex ranges; the cap and size are
+// machine-count-independent coordinator state. Validation (n, cap, shard
+// layout, partner ranges) completes before any state is touched.
+func (g *GreedyInsertOnly) load(d *snapshot.Decoder, sameShape bool) error {
 	d.Begin(tagGreedy)
 	n, capSize, mach := d.Int(), d.Int(), d.Int()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n != g.n || capSize != g.cap || mach != g.cl.Machines() {
+	if n != g.n || capSize != g.cap || (sameShape && mach != g.cl.Machines()) {
 		return fmt.Errorf("matching: snapshot of (n=%d, cap=%d, machines=%d) restored into (n=%d, cap=%d, machines=%d)",
 			n, capSize, mach, g.n, g.cap, g.cl.Machines())
 	}
-	g.size = d.Int()
-	st := snapshot.DecodeClusterStats(d)
-	if err := d.Err(); err != nil {
-		return err
+	if mach < 2 {
+		return fmt.Errorf("matching: snapshot claims %d machines (corrupt)", mach)
 	}
-	g.cl.RestoreStats(st)
-	for i := 0; i < g.cl.Machines(); i++ {
-		mm := g.cl.Machine(i)
-		sh, ok := mm.Get(slotShard).(*greedyShard)
+	size := d.Int()
+	st := snapshot.DecodeClusterStats(d)
+	srcPart := mpc.Partition{N: n, Machines: mach - 1}
+	flat := make([]int, n)
+	for i := 0; i < mach; i++ {
 		d.Begin(tagGreedyShard)
 		id := d.Int()
 		hasShard := d.Bool()
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if id != i || hasShard != ok {
-			return fmt.Errorf("matching: snapshot shard layout mismatch at machine %d", i)
+		if id != i {
+			return fmt.Errorf("matching: shard section for machine %d where %d was expected", id, i)
 		}
-		if !ok {
+		if hasShard != (i != mach-1) {
+			return fmt.Errorf("matching: snapshot machine %d of %d disagrees with the coordinator-last layout", i, mach)
+		}
+		if !hasShard {
 			continue
 		}
 		lo, hi := d.Int(), d.Int()
@@ -82,7 +90,8 @@ func (g *GreedyInsertOnly) Restore(d *snapshot.Decoder) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if lo != sh.lo || hi != sh.hi || len(match) != hi-lo {
+		wantLo, wantHi := srcPart.Range(i)
+		if lo != wantLo || hi != wantHi || len(match) != hi-lo {
 			return fmt.Errorf("matching: snapshot shard %d shape mismatch", i)
 		}
 		for _, p := range match {
@@ -90,10 +99,27 @@ func (g *GreedyInsertOnly) Restore(d *snapshot.Decoder) error {
 				return fmt.Errorf("matching: snapshot shard %d holds invalid match partner %d", i, p)
 			}
 		}
-		copy(sh.match, match)
+		copy(flat[lo:hi], match)
 	}
-	return d.Err()
+	g.size = size
+	g.cl.LocalAll(func(mm *mpc.Machine) {
+		if sh, ok := mm.Get(slotShard).(*greedyShard); ok {
+			copy(sh.match, flat[sh.lo:sh.hi])
+		}
+	})
+	// Last, so that LocalAll's memory metering of the install itself does not
+	// leak into the metrics: a loaded instance's Stats are the checkpoint's.
+	g.cl.RestoreStats(st)
+	return nil
 }
+
+// Restore loads a checkpoint written by Checkpoint at this instance's
+// machine count into this freshly constructed instance.
+func (g *GreedyInsertOnly) Restore(d *snapshot.Decoder) error { return g.load(d, true) }
+
+// ReshardRestore loads a greedy-matching checkpoint written at any machine
+// count into this freshly constructed instance.
+func (g *GreedyInsertOnly) ReshardRestore(d *snapshot.Decoder) error { return g.load(d, false) }
 
 // Checkpoint serializes every guess instance: the sparsifier's pair
 // samplers (in sorted pair order, so checkpoints are deterministic) and

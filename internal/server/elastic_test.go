@@ -47,7 +47,9 @@ func postResize(t *testing.T, ts *httptest.Server, id, machines int) *http.Respo
 // checkpoint dir must come back at the resized shape.
 func TestServerResizeLifecycle(t *testing.T) {
 	const n = 32
-	cfg := Config{Instances: 1, N: n, Phi: 0.6, Seed: 7, Parallelism: 1, QueueDepth: 4,
+	// The queue holds a whole stream(6) burst: the test posts without
+	// retrying, so a shallower queue turns a slow applier into a 429.
+	cfg := Config{Instances: 1, N: n, Phi: 0.6, Seed: 7, Parallelism: 1, QueueDepth: 6,
 		CheckpointDir: t.TempDir()}
 	srv, err := New(cfg)
 	if err != nil {

@@ -92,14 +92,14 @@ func (m *Mirror) Restore(d *snapshot.Decoder) error {
 	return snapshot.DecodeGraphInto(d, m.g)
 }
 
-// CheckpointDelta implements snapshot.DeltaCheckpointer: replaying the
+// CheckpointDelta implements snapshot.DeltaState: replaying the
 // journal onto the restored base mirror reproduces the mirror exactly.
 func (m *Mirror) CheckpointDelta(e *snapshot.Encoder) {
 	e.Begin(tagMirrorDelta)
 	snapshot.EncodeUpdates(e, m.journal)
 }
 
-// RestoreDelta implements snapshot.DeltaRestorer.
+// RestoreDelta implements snapshot.DeltaState.
 func (m *Mirror) RestoreDelta(d *snapshot.Decoder) error {
 	d.Begin(tagMirrorDelta)
 	return snapshot.DecodeUpdatesInto(d, m.g)

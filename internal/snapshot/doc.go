@@ -40,14 +40,15 @@
 // ChainLink pins where in a chain the delta belongs: Base is the CRC word
 // of the full base snapshot, Prev the CRC word of the immediately
 // preceding container (the base for Seq 1), and Seq the 1-based position.
-// LoadDelta validates magic, version, CRC, and the full ChainLink against
-// the caller's expectation before any state is touched: a Base mismatch is
-// an orphaned delta (a leftover from before a compaction — sweepable, not
-// applicable), a Seq or Prev mismatch is an out-of-order delta (a hard
-// error). Chain (chain.go) builds the operational layer on top: full base
-// at <path>, deltas at <path>.delta-NNN, periodic compaction into a fresh
-// base (written atomically first, stale deltas removed after, so a crash
-// between the two leaves only orphans), and Restore-time orphan sweeping.
+// Chain (chain.go) is the one writer and reader of delta containers: full
+// base at <path>, deltas at <path>.delta-NNN, periodic compaction into a
+// fresh base (written atomically first, stale deltas removed after, so a
+// crash between the two leaves only orphans). Chain.Restore validates each
+// delta's magic, version, CRC, and ChainLink against the chain it has
+// replayed so far before any state is touched: a Base mismatch is an
+// orphaned delta (a leftover from before a compaction — swept and counted,
+// not applied), a Seq or Prev mismatch is an out-of-order delta (a hard
+// error).
 //
 // A Chain keeps its containers in a Store, a three-method interface —
 // atomic Put, Open, Remove. FileStore is the durable one (temp file, fsync,
@@ -73,15 +74,23 @@
 // machine count, through the ReshardRestorer interface. The snapshot's
 // logical content — edges, forest fragments, label caches, sketch seeds —
 // is machine-count-independent; only its grouping into per-machine
-// sections reflects the source shape, so a re-sharding restore regroups
-// records by the target's deterministic vertex→machine map instead of
-// copying shards positionally. Three rules keep it safe:
+// sections reflects the source shape, so a full container is always
+// decoded by regrouping records under the loading instance's deterministic
+// vertex→machine map, never by copying shards positionally. Each elastic
+// state therefore has one loader of its full container behind both verbs
+// (core/reshard.go describes it): ReshardRestore is the loader as is, and
+// Restore adds the demand that the container's fleet shape equal the
+// instance's, rejecting any other with a diagnostic naming both. Three
+// rules keep it safe:
 //
-//   - The target's per-machine memory budget is re-validated against the
-//     incoming state before anything is applied. A shrink whose image
-//     would overflow a machine's local memory is rejected with a
-//     diagnostic naming the overloaded machine, and the instance is left
-//     untouched — the model's memory cap is never silently violated.
+//   - The loading instance's per-machine memory budget is re-validated
+//     against the incoming state before anything is applied. A shrink
+//     whose image would overflow a machine's local memory is rejected
+//     with a diagnostic naming the overloaded machine, and the instance
+//     is left untouched — the model's memory cap is never silently
+//     violated. A configuration mismatch is rejected as early. Any other
+//     error, from either verb, is structural and leaves the instance in
+//     an undefined state: discard it.
 //   - Only full snapshots can be re-sharded; a delta alone does not carry
 //     the full state to migrate. Re-sharding a delta chain goes through a
 //     staging instance at the source shape: restore the chain, checkpoint

@@ -41,11 +41,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// Delta containers: the full-snapshot decoder must reject the delta
 	// magic up front (with the flavor-aware diagnostic), and truncated or
 	// chain-reordered variants must never panic it either.
-	var dbuf bytes.Buffer
-	if _, err := SaveDelta(&dbuf, ChainLink{Base: 1, Prev: 1, Seq: 1}, &counterState{tag: 1, journal: 7}); err != nil {
-		f.Fatal(err)
-	}
-	delta := dbuf.Bytes()
+	delta := deltaBytes(f, ChainLink{Base: 1, Prev: 1, Seq: 1})
 	f.Add(delta)
 	f.Add(delta[:len(delta)-9]) // truncated delta
 	reordered := append([]byte(nil), delta...)
@@ -130,27 +126,34 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
-// FuzzDeltaDecode hammers the delta-container path with arbitrary bytes:
-// PeekDelta and LoadDelta must never panic, and every input LoadDelta
-// accepts must carry the exact chain identity the caller demanded — corrupt,
-// truncated, reordered, orphaned, and full-magic inputs all fail before any
-// state is touched. The corpus seeds each rejection class explicitly.
+// deltaBytes writes one delta container of a counterState the way
+// Chain.checkpointDelta does.
+func deltaBytes(tb testing.TB, link ChainLink) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	e := encodeDelta(link, []DeltaState{&counterState{tag: 1, journal: 7}})
+	if _, _, err := e.WriteContainer(&buf, DeltaMagic); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzDeltaDecode hammers the delta-container path with arbitrary bytes,
+// through the pieces Chain.Restore reads a delta with — the container
+// decoder, readChainHeader, the orphan test, restoreDelta: they must never
+// panic, and every input they accept must carry the exact chain identity the
+// caller demanded — corrupt, truncated, reordered, orphaned, and full-magic
+// inputs all fail before any state is touched. The corpus seeds each
+// rejection class explicitly.
 func FuzzDeltaDecode(f *testing.F) {
 	want := ChainLink{Base: 11, Prev: 22, Seq: 3}
-	mk := func(link ChainLink) []byte {
-		var buf bytes.Buffer
-		if _, err := SaveDelta(&buf, link, &counterState{tag: 1, journal: 7}); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	valid := mk(want)
+	valid := deltaBytes(f, want)
 	f.Add(valid)
-	f.Add(mk(ChainLink{Base: 99, Prev: 22, Seq: 3})) // orphan: wrong base
-	f.Add(mk(ChainLink{Base: 11, Prev: 22, Seq: 9})) // out of order: wrong seq
-	f.Add(mk(ChainLink{Base: 11, Prev: 77, Seq: 3})) // out of order: wrong prev
-	f.Add(valid[:len(valid)-9])                      // truncated mid-CRC
-	f.Add(valid[:24])                                // truncated header
+	f.Add(deltaBytes(f, ChainLink{Base: 99, Prev: 22, Seq: 3})) // orphan: wrong base
+	f.Add(deltaBytes(f, ChainLink{Base: 11, Prev: 22, Seq: 9})) // out of order: wrong seq
+	f.Add(deltaBytes(f, ChainLink{Base: 11, Prev: 77, Seq: 3})) // out of order: wrong prev
+	f.Add(valid[:len(valid)-9])                                 // truncated mid-CRC
+	f.Add(valid[:24])                                           // truncated header
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x08
 	f.Add(flipped)
@@ -163,22 +166,24 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if link, _, err := PeekDelta(bytes.NewReader(data)); err == nil && link.Base == 0 && link.Seq == 0 && link.Prev == 0 {
-			// A peeked link is arbitrary fuzz data; just exercise the path.
-			_ = link
-		}
 		st := &counterState{tag: 1, value: -1}
-		if _, err := LoadDelta(bytes.NewReader(data), want, st); err != nil {
-			// Rejected inputs must not have touched the state.
+		d, _, err := NewContainerDecoder(bytes.NewReader(data), DeltaMagic, "delta snapshot")
+		var link ChainLink
+		if err == nil {
+			link, err = readChainHeader(d)
+		}
+		if err == nil && link.Base == want.Base {
+			err = restoreDelta(d, link, want, []DeltaState{st})
+		}
+		if err != nil || link.Base != want.Base {
+			// Rejected (or set aside as an orphan): the state is untouched.
 			if st.value != -1 {
 				t.Fatalf("rejected delta mutated state to %d", st.value)
 			}
 			return
 		}
-		// Accepted: the container must carry exactly the demanded identity.
-		link, _, err := PeekDelta(bytes.NewReader(data))
-		if err != nil || link != want {
-			t.Fatalf("LoadDelta accepted link %+v (peek err %v), want %+v", link, err, want)
+		if link != want {
+			t.Fatalf("delta with link %+v accepted, want %+v", link, want)
 		}
 	})
 }

@@ -3,11 +3,12 @@ package snapshot
 import "io"
 
 // ReshardRestorer is implemented by state that can load a full snapshot
-// written at a different machine count, redistributing per-machine state
-// onto its own (freshly constructed) cluster shape. Implementations must
-// re-validate the target's per-machine memory budget and reject — leaving
-// the instance untouched — rather than silently violating the model; see
-// the package comment's re-sharding notes.
+// written at any machine count, redistributing per-machine state onto its
+// own (freshly constructed) cluster shape — the state's Restore without
+// the same-shape demand. Implementations must re-validate the target's
+// per-machine memory budget and reject — leaving the instance untouched —
+// rather than silently violating the model; see the package comment's
+// re-sharding notes.
 type ReshardRestorer interface {
 	ReshardRestore(d *Decoder) error
 }
