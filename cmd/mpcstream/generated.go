@@ -63,6 +63,7 @@ func runGenerated(o options, out io.Writer) error {
 				answered, connected, queryRounds, float64(queryRounds)/float64(answered))
 		}
 		report(out, dc.Cluster().Stats(), batches)
+		reportSearches(out, dc.SearchStats())
 		if o.checkpointFile != "" {
 			// The run becomes a session only now, around the state it built:
 			// the generator owns the mirror, and a generated run is the start
@@ -160,6 +161,15 @@ func runGenerated(o options, out io.Writer) error {
 		return fmt.Errorf("unknown algorithm %q", o.algo)
 	}
 	return nil
+}
+
+// reportSearches prints what the replacement searches of this process did
+// (the counters are not checkpointed, so a resumed run counts from zero). A
+// non-zero exhausted count means a search ran out of sketch copies and the
+// partition may be too fine.
+func reportSearches(out io.Writer, s core.SearchStats) {
+	fmt.Fprintf(out, "replacement searches: %d (%d levels, %d query fails, %d exhausted)  sketches summed: %d  skipped: %d\n",
+		s.Searches, s.Levels, s.QueryFails, s.Exhausted, s.SketchesSummed, s.SketchesSkipped)
 }
 
 func report(out io.Writer, st mpc.Stats, batches int) {

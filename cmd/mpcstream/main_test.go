@@ -159,6 +159,9 @@ func TestReplayEndToEnd(t *testing.T) {
 	trace := defaults()
 	trace.traceFile = in("crawl.trc")
 	whole := mustRun(t, trace)
+	if !strings.Contains(whole, "replacement searches: ") || !strings.Contains(whole, " 0 exhausted)") {
+		t.Errorf("summary does not report its replacement searches, or one was exhausted:\n%s", whole)
+	}
 	text := defaults()
 	text.streamFile = in("crawl.stream")
 	if got := mustRun(t, text); got != whole {

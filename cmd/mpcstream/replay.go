@@ -149,6 +149,7 @@ func replay(o options, out io.Writer) error {
 	fmt.Fprintf(out, "replayed %d batches on %d vertices: %d components (oracle-verified)\n",
 		replayed, sess.Shape().N, dc.NumComponents())
 	report(out, dc.Cluster().Stats(), replayed)
+	reportSearches(out, dc.SearchStats())
 	if o.checkpointFile == "" {
 		return nil
 	}

@@ -16,7 +16,10 @@
 //   - DynamicConnectivity adds the AGM vertex sketches (one stack of
 //     O(log n) ℓ0-samplers per vertex, sharded with the vertices) and the
 //     replacement-edge search of Section 6.3, yielding the full dynamic
-//     connectivity algorithm.
+//     connectivity algorithm. The search merges and queries the sketches of
+//     every fragment a Cut produced except the largest of each split tour,
+//     which Cut names from the split plan and which stays passive; its
+//     counters are read with SearchStats.
 package core
 
 import (

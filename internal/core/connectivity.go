@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/hash"
@@ -53,19 +54,25 @@ func (w *workspace) Words() int { return len(w.sketches) * w.perSk }
 // (Theorem 1.1 / Theorem 6.7): O(1/φ)-round updates on an MPC with
 // O(n^φ)-vertex local memory and Õ(n) total memory.
 //
-// One deviation from the paper is made explicit: constructing the
+// Two deviations from the paper are made explicit. Constructing the
 // replacement forest F_H (Lemma 6.5) requires resolving the fragment of the
 // second endpoint of every sketched replacement edge, which this
 // implementation performs with one O(1)-round distributed lookup per
 // Borůvka level, adding O(log k) rounds to a deletion batch of k tree
-// edges. See README.md ("Deviations") for the discussion.
+// edges. And Lemma 6.5 merges the sketches of every fragment, whereas here
+// the largest fragment of every split tour stays passive: its sketches are
+// neither summed nor queried, the other fragments of its old component find
+// the edges that reach it, and the work of a search follows the smaller
+// sides of the cuts (see findReplacements for why no answer changes). See
+// README.md ("Deviations") for the discussion.
 //
 // All per-machine callbacks below obey the mpc.StepFunc concurrency
 // contract (machine-local mutation only; broadcast payloads are read-only),
 // so the algorithm runs unchanged at any Config.Parallelism.
 type DynamicConnectivity struct {
-	f     *Forest
-	space *sketch.Space
+	f      *Forest
+	space  *sketch.Space
+	search searchCounters
 }
 
 // NewDynamicConnectivity builds the distributed state for an initially
@@ -215,23 +222,13 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 	if len(report.TreeRecords) == 0 {
 		return nil
 	}
-	replacements, err := dc.findReplacements()
-	if err != nil {
-		return err
-	}
+	replacements := dc.findReplacements(report.PassiveComps)
 	// Insert the replacement forest; chunked to respect the batch cap (a
 	// subset of a forest over components is still a forest over components).
 	chunk := dc.f.cfg.MaxBatch()
 	for len(replacements) > 0 {
-		cut := len(replacements)
-		if cut > chunk {
-			cut = chunk
-		}
-		batch := make([]graph.WeightedEdge, cut)
-		for i, e := range replacements[:cut] {
-			batch[i] = graph.WeightedEdge{Edge: e}
-		}
-		if err := dc.f.Link(batch); err != nil {
+		cut := min(len(replacements), chunk)
+		if err := dc.f.Link(replacements[:cut]); err != nil {
 			return err
 		}
 		replacements = replacements[cut:]
@@ -240,32 +237,62 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 }
 
 // aggregateFragmentSketches merges the vertex sketches of every fragment
-// produced by the preceding Cut (keyed by the fragment's fresh component
-// id) and delivers them to the coordinator: Lemma 6.5's sketch-merging step,
-// O(1/φ) rounds through the aggregation tree. Sketches travel as
-// [label, cells...] frames of the batched message codec and come back as
+// the preceding Cut left active (keyed by the fragment's fresh component id)
+// and delivers them to the coordinator: Lemma 6.5's sketch-merging step,
+// O(1/φ) rounds through the aggregation tree, restricted to the fragments
+// that will query. Vertices of a passive fragment — the largest of its split
+// tour — contribute nothing, so the words summed and shipped are
+// proportional to the smaller sides of the cuts, not to the components cut.
+// The shards drop their passive keys here, their only use. Sketches travel
+// as [label, cells...] frames of the batched message codec and come back as
 // views into the final batch buffer.
 func (dc *DynamicConnectivity) aggregateFragmentSketches() map[int]sketch.Sketch {
 	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, dc.space,
 		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
 			vs := vShard(mm)
-			if vs == nil || len(vs.frag) == 0 {
+			if vs == nil {
+				return
+			}
+			passive := vs.passive
+			vs.passive = nil
+			if len(vs.frag) == 0 {
 				return
 			}
 			sh := mm.Get(slotSketch).(*sketchShard)
-			for v := range vs.frag {
+			summed := 0
+			for v, k := range vs.frag {
+				if passive[k] {
+					continue
+				}
 				add(vs.compOf(v), sh.of(v).Sketch)
+				summed++
 			}
+			dc.search.sketchesSummed.Add(uint64(summed))
+			dc.search.sketchesSkipped.Add(uint64(len(vs.frag) - summed))
 		})
 }
 
 // findReplacements runs the AGM-style Borůvka over the fragments at the
 // coordinator, resolving candidate endpoints with one distributed component
 // lookup per level, and returns the replacement forest edges.
-func (dc *DynamicConnectivity) findReplacements() ([]graph.Edge, error) {
+//
+// Only active supernodes hold a sketch and query it. The fragments named in
+// passiveComps never do, and a supernode that merges with a passive one
+// turns passive itself: its sketch is dropped and it stops querying. This
+// loses nothing. Fragments of one old component have edges only among
+// themselves; an active supernode either finds an edge leaving it or learns
+// (Empty) that it is a whole component; and every edge leaving a passive
+// supernode is an edge leaving some active one. So once no active supernode
+// is left, the supernodes are exactly the components.
+//
+// A search that spends every sketch copy with an active supernode left may
+// return too few edges (a too-fine partition); it is counted in
+// SearchStats.Exhausted, not repaired.
+func (dc *DynamicConnectivity) findReplacements(passiveComps []int) []graph.WeightedEdge {
+	dc.search.searches.Add(1)
 	merged := dc.aggregateFragmentSketches()
-	if len(merged) <= 1 {
-		return nil, nil
+	if len(merged) == 0 {
+		return nil
 	}
 	// Register the workspace on the coordinator so its memory is metered.
 	ws := &workspace{sketches: merged, perSk: dc.space.SketchWords()}
@@ -282,35 +309,38 @@ func (dc *DynamicConnectivity) findReplacements() ([]graph.Edge, error) {
 		}
 		return x
 	}
-	active := map[int]bool{}
+	// passive and active are keyed by supernode root.
+	passive := make(map[int]bool, len(passiveComps))
+	for _, c := range passiveComps {
+		passive[c] = true
+	}
+	active := make(map[int]bool, len(merged))
 	for c := range merged {
 		active[c] = true
 	}
-	var replacements []graph.Edge
-	for copyIdx := 0; copyIdx < dc.space.Copies() && len(active) > 1; copyIdx++ {
-		reps := make([]int, 0, len(active))
+	var replacements []graph.WeightedEdge
+	reps := make([]int, 0, len(active))
+	for copyIdx := 0; copyIdx < dc.space.Copies() && len(active) > 0; copyIdx++ {
+		dc.search.levels.Add(1)
+		reps = reps[:0]
 		for c := range active {
 			reps = append(reps, c)
 		}
 		sort.Ints(reps)
 		var candidates []graph.Edge
-		hadFail := false
 		for _, rep := range reps {
 			e, res := ws.sketches[rep].Query(copyIdx)
 			switch res {
 			case sketch.Empty:
 				delete(active, rep) // no edges leave this supernode: done
 			case sketch.Fail:
-				hadFail = true
+				dc.search.queryFails.Add(1)
 			case sketch.Found:
 				candidates = append(candidates, graph.EdgeFromID(e, dc.f.cfg.N))
 			}
 		}
 		if len(candidates) == 0 {
-			if !hadFail {
-				break
-			}
-			continue
+			continue // every query came back Empty or Fail
 		}
 		// Resolve candidate endpoints to current components (the documented
 		// O(1)-round lookup per level).
@@ -328,21 +358,71 @@ func (dc *DynamicConnectivity) findReplacements() ([]graph.Edge, error) {
 				ra, rb = rb, ra
 			}
 			parent[rb] = ra
+			replacements = append(replacements, graph.WeightedEdge{Edge: e})
+			delete(active, rb)
+			if passive[ra] || passive[rb] {
+				passive[ra] = true
+				delete(active, ra)
+				delete(ws.sketches, ra)
+				delete(ws.sketches, rb)
+				continue
+			}
 			skB, okB := ws.sketches[rb]
 			if skA, okA := ws.sketches[ra]; okA && okB {
 				skA.Add(skB)
 			}
 			delete(ws.sketches, rb)
-			delete(active, rb)
-			if !active[ra] {
-				// The union may revive a supernode previously thought done;
-				// a merged supernode keeps querying while edges remain.
-				active[ra] = true
-			}
-			replacements = append(replacements, e)
+			// The union may revive a supernode previously thought done; a
+			// merged supernode keeps querying while edges remain.
+			active[ra] = true
 		}
 	}
-	return replacements, nil
+	if len(active) > 0 {
+		dc.search.exhausted.Add(1)
+	}
+	return replacements
+}
+
+// SearchStats counts the work of the replacement searches since the
+// instance was built; see DynamicConnectivity.SearchStats.
+type SearchStats struct {
+	// Searches is the number of replacement searches run (deletion batches
+	// that cut at least one tree edge) and Levels the Borůvka levels they
+	// ran, one sketch copy each.
+	Searches, Levels uint64
+	// QueryFails counts sketch queries that returned Fail (the supernode
+	// retries on the next copy).
+	QueryFails uint64
+	// Exhausted counts searches that spent every sketch copy with an active
+	// supernode left: the with-high-probability failure event, after which
+	// the maintained partition may be too fine.
+	Exhausted uint64
+	// SketchesSummed counts the vertex sketches summed into fragment
+	// sketches; SketchesSkipped those of passive fragments, left alone.
+	SketchesSummed, SketchesSkipped uint64
+}
+
+// searchCounters is the live form of SearchStats: written by the update
+// path (the sketch counts from per-machine callbacks), read by scrapes.
+type searchCounters struct {
+	searches, levels, queryFails, exhausted atomic.Uint64
+	sketchesSummed, sketchesSkipped         atomic.Uint64
+}
+
+// SearchStats reports the replacement-search counters. Like the query-cache
+// hit/miss pair they are process-lifetime observability, not algorithm
+// state: never checkpointed, zero on a restored or re-sharded instance. Safe
+// to call concurrently with updates.
+func (dc *DynamicConnectivity) SearchStats() SearchStats {
+	c := &dc.search
+	return SearchStats{
+		Searches:        c.searches.Load(),
+		Levels:          c.levels.Load(),
+		QueryFails:      c.queryFails.Load(),
+		Exhausted:       c.exhausted.Load(),
+		SketchesSummed:  c.sketchesSummed.Load(),
+		SketchesSkipped: c.sketchesSkipped.Load(),
+	}
 }
 
 // Connected reports whether u and v are currently in the same component:

@@ -630,6 +630,10 @@ func TestFailureInjectionStarvedSketches(t *testing.T) {
 		for v := range want {
 			if got[v] != want[v] {
 				divergedSomewhere = true
+				// The failure is counted, not absorbed.
+				if dc.SearchStats().Exhausted == 0 {
+					t.Errorf("seed %d diverged but no search was counted as exhausted", seed)
+				}
 				break
 			}
 		}

@@ -28,6 +28,13 @@ type vertexShard struct {
 	lo, hi int
 	comp   []int
 	frag   map[int]uint64
+	// passive holds the fragment keys the last Cut declared passive (the
+	// largest fragment of every split tour, see Cut). It lives only inside
+	// one deletion batch — set by broadcastFragComps, dropped by the sketch
+	// aggregation that consumes it or by the next clearFrags — so unlike
+	// frag it is never checkpointed. The map is the read-only broadcast
+	// payload, shared by every shard.
+	passive map[uint64]bool
 	// sketchWords is the footprint of the connectivity sketches stored by
 	// the owning DynamicConnectivity (0 for a bare Forest); it is included
 	// here so the shard's Words reflect the whole vertex bundle.
@@ -47,7 +54,7 @@ type vertexShard struct {
 
 // Words implements mpc.Sized.
 func (s *vertexShard) Words() int {
-	return len(s.comp) + 2*len(s.frag) + s.sketchWords + 2
+	return len(s.comp) + 2*len(s.frag) + len(s.passive) + s.sketchWords + 2
 }
 
 func (s *vertexShard) owns(v int) bool { return v >= s.lo && v < s.hi }
@@ -881,7 +888,12 @@ func (f *Forest) applyRelabels(relabels []eulertour.Relabel, compMap map[int]int
 // clearFrags drops the transient fragment maps left by the previous Cut.
 func (f *Forest) clearFrags() {
 	f.cl.LocalAll(func(mm *mpc.Machine) {
-		if vs := vShard(mm); vs != nil && len(vs.frag) > 0 {
+		vs := vShard(mm)
+		if vs == nil {
+			return
+		}
+		vs.passive = nil
+		if len(vs.frag) > 0 {
 			vs.frag = map[int]uint64{}
 			vs.fragDirty = true
 		}
@@ -904,6 +916,12 @@ type CutReport struct {
 	// FragmentComps are the component ids (after the cut) of the resulting
 	// fragments, including singletons.
 	FragmentComps []int
+	// PassiveComps are the members of FragmentComps declared passive: for
+	// every split tour, its largest fragment (the first in plan order among
+	// equals), unless that fragment is a single vertex. The replacement
+	// search neither sums nor queries the sketches of a passive fragment;
+	// the other fragments of its old component find the edges that reach it.
+	PassiveComps []int
 }
 
 // edgeListPayload broadcasts a set of edges.
@@ -916,8 +934,11 @@ func (p edgeListPayload) Words() int { return 2 * len(p.edges) }
 // any side structures such as sketches). Tree edges are removed, the
 // affected Euler tours are split into fragments in O(1) collective
 // operations, and component ids are re-assigned per fragment. The transient
-// vertex->fragment mapping remains available to the caller (via
-// aggregateFragments) until the next Link or Cut.
+// vertex->fragment mapping stays on the vertex shards until the next Link or
+// Cut. The closing broadcast also leaves them the keys of the fragments
+// declared passive — the largest fragment of every split tour, which
+// PlanSplit's fragment lengths name for free (CutReport.PassiveComps) — for
+// the sketch aggregation of a replacement search to skip.
 func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 	if len(edges) == 0 {
 		return &CutReport{}, nil
@@ -1070,8 +1091,35 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 		fragComps[c] = true
 	}
 	report.FragmentComps = sortedKeys(fragComps)
-	f.broadcastFragComps(compByFrag)
+	passive := passiveFragments(plan.Fragments)
+	for k := range passive {
+		report.PassiveComps = append(report.PassiveComps, compByFrag[k])
+	}
+	sort.Ints(report.PassiveComps)
+	f.broadcastFragComps(compByFrag, passive)
 	return report, nil
+}
+
+// passiveFragments picks the fragment keys that sit out the replacement
+// search: the longest-tour (largest) fragment of every split tour, the first
+// in plan order among equals. The coordinator reads this off the split plan
+// at no cost. A tour that falls apart into single vertices has no passive
+// fragment (Len 0 means Tour == NoTour: there is no key to name it by, and
+// nothing to save).
+func passiveFragments(frags []eulertour.Fragment) map[uint64]bool {
+	largest := map[eulertour.TourID]eulertour.Fragment{}
+	for _, fr := range frags {
+		if cur, ok := largest[fr.OldTour]; !ok || fr.Len > cur.Len {
+			largest[fr.OldTour] = fr
+		}
+	}
+	passive := make(map[uint64]bool, len(largest))
+	for _, fr := range largest {
+		if fr.Tour != eulertour.NoTour {
+			passive[fragKeyOfTour(fr.Tour)] = true
+		}
+	}
+	return passive
 }
 
 // pushFragments has edge shards announce, for every record now on a fresh
@@ -1171,10 +1219,20 @@ func (f *Forest) aggregateFragmentMins() map[uint64]int {
 	return out
 }
 
-// broadcastFragComps assigns comp[v] = compByFrag[frag[v]] on all shards.
-func (f *Forest) broadcastFragComps(compByFrag map[uint64]int) {
+// fragCompsPayload is the broadcast closing a Cut: the component id of every
+// fragment key, and the keys of the passive fragments riding along.
+type fragCompsPayload struct {
+	compByFrag map[uint64]int
+	passive    map[uint64]bool
+}
+
+func (p fragCompsPayload) Words() int { return 2*len(p.compByFrag) + len(p.passive) }
+
+// broadcastFragComps assigns comp[v] = compByFrag[frag[v]] on all shards and
+// leaves the passive fragment keys with them.
+func (f *Forest) broadcastFragComps(compByFrag map[uint64]int, passive map[uint64]bool) {
 	f.invalidateCache()
-	f.broadcast(mpc.Value{V: compByFrag, N: 2 * len(compByFrag)})
+	f.broadcast(fragCompsPayload{compByFrag: compByFrag, passive: passive})
 	f.cl.LocalAll(func(mm *mpc.Machine) {
 		payload := mm.Get(slotBcast)
 		mm.Delete(slotBcast)
@@ -1182,12 +1240,13 @@ func (f *Forest) broadcastFragComps(compByFrag map[uint64]int) {
 		if vs == nil {
 			return
 		}
-		m := payload.(mpc.Value).V.(map[uint64]int)
+		p := payload.(fragCompsPayload)
 		for v, k := range vs.frag {
-			if c, ok := m[k]; ok {
+			if c, ok := p.compByFrag[k]; ok {
 				vs.setComp(v, c)
 			}
 		}
+		vs.passive = p.passive
 	})
 }
 

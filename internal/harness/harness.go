@@ -18,6 +18,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/session"
 	"repro/internal/snapshot"
@@ -148,6 +149,12 @@ type Instance interface {
 	Rounds() int
 }
 
+// searchCounter is an optional Instance extension for algorithms that expose
+// the counters of their replacement searches.
+type searchCounter interface {
+	SearchStats() core.SearchStats
+}
+
 // finalChecker is an optional Instance extension for invariants that only
 // hold at the end of a stream (e.g. the AKLY approximation ratio, which is
 // a with-high-probability bound too noisy to assert after every batch).
@@ -249,6 +256,11 @@ type Report struct {
 	// them, and ReplayedBatches the batches re-applied during recovery
 	// (everything since the last checkpoint plus the in-flight batch).
 	Faults, Reshards, ReplayedBatches int
+	// SearchExhausted counts the replacement searches that spent every
+	// sketch copy with an active supernode left (core.SearchStats.Exhausted),
+	// added up over every instance the run used. Only algorithms that
+	// expose their search counters (connectivity) report it.
+	SearchExhausted int
 }
 
 // String renders the report in one line.
@@ -264,6 +276,9 @@ func (r *Report) String() string {
 	if r.Faults > 0 {
 		crashes += fmt.Sprintf(", %d machine faults (%d reshards, %d batches replayed)",
 			r.Faults, r.Reshards, r.ReplayedBatches)
+	}
+	if r.SearchExhausted > 0 {
+		crashes += fmt.Sprintf(", %d replacement searches exhausted", r.SearchExhausted)
 	}
 	return fmt.Sprintf("%s over %s: %d batches, %d updates, %d edges final, %d checks passed, %s rounds%s",
 		r.Algorithm, r.Scenario, r.Batches, r.Updates, r.FinalEdges, r.Checks, rounds, crashes)
@@ -406,6 +421,14 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 	// replay set of a fault.
 	var pending []graph.Batch
 	inst := func() Instance { return sess.State().(Instance) }
+	// The search counters are not checkpointed: a restore or a fault
+	// recovery replaces the instance and they start over, so each instance
+	// is read out before it is dropped.
+	countSearches := func() {
+		if sc, ok := inst().(searchCounter); ok {
+			rep.SearchExhausted += int(sc.SearchStats().Exhausted)
+		}
+	}
 	for i := 0; ; i++ {
 		b, serr := src.Next()
 		if serr == io.EOF {
@@ -428,6 +451,7 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 				// and re-bases the chain at the new shape; batch i itself
 				// is replayed by the Apply below, on the recovered
 				// instance.
+				countSearches()
 				if err := recoverFault(sess, machines-1, pending, checkpoint); err != nil {
 					return fail(": machine fault at batch %d: %w", i, err)
 				}
@@ -462,6 +486,7 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 			// the chain, so the crash-instant state is the tip), dropped,
 			// and a fresh one restored from the whole chain. The generator
 			// (the outside world) survives; only the cluster state dies.
+			countSearches()
 			err := checkpoint()
 			if err == nil {
 				_, err = sess.Restore()
@@ -487,6 +512,7 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 	}
 	rep.FinalEdges = src.Mirror().M()
 	rep.Rounds = inst().Rounds()
+	countSearches()
 	opt.VerticesPerMachine = sess.Shape().VerticesPerMachine
 	return inst(), opt, rep, nil
 }

@@ -42,6 +42,9 @@ func TestDifferentialAllPairs(t *testing.T) {
 				if rep.Checks == 0 {
 					t.Error("no differential checks ran")
 				}
+				if rep.SearchExhausted != 0 {
+					t.Errorf("%d replacement searches ran out of sketch copies at the default copy count", rep.SearchExhausted)
+				}
 			})
 		}
 		if compatible == 0 {
@@ -139,8 +142,12 @@ func TestReportString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := rep.String(); strings.Contains(s, "n/a") {
-		t.Errorf("connectivity report %q should have real rounds", s)
+	if s := rep.String(); strings.Contains(s, "n/a") || strings.Contains(s, "exhausted") {
+		t.Errorf("connectivity report %q should have real rounds and no exhausted search", s)
+	}
+	rep.SearchExhausted = 2
+	if s := rep.String(); !strings.Contains(s, "2 replacement searches exhausted") {
+		t.Errorf("report %q hides its exhausted searches", s)
 	}
 }
 

@@ -77,6 +77,8 @@
 //	mpcserve_rounds_total                  counter; MPC rounds executed (update path)
 //	mpcserve_query_cache_hits_total        counter; query batches answered warm (zero rounds)
 //	mpcserve_query_cache_misses_total      counter; query batches that ran a cache-fill collective
+//	mpcserve_replacement_search_exhausted_total counter; searches out of sketch copies with a supernode still active
+//	mpcserve_replacement_sketches_summed_total  counter; vertex sketches summed by replacement searches
 //	mpcserve_update_batches_applied_total  counter
 //	mpcserve_updates_applied_total         counter; individual edge updates
 //	mpcserve_update_batches_rejected_total counter; 429 backpressure refusals

@@ -32,6 +32,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(in *instance) uint64 { hits, _ := in.dc.Load().QueryCacheStats(); return hits })
 	counter("mpcserve_query_cache_misses_total", "Query batches that ran a cache-fill collective.",
 		func(in *instance) uint64 { _, misses := in.dc.Load().QueryCacheStats(); return misses })
+	counter("mpcserve_replacement_search_exhausted_total", "Replacement searches that spent every sketch copy with an active supernode left (the partition may be too fine).",
+		func(in *instance) uint64 { return in.dc.Load().SearchStats().Exhausted })
+	counter("mpcserve_replacement_sketches_summed_total", "Vertex sketches summed by replacement searches (passive fragments are skipped).",
+		func(in *instance) uint64 { return in.dc.Load().SearchStats().SketchesSummed })
 	counter("mpcserve_update_batches_applied_total", "Update batches applied by the instance's applier.",
 		func(in *instance) uint64 { return in.batchesApplied.Load() })
 	counter("mpcserve_updates_applied_total", "Individual edge updates applied.",
