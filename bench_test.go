@@ -192,6 +192,12 @@ func newStepCluster(machines, parallelism int, skewed bool) *mpc.Cluster {
 	return c
 }
 
+// word is a one-word message payload.
+type word uint64
+
+// Words implements mpc.Sized.
+func (word) Words() int { return 1 }
+
 // stepRound is the measured round: every machine scans its local store
 // (deterministic local work, as an algorithm's shard scan would) and sends
 // one word to a neighbor. Per-machine sinks keep the scan from being
@@ -207,7 +213,7 @@ func stepRound(c *mpc.Cluster, machines int, sinks []uint64) {
 			}
 		}
 		sinks[m.ID] += acc
-		return []mpc.Message{{To: (m.ID + 1) % machines, Payload: mpc.Word(acc)}}
+		return []mpc.Message{{To: (m.ID + 1) % machines, Payload: word(acc)}}
 	})
 }
 

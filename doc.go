@@ -18,13 +18,16 @@
 // baseline BENCH_sketch.json, gated in CI by scripts/benchdiff.go (see
 // README.md "Performance").
 //
-// The query path is batched and cached to match: mpc.Cluster.AggregateBatches
-// tree-combines key-sorted frame batches (the flat counterpart of the map
-// payloads it retired), core exposes ConnectedAll / ComponentsOf and their
-// allocation-free Into variants so N connectivity queries cost one
-// O(1/phi)-round collective, and a coordinator label cache — invalidated
-// automatically by updates — answers repeated queries between updates with
-// zero MPC rounds and zero allocations. workload.QueryMix generates
+// Every coordinator-to-shards conversation is one of two verbs on
+// mpc.Cluster: Ask broadcasts a question and tree-combines the machines'
+// key-sorted answer frames, Tell broadcasts a message and runs a callback on
+// every machine; both drop the payload from every store as they hand it
+// over. The query path is batched and cached on top: core exposes
+// ConnectedAll / ComponentsOf and their allocation-free Into variants so N
+// connectivity queries cost one Ask (O(1/phi) rounds), and a coordinator
+// label cache — invalidated automatically by updates — answers repeated
+// queries between updates with zero MPC rounds and zero allocations.
+// workload.QueryMix generates
 // read/write-mix streams, mpcstream -queries drives them oracle-verified,
 // and the E15 table plus the gated rounds/query benchmark metric keep the
 // round complexity from regressing (see README.md "Query API").

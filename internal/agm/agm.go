@@ -10,6 +10,7 @@ package agm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -19,11 +20,8 @@ import (
 	"repro/internal/sketchcodec"
 )
 
-// Store slots.
-const (
-	slotShard = "agm"
-	slotBcast = "b"
-)
+// slotShard is the store slot of a machine's shard.
+const slotShard = "agm"
 
 // shard is one machine's vertex range: the vertex sketches (one contiguous
 // arena) and the transient query labels.
@@ -105,21 +103,20 @@ func New(cfg Config) (*Connectivity, error) {
 // Cluster exposes the cluster for metering.
 func (c *Connectivity) Cluster() *mpc.Cluster { return c.cl }
 
-// batchPayload is the broadcast update batch.
+// batchPayload tells the shards an update batch.
 type batchPayload struct{ b graph.Batch }
 
 func (p batchPayload) Words() int { return 3 * len(p.b) }
 
 // ApplyBatch updates the sketches for a batch of insertions and deletions:
-// one broadcast, O(1) rounds — this is all the AGM baseline does per phase.
+// one Tell, O(1) rounds — this is all the AGM baseline does per phase.
 func (c *Connectivity) ApplyBatch(b graph.Batch) error {
-	c.cl.Broadcast(c.coord, slotBcast, batchPayload{b: b})
-	c.cl.LocalAll(func(mm *mpc.Machine) {
+	c.cl.Tell(c.coord, batchPayload{b: b}, func(mm *mpc.Machine, msg mpc.Sized) {
 		sh, ok := mm.Get(slotShard).(*shard)
 		if !ok {
 			return
 		}
-		for _, u := range mm.Get(slotBcast).(batchPayload).b {
+		for _, u := range msg.(batchPayload).b {
 			e := u.Edge.Canonical()
 			for _, v := range []int{e.U, e.V} {
 				if v >= sh.lo && v < sh.hi {
@@ -216,36 +213,22 @@ func (c *Connectivity) query(wantForest bool) ([]int, int, []graph.Edge) {
 			// Two supernodes can hook along the same edge, and hooks can
 			// form cycles among labels; emit an edge only when it truly
 			// merges two supernodes this round.
-			parent := map[int]int{}
-			var find func(int) int
-			find = func(x int) int {
-				if p, ok := parent[x]; ok && p != x {
-					r := find(p)
-					parent[x] = r
-					return r
-				}
-				return x
-			}
+			var joined graph.MinUnion
 			for _, self := range sortedIntKeys(hooks) {
-				ra, rb := find(self), find(hooks[self])
-				if ra == rb {
-					continue
+				if _, _, ok := joined.Union(self, hooks[self]); ok {
+					forest = append(forest, hookEdge[self])
 				}
-				parent[rb] = ra
-				forest = append(forest, hookEdge[self])
 			}
 		}
 		// Contract the hook forest locally at the coordinator (its size is
-		// bounded by the number of active supernodes) and broadcast the
+		// bounded by the number of active supernodes) and tell the shards the
 		// label remapping.
-		remap := contractHooks(hooks)
-		c.cl.Broadcast(c.coord, slotBcast, mpc.Value{V: remap, N: 2 * len(remap)})
-		c.cl.LocalAll(func(mm *mpc.Machine) {
+		c.cl.Tell(c.coord, contractHooks(hooks), func(mm *mpc.Machine, msg mpc.Sized) {
 			sh, ok := mm.Get(slotShard).(*shard)
 			if !ok {
 				return
 			}
-			m := mm.Get(slotBcast).(mpc.Value).V.(map[int]int)
+			m := msg.(labelMap)
 			for i, l := range sh.labels {
 				if nl, ok := m[l]; ok {
 					sh.labels[i] = nl
@@ -291,93 +274,61 @@ func (c *Connectivity) mergeSupernodeSketches() map[int]sketch.Sketch {
 		})
 }
 
-// lookupLabels resolves current labels for the given vertices.
+// lookupLabels resolves current labels for the given vertices: one Ask
+// carrying the sorted distinct vertices, answered by each owner in
+// [vertex, label] frames.
 func (c *Connectivity) lookupLabels(vertices []int) map[int]int {
-	q := uniqueInts(vertices)
-	c.cl.Broadcast(c.coord, slotBcast, mpc.Ints(q))
-	res := c.cl.Aggregate(c.coord,
-		func(mm *mpc.Machine) mpc.Sized {
+	q := slices.Clone(vertices)
+	slices.Sort(q)
+	q = slices.Compact(q)
+	res := c.cl.Ask(c.coord, mpc.Ints(q),
+		func(mm *mpc.Machine, msg mpc.Sized) *mpc.MessageBatch {
 			sh, ok := mm.Get(slotShard).(*shard)
 			if !ok {
 				return nil
 			}
-			out := map[int]int{}
-			for _, v := range mm.Get(slotBcast).(mpc.Ints) {
+			b := mpc.AcquireMessageBatch()
+			for _, v := range msg.(mpc.Ints) {
 				if v >= sh.lo && v < sh.hi {
-					out[v] = sh.labels[v-sh.lo]
+					b.Append(uint64(v), uint64(sh.labels[v-sh.lo]))
 				}
 			}
-			if len(out) == 0 {
-				return nil
-			}
-			return mpc.Value{V: out, N: 2 * len(out)}
-		},
-		func(a, b mpc.Sized) mpc.Sized {
-			am := a.(mpc.Value).V.(map[int]int)
-			for k, v := range b.(mpc.Value).V.(map[int]int) {
-				am[k] = v
-			}
-			return mpc.Value{V: am, N: 2 * len(am)}
-		},
-	)
-	if res == nil {
-		return map[int]int{}
+			return b
+		}, mpc.KeepFirst)
+	out := make(map[int]int, len(q))
+	if res != nil {
+		for fr := range res.Frames {
+			out[int(fr[0])] = int(fr[1])
+		}
+		res.Release()
 	}
-	return res.(mpc.Value).V.(map[int]int)
+	return out
 }
+
+// labelMap is a label remapping (old label -> new label) told to the shards.
+type labelMap map[int]int
+
+// Words implements mpc.Sized.
+func (m labelMap) Words() int { return 2 * len(m) }
 
 // contractHooks turns the hook graph (label -> neighbor label) into a full
 // remapping onto component-minimum labels.
-func contractHooks(hooks map[int]int) map[int]int {
-	parent := map[int]int{}
-	var find func(int) int
-	find = func(x int) int {
-		if p, ok := parent[x]; ok && p != x {
-			r := find(p)
-			parent[x] = r
-			return r
-		}
-		return x
-	}
+func contractHooks(hooks map[int]int) labelMap {
+	var uf graph.MinUnion
 	for a, b := range hooks {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			continue
-		}
-		if rb < ra {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
+		uf.Union(a, b)
 	}
-	remap := map[int]int{}
-	for a := range hooks {
-		remap[a] = find(a)
-	}
-	for _, b := range hooks {
-		if _, ok := remap[b]; !ok {
-			remap[b] = find(b)
+	remap := labelMap{}
+	for a, b := range hooks {
+		// Identity entries are left out to keep the message minimal.
+		if r := uf.Find(a); r != a {
+			remap[a] = r
 		}
-	}
-	// Drop identity entries to keep the broadcast minimal.
-	for k, v := range remap {
-		if k == v {
-			delete(remap, k)
+		if r := uf.Find(b); r != b {
+			remap[b] = r
 		}
 	}
 	return remap
-}
-
-func uniqueInts(xs []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 func sortedIntKeys[V any](m map[int]V) []int {

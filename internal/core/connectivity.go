@@ -112,8 +112,8 @@ func (dc *DynamicConnectivity) Config() Config { return dc.f.cfg }
 // MaxBatch returns the largest accepted update batch.
 func (dc *DynamicConnectivity) MaxBatch() int { return dc.f.cfg.MaxBatch() }
 
-// sketchUpdate is the broadcast payload applying a batch of edge updates to
-// the vertex sketches.
+// sketchUpdate tells the vertex shards a batch of edge updates to apply to
+// their sketches.
 type sketchUpdate struct {
 	edges []graph.Edge
 	op    graph.Op
@@ -122,12 +122,9 @@ type sketchUpdate struct {
 func (u sketchUpdate) Words() int { return 2*len(u.edges) + 1 }
 
 // updateSketches applies the batch to the sketches of all endpoint vertices
-// with one broadcast (Section 6.1: "updating the sketches").
+// with one Tell (Section 6.1: "updating the sketches").
 func (dc *DynamicConnectivity) updateSketches(edges []graph.Edge, op graph.Op) {
-	dc.f.broadcast(sketchUpdate{edges: edges, op: op})
-	dc.f.cl.LocalAll(func(mm *mpc.Machine) {
-		payload := mm.Get(slotBcast)
-		mm.Delete(slotBcast)
+	dc.f.tell(sketchUpdate{edges: edges, op: op}, func(mm *mpc.Machine, payload mpc.Sized) {
 		vs := vShard(mm)
 		if vs == nil {
 			return
@@ -176,35 +173,16 @@ func (dc *DynamicConnectivity) insert(edges []graph.Edge) error {
 		return nil
 	}
 	dc.updateSketches(edges, graph.Insert)
-	var endpoints []int
-	for _, e := range edges {
-		endpoints = append(endpoints, e.U, e.V)
-	}
-	labels := dc.f.Components(endpoints)
+	labels, _ := dc.f.labelsInto(nil, endpointsOf(edges))
 	// F_H: greedily keep the edges that merge two still-distinct components
 	// (a spanning forest of the auxiliary graph H). The rest are non-tree
 	// edges and require nothing beyond the sketch update.
-	parent := map[int]int{}
-	var find func(int) int
-	find = func(x int) int {
-		if p, ok := parent[x]; ok && p != x {
-			r := find(p)
-			parent[x] = r
-			return r
-		}
-		return x
-	}
+	var merged graph.MinUnion
 	var forest []graph.WeightedEdge
-	for _, e := range edges {
-		ra, rb := find(labels[e.U]), find(labels[e.V])
-		if ra == rb {
-			continue
+	for i, e := range edges {
+		if _, _, ok := merged.Union(labels[2*i], labels[2*i+1]); ok {
+			forest = append(forest, graph.WeightedEdge{Edge: e})
 		}
-		if rb < ra {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-		forest = append(forest, graph.WeightedEdge{Edge: e})
 	}
 	return dc.f.Link(forest)
 }
@@ -299,16 +277,7 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int) []graph.Weig
 	dc.f.cl.LocalAt(dc.f.coord, func(mm *mpc.Machine) { mm.Set(slotWork, ws) })
 	defer dc.f.cl.LocalAt(dc.f.coord, func(mm *mpc.Machine) { mm.Delete(slotWork) })
 
-	parent := map[int]int{}
-	var find func(int) int
-	find = func(x int) int {
-		if p, ok := parent[x]; ok && p != x {
-			r := find(p)
-			parent[x] = r
-			return r
-		}
-		return x
-	}
+	var supernodes graph.MinUnion
 	// passive and active are keyed by supernode root.
 	passive := make(map[int]bool, len(passiveComps))
 	for _, c := range passiveComps {
@@ -319,6 +288,7 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int) []graph.Weig
 		active[c] = true
 	}
 	var replacements []graph.WeightedEdge
+	var labels []int
 	reps := make([]int, 0, len(active))
 	for copyIdx := 0; copyIdx < dc.space.Copies() && len(active) > 0; copyIdx++ {
 		dc.search.levels.Add(1)
@@ -344,20 +314,12 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int) []graph.Weig
 		}
 		// Resolve candidate endpoints to current components (the documented
 		// O(1)-round lookup per level).
-		var endpoints []int
-		for _, e := range candidates {
-			endpoints = append(endpoints, e.U, e.V)
-		}
-		labels := dc.f.Components(endpoints)
-		for _, e := range candidates {
-			ra, rb := find(labels[e.U]), find(labels[e.V])
-			if ra == rb {
+		labels, _ = dc.f.labelsInto(labels, endpointsOf(candidates))
+		for i, e := range candidates {
+			ra, rb, ok := supernodes.Union(labels[2*i], labels[2*i+1])
+			if !ok {
 				continue
 			}
-			if rb < ra {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
 			replacements = append(replacements, graph.WeightedEdge{Edge: e})
 			delete(active, rb)
 			if passive[ra] || passive[rb] {

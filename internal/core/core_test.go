@@ -519,14 +519,14 @@ func TestSoakLargeChurn(t *testing.T) {
 }
 
 func TestForestComponentsMatchesSnapshot(t *testing.T) {
-	// The metered Components query and the driver-level snapshot must agree
+	// The metered ComponentsOf query and the driver-level snapshot must agree
 	// for arbitrary vertex subsets.
 	m := newMirror(t, 24, 0.6, 81)
 	m.apply(graph.Batch{graph.Ins(0, 1), graph.Ins(2, 3), graph.Ins(1, 2)})
 	snap := m.dc.SnapshotComponents()
-	queried := m.dc.Forest().Components([]int{0, 1, 2, 3, 4, 23})
-	for v, c := range queried {
-		if snap[v] != c {
+	vertices := []int{0, 1, 2, 3, 4, 23}
+	for i, c := range m.dc.Forest().ComponentsOf(vertices) {
+		if v := vertices[i]; snap[v] != c {
 			t.Errorf("vertex %d: query %d, snapshot %d", v, c, snap[v])
 		}
 	}
@@ -572,7 +572,7 @@ func TestReportForest(t *testing.T) {
 func TestConnectedMany(t *testing.T) {
 	m := newMirror(t, 16, 0.6, 96)
 	m.apply(graph.Batch{graph.Ins(0, 1), graph.Ins(2, 3)})
-	got := m.dc.Forest().ConnectedMany([][2]int{{0, 1}, {0, 2}, {2, 3}, {4, 4}})
+	got := m.dc.Forest().ConnectedAll([]Pair{{0, 1}, {0, 2}, {2, 3}, {4, 4}})
 	want := []bool{true, false, true, true}
 	for i := range want {
 		if got[i] != want[i] {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,6 @@ import (
 const (
 	slotVertex = "v"  // vertexShard
 	slotEdge   = "e"  // edgeShard
-	slotBcast  = "b"  // transient broadcast payloads
 	slotQCache = "qc" // coordinator query-cache meter (cacheMeter)
 )
 
@@ -30,11 +30,16 @@ type vertexShard struct {
 	frag   map[int]uint64
 	// passive holds the fragment keys the last Cut declared passive (the
 	// largest fragment of every split tour, see Cut). It lives only inside
-	// one deletion batch — set by broadcastFragComps, dropped by the sketch
+	// one deletion batch — set by tellFragComps, dropped by the sketch
 	// aggregation that consumes it or by the next clearFrags — so unlike
 	// frag it is never checkpointed. The map is the read-only broadcast
 	// payload, shared by every shard.
 	passive map[uint64]bool
+	// affected holds, from the Tell that splits the tours of a Cut until the
+	// fragment push that follows consumes it (pushFragments), the ids of the
+	// components being split. Transient and never checkpointed, like passive,
+	// and like it the read-only payload shared by every shard.
+	affected map[int]bool
 	// sketchWords is the footprint of the connectivity sketches stored by
 	// the owning DynamicConnectivity (0 for a bare Forest); it is included
 	// here so the shard's Words reflect the whole vertex bundle.
@@ -54,7 +59,7 @@ type vertexShard struct {
 
 // Words implements mpc.Sized.
 func (s *vertexShard) Words() int {
-	return len(s.comp) + 2*len(s.frag) + len(s.passive) + s.sketchWords + 2
+	return len(s.comp) + 2*len(s.frag) + len(s.passive) + len(s.affected) + s.sketchWords + 2
 }
 
 func (s *vertexShard) owns(v int) bool { return v >= s.lo && v < s.hi }
@@ -110,6 +115,10 @@ type treeEdge struct {
 // edgeShard holds the tree-edge records hash-assigned to one machine.
 type edgeShard struct {
 	recs map[graph.Edge]*treeEdge
+	// newTours holds the ids of the tours a Cut created, from the Tell that
+	// splits the old ones until the fragment push that follows consumes it
+	// (pushFragments). Transient, never checkpointed, shared and read-only.
+	newTours map[eulertour.TourID]bool
 	// dirty journals edges whose record changed (upsert or delete) since the
 	// last acknowledged checkpoint; the delta ships each as an upsert or a
 	// tombstone. Checkpoint bookkeeping, excluded from Words (see
@@ -120,7 +129,7 @@ type edgeShard struct {
 }
 
 // Words implements mpc.Sized.
-func (s *edgeShard) Words() int { return 8*len(s.recs) + 1 }
+func (s *edgeShard) Words() int { return 8*len(s.recs) + len(s.newTours) + 1 }
 
 // markEdge journals a change to edge e's record.
 func (s *edgeShard) markEdge(e graph.Edge) {
@@ -144,10 +153,10 @@ func fragKeyOfTour(t eulertour.TourID) uint64 { return uint64(t) }
 
 func fragKeyOfVertex(v int) uint64 { return fragVertexBit | uint64(v) }
 
-// u64Payload is a reusable word-slice broadcast payload. Unlike mpc.U64s it
-// is addressed through a pointer, so re-broadcasting the same payload object
-// round after round never re-boxes the slice header (zero allocations on the
-// steady-state query path).
+// u64Payload is a reusable word-slice question. Unlike mpc.U64s it is
+// addressed through a pointer, so asking the same payload object again never
+// re-boxes the slice header (zero allocations on the steady-state query
+// path).
 type u64Payload struct{ xs []uint64 }
 
 // Words implements mpc.Sized.
@@ -222,9 +231,9 @@ type Forest struct {
 	edgeHash *hash.Family
 	nextID   uint64 // coordinator-local tour-id counter
 	cache    labelCache
-	// collectLabels is the per-machine collect callback of the label
-	// resolve, built once so the steady-state query path allocates nothing.
-	collectLabels func(mm *mpc.Machine) *mpc.MessageBatch
+	// answerLabels is the per-machine answer callback of the label resolve,
+	// built once so the steady-state query path allocates nothing.
+	answerLabels func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch
 }
 
 // NewForest creates an unweighted forest engine on n = cfg.N vertices, all
@@ -266,9 +275,7 @@ func newForest(cfg Config, weighted bool, sketchWords int) (*Forest, error) {
 			epoch:  1,
 		},
 	}
-	f.collectLabels = func(mm *mpc.Machine) *mpc.MessageBatch {
-		payload := mm.Get(slotBcast)
-		mm.Delete(slotBcast)
+	f.answerLabels = func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 		vs := vShard(mm)
 		if vs == nil {
 			return nil
@@ -337,40 +344,36 @@ func (f *Forest) edgeOwner(e graph.Edge) int {
 	return int(f.edgeHash.Hash(e.ID(f.cfg.N)) % uint64(f.cl.Machines()))
 }
 
-// broadcast sends a payload from the coordinator to every machine under the
-// transient slot.
-func (f *Forest) broadcast(payload mpc.Sized) {
-	f.cl.Broadcast(f.coord, slotBcast, payload)
+// ask and tell are the forest's two conversations with the shards, both from
+// the coordinator (mpc.Cluster.Ask, mpc.Cluster.Tell): the payload is handed
+// to the callback and is gone from every store when the call returns.
+func (f *Forest) ask(q mpc.Sized, answer func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch, combine mpc.BatchCombine) *mpc.MessageBatch {
+	return f.cl.Ask(f.coord, q, answer, combine)
 }
 
-// The frame combiners of the flat aggregations below. All are merge-joins
-// over key-sorted [k, ...] frames into a fresh pooled batch (no operand is
-// mutated in place, so pooled buffers cannot alias), and all are
-// commutative per key, so the deterministic sender-order fold of the tree
-// yields the same frames at every parallelism.
-var (
-	// mergeKeepFirst keeps the first-arriving frame per key (keys owned by
-	// exactly one machine never collide; the combine never fires).
-	mergeKeepFirst = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
-		return mpc.MergeSortedBatches(a, b, nil)
-	}
-	// mergeSum adds the value word of colliding [k, v] frames.
-	mergeSum = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
-		return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) { dst[1] += src[1] })
-	}
-	// mergeMin keeps the smaller value word of colliding [k, v] frames.
-	mergeMin = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
-		return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) {
-			if src[1] < dst[1] {
-				dst[1] = src[1]
-			}
-		})
-	}
-)
+func (f *Forest) tell(msg mpc.Sized, apply func(mm *mpc.Machine, msg mpc.Sized)) {
+	f.cl.Tell(f.coord, msg, apply)
+}
+
+// The frame combiners of the flat aggregations below (mpc.KeepFirst,
+// mpc.SumValues, mergeMin, mergeStats, mergeHeavier) are all merge-joins over
+// key-sorted [k, ...] frames into a fresh pooled batch (no operand is mutated
+// in place, so pooled buffers cannot alias), and all are commutative per key,
+// so the deterministic sender-order fold of the tree yields the same frames
+// at every parallelism.
+
+// mergeMin keeps the smaller value word of colliding [k, v] frames.
+var mergeMin = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
+	return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) {
+		if src[1] < dst[1] {
+			dst[1] = src[1]
+		}
+	})
+}
 
 // invalidateCache bumps the label-cache epoch, dropping every cached
 // component label and the cached component count in O(1). Called by every
-// label-mutating collective (applyRelabels, broadcastFragComps). It takes
+// label-mutating collective (applyRelabels, tellFragComps). It takes
 // the cache write lock, so an invalidation is safe to race with concurrent
 // warm readers (they see either the old epoch's answers or a miss).
 func (f *Forest) invalidateCache() {
@@ -409,31 +412,11 @@ func (f *Forest) checkQueryVertex(v int) {
 	}
 }
 
-// resolveLabelsLocked ensures the label cache covers every listed vertex.
-// Cache misses are deduplicated via the epoch stamps, sorted, broadcast
-// once, and answered by one flat [vertex, comp] aggregation (O(1/φ)
-// rounds); a fully cached query performs no MPC operation at all. The
-// steady-state warm path allocates nothing. The caller must hold the cache
-// write lock (the collective both fills the cache and drives the cluster).
-func (f *Forest) resolveLabelsLocked(vertices []int) {
-	lc := &f.cache
-	miss := lc.miss[:0]
-	for _, v := range vertices {
-		f.checkQueryVertex(v)
-		if lc.stamp[v] != lc.epoch {
-			lc.stamp[v] = lc.epoch
-			lc.valid++
-			miss = append(miss, v)
-		}
-	}
-	lc.miss = miss
-	f.resolveMissesLocked()
-}
-
 // resolveMissesLocked runs the cache-fill collective for the miss list
-// staged in the cache (one broadcast of the sorted misses, one
-// [vertex, comp] aggregation, decode into the cache). No-op when the list
-// is empty. The caller must hold the cache write lock.
+// staged in the cache: one Ask carrying the sorted misses, answered with
+// [vertex, comp] frames (O(1/φ) rounds), decoded into the cache. No-op when
+// the list is empty. The caller must hold the cache write lock (the
+// collective both fills the cache and drives the cluster).
 func (f *Forest) resolveMissesLocked() {
 	lc := &f.cache
 	if len(lc.miss) == 0 {
@@ -445,8 +428,7 @@ func (f *Forest) resolveMissesLocked() {
 		q = append(q, uint64(v))
 	}
 	lc.query.xs = q
-	f.broadcast(&lc.query)
-	if res := f.cl.AggregateBatches(f.coord, f.collectLabels, mergeKeepFirst); res != nil {
+	if res := f.ask(&lc.query, f.answerLabels, mpc.KeepFirst); res != nil {
 		for fr := range res.Frames {
 			lc.labels[fr[0]] = int(fr[1])
 		}
@@ -454,50 +436,25 @@ func (f *Forest) resolveMissesLocked() {
 	}
 }
 
-// Components resolves the component ids of the given vertices: one
-// broadcast and one flat-frame aggregation for the cache misses (O(1/φ)
-// rounds), coordinator-local for everything already cached.
-func (f *Forest) Components(vertices []int) map[int]int {
-	lc := &f.cache
-	lc.mu.Lock()
-	f.resolveLabelsLocked(vertices)
-	out := make(map[int]int, len(vertices))
-	for _, v := range vertices {
-		out[v] = lc.labels[v]
-	}
-	lc.mu.Unlock()
-	return out
-}
-
-// compSizes counts the vertices of each listed component with one flat
-// [component, count] aggregation.
+// compSizes counts the vertices of each listed component (keys sorted and
+// distinct) with one Ask answered in [component, count] frames.
 func (f *Forest) compSizes(keys []int) map[int]int {
-	q := uniqueInts(keys)
-	f.broadcast(mpc.Ints(q))
-	res := f.cl.AggregateBatches(f.coord,
-		func(mm *mpc.Machine) *mpc.MessageBatch {
-			payload := mm.Get(slotBcast)
-			mm.Delete(slotBcast)
+	res := f.ask(mpc.Ints(keys),
+		func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch {
 			vs := vShard(mm)
 			if vs == nil {
 				return nil
 			}
-			want := payload.(mpc.Ints)
+			want := q.(mpc.Ints)
 			counts := make([]uint64, len(want))
-			for i := range vs.comp {
-				if j := sort.SearchInts(want, vs.comp[i]); j < len(want) && want[j] == vs.comp[i] {
+			for _, c := range vs.comp {
+				if j, ok := slices.BinarySearch(want, c); ok {
 					counts[j]++
 				}
 			}
-			b := mpc.AcquireMessageBatch()
-			for j, c := range counts {
-				if c > 0 {
-					b.Append(uint64(want[j]), c)
-				}
-			}
-			return b
-		}, mergeSum)
-	out := make(map[int]int, len(q))
+			return countFrames(want, counts)
+		}, mpc.SumValues)
+	out := make(map[int]int, len(keys))
 	if res != nil {
 		for fr := range res.Frames {
 			out[int(fr[0])] = int(fr[1])
@@ -505,6 +462,17 @@ func (f *Forest) compSizes(keys []int) map[int]int {
 		res.Release()
 	}
 	return out
+}
+
+// countFrames answers one [key, count] frame per key counted at least once.
+func countFrames(keys []int, counts []uint64) *mpc.MessageBatch {
+	b := mpc.AcquireMessageBatch()
+	for j, c := range counts {
+		if c > 0 {
+			b.Append(uint64(keys[j]), c)
+		}
+	}
+	return b
 }
 
 // collectNumComps emits one [0, heads] frame per vertex machine: with the
@@ -544,7 +512,7 @@ func (f *Forest) NumComponents() int {
 		return lc.numComps
 	}
 	n := 0
-	if res := f.cl.AggregateBatches(f.coord, collectNumComps, mergeSum); res != nil {
+	if res := f.cl.AggregateBatches(f.coord, collectNumComps, mpc.SumValues); res != nil {
 		for fr := range res.Frames {
 			n = int(fr[1])
 		}
@@ -555,7 +523,7 @@ func (f *Forest) NumComponents() int {
 	return n
 }
 
-// statsQuery is the broadcast form of a batched f/l query.
+// statsQuery is the question of a batched f/l query.
 type statsQuery struct{ vertices []int }
 
 func (q statsQuery) Words() int { return len(q.vertices) }
@@ -574,16 +542,15 @@ var mergeStats = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
 }
 
 // Stats resolves occurrence statistics (tour, f, l) for the given vertices
-// by scanning the edge shards and min/max-merging flat [v, tour, f, l]
-// frames along the aggregation tree (O(1/φ) rounds). Singleton vertices
-// come back with Tour == NoTour.
+// with one Ask: the edge shards scan their records and answer [v, tour, f, l]
+// frames, min/max-merged along the aggregation tree (O(1/φ) rounds).
+// Singleton vertices come back with Tour == NoTour.
 func (f *Forest) Stats(vertices []int) map[int]eulertour.VertexStats {
-	q := uniqueInts(vertices)
-	f.broadcast(statsQuery{vertices: q})
-	merged := f.cl.AggregateBatches(f.coord,
-		func(mm *mpc.Machine) *mpc.MessageBatch {
-			payload := mm.Get(slotBcast)
-			mm.Delete(slotBcast)
+	q := slices.Clone(vertices)
+	slices.Sort(q)
+	q = slices.Compact(q)
+	merged := f.ask(statsQuery{vertices: q},
+		func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 			es := eShard(mm)
 			query := payload.(statsQuery).vertices
 			// Accumulate per query slot (query is sorted, so the emitted
@@ -639,13 +606,13 @@ func (f *Forest) Stats(vertices []int) map[int]eulertour.VertexStats {
 	return out
 }
 
-// cutQueryPayload is the broadcast form of the stage-2 join query.
+// cutQueryPayload is the question of the stage-2 join query.
 type cutQueryPayload struct{ qs []eulertour.CutQuery }
 
 func (q cutQueryPayload) Words() int { return 2 * len(q.qs) }
 
 // minAbove resolves, for each query, the smallest occurrence of the vertex
-// strictly above the cut (0 when none). Queries are broadcast sorted by
+// strictly above the cut (0 when none). Queries are asked sorted by
 // vertex so each machine's [vertex, pos] partials come out key-sorted; the
 // tree min-merges them (frames are emitted only when an occurrence was
 // found, so every value word is positive).
@@ -656,11 +623,8 @@ func (f *Forest) minAbove(qs []eulertour.CutQuery) map[int]eulertour.Pos {
 	sorted := make([]eulertour.CutQuery, len(qs))
 	copy(sorted, qs)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Vertex < sorted[j].Vertex })
-	f.broadcast(cutQueryPayload{qs: sorted})
-	res := f.cl.AggregateBatches(f.coord,
-		func(mm *mpc.Machine) *mpc.MessageBatch {
-			payload := mm.Get(slotBcast)
-			mm.Delete(slotBcast)
+	res := f.ask(cutQueryPayload{qs: sorted},
+		func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 			es := eShard(mm)
 			queries := payload.(cutQueryPayload).qs
 			best := make([]eulertour.Pos, len(queries))
@@ -707,14 +671,21 @@ func (f *Forest) minAbove(qs []eulertour.CutQuery) map[int]eulertour.Pos {
 	return out
 }
 
-// relabelPayload broadcasts a batch of relabel descriptors plus the edges to
-// drop and the component re-labeling.
+// relabelPayload tells every machine a batch of relabel descriptors and,
+// for a Link, the component re-labeling; for a Cut, the records to drop and
+// the two sets the fragment push that follows reads. Everything a machine
+// learns from the coordinator here is on the payload and counted.
 type relabelPayload struct {
 	relabels []eulertour.Relabel
-	compMap  map[int]int // old comp id -> new comp id (joins)
+	compMap  map[int]int               // old comp id -> new comp id (joins)
+	drop     map[graph.Edge]bool       // tree-edge records to delete (cuts)
+	newTours map[eulertour.TourID]bool // tours created by the split (cuts)
+	affected map[int]bool              // components being split (cuts)
 }
 
-func (p relabelPayload) Words() int { return 5*len(p.relabels) + 2*len(p.compMap) }
+func (p relabelPayload) Words() int {
+	return 5*len(p.relabels) + 2*len(p.compMap) + 2*len(p.drop) + len(p.newTours) + len(p.affected)
+}
 
 // recordsPayload carries new tree-edge records to their shard owners.
 type recordsPayload struct {
@@ -737,26 +708,20 @@ func (f *Forest) Link(edges []graph.WeightedEdge) error {
 		return fmt.Errorf("core: batch of %d exceeds MaxBatch %d", len(edges), f.cfg.MaxBatch())
 	}
 	f.clearFrags()
-	var endpoints []int
 	plainEdges := make([]graph.Edge, len(edges))
 	weightOf := map[graph.Edge]int64{}
 	for i, e := range edges {
 		plainEdges[i] = e.Edge.Canonical()
 		weightOf[plainEdges[i]] = e.Weight
-		endpoints = append(endpoints, e.U, e.V)
 	}
-	labels := f.Components(endpoints)
-	compSet := map[int]bool{}
-	for _, v := range endpoints {
-		compSet[labels[v]] = true
-	}
-	keys := make([]int, 0, len(compSet))
-	for k := range compSet {
-		keys = append(keys, k)
-	}
-	sizes := f.compSizes(keys)
+	// labels[2i] and labels[2i+1] are the components of plainEdges[i].
+	terminals := endpointsOf(plainEdges)
+	labels, _ := f.labelsInto(nil, terminals)
+	keys := slices.Clone(labels)
+	slices.Sort(keys)
+	sizes := f.compSizes(slices.Compact(keys))
 
-	planner, err := f.preparePlanner(plainEdges, labels, sizes)
+	planner, err := f.preparePlanner(plainEdges, terminals, labels, sizes)
 	if err != nil {
 		return err
 	}
@@ -777,7 +742,7 @@ func (f *Forest) Link(edges []graph.WeightedEdge) error {
 			compMap[c] = newComp
 		}
 	}
-	f.applyRelabels(res.Relabels, compMap, nil)
+	f.applyRelabels(relabelPayload{relabels: res.Relabels, compMap: compMap})
 	// Route the new records to their shard owners.
 	newRecs := res.NewRecords
 	f.cl.Scatter(f.coord,
@@ -804,17 +769,26 @@ func (f *Forest) Link(edges []graph.WeightedEdge) error {
 	return nil
 }
 
-// preparePlanner runs the planner's staged distributed queries.
-func (f *Forest) preparePlanner(edges []graph.Edge, labels map[int]int, sizes map[int]int) (*eulertour.JoinPlanner, error) {
-	var terminals []int
+// endpointsOf lists the endpoints of edges, U then V, in edge order.
+func endpointsOf(edges []graph.Edge) []int {
+	out := make([]int, 0, 2*len(edges))
 	for _, e := range edges {
-		terminals = append(terminals, e.U, e.V)
+		out = append(out, e.U, e.V)
 	}
+	return out
+}
+
+// preparePlanner runs the planner's staged distributed queries. terminals
+// are the endpoints of edges and labels their components, position by
+// position.
+func (f *Forest) preparePlanner(edges []graph.Edge, terminals, labels []int, sizes map[int]int) (*eulertour.JoinPlanner, error) {
 	stats := f.Stats(terminals)
 	var comps []eulertour.CompInfo
+	labelOf := make(map[int]int, len(terminals))
 	seen := map[int]bool{}
-	for _, v := range terminals {
-		c := labels[v]
+	for i, v := range terminals {
+		c := labels[i]
+		labelOf[v] = c
 		if seen[c] {
 			continue
 		}
@@ -822,8 +796,8 @@ func (f *Forest) preparePlanner(edges []graph.Edge, labels map[int]int, sizes ma
 		info := eulertour.CompInfo{Key: c, Size: sizes[c], Tour: eulertour.NoTour}
 		if info.Size > 1 {
 			// Any terminal of the component knows its tour.
-			for _, w := range terminals {
-				if labels[w] == c && stats[w].Tour != eulertour.NoTour {
+			for j, w := range terminals {
+				if labels[j] == c && stats[w].Tour != eulertour.NoTour {
 					info.Tour = stats[w].Tour
 					break
 				}
@@ -834,7 +808,7 @@ func (f *Forest) preparePlanner(edges []graph.Edge, labels map[int]int, sizes ma
 		}
 		comps = append(comps, info)
 	}
-	planner, err := eulertour.NewJoinPlanner(comps, edges, func(v int) int { return labels[v] })
+	planner, err := eulertour.NewJoinPlanner(comps, edges, func(v int) int { return labelOf[v] })
 	if err != nil {
 		return nil, err
 	}
@@ -845,23 +819,19 @@ func (f *Forest) preparePlanner(edges []graph.Edge, labels map[int]int, sizes ma
 	return planner, nil
 }
 
-// applyRelabels broadcasts relabel descriptors plus a component map and
-// applies both on every machine; dropEdges lists records to delete first.
-func (f *Forest) applyRelabels(relabels []eulertour.Relabel, compMap map[int]int, dropEdges []graph.Edge) {
+// applyRelabels tells every machine the payload and applies it: the listed
+// records are dropped, the relabel descriptors applied to the surviving ones
+// and the component map to the vertex shards. A Cut's newTours and affected
+// sets stay behind on the edge and vertex shards for pushFragments.
+func (f *Forest) applyRelabels(payload relabelPayload) {
 	f.invalidateCache()
-	payload := relabelPayload{relabels: relabels, compMap: compMap}
-	f.broadcast(payload)
-	drop := map[graph.Edge]bool{}
-	for _, e := range dropEdges {
-		drop[e.Canonical()] = true
-	}
-	f.cl.LocalAll(func(mm *mpc.Machine) {
-		p := mm.Get(slotBcast).(relabelPayload)
-		mm.Delete(slotBcast)
+	f.tell(payload, func(mm *mpc.Machine, msg mpc.Sized) {
+		p := msg.(relabelPayload)
 		set := eulertour.NewRelabelSet(p.relabels)
 		es := eShard(mm)
+		es.newTours = p.newTours
 		for e, te := range es.recs {
-			if drop[e] {
+			if p.drop[e] {
 				delete(es.recs, e)
 				es.markEdge(e)
 				continue
@@ -874,7 +844,12 @@ func (f *Forest) applyRelabels(relabels []eulertour.Relabel, compMap map[int]int
 				es.markEdge(e)
 			}
 		}
-		if vs := vShard(mm); vs != nil && len(p.compMap) > 0 {
+		vs := vShard(mm)
+		if vs == nil {
+			return
+		}
+		vs.affected = p.affected
+		if len(p.compMap) > 0 {
 			for i, c := range vs.comp {
 				if nc, ok := p.compMap[c]; ok && nc != c {
 					vs.comp[i] = nc
@@ -924,7 +899,7 @@ type CutReport struct {
 	PassiveComps []int
 }
 
-// edgeListPayload broadcasts a set of edges.
+// edgeListPayload carries a set of edges.
 type edgeListPayload struct{ edges []graph.Edge }
 
 func (p edgeListPayload) Words() int { return 2 * len(p.edges) }
@@ -959,10 +934,7 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 	byID := make([]graph.Edge, len(canon))
 	copy(byID, canon)
 	sort.Slice(byID, func(i, j int) bool { return byID[i].ID(n) < byID[j].ID(n) })
-	f.broadcast(edgeListPayload{edges: byID})
-	gathered := f.cl.AggregateBatches(f.coord, func(mm *mpc.Machine) *mpc.MessageBatch {
-		payload := mm.Get(slotBcast)
-		mm.Delete(slotBcast)
+	gathered := f.ask(edgeListPayload{edges: byID}, func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 		es := eShard(mm)
 		b := mpc.AcquireMessageBatch()
 		for _, e := range payload.(edgeListPayload).edges {
@@ -976,7 +948,7 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 			}
 		}
 		return b
-	}, mergeKeepFirst)
+	}, mpc.KeepFirst)
 	report := &CutReport{}
 	deletedByEdge := map[graph.Edge]treeEdge{}
 	if gathered != nil {
@@ -1008,14 +980,14 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 		return report, nil
 	}
 	// Affected components: the components of the deleted tree edges.
-	var endpoints []int
+	endpoints := make([]int, 0, 2*len(deletedRecs))
 	for _, r := range deletedRecs {
 		endpoints = append(endpoints, r.E.U, r.E.V)
 	}
-	labels := f.Components(endpoints)
+	labels, _ := f.labelsInto(nil, endpoints)
 	affected := map[int]bool{}
-	for _, v := range endpoints {
-		affected[labels[v]] = true
+	for _, c := range labels {
+		affected[c] = true
 	}
 	report.AffectedComps = sortedKeys(affected)
 	// Tour lengths: remaining records per tour, plus the deleted ones.
@@ -1028,26 +1000,16 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 		tourList = append(tourList, int(t))
 	}
 	sort.Ints(tourList)
-	f.broadcast(mpc.Ints(tourList))
-	res := f.cl.AggregateBatches(f.coord, func(mm *mpc.Machine) *mpc.MessageBatch {
-		payload := mm.Get(slotBcast)
-		mm.Delete(slotBcast)
-		es := eShard(mm)
+	res := f.ask(mpc.Ints(tourList), func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 		want := payload.(mpc.Ints)
 		counts := make([]uint64, len(want))
-		for _, te := range es.recs {
-			if j := sort.SearchInts(want, int(te.rec.Tour)); j < len(want) && want[j] == int(te.rec.Tour) {
+		for _, te := range eShard(mm).recs {
+			if j, ok := slices.BinarySearch(want, int(te.rec.Tour)); ok {
 				counts[j]++
 			}
 		}
-		b := mpc.AcquireMessageBatch()
-		for j, c := range counts {
-			if c > 0 {
-				b.Append(uint64(want[j]), c)
-			}
-		}
-		return b
-	}, mergeSum)
+		return countFrames(want, counts)
+	}, mpc.SumValues)
 	tourLens := map[eulertour.TourID]int{}
 	if res != nil {
 		for fr := range res.Frames {
@@ -1066,12 +1028,11 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Broadcast relabels; drop deleted records; apply to survivors; then
-	// push fragment membership from edge shards to vertex shards.
-	f.applyRelabels(plan.Relabels, nil, canon)
-	splitTours := map[eulertour.TourID]bool{}
-	for t := range delPerTour {
-		splitTours[t] = true
+	// Tell the relabels; drop deleted records; apply to survivors; then push
+	// fragment membership from edge shards to vertex shards.
+	drop := make(map[graph.Edge]bool, len(deletedRecs))
+	for _, r := range deletedRecs {
+		drop[r.E] = true
 	}
 	newTours := map[eulertour.TourID]bool{}
 	for _, fr := range plan.Fragments {
@@ -1079,7 +1040,8 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 			newTours[fr.Tour] = true
 		}
 	}
-	f.pushFragments(newTours, affected)
+	f.applyRelabels(relabelPayload{relabels: plan.Relabels, drop: drop, newTours: newTours, affected: affected})
+	f.pushFragments()
 	// Assign fragment component ids: min vertex id per fragment.
 	fragMin := f.aggregateFragmentMins()
 	compByFrag := map[uint64]int{}
@@ -1096,7 +1058,7 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 		report.PassiveComps = append(report.PassiveComps, compByFrag[k])
 	}
 	sort.Ints(report.PassiveComps)
-	f.broadcastFragComps(compByFrag, passive)
+	f.tellFragComps(compByFrag, passive)
 	return report, nil
 }
 
@@ -1124,13 +1086,17 @@ func passiveFragments(frags []eulertour.Fragment) map[uint64]bool {
 
 // pushFragments has edge shards announce, for every record now on a fresh
 // tour, the fragment of its endpoints; vertex shards record the mapping and
-// mark message-less affected vertices as singletons. The (vertex, fragment)
-// pairs travel as two-word frames of the batched message codec: one packed
-// buffer per (edge shard, vertex owner) pair.
-func (f *Forest) pushFragments(newTours map[eulertour.TourID]bool, affectedComps map[int]bool) {
+// mark message-less affected vertices as singletons. Which tours are fresh
+// and which components are affected is what the preceding applyRelabels
+// left on the shards; each set is dropped by the step that reads it. The
+// (vertex, fragment) pairs travel as two-word frames of the batched message
+// codec: one packed buffer per (edge shard, vertex owner) pair.
+func (f *Forest) pushFragments() {
 	// Step 1: edge shards emit deduplicated (vertex, frag) pairs.
 	f.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
 		es := eShard(mm)
+		newTours := es.newTours
+		es.newTours = nil
 		byOwner := map[int]map[uint64]uint64{}
 		for _, te := range es.recs {
 			if !newTours[te.rec.Tour] {
@@ -1161,6 +1127,8 @@ func (f *Forest) pushFragments(newTours map[eulertour.TourID]bool, affectedComps
 		if vs == nil {
 			return nil
 		}
+		affectedComps := vs.affected
+		vs.affected = nil
 		for _, msg := range inbox {
 			b := msg.Payload.(*mpc.MessageBatch)
 			for pr := range b.Frames {
@@ -1219,7 +1187,7 @@ func (f *Forest) aggregateFragmentMins() map[uint64]int {
 	return out
 }
 
-// fragCompsPayload is the broadcast closing a Cut: the component id of every
+// fragCompsPayload is the Tell closing a Cut: the component id of every
 // fragment key, and the keys of the passive fragments riding along.
 type fragCompsPayload struct {
 	compByFrag map[uint64]int
@@ -1228,14 +1196,11 @@ type fragCompsPayload struct {
 
 func (p fragCompsPayload) Words() int { return 2*len(p.compByFrag) + len(p.passive) }
 
-// broadcastFragComps assigns comp[v] = compByFrag[frag[v]] on all shards and
+// tellFragComps assigns comp[v] = compByFrag[frag[v]] on all shards and
 // leaves the passive fragment keys with them.
-func (f *Forest) broadcastFragComps(compByFrag map[uint64]int, passive map[uint64]bool) {
+func (f *Forest) tellFragComps(compByFrag map[uint64]int, passive map[uint64]bool) {
 	f.invalidateCache()
-	f.broadcast(fragCompsPayload{compByFrag: compByFrag, passive: passive})
-	f.cl.LocalAll(func(mm *mpc.Machine) {
-		payload := mm.Get(slotBcast)
-		mm.Delete(slotBcast)
+	f.tell(fragCompsPayload{compByFrag: compByFrag, passive: passive}, func(mm *mpc.Machine, payload mpc.Sized) {
 		vs := vShard(mm)
 		if vs == nil {
 			return
@@ -1291,11 +1256,8 @@ func (f *Forest) HeaviestOnPaths(pairs [][2]int) (map[int]graph.WeightedEdge, er
 			idx: i, tour: su.Tour, fu: su.F, lu: su.L, fv: sv.F, lv: sv.L,
 		})
 	}
-	f.broadcast(q)
-	res := f.cl.AggregateBatches(f.coord,
-		func(mm *mpc.Machine) *mpc.MessageBatch {
-			payload := mm.Get(slotBcast)
-			mm.Delete(slotBcast)
+	res := f.ask(q,
+		func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 			es := eShard(mm)
 			query := payload.(pathQuery)
 			best := make([]graph.WeightedEdge, len(query.pairs))
@@ -1403,20 +1365,6 @@ func (f *Forest) SnapshotForest() []graph.WeightedEdge {
 	return out
 }
 
-// uniqueInts returns the sorted distinct values.
-func uniqueInts(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
-	out := make([]int, 0, len(xs))
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 func sortedKeys(m map[int]bool) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
@@ -1466,26 +1414,33 @@ func (f *Forest) ReportForest() []int {
 		b := mpc.AcquireMessageBatch()
 		b.Append(uint64(mm.ID), uint64(len(v)))
 		return b
-	}, mergeKeepFirst)
-	offsets := map[int]int{}
+	}, mpc.KeepFirst)
+	// offsets lists [machine, rank of its first key] pairs.
+	var offsets mpc.Ints
 	run := 0
 	if countsRes != nil {
 		for fr := range countsRes.Frames {
-			offsets[int(fr[0])] = run
+			offsets = append(offsets, int(fr[0]), run)
 			run += int(fr[1])
 		}
 		countsRes.Release()
 	}
-	f.broadcast(mpc.Value{V: offsets, N: 2 * len(offsets)})
+	// Every machine keeps the one offset that is its own, by machine id.
+	offsetOf := make([]int, f.cl.Machines())
+	f.tell(offsets, func(mm *mpc.Machine, msg mpc.Sized) {
+		for p := msg.(mpc.Ints); len(p) > 0; p = p[2:] {
+			if p[0] == mm.ID {
+				offsetOf[mm.ID] = p[1]
+			}
+		}
+	})
 	f.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
-		payload := mm.Get(slotBcast)
-		mm.Delete(slotBcast)
 		keys, ok := mm.Get(slotOut).(mpc.U64s)
 		if !ok {
 			return nil
 		}
 		mm.Delete(slotOut)
-		off := payload.(mpc.Value).V.(map[int]int)[mm.ID]
+		off := offsetOf[mm.ID]
 		byDest := map[int][]uint64{}
 		for i, k := range keys {
 			byDest[(off+i)/capacity] = append(byDest[(off+i)/capacity], k)
@@ -1513,24 +1468,4 @@ func (f *Forest) ReportForest() []int {
 		return nil
 	})
 	return final
-}
-
-// ConnectedMany answers a batch of connectivity queries in at most one
-// O(1/φ)-round collective (the query regime of Dhulipala et al. that the
-// maintained component ids make trivial); queries covered by the label
-// cache cost zero rounds. See query.go for the allocation-free variants.
-func (f *Forest) ConnectedMany(pairs [][2]int) []bool {
-	vertices := make([]int, 0, 2*len(pairs))
-	for _, p := range pairs {
-		vertices = append(vertices, p[0], p[1])
-	}
-	lc := &f.cache
-	lc.mu.Lock()
-	f.resolveLabelsLocked(vertices)
-	out := make([]bool, len(pairs))
-	for i, p := range pairs {
-		out[i] = lc.labels[p[0]] == lc.labels[p[1]]
-	}
-	lc.mu.Unlock()
-	return out
 }

@@ -1,12 +1,12 @@
 package core
 
 // The batched query engine. PR 3 made the update path allocation-free; this
-// file is the query-path counterpart: N point queries become one broadcast
-// plus one flat-frame aggregation (O(1/φ) rounds total instead of N
-// collectives), and the coordinator label cache answers repeated queries
-// between updates with zero MPC rounds. The Into variants write into
-// caller-provided buffers, so a warm steady-state query performs zero
-// allocations (see the AllocsPerRun gates in query_test.go).
+// file is the query-path counterpart: N point queries become one Ask
+// (O(1/φ) rounds total instead of N collectives), and the coordinator label
+// cache answers repeated queries between updates with zero MPC rounds. The
+// Into variants write into caller-provided buffers, so a warm steady-state
+// query performs zero allocations (see the AllocsPerRun gates in
+// query_test.go).
 //
 // # Concurrency contract (single writer, many readers)
 //
@@ -29,12 +29,96 @@ package core
 // instance — fails with a diagnostic "core: query vertex out of range"
 // panic instead of an index error deep inside the label cache.
 
+import "slices"
+
 // Pair is one connectivity query: "are U and V in the same component?".
 type Pair struct{ U, V int }
 
+// lockLabels makes the label cache cover vertices and the endpoints of
+// pairs (either may be nil) and returns holding the cache lock that keeps it
+// so: the read lock when everything was cached already (warm), the write
+// lock after stamping the misses and running the one cache-fill collective
+// otherwise. The caller reads lc.labels and then calls unlockLabels(warm).
+// This is the only place a query takes the cache lock.
+func (f *Forest) lockLabels(vertices []int, pairs []Pair) (warm bool) {
+	for _, v := range vertices {
+		f.checkQueryVertex(v)
+	}
+	for _, p := range pairs {
+		f.checkQueryVertex(p.U)
+		f.checkQueryVertex(p.V)
+	}
+	lc := &f.cache
+	lc.mu.RLock()
+	warm = true
+	for _, v := range vertices {
+		warm = warm && lc.stamp[v] == lc.epoch
+	}
+	for _, p := range pairs {
+		warm = warm && lc.stamp[p.U] == lc.epoch && lc.stamp[p.V] == lc.epoch
+	}
+	if warm {
+		return true
+	}
+	lc.mu.RUnlock()
+	lc.mu.Lock()
+	lc.miss = lc.miss[:0]
+	for _, v := range vertices {
+		lc.stampMiss(v)
+	}
+	for _, p := range pairs {
+		lc.stampMiss(p.U)
+		lc.stampMiss(p.V)
+	}
+	f.resolveMissesLocked()
+	return false
+}
+
+// stampMiss stages v on the miss list unless the cache holds it already.
+func (lc *labelCache) stampMiss(v int) {
+	if lc.stamp[v] != lc.epoch {
+		lc.stamp[v] = lc.epoch
+		lc.valid++
+		lc.miss = append(lc.miss, v)
+	}
+}
+
+// unlockLabels releases the lock lockLabels returned with.
+func (f *Forest) unlockLabels(warm bool) {
+	if warm {
+		f.cache.mu.RUnlock()
+	} else {
+		f.cache.mu.Unlock()
+	}
+}
+
+// countQuery books one query batch as answered warm (a hit) or by the
+// cache-fill collective (a miss).
+func (f *Forest) countQuery(warm bool) {
+	if warm {
+		f.cache.hits.Add(1)
+	} else {
+		f.cache.misses.Add(1)
+	}
+}
+
+// labelsInto appends the component label of every listed vertex to dst[:0],
+// aligned with the input, and reports whether the cache was warm. It is the
+// label lookup of the update path (Link, Cut, the replacement search), which
+// is not a query batch and books no hit or miss.
+func (f *Forest) labelsInto(dst []int, vertices []int) ([]int, bool) {
+	warm := f.lockLabels(vertices, nil)
+	dst = slices.Grow(dst[:0], len(vertices))
+	for _, v := range vertices {
+		dst = append(dst, f.cache.labels[v])
+	}
+	f.unlockLabels(warm)
+	return dst, warm
+}
+
 // ComponentsOf resolves the component label of every listed vertex,
-// aligned with the input. Cache misses cost one broadcast + one flat
-// aggregation for the whole batch; fully cached batches cost zero rounds.
+// aligned with the input. Cache misses cost one Ask for the whole batch;
+// fully cached batches cost zero rounds.
 func (f *Forest) ComponentsOf(vertices []int) []int {
 	return f.ComponentsOfInto(nil, vertices)
 }
@@ -43,36 +127,8 @@ func (f *Forest) ComponentsOf(vertices []int) []int {
 // when dst has capacity). Safe for concurrent readers; see the package
 // concurrency contract above.
 func (f *Forest) ComponentsOfInto(dst []int, vertices []int) []int {
-	for _, v := range vertices {
-		f.checkQueryVertex(v)
-	}
-	lc := &f.cache
-	lc.mu.RLock()
-	warm := true
-	for _, v := range vertices {
-		if lc.stamp[v] != lc.epoch {
-			warm = false
-			break
-		}
-	}
-	if warm {
-		dst = dst[:0]
-		for _, v := range vertices {
-			dst = append(dst, lc.labels[v])
-		}
-		lc.mu.RUnlock()
-		lc.hits.Add(1)
-		return dst
-	}
-	lc.mu.RUnlock()
-	lc.mu.Lock()
-	f.resolveLabelsLocked(vertices)
-	dst = dst[:0]
-	for _, v := range vertices {
-		dst = append(dst, lc.labels[v])
-	}
-	lc.mu.Unlock()
-	lc.misses.Add(1)
+	dst, warm := f.labelsInto(dst, vertices)
+	f.countQuery(warm)
 	return dst
 }
 
@@ -87,94 +143,26 @@ func (f *Forest) ConnectedAll(pairs []Pair) []bool {
 // when dst has capacity). Safe for concurrent readers; see the package
 // concurrency contract above.
 func (f *Forest) ConnectedAllInto(dst []bool, pairs []Pair) []bool {
+	warm := f.lockLabels(nil, pairs)
+	labels := f.cache.labels
+	dst = slices.Grow(dst[:0], len(pairs))
 	for _, p := range pairs {
-		f.checkQueryVertex(p.U)
-		f.checkQueryVertex(p.V)
+		dst = append(dst, labels[p.U] == labels[p.V])
 	}
-	lc := &f.cache
-	lc.mu.RLock()
-	warm := true
-	for _, p := range pairs {
-		if lc.stamp[p.U] != lc.epoch || lc.stamp[p.V] != lc.epoch {
-			warm = false
-			break
-		}
-	}
-	if warm {
-		dst = dst[:0]
-		for _, p := range pairs {
-			dst = append(dst, lc.labels[p.U] == lc.labels[p.V])
-		}
-		lc.mu.RUnlock()
-		lc.hits.Add(1)
-		return dst
-	}
-	lc.mu.RUnlock()
-	lc.mu.Lock()
-	f.resolvePairsLocked(pairs)
-	dst = dst[:0]
-	for _, p := range pairs {
-		dst = append(dst, lc.labels[p.U] == lc.labels[p.V])
-	}
-	lc.mu.Unlock()
-	lc.misses.Add(1)
+	f.unlockLabels(warm)
+	f.countQuery(warm)
 	return dst
 }
 
 // Connected answers one connectivity query (a batch of one: O(1/φ) rounds
 // on a cache miss, zero rounds when both endpoints are cached).
 func (f *Forest) Connected(u, v int) bool {
-	f.checkQueryVertex(u)
-	f.checkQueryVertex(v)
-	lc := &f.cache
-	lc.mu.RLock()
-	if lc.stamp[u] == lc.epoch && lc.stamp[v] == lc.epoch {
-		same := lc.labels[u] == lc.labels[v]
-		lc.mu.RUnlock()
-		lc.hits.Add(1)
-		return same
-	}
-	lc.mu.RUnlock()
-	lc.mu.Lock()
-	miss := lc.miss[:0]
-	if lc.stamp[u] != lc.epoch {
-		lc.stamp[u] = lc.epoch
-		lc.valid++
-		miss = append(miss, u)
-	}
-	if lc.stamp[v] != lc.epoch {
-		lc.stamp[v] = lc.epoch
-		lc.valid++
-		miss = append(miss, v)
-	}
-	lc.miss = miss
-	f.resolveMissesLocked()
-	same := lc.labels[u] == lc.labels[v]
-	lc.mu.Unlock()
-	lc.misses.Add(1)
+	pair := [1]Pair{{u, v}}
+	warm := f.lockLabels(nil, pair[:])
+	same := f.cache.labels[u] == f.cache.labels[v]
+	f.unlockLabels(warm)
+	f.countQuery(warm)
 	return same
-}
-
-// resolvePairsLocked is resolveLabelsLocked over pair endpoints without
-// materializing an endpoint slice: it stamps misses directly into the
-// cache's miss list. The caller must hold the cache write lock.
-func (f *Forest) resolvePairsLocked(pairs []Pair) {
-	lc := &f.cache
-	miss := lc.miss[:0]
-	for _, p := range pairs {
-		if lc.stamp[p.U] != lc.epoch {
-			lc.stamp[p.U] = lc.epoch
-			lc.valid++
-			miss = append(miss, p.U)
-		}
-		if lc.stamp[p.V] != lc.epoch {
-			lc.stamp[p.V] = lc.epoch
-			lc.valid++
-			miss = append(miss, p.V)
-		}
-	}
-	lc.miss = miss
-	f.resolveMissesLocked()
 }
 
 // --- DynamicConnectivity surface -----------------------------------------

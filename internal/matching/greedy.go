@@ -23,11 +23,8 @@ import (
 	"repro/internal/mpc"
 )
 
-// Store slots.
-const (
-	slotShard = "m"
-	slotBcast = "b"
-)
+// slotShard is the store slot of a machine's shard.
+const slotShard = "m"
 
 // greedyShard holds match pointers for one machine's vertex range.
 type greedyShard struct {
@@ -91,21 +88,20 @@ func (g *GreedyInsertOnly) Cluster() *mpc.Cluster { return g.cl }
 // Cap returns the matching-size cap c·n/α.
 func (g *GreedyInsertOnly) Cap() int { return g.cap }
 
-// edgesPayload broadcasts a batch of edges.
+// edgesPayload carries a batch of edges.
 type edgesPayload struct{ edges []graph.Edge }
 
 func (p edgesPayload) Words() int { return 2 * len(p.edges) }
 
 // InsertBatch processes a batch of insertions: if the matching is already
 // at its cap nothing happens; otherwise the endpoints' match status is
-// broadcast-queried, the coordinator extends the matching greedily, and the
+// asked for, the coordinator extends the matching greedily, and the
 // changes are scattered back. O(1) collective rounds.
 func (g *GreedyInsertOnly) InsertBatch(edges []graph.Edge) error {
 	if g.size >= g.cap || len(edges) == 0 {
 		return nil
 	}
-	g.cl.Broadcast(g.coord, slotBcast, edgesPayload{edges: edges})
-	status := g.queryStatus()
+	status := g.queryStatus(edges)
 	var newMatches []graph.Edge
 	for _, e := range edges {
 		if g.size+len(newMatches) >= g.cap {
@@ -152,14 +148,12 @@ func (g *GreedyInsertOnly) InsertBatch(edges []graph.Edge) error {
 	return nil
 }
 
-// queryStatus aggregates the match status of the broadcast edges'
-// endpoints as flat [vertex, match] frames (each vertex owned by exactly
-// one machine, so the sorted merge-join never combines).
-func (g *GreedyInsertOnly) queryStatus() map[int]int {
-	res := g.cl.AggregateBatches(g.coord,
-		func(mm *mpc.Machine) *mpc.MessageBatch {
-			payload := mm.Get(slotBcast)
-			mm.Delete(slotBcast)
+// queryStatus asks for the match status of the edges' endpoints, answered
+// in [vertex, match] frames (each vertex owned by exactly one machine, so
+// the sorted merge-join never combines).
+func (g *GreedyInsertOnly) queryStatus(edges []graph.Edge) map[int]int {
+	res := g.cl.Ask(g.coord, edgesPayload{edges: edges},
+		func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 			sh, ok := mm.Get(slotShard).(*greedyShard)
 			if !ok {
 				return nil
@@ -181,9 +175,7 @@ func (g *GreedyInsertOnly) queryStatus() map[int]int {
 				b.Append(uint64(v), uint64(int64(sh.match[v-sh.lo])))
 			}
 			return b
-		},
-		func(a, b *mpc.MessageBatch) *mpc.MessageBatch { return mpc.MergeSortedBatches(a, b, nil) },
-	)
+		}, mpc.KeepFirst)
 	out := map[int]int{}
 	if res != nil {
 		for f := range res.Frames {

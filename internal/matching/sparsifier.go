@@ -1,6 +1,9 @@
 package matching
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/hash"
 	"repro/internal/mpc"
@@ -10,6 +13,9 @@ import (
 
 // pairKey identifies one group pair of a sparsifier.
 type pairKey struct{ i, j int }
+
+// frameKey orders pairs (by i, then j) as the first word of a frame.
+func (p pairKey) frameKey() uint64 { return uint64(p.i)<<32 | uint64(p.j) }
 
 // pairState is one pair's ℓ0-sampler and its last reported outcome.
 type pairState struct {
@@ -31,8 +37,8 @@ func (s *sparsifierShard) Words() int { return len(s.pairs) * (s.perSk + 3) }
 // group pairs, one linear ℓ0-sampler per pair over the edge-id space, and a
 // batch-dynamic maximal matching (package nowickionak) maintained on the
 // graph H formed by the samplers' outcomes. Updating a batch costs O(1)
-// collective rounds (broadcast, local sampler updates, gather of outcome
-// diffs) plus the matcher's batch.
+// collective rounds (one Ask: local sampler updates, outcome diffs back)
+// plus the matcher's batch.
 type sparsifier struct {
 	n        int
 	cl       *mpc.Cluster
@@ -83,36 +89,24 @@ func newSparsifier(
 	return sp, nil
 }
 
-// batchPayload broadcasts an update batch.
+// batchPayload carries an update batch to the samplers.
 type batchPayload struct{ b graph.Batch }
 
 func (p batchPayload) Words() int { return 3 * len(p.b) }
 
-// outcomeDiff reports a changed sampler outcome.
-type outcomeDiff struct {
-	oldEdge graph.Edge
-	hadOld  bool
-	newEdge graph.Edge
-	hasNew  bool
-}
-
-type diffsPayload struct{ ds []outcomeDiff }
-
-func (p diffsPayload) Words() int { return 5 * len(p.ds) }
-
 // applyBatch updates the pair samplers, re-queries the touched ones, and
 // forwards the outcome changes to the maximal matching on H as deletions
-// plus insertions (the X and Y sets of Theorem 8.2's proof).
+// plus insertions (the X and Y sets of Theorem 8.2's proof). One Ask: every
+// shard applies the batch to its samplers and answers one
+// [pair, hadOld, old edge id, hasNew, new edge id] frame per pair whose
+// outcome changed, sorted by pair (a pair lives on one machine).
 func (sp *sparsifier) applyBatch(b graph.Batch) error {
-	sp.cl.Broadcast(sp.coord, slotBcast, batchPayload{b: b})
-	gathered := sp.cl.Gather(sp.coord, func(mm *mpc.Machine) mpc.Sized {
-		payload := mm.Get(slotBcast)
-		mm.Delete(slotBcast)
+	res := sp.cl.Ask(sp.coord, batchPayload{b: b}, func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 		sh, ok := mm.Get(slotShard).(*sparsifierShard)
 		if !ok {
 			return nil
 		}
-		touched := map[pairKey]bool{}
+		var touched []pairKey
 		for _, u := range payload.(batchPayload).b {
 			e := u.Edge.Canonical()
 			p, ok := sp.classify(e)
@@ -128,40 +122,43 @@ func (sp *sparsifier) applyBatch(b graph.Batch) error {
 				delta = -1
 			}
 			st.sk.Update(e.ID(sp.n), delta)
-			touched[p] = true
+			touched = append(touched, p)
 		}
-		var ds []outcomeDiff
-		for p := range touched {
+		slices.SortFunc(touched, func(a, b pairKey) int { return cmp.Compare(a.frameKey(), b.frameKey()) })
+		out := mpc.AcquireMessageBatch()
+		for _, p := range slices.Compact(touched) {
 			st := sh.pairs[p]
-			d := outcomeDiff{oldEdge: st.outcome, hadOld: st.has}
+			oldEdge, hadOld := st.outcome, st.has
 			if id, res := st.sk.QueryAny(0); res == sketch.Found {
-				st.outcome = graph.EdgeFromID(id, sp.n)
-				st.has = true
+				st.outcome, st.has = graph.EdgeFromID(id, sp.n), true
 			} else {
-				st.outcome = graph.Edge{}
-				st.has = false
+				st.outcome, st.has = graph.Edge{}, false
 			}
-			d.newEdge, d.hasNew = st.outcome, st.has
-			if d.hadOld == d.hasNew && d.oldEdge == d.newEdge {
+			if hadOld == st.has && oldEdge == st.outcome {
 				continue
 			}
-			ds = append(ds, d)
+			fr := out.Grow(5)
+			fr[0] = p.frameKey()
+			if hadOld {
+				fr[1], fr[2] = 1, oldEdge.ID(sp.n)
+			}
+			if st.has {
+				fr[3], fr[4] = 1, st.outcome.ID(sp.n)
+			}
 		}
-		if len(ds) == 0 {
-			return nil
-		}
-		return diffsPayload{ds: ds}
-	})
+		return out
+	}, mpc.KeepFirst)
 	var hBatch graph.Batch
-	for _, payload := range gathered {
-		for _, d := range payload.(diffsPayload).ds {
-			if d.hadOld {
-				hBatch = append(hBatch, graph.Update{Op: graph.Delete, Edge: d.oldEdge})
+	if res != nil {
+		for fr := range res.Frames {
+			if fr[1] == 1 {
+				hBatch = append(hBatch, graph.Update{Op: graph.Delete, Edge: graph.EdgeFromID(fr[2], sp.n)})
 			}
-			if d.hasNew {
-				hBatch = append(hBatch, graph.Update{Op: graph.Insert, Edge: d.newEdge})
+			if fr[3] == 1 {
+				hBatch = append(hBatch, graph.Update{Op: graph.Insert, Edge: graph.EdgeFromID(fr[4], sp.n)})
 			}
 		}
+		res.Release()
 	}
 	return sp.matcher.ApplyBatch(hBatch)
 }

@@ -1,18 +1,26 @@
 package mpc
 
-// Flat batched aggregation: the query-path counterpart of the MessageBatch
-// codec. Algorithms that previously funneled map[int]int partials (boxed in
-// Value payloads and merged with per-key map writes) through Aggregate now
-// contribute one label-sorted MessageBatch per machine; internal tree nodes
-// merge-join the sorted frames, and the coordinator decodes the final batch
-// in place. This is the packed-aggregation discipline of the constant-round
-// congested-clique MST line (Jurdziński–Nowicki; Nowicki): one buffer per
-// tree edge per round, no per-key heap objects.
+// Ask and Tell: the two ways a coordinator talks to the shards.
 //
-// The tree walk reuses cluster-owned state (the per-rank accumulator slots,
-// the per-machine one-message outboxes, and a dispatch closure built once at
-// NewCluster), so a steady-state AggregateBatches allocates nothing of its
-// own beyond the pooled batch buffers its combine function acquires.
+// Ask broadcasts a question, lets every machine answer with one MessageBatch
+// of key-sorted [key, ...] frames, and merge-joins the answers up the
+// aggregation tree — the packed-aggregation discipline of the constant-round
+// congested-clique MST line (Jurdziński–Nowicki; Nowicki): one buffer per
+// tree edge per round, no per-key heap objects. Tell broadcasts a message and
+// runs a callback on every machine between rounds.
+//
+// Drop on consume: the payload sits in every machine's store — metered like
+// any other state — from the round it arrives until the machine's callback
+// is handed it; the cluster removes it from the store at that moment, under
+// a slot name no algorithm sees, so no site can forget to and none holds the
+// payload as state afterwards. Broadcast and AggregateBatches are the
+// building blocks and stay exported for collectives that need only one half
+// (an aggregation with nothing to ask, a broadcast consumed by a Step).
+//
+// The tree walks reuse cluster-owned state (the per-rank accumulator slots,
+// the per-machine outboxes, and dispatch callbacks built once at
+// NewCluster), so a steady-state Ask or Tell allocates nothing of its own
+// beyond the pooled batch buffers the callbacks acquire.
 
 // BatchCombine merges two batches into one, returning the result. It runs at
 // internal nodes of the aggregation tree and must be associative up to the
@@ -71,8 +79,7 @@ func (c *Cluster) aggStep(m *Machine, inbox []Message) []Message {
 // tree nodes and at the destination, always with the lower-ranked
 // accumulator as its left operand. The fanout is sized for the largest
 // contribution, costing ceil(log_f M) rounds plus one delivery flush —
-// O(1/φ) rounds, exactly like Aggregate, but with packed frames instead of
-// boxed values.
+// O(1/φ) rounds.
 //
 // Ownership: contributed batches are consumed (combined batches are
 // typically released by combine); the returned batch belongs to the caller,
@@ -108,13 +115,74 @@ func (c *Cluster) AggregateBatches(to int, collect func(m *Machine) *MessageBatc
 	return res
 }
 
+// slotTold is the store slot a question or message occupies between its
+// broadcast and the callback that consumes it.
+const slotTold = "mpc.told"
+
+// toldState holds the callback of the Ask or Tell in progress, for the
+// once-built Cluster.runAnswer / Cluster.runTold.
+type toldState struct {
+	answer func(m *Machine, question Sized) *MessageBatch
+	apply  func(m *Machine, msg Sized)
+}
+
+// takeTold removes the broadcast payload from m's store and returns it.
+func takeTold(m *Machine) Sized {
+	p := m.Store[slotTold]
+	delete(m.Store, slotTold)
+	return p
+}
+
+func (c *Cluster) answerTold(m *Machine) *MessageBatch { return c.told.answer(m, takeTold(m)) }
+
+func (c *Cluster) applyTold(m *Machine) { c.told.apply(m, takeTold(m)) }
+
+// Ask broadcasts question from machine `from`, collects one answer batch
+// per machine and returns their tree-combined merge at `from` (nil when no
+// machine answered). answer runs on every machine, `from` included, in
+// ascending id on the calling goroutine, is handed the question (shared:
+// read-only) and returns frames sorted ascending by their first word, or nil
+// for "nothing to say"; combine merges two answers exactly as in
+// AggregateBatches, which also states the ownership of the batches. Rounds:
+// the broadcast's plus the aggregation's.
+//
+// Ask must not be called from inside an answer or apply callback.
+func (c *Cluster) Ask(from int, question Sized, answer func(m *Machine, question Sized) *MessageBatch, combine BatchCombine) *MessageBatch {
+	c.Broadcast(from, slotTold, question)
+	c.told.answer = answer
+	res := c.AggregateBatches(from, c.runAnswer, combine)
+	c.told.answer = nil
+	return res
+}
+
+// Tell broadcasts msg from machine `from` and then runs apply on every
+// machine, `from` included, without advancing the round (LocalAll: through
+// the executor, under the StepFunc concurrency contract). apply is handed
+// the message, which is shared and read-only. Rounds: the broadcast's.
+func (c *Cluster) Tell(from int, msg Sized, apply func(m *Machine, msg Sized)) {
+	c.Broadcast(from, slotTold, msg)
+	c.told.apply = apply
+	c.LocalAll(c.runTold)
+	c.told.apply = nil
+}
+
+// KeepFirst is the BatchCombine for answers whose keys each have one owner:
+// a merge-join in which colliding frames (there should be none) keep the
+// first-arriving one.
+func KeepFirst(a, b *MessageBatch) *MessageBatch { return MergeSortedBatches(a, b, nil) }
+
+// SumValues is the BatchCombine for [key, value] frames that adds the value
+// words of colliding keys.
+func SumValues(a, b *MessageBatch) *MessageBatch {
+	return MergeSortedBatches(a, b, func(dst, src []uint64) { dst[1] += src[1] })
+}
+
 // MergeSortedBatches merge-joins two batches whose frames are sorted
 // ascending by their first word (the key) into a fresh pooled batch:
 // distinct keys are copied through, equal keys are handed to combine, which
 // merges the src frame into the dst frame already copied into the output.
-// Both inputs are released; neither operand is mutated in place (the
-// left-operand aliasing hazard of the retired map merge cannot arise once
-// buffers are pooled). Pass a nil combine to keep the dst frame on key
+// Both inputs are released; neither operand is mutated in place, so pooled
+// buffers cannot alias. Pass a nil combine to keep the dst frame on key
 // collisions.
 func MergeSortedBatches(a, b *MessageBatch, combine func(dst, src []uint64)) *MessageBatch {
 	out := AcquireMessageBatch()

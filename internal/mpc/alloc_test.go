@@ -127,3 +127,46 @@ func TestAllocsExecutorRoundChurn32(t *testing.T) {
 		})
 	}
 }
+
+// wordsPayload is a question addressed through a pointer, so asking it again
+// does not re-box a slice header.
+type wordsPayload struct{ xs []uint64 }
+
+func (p *wordsPayload) Words() int { return len(p.xs) }
+
+// TestAllocsAskSteadyState: an Ask whose callbacks are built once — the
+// shape of core's label lookup — allocates nothing once the pooled batches
+// and the cluster's outboxes have grown: the broadcast tree, the answer
+// dispatch and the merge-join all run on cluster-owned scratch. Tell shares
+// the broadcast and the dispatch.
+func TestAllocsAskSteadyState(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) {
+			cl := mpc.NewCluster(mpc.Config{Machines: 9, LocalMemory: 64, Strict: true, Parallelism: p})
+			q := &wordsPayload{xs: []uint64{2, 3, 5, 7}}
+			answer := func(m *mpc.Machine, q mpc.Sized) *mpc.MessageBatch {
+				b := mpc.AcquireMessageBatch()
+				for _, k := range q.(*wordsPayload).xs {
+					if int(k)%3 == m.ID%3 {
+						b.Append(k, uint64(m.ID))
+					}
+				}
+				return b
+			}
+			var sink [9]uint64
+			apply := func(m *mpc.Machine, msg mpc.Sized) { sink[m.ID] += msg.(*wordsPayload).xs[0] }
+			run := func() {
+				if res := cl.Ask(8, q, answer, sumCombine); res != nil {
+					res.Release()
+				}
+				cl.Tell(8, q, apply)
+			}
+			for i := 0; i < 16; i++ {
+				run()
+			}
+			if n := testing.AllocsPerRun(100, run); n != 0 && !raceEnabled {
+				t.Fatalf("steady-state Ask + Tell allocate %.1f allocs/op, want 0", n)
+			}
+		})
+	}
+}

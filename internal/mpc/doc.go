@@ -8,10 +8,22 @@
 // cluster routes the messages, enforces the per-machine communication cap
 // (total words sent or received by one machine in one round must not exceed
 // its local memory s), and meters rounds, messages, words moved, and peak
-// memory. Algorithms are written against Step and against the collective
-// operations built on top of it (Broadcast, Gather, Aggregate, Exchange), so
-// their round counts are structural properties of the execution, not
-// estimates.
+// memory. Algorithms are written against Step and against the two verbs built
+// on top of it, so their round counts are structural properties of the
+// execution, not estimates:
+//
+//   - Ask(from, question, answer, combine) broadcasts the question, has every
+//     machine answer with one MessageBatch of key-sorted [key, ...] frames,
+//     and merge-joins the answers up an aggregation tree back to `from`;
+//   - Tell(from, msg, apply) broadcasts the message and runs apply on every
+//     machine between rounds.
+//
+// Drop on consume: the payload is in every machine's store, and metered
+// there, from the round it arrives until the machine's callback is handed
+// it; the cluster deletes it at that moment, under a slot name no algorithm
+// sees. Broadcast, AggregateBatches, Scatter and SortByKey are the building
+// blocks, exported for the few collectives that need only one half (see
+// aggregate.go).
 //
 // Memory is accounted in machine words: one vertex id, one tour index, or one
 // sketch cell each count as one word, matching the convention of the paper's

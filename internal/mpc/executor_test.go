@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 )
 
@@ -127,7 +126,7 @@ func runPanicRecoveryProgram(t *testing.T, parallelism int) (Stats, string) {
 	// Round A: every machine sends two messages.
 	c.Step(func(m *Machine, inbox []Message) []Message {
 		return []Message{
-			{To: (m.ID + 1) % M, Payload: Word(uint64(m.ID))},
+			{To: (m.ID + 1) % M, Payload: word(uint64(m.ID))},
 			{To: (m.ID + 5) % M, Payload: U64s{uint64(m.ID), uint64(m.ID)}},
 		}
 	})
@@ -142,8 +141,8 @@ func runPanicRecoveryProgram(t *testing.T, parallelism int) (Stats, string) {
 			if m.ID == bomb {
 				panic(fmt.Sprintf("boom-%d", m.ID))
 			}
-			m.Set("scratch", Word(uint64(m.ID)))
-			return []Message{{To: 0, Payload: Word(1)}}
+			m.Set("scratch", word(uint64(m.ID)))
+			return []Message{{To: 0, Payload: word(1)}}
 		})
 	}()
 	if panicked != fmt.Sprintf("boom-%d", bomb) {
@@ -219,7 +218,7 @@ func runEngineProgram(parallelism int) (Stats, string) {
 			out = append(out, Message{To: (m.ID + k*k) % M, Payload: U64s(make([]uint64, k))})
 		}
 		if m.ID == 5 {
-			out = append(out, Message{To: M + 40, Payload: Word(1)})
+			out = append(out, Message{To: M + 40, Payload: word(1)})
 		}
 		if m.ID == 6 {
 			out = append(out, Message{To: 7, Payload: U64s(make([]uint64, 100))})
@@ -236,22 +235,25 @@ func runEngineProgram(parallelism int) (Stats, string) {
 	})
 	// Collectives on top of the same engine.
 	c.Broadcast(3, "bc", U64s{1, 2, 3})
-	sum := c.Aggregate(0,
-		func(m *Machine) Sized { return Word(uint64(m.ID)) },
-		func(a, b Sized) Sized { return Word(uint64(a.(Word)) + uint64(b.(Word))) },
-	)
-	gathered := c.Gather(1, func(m *Machine) Sized {
-		if m.ID%3 == 0 {
-			return Word(uint64(m.ID * 11))
-		}
-		return nil
+	sum := c.Ask(0, U64s{1},
+		func(m *Machine, q Sized) *MessageBatch {
+			b := AcquireMessageBatch()
+			b.Append(0, q.(U64s)[0]*uint64(m.ID))
+			return b
+		}, SumValues)
+	c.Tell(2, U64s{4, 5}, func(m *Machine, msg Sized) {
+		m.Set("told", U64s(make([]uint64, len(msg.(U64s))+m.ID%2)))
 	})
-	srcs := make([]int, 0, len(gathered))
-	for src := range gathered {
-		srcs = append(srcs, src)
-	}
-	sort.Ints(srcs)
-	digest := fmt.Sprintf("sum=%d gathered=%v\n", uint64(sum.(Word)), srcs)
+	gathered := c.Ask(1, word(11),
+		func(m *Machine, q Sized) *MessageBatch {
+			if m.ID%3 != 0 {
+				return nil
+			}
+			b := AcquireMessageBatch()
+			b.Append(uint64(m.ID), uint64(m.ID)*uint64(q.(word)))
+			return b
+		}, KeepFirst)
+	digest := fmt.Sprintf("sum=%v gathered=%v\n", sum.Raw(), gathered.Raw())
 	for i := 0; i < M; i++ {
 		digest += fmt.Sprintf("m%d: state=%d delivered=%v\n", i, c.Machine(i).StateWords(), delivered[i])
 	}

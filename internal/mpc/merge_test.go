@@ -34,7 +34,7 @@ func runSkewedTrafficProgram(parallelism, machines int) (Stats, string) {
 				digests[m.ID] += fmt.Sprintf("(r%d f%d w%d)", round, msg.From, msg.Payload.Words())
 			}
 			h := mix(uint64(round)*1e9 + uint64(m.ID))
-			out := []Message{{To: 0, Payload: Word(h)}} // hot destination
+			out := []Message{{To: 0, Payload: word(h)}} // hot destination
 			for k := 0; k < int(h%5); k++ {
 				h = mix(h)
 				sz := 1 + int(h%4)
@@ -93,7 +93,7 @@ func runStrictMidMergeProgram(t *testing.T, parallelism int) (string, string) {
 	const M = 41
 	c := NewCluster(Config{Machines: M, LocalMemory: 16, Strict: true, Parallelism: parallelism})
 	c.Step(func(m *Machine, inbox []Message) []Message {
-		return []Message{{To: (m.ID + 3) % M, Payload: Word(uint64(m.ID))}}
+		return []Message{{To: (m.ID + 3) % M, Payload: word(uint64(m.ID))}}
 	})
 	var panicked any
 	func() {
@@ -104,7 +104,7 @@ func runStrictMidMergeProgram(t *testing.T, parallelism int) (string, string) {
 				// fold's cap check panics mid-round.
 				return []Message{{To: 12, Payload: U64s(make([]uint64, 20))}}
 			}
-			return []Message{{To: (m.ID + 1) % M, Payload: Word(2)}}
+			return []Message{{To: (m.ID + 1) % M, Payload: word(2)}}
 		})
 	}()
 	if panicked == nil {
@@ -114,7 +114,7 @@ func runStrictMidMergeProgram(t *testing.T, parallelism int) (string, string) {
 	digest := ""
 	c.Step(func(m *Machine, inbox []Message) []Message {
 		if m.ID%2 == 0 {
-			return []Message{{To: (m.ID + 2) % M, Payload: Word(9)}}
+			return []Message{{To: (m.ID + 2) % M, Payload: word(9)}}
 		}
 		return nil
 	})

@@ -1,9 +1,6 @@
 package mpc
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Sized is implemented by any value whose size in machine words is known.
 // All message payloads and all machine-store values must be Sized so the
@@ -23,22 +20,6 @@ type Ints []int
 
 // Words implements Sized.
 func (i Ints) Words() int { return len(i) }
-
-// Word is a single-word payload.
-type Word uint64
-
-// Words implements Sized.
-func (Word) Words() int { return 1 }
-
-// Value wraps an arbitrary value with an explicitly declared word size. Use
-// it for structured payloads whose size the caller has computed.
-type Value struct {
-	V any
-	N int
-}
-
-// Words implements Sized.
-func (v Value) Words() int { return v.N }
 
 // Message is a point-to-point message delivered at the start of the next
 // round.
@@ -173,10 +154,17 @@ type Cluster struct {
 	runMeter func(i int)
 	runMerge func(s int)
 
-	// agg is the reusable scratch of AggregateBatches and runAgg its
-	// once-built per-round callback (see aggregate.go).
-	agg    aggState
-	runAgg StepFunc
+	// bc and agg are the reusable scratch of Broadcast and AggregateBatches,
+	// runBcast and runAgg their once-built per-round callbacks; told holds
+	// the callback of the Ask or Tell in progress for the once-built
+	// runAnswer / runTold (see aggregate.go).
+	bc        bcastState
+	runBcast  StepFunc
+	agg       aggState
+	runAgg    StepFunc
+	told      toldState
+	runAnswer func(m *Machine) *MessageBatch
+	runTold   func(m *Machine)
 }
 
 // NewCluster returns a cluster with the given configuration.
@@ -240,6 +228,10 @@ func NewCluster(cfg Config) *Cluster {
 		c.agg.outs[i] = make([]Message, 0, 1)
 	}
 	c.runAgg = c.aggStep
+	c.bc.outs = make([][]Message, cfg.Machines)
+	c.runBcast = c.bcastStep
+	c.runAnswer = c.answerTold
+	c.runTold = c.applyTold
 	return c
 }
 
@@ -542,233 +534,73 @@ func treeDepth(m, f int) int {
 	return depth
 }
 
-// Broadcast delivers payload from machine `from` to every machine via a
-// fanout tree, storing it on arrival under store slot `slot`. It costs
-// ceil(log_f M) rounds where f = s / payload words. The payload value is
-// shared (not copied); receivers must treat it as read-only.
-func (c *Cluster) Broadcast(from int, slot string, payload Sized) {
-	w := payload.Words()
-	f := c.fanout(w)
-	c.machines[from].Set(slot, payload)
-	// covered[i] reports whether machine i holds the payload already. We
-	// relabel machines so that the source is rank 0 of a contiguous tree.
-	M := c.cfg.Machines
-	rank := func(id int) int { return (id - from + M) % M }
-	unrank := func(r int) int { return (r + from) % M }
-	depth := treeDepth(M, f)
-	frontier := 1 // ranks [0, frontier) hold the payload
-	for d := 0; d < depth; d++ {
-		fr := frontier
-		c.Step(func(m *Machine, inbox []Message) []Message {
-			for _, msg := range inbox {
-				m.Set(slot, msg.Payload)
-			}
-			r := rank(m.ID)
-			if r >= fr {
-				return nil
-			}
-			var out []Message
-			for ch := 1; ch <= f-1; ch++ {
-				cr := r + ch*fr
-				if cr >= M {
-					break
-				}
-				out = append(out, Message{To: unrank(cr), Payload: payload})
-			}
-			return out
-		})
-		frontier *= f
-		if frontier >= M {
-			// All machines receive in the round that just executed only if
-			// they were targeted; one more delivery round may still be
-			// pending in inboxes. Deliver it.
-			if d == depth-1 {
-				break
-			}
-		}
-	}
-	// Flush any in-flight deliveries from the last round.
-	c.flushDeliveries(slot)
+// bcastState is the reusable scratch of Broadcast, owned by the cluster:
+// one outbox per machine plus the parameters of the call in progress for the
+// once-built dispatch callback (Cluster.runBcast).
+type bcastState struct {
+	outs     [][]Message
+	from     int
+	slot     string
+	payload  Sized
+	frontier int // ranks [0, frontier) hold the payload; 0 marks the delivery flush
+	fanout   int
 }
 
-// flushDeliveries runs a zero-send step if any inbox is non-empty so that
-// pending payloads land in stores.
-func (c *Cluster) flushDeliveries(slot string) {
-	pending := false
-	for _, in := range c.inboxes {
-		if len(in) > 0 {
-			pending = true
+// bcastStep is the per-round callback of Broadcast: store what arrived, and
+// if this machine's rank is inside the frontier, serve its fanout-1 children.
+// Machines are ranked so that the source is rank 0 of a contiguous tree.
+func (c *Cluster) bcastStep(m *Machine, inbox []Message) []Message {
+	bc := &c.bc
+	for _, msg := range inbox {
+		m.Set(bc.slot, msg.Payload)
+	}
+	M := c.cfg.Machines
+	r := (m.ID - bc.from + M) % M
+	if r >= bc.frontier {
+		return nil
+	}
+	out := bc.outs[m.ID][:0]
+	for ch := 1; ch < bc.fanout; ch++ {
+		cr := r + ch*bc.frontier
+		if cr >= M {
 			break
 		}
+		out = append(out, Message{To: (cr + bc.from) % M, Payload: bc.payload})
 	}
-	if !pending {
-		return
-	}
-	c.Step(func(m *Machine, inbox []Message) []Message {
-		for _, msg := range inbox {
-			m.Set(slot, msg.Payload)
-		}
-		return nil
-	})
-}
-
-// Gather collects one payload from every machine onto machine `to` and
-// returns them indexed by source machine. Payloads are funneled through an
-// aggregation tree whose fanout is sized for the total volume, costing
-// ceil(log_f M) rounds. The caller is responsible for the total volume
-// fitting in the destination's memory; the cluster meters violations.
-// Machines whose collect returns nil contribute nothing.
-func (c *Cluster) Gather(to int, collect func(m *Machine) Sized) map[int]Sized {
-	type item struct {
-		src     int
-		payload Sized
-	}
-	M := c.cfg.Machines
-	// held[i] = items currently buffered at machine with rank i.
-	rank := func(id int) int { return (id - to + M) % M }
-	unrank := func(r int) int { return (r + to) % M }
-	held := make([][]item, M)
-	maxW := 1
-	for _, m := range c.machines {
-		if p := collect(m); p != nil {
-			held[rank(m.ID)] = append(held[rank(m.ID)], item{src: m.ID, payload: p})
-			if w := p.Words(); w > maxW {
-				maxW = w
-			}
-		}
-	}
-	f := c.fanout(maxW * 2)
-	depth := treeDepth(M, f)
-	groupSize := 1
-	for d := 0; d < depth; d++ {
-		gs := groupSize
-		c.Step(func(m *Machine, inbox []Message) []Message {
-			r := rank(m.ID)
-			for _, msg := range inbox {
-				it := msg.Payload.(Value).V.(item)
-				held[r] = append(held[r], it)
-			}
-			if r == 0 || r%(gs*f) == 0 || r%gs != 0 {
-				return nil
-			}
-			parent := unrank(r - r%(gs*f))
-			var out []Message
-			for _, it := range held[r] {
-				out = append(out, Message{To: parent, Payload: Value{V: it, N: it.payload.Words()}})
-			}
-			held[r] = nil
-			return out
-		})
-		groupSize *= f
-	}
-	// Final delivery flush.
-	c.Step(func(m *Machine, inbox []Message) []Message {
-		r := rank(m.ID)
-		for _, msg := range inbox {
-			it := msg.Payload.(Value).V.(item)
-			held[r] = append(held[r], it)
-		}
-		return nil
-	})
-	out := make(map[int]Sized, len(held[0]))
-	for _, it := range held[0] {
-		out[it.src] = it.payload
-	}
+	bc.outs[m.ID] = out
 	return out
 }
 
-// Aggregate tree-combines one Sized item per machine into a single item at
-// machine `to` and returns it. combine must be associative; items are
-// combined eagerly at internal tree nodes so per-round traffic stays at one
-// item per edge of the tree. Machines may contribute nil to mean "no item".
-func (c *Cluster) Aggregate(to int, collect func(m *Machine) Sized, combine func(a, b Sized) Sized) Sized {
-	M := c.cfg.Machines
-	rank := func(id int) int { return (id - to + M) % M }
-	unrank := func(r int) int { return (r + to) % M }
-	acc := make([]Sized, M)
-	maxW := 1
-	for _, m := range c.machines {
-		p := collect(m)
-		acc[rank(m.ID)] = p
-		if p != nil && p.Words() > maxW {
-			maxW = p.Words()
+// Broadcast delivers payload from machine `from` to every machine via a
+// fanout tree, storing it on arrival under store slot `slot`. It costs
+// ceil(log_f M) rounds where f = s / payload words, plus one delivery flush
+// when the last round sent anything. The payload value is shared (not
+// copied); receivers must treat it as read-only. A steady-state Broadcast
+// allocates nothing.
+func (c *Cluster) Broadcast(from int, slot string, payload Sized) {
+	bc := &c.bc
+	bc.from, bc.slot, bc.payload = from, slot, payload
+	bc.fanout = c.fanout(payload.Words())
+	c.machines[from].Set(slot, payload)
+	bc.frontier = 1
+	for d := treeDepth(c.cfg.Machines, bc.fanout); d > 0; d-- {
+		c.Step(c.runBcast)
+		bc.frontier *= bc.fanout
+	}
+	// Land the deliveries of the last round, if it made any.
+	bc.frontier = 0
+	for _, in := range c.inboxes {
+		if len(in) > 0 {
+			c.Step(c.runBcast)
+			break
 		}
 	}
-	f := c.fanout(maxW)
-	depth := treeDepth(M, f)
-	groupSize := 1
-	for d := 0; d < depth; d++ {
-		gs := groupSize
-		c.Step(func(m *Machine, inbox []Message) []Message {
-			r := rank(m.ID)
-			for _, msg := range inbox {
-				p := msg.Payload
-				if acc[r] == nil {
-					acc[r] = p
-				} else {
-					acc[r] = combine(acc[r], p)
-				}
-			}
-			if r%gs != 0 || r%(gs*f) == 0 {
-				return nil
-			}
-			if acc[r] == nil {
-				return nil
-			}
-			parent := unrank(r - r%(gs*f))
-			p := acc[r]
-			acc[r] = nil
-			return []Message{{To: parent, Payload: p}}
-		})
-		groupSize *= f
-	}
-	c.Step(func(m *Machine, inbox []Message) []Message {
-		r := rank(m.ID)
-		for _, msg := range inbox {
-			if acc[r] == nil {
-				acc[r] = msg.Payload
-			} else {
-				acc[r] = combine(acc[r], msg.Payload)
-			}
-		}
-		return nil
-	})
-	return acc[0]
+	bc.payload = nil
 }
 
-// Exchange performs a request/response lookup: produce emits request
-// messages from each machine, serve answers each delivered request with an
-// optional response, and receive consumes the responses. It costs exactly
-// three rounds (send, serve, deliver) and is the building block for
-// distributed lookups.
-func (c *Cluster) Exchange(
-	produce func(m *Machine) []Message,
-	serve func(m *Machine, req Message) *Message,
-	receive func(m *Machine, resp Message),
-) {
-	c.Step(func(m *Machine, inbox []Message) []Message {
-		return produce(m)
-	})
-	c.Step(func(m *Machine, inbox []Message) []Message {
-		var out []Message
-		for _, req := range inbox {
-			if resp := serve(m, req); resp != nil {
-				out = append(out, *resp)
-			}
-		}
-		return out
-	})
-	c.Step(func(m *Machine, inbox []Message) []Message {
-		for _, resp := range inbox {
-			receive(m, resp)
-		}
-		return nil
-	})
-}
-
-// Scatter delivers messages produced at a single machine in one round. It is
-// the inverse of Gather for small keyed payloads: the coordinator addresses
-// each machine directly. Costs one round plus one delivery round.
+// Scatter delivers messages produced at a single machine in one round: the
+// coordinator addresses each machine directly with a small keyed payload.
+// Costs one round plus one delivery round.
 func (c *Cluster) Scatter(from int, produce func(m *Machine) []Message, receive func(m *Machine, msg Message)) {
 	c.Step(func(m *Machine, inbox []Message) []Message {
 		if m.ID != from {
@@ -818,15 +650,4 @@ func (p Partition) Range(id int) (lo, hi int) {
 		lo = p.N
 	}
 	return lo, hi
-}
-
-// SortedMachineIDs returns 0..M-1; convenient for deterministic iteration in
-// tests and examples.
-func (c *Cluster) SortedMachineIDs() []int {
-	ids := make([]int, c.cfg.Machines)
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Ints(ids)
-	return ids
 }

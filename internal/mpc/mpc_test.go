@@ -1,11 +1,15 @@
 package mpc
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// word is a one-word test payload.
+type word uint64
+
+func (word) Words() int { return 1 }
 
 func newTestCluster(machines, mem int) *Cluster {
 	return NewCluster(Config{Machines: machines, LocalMemory: mem, Strict: false})
@@ -36,7 +40,7 @@ func TestStepDeliversMessages(t *testing.T) {
 		}
 		var out []Message
 		for to := 1; to < 4; to++ {
-			out = append(out, Message{To: to, Payload: Word(42)})
+			out = append(out, Message{To: to, Payload: word(42)})
 		}
 		return out
 	})
@@ -47,7 +51,7 @@ func TestStepDeliversMessages(t *testing.T) {
 			if msg.From != 0 {
 				t.Errorf("machine %d got message from %d, want 0", m.ID, msg.From)
 			}
-			got[m.ID] = uint64(msg.Payload.(Word))
+			got[m.ID] = uint64(msg.Payload.(word))
 		}
 		return nil
 	})
@@ -75,7 +79,7 @@ func TestStepEnforcesReceiveCap(t *testing.T) {
 		if m.ID == 0 {
 			return nil
 		}
-		return []Message{{To: 0, Payload: Word(1)}}
+		return []Message{{To: 0, Payload: word(1)}}
 	})
 	if len(c.Stats().Violations) == 0 {
 		t.Error("receive-cap violation not recorded")
@@ -119,7 +123,7 @@ func TestInvalidDestination(t *testing.T) {
 		if m.ID != 0 {
 			return nil
 		}
-		return []Message{{To: 99, Payload: Word(1)}}
+		return []Message{{To: 99, Payload: word(1)}}
 	})
 	if len(c.Stats().Violations) == 0 {
 		t.Error("invalid destination not recorded")
@@ -152,7 +156,7 @@ func TestMachineStore(t *testing.T) {
 	if m.Get("x") != nil {
 		t.Error("Get on empty store non-nil")
 	}
-	m.Set("x", Word(1))
+	m.Set("x", word(1))
 	if m.Get("x") == nil || m.StateWords() != 1 {
 		t.Error("Set/Get/StateWords broken")
 	}
@@ -187,118 +191,9 @@ func TestBroadcastRoundsLogarithmic(t *testing.T) {
 	// With payload of w words and memory s, fanout is s/w; 64 machines with
 	// fanout 8 must finish within 3 rounds of sending plus one flush.
 	c := newTestCluster(64, 8)
-	c.Broadcast(0, "bc", Word(5))
+	c.Broadcast(0, "bc", word(5))
 	if r := c.Stats().Rounds; r > 4 {
 		t.Errorf("broadcast of 1 word to 64 machines with s=8 took %d rounds", r)
-	}
-}
-
-func TestGatherCollectsAll(t *testing.T) {
-	for _, M := range []int{1, 2, 5, 16} {
-		c := newTestCluster(M, 1000)
-		got := c.Gather(0, func(m *Machine) Sized {
-			return U64s{uint64(m.ID * 10)}
-		})
-		if len(got) != M {
-			t.Fatalf("M=%d: gathered %d items", M, len(got))
-		}
-		for src, p := range got {
-			if u := p.(U64s); u[0] != uint64(src*10) {
-				t.Errorf("M=%d: item from %d = %v", M, src, u)
-			}
-		}
-		if v := c.Stats().Violations; len(v) != 0 {
-			t.Fatalf("M=%d: violations %v", M, v)
-		}
-	}
-}
-
-func TestGatherSkipsNil(t *testing.T) {
-	c := newTestCluster(8, 1000)
-	got := c.Gather(2, func(m *Machine) Sized {
-		if m.ID%2 == 0 {
-			return Word(uint64(m.ID))
-		}
-		return nil
-	})
-	if len(got) != 4 {
-		t.Errorf("gathered %d items, want 4", len(got))
-	}
-	if _, ok := got[1]; ok {
-		t.Error("gathered item from machine that returned nil")
-	}
-}
-
-func TestAggregateSums(t *testing.T) {
-	for _, M := range []int{1, 2, 7, 32} {
-		c := newTestCluster(M, 100)
-		res := c.Aggregate(0,
-			func(m *Machine) Sized { return Word(uint64(m.ID)) },
-			func(a, b Sized) Sized { return Word(uint64(a.(Word)) + uint64(b.(Word))) },
-		)
-		want := uint64(M * (M - 1) / 2)
-		if uint64(res.(Word)) != want {
-			t.Errorf("M=%d: aggregate = %d, want %d", M, res, want)
-		}
-		if v := c.Stats().Violations; len(v) != 0 {
-			t.Fatalf("M=%d: violations %v", M, v)
-		}
-	}
-}
-
-func TestAggregateWithNilContributions(t *testing.T) {
-	c := newTestCluster(9, 100)
-	res := c.Aggregate(4,
-		func(m *Machine) Sized {
-			if m.ID == 3 {
-				return Word(11)
-			}
-			return nil
-		},
-		func(a, b Sized) Sized { return Word(uint64(a.(Word)) + uint64(b.(Word))) },
-	)
-	if uint64(res.(Word)) != 11 {
-		t.Errorf("aggregate = %v, want 11", res)
-	}
-}
-
-func TestAggregateToNonZeroMachine(t *testing.T) {
-	c := newTestCluster(6, 100)
-	res := c.Aggregate(5,
-		func(m *Machine) Sized { return Word(1) },
-		func(a, b Sized) Sized { return Word(uint64(a.(Word)) + uint64(b.(Word))) },
-	)
-	if uint64(res.(Word)) != 6 {
-		t.Errorf("aggregate = %v, want 6", res)
-	}
-}
-
-func TestExchangeLookup(t *testing.T) {
-	// Machines 1..3 ask machine 0 for the square of their ID.
-	c := newTestCluster(4, 100)
-	answers := make(map[int]uint64)
-	c.Exchange(
-		func(m *Machine) []Message {
-			if m.ID == 0 {
-				return nil
-			}
-			return []Message{{To: 0, Payload: Word(uint64(m.ID))}}
-		},
-		func(m *Machine, req Message) *Message {
-			x := uint64(req.Payload.(Word))
-			return &Message{To: req.From, Payload: Word(x * x)}
-		},
-		func(m *Machine, resp Message) {
-			answers[m.ID] = uint64(resp.Payload.(Word))
-		},
-	)
-	for id := 1; id < 4; id++ {
-		if answers[id] != uint64(id*id) {
-			t.Errorf("machine %d got %d, want %d", id, answers[id], id*id)
-		}
-	}
-	if r := c.Stats().Rounds; r != 3 {
-		t.Errorf("Exchange took %d rounds, want 3", r)
 	}
 }
 
@@ -309,12 +204,12 @@ func TestScatter(t *testing.T) {
 		func(m *Machine) []Message {
 			var out []Message
 			for to := 0; to < 5; to++ {
-				out = append(out, Message{To: to, Payload: Word(uint64(to + 100))})
+				out = append(out, Message{To: to, Payload: word(uint64(to + 100))})
 			}
 			return out
 		},
 		func(m *Machine, msg Message) {
-			got[m.ID] = uint64(msg.Payload.(Word))
+			got[m.ID] = uint64(msg.Payload.(word))
 		},
 	)
 	for i := 0; i < 5; i++ {
@@ -418,21 +313,8 @@ func TestSizedImplementations(t *testing.T) {
 	if (Ints{1, 2}).Words() != 2 {
 		t.Error("Ints.Words")
 	}
-	if Word(9).Words() != 1 {
-		t.Error("Word.Words")
-	}
-	if (Value{V: "x", N: 5}).Words() != 5 {
-		t.Error("Value.Words")
-	}
-}
-
-func TestSortedMachineIDs(t *testing.T) {
-	c := newTestCluster(4, 10)
-	ids := c.SortedMachineIDs()
-	for i, id := range ids {
-		if id != i {
-			t.Fatalf("ids = %v", ids)
-		}
+	if (keyRun{keys: []uint64{1, 2}, itemWords: 3}).Words() != 6 {
+		t.Error("keyRun.Words")
 	}
 }
 
@@ -458,30 +340,6 @@ func TestBroadcastManyConfigsProperty(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestGatherLargeFanIn(t *testing.T) {
-	// 27 machines each contribute 2 words (54 words total, within the
-	// 64-word cap of the destination). All items must arrive without cap
-	// violations.
-	c := newTestCluster(27, 64)
-	got := c.Gather(0, func(m *Machine) Sized { return U64s{uint64(m.ID), uint64(m.ID)} })
-	if len(got) != 27 {
-		t.Fatalf("gathered %d items, want 27", len(got))
-	}
-	if v := c.Stats().Violations; len(v) != 0 {
-		t.Fatalf("violations: %v", v)
-	}
-}
-
-func ExampleCluster_Aggregate() {
-	c := NewCluster(Config{Machines: 4, LocalMemory: 16})
-	sum := c.Aggregate(0,
-		func(m *Machine) Sized { return Word(uint64(m.ID + 1)) },
-		func(a, b Sized) Sized { return Word(uint64(a.(Word)) + uint64(b.(Word))) },
-	)
-	fmt.Println(uint64(sum.(Word)))
-	// Output: 10
 }
 
 func TestQuickPartitionInvariants(t *testing.T) {
@@ -545,7 +403,7 @@ func TestStrictPanicRecoveryDoesNotReplayMessages(t *testing.T) {
 	var got [][]int
 	c.Step(func(m *Machine, inbox []Message) []Message {
 		if m.ID == 2 {
-			return []Message{{To: 1, Payload: Word(7)}}
+			return []Message{{To: 1, Payload: word(7)}}
 		}
 		return nil
 	})

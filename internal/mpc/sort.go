@@ -2,6 +2,16 @@ package mpc
 
 import "sort"
 
+// keyRun is the routed payload of round 3: a run of keys, each standing for
+// an item of itemWords words.
+type keyRun struct {
+	keys      []uint64
+	itemWords int
+}
+
+// Words implements Sized.
+func (r keyRun) Words() int { return len(r.keys) * r.itemWords }
+
 // SortByKey redistributes keyed items across machines so that afterwards
 // machine 0 holds the smallest keys, machine 1 the next range, and so on,
 // with every machine's items locally sorted. It is a sample sort in the
@@ -95,14 +105,14 @@ func (c *Cluster) SortByKey(
 		}
 		var out []Message
 		for d, ks := range byDest {
-			out = append(out, Message{To: d, Payload: Value{V: ks, N: len(ks) * itemWords}})
+			out = append(out, Message{To: d, Payload: keyRun{keys: ks, itemWords: itemWords}})
 		}
 		return out
 	})
 	// Round 4: deliver, locally sort, hand back.
 	c.Step(func(m *Machine, inbox []Message) []Message {
 		for _, msg := range inbox {
-			received[m.ID] = append(received[m.ID], msg.Payload.(Value).V.([]uint64)...)
+			received[m.ID] = append(received[m.ID], msg.Payload.(keyRun).keys...)
 		}
 		sort.Slice(received[m.ID], func(i, j int) bool { return received[m.ID][i] < received[m.ID][j] })
 		return nil

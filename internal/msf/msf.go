@@ -82,15 +82,11 @@ func (m *ExactMSF) InsertBatch(edges []graph.WeightedEdge) error {
 	for i, e := range edges {
 		pending[i] = graph.WeightedEdge{Edge: e.Edge.Canonical(), Weight: e.Weight}
 	}
+	var endpoints, labels []int
 	for iter := 0; len(pending) > 0; iter++ {
 		if iter > 4*len(edges)+8 {
 			return fmt.Errorf("msf: exchange did not converge after %d waves", iter)
 		}
-		var endpoints []int
-		for _, e := range pending {
-			endpoints = append(endpoints, e.U, e.V)
-		}
-		labels := m.f.Components(endpoints)
 		// Kruskal over components: lightest edges that merge distinct
 		// components are linked; the rest stay pending.
 		sort.Slice(pending, func(i, j int) bool {
@@ -102,28 +98,26 @@ func (m *ExactMSF) InsertBatch(edges []graph.WeightedEdge) error {
 			}
 			return pending[i].V < pending[j].V
 		})
-		parent := map[int]int{}
-		var find func(int) int
-		find = func(x int) int {
-			if p, ok := parent[x]; ok && p != x {
-				r := find(p)
-				parent[x] = r
-				return r
-			}
-			return x
-		}
-		var link []graph.WeightedEdge
-		var intra []graph.WeightedEdge
+		endpoints = endpoints[:0]
 		for _, e := range pending {
-			ra, rb := find(labels[e.U]), find(labels[e.V])
-			if ra != rb {
-				if rb < ra {
-					ra, rb = rb, ra
-				}
-				parent[rb] = ra
+			endpoints = append(endpoints, e.U, e.V)
+		}
+		// labels[2i] and labels[2i+1] are the components of pending[i].
+		labels = m.f.ComponentsOfInto(labels, endpoints)
+		var merged graph.MinUnion
+		var link []graph.WeightedEdge
+		// Edges that are intra-component against the *pre-link* labels but
+		// merged through new links must wait a wave; only edges whose two
+		// endpoints were already in one component can exchange now.
+		var exchange, wait []graph.WeightedEdge
+		for i, e := range pending {
+			switch _, _, ok := merged.Union(labels[2*i], labels[2*i+1]); {
+			case ok:
 				link = append(link, e)
-			} else {
-				intra = append(intra, e)
+			case labels[2*i] == labels[2*i+1]:
+				exchange = append(exchange, e)
+			default:
+				wait = append(wait, e)
 			}
 		}
 		if len(link) > 0 {
@@ -131,18 +125,7 @@ func (m *ExactMSF) InsertBatch(edges []graph.WeightedEdge) error {
 				return err
 			}
 		}
-		// Edges that are intra-component against the *pre-link* labels but
-		// merged through new links must wait a wave; only edges whose two
-		// endpoints were already in one component can exchange now.
-		var exchange []graph.WeightedEdge
-		pending = pending[:0]
-		for _, e := range intra {
-			if labels[e.U] == labels[e.V] {
-				exchange = append(exchange, e)
-			} else {
-				pending = append(pending, e)
-			}
-		}
+		pending = wait
 		if len(exchange) == 0 {
 			continue
 		}

@@ -16,6 +16,7 @@ package nowickionak
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -25,7 +26,6 @@ import (
 // Store slots.
 const (
 	slotShard = "no"
-	slotBcast = "b"
 	slotSize  = "sc" // coordinator size-cache meter (sizeMeter)
 )
 
@@ -50,10 +50,13 @@ type shard struct {
 	adj    []map[int]int // neighbor -> multiplicity
 	match  []int         // partner vertex or -1
 	words  int
+	// proposing holds, between the Tell that opens a rematch round and the
+	// step that sends the proposals, the owned pending vertices still free.
+	proposing []int
 }
 
 // Words implements mpc.Sized.
-func (s *shard) Words() int { return s.words + 2*(s.hi-s.lo) + 2 }
+func (s *shard) Words() int { return s.words + 2*(s.hi-s.lo) + len(s.proposing) + 2 }
 
 func (s *shard) owns(v int) bool { return v >= s.lo && v < s.hi }
 
@@ -133,7 +136,7 @@ func getShard(mm *mpc.Machine) *shard {
 	return s
 }
 
-// batchPayload broadcasts the update batch.
+// batchPayload carries the update batch to the shards.
 type batchPayload struct{ b graph.Batch }
 
 func (p batchPayload) Words() int { return 3 * len(p.b) }
@@ -144,37 +147,9 @@ func (m *Matcher) ApplyBatch(b graph.Batch) error {
 		return nil
 	}
 	m.sizeOK = false
-	// Phase 1: broadcast the batch; shards update adjacency multiplicities
-	// and report (via a gather) which deleted edges vanished entirely.
-	m.cl.Broadcast(m.coord, slotBcast, batchPayload{b: b})
-	m.cl.LocalAll(func(mm *mpc.Machine) {
-		sh := getShard(mm)
-		if sh == nil {
-			return
-		}
-		for _, u := range mm.Get(slotBcast).(batchPayload).b {
-			e := u.Edge.Canonical()
-			for _, v := range []int{e.U, e.V} {
-				if !sh.owns(v) {
-					continue
-				}
-				o := e.Other(v)
-				if u.Op == graph.Insert {
-					if sh.adj[v-sh.lo][o] == 0 {
-						sh.words += 2
-					}
-					sh.adj[v-sh.lo][o]++
-				} else if sh.adj[v-sh.lo][o] > 0 {
-					sh.adj[v-sh.lo][o]--
-					if sh.adj[v-sh.lo][o] == 0 {
-						delete(sh.adj[v-sh.lo], o)
-						sh.words -= 2
-					}
-				}
-			}
-		}
-	})
-	vanished := m.vanishedEdges(b)
+	// Phase 1: one Ask carries the batch; shards update adjacency
+	// multiplicities and answer which deleted edges vanished entirely.
+	vanished := m.applyAndReportVanished(b)
 	status := m.matchStatus(batchEndpoints(b))
 	// Phase 2 (coordinator-local): unmatch deleted matched edges; greedily
 	// match inserted edges among free endpoints.
@@ -214,38 +189,57 @@ func (m *Matcher) ApplyBatch(b graph.Batch) error {
 	return m.rematch(freed)
 }
 
-// vanishedEdges gathers, from the owners of the smaller endpoints, which
-// deleted batch edges now have multiplicity zero.
-func (m *Matcher) vanishedEdges(b graph.Batch) map[graph.Edge]bool {
-	gathered := m.cl.Gather(m.coord, func(mm *mpc.Machine) mpc.Sized {
-		// Last consumer of the batch broadcast: drop the transient payload so
-		// no machine retains it past the operation (checkpoint cleanliness).
-		payload := mm.Get(slotBcast)
-		mm.Delete(slotBcast)
+// applyAndReportVanished asks every shard to apply the batch to its adjacency
+// lists and then to answer, as the owner of the smaller endpoint, with one
+// [edge id] frame per deleted batch edge whose multiplicity is now zero.
+func (m *Matcher) applyAndReportVanished(b graph.Batch) map[graph.Edge]bool {
+	res := m.cl.Ask(m.coord, batchPayload{b: b}, func(mm *mpc.Machine, msg mpc.Sized) *mpc.MessageBatch {
 		sh := getShard(mm)
 		if sh == nil {
 			return nil
 		}
-		var gone []graph.Edge
-		for _, u := range payload.(batchPayload).b {
-			if u.Op != graph.Delete {
-				continue
-			}
+		batch := msg.(batchPayload).b
+		for _, u := range batch {
 			e := u.Edge.Canonical()
-			if sh.owns(e.U) && sh.adj[e.U-sh.lo][e.V] == 0 {
-				gone = append(gone, e)
+			for _, v := range []int{e.U, e.V} {
+				if !sh.owns(v) {
+					continue
+				}
+				o := e.Other(v)
+				if u.Op == graph.Insert {
+					if sh.adj[v-sh.lo][o] == 0 {
+						sh.words += 2
+					}
+					sh.adj[v-sh.lo][o]++
+				} else if sh.adj[v-sh.lo][o] > 0 {
+					sh.adj[v-sh.lo][o]--
+					if sh.adj[v-sh.lo][o] == 0 {
+						delete(sh.adj[v-sh.lo], o)
+						sh.words -= 2
+					}
+				}
 			}
 		}
-		if len(gone) == 0 {
-			return nil
+		var gone []uint64
+		for _, u := range batch {
+			e := u.Edge.Canonical()
+			if u.Op == graph.Delete && sh.owns(e.U) && sh.adj[e.U-sh.lo][e.V] == 0 {
+				gone = append(gone, e.ID(m.n))
+			}
 		}
-		return mpc.Value{V: gone, N: 2 * len(gone)}
-	})
+		slices.Sort(gone)
+		out := mpc.AcquireMessageBatch()
+		for _, id := range slices.Compact(gone) {
+			out.Append(id)
+		}
+		return out
+	}, mpc.KeepFirst)
 	out := map[graph.Edge]bool{}
-	for _, p := range gathered {
-		for _, e := range p.(mpc.Value).V.([]graph.Edge) {
-			out[e] = true
+	if res != nil {
+		for fr := range res.Frames {
+			out[graph.EdgeFromID(fr[0], m.n)] = true
 		}
+		res.Release()
 	}
 	return out
 }
@@ -258,45 +252,37 @@ func batchEndpoints(b graph.Batch) []int {
 	return out
 }
 
-// matchStatus resolves the current partner (-1 if free) of each vertex.
+// matchStatus resolves the current partner (-1 if free) of each vertex: one
+// Ask carrying the sorted distinct vertices, answered by each owner in
+// [vertex, partner] frames.
 func (m *Matcher) matchStatus(vertices []int) map[int]int {
-	q := uniqueInts(vertices)
-	m.cl.Broadcast(m.coord, slotBcast, mpc.Ints(q))
-	res := m.cl.Aggregate(m.coord,
-		func(mm *mpc.Machine) mpc.Sized {
-			payload := mm.Get(slotBcast)
-			mm.Delete(slotBcast)
-			sh := getShard(mm)
-			if sh == nil {
-				return nil
+	q := slices.Clone(vertices)
+	slices.Sort(q)
+	q = slices.Compact(q)
+	res := m.cl.Ask(m.coord, mpc.Ints(q), func(mm *mpc.Machine, msg mpc.Sized) *mpc.MessageBatch {
+		sh := getShard(mm)
+		if sh == nil {
+			return nil
+		}
+		b := mpc.AcquireMessageBatch()
+		for _, v := range msg.(mpc.Ints) {
+			if sh.owns(v) {
+				b.Append(uint64(v), uint64(int64(sh.match[v-sh.lo])))
 			}
-			out := map[int]int{}
-			for _, v := range payload.(mpc.Ints) {
-				if sh.owns(v) {
-					out[v] = sh.match[v-sh.lo]
-				}
-			}
-			if len(out) == 0 {
-				return nil
-			}
-			return mpc.Value{V: out, N: 2 * len(out)}
-		},
-		func(a, b mpc.Sized) mpc.Sized {
-			am := a.(mpc.Value).V.(map[int]int)
-			for k, v := range b.(mpc.Value).V.(map[int]int) {
-				am[k] = v
-			}
-			return mpc.Value{V: am, N: 2 * len(am)}
-		},
-	)
+		}
+		return b
+	}, mpc.KeepFirst)
 	out := map[int]int{}
 	if res != nil {
-		out = res.(mpc.Value).V.(map[int]int)
+		for fr := range res.Frames {
+			out[int(fr[0])] = int(int64(fr[1]))
+		}
+		res.Release()
 	}
 	return out
 }
 
-// matchChange broadcasts matching mutations.
+// matchChange tells the shards matching mutations.
 type matchChange struct {
 	unmatch []graph.Edge
 	match   []graph.Edge
@@ -308,10 +294,7 @@ func (m *Matcher) applyMatchChanges(unmatch, match []graph.Edge) {
 	if len(unmatch) == 0 && len(match) == 0 {
 		return
 	}
-	m.cl.Broadcast(m.coord, slotBcast, matchChange{unmatch: unmatch, match: match})
-	m.cl.LocalAll(func(mm *mpc.Machine) {
-		payload := mm.Get(slotBcast)
-		mm.Delete(slotBcast)
+	m.cl.Tell(m.coord, matchChange{unmatch: unmatch, match: match}, func(mm *mpc.Machine, payload mpc.Sized) {
 		sh := getShard(mm)
 		if sh == nil {
 			return
@@ -404,7 +387,19 @@ func (m *Matcher) rematchRound(pending []int) []bool {
 	for _, v := range pending {
 		pendSet[v] = true
 	}
-	m.cl.Broadcast(m.coord, slotBcast, mpc.Ints(pending))
+	// The round opens with one Tell of the pending vertices; every shard
+	// keeps the ones it owns that are still free.
+	m.cl.Tell(m.coord, mpc.Ints(pending), func(mm *mpc.Machine, msg mpc.Sized) {
+		sh := getShard(mm)
+		if sh == nil {
+			return
+		}
+		for _, v := range msg.(mpc.Ints) {
+			if sh.owns(v) && sh.match[v-sh.lo] == -1 {
+				sh.proposing = append(sh.proposing, v)
+			}
+		}
+	})
 	// abstain[v] is set when pending target v accepts a smaller proposer
 	// and must therefore not confirm its own proposals this round. Both
 	// marker sets are vertex-indexed slices, not maps: each slot is written
@@ -414,21 +409,17 @@ func (m *Matcher) rematchRound(pending []int) []bool {
 	sawFree := make([]bool, m.n)
 	// Step A: owners of pending vertices propose to every neighbor.
 	m.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
-		payload := mm.Get(slotBcast)
-		mm.Delete(slotBcast)
 		sh := getShard(mm)
 		if sh == nil {
 			return nil
 		}
 		byOwner := map[int]*mpc.MessageBatch{}
-		for _, v := range payload.(mpc.Ints) {
-			if !sh.owns(v) || sh.match[v-sh.lo] != -1 {
-				continue
-			}
+		for _, v := range sh.proposing {
 			for o := range sh.adj[v-sh.lo] {
 				appendProposal(byOwner, m.part.Owner(o), v, o, kindPropose)
 			}
 		}
+		sh.proposing = nil
 		return batchMessages(byOwner)
 	})
 	// Step B: free targets accept the minimum admissible proposer and send
@@ -557,45 +548,35 @@ func (m *Matcher) Matching() []graph.Edge {
 	return out
 }
 
-// Size returns the current matching size via an O(1)-round aggregate,
+// Size returns the current matching size via an O(1)-round [0, count] sum,
 // cached between updates (a repeated readout costs zero rounds).
 func (m *Matcher) Size() int {
 	if m.sizeOK {
 		return m.size
 	}
-	res := m.cl.Aggregate(m.coord,
-		func(mm *mpc.Machine) mpc.Sized {
+	res := m.cl.AggregateBatches(m.coord,
+		func(mm *mpc.Machine) *mpc.MessageBatch {
 			sh := getShard(mm)
 			if sh == nil {
 				return nil
 			}
-			n := 0
+			n := uint64(0)
 			for i, p := range sh.match {
 				if p > sh.lo+i {
 					n++
 				}
 			}
-			return mpc.Word(uint64(n))
-		},
-		func(a, b mpc.Sized) mpc.Sized { return mpc.Word(uint64(a.(mpc.Word)) + uint64(b.(mpc.Word))) },
-	)
+			b := mpc.AcquireMessageBatch()
+			b.Append(0, n)
+			return b
+		}, mpc.SumValues)
 	m.size = 0
 	if res != nil {
-		m.size = int(uint64(res.(mpc.Word)))
+		for fr := range res.Frames {
+			m.size = int(fr[1])
+		}
+		res.Release()
 	}
 	m.sizeOK = true
 	return m.size
-}
-
-func uniqueInts(xs []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
