@@ -5,7 +5,7 @@
 // workload scenario registry, and how to run the experiment tables and
 // benchmarks. The simulator and algorithm packages live under internal/,
 // runnable examples under examples/, the experiment harness behind
-// bench_test.go and cmd/experiments, and the differential-testing engine —
+// cmd/experiments, and the differential-testing engine —
 // which cross-checks every algorithm against the brute-force oracles over
 // every registered scenario — in internal/harness.
 //
@@ -14,9 +14,10 @@
 // are cheap views, not heap objects), mpc.MessageBatch packs per-edge
 // traffic into one length-prefixed frame buffer per (src, dst) machine
 // pair, and the simulator reuses its per-round routing buffers. The
-// profile is locked in by allocation-budget tests and the benchmark
-// baseline BENCH_sketch.json, gated in CI by scripts/benchdiff.go (see
-// README.md "Performance").
+// profile is locked in by allocation-budget tests and by the count ledger
+// BENCH_sketch.json: allocs/op, B/op and rounds/query of every benchmark,
+// pinned two-sided in CI by scripts/benchdiff.go (see README.md
+// "Performance"; time is measured by `go run ./bench`).
 //
 // Every coordinator-to-shards conversation is one of two verbs on
 // mpc.Cluster: Ask broadcasts a question and tree-combines the machines'

@@ -9,12 +9,13 @@ import (
 )
 
 // BenchmarkDeleteTreeEdgesGiant is the micro form of the churn workloads'
-// hot path, locked in by BENCH_sketch.json: one connected graph on 1024
-// vertices at φ = 0.6, and per op a batch that deletes MaxBatch()/2 tree
-// edges of the giant component (cut, sketch aggregation, replacement search,
-// re-link) followed by a batch that puts them back. Every cut is inside the
-// one component, so what an op costs is set by how much of that component
-// the search touches.
+// hot path; BENCH_sketch.json pins its allocs/op and B/op, and its time is
+// what serve-window and recover-churn measure in `go run ./bench`. One
+// connected graph on 1024 vertices at φ = 0.6, and per op a batch that
+// deletes MaxBatch()/2 tree edges of the giant component (cut, sketch
+// aggregation, replacement search, re-link) followed by a batch that puts
+// them back. Every cut is inside the one component, so what an op costs is
+// set by how much of that component the search touches.
 func BenchmarkDeleteTreeEdgesGiant(b *testing.B) {
 	const n = 1024
 	dc, err := core.NewDynamicConnectivity(core.Config{N: n, Phi: 0.6, Seed: 31})

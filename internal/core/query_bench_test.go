@@ -6,9 +6,9 @@ import (
 	"repro/internal/core"
 )
 
-// The query-path benchmarks locked in by BENCH_sketch.json: three regimes
-// of the batched query engine, each reporting rounds/query from Stats
-// deltas (gated by scripts/benchdiff.go alongside ns/op and B/op).
+// The query-path benchmarks pinned in BENCH_sketch.json: three regimes of
+// the batched query engine, each reporting rounds/query from Stats deltas
+// (pinned exactly by scripts/benchdiff.go, next to allocs/op and B/op).
 //
 //   - BenchmarkConnectedBatch: the steady-state read-mostly regime — 1024
 //     queries per op against a warm label cache. Zero rounds, zero allocs.

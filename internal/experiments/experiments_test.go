@@ -135,6 +135,16 @@ func TestE14Small(t *testing.T) {
 	}
 }
 
+func TestE15Small(t *testing.T) {
+	tb := E15QueryThroughput([]int{48}, 4, 64, 15)
+	if len(tb.Rows) != 1 {
+		t.Fatalf("rows = %d", len(tb.Rows))
+	}
+	if tb.Rows[0][4] != "0.0000" {
+		t.Errorf("warm rounds/query = %s, want 0: %v", tb.Rows[0][4], tb.Rows[0])
+	}
+}
+
 func TestE13Small(t *testing.T) {
 	tb := E13ParallelSpeedup(48, []int{1, 4}, 4, 13)
 	if len(tb.Rows) != 4 {

@@ -6,10 +6,9 @@ import (
 	"repro/internal/mpc"
 )
 
-// The mpc benchmarks are the regression surface locked in by
-// BENCH_sketch.json: the batch codec's encode/decode throughput and the
-// steady-state cost of a fully batched executor round (which must stay at
-// zero allocations, see alloc_test.go).
+// The mpc benchmarks are pinned in BENCH_sketch.json (scripts/benchdiff.go)
+// at zero allocations: the batch codec's encode and decode, and the steady
+// state of a fully batched executor round (see also alloc_test.go).
 
 func BenchmarkMessageBatchEncode(b *testing.B) {
 	batch := mpc.NewMessageBatch(4 * 128)

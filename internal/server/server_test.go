@@ -60,20 +60,24 @@ func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
-// waitDrained blocks until the instance's queue is empty and applied.
+// waitDrained blocks until at least one batch was applied or rejected and
+// the instance is idle: pending == 0 under pendMu, the condition waitIdle
+// uses. An empty queue is not that barrier — the applier dequeues a batch
+// before it takes mu, so the batch can still be unapplied.
 func waitDrained(t *testing.T, in *instance) {
 	t.Helper()
+	idle := func() bool {
+		in.pendMu.Lock()
+		defer in.pendMu.Unlock()
+		return in.pending == 0
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for len(in.queue) > 0 || in.batchesApplied.Load()+in.batchesRejected.Load() == 0 {
+	for !idle() || in.batchesApplied.Load()+in.batchesRejected.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("queue never drained")
+			t.Fatal("instance never went idle")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// One more round trip through the applier: queue empty does not mean the
-	// in-flight batch finished; a write-lock acquisition does.
-	in.mu.Lock()
-	in.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 }
 
 func TestServerUpdateQueryFlow(t *testing.T) {

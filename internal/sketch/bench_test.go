@@ -8,9 +8,8 @@ import (
 	"repro/internal/sketch"
 )
 
-// The sketch benchmarks are the regression surface locked in by
-// BENCH_sketch.json (see scripts/benchdiff.go and the CI gate): ns/op
-// guards the flat-cell hot path, B/op and allocs/op pin the
+// The sketch benchmarks are pinned in BENCH_sketch.json (see
+// scripts/benchdiff.go and the CI gate): allocs/op and B/op hold the
 // zero-allocation contract of the arena representation.
 
 func benchSpace(b *testing.B) (*sketch.Space, *sketch.Arena) {
@@ -67,6 +66,9 @@ func BenchmarkSketchScratchMerge(b *testing.B) {
 	for v := 0; v < 4; v++ {
 		arena.At(v).Update(graph.NewEdge(v, v+50).ID(256), +1)
 	}
+	// Fill the pool first: its per-P table and first buffer are one-time
+	// costs that scale with GOMAXPROCS, not part of the pinned pattern.
+	space.Release(space.Scratch())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

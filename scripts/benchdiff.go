@@ -1,40 +1,29 @@
-// Command benchdiff is the benchmark regression gate: it compares the
-// output of `go test -bench -benchmem` against the checked-in baseline
-// (BENCH_sketch.json at the repository root) and exits non-zero when any
-// benchmark regresses beyond the configured ratios — by default >15% on
-// ns/op, >15% on B/op or allocs/op, and >15% on the rounds/query custom
-// metric the query-path benchmarks report from Stats.Rounds deltas; these
-// are the thresholds the CI gate enforces for the sketch/mpc/query
-// hot-path benchmarks. Results are keyed by package-qualified benchmark
-// name (from the `pkg:` headers of the bench output), so same-named
-// benchmarks in different packages never overwrite each other, and a
-// duplicate qualified name in the input is rejected instead of silently
-// keeping the last occurrence. A baseline of 0 B/op is a zero-allocation contract,
-// and a baseline of 0 rounds/query is a zero-round contract (the warm
-// label-cache regime): any regression from zero fails the gate.
+// Command benchdiff is the micro gate: a count ledger, the allocation-side
+// twin of core.TestLedgerPinned. It reads `go test -bench -benchmem` output
+// on stdin and pins three counts per benchmark, two-sided, against the
+// checked-in baseline (BENCH_sketch.json at the repository root):
+// rounds/query exactly, allocs/op and B/op within ±5%. These are what
+// repeats on every host once the iteration count is fixed; wall-clock time
+// does not, and is measured by `go run ./bench` instead.
 //
-// The speedup-vs-seq metric of the parallel-engine benchmarks is gated
-// differently: it is machine-dependent (it measures how well the worker
-// pool converts cores into wall clock), so instead of a baseline ratio it
-// gets absolute floors via -min-speedup (substring=floor rules), enforced
-// only when the bench output's GOMAXPROCS suffix is at least
-// -min-speedup-procs — a single-core host reports ~1x by construction and
-// must not fail the gate. A floor rule that matches no benchmark fails the
-// run, so renaming a gated benchmark cannot silently disable the gate.
+// One command runs the gate, and the same command with -update refreshes
+// the baseline after an intentional change:
 //
-// Usage:
+//	go test -run '^$' -bench . -benchmem -benchtime=100x ./... | go run ./scripts/benchdiff.go
 //
-//	go test -run '^$' -bench ... -benchmem ./... | tee bench.txt
-//	go run ./scripts/benchdiff.go -baseline BENCH_sketch.json bench.txt
-//
-// Refresh the baseline after an intentional performance change with:
-//
-//	go run ./scripts/benchdiff.go -baseline BENCH_sketch.json -update bench.txt
+// A reading worse than the band is a regression; a reading better than the
+// band fails too ("baseline stale"), so improvements ratchet instead of
+// leaving room to regress back. A pinned 0 is a hard zero contract. The
+// benchmark set must equal the baseline's key set in both directions: every
+// `func Benchmark` outside bench/ is in the ledger and nothing else is.
+// Results are keyed by package-qualified name (from the `pkg:` headers), and
+// a name seen twice — -count > 1, several -cpu values — is rejected.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,59 +34,50 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's recorded profile. RoundsPerQuery is the custom
-// MPC-rounds metric the query benchmarks report; it is machine-independent
-// (a structural property of the execution, like allocs/op). SpeedupVsSeq is
-// the derived parallel-engine metric of the pool variants of
-// BenchmarkStepParallel (sequential ns/round over pool ns/round, higher is
-// better); it is machine-dependent, so it is gated by the -min-speedup
-// absolute floor rather than a baseline ratio, and only on hosts with at
-// least -min-speedup-procs processors (the GOMAXPROCS suffix of the bench
-// line) — a single-core box cannot exhibit parallel speedup.
-type Result struct {
-	NsPerOp        float64 `json:"ns_per_op"`
-	BytesPerOp     float64 `json:"bytes_per_op"`
-	AllocsPerOp    float64 `json:"allocs_per_op"`
-	RoundsPerQuery float64 `json:"rounds_per_query,omitempty"`
-	SpeedupVsSeq   float64 `json:"speedup_vs_seq,omitempty"`
+const (
+	command = "go test -run '^$' -bench . -benchmem -benchtime=100x ./... | go run ./scripts/benchdiff.go"
 
-	// Procs is the GOMAXPROCS the measurement ran under (the -N suffix of
-	// the benchmark line). It qualifies the speedup floor, and it is stored
-	// in the baseline so every entry records the parallelism it was
-	// measured at — a speedup number without its procs is uninterpretable,
-	// which is how a ~0.94x single-core measurement once cohabited a
-	// baseline with a 1.05x CI floor.
-	Procs int `json:"procs"`
+	// tolerance is the two-sided band on allocs/op and B/op. At a fixed
+	// iteration count allocs/op repeat to within 0.1% (map iteration order)
+	// and B/op to within 4% from lowest to highest reading (GC-timed pool
+	// refills) across runs and across GOMAXPROCS 1/2/4/8 on every benchmark
+	// in the ledger.
+	tolerance = 0.05
+)
+
+// Counts is one benchmark's pinned profile.
+type Counts struct {
+	AllocsPerOp    float64 `json:"allocs_per_op"`
+	BytesPerOp     float64 `json:"bytes_per_op"`
+	RoundsPerQuery float64 `json:"rounds_per_query,omitempty"`
 }
 
 // Baseline is the on-disk schema of BENCH_sketch.json.
 type Baseline struct {
-	Note       string            `json:"note,omitempty"`
-	Benchmarks map[string]Result `json:"benchmarks"`
+	Note       string            `json:"note"`
+	Benchmarks map[string]Counts `json:"benchmarks"`
 }
 
-// benchLine matches `go test -bench` output lines, e.g.
-// BenchmarkSketchUpdate-8   123456   987.6 ns/op   0 B/op   0 allocs/op
-// The -8 suffix is the GOMAXPROCS of the run, captured for the speedup gate.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+(.*)$`)
+var (
+	// BenchmarkSketchUpdate-8   100   987.6 ns/op   0 B/op   0 allocs/op
+	// (go test omits the -8 GOMAXPROCS suffix at -cpu 1.)
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
+	pkgLine   = regexp.MustCompile(`^pkg:\s+(\S+)$`)
+)
 
-// pkgLine matches the `pkg: repro/internal/sketch` header go test prints
-// before a package's benchmark lines.
-var pkgLine = regexp.MustCompile(`^pkg:\s+(\S+)$`)
-
-// parseBench extracts benchmark results from `go test -bench` output,
-// keyed by package-qualified name ("repro/internal/sketch.BenchmarkFoo").
-// Same-named benchmarks from different packages therefore never collide,
-// and a duplicate qualified name — two runs of one package concatenated,
-// or -count > 1 — is an error rather than a silent last-wins overwrite
-// that would gate against the wrong measurement.
-func parseBench(r io.Reader) (map[string]Result, error) {
-	out := map[string]Result{}
+// parseBench extracts the counts from `go test -bench` output, keyed
+// "repro/internal/sketch.BenchmarkFoo". A FAIL line is an error: in a
+// pipeline go test's own exit status is lost.
+func parseBench(r io.Reader) (map[string]Counts, error) {
+	out := map[string]Counts{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	pkg := ""
 	for sc.Scan() {
 		line := sc.Text()
+		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL") {
+			return nil, fmt.Errorf("go test failed: %s", line)
+		}
 		if m := pkgLine.FindStringSubmatch(line); m != nil {
 			pkg = m[1]
 			continue
@@ -106,239 +86,114 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 		if m == nil {
 			continue
 		}
-		key := m[1]
-		if pkg != "" {
-			key = pkg + "." + m[1]
-		}
+		key := pkg + "." + m[1]
 		if _, dup := out[key]; dup {
-			return nil, fmt.Errorf("duplicate benchmark %q in input (one measurement per benchmark: run with -count=1 and do not concatenate runs of the same package)", key)
+			return nil, fmt.Errorf("duplicate benchmark %s (one measurement each: -count=1, one -cpu value, no concatenated runs)", key)
 		}
-		var res Result
-		// go test only appends the -N suffix when GOMAXPROCS != 1, so a
-		// bare benchmark name means a single-processor run.
-		res.Procs = 1
-		if m[2] != "" {
-			if p, err := strconv.Atoi(m[2]); err == nil {
-				res.Procs = p
-			}
-		}
-		fields := strings.Fields(m[3])
+		var c Counts
+		fields := strings.Fields(m[2])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				continue
 			}
 			switch fields[i+1] {
-			case "ns/op":
-				res.NsPerOp = v
 			case "B/op":
-				res.BytesPerOp = v
+				c.BytesPerOp = v
 			case "allocs/op":
-				res.AllocsPerOp = v
+				c.AllocsPerOp = v
 			case "rounds/query":
-				res.RoundsPerQuery = v
-			case "speedup-vs-seq":
-				res.SpeedupVsSeq = v
+				c.RoundsPerQuery = v
 			}
 		}
-		out[key] = res
+		// At zero allocations B/op is amortised pool and warm-up noise (0, 1
+		// and 3 B/op observed for the same code): not a count, not pinned.
+		if c.AllocsPerOp == 0 {
+			c.BytesPerOp = 0
+		}
+		out[key] = c
+	}
+	if len(out) == 0 && sc.Err() == nil {
+		return nil, errors.New("no benchmark lines on stdin; run: " + command)
 	}
 	return out, sc.Err()
 }
 
-// speedupFloor is one parsed -min-speedup rule: benchmarks whose qualified
-// name contains Substr must report speedup-vs-seq of at least Min.
-type speedupFloor struct {
-	Substr string
-	Min    float64
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+// pin checks one count against its pinned value, both ways.
+func pin(fails []string, name, metric string, base, got, tol float64) []string {
+	switch {
+	case got > base*(1+tol):
+		return append(fails, fmt.Sprintf("%s: %s regressed: pinned %s, got %s (band ±%g%%, a pinned 0 is a zero contract); fix it, or if intended rerun with -update and say why in CHANGES.md",
+			name, metric, num(base), num(got), 100*tol))
+	case got < base*(1-tol):
+		return append(fails, fmt.Sprintf("%s: %s improved: pinned %s, got %s: baseline stale, run -update so the gain stays pinned",
+			name, metric, num(base), num(got)))
+	}
+	return fails
 }
 
-// parseSpeedupFloors parses the -min-speedup value: a comma-separated list
-// of substring=floor rules, e.g. "/pool/=1.8,/pool-skew/=1.05".
-func parseSpeedupFloors(spec string) ([]speedupFloor, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var floors []speedupFloor
-	for _, rule := range strings.Split(spec, ",") {
-		sub, val, ok := strings.Cut(rule, "=")
-		if !ok || sub == "" {
-			return nil, fmt.Errorf("bad -min-speedup rule %q (want substring=floor)", rule)
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f <= 0 {
-			return nil, fmt.Errorf("bad -min-speedup floor in %q", rule)
-		}
-		floors = append(floors, speedupFloor{Substr: sub, Min: f})
-	}
-	return floors, nil
-}
-
-// checkSpeedup enforces the absolute speedup floors on one result. The
-// floors only apply on hosts with at least minProcs processors: parallel
-// speedup is a property of the hardware as much as the code, and a starved
-// host reporting ~1x is expected, not a regression.
-func checkSpeedup(name string, got Result, floors []speedupFloor, minProcs int) error {
-	if got.SpeedupVsSeq == 0 || got.Procs < minProcs {
-		return nil
-	}
-	for _, fl := range floors {
-		if !strings.Contains(name, fl.Substr) {
+// compare returns every way got departs from base, sorted by benchmark.
+func compare(base, got map[string]Counts) []string {
+	var fails []string
+	for name, b := range base {
+		g, ok := got[name]
+		if !ok {
+			fails = append(fails, name+": pinned but not in the bench output; run the whole command, or if the benchmark was deleted rerun with -update")
 			continue
 		}
-		if got.SpeedupVsSeq < fl.Min {
-			return fmt.Errorf("%s: speedup-vs-seq %.2f below floor %.2f (pool regressed toward sequential parity)",
-				name, got.SpeedupVsSeq, fl.Min)
+		fails = pin(fails, name, "rounds/query", b.RoundsPerQuery, g.RoundsPerQuery, 0)
+		fails = pin(fails, name, "allocs/op", b.AllocsPerOp, g.AllocsPerOp, tolerance)
+		fails = pin(fails, name, "B/op", b.BytesPerOp, g.BytesPerOp, tolerance)
+	}
+	for name := range got {
+		if _, ok := base[name]; !ok {
+			fails = append(fails, name+": not in the baseline; every benchmark outside bench/ is pinned, rerun with -update")
 		}
 	}
-	return nil
+	sort.Strings(fails)
+	return fails
 }
 
-// check compares one metric against its baseline under a max ratio; a zero
-// baseline demands an exact zero (the zero-allocation contract).
-func check(name, metric string, base, got, ratio float64) error {
-	if ratio <= 0 {
-		return nil // metric disabled
+// run is the whole command: parse in, then rewrite or check the baseline.
+func run(baselinePath string, update bool, in io.Reader, out io.Writer) error {
+	got, err := parseBench(in)
+	if err != nil {
+		return err
 	}
-	if base == 0 {
-		if got != 0 {
-			return fmt.Errorf("%s: %s regressed: baseline 0, got %g (zero-allocation contract)", name, metric, got)
+	if update {
+		buf, err := json.MarshalIndent(Baseline{Note: "count ledger; check or refresh (-update) with: " + command, Benchmarks: got}, "", "  ")
+		if err != nil {
+			return err
 		}
+		if err := os.WriteFile(baselinePath, append(buf, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "benchdiff: wrote %d benchmarks to %s\n", len(got), baselinePath)
 		return nil
 	}
-	if got > base*ratio {
-		return fmt.Errorf("%s: %s regressed %.1f%%: baseline %g, got %g (max +%.0f%%)",
-			name, metric, 100*(got/base-1), base, got, 100*(ratio-1))
+	raw, err := os.ReadFile(baselinePath)
+	if err != nil {
+		return err
 	}
+	var base Baseline
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return fmt.Errorf("%s: %w", baselinePath, err)
+	}
+	if fails := compare(base.Benchmarks, got); len(fails) > 0 {
+		return fmt.Errorf("%d departure(s) from %s:\n  %s", len(fails), baselinePath, strings.Join(fails, "\n  "))
+	}
+	fmt.Fprintf(out, "benchdiff: %d benchmarks match %s (rounds/query exact, allocs/op and B/op ±%g%%)\n", len(got), baselinePath, 100*tolerance)
 	return nil
 }
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_sketch.json", "baseline JSON file")
-	update := flag.Bool("update", false, "rewrite the baseline from the bench output instead of comparing")
-	nsRatio := flag.Float64("ns-ratio", 1.15, "max allowed ns/op ratio vs baseline (0 disables; CI uses a looser value on shared runners)")
-	memRatio := flag.Float64("mem-ratio", 1.15, "max allowed B/op and allocs/op ratio vs baseline")
-	roundsRatio := flag.Float64("rounds-ratio", 1.15, "max allowed rounds/query ratio vs baseline (0 disables; a 0 baseline is a zero-round contract)")
-	minSpeedup := flag.String("min-speedup", "",
-		"comma-separated substring=floor rules for the speedup-vs-seq metric, e.g. '/pool/=1.8,/pool-skew/=1.05' (empty disables)")
-	minSpeedupProcs := flag.Int("min-speedup-procs", 4,
-		"enforce -min-speedup only when the bench ran with at least this GOMAXPROCS (single-core hosts cannot exhibit speedup)")
-	note := flag.String("note", "", "note to store when updating the baseline")
+	update := flag.Bool("update", false, "rewrite the baseline from the bench output instead of checking it")
 	flag.Parse()
-
-	floors, err := parseSpeedupFloors(*minSpeedup)
-	if err != nil {
-		fatal(err)
-	}
-
-	var in io.Reader = os.Stdin
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		in = f
-	}
-	got, err := parseBench(in)
-	if err != nil {
-		fatal(err)
-	}
-	if len(got) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found in input"))
-	}
-
-	if *update {
-		// Refuse to bake in speedup measurements from a host that cannot
-		// exhibit parallel speedup: the number would contradict the CI floor
-		// the moment the baseline lands. The entry is kept (its ns/op and
-		// B/op are fine) with the speedup dropped.
-		for name, res := range got {
-			if res.SpeedupVsSeq != 0 && res.Procs < *minSpeedupProcs {
-				fmt.Printf("benchdiff: %s: dropping speedup-vs-seq %.2f measured at GOMAXPROCS %d (< -min-speedup-procs %d)\n",
-					name, res.SpeedupVsSeq, res.Procs, *minSpeedupProcs)
-				res.SpeedupVsSeq = 0
-				got[name] = res
-			}
-		}
-		b := Baseline{Note: *note, Benchmarks: got}
-		if b.Note == "" {
-			b.Note = "regenerate: go test -run '^$' -bench <set> -benchmem | go run ./scripts/benchdiff.go -update"
-		}
-		buf, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*baselinePath, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchdiff: wrote %d benchmarks to %s\n", len(got), *baselinePath)
-		return
-	}
-
-	raw, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	var base Baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fatal(err)
-	}
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	compared := 0
-	for _, name := range names {
-		b := base.Benchmarks[name]
-		g, ok := got[name]
-		if !ok {
-			fmt.Printf("benchdiff: %s missing from bench output (skipped)\n", name)
-			continue
-		}
-		compared++
-		for _, err := range []error{
-			check(name, "ns/op", b.NsPerOp, g.NsPerOp, *nsRatio),
-			check(name, "B/op", b.BytesPerOp, g.BytesPerOp, *memRatio),
-			check(name, "allocs/op", b.AllocsPerOp, g.AllocsPerOp, *memRatio),
-			check(name, "rounds/query", b.RoundsPerQuery, g.RoundsPerQuery, *roundsRatio),
-			checkSpeedup(name, g, floors, *minSpeedupProcs),
-		} {
-			if err != nil {
-				failures = append(failures, err.Error())
-			}
-		}
-	}
-	// A floor rule that matches nothing is a dead gate (a renamed benchmark
-	// would silently stop being enforced) — fail loudly instead.
-	for _, fl := range floors {
-		matched := false
-		for name, g := range got {
-			if g.SpeedupVsSeq != 0 && strings.Contains(name, fl.Substr) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			failures = append(failures, fmt.Sprintf(
-				"-min-speedup rule %s=%g matched no benchmark reporting speedup-vs-seq", fl.Substr, fl.Min))
-		}
-	}
-	if compared == 0 {
-		fatal(fmt.Errorf("no baseline benchmarks present in the bench output"))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "benchdiff: FAIL "+f)
-		}
+	if err := run(*baselinePath, *update, os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff: "+err.Error())
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: %d benchmarks within budget (ns/op ratio %.2f, mem ratio %.2f)\n", compared, *nsRatio, *memRatio)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff: "+err.Error())
-	os.Exit(2)
 }
