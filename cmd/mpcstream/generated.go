@@ -166,10 +166,11 @@ func runGenerated(o options, out io.Writer) error {
 // reportSearches prints what the replacement searches of this process did
 // (the counters are not checkpointed, so a resumed run counts from zero). A
 // non-zero exhausted count means a search ran out of sketch copies and the
-// partition may be too fine.
+// partition may be too fine; refills are the windows of copies fetched beyond
+// a search's first.
 func reportSearches(out io.Writer, s core.SearchStats) {
-	fmt.Fprintf(out, "replacement searches: %d (%d levels, %d query fails, %d exhausted)  sketches summed: %d  skipped: %d\n",
-		s.Searches, s.Levels, s.QueryFails, s.Exhausted, s.SketchesSummed, s.SketchesSkipped)
+	fmt.Fprintf(out, "replacement searches: %d (%d levels, %d query fails, %d refills, %d exhausted)  sketches summed: %d  skipped: %d\n",
+		s.Searches, s.Levels, s.QueryFails, s.Refills, s.Exhausted, s.SketchesSummed, s.SketchesSkipped)
 }
 
 func report(out io.Writer, st mpc.Stats, batches int) {

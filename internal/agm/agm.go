@@ -162,7 +162,7 @@ func (c *Connectivity) query(wantForest bool) ([]int, int, []graph.Edge) {
 	var forest []graph.Edge
 	for r := 0; r < c.space.Copies(); r++ {
 		rounds++
-		merged := c.mergeSupernodeSketches()
+		merged, release := c.mergeSupernodeSketches(r)
 		// Each supernode samples one outgoing edge with its copy-r sketch.
 		hooks := map[int]int{}           // label -> candidate neighbor label
 		hookEdge := map[int]graph.Edge{} // label -> the sampled edge used
@@ -179,6 +179,7 @@ func (c *Connectivity) query(wantForest bool) ([]int, int, []graph.Edge) {
 				hadFail = true
 			}
 		}
+		release()
 		if len(candidates) == 0 {
 			if hadFail {
 				continue // retry with the next independent copy
@@ -256,13 +257,14 @@ func (c *Connectivity) query(wantForest bool) ([]int, int, []graph.Edge) {
 	return out, rounds, forest
 }
 
-// mergeSupernodeSketches sums vertex sketches by current label and gathers
-// the per-label sums to the coordinator as [label, cells...] frames of the
-// batched message codec. (The volume is bounded by the number of active
-// supernodes; the experiments use graphs whose supernode count shrinks
+// mergeSupernodeSketches sums copy r of the vertex sketches — the one copy
+// Borůvka round r reads — by current label and gathers the per-label sums to
+// the coordinator as [label, cells...] frames of the batched message codec,
+// valid until release is called. (The volume is bounded by the number of
+// active supernodes; the experiments use graphs whose supernode count shrinks
 // geometrically, the regime AGM is designed for.)
-func (c *Connectivity) mergeSupernodeSketches() map[int]sketch.Sketch {
-	return sketchcodec.AggregateByLabel(c.cl, c.coord, c.space,
+func (c *Connectivity) mergeSupernodeSketches(r int) (sums map[int]sketch.Sketch, release func()) {
+	return sketchcodec.AggregateByLabel(c.cl, c.coord, c.space, r, r+1,
 		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
 			sh, ok := mm.Get(slotShard).(*shard)
 			if !ok {

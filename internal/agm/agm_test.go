@@ -217,3 +217,29 @@ func TestQuerySpanningForestAfterDeletions(t *testing.T) {
 		t.Fatalf("AGM forest invalid after deletions: %v", forest)
 	}
 }
+
+// Borůvka round r reads copy r of every supernode sketch, and ships that
+// copy only: the whole query moves fewer words than its first round alone
+// would with full sketches on the wire, for the same labels and round count.
+func TestQueryShipsOneCopyPerRound(t *testing.T) {
+	const n = 64
+	c := newBaseline(t, n, 11)
+	var b graph.Batch
+	g := graph.New(n)
+	for i := 0; i+1 < n; i++ {
+		b = append(b, graph.Ins(i, i+1))
+		_ = g.Insert(i, i+1, 0)
+	}
+	if err := c.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Cluster().Stats().WordsSent
+	labels, rounds := c.QueryComponents()
+	sent := c.Cluster().Stats().WordsSent - before
+	checkLabels(t, labels, g)
+	// Round one sums n singleton supernodes: n whole sketches leave the
+	// shards if whole sketches travel.
+	if full := int64(n * c.space.SketchWords()); sent >= full {
+		t.Errorf("%d Borůvka rounds sent %d words; one round of whole sketches is %d", rounds, sent, full)
+	}
+}

@@ -18,8 +18,11 @@
 //     replacement-edge search of Section 6.3, yielding the full dynamic
 //     connectivity algorithm. The search merges and queries the sketches of
 //     every fragment a Cut produced except the largest of each split tour,
-//     which Cut names from the split plan and which stays passive; its
-//     counters are read with SearchStats.
+//     which Cut names from the split plan and which stays passive. It is
+//     shipped a window of the sketch copies at a time, and every supernode
+//     reads through them behind its own cursor: never a copy that it, or a
+//     supernode merged into it, has read. Its counters are read with
+//     SearchStats.
 package core
 
 import (

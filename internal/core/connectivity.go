@@ -38,33 +38,182 @@ func sShard(mm *mpc.Machine) *sketchShard {
 	return s
 }
 
-// workspace is the coordinator's transient state during the replacement
-// search: the merged sketch of every supernode (views into the aggregated
-// batch buffer).
+// searchWindow returns how many sketch copies a replacement search fetches
+// at a time: a quarter of the t copies, at least 4. A search reads a handful
+// (levels of Borůvka depth plus a retry for every second query), so the first
+// window nearly always suffices; the rest of the t exist for the
+// with-high-probability bound and are fetched when a search gets that far.
+func searchWindow(t int) int { return min(t, max(4, t/4)) }
+
+// workspace is the coordinator's state during one replacement search, and
+// the part of findReplacements that runs on the coordinator alone: the
+// supernodes (unions of fragments, named by their root in supernodes), and
+// for every non-passive one the sum of its fragments' sketches over the
+// window of copies [lo, hi) currently held — views into the aggregated batch
+// buffer — and a cursor, the next copy it may read.
+//
+// The cursor invariant: a supernode never reads a copy that it or any
+// supernode merged into it has read (the independence rule of
+// sketch.Sketch.Query: what a supernode's vector is depends on what those
+// reads returned). A supernode reads at its cursor and moves it up, a union
+// continues from the larger of its two cursors, installing a later window
+// lifts every cursor to the window's first copy, and nothing ever lowers
+// one.
 type workspace struct {
-	sketches map[int]sketch.Sketch
-	perSk    int
+	space      *sketch.Space
+	n          int // vertices: candidate edge ids decode against it
+	lo, hi     int
+	sketches   map[int]sketch.Sketch
+	cursor     map[int]int
+	supernodes graph.MinUnion
+	// passive and active are keyed by supernode root. Active supernodes still
+	// query; a non-passive one that is not active has learned that no edge
+	// leaves it.
+	passive, active map[int]bool
+	replacements    []graph.WeightedEdge
+	reps            []int
+	stats           *searchCounters
 }
 
-// Words implements mpc.Sized.
-func (w *workspace) Words() int { return len(w.sketches) * w.perSk }
+// newWorkspace starts a search next to the given passive fragments; the
+// first install names the others.
+func newWorkspace(space *sketch.Space, n int, passiveComps []int, stats *searchCounters) *workspace {
+	ws := &workspace{
+		space: space, n: n,
+		sketches: map[int]sketch.Sketch{},
+		cursor:   map[int]int{},
+		passive:  make(map[int]bool, len(passiveComps)),
+		active:   map[int]bool{},
+		stats:    stats,
+	}
+	for _, c := range passiveComps {
+		ws.passive[c] = true
+	}
+	return ws
+}
+
+// Words implements mpc.Sized: the windows held.
+func (ws *workspace) Words() int {
+	if len(ws.sketches) == 0 {
+		return 0
+	}
+	return len(ws.sketches) * ws.space.WindowWords(ws.lo, ws.hi)
+}
+
+// install makes [lo, hi) the window held, the previous one having been
+// cleared out of sketches: sums, the per-fragment sums of those copies, are
+// re-summed by the supernode each fragment now belongs to, and no cursor
+// stays below lo. The first window (lo = 0) is where every fragment summed
+// starts out active.
+func (ws *workspace) install(sums map[int]sketch.Sketch, lo, hi int) {
+	ws.lo, ws.hi = lo, hi
+	for label, sk := range sums {
+		root := ws.supernodes.Find(label)
+		if ws.passive[root] {
+			continue
+		}
+		if lo == 0 {
+			ws.active[root] = true
+		}
+		if cur, ok := ws.sketches[root]; ok {
+			cur.Add(sk)
+		} else {
+			ws.sketches[root] = sk
+		}
+	}
+	for root := range ws.sketches {
+		ws.cursor[root] = max(ws.cursor[root], lo)
+	}
+}
+
+// query runs one level's reads: every active supernode, in ascending order,
+// reads copies from its cursor on until one returns an edge (a candidate) or
+// Empty (no edge leaves it: it is done), or the window ends. A Fail costs
+// the supernode a copy and nothing else. stalled reports that an active
+// supernode is waiting at the end of the window.
+func (ws *workspace) query() (candidates []graph.Edge, stalled bool) {
+	ws.reps = ws.reps[:0]
+	for c := range ws.active {
+		ws.reps = append(ws.reps, c)
+	}
+	sort.Ints(ws.reps)
+	for _, rep := range ws.reps {
+		sk := ws.sketches[rep]
+	read:
+		for {
+			c := ws.cursor[rep]
+			if c >= ws.hi {
+				stalled = true
+				break
+			}
+			ws.cursor[rep] = c + 1
+			switch e, res := sk.Query(c); res {
+			case sketch.Empty:
+				delete(ws.active, rep) // no edges leave this supernode: done
+				break read
+			case sketch.Found:
+				candidates = append(candidates, graph.EdgeFromID(e, ws.n))
+				break read
+			case sketch.Fail:
+				ws.stats.queryFails.Add(1)
+			}
+		}
+	}
+	return candidates, stalled
+}
+
+// merge contracts the candidates of one level, given the fragment labels of
+// their endpoints (two per candidate, in order): an edge between two
+// supernodes joins the replacement forest and unites them.
+func (ws *workspace) merge(candidates []graph.Edge, labels []int) {
+	for i, e := range candidates {
+		ra, rb, ok := ws.supernodes.Union(labels[2*i], labels[2*i+1])
+		if !ok {
+			continue
+		}
+		ws.replacements = append(ws.replacements, graph.WeightedEdge{Edge: e})
+		delete(ws.active, rb)
+		if ws.passive[ra] || ws.passive[rb] {
+			ws.passive[ra] = true
+			delete(ws.active, ra)
+			delete(ws.sketches, ra)
+			delete(ws.sketches, rb)
+			continue
+		}
+		ws.cursor[ra] = max(ws.cursor[ra], ws.cursor[rb])
+		skB, okB := ws.sketches[rb]
+		if skA, okA := ws.sketches[ra]; okA && okB {
+			skA.Add(skB)
+		}
+		delete(ws.sketches, rb)
+		// The union may revive a supernode previously thought done; a
+		// merged supernode keeps querying while edges remain.
+		ws.active[ra] = true
+	}
+}
 
 // DynamicConnectivity maintains connectivity and a spanning forest of an
 // evolving graph under batches of edge insertions and deletions
 // (Theorem 1.1 / Theorem 6.7): O(1/φ)-round updates on an MPC with
 // O(n^φ)-vertex local memory and Õ(n) total memory.
 //
-// Two deviations from the paper are made explicit. Constructing the
+// Three deviations from the paper are made explicit. Constructing the
 // replacement forest F_H (Lemma 6.5) requires resolving the fragment of the
 // second endpoint of every sketched replacement edge, which this
 // implementation performs with one O(1)-round distributed lookup per
 // Borůvka level, adding O(log k) rounds to a deletion batch of k tree
-// edges. And Lemma 6.5 merges the sketches of every fragment, whereas here
-// the largest fragment of every split tour stays passive: its sketches are
-// neither summed nor queried, the other fragments of its old component find
-// the edges that reach it, and the work of a search follows the smaller
-// sides of the cuts (see findReplacements for why no answer changes). See
-// README.md ("Deviations") for the discussion.
+// edges; a query that fails costs no level, the supernode retries on its
+// next sketch copy at the coordinator. Lemma 6.5 merges the sketches of every
+// fragment, whereas here the largest fragment of every split tour stays
+// passive: its sketches are neither summed nor queried, the other fragments
+// of its old component find the edges that reach it, and the work of a
+// search follows the smaller sides of the cuts (see findReplacements for why
+// no answer changes). And it merges all t copies of them, whereas here a
+// search is shipped a window of the copies at a time and fetches the next,
+// with the same aggregation, only when it has read through the one it holds.
+// Every supernode keeps a cursor into the copies, under one invariant (stated
+// at workspace): no supernode ever reads a copy that it, or a supernode
+// merged into it, has read. See README.md ("Deviations") for the discussion.
 //
 // All per-machine callbacks below obey the mpc.StepFunc concurrency
 // contract (machine-local mutation only; broadcast payloads are read-only),
@@ -214,32 +363,33 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 	return nil
 }
 
-// aggregateFragmentSketches merges the vertex sketches of every fragment
-// the preceding Cut left active (keyed by the fragment's fresh component id)
-// and delivers them to the coordinator: Lemma 6.5's sketch-merging step,
-// O(1/φ) rounds through the aggregation tree, restricted to the fragments
-// that will query. Vertices of a passive fragment — the largest of its split
-// tour — contribute nothing, so the words summed and shipped are
-// proportional to the smaller sides of the cuts, not to the components cut.
-// The shards drop their passive keys here, their only use. Sketches travel
+// aggregateFragmentSketches merges copies [lo, hi) of the vertex sketches of
+// every fragment the preceding Cut left active (keyed by the fragment's fresh
+// component id) and delivers them to the coordinator: Lemma 6.5's
+// sketch-merging step, O(1/φ) rounds through the aggregation tree, restricted
+// to the fragments that will query and to the copies they are about to read.
+// Vertices of a passive fragment — the largest of its split tour —
+// contribute nothing, so the words summed and shipped are proportional to
+// the smaller sides of the cuts, not to the components cut. Sketches travel
 // as [label, cells...] frames of the batched message codec and come back as
-// views into the final batch buffer.
-func (dc *DynamicConnectivity) aggregateFragmentSketches() map[int]sketch.Sketch {
-	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, dc.space,
+// views into the final batch buffer, valid until release is called.
+//
+// The first window is the step that follows every Cut, so the shards sum it
+// unasked; a later one they are told to, which costs the broadcast.
+func (dc *DynamicConnectivity) aggregateFragmentSketches(lo, hi int) (sums map[int]sketch.Sketch, release func()) {
+	if lo > 0 {
+		dc.f.tell(mpc.Ints{lo, hi}, func(*mpc.Machine, mpc.Sized) {})
+	}
+	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, dc.space, lo, hi,
 		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
 			vs := vShard(mm)
-			if vs == nil {
-				return
-			}
-			passive := vs.passive
-			vs.passive = nil
-			if len(vs.frag) == 0 {
+			if vs == nil || len(vs.frag) == 0 {
 				return
 			}
 			sh := mm.Get(slotSketch).(*sketchShard)
 			summed := 0
 			for v, k := range vs.frag {
-				if passive[k] {
+				if vs.passive[k] {
 					continue
 				}
 				add(vs.compOf(v), sh.of(v).Sketch)
@@ -251,8 +401,10 @@ func (dc *DynamicConnectivity) aggregateFragmentSketches() map[int]sketch.Sketch
 }
 
 // findReplacements runs the AGM-style Borůvka over the fragments at the
-// coordinator, resolving candidate endpoints with one distributed component
-// lookup per level, and returns the replacement forest edges.
+// coordinator and returns the replacement forest edges. A level is one round
+// of Borůvka: every active supernode comes up with a candidate edge, one
+// distributed component lookup resolves all their endpoints, the supernodes
+// they join are united. What runs on the coordinator alone is workspace's.
 //
 // Only active supernodes hold a sketch and query it. The fragments named in
 // passiveComps never do, and a supernode that merges with a passive one
@@ -263,86 +415,60 @@ func (dc *DynamicConnectivity) aggregateFragmentSketches() map[int]sketch.Sketch
 // supernode is an edge leaving some active one. So once no active supernode
 // is left, the supernodes are exactly the components.
 //
-// A search that spends every sketch copy with an active supernode left may
-// return too few edges (a too-fine partition); it is counted in
+// The search holds a window of the t sketch copies (searchWindow), and every
+// supernode reads through it at its own pace under the cursor invariant
+// stated at workspace: a query that fails is retried on the supernode's next
+// copy at once, at the coordinator, and costs no round. Only when no
+// supernode found an edge and some are waiting at the end of the window is
+// the next window fetched — the same aggregation over the next copy range,
+// counted in SearchStats.Refills.
+//
+// A search in which a supernode has read through copy t-1 and is still
+// active may return too few edges (a too-fine partition); it is counted in
 // SearchStats.Exhausted, not repaired.
 func (dc *DynamicConnectivity) findReplacements(passiveComps []int) []graph.WeightedEdge {
 	dc.search.searches.Add(1)
-	merged := dc.aggregateFragmentSketches()
-	if len(merged) == 0 {
-		return nil
-	}
+	defer dc.f.dropPassive()
+	ws := newWorkspace(dc.space, dc.f.cfg.N, passiveComps, &dc.search)
 	// Register the workspace on the coordinator so its memory is metered.
-	ws := &workspace{sketches: merged, perSk: dc.space.SketchWords()}
 	dc.f.cl.LocalAt(dc.f.coord, func(mm *mpc.Machine) { mm.Set(slotWork, ws) })
 	defer dc.f.cl.LocalAt(dc.f.coord, func(mm *mpc.Machine) { mm.Delete(slotWork) })
 
-	var supernodes graph.MinUnion
-	// passive and active are keyed by supernode root.
-	passive := make(map[int]bool, len(passiveComps))
-	for _, c := range passiveComps {
-		passive[c] = true
+	// fetch swaps the window held for copies [lo, hi): the one aggregation,
+	// for the first window and for every refill.
+	release := func() {}
+	fetch := func(lo, hi int) {
+		clear(ws.sketches)
+		release()
+		var sums map[int]sketch.Sketch
+		sums, release = dc.aggregateFragmentSketches(lo, hi)
+		ws.install(sums, lo, hi)
 	}
-	active := make(map[int]bool, len(merged))
-	for c := range merged {
-		active[c] = true
-	}
-	var replacements []graph.WeightedEdge
+	defer func() { release() }()
+
+	t, w := dc.space.Copies(), searchWindow(dc.space.Copies())
+	fetch(0, w)
 	var labels []int
-	reps := make([]int, 0, len(active))
-	for copyIdx := 0; copyIdx < dc.space.Copies() && len(active) > 0; copyIdx++ {
-		dc.search.levels.Add(1)
-		reps = reps[:0]
-		for c := range active {
-			reps = append(reps, c)
-		}
-		sort.Ints(reps)
-		var candidates []graph.Edge
-		for _, rep := range reps {
-			e, res := ws.sketches[rep].Query(copyIdx)
-			switch res {
-			case sketch.Empty:
-				delete(active, rep) // no edges leave this supernode: done
-			case sketch.Fail:
-				dc.search.queryFails.Add(1)
-			case sketch.Found:
-				candidates = append(candidates, graph.EdgeFromID(e, dc.f.cfg.N))
-			}
-		}
-		if len(candidates) == 0 {
-			continue // every query came back Empty or Fail
-		}
-		// Resolve candidate endpoints to current components (the documented
-		// O(1)-round lookup per level).
-		labels, _ = dc.f.labelsInto(labels, endpointsOf(candidates))
-		for i, e := range candidates {
-			ra, rb, ok := supernodes.Union(labels[2*i], labels[2*i+1])
-			if !ok {
-				continue
-			}
-			replacements = append(replacements, graph.WeightedEdge{Edge: e})
-			delete(active, rb)
-			if passive[ra] || passive[rb] {
-				passive[ra] = true
-				delete(active, ra)
-				delete(ws.sketches, ra)
-				delete(ws.sketches, rb)
-				continue
-			}
-			skB, okB := ws.sketches[rb]
-			if skA, okA := ws.sketches[ra]; okA && okB {
-				skA.Add(skB)
-			}
-			delete(ws.sketches, rb)
-			// The union may revive a supernode previously thought done; a
-			// merged supernode keeps querying while edges remain.
-			active[ra] = true
+	for len(ws.active) > 0 {
+		candidates, stalled := ws.query()
+		switch {
+		case len(candidates) > 0:
+			// Resolve candidate endpoints to current components (the
+			// documented O(1)-round lookup per level).
+			dc.search.levels.Add(1)
+			labels, _ = dc.f.labelsInto(labels, endpointsOf(candidates))
+			ws.merge(candidates, labels)
+		case !stalled:
+			// Every query came back Empty: no supernode is active now.
+		case ws.hi == t:
+			dc.search.exhausted.Add(1)
+			return ws.replacements
+		default:
+			dc.search.refills.Add(1)
+			fetch(ws.hi, min(ws.hi+w, t))
 		}
 	}
-	if len(active) > 0 {
-		dc.search.exhausted.Add(1)
-	}
-	return replacements
+	return ws.replacements
 }
 
 // SearchStats counts the work of the replacement searches since the
@@ -350,25 +476,30 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int) []graph.Weig
 type SearchStats struct {
 	// Searches is the number of replacement searches run (deletion batches
 	// that cut at least one tree edge) and Levels the Borůvka levels they
-	// ran, one sketch copy each.
+	// ran, one distributed endpoint lookup each.
 	Searches, Levels uint64
 	// QueryFails counts sketch queries that returned Fail (the supernode
-	// retries on the next copy).
+	// retries on its next copy at once, within the level).
 	QueryFails uint64
-	// Exhausted counts searches that spent every sketch copy with an active
-	// supernode left: the with-high-probability failure event, after which
-	// the maintained partition may be too fine.
+	// Refills counts the windows of sketch copies fetched beyond the first of
+	// each search: aggregations that ran because a supernode had read through
+	// the window held. Rare at the default copy count.
+	Refills uint64
+	// Exhausted counts searches in which a supernode read all t sketch copies
+	// and was still active: the with-high-probability failure event, after
+	// which the maintained partition may be too fine.
 	Exhausted uint64
 	// SketchesSummed counts the vertex sketches summed into fragment
-	// sketches; SketchesSkipped those of passive fragments, left alone.
+	// sketches, SketchesSkipped those of passive fragments, left alone: once
+	// per window fetched.
 	SketchesSummed, SketchesSkipped uint64
 }
 
 // searchCounters is the live form of SearchStats: written by the update
 // path (the sketch counts from per-machine callbacks), read by scrapes.
 type searchCounters struct {
-	searches, levels, queryFails, exhausted atomic.Uint64
-	sketchesSummed, sketchesSkipped         atomic.Uint64
+	searches, levels, queryFails, refills, exhausted atomic.Uint64
+	sketchesSummed, sketchesSkipped                  atomic.Uint64
 }
 
 // SearchStats reports the replacement-search counters. Like the query-cache
@@ -381,6 +512,7 @@ func (dc *DynamicConnectivity) SearchStats() SearchStats {
 		Searches:        c.searches.Load(),
 		Levels:          c.levels.Load(),
 		QueryFails:      c.queryFails.Load(),
+		Refills:         c.refills.Load(),
 		Exhausted:       c.exhausted.Load(),
 		SketchesSummed:  c.sketchesSummed.Load(),
 		SketchesSkipped: c.sketchesSkipped.Load(),

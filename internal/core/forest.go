@@ -30,10 +30,10 @@ type vertexShard struct {
 	frag   map[int]uint64
 	// passive holds the fragment keys the last Cut declared passive (the
 	// largest fragment of every split tour, see Cut). It lives only inside
-	// one deletion batch — set by tellFragComps, dropped by the sketch
-	// aggregation that consumes it or by the next clearFrags — so unlike
-	// frag it is never checkpointed. The map is the read-only broadcast
-	// payload, shared by every shard.
+	// one deletion batch — set by tellFragComps, dropped when the replacement
+	// search whose sketch aggregations read it ends (dropPassive) or by the
+	// next clearFrags — so unlike frag it is never checkpointed. The map is
+	// the read-only broadcast payload, shared by every shard.
 	passive map[uint64]bool
 	// affected holds, from the Tell that splits the tours of a Cut until the
 	// fragment push that follows consumes it (pushFragments), the ids of the
@@ -871,6 +871,16 @@ func (f *Forest) clearFrags() {
 		if len(vs.frag) > 0 {
 			vs.frag = map[int]uint64{}
 			vs.fragDirty = true
+		}
+	})
+}
+
+// dropPassive drops the passive fragment keys the last Cut left on the
+// vertex shards: the replacement search that read them is over.
+func (f *Forest) dropPassive() {
+	f.cl.LocalAll(func(mm *mpc.Machine) {
+		if vs := vShard(mm); vs != nil {
+			vs.passive = nil
 		}
 	})
 }

@@ -28,15 +28,19 @@ type ledger struct {
 //
 // History: recorded at the commit before Ask/Tell and unchanged by that
 // port; then WordsSent +20 / +525 / +770 (nothing else) when Cut's relabel
-// Tell started to carry its drop list and the two fragment-push sets.
+// Tell started to carry its drop list and the two fragment-push sets; then
+// the replacement search began to ship a window of the sketch copies and to
+// retry a failed query inside the level: WordsSent −2016 / −51660 / −50400,
+// PeakTotalWords −480 / −1885 / −1255, and on window64 Rounds −45 and
+// Messages −57 (levels that only retried a Fail); powerlaw64 never had one.
 func TestLedgerPinned(t *testing.T) {
 	for _, tc := range []struct {
 		stream string
 		want   ledger
 	}{
-		{"testdata/churn32.stream", ledger{408, 716, 7593, 21647}},
-		{"../harness/testdata/window64.stream", ledger{1093, 2605, 90705, 57021}},
-		{"../harness/testdata/powerlaw64.stream", ledger{1800, 4362, 93955, 56073}},
+		{"testdata/churn32.stream", ledger{408, 716, 5577, 21167}},
+		{"../harness/testdata/window64.stream", ledger{1048, 2548, 39045, 55136}},
+		{"../harness/testdata/powerlaw64.stream", ledger{1800, 4362, 43555, 54818}},
 	} {
 		f, err := os.Open(tc.stream)
 		if err != nil {

@@ -78,6 +78,7 @@
 //	mpcserve_query_cache_hits_total        counter; query batches answered warm (zero rounds)
 //	mpcserve_query_cache_misses_total      counter; query batches that ran a cache-fill collective
 //	mpcserve_replacement_search_exhausted_total counter; searches out of sketch copies with a supernode still active
+//	mpcserve_replacement_search_window_refills_total counter; windows of sketch copies fetched beyond a search's first
 //	mpcserve_replacement_sketches_summed_total  counter; vertex sketches summed by replacement searches
 //	mpcserve_update_batches_applied_total  counter
 //	mpcserve_updates_applied_total         counter; individual edge updates

@@ -34,6 +34,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(in *instance) uint64 { _, misses := in.dc.Load().QueryCacheStats(); return misses })
 	counter("mpcserve_replacement_search_exhausted_total", "Replacement searches that spent every sketch copy with an active supernode left (the partition may be too fine).",
 		func(in *instance) uint64 { return in.dc.Load().SearchStats().Exhausted })
+	counter("mpcserve_replacement_search_window_refills_total", "Windows of sketch copies a replacement search fetched beyond its first (rare at the default copy count).",
+		func(in *instance) uint64 { return in.dc.Load().SearchStats().Refills })
 	counter("mpcserve_replacement_sketches_summed_total", "Vertex sketches summed by replacement searches (passive fragments are skipped).",
 		func(in *instance) uint64 { return in.dc.Load().SearchStats().SketchesSummed })
 	counter("mpcserve_update_batches_applied_total", "Update batches applied by the instance's applier.",

@@ -394,6 +394,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mpcserve_checkpoint_bytes_total",
 		"mpcserve_checkpoint_seconds_total",
 		"mpcserve_replacement_search_exhausted_total",
+		"mpcserve_replacement_search_window_refills_total",
 		"mpcserve_replacement_sketches_summed_total",
 	} {
 		if !strings.Contains(body, name) {

@@ -66,8 +66,7 @@ func TestAllocsScratchMerge(t *testing.T) {
 	a.Update(3, +1)
 	b.Update(900, +1)
 	if n := testing.AllocsPerRun(200, func() {
-		s := space.Scratch()
-		s.CopyFrom(a)
+		s := space.ScratchCopy(a)
 		s.Add(b)
 		s.QueryAny(0)
 		space.Release(s)

@@ -60,7 +60,7 @@ func BenchmarkSketchQuery(b *testing.B) {
 }
 
 func BenchmarkSketchScratchMerge(b *testing.B) {
-	// The pooled transient-merge pattern of the recovery paths: scratch,
+	// The pooled transient-merge pattern of the recovery paths: scratch
 	// copy, fold four sketches, query, release.
 	space, arena := benchSpace(b)
 	for v := 0; v < 4; v++ {
@@ -68,12 +68,11 @@ func BenchmarkSketchScratchMerge(b *testing.B) {
 	}
 	// Fill the pool first: its per-P table and first buffer are one-time
 	// costs that scale with GOMAXPROCS, not part of the pinned pattern.
-	space.Release(space.Scratch())
+	space.Release(space.ScratchCopy(arena.At(0)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := space.Scratch()
-		s.CopyFrom(arena.At(0))
+		s := space.ScratchCopy(arena.At(0))
 		for v := 1; v < 4; v++ {
 			s.Add(arena.At(v))
 		}

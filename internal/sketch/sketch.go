@@ -21,9 +21,17 @@
 //   - an Arena, which backs all the vertex sketches of one machine shard
 //     with a single contiguous allocation (see arena.go);
 //   - Space.NewSketch, a standalone one-allocation sketch;
-//   - Space.Scratch, a sync.Pool-backed buffer for the transient
+//   - Space.ScratchCopy, a sync.Pool-backed copy for the transient
 //     merge-and-query work of the recovery paths, returned with
 //     Space.Release.
+//
+// The t copies of a sketch are t contiguous runs of (levels+1)×3 words, so a
+// view need not hold all of them: Sketch.Window(lo, hi) is the view of copies
+// [lo, hi) of the same cells, and Space.ViewWindow wraps a decoded run of
+// hi-lo copies. A range view knows its range: it answers Query(c) for lo <= c
+// < hi only, and it adds to and copies from views of the same range only.
+// The recovery paths use this to move and sum just the copies a search is
+// about to read (package sketchcodec).
 //
 // Update, Add, Query and the cell-recovery scan all operate on the word
 // slices in place and perform no allocation, which is what keeps the
@@ -138,9 +146,10 @@ type Space struct {
 	t       int
 	levels  int
 	stride  int // SketchWords(), cached
+	perCopy int // words of one copy: (levels+1) cells
 	levelH  []*hash.Family
 	fpH     []*hash.Family
-	scratch sync.Pool // *[]uint64 of stride words, see Scratch/Release
+	scratch sync.Pool // *[]uint64 of stride words, see ScratchCopy/Release
 }
 
 // NewSpace creates a space for vectors indexed by [0, idSpace) with t
@@ -160,7 +169,8 @@ func NewSpace(idSpace uint64, t int, prg *hash.PRG) *Space {
 		}
 	}
 	s := &Space{idSpace: idSpace, t: t, levels: levels}
-	s.stride = t * (levels + 1) * cellWords
+	s.perCopy = (levels + 1) * cellWords
+	s.stride = t * s.perCopy
 	s.levelH = make([]*hash.Family, t)
 	s.fpH = make([]*hash.Family, t)
 	for i := 0; i < t; i++ {
@@ -190,14 +200,28 @@ func (s *Space) Levels() int { return s.levels }
 // space; it is O(log^2 N) words: t copies of (levels+1) cells.
 func (s *Space) SketchWords() int { return s.stride }
 
+// WindowWords returns the size in machine words of a view of copies [lo, hi).
+func (s *Space) WindowWords(lo, hi int) int {
+	s.checkRange(lo, hi)
+	return (hi - lo) * s.perCopy
+}
+
+func (s *Space) checkRange(lo, hi int) {
+	if lo < 0 || lo >= hi || hi > s.t {
+		panic(fmt.Sprintf("sketch: copy range [%d,%d) of %d copies", lo, hi, s.t))
+	}
+}
+
 // Sketch is a linear ℓ0-sampling sketch of a vector in {-1,0,+1}^idSpace.
-// It is a view: a Space pointer plus the SketchWords() backing words, which
-// may live in an Arena, a standalone allocation, or a pooled scratch buffer.
-// Copying a Sketch value aliases the same cells; use Clone for an
-// independent copy. The zero value is not usable; see Valid.
+// It is a view: a Space pointer plus the backing words of copies [lo, hi) —
+// all t of them (SketchWords() words) unless the view is a window — which
+// may live in an Arena, a standalone allocation, a pooled scratch buffer or a
+// decoded message frame. Copying a Sketch value aliases the same cells; use
+// Clone for an independent copy. The zero value is not usable; see Valid.
 type Sketch struct {
 	space *Space
 	cells []uint64
+	lo    int // first copy held; the view ends at copy lo + len(cells)/perCopy
 }
 
 // NewSketch returns a standalone sketch of the zero vector (one allocation).
@@ -205,26 +229,31 @@ func (s *Space) NewSketch() Sketch {
 	return Sketch{space: s, cells: make([]uint64, s.stride)}
 }
 
-// Scratch returns a zeroed sketch whose backing comes from the space's
-// sync.Pool. It serves the transient merge-and-query work of the recovery
-// paths (summing fragment or supernode sketches before Query) without
-// allocating at steady state. The caller must hand the sketch back with
-// Release once done and must not use it afterwards.
-func (s *Space) Scratch() Sketch {
+// ScratchCopy returns a copy of src, of src's copy range, whose backing
+// comes from the space's sync.Pool. It serves the transient merge-and-query
+// work of the recovery paths (summing fragment or supernode sketches before
+// Query) without allocating at steady state, and without clearing words that
+// the copy overwrites. The caller must hand the sketch back with Release once
+// done and must not use it afterwards.
+func (s *Space) ScratchCopy(src Sketch) Sketch {
+	if src.space != s {
+		panic("sketch: ScratchCopy of a sketch from a different space")
+	}
 	buf := s.scratch.Get().(*[]uint64)
-	clear(*buf)
-	return Sketch{space: s, cells: *buf}
+	cells := (*buf)[:len(src.cells)]
+	copy(cells, src.cells)
+	return Sketch{space: s, cells: cells, lo: src.lo}
 }
 
-// Release returns a Scratch-obtained sketch to the pool. Releasing a sketch
-// that is still referenced — or one backed by an Arena — corrupts whoever
-// still holds the cells; only pass sketches obtained from Scratch whose last
-// use has passed.
+// Release returns a ScratchCopy-obtained sketch to the pool. Releasing a
+// sketch that is still referenced — or one backed by an Arena — corrupts
+// whoever still holds the cells; only pass sketches obtained from the pool
+// whose last use has passed.
 func (s *Space) Release(sk Sketch) {
 	if sk.space != s {
 		panic("sketch: Release of a sketch from a different space")
 	}
-	cells := sk.cells
+	cells := sk.cells[:cap(sk.cells)]
 	s.scratch.Put(&cells)
 }
 
@@ -234,23 +263,47 @@ func (sk Sketch) Space() *Space { return sk.space }
 // Valid reports whether the view is usable (the zero Sketch is not).
 func (sk Sketch) Valid() bool { return sk.space != nil }
 
-// Words returns the sketch's size in machine words.
+// Words returns the view's size in machine words.
 func (sk Sketch) Words() int { return len(sk.cells) }
+
+// CopyRange returns the copies [lo, hi) the view holds: [0, Copies()) unless
+// it is a window.
+func (sk Sketch) CopyRange() (lo, hi int) {
+	return sk.lo, sk.lo + len(sk.cells)/sk.space.perCopy
+}
+
+// Window returns the view of copies [lo, hi) of sk, which must hold them. It
+// aliases sk's cells: an Add into the window is an Add into those copies of
+// sk.
+func (sk Sketch) Window(lo, hi int) Sketch {
+	sk.space.checkRange(lo, hi)
+	if have, end := sk.CopyRange(); lo < have || hi > end {
+		panic(fmt.Sprintf("sketch: window [%d,%d) of a view of copies [%d,%d)", lo, hi, have, end))
+	}
+	w := sk.space.perCopy
+	from, to := (lo-sk.lo)*w, (hi-sk.lo)*w
+	return Sketch{space: sk.space, cells: sk.cells[from:to:to], lo: lo}
+}
 
 // Cells exposes the raw backing words for codec use (encoding a sketch into
 // a message frame). The slice must be treated as the sketch's private state:
 // mutating it directly bypasses the cell invariants.
 func (sk Sketch) Cells() []uint64 { return sk.cells }
 
-// View wraps raw backing words (for example a decoded message frame) as a
+// View wraps raw backing words (for example a checkpointed image) as a full
 // sketch of this space. The slice must be exactly SketchWords() long and
 // must contain cell words previously produced by sketches of an identical
 // space (same idSpace, copies, and PRG draws).
-func (s *Space) View(cells []uint64) Sketch {
-	if len(cells) != s.stride {
-		panic(fmt.Sprintf("sketch: view of %d words, stride %d", len(cells), s.stride))
+func (s *Space) View(cells []uint64) Sketch { return s.ViewWindow(cells, 0, s.t) }
+
+// ViewWindow wraps raw backing words (for example a decoded message frame)
+// as the view of copies [lo, hi): exactly WindowWords(lo, hi) words that
+// such a view of an identical space produced.
+func (s *Space) ViewWindow(cells []uint64, lo, hi int) Sketch {
+	if want := s.WindowWords(lo, hi); len(cells) != want {
+		panic(fmt.Sprintf("sketch: view of %d words, copies [%d,%d) take %d", len(cells), lo, hi, want))
 	}
-	return Sketch{space: s, cells: cells}
+	return Sketch{space: s, cells: cells, lo: lo}
 }
 
 // Update applies X[idx] += delta; delta must be +1 or -1.
@@ -262,10 +315,9 @@ func (sk Sketch) Update(idx uint64, delta int) {
 		panic(fmt.Sprintf("sketch: index %d out of space %d", idx, sk.space.idSpace))
 	}
 	L := sk.space.levels
-	for c := 0; c < sk.space.t; c++ {
+	for c, base := sk.lo, 0; base < len(sk.cells); c, base = c+1, base+sk.space.perCopy {
 		lvl := sk.space.levelH[c].Level(idx, L)
 		hfp := sk.space.fpH[c].Hash(idx)
-		base := c * (L + 1) * cellWords
 		// Design: level l holds all items whose sampling level is >= l, so
 		// level 0 always holds the full vector and level l subsamples with
 		// probability 2^-l.
@@ -275,11 +327,17 @@ func (sk Sketch) Update(idx uint64, delta int) {
 	}
 }
 
-// Add merges other into sk cell-wise. Both sketches must come from the same
-// Space; afterwards sk summarizes the sum of the two vectors.
+// Add merges other into sk cell-wise. Both must come from the same Space and
+// hold the same copy range; afterwards sk summarizes the sum of the two
+// vectors.
 func (sk Sketch) Add(other Sketch) {
 	if sk.space != other.space {
 		panic("sketch: adding sketches from different spaces")
+	}
+	if sk.lo != other.lo || len(sk.cells) != len(other.cells) {
+		lo, hi := sk.CopyRange()
+		olo, ohi := other.CopyRange()
+		panic(fmt.Sprintf("sketch: adding views of copies [%d,%d) and [%d,%d)", olo, ohi, lo, hi))
 	}
 	a, b := sk.cells, other.cells
 	for i := 0; i < len(a); i += cellWords {
@@ -291,21 +349,13 @@ func (sk Sketch) Add(other Sketch) {
 	}
 }
 
-// CopyFrom overwrites sk's cells with other's. Both must share a Space.
-func (sk Sketch) CopyFrom(other Sketch) {
-	if sk.space != other.space {
-		panic("sketch: copying a sketch from a different space")
-	}
-	copy(sk.cells, other.cells)
-}
-
 // Zero resets the sketch to the zero vector in place.
 func (sk Sketch) Zero() { clear(sk.cells) }
 
 // Clone returns an independent deep copy of the sketch (one allocation; for
-// an allocation-free transient copy use Space.Scratch plus CopyFrom).
+// an allocation-free transient copy use Space.ScratchCopy).
 func (sk Sketch) Clone() Sketch {
-	c := Sketch{space: sk.space, cells: make([]uint64, len(sk.cells))}
+	c := Sketch{space: sk.space, cells: make([]uint64, len(sk.cells)), lo: sk.lo}
 	copy(c.cells, sk.cells)
 	return c
 }
@@ -328,17 +378,20 @@ func Sum(sketches ...Sketch) Sketch {
 	return out
 }
 
-// Query attempts to recover a nonzero coordinate using copy c. Each copy is
-// an independent sampler: it fails with at most constant probability, so
-// querying different copies for the same vector boosts success. Copies
-// consumed by one Borůvka-style round must not be reused in later rounds of
-// the same extraction (the vector then depends on the copy's randomness).
+// Query attempts to recover a nonzero coordinate using copy c, which the
+// view must hold. Each copy is an independent sampler: it fails with at most
+// constant probability, so querying different copies for the same vector
+// boosts success. Copies consumed by one Borůvka-style round must not be
+// reused in later rounds of the same extraction (the vector then depends on
+// the copy's randomness): a vertex set never reads a copy that it, or a set
+// merged into it, has read.
 func (sk Sketch) Query(c int) (idx uint64, res QueryResult) {
-	if c < 0 || c >= sk.space.t {
-		panic(fmt.Sprintf("sketch: copy %d of %d", c, sk.space.t))
-	}
 	L := sk.space.levels
-	base := c * (L + 1) * cellWords
+	base := (c - sk.lo) * sk.space.perCopy
+	if base < 0 || base >= len(sk.cells) {
+		lo, hi := sk.CopyRange()
+		panic(fmt.Sprintf("sketch: copy %d of a view of copies [%d,%d)", c, lo, hi))
+	}
 	if cellZero(sk.cells[base:]) {
 		return 0, Empty
 	}
@@ -352,12 +405,12 @@ func (sk Sketch) Query(c int) (idx uint64, res QueryResult) {
 	return 0, Fail
 }
 
-// QueryAny tries all copies starting from startCopy and returns the first
-// decisive outcome. It reports Fail only if every copy fails.
+// QueryAny tries all the view's copies starting from startCopy and returns
+// the first decisive outcome. It reports Fail only if every copy fails.
 func (sk Sketch) QueryAny(startCopy int) (idx uint64, res QueryResult) {
-	t := sk.space.t
-	for off := 0; off < t; off++ {
-		c := (startCopy + off) % t
+	lo, hi := sk.CopyRange()
+	for off := 0; off < hi-lo; off++ {
+		c := lo + (startCopy-lo+off)%(hi-lo)
 		idx, r := sk.Query(c)
 		if r != Fail {
 			return idx, r

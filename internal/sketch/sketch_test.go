@@ -494,3 +494,126 @@ func TestQuickLinearity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// mustPanic runs f and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// A window answers for its copies exactly as the sketch it was cut from, for
+// every copy range, and refuses every other copy.
+func TestWindowQueriesLikeTheFullSketch(t *testing.T) {
+	const copies = 7
+	sp := newTestSpace(1<<12, copies, 21)
+	prg := hash.NewPRG(22)
+	for _, support := range []int{0, 1, 2, 9, 60} {
+		sk := sp.NewSketch()
+		for i := 0; i < support; i++ {
+			sk.Update(prg.NextN(1<<12), 1)
+		}
+		for lo := 0; lo < copies; lo++ {
+			for hi := lo + 1; hi <= copies; hi++ {
+				w := sk.Window(lo, hi)
+				if glo, ghi := w.CopyRange(); glo != lo || ghi != hi || w.Words() != sp.WindowWords(lo, hi) {
+					t.Fatalf("Window(%d,%d) holds copies [%d,%d) in %d words", lo, hi, glo, ghi, w.Words())
+				}
+				for c := lo; c < hi; c++ {
+					wantIdx, wantRes := sk.Query(c)
+					if idx, res := w.Query(c); idx != wantIdx || res != wantRes {
+						t.Errorf("support %d, Window(%d,%d).Query(%d) = %d, %v; the full sketch says %d, %v", support, lo, hi, c, idx, res, wantIdx, wantRes)
+					}
+				}
+				mustPanic(t, "Query below the window", func() { w.Query(lo - 1) })
+				mustPanic(t, "Query past the window", func() { w.Query(hi) })
+			}
+		}
+	}
+}
+
+func TestWindowValidation(t *testing.T) {
+	sp := newTestSpace(256, 6, 23)
+	sk := sp.NewSketch()
+	mustPanic(t, "an empty window", func() { sk.Window(2, 2) })
+	mustPanic(t, "a window past the last copy", func() { sk.Window(3, 7) })
+	mustPanic(t, "a window outside the view it is cut from", func() { sk.Window(2, 4).Window(1, 3) })
+	mustPanic(t, "ViewWindow of the wrong length", func() { sp.ViewWindow(make([]uint64, sp.SketchWords()), 0, 3) })
+	if w := sk.Window(1, 5).Window(2, 4); w.Words() != sp.WindowWords(2, 4) {
+		t.Errorf("a window of a window holds %d words", w.Words())
+	}
+}
+
+// Views of different copy ranges hold different samplers: summing across
+// them is a bug, even at equal length.
+func TestAddAcrossRangesPanics(t *testing.T) {
+	sp := newTestSpace(256, 6, 24)
+	a, b := sp.NewSketch(), sp.NewSketch()
+	mustPanic(t, "Add of a window into a full sketch", func() { a.Add(b.Window(0, 3)) })
+	mustPanic(t, "Add of ranges of equal length", func() { a.Window(0, 3).Add(b.Window(3, 6)) })
+	mustPanic(t, "Add of overlapping ranges", func() { a.Window(0, 3).Add(b.Window(1, 3)) })
+	a.Window(2, 5).Add(b.Window(2, 5)) // equal ranges are fine
+}
+
+// A window aliases the copies it names: adding into it is adding into those
+// copies of the sketch, and into no other.
+func TestWindowAddIsAddOnThoseCopies(t *testing.T) {
+	sp := newTestSpace(1<<10, 6, 25)
+	a, b := sp.NewSketch(), sp.NewSketch()
+	for i := uint64(0); i < 20; i++ {
+		a.Update(3*i, 1)
+		b.Update(5*i+1, 1)
+	}
+	want := Sum(a, b)
+	before := a.Clone()
+	a.Window(2, 4).Add(b.Window(2, 4))
+	for c := 0; c < 6; c++ {
+		ref := before
+		if c >= 2 && c < 4 {
+			ref = want
+		}
+		got, w := a.Window(c, c+1).Cells(), ref.Window(c, c+1).Cells()
+		for i := range w {
+			if got[i] != w[i] {
+				t.Fatalf("copy %d, word %d: %d, want %d", c, i, got[i], w[i])
+			}
+		}
+	}
+}
+
+// ScratchCopy hands out a pooled copy of exactly the view it is given, and a
+// released window's buffer serves a whole sketch next.
+func TestScratchCopyOfAWindow(t *testing.T) {
+	sp := newTestSpace(1<<10, 6, 26)
+	sk := sp.NewSketch()
+	for i := uint64(0); i < 30; i++ {
+		sk.Update(7*i, 1)
+	}
+	equal := func(got, want Sketch) {
+		t.Helper()
+		glo, ghi := got.CopyRange()
+		wlo, whi := want.CopyRange()
+		if glo != wlo || ghi != whi {
+			t.Fatalf("copy holds copies [%d,%d), want [%d,%d)", glo, ghi, wlo, whi)
+		}
+		for i, x := range want.Cells() {
+			if got.Cells()[i] != x {
+				t.Fatalf("word %d differs", i)
+			}
+		}
+	}
+	w := sk.Window(1, 4)
+	c := sp.ScratchCopy(w)
+	equal(c, w)
+	orig := sk.Clone()
+	c.Add(w) // the copy is the caller's to change, and changes nothing else
+	equal(sk, orig)
+	sp.Release(c)
+	whole := sp.ScratchCopy(sk)
+	defer sp.Release(whole)
+	equal(whole, sk)
+}

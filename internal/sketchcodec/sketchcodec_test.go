@@ -46,8 +46,9 @@ func randomContributions(space *sketch.Space, rng *rand.Rand, machines int, on [
 	return byMachine, want
 }
 
-func aggregate(cl *mpc.Cluster, space *sketch.Space, byMachine [][]contribution) map[int]sketch.Sketch {
-	return sketchcodec.AggregateByLabel(cl, cl.Machines()-1, space,
+// aggregate sums copies [lo, hi) of the contributions.
+func aggregate(cl *mpc.Cluster, space *sketch.Space, lo, hi int, byMachine [][]contribution) (map[int]sketch.Sketch, func()) {
+	return sketchcodec.AggregateByLabel(cl, cl.Machines()-1, space, lo, hi,
 		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
 			for _, c := range byMachine[mm.ID] {
 				add(c.label, c.sk)
@@ -55,7 +56,9 @@ func aggregate(cl *mpc.Cluster, space *sketch.Space, byMachine [][]contribution)
 		})
 }
 
-func checkEqual(t *testing.T, got, want map[int]sketch.Sketch) {
+// checkEqual compares aggregated views of copies [lo, hi) with the same
+// copies of the expected full sketches.
+func checkEqual(t *testing.T, got, want map[int]sketch.Sketch, lo, hi int) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d labels aggregated, want %d", len(got), len(want))
@@ -65,8 +68,11 @@ func checkEqual(t *testing.T, got, want map[int]sketch.Sketch) {
 		if !ok {
 			t.Fatalf("label %d missing", l)
 		}
-		if !slices.Equal(g.Cells(), w.Cells()) {
-			t.Fatalf("label %d: aggregated cells differ from sketch.Sum of its contributions", l)
+		if glo, ghi := g.CopyRange(); glo != lo || ghi != hi {
+			t.Fatalf("label %d: view of copies [%d,%d), want [%d,%d)", l, glo, ghi, lo, hi)
+		}
+		if !slices.Equal(g.Cells(), w.Window(lo, hi).Cells()) {
+			t.Fatalf("label %d: aggregated copies [%d,%d) differ from those of sketch.Sum of its contributions", l, lo, hi)
 		}
 	}
 }
@@ -85,29 +91,57 @@ func TestAggregateByLabelEqualsSum(t *testing.T) {
 		{"most machines contribute nothing", []int{2, 7, 11}},
 		{"only the destination contributes", []int{machines - 1}},
 	}
+	// Every copy, and a first, a middle and a last window of the six.
+	ranges := [][2]int{{0, 6}, {0, 2}, {2, 5}, {5, 6}}
 	for _, tc := range cases {
 		for _, p := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/p%d", tc.name, p), func(t *testing.T) {
 				space := sketch.NewGraphSpace(64, 6, hash.NewPRG(7))
 				byMachine, want := randomContributions(space, rand.New(rand.NewSource(3)), machines, tc.on, 9, 14)
-				checkEqual(t, aggregate(newCluster(machines, p), space, byMachine), want)
+				cl := newCluster(machines, p)
+				for _, r := range ranges {
+					got, release := aggregate(cl, space, r[0], r[1], byMachine)
+					checkEqual(t, got, want, r[0], r[1])
+					release()
+				}
 			})
 		}
+	}
+}
+
+// A window costs its own words, not the sketch's: the frames on the wire
+// hold hi-lo copies.
+func TestAggregateByLabelShipsTheWindowOnly(t *testing.T) {
+	const machines = 13
+	space := sketch.NewGraphSpace(64, 6, hash.NewPRG(7))
+	byMachine, _ := randomContributions(space, rand.New(rand.NewSource(3)), machines, []int{2, 7, 11}, 9, 14)
+	sent := func(lo, hi int) int64 {
+		cl := newCluster(machines, 1)
+		_, release := aggregate(cl, space, lo, hi, byMachine)
+		release()
+		return cl.Stats().WordsSent
+	}
+	full, third := sent(0, 6), sent(2, 4)
+	// Every frame is one label word plus the window.
+	frames := full / int64(1+space.SketchWords())
+	if want := frames * int64(1+space.WindowWords(2, 4)); third != want || full != frames*int64(1+space.SketchWords()) {
+		t.Errorf("copies [2,4) sent %d words, all six %d: want %d for the same %d frames", third, full, want, frames)
 	}
 }
 
 func TestAggregateByLabelNoContribution(t *testing.T) {
 	for _, p := range []int{1, 8} {
 		space := sketch.NewGraphSpace(64, 6, hash.NewPRG(7))
-		got := aggregate(newCluster(5, p), space, make([][]contribution, 5))
+		got, release := aggregate(newCluster(5, p), space, 0, 6, make([][]contribution, 5))
 		if got == nil || len(got) != 0 {
 			t.Fatalf("parallelism %d: got %v, want an empty map", p, got)
 		}
+		release()
 	}
 }
 
-// The views returned by one call alias its final batch buffer, which the
-// codec deliberately keeps out of the pool: later aggregations (which
+// The views returned by one call alias its final batch buffer, which stays
+// out of the pool until the caller releases it: later aggregations (which
 // acquire and release pooled batches freely) must not write into it.
 func TestAggregateByLabelViewsSurviveNextCall(t *testing.T) {
 	const machines = 9
@@ -117,11 +151,14 @@ func TestAggregateByLabelViewsSurviveNextCall(t *testing.T) {
 		cl := newCluster(machines, p)
 		rng := rand.New(rand.NewSource(5))
 		firstIn, firstWant := randomContributions(space, rng, machines, all, 6, 8)
-		first := aggregate(cl, space, firstIn)
+		first, releaseFirst := aggregate(cl, space, 1, 4, firstIn)
 		for i := 0; i < 3; i++ {
 			in, want := randomContributions(space, rng, machines, all, 6, 8)
-			checkEqual(t, aggregate(cl, space, in), want)
+			got, release := aggregate(cl, space, 1, 4, in)
+			checkEqual(t, got, want, 1, 4)
+			release()
 		}
-		checkEqual(t, first, firstWant)
+		checkEqual(t, first, firstWant, 1, 4)
+		releaseFirst()
 	}
 }
