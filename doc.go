@@ -23,7 +23,10 @@
 // mpc.Cluster: Ask broadcasts a question and tree-combines the machines'
 // key-sorted answer frames, Tell broadcasts a message and runs a callback on
 // every machine; both drop the payload from every store as they hand it
-// over. The query path is batched and cached on top: core exposes
+// over. A round is a hop: a collective lands its last delivery
+// (mpc.Cluster.Land) instead of stepping for it, so a Tell costs its tree
+// depth and an Ask the way down plus the way up — 1 and 2 at depth 1. The
+// query path is batched and cached on top: core exposes
 // ConnectedAll / ComponentsOf and their allocation-free Into variants so N
 // connectivity queries cost one Ask (O(1/phi) rounds), and a coordinator
 // label cache — invalidated automatically by updates — answers repeated

@@ -23,6 +23,13 @@
 //     reads through them behind its own cursor: never a copy that it, or a
 //     supernode merged into it, has read. Its counters are read with
 //     SearchStats.
+//
+// Rounds are counted the way package mpc states them — a round is a hop, a
+// collective lands its last delivery — so at a shape whose trees have depth 1
+// an Ask costs 2, a Tell 1 and a Scatter 1: a cold-cache insert batch without
+// a Link is 3 rounds, a Cut of tree edges 10, a Link 6 to 10.
+// TestRoundBudgetPerOperation pins the budget of every step of the update
+// path, TestLedgerPinned the totals of three replayed streams.
 package core
 
 import (

@@ -681,6 +681,12 @@ type relabelPayload struct {
 	drop     map[graph.Edge]bool       // tree-edge records to delete (cuts)
 	newTours map[eulertour.TourID]bool // tours created by the split (cuts)
 	affected map[int]bool              // components being split (cuts)
+
+	// set indexes relabels by tour. It is a pure function of relabels that
+	// every machine could build for itself, so it carries no words; the
+	// simulator builds it once (applyRelabels) and the machines share it
+	// read-only.
+	set *eulertour.RelabelSet
 }
 
 func (p relabelPayload) Words() int {
@@ -825,9 +831,9 @@ func (f *Forest) preparePlanner(edges []graph.Edge, terminals, labels []int, siz
 // sets stay behind on the edge and vertex shards for pushFragments.
 func (f *Forest) applyRelabels(payload relabelPayload) {
 	f.invalidateCache()
+	payload.set = eulertour.NewRelabelSet(payload.relabels)
 	f.tell(payload, func(mm *mpc.Machine, msg mpc.Sized) {
 		p := msg.(relabelPayload)
-		set := eulertour.NewRelabelSet(p.relabels)
 		es := eShard(mm)
 		es.newTours = p.newTours
 		for e, te := range es.recs {
@@ -836,8 +842,11 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 				es.markEdge(e)
 				continue
 			}
+			if !p.set.Touches(te.rec.Tour) {
+				continue
+			}
 			old := te.rec
-			if err := set.ApplyToRecord(&te.rec); err != nil {
+			if err := p.set.ApplyToRecord(&te.rec); err != nil {
 				panic(fmt.Sprintf("core: %v", err))
 			}
 			if te.rec != old {
@@ -1100,9 +1109,10 @@ func passiveFragments(frags []eulertour.Fragment) map[uint64]bool {
 // and which components are affected is what the preceding applyRelabels
 // left on the shards; each set is dropped by the step that reads it. The
 // (vertex, fragment) pairs travel as two-word frames of the batched message
-// codec: one packed buffer per (edge shard, vertex owner) pair.
+// codec: one packed buffer per (edge shard, vertex owner) pair. One round:
+// the vertex shards land the push.
 func (f *Forest) pushFragments() {
-	// Step 1: edge shards emit deduplicated (vertex, frag) pairs.
+	// The round: edge shards emit deduplicated (vertex, frag) pairs.
 	f.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
 		es := eShard(mm)
 		newTours := es.newTours
@@ -1131,11 +1141,11 @@ func (f *Forest) pushFragments() {
 		}
 		return out
 	})
-	// Step 2: vertex shards absorb the mapping and recycle the buffers.
-	f.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
+	// Landing: vertex shards absorb the mapping and recycle the buffers.
+	f.cl.Land(func(mm *mpc.Machine, inbox []mpc.Message) {
 		vs := vShard(mm)
 		if vs == nil {
-			return nil
+			return
 		}
 		affectedComps := vs.affected
 		vs.affected = nil
@@ -1157,7 +1167,6 @@ func (f *Forest) pushFragments() {
 				}
 			}
 		}
-		return nil
 	})
 }
 
@@ -1462,7 +1471,7 @@ func (f *Forest) ReportForest() []int {
 		return out
 	})
 	final := make([]int, f.cl.Machines())
-	f.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
+	f.cl.Land(func(mm *mpc.Machine, inbox []mpc.Message) {
 		var keys []uint64
 		for _, msg := range inbox {
 			keys = append(keys, msg.Payload.(mpc.U64s)...)
@@ -1475,7 +1484,6 @@ func (f *Forest) ReportForest() []int {
 			// drop it so steady-state memory is unaffected.
 			mm.Delete(slotOut)
 		}
-		return nil
 	})
 	return final
 }

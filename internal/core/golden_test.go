@@ -94,7 +94,7 @@ func TestGoldenChurnTrace(t *testing.T) {
 	}
 	// Loose resource envelope: catches order-of-magnitude regressions in
 	// round or memory accounting without being brittle to small changes.
-	if perBatch := float64(st.Rounds) / float64(len(batches)); perBatch > 120 {
-		t.Errorf("rounds per golden batch = %.1f, expected well under 120", perBatch)
+	if perBatch := float64(st.Rounds) / float64(len(batches)); perBatch > 60 {
+		t.Errorf("rounds per golden batch = %.1f, expected well under 60", perBatch)
 	}
 }

@@ -140,8 +140,10 @@ type Relabel struct {
 // Words returns the descriptor size in machine words.
 func (r Relabel) Words() int { return 5 }
 
-// RelabelSet indexes relabel descriptors for application. Machines build one
-// from the broadcast batch and apply it to every local record position.
+// RelabelSet indexes relabel descriptors for application: machines apply the
+// one built from the broadcast batch to every local record position. Once
+// built it is read-only (Map, Covers and Touches are pure), so one set may be
+// shared by concurrent readers.
 type RelabelSet struct {
 	byTour map[TourID][]Relabel
 }

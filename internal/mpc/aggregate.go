@@ -36,7 +36,7 @@ type aggState struct {
 	acc     []*MessageBatch
 	outs    [][]Message
 	to      int
-	group   int // 0 marks the final delivery flush
+	group   int // ranks that are multiples of group still hold an accumulator
 	fanout  int
 	combine BatchCombine
 }
@@ -54,6 +54,13 @@ func (c *Cluster) aggAbsorb(r int, inbox []Message) {
 	}
 }
 
+// aggLand lands the last round of AggregateBatches: the root absorbs the
+// batches still in flight (see Cluster.landAgg).
+func (c *Cluster) aggLand(m *Machine, inbox []Message) {
+	M := c.cfg.Machines
+	c.aggAbsorb((m.ID-c.agg.to+M)%M, inbox)
+}
+
 // aggStep is the per-round callback of AggregateBatches (one closure for
 // every round of every call; see Cluster.runAgg).
 func (c *Cluster) aggStep(m *Machine, inbox []Message) []Message {
@@ -61,7 +68,7 @@ func (c *Cluster) aggStep(m *Machine, inbox []Message) []Message {
 	r := (m.ID - c.agg.to + M) % M
 	c.aggAbsorb(r, inbox)
 	gs := c.agg.group
-	if gs == 0 || r%gs != 0 || r%(gs*c.agg.fanout) == 0 || c.agg.acc[r] == nil {
+	if r%gs != 0 || r%(gs*c.agg.fanout) == 0 || c.agg.acc[r] == nil {
 		return nil
 	}
 	parent := (r - r%(gs*c.agg.fanout) + c.agg.to) % M
@@ -78,8 +85,8 @@ func (c *Cluster) aggStep(m *Machine, inbox []Message) []Message {
 // return nil for "no contribution"; combine merges two batches at internal
 // tree nodes and at the destination, always with the lower-ranked
 // accumulator as its left operand. The fanout is sized for the largest
-// contribution, costing ceil(log_f M) rounds plus one delivery flush —
-// O(1/φ) rounds.
+// contribution, costing the tree depth, ceil(log_f M) rounds — O(1/φ); the
+// root lands the last round's batches instead of stepping for them.
 //
 // Ownership: contributed batches are consumed (combined batches are
 // typically released by combine); the returned batch belongs to the caller,
@@ -107,8 +114,7 @@ func (c *Cluster) AggregateBatches(to int, collect func(m *Machine) *MessageBatc
 		c.Step(c.runAgg)
 		c.agg.group *= c.agg.fanout
 	}
-	c.agg.group = 0 // delivery flush: absorb in-flight batches, send nothing
-	c.Step(c.runAgg)
+	c.Land(c.landAgg)
 	c.agg.combine = nil
 	res := c.agg.acc[0]
 	c.agg.acc[0] = nil
@@ -144,7 +150,8 @@ func (c *Cluster) applyTold(m *Machine) { c.told.apply(m, takeTold(m)) }
 // read-only) and returns frames sorted ascending by their first word, or nil
 // for "nothing to say"; combine merges two answers exactly as in
 // AggregateBatches, which also states the ownership of the batches. Rounds:
-// the broadcast's plus the aggregation's.
+// the broadcast's depth down plus the aggregation's depth up (2 when both
+// trees have depth 1).
 //
 // Ask must not be called from inside an answer or apply callback.
 func (c *Cluster) Ask(from int, question Sized, answer func(m *Machine, question Sized) *MessageBatch, combine BatchCombine) *MessageBatch {
@@ -158,7 +165,7 @@ func (c *Cluster) Ask(from int, question Sized, answer func(m *Machine, question
 // Tell broadcasts msg from machine `from` and then runs apply on every
 // machine, `from` included, without advancing the round (LocalAll: through
 // the executor, under the StepFunc concurrency contract). apply is handed
-// the message, which is shared and read-only. Rounds: the broadcast's.
+// the message, which is shared and read-only. Rounds: the broadcast's depth.
 func (c *Cluster) Tell(from int, msg Sized, apply func(m *Machine, msg Sized)) {
 	c.Broadcast(from, slotTold, msg)
 	c.told.apply = apply

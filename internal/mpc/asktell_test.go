@@ -32,15 +32,11 @@ func storeWords(c *Cluster) []int {
 	return out
 }
 
-// collectiveRounds is what one tree walk over payloads of w words costs:
-// its depth, plus the delivery flush (always for an aggregation, and for a
-// broadcast whenever anything was sent, i.e. M > 1).
+// collectiveRounds is what one tree walk over payloads of w words costs, a
+// broadcast down or an aggregation up: its depth, one round per hop. The last
+// hop's deliveries are landed, not stepped for.
 func collectiveRounds(c *Cluster, w int) int {
-	r := treeDepth(c.Machines(), c.fanout(w))
-	if c.Machines() > 1 {
-		r++
-	}
-	return r
+	return treeDepth(c.Machines(), c.fanout(w))
 }
 
 // idTimes answers one [id, id*q] frame per machine.
@@ -68,7 +64,7 @@ func TestGatherCollectsAll(t *testing.T) {
 			if after := storeWords(c); !reflect.DeepEqual(after, before) {
 				t.Errorf("M=%d from=%d: stores %v after the Ask, %v before", M, from, after, before)
 			}
-			want := collectiveRounds(c, 1) + treeDepth(M, c.fanout(2)) + 1
+			want := collectiveRounds(c, 1) + collectiveRounds(c, 2)
 			if r := c.Stats().Rounds; r != want {
 				t.Errorf("M=%d: Ask took %d rounds, want broadcast + aggregate = %d", M, r, want)
 			}
@@ -235,7 +231,8 @@ func TestTellAppliesEverywhere(t *testing.T) {
 
 // TestAskIsBroadcastThenAggregate pins the ledger of the two verbs to the
 // protocol every site used to run by hand: Broadcast, then a collective whose
-// callback reads the slot and deletes it.
+// callback reads the slot and deletes it. Both sides land their last hop
+// (Cluster.Land), so the full Stats agree, Rounds included.
 func TestAskIsBroadcastThenAggregate(t *testing.T) {
 	for _, p := range []int{1, 8} {
 		verbs := NewCluster(Config{Machines: 13, LocalMemory: 24, Parallelism: p})

@@ -18,12 +18,21 @@
 //   - Tell(from, msg, apply) broadcasts the message and runs apply on every
 //     machine between rounds.
 //
+// A round is a hop: what a round sends is input to the local computation
+// that opens the next one, so receiving costs nothing of its own. A
+// collective therefore lands its last delivery — Land hands every machine the
+// inbox the last Step filled, empties it and re-meters memory, without
+// advancing the round counter — and every counted round is one on which some
+// machine may send: Broadcast, Tell and AggregateBatches cost their tree
+// depth ceil(log_f M), Ask the way down plus the way up (2 when both trees
+// have depth 1), Scatter 1, SortByKey 3.
+//
 // Drop on consume: the payload is in every machine's store, and metered
 // there, from the round it arrives until the machine's callback is handed
 // it; the cluster deletes it at that moment, under a slot name no algorithm
-// sees. Broadcast, AggregateBatches, Scatter and SortByKey are the building
-// blocks, exported for the few collectives that need only one half (see
-// aggregate.go).
+// sees. Broadcast, AggregateBatches, Scatter, SortByKey and Land are the
+// building blocks, exported for the few collectives that need only one half
+// (see aggregate.go) or that route by hand and land the result.
 //
 // Memory is accounted in machine words: one vertex id, one tour index, or one
 // sketch cell each count as one word, matching the convention of the paper's

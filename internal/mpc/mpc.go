@@ -144,24 +144,29 @@ type Cluster struct {
 	mergePer    int
 	routed      [][][]int32
 
-	// stepFn/localFn hold the current round's callback for the preallocated
-	// dispatch closures below (building a fresh closure per round would
-	// allocate).
+	// stepFn/localFn/landFn hold the current call's callback for the
+	// preallocated dispatch closures below (building a fresh closure per
+	// round would allocate).
 	stepFn   StepFunc
 	localFn  func(m *Machine)
+	landFn   func(m *Machine, inbox []Message)
 	runStep  func(i int)
 	runLocal func(i int)
+	runLand  func(i int)
 	runMeter func(i int)
 	runMerge func(s int)
 
 	// bc and agg are the reusable scratch of Broadcast and AggregateBatches,
-	// runBcast and runAgg their once-built per-round callbacks; told holds
-	// the callback of the Ask or Tell in progress for the once-built
-	// runAnswer / runTold (see aggregate.go).
+	// runBcast and runAgg their once-built per-round callbacks, landBcast
+	// and landAgg the once-built callbacks that land their last delivery;
+	// told holds the callback of the Ask or Tell in progress for the
+	// once-built runAnswer / runTold (see aggregate.go).
 	bc        bcastState
 	runBcast  StepFunc
+	landBcast func(m *Machine, inbox []Message)
 	agg       aggState
 	runAgg    StepFunc
+	landAgg   func(m *Machine, inbox []Message)
 	told      toldState
 	runAnswer func(m *Machine) *MessageBatch
 	runTold   func(m *Machine)
@@ -218,6 +223,12 @@ func NewCluster(cfg Config) *Cluster {
 		c.localFn(c.machines[i])
 		c.stateWords[i] = c.machines[i].StateWords()
 	}
+	c.runLand = func(i int) {
+		c.landFn(c.machines[i], c.inboxes[i])
+		clear(c.inboxes[i])
+		c.inboxes[i] = c.inboxes[i][:0]
+		c.stateWords[i] = c.machines[i].StateWords()
+	}
 	c.runMeter = func(i int) {
 		c.stateWords[i] = c.machines[i].StateWords()
 	}
@@ -228,8 +239,10 @@ func NewCluster(cfg Config) *Cluster {
 		c.agg.outs[i] = make([]Message, 0, 1)
 	}
 	c.runAgg = c.aggStep
+	c.landAgg = c.aggLand
 	c.bc.outs = make([][]Message, cfg.Machines)
 	c.runBcast = c.bcastStep
+	c.landBcast = c.bcastLand
 	c.runAnswer = c.answerTold
 	c.runTold = c.applyTold
 	return c
@@ -506,6 +519,22 @@ func (c *Cluster) LocalAll(fn func(m *Machine)) {
 	c.reduceMemory(c.stateWords)
 }
 
+// Land hands every machine the messages the last Step delivered to it and
+// empties the inboxes, without advancing the round: reading the inbox is the
+// local computation that opens the next round, not a round of its own, so a
+// collective lands its last delivery here instead of stepping for it. fn runs
+// on every machine, those with an empty inbox included, through the executor
+// and under the StepFunc contract (the inbox must not be retained). Memory is
+// re-metered afterwards, so what the landing stores is observed — peaks, cap
+// violations, Strict panics — exactly as at a round boundary. The next Step
+// sees none of the landed messages.
+func (c *Cluster) Land(fn func(m *Machine, inbox []Message)) {
+	c.landFn = fn
+	c.exec.Run(c.cfg.Machines, c.runLand)
+	c.landFn = nil
+	c.reduceMemory(c.stateWords)
+}
+
 // fanout returns the broadcast/aggregation tree fanout for payloads of w
 // words: the number of children one machine can serve within its
 // communication budget, at least 2.
@@ -542,7 +571,7 @@ type bcastState struct {
 	from     int
 	slot     string
 	payload  Sized
-	frontier int // ranks [0, frontier) hold the payload; 0 marks the delivery flush
+	frontier int // ranks [0, frontier) hold the payload
 	fanout   int
 }
 
@@ -551,9 +580,7 @@ type bcastState struct {
 // Machines are ranked so that the source is rank 0 of a contiguous tree.
 func (c *Cluster) bcastStep(m *Machine, inbox []Message) []Message {
 	bc := &c.bc
-	for _, msg := range inbox {
-		m.Set(bc.slot, msg.Payload)
-	}
+	c.bcastLand(m, inbox)
 	M := c.cfg.Machines
 	r := (m.ID - bc.from + M) % M
 	if r >= bc.frontier {
@@ -571,12 +598,19 @@ func (c *Cluster) bcastStep(m *Machine, inbox []Message) []Message {
 	return out
 }
 
+// bcastLand stores the payload a machine was just delivered.
+func (c *Cluster) bcastLand(m *Machine, inbox []Message) {
+	for _, msg := range inbox {
+		m.Set(c.bc.slot, msg.Payload)
+	}
+}
+
 // Broadcast delivers payload from machine `from` to every machine via a
-// fanout tree, storing it on arrival under store slot `slot`. It costs
-// ceil(log_f M) rounds where f = s / payload words, plus one delivery flush
-// when the last round sent anything. The payload value is shared (not
-// copied); receivers must treat it as read-only. A steady-state Broadcast
-// allocates nothing.
+// fanout tree, storing it on arrival under store slot `slot`. It costs the
+// tree depth, ceil(log_f M) rounds where f = s / payload words (1 on a
+// single machine); the last round's deliveries are landed, not stepped for.
+// The payload value is shared (not copied); receivers must treat it as
+// read-only. A steady-state Broadcast allocates nothing.
 func (c *Cluster) Broadcast(from int, slot string, payload Sized) {
 	bc := &c.bc
 	bc.from, bc.slot, bc.payload = from, slot, payload
@@ -587,20 +621,19 @@ func (c *Cluster) Broadcast(from int, slot string, payload Sized) {
 		c.Step(c.runBcast)
 		bc.frontier *= bc.fanout
 	}
-	// Land the deliveries of the last round, if it made any.
-	bc.frontier = 0
-	for _, in := range c.inboxes {
-		if len(in) > 0 {
-			c.Step(c.runBcast)
-			break
-		}
+	// Land the deliveries of the last round: it always makes some unless the
+	// machine is alone (the depth is minimal, so the frontier was short of M),
+	// and then re-metering an unchanged store would only repeat its
+	// violations.
+	if c.cfg.Machines > 1 {
+		c.Land(c.landBcast)
 	}
 	bc.payload = nil
 }
 
 // Scatter delivers messages produced at a single machine in one round: the
 // coordinator addresses each machine directly with a small keyed payload.
-// Costs one round plus one delivery round.
+// Costs one round.
 func (c *Cluster) Scatter(from int, produce func(m *Machine) []Message, receive func(m *Machine, msg Message)) {
 	c.Step(func(m *Machine, inbox []Message) []Message {
 		if m.ID != from {
@@ -608,11 +641,10 @@ func (c *Cluster) Scatter(from int, produce func(m *Machine) []Message, receive 
 		}
 		return produce(m)
 	})
-	c.Step(func(m *Machine, inbox []Message) []Message {
+	c.Land(func(m *Machine, inbox []Message) {
 		for _, msg := range inbox {
 			receive(m, msg)
 		}
-		return nil
 	})
 }
 

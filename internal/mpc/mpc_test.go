@@ -188,12 +188,13 @@ func TestBroadcastReachesAll(t *testing.T) {
 }
 
 func TestBroadcastRoundsLogarithmic(t *testing.T) {
-	// With payload of w words and memory s, fanout is s/w; 64 machines with
-	// fanout 8 must finish within 3 rounds of sending plus one flush.
+	// With payload of w words and memory s, fanout is s/w; fanout 8 reaches
+	// 64 machines in two hops, and a round is a hop: the last hop's
+	// deliveries are landed, not stepped for.
 	c := newTestCluster(64, 8)
 	c.Broadcast(0, "bc", word(5))
-	if r := c.Stats().Rounds; r > 4 {
-		t.Errorf("broadcast of 1 word to 64 machines with s=8 took %d rounds", r)
+	if r := c.Stats().Rounds; r != 2 {
+		t.Errorf("broadcast of 1 word to 64 machines with s=8 took %d rounds, want 2", r)
 	}
 }
 

@@ -20,7 +20,10 @@ func (r keyRun) Words() int { return len(r.keys) * r.itemWords }
 //
 //  1. every machine sends a sample of its keys to the coordinator,
 //  2. the coordinator broadcasts M-1 splitters,
-//  3. every machine routes each item to the splitter-chosen destination.
+//  3. every machine routes each item to the splitter-chosen destination,
+//
+// and the destinations land the routed items (sort them locally, hand them
+// back) without a fourth round: 3 rounds in all.
 //
 // items are provided and received through the callbacks so the caller
 // controls representation; itemWords meters the per-item payload size.
@@ -109,13 +112,12 @@ func (c *Cluster) SortByKey(
 		}
 		return out
 	})
-	// Round 4: deliver, locally sort, hand back.
-	c.Step(func(m *Machine, inbox []Message) []Message {
+	// Land round 3: locally sort, hand back.
+	c.Land(func(m *Machine, inbox []Message) {
 		for _, msg := range inbox {
 			received[m.ID] = append(received[m.ID], msg.Payload.(keyRun).keys...)
 		}
 		sort.Slice(received[m.ID], func(i, j int) bool { return received[m.ID][i] < received[m.ID][j] })
-		return nil
 	})
 	for i, m := range c.machines {
 		give(m, received[i])

@@ -497,11 +497,11 @@ func (m *Matcher) rematchRound(pending []int) []bool {
 		}
 		return batchMessages(byOwner)
 	})
-	// Step D: accepters finalize.
-	m.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
+	// Landing: accepters finalize.
+	m.cl.Land(func(mm *mpc.Machine, inbox []mpc.Message) {
 		sh := getShard(mm)
 		if sh == nil {
-			return nil
+			return
 		}
 		for _, msg := range inbox {
 			b := msg.Payload.(*mpc.MessageBatch)
@@ -513,7 +513,6 @@ func (m *Matcher) rematchRound(pending []int) []bool {
 			}
 			b.Release()
 		}
-		return nil
 	})
 	return sawFree
 }
