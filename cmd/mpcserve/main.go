@@ -15,8 +15,11 @@
 // flags restores every instance bit-identically, warm caches included.
 // Checkpoints form a chain: the first is a full base, later ones (including
 // -checkpoint-every periodic background checkpoints) are cheap deltas that
-// carry only the state dirtied since the previous checkpoint, compacted
-// into a fresh base every -max-delta-chain deltas.
+// carry only the update batches applied since the previous checkpoint —
+// a restart replays them on top of the base, and counts them in
+// mpcserve_restore_replayed_updates_total — compacted into a fresh base
+// every -max-delta-chain deltas, or earlier when a delta would hold more than
+// one update per vertex.
 package main
 
 import (

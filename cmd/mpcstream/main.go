@@ -54,9 +54,11 @@
 // -resume restores such a snapshot before replaying a -stream trace of
 // further updates, oracle-verified against the restored mirror. Checkpoints
 // form a chain: when -resume and -checkpoint name the same path, the new
-// checkpoint is an incremental delta carrying only the replayed updates and
-// the state they dirtied, compacted into a fresh full base every
-// -max-delta-chain deltas; stale temp files from an interrupted checkpoint
+// checkpoint is an incremental delta carrying only the replayed update
+// batches (a later -resume replays them on top of the base and prints how
+// many), compacted into a fresh full base every -max-delta-chain deltas, or
+// at once when the delta would hold more than one update per vertex; stale
+// temp files from an interrupted checkpoint
 // are swept before loading. The replay runs on an internal/session Session
 // (the same lifecycle mpcserve and the harness use); snapshots written by a
 // build from before that package are rejected by their meta section tag. With -scenario, -crash-every k injects a seeded

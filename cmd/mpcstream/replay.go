@@ -48,8 +48,8 @@ func vertexSpace(path string) (int, error) {
 // journaled) before the algorithm sees it, and the final state is verified
 // against that mirror. When -resume and -checkpoint name the same path, the
 // written checkpoint extends the restored chain as a cheap delta (carrying
-// only the replayed updates and the state they dirtied) instead of
-// rewriting the full snapshot.
+// only the replayed update batches, which the next resume replays) instead
+// of rewriting the full snapshot.
 func replay(o options, out io.Writer) error {
 	flagName, path := "-trace", o.traceFile
 	if path == "" {
@@ -191,8 +191,9 @@ func resume(o options, cfg session.Config, out io.Writer) (*session.Session, *sn
 	if !ok {
 		return fail(fmt.Errorf("no snapshot at %s", o.resumeFile))
 	}
-	fmt.Fprintf(out, "resumed %d vertices, %d edges from %s (chain length %d)\n",
-		sess.Shape().N, sess.Mirror().Graph().M(), o.resumeFile, cfg.Chain.Len())
+	replayed := cfg.Chain.Replayed()
+	fmt.Fprintf(out, "resumed %d vertices, %d edges from %s (chain length %d, %d journaled batches of %d updates replayed)\n",
+		sess.Shape().N, sess.Mirror().Graph().M(), o.resumeFile, cfg.Chain.Len(), replayed.Batches, replayed.Updates)
 	if o.checkpointFile == o.resumeFile && o.resumeMachines == 0 {
 		return sess, cfg.Chain, nil
 	}

@@ -30,6 +30,14 @@
 // a Link is 3 rounds, a Cut of tree edges 10, a Link 6 to 10.
 // TestRoundBudgetPerOperation pins the budget of every step of the update
 // path, TestLedgerPinned the totals of three replayed streams.
+//
+// Both layers checkpoint in full (snapshot.go, reshard.go: every shard, every
+// arena, one loader for any source fleet shape). Only DynamicConnectivity has
+// delta checkpoints, and its delta is the batches, not the bytes they
+// dirtied: ApplyBatch journals what it received (a snapshot.Journal, at most
+// one update per vertex), a delta ships the journal, and a restore replays it
+// through ApplyBatch — exact because all randomness is seed-fixed and the
+// apply path deterministic. Nothing on the apply path marks anything dirty.
 package core
 
 import (

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/sketch"
 	"repro/internal/sketchcodec"
+	"repro/internal/snapshot"
 )
 
 // Extra machine-store slots used by DynamicConnectivity.
@@ -222,6 +223,13 @@ type DynamicConnectivity struct {
 	f      *Forest
 	space  *sketch.Space
 	search searchCounters
+	// journal holds the batches ApplyBatch took since the last acknowledged
+	// checkpoint: what a delta checkpoint ships and a restore replays (see
+	// snapshot.go). It is bounded at one update per vertex — a restore pays
+	// roughly an apply per journaled update, so past that a full base is the
+	// better checkpoint — which also bounds it in a process that never
+	// checkpoints.
+	journal snapshot.Journal
 }
 
 // NewDynamicConnectivity builds the distributed state for an initially
@@ -284,7 +292,6 @@ func (dc *DynamicConnectivity) updateSketches(edges []graph.Edge, op graph.Op) {
 			for _, v := range []int{e.U, e.V} {
 				if vs.owns(v) {
 					sh.of(v).ApplyEdge(v, e, u.op)
-					sh.arena.MarkDirty(v - sh.lo)
 				}
 			}
 		}
@@ -295,7 +302,22 @@ func (dc *DynamicConnectivity) updateSketches(edges []graph.Edge, op graph.Op) {
 // deletions (Section 1.2 allows treating them as two consecutive
 // sub-batches). The batch must be valid against the current graph: no
 // duplicate insertions, deletions only of present edges, no self loops.
+//
+// An applied batch is journaled for the next delta checkpoint; a batch that
+// failed may have been applied in part, so the journal no longer describes
+// the state and is dropped.
 func (dc *DynamicConnectivity) ApplyBatch(b graph.Batch) error {
+	if err := dc.applyBatch(b); err != nil {
+		dc.journal.Drop()
+		return err
+	}
+	dc.journal.Record(b, dc.f.cfg.N)
+	return nil
+}
+
+// applyBatch is ApplyBatch less the journal: what a delta restore replays
+// journaled batches through.
+func (dc *DynamicConnectivity) applyBatch(b graph.Batch) error {
 	if len(b) > dc.MaxBatch() {
 		return fmt.Errorf("core: batch of %d exceeds MaxBatch %d", len(b), dc.MaxBatch())
 	}
@@ -502,10 +524,18 @@ type searchCounters struct {
 	sketchesSummed, sketchesSkipped                  atomic.Uint64
 }
 
+// reset zeroes the counters in place (they are atomics: never copied).
+func (c *searchCounters) reset() {
+	for _, x := range []*atomic.Uint64{&c.searches, &c.levels, &c.queryFails, &c.refills, &c.exhausted, &c.sketchesSummed, &c.sketchesSkipped} {
+		x.Store(0)
+	}
+}
+
 // SearchStats reports the replacement-search counters. Like the query-cache
 // hit/miss pair they are process-lifetime observability, not algorithm
-// state: never checkpointed, zero on a restored or re-sharded instance. Safe
-// to call concurrently with updates.
+// state: never checkpointed, zero on a restored or re-sharded instance (a
+// delta restore zeroes what its replay counted). Safe to call concurrently
+// with updates.
 func (dc *DynamicConnectivity) SearchStats() SearchStats {
 	c := &dc.search
 	return SearchStats{
@@ -554,6 +584,7 @@ func (dc *DynamicConnectivity) SpaceWords() int { return dc.space.SketchWords() 
 // reports the rounds it spent so experiments can separate preprocessing
 // from steady-state cost.
 func (dc *DynamicConnectivity) Bootstrap(edges []graph.Edge) (rounds int, err error) {
+	dc.journal.Drop() // loaded, not applied batch by batch: the next checkpoint is a full one
 	before := dc.f.cl.Stats().Rounds
 	k := dc.MaxBatch()
 	for i := 0; i < len(edges); i += k {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -746,100 +744,6 @@ func TestLoadRejectsTreeEdgeOnTwoShards(t *testing.T) {
 		}
 		if got := fresh.SnapshotForest(); len(got) != 1 || got[0].Edge != ed {
 			t.Fatalf("%s: loaded forest %v, want [%v]", name, got, ed)
-		}
-	}
-}
-
-// TestDeltaRejectsMisfiledEdge hand-builds a delta container (valid CRC,
-// correct chain position) whose one tree-edge upsert or tombstone sits in
-// the section of a machine that does not own the edge: restoring the chain
-// must fail naming the edge and both machines, where the same delta with the
-// record in its owner's section restores.
-func TestDeltaRejectsMisfiledEdge(t *testing.T) {
-	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
-	f, err := NewForest(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := f.cl.Machines()
-	ed := graph.Edge{U: 1, V: 2}
-	owner := f.edgeOwner(ed)
-	wrong := (owner + 1) % m
-	store := snapshot.NewMemStore()
-	if _, _, err := snapshot.OpenChainIn(store, "ckpt", 8).Checkpoint(f); err != nil {
-		t.Fatal(err)
-	}
-	r, err := store.Open("ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A container's identity is its trailing CRC word.
-	baseID := binary.LittleEndian.Uint64(base[len(base)-8:])
-	for _, upsert := range []bool{true, false} {
-		for _, at := range []int{wrong, owner} {
-			e := snapshot.NewEncoder()
-			e.Begin(0x0D) // snapshot's chain header: base, predecessor, position
-			e.U64(baseID)
-			e.U64(baseID)
-			e.U64(1)
-			e.Begin(tagForestDelta)
-			handEcho(e, f)
-			e.U64(2) // next tour id
-			e.U64(1) // label-cache epoch
-			e.Int(0)
-			e.Bool(false) // no component count
-			e.Int(0)      // no label-cache entries
-			snapshot.EncodeClusterStats(e, mpc.Stats{})
-			for i := 0; i < m; i++ {
-				e.Begin(tagForestShardDelta)
-				e.Int(i)
-				e.Bool(i != f.coord)
-				if i != f.coord {
-					e.Int(0)      // no component changes
-					e.Bool(false) // fragment map untouched
-				}
-				if i != at {
-					e.Int(0)
-					continue
-				}
-				e.Int(1)
-				e.Int(ed.U)
-				e.Int(ed.V)
-				e.Bool(upsert)
-				if upsert {
-					handRecord(e)
-				}
-			}
-			err := store.Put("ckpt.delta-001", func(w io.Writer) error {
-				_, _, err := e.WriteContainer(w, snapshot.DeltaMagic)
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := NewForest(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = snapshot.OpenChainIn(store, "ckpt", 8).Restore(fresh)
-			if at == owner {
-				if err != nil {
-					t.Fatalf("upsert=%v filed on its owner: %v", upsert, err)
-				}
-				continue
-			}
-			if err == nil {
-				t.Fatalf("upsert=%v for edge %v filed on machine %d (owner %d) was applied", upsert, ed, wrong, owner)
-			}
-			for _, want := range []string{"{1,2}", fmt.Sprintf("machine %d", wrong), fmt.Sprintf("machine %d", owner)} {
-				if !strings.Contains(err.Error(), want) {
-					t.Fatalf("upsert=%v: diagnostic %q does not name %q", upsert, err, want)
-				}
-			}
 		}
 	}
 }

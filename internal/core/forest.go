@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -44,17 +43,6 @@ type vertexShard struct {
 	// the owning DynamicConnectivity (0 for a bare Forest); it is included
 	// here so the shard's Words reflect the whole vertex bundle.
 	sketchWords int
-
-	// Delta-checkpoint journals. compDirty is a bitmap over comp (indices
-	// relative to lo) of entries changed since the last acknowledged
-	// checkpoint; fragDirty marks that the transient frag map changed at all
-	// (it is small and rebuilt wholesale by Cut, so the delta re-ships it
-	// whole rather than diffing). Journals are checkpoint bookkeeping, not
-	// machine state: they are excluded from Words so memory metering and
-	// golden Stats are unchanged by delta tracking.
-	compDirty      []uint64
-	compDirtyCount int
-	fragDirty      bool
 }
 
 // Words implements mpc.Sized.
@@ -65,45 +53,6 @@ func (s *vertexShard) Words() int {
 func (s *vertexShard) owns(v int) bool { return v >= s.lo && v < s.hi }
 
 func (s *vertexShard) compOf(v int) int { return s.comp[v-s.lo] }
-
-func (s *vertexShard) setComp(v, c int) {
-	i := v - s.lo
-	if s.comp[i] != c {
-		s.comp[i] = c
-		s.markComp(i)
-	}
-}
-
-// markComp journals a change to comp[i] (shard-relative index).
-func (s *vertexShard) markComp(i int) {
-	w, b := i/64, uint64(1)<<(i%64)
-	if s.compDirty[w]&b == 0 {
-		s.compDirty[w] |= b
-		s.compDirtyCount++
-	}
-}
-
-// forEachDirtyComp visits the journaled comp entries in ascending index
-// order without resetting the journal.
-func (s *vertexShard) forEachDirtyComp(fn func(i, c int)) {
-	for w, b := range s.compDirty {
-		for b != 0 {
-			i := w*64 + bits.TrailingZeros64(b)
-			fn(i, s.comp[i])
-			b &= b - 1
-		}
-	}
-}
-
-// resetJournal clears the shard's delta journals: the current state is the
-// new checkpointed baseline.
-func (s *vertexShard) resetJournal() {
-	if s.compDirtyCount > 0 {
-		clear(s.compDirty)
-		s.compDirtyCount = 0
-	}
-	s.fragDirty = false
-}
 
 // treeEdge is one tree-edge record plus its weight (weights are carried only
 // by weighted forests; zero otherwise).
@@ -119,32 +68,10 @@ type edgeShard struct {
 	// splits the old ones until the fragment push that follows consumes it
 	// (pushFragments). Transient, never checkpointed, shared and read-only.
 	newTours map[eulertour.TourID]bool
-	// dirty journals edges whose record changed (upsert or delete) since the
-	// last acknowledged checkpoint; the delta ships each as an upsert or a
-	// tombstone. Checkpoint bookkeeping, excluded from Words (see
-	// vertexShard). In a process that never checkpoints the journal grows
-	// with churn until a Restore or AckCheckpoint clears it — the
-	// checkpointing deployments this exists for ack regularly.
-	dirty map[graph.Edge]bool
 }
 
 // Words implements mpc.Sized.
 func (s *edgeShard) Words() int { return 8*len(s.recs) + len(s.newTours) + 1 }
-
-// markEdge journals a change to edge e's record.
-func (s *edgeShard) markEdge(e graph.Edge) {
-	if s.dirty == nil {
-		s.dirty = map[graph.Edge]bool{}
-	}
-	s.dirty[e] = true
-}
-
-// resetJournal clears the edge journal.
-func (s *edgeShard) resetJournal() {
-	if len(s.dirty) > 0 {
-		clear(s.dirty)
-	}
-}
 
 // fragment keys combine tours and singleton vertices in one key space.
 const fragVertexBit = uint64(1) << 62
@@ -293,9 +220,8 @@ func newForest(cfg Config, weighted bool, sketchWords int) (*Forest, error) {
 			lo, hi := f.part.Range(mm.ID)
 			vs := &vertexShard{
 				lo: lo, hi: hi,
-				comp:      make([]int, hi-lo),
-				frag:      map[int]uint64{},
-				compDirty: make([]uint64, (hi-lo+63)/64),
+				comp: make([]int, hi-lo),
+				frag: map[int]uint64{},
 			}
 			for v := lo; v < hi; v++ {
 				vs.comp[v-lo] = v
@@ -768,7 +694,6 @@ func (f *Forest) Link(edges []graph.WeightedEdge) error {
 			for _, te := range msg.Payload.(recordsPayload).records {
 				cp := te
 				es.recs[te.rec.E] = &cp
-				es.markEdge(te.rec.E)
 			}
 		},
 	)
@@ -839,18 +764,13 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 		for e, te := range es.recs {
 			if p.drop[e] {
 				delete(es.recs, e)
-				es.markEdge(e)
 				continue
 			}
 			if !p.set.Touches(te.rec.Tour) {
 				continue
 			}
-			old := te.rec
 			if err := p.set.ApplyToRecord(&te.rec); err != nil {
 				panic(fmt.Sprintf("core: %v", err))
-			}
-			if te.rec != old {
-				es.markEdge(e)
 			}
 		}
 		vs := vShard(mm)
@@ -860,9 +780,8 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 		vs.affected = p.affected
 		if len(p.compMap) > 0 {
 			for i, c := range vs.comp {
-				if nc, ok := p.compMap[c]; ok && nc != c {
+				if nc, ok := p.compMap[c]; ok {
 					vs.comp[i] = nc
-					vs.markComp(i)
 				}
 			}
 		}
@@ -879,7 +798,6 @@ func (f *Forest) clearFrags() {
 		vs.passive = nil
 		if len(vs.frag) > 0 {
 			vs.frag = map[int]uint64{}
-			vs.fragDirty = true
 		}
 	})
 }
@@ -1153,7 +1071,6 @@ func (f *Forest) pushFragments() {
 			b := msg.Payload.(*mpc.MessageBatch)
 			for pr := range b.Frames {
 				vs.frag[int(pr[0])] = pr[1]
-				vs.fragDirty = true
 			}
 			b.Release()
 		}
@@ -1163,7 +1080,6 @@ func (f *Forest) pushFragments() {
 			if affectedComps[vs.comp[i]] {
 				if _, ok := vs.frag[v]; !ok {
 					vs.frag[v] = fragKeyOfVertex(v)
-					vs.fragDirty = true
 				}
 			}
 		}
@@ -1227,7 +1143,7 @@ func (f *Forest) tellFragComps(compByFrag map[uint64]int, passive map[uint64]boo
 		p := payload.(fragCompsPayload)
 		for v, k := range vs.frag {
 			if c, ok := p.compByFrag[k]; ok {
-				vs.setComp(v, c)
+				vs.comp[v-vs.lo] = c
 			}
 		}
 		vs.passive = p.passive

@@ -20,7 +20,10 @@ package core
 // instance's. A loaded instance is indistinguishable from a fresh instance at
 // its shape that was fed the same update stream (labels, forest, sketches,
 // and query answers are bit-identical); its execution Stats are the
-// checkpoint's, carried over verbatim.
+// checkpoint's, carried over verbatim. Loading resets the instance's update
+// journal: the loaded state is the baseline the next delta checkpoint (a
+// journal of batches, see snapshot.go) extends. Deltas themselves are never
+// re-sharded — they replay onto a base of their own fleet shape.
 //
 // Failure contract, the same for both verbs: a configuration mismatch or a
 // memory-cap rejection — a per-machine budget that cannot hold the state is
@@ -118,18 +121,18 @@ func (f *Forest) readImage(d *snapshot.Decoder, sameShape bool) (*forestImage, m
 	}
 	img.stats = snapshot.DecodeClusterStats(d)
 	for i := 0; i < srcMach; i++ {
-		has, err := readShardHeader(d, tagForestShard, i, srcMach)
+		has, err := snapshot.ReadShardHeader(d, tagForestShard, i, src)
 		if err != nil {
 			return nil, src, err
 		}
 		if has {
-			lo, hi := d.Int(), d.Int()
+			lo, hi, err := snapshot.ReadShardRange(d, i, src)
+			if err != nil {
+				return nil, src, err
+			}
 			nc := d.Count(1)
 			if err := d.Err(); err != nil {
 				return nil, src, err
-			}
-			if wantLo, wantHi := src.Range(i); lo != wantLo || hi != wantHi {
-				return nil, src, fmt.Errorf("core: snapshot shard %d covers [%d,%d), source layout says [%d,%d)", i, lo, hi, wantLo, wantHi)
 			}
 			if nc != hi-lo {
 				return nil, src, fmt.Errorf("core: snapshot shard %d has %d component entries, want %d", i, nc, hi-lo)
@@ -143,7 +146,7 @@ func (f *Forest) readImage(d *snapshot.Decoder, sameShape bool) (*forestImage, m
 		}
 		nr := d.Count(8)
 		for j := 0; j < nr; j++ {
-			ed, te, err := readTreeEdge(d, n, false)
+			ed, te, err := readTreeEdge(d, n)
 			if err != nil {
 				return nil, src, err
 			}
@@ -216,7 +219,6 @@ func (f *Forest) installImage(img *forestImage) {
 	// Last, so that LocalAll's memory metering of the install itself does not
 	// leak into the metrics: a loaded instance's Stats are the checkpoint's.
 	f.cl.RestoreStats(img.stats)
-	f.AckCheckpoint() // the loaded state is the new delta baseline
 }
 
 // load is the forest's one full-checkpoint loader (see the file comment):
@@ -262,9 +264,8 @@ func (dc *DynamicConnectivity) load(d *snapshot.Decoder, sameShape bool) error {
 	if err != nil {
 		return err
 	}
-	srcMach := src.Machines + 1 // the vertex machines plus the coordinator
-	for i := 0; i < srcMach; i++ {
-		has, err := readShardHeader(d, tagSketchShard, i, srcMach)
+	for i := 0; i <= src.Machines; i++ { // the vertex machines, then the coordinator
+		has, err := snapshot.ReadShardHeader(d, tagSketchShard, i, src)
 		if err != nil {
 			return err
 		}
@@ -286,7 +287,7 @@ func (dc *DynamicConnectivity) load(d *snapshot.Decoder, sameShape bool) error {
 			}
 		}
 	}
-	dc.AckCheckpoint() // the loaded arenas are the new delta baseline
+	dc.journal.Reset() // the loaded state is the new delta baseline
 	return nil
 }
 

@@ -34,9 +34,7 @@ func (g *GreedyInsertOnly) Checkpoint(e *snapshot.Encoder) {
 	for i := 0; i < g.cl.Machines(); i++ {
 		mm := g.cl.Machine(i)
 		sh, ok := mm.Get(slotShard).(*greedyShard)
-		e.Begin(tagGreedyShard)
-		e.Int(i)
-		e.Bool(ok)
+		snapshot.WriteShardHeader(e, tagGreedyShard, i, ok)
 		if ok {
 			e.Int(sh.lo)
 			e.Int(sh.hi)
@@ -70,29 +68,23 @@ func (g *GreedyInsertOnly) load(d *snapshot.Decoder, sameShape bool) error {
 	srcPart := mpc.Partition{N: n, Machines: mach - 1}
 	flat := make([]int, n)
 	for i := 0; i < mach; i++ {
-		d.Begin(tagGreedyShard)
-		id := d.Int()
-		hasShard := d.Bool()
-		if err := d.Err(); err != nil {
+		hasShard, err := snapshot.ReadShardHeader(d, tagGreedyShard, i, srcPart)
+		if err != nil {
 			return err
-		}
-		if id != i {
-			return fmt.Errorf("matching: shard section for machine %d where %d was expected", id, i)
-		}
-		if hasShard != (i != mach-1) {
-			return fmt.Errorf("matching: snapshot machine %d of %d disagrees with the coordinator-last layout", i, mach)
 		}
 		if !hasShard {
 			continue
 		}
-		lo, hi := d.Int(), d.Int()
+		lo, hi, err := snapshot.ReadShardRange(d, i, srcPart)
+		if err != nil {
+			return err
+		}
 		match := d.Ints()
 		if err := d.Err(); err != nil {
 			return err
 		}
-		wantLo, wantHi := srcPart.Range(i)
-		if lo != wantLo || hi != wantHi || len(match) != hi-lo {
-			return fmt.Errorf("matching: snapshot shard %d shape mismatch", i)
+		if len(match) != hi-lo {
+			return fmt.Errorf("matching: snapshot shard %d has %d match entries, want %d", i, len(match), hi-lo)
 		}
 		for _, p := range match {
 			if p < -1 || p >= g.n {

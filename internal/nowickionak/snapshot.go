@@ -33,9 +33,7 @@ func (m *Matcher) Checkpoint(e *snapshot.Encoder) {
 	for i := 0; i < m.cl.Machines(); i++ {
 		mm := m.cl.Machine(i)
 		sh := getShard(mm)
-		e.Begin(tagMatcherShard)
-		e.Int(i)
-		e.Bool(sh != nil)
+		snapshot.WriteShardHeader(e, tagMatcherShard, i, sh != nil)
 		if sh == nil {
 			continue
 		}
@@ -90,30 +88,20 @@ func (m *Matcher) Restore(d *snapshot.Decoder) error {
 
 // restoreShard loads machine i's adjacency and match state.
 func (m *Matcher) restoreShard(d *snapshot.Decoder, i int) error {
-	mm := m.cl.Machine(i)
-	sh := getShard(mm)
-	d.Begin(tagMatcherShard)
-	id := d.Int()
-	hasShard := d.Bool()
-	if err := d.Err(); err != nil {
+	// The writer's machine count is this instance's (Restore checked), so its
+	// partition is too.
+	hasShard, err := snapshot.ReadShardHeader(d, tagMatcherShard, i, m.part)
+	if err != nil || !hasShard {
 		return err
 	}
-	if id != i {
-		return fmt.Errorf("nowickionak: shard section for machine %d where %d was expected", id, i)
+	lo, hi, err := snapshot.ReadShardRange(d, i, m.part)
+	if err != nil {
+		return err
 	}
-	if hasShard != (sh != nil) {
-		return fmt.Errorf("nowickionak: snapshot/instance disagree on machine %d holding a shard", i)
-	}
-	if sh == nil {
-		return nil
-	}
-	lo, hi := d.Int(), d.Int()
+	sh := getShard(m.cl.Machine(i))
 	match := d.Ints()
 	if err := d.Err(); err != nil {
 		return err
-	}
-	if lo != sh.lo || hi != sh.hi {
-		return fmt.Errorf("nowickionak: snapshot shard %d covers [%d,%d), instance covers [%d,%d)", i, lo, hi, sh.lo, sh.hi)
 	}
 	if len(match) != hi-lo {
 		return fmt.Errorf("nowickionak: snapshot shard %d has %d match entries, want %d", i, len(match), hi-lo)

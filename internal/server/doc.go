@@ -61,7 +61,10 @@
 // the same checkpoint also runs periodically on a quiesced instance
 // (admission held, queue drained). Every container opens with the session's
 // meta echo, followed by the mirror (its edge set in a full base, the
-// journal of admitted updates in a delta) and the cluster state. New
+// journal of admitted updates in a delta) and the cluster state (every shard
+// and sketch arena in a full base; in a delta the journal of applied batches,
+// which a restore replays — mpcserve_restore_replayed_updates_total says how
+// many — plus the label cache and stats). New
 // restores any instance whose base exists, after config-echo validation and
 // at the fleet shape the checkpoint was cut at, and the restored label cache
 // keeps warm queries warm: answers after a graceful restart are
@@ -86,6 +89,7 @@
 //	mpcserve_query_batches_total           counter
 //	mpcserve_queue_depth                   gauge; batches waiting in the update queue
 //	mpcserve_restore_cycles_total          counter; checkpoint/restore cycles survived
+//	mpcserve_restore_replayed_updates_total counter; journaled updates replayed by restores from a delta chain
 //	mpcserve_instance_healthy              gauge; 0 after an applier failure
 //	mpcserve_batch_apply_seconds           histogram; wall time per applied batch
 package server

@@ -90,6 +90,9 @@ type instance struct {
 	batchesRejected atomic.Uint64
 	queryBatches    atomic.Uint64
 	restoreCycles   atomic.Uint64
+	// replayedUpdates counts the journaled updates the delta containers of
+	// the restore at startup replayed: what that restore's time grew with.
+	replayedUpdates atomic.Uint64
 	rounds          atomic.Int64
 	applyNanos      atomic.Int64
 	applyCount      atomic.Uint64
@@ -143,6 +146,9 @@ func newInstance(id int, cfg core.Config, queueDepth int, chain *snapshot.Chain)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("server: instance %d: %w", id, err)
+	}
+	if restored {
+		in.replayedUpdates.Store(uint64(chain.Replayed().Updates))
 	}
 	in.publish()
 	in.pendCond = sync.NewCond(&in.pendMu)

@@ -48,6 +48,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(in *instance) uint64 { return in.queryBatches.Load() })
 	counter("mpcserve_restore_cycles_total", "Checkpoint/restore cycles this instance has survived.",
 		func(in *instance) uint64 { return in.restoreCycles.Load() })
+	counter("mpcserve_restore_replayed_updates_total", "Journaled updates replayed on top of the base by restores from a delta chain.",
+		func(in *instance) uint64 { return in.replayedUpdates.Load() })
 	counter("mpcserve_reshard_total", "Elastic resizes completed (state migrated onto a new machine count).",
 		func(in *instance) uint64 { return in.reshardCount.Load() })
 	const reshardSec = "mpcserve_reshard_seconds"

@@ -386,6 +386,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mpcserve_query_batches_total",
 		"mpcserve_queue_depth",
 		"mpcserve_restore_cycles_total",
+		"mpcserve_restore_replayed_updates_total",
 		"mpcserve_instance_healthy",
 		"mpcserve_batch_apply_seconds_bucket",
 		"mpcserve_batch_apply_seconds_sum",
@@ -511,6 +512,10 @@ func TestServerDeltaCheckpointChain(t *testing.T) {
 	}
 	if hits, misses := srv3.insts[0].dc.Load().QueryCacheStats(); hits == 0 || misses != 0 {
 		t.Errorf("restore from base+delta was not warm: hits=%d misses=%d", hits, misses)
+	}
+	// The delta carried generation 2's two updates, and the restore says so.
+	if got := srv3.insts[0].replayedUpdates.Load(); got != 2 {
+		t.Errorf("restore from base+delta replayed %d updates, want 2", got)
 	}
 	// Admission mirror replayed the delta journal: the deleted edge can be
 	// re-inserted, the still-present one cannot.

@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/snapshot"
@@ -19,16 +20,16 @@ import (
 // The zero Mirror has no graph yet; it is usable only as the target of a
 // Session restore, which sizes it from the checkpoint.
 type Mirror struct {
-	g       *graph.Graph
-	journal graph.Batch
+	g *graph.Graph
+	// journal holds the admitted batches since the last acknowledged
+	// checkpoint, bounded by the mirror's own size: a delta replaying more
+	// updates than the base holds edges is never cheaper than a full
+	// snapshot, so past that the journal is dropped, the next checkpoint is a
+	// full one, and journaling resumes after it.
+	journal snapshot.Journal
 	// durable is set by the session when a chain stands behind the mirror;
 	// without one nothing will ever ask for a delta, so nothing is journaled.
 	durable bool
-	// overflowed records that the journal outgrew the graph and was dropped:
-	// a delta replaying more updates than the base holds edges is never
-	// cheaper than a full snapshot, so the next checkpoint is a full one and
-	// journaling resumes after it.
-	overflowed bool
 }
 
 // NewMirror returns an empty mirror over n vertices.
@@ -44,7 +45,7 @@ func (m *Mirror) Graph() *graph.Graph { return m.g }
 
 // JournalLen is the number of admitted updates a delta checkpoint would
 // carry right now.
-func (m *Mirror) JournalLen() int { return len(m.journal) }
+func (m *Mirror) JournalLen() int { return m.journal.Len() }
 
 // Admit validates b against the mirror and, only if the whole batch is
 // valid, applies and journals it. A refused batch leaves the mirror
@@ -57,11 +58,8 @@ func (m *Mirror) Admit(b graph.Batch) error {
 		// Unreachable after Check; fail loudly rather than desync.
 		return fmt.Errorf("mirror diverged: %w", err)
 	}
-	if m.durable && !m.overflowed {
-		m.journal = append(m.journal, b...)
-		if len(m.journal) > m.g.M() {
-			m.journal, m.overflowed = nil, true
-		}
+	if m.durable {
+		m.journal.Record(b, m.g.M())
 	}
 	return nil
 }
@@ -69,10 +67,11 @@ func (m *Mirror) Admit(b graph.Batch) error {
 var _ snapshot.DeltaState = (*Mirror)(nil)
 
 // Section tags of the mirror: the edge set in a full container, the journal
-// in a delta.
+// in a delta. 0x73 was the journal before it kept batch boundaries and stays
+// retired, like core's physical-delta tags.
 const (
-	tagMirror      = 0x71
-	tagMirrorDelta = 0x73
+	tagMirror        = 0x71
+	tagMirrorJournal = 0x74
 )
 
 // Checkpoint implements snapshot.Checkpointer.
@@ -88,23 +87,25 @@ func (m *Mirror) Restore(d *snapshot.Decoder) error {
 	if m.g.M() > 0 {
 		m.g = graph.New(m.g.N())
 	}
-	m.journal, m.overflowed = nil, false
+	m.journal.Reset()
 	return snapshot.DecodeGraphInto(d, m.g)
 }
 
-// CheckpointDelta implements snapshot.DeltaState: replaying the
-// journal onto the restored base mirror reproduces the mirror exactly.
-func (m *Mirror) CheckpointDelta(e *snapshot.Encoder) {
-	e.Begin(tagMirrorDelta)
-	snapshot.EncodeUpdates(e, m.journal)
+// CheckpointDelta implements snapshot.DeltaState: replaying the journal onto
+// the restored base mirror reproduces the mirror exactly. It declines once
+// the journal has overflowed.
+func (m *Mirror) CheckpointDelta(e *snapshot.Encoder) bool {
+	e.Begin(tagMirrorJournal)
+	return m.journal.Encode(e)
 }
 
-// RestoreDelta implements snapshot.DeltaState.
-func (m *Mirror) RestoreDelta(d *snapshot.Decoder) error {
-	d.Begin(tagMirrorDelta)
-	return snapshot.DecodeUpdatesInto(d, m.g)
+// RestoreDelta implements snapshot.DeltaState. The graph itself rejects what
+// does not apply (insert of a present edge, delete of an absent one).
+func (m *Mirror) RestoreDelta(d *snapshot.Decoder) (snapshot.Replay, error) {
+	d.Begin(tagMirrorJournal)
+	return snapshot.ReplayJournal(d, m.g.N(), math.MaxInt, m.g.Apply)
 }
 
 // AckCheckpoint implements snapshot.DeltaState: the written mirror is the
 // new delta baseline.
-func (m *Mirror) AckCheckpoint() { m.journal, m.overflowed = nil, false }
+func (m *Mirror) AckCheckpoint() { m.journal.Reset() }

@@ -18,8 +18,11 @@
 // cross-checks it against the configured shape, builds a fresh state at the
 // persisted fleet shape, and only then loads into it. Delta containers
 // repeat the echo (it is tiny and keeps each container self-validating) and
-// carry the mirror's journal and the state's dirty regions. Whether a
-// checkpoint is a full base or a delta is the chain's decision alone.
+// carry two journals (snapshot.Journal): the batches the mirror admitted and
+// the chunks the state applied since the last acknowledged checkpoint, which
+// a restore replays. Whether a checkpoint is a full base or a delta is the
+// chain's decision alone: it writes a full base whenever the state cannot
+// write deltas or a journal has been dropped (overflow, a failed apply).
 package session
 
 import (
@@ -34,8 +37,9 @@ import (
 
 // State is an algorithm instance a Session can run: it applies batches and
 // checkpoints itself. States that also implement snapshot.DeltaState get
-// delta checkpoints; states that implement snapshot.ReshardRestorer can be
-// resized.
+// delta checkpoints (embedding a snapshot.Journal is all it takes; only
+// connectivity does so far); states that implement snapshot.ReshardRestorer
+// can be resized.
 type State interface {
 	snapshot.Checkpointer
 	snapshot.Restorer
@@ -162,22 +166,14 @@ type Cut struct {
 }
 
 // Checkpoint writes the next container of the chain. On error nothing is
-// acknowledged: journals and dirty tracking keep their content, the chain
-// falls back to a full base next time, and what it held before still
-// restores.
+// acknowledged: the journals keep their content, the chain falls back to a
+// full base next time, and what it held before still restores.
 func (s *Session) Checkpoint() (Cut, error) {
 	if s.chain == nil {
 		return Cut{}, nil
 	}
-	if s.mirror != nil && s.mirror.overflowed {
-		s.chain.Rebase()
-	}
-	var img snapshot.State = image{s}
-	if _, ok := s.state.(snapshot.DeltaState); ok {
-		img = deltaImage{image{s}}
-	}
 	start := time.Now()
-	kind, n, err := s.chain.Checkpoint(img)
+	kind, n, err := s.chain.Checkpoint(image{s})
 	return Cut{Kind: kind, Bytes: n, Took: time.Since(start)}, err
 }
 
@@ -189,7 +185,7 @@ func (s *Session) Restore() (ok bool, err error) {
 	if s.chain == nil {
 		return false, nil
 	}
-	if ok, err = s.chain.Restore(deltaImage{image{s}}); ok {
+	if ok, err = s.chain.Restore(image{s}); ok {
 		s.cycles++
 	}
 	return ok, err
@@ -333,8 +329,8 @@ func (s *Session) readMeta(d *snapshot.Decoder, tag uint64, known Shape) (sh Sha
 	return
 }
 
-// image is a Session as the chain sees it: one state whose sections are the
-// meta echo, the mirror, and the algorithm state.
+// image is a Session as the chain sees it: one snapshot.DeltaState whose
+// sections are the meta echo, the mirror, and the algorithm state.
 type image struct{ s *Session }
 
 func (im image) Checkpoint(e *snapshot.Encoder) {
@@ -384,54 +380,61 @@ func (im image) Restore(d *snapshot.Decoder) error {
 	return nil
 }
 
-// deltaImage is image for a state that can write deltas.
-type deltaImage struct{ image }
-
-func (im deltaImage) CheckpointDelta(e *snapshot.Encoder) {
+// CheckpointDelta declines when the algorithm state cannot write deltas, or
+// when it or the mirror declines this one.
+func (im image) CheckpointDelta(e *snapshot.Encoder) bool {
 	s := im.s
-	s.writeMeta(e, tagMetaDelta)
-	if s.mirror != nil {
-		s.mirror.CheckpointDelta(e)
+	ds, ok := s.state.(snapshot.DeltaState)
+	if !ok {
+		return false
 	}
-	s.state.(snapshot.DeltaState).CheckpointDelta(e)
+	s.writeMeta(e, tagMetaDelta)
+	if s.mirror != nil && !s.mirror.CheckpointDelta(e) {
+		return false
+	}
+	return ds.CheckpointDelta(e)
 }
 
-func (im deltaImage) RestoreDelta(d *snapshot.Decoder) error {
+// RestoreDelta reports what the algorithm state replayed; the mirror's
+// replay of the same updates is not counted twice.
+func (im image) RestoreDelta(d *snapshot.Decoder) (replayed snapshot.Replay, err error) {
 	s := im.s
 	sh, applied, cycles, err := s.readMeta(d, tagMetaDelta, s.shape)
 	if err != nil {
-		return err
+		return replayed, err
 	}
 	if sh.VerticesPerMachine != s.shape.VerticesPerMachine {
 		// Deltas never span a resize: every resize re-bases the chain with
 		// a full checkpoint at the new shape.
-		return fmt.Errorf("session: delta written at VerticesPerMachine=%d cannot extend a base restored at %d",
+		return replayed, fmt.Errorf("session: delta written at VerticesPerMachine=%d cannot extend a base restored at %d",
 			sh.VerticesPerMachine, s.shape.VerticesPerMachine)
 	}
 	if applied < s.applied {
-		return fmt.Errorf("session: delta says %d batches applied but the chain so far says %d — links out of order", applied, s.applied)
+		return replayed, fmt.Errorf("session: delta says %d batches applied but the chain so far says %d — links out of order", applied, s.applied)
 	}
 	ds, ok := s.state.(snapshot.DeltaState)
 	if !ok {
-		return fmt.Errorf("session: %T cannot replay a delta", s.state)
+		return replayed, fmt.Errorf("session: %T cannot replay a delta", s.state)
 	}
 	if s.mirror != nil {
-		if err := s.mirror.RestoreDelta(d); err != nil {
-			return err
+		if _, err := s.mirror.RestoreDelta(d); err != nil {
+			return replayed, err
 		}
 	}
-	if err := ds.RestoreDelta(d); err != nil {
-		return err
+	if replayed, err = ds.RestoreDelta(d); err != nil {
+		return replayed, err
 	}
 	// The tip's counters win: deltas appended after a restart carry the
 	// post-restart restore-cycle count.
 	s.applied, s.cycles = applied, cycles
-	return nil
+	return replayed, nil
 }
 
-func (im deltaImage) AckCheckpoint() {
+func (im image) AckCheckpoint() {
 	if im.s.mirror != nil {
 		im.s.mirror.AckCheckpoint()
 	}
-	im.s.state.(snapshot.DeltaState).AckCheckpoint()
+	if ds, ok := im.s.state.(snapshot.DeltaState); ok {
+		ds.AckCheckpoint()
+	}
 }

@@ -1,9 +1,6 @@
 package sketch
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Arena owns the backing store for a fixed number of sketches of one Space
 // in a single contiguous []uint64, laid out back to back with a stride of
@@ -15,15 +12,6 @@ type Arena struct {
 	space  *Space
 	buf    []uint64
 	stride int
-
-	// dirty is a bitmap over the arena's regions — one region per sketch
-	// (stride words), which is exact because an update to a vertex sketch
-	// touches every copy within its stride. MarkDirty sets bits; the
-	// checkpoint layer walks and resets them. The bitmap is bookkeeping, not
-	// sketch state: it is excluded from Words() so memory metering and
-	// golden Stats are unchanged.
-	dirty      []uint64
-	dirtyCount int
 }
 
 // NewArena returns an arena backing count zero sketches.
@@ -35,7 +23,6 @@ func (s *Space) NewArena(count int) *Arena {
 		space:  s,
 		buf:    make([]uint64, count*s.stride),
 		stride: s.stride,
-		dirty:  make([]uint64, (count+63)/64),
 	}
 }
 
@@ -72,71 +59,15 @@ func (a *Arena) VertexAt(i, n int) VertexSketch {
 // read-only and do not retain it across arena mutations.
 func (a *Arena) Raw() []uint64 { return a.buf }
 
-// LoadRaw overwrites the arena's backing words from a checkpointed image.
-// The image must come from an arena of the same shape (same Space
-// parameters and sketch count); a length mismatch is rejected. Loading a
-// full image resets dirty tracking — the arena now equals a checkpointed
-// state exactly.
-func (a *Arena) LoadRaw(words []uint64) error {
-	if len(words) != len(a.buf) {
-		return fmt.Errorf("sketch: arena image of %d words, want %d (shape mismatch)", len(words), len(a.buf))
-	}
-	copy(a.buf, words)
-	a.ResetDirty()
-	return nil
-}
-
-// MarkDirty records that region (sketch) i changed since the last
-// ResetDirty. The update path calls it alongside every arena mutation; it
-// is a two-word bit set, cheap enough for the hot path.
-func (a *Arena) MarkDirty(i int) {
-	w, b := i/64, uint64(1)<<(i%64)
-	if a.dirty[w]&b == 0 {
-		a.dirty[w] |= b
-		a.dirtyCount++
-	}
-}
-
-// DirtyCount returns the number of regions marked dirty since the last
-// ResetDirty.
-func (a *Arena) DirtyCount() int { return a.dirtyCount }
-
-// ForEachDirtyRegion calls fn for every dirty region in ascending index
-// order with the region's backing words (stride words, full-sliced). It
-// does not reset the bitmap — the caller acknowledges separately once the
-// encoded delta is durable.
-func (a *Arena) ForEachDirtyRegion(fn func(i int, words []uint64)) {
-	for w, b := range a.dirty {
-		for b != 0 {
-			i := w*64 + bits.TrailingZeros64(b)
-			off := i * a.stride
-			fn(i, a.buf[off:off+a.stride:off+a.stride])
-			b &= b - 1
-		}
-	}
-}
-
-// ResetDirty clears the dirty bitmap: the arena's current contents are the
-// new checkpointed baseline.
-func (a *Arena) ResetDirty() {
-	if a.dirtyCount == 0 {
-		return
-	}
-	clear(a.dirty)
-	a.dirtyCount = 0
-}
-
-// ApplyRegion overwrites region i from a delta image. The image must be
-// exactly one stride; out-of-range regions and length mismatches are
-// rejected before anything is written. Applying a region does not mark it
-// dirty — restore rebuilds checkpointed state, it does not create new
-// changes.
+// ApplyRegion overwrites region i — sketch i, stride words — from a
+// checkpointed image. The image must be exactly one stride; out-of-range
+// regions and length mismatches are rejected before anything is written.
 func (a *Arena) ApplyRegion(i int, words []uint64) error {
 	if i < 0 || i >= a.Len() {
-		return fmt.Errorf("sketch: arena delta region %d out of range [0,%d)", i, a.Len())
+		return fmt.Errorf("sketch: arena region %d out of range [0,%d)", i, a.Len())
 	}
 	if len(words) != a.stride {
-		return fmt.Errorf("sketch: arena delta region of %d words, want stride %d", len(words), a.stride)
+		return fmt.Errorf("sketch: arena region of %d words, want stride %d", len(words), a.stride)
 	}
 	copy(a.buf[i*a.stride:], words)
 	return nil

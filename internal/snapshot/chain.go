@@ -9,7 +9,8 @@ import (
 
 // State is what a Chain checkpoints: anything that can write and reload a
 // full snapshot of itself. A state that also implements DeltaState lets the
-// chain write deltas; one that does not gets a full base every time.
+// chain write deltas; one that does not — or that declines one — gets a full
+// base.
 type State interface {
 	Checkpointer
 	Restorer
@@ -39,6 +40,8 @@ type Chain struct {
 	// orphansRemoved counts stale delta files Restore deleted (leftovers of
 	// a crash between base rewrite and delta cleanup during compaction).
 	orphansRemoved int
+	// replayed sums the journals the states replayed during the last Restore.
+	replayed Replay
 }
 
 // Checkpoint kinds reported by Chain.Checkpoint.
@@ -76,27 +79,40 @@ func (c *Chain) Len() int { return c.seq }
 // OrphansRemoved reports how many stale delta files the last Restore swept.
 func (c *Chain) OrphansRemoved() int { return c.orphansRemoved }
 
+// Replayed reports the update batches the last Restore replayed on top of the
+// base, over all Len() deltas: what its time grows with.
+func (c *Chain) Replayed() Replay { return c.replayed }
+
 func (c *Chain) deltaPath(seq int) string {
 	return fmt.Sprintf("%s.delta-%03d", c.path, seq)
 }
 
 // Checkpoint writes the next checkpoint in the chain: a delta extending the
-// current tip when one exists, the chain is still under maxDeltas and every
-// state implements DeltaState; a fresh full base otherwise (first
-// checkpoint, compaction due, the previous write failed, or a state that
-// cannot write deltas). The write is atomic either way; on success every
-// DeltaState's AckCheckpoint runs, so dirty tracking resets only once the
-// bytes are durable. Compaction is crash-safe by ordering: the new base replaces
-// the old atomically first, and only then are the now-stale delta files
-// removed — a crash in between leaves deltas whose Base identity no longer
-// matches, which Restore detects and sweeps.
+// current tip when one exists, the chain is still under maxDeltas, and every
+// state implements DeltaState and agrees to write one; a fresh full base
+// otherwise (first checkpoint, compaction due, the previous write failed, a
+// state that cannot write deltas, or one that declines this delta because its
+// journal overflowed or it changed outside its journal). The write is atomic
+// either way; on success every DeltaState's AckCheckpoint runs, so journals
+// reset only once the bytes are durable. Compaction is crash-safe by ordering:
+// the new base replaces the old atomically first, and only then are the
+// now-stale delta files removed — a crash in between leaves deltas whose Base
+// identity no longer matches, which Restore detects and sweeps.
 //
 // It reports which kind was written ("full" or "delta") and the container
 // size in bytes.
 func (c *Chain) Checkpoint(states ...State) (kind string, bytes int64, err error) {
 	if c.linked && c.maxDeltas > 0 && c.seq < c.maxDeltas {
-		if deltas, ok := deltaStates(states); ok {
-			return c.checkpointDelta(deltas)
+		link := ChainLink{Base: c.baseID, Prev: c.tipID, Seq: uint64(c.seq + 1)}
+		if e, ok := encodeDelta(link, states); ok {
+			id, n, err := c.put(c.deltaPath(c.seq+1), DeltaMagic, e)
+			if err != nil {
+				return KindDelta, 0, err
+			}
+			c.seq++
+			c.tipID = id
+			ack(states)
+			return KindDelta, n, nil
 		}
 	}
 	staleDeltas := c.seq
@@ -124,20 +140,6 @@ func (c *Chain) Checkpoint(states ...State) (kind string, bytes int64, err error
 	return KindFull, n, nil
 }
 
-func (c *Chain) checkpointDelta(states []DeltaState) (string, int64, error) {
-	link := ChainLink{Base: c.baseID, Prev: c.tipID, Seq: uint64(c.seq + 1)}
-	id, n, err := c.put(c.deltaPath(c.seq+1), DeltaMagic, encodeDelta(link, states))
-	if err != nil {
-		return KindDelta, 0, err
-	}
-	c.seq++
-	c.tipID = id
-	for _, s := range states {
-		s.AckCheckpoint()
-	}
-	return KindDelta, n, nil
-}
-
 // put stores one container atomically and returns its identity and size.
 // Any doubt about what the store now holds unlinks the chain.
 func (c *Chain) put(name string, magic uint64, e *Encoder) (id uint64, n int64, err error) {
@@ -151,21 +153,7 @@ func (c *Chain) put(name string, magic uint64, e *Encoder) (id uint64, n int64, 
 	return id, n, err
 }
 
-// deltaStates narrows states to DeltaState; ok is false unless every one
-// qualifies.
-func deltaStates(states []State) ([]DeltaState, bool) {
-	out := make([]DeltaState, len(states))
-	for i, s := range states {
-		ds, ok := s.(DeltaState)
-		if !ok {
-			return nil, false
-		}
-		out[i] = ds
-	}
-	return out, true
-}
-
-// ack runs AckCheckpoint on every state that tracks dirtiness.
+// ack runs AckCheckpoint on every state that keeps a delta baseline.
 func ack(states []State) {
 	for _, s := range states {
 		if ds, ok := s.(DeltaState); ok {
@@ -200,6 +188,7 @@ func (c *Chain) countDeltas() int {
 func (c *Chain) Restore(states ...State) (bool, error) {
 	c.linked = false
 	c.orphansRemoved = 0
+	c.replayed = Replay{}
 	f, err := c.store.Open(c.path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
@@ -245,14 +234,13 @@ func (c *Chain) Restore(states ...State) (bool, error) {
 			c.removeOrphansFrom(c.seq + 1)
 			break
 		}
-		deltas, ok := deltaStates(states)
-		if !ok {
-			return false, fmt.Errorf("restoring delta %s: the state being restored cannot replay deltas", next)
-		}
 		want := ChainLink{Base: c.baseID, Prev: c.tipID, Seq: uint64(c.seq + 1)}
-		if err := restoreDelta(d, link, want, deltas); err != nil {
+		r, err := restoreDelta(d, link, want, states)
+		if err != nil {
 			return false, fmt.Errorf("restoring delta %s: %w", next, err)
 		}
+		c.replayed.Batches += r.Batches
+		c.replayed.Updates += r.Updates
 		c.seq++
 		c.tipID = id
 	}

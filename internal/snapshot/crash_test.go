@@ -14,6 +14,9 @@ type counterState struct {
 	tag     uint64
 	value   int
 	journal int
+	// declines makes CheckpointDelta refuse, as a state whose Journal was
+	// dropped does.
+	declines bool
 }
 
 func (c *counterState) bump(n int) { c.value += n; c.journal += n }
@@ -30,19 +33,21 @@ func (c *counterState) Restore(d *Decoder) error {
 	return d.Err()
 }
 
-func (c *counterState) CheckpointDelta(e *Encoder) {
+func (c *counterState) CheckpointDelta(e *Encoder) bool {
 	e.Begin(c.tag)
 	e.Int(c.journal)
+	return !c.declines
 }
 
-func (c *counterState) RestoreDelta(d *Decoder) error {
+func (c *counterState) RestoreDelta(d *Decoder) (Replay, error) {
 	d.Begin(c.tag)
-	c.value += d.Int()
+	n := d.Int()
+	c.value += n
 	c.journal = 0
-	return d.Err()
+	return Replay{Batches: 1, Updates: n}, d.Err()
 }
 
-func (c *counterState) AckCheckpoint() { c.journal = 0 }
+func (c *counterState) AckCheckpoint() { c.journal, c.declines = 0, false }
 
 // atStage arms the crash failpoint to panic (simulating the process dying)
 // at the named atomic-write stage, and returns a disarm func.

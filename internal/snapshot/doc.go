@@ -34,7 +34,7 @@
 //	word 1   format version (Version)
 //	word 2   payload length in words
 //	...      section tagChain: ChainLink{Base, Prev, Seq}
-//	...      delta sections (dirty regions / journals, per subsystem)
+//	...      delta sections (journals, per state)
 //	last     CRC-32C of all preceding bytes
 //
 // ChainLink pins where in a chain the delta belongs: Base is the CRC word
@@ -56,16 +56,56 @@
 // memory for chains that must outlive the state they checkpoint but not the
 // process, which is what the harness's crash and fault decorators need.
 // There is one chain implementation over both. It accepts any
-// Checkpointer+Restorer (State) and writes deltas only while every state it
-// is handed also implements DeltaState; the lifecycle around it — who
-// applies, when to checkpoint, how to resize — is internal/session's.
+// Checkpointer+Restorer (State); the lifecycle around it — who applies, when
+// to checkpoint, how to resize — is internal/session's.
 //
-// Subsystems opt in by implementing DeltaState: CheckpointDelta writes
-// only the regions dirtied since the last acknowledged checkpoint,
-// RestoreDelta applies them in chain order on top of a restored base, and
-// AckCheckpoint clears the dirty journals — called only after the
-// container is durably on disk, so a failed or crashed write folds its
-// churn into the next delta instead of losing it.
+// What a delta holds. A delta is logical, not physical: a state that changes
+// only by applying update batches ships the batches it applied since the last
+// acknowledged checkpoint, not the bytes they dirtied (k updates are 4k
+// words; the state they dirty is two sketch stacks per update). Journal
+// (journal.go) is that record — append a batch, bound, encode, validated
+// decode — and the one delta mechanism of the repository: core's
+// DynamicConnectivity and session's Mirror each embed one. A state opts in
+// by implementing DeltaState: CheckpointDelta writes its journal plus
+// whatever a replay cannot rederive (for connectivity: the label cache, the
+// cached component count, the cluster Stats — they depend on the queries run
+// in between — and a fingerprint to compare the replay against),
+// RestoreDelta replays the journal through the state's own apply path on top
+// of the restored base and reports how much it replayed (Chain.Replayed sums
+// it: restore time grows with it), and AckCheckpoint starts the journal
+// over — called only after the container is durably stored, so a failed or
+// crashed write folds its batches into the next delta instead of losing
+// them.
+//
+// Why replay is exact. Shared randomness is rebuilt from the configuration
+// seed, never serialized, so the sketches are a fixed linear function of the
+// update stream; ApplyBatch is deterministic at every parallelism (the
+// golden traces and the p1/p8 twin tests pin that); ids it mints come from a
+// counter the base carries; and the journal keeps batch boundaries — the
+// chunks the state actually received — because inserts-before-deletes and
+// the per-batch replacement search make a batch, not an update, the unit of
+// the computation. A journal is outside input all the same: ReplayJournal
+// bounds every count against its section and validates every update (op,
+// vertex range, self-loop, batch size) before the state sees it, and the
+// state compares its fingerprint afterwards; a tampered or diverging journal
+// is an error, and the instance is discarded.
+//
+// The bound, and declining. A restore pays roughly one apply per journaled
+// update, so a journal holds at most N updates (N chosen by its owner: one
+// per vertex for connectivity, the mirror's edge count for the mirror); past
+// that it is dropped. It is also dropped when the state changed by anything
+// but a recorded batch (a bulk load, an apply that returned an error). A
+// state with a dropped journal declines the next delta — CheckpointDelta
+// reports false — and Chain.Checkpoint has one refusal path for it: whenever
+// a state cannot write deltas or declines this one, the checkpoint is a full
+// base, after which journaling resumes. That is also what bounds a journal in
+// a process that never checkpoints.
+//
+// Tags. A section layout that changes gets a new tag and the old one stays
+// retired, so a file in the old layout is rejected by tag, never migrated —
+// the same policy as for versions, below. The physical delta format this
+// one replaced (core's 0x13–0x15, the mirror's flat journal 0x73) is gone
+// that way.
 //
 // # Re-sharding
 //

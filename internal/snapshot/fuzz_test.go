@@ -131,7 +131,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 func deltaBytes(tb testing.TB, link ChainLink) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	e := encodeDelta(link, []DeltaState{&counterState{tag: 1, journal: 7}})
+	e, _ := encodeDelta(link, []State{&counterState{tag: 1, journal: 7}})
 	if _, _, err := e.WriteContainer(&buf, DeltaMagic); err != nil {
 		tb.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func FuzzDeltaDecode(f *testing.F) {
 			link, err = readChainHeader(d)
 		}
 		if err == nil && link.Base == want.Base {
-			err = restoreDelta(d, link, want, []DeltaState{st})
+			_, err = restoreDelta(d, link, want, []State{st})
 		}
 		if err != nil || link.Base != want.Base {
 			// Rejected (or set aside as an orphan): the state is untouched.

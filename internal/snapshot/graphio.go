@@ -50,12 +50,11 @@ func DecodeGraphInto(d *Decoder, g *graph.Graph) error {
 	return d.Err()
 }
 
-// EncodeUpdates appends an update journal to the current section as a
-// count-prefixed list of (op, u, v, weight) tuples in application order.
-// Unlike EncodeGraph this preserves history, not just the final edge set —
-// it is the delta counterpart: a mirror graph restored from a base plus a
-// replayed journal equals the mirror at checkpoint time. Pair with
-// DecodeUpdatesInto.
+// EncodeUpdates appends one batch to the current section as a count-prefixed
+// list of (op, u, v, weight) tuples in application order. Unlike EncodeGraph
+// this preserves history, not just the final edge set: it is the record
+// layout of the trace format's batches and of a Journal's. Pair with
+// DecodeUpdates.
 func EncodeUpdates(e *Encoder, b graph.Batch) {
 	e.Int(len(b))
 	for _, up := range b {
@@ -66,35 +65,31 @@ func EncodeUpdates(e *Encoder, b graph.Batch) {
 	}
 }
 
-// DecodeUpdatesInto reads a journal written by EncodeUpdates and applies it
-// to g in order. The count prefix is bounded against the section, ops and
-// vertex ranges are validated here, and each update is validated by the
-// graph itself (insert-present, delete-absent), so a corrupt or mismatched
-// journal fails with a diagnostic instead of corrupting the mirror.
-func DecodeUpdatesInto(d *Decoder, g *graph.Graph) error {
+// DecodeUpdates reads one batch written by EncodeUpdates as outside input
+// over n vertices: the count prefix is bounded against the section before
+// anything is allocated, and an unknown op, an endpoint outside [0, n) or a
+// self-loop is a diagnostic. Edges come back canonical. Validity against a
+// graph (insert of a present edge, delete of an absent one) is the caller's
+// to check.
+func DecodeUpdates(d *Decoder, n int) (graph.Batch, error) {
 	cnt := d.Count(4)
-	for i := 0; i < cnt && d.Err() == nil; i++ {
+	out := make(graph.Batch, 0, cnt)
+	for i := 0; i < cnt; i++ {
 		op := d.U64()
 		u, v := d.Int(), d.Int()
 		w := d.I64()
 		if d.Err() != nil {
 			break
 		}
-		if op != uint64(graph.Insert) && op != uint64(graph.Delete) {
-			return fmt.Errorf("snapshot update journal: bad op %d", op)
+		switch {
+		case op != uint64(graph.Insert) && op != uint64(graph.Delete):
+			return nil, fmt.Errorf("bad op %d", op)
+		case u < 0 || u >= n || v < 0 || v >= n:
+			return nil, fmt.Errorf("edge {%d,%d}: vertex out of range [0,%d)", u, v, n)
+		case u == v:
+			return nil, fmt.Errorf("self loop {%d,%d}", u, v)
 		}
-		if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
-			return fmt.Errorf("snapshot update journal edge {%d,%d}: vertex out of range [0,%d)", u, v, g.N())
-		}
-		var err error
-		if op == uint64(graph.Insert) {
-			err = g.Insert(u, v, w)
-		} else {
-			err = g.Delete(u, v)
-		}
-		if err != nil {
-			return fmt.Errorf("snapshot update journal edge {%d,%d}: %w", u, v, err)
-		}
+		out = append(out, graph.Update{Op: graph.Op(op), Edge: graph.NewEdge(u, v), Weight: w})
 	}
-	return d.Err()
+	return out, d.Err()
 }

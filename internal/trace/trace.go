@@ -406,39 +406,23 @@ func (r *Reader) loadSegment(i int) error {
 	return nil
 }
 
-// decodeBatch reads one count-prefixed update list (the EncodeUpdates
-// layout), validating ops, vertex ranges, self-loops, and the generator
-// invariant that a batch touches each edge at most once — structural
-// validity only; graph validity (duplicate inserts, deletes of absent
-// edges) is the replay mirror's job.
+// decodeBatch reads one batch (snapshot.DecodeUpdates: ops, vertex ranges
+// and self-loops validated) and checks the generator invariant that a batch
+// touches each edge at most once — structural validity only; graph validity
+// (duplicate inserts, deletes of absent edges) is the replay mirror's job.
 func decodeBatch(d *snapshot.Decoder, n int) (graph.Batch, error) {
-	cnt := d.Count(4)
-	out := make(graph.Batch, 0, cnt)
-	seen := make(map[graph.Edge]struct{}, cnt)
-	for i := 0; i < cnt && d.Err() == nil; i++ {
-		op := d.U64()
-		u, v := d.Int(), d.Int()
-		w := d.I64()
-		if d.Err() != nil {
-			break
-		}
-		if op != uint64(graph.Insert) && op != uint64(graph.Delete) {
-			return nil, fmt.Errorf("bad op %d", op)
-		}
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("edge {%d,%d}: vertex out of range [0,%d)", u, v, n)
-		}
-		if u == v {
-			return nil, fmt.Errorf("self loop {%d,%d}", u, v)
-		}
-		e := graph.NewEdge(u, v)
-		if _, dup := seen[e]; dup {
-			return nil, fmt.Errorf("edge %v touched twice in one batch", e)
-		}
-		seen[e] = struct{}{}
-		out = append(out, graph.Update{Op: graph.Op(op), Edge: e, Weight: w})
+	b, err := snapshot.DecodeUpdates(d, n)
+	if err != nil {
+		return nil, err
 	}
-	return out, d.Err()
+	seen := make(map[graph.Edge]struct{}, len(b))
+	for _, up := range b {
+		if _, dup := seen[up.Edge]; dup {
+			return nil, fmt.Errorf("edge %v touched twice in one batch", up.Edge)
+		}
+		seen[up.Edge] = struct{}{}
+	}
+	return b, nil
 }
 
 // Next implements workload.BatchSource: the next batch, or io.EOF once the
