@@ -55,11 +55,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "HTTP shutdown grace period")
 	flag.Parse()
 
-	if *checkpointEvery > 0 && *checkpointDir == "" {
-		fmt.Fprintln(os.Stderr, "mpcserve: -checkpoint-every requires -checkpoint-dir")
-		os.Exit(2)
-	}
-
 	srv, err := server.New(server.Config{
 		Instances:       *instances,
 		N:               *n,
@@ -73,7 +68,8 @@ func main() {
 	})
 	if err != nil {
 		// server.Config.validate covers the flag checks (-instances >= 1,
-		// -n >= 2, -phi in (0,1], -queue >= 1) with descriptive messages.
+		// -n >= 2, -phi in (0,1], -queue >= 1, -checkpoint-every only with
+		// -checkpoint-dir) with descriptive messages.
 		fmt.Fprintln(os.Stderr, "mpcserve:", err)
 		os.Exit(2)
 	}

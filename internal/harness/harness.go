@@ -63,18 +63,17 @@ type Options struct {
 	CheckEvery int
 	// CrashEvery > 0 decorates the run with fault injection: at seeded
 	// batch indices (one crash per CrashEvery batches on average, drawn
-	// from workload.NewCrashSchedule) the instance is checkpointed, torn
-	// down, rebuilt from scratch, and restored — so every scenario doubles
-	// as a crash/recovery scenario. Results, oracle checks, and (for
-	// deterministic algorithms) Stats are identical to an uninterrupted run.
+	// from workload.NewCrashSchedule seeded with Seed+3) the instance is
+	// checkpointed, torn down, rebuilt from scratch, and restored — so every
+	// scenario doubles as a crash/recovery scenario. Results, oracle checks,
+	// and (for deterministic algorithms) Stats are identical to an
+	// uninterrupted run.
 	//
 	// Checkpoints ride an in-memory chain: the first is a full base, later
 	// ones are deltas when the algorithm implements snapshot.DeltaState
 	// (full otherwise), and the chain compacts back to a full base once it
 	// holds MaxDeltaChain deltas. A crash restores from the whole chain.
 	CrashEvery int
-	// CrashSeed seeds the crash schedule (default Seed+3).
-	CrashSeed uint64
 	// CheckpointEvery > 0 additionally checkpoints after every k-th batch
 	// without restoring — the periodic-durability cadence. It extends the
 	// same chain the crash path restores from, so a run with both options
@@ -84,16 +83,14 @@ type Options struct {
 	MaxDeltaChain int
 	// FaultEvery > 0 decorates the run with machine-loss injection: at
 	// seeded batch indices (one fault per FaultEvery batches on average,
-	// drawn from workload.NewMachineFaultSchedule) one MPC machine dies
-	// while a batch is in flight. The poisoned batch is discarded, the
-	// last checkpoint is restored re-sharded onto a fleet one machine
-	// smaller (see snapshot.Reshard), and every batch applied since that
-	// checkpoint — including the in-flight one — is replayed. Requires the
-	// algorithm to implement Elastic. Results and oracle checks are
+	// drawn from workload.NewMachineFaultSchedule seeded with Seed+5) one
+	// MPC machine dies while a batch is in flight. The poisoned batch is
+	// discarded, the last checkpoint is restored re-sharded onto a fleet one
+	// machine smaller (see snapshot.Reshard), and every batch applied since
+	// that checkpoint — including the in-flight one — is replayed. Requires
+	// the algorithm to implement Elastic. Results and oracle checks are
 	// identical to an uninterrupted run at the surviving machine count.
 	FaultEvery int
-	// FaultSeed seeds the machine-fault schedule (default Seed+5).
-	FaultSeed uint64
 	// VerticesPerMachine pins the initial cluster shape of cluster-backed
 	// algorithms (0 = derived from Phi, or each algorithm's default);
 	// machine-fault recovery shrinks it as the fleet loses machines.
@@ -122,12 +119,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CheckEvery == 0 {
 		o.CheckEvery = 1
-	}
-	if o.CrashSeed == 0 {
-		o.CrashSeed = o.Seed + 3
-	}
-	if o.FaultSeed == 0 {
-		o.FaultSeed = o.Seed + 5
 	}
 	if o.MaxDeltaChain == 0 {
 		o.MaxDeltaChain = 8
@@ -396,10 +387,10 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 	var crash *workload.CrashSchedule
 	var fault *workload.MachineFaultSchedule
 	if opt.CrashEvery > 0 {
-		crash = workload.NewCrashSchedule(opt.CrashSeed, opt.CrashEvery)
+		crash = workload.NewCrashSchedule(opt.Seed+3, opt.CrashEvery)
 	}
 	if opt.FaultEvery > 0 {
-		fault = workload.NewMachineFaultSchedule(opt.FaultSeed, opt.FaultEvery)
+		fault = workload.NewMachineFaultSchedule(opt.Seed+5, opt.FaultEvery)
 	}
 	rep := &Report{Algorithm: algo.Name, Scenario: scName, Rounds: -1}
 	fail := func(format string, args ...any) (Instance, Options, *Report, error) {

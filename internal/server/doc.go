@@ -26,6 +26,9 @@
 //	POST /instances/{id}/updates      enqueue one update batch (async)
 //	POST /instances/{id}/query        answer a batch of connectivity queries
 //	GET  /instances/{id}/components?vertices=a,b,c   component labels
+//	POST /instances/{id}/resize?machines=M   re-shard onto M machines: 400 no
+//	                                  such fleet, 409 over its memory budget, 200
+//	GET  /instances/{id}/healthz      readiness (503 while quiesced or failed)
 //	GET  /metrics                     Prometheus text-format metrics
 //
 // Updates are JSON batches {"updates": [{"op": "insert"|"delete", "u": 0,
@@ -75,21 +78,7 @@
 //
 // # Metrics
 //
-// All metrics carry an instance="N" label:
-//
-//	mpcserve_rounds_total                  counter; MPC rounds executed (update path)
-//	mpcserve_query_cache_hits_total        counter; query batches answered warm (zero rounds)
-//	mpcserve_query_cache_misses_total      counter; query batches that ran a cache-fill collective
-//	mpcserve_replacement_search_exhausted_total counter; searches out of sketch copies with a supernode still active
-//	mpcserve_replacement_search_window_refills_total counter; windows of sketch copies fetched beyond a search's first
-//	mpcserve_replacement_sketches_summed_total  counter; vertex sketches summed by replacement searches
-//	mpcserve_update_batches_applied_total  counter
-//	mpcserve_updates_applied_total         counter; individual edge updates
-//	mpcserve_update_batches_rejected_total counter; 429 backpressure refusals
-//	mpcserve_query_batches_total           counter
-//	mpcserve_queue_depth                   gauge; batches waiting in the update queue
-//	mpcserve_restore_cycles_total          counter; checkpoint/restore cycles survived
-//	mpcserve_restore_replayed_updates_total counter; journaled updates replayed by restores from a delta chain
-//	mpcserve_instance_healthy              gauge; 0 after an applier failure
-//	mpcserve_batch_apply_seconds           histogram; wall time per applied batch
+// GET /metrics prints the families table in metrics.go, one row per metric
+// family, in order; every sample carries instance="N". A row's HELP line is
+// its documentation — read it off a scrape.
 package server

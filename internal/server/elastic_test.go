@@ -146,9 +146,6 @@ func TestServerResizeLifecycle(t *testing.T) {
 	if got := sumMetric(t, body, "mpcserve_reshard_total"); got != 2 {
 		t.Errorf("mpcserve_reshard_total = %d, want 2", got)
 	}
-	if !strings.Contains(body, "mpcserve_reshard_seconds") {
-		t.Error("mpcserve_reshard_seconds missing from scrape")
-	}
 	if got := sumMetric(t, body, "mpcserve_cluster_machines"); got != 3 {
 		t.Errorf("mpcserve_cluster_machines = %d, want 3", got)
 	}
@@ -255,35 +252,33 @@ func TestServerResizeErrors(t *testing.T) {
 	}
 }
 
-// TestInstanceHealthz pins per-instance liveness/readiness: 200 while
-// serving, 503 while quiesced (checkpoint or resize in progress), 503 after
-// an applier failure.
+// TestInstanceHealthz pins per-instance readiness on the endpoint and the
+// mpcserve_instance_ready gauge: 200 and 1 while serving, 503 and 0 while
+// held in quiesce, 200 and 1 after resume, 503 and 0 after a failure.
 func TestInstanceHealthz(t *testing.T) {
 	srv, ts := newTestServer(t, testConfig(t))
-	get := func(id int) int {
+	check := func(state string, id, code int, ready string) {
 		t.Helper()
 		resp, err := http.Get(fmt.Sprintf("%s/instances/%d/healthz", ts.URL, id))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		return resp.StatusCode
+		gauge := fmt.Sprintf("mpcserve_instance_ready{instance=\"%d\"} %s\n", id, ready)
+		if resp.StatusCode != code || !strings.Contains(scrapeMetrics(t, ts), gauge) {
+			t.Errorf("%s instance: healthz %d, want %d and a scrape with %q", state, resp.StatusCode, code, gauge)
+		}
 	}
-	if got := get(0); got != http.StatusOK {
-		t.Errorf("ready instance: healthz %d, want 200", got)
+	check("ready", 0, http.StatusOK, "1")
+	resume, err := srv.insts[0].quiesce()
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv.insts[0].quiesced.Store(true)
-	if got := get(0); got != http.StatusServiceUnavailable {
-		t.Errorf("quiesced instance: healthz %d, want 503", got)
-	}
-	srv.insts[0].quiesced.Store(false)
-	if got := get(0); got != http.StatusOK {
-		t.Errorf("resumed instance: healthz %d, want 200", got)
-	}
+	check("quiesced", 0, http.StatusServiceUnavailable, "0")
+	resume()
+	check("resumed", 0, http.StatusOK, "1")
 	srv.insts[1].failure.Store(&applyFailure{err: fmt.Errorf("boom")})
-	if got := get(1); got != http.StatusServiceUnavailable {
-		t.Errorf("failed instance: healthz %d, want 503", got)
-	}
+	check("failed", 1, http.StatusServiceUnavailable, "0")
 	srv.insts[1].failure.Store(nil) // let Cleanup's checkpoint pass
 }
 

@@ -14,10 +14,6 @@ import (
 	"repro/internal/snapshot"
 )
 
-// latencyBuckets are the upper bounds, in seconds, of the batch-apply
-// latency histogram (one overflow bucket is added for +Inf).
-var latencyBuckets = [...]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1}
-
 // Admission errors the HTTP layer maps onto status codes.
 var (
 	errQueueFull = errors.New("update queue full")
@@ -84,33 +80,12 @@ type instance struct {
 	wg      sync.WaitGroup
 	failure atomic.Pointer[applyFailure]
 
-	// Metrics, all atomics so /metrics scrapes never take the locks.
-	batchesApplied  atomic.Uint64
-	updatesApplied  atomic.Uint64
-	batchesRejected atomic.Uint64
-	queryBatches    atomic.Uint64
-	restoreCycles   atomic.Uint64
-	// replayedUpdates counts the journaled updates the delta containers of
-	// the restore at startup replayed: what that restore's time grew with.
-	replayedUpdates atomic.Uint64
-	rounds          atomic.Int64
-	applyNanos      atomic.Int64
-	applyCount      atomic.Uint64
-	applyBuckets    [len(latencyBuckets) + 1]atomic.Uint64
 	// drainEWMA tracks the smoothed per-batch apply time (nanoseconds); the
 	// 429 path scales its Retry-After hint by it so clients back off in
 	// proportion to how fast the queue actually drains.
 	drainEWMA atomic.Int64
-	// Elastic resize metrics.
-	reshardCount atomic.Uint64
-	reshardNanos atomic.Int64
-	// Checkpoint metrics, split by container kind (full vs delta).
-	ckptFullCount  atomic.Uint64
-	ckptFullBytes  atomic.Uint64
-	ckptFullNanos  atomic.Int64
-	ckptDeltaCount atomic.Uint64
-	ckptDeltaBytes atomic.Uint64
-	ckptDeltaNanos atomic.Int64
+
+	metrics // what /metrics renders (metrics.go)
 }
 
 // applyFailure records the first applier error; the instance refuses all
@@ -179,7 +154,7 @@ func (in *instance) applier() {
 		rounds := in.dc.Load().Cluster().Stats().Rounds
 		in.mu.Unlock()
 		in.observeApply(time.Since(start))
-		in.rounds.Store(int64(rounds))
+		in.rounds.Store(uint64(rounds))
 		if err != nil {
 			in.failure.CompareAndSwap(nil, &applyFailure{err: err})
 		} else {
@@ -196,21 +171,12 @@ func (in *instance) applier() {
 // observeApply records one batch-apply latency sample and folds it into the
 // drain-rate estimate (an EWMA with a 1/8 step).
 func (in *instance) observeApply(d time.Duration) {
-	in.applyNanos.Add(int64(d))
-	in.applyCount.Add(1)
+	in.apply.observe(d)
 	if ew := in.drainEWMA.Load(); ew == 0 {
 		in.drainEWMA.Store(int64(d))
 	} else {
 		in.drainEWMA.Store((7*ew + int64(d)) / 8)
 	}
-	s := d.Seconds()
-	for i, ub := range latencyBuckets {
-		if s <= ub {
-			in.applyBuckets[i].Add(1)
-			return
-		}
-	}
-	in.applyBuckets[len(latencyBuckets)].Add(1)
 }
 
 // retryAfterSeconds estimates, from the drain-rate EWMA and the current
@@ -343,20 +309,6 @@ func (in *instance) checkpointQuiesced() error {
 	return nil
 }
 
-// observeCheckpoint records one written container in the per-kind metrics.
-func (in *instance) observeCheckpoint(cut session.Cut) {
-	switch cut.Kind {
-	case snapshot.KindDelta:
-		in.ckptDeltaCount.Add(1)
-		in.ckptDeltaBytes.Add(uint64(cut.Bytes))
-		in.ckptDeltaNanos.Add(int64(cut.Took))
-	case snapshot.KindFull:
-		in.ckptFullCount.Add(1)
-		in.ckptFullBytes.Add(uint64(cut.Bytes))
-		in.ckptFullNanos.Add(int64(cut.Took))
-	}
-}
-
 // resize migrates the instance's live state onto a fleet of exactly machines
 // machines (session.Resize) with the instance quiesced. A memory-cap
 // rejection — shrinking the per-machine budget below what the migrated
@@ -382,8 +334,8 @@ func (in *instance) resize(machines int) error {
 	}
 	// The state migrated, even if re-basing the chain then failed.
 	in.publish()
-	in.reshardCount.Add(1)
-	in.reshardNanos.Add(int64(time.Since(start) - cut.Took))
+	in.reshards.Add(1)
+	in.reshardNanos.Add(uint64(time.Since(start) - cut.Took))
 	if rebaseFailed {
 		in.failure.CompareAndSwap(nil, &applyFailure{err: fmt.Errorf("post-resize checkpoint: %w", err)})
 		return fmt.Errorf("instance %d post-resize checkpoint: %w", in.id, err)

@@ -41,8 +41,8 @@ type Config struct {
 	// (instance-NNN.snap plus delta files) and where New looks for
 	// checkpoint chains to restore.
 	CheckpointDir string
-	// CheckpointEvery, when positive (and CheckpointDir is set), starts a
-	// background loop that checkpoints every instance at that period.
+	// CheckpointEvery, when positive, starts a background loop that
+	// checkpoints every instance at that period; it requires CheckpointDir.
 	// Periodic checkpoints quiesce each instance briefly but do not stop
 	// the server; they are deltas whenever a base already exists.
 	CheckpointEvery time.Duration
@@ -66,6 +66,9 @@ func (c Config) validate() error {
 	}
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("server: QueueDepth = %d (want >= 1)", c.QueueDepth)
+	}
+	if c.CheckpointEvery > 0 && c.CheckpointDir == "" {
+		return fmt.Errorf("server: CheckpointEvery = %v needs a CheckpointDir", c.CheckpointEvery)
 	}
 	return nil
 }
@@ -126,7 +129,7 @@ func New(cfg Config) (*Server, error) {
 		s.insts = append(s.insts, in)
 	}
 	s.routes()
-	if cfg.CheckpointDir != "" && cfg.CheckpointEvery > 0 {
+	if cfg.CheckpointEvery > 0 {
 		s.ckptStop = make(chan struct{})
 		s.ckptDone = make(chan struct{})
 		go s.checkpointLoop()

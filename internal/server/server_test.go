@@ -8,9 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -358,60 +361,76 @@ func TestServerCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint asserts the advertised metric names are present and
-// the series the acceptance criteria care about are nonzero after traffic.
+// TestMetricsEndpoint walks the families table against live scrapes: every
+// atomic an instance keeps reaches the page, traffic reads as it should, and
+// the page is the table — per row, in order, HELP, TYPE, then a sample per
+// instance (and per kind or bucket) and nothing else.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, testConfig(t))
-	resp := postJSON(t, ts.URL+"/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "insert", U: 0, V: 1}}})
-	resp.Body.Close()
-	waitDrained(t, srv.insts[0])
+	for _, op := range []string{"insert", "delete"} {
+		resp := postJSON(t, ts.URL+"/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: op, U: 0, V: 1}}})
+		resp.Body.Close()
+		waitDrained(t, srv.insts[0])
+	}
 	for i := 0; i < 3; i++ {
-		resp = postJSON(t, ts.URL+"/instances/0/query", QueryRequest{Pairs: [][2]int{{0, 1}}})
+		resp := postJSON(t, ts.URL+"/instances/0/query", QueryRequest{Pairs: [][2]int{{0, 1}}})
 		resp.Body.Close()
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	body := readAll(t, mresp)
-	for _, name := range []string{
-		"mpcserve_rounds_total",
-		"mpcserve_query_cache_hits_total",
-		"mpcserve_query_cache_misses_total",
-		"mpcserve_update_batches_applied_total",
-		"mpcserve_updates_applied_total",
-		"mpcserve_update_batches_rejected_total",
-		"mpcserve_query_batches_total",
-		"mpcserve_queue_depth",
-		"mpcserve_restore_cycles_total",
-		"mpcserve_restore_replayed_updates_total",
-		"mpcserve_instance_healthy",
-		"mpcserve_batch_apply_seconds_bucket",
-		"mpcserve_batch_apply_seconds_sum",
-		"mpcserve_batch_apply_seconds_count",
-		"mpcserve_checkpoint_total",
-		"mpcserve_checkpoint_bytes_total",
-		"mpcserve_checkpoint_seconds_total",
-		"mpcserve_replacement_search_exhausted_total",
-		"mpcserve_replacement_search_window_refills_total",
-		"mpcserve_replacement_sketches_summed_total",
-	} {
-		if !strings.Contains(body, name) {
-			t.Errorf("metrics output missing %s", name)
+	// Bumping any word of idle instance 1's metrics changes the page.
+	words := unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(&srv.insts[1].metrics)), unsafe.Sizeof(metrics{})/8)
+	for i := range words {
+		before := scrapeMetrics(t, ts)
+		words[i].Add(1 << 40)
+		if scrapeMetrics(t, ts) == before {
+			t.Errorf("word %d of metrics reaches no row of the scrape", i)
 		}
 	}
-	// Cold query then two warm ones: both series nonzero, and one batch
-	// produced a latency sample.
+
+	// Two batches applied and the queue drained, the cut's search summed the
+	// sketches of both endpoints, a cold query then two warm ones.
+	body := scrapeMetrics(t, ts)
 	for _, want := range []string{
+		`mpcserve_batch_apply_seconds_count{instance="0"} 2`,
+		`mpcserve_queue_depth{instance="0"} 0`,
+		`mpcserve_instance_healthy{instance="0"} 1`,
+		`mpcserve_replacement_sketches_summed_total{instance="0"} 2`,
+		`mpcserve_replacement_search_window_refills_total{instance="0"} 0`,
+		`mpcserve_replacement_search_exhausted_total{instance="0"} 0`,
 		`mpcserve_query_cache_hits_total{instance="0"} 2`,
 		`mpcserve_query_cache_misses_total{instance="0"} 1`,
-		`mpcserve_batch_apply_seconds_count{instance="0"} 1`,
-		`mpcserve_instance_healthy{instance="0"} 1`,
 	} {
-		if !strings.Contains(body, want) {
+		if !strings.Contains(body, want+"\n") {
 			t.Errorf("metrics output missing %q", want)
+		}
+	}
+	want := []string{}
+	for _, f := range families {
+		want = append(want, "# HELP "+f.name+" "+f.help, "# TYPE "+f.name+" "+f.typ)
+		for id := range srv.insts {
+			inst := fmt.Sprintf(`{instance="%d"`, id)
+			switch {
+			case f.hist != nil:
+				for _, le := range leLabels {
+					want = append(want, f.name+"_bucket"+inst+le+"}")
+				}
+				want = append(want, f.name+"_sum"+inst+"}", f.name+"_count"+inst+"}")
+			case f.kinded:
+				for _, kind := range kindLabels {
+					want = append(want, f.name+inst+kind+"}")
+				}
+			default:
+				want = append(want, f.name+inst+"}")
+			}
+		}
+	}
+	// Samples compare without their values. Instance 1's integers read >= 2^40
+	// after the bumps: printed in exponent form, they would stay unmasked.
+	got := strings.Split(regexp.MustCompile(`(?m)^([^#].*) [0-9.e-]+\n`).ReplaceAllString(body, "$1\n"), "\n")
+	got, want = append(got[:len(got)-1], "(end of page)"), append(want, "(end of page)")
+	for i := 0; i < min(len(got), len(want)); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("scrape line %d is %q where the table puts %q", i+1, got[i], want[i])
 		}
 	}
 }
@@ -432,6 +451,7 @@ func TestConfigValidation(t *testing.T) {
 		{Instances: 1, N: 16, Phi: 0},
 		{Instances: 1, N: 16, Phi: 1.5},
 		{Instances: 1, N: 16, Phi: 0.6, QueueDepth: -1},
+		{Instances: 1, N: 16, Phi: 0.6, CheckpointEvery: time.Second},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -466,7 +486,7 @@ func TestServerDeltaCheckpointChain(t *testing.T) {
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv1.insts[0].ckptFullCount.Load(); got != 1 {
+	if got := srv1.insts[0].ckpt[0].count.Load(); got != 1 {
 		t.Fatalf("generation 1 wrote %d full checkpoints, want 1", got)
 	}
 
@@ -490,7 +510,7 @@ func TestServerDeltaCheckpointChain(t *testing.T) {
 	if err := srv2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if full, delta := srv2.insts[0].ckptFullCount.Load(), srv2.insts[0].ckptDeltaCount.Load(); full != 0 || delta != 1 {
+	if full, delta := srv2.insts[0].ckpt[0].count.Load(), srv2.insts[0].ckpt[1].count.Load(); full != 0 || delta != 1 {
 		t.Fatalf("generation 2 wrote full=%d delta=%d checkpoints, want 0 full, 1 delta", full, delta)
 	}
 	if _, err := os.Stat(instancePath(dir, 0) + ".delta-001"); err != nil {
@@ -576,10 +596,11 @@ func TestServerPeriodicCheckpoint(t *testing.T) {
 	resp.Body.Close()
 	waitDrained(t, srv.insts[0])
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.insts[0].ckptFullCount.Load() == 0 || srv.insts[0].ckptDeltaCount.Load() == 0 {
+	ckpt := &srv.insts[0].ckpt // full, delta
+	for ckpt[0].count.Load() == 0 || ckpt[1].count.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("background loop wrote full=%d delta=%d checkpoints; want both kinds",
-				srv.insts[0].ckptFullCount.Load(), srv.insts[0].ckptDeltaCount.Load())
+				ckpt[0].count.Load(), ckpt[1].count.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
