@@ -146,7 +146,7 @@ func runGenerated(o options, out io.Writer) error {
 			gm.Size(), gm.Cap(), oracle.MaxMatchingSize(gen.Mirror()))
 		report(out, gm.Cluster().Stats(), batches)
 	case "dynmatching":
-		d, err := matching.NewAKLYDynamic(n, o.alpha, seed)
+		d, err := matching.NewAKLYDynamic(n, o.alpha, seed, 0)
 		if err != nil {
 			return err
 		}

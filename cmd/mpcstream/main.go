@@ -14,8 +14,9 @@
 //
 // Algorithms: connectivity, msf (exact, insertion-only), approxmsf,
 // bipartite, matching (insertion-only greedy), dynmatching (AKLY),
-// nowickionak (with -scenario). With -stream, updates are replayed from a
-// file in the streamio text format instead of being generated; with
+// nowickionak (with -scenario, -stream or -trace). With -stream, updates are
+// replayed from a file in the streamio text format instead of being
+// generated; with
 // -trace, from a segmented binary trace (internal/trace format), streamed
 // one segment at a time so a trace far larger than memory replays in
 // O(segment). -stream, -trace, and -scenario are mutually exclusive. With
@@ -49,8 +50,9 @@
 // of which are replayed on top of the snapshot.
 //
 // Checkpoint & recovery (see internal/snapshot): -checkpoint writes a
-// crash-safe snapshot of the final connectivity state (plus the mirror
-// graph) so a later invocation can continue the run without replaying it;
+// crash-safe snapshot of the final state of any algorithm replaying a
+// -stream or -trace (of connectivity in the generated mode), plus the mirror
+// graph, so a later invocation can continue the run without replaying it;
 // -resume restores such a snapshot before replaying a -stream trace of
 // further updates, oracle-verified against the restored mirror. Checkpoints
 // form a chain: when -resume and -checkpoint name the same path, the new
@@ -69,10 +71,10 @@
 // plus a multi-delta chain.
 //
 // Elasticity (see internal/snapshot doc): -resume-machines M re-shards the
-// restored state onto a fleet of exactly M machines before replaying — the
-// deterministic vertex→machine map makes the migration a pure state
-// redistribution, rejected with a diagnostic when the shrunken per-machine
-// memory budget cannot hold it. With -scenario, -fault-every k kills a
+// restored state of any algorithm onto a fleet of exactly M machines before
+// replaying — the deterministic vertex→machine map makes the migration a
+// pure state redistribution, rejected with a diagnostic when the shrunken
+// per-machine memory budget cannot hold it. With -scenario, -fault-every k kills a
 // seeded machine roughly every k batches; each loss is recovered by
 // re-sharding the last checkpoint onto the surviving fleet and replaying
 // the in-flight batches, with the oracle still checking every batch.
@@ -145,7 +147,7 @@ func main() {
 	flag.IntVar(&o.parallelism, "parallelism", runtime.NumCPU(),
 		"execution-engine workers per cluster (0 or 1 = sequential, <0 = NumCPU); results are identical at every setting")
 	flag.StringVar(&o.checkpointFile, "checkpoint", "",
-		"write a crash-safe snapshot of the final state to this file (-algo connectivity, generated or -stream mode)")
+		"write a crash-safe snapshot of the final state to this file (-stream or -trace mode; generated mode for -algo connectivity)")
 	flag.StringVar(&o.resumeFile, "resume", "",
 		"restore state from a -checkpoint snapshot before replaying further updates (requires -stream)")
 	flag.IntVar(&o.resumeMachines, "resume-machines", 0,
@@ -303,8 +305,8 @@ func validateFlags(f options) error {
 		return fmt.Errorf("-resume requires -stream or -trace: a generated workload cannot continue a restored graph " +
 			"(its generator state is not part of the snapshot)")
 	}
-	if f.checkpointFile != "" && (f.scenario != "" || f.algo != "connectivity") {
-		return fmt.Errorf("-checkpoint is supported for -algo connectivity in the generated, -stream, and -trace modes")
+	if f.checkpointFile != "" && (f.scenario != "" || set == 0 && f.algo != "connectivity") {
+		return fmt.Errorf("-checkpoint is supported for -algo connectivity in the generated mode and for every algorithm in the -stream and -trace modes")
 	}
 	return nil
 }

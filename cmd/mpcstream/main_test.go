@@ -114,30 +114,26 @@ func mustRun(t *testing.T, o options) string {
 }
 
 // summary extracts the end state from a replay's output: the vertex space
-// and the oracle-verified component count. The count of batches replayed is
+// and the oracle-verified answer (a component count for connectivity). The count of batches replayed is
 // dropped — it depends on where the invocation started — and so are the
 // Stats lines: a run cut by a checkpoint has also paid for the oracle check
 // that preceded the cut.
 func summary(t *testing.T, out string) string {
 	t.Helper()
-	m := regexp.MustCompile(`replayed \d+ batches (on \d+ vertices: \d+ components \(oracle-verified\))`).FindStringSubmatch(out)
+	m := regexp.MustCompile(`replayed \d+ batches (on \d+ vertices: .* \(oracle-verified\))`).FindStringSubmatch(out)
 	if m == nil {
 		t.Fatalf("no replay summary in:\n%s", out)
 	}
 	return m[1]
 }
 
-// TestReplayEndToEnd drives the ingestion pipeline the way the CI soak does
-// — edge list → -convert → replay — through run itself: the text and binary
-// outputs of one conversion replay to identical output, and a trace replay
-// cut by -trace-batches + -checkpoint and continued by -resume (plain, and
-// re-sharded by -resume-machines) ends where one uninterrupted replay does.
-func TestReplayEndToEnd(t *testing.T) {
-	dir := t.TempDir()
+// convertCrawl writes a genedges-style crawl on 64 vertices ("u v t" lines,
+// non-decreasing timestamps, some duplicates and self-loops for the
+// converter to normalize away) into dir and converts it, with a window, to
+// crawl.trc and crawl.stream there.
+func convertCrawl(t *testing.T, dir string) {
+	t.Helper()
 	in := func(name string) string { return filepath.Join(dir, name) }
-
-	// A genedges-style crawl: "u v t" lines, non-decreasing timestamps, some
-	// duplicates and self-loops for the converter to normalize away.
 	rng := rand.New(rand.NewSource(9))
 	var edges strings.Builder
 	ts := 0
@@ -155,6 +151,17 @@ func TestReplayEndToEnd(t *testing.T) {
 	if out := mustRun(t, conv); !strings.Contains(out, "window expirations emitted") {
 		t.Fatalf("unexpected convert output:\n%s", out)
 	}
+}
+
+// TestReplayEndToEnd drives the ingestion pipeline the way the CI soak does
+// — edge list → -convert → replay — through run itself: the text and binary
+// outputs of one conversion replay to identical output, and a trace replay
+// cut by -trace-batches + -checkpoint and continued by -resume (plain, and
+// re-sharded by -resume-machines) ends where one uninterrupted replay does.
+func TestReplayEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	in := func(name string) string { return filepath.Join(dir, name) }
+	convertCrawl(t, dir)
 
 	trace := defaults()
 	trace.traceFile = in("crawl.trc")
@@ -196,6 +203,32 @@ func TestReplayEndToEnd(t *testing.T) {
 	}
 	if got, want := summary(t, out), summary(t, whole); got != want {
 		t.Errorf("re-sharded resume ends elsewhere than the uninterrupted replay: %q vs %q", got, want)
+	}
+}
+
+// TestResumeOntoAnotherFleetAnyAlgorithm: a trace replay of an algorithm
+// other than connectivity, cut by -checkpoint and continued by -resume
+// -resume-machines, ends with the oracle-verified answer of one
+// uninterrupted replay.
+func TestResumeOntoAnotherFleetAnyAlgorithm(t *testing.T) {
+	dir := t.TempDir()
+	convertCrawl(t, dir)
+	for _, algo := range []string{"nowickionak", "bipartite"} {
+		trace := defaults()
+		trace.algo, trace.traceFile = algo, filepath.Join(dir, "crawl.trc")
+		whole := mustRun(t, trace)
+		cut := trace
+		cut.traceBatches, cut.checkpointFile = 8, filepath.Join(dir, algo+".snap")
+		mustRun(t, cut)
+		resumed := trace
+		resumed.resumeFile, resumed.resumeMachines = cut.checkpointFile, 9
+		out := mustRun(t, resumed)
+		if !strings.Contains(out, "-> 9 machines") {
+			t.Errorf("%s: resume did not re-shard:\n%s", algo, out)
+		}
+		if got, want := summary(t, out), summary(t, whole); got != want {
+			t.Errorf("%s: re-sharded resume ends elsewhere than the uninterrupted replay: %q vs %q", algo, got, want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/mpc"
 	"repro/internal/session"
 	"repro/internal/snapshot"
 	"repro/internal/streamio"
@@ -42,8 +43,8 @@ func vertexSpace(path string) (int, error) {
 	return n, nil
 }
 
-// replay runs a -stream or -trace file through the connectivity algorithm
-// on a Session, optionally resuming from and/or writing a checkpoint. Every
+// replay runs a -stream or -trace file through any registered algorithm on
+// a Session, optionally resuming from and/or writing a checkpoint. Every
 // batch is admitted into the session's mirror (validated, applied,
 // journaled) before the algorithm sees it, and the final state is verified
 // against that mirror. When -resume and -checkpoint name the same path, the
@@ -55,8 +56,9 @@ func replay(o options, out io.Writer) error {
 	if path == "" {
 		flagName, path = "-stream", o.streamFile
 	}
-	if o.algo != "connectivity" {
-		return fmt.Errorf("%s currently supports -algo connectivity, got %q", flagName, o.algo)
+	algo, err := harness.GetAlgorithm(o.algo)
+	if err != nil {
+		return fmt.Errorf("%s: %w", flagName, err)
 	}
 	file, err := os.Open(path)
 	if err != nil {
@@ -91,7 +93,12 @@ func replay(o options, out io.Writer) error {
 
 	cfg := session.Config{
 		Shape: session.Shape{N: shape.N, Phi: o.phi, Seed: o.seed, Parallelism: o.parallelism},
-		New:   func(sh session.Shape) (session.State, error) { return core.NewDynamicConnectivity(sh) },
+		New: func(sh session.Shape) (session.State, error) {
+			return algo.New(harness.Options{
+				N: sh.N, Phi: sh.Phi, Seed: sh.Seed, Parallelism: sh.Parallelism, VerticesPerMachine: sh.VerticesPerMachine,
+				Alpha: o.alpha, Eps: o.eps, MaxWeight: o.maxWeight,
+			})
+		},
 	}
 	var sess *session.Session
 	var chain *snapshot.Chain
@@ -142,14 +149,18 @@ func replay(o options, out io.Writer) error {
 
 	// The summary is identical across the text and trace paths, so CI can
 	// diff them.
-	dc := sess.State().(*core.DynamicConnectivity)
-	if err := harness.VerifyConnectivity(dc, mirror.Graph()); err != nil {
+	inst := sess.State().(harness.Instance)
+	if err := inst.Check(mirror.Graph()); err != nil {
 		return fmt.Errorf("replay diverged from the oracle: %w", err)
 	}
-	fmt.Fprintf(out, "replayed %d batches on %d vertices: %d components (oracle-verified)\n",
-		replayed, sess.Shape().N, dc.NumComponents())
-	report(out, dc.Cluster().Stats(), replayed)
-	reportSearches(out, dc.SearchStats())
+	fmt.Fprintf(out, "replayed %d batches on %d vertices: %s (oracle-verified)\n",
+		replayed, sess.Shape().N, answer(inst))
+	if c, ok := inst.(interface{ Cluster() *mpc.Cluster }); ok {
+		report(out, c.Cluster().Stats(), replayed)
+	}
+	if s, ok := inst.(interface{ SearchStats() core.SearchStats }); ok {
+		reportSearches(out, s.SearchStats())
+	}
 	if o.checkpointFile == "" {
 		return nil
 	}
@@ -161,6 +172,21 @@ func replay(o options, out io.Writer) error {
 		sess.SetChain(chain)
 	}
 	return writeCheckpoint(out, sess, chain)
+}
+
+// answer renders the solution a replay's oracle check just verified.
+func answer(inst harness.Instance) string {
+	switch v := inst.(type) {
+	case interface{ NumComponents() int }:
+		return fmt.Sprintf("%d components", v.NumComponents())
+	case interface{ IsBipartite() bool }:
+		return fmt.Sprintf("bipartite %v", v.IsBipartite())
+	case interface{ Weight() int64 }:
+		return fmt.Sprintf("forest weight %d", v.Weight())
+	case interface{ Size() int }:
+		return fmt.Sprintf("matching of %d edges", v.Size())
+	}
+	return "solution"
 }
 
 // resume restores a session from the checkpoint chain rooted at -resume:

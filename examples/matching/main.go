@@ -48,7 +48,7 @@ func main() {
 		gm.Size(), gm.Cap(), est.Estimate(), opt)
 
 	// Fully dynamic: AKLY sparsifier + batch-dynamic maximal matching.
-	dyn, err := matching.NewAKLYDynamic(n, alpha, 13)
+	dyn, err := matching.NewAKLYDynamic(n, alpha, 13, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

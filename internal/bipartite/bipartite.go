@@ -88,8 +88,9 @@ func (t *Tester) Checkpoint(e *snapshot.Encoder) {
 	t.cover.Checkpoint(e)
 }
 
-// Restore loads a checkpoint written by Checkpoint into this freshly
-// constructed tester. On error the instance must be discarded.
+// Restore loads a checkpoint written by Checkpoint, at any machine count,
+// into this freshly constructed tester. On error the instance must be
+// discarded.
 func (t *Tester) Restore(d *snapshot.Decoder) error {
 	if err := t.g.Restore(d); err != nil {
 		return fmt.Errorf("bipartite: input graph: %w", err)

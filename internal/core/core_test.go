@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -666,8 +665,7 @@ func handRecord(e *snapshot.Encoder) {
 
 // TestLoadRejectsTreeEdgeOnTwoShards hand-builds a full forest container
 // (valid CRC) in which one tree edge is filed on its owner's shard only, or
-// on a second shard too: the former loads, the latter is rejected by both
-// full-container verbs.
+// on a second shard too: the former loads, the latter is rejected.
 func TestLoadRejectsTreeEdgeOnTwoShards(t *testing.T) {
 	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
 	f, err := NewForest(cfg)
@@ -725,25 +723,21 @@ func TestLoadRejectsTreeEdgeOnTwoShards(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	load := func(r io.Reader, f *Forest) error { return snapshot.Load(r, f) }
-	reshard := func(r io.Reader, f *Forest) error { return snapshot.Reshard(r, f) }
-	for name, verb := range map[string]func(io.Reader, *Forest) error{"Load": load, "Reshard": reshard} {
-		fresh, err := NewForest(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = verb(bytes.NewReader(build(owner, (owner+1)%m)), fresh)
-		if err == nil || !strings.Contains(err.Error(), "{1,2} on two shards") {
-			t.Fatalf("%s: tree edge filed on two shards not rejected: %v", name, err)
-		}
-		if got := fresh.SnapshotForest(); len(got) != 0 {
-			t.Fatalf("%s: rejected container left %d forest edges behind", name, len(got))
-		}
-		if err := verb(bytes.NewReader(build(owner)), fresh); err != nil {
-			t.Fatalf("%s: the same container with the edge filed once: %v", name, err)
-		}
-		if got := fresh.SnapshotForest(); len(got) != 1 || got[0].Edge != ed {
-			t.Fatalf("%s: loaded forest %v, want [%v]", name, got, ed)
-		}
+	fresh, err := NewForest(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = snapshot.Load(bytes.NewReader(build(owner, (owner+1)%m)), fresh)
+	if err == nil || !strings.Contains(err.Error(), "{1,2} on two shards") {
+		t.Fatalf("tree edge filed on two shards not rejected: %v", err)
+	}
+	if got := fresh.SnapshotForest(); len(got) != 0 {
+		t.Fatalf("rejected container left %d forest edges behind", len(got))
+	}
+	if err := snapshot.Load(bytes.NewReader(build(owner)), fresh); err != nil {
+		t.Fatalf("the same container with the edge filed once: %v", err)
+	}
+	if got := fresh.SnapshotForest(); len(got) != 1 || got[0].Edge != ed {
+		t.Fatalf("loaded forest %v, want [%v]", got, ed)
 	}
 }

@@ -10,14 +10,11 @@ package core
 // contiguous mpc.Partition ranges and edge records on
 // hash.Hash(edgeID) % machines. Restoring at the shape that wrote the file is
 // then just the case where source and target placement coincide, so each
-// state has one loader for its full container: it decodes the sections, at
-// whatever machine count wrote them, into an image free of the source's
-// sharding, re-validates the per-machine s-words budget of this instance's
-// shape, and installs the image under this instance's placement maps.
-// ReshardRestore is that loader as is; Restore is the same loader with one
-// extra demand, checked on the configuration echo before anything else is
-// read: the writer's VerticesPerMachine and machine count equal the
-// instance's. A loaded instance is indistinguishable from a fresh instance at
+// state has one loader for its full container, its Restore: it decodes the
+// sections, at whatever machine count wrote them, into an image free of the
+// source's sharding, re-validates the per-machine s-words budget of this
+// instance's shape, and installs the image under this instance's placement
+// maps. A loaded instance is indistinguishable from a fresh instance at
 // its shape that was fed the same update stream (labels, forest, sketches,
 // and query answers are bit-identical); its execution Stats are the
 // checkpoint's, carried over verbatim. Loading resets the instance's update
@@ -25,10 +22,10 @@ package core
 // journal of batches, see snapshot.go) extends. Deltas themselves are never
 // re-sharded — they replay onto a base of their own fleet shape.
 //
-// Failure contract, the same for both verbs: a configuration mismatch or a
-// memory-cap rejection — a per-machine budget that cannot hold the state is
-// never silently installed in violation of the model — is reported before
-// any target state is touched, so the instance may be reused. Any other
+// Failure contract: a configuration mismatch or a memory-cap rejection — a
+// per-machine budget that cannot hold the state is never silently installed
+// in violation of the model — is reported before any target state is
+// touched, so the instance may be reused. Any other
 // error is structural (the container's CRC verified, yet a section
 // contradicts the layout) and may surface after the forest is installed,
 // while the sketch sections stream into the arenas: discard the instance.
@@ -85,11 +82,10 @@ type forestImage struct {
 }
 
 // readImage decodes the tagForest section group written at any machine count
-// (at this instance's, if sameShape) and returns the image plus the source
-// fleet's vertex partition.
-func (f *Forest) readImage(d *snapshot.Decoder, sameShape bool) (*forestImage, mpc.Partition, error) {
+// and returns the image plus the source fleet's vertex partition.
+func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, mpc.Partition, error) {
 	d.Begin(tagForest)
-	srcMach, err := f.readConfig(d, sameShape)
+	srcMach, err := f.readConfig(d)
 	if err != nil {
 		return nil, mpc.Partition{}, err
 	}
@@ -222,11 +218,11 @@ func (f *Forest) installImage(img *forestImage) {
 }
 
 // load is the forest's one full-checkpoint loader (see the file comment):
-// decode at any source shape — this instance's, if sameShape — validate the
-// memory caps, install. It returns the source fleet's vertex partition, by
-// which a DynamicConnectivity locates the sketch sections that follow.
-func (f *Forest) load(d *snapshot.Decoder, sameShape bool, sketchStride int) (mpc.Partition, error) {
-	img, src, err := f.readImage(d, sameShape)
+// decode at any source shape, validate the memory caps, install. It returns
+// the source fleet's vertex partition, by which a DynamicConnectivity
+// locates the sketch sections that follow.
+func (f *Forest) load(d *snapshot.Decoder, sketchStride int) (mpc.Partition, error) {
+	img, src, err := f.readImage(d)
 	if err != nil {
 		return src, err
 	}
@@ -237,30 +233,23 @@ func (f *Forest) load(d *snapshot.Decoder, sameShape bool, sketchStride int) (mp
 	return src, nil
 }
 
-// Restore loads a full forest checkpoint written at this instance's fleet
-// shape; a checkpoint of any other shape is rejected with a diagnostic
-// naming both (ReshardRestore takes those).
+// Restore loads a full forest checkpoint written at any machine count,
+// redistributing vertex and edge state under this instance's placement maps.
 func (f *Forest) Restore(d *snapshot.Decoder) error {
-	_, err := f.load(d, true, 0)
+	_, err := f.load(d, 0)
 	return err
 }
 
-// ReshardRestore loads a full forest checkpoint written at any machine
-// count, redistributing vertex and edge state under this instance's
-// placement maps.
-func (f *Forest) ReshardRestore(d *snapshot.Decoder) error {
-	_, err := f.load(d, false, 0)
-	return err
-}
-
-// load is the connectivity stack's one full-checkpoint loader: the forest's,
-// told the sketch footprint so the memory caps cover the arenas, then every
-// source shard's sketch words copied straight from the decoder into the
-// arenas of the machines whose vertex ranges overlap that shard's.
-func (dc *DynamicConnectivity) load(d *snapshot.Decoder, sameShape bool) error {
+// Restore loads a full dynamic-connectivity checkpoint written at any machine
+// count: the forest's loader, told the sketch footprint so the memory caps
+// cover the arenas, then every source shard's sketch words copied straight
+// from the decoder into the arenas of the machines whose vertex ranges
+// overlap that shard's. The sketch spaces are rebuilt from the seed by the
+// constructor; only the arena cell words are reloaded.
+func (dc *DynamicConnectivity) Restore(d *snapshot.Decoder) error {
 	f := dc.f
 	stride := dc.space.SketchWords()
-	src, err := f.load(d, sameShape, stride)
+	src, err := f.load(d, stride)
 	if err != nil {
 		return err
 	}
@@ -290,14 +279,3 @@ func (dc *DynamicConnectivity) load(d *snapshot.Decoder, sameShape bool) error {
 	dc.journal.Reset() // the loaded state is the new delta baseline
 	return nil
 }
-
-// Restore loads a full dynamic-connectivity checkpoint written at this
-// instance's fleet shape (see Forest.Restore). The sketch spaces are rebuilt
-// from the seed by the constructor; only the arena cell words are reloaded.
-func (dc *DynamicConnectivity) Restore(d *snapshot.Decoder) error { return dc.load(d, true) }
-
-// ReshardRestore loads a full dynamic-connectivity checkpoint written at any
-// machine count: the forest image plus every vertex's sketch block, re-sliced
-// onto this instance's arenas. The memory cap it re-validates covers the
-// vertex bundle, sketch arena, edge records and coordinator caches.
-func (dc *DynamicConnectivity) ReshardRestore(d *snapshot.Decoder) error { return dc.load(d, false) }

@@ -108,7 +108,7 @@ func reshardTwin(t *testing.T, n, srcVpm, wantMachines, par int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.Reshard(bytes.NewReader(buf.Bytes()), resharded); err != nil {
+	if err := snapshot.Load(bytes.NewReader(buf.Bytes()), resharded); err != nil {
 		t.Fatalf("reshard %d -> %d machines: %v", cfg.MachineCount(), wantMachines, err)
 	}
 	twin := run(tcfg, prefix)
@@ -202,7 +202,7 @@ func TestReshardCapRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = snapshot.Reshard(bytes.NewReader(buf.Bytes()), target)
+	err = snapshot.Load(bytes.NewReader(buf.Bytes()), target)
 	if err == nil {
 		t.Fatal("shrink past the per-machine budget was accepted")
 	}
@@ -271,7 +271,7 @@ func FuzzReshardRestore(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := snapshot.Reshard(bytes.NewReader(data), target); err != nil {
+		if err := snapshot.Load(bytes.NewReader(data), target); err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
 		// Restored: the instance must be internally consistent enough to

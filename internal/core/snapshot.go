@@ -18,8 +18,7 @@ package core
 //
 // This file holds the writers (Checkpoint, CheckpointDelta), the delta reader
 // (RestoreDelta) and the record codecs of the full container; the one reader
-// of a full container — behind both Restore and ReshardRestore — is in
-// reshard.go. The container-level checks (magic, version, CRC) have already
+// of a full container, Restore, is in reshard.go. The container-level checks (magic, version, CRC) have already
 // rejected corrupt files before any reader here runs.
 
 import (
@@ -61,15 +60,14 @@ func (f *Forest) writeConfig(e *snapshot.Encoder) {
 
 // readConfig reads the configuration echo, validates the state-shaping
 // parameters (Parallelism and Strict are execution-engine choices, not
-// state, and may differ between writer and reader) and returns the writer's
-// machine count. sameShape adds the demand that the writer's fleet shape
-// equals this instance's.
-func (f *Forest) readConfig(d *snapshot.Decoder, sameShape bool) (int, error) {
+// state, and may differ between writer and reader; so may the fleet shape)
+// and returns the writer's machine count.
+func (f *Forest) readConfig(d *snapshot.Decoder) (int, error) {
 	n := d.Int()
 	phi := d.F64()
 	copies := d.Int()
 	seed := d.U64()
-	vpm := d.Int()
+	d.Int() // the writer's VerticesPerMachine: its machine count follows
 	weighted := d.Bool()
 	mach := d.Int()
 	if err := d.Err(); err != nil {
@@ -88,9 +86,6 @@ func (f *Forest) readConfig(d *snapshot.Decoder, sameShape bool) (int, error) {
 		return 0, fmt.Errorf("core: snapshot weighted=%v restored into weighted=%v", weighted, f.weighted)
 	case mach < 2:
 		return 0, fmt.Errorf("core: snapshot claims %d machines (corrupt)", mach)
-	case sameShape && (vpm != f.cfg.VerticesPerMachine || mach != f.cl.Machines()):
-		return 0, fmt.Errorf("core: snapshot of VerticesPerMachine=%d on %d machines restored into VerticesPerMachine=%d on %d machines (re-shard it instead)",
-			vpm, mach, f.cfg.VerticesPerMachine, f.cl.Machines())
 	}
 	return mach, nil
 }
@@ -265,8 +260,10 @@ func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) bool {
 func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder) (snapshot.Replay, error) {
 	f := dc.f
 	d.Begin(tagReplayDelta)
-	if _, err := f.readConfig(d, true); err != nil {
+	if mach, err := f.readConfig(d); err != nil {
 		return snapshot.Replay{}, err
+	} else if mach != f.cl.Machines() {
+		return snapshot.Replay{}, fmt.Errorf("core: delta written on %d machines cannot extend a base on %d", mach, f.cl.Machines())
 	}
 	replayed, err := snapshot.ReplayJournal(d, f.cfg.N, dc.MaxBatch(), dc.applyBatch)
 	if err != nil {

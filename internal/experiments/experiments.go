@@ -352,7 +352,7 @@ func E8DynamicMatching(n int, alphas []float64, batches int, seed uint64) *Table
 		Header: []string{"alpha", "opt", "akly size", "opt/size", "estimate", "est/opt", "sampler words"},
 	}
 	for _, alpha := range alphas {
-		d8, err := matching.NewAKLYDynamic(n, alpha, seed)
+		d8, err := matching.NewAKLYDynamic(n, alpha, seed, 0)
 		if err != nil {
 			panic(err)
 		}

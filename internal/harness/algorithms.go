@@ -63,20 +63,18 @@ func VerifyConnectivity(dc *core.DynamicConnectivity, g *graph.Graph) error {
 }
 
 // The adapters embed their algorithm, so whatever part of the Instance (and
-// snapshot.DeltaState, Elastic) contract the algorithm already implements
+// snapshot.DeltaState) contract the algorithm already implements
 // under the contract's own method names is promoted as is; an adapter spells
 // out only what the algorithm names differently or does not have.
 
 // connectivity supports delta checkpoints (snapshot.DeltaState), so harness
-// chains alternate full and delta containers for it, and elastic
-// re-sharding (Options.FaultEvery).
+// chains alternate full and delta containers for it.
 type connectivityInstance struct{ *core.DynamicConnectivity }
 
 func (c connectivityInstance) Check(g *graph.Graph) error {
 	return VerifyConnectivity(c.DynamicConnectivity, g)
 }
-func (c connectivityInstance) Rounds() int   { return c.Cluster().Stats().Rounds }
-func (c connectivityInstance) Machines() int { return c.Cluster().Machines() }
+func (c connectivityInstance) Rounds() int { return c.Cluster().Stats().Rounds }
 
 type bipartiteInstance struct{ *bipartite.Tester }
 
@@ -95,7 +93,6 @@ type exactMSFInstance struct{ *msf.ExactMSF }
 
 func (e exactMSFInstance) MaxBatch() int { return e.Forest().Config().MaxBatch() }
 func (e exactMSFInstance) Rounds() int   { return e.Forest().Cluster().Stats().Rounds }
-func (e exactMSFInstance) Machines() int { return e.Forest().Cluster().Machines() }
 func (e exactMSFInstance) ApplyBatch(b graph.Batch) error {
 	edges := make([]graph.WeightedEdge, 0, len(b))
 	for _, u := range b {
@@ -160,7 +157,6 @@ type greedyMatchingInstance struct{ *matching.GreedyInsertOnly }
 
 func (g greedyMatchingInstance) MaxBatch() int { return 8 }
 func (g greedyMatchingInstance) Rounds() int   { return g.Cluster().Stats().Rounds }
-func (g greedyMatchingInstance) Machines() int { return g.Cluster().Machines() }
 func (g greedyMatchingInstance) ApplyBatch(b graph.Batch) error {
 	edges := make([]graph.Edge, 0, len(b))
 	for _, u := range b {
@@ -285,7 +281,7 @@ func init() {
 	registerAlgorithm(Algorithm{
 		Name: "dynmatching",
 		New: func(opt Options) (Instance, error) {
-			d, err := matching.NewAKLYDynamic(opt.N, opt.Alpha, opt.Seed)
+			d, err := matching.NewAKLYDynamic(opt.N, opt.Alpha, opt.Seed, opt.VerticesPerMachine)
 			if err != nil {
 				return nil, err
 			}
@@ -295,7 +291,7 @@ func init() {
 	registerAlgorithm(Algorithm{
 		Name: "nowickionak",
 		New: func(opt Options) (Instance, error) {
-			m, err := nowickionak.New(nowickionak.Config{N: opt.N})
+			m, err := nowickionak.New(nowickionak.Config{N: opt.N, VerticesPerMachine: opt.VerticesPerMachine})
 			if err != nil {
 				return nil, err
 			}

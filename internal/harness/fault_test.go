@@ -4,18 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
-
-// elasticAlgos are the algorithms whose state can migrate across machine
-// counts (harness.Elastic); the fault-recovery guarantee is asserted for
-// every one of them over every compatible scenario.
-var elasticAlgos = []string{"connectivity", "msf", "approxmsf", "matching"}
 
 // faultOptions is the shared shape for the twin comparison: a pinned
 // initial cluster (7 machines) with a pinned batch size, so the faulted
@@ -30,10 +25,11 @@ func faultOptions(par int) Options {
 }
 
 // fingerprint renders the machine-count-independent solution state of an
-// elastic instance: component labels, forest edges and query answers for
-// connectivity, the maintained forest and weight for the MSF pair, the
-// match set for greedy matching. MPC Stats are deliberately excluded —
-// a recovered run spends extra rounds on the replay.
+// instance: component labels, forest edges and query answers for
+// connectivity, the answer and both instances' labels for bipartiteness,
+// the maintained forest and weight for the MSF pair, the sorted match set
+// and its size for the three matchings. MPC Stats are deliberately excluded
+// — a recovered run spends extra rounds on the replay.
 func fingerprint(t *testing.T, inst Instance) string {
 	t.Helper()
 	switch v := inst.(type) {
@@ -57,24 +53,34 @@ func fingerprint(t *testing.T, inst Instance) string {
 		return fmt.Sprintf("weight=%d forest=%v", v.Weight(), forest)
 	case approxMSFInstance:
 		return fmt.Sprintf("weight=%d forestweight=%d", v.Weight(), v.ForestWeight())
+	case bipartiteInstance:
+		return fmt.Sprintf("bipartite=%v graph=%v cover=%v",
+			v.IsBipartite(), v.Graph().SnapshotComponents(), v.Cover().SnapshotComponents())
 	case greedyMatchingInstance:
-		m := v.Matching()
-		sort.Slice(m, func(i, j int) bool { return m[i].ID(48) < m[j].ID(48) })
-		return fmt.Sprintf("size=%d matching=%v", v.Size(), m)
+		return matchingPrint(v.Size(), v.Matching())
+	case nowickiOnakInstance:
+		return matchingPrint(v.Size(), v.Matching())
+	case aklyInstance:
+		return matchingPrint(v.Size(), v.Matching())
 	}
 	t.Fatalf("no fingerprint for instance type %T", inst)
 	return ""
 }
 
+func matchingPrint(size int, m []graph.Edge) string {
+	sort.Slice(m, func(i, j int) bool { return m[i].ID(48) < m[j].ID(48) })
+	return fmt.Sprintf("size=%d matching=%v", size, m)
+}
+
 // TestFaultReshardTwinBitIdentical is the machine-loss acceptance
-// criterion: for every elastic algorithm over every compatible scenario,
+// criterion: for every registered algorithm over every compatible scenario,
 // a run that loses machines mid-stream (each loss recovered by re-sharding
 // the last checkpoint onto the surviving fleet and replaying the journal)
 // must end with a solution bit-identical to an uninterrupted twin run at
 // the surviving machine count — at parallelism 1 and 8, with the
 // brute-force oracle checking both runs batch by batch.
 func TestFaultReshardTwinBitIdentical(t *testing.T) {
-	for _, name := range elasticAlgos {
+	for _, name := range AlgorithmNames() {
 		algo, err := GetAlgorithm(name)
 		if err != nil {
 			t.Fatal(err)
@@ -90,6 +96,11 @@ func TestFaultReshardTwinBitIdentical(t *testing.T) {
 			for _, par := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s/%s/p%d", name, scenario, par), func(t *testing.T) {
 					opt := faultOptions(par)
+					if name == "bipartite" {
+						// Its doubled cover graph halves core's MaxBatch of 4
+						// at 8 vertices/machine; the pin must fit every shape.
+						opt.BatchSize = 2
+					}
 					inst, cur, rep, err := runScenario(algo, sc, opt)
 					if err != nil {
 						t.Fatal(err)
@@ -129,16 +140,16 @@ func TestFaultReshardTwinBitIdentical(t *testing.T) {
 }
 
 // TestLoadIsReshardAtTheSourceShape pins the single full-checkpoint loader
-// of every elastic algorithm from the outside: snapshot.Load and
-// snapshot.Reshard of one container into two fresh instances of the shape
-// that wrote it produce instances whose own checkpoints equal each other and
-// the input byte for byte, and Load — unlike Reshard — still refuses a
-// container of another shape with a diagnostic naming both.
+// of every registered algorithm from the outside: snapshot.Load of a
+// container into a fresh instance of the shape that wrote it re-saves the
+// input byte for byte, and Load into a fresh instance of another shape
+// succeeds with the source's solution.
 func TestLoadIsReshardAtTheSourceShape(t *testing.T) {
 	scenarioFor := map[string]string{
-		"connectivity": "churn", "msf": "grow-weighted", "approxmsf": "churn-weighted", "matching": "grow",
+		"connectivity": "churn", "bipartite": "churn", "msf": "grow-weighted", "approxmsf": "churn-weighted",
+		"matching": "grow", "dynmatching": "churn", "nowickionak": "churn",
 	}
-	for _, name := range elasticAlgos {
+	for _, name := range AlgorithmNames() {
 		t.Run(name, func(t *testing.T) {
 			algo, err := GetAlgorithm(name)
 			if err != nil {
@@ -158,66 +169,31 @@ func TestLoadIsReshardAtTheSourceShape(t *testing.T) {
 			if err := snapshot.Save(&input, live); err != nil {
 				t.Fatal(err)
 			}
-			resave := func(o Options, verb func(Instance) error) ([]byte, error) {
+			load := func(o Options) Instance {
 				inst, err := algo.New(o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := verb(inst); err != nil {
-					return nil, err
+				if err := snapshot.Load(bytes.NewReader(input.Bytes()), inst); err != nil {
+					t.Fatalf("Load at VerticesPerMachine=%d: %v", o.VerticesPerMachine, err)
 				}
-				var out bytes.Buffer
-				if err := snapshot.Save(&out, inst); err != nil {
-					t.Fatal(err)
-				}
-				return out.Bytes(), nil
+				return inst
 			}
-			load := func(inst Instance) error { return snapshot.Load(bytes.NewReader(input.Bytes()), inst) }
-			reshard := func(inst Instance) error {
-				return snapshot.Reshard(bytes.NewReader(input.Bytes()), inst.(Elastic))
+			var out bytes.Buffer
+			if err := snapshot.Save(&out, load(opt)); err != nil {
+				t.Fatal(err)
 			}
-			loaded, err := resave(opt, load)
-			if err != nil {
-				t.Fatalf("Load at the source shape: %v", err)
-			}
-			resharded, err := resave(opt, reshard)
-			if err != nil {
-				t.Fatalf("Reshard at the source shape: %v", err)
-			}
-			if !bytes.Equal(loaded, input.Bytes()) || !bytes.Equal(resharded, input.Bytes()) {
-				t.Fatalf("re-saved containers differ from the input (%d bytes): Load %d bytes (equal %v), Reshard %d bytes (equal %v)",
-					input.Len(), len(loaded), bytes.Equal(loaded, input.Bytes()), len(resharded), bytes.Equal(resharded, input.Bytes()))
+			if !bytes.Equal(out.Bytes(), input.Bytes()) {
+				t.Fatalf("re-saved container (%d bytes) differs from the input (%d bytes)", out.Len(), input.Len())
 			}
 			// 16 vertices/machine is a 4-machine fleet; the container's is 7
 			// machines at 8.
 			other := opt
 			other.VerticesPerMachine = 16
-			if _, err := resave(other, reshard); err != nil {
-				t.Fatalf("Reshard onto another shape: %v", err)
-			}
-			_, err = resave(other, load)
-			if err == nil {
-				t.Fatal("Load accepted a container of another fleet shape")
-			}
-			shapes := []string{"VerticesPerMachine=8", "VerticesPerMachine=16"}
-			if name == "matching" { // its echo records the machine count only
-				shapes = []string{"machines=7", "machines=4"}
-			}
-			for _, shape := range shapes {
-				if !strings.Contains(err.Error(), shape) {
-					t.Fatalf("shape-mismatch diagnostic %q does not name %s", err, shape)
-				}
+			if got, want := fingerprint(t, load(other)), fingerprint(t, live); got != want {
+				t.Fatalf("loaded onto another shape:\n  got:  %s\n  want: %s", got, want)
 			}
 		})
-	}
-}
-
-// TestFaultRequiresElastic pins the configuration error: algorithms
-// without re-sharding support must reject FaultEvery up front.
-func TestFaultRequiresElastic(t *testing.T) {
-	_, err := Run("nowickionak", "bursty", Options{N: 32, Batches: 4, FaultEvery: 2})
-	if err == nil {
-		t.Fatal("FaultEvery accepted by an algorithm without elastic re-sharding")
 	}
 }
 

@@ -85,10 +85,10 @@ type Options struct {
 	// seeded batch indices (one fault per FaultEvery batches on average,
 	// drawn from workload.NewMachineFaultSchedule seeded with Seed+5) one
 	// MPC machine dies while a batch is in flight. The poisoned batch is
-	// discarded, the last checkpoint is restored re-sharded onto a fleet one
-	// machine smaller (see snapshot.Reshard), and every batch applied since
-	// that checkpoint — including the in-flight one — is replayed. Requires
-	// the algorithm to implement Elastic. Results and oracle checks are
+	// discarded, the last checkpoint is loaded onto a fleet one machine
+	// smaller (see session.Session.RecoverOnto), and every batch applied
+	// since that checkpoint — including the in-flight one — is replayed.
+	// Every registered algorithm supports it. Results and oracle checks are
 	// identical to an uninterrupted run at the surviving machine count.
 	FaultEvery int
 	// VerticesPerMachine pins the initial cluster shape of cluster-backed
@@ -151,19 +151,6 @@ type searchCounter interface {
 // a with-high-probability bound too noisy to assert after every batch).
 type finalChecker interface {
 	FinalCheck(mirror *graph.Graph) error
-}
-
-// Elastic is the optional Instance extension for machine-loss recovery
-// (Options.FaultEvery): an elastic instance reports its cluster size and
-// can load a full checkpoint written at a different machine count,
-// redistributing the state onto its own fleet. The cluster-backed
-// algorithms with per-vertex sharded state (connectivity, the MSF pair,
-// greedy matching) implement it.
-type Elastic interface {
-	snapshot.ReshardRestorer
-	// Machines returns the instance's MPC machine count (including the
-	// coordinator).
-	Machines() int
 }
 
 // Algorithm is a registry entry: a named dynamic algorithm plus the
@@ -367,14 +354,7 @@ func newSession(algo Algorithm, opt Options) (*session.Session, error) {
 	if opt.CrashEvery > 0 || opt.CheckpointEvery > 0 || opt.FaultEvery > 0 {
 		cfg.Chain = snapshot.OpenChainIn(snapshot.NewMemStore(), algo.Name, opt.MaxDeltaChain)
 	}
-	sess, err := session.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := sess.State().(Elastic); opt.FaultEvery > 0 && !ok {
-		return nil, fmt.Errorf("harness: %s does not support elastic re-sharding (FaultEvery)", algo.Name)
-	}
-	return sess, nil
+	return session.New(cfg)
 }
 
 // driveSource is the shared engine of RunScenario and RunSource: it pulls
@@ -432,7 +412,7 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 			continue // stalled (e.g. saturated insert-only stream)
 		}
 		if fault != nil {
-			machines := inst().(Elastic).Machines()
+			machines := sess.Shape().MachineCount()
 			if _, dead := fault.Fault(machines); dead {
 				// The machine died while batch i was in flight: the
 				// poisoned batch never lands on the old fleet. Unlike a

@@ -19,7 +19,7 @@ type aklyInstance struct {
 	sp     *sparsifier
 }
 
-func newAKLYInstance(n, optGuess int, alpha float64, prg *hash.PRG) (*aklyInstance, error) {
+func newAKLYInstance(n, optGuess, verticesPerMachine int, alpha float64, prg *hash.PRG) (*aklyInstance, error) {
 	beta := int(float64(optGuess)/alpha) + 1
 	gamma := int(float64(optGuess)/(alpha*alpha)) + 1
 	inst := &aklyInstance{
@@ -41,7 +41,7 @@ func newAKLYInstance(n, optGuess int, alpha float64, prg *hash.PRG) (*aklyInstan
 			}
 		}
 	}
-	sp, err := newSparsifier(n, pairs, inst.pairOf, prg, nowickionak.Config{N: n})
+	sp, err := newSparsifier(n, pairs, inst.pairOf, prg, nowickionak.Config{N: n, VerticesPerMachine: verticesPerMachine})
 	if err != nil {
 		return nil, err
 	}
@@ -80,8 +80,10 @@ type AKLYDynamic struct {
 	instances []*aklyInstance
 }
 
-// NewAKLYDynamic builds Θ(log n) guess instances.
-func NewAKLYDynamic(n int, alpha float64, seed uint64) (*AKLYDynamic, error) {
+// NewAKLYDynamic builds Θ(log n) guess instances. verticesPerMachine sizes
+// the embedded maximal matchers' clusters (0 = their default); the
+// sparsifiers' fleet is fixed.
+func NewAKLYDynamic(n int, alpha float64, seed uint64, verticesPerMachine int) (*AKLYDynamic, error) {
 	if n < 4 {
 		return nil, fmt.Errorf("matching: n = %d", n)
 	}
@@ -91,7 +93,7 @@ func NewAKLYDynamic(n int, alpha float64, seed uint64) (*AKLYDynamic, error) {
 	prg := hash.NewPRG(seed)
 	d := &AKLYDynamic{n: n, alpha: alpha}
 	for guess := n / 2; guess >= 1; guess /= 2 {
-		inst, err := newAKLYInstance(n, guess, alpha, prg.Fork())
+		inst, err := newAKLYInstance(n, guess, verticesPerMachine, alpha, prg.Fork())
 		if err != nil {
 			return nil, err
 		}

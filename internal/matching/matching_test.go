@@ -97,10 +97,10 @@ func TestGreedyStopsAtCap(t *testing.T) {
 }
 
 func TestAKLYValidation(t *testing.T) {
-	if _, err := NewAKLYDynamic(2, 2, 1); err == nil {
+	if _, err := NewAKLYDynamic(2, 2, 1, 0); err == nil {
 		t.Error("n=2 accepted")
 	}
-	if _, err := NewAKLYDynamic(16, 1, 1); err == nil {
+	if _, err := NewAKLYDynamic(16, 1, 1, 0); err == nil {
 		t.Error("alpha=1 accepted")
 	}
 }
@@ -110,7 +110,7 @@ func TestAKLYDynamicApproximation(t *testing.T) {
 		t.Skip("long test")
 	}
 	const n, alpha = 32, 2.0
-	d, err := NewAKLYDynamic(n, alpha, 3)
+	d, err := NewAKLYDynamic(n, alpha, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestSparsifierMultiplicity(t *testing.T) {
 	// just verify a direct insert/insert/delete sequence on AKLY keeps a
 	// valid matching.
 	const n = 16
-	d, err := NewAKLYDynamic(n, 2, 11)
+	d, err := NewAKLYDynamic(n, 2, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestGreedyEmptyBatchAndAccessors(t *testing.T) {
 }
 
 func TestAKLYAccessorsAndMemory(t *testing.T) {
-	d, err := NewAKLYDynamic(16, 2, 21)
+	d, err := NewAKLYDynamic(16, 2, 21, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +307,11 @@ func TestAKLYAccessorsAndMemory(t *testing.T) {
 }
 
 func TestAKLYMemoryShrinksWithAlpha(t *testing.T) {
-	small, err := NewAKLYDynamic(64, 2, 22)
+	small, err := NewAKLYDynamic(64, 2, 22, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := NewAKLYDynamic(64, 8, 22)
+	large, err := NewAKLYDynamic(64, 8, 22, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestAKLYDegenerateTopologies(t *testing.T) {
 	for _, name := range graphtest.TopologyNames {
 		t.Run(name, func(t *testing.T) {
 			edges := graphtest.Topology(name, n)
-			d, err := NewAKLYDynamic(n, alpha, 17)
+			d, err := NewAKLYDynamic(n, alpha, 17, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

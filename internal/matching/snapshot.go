@@ -43,22 +43,21 @@ func (g *GreedyInsertOnly) Checkpoint(e *snapshot.Encoder) {
 	}
 }
 
-// load is the greedy matching's one full-checkpoint loader (see
-// core/reshard.go for the scheme): match pointers are per-vertex logical
-// state, so a checkpoint written at any machine count — this instance's, if
-// sameShape — is decoded into a flat per-vertex image and re-sliced onto this
-// instance's contiguous vertex ranges; the cap and size are
-// machine-count-independent coordinator state. Validation (n, cap, shard
-// layout, partner ranges) completes before any state is touched.
-func (g *GreedyInsertOnly) load(d *snapshot.Decoder, sameShape bool) error {
+// Restore loads a checkpoint written by Checkpoint into this freshly
+// constructed instance (see core/reshard.go for the scheme): match pointers
+// are per-vertex logical state, so a checkpoint written at any machine count
+// is decoded into a flat per-vertex image and re-sliced onto this instance's
+// contiguous vertex ranges; the cap and size are machine-count-independent
+// coordinator state. Validation (n, cap, shard layout, partner ranges)
+// completes before any state is touched.
+func (g *GreedyInsertOnly) Restore(d *snapshot.Decoder) error {
 	d.Begin(tagGreedy)
 	n, capSize, mach := d.Int(), d.Int(), d.Int()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n != g.n || capSize != g.cap || (sameShape && mach != g.cl.Machines()) {
-		return fmt.Errorf("matching: snapshot of (n=%d, cap=%d, machines=%d) restored into (n=%d, cap=%d, machines=%d)",
-			n, capSize, mach, g.n, g.cap, g.cl.Machines())
+	if n != g.n || capSize != g.cap {
+		return fmt.Errorf("matching: snapshot of (n=%d, cap=%d) restored into (n=%d, cap=%d)", n, capSize, g.n, g.cap)
 	}
 	if mach < 2 {
 		return fmt.Errorf("matching: snapshot claims %d machines (corrupt)", mach)
@@ -105,14 +104,6 @@ func (g *GreedyInsertOnly) load(d *snapshot.Decoder, sameShape bool) error {
 	return nil
 }
 
-// Restore loads a checkpoint written by Checkpoint at this instance's
-// machine count into this freshly constructed instance.
-func (g *GreedyInsertOnly) Restore(d *snapshot.Decoder) error { return g.load(d, true) }
-
-// ReshardRestore loads a greedy-matching checkpoint written at any machine
-// count into this freshly constructed instance.
-func (g *GreedyInsertOnly) ReshardRestore(d *snapshot.Decoder) error { return g.load(d, false) }
-
 // Checkpoint serializes every guess instance: the sparsifier's pair
 // samplers (in sorted pair order, so checkpoints are deterministic) and
 // the embedded maximal matcher.
@@ -130,7 +121,8 @@ func (a *AKLYDynamic) Checkpoint(e *snapshot.Encoder) {
 // Restore loads a checkpoint written by Checkpoint. The instance must have
 // been built with the same n, alpha, and seed, so that the rederived hash
 // families and active-pair layouts match; structural disagreements are
-// rejected. On error the instance must be discarded.
+// rejected. The embedded matchers may run on a fleet of any size: each
+// regroups its shards onto its own. On error the instance must be discarded.
 func (a *AKLYDynamic) Restore(d *snapshot.Decoder) error {
 	d.Begin(tagAKLY)
 	n := d.Int()

@@ -4,17 +4,15 @@ package msf
 // exact MSF is its weighted forest plus driver-level counters; the
 // approximate structures are their per-level connectivity instances (the
 // thresholds are rederived from eps and validated by the level count).
-// Each has one loader of its full container (see core/reshard.go): the
-// driver-level state is machine-count-independent, and whether the fleet
-// shape may differ is decided by which verb of the underlying forest /
-// connectivity instances the loader is handed. On an error other than a
-// memory-cap rejection surfaced by the first (or only) underlying instance,
-// the target must be discarded.
+// Each loads a full container written at any machine count (see
+// core/reshard.go): the driver-level state is machine-count-independent and
+// the underlying forest / connectivity instances regroup their own. On an
+// error other than a memory-cap rejection surfaced by the first (or only)
+// underlying instance, the target must be discarded.
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/snapshot"
 )
 
@@ -34,8 +32,9 @@ func (m *ExactMSF) Checkpoint(e *snapshot.Encoder) {
 	m.f.Checkpoint(e)
 }
 
-// load reads what Checkpoint wrote, the forest through the given verb.
-func (m *ExactMSF) load(d *snapshot.Decoder, forest func(*core.Forest, *snapshot.Decoder) error) error {
+// Restore loads a checkpoint written by Checkpoint, at any machine count,
+// into this freshly constructed instance.
+func (m *ExactMSF) Restore(d *snapshot.Decoder) error {
 	d.Begin(tagExactMSF)
 	swapWaves := d.Int()
 	weight := d.I64()
@@ -43,21 +42,11 @@ func (m *ExactMSF) load(d *snapshot.Decoder, forest func(*core.Forest, *snapshot
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if err := forest(m.f, d); err != nil {
+	if err := m.f.Restore(d); err != nil {
 		return err
 	}
 	m.swapWaves, m.weight, m.weightOK = swapWaves, weight, weightOK
 	return nil
-}
-
-// Restore loads a checkpoint written by Checkpoint at this instance's fleet
-// shape into this freshly constructed instance.
-func (m *ExactMSF) Restore(d *snapshot.Decoder) error { return m.load(d, (*core.Forest).Restore) }
-
-// ReshardRestore loads an exact-MSF checkpoint written at any machine count
-// into this freshly constructed instance.
-func (m *ExactMSF) ReshardRestore(d *snapshot.Decoder) error {
-	return m.load(d, (*core.Forest).ReshardRestore)
 }
 
 // Checkpoint serializes every level's connectivity instance.
@@ -71,10 +60,11 @@ func (a *ApproxMSFWeight) Checkpoint(e *snapshot.Encoder) {
 	}
 }
 
-// load reads what Checkpoint wrote, every level through the given verb. The
-// instance must have been built with the same configuration (eps and
-// maxWeight determine the level count, which is validated).
-func (a *ApproxMSFWeight) load(d *snapshot.Decoder, level func(*core.DynamicConnectivity, *snapshot.Decoder) error) error {
+// Restore loads a checkpoint written by Checkpoint, at any machine count,
+// re-sharding every level's connectivity instance. The instance must have
+// been built with the same configuration (eps and maxWeight determine the
+// level count, which is validated).
+func (a *ApproxMSFWeight) Restore(d *snapshot.Decoder) error {
 	d.Begin(tagApproxMSF)
 	n := d.Int()
 	eps := d.F64()
@@ -89,25 +79,9 @@ func (a *ApproxMSFWeight) load(d *snapshot.Decoder, level func(*core.DynamicConn
 		return fmt.Errorf("msf: snapshot of %d levels restored into %d", levels, len(a.levels))
 	}
 	for _, dc := range a.levels {
-		if err := level(dc, d); err != nil {
+		if err := dc.Restore(d); err != nil {
 			return err
 		}
 	}
 	return d.Err()
 }
-
-// Restore loads a checkpoint written by Checkpoint at this instance's fleet
-// shape.
-func (a *ApproxMSFWeight) Restore(d *snapshot.Decoder) error {
-	return a.load(d, (*core.DynamicConnectivity).Restore)
-}
-
-// ReshardRestore loads an approximate-MSF-weight checkpoint written at any
-// machine count, re-sharding every level's connectivity instance.
-func (a *ApproxMSFWeight) ReshardRestore(d *snapshot.Decoder) error {
-	return a.load(d, (*core.DynamicConnectivity).ReshardRestore)
-}
-
-// Machines returns the machine count of the per-level clusters (identical
-// across levels, which are built from one core.Config).
-func (a *ApproxMSFWeight) Machines() int { return a.levels[0].Cluster().Machines() }

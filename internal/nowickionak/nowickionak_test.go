@@ -1,12 +1,15 @@
 package nowickionak
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/graphtest"
 	"repro/internal/hash"
 	"repro/internal/oracle"
+	"repro/internal/snapshot"
 )
 
 func newMatcher(t *testing.T, n int) *Matcher {
@@ -291,5 +294,49 @@ func TestDegenerateTopologies(t *testing.T) {
 				t.Fatalf("post-churn size %d outside [opt/2, opt] for opt %d", m.Size(), opt)
 			}
 		})
+	}
+}
+
+// TestRestoreCapRejection pins the memory-cap check of the loader: a
+// checkpoint whose adjacency a target machine cannot hold is rejected with a
+// diagnostic naming the machine, and the target is left untouched; the same
+// checkpoint loads onto a fleet of another size that can hold it.
+func TestRestoreCapRejection(t *testing.T) {
+	src, err := New(Config{N: 16, VerticesPerMachine: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b graph.Batch
+	for v := 1; v < 16; v++ {
+		b = append(b, graph.Ins(0, v))
+	}
+	if err := src.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snapshot.Save(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	// Vertex 0's 15 neighbours need 30 words on machine 0 alone.
+	tight, err := New(Config{N: 16, VerticesPerMachine: 4, MemoryPerMachine: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = snapshot.Load(bytes.NewReader(buf.Bytes()), tight)
+	if err == nil || !strings.Contains(err.Error(), "machine 0 needs") {
+		t.Fatalf("overflowing restore not rejected: %v", err)
+	}
+	if tight.Size() != 0 {
+		t.Fatalf("rejected restore left a matching of %d edges", tight.Size())
+	}
+	roomy, err := New(Config{N: 16, VerticesPerMachine: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.Load(bytes.NewReader(buf.Bytes()), roomy); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := roomy.Matching(), src.Matching(); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("matching after a 3 -> 5 machine restore %v, want %v", got, want)
 	}
 }

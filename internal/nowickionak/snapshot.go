@@ -3,13 +3,14 @@ package nowickionak
 // Checkpoint/restore of the maximal-matching state (see package snapshot).
 // A checkpoint captures the adjacency multiset and match pointer of every
 // shard, the conflict-retry counter, the cached size readout, and the
-// cluster metrics; the cluster shape is rederived by the constructor and
-// validated on restore.
+// cluster metrics; the cluster shape is the constructor's, and a restore
+// regroups the shards of whatever machine count wrote the checkpoint.
 
 import (
 	"fmt"
 	"sort"
 
+	"repro/internal/mpc"
 	"repro/internal/snapshot"
 )
 
@@ -55,78 +56,100 @@ func (m *Matcher) Checkpoint(e *snapshot.Encoder) {
 	}
 }
 
-// Restore loads a checkpoint written by Checkpoint into this freshly
-// constructed matcher. On error the instance must be discarded.
+// Restore loads a checkpoint written by Checkpoint, at any machine count,
+// into this freshly constructed matcher (see core/reshard.go for the
+// scheme): match pointers and adjacency multisets are per-vertex logical
+// state, so every source shard is decoded into one flat per-vertex image,
+// which is installed under this instance's partition once it has been
+// validated — configuration, shard layout, partners, and each target
+// machine's memory budget — so a rejection leaves the matcher untouched.
+// Any error past that is structural: discard the instance.
 func (m *Matcher) Restore(d *snapshot.Decoder) error {
 	d.Begin(tagMatcher)
-	n := d.Int()
-	mach := d.Int()
+	n, mach := d.Int(), d.Int()
+	retryRounds, size, sizeOK := d.Int(), d.Int(), d.Bool()
+	st := snapshot.DecodeClusterStats(d)
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if n != m.n {
 		return fmt.Errorf("nowickionak: snapshot of N=%d restored into N=%d", n, m.n)
 	}
-	if mach != m.cl.Machines() {
-		return fmt.Errorf("nowickionak: snapshot of %d machines restored into %d", mach, m.cl.Machines())
+	if mach < 2 {
+		return fmt.Errorf("nowickionak: snapshot claims %d machines (corrupt)", mach)
 	}
-	m.retryRounds = d.Int()
-	m.size = d.Int()
-	m.sizeOK = d.Bool()
-	st := snapshot.DecodeClusterStats(d)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	m.cl.RestoreStats(st)
-	for i := 0; i < m.cl.Machines(); i++ {
-		if err := m.restoreShard(d, i); err != nil {
+	src := mpc.Partition{N: n, Machines: mach - 1}
+	match := make([]int, n)
+	adj := make([]map[int]int, n)
+	for i := 0; i < mach; i++ {
+		if err := m.readShard(d, i, src, match, adj); err != nil {
 			return err
 		}
 	}
-	return d.Err()
+	for i := 0; i < m.coord; i++ {
+		lo, hi := m.part.Range(i)
+		words := 2*(hi-lo) + 2
+		for _, a := range adj[lo:hi] {
+			words += 2 * len(a)
+		}
+		if words > m.cl.LocalMemory() {
+			return fmt.Errorf("nowickionak: restore onto %d machines rejected: machine %d needs %d words but the per-machine budget is %d",
+				m.cl.Machines(), i, words, m.cl.LocalMemory())
+		}
+	}
+	m.retryRounds, m.size, m.sizeOK = retryRounds, size, sizeOK
+	m.cl.LocalAll(func(mm *mpc.Machine) {
+		if sh := getShard(mm); sh != nil {
+			copy(sh.match, match[sh.lo:sh.hi])
+			copy(sh.adj, adj[sh.lo:sh.hi])
+			sh.words = 0
+			for _, a := range sh.adj {
+				sh.words += 2 * len(a)
+			}
+		}
+	})
+	// Last, so that LocalAll's memory metering of the install itself does not
+	// leak into the metrics: a loaded instance's Stats are the checkpoint's.
+	m.cl.RestoreStats(st)
+	return nil
 }
 
-// restoreShard loads machine i's adjacency and match state.
-func (m *Matcher) restoreShard(d *snapshot.Decoder, i int) error {
-	// The writer's machine count is this instance's (Restore checked), so its
-	// partition is too.
-	hasShard, err := snapshot.ReadShardHeader(d, tagMatcherShard, i, m.part)
+// readShard decodes machine i's section of the fleet partitioned by src into
+// the per-vertex image.
+func (m *Matcher) readShard(d *snapshot.Decoder, i int, src mpc.Partition, match []int, adj []map[int]int) error {
+	hasShard, err := snapshot.ReadShardHeader(d, tagMatcherShard, i, src)
 	if err != nil || !hasShard {
 		return err
 	}
-	lo, hi, err := snapshot.ReadShardRange(d, i, m.part)
+	lo, hi, err := snapshot.ReadShardRange(d, i, src)
 	if err != nil {
 		return err
 	}
-	sh := getShard(m.cl.Machine(i))
-	match := d.Ints()
+	shardMatch := d.Ints()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if len(match) != hi-lo {
-		return fmt.Errorf("nowickionak: snapshot shard %d has %d match entries, want %d", i, len(match), hi-lo)
+	if len(shardMatch) != hi-lo {
+		return fmt.Errorf("nowickionak: snapshot shard %d has %d match entries, want %d", i, len(shardMatch), hi-lo)
 	}
-	for _, p := range match {
+	for _, p := range shardMatch {
 		if p < -1 || p >= m.n {
 			return fmt.Errorf("nowickionak: snapshot shard %d holds invalid match partner %d", i, p)
 		}
 	}
-	copy(sh.match, match)
-	sh.words = 0
-	for v := range sh.adj {
+	copy(match[lo:hi], shardMatch)
+	for v := lo; v < hi; v++ {
 		cnt := d.Count(2)
-		adj := make(map[int]int, cnt)
+		a := make(map[int]int, cnt)
 		for j := 0; j < cnt && d.Err() == nil; j++ {
 			o := d.Int()
 			mult := d.Int()
 			if o < 0 || o >= m.n || mult <= 0 {
-				return fmt.Errorf("nowickionak: snapshot shard %d vertex %d holds invalid adjacency (%d, ×%d)",
-					i, sh.lo+v, o, mult)
+				return fmt.Errorf("nowickionak: snapshot shard %d vertex %d holds invalid adjacency (%d, ×%d)", i, v, o, mult)
 			}
-			adj[o] = mult
+			a[o] = mult
 		}
-		sh.adj[v] = adj
-		sh.words += 2 * len(adj)
+		adj[v] = a
 	}
 	return d.Err()
 }

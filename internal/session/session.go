@@ -36,10 +36,11 @@ import (
 )
 
 // State is an algorithm instance a Session can run: it applies batches and
-// checkpoints itself. States that also implement snapshot.DeltaState get
-// delta checkpoints (embedding a snapshot.Journal is all it takes; only
-// connectivity does so far); states that implement snapshot.ReshardRestorer
-// can be resized.
+// checkpoints itself, and its Restore loads a full checkpoint written at any
+// machine count, which is all a resize or a machine-loss recovery takes.
+// States that also implement snapshot.DeltaState get delta checkpoints
+// (embedding a snapshot.Journal is all it takes; only connectivity does so
+// far).
 type State interface {
 	snapshot.Checkpointer
 	snapshot.Restorer
@@ -266,8 +267,8 @@ func (s *Session) RecoverOnto(machines int) error {
 }
 
 // migrate is the one state migration: the live state is saved in memory and
-// re-shard-restored into a fresh fleet at the target shape, which replaces
-// it; the chain is severed from its old-shape history. A refused migration
+// loaded into a fresh fleet at the target shape, which replaces it; the
+// chain is severed from its old-shape history. A refused migration
 // leaves the session as it was.
 func (s *Session) migrate(verticesPerMachine int) error {
 	target := s.shape
@@ -280,11 +281,7 @@ func (s *Session) migrate(verticesPerMachine int) error {
 	if err != nil {
 		return fmt.Errorf("session: resize: %w", err)
 	}
-	elastic, ok := fresh.(snapshot.ReshardRestorer)
-	if !ok {
-		return fmt.Errorf("session: %T does not support re-sharding", fresh)
-	}
-	if err := snapshot.Reshard(&buf, elastic); err != nil {
+	if err := snapshot.Load(&buf, fresh); err != nil {
 		return &ResizeError{ResizeMigrate, fmt.Errorf("session: re-shard onto VerticesPerMachine=%d: %w", verticesPerMachine, err)}
 	}
 	s.state, s.shape = fresh, target

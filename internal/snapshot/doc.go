@@ -110,18 +110,17 @@
 // # Re-sharding
 //
 // The same container doubles as the migration format for elastic resizing:
-// Reshard restores a full snapshot onto instances built at a different
-// machine count, through the ReshardRestorer interface. The snapshot's
-// logical content — edges, forest fragments, label caches, sketch seeds —
-// is machine-count-independent; only its grouping into per-machine
-// sections reflects the source shape, so a full container is always
-// decoded by regrouping records under the loading instance's deterministic
-// vertex→machine map, never by copying shards positionally. Each elastic
-// state therefore has one loader of its full container behind both verbs
-// (core/reshard.go describes it): ReshardRestore is the loader as is, and
-// Restore adds the demand that the container's fleet shape equal the
-// instance's, rejecting any other with a diagnostic naming both. Three
-// rules keep it safe:
+// Load restores a full snapshot onto instances built at any machine count
+// (Reshard is another name for it). The snapshot's logical content — edges,
+// forest fragments, label caches, sketch seeds, match pointers — is
+// machine-count-independent; only its grouping into per-machine sections
+// reflects the source shape, so a full container is always decoded by
+// regrouping records under the loading instance's deterministic
+// vertex→machine map, never by copying shards positionally. Each state
+// therefore has one loader, its Restore (core/reshard.go describes the
+// connectivity stack's), and the container's fleet shape is never checked
+// against the instance's: restoring at the shape that wrote it is the case
+// where the two placements coincide. Three rules keep it safe:
 //
 //   - The loading instance's per-machine memory budget is re-validated
 //     against the incoming state before anything is applied. A shrink
@@ -129,22 +128,21 @@
 //     with a diagnostic naming the overloaded machine, and the instance
 //     is left untouched — the model's memory cap is never silently
 //     violated. A configuration mismatch is rejected as early. Any other
-//     error, from either verb, is structural and leaves the instance in
-//     an undefined state: discard it.
-//   - Only full snapshots can be re-sharded; a delta alone does not carry
-//     the full state to migrate. Re-sharding a delta chain goes through a
-//     staging instance at the source shape: restore the chain, checkpoint
-//     it fully in memory, Reshard that.
+//     error is structural and leaves the instance in an undefined state:
+//     discard it.
+//   - Only full snapshots can be re-sharded; a delta replays onto a base of
+//     its own fleet shape and RestoreDelta demands that shape. Re-sharding
+//     a delta chain goes through a staging instance at the source shape:
+//     restore the chain, checkpoint it fully in memory, Load that.
 //   - After a resize, the stored history describes the old shape.
-//     session.Session — the one caller of Reshard — invokes Rebase so the
-//     next Checkpoint writes a fresh full base (and sweeps stale old-shape
-//     deltas) rather than appending a delta that could never be applied to
-//     the migrated state.
+//     session.Session invokes Rebase so the next Checkpoint writes a fresh
+//     full base (and sweeps stale old-shape deltas) rather than appending a
+//     delta that could never be applied to the migrated state.
 //
 // Because the logical state is preserved exactly, a re-sharded instance
 // answers every query bit-identically to an instance that ran at the
-// target shape all along — the property the elastic harness and soak
-// tests assert.
+// target shape all along — the property the harness fault-twin and soak
+// tests assert for every registered algorithm.
 //
 // # Version policy
 //

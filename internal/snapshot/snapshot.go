@@ -33,8 +33,10 @@ type Checkpointer interface {
 
 // Restorer is the inverse: it reads the sections its Checkpoint wrote and
 // overwrites the instance's state. The instance must have been constructed
-// with the same configuration that produced the snapshot; Restore validates
-// this and returns a descriptive error on mismatch.
+// with the same configuration that produced the snapshot, except for its
+// machine count: Restore validates the configuration, returning a
+// descriptive error on mismatch, and regroups per-machine state under the
+// instance's own placement.
 type Restorer interface {
 	Restore(d *Decoder) error
 }
@@ -66,6 +68,10 @@ func Load(r io.Reader, states ...Restorer) error {
 	}
 	return restoreAll(d, states)
 }
+
+// Reshard is Load: every state's one loader takes a full container written
+// at any machine count (see the package comment's re-sharding notes).
+var Reshard = Load
 
 // restoreAll hands the decoder to each state in order and verifies the
 // whole container was consumed.

@@ -15,7 +15,7 @@ import (
 // demand bit-identical results against an uninterrupted twin at the
 // surviving machine count.
 //
-// A machine fault is recovered by re-sharding (see core.ReshardRestore):
+// A machine fault is recovered by re-sharding (see session.RecoverOnto):
 // the poisoned round is discarded, the last checkpoint is restored onto the
 // surviving fleet, and the in-flight batch is replayed.
 type MachineFaultSchedule struct {
