@@ -1,33 +1,32 @@
-// Command mpcstream runs one algorithm over a generated update stream on
-// the MPC simulator and reports solution and resource statistics.
+// Command mpcstream runs one algorithm over a stream of update batches on
+// the MPC simulator, checks it against the brute-force oracle, and reports
+// solution and resource statistics.
 //
 // Usage:
 //
 //	mpcstream -algo connectivity -n 256 -phi 0.6 -batches 20
-//	mpcstream -algo msf -n 128 -maxweight 64
-//	mpcstream -algo bipartite -n 128
+//	mpcstream -algo msf -n 128
 //	mpcstream -algo matching -n 128 -alpha 4
-//	mpcstream -algo connectivity -stream trace.txt
-//	mpcstream -algo connectivity -n 4096 -parallelism 8
-//	mpcstream -algo connectivity -n 1024 -queries 512
 //	mpcstream -algo nowickionak -scenario bursty -n 256
+//	mpcstream -algo connectivity -scenario powerlaw -n 4096 -parallelism 8
+//	mpcstream -algo connectivity -stream trace.txt
 //
 // Algorithms: connectivity, msf (exact, insertion-only), approxmsf,
-// bipartite, matching (insertion-only greedy), dynmatching (AKLY),
-// nowickionak (with -scenario, -stream or -trace). With -stream, updates are
-// replayed from a file in the streamio text format instead of being
-// generated; with
-// -trace, from a segmented binary trace (internal/trace format), streamed
-// one segment at a time so a trace far larger than memory replays in
-// O(segment). -stream, -trace, and -scenario are mutually exclusive. With
-// -scenario, the named workload-registry stream is run through the
-// differential harness: every batch is cross-checked against the
-// brute-force oracle and the run fails loudly on divergence. -parallelism
-// selects the simulator's execution engine (worker-pool rounds); results
-// and reported statistics are identical at every setting. -queries turns
-// the connectivity run into a read/write mix: after every update batch the
-// given number of connectivity queries is answered through one batched
-// ConnectedAll collective, oracle-verified, and reported as rounds/query.
+// bipartite, matching (insertion-only greedy), dynmatching (AKLY) and
+// nowickionak — every algorithm registered with internal/harness, on every
+// input. The input is one of -scenario (a registered workload scenario),
+// -stream (a file in the streamio text format) and -trace (a segmented
+// binary trace in the internal/trace format, streamed one segment at a time
+// so a trace far larger than memory replays in O(segment)). Without one, the
+// run streams the churn scenario the algorithm accepts: churn, or grow for
+// an insertion-only algorithm, with a -weighted suffix for one that needs
+// weights. A scenario of -batches batches on -n vertices runs under the
+// differential harness, which cross-checks every batch against the
+// brute-force oracle; a replay is verified against its mirror graph at the
+// end. A divergence fails the run. -parallelism selects the simulator's
+// execution engine (worker-pool rounds); results and reported statistics
+// are identical at every setting. Batched connectivity queries are measured,
+// and every answer oracle-checked, by experiment E15 (cmd/experiments).
 //
 // Ingestion (see internal/trace): -convert in.edges converts a SNAP-style
 // text edge list ("u v", "u v t", or "u v w t" lines, timestamps
@@ -51,8 +50,9 @@
 //
 // Checkpoint & recovery (see internal/snapshot): -checkpoint writes a
 // crash-safe snapshot of the final state of any algorithm replaying a
-// -stream or -trace (of connectivity in the generated mode), plus the mirror
-// graph, so a later invocation can continue the run without replaying it;
+// -stream or -trace, plus the mirror graph, so a later invocation can
+// continue the run without replaying it (to checkpoint a synthetic stream,
+// generate an edge list with scripts/genedges and -convert it);
 // -resume restores such a snapshot before replaying a -stream trace of
 // further updates, oracle-verified against the restored mirror. Checkpoints
 // form a chain: when -resume and -checkpoint name the same path, the new
@@ -79,7 +79,7 @@
 // re-sharding the last checkpoint onto the surviving fleet and replaying
 // the in-flight batches, with the oracle still checking every batch.
 //
-//	mpcstream -algo connectivity -n 256 -batches 50 -checkpoint state.snap
+//	mpcstream -algo connectivity -trace collab.trace -checkpoint state.snap
 //	mpcstream -algo connectivity -resume state.snap -stream more.txt
 //	mpcstream -algo connectivity -resume state.snap -stream more.txt -checkpoint state.snap
 //	mpcstream -algo connectivity -resume state.snap -resume-machines 9 -stream more.txt
@@ -111,10 +111,9 @@ type options struct {
 	seed                               uint64
 	alpha, eps                         float64
 	maxWeight                          int64
-	insertBias                         float64
 	streamFile, traceFile, convertFile string
 	window                             int64
-	traceBatches, queries              int
+	traceBatches                       int
 	scenario                           string
 	parallelism                        int
 	checkpointFile, resumeFile         string
@@ -134,22 +133,19 @@ func main() {
 	flag.Float64Var(&o.alpha, "alpha", 4, "matching approximation parameter")
 	flag.Float64Var(&o.eps, "eps", 0.25, "MSF approximation parameter")
 	flag.Int64Var(&o.maxWeight, "maxweight", 64, "maximum edge weight")
-	flag.Float64Var(&o.insertBias, "insertbias", 0.6, "probability of keeping an existing edge")
 	flag.StringVar(&o.streamFile, "stream", "", "replay updates from a streamio-format text file (with -convert: the text output path)")
 	flag.StringVar(&o.traceFile, "trace", "", "replay updates from a binary trace file (internal/trace format; with -convert: the binary output path)")
 	flag.StringVar(&o.convertFile, "convert", "", "convert this SNAP-style edge-list file into the -trace and/or -stream output(s) instead of running an algorithm")
 	flag.Int64Var(&o.window, "window", 0, "with -convert: expire each edge this many time units after insertion, emitting deletions (0 = keep edges forever)")
 	flag.IntVar(&o.traceBatches, "trace-batches", 0, "with -trace replay: apply at most this many trace batches (0 = all); combine with -checkpoint and a later -resume to continue mid-trace")
-	flag.IntVar(&o.queries, "queries", 0,
-		"read/write mix: issue this many batched connectivity queries after every update batch (-algo connectivity; answers are oracle-verified)")
 	flag.StringVar(&o.scenario, "scenario", "",
-		fmt.Sprintf("run a registered workload scenario under the differential harness (have %v)", workload.Names()))
+		fmt.Sprintf("run a registered workload scenario under the differential harness (have %v; default: the churn scenario the algorithm accepts)", workload.Names()))
 	flag.IntVar(&o.parallelism, "parallelism", runtime.NumCPU(),
 		"execution-engine workers per cluster (0 or 1 = sequential, <0 = NumCPU); results are identical at every setting")
 	flag.StringVar(&o.checkpointFile, "checkpoint", "",
-		"write a crash-safe snapshot of the final state to this file (-stream or -trace mode; generated mode for -algo connectivity)")
+		"write a crash-safe snapshot of the final state to this file (requires -stream or -trace)")
 	flag.StringVar(&o.resumeFile, "resume", "",
-		"restore state from a -checkpoint snapshot before replaying further updates (requires -stream)")
+		"restore state from a -checkpoint snapshot before replaying further updates (requires -stream or -trace)")
 	flag.IntVar(&o.resumeMachines, "resume-machines", 0,
 		"with -resume: re-shard the restored state onto a fleet of exactly this many machines before replaying (0 = keep the snapshot's shape)")
 	flag.IntVar(&o.crashEvery, "crash-every", 0,
@@ -166,7 +162,7 @@ func main() {
 
 	// Validate flags before constructing generators or clusters, so a bad
 	// combination is a usage error on stderr, not a raw panic from deep
-	// inside a constructor (e.g. workload.NewQueryMix on n < 2).
+	// inside a constructor (e.g. a generator on n < 2).
 	if err := validateFlags(o); err != nil {
 		fmt.Fprintln(os.Stderr, "mpcstream:", err)
 		os.Exit(2)
@@ -198,40 +194,70 @@ func run(o options, out io.Writer) error {
 		return runConvert(o, out)
 	case o.traceFile != "" || o.streamFile != "":
 		return replay(o, out)
-	case o.scenario != "":
-		// Stream a registered scenario through the named algorithm under
-		// the differential harness, oracle-checking every batch.
-		rep, err := harness.Run(o.algo, o.scenario, harness.Options{
-			N: o.n, Batches: o.batches, Seed: o.seed, Phi: o.phi, Parallelism: o.parallelism,
-			Alpha: o.alpha, Eps: o.eps, MaxWeight: o.maxWeight, CrashEvery: o.crashEvery,
-			FaultEvery:      o.faultEvery,
-			CheckpointEvery: o.deltaEvery, MaxDeltaChain: o.maxDeltaChain,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, rep)
-		return nil
 	default:
-		return runGenerated(o, out)
+		return runScenario(o, out)
 	}
 }
 
+// runScenario streams a registered scenario — -scenario, or the churn
+// scenario the algorithm accepts — through the algorithm under the
+// differential harness, which oracle-checks every batch, and prints the
+// harness report plus the lines a replay prints.
+func runScenario(o options, out io.Writer) error {
+	scenario := o.scenario
+	if scenario == "" {
+		algo, err := harness.GetAlgorithm(o.algo)
+		if err != nil {
+			return err
+		}
+		scenario = "churn"
+		if algo.InsertOnly {
+			scenario = "grow"
+		}
+		if algo.NeedsWeights {
+			scenario += "-weighted"
+		}
+	}
+	rep, err := harness.Run(o.algo, scenario, harness.Options{
+		N: o.n, Batches: o.batches, Seed: o.seed, Phi: o.phi, Parallelism: o.parallelism,
+		Alpha: o.alpha, Eps: o.eps, MaxWeight: o.maxWeight, CrashEvery: o.crashEvery,
+		FaultEvery:      o.faultEvery,
+		CheckpointEvery: o.deltaEvery, MaxDeltaChain: o.maxDeltaChain,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, rep)
+	if rep.Stats != nil {
+		report(out, *rep.Stats, rep.Batches)
+	}
+	if rep.Searches != nil {
+		reportSearches(out, *rep.Searches)
+	}
+	return nil
+}
+
 // validateFlags rejects invalid or incoherent flag combinations up front.
+// A zero where a positive value is required is rejected too, never replaced
+// by a default.
 func validateFlags(f options) error {
 	if f.n < 2 {
 		return fmt.Errorf("-n must be at least 2 (got %d)", f.n)
 	}
-	// The generator config check covers -maxweight and -insertbias: a bad
-	// value is a usage error here, not a panic inside workload.NewChurn.
-	if err := (workload.Config{N: f.n, MaxWeight: f.maxWeight, InsertBias: f.insertBias}).Validate(); err != nil {
-		return err
+	if f.batches < 1 {
+		return fmt.Errorf("-batches must be at least 1 (got %d)", f.batches)
 	}
-	if f.batches < 0 {
-		return fmt.Errorf("-batches must be non-negative (got %d)", f.batches)
+	if f.phi <= 0 || f.phi > 1 {
+		return fmt.Errorf("-phi must be in (0, 1] (got %v)", f.phi)
 	}
-	if f.queries < 0 {
-		return fmt.Errorf("-queries must be non-negative (got %d)", f.queries)
+	if f.alpha <= 0 {
+		return fmt.Errorf("-alpha must be positive (got %v)", f.alpha)
+	}
+	if f.eps <= 0 {
+		return fmt.Errorf("-eps must be positive (got %v)", f.eps)
+	}
+	if f.maxWeight < 1 {
+		return fmt.Errorf("-maxweight must be at least 1 (got %d)", f.maxWeight)
 	}
 	if f.crashEvery < 0 {
 		return fmt.Errorf("-crash-every must be non-negative (got %d)", f.crashEvery)
@@ -247,7 +273,7 @@ func validateFlags(f options) error {
 		if f.traceFile == "" && f.streamFile == "" {
 			return fmt.Errorf("-convert needs at least one output: -trace (binary) and/or -stream (text)")
 		}
-		if f.scenario != "" || f.resumeFile != "" || f.checkpointFile != "" || f.queries > 0 ||
+		if f.scenario != "" || f.resumeFile != "" || f.checkpointFile != "" ||
 			f.crashEvery > 0 || f.faultEvery > 0 || f.deltaEvery > 0 || f.traceBatches > 0 {
 			return fmt.Errorf("-convert only combines with -trace/-stream outputs and -window")
 		}
@@ -268,14 +294,6 @@ func validateFlags(f options) error {
 	}
 	if f.traceBatches > 0 && f.traceFile == "" {
 		return fmt.Errorf("-trace-batches requires -trace")
-	}
-	if f.queries > 0 && set > 0 {
-		// Fail loudly rather than silently running a write-only stream: the
-		// read/write mix is only wired into the generated-stream mode.
-		return fmt.Errorf("-queries is only supported in the generated-stream mode (not with -stream, -trace, or -scenario)")
-	}
-	if f.queries > 0 && f.algo != "connectivity" {
-		return fmt.Errorf("-queries requires -algo connectivity, got %q", f.algo)
 	}
 	if f.crashEvery > 0 && f.scenario == "" {
 		return fmt.Errorf("-crash-every requires -scenario")
@@ -301,12 +319,16 @@ func validateFlags(f options) error {
 	if f.deltaEvery > 0 && f.scenario == "" {
 		return fmt.Errorf("-delta-every requires -scenario")
 	}
-	if f.resumeFile != "" && f.streamFile == "" && f.traceFile == "" {
-		return fmt.Errorf("-resume requires -stream or -trace: a generated workload cannot continue a restored graph " +
-			"(its generator state is not part of the snapshot)")
-	}
-	if f.checkpointFile != "" && (f.scenario != "" || set == 0 && f.algo != "connectivity") {
-		return fmt.Errorf("-checkpoint is supported for -algo connectivity in the generated mode and for every algorithm in the -stream and -trace modes")
+	// Checkpoints belong to replays: a scenario's generator state is not
+	// part of a snapshot, so a scenario run can neither continue a restored
+	// graph nor hand one on.
+	if f.streamFile == "" && f.traceFile == "" {
+		if f.resumeFile != "" {
+			return fmt.Errorf("-resume requires -stream or -trace")
+		}
+		if f.checkpointFile != "" {
+			return fmt.Errorf("-checkpoint requires -stream or -trace (to checkpoint a synthetic stream, -convert a scripts/genedges edge list)")
+		}
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/harness"
 )
 
 // defaults mirrors the flag defaults (with a fixed parallelism, so tests do
@@ -18,7 +19,7 @@ import (
 func defaults() options {
 	return options{
 		algo: "connectivity", n: 256, phi: 0.6, batches: 20, seed: 1, alpha: 4, eps: 0.25,
-		maxWeight: 64, insertBias: 0.6, maxDeltaChain: 8, parallelism: 1,
+		maxWeight: 64, maxDeltaChain: 8, parallelism: 1,
 	}
 }
 
@@ -32,7 +33,6 @@ func TestValidateFlags(t *testing.T) {
 		want string // substring of the error; "" = valid
 	}{
 		{"defaults", func(o *options) {}, ""},
-		{"generated with queries and checkpoint", func(o *options) { o.queries = 8; o.checkpointFile = "c" }, ""},
 		{"scenario with every decoration", func(o *options) {
 			o.scenario = "churn"
 			o.crashEvery, o.faultEvery, o.deltaEvery = 5, 6, 2
@@ -48,9 +48,14 @@ func TestValidateFlags(t *testing.T) {
 		}, ""},
 
 		{"n too small", func(o *options) { o.n = 1 }, "-n must be at least 2"},
-		{"bad generator config", func(o *options) { o.insertBias = 1.5 }, "InsertBias"},
-		{"negative batches", func(o *options) { o.batches = -1 }, "-batches must be non-negative"},
-		{"negative queries", func(o *options) { o.queries = -1 }, "-queries must be non-negative"},
+		{"zero batches", func(o *options) { o.batches = 0 }, "-batches must be at least 1"},
+		{"zero phi", func(o *options) { o.phi = 0 }, "-phi must be in (0, 1]"},
+		{"phi above one", func(o *options) { o.phi = 1.5 }, "-phi must be in (0, 1]"},
+		{"zero alpha", func(o *options) { o.alpha = 0 }, "-alpha must be positive"},
+		{"zero eps", func(o *options) { o.eps = 0 }, "-eps must be positive"},
+		{"zero maxweight", func(o *options) { o.maxWeight = 0 }, "-maxweight must be at least 1"},
+		{"zero batches on a replay", func(o *options) { o.streamFile, o.batches = "s", 0 }, "-batches must be at least 1"},
+		{"zero phi on a trace replay", func(o *options) { o.traceFile, o.phi = "t", 0 }, "-phi must be in (0, 1]"},
 		{"negative crash-every", func(o *options) { o.crashEvery = -1 }, "-crash-every must be non-negative"},
 		{"negative window", func(o *options) { o.window = -1 }, "-window must be non-negative"},
 		{"negative trace-batches", func(o *options) { o.traceBatches = -1 }, "-trace-batches must be non-negative"},
@@ -63,7 +68,6 @@ func TestValidateFlags(t *testing.T) {
 		{"convert with scenario", func(o *options) { o.convertFile, o.traceFile, o.scenario = "e", "t", "churn" }, "-convert only combines with"},
 		{"convert with resume", func(o *options) { o.convertFile, o.traceFile, o.resumeFile = "e", "t", "c" }, "-convert only combines with"},
 		{"convert with checkpoint", func(o *options) { o.convertFile, o.traceFile, o.checkpointFile = "e", "t", "c" }, "-convert only combines with"},
-		{"convert with queries", func(o *options) { o.convertFile, o.traceFile, o.queries = "e", "t", 4 }, "-convert only combines with"},
 		{"convert with crash-every", func(o *options) { o.convertFile, o.traceFile, o.crashEvery = "e", "t", 4 }, "-convert only combines with"},
 		{"convert with fault-every", func(o *options) { o.convertFile, o.traceFile, o.faultEvery = "e", "t", 4 }, "-convert only combines with"},
 		{"convert with delta-every", func(o *options) { o.convertFile, o.traceFile, o.deltaEvery = "e", "t", 4 }, "-convert only combines with"},
@@ -74,17 +78,13 @@ func TestValidateFlags(t *testing.T) {
 		{"stream and scenario", func(o *options) { o.streamFile, o.scenario = "s", "churn" }, "mutually exclusive"},
 		{"trace and scenario", func(o *options) { o.traceFile, o.scenario = "t", "churn" }, "mutually exclusive"},
 		{"trace-batches without trace", func(o *options) { o.streamFile, o.traceBatches = "s", 4 }, "-trace-batches requires -trace"},
-		{"queries with stream", func(o *options) { o.streamFile, o.queries = "s", 4 }, "-queries is only supported in the generated-stream mode"},
-		{"queries with trace", func(o *options) { o.traceFile, o.queries = "t", 4 }, "-queries is only supported in the generated-stream mode"},
-		{"queries with scenario", func(o *options) { o.scenario, o.queries = "churn", 4 }, "-queries is only supported in the generated-stream mode"},
-		{"queries with another algorithm", func(o *options) { o.algo, o.queries = "msf", 4 }, "-queries requires -algo connectivity"},
 		{"crash-every without scenario", func(o *options) { o.crashEvery = 4 }, "-crash-every requires -scenario"},
 		{"fault-every without scenario", func(o *options) { o.faultEvery = 4 }, "-fault-every requires -scenario"},
 		{"delta-every without scenario", func(o *options) { o.deltaEvery = 4 }, "-delta-every requires -scenario"},
 		{"resume-machines without resume", func(o *options) { o.streamFile, o.resumeMachines = "s", 9 }, "-resume-machines requires -resume"},
 		{"resume without an input", func(o *options) { o.resumeFile = "c" }, "-resume requires -stream or -trace"},
-		{"checkpoint with scenario", func(o *options) { o.scenario, o.checkpointFile = "churn", "c" }, "-checkpoint is supported for -algo connectivity"},
-		{"checkpoint with another algorithm", func(o *options) { o.algo, o.checkpointFile = "msf", "c" }, "-checkpoint is supported for -algo connectivity"},
+		{"checkpoint with scenario", func(o *options) { o.scenario, o.checkpointFile = "churn", "c" }, "-checkpoint requires -stream or -trace"},
+		{"checkpoint without a file input", func(o *options) { o.checkpointFile = "c" }, "-checkpoint requires -stream or -trace"},
 	} {
 		o := defaults()
 		tc.set(&o)
@@ -111,6 +111,34 @@ func mustRun(t *testing.T, o options) string {
 		t.Fatalf("%v\noutput so far:\n%s", err, out.String())
 	}
 	return out.String()
+}
+
+// TestEveryAlgorithmRunsWithoutAnInput: with no input file, every registered
+// algorithm streams the churn scenario it accepts under the differential
+// harness, and connectivity prints the resource lines a replay prints.
+func TestEveryAlgorithmRunsWithoutAnInput(t *testing.T) {
+	scenarioFor := map[string]string{
+		"connectivity": "churn", "bipartite": "churn", "dynmatching": "churn", "nowickionak": "churn",
+		"msf": "grow-weighted", "approxmsf": "churn-weighted", "matching": "grow",
+	}
+	for _, name := range harness.AlgorithmNames() {
+		scenario, ok := scenarioFor[name]
+		if !ok {
+			t.Fatalf("no expected scenario for algorithm %q", name)
+		}
+		o := defaults()
+		o.algo, o.n, o.batches = name, 32, 4
+		out := mustRun(t, o)
+		if !strings.HasPrefix(out, name+" over "+scenario+": ") || !strings.Contains(out, " checks passed") {
+			t.Errorf("%s: not an oracle-checked run of %s:\n%s", name, scenario, out)
+		}
+		if name != "connectivity" {
+			continue
+		}
+		if !strings.Contains(out, "\nrounds: ") || !regexp.MustCompile(`\nreplacement searches: .* 0 exhausted\)`).MatchString(out) {
+			t.Errorf("connectivity: no rounds or replacement-search line, or a search was exhausted:\n%s", out)
+		}
+	}
 }
 
 // summary extracts the end state from a replay's output: the vertex space

@@ -174,6 +174,25 @@ func replay(o options, out io.Writer) error {
 	return writeCheckpoint(out, sess, chain)
 }
 
+// report prints a cluster's resource statistics; a scenario run prints the
+// same lines from its harness report.
+func report(out io.Writer, st mpc.Stats, batches int) {
+	fmt.Fprintf(out, "rounds: %d (%.1f/batch)  messages: %d  words sent: %d\n",
+		st.Rounds, float64(st.Rounds)/float64(batches), st.Messages, st.WordsSent)
+	fmt.Fprintf(out, "peak machine words: %d  peak total words: %d  violations: %d\n",
+		st.PeakMachineWords, st.PeakTotalWords, len(st.Violations))
+}
+
+// reportSearches prints what the replacement searches of this process did
+// (the counters are not checkpointed, so a resumed run counts from zero). A
+// non-zero exhausted count means a search ran out of sketch copies and the
+// partition may be too fine; refills are the windows of copies fetched beyond
+// a search's first.
+func reportSearches(out io.Writer, s core.SearchStats) {
+	fmt.Fprintf(out, "replacement searches: %d (%d levels, %d query fails, %d refills, %d exhausted)  sketches summed: %d  skipped: %d\n",
+		s.Searches, s.Levels, s.QueryFails, s.Refills, s.Exhausted, s.SketchesSummed, s.SketchesSkipped)
+}
+
 // answer renders the solution a replay's oracle check just verified.
 func answer(inst harness.Instance) string {
 	switch v := inst.(type) {

@@ -32,9 +32,9 @@
 // label cache — invalidated automatically by updates — answers repeated
 // queries between updates with zero MPC rounds and zero allocations.
 // workload.QueryMix generates
-// read/write-mix streams, mpcstream -queries drives them oracle-verified,
-// and the E15 table plus the gated rounds/query benchmark metric keep the
-// round complexity from regressing (see README.md "Query API").
+// read/write-mix streams, which the E15 table drives oracle-verified; E15
+// and the gated rounds/query benchmark metric keep the round complexity
+// from regressing (see README.md "Query API").
 //
 // The whole stack is crash-safe: internal/snapshot serializes every
 // algorithm's full distributed state — machine shards, sketch arenas,

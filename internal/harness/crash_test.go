@@ -182,6 +182,16 @@ func TestCrashReportEqualsUninterrupted(t *testing.T) {
 		if crash.Crashes == 0 {
 			t.Fatalf("%s: crash schedule fired 0 times", algo)
 		}
+		if algo == "connectivity" {
+			// The final instance is a restored one: its Stats carry the whole
+			// run, and the search counters add up across every instance.
+			if crash.Stats == nil || crash.Stats.Rounds != crash.Rounds {
+				t.Errorf("connectivity: Stats %+v do not carry the run's %d rounds", crash.Stats, crash.Rounds)
+			}
+			if crash.Searches == nil || crash.Searches.Exhausted != 0 {
+				t.Errorf("connectivity: replacement searches %+v missing or exhausted", crash.Searches)
+			}
+		}
 		crash.Crashes = 0
 		crash.FullCheckpoints, crash.DeltaCheckpoints = 0, 0
 		if !reflect.DeepEqual(base, crash) {

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/session"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
@@ -234,11 +235,14 @@ type Report struct {
 	// them, and ReplayedBatches the batches re-applied during recovery
 	// (everything since the last checkpoint plus the in-flight batch).
 	Faults, Reshards, ReplayedBatches int
-	// SearchExhausted counts the replacement searches that spent every
-	// sketch copy with an active supernode left (core.SearchStats.Exhausted),
-	// added up over every instance the run used. Only algorithms that
-	// expose their search counters (connectivity) report it.
-	SearchExhausted int
+	// Stats is the final instance's cluster statistics; nil unless the
+	// algorithm runs on one Cluster().
+	Stats *mpc.Stats
+	// Searches is the run's replacement-search counters, added up over every
+	// instance the run used; nil unless the algorithm exposes them
+	// (connectivity). Searches.Exhausted counts the searches that spent every
+	// sketch copy with an active supernode left.
+	Searches *core.SearchStats
 }
 
 // String renders the report in one line.
@@ -255,8 +259,8 @@ func (r *Report) String() string {
 		crashes += fmt.Sprintf(", %d machine faults (%d reshards, %d batches replayed)",
 			r.Faults, r.Reshards, r.ReplayedBatches)
 	}
-	if r.SearchExhausted > 0 {
-		crashes += fmt.Sprintf(", %d replacement searches exhausted", r.SearchExhausted)
+	if r.Searches != nil && r.Searches.Exhausted > 0 {
+		crashes += fmt.Sprintf(", %d replacement searches exhausted", r.Searches.Exhausted)
 	}
 	return fmt.Sprintf("%s over %s: %d batches, %d updates, %d edges final, %d checks passed, %s rounds%s",
 		r.Algorithm, r.Scenario, r.Batches, r.Updates, r.FinalEdges, r.Checks, rounds, crashes)
@@ -396,9 +400,21 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 	// recovery replaces the instance and they start over, so each instance
 	// is read out before it is dropped.
 	countSearches := func() {
-		if sc, ok := inst().(searchCounter); ok {
-			rep.SearchExhausted += int(sc.SearchStats().Exhausted)
+		sc, ok := inst().(searchCounter)
+		if !ok {
+			return
 		}
+		if rep.Searches == nil {
+			rep.Searches = new(core.SearchStats)
+		}
+		s, t := rep.Searches, sc.SearchStats()
+		s.Searches += t.Searches
+		s.Levels += t.Levels
+		s.QueryFails += t.QueryFails
+		s.Refills += t.Refills
+		s.Exhausted += t.Exhausted
+		s.SketchesSummed += t.SketchesSummed
+		s.SketchesSkipped += t.SketchesSkipped
 	}
 	for i := 0; ; i++ {
 		b, serr := src.Next()
@@ -483,6 +499,10 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 	}
 	rep.FinalEdges = src.Mirror().M()
 	rep.Rounds = inst().Rounds()
+	if c, ok := inst().(interface{ Cluster() *mpc.Cluster }); ok {
+		st := c.Cluster().Stats()
+		rep.Stats = &st
+	}
 	countSearches()
 	opt.VerticesPerMachine = sess.Shape().VerticesPerMachine
 	return inst(), opt, rep, nil

@@ -42,8 +42,8 @@ func TestDifferentialAllPairs(t *testing.T) {
 				if rep.Checks == 0 {
 					t.Error("no differential checks ran")
 				}
-				if rep.SearchExhausted != 0 {
-					t.Errorf("%d replacement searches ran out of sketch copies at the default copy count", rep.SearchExhausted)
+				if rep.Searches != nil && rep.Searches.Exhausted != 0 {
+					t.Errorf("%d replacement searches ran out of sketch copies at the default copy count", rep.Searches.Exhausted)
 				}
 			})
 		}
@@ -145,7 +145,7 @@ func TestReportString(t *testing.T) {
 	if s := rep.String(); strings.Contains(s, "n/a") || strings.Contains(s, "exhausted") {
 		t.Errorf("connectivity report %q should have real rounds and no exhausted search", s)
 	}
-	rep.SearchExhausted = 2
+	rep.Searches.Exhausted = 2
 	if s := rep.String(); !strings.Contains(s, "2 replacement searches exhausted") {
 		t.Errorf("report %q hides its exhausted searches", s)
 	}

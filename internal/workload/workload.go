@@ -148,27 +148,6 @@ func (c *Churn) NextInsertOnly(size int) graph.Batch {
 	return b
 }
 
-// NextDeleteOnly emits a batch deleting existing edges chosen at random.
-func (c *Churn) NextDeleteOnly(size int) graph.Batch {
-	edges := c.g.Edges()
-	if len(edges) == 0 {
-		return nil
-	}
-	var b graph.Batch
-	used := map[int]bool{}
-	for attempts := 0; len(b) < size && len(b) < len(edges) && attempts < 50*size+200; attempts++ {
-		i := int(c.prg.NextN(uint64(len(edges))))
-		if used[i] {
-			continue
-		}
-		used[i] = true
-		e := edges[i]
-		_ = c.g.Delete(e.U, e.V)
-		b = append(b, graph.DelW(e.U, e.V, e.Weight))
-	}
-	return b
-}
-
 // PathStream emits the edges of a Hamiltonian path in order, batched; it is
 // the worst case for sketch-free component merging and for AGM query depth.
 func PathStream(n, batch int) []graph.Batch {
@@ -185,33 +164,6 @@ func PathStream(n, batch int) []graph.Batch {
 		out = append(out, cur)
 	}
 	return out
-}
-
-// CycleTearDown returns an n-cycle insertion stream followed by batches
-// that delete every other tree edge, forcing replacement-edge searches.
-func CycleTearDown(n, batch int) (build []graph.Batch, tear []graph.Batch) {
-	var cur graph.Batch
-	for i := 0; i < n; i++ {
-		cur = append(cur, graph.Ins(i, (i+1)%n))
-		if len(cur) == batch {
-			build = append(build, cur)
-			cur = nil
-		}
-	}
-	if len(cur) > 0 {
-		build = append(build, cur)
-	}
-	for i := 0; i+3 < n; i += 4 {
-		cur = append(cur, graph.Del(i, i+1))
-		if len(cur) == batch {
-			tear = append(tear, cur)
-			cur = nil
-		}
-	}
-	if len(cur) > 0 {
-		tear = append(tear, cur)
-	}
-	return build, tear
 }
 
 // Bipartiteish emits a stream over a bipartite backbone (edges between even
