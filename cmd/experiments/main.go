@@ -4,8 +4,6 @@
 // Usage:
 //
 //	experiments [-quick] [-only E1,E3] [-parallelism N] [-scenario powerlaw,window]
-//	experiments -only E16 -checkpoint state.snap
-//	experiments -only E16 -resume state.snap
 //
 // -quick shrinks the instance sizes for a fast smoke run; -only restricts
 // to a comma-separated list of experiment ids; -parallelism sets the
@@ -13,10 +11,7 @@
 // negative = NumCPU). Tables are identical at every parallelism; only
 // wall-clock changes. -scenario restricts the E14 differential sweep to a
 // comma-separated subset of the workload scenario registry (default: all).
-// -checkpoint and -resume wire the E16 crash-recovery experiment to a
-// snapshot file on disk: -checkpoint writes E16's final state, -resume
-// restores and re-verifies an existing snapshot (restart-without-replay;
-// a corrupt or version-skewed file is reported as rejected).
+// Checkpoint files on disk are mpcstream's (-checkpoint, -resume).
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run (see
 // README.md "Profiling"); combine with -only to profile one experiment.
@@ -43,10 +38,6 @@ func main() {
 		fmt.Sprintf("comma-separated scenarios for the E14 sweep (default all; have %v)", workload.Names()))
 	queries := flag.Int("queries", 0,
 		"query batch size for the E15 query-throughput experiment (0 = 1024, or 256 with -quick)")
-	checkpointFile := flag.String("checkpoint", "",
-		"write the E16 crash-recovery experiment's final state snapshot to this file")
-	resumeFile := flag.String("resume", "",
-		"restore and re-verify an existing snapshot file in the E16 crash-recovery experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -168,7 +159,7 @@ func main() {
 		return experiments.E15QueryThroughput(sizes[:len(sizes)-1], batches, q, 15)
 	})
 	run("E16", func() *experiments.Table {
-		return experiments.E16CrashRecovery(msfSizes, 2*batches, 4, 16, *checkpointFile, *resumeFile)
+		return experiments.E16CrashRecovery(msfSizes, 2*batches, 4, 16)
 	})
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -648,96 +649,191 @@ func handEcho(e *snapshot.Encoder, f *Forest) {
 	e.F64(f.cfg.Phi)
 	e.Int(f.cfg.SketchCopies)
 	e.U64(f.cfg.Seed)
-	e.Int(f.cfg.VerticesPerMachine)
 	e.Bool(f.weighted)
-	e.Int(f.cl.Machines())
 }
 
-// handRecord writes the six words that follow a live tree-edge record's
-// endpoints (tour, dart positions, weight).
-func handRecord(e *snapshot.Encoder) {
-	e.U64(1)
-	for _, pos := range []int{0, 3, 1, 2} {
-		e.Int(pos)
+// handForest writes a forest section: a cold label cache, zero Stats, the
+// given component column, no fragment keys, and a live-looking record for
+// each of the given tree edges, in the order given.
+func handForest(e *snapshot.Encoder, f *Forest, comp []int, edges ...graph.Edge) {
+	n := f.cfg.N
+	e.Begin(tagForest)
+	handEcho(e, f)
+	e.U64(2) // next tour id
+	e.U64(1) // label-cache epoch
+	e.Int(0) // no valid labels
+	e.Int(0)
+	e.Bool(false) // no component count
+	e.Ints(make([]int, n))
+	e.Int(n)
+	for v := 0; v < n; v++ {
+		e.U64(0)
 	}
-	e.I64(0)
+	snapshot.EncodeClusterStats(e, mpc.Stats{})
+	e.Ints(comp)
+	e.Int(0) // no fragment keys
+	e.Int(len(edges))
+	for _, ed := range edges {
+		e.Int(ed.U)
+		e.Int(ed.V)
+		e.U64(1) // tour
+		for _, pos := range []int{0, 3, 1, 2} {
+			e.Int(pos)
+		}
+		e.I64(0) // weight
+	}
 }
 
-// TestLoadRejectsTreeEdgeOnTwoShards hand-builds a full forest container
-// (valid CRC) in which one tree edge is filed on its owner's shard only, or
-// on a second shard too: the former loads, the latter is rejected.
-func TestLoadRejectsTreeEdgeOnTwoShards(t *testing.T) {
+// identity is the component column of n singletons.
+func identity(n int) []int {
+	comp := make([]int, n)
+	for v := range comp {
+		comp[v] = v
+	}
+	return comp
+}
+
+// container closes the encoder into a full container's bytes.
+func container(t *testing.T, e *snapshot.Encoder) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := e.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRejectsTreeEdgeListedTwice hand-builds full forest containers
+// (valid CRC) whose edge table lists one tree edge once, twice, or out of
+// edge-id order: the table must be strictly increasing, so only the first
+// loads, and a rejection leaves the target untouched.
+func TestLoadRejectsTreeEdgeListedTwice(t *testing.T) {
 	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
 	f, err := NewForest(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := f.cl.Machines()
-	ed := graph.Edge{U: 1, V: 2}
-	owner := f.edgeOwner(ed)
-	build := func(shards ...int) []byte {
+	a, b := graph.Edge{U: 1, V: 2}, graph.Edge{U: 2, V: 3}
+	build := func(edges ...graph.Edge) []byte {
 		e := snapshot.NewEncoder()
-		e.Begin(tagForest)
-		handEcho(e, f)
-		e.U64(2) // next tour id
-		e.U64(1) // label-cache epoch
-		e.Int(0) // no valid labels
-		e.Int(0)
-		e.Bool(false) // no component count
-		e.Ints(make([]int, cfg.N))
-		e.Int(cfg.N)
-		for v := 0; v < cfg.N; v++ {
-			e.U64(0)
+		handForest(e, f, identity(cfg.N), edges...)
+		return container(t, e)
+	}
+	for name, edges := range map[string][]graph.Edge{"listed twice": {a, a}, "out of order": {b, a}} {
+		err = snapshot.Load(bytes.NewReader(build(edges...)), f)
+		if err == nil || !strings.Contains(err.Error(), "twice or out of edge-id order") {
+			t.Fatalf("%s: not rejected: %v", name, err)
 		}
-		snapshot.EncodeClusterStats(e, mpc.Stats{})
-		for i := 0; i < m; i++ {
-			e.Begin(tagForestShard)
-			e.Int(i)
-			e.Bool(i != f.coord)
-			if i != f.coord {
-				lo, hi := f.part.Range(i)
-				e.Int(lo)
-				e.Int(hi)
-				e.Int(hi - lo)
-				for v := lo; v < hi; v++ {
-					e.Int(v)
-				}
-				e.Int(0) // empty fragment map
-			}
-			filed := 0
-			for _, sh := range shards {
-				if sh == i {
-					filed = 1
-				}
-			}
-			e.Int(filed)
-			if filed == 1 {
-				e.Int(ed.U)
-				e.Int(ed.V)
-				handRecord(e)
-			}
+		if got := f.SnapshotForest(); len(got) != 0 {
+			t.Fatalf("%s: rejected container left %d forest edges behind", name, len(got))
 		}
-		var buf bytes.Buffer
-		if _, err := e.WriteTo(&buf); err != nil {
+	}
+	if err := snapshot.Load(bytes.NewReader(build(a)), f); err != nil {
+		t.Fatalf("the same container with the edge listed once: %v", err)
+	}
+	if got := f.SnapshotForest(); len(got) != 1 || got[0].Edge != a {
+		t.Fatalf("loaded forest %v, want [%v]", got, a)
+	}
+}
+
+// TestLoadRejectsComponentColumnBreakingMinimumID pins the loader's check of
+// the minimum-id rule: in a live instance every component id is the smallest
+// vertex of its component, so a column with an entry c < 0, c > v or
+// comp[c] != c — which would otherwise load and answer Connected(0, 5) with
+// no edge anywhere — is rejected, and the target stays untouched.
+func TestLoadRejectsComponentColumnBreakingMinimumID(t *testing.T) {
+	const n = 8
+	for name, tc := range map[string]struct {
+		v, c int
+		ok   bool
+	}{
+		"later vertex":          {0, 5, false},
+		"negative":              {4, -1, false},
+		"not its own component": {3, 2, false}, // with comp[2] = 1 below
+		"smaller vertex":        {5, 0, true},
+	} {
+		f, err := NewForest(Config{N: n, Phi: 0.6, Seed: 3, VerticesPerMachine: 4})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		comp := identity(n)
+		comp[2] = 1
+		comp[tc.v] = tc.c
+		e := snapshot.NewEncoder()
+		handForest(e, f, comp)
+		err = snapshot.Load(bytes.NewReader(container(t, e)), f)
+		if tc.ok {
+			if err != nil {
+				t.Fatalf("%s: valid column rejected: %v", name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "not the smallest vertex of a component") {
+			t.Fatalf("%s: comp[%d] = %d not rejected: %v", name, tc.v, tc.c, err)
+		}
+		if got := f.SnapshotComponents(); !slices.Equal(got, identity(n)) {
+			t.Fatalf("%s: rejected column left components %v", name, got)
+		}
 	}
-	fresh, err := NewForest(cfg)
+}
+
+// TestOldForestLayoutRejectedByTag feeds Load a container in the retired
+// per-machine layout (tag 0x10 and its shard sections): it is rejected by
+// tag, never migrated, and the target is left untouched.
+func TestOldForestLayoutRejectedByTag(t *testing.T) {
+	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
+	dc, err := NewDynamicConnectivity(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = snapshot.Load(bytes.NewReader(build(owner, (owner+1)%m)), fresh)
-	if err == nil || !strings.Contains(err.Error(), "{1,2} on two shards") {
-		t.Fatalf("tree edge filed on two shards not rejected: %v", err)
+	e := snapshot.NewEncoder()
+	e.Begin(0x10)
+	handEcho(e, dc.f)
+	e.Int(cfg.VerticesPerMachine)
+	e.Int(dc.f.cl.Machines())
+	e.Begin(0x11)
+	e.Int(0)     // machine id
+	e.Bool(true) // has vertices
+	err = snapshot.Load(bytes.NewReader(container(t, e)), dc)
+	if err == nil || !strings.Contains(err.Error(), "found section 0x10 where 0x17 was expected") {
+		t.Fatalf("old layout not rejected by tag: %v", err)
 	}
-	if got := fresh.SnapshotForest(); len(got) != 0 {
-		t.Fatalf("rejected container left %d forest edges behind", len(got))
+	if got := dc.SnapshotComponents(); !slices.Equal(got, identity(cfg.N)) {
+		t.Fatalf("rejected container left components %v", got)
 	}
-	if err := snapshot.Load(bytes.NewReader(build(owner)), fresh); err != nil {
-		t.Fatalf("the same container with the edge filed once: %v", err)
+}
+
+// TestLoadRejectsSketchRunOfWrongLength hands Load a valid forest section of
+// a live instance followed by a sketch run one word short: the run is checked
+// before anything is installed, so the target stays the fresh instance.
+func TestLoadRejectsSketchRunOfWrongLength(t *testing.T) {
+	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
+	src, err := NewDynamicConnectivity(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := fresh.SnapshotForest(); len(got) != 1 || got[0].Edge != ed {
-		t.Fatalf("loaded forest %v, want [%v]", got, ed)
+	if err := src.ApplyBatch(graph.Batch{graph.Ins(0, 1), graph.Ins(1, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	target, err := NewDynamicConnectivity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := snapshot.NewEncoder()
+	src.f.Checkpoint(e)
+	e.Begin(tagSketches)
+	e.U64s(make([]uint64, cfg.N*src.space.SketchWords()-1))
+	err = snapshot.Load(bytes.NewReader(container(t, e)), target)
+	if err == nil || !strings.Contains(err.Error(), "sketch run of") {
+		t.Fatalf("short sketch run not rejected: %v", err)
+	}
+	if got := target.SnapshotComponents(); !slices.Equal(got, identity(cfg.N)) {
+		t.Fatalf("rejected container left components %v", got)
+	}
+	if got := target.SnapshotForest(); len(got) != 0 {
+		t.Fatalf("rejected container left %d forest edges", len(got))
+	}
+	if got := target.Cluster().Stats(); got.Rounds != 0 {
+		t.Fatalf("rejected container installed Stats %+v", got)
 	}
 }

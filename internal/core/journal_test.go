@@ -65,6 +65,7 @@ func handDelta(t *testing.T, baseID uint64, live *DynamicConnectivity, journal [
 	e.U64(1)
 	e.Begin(tagReplayDelta)
 	handEcho(e, f)
+	e.Int(f.cl.Machines())
 	if batchCount < 0 {
 		batchCount = len(journal)
 	}
@@ -204,8 +205,10 @@ func TestDeltaRejectsTamperedJournal(t *testing.T) {
 }
 
 // TestRetiredDeltaTagsRejected feeds the chain a delta whose state section
-// carries a tag of the physical delta format (0x13 forest delta, then 0x14 and
-// 0x15 per shard): it is rejected by tag, before anything is applied.
+// carries a retired tag — of the physical delta format (0x13 forest delta,
+// then 0x14 and 0x15 per shard) or of the journal delta whose echo named the
+// writer's VerticesPerMachine (0x16): it is rejected by tag, before anything
+// is applied.
 func TestRetiredDeltaTagsRejected(t *testing.T) {
 	cfg := Config{N: 16, Phi: 0.6, Seed: 5}
 	live, err := NewDynamicConnectivity(cfg)
@@ -213,7 +216,7 @@ func TestRetiredDeltaTagsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	store, baseID := journalStore(t, live)
-	for _, tag := range []uint64{0x13, 0x14, 0x15} {
+	for _, tag := range []uint64{0x13, 0x14, 0x15, 0x16} {
 		e := snapshot.NewEncoder()
 		e.Begin(0x0D)
 		e.U64(baseID)
@@ -226,7 +229,7 @@ func TestRetiredDeltaTagsRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh, _, err := restoreWith(t, store, cfg, buf.Bytes())
-		if err == nil || !strings.Contains(err.Error(), "found section") || !strings.Contains(err.Error(), "0x16 was expected") {
+		if err == nil || !strings.Contains(err.Error(), "found section") || !strings.Contains(err.Error(), "0x19 was expected") {
 			t.Errorf("delta with section %#x: %v", tag, err)
 		}
 		if got := fresh.SnapshotForest(); len(got) != 0 {

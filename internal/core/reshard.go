@@ -1,38 +1,38 @@
 package core
 
 // Loading a full checkpoint, at the fleet shape that wrote it or any other.
-// The insight that makes elastic re-sharding a deterministic state migration
-// rather than a consensus problem is that every piece of checkpointed state
-// is either machine-count-independent logical state (component ids,
-// tree-edge records, per-vertex sketch words, the coordinator's tour counter
-// and label cache, cluster stats) or pure placement, and placement is a
-// deterministic function of (vertex or edge, machine count): vertices live in
-// contiguous mpc.Partition ranges and edge records on
-// hash.Hash(edgeID) % machines. Restoring at the shape that wrote the file is
-// then just the case where source and target placement coincide, so each
-// state has one loader for its full container, its Restore: it decodes the
-// sections, at whatever machine count wrote them, into an image free of the
-// source's sharding, re-validates the per-machine s-words budget of this
-// instance's shape, and installs the image under this instance's placement
-// maps. A loaded instance is indistinguishable from a fresh instance at
-// its shape that was fed the same update stream (labels, forest, sketches,
-// and query answers are bit-identical); its execution Stats are the
-// checkpoint's, carried over verbatim. Loading resets the instance's update
-// journal: the loaded state is the baseline the next delta checkpoint (a
-// journal of batches, see snapshot.go) extends. Deltas themselves are never
-// re-sharded — they replay onto a base of their own fleet shape.
+// Elastic re-sharding is a deterministic state migration rather than a
+// consensus problem because placement is a rule, not state: vertices live in
+// contiguous mpc.Partition ranges and edge records on hash.Hash(edgeID) %
+// machines. A full container therefore holds the logical state only
+// (component ids, fragment keys, tree-edge records, per-vertex sketch words,
+// the coordinator's tour counter and label cache, cluster stats; see
+// snapshot.go) and nothing of the placement that wrote it, so there is
+// nothing to regroup: each state has one loader, its Restore, which decodes
+// the columns, validates them, checks the per-machine s-words budget of this
+// instance's shape and installs the image under this instance's placement. A
+// loaded instance is indistinguishable from a fresh instance at its shape
+// that was fed the same update stream (labels, forest, sketches, and query
+// answers are bit-identical), and it re-saves the container byte for byte;
+// its execution Stats are the checkpoint's, carried over verbatim. Loading
+// resets the instance's update journal: the loaded state is the baseline the
+// next delta checkpoint (a journal of batches, see snapshot.go) extends.
+// Deltas themselves are never re-sharded — they replay onto a base of their
+// own fleet shape.
 //
-// Failure contract: a configuration mismatch or a memory-cap rejection — a
-// per-machine budget that cannot hold the state is never silently installed
-// in violation of the model — is reported before any target state is
-// touched, so the instance may be reused. Any other
-// error is structural (the container's CRC verified, yet a section
-// contradicts the layout) and may surface after the forest is installed,
-// while the sketch sections stream into the arenas: discard the instance.
+// Failure contract: every error — a configuration mismatch, a column that
+// breaks an invariant of a live instance, a sketch run of the wrong length, a
+// memory-cap rejection (a per-machine budget that cannot hold the state is
+// never silently installed in violation of the model) — is reported before
+// any target state is touched, so the instance may be reused. Only a later
+// state's error in a multi-state container (snapshot.Load) leaves the
+// earlier states loaded.
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/eulertour"
 	"repro/internal/graph"
 	"repro/internal/mpc"
 	"repro/internal/snapshot"
@@ -62,8 +62,8 @@ func ResizeConfig(cfg Config, machines int) (Config, error) {
 	return out, nil
 }
 
-// forestImage is the decode of a forest checkpoint: all logical state, none
-// of the source fleet's sharding.
+// forestImage is the decode of a forest checkpoint: the logical state, not
+// yet placed.
 type forestImage struct {
 	nextID     uint64
 	epoch      uint32
@@ -74,27 +74,26 @@ type forestImage struct {
 	stamp      []uint32
 	stats      mpc.Stats
 
-	comp []int          // component id per vertex, len N
-	frag map[int]uint64 // transient fragment keys, keyed by vertex
-	// recs holds every tree-edge record, already grouped by the machine that
-	// owns it under the loading instance's placement.
+	comp []int // component id per vertex, len N
+	// fragV and fragK are the transient fragment keys: fragK[j] is vertex
+	// fragV[j]'s, fragV ascending.
+	fragV []int
+	fragK []uint64
+	// recs holds every tree-edge record, grouped by the machine that owns it
+	// under the loading instance's placement.
 	recs []map[graph.Edge]*treeEdge
 }
 
-// readImage decodes the tagForest section group written at any machine count
-// and returns the image plus the source fleet's vertex partition.
-func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, mpc.Partition, error) {
+// readImage decodes the tagForest section and validates it against the
+// invariants of a live instance.
+func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, error) {
 	d.Begin(tagForest)
-	srcMach, err := f.readConfig(d)
-	if err != nil {
-		return nil, mpc.Partition{}, err
+	if err := f.readConfig(d); err != nil {
+		return nil, err
 	}
 	n := f.cfg.N
-	src := mpc.Partition{N: n, Machines: srcMach - 1}
 	img := &forestImage{
-		comp:  make([]int, n),
 		stamp: make([]uint32, n),
-		frag:  map[int]uint64{},
 		recs:  make([]map[graph.Edge]*treeEdge, f.cl.Machines()),
 	}
 	for i := range img.recs {
@@ -107,53 +106,58 @@ func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, mpc.Partition, er
 	img.numCompsOK = d.Bool()
 	img.labels = d.Ints()
 	if d.Err() == nil && len(img.labels) != n {
-		return nil, src, fmt.Errorf("core: snapshot label cache of %d entries, want %d", len(img.labels), n)
+		return nil, fmt.Errorf("core: snapshot label cache of %d entries, want %d", len(img.labels), n)
 	}
 	if ns := d.Int(); d.Err() == nil && ns != n {
-		return nil, src, fmt.Errorf("core: snapshot stamp array of %d entries, want %d", ns, n)
+		return nil, fmt.Errorf("core: snapshot stamp array of %d entries, want %d", ns, n)
 	}
 	for i := 0; i < n && d.Err() == nil; i++ {
 		img.stamp[i] = uint32(d.U64())
 	}
 	img.stats = snapshot.DecodeClusterStats(d)
-	for i := 0; i < srcMach; i++ {
-		has, err := snapshot.ReadShardHeader(d, tagForestShard, i, src)
-		if err != nil {
-			return nil, src, err
-		}
-		if has {
-			lo, hi, err := snapshot.ReadShardRange(d, i, src)
-			if err != nil {
-				return nil, src, err
-			}
-			nc := d.Count(1)
-			if err := d.Err(); err != nil {
-				return nil, src, err
-			}
-			if nc != hi-lo {
-				return nil, src, fmt.Errorf("core: snapshot shard %d has %d component entries, want %d", i, nc, hi-lo)
-			}
-			for v := lo; v < hi; v++ {
-				img.comp[v] = d.Int()
-			}
-			if err := readFrag(d, lo, hi, img.frag); err != nil {
-				return nil, src, err
-			}
-		}
-		nr := d.Count(8)
-		for j := 0; j < nr; j++ {
-			ed, te, err := readTreeEdge(d, n)
-			if err != nil {
-				return nil, src, err
-			}
-			owned := img.recs[f.edgeOwner(ed)]
-			if owned[ed] != nil {
-				return nil, src, fmt.Errorf("core: snapshot holds tree edge {%d,%d} on two shards", ed.U, ed.V)
-			}
-			owned[ed] = te
+	// Every component id is the smallest vertex of its component, so it names
+	// a vertex no later than its own that is its own component.
+	img.comp = d.Ints()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if len(img.comp) != n {
+		return nil, fmt.Errorf("core: snapshot component column of %d entries, want %d", len(img.comp), n)
+	}
+	for v, c := range img.comp {
+		if c < 0 || c > v || img.comp[c] != c {
+			return nil, fmt.Errorf("core: snapshot gives vertex %d component %d, not the smallest vertex of a component", v, c)
 		}
 	}
-	return img, src, d.Err()
+	// Count bounds both tables against the section, so their reads cannot fail.
+	nf := d.Count(2)
+	img.fragV, img.fragK = make([]int, nf), make([]uint64, nf)
+	for j := range nf {
+		v := d.Int()
+		if v < 0 || v >= n || j > 0 && v <= img.fragV[j-1] {
+			return nil, fmt.Errorf("core: snapshot fragment entry %d (vertex %d) out of range or out of vertex order", j, v)
+		}
+		img.fragV[j], img.fragK[j] = v, d.U64()
+	}
+	nr := d.Count(8)
+	var prev uint64
+	for j := range nr {
+		ed := graph.Edge{U: d.Int(), V: d.Int()}
+		if ed.U < 0 || ed.U >= ed.V || ed.V >= n {
+			return nil, fmt.Errorf("core: snapshot holds invalid tree edge {%d,%d}", ed.U, ed.V)
+		}
+		id := ed.ID(n)
+		if j > 0 && id <= prev {
+			return nil, fmt.Errorf("core: snapshot lists tree edge {%d,%d} twice or out of edge-id order", ed.U, ed.V)
+		}
+		prev = id
+		te := &treeEdge{rec: eulertour.Record{E: ed, Tour: eulertour.TourID(d.U64())}}
+		te.rec.UPos = [2]eulertour.Pos{d.Int(), d.Int()}
+		te.rec.VPos = [2]eulertour.Pos{d.Int(), d.Int()}
+		te.weight = d.I64()
+		img.recs[f.edgeOwner(ed)][ed] = te
+	}
+	return img, d.Err()
 }
 
 // checkCaps tallies, per machine of this instance, the words the image will
@@ -163,10 +167,6 @@ func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, mpc.Partition, er
 func (f *Forest) checkCaps(img *forestImage, sketchStride int) error {
 	m := f.cl.Machines()
 	budget := f.cl.LocalMemory()
-	fragByOwner := make([]int, m)
-	for v := range img.frag {
-		fragByOwner[f.part.Owner(v)]++
-	}
 	for i := 0; i < m; i++ {
 		words := 8*len(img.recs[i]) + 1 // edge shard
 		if i == f.coord {
@@ -176,7 +176,8 @@ func (f *Forest) checkCaps(img *forestImage, sketchStride int) error {
 			}
 		} else {
 			lo, hi := f.part.Range(i)
-			words += (hi - lo) + 2*fragByOwner[i] + 2 // vertex shard
+			from, to := img.frags(lo, hi)
+			words += (hi - lo) + 2*(to-from) + 2 // vertex shard
 			if sketchStride > 0 {
 				words += (hi-lo)*sketchStride + 1 // sketch arena
 			}
@@ -187,6 +188,14 @@ func (f *Forest) checkCaps(img *forestImage, sketchStride int) error {
 		}
 	}
 	return nil
+}
+
+// frags returns the span [from,to) of the fragment table that covers the
+// vertices [lo,hi).
+func (img *forestImage) frags(lo, hi int) (from, to int) {
+	from, _ = slices.BinarySearch(img.fragV, lo)
+	to, _ = slices.BinarySearch(img.fragV, hi)
+	return from, to
 }
 
 // installImage overwrites the forest with the image under this instance's
@@ -203,11 +212,10 @@ func (f *Forest) installImage(img *forestImage) {
 	f.cl.LocalAll(func(mm *mpc.Machine) {
 		if vs := vShard(mm); vs != nil {
 			copy(vs.comp, img.comp[vs.lo:vs.hi])
-			vs.frag = map[int]uint64{}
-			for v, k := range img.frag {
-				if vs.owns(v) {
-					vs.frag[v] = k
-				}
+			from, to := img.frags(vs.lo, vs.hi)
+			vs.frag = make(map[int]uint64, to-from)
+			for j := from; j < to; j++ {
+				vs.frag[img.fragV[j]] = img.fragK[j]
 			}
 		}
 		eShard(mm).recs = img.recs[mm.ID]
@@ -217,64 +225,48 @@ func (f *Forest) installImage(img *forestImage) {
 	f.cl.RestoreStats(img.stats)
 }
 
-// load is the forest's one full-checkpoint loader (see the file comment):
-// decode at any source shape, validate the memory caps, install. It returns
-// the source fleet's vertex partition, by which a DynamicConnectivity
-// locates the sketch sections that follow.
-func (f *Forest) load(d *snapshot.Decoder, sketchStride int) (mpc.Partition, error) {
-	img, src, err := f.readImage(d)
-	if err != nil {
-		return src, err
-	}
-	if err := f.checkCaps(img, sketchStride); err != nil {
-		return src, err
-	}
-	f.installImage(img)
-	return src, nil
-}
-
 // Restore loads a full forest checkpoint written at any machine count,
-// redistributing vertex and edge state under this instance's placement maps.
+// placing vertex and edge state under this instance's placement maps.
 func (f *Forest) Restore(d *snapshot.Decoder) error {
-	_, err := f.load(d, 0)
-	return err
-}
-
-// Restore loads a full dynamic-connectivity checkpoint written at any machine
-// count: the forest's loader, told the sketch footprint so the memory caps
-// cover the arenas, then every source shard's sketch words copied straight
-// from the decoder into the arenas of the machines whose vertex ranges
-// overlap that shard's. The sketch spaces are rebuilt from the seed by the
-// constructor; only the arena cell words are reloaded.
-func (dc *DynamicConnectivity) Restore(d *snapshot.Decoder) error {
-	f := dc.f
-	stride := dc.space.SketchWords()
-	src, err := f.load(d, stride)
+	img, err := f.readImage(d)
+	if err == nil {
+		err = f.checkCaps(img, 0)
+	}
 	if err != nil {
 		return err
 	}
-	for i := 0; i <= src.Machines; i++ { // the vertex machines, then the coordinator
-		has, err := snapshot.ReadShardHeader(d, tagSketchShard, i, src)
-		if err != nil {
-			return err
-		}
-		if !has {
-			continue
-		}
-		words := d.U64s()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		lo, hi := src.Range(i)
-		if len(words) != (hi-lo)*stride {
-			return fmt.Errorf("core: snapshot sketch shard %d holds %d words, want %d (shape mismatch)", i, len(words), (hi-lo)*stride)
-		}
-		for v := lo; v < hi; v++ {
-			sh := sShard(f.cl.Machine(f.part.Owner(v)))
-			if err := sh.arena.ApplyRegion(v-sh.lo, words[(v-lo)*stride:(v-lo+1)*stride]); err != nil {
-				return err
-			}
-		}
+	f.installImage(img)
+	return nil
+}
+
+// Restore loads a full dynamic-connectivity checkpoint written at any machine
+// count: the forest's image, then the sketch run, length-checked once; the
+// memory caps, which cover the arenas; then the install, after which every
+// arena takes its vertex range of the run with one copy. The sketch spaces are
+// rebuilt from the seed by the constructor; only the arena cell words are
+// reloaded.
+func (dc *DynamicConnectivity) Restore(d *snapshot.Decoder) error {
+	f := dc.f
+	stride := dc.space.SketchWords()
+	img, err := f.readImage(d)
+	if err != nil {
+		return err
+	}
+	d.Begin(tagSketches)
+	run := d.U64s()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if len(run) != f.cfg.N*stride {
+		return fmt.Errorf("core: snapshot sketch run of %d words, want %d (%d vertices × %d)", len(run), f.cfg.N*stride, f.cfg.N, stride)
+	}
+	if err := f.checkCaps(img, stride); err != nil {
+		return err
+	}
+	f.installImage(img)
+	for i := 0; i < f.coord; i++ { // unmetered, like Checkpoint's walk
+		sh := sShard(f.cl.Machine(i))
+		copy(sh.arena.Raw(), run[sh.lo*stride:])
 	}
 	dc.journal.Reset() // the loaded state is the new delta baseline
 	return nil

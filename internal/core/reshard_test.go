@@ -255,9 +255,9 @@ func FuzzReshardRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
-	f.Add(valid, uint8(4))  // grow: 5 -> 17 machines
+	f.Add(valid, uint8(3))  // grow: 5 -> 17 machines
 	f.Add(valid, uint8(32)) // shrink: 5 -> 3 machines
-	f.Add(valid, uint8(1))  // shrink past the memory cap: rejected
+	f.Add(valid, uint8(0))  // a budget of 1 vertex/machine, past the memory cap: rejected
 	f.Add(valid[:len(valid)/2], uint8(16))
 	if len(valid) > 40 {
 		bad := append([]byte(nil), valid...)

@@ -1,13 +1,16 @@
 package core
 
 // Crash-safe checkpoint/restore of the connectivity stack (see package
-// snapshot for the container format). A checkpoint captures everything a
-// fresh instance cannot rederive: the per-machine vertex and edge shards,
-// the sketch arenas, the coordinator-local tour-id counter and label cache
-// (epoch-preserving, so a restored run's warm queries stay warm), and the
-// cluster execution metrics. Shared randomness (edge hash, sketch spaces)
-// is reconstructed deterministically from the configuration seed, so it is
-// validated, not serialized.
+// snapshot for the container format). A full checkpoint is the logical state
+// and nothing of its placement: the coordinator-local tour-id counter and
+// label cache (epoch-preserving, so a restored run's warm queries stay warm),
+// the cluster execution metrics, the component column in vertex order, the
+// fragment keys sorted by vertex, the tree-edge records sorted by edge id,
+// and, for a DynamicConnectivity, the sketch words of all N vertices as one
+// run. No machine id, vertex range or machine count is written: which
+// machine holds what is a rule of the loading instance (reshard.go). Shared
+// randomness (edge hash, sketch spaces) is reconstructed deterministically
+// from the configuration seed, so it is validated, not serialized.
 //
 // A delta checkpoint is logical: the batches ApplyBatch received since the
 // last acknowledged checkpoint, replayed on restore (CheckpointDelta,
@@ -16,9 +19,9 @@ package core
 // the same base reproduces shards, arenas and tour ids bit for bit; only the
 // driver state a replay cannot rederive rides along.
 //
-// This file holds the writers (Checkpoint, CheckpointDelta), the delta reader
-// (RestoreDelta) and the record codecs of the full container; the one reader
-// of a full container, Restore, is in reshard.go. The container-level checks (magic, version, CRC) have already
+// This file holds the writers (Checkpoint, CheckpointDelta) and the delta
+// reader (RestoreDelta); the one reader of a full container, Restore, is in
+// reshard.go. The container-level checks (magic, version, CRC) have already
 // rejected corrupt files before any reader here runs.
 
 import (
@@ -26,139 +29,64 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/eulertour"
-	"repro/internal/graph"
 	"repro/internal/snapshot"
 )
 
-// Section tags of the core layer. 0x13–0x15 were the physical delta (dirty
-// component entries, tree-edge upserts and tombstones, arena regions) and
-// stay retired: a delta file holding them is rejected by tag, never migrated.
+// Section tags of the core layer. A layout that changes takes a new tag and
+// the old one stays retired, so a file holding it is rejected by tag, never
+// migrated: 0x10–0x12 were the full container's per-machine layout (a forest
+// header, one section per machine shard, one per sketch arena), 0x13–0x15
+// the physical delta (dirty component entries, tree-edge upserts and
+// tombstones, arena regions), 0x16 the delta whose echo carried the writer's
+// VerticesPerMachine.
 const (
-	tagForest      = 0x10
-	tagForestShard = 0x11
-	tagSketchShard = 0x12
-	tagReplayDelta = 0x16
+	tagForest      = 0x17
+	tagSketches    = 0x18
+	tagReplayDelta = 0x19
 )
-
-// Record codecs: the configuration echo, the fragment map and the tree-edge
-// record each have one writer and one reader (the shard header's are package
-// snapshot's), so a layout or validation change is made once.
 
 // writeConfig writes the configuration echo that opens the forest's full
 // section and the delta section: the state-shaping parameters a restoring
-// instance must match, then the shape of the fleet that wrote the container.
+// instance must match.
 func (f *Forest) writeConfig(e *snapshot.Encoder) {
 	e.Int(f.cfg.N)
 	e.F64(f.cfg.Phi)
 	e.Int(f.cfg.SketchCopies)
 	e.U64(f.cfg.Seed)
-	e.Int(f.cfg.VerticesPerMachine)
 	e.Bool(f.weighted)
-	e.Int(f.cl.Machines())
 }
 
-// readConfig reads the configuration echo, validates the state-shaping
-// parameters (Parallelism and Strict are execution-engine choices, not
-// state, and may differ between writer and reader; so may the fleet shape)
-// and returns the writer's machine count.
-func (f *Forest) readConfig(d *snapshot.Decoder) (int, error) {
+// readConfig reads the configuration echo and validates it (Parallelism and
+// Strict are execution-engine choices, not state, and may differ between
+// writer and reader; so may the fleet shape).
+func (f *Forest) readConfig(d *snapshot.Decoder) error {
 	n := d.Int()
 	phi := d.F64()
 	copies := d.Int()
 	seed := d.U64()
-	d.Int() // the writer's VerticesPerMachine: its machine count follows
 	weighted := d.Bool()
-	mach := d.Int()
 	if err := d.Err(); err != nil {
-		return 0, err
+		return err
 	}
 	switch {
 	case n != f.cfg.N:
-		return 0, fmt.Errorf("core: snapshot of N=%d restored into N=%d", n, f.cfg.N)
+		return fmt.Errorf("core: snapshot of N=%d restored into N=%d", n, f.cfg.N)
 	case phi != f.cfg.Phi:
-		return 0, fmt.Errorf("core: snapshot of Phi=%v restored into Phi=%v", phi, f.cfg.Phi)
+		return fmt.Errorf("core: snapshot of Phi=%v restored into Phi=%v", phi, f.cfg.Phi)
 	case copies != f.cfg.SketchCopies:
-		return 0, fmt.Errorf("core: snapshot of SketchCopies=%d restored into SketchCopies=%d", copies, f.cfg.SketchCopies)
+		return fmt.Errorf("core: snapshot of SketchCopies=%d restored into SketchCopies=%d", copies, f.cfg.SketchCopies)
 	case seed != f.cfg.Seed:
-		return 0, fmt.Errorf("core: snapshot of Seed=%d restored into Seed=%d", seed, f.cfg.Seed)
+		return fmt.Errorf("core: snapshot of Seed=%d restored into Seed=%d", seed, f.cfg.Seed)
 	case weighted != f.weighted:
-		return 0, fmt.Errorf("core: snapshot weighted=%v restored into weighted=%v", weighted, f.weighted)
-	case mach < 2:
-		return 0, fmt.Errorf("core: snapshot claims %d machines (corrupt)", mach)
+		return fmt.Errorf("core: snapshot weighted=%v restored into weighted=%v", weighted, f.weighted)
 	}
-	return mach, nil
+	return nil
 }
 
-// writeFrag writes a fragment map in vertex order, so a container is a
-// deterministic function of the logical state.
-func writeFrag(e *snapshot.Encoder, frag map[int]uint64) {
-	verts := make([]int, 0, len(frag))
-	for v := range frag {
-		verts = append(verts, v)
-	}
-	slices.Sort(verts)
-	e.Int(len(verts))
-	for _, v := range verts {
-		e.Int(v)
-		e.U64(frag[v])
-	}
-}
-
-// readFrag reads the fragment map of the shard covering [lo,hi) into frag.
-func readFrag(d *snapshot.Decoder, lo, hi int, frag map[int]uint64) error {
-	n := d.Count(2)
-	for j := 0; j < n; j++ {
-		v, k := d.Int(), d.U64()
-		if v < lo || v >= hi {
-			return fmt.Errorf("core: fragment entry for vertex %d filed on the shard covering [%d,%d)", v, lo, hi)
-		}
-		frag[v] = k
-	}
-	return d.Err()
-}
-
-// sortedEdges returns the map's keys in edge-id order.
-func sortedEdges[V any](m map[graph.Edge]V, n int) []graph.Edge {
-	edges := make([]graph.Edge, 0, len(m))
-	for ed := range m {
-		edges = append(edges, ed)
-	}
-	slices.SortFunc(edges, func(a, b graph.Edge) int { return cmp.Compare(a.ID(n), b.ID(n)) })
-	return edges
-}
-
-// writeTreeEdges writes the records of the given edges of shard es.
-func writeTreeEdges(e *snapshot.Encoder, edges []graph.Edge, es *edgeShard) {
-	e.Int(len(edges))
-	for _, ed := range edges {
-		te := es.recs[ed]
-		e.Int(ed.U)
-		e.Int(ed.V)
-		e.U64(uint64(te.rec.Tour))
-		e.Int(te.rec.UPos[0])
-		e.Int(te.rec.UPos[1])
-		e.Int(te.rec.VPos[0])
-		e.Int(te.rec.VPos[1])
-		e.I64(te.weight)
-	}
-}
-
-// readTreeEdge reads one record of a forest on n vertices.
-func readTreeEdge(d *snapshot.Decoder, n int) (graph.Edge, *treeEdge, error) {
-	ed := graph.Edge{U: d.Int(), V: d.Int()}
-	if d.Err() == nil && (ed.U < 0 || ed.U >= ed.V || ed.V >= n) {
-		return ed, nil, fmt.Errorf("core: snapshot holds invalid tree edge {%d,%d}", ed.U, ed.V)
-	}
-	te := &treeEdge{rec: eulertour.Record{E: ed, Tour: eulertour.TourID(d.U64())}}
-	te.rec.UPos = [2]eulertour.Pos{d.Int(), d.Int()}
-	te.rec.VPos = [2]eulertour.Pos{d.Int(), d.Int()}
-	te.weight = d.I64()
-	return ed, te, d.Err()
-}
-
-// Checkpoint serializes the forest: configuration echo, tour-id counter,
-// label cache, cluster stats, and one section per machine shard.
+// Checkpoint serializes the forest as one section: configuration echo,
+// tour-id counter, label cache, cluster stats, then the component column, the
+// fragment keys and the tree-edge records (see the file comment). It reads
+// the shards directly — no collective, no metering.
 func (f *Forest) Checkpoint(e *snapshot.Encoder) {
 	e.Begin(tagForest)
 	f.writeConfig(e)
@@ -174,31 +102,53 @@ func (f *Forest) Checkpoint(e *snapshot.Encoder) {
 		e.U64(uint64(s))
 	}
 	snapshot.EncodeClusterStats(e, f.cl.Stats())
-	for i := 0; i < f.cl.Machines(); i++ {
-		mm := f.cl.Machine(i)
-		vs := vShard(mm)
-		snapshot.WriteShardHeader(e, tagForestShard, i, vs != nil)
-		if vs != nil {
-			e.Int(vs.lo)
-			e.Int(vs.hi)
-			e.Ints(vs.comp)
-			writeFrag(e, vs.frag)
+	e.Int(f.cfg.N)
+	var fragVerts []int
+	for i := 0; i < f.coord; i++ { // the vertex machines, in vertex order
+		vs := vShard(f.cl.Machine(i))
+		for _, c := range vs.comp {
+			e.Int(c)
 		}
-		es := eShard(mm)
-		writeTreeEdges(e, sortedEdges(es.recs, f.cfg.N), es)
+		for v := range vs.frag {
+			fragVerts = append(fragVerts, v)
+		}
+	}
+	slices.Sort(fragVerts)
+	e.Int(len(fragVerts))
+	for _, v := range fragVerts {
+		e.Int(v)
+		e.U64(vShard(f.cl.Machine(f.part.Owner(v))).frag[v])
+	}
+	var recs []*treeEdge
+	for i := 0; i < f.cl.Machines(); i++ {
+		for _, te := range eShard(f.cl.Machine(i)).recs {
+			recs = append(recs, te)
+		}
+	}
+	slices.SortFunc(recs, func(a, b *treeEdge) int { return cmp.Compare(a.rec.E.ID(f.cfg.N), b.rec.E.ID(f.cfg.N)) })
+	e.Int(len(recs))
+	for _, te := range recs {
+		e.Int(te.rec.E.U)
+		e.Int(te.rec.E.V)
+		e.U64(uint64(te.rec.Tour))
+		e.Int(te.rec.UPos[0])
+		e.Int(te.rec.UPos[1])
+		e.Int(te.rec.VPos[0])
+		e.Int(te.rec.VPos[1])
+		e.I64(te.weight)
 	}
 }
 
-// Checkpoint serializes the full dynamic-connectivity state: the forest
-// plus every machine's sketch arena (one contiguous word image per shard).
+// Checkpoint serializes the full dynamic-connectivity state: the forest's
+// section, then one section holding the sketch words of every vertex in
+// vertex order (the arenas back to back).
 func (dc *DynamicConnectivity) Checkpoint(e *snapshot.Encoder) {
-	dc.f.Checkpoint(e)
-	for i := 0; i < dc.f.cl.Machines(); i++ {
-		sh := sShard(dc.f.cl.Machine(i))
-		snapshot.WriteShardHeader(e, tagSketchShard, i, sh != nil)
-		if sh != nil {
-			e.U64s(sh.arena.Raw())
-		}
+	f := dc.f
+	f.Checkpoint(e)
+	e.Begin(tagSketches)
+	e.Int(f.cfg.N * dc.space.SketchWords())
+	for i := 0; i < f.coord; i++ {
+		e.Words(sShard(f.cl.Machine(i)).arena.Raw())
 	}
 }
 
@@ -226,6 +176,7 @@ func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) bool {
 	f := dc.f
 	e.Begin(tagReplayDelta)
 	f.writeConfig(e)
+	e.Int(f.cl.Machines())
 	if !dc.journal.Encode(e) {
 		return false
 	}
@@ -260,9 +211,10 @@ func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) bool {
 func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder) (snapshot.Replay, error) {
 	f := dc.f
 	d.Begin(tagReplayDelta)
-	if mach, err := f.readConfig(d); err != nil {
+	if err := f.readConfig(d); err != nil {
 		return snapshot.Replay{}, err
-	} else if mach != f.cl.Machines() {
+	}
+	if mach := d.Int(); d.Err() == nil && mach != f.cl.Machines() {
 		return snapshot.Replay{}, fmt.Errorf("core: delta written on %d machines cannot extend a base on %d", mach, f.cl.Machines())
 	}
 	replayed, err := snapshot.ReplayJournal(d, f.cfg.N, dc.MaxBatch(), dc.applyBatch)

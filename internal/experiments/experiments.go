@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"reflect"
 	"strings"
 	"time"
@@ -763,11 +762,8 @@ func E15QueryThroughput(sizes []int, batches, queries int, seed uint64) *Table {
 // cycles (the cluster state is checkpointed, torn down, rebuilt, and
 // restored mid-stream) — and demands that the final Stats, component
 // labels, and maintained forest are bit-identical; both runs are
-// oracle-verified. With a non-empty checkpointPath the crash run's final
-// state is additionally round-tripped through a snapshot file on disk, and
-// with a non-empty resumePath an existing snapshot file is restored and
-// re-verified instead of the in-memory image (restart-without-replay).
-func E16CrashRecovery(sizes []int, batches, every int, seed uint64, checkpointPath, resumePath string) *Table {
+// oracle-verified.
+func E16CrashRecovery(sizes []int, batches, every int, seed uint64) *Table {
 	t := &Table{
 		Title:  "E16: crash recovery, kill+restore vs uninterrupted",
 		Header: []string{"n", "batches", "crashes", "rounds", "snapshot words", "bit-identical"},
@@ -807,29 +803,6 @@ func E16CrashRecovery(sizes []int, batches, every int, seed uint64, checkpointPa
 			d(n), d(batches), d(crashes), d(crashed.Cluster().Stats().Rounds),
 			d(snapWords), fmt.Sprintf("%v", identical),
 		})
-		if n == sizes[len(sizes)-1] {
-			if checkpointPath != "" {
-				f, err := os.Create(checkpointPath)
-				must(err)
-				must(snapshot.Save(f, crashed))
-				must(f.Close())
-				t.Remarks = append(t.Remarks, fmt.Sprintf("final state written to %s", checkpointPath))
-			}
-			if resumePath != "" {
-				fresh, err := core.NewDynamicConnectivity(cfg(n, 0.6, seed))
-				must(err)
-				f, err := os.Open(resumePath)
-				must(err)
-				loadErr := snapshot.Load(f, fresh)
-				f.Close()
-				if loadErr != nil {
-					t.Remarks = append(t.Remarks, fmt.Sprintf("resume from %s rejected: %v", resumePath, loadErr))
-				} else {
-					match := reflect.DeepEqual(fresh.SnapshotComponents(), crashed.SnapshotComponents())
-					t.Remarks = append(t.Remarks, fmt.Sprintf("resumed %s (components match current run: %v)", resumePath, match))
-				}
-			}
-		}
 	}
 	t.Remarks = append(t.Remarks,
 		"claim: checkpoint -> kill -> restore -> continue is bit-identical to never crashing (Stats, labels, forest)",

@@ -1,7 +1,8 @@
 package matching
 
 // Checkpoint/restore of the matching algorithms (see package snapshot).
-// GreedyInsertOnly serializes its match shards and coordinator counter;
+// GreedyInsertOnly serializes its match column in vertex order and its
+// coordinator counter — no placement, so it loads onto any fleet size;
 // AKLYDynamic serializes, per guess instance, every pair sampler's sketch
 // cells and last reported outcome plus the embedded nowickionak matcher.
 // Hash families and the active-pair layout are rederived from the
@@ -15,87 +16,60 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Section tags of the matching layer.
+// Section tags of the matching layer. 0x30–0x31 were the greedy matching's
+// per-machine layout and stay retired: a file holding them is rejected by
+// tag, never migrated.
 const (
-	tagGreedy      = 0x30
-	tagGreedyShard = 0x31
-	tagAKLY        = 0x32
-	tagSparsifier  = 0x33
+	tagAKLY       = 0x32
+	tagSparsifier = 0x33
+	tagGreedy     = 0x34
 )
 
-// Checkpoint serializes the greedy matching state.
+// Checkpoint serializes the greedy matching state as one section: n, the
+// cap, the size counter, the cluster stats, then the match column in vertex
+// order.
 func (g *GreedyInsertOnly) Checkpoint(e *snapshot.Encoder) {
 	e.Begin(tagGreedy)
 	e.Int(g.n)
 	e.Int(g.cap)
-	e.Int(g.cl.Machines())
 	e.Int(g.size)
 	snapshot.EncodeClusterStats(e, g.cl.Stats())
-	for i := 0; i < g.cl.Machines(); i++ {
-		mm := g.cl.Machine(i)
-		sh, ok := mm.Get(slotShard).(*greedyShard)
-		snapshot.WriteShardHeader(e, tagGreedyShard, i, ok)
-		if ok {
-			e.Int(sh.lo)
-			e.Int(sh.hi)
-			e.Ints(sh.match)
+	e.Int(g.n)
+	for i := 0; i < g.coord; i++ { // the vertex machines, in vertex order
+		for _, p := range g.cl.Machine(i).Get(slotShard).(*greedyShard).match {
+			e.Int(p)
 		}
 	}
 }
 
-// Restore loads a checkpoint written by Checkpoint into this freshly
-// constructed instance (see core/reshard.go for the scheme): match pointers
-// are per-vertex logical state, so a checkpoint written at any machine count
-// is decoded into a flat per-vertex image and re-sliced onto this instance's
-// contiguous vertex ranges; the cap and size are machine-count-independent
-// coordinator state. Validation (n, cap, shard layout, partner ranges)
-// completes before any state is touched.
+// Restore loads a checkpoint written by Checkpoint, at any machine count,
+// into this freshly constructed instance (see core/reshard.go for the
+// scheme): the match column is installed onto this instance's contiguous
+// vertex ranges; the cap and size are coordinator state. Validation (n, cap,
+// partner ranges) completes before any state is touched.
 func (g *GreedyInsertOnly) Restore(d *snapshot.Decoder) error {
 	d.Begin(tagGreedy)
-	n, capSize, mach := d.Int(), d.Int(), d.Int()
+	n, capSize, size := d.Int(), d.Int(), d.Int()
+	st := snapshot.DecodeClusterStats(d)
+	match := d.Ints()
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if n != g.n || capSize != g.cap {
 		return fmt.Errorf("matching: snapshot of (n=%d, cap=%d) restored into (n=%d, cap=%d)", n, capSize, g.n, g.cap)
 	}
-	if mach < 2 {
-		return fmt.Errorf("matching: snapshot claims %d machines (corrupt)", mach)
+	if len(match) != n {
+		return fmt.Errorf("matching: snapshot match column of %d entries, want %d", len(match), n)
 	}
-	size := d.Int()
-	st := snapshot.DecodeClusterStats(d)
-	srcPart := mpc.Partition{N: n, Machines: mach - 1}
-	flat := make([]int, n)
-	for i := 0; i < mach; i++ {
-		hasShard, err := snapshot.ReadShardHeader(d, tagGreedyShard, i, srcPart)
-		if err != nil {
-			return err
+	for v, p := range match {
+		if p < -1 || p >= n {
+			return fmt.Errorf("matching: snapshot gives vertex %d invalid match partner %d", v, p)
 		}
-		if !hasShard {
-			continue
-		}
-		lo, hi, err := snapshot.ReadShardRange(d, i, srcPart)
-		if err != nil {
-			return err
-		}
-		match := d.Ints()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if len(match) != hi-lo {
-			return fmt.Errorf("matching: snapshot shard %d has %d match entries, want %d", i, len(match), hi-lo)
-		}
-		for _, p := range match {
-			if p < -1 || p >= g.n {
-				return fmt.Errorf("matching: snapshot shard %d holds invalid match partner %d", i, p)
-			}
-		}
-		copy(flat[lo:hi], match)
 	}
 	g.size = size
 	g.cl.LocalAll(func(mm *mpc.Machine) {
 		if sh, ok := mm.Get(slotShard).(*greedyShard); ok {
-			copy(sh.match, flat[sh.lo:sh.hi])
+			copy(sh.match, match[sh.lo:sh.hi])
 		}
 	})
 	// Last, so that LocalAll's memory metering of the install itself does not
@@ -122,7 +96,8 @@ func (a *AKLYDynamic) Checkpoint(e *snapshot.Encoder) {
 // been built with the same n, alpha, and seed, so that the rederived hash
 // families and active-pair layouts match; structural disagreements are
 // rejected. The embedded matchers may run on a fleet of any size: each
-// regroups its shards onto its own. On error the instance must be discarded.
+// installs its columns under its own placement. On error the instance must
+// be discarded.
 func (a *AKLYDynamic) Restore(d *snapshot.Decoder) error {
 	d.Begin(tagAKLY)
 	n := d.Int()

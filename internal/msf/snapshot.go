@@ -6,9 +6,10 @@ package msf
 // thresholds are rederived from eps and validated by the level count).
 // Each loads a full container written at any machine count (see
 // core/reshard.go): the driver-level state is machine-count-independent and
-// the underlying forest / connectivity instances regroup their own. On an
-// error other than a memory-cap rejection surfaced by the first (or only)
-// underlying instance, the target must be discarded.
+// the underlying forest / connectivity instances hold no placement either;
+// each installs its state under its own. An error of the first (or only)
+// underlying instance leaves the target untouched; one of a later level
+// leaves the earlier levels loaded, so the target must be discarded.
 
 import (
 	"fmt"

@@ -1,10 +1,11 @@
 package nowickionak
 
 // Checkpoint/restore of the maximal-matching state (see package snapshot).
-// A checkpoint captures the adjacency multiset and match pointer of every
-// shard, the conflict-retry counter, the cached size readout, and the
-// cluster metrics; the cluster shape is the constructor's, and a restore
-// regroups the shards of whatever machine count wrote the checkpoint.
+// A checkpoint is one section of logical state: the conflict-retry counter,
+// the cached size readout, the cluster metrics, then the match column and
+// every vertex's adjacency multiset, both in vertex order. It records nothing
+// of the placement that wrote it, so a restore installs it under whatever
+// fleet the constructor built.
 
 import (
 	"fmt"
@@ -14,11 +15,10 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Section tags of the nowickionak layer.
-const (
-	tagMatcher      = 0x40
-	tagMatcherShard = 0x41
-)
+// Section tags of the nowickionak layer. 0x40–0x41 were the per-machine
+// layout and stay retired: a file holding them is rejected by tag, never
+// migrated.
+const tagMatcher = 0x42
 
 // Checkpoint serializes the matcher state. Adjacency maps are emitted in
 // sorted neighbor order so a checkpoint is a deterministic function of the
@@ -26,22 +26,18 @@ const (
 func (m *Matcher) Checkpoint(e *snapshot.Encoder) {
 	e.Begin(tagMatcher)
 	e.Int(m.n)
-	e.Int(m.cl.Machines())
 	e.Int(m.retryRounds)
 	e.Int(m.size)
 	e.Bool(m.sizeOK)
 	snapshot.EncodeClusterStats(e, m.cl.Stats())
-	for i := 0; i < m.cl.Machines(); i++ {
-		mm := m.cl.Machine(i)
-		sh := getShard(mm)
-		snapshot.WriteShardHeader(e, tagMatcherShard, i, sh != nil)
-		if sh == nil {
-			continue
+	e.Int(m.n)
+	for i := 0; i < m.coord; i++ { // the vertex machines, in vertex order
+		for _, p := range getShard(m.cl.Machine(i)).match {
+			e.Int(p)
 		}
-		e.Int(sh.lo)
-		e.Int(sh.hi)
-		e.Ints(sh.match)
-		for _, adj := range sh.adj {
+	}
+	for i := 0; i < m.coord; i++ {
+		for _, adj := range getShard(m.cl.Machine(i)).adj {
 			ns := make([]int, 0, len(adj))
 			for o := range adj {
 				ns = append(ns, o)
@@ -58,33 +54,43 @@ func (m *Matcher) Checkpoint(e *snapshot.Encoder) {
 
 // Restore loads a checkpoint written by Checkpoint, at any machine count,
 // into this freshly constructed matcher (see core/reshard.go for the
-// scheme): match pointers and adjacency multisets are per-vertex logical
-// state, so every source shard is decoded into one flat per-vertex image,
-// which is installed under this instance's partition once it has been
-// validated — configuration, shard layout, partners, and each target
-// machine's memory budget — so a rejection leaves the matcher untouched.
-// Any error past that is structural: discard the instance.
+// scheme). The columns are validated — configuration, partners, adjacency,
+// and each target machine's memory budget — before they are installed under
+// this instance's partition, so every rejection leaves the matcher untouched.
 func (m *Matcher) Restore(d *snapshot.Decoder) error {
 	d.Begin(tagMatcher)
-	n, mach := d.Int(), d.Int()
+	n := d.Int()
 	retryRounds, size, sizeOK := d.Int(), d.Int(), d.Bool()
 	st := snapshot.DecodeClusterStats(d)
+	match := d.Ints()
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if n != m.n {
 		return fmt.Errorf("nowickionak: snapshot of N=%d restored into N=%d", n, m.n)
 	}
-	if mach < 2 {
-		return fmt.Errorf("nowickionak: snapshot claims %d machines (corrupt)", mach)
+	if len(match) != n {
+		return fmt.Errorf("nowickionak: snapshot match column of %d entries, want %d", len(match), n)
 	}
-	src := mpc.Partition{N: n, Machines: mach - 1}
-	match := make([]int, n)
-	adj := make([]map[int]int, n)
-	for i := 0; i < mach; i++ {
-		if err := m.readShard(d, i, src, match, adj); err != nil {
-			return err
+	for v, p := range match {
+		if p < -1 || p >= n {
+			return fmt.Errorf("nowickionak: snapshot gives vertex %d invalid match partner %d", v, p)
 		}
+	}
+	adj := make([]map[int]int, n)
+	for v := range adj {
+		cnt := d.Count(2)
+		adj[v] = make(map[int]int, cnt)
+		for j, prev := 0, -1; j < cnt; j++ {
+			o, mult := d.Int(), d.Int()
+			if o <= prev || o >= n || mult <= 0 {
+				return fmt.Errorf("nowickionak: snapshot vertex %d holds invalid adjacency (%d, ×%d)", v, o, mult)
+			}
+			adj[v][o], prev = mult, o
+		}
+	}
+	if err := d.Err(); err != nil {
+		return err
 	}
 	for i := 0; i < m.coord; i++ {
 		lo, hi := m.part.Range(i)
@@ -112,44 +118,4 @@ func (m *Matcher) Restore(d *snapshot.Decoder) error {
 	// leak into the metrics: a loaded instance's Stats are the checkpoint's.
 	m.cl.RestoreStats(st)
 	return nil
-}
-
-// readShard decodes machine i's section of the fleet partitioned by src into
-// the per-vertex image.
-func (m *Matcher) readShard(d *snapshot.Decoder, i int, src mpc.Partition, match []int, adj []map[int]int) error {
-	hasShard, err := snapshot.ReadShardHeader(d, tagMatcherShard, i, src)
-	if err != nil || !hasShard {
-		return err
-	}
-	lo, hi, err := snapshot.ReadShardRange(d, i, src)
-	if err != nil {
-		return err
-	}
-	shardMatch := d.Ints()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(shardMatch) != hi-lo {
-		return fmt.Errorf("nowickionak: snapshot shard %d has %d match entries, want %d", i, len(shardMatch), hi-lo)
-	}
-	for _, p := range shardMatch {
-		if p < -1 || p >= m.n {
-			return fmt.Errorf("nowickionak: snapshot shard %d holds invalid match partner %d", i, p)
-		}
-	}
-	copy(match[lo:hi], shardMatch)
-	for v := lo; v < hi; v++ {
-		cnt := d.Count(2)
-		a := make(map[int]int, cnt)
-		for j := 0; j < cnt && d.Err() == nil; j++ {
-			o := d.Int()
-			mult := d.Int()
-			if o < 0 || o >= m.n || mult <= 0 {
-				return fmt.Errorf("nowickionak: snapshot shard %d vertex %d holds invalid adjacency (%d, ×%d)", i, v, o, mult)
-			}
-			a[o] = mult
-		}
-		adj[v] = a
-	}
-	return d.Err()
 }

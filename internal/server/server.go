@@ -333,24 +333,20 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			http.StatusRequestEntityTooLarge)
 		return
 	}
-	b := make(graph.Batch, 0, len(req.Updates))
+	// The edges are taken as sent: vertex range and self-loops are the
+	// admission mirror's to refuse (graph.Check), like every other defect.
+	b := make(graph.Batch, len(req.Updates))
 	for i, u := range req.Updates {
-		// Range/self-loop checks before graph.NewEdge, which panics on a
-		// self-loop rather than returning an error.
-		if u.U == u.V || u.U < 0 || u.V < 0 || u.U >= in.cfg.N || u.V >= in.cfg.N {
-			http.Error(w, fmt.Sprintf("update %d: invalid edge {%d,%d} over %d vertices", i, u.U, u.V, in.cfg.N),
-				http.StatusUnprocessableEntity)
-			return
-		}
 		switch u.Op {
 		case "insert":
-			b = append(b, graph.InsW(u.U, u.V, u.Weight))
+			b[i].Op = graph.Insert
 		case "delete":
-			b = append(b, graph.DelW(u.U, u.V, u.Weight))
+			b[i].Op = graph.Delete
 		default:
 			http.Error(w, fmt.Sprintf("update %d: unknown op %q (want insert or delete)", i, u.Op), http.StatusUnprocessableEntity)
 			return
 		}
+		b[i].Edge, b[i].Weight = graph.Edge{U: u.U, V: u.V}.Canonical(), u.Weight
 	}
 	err := in.offer(b)
 	var bad *badBatchError

@@ -190,6 +190,9 @@ func TestServerAdmissionDiagnostic(t *testing.T) {
 		// inserts before its deletes.
 		"touched twice":  {graph.Del(1, 2), graph.Ins(1, 2)},
 		"fails half-way": {graph.Ins(3, 4), graph.Ins(4, 5), graph.Del(0, 3)},
+		// graph.Ins would panic on these; the wire accepts anything.
+		"self-loop":    {graph.Ins(5, 6), {Op: graph.Insert, Edge: graph.Edge{U: 3, V: 3}}},
+		"out of range": {{Op: graph.Delete, Edge: graph.Edge{U: 0, V: mirror.N()}}},
 	} {
 		want := mirror.Check(b)
 		if want == nil {

@@ -54,21 +54,8 @@ func (a *Arena) VertexAt(i, n int) VertexSketch {
 	return VertexView(a.At(i), n)
 }
 
-// Raw exposes the arena's contiguous backing words for checkpoint codecs.
-// Like Sketch.Cells, the slice is the arena's private state: treat it as
-// read-only and do not retain it across arena mutations.
+// Raw exposes the arena's contiguous backing words for checkpoint codecs:
+// writers read it, and loaders fill it with a checkpointed run of Len()
+// sketches. Like Sketch.Cells, the slice is the arena's private state: do not
+// retain it across arena mutations.
 func (a *Arena) Raw() []uint64 { return a.buf }
-
-// ApplyRegion overwrites region i — sketch i, stride words — from a
-// checkpointed image. The image must be exactly one stride; out-of-range
-// regions and length mismatches are rejected before anything is written.
-func (a *Arena) ApplyRegion(i int, words []uint64) error {
-	if i < 0 || i >= a.Len() {
-		return fmt.Errorf("sketch: arena region %d out of range [0,%d)", i, a.Len())
-	}
-	if len(words) != a.stride {
-		return fmt.Errorf("sketch: arena region of %d words, want stride %d", len(words), a.stride)
-	}
-	copy(a.buf[i*a.stride:], words)
-	return nil
-}

@@ -1,7 +1,7 @@
 // Package snapshot implements the crash-safe checkpoint/restore codec of
 // the repository: a versioned, length-prefixed binary format into which
 // every algorithm serializes its full distributed state — cluster metrics,
-// machine shards, sketch arenas, coordinator caches — so that a killed
+// per-vertex columns, sketch words, coordinator caches — so that a killed
 // simulator process can be restored bit-identically and continue a stream
 // without replaying it.
 //
@@ -105,31 +105,36 @@
 // retired, so a file in the old layout is rejected by tag, never migrated —
 // the same policy as for versions, below. The physical delta format this
 // one replaced (core's 0x13–0x15, the mirror's flat journal 0x73) is gone
-// that way.
+// that way, and so are the per-machine full layouts (core's 0x10–0x12,
+// the greedy matching's 0x30–0x31, the maximal matcher's 0x40–0x41) and
+// core's delta echo that named the writer's VerticesPerMachine (0x16).
 //
 // # Re-sharding
 //
 // The same container doubles as the migration format for elastic resizing:
 // Load restores a full snapshot onto instances built at any machine count
-// (Reshard is another name for it). The snapshot's logical content — edges,
-// forest fragments, label caches, sketch seeds, match pointers — is
-// machine-count-independent; only its grouping into per-machine sections
-// reflects the source shape, so a full container is always decoded by
-// regrouping records under the loading instance's deterministic
-// vertex→machine map, never by copying shards positionally. Each state
-// therefore has one loader, its Restore (core/reshard.go describes the
-// connectivity stack's), and the container's fleet shape is never checked
-// against the instance's: restoring at the shape that wrote it is the case
-// where the two placements coincide. Three rules keep it safe:
+// (Reshard is another name for it). A full container holds the logical state
+// — component ids, match partners, adjacency, fragment keys, tree-edge
+// records, sketch words, label caches, cluster stats — in vertex order (edge
+// records in edge-id order) and nothing of its placement: no section per
+// machine, no machine id, vertex range or writer's machine count. Which
+// machine holds what is a deterministic rule of the loading instance
+// (contiguous vertex ranges, hashed edge owners), so there is nothing to
+// regroup: each state has one loader, its Restore (core/reshard.go describes
+// the connectivity stack's), which decodes the columns, validates them,
+// checks its own fleet's memory caps and installs them under its own
+// placement. A container is therefore a function of the state alone: loaded
+// at any shape, the instance re-saves it byte for byte. (The sparsifier of
+// matching.AKLYDynamic keeps per-machine sections: its fleet is a constant.)
+// Three rules keep it safe:
 //
 //   - The loading instance's per-machine memory budget is re-validated
 //     against the incoming state before anything is applied. A shrink
 //     whose image would overflow a machine's local memory is rejected
 //     with a diagnostic naming the overloaded machine, and the instance
 //     is left untouched — the model's memory cap is never silently
-//     violated. A configuration mismatch is rejected as early. Any other
-//     error is structural and leaves the instance in an undefined state:
-//     discard it.
+//     violated. So are a configuration mismatch and a column that breaks an
+//     invariant of a live instance.
 //   - Only full snapshots can be re-sharded; a delta replays onto a base of
 //     its own fleet shape and RestoreDelta demands that shape. Re-sharding
 //     a delta chain goes through a staging instance at the source shape:
@@ -152,7 +157,7 @@
 // format: a version-skewed snapshot is rejected, never migrated. Within one
 // version, every subsystem additionally validates its own section contents
 // against the restoring instance's configuration (vertex count, seed,
-// shard shapes) and fails with a descriptive error on mismatch.
+// sketch stride) and fails with a descriptive error on mismatch.
 //
 // # Usage
 //
@@ -160,8 +165,10 @@
 // append words); readers implement Restorer against the Decoder, whose
 // accessors are sticky: the first structural error latches and every later
 // read returns a zero value, so restore code reads linearly and checks
-// Err/Finish once. A Restore that returns an error leaves the target
-// instance in an undefined state — discard it and build a fresh one; the
+// Err/Finish once. Unless the state promises more (core's, the greedy
+// matching's and the maximal matcher's loaders reject before they install),
+// a Restore that returns an error leaves the target instance in an undefined
+// state — discard it and build a fresh one; the
 // container-level checks (magic, version, CRC) run before any state is
 // touched, so corrupt files are rejected up front.
 package snapshot

@@ -35,8 +35,8 @@ type Checkpointer interface {
 // overwrites the instance's state. The instance must have been constructed
 // with the same configuration that produced the snapshot, except for its
 // machine count: Restore validates the configuration, returning a
-// descriptive error on mismatch, and regroups per-machine state under the
-// instance's own placement.
+// descriptive error on mismatch, and installs the logical state the
+// container holds under the instance's own placement.
 type Restorer interface {
 	Restore(d *Decoder) error
 }
@@ -84,41 +84,42 @@ func restoreAll[S Restorer](d *Decoder, states []S) error {
 	return d.Finish()
 }
 
-// Encoder builds a snapshot payload section by section. All appends are
+// Encoder builds a snapshot payload section by section, straight into the
+// payload buffer in the mpc.MessageBatch frame layout. All appends are
 // infallible; errors surface only at WriteTo.
 type Encoder struct {
-	batch *mpc.MessageBatch
-	cur   []uint64
-	open  bool
+	payload []uint64
+	open    int // index of the open section's length word; -1 when none is open
 }
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder {
-	return &Encoder{batch: mpc.NewMessageBatch(256)}
+	return &Encoder{payload: make([]uint64, 0, 256), open: -1}
 }
 
 // Begin closes the current section (if any) and opens a new one under the
-// given tag. Every value appended afterwards belongs to this section until
-// the next Begin or WriteTo.
+// given tag: it reserves the section's length word, which the next Begin or
+// WriteContainer fills in. Every value appended afterwards belongs to this
+// section until then.
 func (e *Encoder) Begin(tag uint64) {
-	e.flush()
-	e.cur = append(e.cur[:0], tag)
-	e.open = true
+	e.close()
+	e.open = len(e.payload)
+	e.payload = append(e.payload, 0, tag)
 }
 
-func (e *Encoder) flush() {
-	if e.open {
-		e.batch.Append(e.cur...)
-		e.open = false
+func (e *Encoder) close() {
+	if e.open >= 0 {
+		e.payload[e.open] = uint64(len(e.payload) - e.open - 1)
+		e.open = -1
 	}
 }
 
 // U64 appends one word to the current section.
 func (e *Encoder) U64(x uint64) {
-	if !e.open {
+	if e.open < 0 {
 		panic("snapshot: append outside a section (call Begin first)")
 	}
-	e.cur = append(e.cur, x)
+	e.payload = append(e.payload, x)
 }
 
 // Int appends a signed integer (two's-complement widened).
@@ -142,10 +143,17 @@ func (e *Encoder) Bool(b bool) {
 // U64s appends a length-prefixed word slice.
 func (e *Encoder) U64s(xs []uint64) {
 	e.Int(len(xs))
-	if !e.open {
-		return
+	e.Words(xs)
+}
+
+// Words appends words with no length prefix: the continuation of a run whose
+// total length the caller already wrote, so a run spread over several buffers
+// reads back as one U64s.
+func (e *Encoder) Words(xs []uint64) {
+	if e.open < 0 {
+		panic("snapshot: append outside a section (call Begin first)")
 	}
-	e.cur = append(e.cur, xs...)
+	e.payload = append(e.payload, xs...)
 }
 
 // Ints appends a length-prefixed signed slice.
@@ -186,8 +194,8 @@ func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
 // footer this way — so every on-disk word stream in the repository shares
 // one header/checksum discipline and one corruption-rejection path.
 func (e *Encoder) WriteContainer(w io.Writer, magic uint64) (int64, uint64, error) {
-	e.flush()
-	payload := e.batch.Raw()
+	e.close()
+	payload := e.payload
 	buf := make([]byte, 8*(headerWords+len(payload)))
 	binary.LittleEndian.PutUint64(buf[0:], magic)
 	binary.LittleEndian.PutUint64(buf[8:], Version)
