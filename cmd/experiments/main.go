@@ -1,5 +1,5 @@
 // Command experiments regenerates every experiment table (E1–E16; see
-// README.md "Experiments").
+// README.md "Scenarios and experiments").
 //
 // Usage:
 //
@@ -14,7 +14,7 @@
 // Checkpoint files on disk are mpcstream's (-checkpoint, -resume).
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run (see
-// README.md "Profiling"); combine with -only to profile one experiment.
+// README.md "Running"); combine with -only to profile one experiment.
 package main
 
 import (

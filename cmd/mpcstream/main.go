@@ -87,7 +87,7 @@
 //	mpcstream -algo connectivity -scenario powerlaw -batches 200 -fault-every 60
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run (see
-// README.md "Profiling").
+// README.md "Running").
 package main
 
 import (

@@ -16,8 +16,8 @@
 // pair, and the simulator reuses its per-round routing buffers. The
 // profile is locked in by allocation-budget tests and by the count ledger
 // BENCH_sketch.json: allocs/op, B/op and rounds/query of every benchmark,
-// pinned two-sided in CI by scripts/benchdiff.go (see README.md
-// "Performance"; time is measured by `go run ./bench`).
+// pinned two-sided in CI by scripts/benchdiff.go (see README.md "What is
+// gated, and where"; time is measured by `go run ./bench`).
 //
 // Every coordinator-to-shards conversation is one of two verbs on
 // mpc.Cluster: Ask broadcasts a question and tree-combines the machines'
@@ -34,7 +34,7 @@
 // workload.QueryMix generates
 // read/write-mix streams, which the E15 table drives oracle-verified; E15
 // and the gated rounds/query benchmark metric keep the round complexity
-// from regressing (see README.md "Query API").
+// from regressing (see README.md "Round model and determinism").
 //
 // The whole stack is crash-safe: internal/snapshot serializes every
 // algorithm's full distributed state — machine shards, sketch arenas,
@@ -45,5 +45,5 @@
 // into any scenario (harness Options.CrashEvery, mpcstream -crash-every),
 // the CLIs persist snapshots (-checkpoint/-resume), and the E16 table
 // plus FuzzSnapshotDecode keep restores exact and corrupt snapshots
-// rejected (see README.md "Checkpoint & recovery").
+// rejected (see README.md "Checkpoints").
 package repro

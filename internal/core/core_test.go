@@ -543,30 +543,6 @@ func TestCutThenLinkReusesFragState(t *testing.T) {
 	m.check()
 }
 
-func TestReportForest(t *testing.T) {
-	m := newMirror(t, 32, 0.6, 95)
-	m.apply(graph.Batch{graph.Ins(0, 1), graph.Ins(1, 2), graph.Ins(10, 11)})
-	counts := m.dc.Forest().ReportForest()
-	total := 0
-	firstEmpty := -1
-	for id, c := range counts {
-		total += c
-		if c == 0 && firstEmpty == -1 {
-			firstEmpty = id
-		}
-		if c > 0 && firstEmpty != -1 && id > firstEmpty {
-			t.Errorf("output not on a prefix of machines: counts %v", counts)
-			break
-		}
-	}
-	if total != 3 {
-		t.Errorf("reported %d edges, want 3", total)
-	}
-	// The structure must stay intact for further updates.
-	m.apply(graph.Batch{graph.Del(1, 2)})
-	m.check()
-}
-
 func TestConnectedMany(t *testing.T) {
 	m := newMirror(t, 16, 0.6, 96)
 	m.apply(graph.Batch{graph.Ins(0, 1), graph.Ins(2, 3)})

@@ -815,16 +815,10 @@ func (f *Forest) dropPassive() {
 // CutReport describes the outcome of a batch Cut.
 type CutReport struct {
 	// TreeRecords are the pre-split records of the deleted edges that were
-	// tree edges (with their weights for weighted forests).
+	// tree edges.
 	TreeRecords []eulertour.Record
-	// TreeWeights holds the weight of each tree record, aligned with
-	// TreeRecords.
-	TreeWeights []int64
 	// NonTree lists the deleted edges that were not in the forest.
 	NonTree []graph.Edge
-	// AffectedComps are the component ids (before the cut) of the split
-	// components.
-	AffectedComps []int
 	// FragmentComps are the component ids (after the cut) of the resulting
 	// fragments, including singletons.
 	FragmentComps []int
@@ -907,7 +901,6 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 	for _, e := range canon {
 		if te, ok := deletedByEdge[e]; ok {
 			report.TreeRecords = append(report.TreeRecords, te.rec)
-			report.TreeWeights = append(report.TreeWeights, te.weight)
 			deletedRecs = append(deletedRecs, te.rec)
 		} else {
 			report.NonTree = append(report.NonTree, e)
@@ -926,7 +919,6 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 	for _, c := range labels {
 		affected[c] = true
 	}
-	report.AffectedComps = sortedKeys(affected)
 	// Tour lengths: remaining records per tour, plus the deleted ones.
 	delPerTour := map[eulertour.TourID]int{}
 	for _, r := range deletedRecs {
@@ -1307,99 +1299,4 @@ func sortedKeys(m map[int]bool) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// ReportForest materializes the solution in the model's output convention
-// (Section 1.2): the forest edges are globally sorted by edge id (the O(1)-
-// round distributed sample sort) and then compacted onto a prefix of the
-// machines, each holding up to its output capacity. It returns the
-// per-machine edge counts of the output layout.
-func (f *Forest) ReportForest() []int {
-	n := f.cfg.N
-	const slotOut = "out"
-	f.cl.SortByKey(
-		func(mm *mpc.Machine) []uint64 {
-			es := eShard(mm)
-			keys := make([]uint64, 0, len(es.recs))
-			for e := range es.recs {
-				keys = append(keys, e.ID(n))
-			}
-			return keys
-		},
-		func(mm *mpc.Machine, keys []uint64) {
-			if len(keys) == 0 {
-				mm.Delete(slotOut)
-				return
-			}
-			mm.Set(slotOut, mpc.U64s(keys))
-		},
-		2,
-	)
-	// Compact onto a machine prefix: aggregate counts, broadcast prefix
-	// offsets, route each item to floor(globalRank / capacity).
-	capacity := f.cl.LocalMemory() / 4
-	if capacity < 1 {
-		capacity = 1
-	}
-	countsRes := f.cl.AggregateBatches(f.coord, func(mm *mpc.Machine) *mpc.MessageBatch {
-		v, ok := mm.Get(slotOut).(mpc.U64s)
-		if !ok {
-			return nil
-		}
-		b := mpc.AcquireMessageBatch()
-		b.Append(uint64(mm.ID), uint64(len(v)))
-		return b
-	}, mpc.KeepFirst)
-	// offsets lists [machine, rank of its first key] pairs.
-	var offsets mpc.Ints
-	run := 0
-	if countsRes != nil {
-		for fr := range countsRes.Frames {
-			offsets = append(offsets, int(fr[0]), run)
-			run += int(fr[1])
-		}
-		countsRes.Release()
-	}
-	// Every machine keeps the one offset that is its own, by machine id.
-	offsetOf := make([]int, f.cl.Machines())
-	f.tell(offsets, func(mm *mpc.Machine, msg mpc.Sized) {
-		for p := msg.(mpc.Ints); len(p) > 0; p = p[2:] {
-			if p[0] == mm.ID {
-				offsetOf[mm.ID] = p[1]
-			}
-		}
-	})
-	f.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
-		keys, ok := mm.Get(slotOut).(mpc.U64s)
-		if !ok {
-			return nil
-		}
-		mm.Delete(slotOut)
-		off := offsetOf[mm.ID]
-		byDest := map[int][]uint64{}
-		for i, k := range keys {
-			byDest[(off+i)/capacity] = append(byDest[(off+i)/capacity], k)
-		}
-		var out []mpc.Message
-		for dst, ks := range byDest {
-			out = append(out, mpc.Message{To: dst, Payload: mpc.U64s(ks)})
-		}
-		return out
-	})
-	final := make([]int, f.cl.Machines())
-	f.cl.Land(func(mm *mpc.Machine, inbox []mpc.Message) {
-		var keys []uint64
-		for _, msg := range inbox {
-			keys = append(keys, msg.Payload.(mpc.U64s)...)
-		}
-		if len(keys) > 0 {
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			mm.Set(slotOut, mpc.U64s(keys))
-			final[mm.ID] = len(keys)
-			// The output stays resident only for the duration of the report;
-			// drop it so steady-state memory is unaffected.
-			mm.Delete(slotOut)
-		}
-	})
-	return final
 }

@@ -3,7 +3,7 @@
 // (or, for E13/E14/E16, the simulator substrate, the scenario registry, and
 // the crash-recovery subsystem) on a seeded oblivious workload and
 // returning the table rows the experiment reports. The root bench_test.go and cmd/experiments both drive these
-// functions; see README.md "Experiments" for the table catalogue.
+// functions; see README.md "Scenarios and experiments" for the table catalogue.
 package experiments
 
 import (

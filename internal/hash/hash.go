@@ -148,11 +148,6 @@ func (f *Family) HashRange(x, n uint64) uint64 {
 	return f.Hash(x) % n
 }
 
-// HashBit returns a pseudo-random bit for x.
-func (f *Family) HashBit(x uint64) bool {
-	return f.Hash(x)&1 == 1
-}
-
 // Level returns the geometric "sampling level" of x: the number of leading
 // sampling coin flips that came up heads, capped at max. Level i occurs with
 // probability 2^-(i+1) for i < max. This is the standard level function used

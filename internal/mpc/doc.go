@@ -25,12 +25,12 @@
 // advancing the round counter — and every counted round is one on which some
 // machine may send: Broadcast, Tell and AggregateBatches cost their tree
 // depth ceil(log_f M), Ask the way down plus the way up (2 when both trees
-// have depth 1), Scatter 1, SortByKey 3.
+// have depth 1), Scatter 1.
 //
 // Drop on consume: the payload is in every machine's store, and metered
 // there, from the round it arrives until the machine's callback is handed
 // it; the cluster deletes it at that moment, under a slot name no algorithm
-// sees. Broadcast, AggregateBatches, Scatter, SortByKey and Land are the
+// sees. Broadcast, AggregateBatches, Scatter and Land are the
 // building blocks, exported for the few collectives that need only one half
 // (see aggregate.go) or that route by hand and land the result.
 //

@@ -280,38 +280,6 @@ func TestEngineDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-func TestSortByKeyDeterministicAcrossParallelism(t *testing.T) {
-	run := func(parallelism int) (Stats, string) {
-		const M = 9
-		c := NewCluster(Config{Machines: M, LocalMemory: 256, Parallelism: parallelism})
-		c.LocalAll(func(m *Machine) {
-			keys := make(U64s, 0, 20)
-			for k := 0; k < 20; k++ {
-				keys = append(keys, uint64((m.ID*7919+k*104729)%1000))
-			}
-			m.Set("keys", keys)
-		})
-		var got string
-		c.SortByKey(
-			func(m *Machine) []uint64 { return m.Get("keys").(U64s) },
-			func(m *Machine, keys []uint64) { m.Set("keys", U64s(keys)) },
-			1,
-		)
-		for i := 0; i < M; i++ {
-			got += fmt.Sprintf("%v\n", c.Machine(i).Get("keys"))
-		}
-		return c.Stats(), got
-	}
-	seqStats, seqOut := run(1)
-	parStats, parOut := run(4)
-	if !reflect.DeepEqual(seqStats, parStats) {
-		t.Errorf("stats diverged\nseq: %+v\npar: %+v", seqStats, parStats)
-	}
-	if seqOut != parOut {
-		t.Errorf("sorted output diverged\nseq:\n%s\npar:\n%s", seqOut, parOut)
-	}
-}
-
 func TestParallelismAccessor(t *testing.T) {
 	if p := NewCluster(Config{Machines: 2, LocalMemory: 8}).Parallelism(); p != 1 {
 		t.Errorf("default cluster parallelism = %d, want 1", p)

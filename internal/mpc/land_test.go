@@ -18,8 +18,8 @@ func padded(w int, v uint64) *MessageBatch {
 
 // TestRoundsAreTreeDepth pins the cost table of the collectives: every
 // counted round is a hop on which some machine may send. A broadcast or an
-// aggregation costs its tree depth, an Ask the way down plus the way up, a
-// Scatter one round and a sort three; nothing pays a round to receive.
+// aggregation costs its tree depth, an Ask the way down plus the way up and
+// a Scatter one round; nothing pays a round to receive.
 func TestRoundsAreTreeDepth(t *testing.T) {
 	const w = 6 // payload words; LocalMemory = fanout * w
 	for _, tc := range []struct{ M, fanout, depth int }{
@@ -88,28 +88,6 @@ func TestRoundsAreTreeDepth(t *testing.T) {
 			}
 			if r := cl.Stats().Rounds; r != 1 {
 				t.Errorf("M=%d: Scatter took %d rounds, want 1", M, r)
-			}
-		}
-	})
-
-	t.Run("SortByKey", func(t *testing.T) {
-		for _, M := range []int{1, 2, 5, 16, 64} {
-			cl := NewCluster(Config{Machines: M, LocalMemory: 1 << 12, Strict: true})
-			total := 0
-			cl.SortByKey(
-				func(m *Machine) []uint64 {
-					keys := make([]uint64, 4)
-					for i := range keys {
-						keys[i] = mix(uint64(m.ID*4+i)) % 1000
-					}
-					return keys
-				},
-				func(_ *Machine, keys []uint64) { total += len(keys) }, 1)
-			if total != 4*M {
-				t.Errorf("M=%d: %d keys came back, want %d", M, total, 4*M)
-			}
-			if r := cl.Stats().Rounds; r != 3 {
-				t.Errorf("M=%d: SortByKey took %d rounds, want 3", M, r)
 			}
 		}
 	})

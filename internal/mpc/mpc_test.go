@@ -314,9 +314,6 @@ func TestSizedImplementations(t *testing.T) {
 	if (Ints{1, 2}).Words() != 2 {
 		t.Error("Ints.Words")
 	}
-	if (keyRun{keys: []uint64{1, 2}, itemWords: 3}).Words() != 6 {
-		t.Error("keyRun.Words")
-	}
 }
 
 func TestBroadcastManyConfigsProperty(t *testing.T) {

@@ -33,8 +33,8 @@
 //
 // Updates are JSON batches {"updates": [{"op": "insert"|"delete", "u": 0,
 // "v": 1, "weight": 3}, ...]}; a batch is validated against the instance's
-// admission mirror (session.Mirror.Admit over graph.Check: vertex range, no
-// self-loops, each edge touched at most once, inserts of absent edges,
+// admission mirror (session.Mirror.Admit over graph.Graph.Check: vertex
+// range, no self-loops, each edge touched at most once, inserts of absent edges,
 // deletes of present ones — a refused batch leaves the mirror untouched)
 // and then applied asynchronously, in admission order, by the applier. The
 // mirror is the session's companion state, not part of the cluster state,

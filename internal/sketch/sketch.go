@@ -290,12 +290,6 @@ func (sk Sketch) Window(lo, hi int) Sketch {
 // mutating it directly bypasses the cell invariants.
 func (sk Sketch) Cells() []uint64 { return sk.cells }
 
-// View wraps raw backing words (for example a checkpointed image) as a full
-// sketch of this space. The slice must be exactly SketchWords() long and
-// must contain cell words previously produced by sketches of an identical
-// space (same idSpace, copies, and PRG draws).
-func (s *Space) View(cells []uint64) Sketch { return s.ViewWindow(cells, 0, s.t) }
-
 // ViewWindow wraps raw backing words (for example a decoded message frame)
 // as the view of copies [lo, hi): exactly WindowWords(lo, hi) words that
 // such a view of an identical space produced.

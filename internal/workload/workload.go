@@ -85,67 +85,48 @@ func NewChurn(cfg Config) *Churn {
 // Mirror returns the reference graph reflecting all emitted batches.
 func (c *Churn) Mirror() *graph.Graph { return c.g }
 
-// weight draws an edge weight (1 when unweighted).
-func (c *Churn) weight() int64 {
-	if c.maxWeight <= 1 {
-		return 1
-	}
-	return int64(c.prg.NextN(uint64(c.maxWeight))) + 1
-}
-
 // Next emits a batch of exactly size valid updates (or fewer if the random
 // walk stalls, e.g. on a complete graph with InsertBias 1).
 func (c *Churn) Next(size int) graph.Batch {
-	var b graph.Batch
-	used := map[graph.Edge]bool{}
-	for attempts := 0; len(b) < size && attempts < 50*size+200; attempts++ {
+	st := newBatchState(c.g)
+	for a := 0; len(st.b) < size && a < attempts(size); a++ {
 		u := int(c.prg.NextN(uint64(c.n)))
 		v := int(c.prg.NextN(uint64(c.n)))
 		if u == v {
 			continue
 		}
 		e := graph.NewEdge(u, v)
-		if used[e] {
-			continue
-		}
-		if c.g.Has(e.U, e.V) {
-			if float64(c.prg.NextN(1000))/1000 < c.insertBias {
-				continue
+		// The coin and the weight are drawn only after the presence checks:
+		// that PRG order is what the golden traces record.
+		switch {
+		case st.used[e]:
+		case c.g.Has(e.U, e.V):
+			if !coin(c.prg, c.insertBias) {
+				st.delete(e)
 			}
-			used[e] = true
-			w, _ := c.g.Weight(e.U, e.V)
-			_ = c.g.Delete(e.U, e.V)
-			b = append(b, graph.DelW(e.U, e.V, w))
-		} else {
-			used[e] = true
-			w := c.weight()
-			_ = c.g.Insert(e.U, e.V, w)
-			b = append(b, graph.InsW(e.U, e.V, w))
+		default:
+			st.insert(e, drawWeight(c.prg, c.maxWeight))
 		}
 	}
-	return b
+	return st.b
 }
 
 // NextInsertOnly emits a batch of insertions only.
 func (c *Churn) NextInsertOnly(size int) graph.Batch {
-	var b graph.Batch
-	used := map[graph.Edge]bool{}
-	for attempts := 0; len(b) < size && attempts < 50*size+200; attempts++ {
+	st := newBatchState(c.g)
+	for a := 0; len(st.b) < size && a < attempts(size); a++ {
 		u := int(c.prg.NextN(uint64(c.n)))
 		v := int(c.prg.NextN(uint64(c.n)))
 		if u == v {
 			continue
 		}
-		e := graph.NewEdge(u, v)
-		if used[e] || c.g.Has(e.U, e.V) {
-			continue
+		// As in Next, the weight is drawn only for an edge that will be
+		// inserted.
+		if e := graph.NewEdge(u, v); !st.used[e] && !c.g.Has(e.U, e.V) {
+			st.insert(e, drawWeight(c.prg, c.maxWeight))
 		}
-		used[e] = true
-		w := c.weight()
-		_ = c.g.Insert(e.U, e.V, w)
-		b = append(b, graph.InsW(e.U, e.V, w))
 	}
-	return b
+	return st.b
 }
 
 // PathStream emits the edges of a Hamiltonian path in order, batched; it is
@@ -196,33 +177,27 @@ func (b *Bipartiteish) Mirror() *graph.Graph { return b.g }
 // genuine odd cycle over the even/odd backbone.
 func (b *Bipartiteish) Next(size int) graph.Batch {
 	defer func() { b.step++ }()
-	var out graph.Batch
+	st := newBatchState(b.g)
 	wantViolation := b.violate[b.step]
 	budget := size
 	if wantViolation {
 		budget--
 	}
-	for attempts := 0; len(out) < budget && attempts < 50*size+200; attempts++ {
+	for a := 0; len(st.b) < budget && a < attempts(size); a++ {
 		u := int(b.prg.NextN(uint64(b.n)))
 		v := int(b.prg.NextN(uint64(b.n)))
 		if u == v || (u^v)&1 == 0 {
 			continue
 		}
-		e := graph.NewEdge(u, v)
-		if b.g.Has(e.U, e.V) {
-			continue
-		}
-		_ = b.g.Insert(e.U, e.V, 0)
-		out = append(out, graph.Ins(e.U, e.V))
+		st.insert(graph.NewEdge(u, v), 0)
 	}
 	if wantViolation {
 		labels := oracle.Components(b.g)
 		if e, ok := b.samePairConnected(labels); ok {
-			_ = b.g.Insert(e.U, e.V, 0)
-			out = append(out, graph.Ins(e.U, e.V))
+			st.insert(e, 0)
 		}
 	}
-	return out
+	return st.b
 }
 
 // samePairConnected finds two connected vertices of equal parity with no
