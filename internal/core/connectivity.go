@@ -368,6 +368,9 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 	if err != nil {
 		return err
 	}
+	// Cache entries the Cut parked wait for the replacement Links below to
+	// reunite their components; whatever they leave apart is dropped here.
+	defer dc.f.cache.dropParked()
 	if len(report.TreeRecords) == 0 {
 		return nil
 	}
@@ -550,13 +553,13 @@ func (dc *DynamicConnectivity) SearchStats() SearchStats {
 }
 
 // Connected reports whether u and v are currently in the same component:
-// an O(1/φ)-round MPC query on a label-cache miss, zero rounds between
-// updates once both endpoints are cached. Batches of queries should use
-// ConnectedAll, which resolves all misses in one collective.
+// an O(1/φ)-round MPC query on a label-cache miss, zero rounds once both
+// endpoints are cached (updates keep the cache exact). Batches of queries
+// should use ConnectedAll, which resolves all misses in one collective.
 func (dc *DynamicConnectivity) Connected(u, v int) bool { return dc.f.Connected(u, v) }
 
-// NumComponents counts the current components (cached between updates, so
-// repeated readouts cost zero rounds).
+// NumComponents counts the current components (cached, and kept through
+// updates, so every readout after the first costs zero rounds).
 func (dc *DynamicConnectivity) NumComponents() int { return dc.f.NumComponents() }
 
 // SnapshotComponents reads out all component labels (driver-level readout).

@@ -90,33 +90,49 @@ type u64Payload struct{ xs []uint64 }
 func (p *u64Payload) Words() int { return len(p.xs) }
 
 // labelCache is the coordinator-side component-label cache. labels[v] is
-// valid iff stamp[v] == epoch; every label-mutating collective bumps the
-// epoch (an O(1) invalidation of the whole cache). Queries resolve their
-// cache misses with one broadcast + one flat-frame aggregation and answer
-// everything else coordinator-locally with zero MPC rounds — the repeated-
-// query regime between updates. Like nextID, the cache is coordinator-local
-// driver state, not machine-store state.
+// valid iff stamp[v] == epoch. Queries resolve their cache misses with one
+// broadcast + one flat-frame aggregation and answer everything else
+// coordinator-locally with zero MPC rounds. Like nextID, the cache is
+// coordinator-local driver state, not machine-store state.
+//
+// The cache stays exact across updates, rewritten from what the coordinator
+// tells the shards: a Link's component map rewrites the labels it merges away
+// (relink), a Cut's fragment labels those of the components it splits
+// (split). A cached vertex of a component the Cut leaves in several tours
+// cannot be placed from the Cut alone, so it is parked — unstamped and held
+// in pend until the Links that follow reunite the component's fragments. Only
+// InvalidateCache bumps the epoch (an O(1) drop of the whole cache); a
+// restore installs the checkpoint's epoch.
 //
 // mu implements the single-writer/many-reader contract of the query API
 // (see query.go): warm lookups hold the read lock, so any number of reader
 // goroutines answer cached queries concurrently; a cache miss (which runs
-// an MPC collective and fills labels/stamp) and every invalidation take the
-// write lock. Mutating operations (ApplyBatch, Link, Cut, Restore) remain
-// exclusive with all queries — the lock protects the cache, not the
-// cluster.
+// an MPC collective and fills labels/stamp) and every rewrite or
+// invalidation take the write lock. Mutating operations (ApplyBatch, Link,
+// Cut, Restore) remain exclusive with all queries — the lock protects the
+// cache, not the cluster.
 type labelCache struct {
 	mu     sync.RWMutex
 	labels []int
 	stamp  []uint32
-	epoch  uint32
-	miss   []int      // reusable sorted miss list of the current resolve
-	query  u64Payload // reusable broadcast payload holding the miss list
+	epoch  uint32 // never 0, so a zero stamp is never valid
+	// mark is relink's and split's scratch, indexed by component id: nonzero
+	// for the components the rewrite changes (relink: 1 + the new label).
+	// All zero between rewrites.
+	mark  []int32
+	miss  []int      // reusable sorted miss list of the current resolve
+	query u64Payload // reusable broadcast payload holding the miss list
 	// valid counts the entries stamped in the current epoch, i.e. the
 	// resident cache size metered by cacheMeter.
 	valid int
-	// numComps caches NumComponents per epoch (valid iff numCompsOK).
+	// numComps caches NumComponents (valid iff numCompsOK), kept through
+	// every Link and Cut.
 	numComps   int
 	numCompsOK bool
+	// pend holds the entries a Cut parked, keyed by the component it split.
+	// They live only inside the update that parked them: the end of a
+	// deletion batch and the next Cut drop what is left (dropParked).
+	pend map[int]*parkedComp
 	// hits counts query batches answered entirely from the cache (zero
 	// rounds); misses counts batches that ran the cache-fill collective.
 	// Atomic so concurrent warm readers can count without taking mu for
@@ -126,9 +142,113 @@ type labelCache struct {
 	misses atomic.Uint64
 }
 
+// parkedComp is one component a Cut split into several tours while the cache
+// held some of its vertices: the current labels of its tour fragments, and
+// the vertices waiting for those labels to become one.
+type parkedComp struct {
+	frags    []int
+	vertices []int
+}
+
+// relink follows a Link's component map: every entry, cached count and parked
+// fragment label the Link merged away takes its group's label, and a parked
+// component whose fragments now share one label has its vertices stamped with
+// it. One coordinator-local scan of the cache.
+func (lc *labelCache) relink(compMap map[int]int) {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	for c, nc := range compMap {
+		if c != nc {
+			lc.mark[c] = int32(nc) + 1
+			if lc.numCompsOK {
+				lc.numComps--
+			}
+		}
+	}
+	for v, s := range lc.stamp {
+		if s == lc.epoch {
+			if m := lc.mark[lc.labels[v]]; m != 0 {
+				lc.labels[v] = int(m - 1)
+			}
+		}
+	}
+	for c, p := range lc.pend {
+		one := true
+		for i, l := range p.frags {
+			if m := lc.mark[l]; m != 0 {
+				p.frags[i] = int(m - 1)
+			}
+			one = one && p.frags[i] == p.frags[0]
+		}
+		if one {
+			for _, v := range p.vertices {
+				if lc.stamp[v] != lc.epoch { // a search's lookup may have refilled it
+					lc.stamp[v] = lc.epoch
+					lc.valid++
+				}
+				lc.labels[v] = p.frags[0]
+			}
+			delete(lc.pend, c)
+		}
+	}
+	for c := range compMap {
+		lc.mark[c] = 0
+	}
+}
+
+// split follows a Cut's closing Tell. affected are the components it splits,
+// compByFrag the label of every fragment, tourFrags the labels of each
+// affected component's tour fragments. A cached vertex of an affected
+// component left on its own is its own label; one of a component left in one
+// tour takes that tour's label; any other is parked. One coordinator-local
+// scan of the cache.
+func (lc *labelCache) split(affected map[int]bool, compByFrag map[uint64]int, tourFrags map[int][]int) {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	if lc.numCompsOK {
+		lc.numComps += len(compByFrag) - len(affected)
+	}
+	for c := range affected {
+		lc.mark[c] = 1
+	}
+	for v, s := range lc.stamp {
+		if s != lc.epoch || lc.mark[lc.labels[v]] == 0 {
+			continue
+		}
+		c := lc.labels[v]
+		if _, single := compByFrag[fragKeyOfVertex(v)]; single {
+			lc.labels[v] = v
+			continue
+		}
+		if frags := tourFrags[c]; len(frags) == 1 {
+			lc.labels[v] = frags[0]
+			continue
+		}
+		lc.stamp[v] = 0
+		lc.valid--
+		p := lc.pend[c]
+		if p == nil {
+			p = &parkedComp{frags: tourFrags[c]}
+			lc.pend[c] = p
+		}
+		p.vertices = append(p.vertices, v)
+	}
+	for c := range affected {
+		lc.mark[c] = 0
+	}
+}
+
+// dropParked forgets the entries still parked: their vertices stay misses.
+func (lc *labelCache) dropParked() {
+	lc.mu.Lock()
+	clear(lc.pend)
+	lc.mu.Unlock()
+}
+
 // cacheMeter folds the coordinator's query caches into the MPC memory
 // ledger: the epoch-valid label-cache entries (label plus stamp, two words
-// each) and the cached NumComponents readout. Without it the cache lives
+// each), the parked ones (a word per vertex and per fragment label, one per
+// component) and the cached NumComponents readout. Without it the cache lives
 // outside meterMemory, Stats.PeakTotalWords under-reports, and Strict mode
 // cannot catch a cache outgrowing the s-words model. Registered under
 // slotQCache on the coordinator machine; Words is read at round
@@ -142,6 +262,9 @@ func (c cacheMeter) Words() int {
 	w := 2 * lc.valid
 	if lc.numCompsOK {
 		w++
+	}
+	for _, p := range lc.pend {
+		w += 1 + len(p.frags) + len(p.vertices)
 	}
 	return w
 }
@@ -199,7 +322,9 @@ func newForest(cfg Config, weighted bool, sketchWords int) (*Forest, error) {
 		cache: labelCache{
 			labels: make([]int, cfg.N),
 			stamp:  make([]uint32, cfg.N),
+			mark:   make([]int32, cfg.N),
 			epoch:  1,
+			pend:   map[int]*parkedComp{},
 		},
 	}
 	f.answerLabels = func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
@@ -297,12 +422,14 @@ var mergeMin = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
 	})
 }
 
-// invalidateCache bumps the label-cache epoch, dropping every cached
-// component label and the cached component count in O(1). Called by every
-// label-mutating collective (applyRelabels, tellFragComps). It takes
-// the cache write lock, so an invalidation is safe to race with concurrent
-// warm readers (they see either the old epoch's answers or a miss).
-func (f *Forest) invalidateCache() {
+// InvalidateCache drops the coordinator label cache — every cached component
+// label, the parked ones and the cached component count — in O(1) by bumping
+// its epoch, so the next query runs its collective. Updates keep the cache
+// exact and never call it; it exists for measurement (E15 and the query
+// benchmarks ablate the cache with it). It takes the cache write lock, so it
+// may race concurrent readers (they see either the old epoch's answers or a
+// miss), but not mutating operations.
+func (f *Forest) InvalidateCache() {
 	lc := &f.cache
 	lc.mu.Lock()
 	lc.epoch++
@@ -312,15 +439,9 @@ func (f *Forest) invalidateCache() {
 	}
 	lc.valid = 0
 	lc.numCompsOK = false
+	clear(lc.pend)
 	lc.mu.Unlock()
 }
-
-// InvalidateCache publicly drops the coordinator label cache so the next
-// query runs its collective. Updates invalidate automatically; this exists
-// for measurement (E15 and the query benchmarks ablate the cache with it).
-// Like the query entry points it may race concurrent readers, but not
-// mutating operations.
-func (f *Forest) InvalidateCache() { f.invalidateCache() }
 
 // QueryCacheStats reports how many query batches were answered entirely
 // from the label cache (zero MPC rounds) and how many ran the cache-fill
@@ -420,9 +541,9 @@ func collectNumComps(mm *mpc.Machine) *mpc.MessageBatch {
 }
 
 // NumComponents counts the components of the maintained graph with one flat
-// summing aggregation; the count is cached until the next update, so
-// repeated readouts between updates (the bipartiteness test, the approx-MSF
-// weight formula) cost zero rounds.
+// summing aggregation; the count is cached and kept through every Link and
+// Cut, so every later readout (the bipartiteness test, the approx-MSF weight
+// formula) costs zero rounds.
 func (f *Forest) NumComponents() int {
 	lc := &f.cache
 	lc.mu.RLock()
@@ -752,10 +873,13 @@ func (f *Forest) preparePlanner(edges []graph.Edge, terminals, labels []int, siz
 
 // applyRelabels tells every machine the payload and applies it: the listed
 // records are dropped, the relabel descriptors applied to the surviving ones
-// and the component map to the vertex shards. A Cut's newTours and affected
-// sets stay behind on the edge and vertex shards for pushFragments.
+// and the component map to the vertex shards — and to the label cache. A
+// Cut's newTours and affected sets stay behind on the edge and vertex shards
+// for pushFragments; its component ids change only at tellFragComps.
 func (f *Forest) applyRelabels(payload relabelPayload) {
-	f.invalidateCache()
+	if len(payload.compMap) > 0 {
+		f.cache.relink(payload.compMap)
+	}
 	payload.set = eulertour.NewRelabelSet(payload.relabels)
 	f.tell(payload, func(mm *mpc.Machine, msg mpc.Sized) {
 		p := msg.(relabelPayload)
@@ -853,6 +977,7 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 		return nil, fmt.Errorf("core: batch of %d exceeds MaxBatch %d", len(edges), f.cfg.MaxBatch())
 	}
 	f.clearFrags()
+	f.cache.dropParked()
 	canon := make([]graph.Edge, len(edges))
 	for i, e := range edges {
 		canon[i] = e.Canonical()
@@ -972,11 +1097,7 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 	f.applyRelabels(relabelPayload{relabels: plan.Relabels, drop: drop, newTours: newTours, affected: affected})
 	f.pushFragments()
 	// Assign fragment component ids: min vertex id per fragment.
-	fragMin := f.aggregateFragmentMins()
-	compByFrag := map[uint64]int{}
-	for k, minV := range fragMin {
-		compByFrag[k] = minV
-	}
+	compByFrag := f.aggregateFragmentMins()
 	fragComps := map[int]bool{}
 	for _, c := range compByFrag {
 		fragComps[c] = true
@@ -987,6 +1108,20 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 		report.PassiveComps = append(report.PassiveComps, compByFrag[k])
 	}
 	sort.Ints(report.PassiveComps)
+	// The label cache follows the closing Tell. A split tour belonged to the
+	// component its deleted edges' endpoints were labelled with.
+	compOfTour := make(map[eulertour.TourID]int, len(delPerTour))
+	for i, r := range deletedRecs {
+		compOfTour[r.Tour] = labels[2*i]
+	}
+	tourFrags := map[int][]int{}
+	for _, fr := range plan.Fragments {
+		if fr.Tour != eulertour.NoTour {
+			c := compOfTour[fr.OldTour]
+			tourFrags[c] = append(tourFrags[c], compByFrag[fragKeyOfTour(fr.Tour)])
+		}
+	}
+	f.cache.split(affected, compByFrag, tourFrags)
 	f.tellFragComps(compByFrag, passive)
 	return report, nil
 }
@@ -1126,7 +1261,6 @@ func (p fragCompsPayload) Words() int { return 2*len(p.compByFrag) + len(p.passi
 // tellFragComps assigns comp[v] = compByFrag[frag[v]] on all shards and
 // leaves the passive fragment keys with them.
 func (f *Forest) tellFragComps(compByFrag map[uint64]int, passive map[uint64]bool) {
-	f.invalidateCache()
 	f.tell(fragCompsPayload{compByFrag: compByFrag, passive: passive}, func(mm *mpc.Machine, payload mpc.Sized) {
 		vs := vShard(mm)
 		if vs == nil {

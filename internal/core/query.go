@@ -3,7 +3,9 @@ package core
 // The batched query engine. PR 3 made the update path allocation-free; this
 // file is the query-path counterpart: N point queries become one Ask
 // (O(1/φ) rounds total instead of N collectives), and the coordinator label
-// cache answers repeated queries between updates with zero MPC rounds. The
+// cache answers every cached vertex with zero MPC rounds. Updates keep the
+// cache exact instead of dropping it (labelCache in forest.go), so a query
+// batch after an update is warm for every vertex it asked about before. The
 // Into variants write into caller-provided buffers, so a warm steady-state
 // query performs zero allocations (see the AllocsPerRun gates in
 // query_test.go).
@@ -196,9 +198,10 @@ func (dc *DynamicConnectivity) ComponentsOfInto(dst []int, vertices []int) []int
 }
 
 // InvalidateQueryCache drops the coordinator label cache, forcing the next
-// query batch to run its collective. Updates invalidate automatically; this
-// exists for measurement (E15 and the query benchmarks ablate the cache).
-// Safe to race with concurrent readers (but not with updates).
+// query batch to run its collective. Updates never need it — they keep the
+// cache exact; this exists for measurement (E15 and the query benchmarks
+// ablate the cache). Safe to race with concurrent readers (but not with
+// updates).
 func (dc *DynamicConnectivity) InvalidateQueryCache() { dc.f.InvalidateCache() }
 
 // QueryCacheStats reports how many query batches were answered entirely

@@ -209,6 +209,7 @@ func (f *Forest) installImage(img *forestImage) {
 	lc.numCompsOK = img.numCompsOK
 	copy(lc.labels, img.labels)
 	copy(lc.stamp, img.stamp)
+	clear(lc.pend)
 	f.cl.LocalAll(func(mm *mpc.Machine) {
 		if vs := vShard(mm); vs != nil {
 			copy(vs.comp, img.comp[vs.lo:vs.hi])

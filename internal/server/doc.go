@@ -43,8 +43,10 @@
 // the queue drains; the queue_depth field of the response and the
 // mpcserve_queue_depth gauge expose the lag. Queries are JSON pair batches
 // {"pairs": [[u,v], ...]} answered via the batched QueryBatch path
-// (ConnectedAll): zero rounds when the label cache is warm, one O(1/φ)-round
-// collective otherwise.
+// (ConnectedAll): zero rounds when the label cache holds every endpoint, one
+// O(1/φ)-round collective otherwise. Updates keep the cache exact rather
+// than drop it, so a vertex once queried stays warm across batches unless a
+// deletion splits its component for good.
 //
 // # Backpressure
 //

@@ -391,7 +391,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Two batches applied and the queue drained, the cut's search summed the
-	// sketches of both endpoints, a cold query then two warm ones.
+	// sketches of both endpoints, and all three queries warm: the insert
+	// cached the labels of 0 and 1, and its Link and the Cut rewrote them
+	// rather than dropping them.
 	body := scrapeMetrics(t, ts)
 	for _, want := range []string{
 		`mpcserve_batch_apply_seconds_count{instance="0"} 2`,
@@ -400,8 +402,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mpcserve_replacement_sketches_summed_total{instance="0"} 2`,
 		`mpcserve_replacement_search_window_refills_total{instance="0"} 0`,
 		`mpcserve_replacement_search_exhausted_total{instance="0"} 0`,
-		`mpcserve_query_cache_hits_total{instance="0"} 2`,
-		`mpcserve_query_cache_misses_total{instance="0"} 1`,
+		`mpcserve_query_cache_hits_total{instance="0"} 3`,
+		`mpcserve_query_cache_misses_total{instance="0"} 0`,
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("metrics output missing %q", want)
