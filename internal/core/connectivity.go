@@ -210,8 +210,9 @@ func (ws *workspace) merge(candidates []graph.Edge, labels []int) {
 // of its old component find the edges that reach it, and the work of a
 // search follows the smaller sides of the cuts (see findReplacements for why
 // no answer changes). And it merges all t copies of them, whereas here a
-// search is shipped a window of the copies at a time and fetches the next,
-// with the same aggregation, only when it has read through the one it holds.
+// search is shipped a window of the copies at a time — the first with the
+// Cut's fragment-min aggregation — and fetches the next only when it has read
+// through the one it holds.
 // Every supernode keeps a cursor into the copies, under one invariant (stated
 // at workspace): no supernode ever reads a copy that it, or a supernode
 // merged into it, has read. See README.md ("Deviations") for the discussion.
@@ -269,33 +270,33 @@ func (dc *DynamicConnectivity) Config() Config { return dc.f.cfg }
 // MaxBatch returns the largest accepted update batch.
 func (dc *DynamicConnectivity) MaxBatch() int { return dc.f.cfg.MaxBatch() }
 
-// sketchUpdate tells the vertex shards a batch of edge updates to apply to
-// their sketches.
-type sketchUpdate struct {
-	edges []graph.Edge
-	op    graph.Op
-}
+// sketchUpdate tells the vertex shards a batch's edge insertions and
+// deletions to apply to their sketches: the two lists and the word that
+// separates them.
+type sketchUpdate struct{ ins, del []graph.Edge }
 
-func (u sketchUpdate) Words() int { return 2*len(u.edges) + 1 }
+func (u sketchUpdate) Words() int { return 2*(len(u.ins)+len(u.del)) + 1 }
 
-// updateSketches applies the batch to the sketches of all endpoint vertices
-// with one Tell (Section 6.1: "updating the sketches").
-func (dc *DynamicConnectivity) updateSketches(edges []graph.Edge, op graph.Op) {
-	dc.f.tell(sketchUpdate{edges: edges, op: op}, func(mm *mpc.Machine, payload mpc.Sized) {
-		vs := vShard(mm)
-		if vs == nil {
-			return
-		}
-		sh := mm.Get(slotSketch).(*sketchShard)
-		u := payload.(sketchUpdate)
-		for _, e := range u.edges {
-			for _, v := range []int{e.U, e.V} {
+// applySketchUpdate applies a sketchUpdate to the sketches of the endpoints a
+// vertex shard owns (Section 6.1: "updating the sketches").
+func applySketchUpdate(mm *mpc.Machine, payload mpc.Sized) {
+	vs := vShard(mm)
+	if vs == nil {
+		return
+	}
+	sh := sShard(mm)
+	apply := func(edges []graph.Edge, op graph.Op) {
+		for _, e := range edges {
+			for _, v := range [2]int{e.U, e.V} {
 				if vs.owns(v) {
-					sh.of(v).ApplyEdge(v, e, u.op)
+					sh.of(v).ApplyEdge(v, e, op)
 				}
 			}
 		}
-	})
+	}
+	u := payload.(sketchUpdate)
+	apply(u.ins, graph.Insert)
+	apply(u.del, graph.Delete)
 }
 
 // ApplyBatch processes one phase's updates: insertions first, then
@@ -332,18 +333,36 @@ func (dc *DynamicConnectivity) applyBatch(b graph.Batch) error {
 			return fmt.Errorf("core: unknown op %v", u.Op)
 		}
 	}
-	if err := dc.insert(ins); err != nil {
+	if len(del) == 0 {
+		return dc.insert(ins)
+	}
+	// A deletion batch's sketch update rides the next broadcast — the Cut's
+	// record lookup at the latest — since only the replacement search reads
+	// a sketch. An insert-only batch tells its own at once, so that the
+	// sketch writes do not land just before the next query.
+	defer dc.f.flush()
+	dc.f.ride(sketchUpdate{ins: ins, del: del}, applySketchUpdate)
+	if err := dc.link(ins); err != nil {
 		return err
 	}
 	return dc.delete(del)
 }
 
-// insert processes a batch of insertions (Section 6.1).
+// insert processes a batch of insertions (Section 6.1): the sketch update,
+// then the tree edges.
 func (dc *DynamicConnectivity) insert(edges []graph.Edge) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	dc.updateSketches(edges, graph.Insert)
+	dc.f.tell(sketchUpdate{ins: edges}, applySketchUpdate)
+	return dc.link(edges)
+}
+
+// link links the inserted edges that join two components.
+func (dc *DynamicConnectivity) link(edges []graph.Edge) error {
+	if len(edges) == 0 {
+		return nil
+	}
 	labels, _ := dc.f.labelsInto(nil, endpointsOf(edges))
 	// F_H: greedily keep the edges that merge two still-distinct components
 	// (a spanning forest of the auxiliary graph H). The rest are non-tree
@@ -363,8 +382,8 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	dc.updateSketches(edges, graph.Delete)
-	report, err := dc.f.Cut(edges)
+	first := dc.newFirstWindow()
+	report, err := dc.f.cut(edges, first)
 	if err != nil {
 		return err
 	}
@@ -374,7 +393,7 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 	if len(report.TreeRecords) == 0 {
 		return nil
 	}
-	replacements := dc.findReplacements(report.PassiveComps)
+	replacements := dc.findReplacements(report.PassiveComps, first)
 	// Insert the replacement forest; chunked to respect the batch cap (a
 	// subset of a forest over components is still a forest over components).
 	chunk := dc.f.cfg.MaxBatch()
@@ -388,40 +407,85 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 	return nil
 }
 
-// aggregateFragmentSketches merges copies [lo, hi) of the vertex sketches of
-// every fragment the preceding Cut left active (keyed by the fragment's fresh
-// component id) and delivers them to the coordinator: Lemma 6.5's
-// sketch-merging step, O(1/φ) rounds through the aggregation tree, restricted
-// to the fragments that will query and to the copies they are about to read.
-// Vertices of a passive fragment — the largest of its split tour —
+// sumActive feeds add, on one vertex machine, the sketch of every vertex of a
+// fragment the last Cut left active, with its fragment key: the contribution
+// of Lemma 6.5's sketch-merging step, restricted to the fragments that will
+// query. Vertices of a passive fragment — the largest of its split tour —
 // contribute nothing, so the words summed and shipped are proportional to
-// the smaller sides of the cuts, not to the components cut. Sketches travel
-// as [label, cells...] frames of the batched message codec and come back as
-// views into the final batch buffer, valid until release is called.
-//
-// The first window is the step that follows every Cut, so the shards sum it
-// unasked; a later one they are told to, which costs the broadcast.
-func (dc *DynamicConnectivity) aggregateFragmentSketches(lo, hi int) (sums map[int]sketch.Sketch, release func()) {
-	if lo > 0 {
-		dc.f.tell(mpc.Ints{lo, hi}, func(*mpc.Machine, mpc.Sized) {})
+// the smaller sides of the cuts, not to the components cut. It counts the
+// vertex sketches summed and skipped.
+func sumActive(mm *mpc.Machine, vs *vertexShard, c *searchCounters, add func(v int, frag uint64, sk sketch.Sketch)) {
+	sh := sShard(mm)
+	summed := 0
+	for v, k := range vs.frag {
+		if !vs.passive[k] {
+			add(v, k, sh.of(v).Sketch)
+			summed++
+		}
 	}
+	c.sketchesSummed.Add(uint64(summed))
+	c.sketchesSkipped.Add(uint64(len(vs.frag) - summed))
+}
+
+// firstWindow is a replacement search's first window of sketch copies,
+// [0, searchWindow(t)), as a deletion batch's Cut delivers it: riding the
+// fragment-min aggregation that names the fragments
+// (Forest.aggregateFragmentMins) rather than an aggregation of its own, which
+// would repeat that pass over the same shards. sums holds, for every
+// fragment the Cut left active, the window of its vertices' sketch sum keyed
+// by the fragment's component id — views into the aggregated batch, valid
+// until release.
+type firstWindow struct {
+	win     sketchcodec.Window
+	search  *searchCounters
+	sums    map[int]sketch.Sketch
+	release func()
+}
+
+func (dc *DynamicConnectivity) newFirstWindow() *firstWindow {
+	return &firstWindow{
+		win:     sketchcodec.Window{Space: dc.space, Hi: searchWindow(dc.space.Copies())},
+		search:  &dc.search,
+		sums:    map[int]sketch.Sketch{},
+		release: func() {},
+	}
+}
+
+// collect sums the window of the active fragments' vertex sketches on one
+// vertex machine, by fragment key.
+func (fw *firstWindow) collect(mm *mpc.Machine, vs *vertexShard) *sketchcodec.Sums {
+	sums := fw.win.NewSums()
+	sumActive(mm, vs, fw.search, func(_ int, frag uint64, sk sketch.Sketch) { sums.Add(frag, sk) })
+	return sums
+}
+
+// merge combines colliding [fragment, vertex, cells...] frames: the smaller
+// vertex, the sum of the cells (a passive fragment's frame has none).
+func (fw *firstWindow) merge(a, b *mpc.MessageBatch) *mpc.MessageBatch {
+	return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) {
+		if src[1] < dst[1] {
+			dst[1] = src[1]
+		}
+		if len(dst) > 2 {
+			fw.win.Merge(dst[2:], src[2:])
+		}
+	})
+}
+
+// refillWindow fetches copies [lo, hi) of the active fragments' sketch sums,
+// keyed by component id, for a search that has read through the window it
+// holds: a Tell asks for them, and they travel as [label, cells...] frames of
+// the batched message codec through one aggregation (O(1/φ) rounds), coming
+// back as views into the final batch buffer, valid until release is called.
+// The Tell that closes the Cut has landed by then (it rides this Tell at the
+// latest), so the shards key by component id.
+func (dc *DynamicConnectivity) refillWindow(lo, hi int) (sums map[int]sketch.Sketch, release func()) {
+	dc.f.tell(mpc.Ints{lo, hi}, func(*mpc.Machine, mpc.Sized) {})
 	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, dc.space, lo, hi,
 		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
-			vs := vShard(mm)
-			if vs == nil || len(vs.frag) == 0 {
-				return
+			if vs := vShard(mm); vs != nil && len(vs.frag) > 0 {
+				sumActive(mm, vs, &dc.search, func(v int, _ uint64, sk sketch.Sketch) { add(vs.compOf(v), sk) })
 			}
-			sh := mm.Get(slotSketch).(*sketchShard)
-			summed := 0
-			for v, k := range vs.frag {
-				if vs.passive[k] {
-					continue
-				}
-				add(vs.compOf(v), sh.of(v).Sketch)
-				summed++
-			}
-			dc.search.sketchesSummed.Add(uint64(summed))
-			dc.search.sketchesSkipped.Add(uint64(len(vs.frag) - summed))
 		})
 }
 
@@ -443,15 +507,20 @@ func (dc *DynamicConnectivity) aggregateFragmentSketches(lo, hi int) (sums map[i
 // The search holds a window of the t sketch copies (searchWindow), and every
 // supernode reads through it at its own pace under the cursor invariant
 // stated at workspace: a query that fails is retried on the supernode's next
-// copy at once, at the coordinator, and costs no round. Only when no
-// supernode found an edge and some are waiting at the end of the window is
-// the next window fetched — the same aggregation over the next copy range,
-// counted in SearchStats.Refills.
+// copy at once, at the coordinator, and costs no round. The first window is
+// the one the Cut delivered (firstWindow), so a search that reads no further
+// costs only its levels' lookups. Only when no supernode found an edge and
+// some are waiting at the end of the window is the next window fetched
+// (refillWindow), counted in SearchStats.Refills.
+//
+// The Tell that closes the Cut rides the search's first lookup or refill
+// (or, when there is none, the replacement Link's Ask), and the passive keys
+// are dropped by a rider without words when the search ends.
 //
 // A search in which a supernode has read through copy t-1 and is still
 // active may return too few edges (a too-fine partition); it is counted in
 // SearchStats.Exhausted, not repaired.
-func (dc *DynamicConnectivity) findReplacements(passiveComps []int) []graph.WeightedEdge {
+func (dc *DynamicConnectivity) findReplacements(passiveComps []int, first *firstWindow) []graph.WeightedEdge {
 	dc.search.searches.Add(1)
 	defer dc.f.dropPassive()
 	ws := newWorkspace(dc.space, dc.f.cfg.N, passiveComps, &dc.search)
@@ -459,20 +528,11 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int) []graph.Weig
 	dc.f.cl.LocalAt(dc.f.coord, func(mm *mpc.Machine) { mm.Set(slotWork, ws) })
 	defer dc.f.cl.LocalAt(dc.f.coord, func(mm *mpc.Machine) { mm.Delete(slotWork) })
 
-	// fetch swaps the window held for copies [lo, hi): the one aggregation,
-	// for the first window and for every refill.
-	release := func() {}
-	fetch := func(lo, hi int) {
-		clear(ws.sketches)
-		release()
-		var sums map[int]sketch.Sketch
-		sums, release = dc.aggregateFragmentSketches(lo, hi)
-		ws.install(sums, lo, hi)
-	}
+	release := first.release
 	defer func() { release() }()
+	ws.install(first.sums, 0, first.win.Hi)
 
-	t, w := dc.space.Copies(), searchWindow(dc.space.Copies())
-	fetch(0, w)
+	t, w := dc.space.Copies(), first.win.Hi
 	var labels []int
 	for len(ws.active) > 0 {
 		candidates, stalled := ws.query()
@@ -490,7 +550,12 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int) []graph.Weig
 			return ws.replacements
 		default:
 			dc.search.refills.Add(1)
-			fetch(ws.hi, min(ws.hi+w, t))
+			clear(ws.sketches)
+			release()
+			lo, hi := ws.hi, min(ws.hi+w, t)
+			var sums map[int]sketch.Sketch
+			sums, release = dc.refillWindow(lo, hi)
+			ws.install(sums, lo, hi)
 		}
 	}
 	return ws.replacements

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hash"
 	"repro/internal/mpc"
+	"repro/internal/sketchcodec"
 )
 
 // Machine store slot names.
@@ -29,7 +30,8 @@ type vertexShard struct {
 	frag   map[int]uint64
 	// passive holds the fragment keys the last Cut declared passive (the
 	// largest fragment of every split tour, see Cut). It lives only inside
-	// one deletion batch — set by tellFragComps, dropped when the replacement
+	// one deletion batch — set by the Cut's relabel Tell, since the split plan
+	// names them before the fragment push, and dropped when the replacement
 	// search whose sketch aggregations read it ends (dropPassive) or by the
 	// next clearFrags — so unlike frag it is never checkpointed. The map is
 	// the read-only broadcast payload, shared by every shard.
@@ -284,6 +286,64 @@ type Forest struct {
 	// answerLabels is the per-machine answer callback of the label resolve,
 	// built once so the steady-state query path allocates nothing.
 	answerLabels func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch
+	// pending holds the riders waiting for the forest's next broadcast (see
+	// ride).
+	pending carrier
+}
+
+// rider is a Tell whose effect nothing reads before the forest's next
+// broadcast, so it rides that broadcast instead of paying one of its own.
+type rider struct {
+	msg   mpc.Sized
+	apply func(mm *mpc.Machine, msg mpc.Sized)
+}
+
+// carrier is a broadcast with the pending riders ahead of it: every machine
+// applies the riders, in the order they were queued, and then answers or
+// applies the broadcast's own payload. Its words are all of theirs, so what
+// the riders tell is counted on the broadcast that carries it.
+type carrier struct {
+	riders []rider
+	msg    mpc.Sized
+	answer func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch
+	apply  func(mm *mpc.Machine, msg mpc.Sized)
+}
+
+// Words implements mpc.Sized.
+func (c *carrier) Words() int { return c.msg.Words() + c.riderWords() }
+
+func (c *carrier) riderWords() int {
+	w := 0
+	for _, r := range c.riders {
+		w += r.msg.Words()
+	}
+	return w
+}
+
+// land applies the riders on one machine.
+func (c *carrier) land(mm *mpc.Machine) {
+	for _, r := range c.riders {
+		r.apply(mm, r.msg)
+	}
+}
+
+// reset empties the carrier once its broadcast has been consumed.
+func (c *carrier) reset() {
+	clear(c.riders)
+	c.riders = c.riders[:0]
+	c.msg, c.answer, c.apply = nil, nil, nil
+}
+
+func answerCarried(mm *mpc.Machine, p mpc.Sized) *mpc.MessageBatch {
+	c := p.(*carrier)
+	c.land(mm)
+	return c.answer(mm, c.msg)
+}
+
+func applyCarried(mm *mpc.Machine, p mpc.Sized) {
+	c := p.(*carrier)
+	c.land(mm)
+	c.apply(mm, c.msg)
 }
 
 // NewForest creates an unweighted forest engine on n = cfg.N vertices, all
@@ -397,13 +457,54 @@ func (f *Forest) edgeOwner(e graph.Edge) int {
 
 // ask and tell are the forest's two conversations with the shards, both from
 // the coordinator (mpc.Cluster.Ask, mpc.Cluster.Tell): the payload is handed
-// to the callback and is gone from every store when the call returns.
+// to the callback and is gone from every store when the call returns. Either
+// carries the pending riders, which every machine applies first.
 func (f *Forest) ask(q mpc.Sized, answer func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch, combine mpc.BatchCombine) *mpc.MessageBatch {
-	return f.cl.Ask(f.coord, q, answer, combine)
+	c := &f.pending
+	if len(c.riders) == 0 {
+		return f.cl.Ask(f.coord, q, answer, combine)
+	}
+	c.msg, c.answer = q, answer
+	res := f.cl.Ask(f.coord, c, answerCarried, combine)
+	c.reset()
+	return res
 }
 
 func (f *Forest) tell(msg mpc.Sized, apply func(mm *mpc.Machine, msg mpc.Sized)) {
-	f.cl.Tell(f.coord, msg, apply)
+	c := &f.pending
+	if len(c.riders) == 0 {
+		f.cl.Tell(f.coord, msg, apply)
+		return
+	}
+	c.msg, c.apply = msg, apply
+	f.cl.Tell(f.coord, c, applyCarried)
+	c.reset()
+}
+
+// ride queues a Tell for the forest's next ask or tell: for a message whose
+// effect nothing reads before then, the broadcast it would have paid. Every
+// other collective flushes first, and every public mutating entry point
+// returns with nothing pending.
+func (f *Forest) ride(msg mpc.Sized, apply func(mm *mpc.Machine, msg mpc.Sized)) {
+	f.pending.riders = append(f.pending.riders, rider{msg: msg, apply: apply})
+}
+
+// noWords is the payload of a broadcast that carries riders only.
+var noWords = mpc.Ints(nil)
+
+// flush lands the pending riders: with a Tell of their own when they carry
+// words, as local work between rounds when they carry none (clearFrags and
+// dropPassive, which cost no broadcast).
+func (f *Forest) flush() {
+	c := &f.pending
+	switch {
+	case len(c.riders) == 0:
+	case c.riderWords() > 0:
+		f.tell(noWords, func(*mpc.Machine, mpc.Sized) {})
+	default:
+		f.cl.LocalAll(c.land)
+		c.reset()
+	}
 }
 
 // The frame combiners of the flat aggregations below (mpc.KeepFirst,
@@ -483,40 +584,12 @@ func (f *Forest) resolveMissesLocked() {
 	}
 }
 
-// compSizes counts the vertices of each listed component (keys sorted and
-// distinct) with one Ask answered in [component, count] frames.
-func (f *Forest) compSizes(keys []int) map[int]int {
-	res := f.ask(mpc.Ints(keys),
-		func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch {
-			vs := vShard(mm)
-			if vs == nil {
-				return nil
-			}
-			want := q.(mpc.Ints)
-			counts := make([]uint64, len(want))
-			for _, c := range vs.comp {
-				if j, ok := slices.BinarySearch(want, c); ok {
-					counts[j]++
-				}
-			}
-			return countFrames(want, counts)
-		}, mpc.SumValues)
-	out := make(map[int]int, len(keys))
-	if res != nil {
-		for fr := range res.Frames {
-			out[int(fr[0])] = int(fr[1])
-		}
-		res.Release()
-	}
-	return out
-}
-
-// countFrames answers one [key, count] frame per key counted at least once.
-func countFrames(keys []int, counts []uint64) *mpc.MessageBatch {
-	b := mpc.AcquireMessageBatch()
+// countFrames appends one [tag|key, count] frame per key counted at least
+// once.
+func countFrames(b *mpc.MessageBatch, tag uint64, keys []int, counts []uint64) *mpc.MessageBatch {
 	for j, c := range counts {
 		if c > 0 {
-			b.Append(uint64(keys[j]), c)
+			b.Append(tag|uint64(keys[j]), c)
 		}
 	}
 	return b
@@ -558,6 +631,7 @@ func (f *Forest) NumComponents() int {
 	if lc.numCompsOK { // raced with another reader's readout
 		return lc.numComps
 	}
+	f.flush()
 	n := 0
 	if res := f.cl.AggregateBatches(f.coord, collectNumComps, mpc.SumValues); res != nil {
 		for fr := range res.Frames {
@@ -570,15 +644,26 @@ func (f *Forest) NumComponents() int {
 	return n
 }
 
-// statsQuery is the question of a batched f/l query.
-type statsQuery struct{ vertices []int }
+// statsQuery is the question of a batched f/l query and, for a Link, of the
+// sizes of the components it joins: vertices and comps are sorted and
+// distinct.
+type statsQuery struct{ vertices, comps []int }
 
-func (q statsQuery) Words() int { return len(q.vertices) }
+func (q statsQuery) Words() int { return len(q.vertices) + len(q.comps) }
 
-// mergeStats combines colliding [v, tour, f, l] frames: same tour, min f,
-// max l.
+// sizeTag marks the [sizeTag|comp, count] frames of a Link's answer: a key
+// range of its own (bit 62, as fragKeyOfVertex's), above every [v, tour, f,
+// l] frame's, so each machine's answer is key-sorted with the stats first.
+const sizeTag = uint64(1) << 62
+
+// mergeStats combines colliding [v, tour, f, l] frames — same tour, min f,
+// max l — and sums colliding [sizeTag|comp, count] ones.
 var mergeStats = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
 	return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) {
+		if dst[0]&sizeTag != 0 {
+			dst[1] += src[1]
+			return
+		}
 		if src[2] < dst[2] {
 			dst[2] = src[2]
 		}
@@ -588,56 +673,82 @@ var mergeStats = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
 	})
 }
 
+// answerStats answers a statsQuery on one machine: the edge shard scans its
+// records for [v, tour, f, l] frames, the vertex shard counts the listed
+// components' vertices.
+func answerStats(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
+	q := payload.(statsQuery)
+	query := q.vertices
+	// Accumulate per query slot (query is sorted, so the emitted frames are
+	// key-sorted for free).
+	tours := make([]eulertour.TourID, len(query))
+	first := make([]eulertour.Pos, len(query))
+	last := make([]eulertour.Pos, len(query))
+	seen := make([]bool, len(query))
+	for _, te := range eShard(mm).recs {
+		for _, v := range [2]int{te.rec.E.U, te.rec.E.V} {
+			j := sort.SearchInts(query, v)
+			if j == len(query) || query[j] != v {
+				continue
+			}
+			ps := te.rec.PositionsOf(v)
+			if !seen[j] {
+				seen[j] = true
+				tours[j], first[j], last[j] = te.rec.Tour, ps[0], ps[1]
+				continue
+			}
+			if ps[0] < first[j] {
+				first[j] = ps[0]
+			}
+			if ps[1] > last[j] {
+				last[j] = ps[1]
+			}
+		}
+	}
+	b := mpc.AcquireMessageBatch()
+	for j, ok := range seen {
+		if ok {
+			b.Append(uint64(query[j]), uint64(tours[j]), uint64(first[j]), uint64(last[j]))
+		}
+	}
+	vs := vShard(mm)
+	if vs == nil || len(q.comps) == 0 {
+		return b
+	}
+	counts := make([]uint64, len(q.comps))
+	for _, c := range vs.comp {
+		if j, ok := slices.BinarySearch(q.comps, c); ok {
+			counts[j]++
+		}
+	}
+	return countFrames(b, sizeTag, q.comps, counts)
+}
+
 // Stats resolves occurrence statistics (tour, f, l) for the given vertices
 // with one Ask: the edge shards scan their records and answer [v, tour, f, l]
 // frames, min/max-merged along the aggregation tree (O(1/φ) rounds).
 // Singleton vertices come back with Tour == NoTour.
 func (f *Forest) Stats(vertices []int) map[int]eulertour.VertexStats {
+	stats, _ := f.statsAndSizes(vertices, nil)
+	return stats
+}
+
+// statsAndSizes is Stats plus, in the same Ask, the vertex count of every
+// listed component (sorted and distinct): what a Link asks before it plans.
+func (f *Forest) statsAndSizes(vertices, comps []int) (map[int]eulertour.VertexStats, map[int]int) {
 	q := slices.Clone(vertices)
 	slices.Sort(q)
 	q = slices.Compact(q)
-	merged := f.ask(statsQuery{vertices: q},
-		func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
-			es := eShard(mm)
-			query := payload.(statsQuery).vertices
-			// Accumulate per query slot (query is sorted, so the emitted
-			// frames are key-sorted for free).
-			tours := make([]eulertour.TourID, len(query))
-			first := make([]eulertour.Pos, len(query))
-			last := make([]eulertour.Pos, len(query))
-			seen := make([]bool, len(query))
-			for _, te := range es.recs {
-				for _, v := range [2]int{te.rec.E.U, te.rec.E.V} {
-					j := sort.SearchInts(query, v)
-					if j == len(query) || query[j] != v {
-						continue
-					}
-					ps := te.rec.PositionsOf(v)
-					if !seen[j] {
-						seen[j] = true
-						tours[j], first[j], last[j] = te.rec.Tour, ps[0], ps[1]
-						continue
-					}
-					if ps[0] < first[j] {
-						first[j] = ps[0]
-					}
-					if ps[1] > last[j] {
-						last[j] = ps[1]
-					}
-				}
-			}
-			b := mpc.AcquireMessageBatch()
-			for j, ok := range seen {
-				if ok {
-					b.Append(uint64(query[j]), uint64(tours[j]), uint64(first[j]), uint64(last[j]))
-				}
-			}
-			return b
-		}, mergeStats)
-	out := make(map[int]eulertour.VertexStats, len(q))
+	merged := f.ask(statsQuery{vertices: q, comps: comps}, answerStats, mergeStats)
+	stats := make(map[int]eulertour.VertexStats, len(q))
+	sizes := make(map[int]int, len(comps))
 	if merged != nil {
 		for fr := range merged.Frames {
-			out[int(fr[0])] = eulertour.VertexStats{
+			if fr[0]&sizeTag != 0 {
+				sizes[int(fr[0]&^sizeTag)] = int(fr[1])
+				continue
+			}
+			stats[int(fr[0])] = eulertour.VertexStats{
 				Tour: eulertour.TourID(fr[1]),
 				F:    eulertour.Pos(fr[2]),
 				L:    eulertour.Pos(fr[3]),
@@ -646,11 +757,11 @@ func (f *Forest) Stats(vertices []int) map[int]eulertour.VertexStats {
 		merged.Release()
 	}
 	for _, v := range q {
-		if _, ok := out[v]; !ok {
-			out[v] = eulertour.VertexStats{Tour: eulertour.NoTour}
+		if _, ok := stats[v]; !ok {
+			stats[v] = eulertour.VertexStats{Tour: eulertour.NoTour}
 		}
 	}
-	return out
+	return stats, sizes
 }
 
 // cutQueryPayload is the question of the stage-2 join query.
@@ -719,15 +830,18 @@ func (f *Forest) minAbove(qs []eulertour.CutQuery) map[int]eulertour.Pos {
 }
 
 // relabelPayload tells every machine a batch of relabel descriptors and,
-// for a Link, the component re-labeling; for a Cut, the records to drop and
-// the two sets the fragment push that follows reads. Everything a machine
-// learns from the coordinator here is on the payload and counted.
+// for a Link, the component re-labeling; for a Cut, the records to drop, the
+// two sets the fragment push that follows reads, and the passive fragment
+// keys the split plan names, which the aggregations of the replacement
+// search read. Everything a machine learns from the coordinator here is on
+// the payload and counted.
 type relabelPayload struct {
 	relabels []eulertour.Relabel
 	compMap  map[int]int               // old comp id -> new comp id (joins)
 	drop     map[graph.Edge]bool       // tree-edge records to delete (cuts)
 	newTours map[eulertour.TourID]bool // tours created by the split (cuts)
 	affected map[int]bool              // components being split (cuts)
+	passive  map[uint64]bool           // passive fragment keys (cuts)
 
 	// set indexes relabels by tour. It is a pure function of relabels that
 	// every machine could build for itself, so it carries no words; the
@@ -737,7 +851,7 @@ type relabelPayload struct {
 }
 
 func (p relabelPayload) Words() int {
-	return 5*len(p.relabels) + 2*len(p.compMap) + 2*len(p.drop) + len(p.newTours) + len(p.affected)
+	return 5*len(p.relabels) + 2*len(p.compMap) + 2*len(p.drop) + len(p.newTours) + len(p.affected) + len(p.passive)
 }
 
 // recordsPayload carries new tree-edge records to their shard owners.
@@ -772,9 +886,9 @@ func (f *Forest) Link(edges []graph.WeightedEdge) error {
 	labels, _ := f.labelsInto(nil, terminals)
 	keys := slices.Clone(labels)
 	slices.Sort(keys)
-	sizes := f.compSizes(slices.Compact(keys))
+	stats, sizes := f.statsAndSizes(terminals, slices.Compact(keys))
 
-	planner, err := f.preparePlanner(plainEdges, terminals, labels, sizes)
+	planner, err := f.preparePlanner(plainEdges, terminals, labels, stats, sizes)
 	if err != nil {
 		return err
 	}
@@ -798,6 +912,7 @@ func (f *Forest) Link(edges []graph.WeightedEdge) error {
 	f.applyRelabels(relabelPayload{relabels: res.Relabels, compMap: compMap})
 	// Route the new records to their shard owners.
 	newRecs := res.NewRecords
+	f.flush()
 	f.cl.Scatter(f.coord,
 		func(mm *mpc.Machine) []mpc.Message {
 			byOwner := map[int][]treeEdge{}
@@ -830,11 +945,10 @@ func endpointsOf(edges []graph.Edge) []int {
 	return out
 }
 
-// preparePlanner runs the planner's staged distributed queries. terminals
-// are the endpoints of edges and labels their components, position by
-// position.
-func (f *Forest) preparePlanner(edges []graph.Edge, terminals, labels []int, sizes map[int]int) (*eulertour.JoinPlanner, error) {
-	stats := f.Stats(terminals)
+// preparePlanner builds the join planner from the Link's one Ask and runs the
+// planner's rotation query when it has one. terminals are the endpoints of
+// edges and labels their components, position by position.
+func (f *Forest) preparePlanner(edges []graph.Edge, terminals, labels []int, stats map[int]eulertour.VertexStats, sizes map[int]int) (*eulertour.JoinPlanner, error) {
 	var comps []eulertour.CompInfo
 	labelOf := make(map[int]int, len(terminals))
 	seen := map[int]bool{}
@@ -875,7 +989,8 @@ func (f *Forest) preparePlanner(edges []graph.Edge, terminals, labels []int, siz
 // records are dropped, the relabel descriptors applied to the surviving ones
 // and the component map to the vertex shards — and to the label cache. A
 // Cut's newTours and affected sets stay behind on the edge and vertex shards
-// for pushFragments; its component ids change only at tellFragComps.
+// for pushFragments, its passive keys on the vertex shards for the
+// replacement search; its component ids change only at tellFragComps.
 func (f *Forest) applyRelabels(payload relabelPayload) {
 	if len(payload.compMap) > 0 {
 		f.cache.relink(payload.compMap)
@@ -902,6 +1017,7 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 			return
 		}
 		vs.affected = p.affected
+		vs.passive = p.passive
 		if len(p.compMap) > 0 {
 			for i, c := range vs.comp {
 				if nc, ok := p.compMap[c]; ok {
@@ -912,9 +1028,11 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 	})
 }
 
-// clearFrags drops the transient fragment maps left by the previous Cut.
+// clearFrags drops the transient fragment maps left by the previous Cut. A
+// rider without words: it lands with the next broadcast, which comes before
+// anything reads the maps, and never forces a flush of its own.
 func (f *Forest) clearFrags() {
-	f.cl.LocalAll(func(mm *mpc.Machine) {
+	f.ride(noWords, func(mm *mpc.Machine, _ mpc.Sized) {
 		vs := vShard(mm)
 		if vs == nil {
 			return
@@ -927,9 +1045,10 @@ func (f *Forest) clearFrags() {
 }
 
 // dropPassive drops the passive fragment keys the last Cut left on the
-// vertex shards: the replacement search that read them is over.
+// vertex shards: the replacement search that read them is over. A rider
+// without words, like clearFrags.
 func (f *Forest) dropPassive() {
-	f.cl.LocalAll(func(mm *mpc.Machine) {
+	f.ride(noWords, func(mm *mpc.Machine, _ mpc.Sized) {
 		if vs := vShard(mm); vs != nil {
 			vs.passive = nil
 		}
@@ -965,11 +1084,22 @@ func (p edgeListPayload) Words() int { return 2 * len(p.edges) }
 // affected Euler tours are split into fragments in O(1) collective
 // operations, and component ids are re-assigned per fragment. The transient
 // vertex->fragment mapping stays on the vertex shards until the next Link or
-// Cut. The closing broadcast also leaves them the keys of the fragments
-// declared passive — the largest fragment of every split tour, which
-// PlanSplit's fragment lengths name for free (CutReport.PassiveComps) — for
-// the sketch aggregation of a replacement search to skip.
+// Cut, and so do the keys of the fragments declared passive — the largest
+// fragment of every split tour, which PlanSplit's fragment lengths name for
+// free (CutReport.PassiveComps) — for the sketch aggregations of a
+// replacement search to skip. The closing Tell that assigns the component
+// ids is the one step a DynamicConnectivity's Cut leaves to ride the next
+// broadcast; Cut sends it before it returns.
 func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
+	report, err := f.cut(edges, nil)
+	f.flush()
+	return report, err
+}
+
+// cut is Cut leaving its closing Tell pending (tellFragComps). Given first,
+// its fragment-min aggregation also carries the replacement search's first
+// window (aggregateFragmentMins).
+func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error) {
 	if len(edges) == 0 {
 		return &CutReport{}, nil
 	}
@@ -1062,7 +1192,7 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 				counts[j]++
 			}
 		}
-		return countFrames(want, counts)
+		return countFrames(mpc.AcquireMessageBatch(), 0, want, counts)
 	}, mpc.SumValues)
 	tourLens := map[eulertour.TourID]int{}
 	if res != nil {
@@ -1094,16 +1224,16 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 			newTours[fr.Tour] = true
 		}
 	}
-	f.applyRelabels(relabelPayload{relabels: plan.Relabels, drop: drop, newTours: newTours, affected: affected})
+	passive := passiveFragments(plan.Fragments)
+	f.applyRelabels(relabelPayload{relabels: plan.Relabels, drop: drop, newTours: newTours, affected: affected, passive: passive})
 	f.pushFragments()
 	// Assign fragment component ids: min vertex id per fragment.
-	compByFrag := f.aggregateFragmentMins()
+	compByFrag := f.aggregateFragmentMins(first)
 	fragComps := map[int]bool{}
 	for _, c := range compByFrag {
 		fragComps[c] = true
 	}
 	report.FragmentComps = sortedKeys(fragComps)
-	passive := passiveFragments(plan.Fragments)
 	for k := range passive {
 		report.PassiveComps = append(report.PassiveComps, compByFrag[k])
 	}
@@ -1122,7 +1252,7 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 		}
 	}
 	f.cache.split(affected, compByFrag, tourFrags)
-	f.tellFragComps(compByFrag, passive)
+	f.tellFragComps(compByFrag)
 	return report, nil
 }
 
@@ -1157,6 +1287,7 @@ func passiveFragments(frags []eulertour.Fragment) map[uint64]bool {
 // codec: one packed buffer per (edge shard, vertex owner) pair. One round:
 // the vertex shards land the push.
 func (f *Forest) pushFragments() {
+	f.flush()
 	// The round: edge shards emit deduplicated (vertex, frag) pairs.
 	f.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
 		es := eShard(mm)
@@ -1214,8 +1345,19 @@ func (f *Forest) pushFragments() {
 }
 
 // aggregateFragmentMins computes min vertex id per fragment key with one
-// flat min-merging [fragment, vertex] aggregation.
-func (f *Forest) aggregateFragmentMins() map[uint64]int {
+// flat min-merging [fragment, vertex] aggregation. Given first, the same
+// frames carry the replacement search's first window: a non-passive
+// fragment's is [fragment, vertex, cells...], the window of its vertices'
+// sketch sum, which the merge adds up while it takes the min, and the
+// coordinator hands first the sums keyed by the fragment's component id.
+// The window is keyed by fragment, not by component, because the component
+// ids are assigned only by the Tell that closes the Cut.
+func (f *Forest) aggregateFragmentMins(first *firstWindow) map[uint64]int {
+	f.flush()
+	combine := mergeMin
+	if first != nil {
+		combine = first.merge
+	}
 	res := f.cl.AggregateBatches(f.coord,
 		func(mm *mpc.Machine) *mpc.MessageBatch {
 			vs := vShard(mm)
@@ -1232,36 +1374,54 @@ func (f *Forest) aggregateFragmentMins() map[uint64]int {
 					minBy[k] = v
 				}
 			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			slices.Sort(keys)
+			var sums *sketchcodec.Sums
+			if first != nil {
+				sums = first.collect(mm, vs)
+			}
 			b := mpc.AcquireMessageBatch()
 			for _, k := range keys {
-				b.Append(k, uint64(minBy[k]))
+				if sums == nil || vs.passive[k] {
+					b.Append(k, uint64(minBy[k]))
+					continue
+				}
+				fr := b.Grow(2 + first.win.Words())
+				fr[0], fr[1] = k, uint64(minBy[k])
+				sums.Put(k, fr[2:])
 			}
 			return b
-		}, mergeMin)
+		}, combine)
 	out := map[uint64]int{}
-	if res != nil {
-		for fr := range res.Frames {
-			out[fr[0]] = int(fr[1])
+	if res == nil {
+		return out
+	}
+	for fr := range res.Frames {
+		out[fr[0]] = int(fr[1])
+		if len(fr) > 2 {
+			first.sums[int(fr[1])] = first.win.View(fr[2:])
 		}
+	}
+	if first != nil {
+		first.release = res.Release
+	} else {
 		res.Release()
 	}
 	return out
 }
 
 // fragCompsPayload is the Tell closing a Cut: the component id of every
-// fragment key, and the keys of the passive fragments riding along.
-type fragCompsPayload struct {
-	compByFrag map[uint64]int
-	passive    map[uint64]bool
-}
+// fragment key.
+type fragCompsPayload struct{ compByFrag map[uint64]int }
 
-func (p fragCompsPayload) Words() int { return 2*len(p.compByFrag) + len(p.passive) }
+func (p fragCompsPayload) Words() int { return 2 * len(p.compByFrag) }
 
-// tellFragComps assigns comp[v] = compByFrag[frag[v]] on all shards and
-// leaves the passive fragment keys with them.
-func (f *Forest) tellFragComps(compByFrag map[uint64]int, passive map[uint64]bool) {
-	f.tell(fragCompsPayload{compByFrag: compByFrag, passive: passive}, func(mm *mpc.Machine, payload mpc.Sized) {
+// tellFragComps assigns comp[v] = compByFrag[frag[v]] on all shards. It
+// rides the next broadcast — the replacement search's first label lookup or
+// refill, or the replacement Link's Ask, whichever comes first — since
+// everything before that reads the coordinator's labels (split) or keys by
+// fragment (the first window), not the shards' component ids.
+func (f *Forest) tellFragComps(compByFrag map[uint64]int) {
+	f.ride(fragCompsPayload{compByFrag: compByFrag}, func(mm *mpc.Machine, payload mpc.Sized) {
 		vs := vShard(mm)
 		if vs == nil {
 			return
@@ -1272,7 +1432,6 @@ func (f *Forest) tellFragComps(compByFrag map[uint64]int, passive map[uint64]boo
 				vs.comp[v-vs.lo] = c
 			}
 		}
-		vs.passive = p.passive
 	})
 }
 
@@ -1388,6 +1547,7 @@ func heavier(a, b graph.WeightedEdge) bool {
 // driver-level readout of the collectively stored output (the solution is
 // already materialized across machines, Section 1.2), not an MPC operation.
 func (f *Forest) SnapshotComponents() []int {
+	f.flush()
 	out := make([]int, f.cfg.N)
 	f.cl.LocalAll(func(mm *mpc.Machine) {
 		vs := vShard(mm)
@@ -1406,6 +1566,7 @@ func (f *Forest) SnapshotComponents() []int {
 // shard into its own bucket — appending to one shared slice would race
 // under a parallel executor — and the buckets are concatenated afterwards.
 func (f *Forest) SnapshotForest() []graph.WeightedEdge {
+	f.flush()
 	buckets := make([][]graph.WeightedEdge, f.cl.Machines())
 	f.cl.LocalAll(func(mm *mpc.Machine) {
 		es := eShard(mm)

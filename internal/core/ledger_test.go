@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"testing"
 
@@ -41,15 +43,24 @@ type ledger struct {
 // its replacement Links reunite it), so an update's label lookups stop paying
 // their Ask: Rounds 204 → 188 / 524 → 444 / 900 → 826, Messages −60 / −372 /
 // −340, WordsSent −408 / −2324 / −2086, and PeakTotalWords +30 / +69 / +57
-// because the cache stays resident on the coordinator.
+// because the cache stays resident on the coordinator; then the collectives
+// a batch's data dependencies never separated were fused (a deletion
+// batch's sketch update and a Cut's closing Tell ride the next broadcast, a
+// Link asks sizes and stats at once, the first sketch window rides the
+// fragment-min aggregation): Rounds 188 → 143 / 444 → 330 / 826 → 593,
+// Messages 656 → 499 / 2176 → 1691 / 4022 → 3070, WordsSent −48 / −142 /
+// −275 (one sketch payload instead of two, and no label word on a window
+// frame) and PeakTotalWords +0 / +48 / +36 (what a rider drops stays in the
+// stores until the broadcast that carries it), with TestForestDigestPinned
+// unchanged.
 func TestLedgerPinned(t *testing.T) {
 	for _, tc := range []struct {
 		stream string
 		want   ledger
 	}{
-		{"testdata/churn32.stream", ledger{188, 656, 5169, 21197}},
-		{"../harness/testdata/window64.stream", ledger{444, 2176, 36721, 55205}},
-		{"../harness/testdata/powerlaw64.stream", ledger{826, 4022, 41469, 54875}},
+		{"testdata/churn32.stream", ledger{143, 499, 5121, 21197}},
+		{"../harness/testdata/window64.stream", ledger{330, 1691, 36579, 55253}},
+		{"../harness/testdata/powerlaw64.stream", ledger{593, 3070, 41194, 54911}},
 	} {
 		f, err := os.Open(tc.stream)
 		if err != nil {
@@ -81,6 +92,67 @@ func TestLedgerPinned(t *testing.T) {
 				}
 				if len(st.Violations) != 0 {
 					t.Errorf("violations: %v", st.Violations[0])
+				}
+			})
+		}
+	}
+}
+
+// TestForestDigestPinned pins what the updates compute, not what they cost:
+// over the three streams of TestLedgerPinned at parallelism 1 and 8, one hash
+// of SnapshotForest and SnapshotComponents after every ApplyBatch, and the
+// final SearchStats. A change to how the collectives are scheduled or fused
+// moves the ledger and must leave this alone: the same forest, the same
+// component labels and the same replacement searches, batch by batch.
+func TestForestDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		stream string
+		digest uint64
+		search SearchStats
+	}{
+		{"testdata/churn32.stream", 0x7d9dc7812048546c, SearchStats{1, 0, 0, 0, 0, 9, 14}},
+		{"../harness/testdata/window64.stream", 0x19a45c3b4aaa4e20, SearchStats{12, 12, 22, 0, 0, 175, 593}},
+		{"../harness/testdata/powerlaw64.stream", 0xa7facbe1a5ac49bb, SearchStats{31, 20, 14, 0, 0, 148, 1280}},
+	} {
+		f, err := os.Open(tc.stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, err := streamio.Read(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/p%d", tc.stream, p), func(t *testing.T) {
+				n := streamio.MaxVertex(batches) + 1
+				dc, err := NewDynamicConnectivity(Config{N: n, Phi: 0.6, Seed: 1, Parallelism: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				var word [8]byte
+				put := func(x int) {
+					binary.LittleEndian.PutUint64(word[:], uint64(x))
+					h.Write(word[:])
+				}
+				for i, b := range batches {
+					for j := 0; j < len(b); j += dc.MaxBatch() {
+						if err := dc.ApplyBatch(b[j:min(j+dc.MaxBatch(), len(b))]); err != nil {
+							t.Fatalf("batch %d: %v", i, err)
+						}
+						for _, e := range dc.SnapshotForest() {
+							put(e.U)
+							put(e.V)
+						}
+						put(-1)
+						for _, c := range dc.SnapshotComponents() {
+							put(c)
+						}
+					}
+				}
+				if got, st := h.Sum64(), dc.SearchStats(); got != tc.digest || st != tc.search {
+					t.Errorf("digest %#x, search stats %+v; pinned %#x, %+v", got, st, tc.digest, tc.search)
 				}
 			})
 		}

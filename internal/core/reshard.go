@@ -210,6 +210,7 @@ func (f *Forest) installImage(img *forestImage) {
 	copy(lc.labels, img.labels)
 	copy(lc.stamp, img.stamp)
 	clear(lc.pend)
+	f.pending.reset() // riders of the state being replaced
 	f.cl.LocalAll(func(mm *mpc.Machine) {
 		if vs := vShard(mm); vs != nil {
 			copy(vs.comp, img.comp[vs.lo:vs.hi])

@@ -31,14 +31,28 @@ type BatchCombine func(a, b *MessageBatch) *MessageBatch
 // aggState is the reusable scratch of AggregateBatches, owned by the
 // cluster: acc holds one accumulator batch per machine rank, outs holds one
 // single-message outbox per machine, and the remaining fields parameterize
-// the dispatch closure for the current call.
+// the dispatch closures for the current call.
 type aggState struct {
 	acc     []*MessageBatch
 	outs    [][]Message
 	to      int
 	group   int // ranks that are multiples of group still hold an accumulator
 	fanout  int
+	collect func(m *Machine) *MessageBatch
 	combine BatchCombine
+}
+
+// aggCollect is the executor job of AggregateBatches' contribution phase:
+// machine i's collect fills its rank's accumulator slot and nothing else (one
+// closure for every call; see Cluster.runCollect).
+func (c *Cluster) aggCollect(i int) {
+	M := c.cfg.Machines
+	b := c.agg.collect(c.machines[i])
+	if b != nil && b.Words() == 0 {
+		b.Release()
+		b = nil
+	}
+	c.agg.acc[(i-c.agg.to+M)%M] = b
 }
 
 // absorb merges every delivered batch into the rank's accumulator, in inbox
@@ -81,31 +95,29 @@ func (c *Cluster) aggStep(m *Machine, inbox []Message) []Message {
 
 // AggregateBatches tree-combines one MessageBatch per machine onto machine
 // `to` and returns the result (nil when no machine contributed). collect
-// runs on every machine in ascending id on the calling goroutine and may
-// return nil for "no contribution"; combine merges two batches at internal
-// tree nodes and at the destination, always with the lower-ranked
-// accumulator as its left operand. The fanout is sized for the largest
-// contribution, costing the tree depth, ceil(log_f M) rounds — O(1/φ); the
-// root lands the last round's batches instead of stepping for them.
+// runs on every machine through the executor, under the StepFunc
+// concurrency contract, and may return nil for "no contribution"; combine
+// merges two batches at internal tree nodes and at the destination, always
+// with the lower-ranked accumulator as its left operand. The fanout is sized
+// for the largest contribution, costing the tree depth, ceil(log_f M) rounds
+// — O(1/φ); the root lands the last round's batches instead of stepping for
+// them.
 //
 // Ownership: contributed batches are consumed (combined batches are
 // typically released by combine); the returned batch belongs to the caller,
 // which should Release it after decoding.
 func (c *Cluster) AggregateBatches(to int, collect func(m *Machine) *MessageBatch, combine BatchCombine) *MessageBatch {
 	M := c.cfg.Machines
+	c.agg.to = to
+	c.agg.collect = collect
+	c.exec.Run(M, c.runCollect)
+	c.agg.collect = nil
 	maxW := 1
-	for _, m := range c.machines {
-		b := collect(m)
-		if b != nil && b.Words() == 0 {
-			b.Release()
-			b = nil
-		}
-		c.agg.acc[(m.ID-to+M)%M] = b
-		if b != nil && b.Words() > maxW {
+	for i := range c.machines {
+		if b := c.agg.acc[(i-to+M)%M]; b != nil && b.Words() > maxW {
 			maxW = b.Words()
 		}
 	}
-	c.agg.to = to
 	c.agg.fanout = c.fanout(maxW)
 	c.agg.combine = combine
 	depth := treeDepth(M, c.agg.fanout)
@@ -145,13 +157,13 @@ func (c *Cluster) applyTold(m *Machine) { c.told.apply(m, takeTold(m)) }
 
 // Ask broadcasts question from machine `from`, collects one answer batch
 // per machine and returns their tree-combined merge at `from` (nil when no
-// machine answered). answer runs on every machine, `from` included, in
-// ascending id on the calling goroutine, is handed the question (shared:
-// read-only) and returns frames sorted ascending by their first word, or nil
-// for "nothing to say"; combine merges two answers exactly as in
-// AggregateBatches, which also states the ownership of the batches. Rounds:
-// the broadcast's depth down plus the aggregation's depth up (2 when both
-// trees have depth 1).
+// machine answered). answer runs on every machine, `from` included, through
+// the executor under the StepFunc concurrency contract, is handed the
+// question (shared: read-only) and returns frames sorted ascending by their
+// first word, or nil for "nothing to say"; combine merges two answers
+// exactly as in AggregateBatches, which also states the ownership of the
+// batches. Rounds: the broadcast's depth down plus the aggregation's depth up
+// (2 when both trees have depth 1).
 //
 // Ask must not be called from inside an answer or apply callback.
 func (c *Cluster) Ask(from int, question Sized, answer func(m *Machine, question Sized) *MessageBatch, combine BatchCombine) *MessageBatch {

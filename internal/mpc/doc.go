@@ -18,6 +18,13 @@
 //   - Tell(from, msg, apply) broadcasts the message and runs apply on every
 //     machine between rounds.
 //
+// Every per-machine callback — a Step's compute, a Tell's apply, an Ask's
+// answer, an AggregateBatches contribution, a LocalAll or a Land — runs
+// through the executor under the StepFunc concurrency contract; a
+// contribution writes only its machine's accumulator slot, and the largest
+// one, which sizes the aggregation tree, is folded afterwards in machine
+// order.
+//
 // A round is a hop: what a round sends is input to the local computation
 // that opens the next one, so receiving costs nothing of its own. A
 // collective therefore lands its last delivery — Land hands every machine the

@@ -157,19 +157,21 @@ type Cluster struct {
 	runMerge func(s int)
 
 	// bc and agg are the reusable scratch of Broadcast and AggregateBatches,
-	// runBcast and runAgg their once-built per-round callbacks, landBcast
-	// and landAgg the once-built callbacks that land their last delivery;
-	// told holds the callback of the Ask or Tell in progress for the
-	// once-built runAnswer / runTold (see aggregate.go).
-	bc        bcastState
-	runBcast  StepFunc
-	landBcast func(m *Machine, inbox []Message)
-	agg       aggState
-	runAgg    StepFunc
-	landAgg   func(m *Machine, inbox []Message)
-	told      toldState
-	runAnswer func(m *Machine) *MessageBatch
-	runTold   func(m *Machine)
+	// runBcast and runAgg their once-built per-round callbacks, runCollect
+	// the once-built executor job of the aggregation's contributions,
+	// landBcast and landAgg the once-built callbacks that land their last
+	// delivery; told holds the callback of the Ask or Tell in progress for
+	// the once-built runAnswer / runTold (see aggregate.go).
+	bc         bcastState
+	runBcast   StepFunc
+	landBcast  func(m *Machine, inbox []Message)
+	agg        aggState
+	runAgg     StepFunc
+	runCollect func(i int)
+	landAgg    func(m *Machine, inbox []Message)
+	told       toldState
+	runAnswer  func(m *Machine) *MessageBatch
+	runTold    func(m *Machine)
 }
 
 // NewCluster returns a cluster with the given configuration.
@@ -239,6 +241,7 @@ func NewCluster(cfg Config) *Cluster {
 		c.agg.outs[i] = make([]Message, 0, 1)
 	}
 	c.runAgg = c.aggStep
+	c.runCollect = c.aggCollect
 	c.landAgg = c.aggLand
 	c.bc.outs = make([][]Message, cfg.Machines)
 	c.runBcast = c.bcastStep

@@ -9,14 +9,73 @@
 // buffers. A call moves one window of sketch copies, [lo, hi): the frames,
 // every sum along the way and the views it returns hold hi-lo copies, so a
 // caller that is about to read few copies pays for few.
+//
+// AggregateByLabel is the whole aggregation. Its three steps — Sums (the
+// per-machine accumulation), Sums.Put (the encode) and Window.Merge (the
+// frame combine) — are exported for aggregations whose frames carry more
+// than a sum, which place the cells after words of their own.
 package sketchcodec
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/mpc"
 	"repro/internal/sketch"
 )
+
+// Window is the copy range [Lo, Hi) of one space's sketches that a frame
+// carries.
+type Window struct {
+	Space  *sketch.Space
+	Lo, Hi int
+}
+
+// Words is the size of the window's cells in a frame.
+func (w Window) Words() int { return w.Space.WindowWords(w.Lo, w.Hi) }
+
+// View wraps Words() frame words as the window's sketch.
+func (w Window) View(cells []uint64) sketch.Sketch { return w.Space.ViewWindow(cells, w.Lo, w.Hi) }
+
+// Merge adds the src cells into the dst cells: the frame combine of a sum.
+func (w Window) Merge(dst, src []uint64) { w.View(dst).Add(w.View(src)) }
+
+// Sums accumulates one machine's per-key sums of a window in the space's
+// pooled scratch: one ScratchCopy per key, no allocation per sketch added.
+type Sums struct {
+	w    Window
+	keys []uint64
+	acc  map[uint64]sketch.Sketch
+}
+
+// NewSums starts an empty accumulation of the window.
+func (w Window) NewSums() *Sums { return &Sums{w: w, acc: map[uint64]sketch.Sketch{}} }
+
+// Add sums the window of sk, a full sketch or any view that holds the window,
+// into key's partial.
+func (s *Sums) Add(key uint64, sk sketch.Sketch) {
+	win := sk.Window(s.w.Lo, s.w.Hi)
+	if cur, ok := s.acc[key]; ok {
+		cur.Add(win)
+		return
+	}
+	s.acc[key] = s.w.Space.ScratchCopy(win)
+	s.keys = append(s.keys, key)
+}
+
+// Keys returns the keys added, ascending.
+func (s *Sums) Keys() []uint64 {
+	slices.Sort(s.keys)
+	return s.keys
+}
+
+// Put writes key's sum into cells (Words() words, typically the tail of a
+// frame) and hands its scratch back to the pool; each key is put once, and
+// must have been added.
+func (s *Sums) Put(key uint64, cells []uint64) {
+	sk := s.acc[key]
+	copy(cells, sk.Cells())
+	s.w.Space.Release(sk)
+}
 
 // AggregateByLabel tree-combines per-label sums of sketch copies [lo, hi) to
 // machine `to` and returns them decoded, keyed by label, as views of that
@@ -38,37 +97,25 @@ func AggregateByLabel(
 	lo, hi int,
 	collect func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)),
 ) (sums map[int]sketch.Sketch, release func()) {
-	words := space.WindowWords(lo, hi)
+	w := Window{Space: space, Lo: lo, Hi: hi}
+	words := w.Words()
 	final := cl.AggregateBatches(to,
 		func(mm *mpc.Machine) *mpc.MessageBatch {
-			var labels []int
-			acc := map[int]sketch.Sketch{}
-			collect(mm, func(label int, sk sketch.Sketch) {
-				w := sk.Window(lo, hi)
-				if cur, ok := acc[label]; ok {
-					cur.Add(w)
-					return
-				}
-				acc[label] = space.ScratchCopy(w)
-				labels = append(labels, label)
-			})
-			if len(labels) == 0 {
+			acc := w.NewSums()
+			collect(mm, func(label int, sk sketch.Sketch) { acc.Add(uint64(label), sk) })
+			if len(acc.keys) == 0 {
 				return nil
 			}
-			sort.Ints(labels)
 			b := mpc.AcquireMessageBatch()
-			for _, l := range labels {
+			for _, k := range acc.Keys() {
 				f := b.Grow(1 + words)
-				f[0] = uint64(l)
-				copy(f[1:], acc[l].Cells())
-				space.Release(acc[l])
+				f[0] = k
+				acc.Put(k, f[1:])
 			}
 			return b
 		},
 		func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
-			return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) {
-				space.ViewWindow(dst[1:], lo, hi).Add(space.ViewWindow(src[1:], lo, hi))
-			})
+			return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) { w.Merge(dst[1:], src[1:]) })
 		},
 	)
 	if final == nil {
@@ -76,7 +123,7 @@ func AggregateByLabel(
 	}
 	sums = make(map[int]sketch.Sketch, final.Len())
 	for f := range final.Frames {
-		sums[int(f[0])] = space.ViewWindow(f[1:], lo, hi)
+		sums[int(f[0])] = w.View(f[1:])
 	}
 	return sums, final.Release
 }
