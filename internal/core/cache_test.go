@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -12,11 +13,12 @@ import (
 
 // checkCacheExact fails unless the label cache is exact and settled between
 // updates: every stamped entry is its vertex's component, valid counts them,
-// a cached component count is the oracle's, and nothing is parked.
+// a cached component count is the oracle's, and nothing is parked. It also
+// checks what a loader derives the column from (checkForestTrees).
 func checkCacheExact(t *testing.T, dc *DynamicConnectivity, g *graph.Graph, at string) {
 	t.Helper()
 	lc := &dc.f.cache
-	comps := dc.SnapshotComponents()
+	comps := checkForestTrees(t, dc, at)
 	stamped := 0
 	for v, s := range lc.stamp {
 		if s != lc.epoch {
@@ -36,6 +38,61 @@ func checkCacheExact(t *testing.T, dc *DynamicConnectivity, g *graph.Graph, at s
 	if len(lc.pend) != 0 {
 		t.Fatalf("%s: %d components still parked between updates", at, len(lc.pend))
 	}
+}
+
+// checkForestTrees fails unless the component column is the minimum-root
+// union-find over the spanning forest — the premise on which a checkpoint
+// holds tree edges and no column — and returns the column.
+func checkForestTrees(t *testing.T, dc *DynamicConnectivity, at string) []int {
+	t.Helper()
+	comps := dc.SnapshotComponents()
+	trees, roots, err := forestComponents(dc.f.cfg.N, dc.SnapshotForest())
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	if !slices.Equal(comps, trees) {
+		t.Fatalf("%s: the component column is not the forest's trees:\ncolumn %v\ntrees  %v", at, comps, trees)
+	}
+	if lc := &dc.f.cache; lc.numCompsOK && lc.numComps != roots {
+		t.Fatalf("%s: cached component count %d, the forest has %d trees", at, lc.numComps, roots)
+	}
+	return comps
+}
+
+// TestComponentsAreForestTrees pins checkForestTrees where the search fails:
+// with starved sketches (4 copies) searches exhaust and the maintained
+// partition is too fine, yet the column still follows the forest, batch by
+// batch, on every registered scenario.
+func TestComponentsAreForestTrees(t *testing.T) {
+	const n, batches = 64, 40
+	var exhausted uint64
+	for _, name := range workload.Names() {
+		sc, err := workload.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			dc, err := NewDynamicConnectivity(Config{N: n, Phi: 0.6, SketchCopies: 4, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dc.NumComponents()
+			gen := sc.New(n, seed)
+			for b := 0; b < batches; b++ {
+				if batch := gen.Next(dc.MaxBatch()); len(batch) > 0 {
+					if err := dc.ApplyBatch(batch); err != nil {
+						t.Fatalf("%s seed %d batch %d: %v", name, seed, b, err)
+					}
+				}
+				checkForestTrees(t, dc, fmt.Sprintf("%s seed %d batch %d", name, seed, b))
+			}
+			exhausted += dc.SearchStats().Exhausted
+		}
+	}
+	if exhausted == 0 {
+		t.Fatal("no search exhausted its sketches: the run is not starved")
+	}
+	t.Logf("%d exhausted searches", exhausted)
 }
 
 // TestLabelCacheExactAcrossUpdates pins what lets the label cache survive

@@ -31,8 +31,9 @@
 // TestRoundBudgetPerOperation pins the budget of every step of the update
 // path, TestLedgerPinned the totals of three replayed streams.
 //
-// Both layers checkpoint in full (snapshot.go, reshard.go: every shard, every
-// arena, one loader for any source fleet shape). Only DynamicConnectivity has
+// Both layers checkpoint in full (snapshot.go, reshard.go: the tree edges and
+// every arena, from which one loader for any source fleet shape derives the
+// component column and the cached labels). Only DynamicConnectivity has
 // delta checkpoints, and its delta is the batches, not the bytes they
 // dirtied: ApplyBatch journals what it received (a snapshot.Journal, at most
 // one update per vertex), a delta ships the journal, and a restore replays it

@@ -514,15 +514,15 @@ func (dc *DynamicConnectivity) refillWindow(lo, hi int) (sums map[int]sketch.Ske
 // (refillWindow), counted in SearchStats.Refills.
 //
 // The Tell that closes the Cut rides the search's first lookup or refill
-// (or, when there is none, the replacement Link's Ask), and the passive keys
-// are dropped by a rider without words when the search ends.
+// (or, when there is none, the replacement Link's Ask), and the fragment and
+// passive keys are dropped by a rider without words when the search ends.
 //
 // A search in which a supernode has read through copy t-1 and is still
 // active may return too few edges (a too-fine partition); it is counted in
 // SearchStats.Exhausted, not repaired.
 func (dc *DynamicConnectivity) findReplacements(passiveComps []int, first *firstWindow) []graph.WeightedEdge {
 	dc.search.searches.Add(1)
-	defer dc.f.dropPassive()
+	defer dc.f.dropFrags()
 	ws := newWorkspace(dc.space, dc.f.cfg.N, passiveComps, &dc.search)
 	// Register the workspace on the coordinator so its memory is metered.
 	dc.f.cl.LocalAt(dc.f.coord, func(mm *mpc.Machine) { mm.Set(slotWork, ws) })

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -628,26 +629,16 @@ func handEcho(e *snapshot.Encoder, f *Forest) {
 	e.Bool(f.weighted)
 }
 
-// handForest writes a forest section: a cold label cache, zero Stats, the
-// given component column, no fragment keys, and a live-looking record for
-// each of the given tree edges, in the order given.
-func handForest(e *snapshot.Encoder, f *Forest, comp []int, edges ...graph.Edge) {
-	n := f.cfg.N
+// handForest writes a forest section: no cached component count, the given
+// warm set (one word: n <= 64), zero Stats, and a live-looking record for each
+// of the given tree edges, in the order given.
+func handForest(e *snapshot.Encoder, f *Forest, warm uint64, edges ...graph.Edge) {
 	e.Begin(tagForest)
 	handEcho(e, f)
-	e.U64(2) // next tour id
-	e.U64(1) // label-cache epoch
-	e.Int(0) // no valid labels
-	e.Int(0)
+	e.U64(2)      // next tour id
 	e.Bool(false) // no component count
-	e.Ints(make([]int, n))
-	e.Int(n)
-	for v := 0; v < n; v++ {
-		e.U64(0)
-	}
+	e.U64(warm)
 	snapshot.EncodeClusterStats(e, mpc.Stats{})
-	e.Ints(comp)
-	e.Int(0) // no fragment keys
 	e.Int(len(edges))
 	for _, ed := range edges {
 		e.Int(ed.U)
@@ -692,7 +683,7 @@ func TestLoadRejectsTreeEdgeListedTwice(t *testing.T) {
 	a, b := graph.Edge{U: 1, V: 2}, graph.Edge{U: 2, V: 3}
 	build := func(edges ...graph.Edge) []byte {
 		e := snapshot.NewEncoder()
-		handForest(e, f, identity(cfg.N), edges...)
+		handForest(e, f, 0, edges...)
 		return container(t, e)
 	}
 	for name, edges := range map[string][]graph.Edge{"listed twice": {a, a}, "out of order": {b, a}} {
@@ -712,70 +703,91 @@ func TestLoadRejectsTreeEdgeListedTwice(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsComponentColumnBreakingMinimumID pins the loader's check of
-// the minimum-id rule: in a live instance every component id is the smallest
-// vertex of its component, so a column with an entry c < 0, c > v or
-// comp[c] != c — which would otherwise load and answer Connected(0, 5) with
-// no edge anywhere — is rejected, and the target stays untouched.
-func TestLoadRejectsComponentColumnBreakingMinimumID(t *testing.T) {
+// TestLoadRejectsTreeEdgesClosingACycle pins what the loader derives and
+// what it refuses: the component column is the minimum-root union-find over
+// the tree edges, so tree edges that close a cycle, or a warm set naming a
+// vertex past N-1, are rejected and the target stays untouched; a forest
+// loads with every vertex labelled by the smallest vertex of its tree, and
+// its warm set answers from the cache.
+func TestLoadRejectsTreeEdgesClosingACycle(t *testing.T) {
 	const n = 8
+	a, b, c := graph.Edge{U: 0, V: 1}, graph.Edge{U: 0, V: 2}, graph.Edge{U: 1, V: 2}
 	for name, tc := range map[string]struct {
-		v, c int
-		ok   bool
+		warm  uint64
+		edges []graph.Edge
+		want  string
 	}{
-		"later vertex":          {0, 5, false},
-		"negative":              {4, -1, false},
-		"not its own component": {3, 2, false}, // with comp[2] = 1 below
-		"smaller vertex":        {5, 0, true},
+		"cycle":             {0, []graph.Edge{a, b, c}, "closes a cycle"},
+		"warm past N-1":     {1 << n, []graph.Edge{a, b}, "warm set names a vertex past 7"},
+		"forest, warm 0..3": {0b1111, []graph.Edge{a, c}, ""},
 	} {
 		f, err := NewForest(Config{N: n, Phi: 0.6, Seed: 3, VerticesPerMachine: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp := identity(n)
-		comp[2] = 1
-		comp[tc.v] = tc.c
 		e := snapshot.NewEncoder()
-		handForest(e, f, comp)
+		handForest(e, f, tc.warm, tc.edges...)
 		err = snapshot.Load(bytes.NewReader(container(t, e)), f)
-		if tc.ok {
-			if err != nil {
-				t.Fatalf("%s: valid column rejected: %v", name, err)
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: not rejected: %v", name, err)
+			}
+			if got := f.SnapshotComponents(); !slices.Equal(got, identity(n)) {
+				t.Fatalf("%s: rejected container left components %v", name, got)
+			}
+			if got := f.SnapshotForest(); len(got) != 0 {
+				t.Fatalf("%s: rejected container left %d forest edges", name, len(got))
 			}
 			continue
 		}
-		if err == nil || !strings.Contains(err.Error(), "not the smallest vertex of a component") {
-			t.Fatalf("%s: comp[%d] = %d not rejected: %v", name, tc.v, tc.c, err)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if got := f.SnapshotComponents(); !slices.Equal(got, identity(n)) {
-			t.Fatalf("%s: rejected column left components %v", name, got)
+		want := []int{0, 0, 0, 3, 4, 5, 6, 7}
+		if got := f.SnapshotComponents(); !slices.Equal(got, want) {
+			t.Fatalf("%s: loaded components %v, want %v", name, got, want)
+		}
+		if got := f.ComponentsOf([]int{0, 1, 2, 3}); !slices.Equal(got, want[:4]) {
+			t.Fatalf("%s: cached labels %v, want %v", name, got, want[:4])
+		}
+		if hits, misses := f.QueryCacheStats(); hits != 1 || misses != 0 {
+			t.Fatalf("%s: the warm set's first query: %d hits, %d misses", name, hits, misses)
 		}
 	}
 }
 
-// TestOldForestLayoutRejectedByTag feeds Load a container in the retired
-// per-machine layout (tag 0x10 and its shard sections): it is rejected by
-// tag, never migrated, and the target is left untouched.
+// TestOldForestLayoutRejectedByTag feeds Load containers in retired
+// layouts — the per-machine one (tag 0x10 and its shard sections) and the
+// forest section that wrote its component column, fragment keys and label
+// cache (0x17): each is rejected by tag, never migrated, and the target is
+// left untouched.
 func TestOldForestLayoutRejectedByTag(t *testing.T) {
 	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
 	dc, err := NewDynamicConnectivity(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := snapshot.NewEncoder()
-	e.Begin(0x10)
-	handEcho(e, dc.f)
-	e.Int(cfg.VerticesPerMachine)
-	e.Int(dc.f.cl.Machines())
-	e.Begin(0x11)
-	e.Int(0)     // machine id
-	e.Bool(true) // has vertices
-	err = snapshot.Load(bytes.NewReader(container(t, e)), dc)
-	if err == nil || !strings.Contains(err.Error(), "found section 0x10 where 0x17 was expected") {
-		t.Fatalf("old layout not rejected by tag: %v", err)
-	}
-	if got := dc.SnapshotComponents(); !slices.Equal(got, identity(cfg.N)) {
-		t.Fatalf("rejected container left components %v", got)
+	perMachine := snapshot.NewEncoder()
+	perMachine.Begin(0x10)
+	handEcho(perMachine, dc.f)
+	perMachine.Int(cfg.VerticesPerMachine)
+	perMachine.Int(dc.f.cl.Machines())
+	perMachine.Begin(0x11)
+	perMachine.Int(0)     // machine id
+	perMachine.Bool(true) // has vertices
+	columns := snapshot.NewEncoder()
+	columns.Begin(0x17)
+	handEcho(columns, dc.f)
+	columns.U64(2) // next tour id
+	columns.U64(1) // label-cache epoch
+	for tag, e := range map[uint64]*snapshot.Encoder{0x10: perMachine, 0x17: columns} {
+		err = snapshot.Load(bytes.NewReader(container(t, e)), dc)
+		if want := fmt.Sprintf("found section %#x where %#x was expected", tag, tagForest); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("layout %#x not rejected by tag: %v", tag, err)
+		}
+		if got := dc.SnapshotComponents(); !slices.Equal(got, identity(cfg.N)) {
+			t.Fatalf("rejected container %#x left components %v", tag, got)
+		}
 	}
 }
 

@@ -104,7 +104,7 @@ func TestDeltaChainRestoreBitIdentical(t *testing.T) {
 		chain := snapshot.OpenChainIn(store, ckpt, 8)
 		checkpoint(t, chain, dc, snapshot.KindFull)
 		// Three deltas, each covering two batches of churn plus queries (so
-		// the label cache is warm and epoch-scoped entries ride the delta).
+		// the label cache is warm and its warm set rides the delta).
 		for k := 0; k < 3; k++ {
 			for i := 0; i < 2; i++ {
 				if err := dc.ApplyBatch(mix.Next(dc.MaxBatch())); err != nil {

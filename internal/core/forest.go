@@ -27,14 +27,16 @@ const (
 type vertexShard struct {
 	lo, hi int
 	comp   []int
-	frag   map[int]uint64
+	// frag holds the fragment key of every vertex a Cut affected, from the
+	// Cut's fragment push until the deletion that made them is over
+	// (dropFrags): the replacement search has ended, or the public Cut
+	// returns. Empty between operations, so never checkpointed.
+	frag map[int]uint64
 	// passive holds the fragment keys the last Cut declared passive (the
-	// largest fragment of every split tour, see Cut). It lives only inside
-	// one deletion batch — set by the Cut's relabel Tell, since the split plan
-	// names them before the fragment push, and dropped when the replacement
-	// search whose sketch aggregations read it ends (dropPassive) or by the
-	// next clearFrags — so unlike frag it is never checkpointed. The map is
-	// the read-only broadcast payload, shared by every shard.
+	// largest fragment of every split tour, see Cut). Set by the Cut's
+	// relabel Tell, since the split plan names them before the fragment push,
+	// and dropped with frag. The map is the read-only broadcast payload,
+	// shared by every shard.
 	passive map[uint64]bool
 	// affected holds, from the Tell that splits the tours of a Cut until the
 	// fragment push that follows consumes it (pushFragments), the ids of the
@@ -55,6 +57,18 @@ func (s *vertexShard) Words() int {
 func (s *vertexShard) owns(v int) bool { return v >= s.lo && v < s.hi }
 
 func (s *vertexShard) compOf(v int) int { return s.comp[v-s.lo] }
+
+// heads counts the owned vertices that head their component: with the
+// minimum-id convention, v does iff comp[v] == v.
+func (s *vertexShard) heads() int {
+	n := 0
+	for i, c := range s.comp {
+		if c == s.lo+i {
+			n++
+		}
+	}
+	return n
+}
 
 // treeEdge is one tree-edge record plus its weight (weights are carried only
 // by weighted forests; zero otherwise).
@@ -104,7 +118,7 @@ func (p *u64Payload) Words() int { return len(p.xs) }
 // cannot be placed from the Cut alone, so it is parked — unstamped and held
 // in pend until the Links that follow reunite the component's fragments. Only
 // InvalidateCache bumps the epoch (an O(1) drop of the whole cache); a
-// restore installs the checkpoint's epoch.
+// restore stamps the checkpoint's warm set in the current one (installWarm).
 //
 // mu implements the single-writer/many-reader contract of the query API
 // (see query.go): warm lookups hold the read lock, so any number of reader
@@ -493,8 +507,8 @@ func (f *Forest) ride(msg mpc.Sized, apply func(mm *mpc.Machine, msg mpc.Sized))
 var noWords = mpc.Ints(nil)
 
 // flush lands the pending riders: with a Tell of their own when they carry
-// words, as local work between rounds when they carry none (clearFrags and
-// dropPassive, which cost no broadcast).
+// words, as local work between rounds when they carry none (dropFrags, which
+// costs no broadcast).
 func (f *Forest) flush() {
 	c := &f.pending
 	switch {
@@ -602,14 +616,8 @@ func collectNumComps(mm *mpc.Machine) *mpc.MessageBatch {
 	if vs == nil {
 		return nil
 	}
-	n := uint64(0)
-	for i := range vs.comp {
-		if vs.comp[i] == vs.lo+i {
-			n++
-		}
-	}
 	b := mpc.AcquireMessageBatch()
-	b.Append(0, n)
+	b.Append(0, uint64(vs.heads()))
 	return b
 }
 
@@ -874,7 +882,6 @@ func (f *Forest) Link(edges []graph.WeightedEdge) error {
 	if len(edges) > f.cfg.MaxBatch() {
 		return fmt.Errorf("core: batch of %d exceeds MaxBatch %d", len(edges), f.cfg.MaxBatch())
 	}
-	f.clearFrags()
 	plainEdges := make([]graph.Edge, len(edges))
 	weightOf := map[graph.Edge]int64{}
 	for i, e := range edges {
@@ -1028,10 +1035,11 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 	})
 }
 
-// clearFrags drops the transient fragment maps left by the previous Cut. A
-// rider without words: it lands with the next broadcast, which comes before
-// anything reads the maps, and never forces a flush of its own.
-func (f *Forest) clearFrags() {
+// dropFrags drops the fragment and passive keys a Cut left on the vertex
+// shards: the deletion that made them is over. A rider without words: it
+// lands after the Tell that closes the Cut, with the next broadcast or the
+// flush that ends the operation, and never forces a flush of its own.
+func (f *Forest) dropFrags() {
 	f.ride(noWords, func(mm *mpc.Machine, _ mpc.Sized) {
 		vs := vShard(mm)
 		if vs == nil {
@@ -1040,17 +1048,6 @@ func (f *Forest) clearFrags() {
 		vs.passive = nil
 		if len(vs.frag) > 0 {
 			vs.frag = map[int]uint64{}
-		}
-	})
-}
-
-// dropPassive drops the passive fragment keys the last Cut left on the
-// vertex shards: the replacement search that read them is over. A rider
-// without words, like clearFrags.
-func (f *Forest) dropPassive() {
-	f.ride(noWords, func(mm *mpc.Machine, _ mpc.Sized) {
-		if vs := vShard(mm); vs != nil {
-			vs.passive = nil
 		}
 	})
 }
@@ -1082,22 +1079,25 @@ func (p edgeListPayload) Words() int { return 2 * len(p.edges) }
 // forest are reported as NonTree and otherwise ignored (the caller updates
 // any side structures such as sketches). Tree edges are removed, the
 // affected Euler tours are split into fragments in O(1) collective
-// operations, and component ids are re-assigned per fragment. The transient
-// vertex->fragment mapping stays on the vertex shards until the next Link or
-// Cut, and so do the keys of the fragments declared passive — the largest
-// fragment of every split tour, which PlanSplit's fragment lengths name for
-// free (CutReport.PassiveComps) — for the sketch aggregations of a
-// replacement search to skip. The closing Tell that assigns the component
-// ids is the one step a DynamicConnectivity's Cut leaves to ride the next
-// broadcast; Cut sends it before it returns.
+// operations, and component ids are re-assigned per fragment. The fragment
+// of every affected vertex is named on the vertex shards for the closing Tell
+// that assigns the component ids, and dropped with it. The closing Tell is
+// the one step a DynamicConnectivity's Cut leaves to ride the next broadcast;
+// Cut sends it before it returns.
 func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 	report, err := f.cut(edges, nil)
+	f.dropFrags()
 	f.flush()
 	return report, err
 }
 
-// cut is Cut leaving its closing Tell pending (tellFragComps). Given first,
-// its fragment-min aggregation also carries the replacement search's first
+// cut is Cut leaving its closing Tell pending (tellFragComps) and the
+// vertex->fragment mapping on the vertex shards, together with the keys of
+// the fragments declared passive — the largest fragment of every split tour,
+// which PlanSplit's fragment lengths name for free (CutReport.PassiveComps) —
+// for the sketch aggregations of a replacement search to skip; the caller
+// drops both (dropFrags) when the deletion is over. Given first, its
+// fragment-min aggregation also carries the replacement search's first
 // window (aggregateFragmentMins).
 func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error) {
 	if len(edges) == 0 {
@@ -1106,7 +1106,6 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 	if len(edges) > f.cfg.MaxBatch() {
 		return nil, fmt.Errorf("core: batch of %d exceeds MaxBatch %d", len(edges), f.cfg.MaxBatch())
 	}
-	f.clearFrags()
 	f.cache.dropParked()
 	canon := make([]graph.Edge, len(edges))
 	for i, e := range edges {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -52,7 +53,7 @@ func journalStore(t *testing.T, dc *DynamicConnectivity, warm ...graph.Batch) (*
 }
 
 // handDelta builds, word by word and with a fresh CRC, the first delta on the
-// base baseID: the given journal, then the fingerprint, label cache and stats
+// base baseID: the given journal, then the fingerprint, warm set and stats
 // of live — the instance that really applied the batches. batchCount
 // overrides the journal's count prefix when >= 0.
 func handDelta(t *testing.T, baseID uint64, live *DynamicConnectivity, journal [][]rawUpdate, batchCount int) []byte {
@@ -82,15 +83,15 @@ func handDelta(t *testing.T, baseID uint64, live *DynamicConnectivity, journal [
 	e.U64(f.nextID)
 	e.Int(len(live.SnapshotForest()))
 	lc := &f.cache
-	e.U64(uint64(lc.epoch))
-	e.Int(lc.numComps)
 	e.Bool(lc.numCompsOK)
-	e.Int(lc.valid)
-	for v, s := range lc.stamp {
-		if s == lc.epoch {
-			e.Int(v)
-			e.Int(lc.labels[v])
+	for w := 0; w < f.cfg.N; w += 64 { // the warm set, a bit per vertex
+		var bits uint64
+		for v := w; v < min(w+64, f.cfg.N); v++ {
+			if lc.stamp[v] == lc.epoch {
+				bits |= 1 << (v - w)
+			}
 		}
+		e.U64(bits)
 	}
 	snapshot.EncodeClusterStats(e, f.cl.Stats())
 	var buf bytes.Buffer
@@ -206,9 +207,9 @@ func TestDeltaRejectsTamperedJournal(t *testing.T) {
 
 // TestRetiredDeltaTagsRejected feeds the chain a delta whose state section
 // carries a retired tag — of the physical delta format (0x13 forest delta,
-// then 0x14 and 0x15 per shard) or of the journal delta whose echo named the
-// writer's VerticesPerMachine (0x16): it is rejected by tag, before anything
-// is applied.
+// then 0x14 and 0x15 per shard), of the journal delta whose echo named the
+// writer's VerticesPerMachine (0x16) or of the one that wrote the cached
+// labels (0x19): it is rejected by tag, before anything is applied.
 func TestRetiredDeltaTagsRejected(t *testing.T) {
 	cfg := Config{N: 16, Phi: 0.6, Seed: 5}
 	live, err := NewDynamicConnectivity(cfg)
@@ -216,7 +217,7 @@ func TestRetiredDeltaTagsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	store, baseID := journalStore(t, live)
-	for _, tag := range []uint64{0x13, 0x14, 0x15, 0x16} {
+	for _, tag := range []uint64{0x13, 0x14, 0x15, 0x16, 0x19} {
 		e := snapshot.NewEncoder()
 		e.Begin(0x0D)
 		e.U64(baseID)
@@ -229,7 +230,7 @@ func TestRetiredDeltaTagsRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh, _, err := restoreWith(t, store, cfg, buf.Bytes())
-		if err == nil || !strings.Contains(err.Error(), "found section") || !strings.Contains(err.Error(), "0x19 was expected") {
+		if err == nil || !strings.Contains(err.Error(), "found section") || !strings.Contains(err.Error(), fmt.Sprintf("%#x was expected", tagReplayDelta)) {
 			t.Errorf("delta with section %#x: %v", tag, err)
 		}
 		if got := fresh.SnapshotForest(); len(got) != 0 {

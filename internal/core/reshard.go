@@ -4,33 +4,32 @@ package core
 // Elastic re-sharding is a deterministic state migration rather than a
 // consensus problem because placement is a rule, not state: vertices live in
 // contiguous mpc.Partition ranges and edge records on hash.Hash(edgeID) %
-// machines. A full container therefore holds the logical state only
-// (component ids, fragment keys, tree-edge records, per-vertex sketch words,
-// the coordinator's tour counter and label cache, cluster stats; see
-// snapshot.go) and nothing of the placement that wrote it, so there is
-// nothing to regroup: each state has one loader, its Restore, which decodes
-// the columns, validates them, checks the per-machine s-words budget of this
-// instance's shape and installs the image under this instance's placement. A
-// loaded instance is indistinguishable from a fresh instance at its shape
-// that was fed the same update stream (labels, forest, sketches, and query
-// answers are bit-identical), and it re-saves the container byte for byte;
-// its execution Stats are the checkpoint's, carried over verbatim. Loading
-// resets the instance's update journal: the loaded state is the baseline the
-// next delta checkpoint (a journal of batches, see snapshot.go) extends.
-// Deltas themselves are never re-sharded — they replay onto a base of their
-// own fleet shape.
+// machines. A full container therefore holds the logical state only, and of
+// that only what the rest is a function of (tree-edge records, per-vertex
+// sketch words, the coordinator's tour counter, the label cache's warm set,
+// cluster stats; see snapshot.go), so there is nothing to regroup: each state
+// has one loader, its Restore, which decodes the sections, derives the
+// component column from the tree edges (and from it every warm label and the
+// component count), checks the per-machine s-words budget of this instance's
+// shape and installs the image under this instance's placement. A loaded
+// instance is indistinguishable from a fresh instance at its shape that was
+// fed the same update stream (labels, forest, sketches, and query answers are
+// bit-identical), and it re-saves the container byte for byte; its execution
+// Stats are the checkpoint's, carried over verbatim. Loading resets the
+// instance's update journal: the loaded state is the baseline the next delta
+// checkpoint (a journal of batches, see snapshot.go) extends. Deltas
+// themselves are never re-sharded — they replay onto a base of their own
+// fleet shape.
 //
-// Failure contract: every error — a configuration mismatch, a column that
-// breaks an invariant of a live instance, a sketch run of the wrong length, a
-// memory-cap rejection (a per-machine budget that cannot hold the state is
-// never silently installed in violation of the model) — is reported before
-// any target state is touched, so the instance may be reused. Only a later
-// state's error in a multi-state container (snapshot.Load) leaves the
-// earlier states loaded.
+// Failure contract: every error — a configuration mismatch, tree edges that
+// are no forest, a sketch run of the wrong length, a memory-cap rejection (a
+// per-machine budget that cannot hold the state is never silently installed
+// in violation of the model) — is reported before any target state is
+// touched, so the instance may be reused.
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"repro/internal/eulertour"
 	"repro/internal/graph"
@@ -66,98 +65,91 @@ func ResizeConfig(cfg Config, machines int) (Config, error) {
 // yet placed.
 type forestImage struct {
 	nextID     uint64
-	epoch      uint32
-	valid      int
-	numComps   int
 	numCompsOK bool
-	labels     []int
-	stamp      []uint32
+	warm       []uint64 // the label cache's warm set (writeWarm's bitmap)
 	stats      mpc.Stats
-
-	comp []int // component id per vertex, len N
-	// fragV and fragK are the transient fragment keys: fragK[j] is vertex
-	// fragV[j]'s, fragV ascending.
-	fragV []int
-	fragK []uint64
+	// comp is the component column the tree edges fix (forestComponents) and
+	// roots the number of its components.
+	comp  []int
+	roots int
 	// recs holds every tree-edge record, grouped by the machine that owns it
 	// under the loading instance's placement.
 	recs []map[graph.Edge]*treeEdge
 }
 
-// readImage decodes the tagForest section and validates it against the
-// invariants of a live instance.
+// readImage decodes the tagForest section, validates it against the
+// invariants of a live instance and derives the component column.
 func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, error) {
 	d.Begin(tagForest)
 	if err := f.readConfig(d); err != nil {
 		return nil, err
 	}
 	n := f.cfg.N
-	img := &forestImage{
-		stamp: make([]uint32, n),
-		recs:  make([]map[graph.Edge]*treeEdge, f.cl.Machines()),
-	}
+	img := &forestImage{recs: make([]map[graph.Edge]*treeEdge, f.cl.Machines())}
 	for i := range img.recs {
 		img.recs[i] = map[graph.Edge]*treeEdge{}
 	}
 	img.nextID = d.U64()
-	img.epoch = uint32(d.U64())
-	img.valid = d.Int()
-	img.numComps = d.Int()
 	img.numCompsOK = d.Bool()
-	img.labels = d.Ints()
-	if d.Err() == nil && len(img.labels) != n {
-		return nil, fmt.Errorf("core: snapshot label cache of %d entries, want %d", len(img.labels), n)
-	}
-	if ns := d.Int(); d.Err() == nil && ns != n {
-		return nil, fmt.Errorf("core: snapshot stamp array of %d entries, want %d", ns, n)
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		img.stamp[i] = uint32(d.U64())
-	}
-	img.stats = snapshot.DecodeClusterStats(d)
-	// Every component id is the smallest vertex of its component, so it names
-	// a vertex no later than its own that is its own component.
-	img.comp = d.Ints()
-	if err := d.Err(); err != nil {
+	var err error
+	if img.warm, err = readWarm(d, n); err != nil {
 		return nil, err
 	}
-	if len(img.comp) != n {
-		return nil, fmt.Errorf("core: snapshot component column of %d entries, want %d", len(img.comp), n)
-	}
-	for v, c := range img.comp {
-		if c < 0 || c > v || img.comp[c] != c {
-			return nil, fmt.Errorf("core: snapshot gives vertex %d component %d, not the smallest vertex of a component", v, c)
-		}
-	}
-	// Count bounds both tables against the section, so their reads cannot fail.
-	nf := d.Count(2)
-	img.fragV, img.fragK = make([]int, nf), make([]uint64, nf)
-	for j := range nf {
-		v := d.Int()
-		if v < 0 || v >= n || j > 0 && v <= img.fragV[j-1] {
-			return nil, fmt.Errorf("core: snapshot fragment entry %d (vertex %d) out of range or out of vertex order", j, v)
-		}
-		img.fragV[j], img.fragK[j] = v, d.U64()
-	}
+	img.stats = snapshot.DecodeClusterStats(d)
+	// Count bounds the table against the section, so its reads cannot fail.
 	nr := d.Count(8)
-	var prev uint64
+	edges := make([]graph.Edge, nr)
 	for j := range nr {
 		ed := graph.Edge{U: d.Int(), V: d.Int()}
 		if ed.U < 0 || ed.U >= ed.V || ed.V >= n {
 			return nil, fmt.Errorf("core: snapshot holds invalid tree edge {%d,%d}", ed.U, ed.V)
 		}
-		id := ed.ID(n)
-		if j > 0 && id <= prev {
+		if j > 0 && ed.ID(n) <= edges[j-1].ID(n) {
 			return nil, fmt.Errorf("core: snapshot lists tree edge {%d,%d} twice or out of edge-id order", ed.U, ed.V)
 		}
-		prev = id
+		edges[j] = ed
 		te := &treeEdge{rec: eulertour.Record{E: ed, Tour: eulertour.TourID(d.U64())}}
 		te.rec.UPos = [2]eulertour.Pos{d.Int(), d.Int()}
 		te.rec.VPos = [2]eulertour.Pos{d.Int(), d.Int()}
 		te.weight = d.I64()
 		img.recs[f.edgeOwner(ed)][ed] = te
 	}
-	return img, d.Err()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	img.comp, img.roots, err = forestComponents(n, edges)
+	return img, err
+}
+
+// forestComponents is the component column the tree edges fix: the
+// minimum-root union-find over them, so every vertex is labelled with the
+// smallest vertex of its tree, and the number of trees. An edge whose
+// endpoints are joined already closes a cycle: the edges are no forest.
+func forestComponents(n int, edges []graph.Edge) (comp []int, roots int, err error) {
+	comp = make([]int, n) // a parent array: comp[v] <= v throughout
+	for v := range comp {
+		comp[v] = v
+	}
+	find := func(v int) int {
+		for comp[v] != v {
+			comp[v] = comp[comp[v]]
+			v = comp[v]
+		}
+		return v
+	}
+	roots = n
+	for _, e := range edges {
+		ru, rv := find(e.U), find(e.V)
+		if ru == rv {
+			return nil, 0, fmt.Errorf("core: snapshot tree edge {%d,%d} closes a cycle", e.U, e.V)
+		}
+		comp[max(ru, rv)] = min(ru, rv)
+		roots--
+	}
+	for v := range comp { // parents precede their children: one pass flattens
+		comp[v] = comp[comp[v]]
+	}
+	return comp, roots, nil
 }
 
 // checkCaps tallies, per machine of this instance, the words the image will
@@ -170,14 +162,15 @@ func (f *Forest) checkCaps(img *forestImage, sketchStride int) error {
 	for i := 0; i < m; i++ {
 		words := 8*len(img.recs[i]) + 1 // edge shard
 		if i == f.coord {
-			words += 2 * img.valid // label-cache meter
+			for _, w := range img.warm { // label-cache meter
+				words += 2 * bits.OnesCount64(w)
+			}
 			if img.numCompsOK {
 				words++
 			}
 		} else {
 			lo, hi := f.part.Range(i)
-			from, to := img.frags(lo, hi)
-			words += (hi - lo) + 2*(to-from) + 2 // vertex shard
+			words += (hi - lo) + 2 // vertex shard
 			if sketchStride > 0 {
 				words += (hi-lo)*sketchStride + 1 // sketch arena
 			}
@@ -190,35 +183,17 @@ func (f *Forest) checkCaps(img *forestImage, sketchStride int) error {
 	return nil
 }
 
-// frags returns the span [from,to) of the fragment table that covers the
-// vertices [lo,hi).
-func (img *forestImage) frags(lo, hi int) (from, to int) {
-	from, _ = slices.BinarySearch(img.fragV, lo)
-	to, _ = slices.BinarySearch(img.fragV, hi)
-	return from, to
-}
-
 // installImage overwrites the forest with the image under this instance's
 // placement maps. Infallible: every validation already ran.
 func (f *Forest) installImage(img *forestImage) {
 	f.nextID = img.nextID
 	lc := &f.cache
-	lc.epoch = img.epoch
-	lc.valid = img.valid
-	lc.numComps = img.numComps
-	lc.numCompsOK = img.numCompsOK
-	copy(lc.labels, img.labels)
-	copy(lc.stamp, img.stamp)
-	clear(lc.pend)
+	lc.numComps, lc.numCompsOK = img.roots, img.numCompsOK
+	lc.installWarm(img.warm, func(v int) int { return img.comp[v] })
 	f.pending.reset() // riders of the state being replaced
 	f.cl.LocalAll(func(mm *mpc.Machine) {
 		if vs := vShard(mm); vs != nil {
 			copy(vs.comp, img.comp[vs.lo:vs.hi])
-			from, to := img.frags(vs.lo, vs.hi)
-			vs.frag = make(map[int]uint64, to-from)
-			for j := from; j < to; j++ {
-				vs.frag[img.fragV[j]] = img.fragK[j]
-			}
 		}
 		eShard(mm).recs = img.recs[mm.ID]
 	})

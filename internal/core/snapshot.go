@@ -1,16 +1,19 @@
 package core
 
 // Crash-safe checkpoint/restore of the connectivity stack (see package
-// snapshot for the container format). A full checkpoint is the logical state
-// and nothing of its placement: the coordinator-local tour-id counter and
-// label cache (epoch-preserving, so a restored run's warm queries stay warm),
-// the cluster execution metrics, the component column in vertex order, the
-// fragment keys sorted by vertex, the tree-edge records sorted by edge id,
-// and, for a DynamicConnectivity, the sketch words of all N vertices as one
-// run. No machine id, vertex range or machine count is written: which
-// machine holds what is a rule of the loading instance (reshard.go). Shared
-// randomness (edge hash, sketch spaces) is reconstructed deterministically
-// from the configuration seed, so it is validated, not serialized.
+// snapshot for the container format). A full checkpoint holds what the rest
+// of the state is a function of, and nothing of its placement: the
+// coordinator-local tour-id counter, whether the component count is cached,
+// the label cache's warm set as an n-bit bitmap, the cluster execution
+// metrics, the tree-edge records sorted by edge id, and, for a
+// DynamicConnectivity, the sketch words of all N vertices as one run. The
+// component column is the minimum-root union-find over the tree edges, so a
+// loader derives it, and with it every warm label and the component count
+// (reshard.go); no fragment key outlives the Cut that made it. No machine id,
+// vertex range or machine count is written: which machine holds what is a
+// rule of the loading instance. Shared randomness (edge hash, sketch spaces)
+// is reconstructed deterministically from the configuration seed, so it is
+// validated, not serialized.
 //
 // A delta checkpoint is logical: the batches ApplyBatch received since the
 // last acknowledged checkpoint, replayed on restore (CheckpointDelta,
@@ -19,14 +22,16 @@ package core
 // the same base reproduces shards, arenas and tour ids bit for bit; only the
 // driver state a replay cannot rederive rides along.
 //
-// This file holds the writers (Checkpoint, CheckpointDelta) and the delta
-// reader (RestoreDelta); the one reader of a full container, Restore, is in
-// reshard.go. The container-level checks (magic, version, CRC) have already
-// rejected corrupt files before any reader here runs.
+// This file holds the writers (Checkpoint, CheckpointDelta), the warm-set
+// bitmap both write, and the delta reader (RestoreDelta); the one reader of a
+// full container, Restore, is in reshard.go. The container-level checks
+// (magic, version, CRC) have already rejected corrupt files before any reader
+// here runs.
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/snapshot"
@@ -38,11 +43,13 @@ import (
 // header, one section per machine shard, one per sketch arena), 0x13–0x15
 // the physical delta (dirty component entries, tree-edge upserts and
 // tombstones, arena regions), 0x16 the delta whose echo carried the writer's
-// VerticesPerMachine.
+// VerticesPerMachine, 0x17 the forest section and 0x19 the delta that wrote
+// the label cache's labels (and the forest its component column, fragment
+// keys, stamps and epoch) rather than derive them.
 const (
-	tagForest      = 0x17
 	tagSketches    = 0x18
-	tagReplayDelta = 0x19
+	tagForest      = 0x1A
+	tagReplayDelta = 0x1B
 )
 
 // writeConfig writes the configuration echo that opens the forest's full
@@ -84,41 +91,16 @@ func (f *Forest) readConfig(d *snapshot.Decoder) error {
 }
 
 // Checkpoint serializes the forest as one section: configuration echo,
-// tour-id counter, label cache, cluster stats, then the component column, the
-// fragment keys and the tree-edge records (see the file comment). It reads
-// the shards directly — no collective, no metering.
+// tour-id counter, whether the component count is cached, the label cache's
+// warm set, cluster stats, then the tree-edge records (see the file comment).
+// It reads the shards directly — no collective, no metering.
 func (f *Forest) Checkpoint(e *snapshot.Encoder) {
 	e.Begin(tagForest)
 	f.writeConfig(e)
 	e.U64(f.nextID)
-	lc := &f.cache
-	e.U64(uint64(lc.epoch))
-	e.Int(lc.valid)
-	e.Int(lc.numComps)
-	e.Bool(lc.numCompsOK)
-	e.Ints(lc.labels)
-	e.Int(len(lc.stamp))
-	for _, s := range lc.stamp {
-		e.U64(uint64(s))
-	}
+	e.Bool(f.cache.numCompsOK)
+	f.cache.writeWarm(e)
 	snapshot.EncodeClusterStats(e, f.cl.Stats())
-	e.Int(f.cfg.N)
-	var fragVerts []int
-	for i := 0; i < f.coord; i++ { // the vertex machines, in vertex order
-		vs := vShard(f.cl.Machine(i))
-		for _, c := range vs.comp {
-			e.Int(c)
-		}
-		for v := range vs.frag {
-			fragVerts = append(fragVerts, v)
-		}
-	}
-	slices.Sort(fragVerts)
-	e.Int(len(fragVerts))
-	for _, v := range fragVerts {
-		e.Int(v)
-		e.U64(vShard(f.cl.Machine(f.part.Owner(v))).frag[v])
-	}
 	var recs []*treeEdge
 	for i := 0; i < f.cl.Machines(); i++ {
 		for _, te := range eShard(f.cl.Machine(i)).recs {
@@ -139,14 +121,66 @@ func (f *Forest) Checkpoint(e *snapshot.Encoder) {
 	}
 }
 
+// writeWarm writes the warm set — the vertices whose label is cached — as an
+// n-bit bitmap, ⌈n/64⌉ words with no length prefix (the echo fixes n), vertex
+// v at bit v%64 of word v/64. The labels are not written: each is its
+// vertex's component, which a loader reads off the restored column
+// (installWarm).
+func (lc *labelCache) writeWarm(e *snapshot.Encoder) {
+	var w uint64
+	for v, s := range lc.stamp {
+		if s == lc.epoch {
+			w |= 1 << (v % 64)
+		}
+		if v%64 == 63 || v == len(lc.stamp)-1 {
+			e.U64(w)
+			w = 0
+		}
+	}
+}
+
+// readWarm reads the bitmap writeWarm wrote for n vertices; a bit set past
+// vertex n-1 is an error.
+func readWarm(d *snapshot.Decoder, n int) ([]uint64, error) {
+	warm := make([]uint64, (n+63)/64)
+	for i := range warm {
+		warm[i] = d.U64()
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if tail := n % 64; tail != 0 && warm[len(warm)-1]>>tail != 0 {
+		return nil, fmt.Errorf("core: snapshot warm set names a vertex past %d", n-1)
+	}
+	return warm, nil
+}
+
+// installWarm makes the cache hold exactly the warm set, stamped in the
+// current epoch, each label read off the component column (compOf).
+func (lc *labelCache) installWarm(warm []uint64, compOf func(v int) int) {
+	clear(lc.stamp)
+	clear(lc.pend)
+	lc.valid = 0
+	for i, w := range warm {
+		for ; w != 0; w &= w - 1 {
+			v := 64*i + bits.TrailingZeros64(w)
+			lc.labels[v] = compOf(v)
+			lc.stamp[v] = lc.epoch
+			lc.valid++
+		}
+	}
+}
+
 // Checkpoint serializes the full dynamic-connectivity state: the forest's
 // section, then one section holding the sketch words of every vertex in
 // vertex order (the arenas back to back).
 func (dc *DynamicConnectivity) Checkpoint(e *snapshot.Encoder) {
 	f := dc.f
 	f.Checkpoint(e)
+	run := f.cfg.N * dc.space.SketchWords()
+	e.Grow(3 + run) // the section header, the length word and the run
 	e.Begin(tagSketches)
-	e.Int(f.cfg.N * dc.space.SketchWords())
+	e.Int(run)
 	for i := 0; i < f.coord; i++ {
 		e.Words(sShard(f.cl.Machine(i)).arena.Raw())
 	}
@@ -167,8 +201,8 @@ func (f *Forest) treeEdges() int {
 // batches ApplyBatch received since, chunk boundaries kept; the replay
 // fingerprint (tour-id counter, tree-edge count) a restore compares its replay
 // against; and the coordinator driver state a replay cannot rederive, because
-// it depends on the queries run in between: the current epoch's label-cache
-// entries, the cached component count, the cluster stats. It declines (false)
+// it depends on the queries run in between: whether the component count is
+// cached, the label cache's warm set, the cluster stats. It declines (false)
 // when the journal was dropped: it outgrew its bound, ApplyBatch
 // returned an error, or Bootstrap bypassed it. Call AckCheckpoint once the
 // container is durable.
@@ -182,17 +216,8 @@ func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) bool {
 	}
 	e.U64(f.nextID)
 	e.Int(f.treeEdges())
-	lc := &f.cache
-	e.U64(uint64(lc.epoch))
-	e.Int(lc.numComps)
-	e.Bool(lc.numCompsOK)
-	e.Int(lc.valid)
-	for v, s := range lc.stamp {
-		if s == lc.epoch {
-			e.Int(v)
-			e.Int(lc.labels[v])
-		}
-	}
+	e.Bool(f.cache.numCompsOK)
+	f.cache.writeWarm(e)
 	snapshot.EncodeClusterStats(e, f.cl.Stats())
 	return true
 }
@@ -201,13 +226,11 @@ func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) bool {
 // restored state (the base snapshot plus any earlier deltas of the chain) of
 // the same fleet shape: every journaled batch, validated as outside input, is
 // replayed through the one apply path; a replay that does not arrive at the
-// recorded fingerprint is an error; then the label cache and the cluster
-// stats are installed verbatim and the search counters zeroed, so the
-// instance equals one restored from a full checkpoint of the same state. The
-// label cache is installed by clearing every stamp and re-stamping the
-// delta's current-epoch entries — observationally identical to the full
-// restore's stamp image, because stale stamps behave exactly like cleared
-// ones (the epoch is never 0). On error the instance must be discarded.
+// recorded fingerprint is an error; then the label cache takes the delta's
+// warm set, each label and the component count read off the replayed
+// component column, the cluster stats are installed verbatim and the search
+// counters zeroed, so the instance equals one restored from a full checkpoint
+// of the same state. On error the instance must be discarded.
 func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder) (snapshot.Replay, error) {
 	f := dc.f
 	d.Begin(tagReplayDelta)
@@ -222,10 +245,12 @@ func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder) (snapshot.Repla
 		return replayed, err
 	}
 	nextID, treeEdges := d.U64(), d.Int()
-	lc := &f.cache
-	epoch := uint32(d.U64())
-	numComps, numCompsOK := d.Int(), d.Bool()
-	nv := d.Count(2)
+	numCompsOK := d.Bool()
+	warm, err := readWarm(d, f.cfg.N)
+	if err != nil {
+		return replayed, err
+	}
+	st := snapshot.DecodeClusterStats(d)
 	if err := d.Err(); err != nil {
 		return replayed, err
 	}
@@ -233,21 +258,12 @@ func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder) (snapshot.Repla
 		return replayed, fmt.Errorf("core: replay diverged: the journal leaves tour counter %d and %d tree edges, the delta recorded %d and %d",
 			f.nextID, f.treeEdges(), nextID, treeEdges)
 	}
-	lc.epoch, lc.numComps, lc.numCompsOK = epoch, numComps, numCompsOK
-	clear(lc.stamp)
-	for j := 0; j < nv; j++ {
-		v, label := d.Int(), d.Int()
-		if v < 0 || v >= f.cfg.N {
-			return replayed, fmt.Errorf("core: delta label-cache entry for vertex %d out of range [0,%d)", v, f.cfg.N)
-		}
-		lc.labels[v] = label
-		lc.stamp[v] = lc.epoch
+	lc := &f.cache
+	lc.numComps, lc.numCompsOK = 0, numCompsOK
+	for i := 0; i < f.coord; i++ { // unmetered, like Checkpoint's walk
+		lc.numComps += vShard(f.cl.Machine(i)).heads()
 	}
-	lc.valid = nv
-	st := snapshot.DecodeClusterStats(d)
-	if err := d.Err(); err != nil {
-		return replayed, err
-	}
+	lc.installWarm(warm, func(v int) int { return vShard(f.cl.Machine(f.part.Owner(v))).compOf(v) })
 	f.cl.RestoreStats(st)
 	dc.search.reset()
 	dc.journal.Reset() // the restored state is the new delta baseline

@@ -33,12 +33,7 @@ type Mirror struct {
 }
 
 // NewMirror returns an empty mirror over n vertices.
-func NewMirror(n int) *Mirror { return MirrorOf(graph.New(n)) }
-
-// MirrorOf adopts g, which the caller may keep advancing itself (a
-// generator's own mirror); updates that bypass Admit are not journaled, so
-// such a mirror is only ever checkpointed in full.
-func MirrorOf(g *graph.Graph) *Mirror { return &Mirror{g: g} }
+func NewMirror(n int) *Mirror { return &Mirror{g: graph.New(n)} }
 
 // Graph returns the mirror graph. A restore replaces it.
 func (m *Mirror) Graph() *graph.Graph { return m.g }

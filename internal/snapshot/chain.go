@@ -40,7 +40,7 @@ type Chain struct {
 	// orphansRemoved counts stale delta files Restore deleted (leftovers of
 	// a crash between base rewrite and delta cleanup during compaction).
 	orphansRemoved int
-	// replayed sums the journals the states replayed during the last Restore.
+	// replayed sums the journals the state replayed during the last Restore.
 	replayed Replay
 }
 
@@ -88,30 +88,30 @@ func (c *Chain) deltaPath(seq int) string {
 }
 
 // Checkpoint writes the next checkpoint in the chain: a delta extending the
-// current tip when one exists, the chain is still under maxDeltas, and every
+// current tip when one exists, the chain is still under maxDeltas, and the
 // state implements DeltaState and agrees to write one; a fresh full base
 // otherwise (first checkpoint, compaction due, the previous write failed, a
 // state that cannot write deltas, or one that declines this delta because its
 // journal overflowed or it changed outside its journal). The write is atomic
-// either way; on success every DeltaState's AckCheckpoint runs, so journals
-// reset only once the bytes are durable. Compaction is crash-safe by ordering:
-// the new base replaces the old atomically first, and only then are the
-// now-stale delta files removed — a crash in between leaves deltas whose Base
-// identity no longer matches, which Restore detects and sweeps.
+// either way; on success a DeltaState's AckCheckpoint runs, so its journal
+// resets only once the bytes are durable. Compaction is crash-safe by
+// ordering: the new base replaces the old atomically first, and only then
+// are the now-stale delta files removed — a crash in between leaves deltas
+// whose Base identity no longer matches, which Restore detects and sweeps.
 //
 // It reports which kind was written ("full" or "delta") and the container
 // size in bytes.
-func (c *Chain) Checkpoint(states ...State) (kind string, bytes int64, err error) {
+func (c *Chain) Checkpoint(state State) (kind string, bytes int64, err error) {
 	if c.linked && c.maxDeltas > 0 && c.seq < c.maxDeltas {
 		link := ChainLink{Base: c.baseID, Prev: c.tipID, Seq: uint64(c.seq + 1)}
-		if e, ok := encodeDelta(link, states); ok {
+		if e, ok := encodeDelta(link, state); ok {
 			id, n, err := c.put(c.deltaPath(c.seq+1), DeltaMagic, e)
 			if err != nil {
 				return KindDelta, 0, err
 			}
 			c.seq++
 			c.tipID = id
-			ack(states)
+			ack(state)
 			return KindDelta, n, nil
 		}
 	}
@@ -121,7 +121,7 @@ func (c *Chain) Checkpoint(states ...State) (kind string, bytes int64, err error
 		// a previous incarnation beyond what we know about. Scan.
 		staleDeltas = c.countDeltas()
 	}
-	id, n, err := c.put(c.path, Magic, encodeFull(states))
+	id, n, err := c.put(c.path, Magic, encodeFull(state))
 	if err != nil {
 		return KindFull, 0, err
 	}
@@ -136,7 +136,7 @@ func (c *Chain) Checkpoint(states ...State) (kind string, bytes int64, err error
 	c.baseID = id
 	c.tipID = id
 	c.seq = 0
-	ack(states)
+	ack(state)
 	return KindFull, n, nil
 }
 
@@ -153,12 +153,10 @@ func (c *Chain) put(name string, magic uint64, e *Encoder) (id uint64, n int64, 
 	return id, n, err
 }
 
-// ack runs AckCheckpoint on every state that keeps a delta baseline.
-func ack(states []State) {
-	for _, s := range states {
-		if ds, ok := s.(DeltaState); ok {
-			ds.AckCheckpoint()
-		}
+// ack runs AckCheckpoint if the state keeps a delta baseline.
+func ack(state State) {
+	if ds, ok := state.(DeltaState); ok {
+		ds.AckCheckpoint()
 	}
 }
 
@@ -185,7 +183,7 @@ func (c *Chain) countDeltas() int {
 // it; a corrupt or torn container is a hard error, because the chain it
 // belongs to cannot be trusted — and so is a delta in front of a state that
 // cannot replay one.
-func (c *Chain) Restore(states ...State) (bool, error) {
+func (c *Chain) Restore(state State) (bool, error) {
 	c.linked = false
 	c.orphansRemoved = 0
 	c.replayed = Replay{}
@@ -199,7 +197,7 @@ func (c *Chain) Restore(states ...State) (bool, error) {
 	d, baseID, err := NewContainerDecoder(f, Magic, "snapshot")
 	f.Close()
 	if err == nil {
-		err = restoreAll(d, states)
+		err = restore(d, state)
 	}
 	if err != nil {
 		return false, fmt.Errorf("restoring base %s: %w", c.path, err)
@@ -235,7 +233,7 @@ func (c *Chain) Restore(states ...State) (bool, error) {
 			break
 		}
 		want := ChainLink{Base: c.baseID, Prev: c.tipID, Seq: uint64(c.seq + 1)}
-		r, err := restoreDelta(d, link, want, states)
+		r, err := restoreDelta(d, link, want, state)
 		if err != nil {
 			return false, fmt.Errorf("restoring delta %s: %w", next, err)
 		}

@@ -72,9 +72,9 @@ func mustPanic(t *testing.T, f func()) {
 }
 
 // TestWriteFileAtomicCrashPoints is the crash-atomicity property: a process
-// dying at any stage of the atomic write leaves either the old snapshot
-// complete or the new one complete — LoadFile succeeds either way and never
-// sees a torn file. A death before the rename orphans the temp file, which
+// dying at any stage of the atomic write (FileStore.Put) leaves either the
+// old snapshot complete or the new one complete — a load succeeds either way
+// and never sees a torn file. A death before the rename orphans the temp file, which
 // SweepStaleTemps then removes.
 func TestWriteFileAtomicCrashPoints(t *testing.T) {
 	for _, tc := range []struct {
@@ -88,17 +88,17 @@ func TestWriteFileAtomicCrashPoints(t *testing.T) {
 		t.Run(tc.stage, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "state.snap")
-			if err := WriteFileAtomic(path, &fakeState{tag: 3, value: 111}); err != nil {
+			if err := putFile(path, &fakeState{tag: 3, value: 111}); err != nil {
 				t.Fatal(err)
 			}
 			disarm := atStage(tc.stage)
 			mustPanic(t, func() {
-				_ = WriteFileAtomic(path, &fakeState{tag: 3, value: 222})
+				_ = putFile(path, &fakeState{tag: 3, value: 222})
 			})
 			disarm()
 
 			got := &fakeState{tag: 3}
-			if err := LoadFile(path, got); err != nil {
+			if err := loadFile(path, got); err != nil {
 				t.Fatalf("snapshot torn after crash at %s: %v", tc.stage, err)
 			}
 			if got.value != tc.wantValue {
@@ -112,7 +112,7 @@ func TestWriteFileAtomicCrashPoints(t *testing.T) {
 				t.Errorf("crash at %s: swept %v, want orphan=%v", tc.stage, swept, tc.wantTemp)
 			}
 			// The swept directory is clean and writable again.
-			if err := WriteFileAtomic(path, &fakeState{tag: 3, value: 333}); err != nil {
+			if err := putFile(path, &fakeState{tag: 3, value: 333}); err != nil {
 				t.Fatal(err)
 			}
 			entries, err := os.ReadDir(dir)

@@ -53,18 +53,20 @@ type DeltaState interface {
 }
 
 // encodeDelta builds one delta container's sections: the chain header
-// first, then each state's delta sections in order. ok is false when there is
-// no delta to write: a state cannot write deltas at all, or declines this one.
-func encodeDelta(link ChainLink, states []State) (e *Encoder, ok bool) {
+// first, then the state's delta sections. ok is false when there is no delta
+// to write: the state cannot write deltas at all, or declines this one.
+func encodeDelta(link ChainLink, state State) (e *Encoder, ok bool) {
+	ds, ok := state.(DeltaState)
+	if !ok {
+		return nil, false
+	}
 	e = NewEncoder()
 	e.Begin(tagChain)
 	e.U64(link.Base)
 	e.U64(link.Prev)
 	e.U64(link.Seq)
-	for _, s := range states {
-		if ds, ok := s.(DeltaState); !ok || !ds.CheckpointDelta(e) {
-			return nil, false
-		}
+	if !ds.CheckpointDelta(e) {
+		return nil, false
 	}
 	return e, true
 }
@@ -82,26 +84,21 @@ func readChainHeader(d *Decoder) (ChainLink, error) {
 // restoreDelta checks a delta's header against the expected position in
 // the chain of its base (want.Base is link.Base: the caller has already set
 // aside a delta built on another base as an orphan) and, only then, applies
-// its sections to the states, summing what they replayed. A delta at the
+// its sections to the state, reporting what it replayed. A delta at the
 // wrong position or off a different predecessor is out of order; so is any
 // delta in front of a state that cannot replay one.
-func restoreDelta(d *Decoder, link, want ChainLink, states []State) (Replay, error) {
-	var total Replay
+func restoreDelta(d *Decoder, link, want ChainLink, state State) (Replay, error) {
 	if link.Seq != want.Seq || link.Prev != want.Prev {
-		return total, fmt.Errorf("snapshot: out-of-order delta: link (seq %d, prev %#x) where (seq %d, prev %#x) was expected",
+		return Replay{}, fmt.Errorf("snapshot: out-of-order delta: link (seq %d, prev %#x) where (seq %d, prev %#x) was expected",
 			link.Seq, link.Prev, want.Seq, want.Prev)
 	}
-	for _, s := range states {
-		ds, ok := s.(DeltaState)
-		if !ok {
-			return total, fmt.Errorf("snapshot: the state being restored (%T) cannot replay deltas", s)
-		}
-		r, err := ds.RestoreDelta(d)
-		if err != nil {
-			return total, err
-		}
-		total.Batches += r.Batches
-		total.Updates += r.Updates
+	ds, ok := state.(DeltaState)
+	if !ok {
+		return Replay{}, fmt.Errorf("snapshot: the state being restored (%T) cannot replay deltas", state)
 	}
-	return total, d.Finish()
+	r, err := ds.RestoreDelta(d)
+	if err != nil {
+		return r, err
+	}
+	return r, d.Finish()
 }

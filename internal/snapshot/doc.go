@@ -34,7 +34,7 @@
 //	word 1   format version (Version)
 //	word 2   payload length in words
 //	...      section tagChain: ChainLink{Base, Prev, Seq}
-//	...      delta sections (journals, per state)
+//	...      the state's delta sections (its journals)
 //	last     CRC-32C of all preceding bytes
 //
 // ChainLink pins where in a chain the delta belongs: Base is the CRC word
@@ -55,9 +55,11 @@
 // rename, directory sync; OpenChain uses it); MemStore holds containers in
 // memory for chains that must outlive the state they checkpoint but not the
 // process, which is what the harness's crash and fault decorators need.
-// There is one chain implementation over both. It accepts any
-// Checkpointer+Restorer (State); the lifecycle around it — who applies, when
-// to checkpoint, how to resize — is internal/session's.
+// There is one chain implementation over both. It checkpoints one
+// Checkpointer+Restorer (State) per container, as Save and Load do; a state
+// made of parts composes their sections itself (session's image writes the
+// meta echo, the mirror and the algorithm state). The lifecycle around it —
+// who applies, when to checkpoint, how to resize — is internal/session's.
 //
 // What a delta holds. A delta is logical, not physical: a state that changes
 // only by applying update batches ships the batches it applied since the last
@@ -67,9 +69,10 @@
 // decode — and the one delta mechanism of the repository: core's
 // DynamicConnectivity and session's Mirror each embed one. A state opts in
 // by implementing DeltaState: CheckpointDelta writes its journal plus
-// whatever a replay cannot rederive (for connectivity: the label cache, the
-// cached component count, the cluster Stats — they depend on the queries run
-// in between — and a fingerprint to compare the replay against),
+// whatever a replay cannot rederive (for connectivity: which labels are
+// cached and whether the component count is, and the cluster Stats — they
+// depend on the queries run in between — and a fingerprint to compare the
+// replay against),
 // RestoreDelta replays the journal through the state's own apply path on top
 // of the restored base and reports how much it replayed (Chain.Replayed sums
 // it: restore time grows with it), and AckCheckpoint starts the journal
@@ -106,22 +109,25 @@
 // the same policy as for versions, below. The physical delta format this
 // one replaced (core's 0x13–0x15, the mirror's flat journal 0x73) is gone
 // that way, and so are the per-machine full layouts (core's 0x10–0x12,
-// the greedy matching's 0x30–0x31, the maximal matcher's 0x40–0x41) and
-// core's delta echo that named the writer's VerticesPerMachine (0x16).
+// the greedy matching's 0x30–0x31, the maximal matcher's 0x40–0x41),
+// core's delta echo that named the writer's VerticesPerMachine (0x16), and
+// core's forest section and delta that wrote what they now derive — the
+// component column, fragment keys and cached labels (0x17, 0x19).
 //
 // # Re-sharding
 //
 // The same container doubles as the migration format for elastic resizing:
 // Load restores a full snapshot onto instances built at any machine count
 // (Reshard is another name for it). A full container holds the logical state
-// — component ids, match partners, adjacency, fragment keys, tree-edge
-// records, sketch words, label caches, cluster stats — in vertex order (edge
-// records in edge-id order) and nothing of its placement: no section per
+// — match partners, adjacency, tree-edge records, sketch words, which labels
+// are cached, cluster stats — in vertex order (edge records in edge-id order),
+// nothing a loader can derive from it (core's component ids are the trees of
+// its forest) and nothing of its placement: no section per
 // machine, no machine id, vertex range or writer's machine count. Which
 // machine holds what is a deterministic rule of the loading instance
 // (contiguous vertex ranges, hashed edge owners), so there is nothing to
 // regroup: each state has one loader, its Restore (core/reshard.go describes
-// the connectivity stack's), which decodes the columns, validates them,
+// the connectivity stack's), which decodes the sections, validates them,
 // checks its own fleet's memory caps and installs them under its own
 // placement. A container is therefore a function of the state alone: loaded
 // at any shape, the instance re-saves it byte for byte. (The sparsifier of
@@ -133,8 +139,8 @@
 //     whose image would overflow a machine's local memory is rejected
 //     with a diagnostic naming the overloaded machine, and the instance
 //     is left untouched — the model's memory cap is never silently
-//     violated. So are a configuration mismatch and a column that breaks an
-//     invariant of a live instance.
+//     violated. So are a configuration mismatch and a section that breaks an
+//     invariant of a live instance (core's tree edges closing a cycle).
 //   - Only full snapshots can be re-sharded; a delta replays onto a base of
 //     its own fleet shape and RestoreDelta demands that shape. Re-sharding
 //     a delta chain goes through a staging instance at the source shape:

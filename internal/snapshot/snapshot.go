@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/mpc"
 )
@@ -41,45 +42,39 @@ type Restorer interface {
 	Restore(d *Decoder) error
 }
 
-// Save checkpoints the given states, in order, into one snapshot written to
-// w.
-func Save(w io.Writer, states ...Checkpointer) error {
-	_, err := encodeFull(states).WriteTo(w)
+// Save checkpoints state into one snapshot written to w.
+func Save(w io.Writer, state Checkpointer) error {
+	_, err := encodeFull(state).WriteTo(w)
 	return err
 }
 
-// encodeFull builds one full container's sections, each state's in order.
-func encodeFull[S Checkpointer](states []S) *Encoder {
+// encodeFull builds one full container's sections.
+func encodeFull(state Checkpointer) *Encoder {
 	e := NewEncoder()
-	for _, s := range states {
-		s.Checkpoint(e)
-	}
+	state.Checkpoint(e)
 	return e
 }
 
-// Load reads one snapshot from r and restores the given states in order
-// (which must match the Save order). It verifies the container (magic,
-// version, CRC) before any state is touched and that every section was
-// consumed afterwards.
-func Load(r io.Reader, states ...Restorer) error {
+// Load reads one snapshot from r and restores state from it. It verifies the
+// container (magic, version, CRC) before the state is touched and that every
+// section was consumed afterwards.
+func Load(r io.Reader, state Restorer) error {
 	d, err := NewDecoder(r)
 	if err != nil {
 		return err
 	}
-	return restoreAll(d, states)
+	return restore(d, state)
 }
 
 // Reshard is Load: every state's one loader takes a full container written
 // at any machine count (see the package comment's re-sharding notes).
 var Reshard = Load
 
-// restoreAll hands the decoder to each state in order and verifies the
-// whole container was consumed.
-func restoreAll[S Restorer](d *Decoder, states []S) error {
-	for _, s := range states {
-		if err := s.Restore(d); err != nil {
-			return err
-		}
+// restore hands the decoder to the state and verifies the whole container
+// was consumed.
+func restore(d *Decoder, state Restorer) error {
+	if err := state.Restore(d); err != nil {
+		return err
 	}
 	return d.Finish()
 }
@@ -113,6 +108,11 @@ func (e *Encoder) close() {
 		e.open = -1
 	}
 }
+
+// Grow makes room for n more words in the payload, so that a caller about to
+// append a run of known length copies the payload once, not once per growth
+// step.
+func (e *Encoder) Grow(n int) { e.payload = slices.Grow(e.payload, n) }
 
 // U64 appends one word to the current section.
 func (e *Encoder) U64(x uint64) {

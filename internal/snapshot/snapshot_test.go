@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -219,20 +220,40 @@ func TestClusterStatsRoundTrip(t *testing.T) {
 	}
 }
 
+// pairState composes two states into one, as a state made of parts does
+// (the session's meta echo, mirror and algorithm state): Save and Load take
+// one state, and composing its sections is that state's own job.
+type pairState struct{ a, b *fakeState }
+
+func (p pairState) Checkpoint(e *Encoder) {
+	p.a.Checkpoint(e)
+	p.b.Checkpoint(e)
+}
+
+func (p pairState) Restore(d *Decoder) error {
+	if err := p.a.Restore(d); err != nil {
+		return err
+	}
+	return p.b.Restore(d)
+}
+
+// TestSaveLoadComposition pins that a composed state round-trips through one
+// container, and that loading only its first part leaves a trailing section,
+// which Load rejects.
 func TestSaveLoadComposition(t *testing.T) {
 	var buf bytes.Buffer
-	a := &fakeState{tag: 3, value: 111}
-	b := &fakeState{tag: 4, value: 222}
-	if err := Save(&buf, a, b); err != nil {
+	if err := Save(&buf, pairState{&fakeState{tag: 3, value: 111}, &fakeState{tag: 4, value: 222}}); err != nil {
 		t.Fatal(err)
 	}
-	ra := &fakeState{tag: 3}
-	rb := &fakeState{tag: 4}
-	if err := Load(&buf, ra, rb); err != nil {
+	r := pairState{&fakeState{tag: 3}, &fakeState{tag: 4}}
+	if err := Load(bytes.NewReader(buf.Bytes()), r); err != nil {
 		t.Fatal(err)
 	}
-	if ra.value != 111 || rb.value != 222 {
-		t.Errorf("composed load got (%d, %d)", ra.value, rb.value)
+	if r.a.value != 111 || r.b.value != 222 {
+		t.Errorf("composed load got (%d, %d)", r.a.value, r.b.value)
+	}
+	if err := Load(bytes.NewReader(buf.Bytes()), &fakeState{tag: 3}); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("a load of the first part only: %v", err)
 	}
 }
 
@@ -287,18 +308,34 @@ func TestCountBounds(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtomic checks the crash-safe write path end to end: the
-// snapshot lands complete and loadable, overwrites are atomic replacements
-// of the previous file, and no temporary files are left behind.
+// putFile checkpoints state into the file at path through FileStore.Put, the
+// atomic write a chain makes.
+func putFile(path string, state Checkpointer) error {
+	return FileStore{}.Put(path, func(w io.Writer) error { return Save(w, state) })
+}
+
+// loadFile restores state from the snapshot file at path.
+func loadFile(path string, state Restorer) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return Load(f, state)
+}
+
+// TestWriteFileAtomic checks the crash-safe file write (FileStore.Put) end to
+// end: the snapshot lands complete and loadable, overwrites are atomic
+// replacements of the previous file, and no temporary files are left behind.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/state.snap"
 	for round, value := range []int{111, 222} {
-		if err := WriteFileAtomic(path, &fakeState{tag: 3, value: value}); err != nil {
+		if err := putFile(path, &fakeState{tag: 3, value: value}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		got := &fakeState{tag: 3}
-		if err := LoadFile(path, got); err != nil {
+		if err := loadFile(path, got); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if got.value != value {
@@ -314,7 +351,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	// A write into a nonexistent directory must fail up front and must not
 	// create anything.
-	if err := WriteFileAtomic(dir+"/missing/state.snap", &fakeState{tag: 3}); err == nil {
+	if err := putFile(dir+"/missing/state.snap", &fakeState{tag: 3}); err == nil {
 		t.Error("write into a missing directory succeeded")
 	}
 }

@@ -130,25 +130,6 @@ func (m *MemStore) Remove(name string) error {
 	return nil
 }
 
-// WriteFileAtomic checkpoints states into the file at path through
-// FileStore.Put: a crash at any point leaves either the previous file intact
-// or the new one complete — never a truncated snapshot that Load would
-// reject after the old one is already gone.
-func WriteFileAtomic(path string, states ...Checkpointer) error {
-	return FileStore{}.Put(path, func(w io.Writer) error { return Save(w, states...) })
-}
-
-// LoadFile restores states from the snapshot file at path (the read-side
-// convenience partner of WriteFileAtomic).
-func LoadFile(path string, states ...Restorer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return Load(f, states...)
-}
-
 // SweepStaleTemps removes the temp files a died-mid-write process left next
 // to the snapshot at path: same directory, named after the snapshot (the
 // exact pattern FileStore.Put uses, including the delta files' temps), never
