@@ -45,12 +45,12 @@ func vertexSpace(path string) (int, error) {
 
 // replay runs a -stream or -trace file through any registered algorithm on
 // a Session, optionally resuming from and/or writing a checkpoint. Every
-// batch is admitted into the session's mirror (validated, applied,
-// journaled) before the algorithm sees it, and the final state is verified
-// against that mirror. When -resume and -checkpoint name the same path, the
-// written checkpoint extends the restored chain as a cheap delta (carrying
-// only the replayed update batches, which the next resume replays) instead
-// of rewriting the full snapshot.
+// batch is admitted into the session's mirror (validated, applied) before
+// the algorithm sees it, and the final state is verified against that
+// mirror. When -resume and -checkpoint name the same path, the written
+// checkpoint extends the restored chain as a cheap delta (carrying only the
+// replayed update batches, which the next resume replays into the state and
+// the mirror) instead of rewriting the full snapshot.
 func replay(o options, out io.Writer) error {
 	flagName, path := "-trace", o.traceFile
 	if path == "" {

@@ -403,7 +403,7 @@ func BenchmarkRestoreChain(b *testing.B) {
 			d.U64()
 			d.U64()
 			d.U64()
-			if _, err := target.RestoreDelta(d); err != nil {
+			if _, err := target.RestoreDelta(d, nil); err != nil {
 				b.Fatal(err)
 			}
 			if err := d.Finish(); err != nil {

@@ -34,6 +34,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/snapshot"
 )
 
@@ -230,8 +231,10 @@ func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) bool {
 // warm set, each label and the component count read off the replayed
 // component column, the cluster stats are installed verbatim and the search
 // counters zeroed, so the instance equals one restored from a full checkpoint
-// of the same state. On error the instance must be discarded.
-func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder) (snapshot.Replay, error) {
+// of the same state. then, when not nil, is handed each batch after it was
+// replayed (see snapshot.DeltaState). On error the instance must be
+// discarded.
+func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder, then func(graph.Batch) error) (snapshot.Replay, error) {
 	f := dc.f
 	d.Begin(tagReplayDelta)
 	if err := f.readConfig(d); err != nil {
@@ -240,7 +243,12 @@ func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder) (snapshot.Repla
 	if mach := d.Int(); d.Err() == nil && mach != f.cl.Machines() {
 		return snapshot.Replay{}, fmt.Errorf("core: delta written on %d machines cannot extend a base on %d", mach, f.cl.Machines())
 	}
-	replayed, err := snapshot.ReplayJournal(d, f.cfg.N, dc.MaxBatch(), dc.applyBatch)
+	replayed, err := snapshot.ReplayJournal(d, f.cfg.N, dc.MaxBatch(), func(b graph.Batch) error {
+		if err := dc.applyBatch(b); err != nil || then == nil {
+			return err
+		}
+		return then(b)
+	})
 	if err != nil {
 		return replayed, err
 	}

@@ -163,7 +163,7 @@ func TestWorkspaceCursorRule(t *testing.T) {
 		labelOf := func(v int) int { return v % frags }
 		full := make([]sketch.VertexSketch, frags)
 		for f := range full {
-			full[f] = sketch.NewVertexSketch(space, n)
+			full[f] = sketch.VertexView(space.NewSketch(), n)
 		}
 		seen := map[graph.Edge]bool{}
 		addEdge := func(u, v int) {

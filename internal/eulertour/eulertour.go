@@ -142,7 +142,7 @@ func (r Relabel) Words() int { return 5 }
 
 // RelabelSet indexes relabel descriptors for application: machines apply the
 // one built from the broadcast batch to every local record position. Once
-// built it is read-only (Map, Covers and Touches are pure), so one set may be
+// built it is read-only (Map and Touches are pure), so one set may be
 // shared by concurrent readers.
 type RelabelSet struct {
 	byTour map[TourID][]Relabel
@@ -170,13 +170,6 @@ func (s *RelabelSet) Map(t TourID, p Pos) (TourID, Pos) {
 		return list[i].NewTour, p + list[i].Delta
 	}
 	return t, p
-}
-
-// Covers reports whether position p of tour t is covered by a descriptor.
-func (s *RelabelSet) Covers(t TourID, p Pos) bool {
-	list := s.byTour[t]
-	i := sort.Search(len(list), func(i int) bool { return list[i].Hi >= p })
-	return i < len(list) && list[i].Lo <= p
 }
 
 // Touches reports whether any descriptor refers to tour t.

@@ -61,8 +61,11 @@ func TestRelabelSetMap(t *testing.T) {
 	if tr, p := set.Map(2, 3); tr != 2 || p != 3 {
 		t.Errorf("untouched tour moved: %d,%d", tr, p)
 	}
-	if !set.Covers(1, 8) || set.Covers(1, 9) || set.Covers(3, 1) {
-		t.Error("Covers wrong")
+	if tr, p := set.Map(1, 8); tr != 8 || p != 4 {
+		t.Errorf("Map(1,8) = %d,%d: the last covered position moved wrong", tr, p)
+	}
+	if tr, p := set.Map(1, 9); tr != 1 || p != 9 {
+		t.Errorf("Map(1,9) = %d,%d: a position past every descriptor moved", tr, p)
 	}
 	if !set.Touches(1) || set.Touches(3) {
 		t.Error("Touches wrong")

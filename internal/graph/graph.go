@@ -134,17 +134,6 @@ func DelW(u, v int, w int64) Update {
 // Batch is one phase's worth of updates, applied atomically between queries.
 type Batch []Update
 
-// Inserts returns the insertion updates of the batch, in order.
-func (b Batch) Inserts() []Update {
-	var out []Update
-	for _, u := range b {
-		if u.Op == Insert {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // MaxVertex returns the largest endpoint referenced by the batch, or -1
 // for an empty batch. Streaming consumers fold it over batches to size a
 // vertex space without materializing the stream.
@@ -159,17 +148,6 @@ func (b Batch) MaxVertex() int {
 		}
 	}
 	return max
-}
-
-// Deletes returns the deletion updates of the batch, in order.
-func (b Batch) Deletes() []Update {
-	var out []Update
-	for _, u := range b {
-		if u.Op == Delete {
-			out = append(out, u)
-		}
-	}
-	return out
 }
 
 // Graph is a simple sequential adjacency-set graph. It is the reference

@@ -100,13 +100,41 @@ func TestUpdateConstructors(t *testing.T) {
 	}
 }
 
+// TestBatchSplit pins what Check promises the algorithms: a batch it admits
+// may be split into its insertions followed by its deletions (the order they
+// apply it in) and ends where the batch applied in order ends.
 func TestBatchSplit(t *testing.T) {
-	b := Batch{Ins(0, 1), Del(2, 3), Ins(4, 5)}
-	if got := len(b.Inserts()); got != 2 {
-		t.Errorf("Inserts len = %d, want 2", got)
+	g := New(6)
+	if err := g.Insert(2, 3, 0); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(b.Deletes()); got != 1 {
-		t.Errorf("Deletes len = %d, want 1", got)
+	b := Batch{Ins(0, 1), Del(2, 3), Ins(4, 5)}
+	if err := g.Check(b); err != nil {
+		t.Fatal(err)
+	}
+	var ins, del Batch
+	for _, u := range b {
+		if u.Op == Insert {
+			ins = append(ins, u)
+		} else {
+			del = append(del, u)
+		}
+	}
+	if len(ins) != 2 || len(del) != 1 {
+		t.Fatalf("split into %d insertions and %d deletions, want 2 and 1", len(ins), len(del))
+	}
+	split := g.Clone()
+	if err := split.Apply(append(ins, del...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if split.M() != 2 || !split.Has(0, 1) || !split.Has(4, 5) || split.Has(2, 3) {
+		t.Errorf("split batch ends at %v, want {0,1} and {4,5}", split.Edges())
+	}
+	if g.M() != 2 || !g.Has(0, 1) || !g.Has(4, 5) || g.Has(2, 3) {
+		t.Errorf("batch in order ends at %v, want {0,1} and {4,5}", g.Edges())
 	}
 }
 

@@ -317,7 +317,7 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 // crash/fault injection applies unchanged. Options.N defaults to the
 // source's Shape().N and must cover it; Options.Batches is ignored — the
 // source runs to io.EOF. Source batches larger than the algorithm's
-// MaxBatch (or Options.BatchSize) are applied in chunks.
+// MaxBatch are applied in chunks.
 func RunSource(algoName, streamName string, src workload.MirrorSource, opt Options) (*Report, error) {
 	algo, err := GetAlgorithm(algoName)
 	if err != nil {
@@ -353,7 +353,6 @@ func newSession(algo Algorithm, opt Options) (*session.Session, error) {
 			at.VerticesPerMachine = sh.VerticesPerMachine
 			return algo.New(at)
 		},
-		BatchSize: opt.BatchSize,
 	}
 	if opt.CrashEvery > 0 || opt.CheckpointEvery > 0 || opt.FaultEvery > 0 {
 		cfg.Chain = snapshot.OpenChainIn(snapshot.NewMemStore(), algo.Name, opt.MaxDeltaChain)

@@ -13,9 +13,9 @@ package mpc
 // any other state — from the round it arrives until the machine's callback
 // is handed it; the cluster removes it from the store at that moment, under
 // a slot name no algorithm sees, so no site can forget to and none holds the
-// payload as state afterwards. Broadcast and AggregateBatches are the
-// building blocks and stay exported for collectives that need only one half
-// (an aggregation with nothing to ask, a broadcast consumed by a Step).
+// payload as state afterwards. AggregateBatches stays exported for an
+// aggregation with nothing to ask; the broadcast beneath Ask and Tell does
+// not, since everything sent down is a question or a message.
 //
 // The tree walks reuse cluster-owned state (the per-rank accumulator slots,
 // the per-machine outboxes, and dispatch callbacks built once at
@@ -167,7 +167,7 @@ func (c *Cluster) applyTold(m *Machine) { c.told.apply(m, takeTold(m)) }
 //
 // Ask must not be called from inside an answer or apply callback.
 func (c *Cluster) Ask(from int, question Sized, answer func(m *Machine, question Sized) *MessageBatch, combine BatchCombine) *MessageBatch {
-	c.Broadcast(from, slotTold, question)
+	c.broadcast(from, question)
 	c.told.answer = answer
 	res := c.AggregateBatches(from, c.runAnswer, combine)
 	c.told.answer = nil
@@ -179,7 +179,7 @@ func (c *Cluster) Ask(from int, question Sized, answer func(m *Machine, question
 // the executor, under the StepFunc concurrency contract). apply is handed
 // the message, which is shared and read-only. Rounds: the broadcast's depth.
 func (c *Cluster) Tell(from int, msg Sized, apply func(m *Machine, msg Sized)) {
-	c.Broadcast(from, slotTold, msg)
+	c.broadcast(from, msg)
 	c.told.apply = apply
 	c.LocalAll(c.runTold)
 	c.told.apply = nil

@@ -64,7 +64,7 @@ func newChurnRounds(t testing.TB, parallelism int) *churnRounds {
 		for i := range bufs[par] {
 			bufs[par][i] = make([]*mpc.MessageBatch, machines)
 			for j := range bufs[par][i] {
-				bufs[par][i][j] = mpc.NewMessageBatch(0)
+				bufs[par][i][j] = mpc.AcquireMessageBatch()
 			}
 		}
 	}

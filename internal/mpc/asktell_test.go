@@ -245,18 +245,18 @@ func TestAskIsBroadcastThenAggregate(t *testing.T) {
 		}, SumValues))
 		verbs.Tell(12, q, func(m *Machine, msg Sized) { m.Set("kept", msg.(U64s)[:m.ID%3]) })
 
-		hand.Broadcast(12, "b", q)
+		hand.broadcast(12, q)
 		b := framesOf(hand.AggregateBatches(12, func(m *Machine) *MessageBatch {
-			q := m.Get("b")
-			m.Delete("b")
+			q := m.Get(slotTold)
+			m.Delete(slotTold)
 			b := AcquireMessageBatch()
 			b.Append(uint64(m.ID%4), uint64(len(q.(U64s))))
 			return b
 		}, SumValues))
-		hand.Broadcast(12, "b", q)
+		hand.broadcast(12, q)
 		hand.LocalAll(func(m *Machine) {
-			msg := m.Get("b")
-			m.Delete("b")
+			msg := m.Get(slotTold)
+			m.Delete(slotTold)
 			m.Set("kept", msg.(U64s)[:m.ID%3])
 		})
 		if !reflect.DeepEqual(a, b) {

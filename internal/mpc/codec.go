@@ -30,12 +30,6 @@ type MessageBatch struct {
 	words  int // sum of frame lengths, excluding prefixes
 }
 
-// NewMessageBatch returns an empty batch with capacity for capWords buffer
-// words (content plus one prefix word per expected frame).
-func NewMessageBatch(capWords int) *MessageBatch {
-	return &MessageBatch{buf: make([]uint64, 0, capWords)}
-}
-
 // batchPool recycles batch buffers across rounds; steady-state encoding
 // allocates nothing once buffer capacities have converged.
 var batchPool = sync.Pool{New: func() any { return new(MessageBatch) }}

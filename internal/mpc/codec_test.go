@@ -14,7 +14,7 @@ func collectFrames(b *MessageBatch) [][]uint64 {
 }
 
 func TestMessageBatchRoundTrip(t *testing.T) {
-	b := NewMessageBatch(8)
+	b := AcquireMessageBatch()
 	b.Append(1, 2, 3)
 	b.Append() // empty frame is legal
 	copy(b.Grow(2), []uint64{7, 9})
@@ -31,7 +31,7 @@ func TestMessageBatchRoundTrip(t *testing.T) {
 }
 
 func TestMessageBatchGrowInPlace(t *testing.T) {
-	b := NewMessageBatch(64)
+	b := AcquireMessageBatch()
 	f := b.Grow(4)
 	for i := range f {
 		f[i] = uint64(i + 10)
@@ -50,7 +50,7 @@ func TestMessageBatchGrowInPlace(t *testing.T) {
 }
 
 func TestMessageBatchResetReusesCapacity(t *testing.T) {
-	b := NewMessageBatch(0)
+	b := AcquireMessageBatch()
 	for i := 0; i < 16; i++ {
 		b.Append(uint64(i), uint64(i))
 	}
@@ -72,7 +72,7 @@ func TestMessageBatchResetReusesCapacity(t *testing.T) {
 }
 
 func TestMessageBatchCursorLockStep(t *testing.T) {
-	a, b := NewMessageBatch(0), NewMessageBatch(0)
+	a, b := AcquireMessageBatch(), AcquireMessageBatch()
 	a.Append(1)
 	a.Append(3)
 	b.Append(2)
@@ -104,7 +104,7 @@ func TestMessageBatchPool(t *testing.T) {
 }
 
 func TestMessageBatchCorruptFramePanics(t *testing.T) {
-	b := NewMessageBatch(0)
+	b := AcquireMessageBatch()
 	b.Append(1, 2)
 	b.buf[0] = 99 // lie about the frame length
 	defer func() {

@@ -234,7 +234,7 @@ func runEngineProgram(parallelism int) (Stats, string) {
 		return nil
 	})
 	// Collectives on top of the same engine.
-	c.Broadcast(3, "bc", U64s{1, 2, 3})
+	c.broadcast(3, U64s{1, 2, 3})
 	sum := c.Ask(0, U64s{1},
 		func(m *Machine, q Sized) *MessageBatch {
 			b := AcquireMessageBatch()

@@ -45,8 +45,8 @@ func TestRoundsAreTreeDepth(t *testing.T) {
 			sum := uint64(tc.M * (tc.M - 1) / 2)
 
 			rounds("Broadcast", tc.depth, func() {
-				cl.Broadcast(from, "bc", payload)
-				cl.LocalAll(func(m *Machine) { m.Delete("bc") })
+				cl.broadcast(from, payload)
+				cl.LocalAll(func(m *Machine) { m.Delete(slotTold) })
 			})
 			rounds("Tell", tc.depth, func() { cl.Tell(from, payload, func(*Machine, Sized) {}) })
 			rounds("AggregateBatches", tc.depth, func() {

@@ -272,10 +272,6 @@ func (c *Cluster) Machine(i int) *Machine { return c.machines[i] }
 // Stats returns a copy of the execution metrics so far.
 func (c *Cluster) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the metrics (keeping machine state), so callers can meter
-// a phase in isolation.
-func (c *Cluster) ResetStats() { c.stats = Stats{} }
-
 // RestoreStats overwrites the metrics wholesale, as part of restoring a
 // checkpoint: together with reloaded machine stores this makes a resumed
 // execution's Stats bit-identical to an uninterrupted one. The violations
@@ -572,7 +568,6 @@ func treeDepth(m, f int) int {
 type bcastState struct {
 	outs     [][]Message
 	from     int
-	slot     string
 	payload  Sized
 	frontier int // ranks [0, frontier) hold the payload
 	fanout   int
@@ -604,21 +599,21 @@ func (c *Cluster) bcastStep(m *Machine, inbox []Message) []Message {
 // bcastLand stores the payload a machine was just delivered.
 func (c *Cluster) bcastLand(m *Machine, inbox []Message) {
 	for _, msg := range inbox {
-		m.Set(c.bc.slot, msg.Payload)
+		m.Set(slotTold, msg.Payload)
 	}
 }
 
-// Broadcast delivers payload from machine `from` to every machine via a
-// fanout tree, storing it on arrival under store slot `slot`. It costs the
-// tree depth, ceil(log_f M) rounds where f = s / payload words (1 on a
-// single machine); the last round's deliveries are landed, not stepped for.
-// The payload value is shared (not copied); receivers must treat it as
-// read-only. A steady-state Broadcast allocates nothing.
-func (c *Cluster) Broadcast(from int, slot string, payload Sized) {
+// broadcast delivers payload from machine `from` to every machine via a
+// fanout tree, storing it on arrival under slotTold, where Ask and Tell pick
+// it up. It costs the tree depth, ceil(log_f M) rounds where f = s / payload
+// words (1 on a single machine); the last round's deliveries are landed, not
+// stepped for. The payload value is shared (not copied); receivers must treat
+// it as read-only. A steady-state broadcast allocates nothing.
+func (c *Cluster) broadcast(from int, payload Sized) {
 	bc := &c.bc
-	bc.from, bc.slot, bc.payload = from, slot, payload
+	bc.from, bc.payload = from, payload
 	bc.fanout = c.fanout(payload.Words())
-	c.machines[from].Set(slot, payload)
+	c.machines[from].Set(slotTold, payload)
 	bc.frontier = 1
 	for d := treeDepth(c.cfg.Machines, bc.fanout); d > 0; d-- {
 		c.Step(c.runBcast)

@@ -170,9 +170,9 @@ func TestBroadcastReachesAll(t *testing.T) {
 	for _, M := range []int{1, 2, 3, 7, 16, 33} {
 		for _, from := range []int{0, M / 2, M - 1} {
 			c := newTestCluster(M, 64)
-			c.Broadcast(from, "bc", U64s{7, 8, 9})
+			c.broadcast(from, U64s{7, 8, 9})
 			for i := 0; i < M; i++ {
-				got := c.Machine(i).Get("bc")
+				got := c.Machine(i).Get(slotTold)
 				if got == nil {
 					t.Fatalf("M=%d from=%d: machine %d missing broadcast", M, from, i)
 				}
@@ -192,7 +192,7 @@ func TestBroadcastRoundsLogarithmic(t *testing.T) {
 	// 64 machines in two hops, and a round is a hop: the last hop's
 	// deliveries are landed, not stepped for.
 	c := newTestCluster(64, 8)
-	c.Broadcast(0, "bc", word(5))
+	c.broadcast(0, word(5))
 	if r := c.Stats().Rounds; r != 2 {
 		t.Errorf("broadcast of 1 word to 64 machines with s=8 took %d rounds, want 2", r)
 	}
@@ -217,15 +217,6 @@ func TestScatter(t *testing.T) {
 		if got[i] != uint64(i+100) {
 			t.Errorf("machine %d got %d", i, got[i])
 		}
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	c := newTestCluster(2, 10)
-	c.Step(func(m *Machine, inbox []Message) []Message { return nil })
-	c.ResetStats()
-	if c.Stats().Rounds != 0 {
-		t.Error("ResetStats did not zero rounds")
 	}
 }
 
@@ -327,9 +318,9 @@ func TestBroadcastManyConfigsProperty(t *testing.T) {
 			for i := range payload {
 				payload[i] = uint64(i)
 			}
-			c.Broadcast(M-1, "p", payload)
+			c.broadcast(M-1, payload)
 			for i := 0; i < M; i++ {
-				if c.Machine(i).Get("p") == nil {
+				if c.Machine(i).Get(slotTold) == nil {
 					t.Fatalf("M=%d w=%d: machine %d missed broadcast", M, w, i)
 				}
 			}
@@ -371,7 +362,7 @@ func TestBroadcastOversizedPayloadViolates(t *testing.T) {
 	// A payload larger than the local memory cannot be broadcast legally;
 	// the violation must be metered, not hidden.
 	c := newTestCluster(4, 8)
-	c.Broadcast(0, "big", U64s(make([]uint64, 32)))
+	c.broadcast(0, U64s(make([]uint64, 32)))
 	if len(c.Stats().Violations) == 0 {
 		t.Error("oversized broadcast recorded no violations")
 	}

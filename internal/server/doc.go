@@ -65,18 +65,19 @@
 // never truncates a previous good checkpoint. With Config.CheckpointEvery
 // the same checkpoint also runs periodically on a quiesced instance
 // (admission held, queue drained). Every container opens with the session's
-// meta echo, followed by the mirror (its edge set in a full base, the
-// journal of admitted updates in a delta) and the cluster state (the tree
-// edges and sketch arenas in a full base; in a delta the journal of applied
-// batches, which a restore replays — mpcserve_restore_replayed_updates_total
-// says how many — plus which labels are cached, and stats). New
+// meta echo. A full base follows it with the mirror's edge set and the
+// cluster state (the tree edges and sketch arenas); a delta with the cluster
+// state's journal of applied batches, plus which labels are cached, and
+// stats. The quiesce is what lets one journal serve both: when a delta is
+// cut the mirror has admitted exactly what the state applied, so a restore
+// replays the journal into the state and the mirror alike —
+// mpcserve_restore_replayed_updates_total says how many updates. New
 // restores any instance whose base exists, after config-echo validation and
 // at the fleet shape the checkpoint was cut at, and the restored label cache
 // keeps warm queries warm: answers after a graceful restart are
-// bit-identical to a process that never restarted. Without a CheckpointDir
-// the mirror journals nothing. Checkpoints written by a build from before
-// internal/session carry a different meta section tag and are rejected with
-// a diagnostic at startup — rejected, never migrated.
+// bit-identical to a process that never restarted. Checkpoints written by a
+// build from before internal/session carry a different meta section tag and
+// are rejected with a diagnostic at startup — rejected, never migrated.
 //
 // # Metrics
 //

@@ -269,8 +269,8 @@ func instancePath(dir string, id int) string {
 
 // quiesce pauses the instance for an operation that needs it whole: admission
 // is held (readiness reports 503) and the applier drained of in-flight
-// batches, so the mirror, the journal, and the cluster state agree, and the
-// write lock is taken. The instance stays live: resume, the returned func,
+// batches, so the mirror and the cluster state agree (a delta's one journal
+// describes both), and the write lock is taken. The instance stays live: resume, the returned func,
 // puts it back in service.
 func (in *instance) quiesce() (resume func(), err error) {
 	in.adm.Lock()

@@ -215,29 +215,6 @@ func TestServerAdmissionDiagnostic(t *testing.T) {
 	}
 }
 
-// TestServerWithoutCheckpointsKeepsNoJournal is the regression test of the
-// admission-journal leak: with no checkpoint directory nothing will ever
-// ask for a delta, so admitted updates must not pile up in a journal.
-func TestServerWithoutCheckpointsKeepsNoJournal(t *testing.T) {
-	srv, ts := newTestServer(t, testConfig(t))
-	in := srv.insts[0]
-	for i := 0; i < 24; i++ {
-		op := "insert"
-		if i%2 == 1 {
-			op = "delete"
-		}
-		resp := postJSON(t, ts.URL+"/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: op, U: 0, V: 1}}})
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("batch %d: status %d", i, resp.StatusCode)
-		}
-		waitDrained(t, in)
-	}
-	if got := in.mirror.JournalLen(); got != 0 {
-		t.Errorf("admission journal holds %d updates on a server that never checkpoints, want 0", got)
-	}
-}
-
 // TestServerBackpressure pins the 429 contract: with the applier stalled
 // (we hold the instance read lock, which blocks its write-lock acquisition)
 // the bounded queue fills and the next batch is refused, with the refusal

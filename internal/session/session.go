@@ -13,16 +13,18 @@
 //
 // Every container a Session writes starts with the meta echo — vertex count,
 // Phi, seed, the live VerticesPerMachine, the applied-batch count and the
-// restore-cycle count — followed by the companion Mirror (when the session
-// has one) and the algorithm state. Restore reads the echo first,
+// restore-cycle count — followed by the companion Mirror's edge set (when
+// the session has one) and the algorithm state. Restore reads the echo first,
 // cross-checks it against the configured shape, builds a fresh state at the
 // persisted fleet shape, and only then loads into it. Delta containers
 // repeat the echo (it is tiny and keeps each container self-validating) and
-// carry two journals (snapshot.Journal): the batches the mirror admitted and
-// the chunks the state applied since the last acknowledged checkpoint, which
-// a restore replays. Whether a checkpoint is a full base or a delta is the
-// chain's decision alone: it writes a full base whenever the state cannot
-// write deltas or a journal has been dropped (overflow, a failed apply).
+// then hold the state's delta: its journal (snapshot.Journal) of the chunks
+// it applied since the last acknowledged checkpoint. The mirror writes
+// nothing to a delta: a delta is cut only when the mirror and the state have
+// taken the same updates, so a restore replays the one journal into both.
+// Whether a checkpoint is a full base or a delta is the chain's decision
+// alone: it writes a full base whenever the state cannot write deltas or its
+// journal has been dropped (overflow, a failed apply).
 package session
 
 import (
@@ -68,9 +70,6 @@ type Config struct {
 	Chain *snapshot.Chain
 	// Mirror, when set, is checkpointed and restored beside the state.
 	Mirror *Mirror
-	// BatchSize caps the chunks Apply feeds the state (0 = the state's
-	// MaxBatch).
-	BatchSize int
 }
 
 // Session owns one live state, its checkpoint chain, and the counters the
@@ -106,19 +105,12 @@ func Resume(cfg Config) (s *Session, ok bool, err error) {
 }
 
 func open(cfg Config) *Session {
-	s := &Session{cfg: cfg, shape: cfg.Shape, mirror: cfg.Mirror}
-	s.SetChain(cfg.Chain)
-	return s
+	return &Session{cfg: cfg, shape: cfg.Shape, chain: cfg.Chain, mirror: cfg.Mirror}
 }
 
 // SetChain redirects future checkpoints to c. A chain that did not
 // materialize this state starts with a full base.
-func (s *Session) SetChain(c *snapshot.Chain) {
-	s.chain = c
-	if s.mirror != nil {
-		s.mirror.durable = c != nil
-	}
-}
+func (s *Session) SetChain(c *snapshot.Chain) { s.chain = c }
 
 // State returns the live state. Restore, Resize and RecoverOnto replace it.
 func (s *Session) State() State { return s.state }
@@ -137,14 +129,11 @@ func (s *Session) Applied() int { return s.applied }
 // restarts.
 func (s *Session) RestoreCycles() uint64 { return s.cycles }
 
-// Apply feeds one batch to the state, in chunks of at most MaxBatch (or
-// Config.BatchSize) updates: sources batch by their own cadence, which need
-// not fit the algorithm's. The caller has validated b (see Mirror.Admit).
+// Apply feeds one batch to the state, in chunks of at most MaxBatch
+// updates: sources batch by their own cadence, which need not fit the
+// algorithm's. The caller has validated b (see Mirror.Admit).
 func (s *Session) Apply(b graph.Batch) error {
 	size := s.state.MaxBatch()
-	if s.cfg.BatchSize > 0 && s.cfg.BatchSize < size {
-		size = s.cfg.BatchSize
-	}
 	for len(b) > size {
 		if err := s.state.ApplyBatch(b[:size]); err != nil {
 			return err
@@ -167,7 +156,7 @@ type Cut struct {
 }
 
 // Checkpoint writes the next container of the chain. On error nothing is
-// acknowledged: the journals keep their content, the chain falls back to a
+// acknowledged: the journal keeps its content, the chain falls back to a
 // full base next time, and what it held before still restores.
 func (s *Session) Checkpoint() (Cut, error) {
 	if s.chain == nil {
@@ -327,7 +316,8 @@ func (s *Session) readMeta(d *snapshot.Decoder, tag uint64, known Shape) (sh Sha
 }
 
 // image is a Session as the chain sees it: one snapshot.DeltaState whose
-// sections are the meta echo, the mirror, and the algorithm state.
+// sections are the meta echo, the mirror (full containers only), and the
+// algorithm state.
 type image struct{ s *Session }
 
 func (im image) Checkpoint(e *snapshot.Encoder) {
@@ -378,7 +368,8 @@ func (im image) Restore(d *snapshot.Decoder) error {
 }
 
 // CheckpointDelta declines when the algorithm state cannot write deltas, or
-// when it or the mirror declines this one.
+// declines this one. The mirror needs no section of its own: it has taken
+// exactly the updates the state journaled (see Mirror).
 func (im image) CheckpointDelta(e *snapshot.Encoder) bool {
 	s := im.s
 	ds, ok := s.state.(snapshot.DeltaState)
@@ -386,15 +377,13 @@ func (im image) CheckpointDelta(e *snapshot.Encoder) bool {
 		return false
 	}
 	s.writeMeta(e, tagMetaDelta)
-	if s.mirror != nil && !s.mirror.CheckpointDelta(e) {
-		return false
-	}
 	return ds.CheckpointDelta(e)
 }
 
-// RestoreDelta reports what the algorithm state replayed; the mirror's
-// replay of the same updates is not counted twice.
-func (im image) RestoreDelta(d *snapshot.Decoder) (replayed snapshot.Replay, err error) {
+// RestoreDelta replays the state's journal and hands each replayed batch to
+// the mirror as well, so one journal rebuilds both. The chain passes no
+// callback of its own.
+func (im image) RestoreDelta(d *snapshot.Decoder, _ func(graph.Batch) error) (replayed snapshot.Replay, err error) {
 	s := im.s
 	sh, applied, cycles, err := s.readMeta(d, tagMetaDelta, s.shape)
 	if err != nil {
@@ -413,12 +402,11 @@ func (im image) RestoreDelta(d *snapshot.Decoder) (replayed snapshot.Replay, err
 	if !ok {
 		return replayed, fmt.Errorf("session: %T cannot replay a delta", s.state)
 	}
+	var mirror func(graph.Batch) error
 	if s.mirror != nil {
-		if _, err := s.mirror.RestoreDelta(d); err != nil {
-			return replayed, err
-		}
+		mirror = s.mirror.g.Apply
 	}
-	if replayed, err = ds.RestoreDelta(d); err != nil {
+	if replayed, err = ds.RestoreDelta(d, mirror); err != nil {
 		return replayed, err
 	}
 	// The tip's counters win: deltas appended after a restart carry the
@@ -428,9 +416,6 @@ func (im image) RestoreDelta(d *snapshot.Decoder) (replayed snapshot.Replay, err
 }
 
 func (im image) AckCheckpoint() {
-	if im.s.mirror != nil {
-		im.s.mirror.AckCheckpoint()
-	}
 	if ds, ok := im.s.state.(snapshot.DeltaState); ok {
 		ds.AckCheckpoint()
 	}

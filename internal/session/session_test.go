@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -228,9 +229,8 @@ func (f *flakyStore) Put(name string, write func(io.Writer) error) error {
 }
 
 // TestFailedPutKeepsEverything pins what a failed container write must not
-// lose: nothing is acknowledged (the journal keeps its updates), the chain
-// written before still restores to the state it captured, and the next
-// checkpoint is a full base that captures everything.
+// lose: the chain written before still restores to the state it captured,
+// and the next checkpoint is a full base that captures everything.
 func TestFailedPutKeepsEverything(t *testing.T) {
 	batches := stream(t, 6)
 	store := &flakyStore{Store: snapshot.NewMemStore()}
@@ -243,19 +243,12 @@ func TestFailedPutKeepsEverything(t *testing.T) {
 	cut(t, s, snapshot.KindFull)
 	durable := fingerprintOf(s)
 	feed(t, s, batches, 3, 6)
-	journal := s.Mirror().JournalLen()
-	if journal == 0 {
-		t.Fatal("nothing journaled since the checkpoint")
-	}
 
 	store.broken = true
 	if _, err := s.Checkpoint(); err == nil {
 		t.Fatal("checkpoint through a failing store succeeded")
 	}
 	store.broken = false
-	if got := s.Mirror().JournalLen(); got != journal {
-		t.Errorf("failed checkpoint changed the journal: %d updates, had %d", got, journal)
-	}
 	old, ok, err := Resume(testConfig(1, open(), nil))
 	if err != nil || !ok {
 		t.Fatalf("previous chain no longer restores: (%v, %v)", ok, err)
@@ -265,9 +258,6 @@ func TestFailedPutKeepsEverything(t *testing.T) {
 	}
 
 	cut(t, s, snapshot.KindFull)
-	if got := s.Mirror().JournalLen(); got != 0 {
-		t.Errorf("journal holds %d updates after an acknowledged checkpoint", got)
-	}
 	live := fingerprintOf(s)
 	fresh, ok, err := Resume(testConfig(1, open(), nil))
 	if err != nil || !ok {
@@ -275,46 +265,6 @@ func TestFailedPutKeepsEverything(t *testing.T) {
 	}
 	if got := fingerprintOf(fresh); !reflect.DeepEqual(got, live) {
 		t.Errorf("retried checkpoint lost state:\n  got  %+v\n  want %+v", got, live)
-	}
-}
-
-// TestJournalBoundedByMirror pins the journal's bound: once it holds more
-// updates than the mirror holds edges it is dropped, the next checkpoint is
-// a full base even on a linked chain, and journaling resumes after it. A
-// session without a chain journals nothing at all.
-func TestJournalBoundedByMirror(t *testing.T) {
-	churn := func(s *Session, rounds int) {
-		t.Helper()
-		for i := 0; i < rounds; i++ {
-			feed(t, s, []graph.Batch{{graph.Ins(0, 1)}, {graph.Del(0, 1)}}, 0, 2)
-		}
-	}
-	s, err := New(testConfig(1, snapshot.OpenChainIn(snapshot.NewMemStore(), "s", 4), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, s, []graph.Batch{{graph.Ins(2, 3), graph.Ins(3, 4)}}, 0, 1)
-	cut(t, s, snapshot.KindFull)
-	churn(s, 1)
-	if got := s.Mirror().JournalLen(); got != 2 {
-		t.Fatalf("journal holds %d updates, want 2", got)
-	}
-	cut(t, s, snapshot.KindDelta)
-	churn(s, 8)
-	if got := s.Mirror().JournalLen(); got != 0 {
-		t.Errorf("journal holds %d updates over a 2-edge mirror", got)
-	}
-	cut(t, s, snapshot.KindFull)
-	churn(s, 1)
-	cut(t, s, snapshot.KindDelta)
-
-	volatile, err := New(testConfig(1, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn(volatile, 1)
-	if got := volatile.Mirror().JournalLen(); got != 0 {
-		t.Errorf("session without a chain journaled %d updates", got)
 	}
 }
 
@@ -378,5 +328,112 @@ func TestOldFrontEndLayoutsRejectedByTag(t *testing.T) {
 				t.Error("the rejection touched the mirror")
 			}
 		})
+	}
+}
+
+// TestDeltaJournalsEachUpdateOnce pins the single journal of a mirror
+// session: one more update in the batch before a delta grows the delta by
+// one journaled update (4 words), not by one per journal, and restoring the
+// chain replays that journal into the state and the mirror alike.
+func TestDeltaJournalsEachUpdateOnce(t *testing.T) {
+	base := graph.Batch{graph.Ins(0, 1), graph.Ins(1, 2)}
+	var sizes [2]int64
+	for i, tail := range []graph.Batch{
+		{graph.Ins(2, 3)},
+		{graph.Ins(2, 3), graph.Ins(4, 5)},
+	} {
+		store := snapshot.NewMemStore()
+		open := func() *snapshot.Chain { return snapshot.OpenChainIn(store, "s", 4) }
+		s, err := New(testConfig(1, open(), nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(t, s, []graph.Batch{base, tail}, 0, 1)
+		cut(t, s, snapshot.KindFull)
+		feed(t, s, []graph.Batch{base, tail}, 1, 2)
+		c, err := s.Checkpoint()
+		if err != nil || c.Kind != snapshot.KindDelta {
+			t.Fatalf("checkpoint = (%+v, %v), want a delta", c, err)
+		}
+		sizes[i] = c.Bytes
+		live := fingerprintOf(s)
+
+		r, ok, err := Resume(testConfig(1, open(), nil))
+		if err != nil || !ok {
+			t.Fatalf("resume = (%v, %v)", ok, err)
+		}
+		if got := fingerprintOf(r); !reflect.DeepEqual(got, live) {
+			t.Errorf("tail of %d updates: restored session differs from the live one:\n  got  %+v\n  want %+v", len(tail), got, live)
+		}
+	}
+	if grew := sizes[1] - sizes[0]; grew != 32 {
+		t.Errorf("one more journaled update grew the delta by %d B, want 32 (4 words, written once)", grew)
+	}
+}
+
+// TestMirrorJournalSectionRejected feeds a restore a delta in the layout
+// that carried a journal of the mirror's own (meta echo, mirror journal
+// 0x74, state delta): it is rejected by tag, never migrated, before the
+// state or the mirror replays anything.
+func TestMirrorJournalSectionRejected(t *testing.T) {
+	batches := stream(t, 4)
+	store := snapshot.NewMemStore()
+	open := func() *snapshot.Chain { return snapshot.OpenChainIn(store, "s", 4) }
+	s, err := New(testConfig(1, open(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, s, batches, 0, 3)
+	cut(t, s, snapshot.KindFull)
+	r, ok, err := Resume(testConfig(1, open(), nil))
+	if err != nil || !ok {
+		t.Fatalf("resume of the base = (%v, %v)", ok, err)
+	}
+	atBase := fingerprintOf(r)
+	feed(t, s, batches, 3, 4)
+
+	raw, err := readAll(store, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseID := binary.LittleEndian.Uint64(raw[len(raw)-8:]) // a container's identity is its trailing CRC word
+	e := snapshot.NewEncoder()
+	e.Begin(0x0D) // the chain header
+	e.U64(baseID)
+	e.U64(baseID)
+	e.U64(1)
+	s.writeMeta(e, tagMetaDelta)
+	e.Begin(0x74)
+	e.Int(1)
+	snapshot.EncodeUpdates(e, batches[3])
+	if !s.State().(snapshot.DeltaState).CheckpointDelta(e) {
+		t.Fatal("the live state declined its delta")
+	}
+	var delta bytes.Buffer
+	if _, _, err := e.WriteContainer(&delta, snapshot.DeltaMagic); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = "found section 0x74 where 0x1b was expected"
+	d, _, err := snapshot.NewContainerDecoder(bytes.NewReader(delta.Bytes()), snapshot.DeltaMagic, "delta snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Begin(0x0D)
+	d.U64()
+	d.U64()
+	d.U64()
+	if _, err := (image{r}).RestoreDelta(d, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("mirror-journal delta: error %v, want %q", err, want)
+	}
+	if got := fingerprintOf(r); !reflect.DeepEqual(got, atBase) {
+		t.Errorf("the rejection touched the state or the mirror:\n  got  %+v\n  want %+v", got, atBase)
+	}
+
+	if err := store.Put("s.delta-001", func(w io.Writer) error { _, err := w.Write(delta.Bytes()); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := Resume(testConfig(1, open(), nil)); ok || err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume over the mirror-journal delta = (%v, %v), want %q", ok, err, want)
 	}
 }

@@ -260,9 +260,6 @@ func (s *Space) Release(sk Sketch) {
 // Space returns the space the sketch belongs to.
 func (sk Sketch) Space() *Space { return sk.space }
 
-// Valid reports whether the view is usable (the zero Sketch is not).
-func (sk Sketch) Valid() bool { return sk.space != nil }
-
 // Words returns the view's size in machine words.
 func (sk Sketch) Words() int { return len(sk.cells) }
 
@@ -343,33 +340,12 @@ func (sk Sketch) Add(other Sketch) {
 	}
 }
 
-// Zero resets the sketch to the zero vector in place.
-func (sk Sketch) Zero() { clear(sk.cells) }
-
 // Clone returns an independent deep copy of the sketch (one allocation; for
 // an allocation-free transient copy use Space.ScratchCopy).
 func (sk Sketch) Clone() Sketch {
 	c := Sketch{space: sk.space, cells: make([]uint64, len(sk.cells)), lo: sk.lo}
 	copy(c.cells, sk.cells)
 	return c
-}
-
-// Sum returns a fresh sketch equal to the cell-wise sum of the arguments,
-// which must be non-empty and share a Space. Each operand's space is checked
-// against the first operand's, and a mismatch names the offending argument
-// index.
-func Sum(sketches ...Sketch) Sketch {
-	if len(sketches) == 0 {
-		panic("sketch: Sum of nothing")
-	}
-	out := sketches[0].Clone()
-	for i, s := range sketches[1:] {
-		if s.space != out.space {
-			panic(fmt.Sprintf("sketch: Sum argument %d is from a different space than argument 0", i+1))
-		}
-		out.Add(s)
-	}
-	return out
 }
 
 // Query attempts to recover a nonzero coordinate using copy c, which the
@@ -436,15 +412,6 @@ type VertexSketch struct {
 	n int
 }
 
-// NewVertexSketch returns the sketch of an isolated vertex in a graph on n
-// vertices. space must have been built over id space n^2.
-func NewVertexSketch(space *Space, n int) VertexSketch {
-	if space.idSpace != graph.IDSpace(n) {
-		panic("sketch: space does not match vertex count")
-	}
-	return VertexSketch{Sketch: space.NewSketch(), n: n}
-}
-
 // VertexView wraps an existing sketch view (typically an Arena slot) as the
 // vertex sketch of a graph on n vertices.
 func VertexView(sk Sketch, n int) VertexSketch {
@@ -462,26 +429,4 @@ func (vs VertexSketch) ApplyEdge(w int, e graph.Edge, op graph.Op) {
 		sign = -sign
 	}
 	vs.Update(e.ID(vs.n), sign)
-}
-
-// QueryEdge recovers an edge of the cut around the sketched vertex set using
-// copy c. The sign of the recovered coordinate is immaterial: coordinate
-// indices identify edges directly.
-func (vs VertexSketch) QueryEdge(c int) (graph.Edge, QueryResult) {
-	idx, res := vs.Query(c)
-	if res != Found {
-		return graph.Edge{}, res
-	}
-	return graph.EdgeFromID(idx, vs.n), Found
-}
-
-// CloneVertex returns a deep copy preserving the vertex-sketch wrapper.
-func (vs VertexSketch) CloneVertex() VertexSketch {
-	return VertexSketch{Sketch: vs.Sketch.Clone(), n: vs.n}
-}
-
-// AddVertex merges another vertex sketch into vs; the result summarizes
-// X_A for the union of the underlying vertex sets.
-func (vs VertexSketch) AddVertex(other VertexSketch) {
-	vs.Add(other.Sketch)
 }

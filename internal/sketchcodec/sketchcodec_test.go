@@ -41,7 +41,10 @@ func randomContributions(space *sketch.Space, rng *rand.Rand, machines int, on [
 	}
 	want := make(map[int]sketch.Sketch, len(parts))
 	for l, ps := range parts {
-		want[l] = sketch.Sum(ps...)
+		want[l] = ps[0].Clone()
+		for _, p := range ps[1:] {
+			want[l].Add(p)
+		}
 	}
 	return byMachine, want
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // counterState is a DeltaState double: an integer with a journal of the
@@ -39,7 +41,7 @@ func (c *counterState) CheckpointDelta(e *Encoder) bool {
 	return !c.declines
 }
 
-func (c *counterState) RestoreDelta(d *Decoder) (Replay, error) {
+func (c *counterState) RestoreDelta(d *Decoder, _ func(graph.Batch) error) (Replay, error) {
 	d.Begin(c.tag)
 	n := d.Int()
 	c.value += n

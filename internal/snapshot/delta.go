@@ -1,6 +1,10 @@
 package snapshot
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/graph"
+)
 
 // DeltaMagic identifies a delta container: "MPCDELT1" read as a big-endian
 // word. A delta carries only what changed since a previous checkpoint — the
@@ -45,8 +49,11 @@ type DeltaState interface {
 	CheckpointDelta(e *Encoder) bool
 	// RestoreDelta applies a delta's sections on top of already-restored
 	// state (the base, or the base plus earlier deltas of the chain) and
-	// reports the journal it replayed to do so.
-	RestoreDelta(d *Decoder) (Replay, error)
+	// reports the journal it replayed to do so. When then is not nil it is
+	// handed every batch the state replays, after the state applied it, so a
+	// companion that took the same updates (session's Mirror) replays the
+	// state's journal instead of keeping one of its own.
+	RestoreDelta(d *Decoder, then func(graph.Batch) error) (Replay, error)
 	// AckCheckpoint marks the current state as captured: the next
 	// CheckpointDelta emits only changes made after this call.
 	AckCheckpoint()
@@ -96,7 +103,7 @@ func restoreDelta(d *Decoder, link, want ChainLink, state State) (Replay, error)
 	if !ok {
 		return Replay{}, fmt.Errorf("snapshot: the state being restored (%T) cannot replay deltas", state)
 	}
-	r, err := ds.RestoreDelta(d)
+	r, err := ds.RestoreDelta(d, nil)
 	if err != nil {
 		return r, err
 	}

@@ -58,8 +58,9 @@
 // There is one chain implementation over both. It checkpoints one
 // Checkpointer+Restorer (State) per container, as Save and Load do; a state
 // made of parts composes their sections itself (session's image writes the
-// meta echo, the mirror and the algorithm state). The lifecycle around it —
-// who applies, when to checkpoint, how to resize — is internal/session's.
+// meta echo, the mirror in a full container, and the algorithm state). The
+// lifecycle around it — who applies, when to checkpoint, how to resize — is
+// internal/session's.
 //
 // What a delta holds. A delta is logical, not physical: a state that changes
 // only by applying update batches ships the batches it applied since the last
@@ -67,18 +68,20 @@
 // words; the state they dirty is two sketch stacks per update). Journal
 // (journal.go) is that record — append a batch, bound, encode, validated
 // decode — and the one delta mechanism of the repository: core's
-// DynamicConnectivity and session's Mirror each embed one. A state opts in
-// by implementing DeltaState: CheckpointDelta writes its journal plus
-// whatever a replay cannot rederive (for connectivity: which labels are
-// cached and whether the component count is, and the cluster Stats — they
-// depend on the queries run in between — and a fingerprint to compare the
-// replay against),
+// DynamicConnectivity embeds one. A state opts in by implementing
+// DeltaState: CheckpointDelta writes its journal plus whatever a replay
+// cannot rederive (for connectivity: which labels are cached and whether the
+// component count is, and the cluster Stats — they depend on the queries run
+// in between — and a fingerprint to compare the replay against);
 // RestoreDelta replays the journal through the state's own apply path on top
-// of the restored base and reports how much it replayed (Chain.Replayed sums
-// it: restore time grows with it), and AckCheckpoint starts the journal
-// over — called only after the container is durably stored, so a failed or
-// crashed write folds its batches into the next delta instead of losing
-// them.
+// of the restored base, hands each replayed batch to its callback when it
+// has one, and reports how much it replayed (Chain.Replayed sums it: restore
+// time grows with it); and AckCheckpoint starts the journal over — called
+// only after the container is durably stored, so a failed or crashed write
+// folds its batches into the next delta instead of losing them. The callback
+// is how a companion that took the same updates rebuilds without a journal
+// of its own: Chain passes none, and session's image passes its Mirror's
+// graph apply, so each update is written once per delta.
 //
 // Why replay is exact. Shared randomness is rebuilt from the configuration
 // seed, never serialized, so the sketches are a fixed linear function of the
@@ -95,8 +98,7 @@
 //
 // The bound, and declining. A restore pays roughly one apply per journaled
 // update, so a journal holds at most N updates (N chosen by its owner: one
-// per vertex for connectivity, the mirror's edge count for the mirror); past
-// that it is dropped. It is also dropped when the state changed by anything
+// per vertex for connectivity); past that it is dropped. It is also dropped when the state changed by anything
 // but a recorded batch (a bulk load, an apply that returned an error). A
 // state with a dropped journal declines the next delta — CheckpointDelta
 // reports false — and Chain.Checkpoint has one refusal path for it: whenever
@@ -108,7 +110,8 @@
 // retired, so a file in the old layout is rejected by tag, never migrated —
 // the same policy as for versions, below. The physical delta format this
 // one replaced (core's 0x13–0x15, the mirror's flat journal 0x73) is gone
-// that way, and so are the per-machine full layouts (core's 0x10–0x12,
+// that way, and so is the mirror's own journal (0x74: a delta's one journal
+// is the state's), and so are the per-machine full layouts (core's 0x10–0x12,
 // the greedy matching's 0x30–0x31, the maximal matcher's 0x40–0x41),
 // core's delta echo that named the writer's VerticesPerMachine (0x16), and
 // core's forest section and delta that wrote what they now derive — the
