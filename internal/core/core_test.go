@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/eulertour"
 	"repro/internal/graph"
 	"repro/internal/hash"
 	"repro/internal/mpc"
@@ -629,26 +630,72 @@ func handEcho(e *snapshot.Encoder, f *Forest) {
 	e.Bool(f.weighted)
 }
 
-// handForest writes a forest section: no cached component count, the given
-// warm set (one word: n <= 64), zero Stats, and a live-looking record for each
-// of the given tree edges, in the order given.
-func handForest(e *snapshot.Encoder, f *Forest, warm uint64, edges ...graph.Edge) {
+// handForest writes a forest section: the given next tour id, no cached
+// component count, the given warm set (one word: n <= 64), zero Stats, and
+// the given tree-edge records, in the order given.
+func handForest(e *snapshot.Encoder, f *Forest, warm, next uint64, recs []eulertour.Record) {
 	e.Begin(tagForest)
 	handEcho(e, f)
-	e.U64(2)      // next tour id
+	e.U64(next)
 	e.Bool(false) // no component count
 	e.U64(warm)
 	snapshot.EncodeClusterStats(e, mpc.Stats{})
-	e.Int(len(edges))
-	for _, ed := range edges {
-		e.Int(ed.U)
-		e.Int(ed.V)
-		e.U64(1) // tour
-		for _, pos := range []int{0, 3, 1, 2} {
+	e.Int(len(recs))
+	for _, r := range recs {
+		e.Int(r.E.U)
+		e.Int(r.E.V)
+		e.U64(uint64(r.Tour))
+		for _, pos := range [...]int{r.UPos[0], r.UPos[1], r.VPos[0], r.VPos[1]} {
 			e.Int(pos)
 		}
 		e.I64(0) // weight
 	}
+}
+
+// handTours returns, for each of the given edges in order, the record an
+// Euler tour of their forest holds: the trees take tour ids from 1 in order
+// of their smallest vertex, each walked depth-first from that vertex, and
+// the next tour id follows the last. An edge that repeats one or closes a
+// cycle gets no tour and no positions.
+func handTours(n int, edges ...graph.Edge) ([]eulertour.Record, uint64) {
+	adj := make([][]int, n)
+	recs := make([]eulertour.Record, len(edges))
+	for j, e := range edges {
+		adj[e.U] = append(adj[e.U], j)
+		adj[e.V] = append(adj[e.V], j)
+		recs[j].E = e
+	}
+	seen := make([]bool, n)
+	tour, pos := eulertour.TourID(1), 0
+	var walk func(v int)
+	walk = func(v int) {
+		seen[v] = true
+		for _, j := range adj[v] {
+			w := edges[j].Other(v)
+			if seen[w] {
+				continue
+			}
+			down := pos + 1 // the dart v→w at down, down+1
+			pos += 2
+			walk(w)
+			up := pos + 1 // the dart w→v at up, up+1
+			pos += 2
+			r := &recs[j]
+			r.Tour = tour
+			r.UPos, r.VPos = [2]int{down, up + 1}, [2]int{down + 1, up}
+			if v != r.E.U {
+				r.UPos, r.VPos = r.VPos, r.UPos
+			}
+		}
+	}
+	for v := range n {
+		if !seen[v] && len(adj[v]) > 0 {
+			pos = 0
+			walk(v)
+			tour++
+		}
+	}
+	return recs, uint64(tour)
 }
 
 // identity is the component column of n singletons.
@@ -683,7 +730,8 @@ func TestLoadRejectsTreeEdgeListedTwice(t *testing.T) {
 	a, b := graph.Edge{U: 1, V: 2}, graph.Edge{U: 2, V: 3}
 	build := func(edges ...graph.Edge) []byte {
 		e := snapshot.NewEncoder()
-		handForest(e, f, 0, edges...)
+		recs, next := handTours(cfg.N, edges...)
+		handForest(e, f, 0, next, recs)
 		return container(t, e)
 	}
 	for name, edges := range map[string][]graph.Edge{"listed twice": {a, a}, "out of order": {b, a}} {
@@ -726,7 +774,8 @@ func TestLoadRejectsTreeEdgesClosingACycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := snapshot.NewEncoder()
-		handForest(e, f, tc.warm, tc.edges...)
+		recs, next := handTours(n, tc.edges...)
+		handForest(e, f, tc.warm, next, recs)
 		err = snapshot.Load(bytes.NewReader(container(t, e)), f)
 		if tc.want != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -753,6 +802,61 @@ func TestLoadRejectsTreeEdgesClosingACycle(t *testing.T) {
 		if hits, misses := f.QueryCacheStats(); hits != 1 || misses != 0 {
 			t.Fatalf("%s: the warm set's first query: %d hits, %d misses", name, hits, misses)
 		}
+	}
+}
+
+// TestLoadRejectsMalformedTourRecords hand-builds full forest containers
+// whose tree-edge records no Euler tour of their forest holds: a record that
+// fails eulertour.Record.Validate, a tour id of 0 or at or past the stored
+// next id, a tree on two tours, two trees on one, and positions outside
+// 1..4k or held twice. Each is rejected with the target untouched; the
+// records as a tour holds them load.
+func TestLoadRejectsMalformedTourRecords(t *testing.T) {
+	const n = 8
+	f, err := NewForest(Config{N: n, Phi: 0.6, Seed: 3, VerticesPerMachine: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tree {0,1,2} on tour 1, tree {4,5} on tour 2; next tour id 3.
+	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 4, V: 5}}
+	build := func(edit func(recs []eulertour.Record, next *uint64)) []byte {
+		recs, next := handTours(n, edges...)
+		edit(recs, &next)
+		e := snapshot.NewEncoder()
+		handForest(e, f, 0, next, recs)
+		return container(t, e)
+	}
+	for name, tc := range map[string]struct {
+		edit func(recs []eulertour.Record, next *uint64)
+		want string
+	}{
+		"malformed record":   {func(r []eulertour.Record, _ *uint64) { r[0].UPos = r[0].VPos }, "do not form two dart pairs"},
+		"tour id 0":          {func(r []eulertour.Record, _ *uint64) { r[2].Tour = 0 }, "tour id 0 outside [1, 3)"},
+		"tour id at next":    {func(r []eulertour.Record, _ *uint64) { r[2].Tour = 3 }, "tour id 3 outside [1, 3)"},
+		"next below a tour":  {func(_ []eulertour.Record, next *uint64) { *next = 2 }, "tour id 2 outside [1, 2)"},
+		"tree on two tours":  {func(r []eulertour.Record, _ *uint64) { r[1].Tour = 2 }, "tree of vertex 0 spans tours 1 and 2"},
+		"trees share a tour": {func(r []eulertour.Record, _ *uint64) { r[2].Tour = 1 }, "gives tour id 1 to two trees"},
+		"position past the tour": {func(r []eulertour.Record, _ *uint64) {
+			r[2].UPos, r[2].VPos = [2]int{r[2].UPos[0] + 4, r[2].UPos[1] + 4}, [2]int{r[2].VPos[0] + 4, r[2].VPos[1] + 4}
+		}, "tour 2 holds position 5 twice or outside 1..4"},
+		"position held twice": {func(r []eulertour.Record, _ *uint64) { r[1].UPos, r[1].VPos = r[0].UPos, r[0].VPos }, "tour 1 holds position 1 twice"},
+	} {
+		err := snapshot.Load(bytes.NewReader(build(tc.edit)), f)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: not rejected: %v", name, err)
+		}
+		if got := f.SnapshotComponents(); !slices.Equal(got, identity(n)) {
+			t.Fatalf("%s: rejected container left components %v", name, got)
+		}
+		if got := f.SnapshotForest(); len(got) != 0 {
+			t.Fatalf("%s: rejected container left %d forest edges", name, len(got))
+		}
+	}
+	if err := snapshot.Load(bytes.NewReader(build(func([]eulertour.Record, *uint64) {})), f); err != nil {
+		t.Fatalf("the records as a tour holds them: %v", err)
+	}
+	if got, want := f.SnapshotComponents(), []int{0, 0, 0, 3, 4, 4, 6, 7}; !slices.Equal(got, want) {
+		t.Fatalf("loaded components %v, want %v", got, want)
 	}
 }
 

@@ -21,11 +21,6 @@ const goldenTrace = "testdata/churn32.stream"
 // when the workload package's sampling does.
 func regenerateGoldenTrace(t *testing.T) {
 	t.Helper()
-	gen := workload.NewChurn(workload.Config{N: 32, Seed: 424242, InsertBias: 0.6})
-	batches := make([]graph.Batch, 0, 24)
-	for i := 0; i < 24; i++ {
-		batches = append(batches, gen.Next(8))
-	}
 	if err := os.MkdirAll(filepath.Dir(goldenTrace), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +28,38 @@ func regenerateGoldenTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if err := streamio.Write(f, batches); err != nil {
+	gen := workload.NewChurn(workload.Config{N: 32, Seed: 424242, InsertBias: 0.6})
+	w := streamio.NewWriter(f)
+	for range 24 {
+		if err := w.WriteBatch(gen.Next(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readStream reads a checked-in .stream file whole, with the vertex count
+// its largest endpoint implies.
+func readStream(t testing.TB, path string) (batches []graph.Batch, n int) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	batches, err = workload.Drain(workload.NewFuncSource(workload.Shape{Batches: -1, Updates: -1}, streamio.NewReader(f).Next))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		n = max(n, b.MaxVertex()+1)
+	}
+	return batches, n
 }
 
 // TestGoldenChurnTrace replays a checked-in churn trace (generated from
@@ -49,19 +72,10 @@ func TestGoldenChurnTrace(t *testing.T) {
 	if *updateGolden {
 		regenerateGoldenTrace(t)
 	}
-	f, err := os.Open(goldenTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	batches, err := streamio.Read(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batches, n := readStream(t, goldenTrace)
 	if len(batches) == 0 {
 		t.Fatal("empty golden trace")
 	}
-	n := streamio.MaxVertex(batches) + 1
 	dc, err := NewDynamicConnectivity(Config{N: n, Phi: 0.6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

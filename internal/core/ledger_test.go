@@ -4,12 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"testing"
 
 	"repro/internal/eulertour"
 	"repro/internal/graph"
-	"repro/internal/streamio"
 )
 
 // ledger is the part of mpc.Stats a replay pins absolutely.
@@ -62,18 +60,9 @@ func TestLedgerPinned(t *testing.T) {
 		{"../harness/testdata/window64.stream", ledger{330, 1691, 36579, 55253}},
 		{"../harness/testdata/powerlaw64.stream", ledger{593, 3070, 41194, 54911}},
 	} {
-		f, err := os.Open(tc.stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batches, err := streamio.Read(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		batches, n := readStream(t, tc.stream)
 		for _, p := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/p%d", tc.stream, p), func(t *testing.T) {
-				n := streamio.MaxVertex(batches) + 1
 				dc, err := NewDynamicConnectivity(Config{N: n, Phi: 0.6, Seed: 1, Parallelism: p})
 				if err != nil {
 					t.Fatal(err)
@@ -114,18 +103,9 @@ func TestForestDigestPinned(t *testing.T) {
 		{"../harness/testdata/window64.stream", 0x19a45c3b4aaa4e20, SearchStats{12, 12, 22, 0, 0, 175, 593}},
 		{"../harness/testdata/powerlaw64.stream", 0xa7facbe1a5ac49bb, SearchStats{31, 20, 14, 0, 0, 148, 1280}},
 	} {
-		f, err := os.Open(tc.stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batches, err := streamio.Read(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		batches, n := readStream(t, tc.stream)
 		for _, p := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/p%d", tc.stream, p), func(t *testing.T) {
-				n := streamio.MaxVertex(batches) + 1
 				dc, err := NewDynamicConnectivity(Config{N: n, Phi: 0.6, Seed: 1, Parallelism: p})
 				if err != nil {
 					t.Fatal(err)

@@ -22,14 +22,17 @@ package core
 // fleet shape.
 //
 // Failure contract: every error — a configuration mismatch, tree edges that
-// are no forest, a sketch run of the wrong length, a memory-cap rejection (a
+// are no forest, tree-edge records no Euler tour of that forest holds, a
+// sketch run of the wrong length, a memory-cap rejection (a
 // per-machine budget that cannot hold the state is never silently installed
 // in violation of the model) — is reported before any target state is
 // touched, so the instance may be reused.
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/eulertour"
 	"repro/internal/graph"
@@ -117,8 +120,62 @@ func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	img.comp, img.roots, err = forestComponents(n, edges)
+	if img.comp, img.roots, err = forestComponents(n, edges); err == nil {
+		err = f.checkTours(img, edges)
+	}
 	return img, err
+}
+
+// checkTours rejects tree-edge records the apply path cannot produce: every
+// record is well formed (eulertour.Record.Validate), the records of one tree
+// share one tour id in [1, nextID) that no other tree uses, and a tree of k
+// records holds the tour positions 1..4k once each (the range PlanSplit
+// checks). It allocates per tree, never per record.
+func (f *Forest) checkTours(img *forestImage, edges []graph.Edge) error {
+	type tour struct {
+		id eulertour.TourID
+		// recs counts the tree's records; bit is its first bit in seen.
+		recs, bit int
+	}
+	tours := make([]tour, f.cfg.N) // indexed by the tree's root
+	for _, e := range edges {
+		r, t := &img.recs[f.edgeOwner(e)][e].rec, &tours[img.comp[e.U]]
+		if err := r.Validate(); err != nil {
+			return fmt.Errorf("core: snapshot tree edge {%d,%d}: %w", e.U, e.V, err)
+		}
+		if r.Tour == eulertour.NoTour || uint64(r.Tour) >= img.nextID {
+			return fmt.Errorf("core: snapshot tree edge {%d,%d} has tour id %d outside [1, %d)", e.U, e.V, r.Tour, img.nextID)
+		}
+		if t.recs > 0 && t.id != r.Tour {
+			return fmt.Errorf("core: snapshot tree of vertex %d spans tours %d and %d", img.comp[e.U], t.id, r.Tour)
+		}
+		t.id = r.Tour
+		t.recs++
+	}
+	width := 0
+	for i := range tours {
+		tours[i].bit = width
+		width += 4 * tours[i].recs
+	}
+	seen := make([]uint64, (width+63)/64)
+	for _, e := range edges {
+		r, t := &img.recs[f.edgeOwner(e)][e].rec, &tours[img.comp[e.U]]
+		for _, p := range [...]eulertour.Pos{r.UPos[0], r.UPos[1], r.VPos[0], r.VPos[1]} {
+			b := t.bit + p - 1
+			if p < 1 || p > 4*t.recs || seen[b/64]&(1<<(b%64)) != 0 {
+				return fmt.Errorf("core: snapshot tour %d holds position %d twice or outside 1..%d", t.id, p, 4*t.recs)
+			}
+			seen[b/64] |= 1 << (b % 64)
+		}
+	}
+	// Last, as it reorders tours.
+	slices.SortFunc(tours, func(a, b tour) int { return cmp.Compare(a.id, b.id) })
+	for i := 1; i < len(tours); i++ {
+		if id := tours[i].id; id != eulertour.NoTour && id == tours[i-1].id {
+			return fmt.Errorf("core: snapshot gives tour id %d to two trees", id)
+		}
+	}
+	return nil
 }
 
 // forestComponents is the component column the tree edges fix: the

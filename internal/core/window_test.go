@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/hash"
 	"repro/internal/mpc"
 	"repro/internal/sketch"
-	"repro/internal/streamio"
 )
 
 // treeDeletionStream is a workload in which every deletion batch runs a
@@ -97,17 +95,9 @@ func TestSearchRefills(t *testing.T) {
 
 	var refills uint64
 	for _, stream := range []string{"testdata/churn32.stream", "../harness/testdata/window64.stream", "../harness/testdata/powerlaw64.stream"} {
-		f, err := os.Open(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batches, err := streamio.Read(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		batches, n := readStream(t, stream)
 		t.Run(stream, func(t *testing.T) {
-			st := both(t, streamio.MaxVertex(batches)+1, 1, func(maxBatch int, apply func(graph.Batch) []graph.Edge) {
+			st := both(t, n, 1, func(maxBatch int, apply func(graph.Batch) []graph.Edge) {
 				for _, b := range batches {
 					for j := 0; j < len(b); j += maxBatch {
 						apply(b[j:min(j+maxBatch, len(b))])

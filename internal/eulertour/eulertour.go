@@ -26,6 +26,7 @@ package eulertour
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -69,8 +70,8 @@ func (r *Record) Words() int { return 7 }
 
 // Validate checks the record's structural invariants.
 func (r *Record) Validate() error {
-	all := []Pos{r.UPos[0], r.UPos[1], r.VPos[0], r.VPos[1]}
-	sort.Ints(all)
+	all := [4]Pos{r.UPos[0], r.UPos[1], r.VPos[0], r.VPos[1]}
+	slices.Sort(all[:])
 	if all[0]+1 != all[1] || all[2]+1 != all[3] {
 		return fmt.Errorf("eulertour: positions %v do not form two dart pairs", all)
 	}

@@ -138,6 +138,15 @@ func TestBatchSplit(t *testing.T) {
 	}
 }
 
+func TestBatchMaxVertex(t *testing.T) {
+	if got := Batch(nil).MaxVertex(); got != -1 {
+		t.Errorf("empty batch: MaxVertex = %d, want -1", got)
+	}
+	if got := (Batch{Ins(3, 9), Del(1, 2)}).MaxVertex(); got != 9 {
+		t.Errorf("MaxVertex = %d, want 9", got)
+	}
+}
+
 func TestGraphInsertDelete(t *testing.T) {
 	g := New(5)
 	if err := g.Insert(0, 1, 3); err != nil {

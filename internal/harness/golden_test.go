@@ -41,17 +41,20 @@ func TestGoldenScenarioTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Regenerate through the incremental writer: the generator is
-			// drained straight into the text encoder, never materialized —
-			// and the bytes must still match the goldens recorded by the old
-			// materializing Record+Write composition.
+			// The generator is pulled straight into the text encoder, never
+			// materialized.
 			var buf bytes.Buffer
-			src := workload.NewGeneratorSource(sc.New(gs.n, gs.seed), gs.batches, gs.k)
-			written, err := streamio.WriteFrom(&buf, src)
-			if err != nil {
+			w := streamio.NewWriter(&buf)
+			gen := sc.New(gs.n, gs.seed)
+			for range gs.batches {
+				if err := w.WriteBatch(gen.Next(gs.k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if written == 0 {
+			if buf.Len() == 0 {
 				t.Fatal("empty recording")
 			}
 			if *updateGolden {

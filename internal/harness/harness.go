@@ -15,7 +15,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/core"
@@ -288,11 +287,17 @@ func RunScenario(algo Algorithm, sc workload.Scenario, opt Options) (*Report, er
 	return rep, err
 }
 
-// runScenario is the engine behind RunScenario; it additionally returns
-// the final live instance and the final options (whose VerticesPerMachine
-// reflects any fault-driven shrinks), which the fault-recovery tests use
-// to compare a faulted run against an uninterrupted twin at the surviving
-// fleet shape.
+// runScenario is the engine behind RunScenario: it pulls Options.Batches
+// batches from the scenario's generator, applies each through the session,
+// and runs the differential checks against the generator's mirror. An empty
+// batch (a stalled generator) touches nothing: it counts toward the
+// CheckEvery and CheckpointEvery cadences, which index generator
+// iterations, but not toward Report.Batches or the crash and fault
+// schedules, which draw once per applied batch. It additionally returns the
+// final live instance and the final options (whose VerticesPerMachine
+// reflects any fault-driven shrinks), which the fault-recovery tests use to
+// compare a faulted run against an uninterrupted twin at the surviving fleet
+// shape.
 func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, Options, *Report, error) {
 	if err := Compatible(algo, sc); err != nil {
 		return nil, opt, nil, err
@@ -306,67 +311,7 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 	if opt.BatchSize > 0 && opt.BatchSize < size {
 		size = opt.BatchSize
 	}
-	src := workload.NewGeneratorSource(sc.New(opt.N, opt.Seed+1), opt.Batches, size)
-	return driveSource(algo, sc.Name, sess, src, opt)
-}
-
-// RunSource streams an external batch source (a replayed trace, a converted
-// edge list, a recorded stream) through the named algorithm under the same
-// differential checking as Run: the source's mirror is the oracle substrate,
-// checks run every Options.CheckEvery source batches plus at the end, and
-// crash/fault injection applies unchanged. Options.N defaults to the
-// source's Shape().N and must cover it; Options.Batches is ignored — the
-// source runs to io.EOF. Source batches larger than the algorithm's
-// MaxBatch are applied in chunks.
-func RunSource(algoName, streamName string, src workload.MirrorSource, opt Options) (*Report, error) {
-	algo, err := GetAlgorithm(algoName)
-	if err != nil {
-		return nil, err
-	}
-	shape := src.Shape()
-	if opt.N == 0 {
-		opt.N = shape.N
-	}
-	if shape.N > opt.N {
-		return nil, fmt.Errorf("harness: source %s spans %d vertices but Options.N is %d", streamName, shape.N, opt.N)
-	}
-	if algo.NeedsWeights && !shape.Weighted {
-		return nil, fmt.Errorf("harness: %s needs weighted updates but source %s is unweighted", algoName, streamName)
-	}
-	opt = opt.withDefaults()
-	sess, err := newSession(algo, opt)
-	if err != nil {
-		return nil, err
-	}
-	_, _, rep, err := driveSource(algo, streamName, sess, src, opt)
-	return rep, err
-}
-
-// newSession starts the run's session: a fresh instance at the options'
-// shape, on an in-memory chain when any failure decoration is on (the chain
-// must outlive the instance it checkpoints, not the process).
-func newSession(algo Algorithm, opt Options) (*session.Session, error) {
-	cfg := session.Config{
-		Shape: opt.coreCfg(),
-		New: func(sh session.Shape) (session.State, error) {
-			at := opt
-			at.VerticesPerMachine = sh.VerticesPerMachine
-			return algo.New(at)
-		},
-	}
-	if opt.CrashEvery > 0 || opt.CheckpointEvery > 0 || opt.FaultEvery > 0 {
-		cfg.Chain = snapshot.OpenChainIn(snapshot.NewMemStore(), algo.Name, opt.MaxDeltaChain)
-	}
-	return session.New(cfg)
-}
-
-// driveSource is the shared engine of RunScenario and RunSource: it pulls
-// batches from src until io.EOF, applies each through the session, and runs
-// the differential checks and fault decorations at source-batch indices.
-// Empty batches advance the index without touching the instance, so a
-// stalled generator iteration and a skipped batch stay aligned with the
-// seeded crash/fault schedules.
-func driveSource(algo Algorithm, scName string, sess *session.Session, src workload.MirrorSource, opt Options) (Instance, Options, *Report, error) {
+	gen := sc.New(opt.N, opt.Seed+1)
 	var crash *workload.CrashSchedule
 	var fault *workload.MachineFaultSchedule
 	if opt.CrashEvery > 0 {
@@ -375,9 +320,9 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 	if opt.FaultEvery > 0 {
 		fault = workload.NewMachineFaultSchedule(opt.Seed+5, opt.FaultEvery)
 	}
-	rep := &Report{Algorithm: algo.Name, Scenario: scName, Rounds: -1}
+	rep := &Report{Algorithm: algo.Name, Scenario: sc.Name, Rounds: -1}
 	fail := func(format string, args ...any) (Instance, Options, *Report, error) {
-		return nil, opt, nil, fmt.Errorf("harness: %s over %s"+format, append([]any{algo.Name, scName}, args...)...)
+		return nil, opt, nil, fmt.Errorf("harness: %s over %s"+format, append([]any{algo.Name, sc.Name}, args...)...)
 	}
 	checkpoint := func() error {
 		cut, err := sess.Checkpoint()
@@ -399,14 +344,14 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 	// recovery replaces the instance and they start over, so each instance
 	// is read out before it is dropped.
 	countSearches := func() {
-		sc, ok := inst().(searchCounter)
+		c, ok := inst().(searchCounter)
 		if !ok {
 			return
 		}
 		if rep.Searches == nil {
 			rep.Searches = new(core.SearchStats)
 		}
-		s, t := rep.Searches, sc.SearchStats()
+		s, t := rep.Searches, c.SearchStats()
 		s.Searches += t.Searches
 		s.Levels += t.Levels
 		s.QueryFails += t.QueryFails
@@ -415,14 +360,8 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 		s.SketchesSummed += t.SketchesSummed
 		s.SketchesSkipped += t.SketchesSkipped
 	}
-	for i := 0; ; i++ {
-		b, serr := src.Next()
-		if serr == io.EOF {
-			break
-		}
-		if serr != nil {
-			return fail(": batch %d: %w", i, serr)
-		}
+	for i := 0; i < opt.Batches; i++ {
+		b := gen.Next(size)
 		if len(b) == 0 {
 			continue // stalled (e.g. saturated insert-only stream)
 		}
@@ -456,7 +395,7 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 		rep.Batches++
 		rep.Updates += len(b)
 		if opt.CheckEvery > 0 && (i+1)%opt.CheckEvery == 0 {
-			if err := inst().Check(src.Mirror()); err != nil {
+			if err := inst().Check(gen.Mirror()); err != nil {
 				return fail(" diverged at batch %d: %w", i, err)
 			}
 			rep.Checks++
@@ -485,18 +424,18 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 		}
 	}
 	if opt.CheckEvery >= 0 {
-		if err := inst().Check(src.Mirror()); err != nil {
+		if err := inst().Check(gen.Mirror()); err != nil {
 			return fail(" diverged at end of stream: %w", err)
 		}
 		rep.Checks++
 		if fc, ok := inst().(finalChecker); ok {
-			if err := fc.FinalCheck(src.Mirror()); err != nil {
+			if err := fc.FinalCheck(gen.Mirror()); err != nil {
 				return fail(" failed the final check: %w", err)
 			}
 			rep.Checks++
 		}
 	}
-	rep.FinalEdges = src.Mirror().M()
+	rep.FinalEdges = gen.Mirror().M()
 	rep.Rounds = inst().Rounds()
 	if c, ok := inst().(interface{ Cluster() *mpc.Cluster }); ok {
 		st := c.Cluster().Stats()
@@ -505,6 +444,24 @@ func driveSource(algo Algorithm, scName string, sess *session.Session, src workl
 	countSearches()
 	opt.VerticesPerMachine = sess.Shape().VerticesPerMachine
 	return inst(), opt, rep, nil
+}
+
+// newSession starts the run's session: a fresh instance at the options'
+// shape, on an in-memory chain when any failure decoration is on (the chain
+// must outlive the instance it checkpoints, not the process).
+func newSession(algo Algorithm, opt Options) (*session.Session, error) {
+	cfg := session.Config{
+		Shape: opt.coreCfg(),
+		New: func(sh session.Shape) (session.State, error) {
+			at := opt
+			at.VerticesPerMachine = sh.VerticesPerMachine
+			return algo.New(at)
+		},
+	}
+	if opt.CrashEvery > 0 || opt.CheckpointEvery > 0 || opt.FaultEvery > 0 {
+		cfg.Chain = snapshot.OpenChainIn(snapshot.NewMemStore(), algo.Name, opt.MaxDeltaChain)
+	}
+	return session.New(cfg)
 }
 
 // recoverFault is the supervised recovery from the loss of one machine:

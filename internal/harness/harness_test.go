@@ -162,3 +162,52 @@ func TestCheckEveryNegativeSkipsChecks(t *testing.T) {
 		t.Errorf("CheckEvery -1 still ran %d checks", rep.Checks)
 	}
 }
+
+// TestPullLoopIndexing pins how the harness indexes a generator that stalls:
+// grow on 8 vertices runs out of absent edges well within 40 batches and
+// then emits empty batches. Report.Batches counts only the non-empty ones,
+// while the CheckEvery and CheckpointEvery cadences count generator
+// iterations, empties included (an empty iteration runs neither).
+func TestPullLoopIndexing(t *testing.T) {
+	const batches, size, checkEvery, checkpointEvery = 40, 2, 3, 4
+	opt := Options{N: 8, Batches: batches, BatchSize: size, Seed: 5, CheckEvery: checkEvery, CheckpointEvery: checkpointEvery}
+	rep, err := Run("connectivity", "grow", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := workload.Get("grow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := sc.New(opt.N, opt.Seed+1)
+	applied, updates, checks, checkpoints := 0, 0, 1, 0 // the end-of-stream check
+	for i := range batches {
+		b := twin.Next(size)
+		if len(b) == 0 {
+			continue
+		}
+		applied++
+		updates += len(b)
+		if (i+1)%checkEvery == 0 {
+			checks++
+		}
+		if (i+1)%checkpointEvery == 0 {
+			checkpoints++
+		}
+	}
+	if applied == batches {
+		t.Fatal("grow never stalled: the test needs empty batches")
+	}
+	if rep.Batches != applied || rep.Updates != updates {
+		t.Errorf("report counts %d batches of %d updates, want the %d non-empty of %d updates", rep.Batches, rep.Updates, applied, updates)
+	}
+	if rep.Checks != checks {
+		t.Errorf("%d checks, want %d", rep.Checks, checks)
+	}
+	if got := rep.FullCheckpoints + rep.DeltaCheckpoints; got != checkpoints {
+		t.Errorf("%d checkpoints, want %d", got, checkpoints)
+	}
+	if rep.FinalEdges != opt.N*(opt.N-1)/2 {
+		t.Errorf("%d edges final, want the complete graph's %d", rep.FinalEdges, opt.N*(opt.N-1)/2)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpc"
 	"repro/internal/streamio"
+	"repro/internal/workload"
 )
 
 // The executor-round allocation budget: one steady-state synchronous round
@@ -35,7 +36,7 @@ func newChurnRounds(t testing.TB, parallelism int) *churnRounds {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	batches, err := streamio.Read(f)
+	batches, err := workload.Drain(workload.NewFuncSource(workload.Shape{Batches: -1, Updates: -1}, streamio.NewReader(f).Next))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,9 +128,6 @@ func New(cfg Config) (*Matcher, error) {
 // Cluster exposes the cluster for metering.
 func (m *Matcher) Cluster() *mpc.Cluster { return m.cl }
 
-// RetryRounds reports the cumulative conflict-retry iterations.
-func (m *Matcher) RetryRounds() int { return m.retryRounds }
-
 func getShard(mm *mpc.Machine) *shard {
 	s, _ := mm.Get(slotShard).(*shard)
 	return s

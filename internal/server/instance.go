@@ -151,10 +151,11 @@ func (in *instance) applier() {
 		start := time.Now()
 		in.mu.Lock()
 		err := in.sess.Apply(b)
-		rounds := in.dc.Load().Cluster().Stats().Rounds
+		st := in.dc.Load().Cluster().Stats()
 		in.mu.Unlock()
 		in.observeApply(time.Since(start))
-		in.rounds.Store(uint64(rounds))
+		in.rounds.Store(uint64(st.Rounds))
+		in.violations.Store(uint64(len(st.Violations)))
 		if err != nil {
 			in.failure.CompareAndSwap(nil, &applyFailure{err: err})
 		} else {

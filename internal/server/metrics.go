@@ -18,6 +18,7 @@ import (
 // other instance state) and a row of families.
 type metrics struct {
 	rounds          atomic.Uint64
+	violations      atomic.Uint64
 	batchesApplied  atomic.Uint64
 	updatesApplied  atomic.Uint64
 	batchesRejected atomic.Uint64
@@ -94,6 +95,8 @@ type family struct {
 var families = [...]family{
 	{name: "mpcserve_rounds_total", typ: "counter", help: "Cumulative MPC rounds executed by the instance (observed on the update path).",
 		of: func(in *instance, _ int) uint64 { return in.rounds.Load() }},
+	{name: "mpcserve_cap_violations_total", typ: "counter", help: "MPC model violations the instance's cluster has recorded: a machine over its s-word memory or per-round communication budget (observed on the update path).",
+		of: func(in *instance, _ int) uint64 { return in.violations.Load() }},
 	{name: "mpcserve_query_cache_hits_total", typ: "counter", help: "Query batches answered entirely from the warm label cache (zero rounds).",
 		of: func(in *instance, _ int) uint64 { hits, _ := in.dc.Load().QueryCacheStats(); return hits }},
 	{name: "mpcserve_query_cache_misses_total", typ: "counter", help: "Query batches that ran a cache-fill collective.",

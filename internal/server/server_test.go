@@ -381,6 +381,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mpcserve_replacement_search_exhausted_total{instance="0"} 0`,
 		`mpcserve_query_cache_hits_total{instance="0"} 3`,
 		`mpcserve_query_cache_misses_total{instance="0"} 0`,
+		`mpcserve_cap_violations_total{instance="0"} 0`,
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("metrics output missing %q", want)

@@ -109,13 +109,12 @@ func TestArenaMatchesReferenceAcrossScenarios(t *testing.T) {
 			}
 			for _, seed := range []uint64{3, 17} {
 				p := newPaired(n, copies, seed^0xbeef)
-				stream := workload.Record(sc.New(n, seed), batches, k)
-				for bi, b := range stream {
-					for _, u := range b {
+				gen := sc.New(n, seed)
+				for range batches {
+					for _, u := range gen.Next(k) {
 						p.apply(u)
 					}
 					p.compareAll(t, sc.Name)
-					_ = bi
 				}
 				p.comparePrefixSums(t, sc.Name)
 			}

@@ -15,8 +15,8 @@
 //
 // Reader and Writer are incremental: a Reader yields one batch per Next
 // call and a Writer serializes one batch per WriteBatch call, so streaming
-// a trace through either end costs O(batch) memory. Read and Write are the
-// materializing wrappers kept for small fixtures.
+// a trace through either end costs O(batch) memory. A consumer that needs
+// the whole stream drains the Reader (workload.Drain).
 package streamio
 
 import (
@@ -121,27 +121,8 @@ func parseUpdate(line string, lineNo int) (graph.Update, error) {
 	return graph.Update{Op: op, Edge: graph.NewEdge(u, v), Weight: w}, nil
 }
 
-// Read parses a whole stream into materialized batches. Prefer NewReader
-// for anything larger than a test fixture.
-func Read(r io.Reader) ([]graph.Batch, error) {
-	rd := NewReader(r)
-	var out []graph.Batch
-	for {
-		b, err := rd.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-}
-
-// Writer serializes a stream one batch at a time, in the format Read
-// accepts. Empty batches are skipped — the text format cannot represent
-// them — so WriteBatch composes byte-identically with the materializing
-// Write over the same non-empty batches.
+// Writer serializes a stream one batch at a time, in the format Reader
+// accepts. Empty batches are skipped: the text format cannot represent them.
 type Writer struct {
 	bw      *bufio.Writer
 	batches int
@@ -182,57 +163,5 @@ func (w *Writer) WriteBatch(b graph.Batch) error {
 	return nil
 }
 
-// Batches returns the number of non-empty batches written so far.
-func (w *Writer) Batches() int { return w.batches }
-
 // Flush writes any buffered output to the underlying writer.
 func (w *Writer) Flush() error { return w.bw.Flush() }
-
-// Write serializes materialized batches; the incremental equivalent is a
-// WriteBatch loop.
-func Write(w io.Writer, batches []graph.Batch) error {
-	sw := NewWriter(w)
-	for _, b := range batches {
-		if err := sw.WriteBatch(b); err != nil {
-			return err
-		}
-	}
-	return sw.Flush()
-}
-
-// Source is the pull side of a stream, structurally matching
-// workload.BatchSource's Next method (streamio stays import-light, so the
-// interface is redeclared here rather than imported).
-type Source interface {
-	Next() (graph.Batch, error)
-}
-
-// WriteFrom drains src into w incrementally and reports how many non-empty
-// batches were written; the stream is never materialized.
-func WriteFrom(w io.Writer, src Source) (int, error) {
-	sw := NewWriter(w)
-	for {
-		b, err := src.Next()
-		if err == io.EOF {
-			return sw.Batches(), sw.Flush()
-		}
-		if err != nil {
-			return sw.Batches(), err
-		}
-		if err := sw.WriteBatch(b); err != nil {
-			return sw.Batches(), err
-		}
-	}
-}
-
-// MaxVertex returns the largest vertex id referenced by the batches, or -1
-// for an empty stream.
-func MaxVertex(batches []graph.Batch) int {
-	max := -1
-	for _, b := range batches {
-		if m := b.MaxVertex(); m > max {
-			max = m
-		}
-	}
-	return max
-}

@@ -2,6 +2,7 @@ package streamio
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -9,6 +10,22 @@ import (
 	"repro/internal/hash"
 	"repro/internal/workload"
 )
+
+// read drains a whole stream through a Reader.
+func read(r io.Reader) ([]graph.Batch, error) {
+	return workload.Drain(workload.NewFuncSource(workload.Shape{Batches: -1, Updates: -1}, NewReader(r).Next))
+}
+
+// write serializes batches through a Writer.
+func write(w io.Writer, batches []graph.Batch) error {
+	sw := NewWriter(w)
+	for _, b := range batches {
+		if err := sw.WriteBatch(b); err != nil {
+			return err
+		}
+	}
+	return sw.Flush()
+}
 
 func TestReadBasic(t *testing.T) {
 	in := `
@@ -18,7 +35,7 @@ i 1 2 7
 --
 d 0 1
 `
-	batches, err := Read(strings.NewReader(in))
+	batches, err := read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +60,7 @@ func TestReadErrors(t *testing.T) {
 		"i 1 1",       // self loop
 		"i 0 1 smoke", // bad weight
 	} {
-		if _, err := Read(strings.NewReader(in)); err == nil {
+		if _, err := read(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q accepted", in)
 		}
 	}
@@ -56,10 +73,10 @@ func TestRoundTrip(t *testing.T) {
 		batches = append(batches, gen.Next(4))
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, batches); err != nil {
+	if err := write(&buf, batches); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +106,10 @@ func TestRoundTripRandomized(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, batches); err != nil {
+		if err := write(&buf, batches); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Read(&buf)
+		got, err := read(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,18 +119,8 @@ func TestRoundTripRandomized(t *testing.T) {
 	}
 }
 
-func TestMaxVertex(t *testing.T) {
-	if MaxVertex(nil) != -1 {
-		t.Error("empty stream max != -1")
-	}
-	b := []graph.Batch{{graph.Ins(3, 9)}, {graph.Del(1, 2)}}
-	if MaxVertex(b) != 9 {
-		t.Errorf("MaxVertex = %d", MaxVertex(b))
-	}
-}
-
 func TestEmptyStream(t *testing.T) {
-	batches, err := Read(strings.NewReader("\n# nothing\n--\n"))
+	batches, err := read(strings.NewReader("\n# nothing\n--\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,13 +85,13 @@ func convertBoth(t *testing.T, segBatches int) (trace.ConvertStats, []byte, []by
 	return stats, binBuf.Bytes(), textBuf.Bytes()
 }
 
-func textSource(t *testing.T, n int, text []byte) workload.MirrorSource {
+func textSource(t *testing.T, n int, text []byte) *workload.Mirrored {
 	t.Helper()
 	shape := workload.Shape{N: n, Batches: -1, Updates: -1}
 	return workload.NewMirrored(workload.NewFuncSource(shape, streamio.NewReader(bytes.NewReader(text)).Next))
 }
 
-func traceSource(t *testing.T, bin []byte) workload.MirrorSource {
+func traceSource(t *testing.T, bin []byte) *workload.Mirrored {
 	t.Helper()
 	tr, err := trace.NewReader(bytes.NewReader(bin))
 	if err != nil {
@@ -127,7 +127,7 @@ func TestTextAndTraceStreamsIdentical(t *testing.T) {
 // equivalent text stream, at parallelism 1 and 8.
 func TestTraceReplayBitIdenticalAcrossFormats(t *testing.T) {
 	stats, bin, text := convertBoth(t, 8)
-	replay := func(src workload.MirrorSource, parallelism int) (mpc.Stats, []int) {
+	replay := func(src *workload.Mirrored, parallelism int) (mpc.Stats, []int) {
 		dc, err := core.NewDynamicConnectivity(core.Config{N: stats.N, Phi: 0.6, Seed: 1, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
@@ -175,54 +175,5 @@ func TestTraceReplayBitIdenticalAcrossFormats(t *testing.T) {
 		if !reflect.DeepEqual(r.comp, runs[0].comp) {
 			t.Errorf("%s component labels differ from %s", r.name, runs[0].name)
 		}
-	}
-}
-
-// TestRunSourceOverTrace drives harness.RunSource with both formats under
-// full oracle checking and compares the resulting reports, including a
-// crash/restore-decorated run.
-func TestRunSourceOverTrace(t *testing.T) {
-	stats, bin, text := convertBoth(t, 8)
-	base := harness.Options{CheckEvery: 4, Seed: 5}
-	crash := base
-	crash.CrashEvery = 6
-	for _, tc := range []struct {
-		name string
-		opt  harness.Options
-	}{
-		{"checked", base},
-		{"crash-restore", crash},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fromText, err := harness.RunSource("connectivity", "text", textSource(t, stats.N, text), tc.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromTrace, err := harness.RunSource("connectivity", "text", traceSource(t, bin), tc.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fromText.Batches != stats.Batches || fromText.Updates != stats.Updates {
-				t.Errorf("report saw %d batches / %d updates, converter reported %d / %d",
-					fromText.Batches, fromText.Updates, stats.Batches, stats.Updates)
-			}
-			if !reflect.DeepEqual(fromText, fromTrace) {
-				t.Errorf("reports differ across formats:\n  text:  %+v\n  trace: %+v", fromText, fromTrace)
-			}
-		})
-	}
-}
-
-// TestRunSourceValidation covers RunSource's rejection paths: a vertex
-// space smaller than the source's, and a weighted algorithm over an
-// unweighted stream.
-func TestRunSourceValidation(t *testing.T) {
-	stats, bin, _ := convertBoth(t, 8)
-	opt := harness.Options{N: stats.N / 2}
-	if _, err := harness.RunSource("connectivity", "trace", traceSource(t, bin), opt); err == nil {
-		t.Error("undersized Options.N accepted")
-	}
-	if _, err := harness.RunSource("msf", "trace", traceSource(t, bin), harness.Options{}); err == nil {
-		t.Error("weighted algorithm accepted an unweighted trace")
 	}
 }

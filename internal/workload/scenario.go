@@ -72,13 +72,3 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Record drives gen for the given number of batches and returns the emitted
-// stream, dropping empty batches (a stalled generator emits nothing rather
-// than an invalid update). It is the materializing convenience over
-// NewGeneratorSource for in-memory fixtures; golden-trace regeneration
-// streams through streamio.WriteFrom instead and never buffers twice.
-func Record(gen Generator, batches, size int) []graph.Batch {
-	out, _ := Drain(NewGeneratorSource(gen, batches, size))
-	return out
-}

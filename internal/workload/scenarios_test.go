@@ -208,8 +208,9 @@ func TestCommunityMergeSplit(t *testing.T) {
 	}
 }
 
-// TestRecordReplayRoundTrip records a scenario, serializes it through the
-// .stream format, replays it, and checks the replayed mirror matches.
+// TestRecordReplayRoundTrip records a scenario through the .stream writer,
+// replays it through the reader, and checks the replay emits the recorded
+// batches and rebuilds the generator's mirror.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	const n = 40
 	sc, err := Get("powerlaw")
@@ -217,25 +218,31 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := sc.New(n, 21)
-	stream := Record(gen, 10, 16)
-	if len(stream) == 0 {
+	var buf bytes.Buffer
+	w := streamio.NewWriter(&buf)
+	var recorded []graph.Batch
+	for i := 0; i < 10; i++ {
+		b := gen.Next(16)
+		if len(b) > 0 {
+			recorded = append(recorded, b)
+		}
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(recorded) == 0 {
 		t.Fatal("empty recording")
 	}
-	var buf bytes.Buffer
-	if err := streamio.Write(&buf, stream); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := streamio.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := NewMirrored(NewSliceSource(n, parsed))
+	rp := NewMirrored(NewFuncSource(Shape{N: n, Batches: -1, Updates: -1}, streamio.NewReader(&buf).Next))
 	replayed, err := Drain(rp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(replayed) != len(parsed) {
-		t.Fatalf("replayed %d batches, parsed %d", len(replayed), len(parsed))
+	if !reflect.DeepEqual(replayed, recorded) {
+		t.Fatalf("replayed %d batches differ from the %d recorded", len(replayed), len(recorded))
 	}
 	if got, want := edgeSet(rp.Mirror()), edgeSet(gen.Mirror()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed mirror differs: %v vs %v", got, want)
@@ -274,7 +281,15 @@ func TestMirroredRejectsInvalidStreams(t *testing.T) {
 			if diagnostic == nil {
 				t.Fatal("test case is not invalid")
 			}
-			m := NewMirrored(NewSliceSource(4, tc.batches))
+			rest := tc.batches
+			m := NewMirrored(NewFuncSource(Shape{N: 4, Batches: len(rest), Updates: -1}, func() (graph.Batch, error) {
+				if len(rest) == 0 {
+					return nil, io.EOF
+				}
+				b := rest[0]
+				rest = rest[1:]
+				return b, nil
+			}))
 			_, err := Drain(m)
 			if err == nil {
 				t.Fatal("invalid stream replayed without error")
@@ -286,39 +301,6 @@ func TestMirroredRejectsInvalidStreams(t *testing.T) {
 				t.Errorf("refused batch changed the mirror: %v, want %v", edgeSet(m.Mirror()), edgeSet(want))
 			}
 		})
-	}
-}
-
-// TestGeneratorSourcePreservesIndices checks that the generator shim emits
-// exactly the requested number of batches (empties included) before io.EOF,
-// so consumers indexing batches (CheckEvery, crash schedules) stay aligned
-// with the generator's own iteration count.
-func TestGeneratorSourcePreservesIndices(t *testing.T) {
-	sc, err := Get("churn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batches = 7
-	src := NewGeneratorSource(sc.New(16, 3), batches, 8)
-	got := 0
-	for {
-		b, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) > 8 {
-			t.Fatalf("batch of %d exceeds size cap", len(b))
-		}
-		got++
-	}
-	if got != batches {
-		t.Fatalf("source emitted %d batches, want %d", got, batches)
-	}
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("exhausted source returned %v, want io.EOF", err)
 	}
 }
 

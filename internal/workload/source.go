@@ -24,102 +24,17 @@ type Shape struct {
 	Weighted bool
 }
 
-// BatchSource is the streaming ingestion interface every consumer pulls
-// from: Next returns the next batch of updates and io.EOF when the stream
-// is exhausted (a source may also emit empty batches mid-stream, e.g. a
-// stalled generator iteration — consumers skip them). Sources are pull-based
-// and single-pass, so a multi-gigabyte trace replays in O(batch) memory;
+// BatchSource is the pull interface of input from outside the program (a
+// text stream, a binary trace, a converted edge list): Next returns the next
+// batch of updates and io.EOF when the stream is exhausted (an empty batch
+// mid-stream carries nothing, and consumers skip it). Seeded generators are
+// not sources: their consumers pull them directly (Generator.Next). Sources
+// are single-pass, so a multi-gigabyte trace replays in O(batch) memory;
 // anything that needs the whole stream at once must materialize it
 // explicitly (see Drain).
 type BatchSource interface {
 	Next() (graph.Batch, error)
 	Shape() Shape
-}
-
-// MirrorSource is a BatchSource that also maintains a reference graph
-// reflecting every batch emitted so far — what the differential harness
-// needs to oracle-check a stream. Generators provide it natively; any plain
-// BatchSource gains one via NewMirrored.
-type MirrorSource interface {
-	BatchSource
-	Mirror() *graph.Graph
-}
-
-// GeneratorSource adapts a Generator to the BatchSource interface: it
-// drives gen for a fixed number of batches of at most size updates each,
-// then reports io.EOF. Empty batches (a stalled generator) are passed
-// through so batch indices stay aligned with the generator's own iteration
-// count.
-type GeneratorSource struct {
-	gen       Generator
-	size      int
-	remaining int
-}
-
-// NewGeneratorSource returns the shim. Batches must be non-negative and
-// size positive.
-func NewGeneratorSource(gen Generator, batches, size int) *GeneratorSource {
-	if batches < 0 || size <= 0 {
-		panic(fmt.Sprintf("workload: NewGeneratorSource(batches=%d, size=%d)", batches, size))
-	}
-	return &GeneratorSource{gen: gen, size: size, remaining: batches}
-}
-
-// Next implements BatchSource.
-func (s *GeneratorSource) Next() (graph.Batch, error) {
-	if s.remaining == 0 {
-		return nil, io.EOF
-	}
-	s.remaining--
-	return s.gen.Next(s.size), nil
-}
-
-// Shape implements BatchSource. Updates is unknown until the generator has
-// run.
-func (s *GeneratorSource) Shape() Shape {
-	return Shape{N: s.gen.Mirror().N(), Batches: s.remaining, Updates: -1}
-}
-
-// Mirror implements MirrorSource.
-func (s *GeneratorSource) Mirror() *graph.Graph { return s.gen.Mirror() }
-
-// SliceSource replays an already-materialized stream (e.g. one a test built
-// in memory) as a BatchSource.
-type SliceSource struct {
-	n       int
-	batches []graph.Batch
-	next    int
-}
-
-// NewSliceSource returns a source over n vertices emitting the given
-// batches in order.
-func NewSliceSource(n int, batches []graph.Batch) *SliceSource {
-	return &SliceSource{n: n, batches: batches}
-}
-
-// Next implements BatchSource.
-func (s *SliceSource) Next() (graph.Batch, error) {
-	if s.next >= len(s.batches) {
-		return nil, io.EOF
-	}
-	b := s.batches[s.next]
-	s.next++
-	return b, nil
-}
-
-// Shape implements BatchSource.
-func (s *SliceSource) Shape() Shape {
-	updates := 0
-	weighted := false
-	for _, b := range s.batches {
-		updates += len(b)
-		for _, u := range b {
-			if u.Weight != 0 {
-				weighted = true
-			}
-		}
-	}
-	return Shape{N: s.n, Batches: len(s.batches), Updates: updates, Weighted: weighted}
 }
 
 // FuncSource adapts a pull function plus a fixed shape into a BatchSource
@@ -140,11 +55,10 @@ func (s *FuncSource) Next() (graph.Batch, error) { return s.next() }
 // Shape implements BatchSource.
 func (s *FuncSource) Shape() Shape { return s.shape }
 
-// Mirrored upgrades any BatchSource to a MirrorSource by re-validating
-// every batch against its own reference graph: a corrupted or mismatched
-// stream surfaces as a descriptive error from Next instead of feeding an
-// algorithm an invalid update. It replaces the old materialized Replay
-// type; the same recording can back several Mirrored replays.
+// Mirrored re-validates every batch of a BatchSource against its own
+// reference graph: a corrupted or mismatched stream surfaces as a
+// descriptive error from Next instead of feeding an algorithm an invalid
+// update, and the mirror is what an oracle checks the stream against.
 type Mirrored struct {
 	src BatchSource
 	g   *graph.Graph
@@ -180,7 +94,7 @@ func (m *Mirrored) Next() (graph.Batch, error) {
 // Shape implements BatchSource.
 func (m *Mirrored) Shape() Shape { return m.src.Shape() }
 
-// Mirror implements MirrorSource.
+// Mirror returns the reference graph of every batch emitted so far.
 func (m *Mirrored) Mirror() *graph.Graph { return m.g }
 
 // Drain materializes a source, dropping empty batches. It is the explicit
