@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/oracle"
@@ -19,13 +20,16 @@ const (
 	alpha = 3.0
 )
 
+// cfg is the cluster shape every structure runs on, seeded per structure.
+func cfg(seed uint64) core.Config { return core.Config{N: n, Phi: 0.6, Seed: seed} }
+
 func main() {
 	// Insertion-only: greedy capped matching in Õ(n/alpha) memory.
-	gm, err := matching.NewGreedyInsertOnly(n, alpha, 0)
+	gm, err := matching.NewGreedyInsertOnly(cfg(0), alpha)
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := matching.NewInsertOnlySizeEstimator(n, alpha, 11)
+	est, err := matching.NewInsertOnlySizeEstimator(cfg(11), alpha)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func main() {
 		gm.Size(), gm.Cap(), est.Estimate(), opt)
 
 	// Fully dynamic: AKLY sparsifier + batch-dynamic maximal matching.
-	dyn, err := matching.NewAKLYDynamic(n, alpha, 13, 0)
+	dyn, err := matching.NewAKLYDynamic(cfg(13), alpha)
 	if err != nil {
 		log.Fatal(err)
 	}

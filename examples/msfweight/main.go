@@ -59,7 +59,7 @@ func main() {
 	_, want := oracle.MSF(dyn.Mirror())
 	est := approx.Weight()
 	fmt.Printf("approx MSF (eps=%.2f, %d level graphs): estimate %d, true %d, ratio %.3f\n",
-		eps, approx.Levels(), est, want, float64(est)/float64(want))
+		eps, len(approx.Levels()), est, want, float64(est)/float64(want))
 	forest := approx.Snapshot()
 	fmt.Printf("  extracted forest: %d edges, threshold-rounded weight %d\n",
 		len(forest), approx.ForestWeight())

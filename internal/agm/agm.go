@@ -8,13 +8,11 @@
 package agm
 
 import (
-	"fmt"
-	"math"
 	"slices"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/hash"
 	"repro/internal/mpc"
 	"repro/internal/sketch"
 	"repro/internal/sketchcodec"
@@ -44,52 +42,29 @@ type Connectivity struct {
 	space *sketch.Space
 }
 
-// Config parameterizes the baseline; it mirrors core.Config.
-type Config struct {
-	N                  int
-	Phi                float64
-	SketchCopies       int
-	Seed               uint64
-	Strict             bool
-	VerticesPerMachine int
-	// Parallelism is passed through to the cluster's execution engine
-	// (see mpc.Config.Parallelism).
-	Parallelism int
-}
+// vertexWords is the baseline's words per vertex besides its sketch stack:
+// the query label and a share of the Borůvka working set.
+const vertexWords = 64
 
-// New creates the baseline for an empty graph on cfg.N vertices.
-func New(cfg Config) (*Connectivity, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("agm: N = %d", cfg.N)
+// New creates the baseline for an empty graph on cfg.N vertices, placed by
+// the shape rule of core.Config.
+func New(cfg core.Config) (*Connectivity, error) {
+	space, err := cfg.NewSketchSpace()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Phi <= 0 || cfg.Phi > 1 {
-		return nil, fmt.Errorf("agm: Phi = %v", cfg.Phi)
+	fl, err := cfg.NewFleet(vertexWords + space.SketchWords())
+	if err != nil {
+		return nil, err
 	}
-	vpm := cfg.VerticesPerMachine
-	if vpm == 0 {
-		vpm = ceilPow(cfg.N, cfg.Phi)
-	}
-	t := cfg.SketchCopies
-	if t == 0 {
-		t = 2*ceilLog2(cfg.N) + 8
-	}
-	prg := hash.NewPRG(cfg.Seed)
-	space := sketch.NewGraphSpace(cfg.N, t, prg)
-	m := (cfg.N+vpm-1)/vpm + 1
-	cl := mpc.NewCluster(mpc.Config{
-		Machines:    m,
-		LocalMemory: vpm * (64 + space.SketchWords()),
-		Strict:      cfg.Strict,
-		Parallelism: cfg.Parallelism,
-	})
 	c := &Connectivity{
 		n:     cfg.N,
-		cl:    cl,
-		part:  mpc.Partition{N: cfg.N, Machines: m - 1},
-		coord: m - 1,
+		cl:    fl.Cluster,
+		part:  fl.Part,
+		coord: fl.Coord,
 		space: space,
 	}
-	cl.LocalAll(func(mm *mpc.Machine) {
+	c.cl.LocalAll(func(mm *mpc.Machine) {
 		if mm.ID == c.coord {
 			return
 		}
@@ -340,20 +315,4 @@ func sortedIntKeys[V any](m map[int]V) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func ceilLog2(n int) int {
-	l := 0
-	for v := 1; v < n; v *= 2 {
-		l++
-	}
-	return l
-}
-
-func ceilPow(n int, phi float64) int {
-	v := int(math.Ceil(math.Pow(float64(n), phi)))
-	if v < 2 {
-		v = 2
-	}
-	return v
 }

@@ -3,6 +3,7 @@ package agm
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hash"
 	"repro/internal/oracle"
@@ -10,7 +11,7 @@ import (
 
 func newBaseline(t *testing.T, n int, seed uint64) *Connectivity {
 	t.Helper()
-	c, err := New(Config{N: n, Phi: 0.7, Seed: seed})
+	c, err := New(core.Config{N: n, Phi: 0.7, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +46,10 @@ func checkLabels(t *testing.T, got []int, g *graph.Graph) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(Config{N: 1, Phi: 0.5}); err == nil {
+	if _, err := New(core.Config{N: 1, Phi: 0.5}); err == nil {
 		t.Error("N=1 accepted")
 	}
-	if _, err := New(Config{N: 8, Phi: 0}); err == nil {
+	if _, err := New(core.Config{N: 8, Phi: 0}); err == nil {
 		t.Error("Phi=0 accepted")
 	}
 }

@@ -44,9 +44,15 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/hash"
+	"repro/internal/mpc"
+	"repro/internal/sketch"
 )
 
-// Config parameterizes a Forest or DynamicConnectivity instance.
+// Config is the one cluster shape of the repository: a Forest, a
+// DynamicConnectivity, and the baseline, matching and MSF states are all
+// placed by its rule (NewFleet), and ResizeConfig reshapes it.
 type Config struct {
 	// N is the number of vertices (fixed for the lifetime of the instance,
 	// per Section 1.2).
@@ -63,8 +69,9 @@ type Config struct {
 	// Strict makes the underlying cluster panic on any memory or
 	// communication cap violation.
 	Strict bool
-	// VerticesPerMachine overrides the derived ceil(N^Phi) when positive;
-	// tests use it to force specific cluster shapes.
+	// VerticesPerMachine overrides the derived ceil(N^Phi) when positive:
+	// ResizeConfig sets it, and tests use it to force specific cluster
+	// shapes.
 	VerticesPerMachine int
 	// Parallelism is passed through to the MPC cluster's execution engine
 	// (see mpc.Config.Parallelism): 0 or 1 simulates rounds sequentially,
@@ -84,11 +91,12 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// verticesPerMachine returns ceil(N^Phi), the machine capacity in vertex
-// bundles. A vertex bundle is one vertex's full state: its component id plus
-// (for DynamicConnectivity) its sketch stack; expressing s in bundles keeps
-// the n^φ scaling visible while absorbing the polylog bundle size, mirroring
-// the paper's Õ(·) accounting.
+// verticesPerMachine returns ceil(N^Phi), at least 2, the machine capacity
+// in vertex bundles. A vertex bundle is one vertex's full state in the
+// algorithm that runs on the shape (for DynamicConnectivity its component id
+// plus its sketch stack); expressing s in bundles keeps the n^φ scaling
+// visible while absorbing the polylog bundle size, mirroring the paper's
+// Õ(·) accounting.
 func (c Config) verticesPerMachine() int {
 	if c.VerticesPerMachine > 0 {
 		return c.VerticesPerMachine
@@ -100,23 +108,65 @@ func (c Config) verticesPerMachine() int {
 	return v
 }
 
-// machines returns the number of MPC machines: enough for every vertex
-// bundle plus slack for edge records and coordinator working sets.
-func (c Config) machines() int {
+// MachineCount returns the number of MPC machines an instance of this
+// configuration runs on: enough vertex machines for every vertex bundle, plus
+// the coordinator, whose transient working set (batch edges, fragment
+// sketches) then never competes with a full vertex shard.
+func (c Config) MachineCount() int {
 	vpm := c.verticesPerMachine()
-	m := (c.N + vpm - 1) / vpm
-	// One extra machine of slack keeps the coordinator's transient working
-	// set (batch edges, fragment sketches) from competing with a full
-	// vertex shard.
-	return m + 1
+	return (c.N+vpm-1)/vpm + 1
 }
 
-// defaultSketchCopies returns t = 2*ceil(log2 N) + 8.
-func (c Config) defaultSketchCopies() int {
-	if c.SketchCopies > 0 {
-		return c.SketchCopies
+// NewSketchSpace validates c and draws the vertex-sketch space of an instance
+// of this shape from its seed: t = SketchCopies independent copies, or
+// 2*ceil(log2 N) + 8, enough for the Borůvka replacement search to succeed
+// with high probability.
+func (c Config) NewSketchSpace() (*sketch.Space, error) {
+	if err := c.normalize(); err != nil {
+		return nil, err
 	}
-	return 2*ceilLog2(c.N) + 8
+	t := c.SketchCopies
+	if t <= 0 {
+		t = 2*ceilLog2(c.N) + 8
+	}
+	return sketch.NewGraphSpace(c.N, t, hash.NewPRG(c.Seed)), nil
+}
+
+// Fleet is a cluster laid out by the shape rule: the last machine, Coord, is
+// the coordinator, and the machines before it hold the vertices in Part's
+// contiguous ranges.
+type Fleet struct {
+	Cluster *mpc.Cluster
+	Part    mpc.Partition
+	Coord   int
+}
+
+// NewFleet validates c and places an instance of this shape whose vertices
+// take bundle words each: MachineCount machines with room for
+// VerticesPerMachine bundles apiece. Every vertex-partitioned state of the
+// repository is placed here, so the fleet a session resizes (see
+// ResizeConfig) is the fleet that runs.
+func (c Config) NewFleet(bundle int) (Fleet, error) {
+	if err := c.normalize(); err != nil {
+		return Fleet{}, err
+	}
+	return c.FixedFleet(c.MachineCount(), c.verticesPerMachine()*bundle), nil
+}
+
+// FixedFleet builds a fleet of the given size and per-machine memory under
+// c's engine settings (Strict, Parallelism), for state whose size is not the
+// vertex count's.
+func (c Config) FixedFleet(machines, localMemory int) Fleet {
+	return Fleet{
+		Cluster: mpc.NewCluster(mpc.Config{
+			Machines:    machines,
+			LocalMemory: localMemory,
+			Strict:      c.Strict,
+			Parallelism: c.Parallelism,
+		}),
+		Part:  mpc.Partition{N: c.N, Machines: machines - 1},
+		Coord: machines - 1,
+	}
 }
 
 // MaxBatch returns the largest update batch the instance accepts: half a

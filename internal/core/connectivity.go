@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/hash"
 	"repro/internal/mpc"
 	"repro/internal/sketch"
 	"repro/internal/sketchcodec"
@@ -236,11 +235,10 @@ type DynamicConnectivity struct {
 // NewDynamicConnectivity builds the distributed state for an initially
 // empty graph on cfg.N vertices.
 func NewDynamicConnectivity(cfg Config) (*DynamicConnectivity, error) {
-	if err := cfg.normalize(); err != nil {
+	space, err := cfg.NewSketchSpace()
+	if err != nil {
 		return nil, err
 	}
-	prg := hash.NewPRG(cfg.Seed)
-	space := sketch.NewGraphSpace(cfg.N, cfg.defaultSketchCopies(), prg)
 	f, err := newForest(cfg, false, space.SketchWords()+8)
 	if err != nil {
 		return nil, err

@@ -368,28 +368,23 @@ func NewForest(cfg Config) (*Forest, error) { return newForest(cfg, false, 0) }
 // as needed by the exact-MSF algorithm of Section 7.1.
 func NewWeightedForest(cfg Config) (*Forest, error) { return newForest(cfg, true, 0) }
 
+// vertexWords is the forest's share of a vertex bundle: the component id, an
+// amortized share of edge records and transient fragment entries.
+const vertexWords = 64
+
 // newForest builds the cluster and shards; sketchWords reserves per-vertex
 // budget for a DynamicConnectivity's sketches.
 func newForest(cfg Config, weighted bool, sketchWords int) (*Forest, error) {
-	if err := cfg.normalize(); err != nil {
+	fl, err := cfg.NewFleet(vertexWords + sketchWords)
+	if err != nil {
 		return nil, err
 	}
-	vpm := cfg.verticesPerMachine()
-	m := cfg.machines()
-	// A vertex bundle: component id, amortized share of edge records and
-	// transient fragment entries, plus sketches.
-	bundle := 64 + sketchWords
-	cl := mpc.NewCluster(mpc.Config{
-		Machines:    m,
-		LocalMemory: vpm * bundle,
-		Strict:      cfg.Strict,
-		Parallelism: cfg.Parallelism,
-	})
+	cl := fl.Cluster
 	f := &Forest{
 		cfg:      cfg,
 		cl:       cl,
-		part:     mpc.Partition{N: cfg.N, Machines: m - 1},
-		coord:    m - 1,
+		part:     fl.Part,
+		coord:    fl.Coord,
 		weighted: weighted,
 		edgeHash: hash.NewPairwise(hash.NewPRG(cfg.Seed ^ 0x9d5f)),
 		nextID:   1,

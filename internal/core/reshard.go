@@ -40,10 +40,6 @@ import (
 	"repro/internal/snapshot"
 )
 
-// MachineCount returns the number of MPC machines an instance of this
-// configuration runs on (vertex machines plus the coordinator).
-func (c Config) MachineCount() int { return c.machines() }
-
 // ResizeConfig returns a copy of cfg reshaped to run on exactly machines
 // MPC machines: VerticesPerMachine becomes ceil(N / (machines-1)), the
 // smallest per-machine vertex budget that covers every vertex on machines-1
@@ -57,7 +53,7 @@ func ResizeConfig(cfg Config, machines int) (Config, error) {
 	}
 	out := cfg
 	out.VerticesPerMachine = (cfg.N + machines - 2) / (machines - 1)
-	if got := out.machines(); got != machines {
+	if got := out.MachineCount(); got != machines {
 		return Config{}, fmt.Errorf("core: no cluster shape with exactly %d machines for N=%d: nearest realizable is %d machines (VerticesPerMachine=%d)",
 			machines, cfg.N, got, out.VerticesPerMachine)
 	}

@@ -176,7 +176,7 @@ func E3QueryVsAGM(sizes []int, seed uint64) *Table {
 		if err != nil {
 			panic(err)
 		}
-		base, err := agm.New(agm.Config{N: n, Phi: phi, Seed: seed, Parallelism: Parallelism})
+		base, err := agm.New(cfg(n, phi, seed))
 		if err != nil {
 			panic(err)
 		}
@@ -266,7 +266,7 @@ func E5ApproxMSF(n int, epss []float64, batches int, seed uint64) *Table {
 			ratio = float64(est) / float64(want)
 			fratio = float64(forestW) / float64(want)
 		}
-		t.Rows = append(t.Rows, []string{f2(eps), d(a.Levels()), f2(ratio), f2(fratio), fmt.Sprintf("%v", ok)})
+		t.Rows = append(t.Rows, []string{f2(eps), d(len(a.Levels())), f2(ratio), f2(fratio), fmt.Sprintf("%v", ok)})
 	}
 	t.Remarks = append(t.Remarks, "claim: true <= estimate <= (1+eps)*true, for both the weight and the extracted forest")
 	return t
@@ -308,11 +308,11 @@ func E7InsertMatching(n int, alphas []float64, seed uint64) *Table {
 		Header: []string{"alpha", "opt", "greedy size", "opt/size", "estimate", "est/opt", "cap(n/alpha)"},
 	}
 	for _, alpha := range alphas {
-		gm, err := matching.NewGreedyInsertOnly(n, alpha, 0)
+		gm, err := matching.NewGreedyInsertOnly(cfg(n, 0.6, seed), alpha)
 		if err != nil {
 			panic(err)
 		}
-		est, err := matching.NewInsertOnlySizeEstimator(n, alpha, seed)
+		est, err := matching.NewInsertOnlySizeEstimator(cfg(n, 0.6, seed), alpha)
 		if err != nil {
 			panic(err)
 		}
@@ -351,11 +351,11 @@ func E8DynamicMatching(n int, alphas []float64, batches int, seed uint64) *Table
 		Header: []string{"alpha", "opt", "akly size", "opt/size", "estimate", "est/opt", "sampler words"},
 	}
 	for _, alpha := range alphas {
-		d8, err := matching.NewAKLYDynamic(n, alpha, seed, 0)
+		d8, err := matching.NewAKLYDynamic(cfg(n, 0.6, seed), alpha)
 		if err != nil {
 			panic(err)
 		}
-		de, err := matching.NewDynamicSizeEstimator(n, alpha, n/4, seed+1)
+		de, err := matching.NewDynamicSizeEstimator(cfg(n, 0.6, seed+1), alpha, n/4)
 		if err != nil {
 			panic(err)
 		}

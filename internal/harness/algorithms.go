@@ -271,7 +271,7 @@ func init() {
 		Name:       "matching",
 		InsertOnly: true,
 		New: func(opt Options) (Instance, error) {
-			gm, err := matching.NewGreedyInsertOnly(opt.N, opt.Alpha, opt.VerticesPerMachine)
+			gm, err := matching.NewGreedyInsertOnly(opt.coreCfg(), opt.Alpha)
 			if err != nil {
 				return nil, err
 			}
@@ -281,7 +281,7 @@ func init() {
 	registerAlgorithm(Algorithm{
 		Name: "dynmatching",
 		New: func(opt Options) (Instance, error) {
-			d, err := matching.NewAKLYDynamic(opt.N, opt.Alpha, opt.Seed, opt.VerticesPerMachine)
+			d, err := matching.NewAKLYDynamic(opt.coreCfg(), opt.Alpha)
 			if err != nil {
 				return nil, err
 			}
@@ -291,7 +291,7 @@ func init() {
 	registerAlgorithm(Algorithm{
 		Name: "nowickionak",
 		New: func(opt Options) (Instance, error) {
-			m, err := nowickionak.New(nowickionak.Config{N: opt.N, VerticesPerMachine: opt.VerticesPerMachine})
+			m, err := nowickionak.New(opt.coreCfg())
 			if err != nil {
 				return nil, err
 			}

@@ -8,9 +8,10 @@
 // axes carried by the registries: insertion-only algorithms (exact MSF,
 // greedy matching) accept only insertion-only streams, and the MSF
 // algorithms require weighted streams. Everything else runs everywhere.
-// Cluster-backed algorithms honour Options.Parallelism, so the same
-// differential run exercises both the sequential and the worker-pool
-// execution engines.
+// Every algorithm is placed by core.Config's rule at the one cluster shape
+// the options describe, which is the shape its session resizes, and honours
+// Options.Parallelism, so the same differential run exercises both the
+// sequential and the worker-pool execution engines.
 package harness
 
 import (
@@ -88,12 +89,14 @@ type Options struct {
 	// discarded, the last checkpoint is loaded onto a fleet one machine
 	// smaller (see session.Session.RecoverOnto), and every batch applied
 	// since that checkpoint — including the in-flight one — is replayed.
-	// Every registered algorithm supports it. Results and oracle checks are
-	// identical to an uninterrupted run at the surviving machine count.
+	// A fleet already at its minimum (one vertex machine plus the
+	// coordinator) has the lost machine replaced instead, so a run never
+	// faults its fleet out of existence. Every registered algorithm supports
+	// it. Results and oracle checks are identical to an uninterrupted run at
+	// the surviving machine count.
 	FaultEvery int
-	// VerticesPerMachine pins the initial cluster shape of cluster-backed
-	// algorithms (0 = derived from Phi, or each algorithm's default);
-	// machine-fault recovery shrinks it as the fleet loses machines.
+	// VerticesPerMachine pins the initial cluster shape (0 = derived from
+	// Phi); machine-fault recovery shrinks it as the fleet loses machines.
 	VerticesPerMachine int
 }
 

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hash"
-	"repro/internal/nowickionak"
+	"repro/internal/mpc"
 )
 
 // aklyInstance is the AKLY sparsifier for one guess OPT' of the maximum
@@ -19,11 +20,11 @@ type aklyInstance struct {
 	sp     *sparsifier
 }
 
-func newAKLYInstance(n, optGuess, verticesPerMachine int, alpha float64, prg *hash.PRG) (*aklyInstance, error) {
+func newAKLYInstance(cfg core.Config, optGuess int, alpha float64, prg *hash.PRG) (*aklyInstance, error) {
 	beta := int(float64(optGuess)/alpha) + 1
 	gamma := int(float64(optGuess)/(alpha*alpha)) + 1
 	inst := &aklyInstance{
-		n:      n,
+		n:      cfg.N,
 		beta:   beta,
 		hSide:  hash.NewPairwise(prg),
 		hGroup: hash.NewPairwise(prg),
@@ -41,7 +42,7 @@ func newAKLYInstance(n, optGuess, verticesPerMachine int, alpha float64, prg *ha
 			}
 		}
 	}
-	sp, err := newSparsifier(n, pairs, inst.pairOf, prg, nowickionak.Config{N: n, VerticesPerMachine: verticesPerMachine})
+	sp, err := newSparsifier(cfg, pairs, inst.pairOf, prg)
 	if err != nil {
 		return nil, err
 	}
@@ -80,20 +81,21 @@ type AKLYDynamic struct {
 	instances []*aklyInstance
 }
 
-// NewAKLYDynamic builds Θ(log n) guess instances. verticesPerMachine sizes
-// the embedded maximal matchers' clusters (0 = their default); the
+// NewAKLYDynamic builds Θ(log n) guess instances on n = cfg.N vertices from
+// cfg.Seed. The embedded maximal matchers are placed at the shape cfg; the
 // sparsifiers' fleet is fixed.
-func NewAKLYDynamic(n int, alpha float64, seed uint64, verticesPerMachine int) (*AKLYDynamic, error) {
+func NewAKLYDynamic(cfg core.Config, alpha float64) (*AKLYDynamic, error) {
+	n := cfg.N
 	if n < 4 {
 		return nil, fmt.Errorf("matching: n = %d", n)
 	}
 	if alpha <= 1 {
 		return nil, fmt.Errorf("matching: alpha = %v", alpha)
 	}
-	prg := hash.NewPRG(seed)
+	prg := hash.NewPRG(cfg.Seed)
 	d := &AKLYDynamic{n: n, alpha: alpha}
 	for guess := n / 2; guess >= 1; guess /= 2 {
-		inst, err := newAKLYInstance(n, guess, verticesPerMachine, alpha, prg.Fork())
+		inst, err := newAKLYInstance(cfg, guess, alpha, prg.Fork())
 		if err != nil {
 			return nil, err
 		}
@@ -144,6 +146,16 @@ func (d *AKLYDynamic) Size() int {
 		}
 	}
 	return best
+}
+
+// Clusters returns every cluster the structure runs on: per guess instance,
+// its sampler fleet and then its maximal matcher's.
+func (d *AKLYDynamic) Clusters() []*mpc.Cluster {
+	out := make([]*mpc.Cluster, 0, 2*len(d.instances))
+	for _, inst := range d.instances {
+		out = append(out, inst.sp.cl, inst.sp.matcher.Cluster())
+	}
+	return out
 }
 
 // SparsifierWords reports the peak sampler memory across instances, the

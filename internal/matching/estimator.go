@@ -3,9 +3,9 @@ package matching
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hash"
-	"repro/internal/nowickionak"
 )
 
 // InsertOnlySizeEstimator maintains an O(α)-approximation of the maximum
@@ -26,8 +26,10 @@ type InsertOnlySizeEstimator struct {
 	aInt    int
 }
 
-// NewInsertOnlySizeEstimator creates the estimator; alpha > 1.
-func NewInsertOnlySizeEstimator(n int, alpha float64, seed uint64) (*InsertOnlySizeEstimator, error) {
+// NewInsertOnlySizeEstimator creates the estimator on n = cfg.N vertices
+// from cfg.Seed; both greedy structures are placed at the shape cfg.
+// alpha > 1.
+func NewInsertOnlySizeEstimator(cfg core.Config, alpha float64) (*InsertOnlySizeEstimator, error) {
 	if alpha <= 1 {
 		return nil, fmt.Errorf("matching: alpha = %v", alpha)
 	}
@@ -37,11 +39,11 @@ func NewInsertOnlySizeEstimator(n int, alpha float64, seed uint64) (*InsertOnlyS
 	if capAlpha <= 1 {
 		capAlpha = 1.01
 	}
-	full, err := NewGreedyInsertOnly(n, capAlpha, 0)
+	full, err := NewGreedyInsertOnly(cfg, capAlpha)
 	if err != nil {
 		return nil, err
 	}
-	sampled, err := NewGreedyInsertOnly(n, capAlpha, 0)
+	sampled, err := NewGreedyInsertOnly(cfg, capAlpha)
 	if err != nil {
 		return nil, err
 	}
@@ -50,11 +52,11 @@ func NewInsertOnlySizeEstimator(n int, alpha float64, seed uint64) (*InsertOnlyS
 		aInt = 2
 	}
 	return &InsertOnlySizeEstimator{
-		n:       n,
+		n:       cfg.N,
 		alpha:   alpha,
 		full:    full,
 		sampled: sampled,
-		hSample: hash.NewPairwise(hash.NewPRG(seed)),
+		hSample: hash.NewPairwise(hash.NewPRG(cfg.Seed)),
 		aInt:    aInt,
 	}, nil
 }
@@ -122,7 +124,7 @@ type tester struct {
 	induced func(graph.Edge) bool
 }
 
-func newTester(n, k int, induced func(graph.Edge) bool, prg *hash.PRG) (*tester, error) {
+func newTester(cfg core.Config, k int, induced func(graph.Edge) bool, prg *hash.PRG) (*tester, error) {
 	groups := 3 * k
 	t := &tester{k: k, groups: groups, hGroup: hash.NewPairwise(prg), induced: induced}
 	var pairs []pairKey
@@ -131,7 +133,7 @@ func newTester(n, k int, induced func(graph.Edge) bool, prg *hash.PRG) (*tester,
 			pairs = append(pairs, pairKey{i: i, j: j})
 		}
 	}
-	sp, err := newSparsifier(n, pairs, t.classify, prg, nowickionak.Config{N: n})
+	sp, err := newSparsifier(cfg, pairs, t.classify, prg)
 	if err != nil {
 		return nil, err
 	}
@@ -152,17 +154,19 @@ func (t *tester) classify(e graph.Edge) (pairKey, bool) {
 	return pairKey{i: gi, j: gj}, true
 }
 
-// NewDynamicSizeEstimator creates the estimator; alpha > 1. maxGuess caps
-// the largest tester (default n/4 when 0), letting experiments bound the
-// Θ(k²) sampler space.
-func NewDynamicSizeEstimator(n int, alpha float64, maxGuess int, seed uint64) (*DynamicSizeEstimator, error) {
+// NewDynamicSizeEstimator creates the estimator on n = cfg.N vertices from
+// cfg.Seed; every tester's maximal matcher is placed at the shape cfg.
+// alpha > 1. maxGuess caps the largest tester (default n/4 when 0), letting
+// experiments bound the Θ(k²) sampler space.
+func NewDynamicSizeEstimator(cfg core.Config, alpha float64, maxGuess int) (*DynamicSizeEstimator, error) {
+	n := cfg.N
 	if alpha <= 1 {
 		return nil, fmt.Errorf("matching: alpha = %v", alpha)
 	}
 	if maxGuess == 0 {
 		maxGuess = n / 4
 	}
-	prg := hash.NewPRG(seed)
+	prg := hash.NewPRG(cfg.Seed)
 	aInt := int(alpha + 0.5)
 	if aInt < 2 {
 		aInt = 2
@@ -173,12 +177,12 @@ func NewDynamicSizeEstimator(n int, alpha float64, maxGuess int, seed uint64) (*
 			d.hSample.HashRange(uint64(e.V), uint64(d.aInt)) == 0
 	}
 	for k := 1; k <= maxGuess; k *= 2 {
-		ft, err := newTester(n, k, nil, prg.Fork())
+		ft, err := newTester(cfg, k, nil, prg.Fork())
 		if err != nil {
 			return nil, err
 		}
 		d.full = append(d.full, ft)
-		st, err := newTester(n, k, induced, prg.Fork())
+		st, err := newTester(cfg, k, induced, prg.Fork())
 		if err != nil {
 			return nil, err
 		}

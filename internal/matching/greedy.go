@@ -13,12 +13,20 @@
 //     (Theorem 8.6): O(α)-approximations of the maximum matching size in
 //     Õ(n/α²) and Õ(n²/α⁴) memory, following the Tester meta-algorithm of
 //     Assadi–Khanna–Li.
+//
+// Every constructor takes a core.Config and reads the seed from it. The
+// vertex-partitioned clusters — the greedy matchings and every embedded
+// maximal matcher — are placed at that shape by core.Config.NewFleet; each
+// sparsifier's pair samplers live on a fixed 9-machine fleet
+// (core.Config.FixedFleet). All of them run at the shape's Parallelism and
+// Strict.
 package matching
 
 import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mpc"
 )
@@ -47,26 +55,26 @@ type GreedyInsertOnly struct {
 	size  int // coordinator-local counter
 }
 
-// NewGreedyInsertOnly creates the structure for an empty graph; alpha > 1.
-func NewGreedyInsertOnly(n int, alpha float64, verticesPerMachine int) (*GreedyInsertOnly, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("matching: n = %d", n)
-	}
+// vertexWords is a vertex bundle of the greedy matching: its match pointer
+// and a share of the batch's status frames.
+const vertexWords = 16
+
+// NewGreedyInsertOnly creates the structure for an empty graph on cfg.N
+// vertices, placed by the shape rule of core.Config; alpha > 1.
+func NewGreedyInsertOnly(cfg core.Config, alpha float64) (*GreedyInsertOnly, error) {
 	if alpha <= 1 {
 		return nil, fmt.Errorf("matching: alpha = %v", alpha)
 	}
-	vpm := verticesPerMachine
-	if vpm == 0 {
-		vpm = 64
+	fl, err := cfg.NewFleet(vertexWords)
+	if err != nil {
+		return nil, err
 	}
-	m := (n+vpm-1)/vpm + 1
-	capSize := int(2*float64(n)/alpha) + 1
 	g := &GreedyInsertOnly{
-		n:     n,
-		cap:   capSize,
-		cl:    mpc.NewCluster(mpc.Config{Machines: m, LocalMemory: vpm * 16}),
-		part:  mpc.Partition{N: n, Machines: m - 1},
-		coord: m - 1,
+		n:     cfg.N,
+		cap:   int(2*float64(cfg.N)/alpha) + 1,
+		cl:    fl.Cluster,
+		part:  fl.Part,
+		coord: fl.Coord,
 	}
 	g.cl.LocalAll(func(mm *mpc.Machine) {
 		if mm.ID == g.coord {

@@ -3,11 +3,15 @@ package matching
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/graph/graphtest"
 	"repro/internal/hash"
 	"repro/internal/oracle"
 )
+
+// shape is the cluster shape the tests build on.
+func shape(n int, seed uint64) core.Config { return core.Config{N: n, Phi: 0.6, Seed: seed} }
 
 // randomInsertStream builds a random insertion-only stream on n vertices.
 func randomInsertStream(n, edges int, seed uint64) (*graph.Graph, []graph.Edge) {
@@ -26,10 +30,10 @@ func randomInsertStream(n, edges int, seed uint64) (*graph.Graph, []graph.Edge) 
 }
 
 func TestGreedyValidation(t *testing.T) {
-	if _, err := NewGreedyInsertOnly(1, 2, 0); err == nil {
+	if _, err := NewGreedyInsertOnly(shape(1, 0), 2); err == nil {
 		t.Error("n=1 accepted")
 	}
-	if _, err := NewGreedyInsertOnly(8, 1, 0); err == nil {
+	if _, err := NewGreedyInsertOnly(shape(8, 0), 1); err == nil {
 		t.Error("alpha=1 accepted")
 	}
 }
@@ -37,7 +41,7 @@ func TestGreedyValidation(t *testing.T) {
 func TestGreedyMatchingValidAndBounded(t *testing.T) {
 	const n, alpha = 32, 4.0
 	g, stream := randomInsertStream(n, 60, 1)
-	gm, err := NewGreedyInsertOnly(n, alpha, 0)
+	gm, err := NewGreedyInsertOnly(shape(n, 0), alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +85,7 @@ func TestGreedyMatchingValidAndBounded(t *testing.T) {
 func TestGreedyStopsAtCap(t *testing.T) {
 	const n, alpha = 64, 8.0
 	_, stream := randomInsertStream(n, 200, 2)
-	gm, err := NewGreedyInsertOnly(n, alpha, 0)
+	gm, err := NewGreedyInsertOnly(shape(n, 0), alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +101,10 @@ func TestGreedyStopsAtCap(t *testing.T) {
 }
 
 func TestAKLYValidation(t *testing.T) {
-	if _, err := NewAKLYDynamic(2, 2, 1, 0); err == nil {
+	if _, err := NewAKLYDynamic(shape(2, 1), 2); err == nil {
 		t.Error("n=2 accepted")
 	}
-	if _, err := NewAKLYDynamic(16, 1, 1, 0); err == nil {
+	if _, err := NewAKLYDynamic(shape(16, 1), 1); err == nil {
 		t.Error("alpha=1 accepted")
 	}
 }
@@ -110,7 +114,7 @@ func TestAKLYDynamicApproximation(t *testing.T) {
 		t.Skip("long test")
 	}
 	const n, alpha = 32, 2.0
-	d, err := NewAKLYDynamic(n, alpha, 3, 0)
+	d, err := NewAKLYDynamic(shape(n, 3), alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestAKLYDynamicApproximation(t *testing.T) {
 
 func TestInsertOnlyEstimator(t *testing.T) {
 	const n, alpha = 48, 2.0
-	s, err := NewInsertOnlySizeEstimator(n, alpha, 5)
+	s, err := NewInsertOnlySizeEstimator(shape(n, 5), alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,7 @@ func TestInsertOnlyEstimator(t *testing.T) {
 func TestInsertOnlyEstimatorSmallRegimeExact(t *testing.T) {
 	// A single edge: the full greedy matching is unsaturated and exact.
 	const n = 64
-	s, err := NewInsertOnlySizeEstimator(n, 4, 7)
+	s, err := NewInsertOnlySizeEstimator(shape(n, 7), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +200,7 @@ func TestDynamicEstimator(t *testing.T) {
 		t.Skip("long test")
 	}
 	const n, alpha = 32, 2.0
-	d, err := NewDynamicSizeEstimator(n, alpha, 8, 9)
+	d, err := NewDynamicSizeEstimator(shape(n, 9), alpha, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +239,7 @@ func TestDynamicEstimator(t *testing.T) {
 }
 
 func TestDynamicEstimatorValidation(t *testing.T) {
-	if _, err := NewDynamicSizeEstimator(16, 1, 4, 1); err == nil {
+	if _, err := NewDynamicSizeEstimator(shape(16, 1), 1, 4); err == nil {
 		t.Error("alpha=1 accepted")
 	}
 }
@@ -247,7 +251,7 @@ func TestSparsifierMultiplicity(t *testing.T) {
 	// just verify a direct insert/insert/delete sequence on AKLY keeps a
 	// valid matching.
 	const n = 16
-	d, err := NewAKLYDynamic(n, 2, 11, 0)
+	d, err := NewAKLYDynamic(shape(n, 11), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +279,7 @@ func min(a, b int) int {
 }
 
 func TestGreedyEmptyBatchAndAccessors(t *testing.T) {
-	gm, err := NewGreedyInsertOnly(16, 2, 8)
+	gm, err := NewGreedyInsertOnly(shape(16, 0), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +295,7 @@ func TestGreedyEmptyBatchAndAccessors(t *testing.T) {
 }
 
 func TestAKLYAccessorsAndMemory(t *testing.T) {
-	d, err := NewAKLYDynamic(16, 2, 21, 0)
+	d, err := NewAKLYDynamic(shape(16, 21), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +311,11 @@ func TestAKLYAccessorsAndMemory(t *testing.T) {
 }
 
 func TestAKLYMemoryShrinksWithAlpha(t *testing.T) {
-	small, err := NewAKLYDynamic(64, 2, 22, 0)
+	small, err := NewAKLYDynamic(shape(64, 22), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := NewAKLYDynamic(64, 8, 22, 0)
+	large, err := NewAKLYDynamic(shape(64, 22), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +336,7 @@ func TestInsertOnlyEstimatorSaturatedRegime(t *testing.T) {
 	// Small cap (large alpha) on a dense graph: the estimator must switch
 	// to the sampled regime and still return something sane.
 	const n = 64
-	s, err := NewInsertOnlySizeEstimator(n, 4, 23)
+	s, err := NewInsertOnlySizeEstimator(shape(n, 23), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +358,7 @@ func TestInsertOnlyEstimatorSaturatedRegime(t *testing.T) {
 }
 
 func TestDynamicEstimatorAccessors(t *testing.T) {
-	d, err := NewDynamicSizeEstimator(16, 2, 4, 25)
+	d, err := NewDynamicSizeEstimator(shape(16, 25), 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +377,7 @@ func TestDynamicEstimatorAccessors(t *testing.T) {
 }
 
 func TestGreedyInsertAlreadyMatchedEndpoints(t *testing.T) {
-	gm, err := NewGreedyInsertOnly(16, 2, 8)
+	gm, err := NewGreedyInsertOnly(shape(16, 0), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +402,7 @@ func TestGreedyDegenerateTopologies(t *testing.T) {
 	for _, name := range graphtest.TopologyNames {
 		t.Run(name, func(t *testing.T) {
 			edges := graphtest.Topology(name, n)
-			gm, err := NewGreedyInsertOnly(n, alpha, 0)
+			gm, err := NewGreedyInsertOnly(shape(n, 0), alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,7 +446,7 @@ func TestAKLYDegenerateTopologies(t *testing.T) {
 	for _, name := range graphtest.TopologyNames {
 		t.Run(name, func(t *testing.T) {
 			edges := graphtest.Topology(name, n)
-			d, err := NewAKLYDynamic(n, alpha, 17, 0)
+			d, err := NewAKLYDynamic(shape(n, 17), alpha)
 			if err != nil {
 				t.Fatal(err)
 			}

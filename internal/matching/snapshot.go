@@ -127,9 +127,9 @@ func (a *AKLYDynamic) Restore(d *snapshot.Decoder) error {
 func (sp *sparsifier) checkpoint(e *snapshot.Encoder) {
 	e.Begin(tagSparsifier)
 	e.Int(sp.n)
-	e.Int(sp.mach)
+	e.Int(sp.cl.Machines())
 	snapshot.EncodeClusterStats(e, sp.cl.Stats())
-	for i := 0; i < sp.mach; i++ {
+	for i := 0; i < sp.cl.Machines(); i++ {
 		mm := sp.cl.Machine(i)
 		sh, ok := mm.Get(slotShard).(*sparsifierShard)
 		e.Bool(ok)
@@ -168,16 +168,16 @@ func (sp *sparsifier) restore(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n != sp.n || mach != sp.mach {
+	if n != sp.n || mach != sp.cl.Machines() {
 		return fmt.Errorf("matching: sparsifier snapshot of (n=%d, machines=%d) restored into (n=%d, machines=%d)",
-			n, mach, sp.n, sp.mach)
+			n, mach, sp.n, sp.cl.Machines())
 	}
 	st := snapshot.DecodeClusterStats(d)
 	if err := d.Err(); err != nil {
 		return err
 	}
 	sp.cl.RestoreStats(st)
-	for i := 0; i < sp.mach; i++ {
+	for i := 0; i < mach; i++ {
 		mm := sp.cl.Machine(i)
 		sh, ok := mm.Get(slotShard).(*sparsifierShard)
 		hasShard := d.Bool()

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hash"
 	"repro/internal/mpc"
@@ -43,35 +44,38 @@ type sparsifier struct {
 	n        int
 	cl       *mpc.Cluster
 	coord    int
-	mach     int
 	classify func(graph.Edge) (pairKey, bool)
 	matcher  *nowickionak.Matcher
 }
 
-// newSparsifier builds the distributed sampler state for the given pairs.
+// samplerMachines is the size of a sparsifier's fleet: its samplers are
+// spread over all machines but the coordinator by a hash of the pair, so the
+// fleet does not grow with the vertex count.
+const samplerMachines = 9
+
+// newSparsifier builds the distributed sampler state for the given pairs on
+// n = cfg.N vertices, and the maximal matcher on H at the shape cfg.
 func newSparsifier(
-	n int,
+	cfg core.Config,
 	pairs []pairKey,
 	classify func(graph.Edge) (pairKey, bool),
 	prg *hash.PRG,
-	matcherCfg nowickionak.Config,
 ) (*sparsifier, error) {
-	space := sketch.NewSpace(graph.IDSpace(n), 6, prg)
-	const mach = 9
-	perMachine := (len(pairs)/(mach-1) + 2) * (space.SketchWords() + 16)
+	space := sketch.NewSpace(graph.IDSpace(cfg.N), 6, prg)
+	perMachine := (len(pairs)/(samplerMachines-1) + 2) * (space.SketchWords() + 16)
+	fl := cfg.FixedFleet(samplerMachines, perMachine+4096)
 	sp := &sparsifier{
-		n:        n,
-		cl:       mpc.NewCluster(mpc.Config{Machines: mach, LocalMemory: perMachine + 4096}),
-		coord:    mach - 1,
-		mach:     mach,
+		n:        cfg.N,
+		cl:       fl.Cluster,
+		coord:    fl.Coord,
 		classify: classify,
 	}
-	matcher, err := nowickionak.New(matcherCfg)
+	matcher, err := nowickionak.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	sp.matcher = matcher
-	owner := func(p pairKey) int { return (p.i*31 + p.j*17 + 7) % (mach - 1) }
+	owner := func(p pairKey) int { return (p.i*31 + p.j*17 + 7) % fl.Part.Machines }
 	sp.cl.LocalAll(func(mm *mpc.Machine) {
 		if mm.ID == sp.coord {
 			return

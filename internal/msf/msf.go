@@ -4,12 +4,11 @@
 //   - ExactMSF: an exact minimum spanning forest under insertion-only
 //     streams (Theorem 7.1(i)), maintained on a weighted Euler-tour forest
 //     with batched Identify-Path heaviest-edge exchanges (Section 7.1).
-//   - ApproxMSFWeight: a (1+ε)-approximation of the MSF weight under fully
-//     dynamic streams, via O(log_{1+ε} W) connectivity instances on the
-//     level graphs G_0, ..., G_t (Section 7.2.1, after Chazelle et al.).
-//   - ApproxMSF: a (1+ε)-approximate minimum spanning forest under dynamic
-//     streams, extracted from the per-level spanning forests
-//     (Section 7.2.2).
+//   - ApproxMSF: a (1+ε)-approximation of the MSF weight under fully dynamic
+//     streams, via O(log_{1+ε} W) connectivity instances on the level graphs
+//     G_0, ..., G_t (Section 7.2.1, after Chazelle et al.), and a
+//     (1+ε)-approximate minimum spanning forest extracted from the per-level
+//     spanning forests (Section 7.2.2).
 package msf
 
 import (
@@ -188,25 +187,26 @@ func (m *ExactMSF) Weight() int64 {
 // Snapshot returns the maintained MSF edges.
 func (m *ExactMSF) Snapshot() []graph.WeightedEdge { return m.f.SnapshotForest() }
 
-// ApproxMSFWeight maintains a (1+ε)-approximation of the MSF weight of a
-// fully dynamic weighted graph with integer weights in [1, W].
-type ApproxMSFWeight struct {
+// ApproxMSF maintains a (1+ε)-approximation of the MSF weight, and a
+// (1+ε)-approximate minimum spanning forest, of a fully dynamic weighted
+// graph with integer weights in [1, W].
+type ApproxMSF struct {
 	eps        float64
 	thresholds []int64 // w_i = floor((1+eps)^i), strictly increasing
 	levels     []*core.DynamicConnectivity
 	n          int
 }
 
-// NewApproxMSFWeight builds level connectivity instances G_0..G_t where G_i
-// keeps the edges of weight at most (1+eps)^i.
-func NewApproxMSFWeight(cfg core.Config, eps float64, maxWeight int64) (*ApproxMSFWeight, error) {
+// NewApproxMSF builds level connectivity instances G_0..G_t where G_i keeps
+// the edges of weight at most (1+eps)^i.
+func NewApproxMSF(cfg core.Config, eps float64, maxWeight int64) (*ApproxMSF, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("msf: eps = %v", eps)
 	}
 	if maxWeight < 1 {
 		return nil, fmt.Errorf("msf: maxWeight = %d", maxWeight)
 	}
-	a := &ApproxMSFWeight{eps: eps, n: cfg.N}
+	a := &ApproxMSF{eps: eps, n: cfg.N}
 	for i := 0; ; i++ {
 		w := int64(math.Floor(math.Pow(1+eps, float64(i))))
 		if len(a.thresholds) > 0 && w <= a.thresholds[len(a.thresholds)-1] {
@@ -227,17 +227,17 @@ func NewApproxMSFWeight(cfg core.Config, eps float64, maxWeight int64) (*ApproxM
 	return a, nil
 }
 
-// Levels returns the number of level graphs maintained.
-func (a *ApproxMSFWeight) Levels() int { return len(a.levels) }
+// Levels returns the level graphs' connectivity instances, G_0 first.
+func (a *ApproxMSF) Levels() []*core.DynamicConnectivity { return a.levels }
 
 // MaxBatch returns the largest accepted batch.
-func (a *ApproxMSFWeight) MaxBatch() int { return a.levels[0].MaxBatch() }
+func (a *ApproxMSF) MaxBatch() int { return a.levels[0].MaxBatch() }
 
 // ApplyBatch forwards each update to every level whose threshold admits the
 // edge's weight. All levels process their sub-batches in parallel in a real
 // MPC; the simulator executes them sequentially and the experiments report
 // the maximum rounds across levels.
-func (a *ApproxMSFWeight) ApplyBatch(b graph.Batch) error {
+func (a *ApproxMSF) ApplyBatch(b graph.Batch) error {
 	if len(b) > a.MaxBatch() {
 		return fmt.Errorf("msf: batch of %d exceeds MaxBatch %d", len(b), a.MaxBatch())
 	}
@@ -268,7 +268,7 @@ func (a *ApproxMSFWeight) ApplyBatch(b graph.Batch) error {
 // from Equation (1) of the paper). Every cc is an O(1/φ)-round MPC query,
 // cached per level between updates, so a repeated Weight readout between
 // batches costs zero rounds across all levels.
-func (a *ApproxMSFWeight) Weight() int64 {
+func (a *ApproxMSF) Weight() int64 {
 	top := len(a.levels) - 1
 	ccG := int64(a.levels[top].NumComponents())
 	est := (int64(a.n) - ccG) * a.thresholds[0]
@@ -277,24 +277,6 @@ func (a *ApproxMSFWeight) Weight() int64 {
 		est += (a.thresholds[i+1] - a.thresholds[i]) * (cc - ccG)
 	}
 	return est
-}
-
-// ApproxMSF maintains a (1+ε)-approximate minimum spanning forest under
-// fully dynamic updates (Section 7.2.2), reusing the level instances of
-// ApproxMSFWeight and extracting a forest from the per-level spanning
-// forests.
-type ApproxMSF struct {
-	*ApproxMSFWeight
-}
-
-// NewApproxMSF builds the level structure for approximate-forest
-// maintenance.
-func NewApproxMSF(cfg core.Config, eps float64, maxWeight int64) (*ApproxMSF, error) {
-	w, err := NewApproxMSFWeight(cfg, eps, maxWeight)
-	if err != nil {
-		return nil, err
-	}
-	return &ApproxMSF{ApproxMSFWeight: w}, nil
 }
 
 // Snapshot extracts the approximate MSF: an edge of level i's spanning

@@ -155,12 +155,12 @@ func TestExactMSFRandomizedAgainstKruskal(t *testing.T) {
 }
 
 func TestApproxMSFWeightExactOnUnitWeights(t *testing.T) {
-	a, err := NewApproxMSFWeight(cfg(16, 0.7, 5), 0.5, 1)
+	a, err := NewApproxMSF(cfg(16, 0.7, 5), 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Levels() != 1 {
-		t.Fatalf("levels = %d", a.Levels())
+	if len(a.Levels()) != 1 {
+		t.Fatalf("levels = %d", len(a.Levels()))
 	}
 	if err := a.ApplyBatch(graph.Batch{graph.InsW(0, 1, 1), graph.InsW(1, 2, 1)}); err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestApproxMSFWeightWithinFactor(t *testing.T) {
 		eps := eps
 		t.Run("", func(t *testing.T) {
 			const n, maxW = 20, 64
-			a, err := NewApproxMSFWeight(cfg(n, 0.6, 6), eps, maxW)
+			a, err := NewApproxMSF(cfg(n, 0.6, 6), eps, maxW)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,10 +263,10 @@ func TestApproxMSFForest(t *testing.T) {
 }
 
 func TestApproxMSFValidation(t *testing.T) {
-	if _, err := NewApproxMSFWeight(cfg(8, 0.5, 1), 0, 10); err == nil {
+	if _, err := NewApproxMSF(cfg(8, 0.5, 1), 0, 10); err == nil {
 		t.Error("eps=0 accepted")
 	}
-	if _, err := NewApproxMSFWeight(cfg(8, 0.5, 1), 0.5, 0); err == nil {
+	if _, err := NewApproxMSF(cfg(8, 0.5, 1), 0.5, 0); err == nil {
 		t.Error("maxWeight=0 accepted")
 	}
 }

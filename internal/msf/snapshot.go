@@ -51,7 +51,7 @@ func (m *ExactMSF) Restore(d *snapshot.Decoder) error {
 }
 
 // Checkpoint serializes every level's connectivity instance.
-func (a *ApproxMSFWeight) Checkpoint(e *snapshot.Encoder) {
+func (a *ApproxMSF) Checkpoint(e *snapshot.Encoder) {
 	e.Begin(tagApproxMSF)
 	e.Int(a.n)
 	e.F64(a.eps)
@@ -65,7 +65,7 @@ func (a *ApproxMSFWeight) Checkpoint(e *snapshot.Encoder) {
 // re-sharding every level's connectivity instance. The instance must have
 // been built with the same configuration (eps and maxWeight determine the
 // level count, which is validated).
-func (a *ApproxMSFWeight) Restore(d *snapshot.Decoder) error {
+func (a *ApproxMSF) Restore(d *snapshot.Decoder) error {
 	d.Begin(tagApproxMSF)
 	n := d.Int()
 	eps := d.F64()

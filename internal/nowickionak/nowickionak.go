@@ -12,6 +12,12 @@
 // iteration count is the number of conflict rounds (measured and reported
 // by the experiments, and small in practice). Maximality of the result is
 // exact and is what Theorem 8.2/8.6 consume.
+//
+// A Matcher takes a core.Config and is placed by its rule
+// (core.Config.NewFleet): contiguous vertex ranges of VerticesPerMachine
+// vertices, 128 words each, on all machines but the last, the coordinator;
+// it runs at the shape's Parallelism and Strict, and a session resizes it
+// like every other state.
 package nowickionak
 
 import (
@@ -19,6 +25,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mpc"
 )
@@ -74,38 +81,23 @@ type Matcher struct {
 	sizeOK bool
 }
 
-// Config parameterizes a Matcher.
-type Config struct {
-	// N is the number of vertices.
-	N int
-	// VerticesPerMachine sizes the cluster (default 64).
-	VerticesPerMachine int
-	// MemoryPerMachine is the per-machine word budget (default
-	// VerticesPerMachine * 128, leaving room for adjacency shards).
-	MemoryPerMachine int
-	Strict           bool
-}
+// vertexWords is a vertex bundle of the matcher: its match pointer and room
+// for its adjacency multiset.
+const vertexWords = 128
 
-// New creates a matcher for an empty graph.
-func New(cfg Config) (*Matcher, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("nowickionak: N = %d", cfg.N)
+// New creates a matcher for an empty graph on cfg.N vertices, placed by the
+// shape rule of core.Config.
+func New(cfg core.Config) (*Matcher, error) {
+	fl, err := cfg.NewFleet(vertexWords)
+	if err != nil {
+		return nil, err
 	}
-	vpm := cfg.VerticesPerMachine
-	if vpm == 0 {
-		vpm = 64
-	}
-	mem := cfg.MemoryPerMachine
-	if mem == 0 {
-		mem = vpm * 128
-	}
-	mach := (cfg.N+vpm-1)/vpm + 1
-	cl := mpc.NewCluster(mpc.Config{Machines: mach, LocalMemory: mem, Strict: cfg.Strict})
+	cl := fl.Cluster
 	m := &Matcher{
 		n:     cfg.N,
 		cl:    cl,
-		part:  mpc.Partition{N: cfg.N, Machines: mach - 1},
-		coord: mach - 1,
+		part:  fl.Part,
+		coord: fl.Coord,
 	}
 	cl.LocalAll(func(mm *mpc.Machine) {
 		if mm.ID == m.coord {

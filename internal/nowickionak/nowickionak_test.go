@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/graph/graphtest"
 	"repro/internal/hash"
@@ -14,7 +15,7 @@ import (
 
 func newMatcher(t *testing.T, n int) *Matcher {
 	t.Helper()
-	m, err := New(Config{N: n})
+	m, err := New(core.Config{N: n, Phi: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func checkMaximal(t *testing.T, m *Matcher, g *graph.Graph) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(Config{N: 1}); err == nil {
+	if _, err := New(core.Config{N: 1, Phi: 0.6}); err == nil {
 		t.Error("N=1 accepted")
 	}
 }
@@ -302,12 +303,14 @@ func TestDegenerateTopologies(t *testing.T) {
 // diagnostic naming the machine, and the target is left untouched; the same
 // checkpoint loads onto a fleet of another size that can hold it.
 func TestRestoreCapRejection(t *testing.T) {
-	src, err := New(Config{N: 16, VerticesPerMachine: 8})
+	const n = 128
+	shape := func(vpm int) core.Config { return core.Config{N: n, Phi: 0.6, VerticesPerMachine: vpm} }
+	src, err := New(shape(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b graph.Batch
-	for v := 1; v < 16; v++ {
+	for v := 1; v < n; v++ {
 		b = append(b, graph.Ins(0, v))
 	}
 	if err := src.ApplyBatch(b); err != nil {
@@ -317,19 +320,21 @@ func TestRestoreCapRejection(t *testing.T) {
 	if err := snapshot.Save(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	// Vertex 0's 15 neighbours need 30 words on machine 0 alone.
-	tight, err := New(Config{N: 16, VerticesPerMachine: 4, MemoryPerMachine: 24})
+	// At 2 vertices per machine the budget is 2·128 = 256 words, but machine
+	// 0 holds the star's centre: 2·127 words of its adjacency, 2 of leaf 1's
+	// and the shard's 6.
+	tight, err := New(shape(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = snapshot.Load(bytes.NewReader(buf.Bytes()), tight)
-	if err == nil || !strings.Contains(err.Error(), "machine 0 needs") {
+	if err == nil || !strings.Contains(err.Error(), "machine 0 needs 262 words") {
 		t.Fatalf("overflowing restore not rejected: %v", err)
 	}
 	if tight.Size() != 0 {
 		t.Fatalf("rejected restore left a matching of %d edges", tight.Size())
 	}
-	roomy, err := New(Config{N: 16, VerticesPerMachine: 4})
+	roomy, err := New(shape(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,6 +342,6 @@ func TestRestoreCapRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := roomy.Matching(), src.Matching(); len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("matching after a 3 -> 5 machine restore %v, want %v", got, want)
+		t.Fatalf("matching after a 17 -> 33 machine restore %v, want %v", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -19,9 +20,8 @@ import (
 // stream at parallelism 8 with a live resize — up, down, up — every ~50
 // batches, readers and healthz probes hammering throughout (so the quiesce
 // windows run under the race detector), and the final state bit-identical
-// to an uninterrupted in-process twin. Writers go through RetryClient, so
-// backpressure and quiesce 503s are absorbed by the client contract rather
-// than ad-hoc loops.
+// to an uninterrupted in-process twin. Writers and query readers go through
+// postRetry, which absorbs backpressure 429s and quiesce 503s.
 func TestServerElasticSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("elastic soak skipped in -short mode")
@@ -63,12 +63,7 @@ func TestServerElasticSoak(t *testing.T) {
 	}
 
 	srv, ts := newTestServer(t, cfg)
-	rc := &RetryClient{
-		Client:      ts.Client(),
-		MaxAttempts: 200,
-		BaseDelay:   200 * time.Microsecond,
-		MaxDelay:    5 * time.Millisecond,
-	}
+	client := ts.Client()
 
 	done := make(chan struct{})
 	var readers sync.WaitGroup
@@ -100,7 +95,7 @@ func TestServerElasticSoak(t *testing.T) {
 						return
 					}
 				} else {
-					resp, err := postRetry(rc, ts.URL+"/instances/0/query", QueryRequest{Pairs: queryPairs})
+					resp, err := postRetry(client, ts.URL+"/instances/0/query", QueryRequest{Pairs: queryPairs})
 					if err != nil {
 						t.Errorf("reader %d: %v", id, err)
 						return
@@ -118,7 +113,7 @@ func TestServerElasticSoak(t *testing.T) {
 
 	resizes := 0
 	for i, b := range stream {
-		resp, err := postRetry(rc, ts.URL+"/instances/0/updates", wireRequest(b))
+		resp, err := postRetry(client, ts.URL+"/instances/0/updates", wireRequest(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +124,7 @@ func TestServerElasticSoak(t *testing.T) {
 		if (i+1)%resizeEvery == 0 && resizes < len(shapes) {
 			waitDrained(t, srv.insts[0])
 			target := shapes[resizes]
-			resp, err := postRetry(rc, fmt.Sprintf("%s/instances/0/resize?machines=%d", ts.URL, target), nil)
+			resp, err := postRetry(client, fmt.Sprintf("%s/instances/0/resize?machines=%d", ts.URL, target), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,24 +170,27 @@ func TestServerElasticSoak(t *testing.T) {
 	}
 }
 
-// postRetry sends one JSON POST through the RetryClient (nil body allowed).
-func postRetry(rc *RetryClient, url string, body any) (*http.Response, error) {
-	var rdr *bytes.Reader
-	if body == nil {
-		rdr = bytes.NewReader(nil)
-	} else {
-		data, err := json.Marshal(body)
-		if err != nil {
+// postRetry sends one JSON POST (nil body allowed), retrying for up to about
+// two seconds while the server answers 429 (queue full) or 503 (instance
+// quiesced for a checkpoint or resize). The caller owns the last response.
+func postRetry(client *http.Client, url string, body any) (*http.Response, error) {
+	var data []byte
+	if body != nil {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
 			return nil, err
 		}
-		rdr = bytes.NewReader(data)
 	}
-	req, err := http.NewRequest("POST", url, rdr)
-	if err != nil {
-		return nil, err
+	for attempt := 1; ; attempt++ {
+		resp, err := client.Post(url, "application/json", bytes.NewReader(data))
+		if err != nil || attempt == 1000 ||
+			resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusServiceUnavailable {
+			return resp, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		time.Sleep(2 * time.Millisecond)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return rc.Do(req)
 }
 
 // wireRequest renders a batch as the updates wire form.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -304,91 +303,6 @@ func TestRetryAfterScalesWithDrainRate(t *testing.T) {
 		t.Errorf("pathological drain rate: Retry-After %d, want the 30s clamp", got)
 	}
 	in.drainEWMA.Store(0)
-}
-
-// TestRetryClient pins the backoff client: 429/503 are retried honoring
-// Retry-After, bodies are replayed, other statuses pass through, and
-// attempts are bounded.
-func TestRetryClient(t *testing.T) {
-	var waits []time.Duration
-	rc := &RetryClient{
-		MaxAttempts: 4,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    80 * time.Millisecond,
-		Sleep:       func(d time.Duration) { waits = append(waits, d) },
-	}
-
-	attempts := 0
-	var bodies []string
-	h := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts++
-		var buf bytes.Buffer
-		buf.ReadFrom(r.Body)
-		bodies = append(bodies, buf.String())
-		switch attempts {
-		case 1:
-			w.Header().Set("Retry-After", "2")
-			w.WriteHeader(http.StatusTooManyRequests)
-		case 2:
-			w.WriteHeader(http.StatusServiceUnavailable) // no hint: backoff
-		default:
-			w.WriteHeader(http.StatusOK)
-		}
-	}))
-	defer h.Close()
-
-	req, err := http.NewRequest("POST", h.URL, strings.NewReader("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := rc.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("final status %d, want 200", resp.StatusCode)
-	}
-	if attempts != 3 {
-		t.Fatalf("%d attempts, want 3", attempts)
-	}
-	for i, b := range bodies {
-		if b != "payload" {
-			t.Errorf("attempt %d saw body %q (not replayed)", i+1, b)
-		}
-	}
-	// First wait honors the 2s hint clamped to MaxDelay; the second is the
-	// first backoff step (the hinted retry must not consume a backoff
-	// doubling).
-	if len(waits) != 2 || waits[0] != 80*time.Millisecond || waits[1] != 10*time.Millisecond {
-		t.Errorf("waits = %v, want [80ms 10ms]", waits)
-	}
-
-	// Bounded: a server that never relents gets MaxAttempts tries, and the
-	// caller sees the last 429.
-	attempts = 0
-	always := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts++
-		w.WriteHeader(http.StatusTooManyRequests)
-	}))
-	defer always.Close()
-	req, _ = http.NewRequest("GET", always.URL, nil)
-	resp, err = rc.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || attempts != 4 {
-		t.Errorf("exhausted retries: status %d after %d attempts, want 429 after 4", resp.StatusCode, attempts)
-	}
-
-	// A request with a non-replayable body is refused up front.
-	req, _ = http.NewRequest("POST", always.URL, nil)
-	req.Body = http.NoBody
-	req.GetBody = nil
-	if _, err := rc.Do(req); err == nil {
-		t.Error("non-replayable body accepted")
-	}
 }
 
 // scrapeMetrics fetches /metrics as a string.

@@ -92,12 +92,8 @@ func TestServerSoak(t *testing.T) {
 		MaxIdleConnsPerHost: soakReaders + soakInstances,
 	}}
 
-	// post sends one JSON request through the RetryClient (which absorbs
-	// short 429/503 bursts, honoring Retry-After); the outer writer/reader
-	// loops still retry the transport errors of the restart window and any
-	// backpressure outlasting the client's attempt budget.
-	rc := &RetryClient{Client: client, MaxAttempts: 16,
-		BaseDelay: 200 * time.Microsecond, MaxDelay: 5 * time.Millisecond}
+	// post sends one JSON request; the writer and reader loops retry the
+	// transport errors of the restart window and the 429/503 backpressure.
 	post := func(path string, body, out any) (status int, err error) {
 		data, _ := json.Marshal(body)
 		req, err := http.NewRequest("POST", baseURL.Load().(string)+path, bytes.NewReader(data))
@@ -105,7 +101,7 @@ func TestServerSoak(t *testing.T) {
 			return 0, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := rc.Do(req)
+		resp, err := client.Do(req)
 		if err != nil {
 			return 0, err
 		}

@@ -227,9 +227,11 @@ func (s *Session) Resize(machines int) (Cut, error) {
 
 // RecoverOnto is recovery from machine loss: the live state is poisoned, so
 // the last checkpoint (or the empty state, if there is none) is restored
-// and migrated onto the at most machines survivors. The caller replays
-// whatever it applied since that checkpoint and then checkpoints, which
-// re-bases the chain at the new shape.
+// and migrated onto the at most machines survivors. A loss that would leave
+// no vertex machine recovers onto the minimum fleet, one vertex machine plus
+// the coordinator: the lost machine is replaced. The caller replays whatever
+// it applied since that checkpoint and then checkpoints, which re-bases the
+// chain at the new shape.
 func (s *Session) RecoverOnto(machines int) error {
 	ok, err := s.Restore()
 	if err != nil {
@@ -244,7 +246,7 @@ func (s *Session) RecoverOnto(machines int) error {
 	// Equal vertex ranges do not realize every fleet size; the survivors
 	// then form the largest fleet that exists.
 	var tcfg core.Config
-	for m := machines; ; m-- {
+	for m := max(machines, 2); ; m-- {
 		if tcfg, err = core.ResizeConfig(s.shape, m); err == nil {
 			break
 		}
