@@ -27,9 +27,12 @@
 // Rounds are counted the way package mpc states them — a round is a hop, a
 // collective lands its last delivery — so at a shape whose trees have depth 1
 // an Ask costs 2, a Tell 1 and a Scatter 1: a cold-cache insert batch without
-// a Link is 3 rounds, a Cut of tree edges 10, a Link 6 to 10.
-// TestRoundBudgetPerOperation pins the budget of every step of the update
-// path, TestLedgerPinned the totals of three replayed streams.
+// a Link is 3 rounds (1 warm), a Cut of tree edges 7 with its labels warm (8
+// public, which sends its closing Tell itself), a Link 4 to 6 warm and 6 cold,
+// a one-level replacement search 2, and a deletion batch 8 for a bridge and
+// 13 when it finds a replacement. TestRoundBudgetPerOperation pins the budget
+// of every step of the update path, TestLedgerPinned the totals of three
+// replayed streams.
 //
 // Both layers checkpoint in full (snapshot.go, reshard.go: the tree edges and
 // every arena, from which one loader for any source fleet shape derives the

@@ -929,3 +929,36 @@ func TestLoadRejectsSketchRunOfWrongLength(t *testing.T) {
 		t.Fatalf("rejected container installed Stats %+v", got)
 	}
 }
+
+// TestOldSketchLayoutRejectedByTag hands Load a valid forest section of a
+// live instance followed by a sketch run in the retired three-word cell
+// layout (0x18): it is rejected by tag, never migrated, and the target stays
+// the fresh instance.
+func TestOldSketchLayoutRejectedByTag(t *testing.T) {
+	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
+	src, err := NewDynamicConnectivity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.ApplyBatch(graph.Batch{graph.Ins(0, 1), graph.Ins(1, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	target, err := NewDynamicConnectivity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := snapshot.NewEncoder()
+	src.f.Checkpoint(e)
+	e.Begin(0x18)
+	e.U64s(make([]uint64, cfg.N*src.space.SketchWords()/2*3))
+	err = snapshot.Load(bytes.NewReader(container(t, e)), target)
+	if err == nil || !strings.Contains(err.Error(), "found section 0x18 where 0x1c was expected") {
+		t.Fatalf("three-word sketch run not rejected by tag: %v", err)
+	}
+	if got := target.SnapshotComponents(); !slices.Equal(got, identity(cfg.N)) {
+		t.Fatalf("rejected container left components %v", got)
+	}
+	if got := target.SnapshotForest(); len(got) != 0 {
+		t.Fatalf("rejected container left %d forest edges", len(got))
+	}
+}

@@ -46,9 +46,10 @@ import (
 // tombstones, arena regions), 0x16 the delta whose echo carried the writer's
 // VerticesPerMachine, 0x17 the forest section and 0x19 the delta that wrote
 // the label cache's labels (and the forest its component column, fragment
-// keys, stamps and epoch) rather than derive them.
+// keys, stamps and epoch) rather than derive them, and 0x18 the sketch run of
+// three-word cells (an ℓ0 counter beside the index sum and fingerprint).
 const (
-	tagSketches    = 0x18
+	tagSketches    = 0x1C
 	tagForest      = 0x1A
 	tagReplayDelta = 0x1B
 )

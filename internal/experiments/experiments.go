@@ -677,7 +677,7 @@ func E14ScenarioSweep(n, batches int, scenarios []string, seed uint64) *Table {
 			})
 			must(err) // a divergence is a broken run, not a table row
 			roundsPerBatch := "n/a"
-			if rep.Rounds >= 0 && rep.Batches > 0 {
+			if rep.Batches > 0 {
 				roundsPerBatch = f2(float64(rep.Rounds) / float64(rep.Batches))
 			}
 			t.Rows = append(t.Rows, []string{

@@ -129,7 +129,13 @@ type approxMSFInstance struct {
 	eps float64
 }
 
-func (a approxMSFInstance) Rounds() int { return -1 }
+func (a approxMSFInstance) Rounds() int {
+	rounds := 0
+	for _, dc := range a.Levels() {
+		rounds += dc.Cluster().Stats().Rounds
+	}
+	return rounds
+}
 func (a approxMSFInstance) Check(g *graph.Graph) error {
 	_, want := oracle.MSF(g)
 	if want == 0 {
@@ -189,7 +195,13 @@ type aklyInstance struct {
 }
 
 func (a aklyInstance) MaxBatch() int { return 8 }
-func (a aklyInstance) Rounds() int   { return -1 }
+func (a aklyInstance) Rounds() int {
+	rounds := 0
+	for _, cl := range a.Clusters() {
+		rounds += cl.Stats().Rounds
+	}
+	return rounds
+}
 func (a aklyInstance) Check(g *graph.Graph) error {
 	m := a.Matching()
 	if !oracle.IsMatching(g, m) {

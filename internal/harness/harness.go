@@ -138,8 +138,8 @@ type Instance interface {
 	// Check cross-checks the maintained solution against the brute-force
 	// oracles on the mirror graph.
 	Check(mirror *graph.Graph) error
-	// Rounds reports the cumulative MPC rounds consumed, or -1 when the
-	// algorithm is not cluster-backed.
+	// Rounds reports the cumulative MPC rounds consumed, summed over every
+	// cluster the algorithm runs on.
 	Rounds() int
 }
 
@@ -225,7 +225,8 @@ type Report struct {
 	Checks int
 	// FinalEdges is the mirror's edge count after the stream.
 	FinalEdges int
-	// Rounds is the cumulative MPC round count, or -1 if not cluster-backed.
+	// Rounds is the cumulative MPC round count, summed over every cluster
+	// the algorithm runs on (Instance.Rounds).
 	Rounds int
 	// Crashes counts the injected kill/restore cycles (Options.CrashEvery).
 	Crashes int
@@ -249,10 +250,6 @@ type Report struct {
 
 // String renders the report in one line.
 func (r *Report) String() string {
-	rounds := "n/a"
-	if r.Rounds >= 0 {
-		rounds = fmt.Sprintf("%d", r.Rounds)
-	}
 	crashes := ""
 	if r.Crashes > 0 {
 		crashes = fmt.Sprintf(", %d crash/restore cycles", r.Crashes)
@@ -264,8 +261,8 @@ func (r *Report) String() string {
 	if r.Searches != nil && r.Searches.Exhausted > 0 {
 		crashes += fmt.Sprintf(", %d replacement searches exhausted", r.Searches.Exhausted)
 	}
-	return fmt.Sprintf("%s over %s: %d batches, %d updates, %d edges final, %d checks passed, %s rounds%s",
-		r.Algorithm, r.Scenario, r.Batches, r.Updates, r.FinalEdges, r.Checks, rounds, crashes)
+	return fmt.Sprintf("%s over %s: %d batches, %d updates, %d edges final, %d checks passed, %d rounds%s",
+		r.Algorithm, r.Scenario, r.Batches, r.Updates, r.FinalEdges, r.Checks, r.Rounds, crashes)
 }
 
 // Run streams the named scenario through the named algorithm, checking the
@@ -323,7 +320,7 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 	if opt.FaultEvery > 0 {
 		fault = workload.NewMachineFaultSchedule(opt.Seed+5, opt.FaultEvery)
 	}
-	rep := &Report{Algorithm: algo.Name, Scenario: sc.Name, Rounds: -1}
+	rep := &Report{Algorithm: algo.Name, Scenario: sc.Name}
 	fail := func(format string, args ...any) (Instance, Options, *Report, error) {
 		return nil, opt, nil, fmt.Errorf("harness: %s over %s"+format, append([]any{algo.Name, sc.Name}, args...)...)
 	}

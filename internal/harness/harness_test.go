@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,15 +130,15 @@ func TestUnknownNames(t *testing.T) {
 	}
 }
 
-// TestReportString covers the report rendering, including the n/a rounds
-// case of non-cluster-backed algorithms.
+// TestReportString covers the report rendering: the summed rounds of a
+// multi-cluster algorithm, and the exhausted-search suffix.
 func TestReportString(t *testing.T) {
 	rep, err := Run("dynmatching", "star", Options{N: 32, Batches: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := rep.String(); !strings.Contains(s, "n/a rounds") {
-		t.Errorf("dynmatching report %q should have n/a rounds", s)
+	if s := rep.String(); strings.Contains(s, "n/a") || !strings.Contains(s, fmt.Sprintf(" %d rounds", rep.Rounds)) {
+		t.Errorf("dynmatching report %q should carry its %d rounds", s, rep.Rounds)
 	}
 	rep, err = Run("connectivity", "churn", Options{N: 32, Batches: 4, Seed: 2})
 	if err != nil {
@@ -148,6 +150,33 @@ func TestReportString(t *testing.T) {
 	rep.Searches.Exhausted = 2
 	if s := rep.String(); !strings.Contains(s, "2 replacement searches exhausted") {
 		t.Errorf("report %q hides its exhausted searches", s)
+	}
+}
+
+// TestEveryAlgorithmReportsRounds runs every registered algorithm for one
+// batch of its first compatible scenario: each is cluster-backed, so each
+// reports the rounds it spent, summed over all of its clusters.
+func TestEveryAlgorithmReportsRounds(t *testing.T) {
+	for _, algoName := range AlgorithmNames() {
+		algo, err := GetAlgorithm(algoName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(workload.Names(), func(name string) bool {
+			sc, err := workload.Get(name)
+			return err == nil && Compatible(algo, sc) == nil
+		})
+		if i < 0 {
+			t.Fatalf("%s has no compatible scenario", algoName)
+		}
+		scName := workload.Names()[i]
+		rep, err := Run(algoName, scName, Options{N: 32, Batches: 1, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Batches != 1 || rep.Rounds <= 0 {
+			t.Errorf("%s over %s: %d rounds after %d batches, want > 0 after 1", algoName, scName, rep.Rounds, rep.Batches)
+		}
 	}
 }
 

@@ -43,8 +43,8 @@
 // Tell's.
 //
 // Memory is accounted in machine words: one vertex id, one tour index, or one
-// sketch cell each count as one word, matching the convention of the paper's
-// model (Section 1.2).
+// of a sketch cell's two field elements (index sum, fingerprint) each count as
+// one word, matching the convention of the paper's model (Section 1.2).
 //
 // # Round pipeline
 //

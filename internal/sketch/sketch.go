@@ -14,7 +14,7 @@
 // # Representation
 //
 // Sketch state is stored flat: every sketch is a run of SketchWords()
-// machine words (t copies × (levels+1) cells × 3 words per cell), and a
+// machine words (t copies × (levels+1) cells × 2 words per cell), and a
 // Sketch value is a cheap view — a Space pointer plus a word slice — not a
 // heap object of its own. Views come from three places:
 //
@@ -25,7 +25,7 @@
 //     merge-and-query work of the recovery paths, returned with
 //     Space.Release.
 //
-// The t copies of a sketch are t contiguous runs of (levels+1)×3 words, so a
+// The t copies of a sketch are t contiguous runs of (levels+1)×2 words, so a
 // view need not hold all of them: Sketch.Window(lo, hi) is the view of copies
 // [lo, hi) of the same cells, and Space.ViewWindow wraps a decoded run of
 // hi-lo copies. A range view knows its range: it answers Query(c) for lo <= c
@@ -36,6 +36,31 @@
 // Update, Add, Query and the cell-recovery scan all operate on the word
 // slices in place and perform no allocation, which is what keeps the
 // simulator's sketch hot path allocation-free at steady state.
+//
+// # Soundness of the two-word cell
+//
+// A cell holds the index sum isum and the fingerprint fp = Σ x_i·h(i) of
+// its support, both mod p = 2^61 − 1, and no ℓ0 counter. Recovery tries both
+// signs of a one-sparse ±1 vector: idx = isum checked against h(idx), then
+// idx = p − isum checked against −h(idx), each only when idx < idSpace. A
+// false positive is a cell of support S that is not one coordinate ±1 yet
+// passes one of the two checks:
+//
+//   - for |S| ≤ 3 the candidate idx and S are at most four points, and the
+//     fingerprint family is four-wise independent (hash.NewFourwise), so each
+//     sign passes with probability at most 1/p;
+//   - for |S| ≥ 4 the check goes beyond what four-wise independence proves,
+//     as it did with the counter (a support of four or more points is outside
+//     the family's guarantee either way);
+//   - the only new exposure is a support whose values do not sum to ±1 (the
+//     counter turned it away) but whose ±isum lands in [0, idSpace), which
+//     sends it on to the fingerprint check: for an isum that looks uniform in
+//     F_p that is about 2·idSpace/p = 2n²/p per cell, about 2^−36 at
+//     n = 4096, before the fingerprint's own 1/p is even counted.
+//
+// TestNoRecoveryFromSparseNonUnitVectors feeds cells exactly those two- and
+// three-sparse vectors across many seeds; package sketchtest keeps the
+// three-word cell as the oracle the equivalence tests compare against.
 package sketch
 
 import (
@@ -73,21 +98,20 @@ func (r QueryResult) String() string {
 	}
 }
 
-// One cell is a one-sparse recovery structure — exact counter, index sum and
-// a random linear fingerprint, all linear in the underlying vector — stored
-// as three consecutive machine words. The counter word holds an int64 bit
-// pattern; isum and fp are elements of F_p.
+// One cell is a one-sparse recovery structure — an index sum and a random
+// linear fingerprint, both linear in the underlying vector — stored as two
+// consecutive machine words, both elements of F_p. There is no counter: the
+// one nonzero coordinate of a one-sparse incidence vector is ±1, so recovery
+// tries both signs instead (see cellRecover).
 const (
-	cellWords = 3
-	offCount  = 0
-	offIsum   = 1
-	offFp     = 2
+	cellWords = 2
+	offIsum   = 0
+	offFp     = 1
 )
 
-func cellZero(w []uint64) bool { return w[offCount]|w[offIsum]|w[offFp] == 0 }
+func cellZero(w []uint64) bool { return w[offIsum]|w[offFp] == 0 }
 
 func cellUpdate(w []uint64, idx, hfp uint64, delta int) {
-	w[offCount] = uint64(int64(w[offCount]) + int64(delta))
 	if delta > 0 {
 		w[offIsum] = addModP(w[offIsum], idx%hash.Prime)
 		w[offFp] = addModP(w[offFp], hfp)
@@ -113,29 +137,19 @@ func subModP(a, b uint64) uint64 {
 }
 
 // cellRecover attempts one-sparse recovery on the cell at w. It succeeds
-// only when the cell contains exactly one coordinate with value ±1 (the only
-// values arising from simple-graph incidence vectors), verified against the
-// fingerprint, so false positives occur with probability at most 1/Prime.
+// only when the cell reads as exactly one coordinate with value ±1 (the only
+// values arising from simple-graph incidence vectors): first idx = isum
+// checked against fp(idx), then idx = p − isum checked against −fp(idx),
+// each only when idx < idSpace. See the package comment for the bound on
+// false positives.
 func cellRecover(w []uint64, fpHash *hash.Family, idSpace uint64) (idx uint64, ok bool) {
-	switch int64(w[offCount]) {
-	case 1:
-		idx = w[offIsum]
-	case -1:
-		idx = subModP(0, w[offIsum])
-	default:
-		return 0, false
+	if idx = w[offIsum]; idx < idSpace && w[offFp] == fpHash.Hash(idx) {
+		return idx, true
 	}
-	if idx >= idSpace {
-		return 0, false
+	if idx = subModP(0, w[offIsum]); idx < idSpace && w[offFp] == subModP(0, fpHash.Hash(idx)) {
+		return idx, true
 	}
-	want := fpHash.Hash(idx)
-	if int64(w[offCount]) == -1 {
-		want = subModP(0, want)
-	}
-	if w[offFp] != want {
-		return 0, false
-	}
-	return idx, true
+	return 0, false
 }
 
 // Space holds the shared randomness for a family of mergeable sketches: t
@@ -332,9 +346,6 @@ func (sk Sketch) Add(other Sketch) {
 	}
 	a, b := sk.cells, other.cells
 	for i := 0; i < len(a); i += cellWords {
-		// Two's-complement wrap-around makes uint64 addition exactly the
-		// int64 counter addition of the original cell representation.
-		a[i+offCount] += b[i+offCount]
 		a[i+offIsum] = addModP(a[i+offIsum], b[i+offIsum])
 		a[i+offFp] = addModP(a[i+offFp], b[i+offFp])
 	}

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -244,8 +245,61 @@ func TestSketchWords(t *testing.T) {
 	if sk.Words() != sp.SketchWords() {
 		t.Errorf("Words() = %d, SketchWords() = %d", sk.Words(), sp.SketchWords())
 	}
-	if sk.Words() != 4*(sp.Levels()+1)*3 {
+	if sk.Words() != 4*(sp.Levels()+1)*2 {
 		t.Errorf("Words() = %d", sk.Words())
+	}
+}
+
+// TestNoRecoveryFromSparseNonUnitVectors is the soundness check of the
+// two-word cell, which has no counter to reject a support whose coordinates
+// do not sum to ±1. It feeds single cells two- and three-sparse ±1 vectors
+// whose coordinate sum is 0, ±2 or ±3 and whose index sum, or its negation,
+// lands in [0, idSpace) — the vectors that reach the fingerprint check under
+// one of the two signs — across many fingerprint seeds, and none may
+// recover. A one-sparse vector of either sign must recover, so the check is
+// not vacuous.
+func TestNoRecoveryFromSparseNonUnitVectors(t *testing.T) {
+	idSpace := graph.IDSpace(4096)
+	shapes := []struct {
+		name   string
+		values []int
+	}{
+		{"+a+b", []int{1, 1}},
+		{"-a-b", []int{-1, -1}},
+		{"+a-b", []int{1, -1}},
+		{"+a+b+c", []int{1, 1, 1}},
+		{"-a-b-c", []int{-1, -1, -1}},
+	}
+	for seed := uint64(0); seed < 4000; seed++ {
+		fp := hash.NewFourwise(hash.NewPRG(seed))
+		draw := hash.NewPRG(^seed)
+		for _, sh := range shapes {
+			idx := make([]uint64, 0, len(sh.values))
+			for len(idx) < len(sh.values) {
+				i := draw.NextN(idSpace / 3)
+				if !slices.Contains(idx, i) {
+					idx = append(idx, i)
+				}
+			}
+			cell := make([]uint64, cellWords)
+			for k, i := range idx {
+				cellUpdate(cell, i, fp.Hash(i), sh.values[k])
+			}
+			if isum := cell[offIsum]; isum >= idSpace && subModP(0, isum) >= idSpace {
+				t.Fatalf("seed %d %s %v: ±isum %d outside [0, %d)", seed, sh.name, idx, isum, idSpace)
+			}
+			if got, ok := cellRecover(cell, fp, idSpace); ok {
+				t.Fatalf("seed %d %s %v: recovered %d", seed, sh.name, idx, got)
+			}
+		}
+		for _, delta := range []int{1, -1} {
+			i := draw.NextN(idSpace)
+			cell := make([]uint64, cellWords)
+			cellUpdate(cell, i, fp.Hash(i), delta)
+			if got, ok := cellRecover(cell, fp, idSpace); !ok || got != i {
+				t.Fatalf("seed %d: one-sparse %+d at %d recovered (%d, %v)", seed, delta, i, got, ok)
+			}
+		}
 	}
 }
 

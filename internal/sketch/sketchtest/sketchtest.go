@@ -9,6 +9,12 @@
 // Update/Add/Query sequence must produce identical QueryResults on both
 // paths; the equivalence tests drive exactly that comparison across the
 // workload scenario generators.
+//
+// The reference deliberately keeps the ℓ0 counter that the flat cell dropped:
+// its cell is three words (counter, index sum, fingerprint) and it recovers
+// only a cell whose counter reads ±1, where sketch.Space tries both signs of
+// a two-word cell. Identical QueryResults on every scenario are therefore the
+// evidence that the two-word recovery answers as the counter did.
 package sketchtest
 
 import (

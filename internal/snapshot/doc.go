@@ -113,9 +113,10 @@
 // that way, and so is the mirror's own journal (0x74: a delta's one journal
 // is the state's), and so are the per-machine full layouts (core's 0x10–0x12,
 // the greedy matching's 0x30–0x31, the maximal matcher's 0x40–0x41),
-// core's delta echo that named the writer's VerticesPerMachine (0x16), and
+// core's delta echo that named the writer's VerticesPerMachine (0x16),
 // core's forest section and delta that wrote what they now derive — the
-// component column, fragment keys and cached labels (0x17, 0x19).
+// component column, fragment keys and cached labels (0x17, 0x19) — and
+// core's sketch run of three-word cells (0x18).
 //
 // # Re-sharding
 //
