@@ -415,14 +415,14 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 func sumActive(mm *mpc.Machine, vs *vertexShard, c *searchCounters, add func(v int, frag uint64, sk sketch.Sketch)) {
 	sh := sShard(mm)
 	summed := 0
-	for v, k := range vs.frag {
-		if !vs.passive[k] {
-			add(v, k, sh.of(v).Sketch)
+	for i, k := range vs.frag {
+		if k != 0 && !vs.passive[k] {
+			add(vs.lo+i, k, sh.of(vs.lo+i).Sketch)
 			summed++
 		}
 	}
 	c.sketchesSummed.Add(uint64(summed))
-	c.sketchesSkipped.Add(uint64(len(vs.frag) - summed))
+	c.sketchesSkipped.Add(uint64(vs.nfrag - summed))
 }
 
 // firstWindow is a replacement search's first window of sketch copies,
@@ -481,7 +481,7 @@ func (dc *DynamicConnectivity) refillWindow(lo, hi int) (sums map[int]sketch.Ske
 	dc.f.tell(mpc.Ints{lo, hi}, func(*mpc.Machine, mpc.Sized) {})
 	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, dc.space, lo, hi,
 		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
-			if vs := vShard(mm); vs != nil && len(vs.frag) > 0 {
+			if vs := vShard(mm); vs != nil && vs.nfrag > 0 {
 				sumActive(mm, vs, &dc.search, func(v int, _ uint64, sk sketch.Sketch) { add(vs.compOf(v), sk) })
 			}
 		})

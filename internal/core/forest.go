@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -27,11 +28,17 @@ const (
 type vertexShard struct {
 	lo, hi int
 	comp   []int
-	// frag holds the fragment key of every vertex a Cut affected, from the
-	// Cut's fragment push until the deletion that made them is over
-	// (dropFrags): the replacement search has ended, or the public Cut
-	// returns. Empty between operations, so never checkpointed.
-	frag map[int]uint64
+	// frag is a dense column over [lo, hi): frag[v-lo] is the fragment key of
+	// vertex v if a Cut affected it, from the Cut's fragment push until the
+	// deletion that made them is over (dropFrags): the replacement search has
+	// ended, or the public Cut returns. 0 means "no fragment" and is never a
+	// key (tour keys start at 1, vertex keys carry fragVertexBit). nfrag
+	// counts the set entries. All zero between operations, so never
+	// checkpointed.
+	frag  []uint64
+	nfrag int
+	// mins is aggregateFragmentMins' scratch, reused across deletions.
+	mins [][2]uint64
 	// passive holds the fragment keys the last Cut declared passive (the
 	// largest fragment of every split tour, see Cut). Set by the Cut's
 	// relabel Tell, since the split plan names them before the fragment push,
@@ -51,7 +58,15 @@ type vertexShard struct {
 
 // Words implements mpc.Sized.
 func (s *vertexShard) Words() int {
-	return len(s.comp) + 2*len(s.frag) + len(s.passive) + len(s.affected) + s.sketchWords + 2
+	return len(s.comp) + 2*s.nfrag + len(s.passive) + len(s.affected) + s.sketchWords + 2
+}
+
+// setFrag gives the vertex at column index i fragment key k.
+func (s *vertexShard) setFrag(i int, k uint64) {
+	if s.frag[i] == 0 {
+		s.nfrag++
+	}
+	s.frag[i] = k
 }
 
 func (s *vertexShard) owns(v int) bool { return v >= s.lo && v < s.hi }
@@ -77,9 +92,13 @@ type treeEdge struct {
 	weight int64
 }
 
-// edgeShard holds the tree-edge records hash-assigned to one machine.
+// edgeShard holds the tree-edge records hash-assigned to one machine, in one
+// slice sorted by edge (edge-id order): lookups binary-search it (find),
+// scans walk it by index.
 type edgeShard struct {
-	recs map[graph.Edge]*treeEdge
+	recs []treeEdge
+	// pairs is pushFragments' [vertex, key] scratch, reused across deletions.
+	pairs [][2]uint64
 	// newTours holds the ids of the tours a Cut created, from the Tell that
 	// splits the old ones until the fragment push that follows consumes it
 	// (pushFragments). Transient, never checkpointed, shared and read-only.
@@ -88,6 +107,29 @@ type edgeShard struct {
 
 // Words implements mpc.Sized.
 func (s *edgeShard) Words() int { return 8*len(s.recs) + len(s.newTours) + 1 }
+
+func cmpEdge(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }
+
+// find returns the index of e's record, or where it would be inserted.
+func (s *edgeShard) find(e graph.Edge) (int, bool) {
+	return slices.BinarySearchFunc(s.recs, e, func(te treeEdge, e graph.Edge) int { return cmpEdge(te.rec.E, e) })
+}
+
+// land merges records that arrived in one message into the sorted slice:
+// one sort of the arrivals and one backward merge pass, whatever the shard's
+// size. The message's slice is scratch from here on.
+func (s *edgeShard) land(recs []treeEdge) {
+	slices.SortFunc(recs, func(a, b treeEdge) int { return cmpEdge(a.rec.E, b.rec.E) })
+	i, j := len(s.recs)-1, len(recs)-1
+	s.recs = append(s.recs, recs...)
+	for w := len(s.recs) - 1; j >= 0; w-- {
+		if i >= 0 && cmpEdge(s.recs[i].rec.E, recs[j].rec.E) > 0 {
+			s.recs[w], i = s.recs[i], i-1
+		} else {
+			s.recs[w], j = recs[j], j-1
+		}
+	}
+}
 
 // fragment keys combine tours and singleton vertices in one key space.
 const fragVertexBit = uint64(1) << 62
@@ -415,7 +457,7 @@ func newForest(cfg Config, weighted bool, sketchWords int) (*Forest, error) {
 			vs := &vertexShard{
 				lo: lo, hi: hi,
 				comp: make([]int, hi-lo),
-				frag: map[int]uint64{},
+				frag: make([]uint64, hi-lo),
 			}
 			for v := lo; v < hi; v++ {
 				vs.comp[v-lo] = v
@@ -424,7 +466,7 @@ func newForest(cfg Config, weighted bool, sketchWords int) (*Forest, error) {
 		} else {
 			mm.Set(slotQCache, cacheMeter{f})
 		}
-		mm.Set(slotEdge, &edgeShard{recs: map[graph.Edge]*treeEdge{}})
+		mm.Set(slotEdge, &edgeShard{})
 	})
 	return f, nil
 }
@@ -688,7 +730,9 @@ func answerStats(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 	first := make([]eulertour.Pos, len(query))
 	last := make([]eulertour.Pos, len(query))
 	seen := make([]bool, len(query))
-	for _, te := range eShard(mm).recs {
+	recs := eShard(mm).recs
+	for i := range recs {
+		te := &recs[i]
 		for _, v := range [2]int{te.rec.E.U, te.rec.E.V} {
 			j := sort.SearchInts(query, v)
 			if j == len(query) || query[j] != v {
@@ -786,17 +830,18 @@ func (f *Forest) minAbove(qs []eulertour.CutQuery) map[int]eulertour.Pos {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Vertex < sorted[j].Vertex })
 	res := f.ask(cutQueryPayload{qs: sorted},
 		func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
-			es := eShard(mm)
+			recs := eShard(mm).recs
 			queries := payload.(cutQueryPayload).qs
 			best := make([]eulertour.Pos, len(queries))
-			for _, te := range es.recs {
-				for j, q := range queries {
-					if !te.rec.E.Has(q.Vertex) {
-						continue
-					}
-					for _, p := range te.rec.PositionsOf(q.Vertex) {
-						if p > q.Cut && (best[j] == 0 || p < best[j]) {
-							best[j] = p
+			for i := range recs {
+				te := &recs[i]
+				for _, v := range [2]int{te.rec.E.U, te.rec.E.V} {
+					j := sort.Search(len(queries), func(j int) bool { return queries[j].Vertex >= v })
+					for ; j < len(queries) && queries[j].Vertex == v; j++ {
+						for _, p := range te.rec.PositionsOf(v) {
+							if p > queries[j].Cut && (best[j] == 0 || p < best[j]) {
+								best[j] = p
+							}
 						}
 					}
 				}
@@ -928,11 +973,7 @@ func (f *Forest) Link(edges []graph.WeightedEdge) error {
 			return out
 		},
 		func(mm *mpc.Machine, msg mpc.Message) {
-			es := eShard(mm)
-			for _, te := range msg.Payload.(recordsPayload).records {
-				cp := te
-				es.recs[te.rec.E] = &cp
-			}
+			eShard(mm).land(msg.Payload.(recordsPayload).records)
 		},
 	)
 	return nil
@@ -1002,15 +1043,11 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 		p := msg.(relabelPayload)
 		es := eShard(mm)
 		es.newTours = p.newTours
-		for e, te := range es.recs {
-			if p.drop[e] {
-				delete(es.recs, e)
-				continue
-			}
-			if !p.set.Touches(te.rec.Tour) {
-				continue
-			}
-			if err := p.set.ApplyToRecord(&te.rec); err != nil {
+		if len(p.drop) > 0 {
+			es.recs = slices.DeleteFunc(es.recs, func(te treeEdge) bool { return p.drop[te.rec.E] })
+		}
+		for i := range es.recs {
+			if err := p.set.ApplyToRecord(&es.recs[i].rec); err != nil {
 				panic(fmt.Sprintf("core: %v", err))
 			}
 		}
@@ -1041,8 +1078,9 @@ func (f *Forest) dropFrags() {
 			return
 		}
 		vs.passive = nil
-		if len(vs.frag) > 0 {
-			vs.frag = map[int]uint64{}
+		if vs.nfrag > 0 {
+			clear(vs.frag)
+			vs.nfrag = 0
 		}
 	})
 }
@@ -1118,7 +1156,8 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 		es := eShard(mm)
 		b := mpc.AcquireMessageBatch()
 		for _, e := range payload.(edgeListPayload).edges {
-			if te, ok := es.recs[e]; ok {
+			if i, ok := es.find(e); ok {
+				te := &es.recs[i]
 				fr := b.Grow(7)
 				fr[0] = e.ID(n)
 				fr[1] = uint64(te.rec.Tour)
@@ -1181,8 +1220,9 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 	res := f.ask(mpc.Ints(tourList), func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 		want := payload.(mpc.Ints)
 		counts := make([]uint64, len(want))
-		for _, te := range eShard(mm).recs {
-			if j, ok := slices.BinarySearch(want, int(te.rec.Tour)); ok {
+		recs := eShard(mm).recs
+		for i := range recs {
+			if j, ok := slices.BinarySearch(want, int(recs[i].rec.Tour)); ok {
 				counts[j]++
 			}
 		}
@@ -1287,25 +1327,24 @@ func (f *Forest) pushFragments() {
 		es := eShard(mm)
 		newTours := es.newTours
 		es.newTours = nil
-		byOwner := map[int]map[uint64]uint64{}
-		for _, te := range es.recs {
-			if !newTours[te.rec.Tour] {
-				continue
-			}
-			key := fragKeyOfTour(te.rec.Tour)
-			for _, v := range []int{te.rec.E.U, te.rec.E.V} {
-				owner := f.part.Owner(v)
-				if byOwner[owner] == nil {
-					byOwner[owner] = map[uint64]uint64{}
-				}
-				byOwner[owner][uint64(v)] = key
+		pairs := es.pairs[:0]
+		for i := range es.recs {
+			if te := &es.recs[i]; newTours[te.rec.Tour] {
+				key := fragKeyOfTour(te.rec.Tour)
+				pairs = append(pairs, [2]uint64{uint64(te.rec.E.U), key}, [2]uint64{uint64(te.rec.E.V), key})
 			}
 		}
+		// A vertex sits on one tour, so its pairs are equal: sorted by vertex
+		// and deduplicated, they cut into one batch per owner, as a range
+		// partition's owner only grows with the vertex.
+		slices.SortFunc(pairs, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+		es.pairs = slices.Compact(pairs)
 		var out []mpc.Message
-		for owner, pairs := range byOwner {
+		for i := 0; i < len(es.pairs); {
+			owner := f.part.Owner(int(es.pairs[i][0]))
 			b := mpc.AcquireMessageBatch()
-			for v, k := range pairs {
-				b.Append(v, k)
+			for ; i < len(es.pairs) && f.part.Owner(int(es.pairs[i][0])) == owner; i++ {
+				b.Append(es.pairs[i][0], es.pairs[i][1])
 			}
 			out = append(out, mpc.Message{To: owner, Payload: b})
 		}
@@ -1322,17 +1361,14 @@ func (f *Forest) pushFragments() {
 		for _, msg := range inbox {
 			b := msg.Payload.(*mpc.MessageBatch)
 			for pr := range b.Frames {
-				vs.frag[int(pr[0])] = pr[1]
+				vs.setFrag(int(pr[0])-vs.lo, pr[1])
 			}
 			b.Release()
 		}
 		// Affected vertices with no fragment message are singletons now.
-		for i := range vs.comp {
-			v := vs.lo + i
-			if affectedComps[vs.comp[i]] {
-				if _, ok := vs.frag[v]; !ok {
-					vs.frag[v] = fragKeyOfVertex(v)
-				}
+		for i, c := range vs.comp {
+			if affectedComps[c] && vs.frag[i] == 0 {
+				vs.setFrag(i, fragKeyOfVertex(vs.lo+i))
 			}
 		}
 	})
@@ -1355,33 +1391,32 @@ func (f *Forest) aggregateFragmentMins(first *firstWindow) map[uint64]int {
 	res := f.cl.AggregateBatches(f.coord,
 		func(mm *mpc.Machine) *mpc.MessageBatch {
 			vs := vShard(mm)
-			if vs == nil || len(vs.frag) == 0 {
+			if vs == nil || vs.nfrag == 0 {
 				return nil
 			}
-			keys := make([]uint64, 0, len(vs.frag))
-			minBy := make(map[uint64]int, len(vs.frag))
-			for v, k := range vs.frag {
-				if cur, ok := minBy[k]; !ok || v < cur {
-					if !ok {
-						keys = append(keys, k)
-					}
-					minBy[k] = v
+			// [key, vertex] pairs sorted by key, then vertex: the first pair of
+			// every key holds its minimum vertex.
+			mins := vs.mins[:0]
+			for i, k := range vs.frag {
+				if k != 0 {
+					mins = append(mins, [2]uint64{k, uint64(vs.lo + i)})
 				}
 			}
-			slices.Sort(keys)
+			slices.SortFunc(mins, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+			vs.mins = slices.CompactFunc(mins, func(a, b [2]uint64) bool { return a[0] == b[0] })
 			var sums *sketchcodec.Sums
 			if first != nil {
 				sums = first.collect(mm, vs)
 			}
 			b := mpc.AcquireMessageBatch()
-			for _, k := range keys {
-				if sums == nil || vs.passive[k] {
-					b.Append(k, uint64(minBy[k]))
+			for _, m := range vs.mins {
+				if sums == nil || vs.passive[m[0]] {
+					b.Append(m[0], m[1])
 					continue
 				}
 				fr := b.Grow(2 + first.win.Words())
-				fr[0], fr[1] = k, uint64(minBy[k])
-				sums.Put(k, fr[2:])
+				fr[0], fr[1] = m[0], m[1]
+				sums.Put(m[0], fr[2:])
 			}
 			return b
 		}, combine)
@@ -1421,9 +1456,12 @@ func (f *Forest) tellFragComps(compByFrag map[uint64]int) {
 			return
 		}
 		p := payload.(fragCompsPayload)
-		for v, k := range vs.frag {
+		for i, k := range vs.frag {
+			if k == 0 {
+				continue
+			}
 			if c, ok := p.compByFrag[k]; ok {
-				vs.comp[v-vs.lo] = c
+				vs.comp[i] = c
 			}
 		}
 	})
@@ -1472,11 +1510,12 @@ func (f *Forest) HeaviestOnPaths(pairs [][2]int) (map[int]graph.WeightedEdge, er
 	}
 	res := f.ask(q,
 		func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
-			es := eShard(mm)
+			recs := eShard(mm).recs
 			query := payload.(pathQuery)
 			best := make([]graph.WeightedEdge, len(query.pairs))
 			found := make([]bool, len(query.pairs))
-			for _, te := range es.recs {
+			for i := range recs {
+				te := &recs[i]
 				for j, pr := range query.pairs {
 					if te.rec.Tour != pr.tour {
 						continue
@@ -1563,9 +1602,8 @@ func (f *Forest) SnapshotForest() []graph.WeightedEdge {
 	f.flush()
 	buckets := make([][]graph.WeightedEdge, f.cl.Machines())
 	f.cl.LocalAll(func(mm *mpc.Machine) {
-		es := eShard(mm)
-		for e, te := range es.recs {
-			buckets[mm.ID] = append(buckets[mm.ID], graph.WeightedEdge{Edge: e, Weight: te.weight})
+		for _, te := range eShard(mm).recs {
+			buckets[mm.ID] = append(buckets[mm.ID], graph.WeightedEdge{Edge: te.rec.E, Weight: te.weight})
 		}
 	})
 	var out []graph.WeightedEdge

@@ -72,8 +72,8 @@ type forestImage struct {
 	comp  []int
 	roots int
 	// recs holds every tree-edge record, grouped by the machine that owns it
-	// under the loading instance's placement.
-	recs []map[graph.Edge]*treeEdge
+	// under the loading instance's placement, each group sorted by edge.
+	recs [][]treeEdge
 }
 
 // readImage decodes the tagForest section, validates it against the
@@ -84,10 +84,7 @@ func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, error) {
 		return nil, err
 	}
 	n := f.cfg.N
-	img := &forestImage{recs: make([]map[graph.Edge]*treeEdge, f.cl.Machines())}
-	for i := range img.recs {
-		img.recs[i] = map[graph.Edge]*treeEdge{}
-	}
+	img := &forestImage{recs: make([][]treeEdge, f.cl.Machines())}
 	img.nextID = d.U64()
 	img.numCompsOK = d.Bool()
 	var err error
@@ -98,6 +95,7 @@ func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, error) {
 	// Count bounds the table against the section, so its reads cannot fail.
 	nr := d.Count(8)
 	edges := make([]graph.Edge, nr)
+	at := make([]int, nr) // edge j's index in its machine's group
 	for j := range nr {
 		ed := graph.Edge{U: d.Int(), V: d.Int()}
 		if ed.U < 0 || ed.U >= ed.V || ed.V >= n {
@@ -107,17 +105,20 @@ func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, error) {
 			return nil, fmt.Errorf("core: snapshot lists tree edge {%d,%d} twice or out of edge-id order", ed.U, ed.V)
 		}
 		edges[j] = ed
-		te := &treeEdge{rec: eulertour.Record{E: ed, Tour: eulertour.TourID(d.U64())}}
+		te := treeEdge{rec: eulertour.Record{E: ed, Tour: eulertour.TourID(d.U64())}}
 		te.rec.UPos = [2]eulertour.Pos{d.Int(), d.Int()}
 		te.rec.VPos = [2]eulertour.Pos{d.Int(), d.Int()}
 		te.weight = d.I64()
-		img.recs[f.edgeOwner(ed)][ed] = te
+		// Decoded in edge-id order, so every group is appended sorted.
+		o := f.edgeOwner(ed)
+		at[j] = len(img.recs[o])
+		img.recs[o] = append(img.recs[o], te)
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if img.comp, img.roots, err = forestComponents(n, edges); err == nil {
-		err = f.checkTours(img, edges)
+		err = f.checkTours(img, edges, at)
 	}
 	return img, err
 }
@@ -126,16 +127,17 @@ func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, error) {
 // record is well formed (eulertour.Record.Validate), the records of one tree
 // share one tour id in [1, nextID) that no other tree uses, and a tree of k
 // records holds the tour positions 1..4k once each (the range PlanSplit
-// checks). It allocates per tree, never per record.
-func (f *Forest) checkTours(img *forestImage, edges []graph.Edge) error {
+// checks). It allocates per tree, never per record. Record j, of edges[j],
+// is at index at[j] of its machine's group.
+func (f *Forest) checkTours(img *forestImage, edges []graph.Edge, at []int) error {
 	type tour struct {
 		id eulertour.TourID
 		// recs counts the tree's records; bit is its first bit in seen.
 		recs, bit int
 	}
 	tours := make([]tour, f.cfg.N) // indexed by the tree's root
-	for _, e := range edges {
-		r, t := &img.recs[f.edgeOwner(e)][e].rec, &tours[img.comp[e.U]]
+	for j, e := range edges {
+		r, t := &img.recs[f.edgeOwner(e)][at[j]].rec, &tours[img.comp[e.U]]
 		if err := r.Validate(); err != nil {
 			return fmt.Errorf("core: snapshot tree edge {%d,%d}: %w", e.U, e.V, err)
 		}
@@ -154,8 +156,8 @@ func (f *Forest) checkTours(img *forestImage, edges []graph.Edge) error {
 		width += 4 * tours[i].recs
 	}
 	seen := make([]uint64, (width+63)/64)
-	for _, e := range edges {
-		r, t := &img.recs[f.edgeOwner(e)][e].rec, &tours[img.comp[e.U]]
+	for j, e := range edges {
+		r, t := &img.recs[f.edgeOwner(e)][at[j]].rec, &tours[img.comp[e.U]]
 		for _, p := range [...]eulertour.Pos{r.UPos[0], r.UPos[1], r.VPos[0], r.VPos[1]} {
 			b := t.bit + p - 1
 			if p < 1 || p > 4*t.recs || seen[b/64]&(1<<(b%64)) != 0 {

@@ -29,7 +29,6 @@ package core
 // here runs.
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -105,11 +104,12 @@ func (f *Forest) Checkpoint(e *snapshot.Encoder) {
 	snapshot.EncodeClusterStats(e, f.cl.Stats())
 	var recs []*treeEdge
 	for i := 0; i < f.cl.Machines(); i++ {
-		for _, te := range eShard(f.cl.Machine(i)).recs {
-			recs = append(recs, te)
+		es := eShard(f.cl.Machine(i))
+		for j := range es.recs {
+			recs = append(recs, &es.recs[j])
 		}
 	}
-	slices.SortFunc(recs, func(a, b *treeEdge) int { return cmp.Compare(a.rec.E.ID(f.cfg.N), b.rec.E.ID(f.cfg.N)) })
+	slices.SortFunc(recs, func(a, b *treeEdge) int { return cmpEdge(a.rec.E, b.rec.E) })
 	e.Int(len(recs))
 	for _, te := range recs {
 		e.Int(te.rec.E.U)

@@ -164,8 +164,10 @@ func NewRelabelSet(rs []Relabel) *RelabelSet {
 
 // Map returns the new (tour, position) of position p in tour t. Positions
 // not covered by any descriptor are unchanged; covered positions move.
-func (s *RelabelSet) Map(t TourID, p Pos) (TourID, Pos) {
-	list := s.byTour[t]
+func (s *RelabelSet) Map(t TourID, p Pos) (TourID, Pos) { return mapIn(s.byTour[t], t, p) }
+
+// mapIn is Map over the descriptors of tour t.
+func mapIn(list []Relabel, t TourID, p Pos) (TourID, Pos) {
 	i := sort.Search(len(list), func(i int) bool { return list[i].Hi >= p })
 	if i < len(list) && list[i].Lo <= p {
 		return list[i].NewTour, p + list[i].Delta
@@ -176,14 +178,19 @@ func (s *RelabelSet) Map(t TourID, p Pos) (TourID, Pos) {
 // Touches reports whether any descriptor refers to tour t.
 func (s *RelabelSet) Touches(t TourID) bool { return len(s.byTour[t]) > 0 }
 
-// ApplyToRecord rewrites all four positions (and the tour id) of rec. All
-// four positions of a surviving record always map into the same new tour;
-// Apply validates this and reports a corrupted plan otherwise.
+// ApplyToRecord rewrites all four positions (and the tour id) of rec, with
+// one lookup of its tour; a record on a tour no descriptor touches is left
+// as is. All four positions of a surviving record always map into the same
+// new tour; Apply validates this and reports a corrupted plan otherwise.
 func (s *RelabelSet) ApplyToRecord(rec *Record) error {
-	t0, u0 := s.Map(rec.Tour, rec.UPos[0])
-	t1, u1 := s.Map(rec.Tour, rec.UPos[1])
-	t2, v0 := s.Map(rec.Tour, rec.VPos[0])
-	t3, v1 := s.Map(rec.Tour, rec.VPos[1])
+	list := s.byTour[rec.Tour]
+	if len(list) == 0 {
+		return nil
+	}
+	t0, u0 := mapIn(list, rec.Tour, rec.UPos[0])
+	t1, u1 := mapIn(list, rec.Tour, rec.UPos[1])
+	t2, v0 := mapIn(list, rec.Tour, rec.VPos[0])
+	t3, v1 := mapIn(list, rec.Tour, rec.VPos[1])
 	if t0 != t1 || t1 != t2 || t2 != t3 {
 		return fmt.Errorf("eulertour: record %v split across tours by relabel", rec.E)
 	}
