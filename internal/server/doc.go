@@ -10,14 +10,17 @@
 // Each instance is an independent session.Session over a
 // core.DynamicConnectivity on its own MPC cluster, identified by an integer
 // id in [0, Instances). The session owns the lifecycle — apply, checkpoint,
-// restore, resize — and takes no locks; the instance wraps it in the
-// server's own. It enforces the core query engine's single-writer/
-// many-reader contract (see internal/core/query.go) with a per-instance
-// RWMutex: exactly one applier goroutine drains the instance's update queue
-// and calls Session.Apply under the write lock, while any number of request
-// handlers answer query batches under the read lock. Warm queries touch only the label cache and run
-// fully in parallel; cache misses serialize their one collective among
-// themselves but never overlap an update.
+// restore, resize — and takes no locks: exactly one applier goroutine per
+// instance touches it. The applier drains one FIFO queue of ops. An update
+// batch is one kind of op; a checkpoint, a resize and the final shutdown
+// checkpoint are the other kind, so an instance is one ordered stream of
+// operations. The applier runs every op under the write lock of a
+// per-instance RWMutex, which enforces the core query engine's
+// single-writer/many-reader contract (see internal/core/query.go): any
+// number of request handlers answer query batches under the read lock, off
+// the queue. Warm queries touch only the label cache and run fully in
+// parallel; cache misses serialize their one collective among themselves
+// but never overlap an update.
 //
 // # Endpoints
 //
@@ -28,7 +31,8 @@
 //	GET  /instances/{id}/components?vertices=a,b,c   component labels
 //	POST /instances/{id}/resize?machines=M   re-shard onto M machines: 400 no
 //	                                  such fleet, 409 over its memory budget, 200
-//	GET  /instances/{id}/healthz      readiness (503 while quiesced or failed)
+//	GET  /instances/{id}/healthz      readiness (503 during a checkpoint or
+//	                                  resize op, or after a failure)
 //	GET  /metrics                     Prometheus text-format metrics
 //
 // Updates are JSON batches {"updates": [{"op": "insert"|"delete", "u": 0,
@@ -58,26 +62,36 @@
 //
 // # Checkpointing
 //
-// Close drains every queue (new updates get 503), then — when
-// Config.CheckpointDir is set — checkpoints every instance through its
-// session's snapshot.Chain on the file store (instance-NNN.snap plus
-// .delta-NNN files; temp file, fsync, rename), so a crash during shutdown
-// never truncates a previous good checkpoint. With Config.CheckpointEvery
-// the same checkpoint also runs periodically on a quiesced instance
-// (admission held, queue drained). Every container opens with the session's
-// meta echo. A full base follows it with the mirror's edge set and the
-// cluster state (the tree edges and sketch arenas); a delta with the cluster
-// state's journal of applied batches, plus which labels are cached, and
-// stats. The quiesce is what lets one journal serve both: when a delta is
-// cut the mirror has admitted exactly what the state applied, so a restore
-// replays the journal into the state and the mirror alike —
-// mpcserve_restore_replayed_updates_total says how many updates. New
-// restores any instance whose base exists, after config-echo validation and
-// at the fleet shape the checkpoint was cut at, and the restored label cache
-// keeps warm queries warm: answers after a graceful restart are
-// bit-identical to a process that never restarted. Checkpoints written by a
-// build from before internal/session carry a different meta section tag and
-// are rejected with a diagnostic at startup — rejected, never migrated.
+// Checkpoint, resize and shutdown are ops on the instance's queue. The
+// caller of one holds admission (updates wait, readiness reports 503) from
+// enqueueing the op until it completes; FIFO order then runs the op after
+// every batch admitted before it, with nothing admitted behind it. When
+// Config.CheckpointDir is set, Close stops each instance with a final
+// checkpoint op, then closes its queue (new updates get 503) and waits for
+// its applier to exit. The checkpoint goes through the session's
+// snapshot.Chain on the file store (instance-NNN.snap plus .delta-NNN files;
+// temp file, fsync, rename), so a crash during shutdown never truncates a
+// previous good checkpoint. With Config.CheckpointEvery the same op also
+// runs periodically. A failed write is returned to its caller (Close, or a
+// resize's 500) and counted in mpcserve_checkpoint_errors_total; the
+// instance keeps serving and its next checkpoint writes a full base. Once
+// an instance is drained, every op is refused and nothing more is written.
+// Every container opens with the session's meta echo. A full base follows
+// it with the mirror's edge set and the cluster state (the tree edges and
+// sketch arenas); a delta with the cluster state's journal of applied
+// batches, plus which labels are cached, and stats. FIFO order under held
+// admission is what lets one journal serve both: when a delta is cut the
+// mirror has admitted exactly what the state applied, so a restore replays
+// the journal into the state and the mirror alike —
+// mpcserve_restore_replayed_updates_total says how many updates. An apply
+// error is terminal: the applier discards the instance's queued batches and
+// answers every later op with the error. New restores any instance whose
+// base exists, after config-echo validation and at the fleet shape the
+// checkpoint was cut at, and the restored label cache keeps warm queries
+// warm: answers after a graceful restart are bit-identical to a process
+// that never restarted. Checkpoints written by a build from before
+// internal/session carry a different meta section tag and are rejected with
+// a diagnostic at startup — rejected, never migrated.
 //
 // # Metrics
 //

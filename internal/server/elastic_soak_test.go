@@ -18,10 +18,10 @@ import (
 
 // TestServerElasticSoak is the elastic-soak CI driver: a 200-batch powerlaw
 // stream at parallelism 8 with a live resize — up, down, up — every ~50
-// batches, readers and healthz probes hammering throughout (so the quiesce
-// windows run under the race detector), and the final state bit-identical
-// to an uninterrupted in-process twin. Writers and query readers go through
-// postRetry, which absorbs backpressure 429s and quiesce 503s.
+// batches, readers and healthz probes hammering throughout (so the resize
+// ops run under the race detector), and the final state bit-identical to an
+// uninterrupted in-process twin. Writers and query readers go through
+// postRetry, which absorbs backpressure 429s and the 503s of held admission.
 func TestServerElasticSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("elastic soak skipped in -short mode")
@@ -172,7 +172,7 @@ func TestServerElasticSoak(t *testing.T) {
 
 // postRetry sends one JSON POST (nil body allowed), retrying for up to about
 // two seconds while the server answers 429 (queue full) or 503 (instance
-// quiesced for a checkpoint or resize). The caller owns the last response.
+// held by a checkpoint or resize op). The caller owns the last response.
 func postRetry(client *http.Client, url string, body any) (*http.Response, error) {
 	var data []byte
 	if body != nil {

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -251,9 +253,59 @@ func TestServerResizeErrors(t *testing.T) {
 	}
 }
 
+// TestDrainedInstanceWritesNothing pins that a drained instance refuses
+// every op with errDraining — resize and checkpoint alike, and Close's final
+// checkpoint — and that none of them writes a container.
+func TestDrainedInstanceWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(t)
+	cfg.CheckpointDir = dir
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := srv.insts[0]
+	if err := in.offer(graph.Batch{graph.Ins(0, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	in.drain()
+	listing := func() string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return strings.Join(names, " ")
+	}
+	before := listing()
+	if err := in.resize(3); !errors.Is(err, errDraining) {
+		t.Errorf("resize of a drained instance: %v, want errDraining", err)
+	}
+	if err := in.do(in.checkpoint); !errors.Is(err, errDraining) {
+		t.Errorf("checkpoint of a drained instance: %v, want errDraining", err)
+	}
+	if after := listing(); after != before {
+		t.Errorf("ops on a drained instance wrote to the checkpoint directory: %q, then %q", before, after)
+	}
+	if err := srv.Close(); !errors.Is(err, errDraining) {
+		t.Errorf("close: %v, want errDraining for the drained instance", err)
+	}
+	if _, err := os.Stat(instancePath(dir, 0)); err == nil {
+		t.Error("close checkpointed the drained instance 0")
+	}
+	if _, err := os.Stat(instancePath(dir, 1)); err != nil {
+		t.Errorf("close did not checkpoint the live instance 1: %v", err)
+	}
+}
+
 // TestInstanceHealthz pins per-instance readiness on the endpoint and the
-// mpcserve_instance_ready gauge: 200 and 1 while serving, 503 and 0 while
-// held in quiesce, 200 and 1 after resume, 503 and 0 after a failure.
+// mpcserve_instance_ready gauge: 200 and 1 while serving, 503 and 0 while an
+// op holds the instance, 200 and 1 once it returns, 503 and 0 after a
+// failure.
 func TestInstanceHealthz(t *testing.T) {
 	srv, ts := newTestServer(t, testConfig(t))
 	check := func(state string, id, code int, ready string) {
@@ -269,13 +321,21 @@ func TestInstanceHealthz(t *testing.T) {
 		}
 	}
 	check("ready", 0, http.StatusOK, "1")
-	resume, err := srv.insts[0].quiesce()
-	if err != nil {
+	held, release, result := make(chan struct{}), make(chan struct{}), make(chan error)
+	go func() {
+		result <- srv.insts[0].do(func() error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	check("held", 0, http.StatusServiceUnavailable, "0")
+	close(release)
+	if err := <-result; err != nil {
 		t.Fatal(err)
 	}
-	check("quiesced", 0, http.StatusServiceUnavailable, "0")
-	resume()
-	check("resumed", 0, http.StatusOK, "1")
+	check("released", 0, http.StatusOK, "1")
 	srv.insts[1].failure.Store(&applyFailure{err: fmt.Errorf("boom")})
 	check("failed", 1, http.StatusServiceUnavailable, "0")
 	srv.insts[1].failure.Store(nil) // let Cleanup's checkpoint pass

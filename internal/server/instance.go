@@ -28,56 +28,50 @@ func (e *badBatchError) Error() string { return e.err.Error() }
 func (e *badBatchError) Unwrap() error { return e.err }
 
 // instance is one independently served graph: a session over a
-// DynamicConnectivity under the single-writer/many-reader lock, a bounded
-// update queue drained by one applier goroutine, and an admission mirror
-// that keeps every queued batch valid by construction.
+// DynamicConnectivity, an admission mirror that keeps every queued batch
+// valid by construction, and one ordered queue of ops drained by the
+// applier — the only goroutine that touches the session. A batch is one kind
+// of op; a checkpoint, a resize and the final shutdown checkpoint are the
+// other kind, and each runs after every batch admitted before it.
 type instance struct {
 	id  int
 	cfg core.Config
 
-	// adm serializes admission: the mirror check, the mirror apply, and the
-	// enqueue happen atomically, so the queue always holds batches that are
-	// valid in queue order and the len(queue) capacity check cannot race
-	// (only the applier removes elements).
+	// adm serializes admission: the mirror check, the mirror apply and the
+	// enqueue happen atomically, so the queue holds batches that are valid in
+	// queue order. A non-batch op holds adm from its enqueue until it
+	// completes, so offer only ever sees batches in the queue and its
+	// len(queue) capacity check cannot race (only the applier removes ops).
 	adm       sync.Mutex
 	accepting bool
 	// mirror is the admission mirror, the session's companion state. It runs
 	// ahead of the cluster by whatever the queue holds, and is guarded by
 	// adm, not mu.
 	mirror *session.Mirror
-	queue  chan graph.Batch
+	queue  chan op
+	exited chan struct{} // closed when the applier returns
 
-	// sess owns the cluster state, the checkpoint chain (durable reports
-	// whether there is one) and the lifecycle over them. It takes no locks:
-	// the applier calls Apply under mu, and Checkpoint and Resize run
-	// quiesced, holding adm and mu both.
-	sess    *session.Session
-	durable bool
-
-	// pending counts batches enqueued but not yet fully applied; the
-	// quiesced checkpoint path waits on it (with admission locked) so the
-	// mirror and the cluster state agree when the checkpoint is cut.
-	pendMu   sync.Mutex
-	pendCond *sync.Cond
-	pending  int
+	// sess owns the cluster state, the checkpoint chain and the lifecycle
+	// over them. It takes no locks; only the applier calls it.
+	sess *session.Session
 
 	// mu is the instance's single-writer/many-reader contract lock: the
-	// applier applies batches under Lock, handlers answer queries under
-	// RLock (see the core query engine's concurrency contract). dc is the
-	// session's live state, published as an atomic pointer because an
-	// elastic resize swaps in a fresh fleet (holding both adm and mu) while
-	// lock-free paths — MaxBatch sizing in admission, metric scrapes — read
-	// it concurrently. cfg itself stays immutable — handlers read cfg.N
-	// without locks.
+	// applier runs every op under Lock, handlers answer queries under RLock
+	// (see the core query engine's concurrency contract). dc is the
+	// session's live state, published as an atomic pointer because a resize
+	// swaps in a fresh fleet while lock-free paths — MaxBatch sizing in
+	// admission, metric scrapes — read it concurrently. cfg itself stays
+	// immutable — handlers read cfg.N without locks.
 	mu sync.RWMutex
 	dc atomic.Pointer[core.DynamicConnectivity]
 
-	// quiesced is true while admission is deliberately paused (a quiesced
-	// checkpoint or a resize); per-instance readiness reports 503 for its
-	// duration so load balancers steer around the pause.
+	// quiesced is true while a non-batch op holds admission; per-instance
+	// readiness reports 503 for its duration so load balancers steer around
+	// the pause.
 	quiesced atomic.Bool
 
-	wg      sync.WaitGroup
+	// failure is the first apply error, written by the applier only. Once it
+	// is set the applier runs nothing more on the session.
 	failure atomic.Pointer[applyFailure]
 
 	// drainEWMA tracks the smoothed per-batch apply time (nanoseconds); the
@@ -86,6 +80,14 @@ type instance struct {
 	drainEWMA atomic.Int64
 
 	metrics // what /metrics renders (metrics.go)
+}
+
+// op is one entry of an instance's queue: an admitted batch, or — run set —
+// an operation on the session whose result goes to done.
+type op struct {
+	batch graph.Batch
+	run   func() error
+	done  chan<- error
 }
 
 // applyFailure records the first applier error; the instance refuses all
@@ -102,8 +104,8 @@ func newInstance(id int, cfg core.Config, queueDepth int, chain *snapshot.Chain)
 		cfg:       cfg,
 		accepting: true,
 		mirror:    session.NewMirror(cfg.N),
-		queue:     make(chan graph.Batch, queueDepth),
-		durable:   chain != nil,
+		queue:     make(chan op, queueDepth),
+		exited:    make(chan struct{}),
 	}
 	scfg := session.Config{
 		Shape:  cfg,
@@ -113,7 +115,7 @@ func newInstance(id int, cfg core.Config, queueDepth int, chain *snapshot.Chain)
 	}
 	var err error
 	restored := false
-	if in.durable {
+	if chain != nil {
 		in.sess, restored, err = session.Resume(scfg)
 	}
 	if err == nil && !restored {
@@ -126,47 +128,57 @@ func newInstance(id int, cfg core.Config, queueDepth int, chain *snapshot.Chain)
 		in.replayedUpdates.Store(uint64(chain.Replayed().Updates))
 	}
 	in.publish()
-	in.pendCond = sync.NewCond(&in.pendMu)
-	in.wg.Add(1)
 	go in.applier()
 	return in, nil
 }
 
 // publish exposes the session's live state and counters to the lock-free
-// readers. The caller holds the instance exclusively (construction, or adm
-// and mu both).
+// readers. The caller owns the session (construction, or the applier).
 func (in *instance) publish() {
 	in.dc.Store(in.sess.State().(*core.DynamicConnectivity))
 	in.restoreCycles.Store(in.sess.RestoreCycles())
 }
 
-// applier is the instance's single writer: it drains the queue and applies
-// each batch under the exclusive lock. Admission already validated every
-// queued batch against the mirror, so an apply error here means corrupted
-// state — the instance is marked failed and refuses traffic, but the loop
-// keeps draining so shutdown never hangs.
+// applier is the instance's single writer: it runs the queue's ops in order,
+// each under the exclusive lock. Admission already validated every queued
+// batch against the mirror, so an apply error here means corrupted state —
+// the instance is marked failed, and from then on the loop discards batches
+// and answers every other op with the failure. It keeps dequeuing, so
+// shutdown never hangs.
 func (in *instance) applier() {
-	defer in.wg.Done()
-	for b := range in.queue {
-		start := time.Now()
-		in.mu.Lock()
-		err := in.sess.Apply(b)
-		st := in.dc.Load().Cluster().Stats()
-		in.mu.Unlock()
-		in.observeApply(time.Since(start))
-		in.rounds.Store(uint64(st.Rounds))
-		in.violations.Store(uint64(len(st.Violations)))
-		if err != nil {
-			in.failure.CompareAndSwap(nil, &applyFailure{err: err})
-		} else {
-			in.batchesApplied.Add(1)
-			in.updatesApplied.Add(uint64(len(b)))
+	defer close(in.exited)
+	for o := range in.queue {
+		err := in.failed()
+		switch {
+		case o.run != nil:
+			if err == nil {
+				in.mu.Lock()
+				err = o.run()
+				in.mu.Unlock()
+			}
+			o.done <- err
+		case err == nil:
+			in.applyBatch(o.batch)
 		}
-		in.pendMu.Lock()
-		in.pending--
-		in.pendMu.Unlock()
-		in.pendCond.Broadcast()
 	}
+}
+
+// applyBatch applies one admitted batch and records it.
+func (in *instance) applyBatch(b graph.Batch) {
+	start := time.Now()
+	in.mu.Lock()
+	err := in.sess.Apply(b)
+	st := in.dc.Load().Cluster().Stats()
+	in.mu.Unlock()
+	in.observeApply(time.Since(start))
+	in.rounds.Store(uint64(st.Rounds))
+	in.violations.Store(uint64(len(st.Violations)))
+	if err != nil {
+		in.failure.Store(&applyFailure{err: err})
+		return
+	}
+	in.batchesApplied.Add(1)
+	in.updatesApplied.Add(uint64(len(b)))
 }
 
 // observeApply records one batch-apply latency sample and folds it into the
@@ -233,77 +245,72 @@ func (in *instance) offer(b graph.Batch) error {
 	if err := in.mirror.Admit(b); err != nil {
 		return &badBatchError{err}
 	}
-	in.queue <- b
-	in.pendMu.Lock()
-	in.pending++
-	in.pendMu.Unlock()
+	in.queue <- op{batch: b}
 	return nil
 }
 
-// waitIdle blocks until every enqueued batch has been applied. The caller
-// must hold adm (so no new batch can be admitted while waiting); it must NOT
-// hold mu, which the applier needs to make progress.
-func (in *instance) waitIdle() {
-	in.pendMu.Lock()
-	for in.pending > 0 {
-		in.pendCond.Wait()
+// do runs f on the applier after every batch admitted before it, holding
+// admission (readiness reports 503) until f returns, so the mirror and the
+// state hold the same updates while f runs — a delta's one journal then
+// describes both. errDraining once the instance is draining; the failure
+// once it has failed. Holding adm across the wait cannot deadlock: the
+// applier never takes it.
+func (in *instance) do(f func() error) error {
+	in.adm.Lock()
+	defer in.adm.Unlock()
+	if !in.accepting {
+		return errDraining
 	}
-	in.pendMu.Unlock()
+	in.quiesced.Store(true)
+	defer in.quiesced.Store(false)
+	return in.send(f)
 }
 
-// drain stops admission (new offers get errDraining) and waits until every
-// queued batch has been applied. Idempotent.
-func (in *instance) drain() {
+// send enqueues f as an op and waits for its result. The caller holds adm
+// and has seen accepting.
+func (in *instance) send(f func() error) error {
+	done := make(chan error, 1)
+	in.queue <- op{run: f, done: done}
+	return <-done
+}
+
+// stop shuts the instance down: final (when not nil) runs as the last op,
+// after every admitted batch, then admission closes (new offers get
+// errDraining) and stop waits for the applier to exit. It returns final's
+// error, or errDraining when final is set but the instance already stopped.
+func (in *instance) stop(final func() error) (err error) {
 	in.adm.Lock()
-	if in.accepting {
+	switch {
+	case in.accepting:
+		if final != nil {
+			err = in.send(final)
+		}
 		in.accepting = false
 		close(in.queue)
+	case final != nil:
+		err = errDraining
 	}
 	in.adm.Unlock()
-	in.wg.Wait()
+	<-in.exited
+	return err
 }
+
+// drain stops the instance without a final checkpoint. Idempotent.
+func (in *instance) drain() { in.stop(nil) }
 
 // instancePath is the snapshot file of instance id under dir.
 func instancePath(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("instance-%03d.snap", id))
 }
 
-// quiesce pauses the instance for an operation that needs it whole: admission
-// is held (readiness reports 503) and the applier drained of in-flight
-// batches, so the mirror and the cluster state agree (a delta's one journal
-// describes both), and the write lock is taken. The instance stays live: resume, the returned func,
-// puts it back in service.
-func (in *instance) quiesce() (resume func(), err error) {
-	in.adm.Lock()
-	in.quiesced.Store(true)
-	in.waitIdle()
-	if err := in.failed(); err != nil {
-		in.quiesced.Store(false)
-		in.adm.Unlock()
-		return nil, err
-	}
-	in.mu.Lock()
-	return func() {
-		in.mu.Unlock()
-		in.quiesced.Store(false)
-		in.adm.Unlock()
-	}, nil
-}
-
-// checkpointQuiesced cuts a checkpoint (full or delta, the chain decides)
-// with the instance quiesced. No-op when checkpointing is off.
-func (in *instance) checkpointQuiesced() error {
-	if !in.durable {
-		return nil
-	}
-	resume, err := in.quiesce()
-	if err != nil {
-		return fmt.Errorf("skipping checkpoint: %w", err)
-	}
-	defer resume()
+// checkpoint cuts a checkpoint (full or delta, the chain decides; nothing
+// without a chain). It is an op: run it through do or stop. A failed write
+// leaves the live state intact and the chain unlinked, so the next
+// checkpoint writes a full base; the instance keeps serving.
+func (in *instance) checkpoint() error {
 	cut, err := in.sess.Checkpoint()
 	if err != nil {
-		in.failure.CompareAndSwap(nil, &applyFailure{err: fmt.Errorf("checkpoint: %w", err)})
+		in.checkpointErrors.Add(1)
 		return fmt.Errorf("instance %d checkpoint: %w", in.id, err)
 	}
 	in.observeCheckpoint(cut)
@@ -311,9 +318,10 @@ func (in *instance) checkpointQuiesced() error {
 }
 
 // resize migrates the instance's live state onto a fleet of exactly machines
-// machines (session.Resize) with the instance quiesced. A memory-cap
-// rejection — shrinking the per-machine budget below what the migrated
-// state needs — leaves the instance untouched, still serving at its old
+// machines (session.Resize) as an op. A memory-cap rejection — shrinking
+// the per-machine budget below what the migrated state needs — leaves the
+// instance untouched, still serving at its old shape. A failed chain re-base
+// after the migration is a checkpoint error: the instance serves at the new
 // shape. The error is a *session.ResizeError when the request, not the
 // server, is at fault.
 func (in *instance) resize(machines int) error {
@@ -321,26 +329,23 @@ func (in *instance) resize(machines int) error {
 	if _, err := core.ResizeConfig(in.cfg, machines); err != nil {
 		return &session.ResizeError{Phase: session.ResizeShape, Err: err}
 	}
-	resume, err := in.quiesce()
-	if err != nil {
-		return err
-	}
-	defer resume()
-	start := time.Now()
-	cut, err := in.sess.Resize(machines)
-	var re *session.ResizeError
-	rebaseFailed := errors.As(err, &re) && re.Phase == session.ResizeRebase
-	if err != nil && !rebaseFailed {
-		return fmt.Errorf("instance %d resize to %d machines: %w", in.id, machines, err)
-	}
-	// The state migrated, even if re-basing the chain then failed.
-	in.publish()
-	in.reshards.Add(1)
-	in.reshardNanos.Add(uint64(time.Since(start) - cut.Took))
-	if rebaseFailed {
-		in.failure.CompareAndSwap(nil, &applyFailure{err: fmt.Errorf("post-resize checkpoint: %w", err)})
-		return fmt.Errorf("instance %d post-resize checkpoint: %w", in.id, err)
-	}
-	in.observeCheckpoint(cut)
-	return nil
+	return in.do(func() error {
+		start := time.Now()
+		cut, err := in.sess.Resize(machines)
+		var re *session.ResizeError
+		rebaseFailed := errors.As(err, &re) && re.Phase == session.ResizeRebase
+		if err != nil && !rebaseFailed {
+			return fmt.Errorf("instance %d resize to %d machines: %w", in.id, machines, err)
+		}
+		// The state migrated, even if re-basing the chain then failed.
+		in.publish()
+		in.reshards.Add(1)
+		in.reshardNanos.Add(uint64(time.Since(start) - cut.Took))
+		if rebaseFailed {
+			in.checkpointErrors.Add(1)
+			return fmt.Errorf("instance %d post-resize checkpoint: %w", in.id, err)
+		}
+		in.observeCheckpoint(cut)
+		return nil
+	})
 }

@@ -29,6 +29,9 @@ type metrics struct {
 	replayedUpdates atomic.Uint64
 	reshards        atomic.Uint64
 	reshardNanos    atomic.Uint64
+	// checkpointErrors counts checkpoint writes that failed, the re-base
+	// after a resize included; none of them fails the instance.
+	checkpointErrors atomic.Uint64
 	// ckpt is indexed like ckptKinds.
 	ckpt  [len(ckptKinds)]struct{ count, bytes, nanos atomic.Uint64 }
 	apply histogram
@@ -121,7 +124,7 @@ var families = [...]family{
 		of: func(in *instance, _ int) uint64 { return in.replayedUpdates.Load() }},
 	{name: "mpcserve_reshard_total", typ: "counter", help: "Elastic resizes completed (state migrated onto a new machine count).",
 		of: func(in *instance, _ int) uint64 { return in.reshards.Load() }},
-	{name: "mpcserve_reshard_seconds", typ: "counter", help: "Wall-clock seconds spent quiesced in elastic resizes (checkpoint + re-shard + chain re-base).",
+	{name: "mpcserve_reshard_seconds", typ: "counter", help: "Wall-clock seconds elastic resizes spent saving the live state in memory and loading it onto the new fleet (the chain re-base container is counted in mpcserve_checkpoint_seconds_total{kind=\"full\"}).",
 		seconds: true, of: func(in *instance, _ int) uint64 { return in.reshardNanos.Load() }},
 	{name: "mpcserve_checkpoint_total", typ: "counter", help: "Checkpoints written, by container kind.",
 		kinded: true, of: func(in *instance, k int) uint64 { return in.ckpt[k].count.Load() }},
@@ -129,11 +132,13 @@ var families = [...]family{
 		kinded: true, of: func(in *instance, k int) uint64 { return in.ckpt[k].bytes.Load() }},
 	{name: "mpcserve_checkpoint_seconds_total", typ: "counter", help: "Wall-clock seconds spent writing checkpoints, by kind.",
 		kinded: true, seconds: true, of: func(in *instance, k int) uint64 { return in.ckpt[k].nanos.Load() }},
+	{name: "mpcserve_checkpoint_errors_total", typ: "counter", help: "Checkpoint writes that failed (the instance keeps serving; the next checkpoint writes a full base).",
+		of: func(in *instance, _ int) uint64 { return in.checkpointErrors.Load() }},
 	{name: "mpcserve_queue_depth", typ: "gauge", help: "Update batches waiting in the bounded queue.",
 		of: func(in *instance, _ int) uint64 { return uint64(len(in.queue)) }},
 	{name: "mpcserve_cluster_machines", typ: "gauge", help: "Machines in the instance's MPC fleet (changes on resize).",
 		of: func(in *instance, _ int) uint64 { return uint64(in.machines()) }},
-	{name: "mpcserve_instance_ready", typ: "gauge", help: "1 while the instance admits updates, 0 while quiesced or failed.",
+	{name: "mpcserve_instance_ready", typ: "gauge", help: "1 while the instance admits updates, 0 while a checkpoint or resize op holds it or after a failure.",
 		of: func(in *instance, _ int) uint64 { return one(in.failed() == nil && !in.quiesced.Load()) }},
 	{name: "mpcserve_instance_healthy", typ: "gauge", help: "1 while the instance serves traffic, 0 after an applier failure.",
 		of: func(in *instance, _ int) uint64 { return one(in.failed() == nil) }},

@@ -9,7 +9,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,8 +42,9 @@ type Config struct {
 	CheckpointDir string
 	// CheckpointEvery, when positive, starts a background loop that
 	// checkpoints every instance at that period; it requires CheckpointDir.
-	// Periodic checkpoints quiesce each instance briefly but do not stop
-	// the server; they are deltas whenever a base already exists.
+	// A periodic checkpoint is an op on the instance's queue: it runs after
+	// every batch admitted before it, holds admission only while it runs,
+	// and is a delta whenever a base already exists.
 	CheckpointEvery time.Duration
 	// MaxDeltaChain bounds how many delta checkpoints may extend a full
 	// base before the next checkpoint compacts the chain into a fresh base.
@@ -138,9 +138,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // checkpointLoop checkpoints the whole fleet at the configured period until
-// Close stops it. Per-instance errors mark that instance failed (its health
-// flips in /instances and /metrics) but do not stop the loop or the server —
-// the other instances keep checkpointing.
+// Close stops it. A checkpoint is an op on each instance's queue; a failed
+// write is counted (mpcserve_checkpoint_errors_total) and the instance keeps
+// serving, and the next tick writes a full base. Neither stops the loop.
 func (s *Server) checkpointLoop() {
 	defer close(s.ckptDone)
 	t := time.NewTicker(s.cfg.CheckpointEvery)
@@ -151,7 +151,7 @@ func (s *Server) checkpointLoop() {
 			return
 		case <-t.C:
 			for _, in := range s.insts {
-				in.checkpointQuiesced()
+				in.do(in.checkpoint)
 			}
 		}
 	}
@@ -166,12 +166,12 @@ func (s *Server) stopInstances() {
 }
 
 // Close gracefully shuts the fleet down: the background checkpoint loop (if
-// any) stops, admission stops (updates get 503), every queue drains, and —
-// when CheckpointDir is set — every instance is checkpointed through its
-// chain (a delta when a base exists and the chain has room, a full base
-// otherwise). One instance failing to checkpoint does not abort the rest:
-// every instance gets its checkpoint attempt, and Close returns all
-// failures joined. Idempotent.
+// any) stops, then each instance stops in turn — when CheckpointDir is set
+// its last op, after every admitted batch, is a checkpoint through its chain
+// (a delta when a base exists and the chain has room, a full base
+// otherwise) — and admission closes (updates get 503). One instance failing
+// to checkpoint does not abort the rest: every instance gets its checkpoint
+// attempt, and Close returns all failures joined. Idempotent.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -180,21 +180,13 @@ func (s *Server) Close() error {
 		close(s.ckptStop)
 		<-s.ckptDone
 	}
-	var wg sync.WaitGroup
-	for _, in := range s.insts {
-		wg.Add(1)
-		go func(in *instance) {
-			defer wg.Done()
-			in.drain()
-		}(in)
-	}
-	wg.Wait()
-	if s.cfg.CheckpointDir == "" {
-		return nil
-	}
 	errs := make([]error, len(s.insts))
 	for i, in := range s.insts {
-		errs[i] = in.checkpointQuiesced()
+		if s.cfg.CheckpointDir == "" {
+			in.drain()
+		} else {
+			errs[i] = in.stop(in.checkpoint)
+		}
 	}
 	return errors.Join(errs...)
 }
@@ -470,9 +462,9 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInstanceHealth serves GET /instances/{id}/healthz: per-instance
-// liveness and readiness. 503 after an applier failure (dead) and while the
-// instance is quiesced for a checkpoint or resize (alive but not ready);
-// 200 otherwise.
+// liveness and readiness. 503 after an applier failure (dead) and while a
+// checkpoint or resize op holds the instance's admission (alive but not
+// ready); 200 otherwise.
 func (s *Server) handleInstanceHealth(w http.ResponseWriter, r *http.Request) {
 	in, ok := s.instanceOf(w, r)
 	if !ok {

@@ -63,23 +63,13 @@ func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
-// waitDrained blocks until at least one batch was applied or rejected and
-// the instance is idle: pending == 0 under pendMu, the condition waitIdle
-// uses. An empty queue is not that barrier — the applier dequeues a batch
-// before it takes mu, so the batch can still be unapplied.
+// waitDrained returns once every batch admitted to in before the call has
+// been applied: an empty op is a barrier, because the queue is FIFO and the
+// applier runs the op only after each batch ahead of it.
 func waitDrained(t *testing.T, in *instance) {
 	t.Helper()
-	idle := func() bool {
-		in.pendMu.Lock()
-		defer in.pendMu.Unlock()
-		return in.pending == 0
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !idle() || in.batchesApplied.Load()+in.batchesRejected.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("instance never went idle")
-		}
-		time.Sleep(time.Millisecond)
+	if err := in.do(func() error { return nil }); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -562,6 +552,85 @@ func TestServerCloseCheckpointsEveryInstance(t *testing.T) {
 	}
 	if _, statErr := os.Stat(instancePath(dir, 0)); statErr == nil {
 		t.Errorf("failed instance 0 wrote a checkpoint; its state is not trustworthy")
+	}
+}
+
+// TestCheckpointWriteFailureKeepsServing pins that a failed checkpoint write
+// is the caller's error, not the instance's: the instance stays ready and
+// admits updates, the failure is counted, and once the store heals Close
+// writes a full base that restores to the same answers at the shape the
+// instance last resized to.
+func TestCheckpointWriteFailureKeepsServing(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(t)
+	cfg.CheckpointDir = dir
+	cfg.MaxDeltaChain = 4
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	in := srv.insts[0]
+	resp := postJSON(t, ts.URL+"/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "insert", U: 0, V: 1}}})
+	resp.Body.Close()
+	// A directory where the base goes: renaming the written container over
+	// it fails whatever the process's privileges.
+	if err := os.Mkdir(instancePath(dir, 0), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.do(in.checkpoint); err == nil {
+		t.Fatal("checkpoint over a directory succeeded")
+	}
+	resp, err = http.Get(ts.URL + "/instances/0/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after a failed checkpoint: status %d, want 200", resp.StatusCode)
+	}
+	resp = postJSON(t, ts.URL+"/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "insert", U: 1, V: 2}}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("update after a failed checkpoint: status %d, want 202", resp.StatusCode)
+	}
+	if body := scrapeMetrics(t, ts); !strings.Contains(body, `mpcserve_checkpoint_errors_total{instance="0"} 1`+"\n") {
+		t.Error("the failed checkpoint is not counted in mpcserve_checkpoint_errors_total")
+	}
+	// A resize migrates, then fails to re-base the chain: a 500, counted
+	// the same way, and the instance serves at the new shape.
+	resp = postResize(t, ts, 0, 3)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || in.machines() != 3 {
+		t.Errorf("resize with a failing re-base: status %d at %d machines, want 500 at 3", resp.StatusCode, in.machines())
+	}
+	if got := in.checkpointErrors.Load(); got != 2 || in.failed() != nil {
+		t.Errorf("after the failed re-base: %d checkpoint errors, failure %v; want 2 and none", got, in.failed())
+	}
+	waitDrained(t, in)
+	pairs := [][2]int{{0, 2}, {0, 3}, {1, 2}}
+	want := decodeJSON[QueryResponse](t, postJSON(t, ts.URL+"/instances/0/query", QueryRequest{Pairs: pairs}))
+
+	if err := os.Remove(instancePath(dir, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close after the store healed: %v", err)
+	}
+	if full, delta := in.ckpt[0].count.Load(), in.ckpt[1].count.Load(); full != 1 || delta != 0 {
+		t.Errorf("close wrote %d full and %d delta containers, want one full base", full, delta)
+	}
+	srv2, ts2 := newTestServer(t, cfg)
+	if got := srv2.insts[0].machines(); got != 3 {
+		t.Errorf("restored at %d machines, want 3", got)
+	}
+	if got := srv2.insts[0].replayedUpdates.Load(); got != 0 {
+		t.Errorf("restore replayed %d journaled updates, want a bare full base", got)
+	}
+	got := decodeJSON[QueryResponse](t, postJSON(t, ts2.URL+"/instances/0/query", QueryRequest{Pairs: pairs}))
+	if fmt.Sprint(got) != fmt.Sprint(want) || !want.Connected[0] || want.Connected[1] {
+		t.Errorf("restored answers %v, before close %v (want [true false true])", got, want)
 	}
 }
 
