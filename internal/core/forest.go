@@ -50,15 +50,11 @@ type vertexShard struct {
 	// components being split. Transient and never checkpointed, like passive,
 	// and like it the read-only payload shared by every shard.
 	affected map[int]bool
-	// sketchWords is the footprint of the connectivity sketches stored by
-	// the owning DynamicConnectivity (0 for a bare Forest); it is included
-	// here so the shard's Words reflect the whole vertex bundle.
-	sketchWords int
 }
 
 // Words implements mpc.Sized.
 func (s *vertexShard) Words() int {
-	return len(s.comp) + 2*s.nfrag + len(s.passive) + len(s.affected) + s.sketchWords + 2
+	return len(s.comp) + 2*s.nfrag + len(s.passive) + len(s.affected) + 2
 }
 
 // setFrag gives the vertex at column index i fragment key k.
@@ -312,11 +308,11 @@ func (lc *labelCache) dropParked() {
 // slotQCache on the coordinator machine; Words is read at round
 // boundaries only, while the coordinator driver is quiescent, so it needs
 // no synchronization.
-type cacheMeter struct{ f *Forest }
+type cacheMeter struct{ lc *labelCache }
 
 // Words implements mpc.Sized.
 func (c cacheMeter) Words() int {
-	lc := &c.f.cache
+	lc := c.lc
 	w := 2 * lc.valid
 	if lc.numCompsOK {
 		w++
@@ -464,7 +460,7 @@ func newForest(cfg Config, weighted bool, sketchWords int) (*Forest, error) {
 			}
 			mm.Set(slotVertex, vs)
 		} else {
-			mm.Set(slotQCache, cacheMeter{f})
+			mm.Set(slotQCache, cacheMeter{&f.cache})
 		}
 		mm.Set(slotEdge, &edgeShard{})
 	})

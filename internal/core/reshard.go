@@ -8,10 +8,11 @@ package core
 // that only what the rest is a function of (tree-edge records, per-vertex
 // sketch words, the coordinator's tour counter, the label cache's warm set,
 // cluster stats; see snapshot.go), so there is nothing to regroup: each state
-// has one loader, its Restore, which decodes the sections, derives the
-// component column from the tree edges (and from it every warm label and the
-// component count), checks the per-machine s-words budget of this instance's
-// shape and installs the image under this instance's placement. A loaded
+// has one loader, its Restore, which loads the image Forest.Image declares:
+// it decodes the sections, derives the component column from the tree edges
+// (and from it every warm label and the component count), checks the
+// per-machine s-words budget of this instance's shape and installs the image
+// under this instance's placement. A loaded
 // instance is indistinguishable from a fresh instance at its shape that was
 // fed the same update stream (labels, forest, sketches, and query answers are
 // bit-identical), and it re-saves the container byte for byte; its execution
@@ -23,15 +24,14 @@ package core
 //
 // Failure contract: every error — a configuration mismatch, tree edges that
 // are no forest, tree-edge records no Euler tour of that forest holds, a
-// sketch run of the wrong length, a memory-cap rejection (a
-// per-machine budget that cannot hold the state is never silently installed
-// in violation of the model) — is reported before any target state is
-// touched, so the instance may be reused.
+// sketch run of the wrong length, a memory-cap rejection (a per-machine
+// budget that cannot hold the state is never silently installed in violation
+// of the model) — is reported before any target state is touched, so the
+// instance may be reused (snapshot.Image.Load's order).
 
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/eulertour"
@@ -60,94 +60,120 @@ func ResizeConfig(cfg Config, machines int) (Config, error) {
 	return out, nil
 }
 
-// forestImage is the decode of a forest checkpoint: the logical state, not
-// yet placed.
-type forestImage struct {
-	nextID     uint64
-	numCompsOK bool
-	warm       []uint64 // the label cache's warm set (writeWarm's bitmap)
-	stats      mpc.Stats
-	// comp is the component column the tree edges fix (forestComponents) and
-	// roots the number of its components.
-	comp  []int
-	roots int
-	// recs holds every tree-edge record, grouped by the machine that owns it
-	// under the loading instance's placement, each group sorted by edge.
-	recs [][]treeEdge
-}
-
-// readImage decodes the tagForest section, validates it against the
-// invariants of a live instance and derives the component column.
-func (f *Forest) readImage(d *snapshot.Decoder) (*forestImage, error) {
-	d.Begin(tagForest)
-	if err := f.readConfig(d); err != nil {
-		return nil, err
-	}
+// Image declares the forest's full image: one section holding the
+// configuration echo, the tour-id counter, whether the component count is
+// cached, the label cache's warm set, the cluster stats and the tree-edge
+// records in edge-id order. Its cross-row checks derive the component column
+// from the tree edges (forestComponents), and with it every warm label and
+// the component count, and reject records no Euler tour of that forest holds
+// (checkTours). A DynamicConnectivity appends its sketch section, an
+// ExactMSF prepends its own.
+func (f *Forest) Image() *snapshot.Image {
 	n := f.cfg.N
-	img := &forestImage{recs: make([][]treeEdge, f.cl.Machines())}
-	img.nextID = d.U64()
-	img.numCompsOK = d.Bool()
-	var err error
-	if img.warm, err = readWarm(d, n); err != nil {
-		return nil, err
-	}
-	img.stats = snapshot.DecodeClusterStats(d)
-	// Count bounds the table against the section, so its reads cannot fail.
-	nr := d.Count(8)
-	edges := make([]graph.Edge, nr)
-	at := make([]int, nr) // edge j's index in its machine's group
-	for j := range nr {
-		ed := graph.Edge{U: d.Int(), V: d.Int()}
-		if ed.U < 0 || ed.U >= ed.V || ed.V >= n {
-			return nil, fmt.Errorf("core: snapshot holds invalid tree edge {%d,%d}", ed.U, ed.V)
+	var live []*treeEdge
+	for i := 0; i < f.cl.Machines(); i++ {
+		es := eShard(f.cl.Machine(i))
+		for j := range es.recs {
+			live = append(live, &es.recs[j])
 		}
-		if j > 0 && ed.ID(n) <= edges[j-1].ID(n) {
-			return nil, fmt.Errorf("core: snapshot lists tree edge {%d,%d} twice or out of edge-id order", ed.U, ed.V)
-		}
-		edges[j] = ed
-		te := treeEdge{rec: eulertour.Record{E: ed, Tour: eulertour.TourID(d.U64())}}
-		te.rec.UPos = [2]eulertour.Pos{d.Int(), d.Int()}
-		te.rec.VPos = [2]eulertour.Pos{d.Int(), d.Int()}
-		te.weight = d.I64()
-		// Decoded in edge-id order, so every group is appended sorted.
-		o := f.edgeOwner(ed)
-		at[j] = len(img.recs[o])
-		img.recs[o] = append(img.recs[o], te)
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
+	slices.SortFunc(live, func(a, b *treeEdge) int { return cmpEdge(a.rec.E, b.rec.E) })
+	next := snapshot.Scalar("next tour id", &f.nextID)
+	compsOK := snapshot.Scalar("component count cached", &f.cache.numCompsOK)
+	warm := f.warm()
+	edges := &snapshot.Table{Name: "tree edges", Len: len(live), Row: func(r int, row []uint64) {
+		te := live[r]
+		copy(row, []uint64{uint64(te.rec.E.U), uint64(te.rec.E.V), uint64(te.rec.Tour),
+			uint64(te.rec.UPos[0]), uint64(te.rec.UPos[1]), uint64(te.rec.VPos[0]), uint64(te.rec.VPos[1]), uint64(te.weight)})
+	}, Layout: snapshot.Layout{Width: 8, Key: 2, Order: "edge-id", Fields: []snapshot.Field{{Name: "u", Hi: n}, {Name: "v", Hi: n, Above: true}}}}
+	// What the checks derive: the component column the tree edges fix and
+	// the number of its components, and every record grouped by the machine
+	// that owns it under this instance's placement, each group sorted by edge.
+	var (
+		comp  []int
+		roots int
+		recs  [][]treeEdge
+	)
+	return &snapshot.Image{
+		Pkg:      "core",
+		Cluster:  f.cl,
+		Sections: []snapshot.Section{{Tag: tagForest, Parts: append(f.echo(), next, compsOK, warm, snapshot.Stats(f.cl), edges)}},
+		Check: func() (err error) {
+			all, es := make([]treeEdge, edges.Rows()), make([]graph.Edge, edges.Rows())
+			for j := range all {
+				w := edges.At(j)
+				i := func(k int) int { return int(int64(w[k])) }
+				all[j] = treeEdge{rec: eulertour.Record{E: graph.Edge{U: i(0), V: i(1)}, Tour: eulertour.TourID(w[2]),
+					UPos: [2]eulertour.Pos{i(3), i(4)}, VPos: [2]eulertour.Pos{i(5), i(6)}}, weight: int64(w[7])}
+				es[j] = all[j].rec.E
+			}
+			if comp, roots, err = forestComponents(n, es); err != nil {
+				return err
+			}
+			// Rows come in edge-id order, so every group is appended sorted.
+			recs = make([][]treeEdge, f.cl.Machines())
+			for _, te := range all {
+				o := f.edgeOwner(te.rec.E)
+				recs[o] = append(recs[o], te)
+			}
+			return checkTours(next.Val, comp, all)
+		},
+		Staged: func(m int, slot string) mpc.Sized {
+			switch slot {
+			case slotEdge:
+				return &edgeShard{recs: recs[m]}
+			case slotQCache:
+				lc := &labelCache{numCompsOK: compsOK.Val}
+				warm.Each(func(int) { lc.valid++ })
+				return cacheMeter{lc}
+			}
+			return nil
+		},
+		Install: func() {
+			lc := &f.cache
+			lc.numComps = roots
+			lc.installWarm(warm, func(v int) int { return comp[v] })
+			f.pending.reset() // riders of the state being replaced
+			f.cl.LocalAll(func(mm *mpc.Machine) {
+				if vs := vShard(mm); vs != nil {
+					copy(vs.comp, comp[vs.lo:vs.hi])
+				}
+				eShard(mm).recs = recs[mm.ID]
+			})
+		},
 	}
-	if img.comp, img.roots, err = forestComponents(n, edges); err == nil {
-		err = f.checkTours(img, edges, at)
-	}
-	return img, err
 }
 
 // checkTours rejects tree-edge records the apply path cannot produce: every
 // record is well formed (eulertour.Record.Validate), the records of one tree
 // share one tour id in [1, nextID) that no other tree uses, and a tree of k
 // records holds the tour positions 1..4k once each (the range PlanSplit
-// checks). It allocates per tree, never per record. Record j, of edges[j],
-// is at index at[j] of its machine's group.
-func (f *Forest) checkTours(img *forestImage, edges []graph.Edge, at []int) error {
+// checks). It allocates per tree, never per record. Record j is row j of
+// the tree-edge table.
+func checkTours(nextID uint64, comp []int, recs []treeEdge) error {
 	type tour struct {
 		id eulertour.TourID
-		// recs counts the tree's records; bit is its first bit in seen.
-		recs, bit int
+		// recs counts the tree's records; bit is its first bit in seen; row
+		// is the row of its last record.
+		recs, bit, row int
 	}
-	tours := make([]tour, f.cfg.N) // indexed by the tree's root
-	for j, e := range edges {
-		r, t := &img.recs[f.edgeOwner(e)][at[j]].rec, &tours[img.comp[e.U]]
+	reject := func(j int, format string, args ...any) error {
+		return fmt.Errorf("core: snapshot tree edges row %d: "+format, append([]any{j}, args...)...)
+	}
+	tours := make([]tour, len(comp)) // indexed by the tree's root
+	for j := range recs {
+		r := &recs[j].rec
+		e, t := r.E, &tours[comp[r.E.U]]
 		if err := r.Validate(); err != nil {
-			return fmt.Errorf("core: snapshot tree edge {%d,%d}: %w", e.U, e.V, err)
+			return reject(j, "tree edge {%d,%d}: %w", e.U, e.V, err)
 		}
-		if r.Tour == eulertour.NoTour || uint64(r.Tour) >= img.nextID {
-			return fmt.Errorf("core: snapshot tree edge {%d,%d} has tour id %d outside [1, %d)", e.U, e.V, r.Tour, img.nextID)
+		if r.Tour == eulertour.NoTour || uint64(r.Tour) >= nextID {
+			return reject(j, "tree edge {%d,%d} has tour id %d outside [1, %d)", e.U, e.V, r.Tour, nextID)
 		}
 		if t.recs > 0 && t.id != r.Tour {
-			return fmt.Errorf("core: snapshot tree of vertex %d spans tours %d and %d", img.comp[e.U], t.id, r.Tour)
+			return reject(j, "tree of vertex %d spans tours %d and %d", comp[e.U], t.id, r.Tour)
 		}
-		t.id = r.Tour
+		t.id, t.row = r.Tour, j
 		t.recs++
 	}
 	width := 0
@@ -156,12 +182,13 @@ func (f *Forest) checkTours(img *forestImage, edges []graph.Edge, at []int) erro
 		width += 4 * tours[i].recs
 	}
 	seen := make([]uint64, (width+63)/64)
-	for j, e := range edges {
-		r, t := &img.recs[f.edgeOwner(e)][at[j]].rec, &tours[img.comp[e.U]]
+	for j := range recs {
+		r := &recs[j].rec
+		t := &tours[comp[r.E.U]]
 		for _, p := range [...]eulertour.Pos{r.UPos[0], r.UPos[1], r.VPos[0], r.VPos[1]} {
 			b := t.bit + p - 1
 			if p < 1 || p > 4*t.recs || seen[b/64]&(1<<(b%64)) != 0 {
-				return fmt.Errorf("core: snapshot tour %d holds position %d twice or outside 1..%d", t.id, p, 4*t.recs)
+				return reject(j, "tour %d holds position %d twice or outside 1..%d", t.id, p, 4*t.recs)
 			}
 			seen[b/64] |= 1 << (b % 64)
 		}
@@ -170,7 +197,7 @@ func (f *Forest) checkTours(img *forestImage, edges []graph.Edge, at []int) erro
 	slices.SortFunc(tours, func(a, b tour) int { return cmp.Compare(a.id, b.id) })
 	for i := 1; i < len(tours); i++ {
 		if id := tours[i].id; id != eulertour.NoTour && id == tours[i-1].id {
-			return fmt.Errorf("core: snapshot gives tour id %d to two trees", id)
+			return reject(max(tours[i].row, tours[i-1].row), "gives tour id %d to two trees", id)
 		}
 	}
 	return nil
@@ -193,10 +220,10 @@ func forestComponents(n int, edges []graph.Edge) (comp []int, roots int, err err
 		return v
 	}
 	roots = n
-	for _, e := range edges {
+	for j, e := range edges {
 		ru, rv := find(e.U), find(e.V)
 		if ru == rv {
-			return nil, 0, fmt.Errorf("core: snapshot tree edge {%d,%d} closes a cycle", e.U, e.V)
+			return nil, 0, fmt.Errorf("core: snapshot tree edges row %d: tree edge {%d,%d} closes a cycle", j, e.U, e.V)
 		}
 		comp[max(ru, rv)] = min(ru, rv)
 		roots--
@@ -205,101 +232,4 @@ func forestComponents(n int, edges []graph.Edge) (comp []int, roots int, err err
 		comp[v] = comp[comp[v]]
 	}
 	return comp, roots, nil
-}
-
-// checkCaps tallies, per machine of this instance, the words the image will
-// occupy once installed and rejects the load if any machine would exceed its
-// s-words budget (the cluster's LocalMemory). sketchStride is the per-vertex
-// sketch footprint (0 for a bare forest). It touches no state.
-func (f *Forest) checkCaps(img *forestImage, sketchStride int) error {
-	m := f.cl.Machines()
-	budget := f.cl.LocalMemory()
-	for i := 0; i < m; i++ {
-		words := 8*len(img.recs[i]) + 1 // edge shard
-		if i == f.coord {
-			for _, w := range img.warm { // label-cache meter
-				words += 2 * bits.OnesCount64(w)
-			}
-			if img.numCompsOK {
-				words++
-			}
-		} else {
-			lo, hi := f.part.Range(i)
-			words += (hi - lo) + 2 // vertex shard
-			if sketchStride > 0 {
-				words += (hi-lo)*sketchStride + 1 // sketch arena
-			}
-		}
-		if words > budget {
-			return fmt.Errorf("core: restore onto %d machines (VerticesPerMachine=%d) rejected: machine %d needs %d words but the per-machine s-words budget is %d — the budget cannot hold the checkpointed state",
-				m, f.cfg.verticesPerMachine(), i, words, budget)
-		}
-	}
-	return nil
-}
-
-// installImage overwrites the forest with the image under this instance's
-// placement maps. Infallible: every validation already ran.
-func (f *Forest) installImage(img *forestImage) {
-	f.nextID = img.nextID
-	lc := &f.cache
-	lc.numComps, lc.numCompsOK = img.roots, img.numCompsOK
-	lc.installWarm(img.warm, func(v int) int { return img.comp[v] })
-	f.pending.reset() // riders of the state being replaced
-	f.cl.LocalAll(func(mm *mpc.Machine) {
-		if vs := vShard(mm); vs != nil {
-			copy(vs.comp, img.comp[vs.lo:vs.hi])
-		}
-		eShard(mm).recs = img.recs[mm.ID]
-	})
-	// Last, so that LocalAll's memory metering of the install itself does not
-	// leak into the metrics: a loaded instance's Stats are the checkpoint's.
-	f.cl.RestoreStats(img.stats)
-}
-
-// Restore loads a full forest checkpoint written at any machine count,
-// placing vertex and edge state under this instance's placement maps.
-func (f *Forest) Restore(d *snapshot.Decoder) error {
-	img, err := f.readImage(d)
-	if err == nil {
-		err = f.checkCaps(img, 0)
-	}
-	if err != nil {
-		return err
-	}
-	f.installImage(img)
-	return nil
-}
-
-// Restore loads a full dynamic-connectivity checkpoint written at any machine
-// count: the forest's image, then the sketch run, length-checked once; the
-// memory caps, which cover the arenas; then the install, after which every
-// arena takes its vertex range of the run with one copy. The sketch spaces are
-// rebuilt from the seed by the constructor; only the arena cell words are
-// reloaded.
-func (dc *DynamicConnectivity) Restore(d *snapshot.Decoder) error {
-	f := dc.f
-	stride := dc.space.SketchWords()
-	img, err := f.readImage(d)
-	if err != nil {
-		return err
-	}
-	d.Begin(tagSketches)
-	run := d.U64s()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(run) != f.cfg.N*stride {
-		return fmt.Errorf("core: snapshot sketch run of %d words, want %d (%d vertices × %d)", len(run), f.cfg.N*stride, f.cfg.N, stride)
-	}
-	if err := f.checkCaps(img, stride); err != nil {
-		return err
-	}
-	f.installImage(img)
-	for i := 0; i < f.coord; i++ { // unmetered, like Checkpoint's walk
-		sh := sShard(f.cl.Machine(i))
-		copy(sh.arena.Raw(), run[sh.lo*stride:])
-	}
-	dc.journal.Reset() // the loaded state is the new delta baseline
-	return nil
 }

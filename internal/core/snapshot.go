@@ -22,16 +22,14 @@ package core
 // the same base reproduces shards, arenas and tour ids bit for bit; only the
 // driver state a replay cannot rederive rides along.
 //
-// This file holds the writers (Checkpoint, CheckpointDelta), the warm-set
-// bitmap both write, and the delta reader (RestoreDelta); the one reader of a
-// full container, Restore, is in reshard.go. The container-level checks
-// (magic, version, CRC) have already rejected corrupt files before any reader
-// here runs.
+// This file holds the echo and the warm-set bitmap both kinds write, the
+// full checkpoint's Checkpoint and Restore (the image they encode and load,
+// Forest.Image, and its cross-row checks are in reshard.go) and the delta's
+// writer and reader. The container-level checks (magic, version, CRC) have
+// already rejected corrupt files before any reader here runs.
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/snapshot"
@@ -53,139 +51,74 @@ const (
 	tagReplayDelta = 0x1B
 )
 
-// writeConfig writes the configuration echo that opens the forest's full
-// section and the delta section: the state-shaping parameters a restoring
-// instance must match.
-func (f *Forest) writeConfig(e *snapshot.Encoder) {
-	e.Int(f.cfg.N)
-	e.F64(f.cfg.Phi)
-	e.Int(f.cfg.SketchCopies)
-	e.U64(f.cfg.Seed)
-	e.Bool(f.weighted)
-}
-
-// readConfig reads the configuration echo and validates it (Parallelism and
-// Strict are execution-engine choices, not state, and may differ between
-// writer and reader; so may the fleet shape).
-func (f *Forest) readConfig(d *snapshot.Decoder) error {
-	n := d.Int()
-	phi := d.F64()
-	copies := d.Int()
-	seed := d.U64()
-	weighted := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	switch {
-	case n != f.cfg.N:
-		return fmt.Errorf("core: snapshot of N=%d restored into N=%d", n, f.cfg.N)
-	case phi != f.cfg.Phi:
-		return fmt.Errorf("core: snapshot of Phi=%v restored into Phi=%v", phi, f.cfg.Phi)
-	case copies != f.cfg.SketchCopies:
-		return fmt.Errorf("core: snapshot of SketchCopies=%d restored into SketchCopies=%d", copies, f.cfg.SketchCopies)
-	case seed != f.cfg.Seed:
-		return fmt.Errorf("core: snapshot of Seed=%d restored into Seed=%d", seed, f.cfg.Seed)
-	case weighted != f.weighted:
-		return fmt.Errorf("core: snapshot weighted=%v restored into weighted=%v", weighted, f.weighted)
-	}
-	return nil
-}
-
-// Checkpoint serializes the forest as one section: configuration echo,
-// tour-id counter, whether the component count is cached, the label cache's
-// warm set, cluster stats, then the tree-edge records (see the file comment).
-// It reads the shards directly — no collective, no metering.
-func (f *Forest) Checkpoint(e *snapshot.Encoder) {
-	e.Begin(tagForest)
-	f.writeConfig(e)
-	e.U64(f.nextID)
-	e.Bool(f.cache.numCompsOK)
-	f.cache.writeWarm(e)
-	snapshot.EncodeClusterStats(e, f.cl.Stats())
-	var recs []*treeEdge
-	for i := 0; i < f.cl.Machines(); i++ {
-		es := eShard(f.cl.Machine(i))
-		for j := range es.recs {
-			recs = append(recs, &es.recs[j])
-		}
-	}
-	slices.SortFunc(recs, func(a, b *treeEdge) int { return cmpEdge(a.rec.E, b.rec.E) })
-	e.Int(len(recs))
-	for _, te := range recs {
-		e.Int(te.rec.E.U)
-		e.Int(te.rec.E.V)
-		e.U64(uint64(te.rec.Tour))
-		e.Int(te.rec.UPos[0])
-		e.Int(te.rec.UPos[1])
-		e.Int(te.rec.VPos[0])
-		e.Int(te.rec.VPos[1])
-		e.I64(te.weight)
+// echo is the configuration echo that opens the forest's full section and
+// the delta section: the state-shaping parameters a restoring instance must
+// match (Parallelism and Strict are execution-engine choices, not state, and
+// may differ between writer and reader; so may the fleet shape).
+func (f *Forest) echo() []snapshot.Part {
+	return []snapshot.Part{
+		snapshot.Echo("N", f.cfg.N),
+		snapshot.Echo("Phi", f.cfg.Phi),
+		snapshot.Echo("SketchCopies", f.cfg.SketchCopies),
+		snapshot.Echo("Seed", f.cfg.Seed),
+		snapshot.Echo("weighted", f.weighted),
 	}
 }
 
-// writeWarm writes the warm set — the vertices whose label is cached — as an
-// n-bit bitmap, ⌈n/64⌉ words with no length prefix (the echo fixes n), vertex
-// v at bit v%64 of word v/64. The labels are not written: each is its
-// vertex's component, which a loader reads off the restored column
-// (installWarm).
-func (lc *labelCache) writeWarm(e *snapshot.Encoder) {
-	var w uint64
-	for v, s := range lc.stamp {
-		if s == lc.epoch {
-			w |= 1 << (v % 64)
-		}
-		if v%64 == 63 || v == len(lc.stamp)-1 {
-			e.U64(w)
-			w = 0
-		}
-	}
-}
-
-// readWarm reads the bitmap writeWarm wrote for n vertices; a bit set past
-// vertex n-1 is an error.
-func readWarm(d *snapshot.Decoder, n int) ([]uint64, error) {
-	warm := make([]uint64, (n+63)/64)
-	for i := range warm {
-		warm[i] = d.U64()
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if tail := n % 64; tail != 0 && warm[len(warm)-1]>>tail != 0 {
-		return nil, fmt.Errorf("core: snapshot warm set names a vertex past %d", n-1)
-	}
-	return warm, nil
+// warm is the label cache's warm set — the vertices whose label is cached —
+// as an n-bit bitmap. The labels are not written: each is its vertex's
+// component, which a loader reads off the restored column (installWarm).
+func (f *Forest) warm() *snapshot.Bitmap {
+	lc := &f.cache
+	return &snapshot.Bitmap{Name: "warm set", N: f.cfg.N, Has: func(v int) bool { return lc.stamp[v] == lc.epoch }}
 }
 
 // installWarm makes the cache hold exactly the warm set, stamped in the
 // current epoch, each label read off the component column (compOf).
-func (lc *labelCache) installWarm(warm []uint64, compOf func(v int) int) {
+func (lc *labelCache) installWarm(warm *snapshot.Bitmap, compOf func(v int) int) {
 	clear(lc.stamp)
 	clear(lc.pend)
 	lc.valid = 0
-	for i, w := range warm {
-		for ; w != 0; w &= w - 1 {
-			v := 64*i + bits.TrailingZeros64(w)
-			lc.labels[v] = compOf(v)
-			lc.stamp[v] = lc.epoch
-			lc.valid++
-		}
-	}
+	warm.Each(func(v int) {
+		lc.labels[v] = compOf(v)
+		lc.stamp[v] = lc.epoch
+		lc.valid++
+	})
 }
 
-// Checkpoint serializes the full dynamic-connectivity state: the forest's
-// section, then one section holding the sketch words of every vertex in
-// vertex order (the arenas back to back).
-func (dc *DynamicConnectivity) Checkpoint(e *snapshot.Encoder) {
+// Checkpoint serializes the forest as one section (Image). It reads the
+// shards directly — no collective, no metering.
+func (f *Forest) Checkpoint(e *snapshot.Encoder) { f.Image().Encode(e) }
+
+// Restore loads a full forest checkpoint written at any machine count,
+// placing vertex and edge state under this instance's placement maps.
+func (f *Forest) Restore(d *snapshot.Decoder) error { return f.Image().Load(d) }
+
+// image is the full dynamic-connectivity image: the forest's section, then
+// one section holding the sketch words of every vertex in vertex order (the
+// arenas back to back), length-checked once, covered by the memory caps and
+// committed with one copy per arena. The sketch spaces are rebuilt from the
+// seed by the constructor; only the arena cell words are reloaded.
+func (dc *DynamicConnectivity) image() *snapshot.Image {
 	f := dc.f
-	f.Checkpoint(e)
-	run := f.cfg.N * dc.space.SketchWords()
-	e.Grow(3 + run) // the section header, the length word and the run
-	e.Begin(tagSketches)
-	e.Int(run)
-	for i := 0; i < f.coord; i++ {
-		e.Words(sShard(f.cl.Machine(i)).arena.Raw())
+	img := f.Image()
+	sketches := &snapshot.Column{Name: "sketch", Part: f.part, Layout: snapshot.Layout{Width: dc.space.SketchWords()},
+		Words: func(m int) []uint64 { return sShard(f.cl.Machine(m)).arena.Raw() }}
+	img.Sections = append(img.Sections, snapshot.Section{Tag: tagSketches, Parts: []snapshot.Part{sketches}})
+	return img
+}
+
+// Checkpoint serializes the full dynamic-connectivity state (image).
+func (dc *DynamicConnectivity) Checkpoint(e *snapshot.Encoder) { dc.image().Encode(e) }
+
+// Restore loads a full dynamic-connectivity checkpoint written at any machine
+// count (image); the loaded state is the new delta baseline.
+func (dc *DynamicConnectivity) Restore(d *snapshot.Decoder) error {
+	if err := dc.image().Load(d); err != nil {
+		return err
 	}
+	dc.journal.Reset()
+	return nil
 }
 
 // treeEdges counts the forest's records (a driver-level readout, like
@@ -211,15 +144,14 @@ func (f *Forest) treeEdges() int {
 func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) bool {
 	f := dc.f
 	e.Begin(tagReplayDelta)
-	f.writeConfig(e)
-	e.Int(f.cl.Machines())
+	snapshot.Put(e, append(f.echo(), snapshot.Echo("machines", f.cl.Machines()))...)
 	if !dc.journal.Encode(e) {
 		return false
 	}
 	e.U64(f.nextID)
 	e.Int(f.treeEdges())
 	e.Bool(f.cache.numCompsOK)
-	f.cache.writeWarm(e)
+	snapshot.Put(e, f.warm())
 	snapshot.EncodeClusterStats(e, f.cl.Stats())
 	return true
 }
@@ -238,11 +170,9 @@ func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) bool {
 func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder, then func(graph.Batch) error) (snapshot.Replay, error) {
 	f := dc.f
 	d.Begin(tagReplayDelta)
-	if err := f.readConfig(d); err != nil {
+	// A delta extends a base of its own fleet shape only.
+	if err := snapshot.Get(d, "core", append(f.echo(), snapshot.Echo("machines", f.cl.Machines()))...); err != nil {
 		return snapshot.Replay{}, err
-	}
-	if mach := d.Int(); d.Err() == nil && mach != f.cl.Machines() {
-		return snapshot.Replay{}, fmt.Errorf("core: delta written on %d machines cannot extend a base on %d", mach, f.cl.Machines())
 	}
 	replayed, err := snapshot.ReplayJournal(d, f.cfg.N, dc.MaxBatch(), func(b graph.Batch) error {
 		if err := dc.applyBatch(b); err != nil || then == nil {
@@ -255,8 +185,8 @@ func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder, then func(graph
 	}
 	nextID, treeEdges := d.U64(), d.Int()
 	numCompsOK := d.Bool()
-	warm, err := readWarm(d, f.cfg.N)
-	if err != nil {
+	warm := f.warm()
+	if err := snapshot.Get(d, "core", warm); err != nil {
 		return replayed, err
 	}
 	st := snapshot.DecodeClusterStats(d)

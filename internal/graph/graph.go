@@ -270,6 +270,19 @@ func (g *Graph) Check(b Batch) error {
 	return nil
 }
 
+// Admit checks b against g and, only if the whole batch is valid, applies
+// it: a refused batch leaves g untouched and is reported with Check's own
+// diagnostic. It is how a front door takes outside updates into its mirror.
+func (g *Graph) Admit(b Batch) error {
+	if err := g.Check(b); err != nil {
+		return err
+	}
+	if err := g.Apply(b); err != nil {
+		panic(fmt.Sprintf("graph: a checked batch failed to apply: %v", err))
+	}
+	return nil
+}
+
 // Neighbors calls fn for every neighbor of u with the edge weight, in
 // unspecified order, stopping early if fn returns false.
 func (g *Graph) Neighbors(u int, fn func(v int, w int64) bool) {

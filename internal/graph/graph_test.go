@@ -235,6 +235,27 @@ func TestGraphCheck(t *testing.T) {
 	}
 }
 
+// TestGraphAdmit pins the atomic admission front doors share: a batch
+// Check refuses leaves the graph exactly as it was, with Check's diagnostic;
+// a valid one is applied whole.
+func TestGraphAdmit(t *testing.T) {
+	g := New(4)
+	if err := g.Admit(Batch{Ins(0, 1), Ins(1, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	bad := Batch{Ins(2, 3), Del(0, 3)}
+	want := g.Check(bad)
+	if err := g.Admit(bad); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Admit(%v) = %v, want Check's %v", bad, err, want)
+	}
+	if g.M() != 2 || g.Has(2, 3) {
+		t.Fatalf("a refused batch changed the graph: %v", g.Edges())
+	}
+	if err := g.Admit(Batch{Ins(2, 3), Del(0, 1)}); err != nil || g.M() != 2 || !g.Has(2, 3) || g.Has(0, 1) {
+		t.Fatalf("a valid batch was not applied whole: %v, %v", err, g.Edges())
+	}
+}
+
 func TestGraphNeighborsAndDegree(t *testing.T) {
 	g := New(4)
 	_ = g.Insert(0, 1, 1)

@@ -1,0 +1,176 @@
+package harness
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/session"
+	"repro/internal/snapshot"
+	"repro/internal/workload"
+)
+
+// containerDigests pins the SHA-256 of containers every loader must keep
+// reading and every writer must keep writing: the full container of each
+// registered algorithm after the run TestLoadIsReshardAtTheSourceShape
+// saves (the same at p1 and p8), one connectivity delta and one session
+// container (meta echo, mirror edge set and connectivity state).
+var containerDigests = map[string]string{
+	"approxmsf":          "e57b5a6b401af9ceea5bf9d936cfe7668775da2d35b53387f5ee05812bdd5e63",
+	"bipartite":          "83dc400bc523d00a1a73cbe58a1a4a51decc78e7243aa5e1c6c3ec08b755420d",
+	"connectivity":       "9b92da57ba341e0db1f60fc3e4f14ba14d095165bad37ed1d4b583d8505fb2ab",
+	"dynmatching":        "04e7598e9568de2fa9f2b74d67635f9f5e2ff7b6f32448409da58d06a693e2da",
+	"matching":           "aa01296f1438d467c26f2bfdae52bcc92ebcbd91a3f70a293cb3fd8b697afac2",
+	"msf":                "a5807a914c60923c68e18063ba235f38a3e8ab4e66f92b4141898979f61ebfae",
+	"nowickionak":        "6b67a431c6d8ea0c27a9b9e75c78c87a7f6fede345043b0c24b53f8a9fcd5d31",
+	"connectivity-delta": "4c0b218ad66bfc72206414e9200babe461dfd1cba244005f6dca416313676568",
+	"session":            "8d14b9d017802f8a3800d6e5e1a1e0f8ddecafe65155ae14ee0857ca8b33c590",
+}
+
+// TestContainerBytesPinned fails when any container's bytes move: a layout
+// change takes a new tag (the version policy of package snapshot), and a
+// refactor of a writer or loader changes no byte. The failure lists every
+// digest it computed.
+func TestContainerBytesPinned(t *testing.T) {
+	got := map[string]string{}
+	digest := func(name string, data []byte) {
+		d := fmt.Sprintf("%x", sha256.Sum256(data))
+		if prev, ok := got[name]; ok && prev != d {
+			t.Errorf("%s: the container differs between p1 and p8", name)
+		}
+		got[name] = d
+	}
+	for _, par := range []int{1, 8} {
+		for _, name := range AlgorithmNames() {
+			algo, err := GetAlgorithm(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := workload.Get(map[string]string{
+				"connectivity": "churn", "bipartite": "churn", "msf": "grow-weighted", "approxmsf": "churn-weighted",
+				"matching": "grow", "dynmatching": "churn", "nowickionak": "churn",
+			}[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := faultOptions(par)
+			opt.FaultEvery = 0
+			live, _, _, err := runScenario(algo, sc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := snapshot.Save(&buf, live); err != nil {
+				t.Fatal(err)
+			}
+			digest(name, buf.Bytes())
+		}
+		digest("connectivity-delta", pinDelta(t, par))
+		digest("session", pinSession(t, par))
+	}
+	for name, want := range containerDigests {
+		if got[name] != want {
+			t.Errorf("%s: container digest %s, pinned %s", name, got[name], want)
+		}
+	}
+	if t.Failed() {
+		for _, name := range append(AlgorithmNames(), "connectivity-delta", "session") {
+			t.Logf("%q: %q,", name, got[name])
+		}
+	}
+}
+
+// pinBatches is a churn stream on 48 vertices in batches of 4.
+func pinBatches(t *testing.T, k int) []graph.Batch {
+	t.Helper()
+	sc, err := workload.Get("churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := sc.New(48, 7)
+	out := make([]graph.Batch, k)
+	for i := range out {
+		out[i] = gen.Next(4)
+	}
+	return out
+}
+
+var pinShape = core.Config{N: 48, Phi: 0.6, Seed: 5, VerticesPerMachine: 8}
+
+// open reads a container back out of a store.
+func open(t *testing.T, store snapshot.Store, name string) []byte {
+	t.Helper()
+	r, err := store.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// pinDelta returns the delta a bare connectivity instance writes after a
+// full base, with a warm label cache.
+func pinDelta(t *testing.T, par int) []byte {
+	t.Helper()
+	cfg := pinShape
+	cfg.Parallelism = par
+	dc, err := core.NewDynamicConnectivity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := snapshot.NewMemStore()
+	chain := snapshot.OpenChainIn(store, "pin", 4)
+	for i, b := range pinBatches(t, 12) {
+		if err := dc.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 {
+			if kind, _, err := chain.Checkpoint(dc); err != nil || kind != "full" {
+				t.Fatalf("base checkpoint: %s, %v", kind, err)
+			}
+		}
+	}
+	dc.ConnectedAll([]core.Pair{{U: 0, V: 1}, {U: 2, V: 40}, {U: 7, V: 47}})
+	if kind, _, err := chain.Checkpoint(dc); err != nil || kind != "delta" {
+		t.Fatalf("delta checkpoint: %s, %v", kind, err)
+	}
+	return open(t, store, "pin.delta-001")
+}
+
+// pinSession returns the full container of a connectivity session with a
+// mirror.
+func pinSession(t *testing.T, par int) []byte {
+	t.Helper()
+	store := snapshot.NewMemStore()
+	shape := pinShape
+	shape.Parallelism = par
+	s, err := session.New(session.Config{
+		Shape:  shape,
+		New:    func(sh session.Shape) (session.State, error) { return core.NewDynamicConnectivity(sh) },
+		Chain:  snapshot.OpenChainIn(store, "pin", 4),
+		Mirror: session.NewMirror(shape.N),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range pinBatches(t, 10) {
+		if err := s.Mirror().Admit(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c, err := s.Checkpoint(); err != nil || c.Kind != "full" {
+		t.Fatalf("session checkpoint: %+v, %v", c, err)
+	}
+	return open(t, store, "pin")
+}

@@ -35,14 +35,17 @@ type ExactMSF struct {
 	weightOK bool
 }
 
+// slotWeight is the coordinator slot of the weight readout's meter.
+const slotWeight = "wc"
+
 // weightMeter folds the driver-level cached forest-weight readout into the
 // MPC memory ledger (one word while the cache is valid), like the
 // coordinator label-cache metering in package core.
-type weightMeter struct{ m *ExactMSF }
+type weightMeter struct{ ok *bool }
 
 // Words implements mpc.Sized.
 func (w weightMeter) Words() int {
-	if w.m.weightOK {
+	if *w.ok {
 		return 1
 	}
 	return 0
@@ -56,7 +59,7 @@ func NewExactMSF(cfg core.Config) (*ExactMSF, error) {
 		return nil, err
 	}
 	m := &ExactMSF{f: f}
-	f.MeterCoordinator("wc", weightMeter{m})
+	f.MeterCoordinator(slotWeight, weightMeter{&m.weightOK})
 	return m, nil
 }
 

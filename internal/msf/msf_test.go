@@ -1,12 +1,16 @@
 package msf
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hash"
+	"repro/internal/mpc"
 	"repro/internal/oracle"
+	"repro/internal/snapshot"
 )
 
 func cfg(n int, phi float64, seed uint64) core.Config {
@@ -354,5 +358,53 @@ func TestExactMSFSnapshotWeightsMatchGraph(t *testing.T) {
 		if !ok || w != e.Weight {
 			t.Errorf("snapshot edge %v weight %d, graph %d (ok %v)", e.Edge, e.Weight, w, ok)
 		}
+	}
+}
+
+// TestRestoreCountsTheWeightReadout hand-builds exact-MSF containers, as
+// outside input would arrive, whose coordinator holds exactly its budget of
+// 64 words (1 vertex per machine) without the cached weight readout: the
+// edge shard's word and 31 warm labels with a cached component count. With
+// the weight cached the readout's word (weightMeter) overflows the
+// coordinator, so the load is rejected and the target left untouched;
+// uncached, the same container loads.
+func TestRestoreCountsTheWeightReadout(t *testing.T) {
+	shape := core.Config{N: 32, Phi: 0.6, Seed: 3, VerticesPerMachine: 1}
+	build := func(weightOK bool) []byte {
+		e := snapshot.NewEncoder()
+		e.Begin(tagExactMSF)
+		e.Int(0) // swap waves
+		e.I64(0) // weight
+		e.Bool(weightOK)
+		e.Begin(0x1A) // the forest
+		e.Int(shape.N)
+		e.F64(shape.Phi)
+		e.Int(shape.SketchCopies)
+		e.U64(shape.Seed)
+		e.Bool(true)     // weighted
+		e.U64(1)         // next tour id
+		e.Bool(true)     // component count cached
+		e.U64(1<<31 - 1) // warm set: vertices 0..30
+		snapshot.EncodeClusterStats(e, mpc.Stats{})
+		e.Int(0) // no tree edges
+		var buf bytes.Buffer
+		if _, err := e.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	m, err := NewExactMSF(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = snapshot.Load(bytes.NewReader(build(true)), m)
+	if err == nil || !strings.Contains(err.Error(), "machine 32 needs 65 words") {
+		t.Fatalf("coordinator past its budget not rejected: %v", err)
+	}
+	if m.weightOK {
+		t.Fatal("the rejected load installed the weight readout")
+	}
+	if err := snapshot.Load(bytes.NewReader(build(false)), m); err != nil {
+		t.Fatalf("the container without the weight readout: %v", err)
 	}
 }

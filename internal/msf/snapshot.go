@@ -1,19 +1,18 @@
 package msf
 
 // Checkpoint/restore of the MSF algorithms (see package snapshot). The
-// exact MSF is its weighted forest plus driver-level counters; the
-// approximate structures are their per-level connectivity instances (the
-// thresholds are rederived from eps and validated by the level count).
-// Each loads a full container written at any machine count (see
-// core/reshard.go): the driver-level state is machine-count-independent and
-// the underlying forest / connectivity instances hold no placement either;
-// each installs its state under its own. An error of the first (or only)
-// underlying instance leaves the target untouched; one of a later level
-// leaves the earlier levels loaded, so the target must be discarded.
+// exact MSF is its driver-level counters plus its weighted forest, one image
+// on the forest's fleet; the approximate structures are their per-level
+// connectivity instances (the thresholds are rederived from eps and
+// validated by the level count). Each loads a full container written at any
+// machine count: the driver-level state is machine-count-independent and the
+// underlying forest / connectivity instances hold no placement either; each
+// installs its state under its own. An error of the exact MSF, or of the
+// first level, leaves the target untouched; one of a later level leaves the
+// earlier levels loaded, so the target must be discarded.
 
 import (
-	"fmt"
-
+	"repro/internal/mpc"
 	"repro/internal/snapshot"
 )
 
@@ -23,66 +22,50 @@ const (
 	tagApproxMSF = 0x21
 )
 
-// Checkpoint serializes the exact-MSF state: the driver-level counters and
-// the underlying weighted forest.
-func (m *ExactMSF) Checkpoint(e *snapshot.Encoder) {
-	e.Begin(tagExactMSF)
-	e.Int(m.swapWaves)
-	e.I64(m.weight)
-	e.Bool(m.weightOK)
-	m.f.Checkpoint(e)
+// image is the exact MSF's full image: a section of its driver-level
+// counters ahead of the forest's (core.Forest.Image). The coordinator's cap
+// check counts the weight readout the load installs (weightMeter).
+func (m *ExactMSF) image() *snapshot.Image {
+	img := m.f.Image()
+	img.Pkg = "msf"
+	weightOK := snapshot.Scalar("weight cached", &m.weightOK)
+	img.Sections = append([]snapshot.Section{{Tag: tagExactMSF, Parts: []snapshot.Part{
+		snapshot.Scalar("swap waves", &m.swapWaves), snapshot.Scalar("weight", &m.weight), weightOK,
+	}}}, img.Sections...)
+	staged := img.Staged
+	img.Staged = func(i int, slot string) mpc.Sized {
+		if slot == slotWeight {
+			return weightMeter{&weightOK.Val}
+		}
+		return staged(i, slot)
+	}
+	return img
 }
+
+// Checkpoint serializes the exact-MSF state (image).
+func (m *ExactMSF) Checkpoint(e *snapshot.Encoder) { m.image().Encode(e) }
 
 // Restore loads a checkpoint written by Checkpoint, at any machine count,
 // into this freshly constructed instance.
-func (m *ExactMSF) Restore(d *snapshot.Decoder) error {
-	d.Begin(tagExactMSF)
-	swapWaves := d.Int()
-	weight := d.I64()
-	weightOK := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
+func (m *ExactMSF) Restore(d *snapshot.Decoder) error { return m.image().Load(d) }
+
+// image is the approximate MSF's own section, the configuration its levels
+// were built from, and then every level's connectivity instance.
+func (a *ApproxMSF) image() *snapshot.Image {
+	img := &snapshot.Image{Pkg: "msf", Sections: []snapshot.Section{{Tag: tagApproxMSF, Parts: []snapshot.Part{
+		snapshot.Echo("n", a.n), snapshot.Echo("eps", a.eps), snapshot.Echo("levels", len(a.levels)),
+	}}}}
+	for _, dc := range a.levels {
+		img.Then = append(img.Then, dc)
 	}
-	if err := m.f.Restore(d); err != nil {
-		return err
-	}
-	m.swapWaves, m.weight, m.weightOK = swapWaves, weight, weightOK
-	return nil
+	return img
 }
 
 // Checkpoint serializes every level's connectivity instance.
-func (a *ApproxMSF) Checkpoint(e *snapshot.Encoder) {
-	e.Begin(tagApproxMSF)
-	e.Int(a.n)
-	e.F64(a.eps)
-	e.Int(len(a.levels))
-	for _, dc := range a.levels {
-		dc.Checkpoint(e)
-	}
-}
+func (a *ApproxMSF) Checkpoint(e *snapshot.Encoder) { a.image().Encode(e) }
 
 // Restore loads a checkpoint written by Checkpoint, at any machine count,
 // re-sharding every level's connectivity instance. The instance must have
 // been built with the same configuration (eps and maxWeight determine the
 // level count, which is validated).
-func (a *ApproxMSF) Restore(d *snapshot.Decoder) error {
-	d.Begin(tagApproxMSF)
-	n := d.Int()
-	eps := d.F64()
-	levels := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != a.n || eps != a.eps {
-		return fmt.Errorf("msf: snapshot of (n=%d, eps=%v) restored into (n=%d, eps=%v)", n, eps, a.n, a.eps)
-	}
-	if levels != len(a.levels) {
-		return fmt.Errorf("msf: snapshot of %d levels restored into %d", levels, len(a.levels))
-	}
-	for _, dc := range a.levels {
-		if err := dc.Restore(d); err != nil {
-			return err
-		}
-	}
-	return d.Err()
-}
+func (a *ApproxMSF) Restore(d *snapshot.Decoder) error { return a.image().Load(d) }

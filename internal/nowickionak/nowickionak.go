@@ -39,11 +39,11 @@ const (
 // sizeMeter folds the coordinator's cached matching-size readout into the
 // MPC memory ledger (one word while the cache is valid), mirroring the
 // label-cache metering of package core.
-type sizeMeter struct{ m *Matcher }
+type sizeMeter struct{ ok *bool }
 
 // Words implements mpc.Sized.
 func (s sizeMeter) Words() int {
-	if s.m.sizeOK {
+	if *s.ok {
 		return 1
 	}
 	return 0
@@ -113,7 +113,7 @@ func New(cfg core.Config) (*Matcher, error) {
 		}
 		mm.Set(slotShard, sh)
 	})
-	cl.Machine(m.coord).Set(slotSize, sizeMeter{m})
+	cl.Machine(m.coord).Set(slotSize, sizeMeter{&m.sizeOK})
 	return m, nil
 }
 

@@ -9,7 +9,9 @@ package nowickionak
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"math"
+	"slices"
 
 	"repro/internal/mpc"
 	"repro/internal/snapshot"
@@ -20,102 +22,73 @@ import (
 // migrated.
 const tagMatcher = 0x42
 
-// Checkpoint serializes the matcher state. Adjacency maps are emitted in
-// sorted neighbor order so a checkpoint is a deterministic function of the
-// logical state.
-func (m *Matcher) Checkpoint(e *snapshot.Encoder) {
-	e.Begin(tagMatcher)
-	e.Int(m.n)
-	e.Int(m.retryRounds)
-	e.Int(m.size)
-	e.Bool(m.sizeOK)
-	snapshot.EncodeClusterStats(e, m.cl.Stats())
-	e.Int(m.n)
-	for i := 0; i < m.coord; i++ { // the vertex machines, in vertex order
-		for _, p := range getShard(m.cl.Machine(i)).match {
-			e.Int(p)
+// image declares the matcher's full image. Each vertex's adjacency is a
+// table of (neighbour, multiplicity) entries in neighbour order; the install
+// sets each shard's adjacency meter to the words its tables decoded to, which
+// is also what the cap check counts for it.
+func (m *Matcher) image() *snapshot.Image {
+	sizeOK := snapshot.Scalar("size cached", &m.sizeOK)
+	parts := []snapshot.Part{
+		snapshot.Echo("N", m.n), snapshot.Scalar("retry rounds", &m.retryRounds), snapshot.Scalar("size", &m.size), sizeOK,
+		snapshot.Stats(m.cl),
+		&snapshot.Column{Name: "match", Part: m.part, Layout: snapshot.Layout{Width: 1, Fields: []snapshot.Field{{Name: "partner", Lo: -1, Hi: m.n}}},
+			Ints: func(i int) []int { return getShard(m.cl.Machine(i)).match }},
+	}
+	entry := snapshot.Layout{Width: 2, Key: 1, Order: "neighbour", Fields: []snapshot.Field{{Name: "neighbour", Hi: m.n}, {Name: "multiplicity", Lo: 1, Hi: math.MaxInt}}}
+	adj := make([]*snapshot.Table, m.n)
+	for i := range m.part.Machines {
+		sh := getShard(m.cl.Machine(i))
+		for j, a := range sh.adj {
+			keys := slices.Sorted(maps.Keys(a))
+			adj[sh.lo+j] = &snapshot.Table{Name: fmt.Sprintf("adjacency of vertex %d", sh.lo+j), Layout: entry, Len: len(keys),
+				Row: func(r int, row []uint64) { row[0], row[1] = uint64(keys[r]), uint64(a[keys[r]]) }}
+			parts = append(parts, adj[sh.lo+j])
 		}
 	}
-	for i := 0; i < m.coord; i++ {
-		for _, adj := range getShard(m.cl.Machine(i)).adj {
-			ns := make([]int, 0, len(adj))
-			for o := range adj {
-				ns = append(ns, o)
-			}
-			sort.Ints(ns)
-			e.Int(len(ns))
-			for _, o := range ns {
-				e.Int(o)
-				e.Int(adj[o])
-			}
+	words := func(lo, hi int) (k int) {
+		for _, t := range adj[lo:hi] {
+			k += t.Rows() * t.Width
 		}
+		return k
+	}
+	return &snapshot.Image{
+		Pkg:      "nowickionak",
+		Cluster:  m.cl,
+		Sections: []snapshot.Section{{Tag: tagMatcher, Parts: parts}},
+		Staged: func(i int, slot string) mpc.Sized {
+			switch slot {
+			case slotShard:
+				lo, hi := m.part.Range(i)
+				return &shard{lo: lo, hi: hi, words: words(lo, hi)}
+			case slotSize:
+				return sizeMeter{&sizeOK.Val}
+			}
+			return nil
+		},
+		Install: func() {
+			for i := range m.part.Machines {
+				sh := getShard(m.cl.Machine(i))
+				for j := range sh.adj {
+					t := adj[sh.lo+j]
+					sh.adj[j] = make(map[int]int, t.Rows())
+					for r := range t.Rows() {
+						sh.adj[j][int(t.At(r)[0])] = int(t.At(r)[1])
+					}
+				}
+				sh.words = words(sh.lo, sh.hi)
+			}
+		},
 	}
 }
 
+// Checkpoint serializes the matcher state. Adjacency maps are emitted in
+// sorted neighbour order so a checkpoint is a deterministic function of the
+// logical state.
+func (m *Matcher) Checkpoint(e *snapshot.Encoder) { m.image().Encode(e) }
+
 // Restore loads a checkpoint written by Checkpoint, at any machine count,
-// into this freshly constructed matcher (see core/reshard.go for the
-// scheme). The columns are validated — configuration, partners, adjacency,
-// and each target machine's memory budget — before they are installed under
-// this instance's partition, so every rejection leaves the matcher untouched.
-func (m *Matcher) Restore(d *snapshot.Decoder) error {
-	d.Begin(tagMatcher)
-	n := d.Int()
-	retryRounds, size, sizeOK := d.Int(), d.Int(), d.Bool()
-	st := snapshot.DecodeClusterStats(d)
-	match := d.Ints()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != m.n {
-		return fmt.Errorf("nowickionak: snapshot of N=%d restored into N=%d", n, m.n)
-	}
-	if len(match) != n {
-		return fmt.Errorf("nowickionak: snapshot match column of %d entries, want %d", len(match), n)
-	}
-	for v, p := range match {
-		if p < -1 || p >= n {
-			return fmt.Errorf("nowickionak: snapshot gives vertex %d invalid match partner %d", v, p)
-		}
-	}
-	adj := make([]map[int]int, n)
-	for v := range adj {
-		cnt := d.Count(2)
-		adj[v] = make(map[int]int, cnt)
-		for j, prev := 0, -1; j < cnt; j++ {
-			o, mult := d.Int(), d.Int()
-			if o <= prev || o >= n || mult <= 0 {
-				return fmt.Errorf("nowickionak: snapshot vertex %d holds invalid adjacency (%d, ×%d)", v, o, mult)
-			}
-			adj[v][o], prev = mult, o
-		}
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < m.coord; i++ {
-		lo, hi := m.part.Range(i)
-		words := 2*(hi-lo) + 2
-		for _, a := range adj[lo:hi] {
-			words += 2 * len(a)
-		}
-		if words > m.cl.LocalMemory() {
-			return fmt.Errorf("nowickionak: restore onto %d machines rejected: machine %d needs %d words but the per-machine budget is %d",
-				m.cl.Machines(), i, words, m.cl.LocalMemory())
-		}
-	}
-	m.retryRounds, m.size, m.sizeOK = retryRounds, size, sizeOK
-	m.cl.LocalAll(func(mm *mpc.Machine) {
-		if sh := getShard(mm); sh != nil {
-			copy(sh.match, match[sh.lo:sh.hi])
-			copy(sh.adj, adj[sh.lo:sh.hi])
-			sh.words = 0
-			for _, a := range sh.adj {
-				sh.words += 2 * len(a)
-			}
-		}
-	})
-	// Last, so that LocalAll's memory metering of the install itself does not
-	// leak into the metrics: a loaded instance's Stats are the checkpoint's.
-	m.cl.RestoreStats(st)
-	return nil
-}
+// into this freshly constructed matcher. The columns are validated —
+// configuration, partners, adjacency, and each target machine's memory
+// budget — before they are installed under this instance's partition, so
+// every rejection leaves the matcher untouched.
+func (m *Matcher) Restore(d *snapshot.Decoder) error { return m.image().Load(d) }

@@ -1,8 +1,6 @@
 package session
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/snapshot"
 )
@@ -30,18 +28,8 @@ func NewMirror(n int) *Mirror { return &Mirror{g: graph.New(n)} }
 func (m *Mirror) Graph() *graph.Graph { return m.g }
 
 // Admit validates b against the mirror and, only if the whole batch is
-// valid, applies it. A refused batch leaves the mirror untouched and is
-// reported with graph.Check's own diagnostic.
-func (m *Mirror) Admit(b graph.Batch) error {
-	if err := m.g.Check(b); err != nil {
-		return err
-	}
-	if err := m.g.Apply(b); err != nil {
-		// Unreachable after Check; fail loudly rather than desync.
-		return fmt.Errorf("mirror diverged: %w", err)
-	}
-	return nil
-}
+// valid, applies it (graph.Graph.Admit).
+func (m *Mirror) Admit(b graph.Batch) error { return m.g.Admit(b) }
 
 // tagMirror is the mirror's section: its edge set, in full containers only.
 // 0x73 and 0x74 were its journals in deltas (flat, then with batch

@@ -130,12 +130,11 @@
 // machine, no machine id, vertex range or writer's machine count. Which
 // machine holds what is a deterministic rule of the loading instance
 // (contiguous vertex ranges, hashed edge owners), so there is nothing to
-// regroup: each state has one loader, its Restore (core/reshard.go describes
-// the connectivity stack's), which decodes the sections, validates them,
-// checks its own fleet's memory caps and installs them under its own
-// placement. A container is therefore a function of the state alone: loaded
-// at any shape, the instance re-saves it byte for byte. (The sparsifier of
-// matching.AKLYDynamic keeps per-machine sections: its fleet is a constant.)
+// regroup: each state has one loader, its Restore, which loads the image it
+// declares (see Columns) under its own placement. A container is therefore a
+// function of the state alone: loaded at any shape, the instance re-saves it
+// byte for byte. (The sparsifier of matching.AKLYDynamic keeps one group per
+// machine: its fleet is a constant.)
 // Three rules keep it safe:
 //
 //   - The loading instance's per-machine memory budget is re-validated
@@ -159,6 +158,49 @@
 // target shape all along — the property the harness fault-twin and soak
 // tests assert for every registered algorithm.
 //
+// # Columns
+//
+// No state hand-writes its full image. It declares one (Image): its sections
+// in order, each a list of parts, and one codec encodes, decodes, validates
+// and cap-checks every part from that declaration. The parts are
+//
+//   - Echo: a configuration value written from the instance and compared on
+//     load ("snapshot of N=64 restored into N=48"), never installed;
+//   - Scalar: a coordinator value, staged by a load in Var.Val (where the
+//     state's checks read it) and installed once the whole image passed;
+//   - Stats: the cluster's execution metrics, installed verbatim, so a
+//     loaded instance's Stats are the checkpoint's;
+//   - Bitmap: a set of vertices, n bits with no prefix;
+//   - Column: Width words per vertex, placed over an mpc.Partition: written
+//     in vertex order as one length-prefixed run (a sketch run, a match
+//     column), decoded as an alias of the decoder's buffer, length-checked
+//     once and committed with one copy per machine;
+//   - Table: count-prefixed rows of Width words in key order (core's tree
+//     edges, one vertex's adjacency, the mirror's edge set), placed by the
+//     state's own rule.
+//
+// A Layout says what every row keeps: each leading word a Field, a value in
+// [Lo, Hi) (in [0, n) for a vertex, in [-1, n) for a match partner) and,
+// with Above, strictly above the word before it; and the first Key words
+// strictly increasing from row to row, in the order Order names. A count is
+// bounded against its section before anything is sized from it, and a
+// rejection names the part and the row: "core: snapshot tree edges row 1:
+// key [1 2] listed twice or out of edge-id order".
+//
+// Image.Load runs in one order: decode and validate every part of every
+// section; the state's cross-row checks (Image.Check — core's: the tree
+// edges form a forest whose records an Euler tour holds); the memory caps;
+// the state's install (Image.Install); the commits (scalars, columns, the
+// Stats); then the Image.Then states, the parts of a composite that live on
+// fleets of their own. The caps are the model's s-words rule, checked from
+// the same Words the live meter sums: on every machine of the loading fleet,
+// the Words of each store slot (mpc.Machine.StateWords), with the value
+// Image.Staged says the install leaves in a slot standing in for it (core's
+// edge shards and label-cache meter, the exact MSF's weight readout, the
+// maximal matcher's shards and size readout). Every rejection before the
+// install leaves the instance untouched. A delta reuses the echo and bitmap
+// parts (Put, Get); its journal keeps its own format.
+//
 // # Version policy
 //
 // Version is bumped on any incompatible change to the container or to any
@@ -175,10 +217,10 @@
 // append words); readers implement Restorer against the Decoder, whose
 // accessors are sticky: the first structural error latches and every later
 // read returns a zero value, so restore code reads linearly and checks
-// Err/Finish once. Unless the state promises more (core's, the greedy
-// matching's and the maximal matcher's loaders reject before they install),
-// a Restore that returns an error leaves the target instance in an undefined
-// state — discard it and build a fresh one; the
+// Err/Finish once. A full state's Checkpoint and Restore are its image's
+// Encode and Load. A loader of one fleet rejects before it installs; a
+// composite that loads several fleets one after another may leave the
+// earlier ones loaded — discard an instance whose Restore failed. The
 // container-level checks (magic, version, CRC) run before any state is
 // touched, so corrupt files are rejected up front.
 package snapshot

@@ -1,53 +1,47 @@
 package snapshot
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
 
-// EncodeGraph appends g's live edge set to the current section as a
-// count-prefixed list of (u, v, weight) triples in canonical sorted order,
-// so two identical graphs always serialize to identical bytes regardless of
-// insertion history. Pair with DecodeGraphInto.
+// graphEdges is a graph's edge set as a table of (u, v, weight) rows in
+// canonical sorted order, so two identical graphs always serialize to
+// identical bytes regardless of insertion history.
+func graphEdges(g *graph.Graph, edges []graph.WeightedEdge) *Table {
+	return &Table{Name: "graph edges", Len: len(edges), Row: func(r int, row []uint64) {
+		row[0], row[1], row[2] = uint64(edges[r].U), uint64(edges[r].V), uint64(edges[r].Weight)
+	}, Layout: Layout{Width: 3, Key: 2, Order: "edge", Fields: []Field{{Name: "u", Hi: g.N()}, {Name: "v", Hi: g.N(), Above: true}}}}
+}
+
+// EncodeGraph appends g's live edge set to the current section (graphEdges).
+// Pair with DecodeGraphInto.
 func EncodeGraph(e *Encoder, g *graph.Graph) {
 	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	e.Int(len(edges))
-	for _, we := range edges {
-		e.Int(we.U)
-		e.Int(we.V)
-		e.I64(we.Weight)
-	}
+	slices.SortFunc(edges, func(a, b graph.WeightedEdge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	graphEdges(g, edges).put(e)
 }
 
 // DecodeGraphInto reads an edge list written by EncodeGraph and inserts it
 // into g, which must be freshly constructed over the right vertex count.
 // The count prefix is bounded against the section before anything is
-// allocated, and each edge is validated by the graph itself (range, parallel
-// edges), so corrupt input fails with a diagnostic.
+// allocated, and every row is validated (endpoints in range, canonical, in
+// strictly increasing order, so no edge twice) before g is touched.
 func DecodeGraphInto(d *Decoder, g *graph.Graph) error {
-	cnt := d.Count(3)
-	for i := 0; i < cnt && d.Err() == nil; i++ {
-		u, v := d.Int(), d.Int()
-		w := d.I64()
-		if d.Err() != nil {
-			break
-		}
-		if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
-			return fmt.Errorf("snapshot graph edge {%d,%d}: vertex out of range [0,%d)", u, v, g.N())
-		}
-		if err := g.Insert(u, v, w); err != nil {
-			return fmt.Errorf("snapshot graph edge {%d,%d}: %w", u, v, err)
+	t := graphEdges(g, nil)
+	if err := Get(d, "graph", t); err != nil {
+		return err
+	}
+	for r := range t.Rows() {
+		row := t.At(r)
+		if err := g.Insert(int(row[0]), int(row[1]), int64(row[2])); err != nil {
+			return fmt.Errorf("snapshot graph edges row %d: %w", r, err)
 		}
 	}
-	return d.Err()
+	return nil
 }
 
 // EncodeUpdates appends one batch to the current section as a count-prefixed

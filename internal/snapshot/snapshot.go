@@ -156,14 +156,6 @@ func (e *Encoder) Words(xs []uint64) {
 	e.payload = append(e.payload, xs...)
 }
 
-// Ints appends a length-prefixed signed slice.
-func (e *Encoder) Ints(xs []int) {
-	e.Int(len(xs))
-	for _, x := range xs {
-		e.Int(x)
-	}
-}
-
 // String appends a length-prefixed UTF-8 string packed into words.
 func (e *Encoder) String(s string) {
 	e.Int(len(s))
@@ -393,31 +385,21 @@ func (d *Decoder) Count(minWordsPerItem int) int {
 // U64s reads a length-prefixed word slice. The returned slice aliases the
 // decoder's buffer and is valid for the decoder's lifetime; copy it into
 // long-lived state.
-func (d *Decoder) U64s() []uint64 {
-	n := d.Int()
+func (d *Decoder) U64s() []uint64 { return d.words(d.Int()) }
+
+// words takes the next k words of the current section, aliasing the
+// decoder's buffer.
+func (d *Decoder) words(k int) []uint64 {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || n > len(d.cur)-d.off {
-		d.fail("section %#x: slice of %d words overruns section (%d left)", d.tag, n, len(d.cur)-d.off)
+	if k < 0 || k > len(d.cur)-d.off {
+		d.fail("section %#x: slice of %d words overruns section (%d left)", d.tag, k, len(d.cur)-d.off)
 		return nil
 	}
-	xs := d.cur[d.off : d.off+n : d.off+n]
-	d.off += n
+	xs := d.cur[d.off : d.off+k : d.off+k]
+	d.off += k
 	return xs
-}
-
-// Ints reads a length-prefixed signed slice (freshly allocated).
-func (d *Decoder) Ints() []int {
-	ws := d.U64s()
-	if ws == nil {
-		return nil
-	}
-	out := make([]int, len(ws))
-	for i, w := range ws {
-		out[i] = int(int64(w))
-	}
-	return out
 }
 
 // String reads a length-prefixed packed string.

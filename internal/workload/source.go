@@ -72,20 +72,15 @@ func NewMirrored(src BatchSource) *Mirrored {
 	return &Mirrored{src: src, g: graph.New(src.Shape().N)}
 }
 
-// Next implements BatchSource, validating the batch against the mirror with
-// graph.Check before applying it: a refused batch leaves the mirror exactly
-// as it was.
+// Next implements BatchSource, admitting the batch into the mirror
+// (graph.Graph.Admit): a refused batch leaves the mirror exactly as it was.
 func (m *Mirrored) Next() (graph.Batch, error) {
 	b, err := m.src.Next()
 	if err != nil {
 		return nil, err
 	}
-	if err := m.g.Check(b); err != nil {
+	if err := m.g.Admit(b); err != nil {
 		return nil, fmt.Errorf("workload: replayed batch %d: invalid batch: %w", m.batch, err)
-	}
-	if err := m.g.Apply(b); err != nil {
-		// Unreachable after Check; fail loudly rather than desync.
-		return nil, fmt.Errorf("workload: replayed batch %d: mirror diverged: %w", m.batch, err)
 	}
 	m.batch++
 	return b, nil
