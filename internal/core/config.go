@@ -10,8 +10,13 @@
 //     the MPC cluster, the vertex shards (component ids) and the edge shards
 //     (tree-edge records with dart positions), and executes batched Link,
 //     Cut, component lookups, occurrence-stats queries and Identify-Path.
-//     It contains no randomness and no sketches; the exact-MSF algorithm of
-//     Section 7.1 runs directly on it.
+//     A Cut names the fragment of every vertex of a component it splits on
+//     the vertex shards, but the edge shards push only the small fragments:
+//     the largest fragment of each split tour, and the vertices left alone,
+//     ride the Cut's relabel Tell, so a Cut's words and messages follow the
+//     small sides of its cuts, not the components it cuts. It contains no
+//     randomness and no sketches; the exact-MSF algorithm of Section 7.1
+//     runs directly on it.
 //
 //   - DynamicConnectivity adds the AGM vertex sketches (one stack of
 //     O(log n) ℓ0-samplers per vertex, sharded with the vertices) and the

@@ -24,7 +24,9 @@ const (
 
 // vertexShard is the per-machine vertex state: the component id of every
 // owned vertex and, transiently after a Cut, the fragment key of affected
-// vertices.
+// vertices — pushed by the edge shards for the small fragments of a split
+// tour, filled in from the Cut's relabel Tell for its largest fragment and
+// for the vertices it leaves alone.
 type vertexShard struct {
 	lo, hi int
 	comp   []int
@@ -42,19 +44,23 @@ type vertexShard struct {
 	// passive holds the fragment keys the last Cut declared passive (the
 	// largest fragment of every split tour, see Cut). Set by the Cut's
 	// relabel Tell, since the split plan names them before the fragment push,
-	// and dropped with frag. The map is the read-only broadcast payload,
-	// shared by every shard.
+	// and dropped with frag. The map is the payload's read-only index of
+	// them, shared by every shard.
 	passive map[uint64]bool
-	// affected holds, from the Tell that splits the tours of a Cut until the
-	// fragment push that follows consumes it (pushFragments), the ids of the
-	// components being split. Transient and never checkpointed, like passive,
-	// and like it the read-only payload shared by every shard.
-	affected map[int]bool
+	// passiveOf and alone hold, from the Tell that splits the tours of a Cut
+	// until the fragment push that follows consumes them (pushFragments), the
+	// passive key of every component being split (0 if it has none) and the
+	// vertices the split leaves alone, sorted: an affected vertex the push
+	// names no fragment is on one of the two. Transient and never
+	// checkpointed, like passive, and like it the read-only payload shared by
+	// every shard.
+	passiveOf map[int]uint64
+	alone     []int
 }
 
 // Words implements mpc.Sized.
 func (s *vertexShard) Words() int {
-	return len(s.comp) + 2*s.nfrag + len(s.passive) + len(s.affected) + 2
+	return len(s.comp) + 2*s.nfrag + len(s.passive) + 2*len(s.passiveOf) + len(s.alone) + 2
 }
 
 // setFrag gives the vertex at column index i fragment key k.
@@ -95,14 +101,16 @@ type edgeShard struct {
 	recs []treeEdge
 	// pairs is pushFragments' [vertex, key] scratch, reused across deletions.
 	pairs [][2]uint64
-	// newTours holds the ids of the tours a Cut created, from the Tell that
-	// splits the old ones until the fragment push that follows consumes it
-	// (pushFragments). Transient, never checkpointed, shared and read-only.
-	newTours map[eulertour.TourID]bool
+	// fresh and passive hold, from the Tell that splits a Cut's tours until
+	// the fragment push that follows consumes them (pushFragments), the ids
+	// [fresh[0], fresh[1]) the split allocated and the passive keys among
+	// them. Transient, never checkpointed; passive is shared and read-only.
+	fresh   []eulertour.TourID
+	passive map[uint64]bool
 }
 
 // Words implements mpc.Sized.
-func (s *edgeShard) Words() int { return 8*len(s.recs) + len(s.newTours) + 1 }
+func (s *edgeShard) Words() int { return 8*len(s.recs) + len(s.fresh) + len(s.passive) + 1 }
 
 func cmpEdge(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }
 
@@ -250,13 +258,13 @@ func (lc *labelCache) relink(compMap map[int]int) {
 	}
 }
 
-// split follows a Cut's closing Tell. affected are the components it splits,
-// compByFrag the label of every fragment, tourFrags the labels of each
-// affected component's tour fragments. A cached vertex of an affected
-// component left on its own is its own label; one of a component left in one
-// tour takes that tour's label; any other is parked. One coordinator-local
-// scan of the cache.
-func (lc *labelCache) split(affected map[int]bool, compByFrag map[uint64]int, tourFrags map[int][]int) {
+// split follows a Cut's closing Tell. affected are the components it splits
+// (the keys of the Cut's passiveOf), compByFrag the label of every fragment,
+// tourFrags the labels of each affected component's tour fragments. A cached
+// vertex of an affected component left on its own is its own label; one of a
+// component left in one tour takes that tour's label; any other is parked.
+// One coordinator-local scan of the cache.
+func (lc *labelCache) split(affected map[int]uint64, compByFrag map[uint64]int, tourFrags map[int][]int) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	if lc.numCompsOK {
@@ -874,28 +882,31 @@ func (f *Forest) minAbove(qs []eulertour.CutQuery) map[int]eulertour.Pos {
 }
 
 // relabelPayload tells every machine a batch of relabel descriptors and,
-// for a Link, the component re-labeling; for a Cut, the records to drop, the
-// two sets the fragment push that follows reads, and the passive fragment
-// keys the split plan names, which the aggregations of the replacement
-// search read. Everything a machine learns from the coordinator here is on
-// the payload and counted.
+// for a Link, the component re-labeling; for a Cut, the records to drop and
+// what the fragment push that follows reads: the tour ids the split
+// allocated, the key of every split component's passive fragment — the
+// largest, which the push leaves out and the aggregations of the replacement
+// search skip — and the vertices it leaves alone. Everything a machine learns
+// from the coordinator here is on the payload and counted: O(k) words for k
+// deletions, whatever the size of the components they split.
 type relabelPayload struct {
-	relabels []eulertour.Relabel
-	compMap  map[int]int               // old comp id -> new comp id (joins)
-	drop     map[graph.Edge]bool       // tree-edge records to delete (cuts)
-	newTours map[eulertour.TourID]bool // tours created by the split (cuts)
-	affected map[int]bool              // components being split (cuts)
-	passive  map[uint64]bool           // passive fragment keys (cuts)
+	relabels  []eulertour.Relabel
+	compMap   map[int]int         // old comp id -> new comp id (joins)
+	drop      map[graph.Edge]bool // tree-edge records to delete (cuts)
+	fresh     []eulertour.TourID  // [lo, hi): the ids the split allocated (cuts)
+	passiveOf map[int]uint64      // split comp id -> passive key, 0 if none (cuts)
+	alone     []int               // single-vertex fragments, sorted (cuts)
 
-	// set indexes relabels by tour. It is a pure function of relabels that
-	// every machine could build for itself, so it carries no words; the
-	// simulator builds it once (applyRelabels) and the machines share it
-	// read-only.
-	set *eulertour.RelabelSet
+	// set indexes relabels by tour and passive the nonzero keys of
+	// passiveOf. Both are pure functions of the payload that every machine
+	// could build for itself, so they carry no words; the simulator builds
+	// them once and the machines share them read-only.
+	set     *eulertour.RelabelSet
+	passive map[uint64]bool
 }
 
 func (p relabelPayload) Words() int {
-	return 5*len(p.relabels) + 2*len(p.compMap) + 2*len(p.drop) + len(p.newTours) + len(p.affected) + len(p.passive)
+	return 5*len(p.relabels) + 2*len(p.compMap) + 2*len(p.drop) + len(p.fresh) + 2*len(p.passiveOf) + len(p.alone)
 }
 
 // recordsPayload carries new tree-edge records to their shard owners.
@@ -1026,9 +1037,9 @@ func (f *Forest) preparePlanner(edges []graph.Edge, terminals, labels []int, sta
 
 // applyRelabels tells every machine the payload and applies it: the listed
 // records are dropped, the relabel descriptors applied to the surviving ones
-// and the component map to the vertex shards — and to the label cache. A
-// Cut's newTours and affected sets stay behind on the edge and vertex shards
-// for pushFragments, its passive keys on the vertex shards for the
+// and the component map to the vertex shards — and to the label cache. What
+// a Cut tells for the fragment push stays behind on the edge and vertex
+// shards for pushFragments, its passive keys on the vertex shards for the
 // replacement search; its component ids change only at tellFragComps.
 func (f *Forest) applyRelabels(payload relabelPayload) {
 	if len(payload.compMap) > 0 {
@@ -1038,7 +1049,7 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 	f.tell(payload, func(mm *mpc.Machine, msg mpc.Sized) {
 		p := msg.(relabelPayload)
 		es := eShard(mm)
-		es.newTours = p.newTours
+		es.fresh, es.passive = p.fresh, p.passive
 		if len(p.drop) > 0 {
 			es.recs = slices.DeleteFunc(es.recs, func(te treeEdge) bool { return p.drop[te.rec.E] })
 		}
@@ -1051,8 +1062,7 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 		if vs == nil {
 			return
 		}
-		vs.affected = p.affected
-		vs.passive = p.passive
+		vs.passiveOf, vs.alone, vs.passive = p.passiveOf, p.alone, p.passive
 		if len(p.compMap) > 0 {
 			for i, c := range vs.comp {
 				if nc, ok := p.compMap[c]; ok {
@@ -1199,10 +1209,6 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 		endpoints = append(endpoints, r.E.U, r.E.V)
 	}
 	labels, _ := f.labelsInto(nil, endpoints)
-	affected := map[int]bool{}
-	for _, c := range labels {
-		affected[c] = true
-	}
 	// Tour lengths: remaining records per tour, plus the deleted ones.
 	delPerTour := map[eulertour.TourID]int{}
 	for _, r := range deletedRecs {
@@ -1238,24 +1244,37 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 			tourLens[t] = 0
 		}
 	}
+	fresh := []eulertour.TourID{eulertour.TourID(f.nextID), 0} // [lo, hi)
 	plan, err := eulertour.PlanSplit(tourLens, deletedRecs, f.nextTour)
 	if err != nil {
 		return nil, err
 	}
+	fresh[1] = eulertour.TourID(f.nextID)
 	// Tell the relabels; drop deleted records; apply to survivors; then push
-	// fragment membership from edge shards to vertex shards.
+	// fragment membership from edge shards to vertex shards. A split tour
+	// belonged to the component its deleted edges' endpoints were labelled
+	// with.
 	drop := make(map[graph.Edge]bool, len(deletedRecs))
-	for _, r := range deletedRecs {
+	compOfTour := make(map[eulertour.TourID]int, len(delPerTour))
+	for i, r := range deletedRecs {
 		drop[r.E] = true
+		compOfTour[r.Tour] = labels[2*i]
 	}
-	newTours := map[eulertour.TourID]bool{}
-	for _, fr := range plan.Fragments {
-		if fr.Tour != eulertour.NoTour {
-			newTours[fr.Tour] = true
+	passiveOf := passiveFragments(plan.Fragments, compOfTour)
+	passive := map[uint64]bool{}
+	for _, k := range passiveOf {
+		if k != 0 {
+			passive[k] = true
 		}
 	}
-	passive := passiveFragments(plan.Fragments)
-	f.applyRelabels(relabelPayload{relabels: plan.Relabels, drop: drop, newTours: newTours, affected: affected, passive: passive})
+	var alone []int
+	for _, fr := range plan.Fragments {
+		if fr.Tour == eulertour.NoTour {
+			alone = append(alone, fr.Root)
+		}
+	}
+	slices.Sort(alone)
+	f.applyRelabels(relabelPayload{relabels: plan.Relabels, drop: drop, fresh: fresh, passiveOf: passiveOf, alone: alone, passive: passive})
 	f.pushFragments()
 	// Assign fragment component ids: min vertex id per fragment.
 	compByFrag := f.aggregateFragmentMins(first)
@@ -1268,12 +1287,7 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 		report.PassiveComps = append(report.PassiveComps, compByFrag[k])
 	}
 	sort.Ints(report.PassiveComps)
-	// The label cache follows the closing Tell. A split tour belonged to the
-	// component its deleted edges' endpoints were labelled with.
-	compOfTour := make(map[eulertour.TourID]int, len(delPerTour))
-	for i, r := range deletedRecs {
-		compOfTour[r.Tour] = labels[2*i]
-	}
+	// The label cache follows the closing Tell.
 	tourFrags := map[int][]int{}
 	for _, fr := range plan.Fragments {
 		if fr.Tour != eulertour.NoTour {
@@ -1281,52 +1295,54 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 			tourFrags[c] = append(tourFrags[c], compByFrag[fragKeyOfTour(fr.Tour)])
 		}
 	}
-	f.cache.split(affected, compByFrag, tourFrags)
+	f.cache.split(passiveOf, compByFrag, tourFrags)
 	f.tellFragComps(compByFrag)
 	return report, nil
 }
 
-// passiveFragments picks the fragment keys that sit out the replacement
-// search: the longest-tour (largest) fragment of every split tour, the first
-// in plan order among equals. The coordinator reads this off the split plan
-// at no cost. A tour that falls apart into single vertices has no passive
-// fragment (Len 0 means Tour == NoTour: there is no key to name it by, and
-// nothing to save).
-func passiveFragments(frags []eulertour.Fragment) map[uint64]bool {
+// passiveFragments names, for the component of every split tour, the key of
+// the fragment that sits out the fragment push and the replacement search:
+// its longest-tour (largest) fragment, the first in plan order among equals.
+// The coordinator reads this off the split plan at no cost. A tour that falls
+// apart into single vertices has no passive fragment, key 0 (Len 0 means
+// Tour == NoTour: there is no key to name it by, and nothing to save).
+func passiveFragments(frags []eulertour.Fragment, compOfTour map[eulertour.TourID]int) map[int]uint64 {
 	largest := map[eulertour.TourID]eulertour.Fragment{}
 	for _, fr := range frags {
 		if cur, ok := largest[fr.OldTour]; !ok || fr.Len > cur.Len {
 			largest[fr.OldTour] = fr
 		}
 	}
-	passive := make(map[uint64]bool, len(largest))
-	for _, fr := range largest {
-		if fr.Tour != eulertour.NoTour {
-			passive[fragKeyOfTour(fr.Tour)] = true
-		}
+	passiveOf := make(map[int]uint64, len(largest))
+	for t, fr := range largest {
+		passiveOf[compOfTour[t]] = fragKeyOfTour(fr.Tour)
 	}
-	return passive
+	return passiveOf
 }
 
-// pushFragments has edge shards announce, for every record now on a fresh
-// tour, the fragment of its endpoints; vertex shards record the mapping and
-// mark message-less affected vertices as singletons. Which tours are fresh
-// and which components are affected is what the preceding applyRelabels
-// left on the shards; each set is dropped by the step that reads it. The
-// (vertex, fragment) pairs travel as two-word frames of the batched message
-// codec: one packed buffer per (edge shard, vertex owner) pair. One round:
-// the vertex shards land the push.
+// pushFragments has edge shards announce, for every record on a fresh tour
+// that is not passive, the fragment of its endpoints; vertex shards record
+// the mapping, then name the fragment of every affected vertex the push
+// missed: its own key if the split left it alone, else its component's
+// passive key. So the push costs words in proportion to the small fragments
+// of the split, not to the components it splits, and leaves the same column
+// a push of every fresh tour would. What it reads is what the preceding
+// applyRelabels left on the shards; each field is dropped by the step that
+// reads it. The (vertex, fragment) pairs travel as two-word frames of the
+// batched message codec: one packed buffer per (edge shard, vertex owner)
+// pair. One round: the vertex shards land the push.
 func (f *Forest) pushFragments() {
 	f.flush()
 	// The round: edge shards emit deduplicated (vertex, frag) pairs.
 	f.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
 		es := eShard(mm)
-		newTours := es.newTours
-		es.newTours = nil
+		fresh, passive := es.fresh, es.passive
+		es.fresh, es.passive = nil, nil
 		pairs := es.pairs[:0]
 		for i := range es.recs {
-			if te := &es.recs[i]; newTours[te.rec.Tour] {
-				key := fragKeyOfTour(te.rec.Tour)
+			te := &es.recs[i]
+			if t := te.rec.Tour; t >= fresh[0] && t < fresh[1] && !passive[fragKeyOfTour(t)] {
+				key := fragKeyOfTour(t)
 				pairs = append(pairs, [2]uint64{uint64(te.rec.E.U), key}, [2]uint64{uint64(te.rec.E.V), key})
 			}
 		}
@@ -1352,8 +1368,8 @@ func (f *Forest) pushFragments() {
 		if vs == nil {
 			return
 		}
-		affectedComps := vs.affected
-		vs.affected = nil
+		passiveOf, alone := vs.passiveOf, vs.alone
+		vs.passiveOf, vs.alone = nil, nil
 		for _, msg := range inbox {
 			b := msg.Payload.(*mpc.MessageBatch)
 			for pr := range b.Frames {
@@ -1361,10 +1377,19 @@ func (f *Forest) pushFragments() {
 			}
 			b.Release()
 		}
-		// Affected vertices with no fragment message are singletons now.
+		j, _ := slices.BinarySearch(alone, vs.lo)
+		for ; j < len(alone) && alone[j] < vs.hi; j++ {
+			vs.setFrag(alone[j]-vs.lo, fragKeyOfVertex(alone[j]))
+		}
+		// Every other affected vertex the push missed is on its component's
+		// passive fragment: a component without one fell apart into vertices
+		// the split left alone.
 		for i, c := range vs.comp {
-			if affectedComps[c] && vs.frag[i] == 0 {
-				vs.setFrag(i, fragKeyOfVertex(vs.lo+i))
+			if vs.frag[i] != 0 {
+				continue
+			}
+			if k := passiveOf[c]; k != 0 {
+				vs.setFrag(i, k)
 			}
 		}
 	})
@@ -1391,11 +1416,15 @@ func (f *Forest) aggregateFragmentMins(first *firstWindow) map[uint64]int {
 				return nil
 			}
 			// [key, vertex] pairs sorted by key, then vertex: the first pair of
-			// every key holds its minimum vertex.
+			// every key holds its minimum vertex. Only the first vertex of a
+			// run of one key in vertex order is a candidate, so a large
+			// fragment costs the sort its runs, not its vertices.
 			mins := vs.mins[:0]
+			var prev uint64
 			for i, k := range vs.frag {
-				if k != 0 {
+				if k != 0 && k != prev {
 					mins = append(mins, [2]uint64{k, uint64(vs.lo + i)})
+					prev = k
 				}
 			}
 			slices.SortFunc(mins, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })

@@ -52,15 +52,19 @@ type ledger struct {
 // stores until the broadcast that carries it), with TestForestDigestPinned
 // unchanged; then a sketch cell dropped its ℓ0 counter (two words, not
 // three): WordsSent 5121 → 4929 / 36579 → 30839 / 41194 → 35594 and
-// PeakTotalWords 21197 → 14285 / 55253 → 37123 / 54911 → 36851, nothing else.
+// PeakTotalWords 21197 → 14285 / 55253 → 37123 / 54911 → 36851, nothing else;
+// then a Cut stopped pushing the largest fragment of every split tour (its
+// relabel Tell names it, with the vertices left alone, and the vertex shards
+// fill it in): Messages 499 → 494 / 1691 → 1487 / 3070 → 2418 and WordsSent
+// 4929 → 4883 / 30839 → 28810 / 35594 → 31313, nothing else.
 func TestLedgerPinned(t *testing.T) {
 	for _, tc := range []struct {
 		stream string
 		want   ledger
 	}{
-		{"testdata/churn32.stream", ledger{143, 499, 4929, 14285}},
-		{"../harness/testdata/window64.stream", ledger{330, 1691, 30839, 37123}},
-		{"../harness/testdata/powerlaw64.stream", ledger{593, 3070, 35594, 36851}},
+		{"testdata/churn32.stream", ledger{143, 494, 4883, 14285}},
+		{"../harness/testdata/window64.stream", ledger{330, 1487, 28810, 37123}},
+		{"../harness/testdata/powerlaw64.stream", ledger{593, 2418, 31313, 36851}},
 	} {
 		batches, n := readStream(t, tc.stream)
 		for _, p := range []int{1, 8} {
@@ -142,17 +146,22 @@ func TestForestDigestPinned(t *testing.T) {
 }
 
 // TestCutPayloadIsMetered: everything a Cut's relabel Tell hands the machines
-// — the drop list and the two sets the fragment push reads included — is on
-// the payload, so it is counted; nothing reaches a machine through a closure.
+// — the drop list and what the fragment push reads (the fresh tour range, the
+// passive key of every split component and the vertices left alone) included
+// — is on the payload, so it is counted; the passive index, which every
+// machine could derive from it, is not. Nothing reaches a machine through a
+// closure.
 func TestCutPayloadIsMetered(t *testing.T) {
 	p := relabelPayload{
-		relabels: make([]eulertour.Relabel, 2),
-		drop:     map[graph.Edge]bool{{U: 0, V: 1}: true, {U: 1, V: 2}: true, {U: 2, V: 3}: true},
-		newTours: map[eulertour.TourID]bool{7: true, 8: true},
-		affected: map[int]bool{0: true},
+		relabels:  make([]eulertour.Relabel, 2),
+		drop:      map[graph.Edge]bool{{U: 0, V: 1}: true, {U: 1, V: 2}: true, {U: 2, V: 3}: true},
+		fresh:     []eulertour.TourID{7, 9},
+		passiveOf: map[int]uint64{0: 8, 5: 0},
+		alone:     []int{3},
+		passive:   map[uint64]bool{8: true},
 	}
-	if got, want := p.Words(), 5*2+2*3+2+1; got != want {
-		t.Errorf("relabelPayload.Words() = %d, want %d (relabels + drop list + both sets)", got, want)
+	if got, want := p.Words(), 5*2+2*3+2+2*2+1; got != want {
+		t.Errorf("relabelPayload.Words() = %d, want %d (relabels + drop list + fresh range + passive keys + alone)", got, want)
 	}
 
 	// A path on 32 vertices, cut in k places.
@@ -179,14 +188,14 @@ func TestCutPayloadIsMetered(t *testing.T) {
 	if len(rep.TreeRecords) != k {
 		t.Fatalf("cut %d tree edges, want %d", len(rep.TreeRecords), k)
 	}
-	// The two sets are gone from every shard once the Cut returns.
+	// What the push read is gone from every shard once the Cut returns.
 	for i := 0; i < f.Cluster().Machines(); i++ {
 		mm := f.Cluster().Machine(i)
-		if es := eShard(mm); es.newTours != nil {
-			t.Errorf("machine %d still holds newTours", i)
+		if es := eShard(mm); es.fresh != nil || es.passive != nil {
+			t.Errorf("machine %d still holds the fresh range or passive keys", i)
 		}
-		if vs := vShard(mm); vs != nil && vs.affected != nil {
-			t.Errorf("machine %d still holds affected", i)
+		if vs := vShard(mm); vs != nil && (vs.passiveOf != nil || vs.alone != nil || vs.passive != nil) {
+			t.Errorf("machine %d still holds passiveOf, alone or passive", i)
 		}
 	}
 	// The Tell on its own: a drop list of three more tree edges costs every

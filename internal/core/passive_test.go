@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -243,4 +244,167 @@ func TestCutReportsPassiveFragments(t *testing.T) {
 	if par := cut(8); !reflect.DeepEqual(par, rep) {
 		t.Errorf("cut reports differ:\np1 %+v\np8 %+v", rep, par)
 	}
+}
+
+// checkCutFragments checks the fragment column a Cut leaves on f's vertex
+// shards, read after the fragment push and before dropFrags, against the
+// forest it split (before) and the tree edges it deleted (cut): every vertex
+// of a split tree has a key and no other vertex has one; two of them share a
+// key exactly when the surviving tree edges join them; exactly the isolated
+// ones carry their vertex key; and the passive keys name the largest fragment
+// of every split tree that keeps an edge, and nothing else.
+func checkCutFragments(t *testing.T, f *Forest, before, cut []graph.Edge, at string) {
+	t.Helper()
+	n := f.cfg.N
+	gone := map[graph.Edge]bool{}
+	for _, e := range cut {
+		gone[e] = true
+	}
+	trees, frags := oracle.NewUnionFind(n), oracle.NewUnionFind(n)
+	deg := make([]int, n)
+	for _, e := range before {
+		trees.Union(e.U, e.V)
+		if !gone[e] {
+			frags.Union(e.U, e.V)
+			deg[e.U]++
+			deg[e.V]++
+		}
+	}
+	split := map[int]bool{}
+	for _, e := range cut {
+		split[trees.Find(e.U)] = true
+	}
+	key := make([]uint64, n)
+	var passive map[uint64]bool
+	for i := 0; i < f.cl.Machines(); i++ {
+		if vs := vShard(f.cl.Machine(i)); vs != nil {
+			copy(key[vs.lo:vs.hi], vs.frag)
+			passive = vs.passive
+		}
+	}
+	size := map[int]int{} // fragment size, by its root in frags
+	for v := 0; v < n; v++ {
+		if split[trees.Find(v)] {
+			size[frags.Find(v)]++
+		}
+	}
+	fragOf := map[uint64]int{} // key -> fragment root in frags
+	largest := map[int]int{}   // split tree root -> its largest fragment size
+	for v := 0; v < n; v++ {
+		k, isolated := key[v], deg[v] == 0
+		switch {
+		case !split[trees.Find(v)]:
+			if k != 0 {
+				t.Fatalf("%s: vertex %d of a tree the cut left whole has key %#x", at, v, k)
+			}
+			continue
+		case k == 0:
+			t.Fatalf("%s: vertex %d of a split tree has no key", at, v)
+		case (k&fragVertexBit != 0) != isolated || isolated && k != fragKeyOfVertex(v):
+			t.Fatalf("%s: vertex %d with %d surviving tree edges has key %#x", at, v, deg[v], k)
+		}
+		if r, ok := fragOf[k]; ok && r != frags.Find(v) {
+			t.Fatalf("%s: vertices %d and %d share key %#x, but the forest separates them", at, r, v, k)
+		}
+		fragOf[k] = frags.Find(v)
+		largest[trees.Find(v)] = max(largest[trees.Find(v)], size[frags.Find(v)])
+	}
+	if len(fragOf) != len(size) {
+		t.Fatalf("%s: %d keys name %d fragments", at, len(fragOf), len(size))
+	}
+	named := map[int]int{} // split tree root -> passive keys naming its fragments
+	for k := range passive {
+		r, ok := fragOf[k]
+		if !ok {
+			t.Fatalf("%s: passive key %#x names no fragment", at, k)
+		}
+		named[trees.Find(r)]++
+		if l := largest[trees.Find(r)]; size[r] != l {
+			t.Fatalf("%s: passive key %#x names a fragment of %d vertices, its tree's largest has %d", at, k, size[r], l)
+		}
+	}
+	for r := range split {
+		if want := min(1, largest[r]-1); named[r] != want {
+			t.Fatalf("%s: %d passive keys for the tree of %d, want %d", at, named[r], r, want)
+		}
+	}
+}
+
+// TestCutFragmentsMatchForest replays the three pinned streams at parallelism
+// 1 and 8 and mirrors the forest DynamicConnectivity keeps on a plain Forest,
+// one Cut per batch that deletes tree edges, checking the fragment column each
+// Cut leaves (checkCutFragments); then cuts a star off its centre, the root of
+// its tour, so that the centre is alone while one leaf keeps a tail: the
+// passive fragment.
+func TestCutFragmentsMatchForest(t *testing.T) {
+	link := func(t *testing.T, f *Forest, edges []graph.Edge) {
+		t.Helper()
+		for len(edges) > 0 {
+			k := min(len(edges), f.Config().MaxBatch())
+			var tree []graph.WeightedEdge
+			for _, e := range edges[:k] {
+				tree = append(tree, graph.WeightedEdge{Edge: e})
+			}
+			if err := f.Link(tree); err != nil {
+				t.Fatal(err)
+			}
+			edges = edges[k:]
+		}
+	}
+	cutAndCheck := func(t *testing.T, f *Forest, before, cut []graph.Edge, at string) {
+		t.Helper()
+		if _, err := f.cut(cut, nil); err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		checkCutFragments(t, f, before, cut, at)
+		f.dropFrags()
+		f.flush()
+	}
+	minus := func(a, b []graph.Edge) []graph.Edge {
+		return slices.DeleteFunc(slices.Clone(a), func(e graph.Edge) bool { return slices.Contains(b, e) })
+	}
+	for _, stream := range []string{"testdata/churn32.stream", "../harness/testdata/window64.stream", "../harness/testdata/powerlaw64.stream"} {
+		batches, n := readStream(t, stream)
+		for _, p := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/p%d", stream, p), func(t *testing.T) {
+				cfg := Config{N: n, Phi: 0.6, Seed: 1, Parallelism: p}
+				dc, err := NewDynamicConnectivity(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := NewForest(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cuts := 0
+				for i, b := range batches {
+					for j := 0; j < len(b); j += dc.MaxBatch() {
+						before := dc.SnapshotForest()
+						if err := dc.ApplyBatch(b[j:min(j+dc.MaxBatch(), len(b))]); err != nil {
+							t.Fatalf("batch %d: %v", i, err)
+						}
+						after := dc.SnapshotForest()
+						if cut := minus(before, after); len(cut) > 0 {
+							cutAndCheck(t, f, before, cut, fmt.Sprintf("batch %d", i))
+							cuts++
+						}
+						link(t, f, minus(after, before))
+					}
+				}
+				if cuts == 0 {
+					t.Fatal("the stream cut no tree edge")
+				}
+			})
+		}
+	}
+	t.Run("star", func(t *testing.T) {
+		f, err := NewForest(Config{N: 64, Phi: 0.6, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		star := starEdges(0, 1, 5)
+		link(t, f, star)
+		link(t, f, pathEdges(5, 9))
+		cutAndCheck(t, f, append(slices.Clone(star), pathEdges(5, 9)...), star, "star")
+	})
 }

@@ -107,8 +107,14 @@ func (r *Record) Child() int {
 	return r.E.V
 }
 
-// Parent returns the parent-side endpoint.
-func (r *Record) Parent() int { return r.E.Other(r.Child()) }
+// Parent returns the parent-side endpoint: the one whose occurrences form the
+// outer interval.
+func (r *Record) Parent() int {
+	if r.UPos[0] > r.VPos[0] {
+		return r.E.V
+	}
+	return r.E.U
+}
 
 // ChildF returns the child's first occurrence (its global f).
 func (r *Record) ChildF() Pos { return max(r.UPos[0], r.VPos[0]) }

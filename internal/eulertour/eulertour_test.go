@@ -1,6 +1,7 @@
 package eulertour
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -225,6 +226,38 @@ func TestSplitWholeStar(t *testing.T) {
 	h.checkTours(t)
 	if len(h.recs) != 0 {
 		t.Fatalf("records = %d after deleting everything", len(h.recs))
+	}
+}
+
+// TestSplitStarNamesEveryRoot: a star whose centre loses every edge in one
+// batch falls apart into single vertices, and every fragment names its vertex
+// as Root — the empty residual fragment the old root (the centre), each leaf
+// the fragment its edge carved out.
+func TestSplitStarNamesEveryRoot(t *testing.T) {
+	h := newHost(5)
+	star := []graph.Edge{
+		graph.NewEdge(0, 1), graph.NewEdge(0, 2), graph.NewEdge(0, 3), graph.NewEdge(0, 4),
+	}
+	if err := h.insertBatch(star); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.deleteBatch(star); err != nil {
+		t.Fatal(err)
+	}
+	frags := h.split.Fragments
+	var roots []int
+	for _, fr := range frags {
+		if fr.Len != 0 || fr.Tour != NoTour {
+			t.Errorf("fragment %+v is not a single vertex", fr)
+		}
+		roots = append(roots, fr.Root)
+	}
+	if residual := frags[len(frags)-1]; residual.Root != 0 {
+		t.Errorf("empty residual fragment has Root %d, want the centre 0", residual.Root)
+	}
+	sort.Ints(roots)
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(roots, want) {
+		t.Errorf("fragment roots %v, want %v", roots, want)
 	}
 }
 

@@ -16,6 +16,7 @@ type host struct {
 	n      int
 	recs   map[graph.Edge]*Record
 	nextID TourID
+	split  *SplitResult // the plan of the last deleteBatch
 }
 
 func newHost(n int) *host {
@@ -177,6 +178,7 @@ func (h *host) deleteBatch(edges []graph.Edge) error {
 	if err != nil {
 		return err
 	}
+	h.split = res
 	for _, e := range edges {
 		delete(h.recs, e.Canonical())
 	}

@@ -15,9 +15,11 @@ type Fragment struct {
 	// Len is the fragment's tour length: 4*(size-1).
 	Len int
 	// Root is the fragment's root vertex when known: the child endpoint of
-	// the deleted edge that carved it out, or -1 for the residual root
-	// fragment of each old tour (whose root is the old tour's root, which
-	// the planner does not know).
+	// the deleted edge that carved it out. The residual root fragment of each
+	// old tour is rooted at the old tour's root, which the planner knows only
+	// when the fragment is empty (every top-level deletion then hangs off
+	// it): Root is that vertex for an empty residual fragment and -1 for any
+	// other. So every single-vertex fragment names its vertex.
 	Root int
 }
 
@@ -152,6 +154,9 @@ func planSplitOne(t TourID, l int, recs []Record, nextTour func() TourID, res *S
 	}
 	if err := emitFragment(1, l, top, -1); err != nil {
 		return err
+	}
+	if fr := &res.Fragments[len(res.Fragments)-1]; fr.Len == 0 {
+		fr.Root = top[0].rec.Parent()
 	}
 	if want := l - 4*len(recs); total != want {
 		return fmt.Errorf("eulertour: split of tour %d kept %d positions, want %d", t, total, want)

@@ -25,7 +25,7 @@ var containerDigests = map[string]string{
 	"connectivity":       "9b92da57ba341e0db1f60fc3e4f14ba14d095165bad37ed1d4b583d8505fb2ab",
 	"dynmatching":        "04e7598e9568de2fa9f2b74d67635f9f5e2ff7b6f32448409da58d06a693e2da",
 	"matching":           "aa01296f1438d467c26f2bfdae52bcc92ebcbd91a3f70a293cb3fd8b697afac2",
-	"msf":                "a5807a914c60923c68e18063ba235f38a3e8ab4e66f92b4141898979f61ebfae",
+	"msf":                "6fe53bf7648df08ebc967578fc1fc9900201afb1272eb645a77df5e9a17a2c09",
 	"nowickionak":        "6b67a431c6d8ea0c27a9b9e75c78c87a7f6fede345043b0c24b53f8a9fcd5d31",
 	"connectivity-delta": "4c0b218ad66bfc72206414e9200babe461dfd1cba244005f6dca416313676568",
 	"session":            "8d14b9d017802f8a3800d6e5e1a1e0f8ddecafe65155ae14ee0857ca8b33c590",
