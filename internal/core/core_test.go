@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/eulertour"
 	"repro/internal/graph"
 	"repro/internal/hash"
-	"repro/internal/mpc"
 	"repro/internal/oracle"
 	"repro/internal/snapshot"
 )
@@ -624,10 +624,18 @@ func TestFailureInjectionStarvedSketches(t *testing.T) {
 // package's own writers.
 func handEcho(e *snapshot.Encoder, f *Forest) {
 	e.Int(f.cfg.N)
-	e.F64(f.cfg.Phi)
+	e.U64(math.Float64bits(f.cfg.Phi))
 	e.Int(f.cfg.SketchCopies)
 	e.U64(f.cfg.Seed)
-	e.Bool(f.weighted)
+	e.U64(boolWord(f.weighted))
+}
+
+// boolWord is a boolean as a container holds it: 1 for true, 0 for false.
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // handForest writes a forest section: the given next tour id, no cached
@@ -637,9 +645,9 @@ func handForest(e *snapshot.Encoder, f *Forest, warm, next uint64, recs []eulert
 	e.Begin(tagForest)
 	handEcho(e, f)
 	e.U64(next)
-	e.Bool(false) // no component count
+	e.U64(0) // no component count
 	e.U64(warm)
-	snapshot.EncodeClusterStats(e, mpc.Stats{})
+	e.Words(make([]uint64, 8)) // zero Stats: seven counters, no violations
 	e.Int(len(recs))
 	for _, r := range recs {
 		e.Int(r.E.U)
@@ -877,8 +885,8 @@ func TestOldForestLayoutRejectedByTag(t *testing.T) {
 	perMachine.Int(cfg.VerticesPerMachine)
 	perMachine.Int(dc.f.cl.Machines())
 	perMachine.Begin(0x11)
-	perMachine.Int(0)     // machine id
-	perMachine.Bool(true) // has vertices
+	perMachine.Int(0) // machine id
+	perMachine.U64(1) // has vertices
 	columns := snapshot.NewEncoder()
 	columns.Begin(0x17)
 	handEcho(columns, dc.f)
@@ -914,7 +922,8 @@ func TestLoadRejectsSketchRunOfWrongLength(t *testing.T) {
 	e := snapshot.NewEncoder()
 	src.f.Checkpoint(e)
 	e.Begin(tagSketches)
-	e.U64s(make([]uint64, cfg.N*src.space.SketchWords()-1))
+	e.Int(cfg.N*src.space.SketchWords() - 1)
+	e.Words(make([]uint64, cfg.N*src.space.SketchWords()-1))
 	err = snapshot.Load(bytes.NewReader(container(t, e)), target)
 	if err == nil || !strings.Contains(err.Error(), "sketch run of") {
 		t.Fatalf("short sketch run not rejected: %v", err)
@@ -950,7 +959,8 @@ func TestOldSketchLayoutRejectedByTag(t *testing.T) {
 	e := snapshot.NewEncoder()
 	src.f.Checkpoint(e)
 	e.Begin(0x18)
-	e.U64s(make([]uint64, cfg.N*src.space.SketchWords()/2*3))
+	e.Int(cfg.N * src.space.SketchWords() / 2 * 3)
+	e.Words(make([]uint64, cfg.N*src.space.SketchWords()/2*3))
 	err = snapshot.Load(bytes.NewReader(container(t, e)), target)
 	if err == nil || !strings.Contains(err.Error(), "found section 0x18 where 0x1c was expected") {
 		t.Fatalf("three-word sketch run not rejected by tag: %v", err)

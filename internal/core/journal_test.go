@@ -83,7 +83,7 @@ func handDelta(t *testing.T, baseID uint64, live *DynamicConnectivity, journal [
 	e.U64(f.nextID)
 	e.Int(len(live.SnapshotForest()))
 	lc := &f.cache
-	e.Bool(lc.numCompsOK)
+	e.U64(boolWord(lc.numCompsOK))
 	for w := 0; w < f.cfg.N; w += 64 { // the warm set, a bit per vertex
 		var bits uint64
 		for v := w; v < min(w+64, f.cfg.N); v++ {
@@ -93,7 +93,7 @@ func handDelta(t *testing.T, baseID uint64, live *DynamicConnectivity, journal [
 		}
 		e.U64(bits)
 	}
-	snapshot.EncodeClusterStats(e, f.cl.Stats())
+	snapshot.Put(e, snapshot.Stats(f.cl))
 	var buf bytes.Buffer
 	if _, _, err := e.WriteContainer(&buf, snapshot.DeltaMagic); err != nil {
 		t.Fatal(err)

@@ -25,12 +25,14 @@ package core
 // This file holds the echo and the warm-set bitmap both kinds write, the
 // full checkpoint's Checkpoint and Restore (the image they encode and load,
 // Forest.Image, and its cross-row checks are in reshard.go) and the delta's
-// writer and reader. The container-level checks (magic, version, CRC) have
-// already rejected corrupt files before any reader here runs.
+// writer and reader. Every word of both is a snapshot part: the delta writes
+// its echo, its journal, then its tail (deltaTail) — the replay fingerprint
+// as echoes, so a replay that arrives elsewhere is rejected by the codec,
+// the cached-count scalar, the warm set and the Stats — and reads them back
+// from the same declaration. The container-level checks (magic, version,
+// CRC) have already rejected corrupt files before any reader here runs.
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/snapshot"
 )
@@ -131,16 +133,24 @@ func (f *Forest) treeEdges() int {
 	return n
 }
 
+// deltaTail declares what a delta records after its journal: the replay
+// fingerprint — the tour-id counter and the tree-edge count, echoes a restore
+// compares its replay against — and the coordinator state a replay
+// cannot rederive, because it depends on the queries run in between: whether
+// the component count is cached, the label cache's warm set and the cluster
+// stats. The echoes hold the values at the call, so a restore declares the
+// tail after its replay.
+func (f *Forest) deltaTail(warm *snapshot.Bitmap) (fingerprint, coord []snapshot.Part) {
+	return []snapshot.Part{snapshot.Echo("tour counter", f.nextID), snapshot.Echo("tree edges", f.treeEdges())},
+		[]snapshot.Part{snapshot.Scalar("component count cached", &f.cache.numCompsOK), warm, snapshot.Stats(f.cl)}
+}
+
 // CheckpointDelta serializes what changed since the last acknowledged
 // checkpoint as one section: the configuration echo; the journal — the
-// batches ApplyBatch received since, chunk boundaries kept; the replay
-// fingerprint (tour-id counter, tree-edge count) a restore compares its replay
-// against; and the coordinator driver state a replay cannot rederive, because
-// it depends on the queries run in between: whether the component count is
-// cached, the label cache's warm set, the cluster stats. It declines (false)
-// when the journal was dropped: it outgrew its bound, ApplyBatch
-// returned an error, or Bootstrap bypassed it. Call AckCheckpoint once the
-// container is durable.
+// batches ApplyBatch received since, chunk boundaries kept; then the tail
+// (deltaTail). It declines (false) when the journal was dropped: it outgrew
+// its bound, ApplyBatch returned an error, or Bootstrap bypassed it. Call
+// AckCheckpoint once the container is durable.
 func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) bool {
 	f := dc.f
 	e.Begin(tagReplayDelta)
@@ -148,11 +158,9 @@ func (dc *DynamicConnectivity) CheckpointDelta(e *snapshot.Encoder) bool {
 	if !dc.journal.Encode(e) {
 		return false
 	}
-	e.U64(f.nextID)
-	e.Int(f.treeEdges())
-	e.Bool(f.cache.numCompsOK)
-	snapshot.Put(e, f.warm())
-	snapshot.EncodeClusterStats(e, f.cl.Stats())
+	fingerprint, coord := f.deltaTail(f.warm())
+	snapshot.Put(e, fingerprint...)
+	snapshot.Put(e, coord...)
 	return true
 }
 
@@ -183,27 +191,20 @@ func (dc *DynamicConnectivity) RestoreDelta(d *snapshot.Decoder, then func(graph
 	if err != nil {
 		return replayed, err
 	}
-	nextID, treeEdges := d.U64(), d.Int()
-	numCompsOK := d.Bool()
 	warm := f.warm()
-	if err := snapshot.Get(d, "core", warm); err != nil {
+	fingerprint, coord := f.deltaTail(warm)
+	if err := snapshot.Get(d, "core: replay diverged", fingerprint...); err != nil {
 		return replayed, err
 	}
-	st := snapshot.DecodeClusterStats(d)
-	if err := d.Err(); err != nil {
+	if err := snapshot.Read(d, "core", coord...); err != nil {
 		return replayed, err
-	}
-	if nextID != f.nextID || treeEdges != f.treeEdges() {
-		return replayed, fmt.Errorf("core: replay diverged: the journal leaves tour counter %d and %d tree edges, the delta recorded %d and %d",
-			f.nextID, f.treeEdges(), nextID, treeEdges)
 	}
 	lc := &f.cache
-	lc.numComps, lc.numCompsOK = 0, numCompsOK
+	lc.numComps = 0
 	for i := 0; i < f.coord; i++ { // unmetered, like Checkpoint's walk
 		lc.numComps += vShard(f.cl.Machine(i)).heads()
 	}
 	lc.installWarm(warm, func(v int) int { return vShard(f.cl.Machine(f.part.Owner(v))).compOf(v) })
-	f.cl.RestoreStats(st)
 	dc.search.reset()
 	dc.journal.Reset() // the restored state is the new delta baseline
 	return replayed, nil

@@ -17,8 +17,9 @@ import (
 // containerDigests pins the SHA-256 of containers every loader must keep
 // reading and every writer must keep writing: the full container of each
 // registered algorithm after the run TestLoadIsReshardAtTheSourceShape
-// saves (the same at p1 and p8), one connectivity delta and one session
-// container (meta echo, mirror edge set and connectivity state).
+// saves (the same at p1 and p8), one connectivity delta, one session
+// container (meta echo, mirror edge set and connectivity state) and the
+// session delta that extends it (delta meta echo and connectivity delta).
 var containerDigests = map[string]string{
 	"approxmsf":          "e57b5a6b401af9ceea5bf9d936cfe7668775da2d35b53387f5ee05812bdd5e63",
 	"bipartite":          "83dc400bc523d00a1a73cbe58a1a4a51decc78e7243aa5e1c6c3ec08b755420d",
@@ -29,6 +30,7 @@ var containerDigests = map[string]string{
 	"nowickionak":        "6b67a431c6d8ea0c27a9b9e75c78c87a7f6fede345043b0c24b53f8a9fcd5d31",
 	"connectivity-delta": "4c0b218ad66bfc72206414e9200babe461dfd1cba244005f6dca416313676568",
 	"session":            "8d14b9d017802f8a3800d6e5e1a1e0f8ddecafe65155ae14ee0857ca8b33c590",
+	"session-delta":      "9aff9ed82e008384cfb2f8fb96be0d88cb72818a4d8e7c2bed2513f6282a8a53",
 }
 
 // TestContainerBytesPinned fails when any container's bytes move: a layout
@@ -70,7 +72,9 @@ func TestContainerBytesPinned(t *testing.T) {
 			digest(name, buf.Bytes())
 		}
 		digest("connectivity-delta", pinDelta(t, par))
-		digest("session", pinSession(t, par))
+		full, delta := pinSession(t, par)
+		digest("session", full)
+		digest("session-delta", delta)
 	}
 	for name, want := range containerDigests {
 		if got[name] != want {
@@ -78,7 +82,7 @@ func TestContainerBytesPinned(t *testing.T) {
 		}
 	}
 	if t.Failed() {
-		for _, name := range append(AlgorithmNames(), "connectivity-delta", "session") {
+		for _, name := range append(AlgorithmNames(), "connectivity-delta", "session", "session-delta") {
 			t.Logf("%q: %q,", name, got[name])
 		}
 	}
@@ -146,8 +150,9 @@ func pinDelta(t *testing.T, par int) []byte {
 }
 
 // pinSession returns the full container of a connectivity session with a
-// mirror.
-func pinSession(t *testing.T, par int) []byte {
+// mirror, and the delta the session writes after two more batches and a
+// query.
+func pinSession(t *testing.T, par int) (full, delta []byte) {
 	t.Helper()
 	store := snapshot.NewMemStore()
 	shape := pinShape
@@ -161,16 +166,22 @@ func pinSession(t *testing.T, par int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range pinBatches(t, 10) {
+	for i, b := range pinBatches(t, 12) {
 		if err := s.Mirror().Admit(b); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Apply(b); err != nil {
 			t.Fatal(err)
 		}
+		if i == 9 {
+			if c, err := s.Checkpoint(); err != nil || c.Kind != "full" {
+				t.Fatalf("session checkpoint: %+v, %v", c, err)
+			}
+		}
 	}
-	if c, err := s.Checkpoint(); err != nil || c.Kind != "full" {
-		t.Fatalf("session checkpoint: %+v, %v", c, err)
+	s.State().(*core.DynamicConnectivity).ConnectedAll([]core.Pair{{U: 0, V: 1}, {U: 3, V: 30}})
+	if c, err := s.Checkpoint(); err != nil || c.Kind != "delta" {
+		t.Fatalf("session delta checkpoint: %+v, %v", c, err)
 	}
-	return open(t, store, "pin")
+	return open(t, store, "pin"), open(t, store, "pin.delta-001")
 }

@@ -2,13 +2,13 @@ package msf
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hash"
-	"repro/internal/mpc"
 	"repro/internal/oracle"
 	"repro/internal/snapshot"
 )
@@ -375,18 +375,22 @@ func TestRestoreCountsTheWeightReadout(t *testing.T) {
 		e.Begin(tagExactMSF)
 		e.Int(0) // swap waves
 		e.I64(0) // weight
-		e.Bool(weightOK)
+		if weightOK {
+			e.U64(1)
+		} else {
+			e.U64(0)
+		}
 		e.Begin(0x1A) // the forest
 		e.Int(shape.N)
-		e.F64(shape.Phi)
+		e.U64(math.Float64bits(shape.Phi))
 		e.Int(shape.SketchCopies)
 		e.U64(shape.Seed)
-		e.Bool(true)     // weighted
-		e.U64(1)         // next tour id
-		e.Bool(true)     // component count cached
-		e.U64(1<<31 - 1) // warm set: vertices 0..30
-		snapshot.EncodeClusterStats(e, mpc.Stats{})
-		e.Int(0) // no tree edges
+		e.U64(1)                   // weighted
+		e.U64(1)                   // next tour id
+		e.U64(1)                   // component count cached
+		e.U64(1<<31 - 1)           // warm set: vertices 0..30
+		e.Words(make([]uint64, 8)) // zero Stats: seven counters, no violations
+		e.Int(0)                   // no tree edges
 		var buf bytes.Buffer
 		if _, err := e.WriteTo(&buf); err != nil {
 			t.Fatal(err)

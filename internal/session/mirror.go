@@ -1,6 +1,9 @@
 package session
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/snapshot"
 )
@@ -36,18 +39,34 @@ func (m *Mirror) Admit(b graph.Batch) error { return m.g.Admit(b) }
 // boundaries) and stay retired, like core's physical-delta tags.
 const tagMirror = 0x71
 
+// image declares the mirror's section: its edge set as a table of (u, v,
+// weight) rows in edge order, so two equal graphs write equal bytes whatever
+// their insertion history. edges are the rows to write, sorted; a load
+// passes none. Its install replaces the graph with one over the same vertex
+// count holding exactly the rows.
+func (m *Mirror) image(edges []graph.WeightedEdge) *snapshot.Image {
+	n := m.g.N()
+	t := &snapshot.Table{Name: "graph edges", Len: len(edges), Row: func(r int, row []uint64) {
+		row[0], row[1], row[2] = uint64(edges[r].U), uint64(edges[r].V), uint64(edges[r].Weight)
+	}, Layout: snapshot.Layout{Width: 3, Key: 2, Order: "edge", Fields: []snapshot.Field{{Name: "u", Hi: n}, {Name: "v", Hi: n, Above: true}}}}
+	return &snapshot.Image{Pkg: "session", Sections: []snapshot.Section{{Tag: tagMirror, Parts: []snapshot.Part{t}}}, Install: func() {
+		m.g = graph.New(n)
+		for r := range t.Rows() {
+			row := t.At(r)
+			_ = m.g.Insert(int(row[0]), int(row[1]), int64(row[2])) // the layout rules out self-loops and repeats
+		}
+	}}
+}
+
 // Checkpoint implements snapshot.Checkpointer.
 func (m *Mirror) Checkpoint(e *snapshot.Encoder) {
-	e.Begin(tagMirror)
-	snapshot.EncodeGraph(e, m.g)
+	edges := m.g.Edges()
+	slices.SortFunc(edges, func(a, b graph.WeightedEdge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	m.image(edges).Encode(e)
 }
 
 // Restore implements snapshot.Restorer: the checkpointed edge set replaces
-// the mirror's (over the same vertex count).
-func (m *Mirror) Restore(d *snapshot.Decoder) error {
-	d.Begin(tagMirror)
-	if m.g.M() > 0 {
-		m.g = graph.New(m.g.N())
-	}
-	return snapshot.DecodeGraphInto(d, m.g)
-}
+// the mirror's (over the same vertex count). Every row is validated — both
+// endpoints in range, u below v, in strictly increasing order — before the
+// graph is touched.
+func (m *Mirror) Restore(d *snapshot.Decoder) error { return m.image(nil).Load(d) }

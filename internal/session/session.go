@@ -14,9 +14,11 @@
 // Every container a Session writes starts with the meta echo — vertex count,
 // Phi, seed, the live VerticesPerMachine, the applied-batch count and the
 // restore-cycle count — followed by the companion Mirror's edge set (when
-// the session has one) and the algorithm state. Restore reads the echo first,
-// cross-checks it against the configured shape, builds a fresh state at the
-// persisted fleet shape, and only then loads into it. Delta containers
+// the session has one) and the algorithm state. The echo and the edge set
+// are each declared once as snapshot parts (meta, Mirror's table), which
+// both write and read them. Restore reads the echo first, checks its bounds
+// and cross-checks it against the configured shape, builds a fresh state at
+// the persisted fleet shape, and only then loads into it. Delta containers
 // repeat the echo (it is tiny and keeps each container self-validating) and
 // then hold the state's delta: its journal (snapshot.Journal) of the chunks
 // it applied since the last acknowledged checkpoint. The mirror writes
@@ -290,24 +292,25 @@ const (
 	tagMetaDelta = 0x72
 )
 
+// meta declares the meta echo section under tag: sh's N, Phi, Seed and
+// VerticesPerMachine, the applied-batch count and the restore-cycle count.
+func meta(tag uint64, sh *Shape, applied *int, cycles *uint64) *snapshot.Image {
+	return &snapshot.Image{Pkg: "session", Sections: []snapshot.Section{{Tag: tag, Parts: []snapshot.Part{
+		snapshot.Scalar("N", &sh.N), snapshot.Scalar("Phi", &sh.Phi), snapshot.Scalar("Seed", &sh.Seed),
+		snapshot.Scalar("VerticesPerMachine", &sh.VerticesPerMachine),
+		snapshot.Scalar("applied batches", applied), snapshot.Scalar("restore cycles", cycles),
+	}}}}
+}
+
 func (s *Session) writeMeta(e *snapshot.Encoder, tag uint64) {
-	e.Begin(tag)
-	e.Int(s.shape.N)
-	e.F64(s.shape.Phi)
-	e.U64(s.shape.Seed)
-	e.Int(s.shape.VerticesPerMachine)
-	e.Int(s.applied)
-	e.U64(s.cycles)
+	meta(tag, &s.shape, &s.applied, &s.cycles).Encode(e)
 }
 
 // readMeta decodes one echo and checks it against what the session already
 // knows: the configured shape for a base, the restored base for a delta.
 func (s *Session) readMeta(d *snapshot.Decoder, tag uint64, known Shape) (sh Shape, applied int, cycles uint64, err error) {
-	d.Begin(tag)
 	sh = s.cfg.Shape
-	sh.N, sh.Phi, sh.Seed, sh.VerticesPerMachine = d.Int(), d.F64(), d.U64(), d.Int()
-	applied, cycles = d.Int(), d.U64()
-	if err = d.Err(); err != nil {
+	if err = meta(tag, &sh, &applied, &cycles).Load(d); err != nil {
 		return
 	}
 	if known.N != 0 && (sh.N != known.N || sh.Phi != known.Phi || sh.Seed != known.Seed) {

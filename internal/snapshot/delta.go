@@ -59,6 +59,12 @@ type DeltaState interface {
 	AckCheckpoint()
 }
 
+// chainHeader declares the tagChain section: link's three words.
+func chainHeader(link *ChainLink) *Image {
+	return &Image{Pkg: "snapshot", Sections: []Section{{Tag: tagChain, Parts: []Part{
+		Scalar("base", &link.Base), Scalar("prev", &link.Prev), Scalar("seq", &link.Seq)}}}}
+}
+
 // encodeDelta builds one delta container's sections: the chain header
 // first, then the state's delta sections. ok is false when there is no delta
 // to write: the state cannot write deltas at all, or declines this one.
@@ -68,10 +74,7 @@ func encodeDelta(link ChainLink, state State) (e *Encoder, ok bool) {
 		return nil, false
 	}
 	e = NewEncoder()
-	e.Begin(tagChain)
-	e.U64(link.Base)
-	e.U64(link.Prev)
-	e.U64(link.Seq)
+	chainHeader(&link).Encode(e)
 	if !ds.CheckpointDelta(e) {
 		return nil, false
 	}
@@ -79,13 +82,9 @@ func encodeDelta(link ChainLink, state State) (e *Encoder, ok bool) {
 }
 
 // readChainHeader consumes the mandatory tagChain section.
-func readChainHeader(d *Decoder) (ChainLink, error) {
-	d.Begin(tagChain)
-	link := ChainLink{Base: d.U64(), Prev: d.U64(), Seq: d.U64()}
-	if err := d.Err(); err != nil {
-		return ChainLink{}, err
-	}
-	return link, nil
+func readChainHeader(d *Decoder) (link ChainLink, err error) {
+	err = chainHeader(&link).Load(d)
+	return link, err
 }
 
 // restoreDelta checks a delta's header against the expected position in

@@ -160,9 +160,10 @@
 //
 // # Columns
 //
-// No state hand-writes its full image. It declares one (Image): its sections
-// in order, each a list of parts, and one codec encodes, decodes, validates
-// and cap-checks every part from that declaration. The parts are
+// No section of any container is hand-written. A state declares its full
+// image (Image): its sections in order, each a list of parts, and one codec
+// encodes, decodes, validates and cap-checks every part from that
+// declaration. The parts are
 //
 //   - Echo: a configuration value written from the instance and compared on
 //     load ("snapshot of N=64 restored into N=48"), never installed;
@@ -198,8 +199,21 @@
 // Image.Staged says the install leaves in a slot standing in for it (core's
 // edge shards and label-cache meter, the exact MSF's weight readout, the
 // maximal matcher's shards and size readout). Every rejection before the
-// install leaves the instance untouched. A delta reuses the echo and bitmap
-// parts (Put, Get); its journal keeps its own format.
+// install leaves the instance untouched.
+//
+// Every other section is declared the same way, so writer and reader cannot
+// drift apart. A whole section is a small Image run by Encode and Load: the
+// delta chain header (three scalars), session's meta echo (scalars; the
+// session checks their bounds after the load) and its mirror (a Table whose
+// install builds the graph), and the trace's segment meta (echoes of the
+// footer index entry and a scalar) and footer (scalars and the index, a
+// Table of four words per segment). Core's delta section mixes parts with its
+// journal: Put writes the echo, the journal follows, then the tail — the
+// replay fingerprint as echoes, compared after the replay, a scalar, the
+// warm-set Bitmap and Stats; Get reads parts without committing them, and
+// Read, for parts read outside an Image, reads and commits them. Only the
+// per-update rows keep a loop of their own (EncodeUpdates, DecodeUpdates,
+// Journal): they sit on the trace replay path.
 //
 // # Version policy
 //
@@ -213,12 +227,14 @@
 //
 // # Usage
 //
-// Writers implement Checkpointer against the Encoder (Begin a section, then
-// append words); readers implement Restorer against the Decoder, whose
-// accessors are sticky: the first structural error latches and every later
-// read returns a zero value, so restore code reads linearly and checks
-// Err/Finish once. A full state's Checkpoint and Restore are its image's
-// Encode and Load. A loader of one fleet rejects before it installs; a
+// A state implements Checkpointer and Restorer by declaring its sections as
+// parts: a full state's Checkpoint and Restore are its image's Encode and
+// Load, a delta's are Put and Get or Read around its journal. The Encoder's
+// and Decoder's word accessors (U64, Int, I64, String, Words, Count) are the
+// codec's own and the update rows'; CI's "One codec" step fails when Go
+// outside this package calls them. They are sticky: the first structural
+// error latches and every later read returns a zero value, so a part reads
+// linearly and the codec checks Err once. A loader of one fleet rejects before it installs; a
 // composite that loads several fleets one after another may leave the
 // earlier ones loaded — discard an instance whose Restore failed. The
 // container-level checks (magic, version, CRC) run before any state is

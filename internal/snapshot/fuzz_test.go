@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
-
-	"repro/internal/graph"
 )
 
 // FuzzSnapshotDecode hammers the snapshot container decoder with arbitrary
@@ -18,10 +16,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	e := NewEncoder()
 	e.Begin(1)
 	e.Int(42)
-	e.U64s([]uint64{7, 8, 9})
+	e.Int(3)
+	e.Words([]uint64{7, 8, 9})
 	e.String("seed")
 	e.Begin(2)
-	e.Bool(true)
+	e.U64(1)
 	var buf bytes.Buffer
 	if _, err := e.WriteTo(&buf); err != nil {
 		f.Fatal(err)
@@ -187,39 +186,6 @@ func FuzzDeltaDecode(f *testing.F) {
 	})
 }
 
-// FuzzGraphDecode exercises DecodeGraphInto against arbitrary section
-// contents: a corrupted count or edge triple must fail with a diagnostic
-// error, never panic or allocate from an unvalidated count.
-func FuzzGraphDecode(f *testing.F) {
-	mk := func(words []uint64) []byte {
-		e := NewEncoder()
-		e.Begin(9)
-		for _, w := range words {
-			e.U64(w)
-		}
-		var buf bytes.Buffer
-		if _, err := e.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	f.Add(mk([]uint64{1, 0, 1, 5}))          // one valid edge {0,1} w=5
-	f.Add(mk([]uint64{uint64(1) << 50}))     // huge count, empty body
-	f.Add(mk([]uint64{2, 0, 1, 5, 0, 1, 5})) // duplicate edge
-	f.Add(mk([]uint64{1, ^uint64(0), 3, 1})) // negative endpoint
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := NewDecoder(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if _, ok := d.Next(); !ok {
-			return
-		}
-		g := graph.New(8)
-		_ = DecodeGraphInto(d, g)
-	})
-}
-
 // FuzzSnapshotRoundTrip drives the encoder with fuzz-chosen values and
 // asserts decode returns them exactly.
 func FuzzSnapshotRoundTrip(f *testing.F) {
@@ -231,7 +197,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		e.U64(a)
 		e.I64(b)
 		e.String(s)
-		e.Bool(c)
+		Put(e, Scalar("c", &c))
 		var buf bytes.Buffer
 		if _, err := e.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -250,8 +216,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if got := d.String(); got != s {
 			t.Errorf("String = %q, want %q", got, s)
 		}
-		if got := d.Bool(); got != c {
-			t.Errorf("Bool = %v, want %v", got, c)
+		var got bool
+		if err := Read(d, "fuzz", Scalar("c", &got)); err != nil || got != c {
+			t.Errorf("bool = %v (%v), want %v", got, err, c)
 		}
 		if err := d.Finish(); err != nil {
 			t.Fatal(err)

@@ -143,6 +143,18 @@ func Get(d *Decoder, pkg string, parts ...Part) error {
 	return d.Err()
 }
 
+// Read is Get, then every part committed: for parts read outside an Image,
+// in the middle of a section whose other words keep their own format.
+func Read(d *Decoder, pkg string, parts ...Part) error {
+	if err := Get(d, pkg, parts...); err != nil {
+		return err
+	}
+	for _, p := range parts {
+		p.commit()
+	}
+	return nil
+}
+
 // Word is a Go type a scalar word holds.
 type Word interface {
 	int | int64 | uint64 | bool | float64
@@ -233,14 +245,33 @@ type stats struct {
 	st mpc.Stats
 }
 
-// Stats is the fleet's execution metrics (EncodeClusterStats), installed
-// verbatim, so a loaded instance's Stats are the checkpoint's.
+// Stats is the fleet's execution metrics — the counters in mpc.Stats field
+// order, then the count-prefixed violation strings — installed verbatim, so
+// a loaded instance's Stats are the checkpoint's and a resumed run's Stats
+// are bit-identical to an uninterrupted one's.
 func Stats(cl *mpc.Cluster) Part { return &stats{cl: cl} }
 
-func (p *stats) put(e *Encoder) { EncodeClusterStats(e, p.cl.Stats()) }
+func (p *stats) put(e *Encoder) {
+	st := p.cl.Stats()
+	e.Int(st.Rounds)
+	e.I64(st.Messages)
+	e.I64(st.WordsSent)
+	e.Int(st.MaxRecvWords)
+	e.Int(st.MaxSendWords)
+	e.Int(st.PeakMachineWords)
+	e.Int(st.PeakTotalWords)
+	e.Int(len(st.Violations))
+	for _, v := range st.Violations {
+		e.String(v)
+	}
+}
 
 func (p *stats) get(d *Decoder, _ string) error {
-	p.st = DecodeClusterStats(d)
+	p.st = mpc.Stats{Rounds: d.Int(), Messages: d.I64(), WordsSent: d.I64(),
+		MaxRecvWords: d.Int(), MaxSendWords: d.Int(), PeakMachineWords: d.Int(), PeakTotalWords: d.Int()}
+	for n := d.Count(1); n > 0 && d.Err() == nil; n-- {
+		p.st.Violations = append(p.st.Violations, d.String())
+	}
 	return nil
 }
 

@@ -90,3 +90,47 @@ func ReplayJournal(d *Decoder, n, maxBatch int, apply func(graph.Batch) error) (
 	}
 	return r, d.Err()
 }
+
+// EncodeUpdates appends one batch to the current section as a count-prefixed
+// list of (op, u, v, weight) tuples in application order: the record layout
+// of the trace format's batches and of a Journal's. These rows keep their own
+// loop rather than a Table's row callback because they sit on the trace
+// replay path. Pair with DecodeUpdates.
+func EncodeUpdates(e *Encoder, b graph.Batch) {
+	e.Int(len(b))
+	for _, up := range b {
+		e.U64(uint64(up.Op))
+		e.Int(up.Edge.U)
+		e.Int(up.Edge.V)
+		e.I64(up.Weight)
+	}
+}
+
+// DecodeUpdates reads one batch written by EncodeUpdates as outside input
+// over n vertices: the count prefix is bounded against the section before
+// anything is allocated, and an unknown op, an endpoint outside [0, n) or a
+// self-loop is a diagnostic. Edges come back canonical. Validity against a
+// graph (insert of a present edge, delete of an absent one) is the caller's
+// to check.
+func DecodeUpdates(d *Decoder, n int) (graph.Batch, error) {
+	cnt := d.Count(4)
+	out := make(graph.Batch, 0, cnt)
+	for i := 0; i < cnt; i++ {
+		op := d.U64()
+		u, v := d.Int(), d.Int()
+		w := d.I64()
+		if d.Err() != nil {
+			break
+		}
+		switch {
+		case op != uint64(graph.Insert) && op != uint64(graph.Delete):
+			return nil, fmt.Errorf("bad op %d", op)
+		case u < 0 || u >= n || v < 0 || v >= n:
+			return nil, fmt.Errorf("edge {%d,%d}: vertex out of range [0,%d)", u, v, n)
+		case u == v:
+			return nil, fmt.Errorf("self loop {%d,%d}", u, v)
+		}
+		out = append(out, graph.Update{Op: graph.Op(op), Edge: graph.NewEdge(u, v), Weight: w})
+	}
+	return out, d.Err()
+}

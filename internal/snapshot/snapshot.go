@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"slices"
 
 	"repro/internal/mpc"
@@ -127,24 +126,6 @@ func (e *Encoder) Int(x int) { e.U64(uint64(int64(x))) }
 
 // I64 appends a signed 64-bit integer.
 func (e *Encoder) I64(x int64) { e.U64(uint64(x)) }
-
-// F64 appends a float64 by bit pattern.
-func (e *Encoder) F64(x float64) { e.U64(math.Float64bits(x)) }
-
-// Bool appends a boolean as one word.
-func (e *Encoder) Bool(b bool) {
-	if b {
-		e.U64(1)
-	} else {
-		e.U64(0)
-	}
-}
-
-// U64s appends a length-prefixed word slice.
-func (e *Encoder) U64s(xs []uint64) {
-	e.Int(len(xs))
-	e.Words(xs)
-}
 
 // Words appends words with no length prefix: the continuation of a run whose
 // total length the caller already wrote, so a run spread over several buffers
@@ -343,22 +324,6 @@ func (d *Decoder) Int() int { return int(int64(d.U64())) }
 // I64 reads a signed 64-bit integer.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
-// F64 reads a float64 by bit pattern.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bool reads a boolean and rejects non-canonical encodings.
-func (d *Decoder) Bool() bool {
-	switch d.U64() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail("section %#x: non-boolean word at %d", d.tag, d.off-1)
-		return false
-	}
-}
-
 // Count reads a count prefix for a sequence whose items each occupy at
 // least minWordsPerItem words, and bounds it against the words remaining in
 // the current section before the caller sizes any allocation from it. A
@@ -439,40 +404,4 @@ func (d *Decoder) Finish() error {
 		return fmt.Errorf("snapshot: %d trailing sections (layout skew)", len(d.frames)-d.next)
 	}
 	return nil
-}
-
-// EncodeClusterStats appends the cluster execution metrics to the current
-// section; pair with DecodeClusterStats. Restoring these alongside the
-// machine stores is what makes a resumed run's Stats bit-identical to an
-// uninterrupted one.
-func EncodeClusterStats(e *Encoder, st mpc.Stats) {
-	e.Int(st.Rounds)
-	e.I64(st.Messages)
-	e.I64(st.WordsSent)
-	e.Int(st.MaxRecvWords)
-	e.Int(st.MaxSendWords)
-	e.Int(st.PeakMachineWords)
-	e.Int(st.PeakTotalWords)
-	e.Int(len(st.Violations))
-	for _, v := range st.Violations {
-		e.String(v)
-	}
-}
-
-// DecodeClusterStats reads the metrics written by EncodeClusterStats.
-func DecodeClusterStats(d *Decoder) mpc.Stats {
-	st := mpc.Stats{
-		Rounds:           d.Int(),
-		Messages:         d.I64(),
-		WordsSent:        d.I64(),
-		MaxRecvWords:     d.Int(),
-		MaxSendWords:     d.Int(),
-		PeakMachineWords: d.Int(),
-		PeakTotalWords:   d.Int(),
-	}
-	n := d.Count(1)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		st.Violations = append(st.Violations, d.String())
-	}
-	return st
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/mpc"
 )
 
@@ -20,10 +19,9 @@ func encodeSample(t *testing.T) []byte {
 	e.U64(42)
 	e.Int(-17)
 	e.I64(-1 << 40)
-	e.F64(0.625)
-	e.Bool(true)
-	e.Bool(false)
-	e.U64s([]uint64{1, 2, 3})
+	Put(e, Echo("phi", 0.625), Echo("yes", true), Echo("no", false))
+	e.Int(3)
+	e.Words([]uint64{1, 2, 3})
 	e.String("hello, snapshot")
 	e.Begin(9)
 	e.String("") // empty string edge case
@@ -50,11 +48,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got := d.I64(); got != -1<<40 {
 		t.Errorf("I64 = %d", got)
 	}
-	if got := d.F64(); got != 0.625 {
-		t.Errorf("F64 = %v", got)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool round trip broken")
+	phi, yes, no := 0.0, false, true
+	if err := Read(d, "sample", Scalar("phi", &phi), Scalar("yes", &yes), Scalar("no", &no)); err != nil || phi != 0.625 || !yes || no {
+		t.Errorf("scalars = %v, %v, %v (%v), want 0.625, true, false", phi, yes, no, err)
 	}
 	if got := d.U64s(); len(got) != 3 || got[2] != 3 {
 		t.Errorf("U64s = %v", got)
@@ -193,9 +189,12 @@ func TestClusterStatsRoundTrip(t *testing.T) {
 		PeakTotalWords:   13,
 		Violations:       []string{"machine 3 sent 99 words in one round (cap 10)"},
 	}
+	cluster := func() *mpc.Cluster { return mpc.NewCluster(mpc.Config{Machines: 1, LocalMemory: 1}) }
+	src := cluster()
+	src.RestoreStats(want)
 	e := NewEncoder()
 	e.Begin(2)
-	EncodeClusterStats(e, want)
+	Put(e, Stats(src))
 	var buf bytes.Buffer
 	if _, err := e.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -205,10 +204,14 @@ func TestClusterStatsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Begin(2)
-	got := DecodeClusterStats(d)
+	dst := cluster()
+	if err := Read(d, "stats", Stats(dst)); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	got := dst.Stats()
 	if got.Rounds != want.Rounds || got.Messages != want.Messages ||
 		got.WordsSent != want.WordsSent || got.PeakTotalWords != want.PeakTotalWords ||
 		len(got.Violations) != 1 || got.Violations[0] != want.Violations[0] {
@@ -349,59 +352,6 @@ func TestWriteFileAtomic(t *testing.T) {
 	// create anything.
 	if err := putFile(dir+"/missing/state.snap", &fakeState{tag: 3}); err == nil {
 		t.Error("write into a missing directory succeeded")
-	}
-}
-
-// TestGraphRoundTrip pins EncodeGraph/DecodeGraphInto: canonical bytes
-// regardless of insertion order, and exact edge/weight recovery.
-func TestGraphRoundTrip(t *testing.T) {
-	a, b := graph.New(8), graph.New(8)
-	edges := [][3]int64{{0, 1, 5}, {2, 3, -7}, {1, 4, 9}, {0, 7, 1}}
-	for _, e := range edges {
-		if err := a.Insert(int(e[0]), int(e[1]), e[2]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := len(edges) - 1; i >= 0; i-- {
-		e := edges[i]
-		if err := b.Insert(int(e[0]), int(e[1]), e[2]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	enc := func(g *graph.Graph) []byte {
-		e := NewEncoder()
-		e.Begin(6)
-		EncodeGraph(e, g)
-		var buf bytes.Buffer
-		if _, err := e.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	da, db := enc(a), enc(b)
-	if !bytes.Equal(da, db) {
-		t.Error("same graph, different insertion order: bytes differ")
-	}
-	d, err := NewDecoder(bytes.NewReader(da))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Begin(6)
-	got := graph.New(8)
-	if err := DecodeGraphInto(d, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if got.M() != a.M() {
-		t.Fatalf("decoded %d edges, want %d", got.M(), a.M())
-	}
-	for _, e := range edges {
-		w, ok := got.Weight(int(e[0]), int(e[1]))
-		if !ok || w != e[2] {
-			t.Errorf("edge {%d,%d}: weight %d/%v, want %d", e[0], e[1], w, ok, e[2])
-		}
 	}
 }
 

@@ -28,11 +28,24 @@
 //
 // The footer carries the shape echo (vertex count, batch/update totals,
 // weighted flag) and the segment index: one (byte offset, byte length,
-// first batch, batch count) entry per segment. The trailing two words let a
-// reader locate the footer with one seek from the end, so Reader.SeekBatch
-// positions replay at any batch by loading only the segment that contains
-// it — which is how a resumed replay (mpcstream -trace -resume) continues
-// from a checkpoint without re-reading the prefix.
+// first batch, batch count) entry per segment.
+//
+// The segment meta and both footer sections are declared once as snapshot
+// parts (segMeta, footer; package snapshot, "# Columns"), and the writer and
+// the reader run the same declaration: scalars for the footer's shape and
+// the segment's update count, a four-word snapshot.Table for the index, and
+// echoes for a segment's first batch and batch count, so a segment that
+// disagrees with its index entry is rejected by the codec. The reader then
+// checks the index as a whole: entries cover [0, batches) contiguously, and
+// every extent lies inside the segment area, compared as a length against
+// the room left after its offset so that no sum can overflow. Only the
+// batch sections keep a loop of their own (snapshot.EncodeUpdates): they sit
+// on the replay path.
+//
+// The trailing two words let a reader locate the footer with one seek from
+// the end, so Reader.SeekBatch positions replay at any batch by loading only
+// the segment that contains it — which is how a resumed replay (mpcstream
+// -trace -resume) continues from a checkpoint without re-reading the prefix.
 //
 // # Memory guarantees
 //

@@ -156,20 +156,42 @@ func (t *Writer) fail(err error) error {
 	return t.err
 }
 
+// segMeta declares a segment's meta section: the index of its first batch
+// and its batch count — echoes of the footer index entry, so a load compares
+// them with the entry — and its update count. pkg names the segment in
+// diagnostics.
+func segMeta(pkg string, first, count int, updates *int) *snapshot.Image {
+	return &snapshot.Image{Pkg: pkg, Sections: []snapshot.Section{{Tag: tagSegMeta, Parts: []snapshot.Part{
+		snapshot.Echo("first batch", first), snapshot.Echo("batches", count), snapshot.Scalar("updates", updates),
+	}}}}
+}
+
+// footer declares the footer's sections: the shape echo, then the index —
+// one (off, length, first, count) row per segment, to write from index; a
+// load reads the rows off the returned table.
+func footer(shape *workload.Shape, index []segment) (*snapshot.Image, *snapshot.Table) {
+	t := &snapshot.Table{Name: "index", Layout: snapshot.Layout{Width: 4}, Len: len(index), Row: func(r int, row []uint64) {
+		s := index[r]
+		row[0], row[1], row[2], row[3] = uint64(s.off), uint64(s.length), uint64(s.first), uint64(s.count)
+	}}
+	return &snapshot.Image{Pkg: "trace footer", Sections: []snapshot.Section{
+		{Tag: tagFooterShape, Parts: []snapshot.Part{snapshot.Scalar("N", &shape.N), snapshot.Scalar("batches", &shape.Batches),
+			snapshot.Scalar("updates", &shape.Updates), snapshot.Scalar("weighted", &shape.Weighted)}},
+		{Tag: tagFooterIndex, Parts: []snapshot.Part{t}},
+	}}, t
+}
+
 // flushSegment encodes the buffered batches as one segment container.
 func (t *Writer) flushSegment() error {
 	if len(t.seg) == 0 {
 		return nil
 	}
-	e := snapshot.NewEncoder()
-	e.Begin(tagSegMeta)
-	e.Int(t.segFirst)
-	e.Int(len(t.seg))
 	updates := 0
 	for _, b := range t.seg {
 		updates += len(b)
 	}
-	e.Int(updates)
+	e := snapshot.NewEncoder()
+	segMeta("", t.segFirst, len(t.seg), &updates).Encode(e)
 	for _, b := range t.seg {
 		e.Begin(tagSegBatch)
 		snapshot.EncodeUpdates(e, b)
@@ -212,19 +234,8 @@ func (t *Writer) Close() error {
 		return t.fail(fmt.Errorf("trace: stream references vertex %d but the declared vertex space is [0,%d)", t.maxV, t.opt.N))
 	}
 	e := snapshot.NewEncoder()
-	e.Begin(tagFooterShape)
-	e.Int(shape.N)
-	e.Int(shape.Batches)
-	e.Int(shape.Updates)
-	e.Bool(shape.Weighted)
-	e.Begin(tagFooterIndex)
-	e.Int(len(t.index))
-	for _, s := range t.index {
-		e.I64(s.off)
-		e.I64(s.length)
-		e.Int(s.first)
-		e.Int(s.count)
-	}
+	img, _ := footer(&shape, t.index)
+	img.Encode(e)
 	footerOff := t.off
 	n, _, err := e.WriteContainer(t.w, FooterMagic)
 	if err != nil {
@@ -303,19 +314,16 @@ func NewReader(rs io.ReadSeeker) (*Reader, error) {
 		return nil, err
 	}
 	r := &Reader{rs: rs, size: size, segIdx: -1}
-	d.Begin(tagFooterShape)
-	r.shape.N = d.Int()
-	r.shape.Batches = d.Int()
-	r.shape.Updates = d.Int()
-	r.shape.Weighted = d.Bool()
-	d.Begin(tagFooterIndex)
-	cnt := d.Count(4)
-	for i := 0; i < cnt && d.Err() == nil; i++ {
-		s := segment{off: d.I64(), length: d.I64(), first: d.Int(), count: d.Int()}
-		r.index = append(r.index, s)
+	img, index := footer(&r.shape, nil)
+	if err := img.Load(d); err != nil {
+		return nil, err
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err
+	}
+	for i := range index.Rows() {
+		row := index.At(i)
+		r.index = append(r.index, segment{off: int64(row[0]), length: int64(row[1]), first: int(int64(row[2])), count: int(int64(row[3]))})
 	}
 	if r.shape.N < 2 || r.shape.N > MaxVertices {
 		return nil, fmt.Errorf("trace: footer declares %d vertices (want 2..%d)", r.shape.N, MaxVertices)
@@ -330,8 +338,8 @@ func NewReader(rs io.ReadSeeker) (*Reader, error) {
 		if s.first != next || s.count <= 0 {
 			return nil, fmt.Errorf("trace: footer index entry %d covers batches [%d,%d), want first %d", i, s.first, s.first+s.count, next)
 		}
-		if s.off < headerBytes || s.length <= 0 || s.off+s.length > footerOff {
-			return nil, fmt.Errorf("trace: footer index entry %d extent [%d,%d) outside segment area [%d,%d)", i, s.off, s.off+s.length, headerBytes, footerOff)
+		if s.off < headerBytes || s.length <= 0 || s.length > footerOff-s.off {
+			return nil, fmt.Errorf("trace: footer index entry %d extent of %d bytes at %d outside segment area [%d,%d)", i, s.length, s.off, headerBytes, footerOff)
 		}
 		next += s.count
 	}
@@ -370,18 +378,13 @@ func (r *Reader) loadSegment(i int) error {
 	if err != nil {
 		return fmt.Errorf("trace: segment %d: %w", i, err)
 	}
-	d.Begin(tagSegMeta)
-	first, count, updates := d.Int(), d.Int(), d.Int()
-	if err := d.Err(); err != nil {
+	var updates int
+	if err := segMeta(fmt.Sprintf("trace: segment %d", i), s.first, s.count, &updates).Load(d); err != nil {
 		return err
-	}
-	if first != s.first || count != s.count {
-		return fmt.Errorf("trace: segment %d declares batches [%d,%d), footer index says [%d,%d)",
-			i, first, first+count, s.first, s.first+s.count)
 	}
 	r.seg = r.seg[:0]
 	got := 0
-	for b := 0; b < count; b++ {
+	for b := 0; b < s.count; b++ {
 		d.Begin(tagSegBatch)
 		batch, err := decodeBatch(d, r.shape.N)
 		if err != nil {
