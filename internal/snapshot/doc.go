@@ -23,6 +23,19 @@
 // truncated, bit-flipped, or version-skewed snapshots fail loudly with a
 // diagnostic error instead of being applied.
 //
+// A container passes through memory once each way. The decoder takes the
+// stream's size from the reader — Len on a bytes.Buffer, a bytes.Reader or
+// an open MemStore container, Stat minus the current offset on a regular
+// file — reads the three header words, checks magic, version and declared
+// length against that size, and only then allocates the payload's word
+// slice, which it fills from one reused 64 KB chunk, folding the CRC in
+// per chunk. A reader that reports no size (a pipe) is read whole first and
+// then goes through the same loop. The encoder writes the header, the
+// payload and the CRC word through the same 64 KB chunk, the CRC word with
+// the last one, so a container of at most one chunk (a delta, a trace
+// segment) is a single Write; a writer with a Grow(int) method (a
+// bytes.Buffer) is grown once to the container's size first.
+//
 // # Delta containers
 //
 // A delta container is the incremental sibling of the full snapshot: same

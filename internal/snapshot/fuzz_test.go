@@ -3,14 +3,20 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
+	"slices"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzSnapshotDecode hammers the snapshot container decoder with arbitrary
-// bytes: it must never panic, and any input that passes the container
-// checks must decode cleanly section by section (every frame fully
-// walkable). The checked-in corpus seeds a valid snapshot plus truncated,
-// bit-flipped, and version-skewed variants of it.
+// bytes: it must never panic, a sized reader, an unsized one and one that
+// returns half of every read must agree on the error text or the frames,
+// and any input that passes the container checks must decode cleanly
+// section by section (every frame fully walkable). The checked-in corpus
+// seeds a valid snapshot plus truncated, bit-flipped, and version-skewed
+// variants of it.
 func FuzzSnapshotDecode(f *testing.F) {
 	// A small valid snapshot as the seed everything else mutates from.
 	e := NewEncoder()
@@ -61,6 +67,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := NewDecoder(bytes.NewReader(data))
+		for _, r := range []io.Reader{struct{ io.Reader }{bytes.NewReader(data)}, iotest.HalfReader(bytes.NewReader(data))} {
+			d2, err2 := NewDecoder(r)
+			if fmt.Sprint(err) != fmt.Sprint(err2) {
+				t.Fatalf("sized reader: %v; %T: %v", err, r, err2)
+			}
+			if err == nil && !slices.EqualFunc(d.frames, d2.frames, slices.Equal) {
+				t.Fatalf("sized reader and %T decode different frames", r)
+			}
+		}
 		if err != nil {
 			return // rejected: the expected outcome for corrupt input
 		}

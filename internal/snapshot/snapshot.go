@@ -1,10 +1,12 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"slices"
 
 	"repro/internal/mpc"
@@ -20,6 +22,10 @@ const Version uint64 = 1
 // headerWords is the container overhead: magic, version, payload length,
 // and the trailing CRC word.
 const headerWords = 4
+
+// chunkBytes is the unit a container moves through memory in: the encoder
+// writes it, the decoder reads it, and the CRC is folded over each.
+const chunkBytes = 64 << 10
 
 // castagnoli is the CRC-32C table shared by Encoder and Decoder.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -165,21 +171,44 @@ func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
 // delta.go). Other packages reuse the container format for their own files —
 // the segmented trace format of internal/trace brands its segments and
 // footer this way — so every on-disk word stream in the repository shares
-// one header/checksum discipline and one corruption-rejection path.
+// one header/checksum discipline and one corruption-rejection path. A writer
+// with a Grow(int) method (bytes.Buffer) is grown once to the container's
+// size first.
 func (e *Encoder) WriteContainer(w io.Writer, magic uint64) (int64, uint64, error) {
 	e.close()
-	payload := e.payload
-	buf := make([]byte, 8*(headerWords+len(payload)))
+	size := 8 * (headerWords + len(e.payload))
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(size)
+	}
+	// The container goes out in chunks, the CRC folded over each; the CRC
+	// word rides with the last one, so a container of at most one chunk is
+	// a single Write.
+	buf := make([]byte, min(size, chunkBytes+8))
 	binary.LittleEndian.PutUint64(buf[0:], magic)
 	binary.LittleEndian.PutUint64(buf[8:], Version)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(len(payload)))
-	for i, x := range payload {
-		binary.LittleEndian.PutUint64(buf[24+8*i:], x)
+	binary.LittleEndian.PutUint64(buf[16:], uint64(len(e.payload)))
+	fill, crc, written := 24, uint32(0), int64(0)
+	for rest := e.payload; len(rest) > 0; {
+		if fill == chunkBytes {
+			crc = crc32.Update(crc, castagnoli, buf[:fill])
+			n, err := w.Write(buf[:fill])
+			written += int64(n)
+			if err != nil {
+				return written, 0, err
+			}
+			fill = 0
+		}
+		k := min(len(rest), (chunkBytes-fill)/8)
+		for i, x := range rest[:k] {
+			binary.LittleEndian.PutUint64(buf[fill+8*i:], x)
+		}
+		fill += 8 * k
+		rest = rest[k:]
 	}
-	crc := crc32.Checksum(buf[:len(buf)-8], castagnoli)
-	binary.LittleEndian.PutUint64(buf[len(buf)-8:], uint64(crc))
-	n, err := w.Write(buf)
-	return int64(n), uint64(crc), err
+	crc = crc32.Update(crc, castagnoli, buf[:fill])
+	binary.LittleEndian.PutUint64(buf[fill:], uint64(crc))
+	n, err := w.Write(buf[:fill+8])
+	return written + int64(n), uint64(crc), err
 }
 
 // Decoder reads a verified snapshot payload section by section. Accessors
@@ -206,47 +235,72 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 // NewContainerDecoder is NewDecoder parameterized over the expected magic
 // word (kind names the expected flavor in diagnostics); it also returns the
 // container identity (the verified trailing CRC word), the same value
-// WriteContainer reported when the container was produced.
+// WriteContainer reported when the container was produced. The payload is
+// allocated only once the header has passed, at the size the stream reports
+// (see streamSize); a stream that reports none is read whole first.
 func NewContainerDecoder(r io.Reader, magic uint64, kind string) (*Decoder, uint64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	size, sized := streamSize(r)
+	if !sized {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, 0, fmt.Errorf("snapshot: %w", err)
+		}
+		r, size = bytes.NewReader(data), int64(len(data))
+	}
+	if size%8 != 0 {
+		return nil, 0, fmt.Errorf("snapshot: truncated file: %d bytes is not a whole number of words", size)
+	}
+	if size/8 < headerWords {
+		return nil, 0, fmt.Errorf("snapshot: truncated header: %d words, want at least %d", size/8, headerWords)
+	}
+	var head [24]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, 0, fmt.Errorf("snapshot: %w", err)
 	}
-	if len(data)%8 != 0 {
-		return nil, 0, fmt.Errorf("snapshot: truncated file: %d bytes is not a whole number of words", len(data))
-	}
-	words := make([]uint64, len(data)/8)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(data[8*i:])
-	}
-	if len(words) < headerWords {
-		return nil, 0, fmt.Errorf("snapshot: truncated header: %d words, want at least %d", len(words), headerWords)
-	}
-	if words[0] != magic {
+	if got := binary.LittleEndian.Uint64(head[0:]); got != magic {
 		// A well-formed container of the other flavor gets a pointed
 		// diagnostic: mixing up base and delta files is an operator error
 		// distinct from corruption.
-		switch words[0] {
+		switch got {
 		case Magic:
 			return nil, 0, fmt.Errorf("snapshot: full snapshot container where a %s was expected", kind)
 		case DeltaMagic:
 			return nil, 0, fmt.Errorf("snapshot: delta container where a %s was expected", kind)
 		}
-		return nil, 0, fmt.Errorf("snapshot: bad magic word %#x: not a %s file", words[0], kind)
+		return nil, 0, fmt.Errorf("snapshot: bad magic word %#x: not a %s file", got, kind)
 	}
-	if words[1] != Version {
-		return nil, 0, fmt.Errorf("snapshot: format version %d, want %d: regenerate the checkpoint", words[1], Version)
+	if v := binary.LittleEndian.Uint64(head[8:]); v != Version {
+		return nil, 0, fmt.Errorf("snapshot: format version %d, want %d: regenerate the checkpoint", v, Version)
 	}
-	if words[2] != uint64(len(words)-headerWords) {
+	carried := size/8 - headerWords
+	if declared := binary.LittleEndian.Uint64(head[16:]); declared != uint64(carried) {
 		return nil, 0, fmt.Errorf("snapshot: truncated payload: header declares %d words, file carries %d",
-			words[2], len(words)-headerWords)
+			declared, carried)
 	}
-	crc := crc32.Checksum(data[:len(data)-8], castagnoli)
-	if uint64(crc) != words[len(words)-1] {
+	// The header checked out, so the size is the payload's: fill a presized
+	// slice — payload, then the CRC word — from one reused chunk, folding
+	// the CRC over everything before its own word.
+	words := make([]uint64, carried+1)
+	chunk := make([]byte, min(8*len(words), chunkBytes))
+	crc := crc32.Update(0, castagnoli, head[:])
+	for off := 0; off < len(words); {
+		b := chunk[:8*min(len(words)-off, len(chunk)/8)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, 0, fmt.Errorf("snapshot: %w", err)
+		}
+		for i := range len(b) / 8 {
+			words[off+i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+		if off += len(b) / 8; off == len(words) {
+			b = b[:len(b)-8]
+		}
+		crc = crc32.Update(crc, castagnoli, b)
+	}
+	if stored := words[carried]; uint64(crc) != stored {
 		return nil, 0, fmt.Errorf("snapshot: checksum mismatch (stored %#x, computed %#x): snapshot corrupted",
-			words[len(words)-1], crc)
+			stored, crc)
 	}
-	b, err := mpc.MessageBatchFromRaw(words[3 : len(words)-1])
+	b, err := mpc.MessageBatchFromRaw(words[:carried])
 	if err != nil {
 		return nil, 0, fmt.Errorf("snapshot: corrupt section framing: %w", err)
 	}
@@ -258,6 +312,28 @@ func NewContainerDecoder(r io.Reader, magic uint64, kind string) (*Decoder, uint
 		d.frames = append(d.frames, f)
 	}
 	return d, uint64(crc), nil
+}
+
+// streamSize reports how many bytes r holds from its current position, when
+// it can tell without reading them: Len for an in-memory reader or buffer,
+// Stat minus the offset for a regular file. A pipe, a socket or any other
+// reader reports no size.
+func streamSize(r io.Reader) (int64, bool) {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len()), true
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0, false
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false
+		}
+		return max(fi.Size()-off, 0), true
+	}
+	return 0, false
 }
 
 // fail latches the first error.

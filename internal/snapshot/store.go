@@ -118,8 +118,14 @@ func (m *MemStore) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return memReader{bytes.NewReader(data)}, nil
 }
+
+// memReader is an open MemStore container. It keeps the bytes.Reader's Len,
+// so a decoder presizes its payload instead of reading the stream whole.
+type memReader struct{ *bytes.Reader }
+
+func (memReader) Close() error { return nil }
 
 // Remove implements Store.
 func (m *MemStore) Remove(name string) error {
