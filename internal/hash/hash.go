@@ -9,16 +9,19 @@
 // reduction without division.
 package hash
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Prime is the Mersenne prime 2^61 - 1 used as the field modulus for all
 // polynomial hash families in this package.
 const Prime uint64 = (1 << 61) - 1
 
-// mulMod returns (a*b) mod Prime using 128-bit intermediate arithmetic and
+// mulMod returns (a*b) mod Prime using the hardware 128-bit product and
 // Mersenne reduction.
 func mulMod(a, b uint64) uint64 {
-	hi, lo := mul64(a, b)
+	hi, lo := bits.Mul64(a, b)
 	// a, b < 2^61, so the product fits in 122 bits.
 	// Split product as hi*2^64 + lo and reduce modulo 2^61-1 using
 	// 2^61 ≡ 1 (mod p).
@@ -27,21 +30,6 @@ func mulMod(a, b uint64) uint64 {
 		res -= Prime
 	}
 	return res
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return hi, lo
 }
 
 // addMod returns (a+b) mod Prime for a, b < Prime.
@@ -151,15 +139,15 @@ func (f *Family) HashRange(x, n uint64) uint64 {
 // Level returns the geometric "sampling level" of x: the number of leading
 // sampling coin flips that came up heads, capped at max. Level i occurs with
 // probability 2^-(i+1) for i < max. This is the standard level function used
-// by l0-samplers.
+// by l0-samplers. The coin flips are the bits of Hash(x) from the lowest up,
+// a set bit being tails, so the level is the hash's trailing zero count; a
+// zero hash has no tails and takes the cap whatever it is.
 func (f *Family) Level(x uint64, max int) int {
 	h := f.Hash(x)
-	for i := 0; i < max; i++ {
-		if h&(1<<uint(i)) != 0 {
-			return i
-		}
+	if h == 0 {
+		return max
 	}
-	return max
+	return min(bits.TrailingZeros64(h), max)
 }
 
 // Words returns the memory footprint of the family in machine words, used by

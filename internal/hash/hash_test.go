@@ -2,6 +2,7 @@ package hash
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -21,45 +22,87 @@ func TestMulModSmall(t *testing.T) {
 	}
 }
 
+// bigPrime is Prime as a math/big integer: the reference arithmetic below
+// shares no code with the field arithmetic under test.
+var bigPrime = new(big.Int).SetUint64(Prime)
+
 func TestMulModAgainstBigArithmetic(t *testing.T) {
 	prg := NewPRG(1)
+	edges := []uint64{0, 1, 2, 1 << 32, 1<<32 - 1, 1 << 60, Prime - 2, Prime - 1}
+	check := func(a, b uint64) {
+		want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+		want.Mod(want, bigPrime)
+		if got := mulMod(a, b); got != want.Uint64() {
+			t.Fatalf("mulMod(%d, %d) = %d, want %d", a, b, got, want.Uint64())
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
 	for i := 0; i < 2000; i++ {
-		a := prg.NextN(Prime)
-		b := prg.NextN(Prime)
-		hi, lo := mul64(a, b)
-		// Compute (hi*2^64 + lo) mod Prime by repeated Mersenne folding
-		// using only uint64 arithmetic: 2^64 ≡ 2^3 (mod 2^61-1).
-		want := foldMod(hi, lo)
-		if got := mulMod(a, b); got != want {
-			t.Fatalf("mulMod(%d, %d) = %d, want %d", a, b, got, want)
+		check(prg.NextN(Prime), prg.NextN(Prime))
+	}
+}
+
+// TestFamilyHashAgainstBigArithmetic evaluates each family's polynomial by
+// Horner's rule in math/big, keys at and past the field's edge included.
+func TestFamilyHashAgainstBigArithmetic(t *testing.T) {
+	prg := NewPRG(3)
+	for _, k := range []int{1, 2, 4, 7} {
+		f := NewFamily(k, prg)
+		keys := []uint64{0, 1, Prime - 1, Prime, Prime + 1, math.MaxUint64}
+		for i := 0; i < 200; i++ {
+			keys = append(keys, prg.Next())
+		}
+		for _, x := range keys {
+			bx := new(big.Int).Mod(new(big.Int).SetUint64(x), bigPrime)
+			want := new(big.Int)
+			for i := len(f.coeffs) - 1; i >= 0; i-- {
+				want.Mul(want, bx)
+				want.Add(want, new(big.Int).SetUint64(f.coeffs[i]))
+				want.Mod(want, bigPrime)
+			}
+			if got := f.Hash(x); got != want.Uint64() {
+				t.Fatalf("k = %d: Hash(%d) = %d, want %d", k, x, got, want.Uint64())
+			}
 		}
 	}
 }
 
-// foldMod reduces hi*2^64 + lo modulo Prime using an independent method from
-// the implementation under test.
-func foldMod(hi, lo uint64) uint64 {
-	// hi*2^64 + lo = hi*8*2^61 + lo ≡ hi*8 + lo (mod 2^61-1), but hi*8 can
-	// overflow only if hi >= 2^61 which cannot happen for products of
-	// inputs < 2^61. Still, fold twice for safety.
-	v := lo&Prime + lo>>61 + hi<<3&Prime + hi>>58
-	for v >= Prime {
-		v -= Prime
+// levelByBits is the definition Level implements: the index of the lowest
+// set bit of h among the first max, or max when none is set.
+func levelByBits(h uint64, max int) int {
+	for i := 0; i < max; i++ {
+		if h&(1<<uint(i)) != 0 {
+			return i
+		}
 	}
-	return v
+	return max
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct{ x, y, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
+// TestLevelMatchesBitLoop pins Level against levelByBits over random keys,
+// over a hash of 0 (a constant family of value 0) and over hashes whose
+// first set bit is at or past the cap.
+func TestLevelMatchesBitLoop(t *testing.T) {
+	prg := NewPRG(29)
+	f := NewFourwise(prg)
+	for i := uint64(0); i < 5000; i++ {
+		h := f.Hash(i)
+		for _, max := range []int{0, 1, 3, 25, 61, 64, 65} {
+			if got, want := f.Level(i, max), levelByBits(h, max); got != want {
+				t.Fatalf("Level(%d, %d) = %d, want %d (hash %#x)", i, max, got, want, h)
+			}
+		}
 	}
-	for _, c := range cases {
-		hi, lo := mul64(c.x, c.y)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d, %d) = (%d, %d), want (%d, %d)", c.x, c.y, hi, lo, c.hi, c.lo)
+	// A constant family: coeffs[0] is the value of every key.
+	for _, h := range []uint64{0, 1, 1 << 3, 1 << 24, 1 << 60, 3 << 59} {
+		c := &Family{coeffs: []uint64{h}}
+		for _, max := range []int{0, 1, 3, 4, 24, 25, 60, 61, 64, 65} {
+			if got, want := c.Level(7, max), levelByBits(h, max); got != want {
+				t.Errorf("hash %#x: Level(_, %d) = %d, want %d", h, max, got, want)
+			}
 		}
 	}
 }

@@ -31,6 +31,31 @@ func BenchmarkSketchUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkSketchUpdateArena updates random vertices of a 4096-vertex,
+// t = 32 arena (54 MB): the shape of a shard applying a batch, where every
+// copy's level-0 cell is a cache miss. Its 0 allocs/op holds the update's
+// stack arrays on the stack.
+func BenchmarkSketchUpdateArena(b *testing.B) {
+	const n, slots = 4096, 4096
+	arena := sketch.NewGraphSpace(n, 32, hash.NewPRG(42)).NewArena(slots)
+	prg := hash.NewPRG(5)
+	var vs [1024]int
+	var ids [1024]uint64
+	for i := range vs {
+		u, v := int(prg.NextN(n)), int(prg.NextN(n-1))
+		if v >= u {
+			v++
+		}
+		vs[i], ids[i] = u, graph.NewEdge(u, v).ID(n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(vs)
+		arena.At(vs[j]).Update(ids[j], +1)
+	}
+}
+
 func BenchmarkSketchAdd(b *testing.B) {
 	_, arena := benchSpace(b)
 	dst, src := arena.At(0), arena.At(1)

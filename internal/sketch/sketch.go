@@ -37,6 +37,20 @@
 // slices in place and perform no allocation, which is what keeps the
 // simulator's sketch hot path allocation-free at steady state.
 //
+// Update runs in two passes. The first hashes: every copy's sampling level
+// and fingerprint go into stack arrays (64 copies at a time), with a
+// deletion's sign folded in once as the field negations p − idx and
+// p − h(idx). The second writes: level 0 of every copy in one loop, then the
+// levels above. The t copies of a vertex sketch lie a copy's (levels+1)
+// cells apart, so in a shard's arena each copy's level 0 is its own cache
+// line and, on a sketch not touched lately, its own miss. Hashed and written
+// copy by copy, the copies' cell writes sit between long chains of dependent
+// field products, which fill the processor's window, so one miss resolves
+// before the next is issued. With the hashes done first the writes are
+// independent back-to-back loads and stores, and the t misses overlap. The
+// higher levels mostly share level 0's line: level l is written with
+// probability 2^-l.
+//
 // # Soundness of the two-word cell
 //
 // A cell holds the index sum isum and the fingerprint fp = Σ x_i·h(i) of
@@ -57,6 +71,10 @@
 //     sends it on to the fingerprint check: for an isum that looks uniform in
 //     F_p that is about 2·idSpace/p = 2n²/p per cell, about 2^−36 at
 //     n = 4096, before the fingerprint's own 1/p is even counted.
+//
+// A zero cell is never tested: it holds no coordinate, yet under a
+// fingerprint with h(0) = 0 (probability 1/p per copy) it would pass as
+// index 0, so Query skips it before the check, as the counter did.
 //
 // TestNoRecoveryFromSparseNonUnitVectors feeds cells exactly those two- and
 // three-sparse vectors across many seeds; package sketchtest keeps the
@@ -110,16 +128,6 @@ const (
 )
 
 func cellZero(w []uint64) bool { return w[offIsum]|w[offFp] == 0 }
-
-func cellUpdate(w []uint64, idx, hfp uint64, delta int) {
-	if delta > 0 {
-		w[offIsum] = addModP(w[offIsum], idx%hash.Prime)
-		w[offFp] = addModP(w[offFp], hfp)
-	} else {
-		w[offIsum] = subModP(w[offIsum], idx%hash.Prime)
-		w[offFp] = subModP(w[offFp], hfp)
-	}
-}
 
 func addModP(a, b uint64) uint64 {
 	s := a + b
@@ -311,6 +319,10 @@ func (s *Space) ViewWindow(cells []uint64, lo, hi int) Sketch {
 	return Sketch{space: s, cells: cells, lo: lo}
 }
 
+// updateChunk is the number of copies Update hashes before it writes their
+// cells: the size of its stack arrays of levels and fingerprints.
+const updateChunk = 64
+
 // Update applies X[idx] += delta; delta must be +1 or -1.
 func (sk Sketch) Update(idx uint64, delta int) {
 	if delta != 1 && delta != -1 {
@@ -319,15 +331,44 @@ func (sk Sketch) Update(idx uint64, delta int) {
 	if idx >= sk.space.idSpace {
 		panic(fmt.Sprintf("sketch: index %d out of space %d", idx, sk.space.idSpace))
 	}
-	L := sk.space.levels
-	for c, base := sk.lo, 0; base < len(sk.cells); c, base = c+1, base+sk.space.perCopy {
-		lvl := sk.space.levelH[c].Level(idx, L)
-		hfp := sk.space.fpH[c].Hash(idx)
-		// Design: level l holds all items whose sampling level is >= l, so
-		// level 0 always holds the full vector and level l subsamples with
-		// probability 2^-l.
-		for l := 0; l <= lvl; l++ {
-			cellUpdate(sk.cells[base+l*cellWords:], idx, hfp, delta)
+	sp := sk.space
+	L, stride := sp.levels, sp.perCopy
+	// A deletion adds the field negations p − idx and p − h(idx); p itself,
+	// the negation of 0, adds as 0 (addModP reduces it).
+	isum := idx % hash.Prime
+	if delta < 0 {
+		isum = hash.Prime - isum
+	}
+	var lvl [updateChunk]int
+	var fp [updateChunk]uint64
+	lo, hi := sk.CopyRange()
+	for c0 := lo; c0 < hi; c0 += updateChunk {
+		k := min(hi-c0, updateChunk)
+		// First pass: every copy's level and fingerprint, touching no cell.
+		for i := range k {
+			lvl[i] = sp.levelH[c0+i].Level(idx, L)
+			fp[i] = sp.fpH[c0+i].Hash(idx)
+			if delta < 0 {
+				fp[i] = hash.Prime - fp[i]
+			}
+		}
+		// Second pass: level 0 of every copy, whose k addresses are all
+		// known, so their cache misses overlap; then the levels above, which
+		// an item reaches with probability 2^-l and which mostly share level
+		// 0's cache line. Level l holds every item of sampling level >= l,
+		// so level 0 holds the full vector.
+		cells := sk.cells[(c0-lo)*stride : (c0-lo+k)*stride]
+		for i := range k {
+			w := cells[i*stride : i*stride+cellWords]
+			w[offIsum] = addModP(w[offIsum], isum)
+			w[offFp] = addModP(w[offFp], fp[i])
+		}
+		for i := range k {
+			w := cells[i*stride : (i+1)*stride]
+			for l := 1; l <= lvl[i]; l++ {
+				w[l*cellWords+offIsum] = addModP(w[l*cellWords+offIsum], isum)
+				w[l*cellWords+offFp] = addModP(w[l*cellWords+offFp], fp[i])
+			}
 		}
 	}
 }
@@ -377,9 +418,14 @@ func (sk Sketch) Query(c int) (idx uint64, res QueryResult) {
 		return 0, Empty
 	}
 	// Scan from the sparsest level down; the first one-sparse cell yields
-	// the sample.
+	// the sample. A zero cell is skipped unhashed: it holds no coordinate,
+	// and under a fingerprint with h(0) = 0 it would pass as index 0.
 	for l := L; l >= 0; l-- {
-		if idx, ok := cellRecover(sk.cells[base+l*cellWords:], sk.space.fpH[c], sk.space.idSpace); ok {
+		w := sk.cells[base+l*cellWords:]
+		if cellZero(w) {
+			continue
+		}
+		if idx, ok := cellRecover(w, sk.space.fpH[c], sk.space.idSpace); ok {
 			return idx, Found
 		}
 	}

@@ -214,6 +214,36 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
+// TestZeroCellNeverRecovers: a zero cell holds no coordinate, so Query must
+// not read one as a sample, even under a fingerprint family that maps 0 to 0
+// (a zero cell passes cellRecover as index 0 then, an id EdgeFromID rejects).
+// splitmix64's mixer maps 0 to 0, so a PRG seeded at −5γ yields 0 as its
+// fifth word: the constant term of copy 0's fingerprint family, drawn after
+// the four coefficients of its level family.
+func TestZeroCellNeverRecovers(t *testing.T) {
+	const n = 64
+	golden, seed := uint64(0x9e3779b97f4a7c15), uint64(0)
+	for range 5 {
+		seed -= golden
+	}
+	space := NewGraphSpace(n, 1, hash.NewPRG(seed))
+	if got, ok := cellRecover(make([]uint64, cellWords), space.fpH[0], space.idSpace); !ok || got != 0 {
+		t.Fatalf("fingerprint h(0) = %d: a zero cell does not pass as index 0, the test is vacuous", space.fpH[0].Hash(0))
+	}
+	// Two edges of sampling level 0: level 0 is two-sparse and every level
+	// above it is a zero cell.
+	sk := space.NewSketch()
+	for u, added := 1, 0; added < 2; u++ {
+		if id := graph.NewEdge(0, u).ID(n); space.levelH[0].Level(id, space.levels) == 0 {
+			sk.Update(id, +1)
+			added++
+		}
+	}
+	if idx, res := sk.Query(0); res != Fail {
+		t.Fatalf("Query of a two-sparse copy = (%d, %v), want fail", idx, res)
+	}
+}
+
 func TestQueryCopyValidation(t *testing.T) {
 	sp := newTestSpace(16, 2, 11)
 	sk := sp.NewSketch()
@@ -250,6 +280,16 @@ func TestSketchWords(t *testing.T) {
 	}
 }
 
+// cellAdd adds delta·(i, h) to one cell, i < Prime, with the field
+// arithmetic Update applies to every cell it writes.
+func cellAdd(w []uint64, i, h uint64, delta int) {
+	if delta < 0 {
+		i, h = hash.Prime-i, hash.Prime-h
+	}
+	w[offIsum] = addModP(w[offIsum], i)
+	w[offFp] = addModP(w[offFp], h)
+}
+
 // TestNoRecoveryFromSparseNonUnitVectors is the soundness check of the
 // two-word cell, which has no counter to reject a support whose coordinates
 // do not sum to ±1. It feeds single cells two- and three-sparse ±1 vectors
@@ -283,7 +323,7 @@ func TestNoRecoveryFromSparseNonUnitVectors(t *testing.T) {
 			}
 			cell := make([]uint64, cellWords)
 			for k, i := range idx {
-				cellUpdate(cell, i, fp.Hash(i), sh.values[k])
+				cellAdd(cell, i, fp.Hash(i), sh.values[k])
 			}
 			if isum := cell[offIsum]; isum >= idSpace && subModP(0, isum) >= idSpace {
 				t.Fatalf("seed %d %s %v: ±isum %d outside [0, %d)", seed, sh.name, idx, isum, idSpace)
@@ -295,7 +335,7 @@ func TestNoRecoveryFromSparseNonUnitVectors(t *testing.T) {
 		for _, delta := range []int{1, -1} {
 			i := draw.NextN(idSpace)
 			cell := make([]uint64, cellWords)
-			cellUpdate(cell, i, fp.Hash(i), delta)
+			cellAdd(cell, i, fp.Hash(i), delta)
 			if got, ok := cellRecover(cell, fp, idSpace); !ok || got != i {
 				t.Fatalf("seed %d: one-sparse %+d at %d recovered (%d, %v)", seed, delta, i, got, ok)
 			}
