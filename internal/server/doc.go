@@ -52,13 +52,38 @@
 // than drop it, so a vertex once queried stays warm across batches unless a
 // deletion splits its component for good.
 //
+// # Request bodies
+//
+// A query or update body is read whole, once, into a pooled buffer and
+// parsed in one pass by a byte scanner, straight into core pairs or a
+// graph.Batch; the answer is appended to a pooled buffer, byte for byte what
+// json.Encoder writes, and sent with one Write. The scanner accepts exactly
+//
+//	{"pairs":[[u,v],…]}
+//	{"updates":[{"op":"insert"|"delete","u":…,"v":…,"weight":…},…]}
+//
+// with JSON whitespace anywhere, an update's members in any order (each at
+// most once, weight optional), keys spelled exactly, op without escapes and
+// integers of at most 18 digits without a leading zero. Like
+// json.Decoder.Decode it stops at the end of the first value. Any other
+// body — mixed-case keys, unknown fields, escapes, every malformed body —
+// goes on the same bytes to encoding/json, which decides it as the server
+// always has; that fallback is also the reference FuzzWireDecode holds the
+// scanner to. Either way a pair is exactly two integers and an update names
+// op, u and v: a short, long or null pair and an update missing one of
+// them is 422 naming the element's index, never read as vertex 0. A body
+// that is not JSON of the right shape (a string or fractional vertex, a
+// truncated body) is 400.
+//
 // # Backpressure
 //
 // The update queue is bounded (Config.QueueDepth). When it is full the
 // server refuses the batch with 429 Too Many Requests and a Retry-After
 // header instead of buffering without bound; the client owns the retry.
 // Invalid batches are 422, batches exceeding the instance's MaxBatch are
-// 413, and updates sent during shutdown are 503.
+// 413, and updates sent during shutdown are 503. A query or update body
+// longer than 8 MiB is 413 with the limit in the diagnostic; it is never
+// cut short and parsed.
 //
 // # Checkpointing
 //

@@ -13,13 +13,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/session"
 	"repro/internal/snapshot"
 )
 
 // maxBodyBytes bounds request bodies: a batch never legitimately needs more
-// (MaxBatch updates at a few dozen JSON bytes each).
+// (MaxBatch updates at a few dozen JSON bytes each). A longer body is 413.
 const maxBodyBytes = 8 << 20
 
 // Config parameterizes a Server.
@@ -207,6 +206,10 @@ func (s *Server) routes() {
 
 // --- wire types ----------------------------------------------------------
 
+// The request and response types are the wire shapes as a client encodes
+// and decodes them. The server itself parses the two request bodies and
+// writes the two responses in codec.go, byte for byte the same JSON.
+
 // WireUpdate is one edge update of an UpdateRequest.
 type WireUpdate struct {
 	Op     string `json:"op"` // "insert" or "delete"
@@ -311,40 +314,23 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req UpdateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad update request: "+err.Error(), http.StatusBadRequest)
+	wb := wireBufs.Get().(*wireBuf)
+	defer putWireBuf(wb)
+	if rf := wb.readBody(w, r, "update"); rf != nil {
+		rf.write(w)
 		return
 	}
-	if len(req.Updates) == 0 {
-		http.Error(w, "empty update batch", http.StatusBadRequest)
+	b, rf := decodeUpdates(wb.body.Bytes(), in.dc.Load().MaxBatch())
+	if rf != nil {
+		rf.write(w)
 		return
-	}
-	if max := in.dc.Load().MaxBatch(); len(req.Updates) > max {
-		http.Error(w, fmt.Sprintf("batch of %d exceeds the instance's MaxBatch %d", len(req.Updates), max),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	// The edges are taken as sent: vertex range and self-loops are the
-	// admission mirror's to refuse (graph.Check), like every other defect.
-	b := make(graph.Batch, len(req.Updates))
-	for i, u := range req.Updates {
-		switch u.Op {
-		case "insert":
-			b[i].Op = graph.Insert
-		case "delete":
-			b[i].Op = graph.Delete
-		default:
-			http.Error(w, fmt.Sprintf("update %d: unknown op %q (want insert or delete)", i, u.Op), http.StatusUnprocessableEntity)
-			return
-		}
-		b[i].Edge, b[i].Weight = graph.Edge{U: u.U, V: u.V}.Canonical(), u.Weight
 	}
 	err := in.offer(b)
 	var bad *badBatchError
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, UpdateResponse{Queued: len(b), QueueDepth: len(in.queue)})
+		wb.out = appendUpdateResponse(wb.out[:0], len(b), len(in.queue))
+		writeBody(w, http.StatusAccepted, wb.out)
 	case errors.Is(err, errQueueFull):
 		// The hint scales with the observed drain rate: a queue this deep
 		// takes about EWMA x depth to make room, so clients back off harder
@@ -369,30 +355,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	var req QueryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad query request: "+err.Error(), http.StatusBadRequest)
+	wb := wireBufs.Get().(*wireBuf)
+	defer putWireBuf(wb)
+	if rf := wb.readBody(w, r, "query"); rf != nil {
+		rf.write(w)
 		return
 	}
-	if len(req.Pairs) == 0 {
-		http.Error(w, "empty query batch", http.StatusBadRequest)
+	pairs, rf := decodeQuery(wb.pairs, wb.body.Bytes(), in.cfg.N)
+	wb.pairs = pairs
+	if rf != nil {
+		rf.write(w)
 		return
-	}
-	pairs := make([]core.Pair, len(req.Pairs))
-	for i, p := range req.Pairs {
-		if p[0] < 0 || p[1] < 0 || p[0] >= in.cfg.N || p[1] >= in.cfg.N {
-			http.Error(w, fmt.Sprintf("pair %d: vertex outside [0,%d)", i, in.cfg.N), http.StatusUnprocessableEntity)
-			return
-		}
-		pairs[i] = core.Pair{U: p[0], V: p[1]}
 	}
 	in.mu.RLock()
 	dc := in.dc.Load()
-	ans := dc.ConnectedAll(pairs)
+	wb.ans = dc.ConnectedAllInto(wb.ans, pairs)
 	comps := dc.NumComponents()
 	in.mu.RUnlock()
 	in.queryBatches.Add(1)
-	writeJSON(w, http.StatusOK, QueryResponse{Connected: ans, Components: comps})
+	wb.out = appendQueryResponse(wb.out[:0], wb.ans, comps)
+	writeBody(w, http.StatusOK, wb.out)
 }
 
 func (s *Server) handleComponents(w http.ResponseWriter, r *http.Request) {

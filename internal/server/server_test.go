@@ -40,9 +40,15 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// rawBody is a request body postJSON sends as is, not marshalled.
+type rawBody string
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	data, err := json.Marshal(body)
+	if raw, ok := body.(rawBody); ok {
+		data, err = []byte(raw), nil
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,30 +129,66 @@ func TestServerUpdateQueryFlow(t *testing.T) {
 
 func TestServerRejectsBadRequests(t *testing.T) {
 	srv, ts := newTestServer(t, testConfig(t))
+	// msg, when set, must appear in the refusal's body.
 	cases := []struct {
 		name string
 		url  string
 		body any
 		want int
+		msg  string
 	}{
-		{"unknown instance", "/instances/99/query", QueryRequest{Pairs: [][2]int{{0, 1}}}, http.StatusNotFound},
-		{"garbage id", "/instances/x/query", QueryRequest{Pairs: [][2]int{{0, 1}}}, http.StatusNotFound},
-		{"empty batch", "/instances/0/updates", UpdateRequest{}, http.StatusBadRequest},
-		{"self loop", "/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "insert", U: 3, V: 3}}}, http.StatusUnprocessableEntity},
-		{"out of range", "/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "insert", U: 0, V: 99}}}, http.StatusUnprocessableEntity},
-		{"bad op", "/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "upsert", U: 0, V: 1}}}, http.StatusUnprocessableEntity},
-		{"delete absent", "/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "delete", U: 8, V: 9}}}, http.StatusUnprocessableEntity},
+		{"unknown instance", "/instances/99/query", QueryRequest{Pairs: [][2]int{{0, 1}}}, http.StatusNotFound, ""},
+		{"garbage id", "/instances/x/query", QueryRequest{Pairs: [][2]int{{0, 1}}}, http.StatusNotFound, ""},
+		{"empty batch", "/instances/0/updates", UpdateRequest{}, http.StatusBadRequest, ""},
+		{"self loop", "/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "insert", U: 3, V: 3}}}, http.StatusUnprocessableEntity, ""},
+		{"out of range", "/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "insert", U: 0, V: 99}}}, http.StatusUnprocessableEntity, ""},
+		{"bad op", "/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "upsert", U: 0, V: 1}}}, http.StatusUnprocessableEntity, ""},
+		{"delete absent", "/instances/0/updates", UpdateRequest{Updates: []WireUpdate{{Op: "delete", U: 8, V: 9}}}, http.StatusUnprocessableEntity, ""},
 		{"duplicate edge", "/instances/0/updates", UpdateRequest{Updates: []WireUpdate{
-			{Op: "insert", U: 0, V: 1}, {Op: "insert", U: 1, V: 0}}}, http.StatusUnprocessableEntity},
-		{"empty query", "/instances/0/query", QueryRequest{}, http.StatusBadRequest},
-		{"query out of range", "/instances/0/query", QueryRequest{Pairs: [][2]int{{0, 32}}}, http.StatusUnprocessableEntity},
+			{Op: "insert", U: 0, V: 1}, {Op: "insert", U: 1, V: 0}}}, http.StatusUnprocessableEntity, ""},
+		{"empty query", "/instances/0/query", QueryRequest{}, http.StatusBadRequest, ""},
+		{"query out of range", "/instances/0/query", QueryRequest{Pairs: [][2]int{{0, 32}}}, http.StatusUnprocessableEntity, ""},
+
+		// A pair is exactly two integers and an update names op, u and v;
+		// none of these is read as vertex 0.
+		{"one-vertex pair", "/instances/0/query", rawBody(`{"pairs":[[0,1],[5]]}`), http.StatusUnprocessableEntity, "pair 1"},
+		{"null pair", "/instances/0/query", rawBody(`{"pairs":[null]}`), http.StatusUnprocessableEntity, "pair 0"},
+		{"three-vertex pair", "/instances/0/query", rawBody(`{"pairs":[[0,1,2]]}`), http.StatusUnprocessableEntity, "pair 0"},
+		{"null vertex", "/instances/0/query", rawBody(`{"pairs":[[null,1]]}`), http.StatusUnprocessableEntity, "pair 0"},
+		{"update without v", "/instances/0/updates", rawBody(`{"updates":[{"op":"insert","u":3}]}`), http.StatusUnprocessableEntity, "update 0"},
+		{"update without u", "/instances/0/updates", rawBody(`{"updates":[{"op":"insert","u":4,"v":5},{"op":"insert","v":7}]}`), http.StatusUnprocessableEntity, "update 1"},
+		{"update without op", "/instances/0/updates", rawBody(`{"updates":[{"u":2,"v":3}]}`), http.StatusUnprocessableEntity, "update 0"},
+		{"null update", "/instances/0/updates", rawBody(`{"updates":[null]}`), http.StatusUnprocessableEntity, "update 0"},
+
+		// Statuses recorded before the scanner, kept as they were.
+		{"not JSON", "/instances/0/query", rawBody(`hello`), http.StatusBadRequest, ""},
+		{"truncated query", "/instances/0/query", rawBody(`{"pairs":[[0,1]`), http.StatusBadRequest, ""},
+		{"truncated update", "/instances/0/updates", rawBody(`{"updates":[{"op":"insert"`), http.StatusBadRequest, ""},
+		{"pairs not an array", "/instances/0/query", rawBody(`{"pairs":5}`), http.StatusBadRequest, ""},
+		{"null pairs", "/instances/0/query", rawBody(`{"pairs":null}`), http.StatusBadRequest, ""},
+		{"string vertex", "/instances/0/query", rawBody(`{"pairs":[["0",1]]}`), http.StatusBadRequest, ""},
+		{"float vertex", "/instances/0/query", rawBody(`{"pairs":[[0.5,1]]}`), http.StatusBadRequest, ""},
+		{"exponent vertex", "/instances/0/query", rawBody(`{"pairs":[[1e1,1]]}`), http.StatusBadRequest, ""},
+		{"leading zero", "/instances/0/query", rawBody(`{"pairs":[[01,1]]}`), http.StatusBadRequest, ""},
+		{"negative vertex", "/instances/0/query", rawBody(`{"pairs":[[-1,1]]}`), http.StatusUnprocessableEntity, "pair 0"},
+		{"float weight", "/instances/0/updates", rawBody(`{"updates":[{"op":"insert","u":18,"v":19,"weight":1.5}]}`), http.StatusBadRequest, ""},
+		{"mixed-case key", "/instances/0/query", rawBody(`{"Pairs":[[0,1]]}`), http.StatusOK, ""},
+		{"mixed-case update keys", "/instances/0/updates", rawBody(`{"UPDATES":[{"Op":"insert","U":10,"V":11}]}`), http.StatusAccepted, ""},
+		{"unknown field", "/instances/0/query", rawBody(`{"pairs":[[0,1]],"extra":1}`), http.StatusOK, ""},
+		{"unknown update field", "/instances/0/updates", rawBody(`{"updates":[{"op":"insert","u":12,"v":13,"color":"red"}]}`), http.StatusAccepted, ""},
+		{"escaped op", "/instances/0/updates", rawBody(`{"updates":[{"op":"ins\u0065rt","u":14,"v":15}]}`), http.StatusAccepted, ""},
+		{"bytes after the query", "/instances/0/query", rawBody(`{"pairs":[[0,1]]} trailing garbage`), http.StatusOK, ""},
+		{"bytes after the batch", "/instances/0/updates", rawBody(`{"updates":[{"op":"insert","u":16,"v":17}]}{"updates":`), http.StatusAccepted, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := postJSON(t, ts.URL+tc.url, tc.body)
-			resp.Body.Close()
+			body := readAll(t, resp)
 			if resp.StatusCode != tc.want {
-				t.Errorf("status %d, want %d", resp.StatusCode, tc.want)
+				t.Errorf("status %d, want %d (%q)", resp.StatusCode, tc.want, body)
+			}
+			if !strings.Contains(body, tc.msg) {
+				t.Errorf("body %q does not name %q", body, tc.msg)
 			}
 		})
 	}
