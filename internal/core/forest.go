@@ -97,26 +97,79 @@ type treeEdge struct {
 // edgeShard holds the tree-edge records hash-assigned to one machine, in one
 // slice sorted by edge (edge-id order): lookups binary-search it (find),
 // scans walk it by index.
+//
+// A shard holds exactly the edges edgeOwner names for its machine: a Link
+// routes each new record there, and a load or re-shard places every record
+// there (TestShardTablesStayFlat checks it after every batch and every load).
+// So a shard looks up only the edges it owns; any other lookup would miss.
 type edgeShard struct {
 	recs []treeEdge
-	// pairs is pushFragments' [vertex, key] scratch, reused across deletions.
+	// pairs holds, from the relabel Tell that splits a Cut's tours until the
+	// fragment push that follows sends them (pushFragments), the [vertex, key]
+	// pairs of every record the split put on a fresh tour that is not
+	// passive; reused across deletions. held is what the Tell told the push,
+	// in words: the fresh range and the passive keys. The shard is metered
+	// for those, not for the pairs it derived from them. Transient, never
+	// checkpointed.
 	pairs [][2]uint64
-	// fresh and passive hold, from the Tell that splits a Cut's tours until
-	// the fragment push that follows consumes them (pushFragments), the ids
-	// [fresh[0], fresh[1]) the split allocated and the passive keys among
-	// them. Transient, never checkpointed; passive is shared and read-only.
-	fresh   []eulertour.TourID
-	passive map[uint64]bool
+	held  int
+	// stats is answerStats' scratch, one slot per queried vertex.
+	stats []eulertour.VertexStats
 }
 
 // Words implements mpc.Sized.
-func (s *edgeShard) Words() int { return 8*len(s.recs) + len(s.fresh) + len(s.passive) + 1 }
+func (s *edgeShard) Words() int { return 8*len(s.recs) + s.held + 1 }
 
 func cmpEdge(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }
 
 // find returns the index of e's record, or where it would be inserted.
 func (s *edgeShard) find(e graph.Edge) (int, bool) {
 	return slices.BinarySearchFunc(s.recs, e, func(te treeEdge, e graph.Edge) int { return cmpEdge(te.rec.E, e) })
+}
+
+// relabel applies a relabel Tell to the shard in one walk over its records:
+// it drops the records a Cut deletes, found by lookup among the edges the
+// shard owns, rewrites the others through one eulertour.Applier, and
+// collects for the fragment push both endpoints of every record that lands
+// on a fresh tour that is not passive, testing each tour once per run.
+func (s *edgeShard) relabel(p relabelPayload, owns func(graph.Edge) bool) {
+	for e := range p.drop {
+		if !owns(e) {
+			continue
+		}
+		if i, ok := s.find(e); ok {
+			s.recs[i].rec.Tour = eulertour.NoTour // no record is on no tour
+		}
+	}
+	var fresh [2]eulertour.TourID // [lo, hi); empty for a Link
+	copy(fresh[:], p.fresh)
+	s.held = len(p.fresh) + len(p.passive)
+	a := p.set.Applier()
+	pairs := s.pairs[:0]
+	last, key, push := eulertour.NoTour, uint64(0), false
+	w := 0
+	for i := range s.recs {
+		te := &s.recs[i]
+		if te.rec.Tour == eulertour.NoTour {
+			continue
+		}
+		if err := a.ApplyToRecord(&te.rec); err != nil {
+			panic(fmt.Sprintf("core: %v", err))
+		}
+		if t := te.rec.Tour; t != last {
+			last, key = t, fragKeyOfTour(t)
+			push = t >= fresh[0] && t < fresh[1] && !p.passive[key]
+		}
+		if push {
+			pairs = append(pairs, [2]uint64{uint64(te.rec.E.U), key}, [2]uint64{uint64(te.rec.E.V), key})
+		}
+		if w != i {
+			s.recs[w] = *te
+		}
+		w++
+	}
+	s.recs = s.recs[:w]
+	s.pairs = pairs
 }
 
 // land merges records that arrived in one message into the sorted slice:
@@ -729,37 +782,36 @@ func answerStats(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 	q := payload.(statsQuery)
 	query := q.vertices
 	// Accumulate per query slot (query is sorted, so the emitted frames are
-	// key-sorted for free).
-	tours := make([]eulertour.TourID, len(query))
-	first := make([]eulertour.Pos, len(query))
-	last := make([]eulertour.Pos, len(query))
-	seen := make([]bool, len(query))
-	recs := eShard(mm).recs
-	for i := range recs {
-		te := &recs[i]
+	// key-sorted for free). A slot's F is 0 until a record names its vertex:
+	// positions start at 1.
+	es := eShard(mm)
+	stats := slices.Grow(es.stats[:0], len(query))[:len(query)]
+	clear(stats)
+	es.stats = stats
+	for i := range es.recs {
+		te := &es.recs[i]
 		for _, v := range [2]int{te.rec.E.U, te.rec.E.V} {
 			j := sort.SearchInts(query, v)
 			if j == len(query) || query[j] != v {
 				continue
 			}
-			ps := te.rec.PositionsOf(v)
-			if !seen[j] {
-				seen[j] = true
-				tours[j], first[j], last[j] = te.rec.Tour, ps[0], ps[1]
+			ps, st := te.rec.PositionsOf(v), &stats[j]
+			if st.F == 0 {
+				st.Tour, st.F, st.L = te.rec.Tour, ps[0], ps[1]
 				continue
 			}
-			if ps[0] < first[j] {
-				first[j] = ps[0]
+			if ps[0] < st.F {
+				st.F = ps[0]
 			}
-			if ps[1] > last[j] {
-				last[j] = ps[1]
+			if ps[1] > st.L {
+				st.L = ps[1]
 			}
 		}
 	}
 	b := mpc.AcquireMessageBatch()
-	for j, ok := range seen {
-		if ok {
-			b.Append(uint64(query[j]), uint64(tours[j]), uint64(first[j]), uint64(last[j]))
+	for j, st := range stats {
+		if st.F != 0 {
+			b.Append(uint64(query[j]), uint64(st.Tour), uint64(st.F), uint64(st.L))
 		}
 	}
 	vs := vShard(mm)
@@ -897,7 +949,7 @@ type relabelPayload struct {
 	passiveOf map[int]uint64      // split comp id -> passive key, 0 if none (cuts)
 	alone     []int               // single-vertex fragments, sorted (cuts)
 
-	// set indexes relabels by tour and passive the nonzero keys of
+	// set is the flat table of relabels and passive the nonzero keys of
 	// passiveOf. Both are pure functions of the payload that every machine
 	// could build for itself, so they carry no words; the simulator builds
 	// them once and the machines share them read-only.
@@ -1037,9 +1089,10 @@ func (f *Forest) preparePlanner(edges []graph.Edge, terminals, labels []int, sta
 
 // applyRelabels tells every machine the payload and applies it: the listed
 // records are dropped, the relabel descriptors applied to the surviving ones
-// and the component map to the vertex shards — and to the label cache. What
-// a Cut tells for the fragment push stays behind on the edge and vertex
-// shards for pushFragments, its passive keys on the vertex shards for the
+// and the component map to the vertex shards — and to the label cache. The
+// edge shards do it in one walk that also collects the pairs a Cut's
+// fragment push sends (edgeShard.relabel); what a Cut tells the vertex shards
+// for the push stays behind there for pushFragments, its passive keys for the
 // replacement search; its component ids change only at tellFragComps.
 func (f *Forest) applyRelabels(payload relabelPayload) {
 	if len(payload.compMap) > 0 {
@@ -1048,16 +1101,7 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 	payload.set = eulertour.NewRelabelSet(payload.relabels)
 	f.tell(payload, func(mm *mpc.Machine, msg mpc.Sized) {
 		p := msg.(relabelPayload)
-		es := eShard(mm)
-		es.fresh, es.passive = p.fresh, p.passive
-		if len(p.drop) > 0 {
-			es.recs = slices.DeleteFunc(es.recs, func(te treeEdge) bool { return p.drop[te.rec.E] })
-		}
-		for i := range es.recs {
-			if err := p.set.ApplyToRecord(&es.recs[i].rec); err != nil {
-				panic(fmt.Sprintf("core: %v", err))
-			}
-		}
+		eShard(mm).relabel(p, func(e graph.Edge) bool { return f.edgeOwner(e) == mm.ID })
 		vs := vShard(mm)
 		if vs == nil {
 			return
@@ -1162,6 +1206,9 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 		es := eShard(mm)
 		b := mpc.AcquireMessageBatch()
 		for _, e := range payload.(edgeListPayload).edges {
+			if f.edgeOwner(e) != mm.ID {
+				continue
+			}
 			if i, ok := es.find(e); ok {
 				te := &es.recs[i]
 				fr := b.Grow(7)
@@ -1223,8 +1270,13 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 		want := payload.(mpc.Ints)
 		counts := make([]uint64, len(want))
 		recs := eShard(mm).recs
+		last, j, ok := -1, 0, false // searched once per run of one tour
 		for i := range recs {
-			if j, ok := slices.BinarySearch(want, int(recs[i].rec.Tour)); ok {
+			if t := int(recs[i].rec.Tour); t != last {
+				last = t
+				j, ok = slices.BinarySearch(want, t)
+			}
+			if ok {
 				counts[j]++
 			}
 		}
@@ -1327,30 +1379,22 @@ func passiveFragments(frags []eulertour.Fragment, compOfTour map[eulertour.TourI
 // passive key. So the push costs words in proportion to the small fragments
 // of the split, not to the components it splits, and leaves the same column
 // a push of every fresh tour would. What it reads is what the preceding
-// applyRelabels left on the shards; each field is dropped by the step that
-// reads it. The (vertex, fragment) pairs travel as two-word frames of the
-// batched message codec: one packed buffer per (edge shard, vertex owner)
-// pair. One round: the vertex shards land the push.
+// applyRelabels left on the shards: the edge shards' pairs, collected by the
+// relabel walk, so the push walks no records. Each field is dropped by the
+// step that reads it. The (vertex, fragment) pairs travel as two-word frames
+// of the batched message codec: one packed buffer per (edge shard, vertex
+// owner) pair. One round: the vertex shards land the push.
 func (f *Forest) pushFragments() {
 	f.flush()
 	// The round: edge shards emit deduplicated (vertex, frag) pairs.
 	f.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
 		es := eShard(mm)
-		fresh, passive := es.fresh, es.passive
-		es.fresh, es.passive = nil, nil
-		pairs := es.pairs[:0]
-		for i := range es.recs {
-			te := &es.recs[i]
-			if t := te.rec.Tour; t >= fresh[0] && t < fresh[1] && !passive[fragKeyOfTour(t)] {
-				key := fragKeyOfTour(t)
-				pairs = append(pairs, [2]uint64{uint64(te.rec.E.U), key}, [2]uint64{uint64(te.rec.E.V), key})
-			}
-		}
+		es.held = 0
 		// A vertex sits on one tour, so its pairs are equal: sorted by vertex
 		// and deduplicated, they cut into one batch per owner, as a range
 		// partition's owner only grows with the vertex.
-		slices.SortFunc(pairs, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
-		es.pairs = slices.Compact(pairs)
+		slices.SortFunc(es.pairs, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+		es.pairs = slices.Compact(es.pairs)
 		var out []mpc.Message
 		for i := 0; i < len(es.pairs); {
 			owner := f.part.Owner(int(es.pairs[i][0]))

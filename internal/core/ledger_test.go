@@ -191,7 +191,7 @@ func TestCutPayloadIsMetered(t *testing.T) {
 	// What the push read is gone from every shard once the Cut returns.
 	for i := 0; i < f.Cluster().Machines(); i++ {
 		mm := f.Cluster().Machine(i)
-		if es := eShard(mm); es.fresh != nil || es.passive != nil {
+		if es := eShard(mm); es.held != 0 {
 			t.Errorf("machine %d still holds the fresh range or passive keys", i)
 		}
 		if vs := vShard(mm); vs != nil && (vs.passiveOf != nil || vs.alone != nil || vs.passive != nil) {

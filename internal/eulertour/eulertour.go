@@ -22,12 +22,20 @@
 // (see join.go and split.go) into O(k) Relabel descriptors plus O(k) new
 // darts; machines apply descriptors locally to the records they hold, which
 // is exactly the broadcast-and-remap mechanism of the paper.
+//
+// A machine applies a batch's descriptors in one pass over its records. The
+// descriptors are built once into a flat RelabelSet, sorted by (tour, Lo),
+// that every machine shares read-only. Each machine walks its records with an
+// Applier of its own, which remembers the last tour and the last descriptor
+// it used. So a record of a tour the batch does not touch costs one
+// comparison, and a moved one mostly costs the remembered descriptor's range
+// test.
 package eulertour
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -147,56 +155,118 @@ type Relabel struct {
 // Words returns the descriptor size in machine words.
 func (r Relabel) Words() int { return 5 }
 
-// RelabelSet indexes relabel descriptors for application: machines apply the
-// one built from the broadcast batch to every local record position. Once
-// built it is read-only (Map and Touches are pure), so one set may be
-// shared by concurrent readers.
+// RelabelSet is the flat table of one batch's relabel descriptors: one slice
+// sorted by (OldTour, Lo), the sorted list of the tours it touches, and where
+// each tour's run of descriptors starts. It is built once from the broadcast
+// batch and never written again, so one set is shared read-only by every
+// machine, concurrent ones under the parallel executor included; what a
+// machine remembers while it applies the set lives in an Applier of its own.
 type RelabelSet struct {
-	byTour map[TourID][]Relabel
+	rels  []Relabel
+	tours []TourID
+	// start[i] is the index in rels of tours[i]'s first descriptor, and
+	// start[len(tours)] == len(rels).
+	start []int
 }
 
-// NewRelabelSet indexes the descriptors by tour, sorted by Lo.
+// NewRelabelSet sorts the descriptors by (tour, Lo) into one flat table.
 func NewRelabelSet(rs []Relabel) *RelabelSet {
-	s := &RelabelSet{byTour: make(map[TourID][]Relabel)}
-	for _, r := range rs {
-		s.byTour[r.OldTour] = append(s.byTour[r.OldTour], r)
+	s := &RelabelSet{rels: slices.Clone(rs)}
+	slices.SortFunc(s.rels, func(a, b Relabel) int {
+		return cmp.Or(cmp.Compare(a.OldTour, b.OldTour), cmp.Compare(a.Lo, b.Lo))
+	})
+	for i, r := range s.rels {
+		if i == 0 || r.OldTour != s.rels[i-1].OldTour {
+			s.tours = append(s.tours, r.OldTour)
+			s.start = append(s.start, i)
+		}
 	}
-	for id := range s.byTour {
-		list := s.byTour[id]
-		sort.Slice(list, func(i, j int) bool { return list[i].Lo < list[j].Lo })
-	}
+	s.start = append(s.start, len(s.rels))
 	return s
+}
+
+// Applier applies a RelabelSet on one machine. It remembers the tour it
+// looked up last and the descriptor that mapped its last position: a shard's
+// records of one tour mostly run consecutively, and both positions of a dart
+// fall in one descriptor, so most positions end at the remembered
+// descriptor's range test, and a record of a tour no descriptor touches costs
+// one comparison. The range test runs on every position, so the memo only
+// saves searches, never decides a mapping.
+type Applier struct {
+	set  *RelabelSet
+	tour TourID
+	// lo and hi bound tour's descriptors in set.rels (lo == hi: it has none);
+	// hit is the last of them that mapped a position, or -1.
+	lo, hi, hit int
+}
+
+// Applier returns an applier of s with nothing remembered.
+func (s *RelabelSet) Applier() Applier {
+	a := Applier{set: s}
+	a.seek(NoTour)
+	return a
+}
+
+// seek points a at the descriptors of tour t.
+func (a *Applier) seek(t TourID) {
+	a.tour, a.hit = t, -1
+	if i, ok := slices.BinarySearch(a.set.tours, t); ok {
+		a.lo, a.hi = a.set.start[i], a.set.start[i+1]
+	} else {
+		a.lo, a.hi = 0, 0
+	}
+}
+
+// at maps position p of the tour a points at.
+func (a *Applier) at(p Pos) (TourID, Pos) {
+	rels := a.set.rels
+	if a.hit >= 0 {
+		if r := &rels[a.hit]; r.Lo <= p && p <= r.Hi {
+			return r.NewTour, p + r.Delta
+		}
+	}
+	lo, hi := a.lo, a.hi
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rels[m].Hi < p {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < a.hi && rels[lo].Lo <= p {
+		a.hit = lo
+		return rels[lo].NewTour, p + rels[lo].Delta
+	}
+	return a.tour, p
 }
 
 // Map returns the new (tour, position) of position p in tour t. Positions
 // not covered by any descriptor are unchanged; covered positions move.
-func (s *RelabelSet) Map(t TourID, p Pos) (TourID, Pos) { return mapIn(s.byTour[t], t, p) }
-
-// mapIn is Map over the descriptors of tour t.
-func mapIn(list []Relabel, t TourID, p Pos) (TourID, Pos) {
-	i := sort.Search(len(list), func(i int) bool { return list[i].Hi >= p })
-	if i < len(list) && list[i].Lo <= p {
-		return list[i].NewTour, p + list[i].Delta
+func (a *Applier) Map(t TourID, p Pos) (TourID, Pos) {
+	if t != a.tour {
+		a.seek(t)
 	}
-	return t, p
+	return a.at(p)
 }
 
-// Touches reports whether any descriptor refers to tour t.
-func (s *RelabelSet) Touches(t TourID) bool { return len(s.byTour[t]) > 0 }
-
-// ApplyToRecord rewrites all four positions (and the tour id) of rec, with
-// one lookup of its tour; a record on a tour no descriptor touches is left
-// as is. All four positions of a surviving record always map into the same
-// new tour; Apply validates this and reports a corrupted plan otherwise.
-func (s *RelabelSet) ApplyToRecord(rec *Record) error {
-	list := s.byTour[rec.Tour]
-	if len(list) == 0 {
+// ApplyToRecord rewrites all four positions (and the tour id) of rec; a
+// record on a tour no descriptor touches is left as is. It maps the first
+// dart's positions (UPos[0], VPos[0]) before the second's, so the two
+// positions of a dart share one search. All four positions of a surviving
+// record always map into the same new tour; ApplyToRecord checks this on
+// every record and reports a corrupted plan otherwise.
+func (a *Applier) ApplyToRecord(rec *Record) error {
+	if rec.Tour != a.tour {
+		a.seek(rec.Tour)
+	}
+	if a.lo == a.hi {
 		return nil
 	}
-	t0, u0 := mapIn(list, rec.Tour, rec.UPos[0])
-	t1, u1 := mapIn(list, rec.Tour, rec.UPos[1])
-	t2, v0 := mapIn(list, rec.Tour, rec.VPos[0])
-	t3, v1 := mapIn(list, rec.Tour, rec.VPos[1])
+	t0, u0 := a.at(rec.UPos[0])
+	t1, v0 := a.at(rec.VPos[0])
+	t2, u1 := a.at(rec.UPos[1])
+	t3, v1 := a.at(rec.VPos[1])
 	if t0 != t1 || t1 != t2 || t2 != t3 {
 		return fmt.Errorf("eulertour: record %v split across tours by relabel", rec.E)
 	}

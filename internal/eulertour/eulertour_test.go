@@ -49,38 +49,61 @@ func TestRecordValidateRejectsBadShapes(t *testing.T) {
 }
 
 func TestRelabelSetMap(t *testing.T) {
-	set := NewRelabelSet([]Relabel{
-		{OldTour: 1, Lo: 1, Hi: 4, NewTour: 9, Delta: 10},
+	a := NewRelabelSet([]Relabel{
 		{OldTour: 1, Lo: 5, Hi: 8, NewTour: 8, Delta: -4},
-	})
-	if tr, p := set.Map(1, 3); tr != 9 || p != 13 {
+		{OldTour: 1, Lo: 1, Hi: 4, NewTour: 9, Delta: 10},
+	}).Applier()
+	if tr, p := a.Map(1, 3); tr != 9 || p != 13 {
 		t.Errorf("Map(1,3) = %d,%d", tr, p)
 	}
-	if tr, p := set.Map(1, 6); tr != 8 || p != 2 {
+	if tr, p := a.Map(1, 6); tr != 8 || p != 2 {
 		t.Errorf("Map(1,6) = %d,%d", tr, p)
 	}
-	if tr, p := set.Map(2, 3); tr != 2 || p != 3 {
+	if tr, p := a.Map(2, 3); tr != 2 || p != 3 {
 		t.Errorf("untouched tour moved: %d,%d", tr, p)
 	}
-	if tr, p := set.Map(1, 8); tr != 8 || p != 4 {
+	if tr, p := a.Map(1, 8); tr != 8 || p != 4 {
 		t.Errorf("Map(1,8) = %d,%d: the last covered position moved wrong", tr, p)
 	}
-	if tr, p := set.Map(1, 9); tr != 1 || p != 9 {
+	if tr, p := a.Map(1, 9); tr != 1 || p != 9 {
 		t.Errorf("Map(1,9) = %d,%d: a position past every descriptor moved", tr, p)
 	}
-	if !set.Touches(1) || set.Touches(3) {
-		t.Error("Touches wrong")
+	if tr, p := a.Map(3, 1); tr != 3 || p != 1 {
+		t.Errorf("Map(3,1) = %d,%d: a tour no descriptor names moved", tr, p)
+	}
+	if tr, p := a.Map(1, 1); tr != 9 || p != 11 {
+		t.Errorf("Map(1,1) = %d,%d after another tour's lookup", tr, p)
 	}
 }
 
+// TestApplyToRecordDetectsSplitAcrossTours: a record whose positions a plan
+// sends to two tours is an error, and so it stays through an applier that has
+// just mapped a record of the same tour within one descriptor: the remembered
+// descriptor must not map a position outside its range.
 func TestApplyToRecordDetectsSplitAcrossTours(t *testing.T) {
-	set := NewRelabelSet([]Relabel{
+	a := NewRelabelSet([]Relabel{
 		{OldTour: 1, Lo: 1, Hi: 2, NewTour: 5, Delta: 0},
 		{OldTour: 1, Lo: 3, Hi: 4, NewTour: 6, Delta: -2},
-	})
+	}).Applier()
 	r := Record{E: graph.NewEdge(0, 1), Tour: 1, UPos: [2]Pos{1, 4}, VPos: [2]Pos{2, 3}}
-	if err := set.ApplyToRecord(&r); err == nil {
+	if err := a.ApplyToRecord(&r); err == nil {
 		t.Fatal("record straddling tours accepted")
+	}
+
+	warm := NewRelabelSet([]Relabel{
+		{OldTour: 1, Lo: 1, Hi: 4, NewTour: 5, Delta: 0},
+		{OldTour: 1, Lo: 5, Hi: 8, NewTour: 6, Delta: -4},
+	}).Applier()
+	inside := Record{E: graph.NewEdge(0, 1), Tour: 1, UPos: [2]Pos{1, 4}, VPos: [2]Pos{2, 3}}
+	if err := warm.ApplyToRecord(&inside); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Record{E: graph.NewEdge(0, 1), Tour: 5, UPos: [2]Pos{1, 4}, VPos: [2]Pos{2, 3}}); inside != want {
+		t.Fatalf("record inside one descriptor became %+v, want %+v", inside, want)
+	}
+	straddler := Record{E: graph.NewEdge(1, 2), Tour: 1, UPos: [2]Pos{3, 6}, VPos: [2]Pos{4, 5}}
+	if err := warm.ApplyToRecord(&straddler); err == nil {
+		t.Fatalf("record straddling tours accepted after a record of its tour: became %+v", straddler)
 	}
 }
 
@@ -356,65 +379,71 @@ func TestRandomizedJoinSplitChurn(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		seed := seed
 		t.Run(string(rune('a'+int(seed-1))), func(t *testing.T) {
-			const n = 40
-			prg := hash.NewPRG(seed)
-			h := newHost(n)
-			for step := 0; step < 30; step++ {
-				if prg.Next()&1 == 0 || len(h.recs) == 0 {
-					// Insert a batch of forest edges across distinct comps.
-					labels, uf := h.components()
-					batchUF := oracle.NewUnionFind(n)
-					var batch []graph.Edge
-					attempts := 0
-					wantEdges := 1 + int(prg.NextN(6))
-					for len(batch) < wantEdges && attempts < 200 {
-						attempts++
-						u := int(prg.NextN(n))
-						v := int(prg.NextN(n))
-						if u == v || labels[u] == labels[v] {
-							continue
-						}
-						if uf.Find(u) == uf.Find(v) {
-							continue
-						}
-						// The batch must stay a forest over comps: reject
-						// edges whose comps were already linked this batch.
-						if batchUF.Find(labels[u]) == batchUF.Find(labels[v]) {
-							continue
-						}
-						batchUF.Union(labels[u], labels[v])
-						uf.Union(u, v)
-						batch = append(batch, graph.NewEdge(u, v))
-					}
-					if len(batch) == 0 {
-						continue
-					}
-					if err := h.insertBatch(batch); err != nil {
-						t.Fatalf("seed %d step %d insert %v: %v", seed, step, batch, err)
-					}
-				} else {
-					// Delete a random batch of existing tree edges.
-					edges := h.forestEdges()
-					wantDel := 1 + int(prg.NextN(4))
-					if wantDel > len(edges) {
-						wantDel = len(edges)
-					}
-					picked := map[int]bool{}
-					var batch []graph.Edge
-					for len(batch) < wantDel {
-						i := int(prg.NextN(uint64(len(edges))))
-						if !picked[i] {
-							picked[i] = true
-							batch = append(batch, edges[i])
-						}
-					}
-					if err := h.deleteBatch(batch); err != nil {
-						t.Fatalf("seed %d step %d delete %v: %v", seed, step, batch, err)
-					}
-				}
-				h.checkTours(t)
-			}
+			churn(t, newHost(40), seed, 30)
 		})
+	}
+}
+
+// churn runs steps random batched joins and splits on h, checking every
+// tour after each batch.
+func churn(t *testing.T, h *host, seed uint64, steps int) {
+	t.Helper()
+	n := h.n
+	prg := hash.NewPRG(seed)
+	for step := 0; step < steps; step++ {
+		if prg.Next()&1 == 0 || len(h.recs) == 0 {
+			// Insert a batch of forest edges across distinct comps.
+			labels, uf := h.components()
+			batchUF := oracle.NewUnionFind(n)
+			var batch []graph.Edge
+			attempts := 0
+			wantEdges := 1 + int(prg.NextN(6))
+			for len(batch) < wantEdges && attempts < 200 {
+				attempts++
+				u := int(prg.NextN(uint64(n)))
+				v := int(prg.NextN(uint64(n)))
+				if u == v || labels[u] == labels[v] {
+					continue
+				}
+				if uf.Find(u) == uf.Find(v) {
+					continue
+				}
+				// The batch must stay a forest over comps: reject
+				// edges whose comps were already linked this batch.
+				if batchUF.Find(labels[u]) == batchUF.Find(labels[v]) {
+					continue
+				}
+				batchUF.Union(labels[u], labels[v])
+				uf.Union(u, v)
+				batch = append(batch, graph.NewEdge(u, v))
+			}
+			if len(batch) == 0 {
+				continue
+			}
+			if err := h.insertBatch(batch); err != nil {
+				t.Fatalf("seed %d step %d insert %v: %v", seed, step, batch, err)
+			}
+		} else {
+			// Delete a random batch of existing tree edges.
+			edges := h.forestEdges()
+			wantDel := 1 + int(prg.NextN(4))
+			if wantDel > len(edges) {
+				wantDel = len(edges)
+			}
+			picked := map[int]bool{}
+			var batch []graph.Edge
+			for len(batch) < wantDel {
+				i := int(prg.NextN(uint64(len(edges))))
+				if !picked[i] {
+					picked[i] = true
+					batch = append(batch, edges[i])
+				}
+			}
+			if err := h.deleteBatch(batch); err != nil {
+				t.Fatalf("seed %d step %d delete %v: %v", seed, step, batch, err)
+			}
+		}
+		h.checkTours(t)
 	}
 }
 

@@ -17,6 +17,9 @@ type host struct {
 	recs   map[graph.Edge]*Record
 	nextID TourID
 	split  *SplitResult // the plan of the last deleteBatch
+	// onRelabel, if set, sees every relabel batch with the records it is
+	// about to rewrite, before relabel rewrites them.
+	onRelabel func(recs []Record, rels []Relabel)
 }
 
 func newHost(n int) *host {
@@ -142,11 +145,8 @@ func (h *host) insertBatch(edges []graph.Edge) error {
 	if err != nil {
 		return err
 	}
-	set := NewRelabelSet(res.Relabels)
-	for _, r := range h.recs {
-		if err := set.ApplyToRecord(r); err != nil {
-			return err
-		}
+	if err := h.relabel(res.Relabels); err != nil {
+		return err
 	}
 	for _, nr := range res.NewRecords {
 		rec := nr
@@ -182,9 +182,22 @@ func (h *host) deleteBatch(edges []graph.Edge) error {
 	for _, e := range edges {
 		delete(h.recs, e.Canonical())
 	}
-	set := NewRelabelSet(res.Relabels)
+	return h.relabel(res.Relabels)
+}
+
+// relabel applies a batch of descriptors to every record with one applier,
+// the way a machine applies them to its shard.
+func (h *host) relabel(rels []Relabel) error {
+	if h.onRelabel != nil {
+		recs := make([]Record, 0, len(h.recs))
+		for _, r := range h.recs {
+			recs = append(recs, *r)
+		}
+		h.onRelabel(recs, rels)
+	}
+	a := NewRelabelSet(rels).Applier()
 	for _, r := range h.recs {
-		if err := set.ApplyToRecord(r); err != nil {
+		if err := a.ApplyToRecord(r); err != nil {
 			return err
 		}
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // TestQuickRelabelSetDisjointCoverage: for randomly generated disjoint
-// descriptor sets, Map must move exactly the covered positions and Covers
-// must agree with interval membership.
+// descriptor sets, Map must move exactly the covered positions, each by the
+// descriptor whose interval holds it, and leave every position of another
+// tour where it is.
 func TestQuickRelabelSetDisjointCoverage(t *testing.T) {
 	prg := hash.NewPRG(1)
 	f := func(seed uint64) bool {
@@ -31,7 +32,7 @@ func TestQuickRelabelSetDisjointCoverage(t *testing.T) {
 			})
 			pos = hi + 1 + Pos(local.NextN(5))
 		}
-		set := NewRelabelSet(rs)
+		set := NewRelabelSet(rs).Applier()
 		for p := Pos(1); p <= 200; p++ {
 			inSome := false
 			for _, r := range rs {
