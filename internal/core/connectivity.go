@@ -155,7 +155,7 @@ func (ws *workspace) query() (candidates []graph.Edge, stalled bool) {
 				candidates = append(candidates, graph.EdgeFromID(e, ws.n))
 				break read
 			case sketch.Fail:
-				ws.stats.queryFails.Add(1)
+				ws.stats.queryFails++
 			}
 		}
 	}
@@ -519,7 +519,7 @@ func (dc *DynamicConnectivity) refillWindow(lo, hi int) (sums map[int]sketch.Ske
 // active may return too few edges (a too-fine partition); it is counted in
 // SearchStats.Exhausted, not repaired.
 func (dc *DynamicConnectivity) findReplacements(passiveComps []int, first *firstWindow) []graph.WeightedEdge {
-	dc.search.searches.Add(1)
+	dc.search.searches++
 	defer dc.f.dropFrags()
 	ws := newWorkspace(dc.space, dc.f.cfg.N, passiveComps, &dc.search)
 	// Register the workspace on the coordinator so its memory is metered.
@@ -538,16 +538,16 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int, first *first
 		case len(candidates) > 0:
 			// Resolve candidate endpoints to current components (the
 			// documented O(1)-round lookup per level).
-			dc.search.levels.Add(1)
+			dc.search.levels++
 			labels, _ = dc.f.labelsInto(labels, endpointsOf(candidates))
 			ws.merge(candidates, labels)
 		case !stalled:
 			// Every query came back Empty: no supernode is active now.
 		case ws.hi == t:
-			dc.search.exhausted.Add(1)
+			dc.search.exhausted++
 			return ws.replacements
 		default:
-			dc.search.refills.Add(1)
+			dc.search.refills++
 			clear(ws.sketches)
 			release()
 			lo, hi := ws.hi, min(ws.hi+w, t)
@@ -583,33 +583,29 @@ type SearchStats struct {
 	SketchesSummed, SketchesSkipped uint64
 }
 
-// searchCounters is the live form of SearchStats: written by the update
-// path (the sketch counts from per-machine callbacks), read by scrapes.
+// searchCounters is the live form of SearchStats, written by the update
+// path. The sketch counts are atomic because per-machine callbacks add to
+// them under the parallel executor; the coordinator counts the rest.
 type searchCounters struct {
-	searches, levels, queryFails, refills, exhausted atomic.Uint64
+	searches, levels, queryFails, refills, exhausted uint64
 	sketchesSummed, sketchesSkipped                  atomic.Uint64
 }
 
-// reset zeroes the counters in place (they are atomics: never copied).
-func (c *searchCounters) reset() {
-	for _, x := range []*atomic.Uint64{&c.searches, &c.levels, &c.queryFails, &c.refills, &c.exhausted, &c.sketchesSummed, &c.sketchesSkipped} {
-		x.Store(0)
-	}
-}
+// reset zeroes the counters in place.
+func (c *searchCounters) reset() { *c = searchCounters{} }
 
 // SearchStats reports the replacement-search counters. Like the query-cache
 // hit/miss pair they are process-lifetime observability, not algorithm
 // state: never checkpointed, zero on a restored or re-sharded instance (a
-// delta restore zeroes what its replay counted). Safe to call concurrently
-// with updates.
+// delta restore zeroes what its replay counted).
 func (dc *DynamicConnectivity) SearchStats() SearchStats {
 	c := &dc.search
 	return SearchStats{
-		Searches:        c.searches.Load(),
-		Levels:          c.levels.Load(),
-		QueryFails:      c.queryFails.Load(),
-		Refills:         c.refills.Load(),
-		Exhausted:       c.exhausted.Load(),
+		Searches:        c.searches,
+		Levels:          c.levels,
+		QueryFails:      c.queryFails,
+		Refills:         c.refills,
+		Exhausted:       c.exhausted,
 		SketchesSummed:  c.sketchesSummed.Load(),
 		SketchesSkipped: c.sketchesSkipped.Load(),
 	}

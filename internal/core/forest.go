@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/eulertour"
 	"repro/internal/graph"
@@ -218,16 +216,8 @@ func (p *u64Payload) Words() int { return len(p.xs) }
 // in pend until the Links that follow reunite the component's fragments. Only
 // InvalidateCache bumps the epoch (an O(1) drop of the whole cache); a
 // restore stamps the checkpoint's warm set in the current one (installWarm).
-//
-// mu implements the single-writer/many-reader contract of the query API
-// (see query.go): warm lookups hold the read lock, so any number of reader
-// goroutines answer cached queries concurrently; a cache miss (which runs
-// an MPC collective and fills labels/stamp) and every rewrite or
-// invalidation take the write lock. Mutating operations (ApplyBatch, Link,
-// Cut, Restore) remain exclusive with all queries — the lock protects the
-// cache, not the cluster.
+// It has no lock: the one goroutine that drives the Forest owns it.
 type labelCache struct {
-	mu     sync.RWMutex
 	labels []int
 	stamp  []uint32
 	epoch  uint32 // never 0, so a zero stamp is never valid
@@ -250,11 +240,8 @@ type labelCache struct {
 	pend map[int]*parkedComp
 	// hits counts query batches answered entirely from the cache (zero
 	// rounds); misses counts batches that ran the cache-fill collective.
-	// Atomic so concurrent warm readers can count without taking mu for
-	// writing; consumed by Forest.QueryCacheStats (the serving layer's
-	// cache-hit-rate metric).
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	// Read by Forest.QueryCacheStats.
+	hits, misses uint64
 }
 
 // parkedComp is one component a Cut split into several tours while the cache
@@ -270,8 +257,6 @@ type parkedComp struct {
 // component whose fragments now share one label has its vertices stamped with
 // it. One coordinator-local scan of the cache.
 func (lc *labelCache) relink(compMap map[int]int) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
 	for c, nc := range compMap {
 		if c != nc {
 			lc.mark[c] = int32(nc) + 1
@@ -318,8 +303,6 @@ func (lc *labelCache) relink(compMap map[int]int) {
 // component left in one tour takes that tour's label; any other is parked.
 // One coordinator-local scan of the cache.
 func (lc *labelCache) split(affected map[int]uint64, compByFrag map[uint64]int, tourFrags map[int][]int) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
 	if lc.numCompsOK {
 		lc.numComps += len(compByFrag) - len(affected)
 	}
@@ -354,11 +337,7 @@ func (lc *labelCache) split(affected map[int]uint64, compByFrag map[uint64]int, 
 }
 
 // dropParked forgets the entries still parked: their vertices stay misses.
-func (lc *labelCache) dropParked() {
-	lc.mu.Lock()
-	clear(lc.pend)
-	lc.mu.Unlock()
-}
+func (lc *labelCache) dropParked() { clear(lc.pend) }
 
 // cacheMeter folds the coordinator's query caches into the MPC memory
 // ledger: the epoch-valid label-cache entries (label plus stamp, two words
@@ -635,12 +614,9 @@ var mergeMin = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
 // label, the parked ones and the cached component count — in O(1) by bumping
 // its epoch, so the next query runs its collective. Updates keep the cache
 // exact and never call it; it exists for measurement (E15 and the query
-// benchmarks ablate the cache with it). It takes the cache write lock, so it
-// may race concurrent readers (they see either the old epoch's answers or a
-// miss), but not mutating operations.
+// benchmarks ablate the cache with it).
 func (f *Forest) InvalidateCache() {
 	lc := &f.cache
-	lc.mu.Lock()
 	lc.epoch++
 	if lc.epoch == 0 { // wrapped: stale stamps could alias the new epoch
 		clear(lc.stamp)
@@ -649,14 +625,13 @@ func (f *Forest) InvalidateCache() {
 	lc.valid = 0
 	lc.numCompsOK = false
 	clear(lc.pend)
-	lc.mu.Unlock()
 }
 
 // QueryCacheStats reports how many query batches were answered entirely
 // from the label cache (zero MPC rounds) and how many ran the cache-fill
-// collective since construction. Safe to call concurrently with queries.
+// collective since construction.
 func (f *Forest) QueryCacheStats() (hits, misses uint64) {
-	return f.cache.hits.Load(), f.cache.misses.Load()
+	return f.cache.hits, f.cache.misses
 }
 
 // checkQueryVertex rejects out-of-range query vertices up front with a
@@ -668,12 +643,11 @@ func (f *Forest) checkQueryVertex(v int) {
 	}
 }
 
-// resolveMissesLocked runs the cache-fill collective for the miss list
-// staged in the cache: one Ask carrying the sorted misses, answered with
-// [vertex, comp] frames (O(1/φ) rounds), decoded into the cache. No-op when
-// the list is empty. The caller must hold the cache write lock (the
-// collective both fills the cache and drives the cluster).
-func (f *Forest) resolveMissesLocked() {
+// resolveMisses runs the cache-fill collective for the miss list staged in
+// the cache: one Ask carrying the sorted misses, answered with [vertex, comp]
+// frames (O(1/φ) rounds), decoded into the cache. No-op when the list is
+// empty.
+func (f *Forest) resolveMisses() {
 	lc := &f.cache
 	if len(lc.miss) == 0 {
 		return
@@ -721,16 +695,7 @@ func collectNumComps(mm *mpc.Machine) *mpc.MessageBatch {
 // formula) costs zero rounds.
 func (f *Forest) NumComponents() int {
 	lc := &f.cache
-	lc.mu.RLock()
 	if lc.numCompsOK {
-		n := lc.numComps
-		lc.mu.RUnlock()
-		return n
-	}
-	lc.mu.RUnlock()
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.numCompsOK { // raced with another reader's readout
 		return lc.numComps
 	}
 	f.flush()

@@ -14,13 +14,16 @@
 // instance touches it. The applier drains one FIFO queue of ops. An update
 // batch is one kind of op; a checkpoint, a resize and the final shutdown
 // checkpoint are the other kind, so an instance is one ordered stream of
-// operations. The applier runs every op under the write lock of a
-// per-instance RWMutex, which enforces the core query engine's
-// single-writer/many-reader contract (see internal/core/query.go): any
-// number of request handlers answer query batches under the read lock, off
-// the queue. Warm queries touch only the label cache and run fully in
-// parallel; cache misses serialize their one collective among themselves
-// but never overlap an update.
+// operations. A core.DynamicConnectivity is not safe for concurrent use, so
+// one Mutex per instance serializes every call into it: the applier runs
+// each op under it, and request handlers answer query batches under it, off
+// the queue. A query therefore sees the state between two ops, never inside
+// one. A failed batch is on record before the lock is released, so no query
+// answers from the state it left; the handler checks for the failure once it
+// holds the lock. Counters that the state keeps itself (cache hits and
+// misses, replacement searches) are added to the instance's own by whoever
+// holds the lock, so a scrape never reads the state and a resize's fresh
+// state does not take them back to zero.
 //
 // # Endpoints
 //

@@ -253,6 +253,56 @@ func TestServerResizeErrors(t *testing.T) {
 	}
 }
 
+// TestCountersSurviveResize pins that no counter of the scrape goes down
+// across a live resize. The fresh fleet's state counts cache hits and misses
+// and replacement searches from zero again; the instance adds what each state
+// counted to counters of its own.
+func TestCountersSurviveResize(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig(t))
+	traffic := func() {
+		t.Helper()
+		for _, b := range []graph.Batch{{graph.Ins(0, 1)}, {graph.Del(0, 1)}} {
+			if err := srv.insts[0].offer(b); err != nil {
+				t.Fatal(err)
+			}
+			waitDrained(t, srv.insts[0])
+			for _, pairs := range [][][2]int{{{0, 1}}, {{0, 1}, {2, 3}}} {
+				resp := postJSON(t, ts.URL+"/instances/0/query", QueryRequest{Pairs: pairs})
+				resp.Body.Close()
+			}
+		}
+	}
+	counters := func() map[string]uint64 {
+		t.Helper()
+		body := scrapeMetrics(t, ts)
+		out := map[string]uint64{}
+		for _, f := range families {
+			if f.typ == "counter" && !f.seconds {
+				out[f.name] = sumMetric(t, body, f.name)
+			}
+		}
+		return out
+	}
+	traffic()
+	before := counters()
+	for _, name := range []string{"mpcserve_query_cache_hits_total", "mpcserve_query_cache_misses_total", "mpcserve_replacement_sketches_summed_total"} {
+		if before[name] == 0 {
+			t.Fatalf("%s is 0 before the resize: the traffic does not exercise it", name)
+		}
+	}
+	resp := postResize(t, ts, 0, 9)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resize: status %d", resp.StatusCode)
+	}
+	traffic()
+	for name, after := range counters() {
+		if after < before[name] {
+			t.Errorf("%s went down across the resize: %d, then %d", name, before[name], after)
+		}
+	}
+}
+
 // TestDrainedInstanceWritesNothing pins that a drained instance refuses
 // every op with errDraining — resize and checkpoint alike, and Close's final
 // checkpoint — and that none of them writes a container.

@@ -55,15 +55,18 @@ type instance struct {
 	// over them. It takes no locks; only the applier calls it.
 	sess *session.Session
 
-	// mu is the instance's single-writer/many-reader contract lock: the
-	// applier runs every op under Lock, handlers answer queries under RLock
-	// (see the core query engine's concurrency contract). dc is the
-	// session's live state, published as an atomic pointer because a resize
-	// swaps in a fresh fleet while lock-free paths — MaxBatch sizing in
-	// admission, metric scrapes — read it concurrently. cfg itself stays
-	// immutable — handlers read cfg.N without locks.
-	mu sync.RWMutex
+	// mu serializes every call into the session's live state, which is not
+	// safe for concurrent use: the applier runs each op under it, and query
+	// handlers answer under it, off the queue. dc is that state, published
+	// as an atomic pointer because a resize swaps in a fresh fleet while
+	// lock-free paths — MaxBatch sizing in admission, the fleet size in
+	// scrapes — read its immutable config. cfg itself stays immutable —
+	// handlers read cfg.N without locks.
+	mu sync.Mutex
 	dc atomic.Pointer[core.DynamicConnectivity]
+	// seen is what dc had counted when its counters were last folded into
+	// metrics (foldCounters). Guarded by mu; publish zeroes it.
+	seen stateCounters
 
 	// quiesced is true while a non-batch op holds admission; per-instance
 	// readiness reports 503 for its duration so load balancers steer around
@@ -88,6 +91,13 @@ type op struct {
 	batch graph.Batch
 	run   func() error
 	done  chan<- error
+}
+
+// stateCounters are the counters a live state keeps itself and a resize's
+// fresh state starts again from zero.
+type stateCounters struct {
+	hits, misses uint64
+	search       core.SearchStats
 }
 
 // applyFailure records the first applier error; the instance refuses all
@@ -136,11 +146,39 @@ func newInstance(id int, cfg core.Config, queueDepth int, chain *snapshot.Chain)
 // readers. The caller owns the session (construction, or the applier).
 func (in *instance) publish() {
 	in.dc.Store(in.sess.State().(*core.DynamicConnectivity))
+	in.seen = stateCounters{}
 	in.restoreCycles.Store(in.sess.RestoreCycles())
 }
 
+// foldCounters adds what the live state counted since the last fold to the
+// instance's metrics, which carry on across a resize. The caller holds mu.
+func (in *instance) foldCounters() {
+	dc := in.dc.Load()
+	var now stateCounters
+	now.hits, now.misses = dc.QueryCacheStats()
+	now.search = dc.SearchStats()
+	in.cacheHits.Add(now.hits - in.seen.hits)
+	in.cacheMisses.Add(now.misses - in.seen.misses)
+	in.searchExhausted.Add(now.search.Exhausted - in.seen.search.Exhausted)
+	in.searchRefills.Add(now.search.Refills - in.seen.search.Refills)
+	in.sketchesSummed.Add(now.search.SketchesSummed - in.seen.search.SketchesSummed)
+	in.seen = now
+}
+
+// lockLive takes mu for a query of the live state and returns nil, or returns
+// the instance's failure without holding mu. The applier records a failure
+// before it releases mu, so no query answers from a failed batch's state.
+func (in *instance) lockLive() error {
+	in.mu.Lock()
+	if err := in.failed(); err != nil {
+		in.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
 // applier is the instance's single writer: it runs the queue's ops in order,
-// each under the exclusive lock. Admission already validated every queued
+// each under mu. Admission already validated every queued
 // batch against the mirror, so an apply error here means corrupted state —
 // the instance is marked failed, and from then on the loop discards batches
 // and answers every other op with the failure. It keeps dequeuing, so
@@ -163,22 +201,25 @@ func (in *instance) applier() {
 	}
 }
 
-// applyBatch applies one admitted batch and records it.
+// applyBatch applies one admitted batch and records it — its failure
+// included — before it releases mu, so a query sees either the state before
+// the batch or the batch's record.
 func (in *instance) applyBatch(b graph.Batch) {
 	start := time.Now()
 	in.mu.Lock()
 	err := in.sess.Apply(b)
 	st := in.dc.Load().Cluster().Stats()
-	in.mu.Unlock()
-	in.observeApply(time.Since(start))
 	in.rounds.Store(uint64(st.Rounds))
 	in.violations.Store(uint64(len(st.Violations)))
+	in.foldCounters()
 	if err != nil {
 		in.failure.Store(&applyFailure{err: err})
-		return
+	} else {
+		in.batchesApplied.Add(1)
+		in.updatesApplied.Add(uint64(len(b)))
 	}
-	in.batchesApplied.Add(1)
-	in.updatesApplied.Add(uint64(len(b)))
+	in.mu.Unlock()
+	in.observeApply(time.Since(start))
 }
 
 // observeApply records one batch-apply latency sample and folds it into the

@@ -24,6 +24,10 @@ type metrics struct {
 	batchesRejected atomic.Uint64
 	queryBatches    atomic.Uint64
 	restoreCycles   atomic.Uint64
+	// The live state's own counters, folded in by the holder of the
+	// instance lock (instance.foldCounters): a scrape never reads the state.
+	cacheHits, cacheMisses                         atomic.Uint64
+	searchExhausted, searchRefills, sketchesSummed atomic.Uint64
 	// replayedUpdates counts the journaled updates the delta containers of
 	// the restore at startup replayed: what that restore's time grew with.
 	replayedUpdates atomic.Uint64
@@ -101,15 +105,15 @@ var families = [...]family{
 	{name: "mpcserve_cap_violations_total", typ: "counter", help: "MPC model violations the instance's cluster has recorded: a machine over its s-word memory or per-round communication budget (observed on the update path).",
 		of: func(in *instance, _ int) uint64 { return in.violations.Load() }},
 	{name: "mpcserve_query_cache_hits_total", typ: "counter", help: "Query batches answered entirely from the warm label cache (zero rounds).",
-		of: func(in *instance, _ int) uint64 { hits, _ := in.dc.Load().QueryCacheStats(); return hits }},
+		of: func(in *instance, _ int) uint64 { return in.cacheHits.Load() }},
 	{name: "mpcserve_query_cache_misses_total", typ: "counter", help: "Query batches that ran a cache-fill collective.",
-		of: func(in *instance, _ int) uint64 { _, misses := in.dc.Load().QueryCacheStats(); return misses }},
+		of: func(in *instance, _ int) uint64 { return in.cacheMisses.Load() }},
 	{name: "mpcserve_replacement_search_exhausted_total", typ: "counter", help: "Replacement searches that spent every sketch copy with an active supernode left (the partition may be too fine).",
-		of: func(in *instance, _ int) uint64 { return in.dc.Load().SearchStats().Exhausted }},
+		of: func(in *instance, _ int) uint64 { return in.searchExhausted.Load() }},
 	{name: "mpcserve_replacement_search_window_refills_total", typ: "counter", help: "Windows of sketch copies a replacement search fetched beyond its first (rare at the default copy count).",
-		of: func(in *instance, _ int) uint64 { return in.dc.Load().SearchStats().Refills }},
+		of: func(in *instance, _ int) uint64 { return in.searchRefills.Load() }},
 	{name: "mpcserve_replacement_sketches_summed_total", typ: "counter", help: "Vertex sketches summed by replacement searches (passive fragments are skipped).",
-		of: func(in *instance, _ int) uint64 { return in.dc.Load().SearchStats().SketchesSummed }},
+		of: func(in *instance, _ int) uint64 { return in.sketchesSummed.Load() }},
 	{name: "mpcserve_update_batches_applied_total", typ: "counter", help: "Update batches applied by the instance's applier.",
 		of: func(in *instance, _ int) uint64 { return in.batchesApplied.Load() }},
 	{name: "mpcserve_updates_applied_total", typ: "counter", help: "Individual edge updates applied.",

@@ -367,11 +367,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rf.write(w)
 		return
 	}
-	in.mu.RLock()
+	if err := in.lockLive(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	dc := in.dc.Load()
 	wb.ans = dc.ConnectedAllInto(wb.ans, pairs)
 	comps := dc.NumComponents()
-	in.mu.RUnlock()
+	in.foldCounters()
+	in.mu.Unlock()
 	in.queryBatches.Add(1)
 	wb.out = appendQueryResponse(wb.out[:0], wb.ans, comps)
 	writeBody(w, http.StatusOK, wb.out)
@@ -401,9 +405,13 @@ func (s *Server) handleComponents(w http.ResponseWriter, r *http.Request) {
 		}
 		vertices = append(vertices, v)
 	}
-	in.mu.RLock()
+	if err := in.lockLive(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	labels := in.dc.Load().ComponentsOf(vertices)
-	in.mu.RUnlock()
+	in.foldCounters()
+	in.mu.Unlock()
 	in.queryBatches.Add(1)
 	writeJSON(w, http.StatusOK, ComponentsResponse{Labels: labels})
 }

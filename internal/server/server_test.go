@@ -248,7 +248,7 @@ func TestServerAdmissionDiagnostic(t *testing.T) {
 }
 
 // TestServerBackpressure pins the 429 contract: with the applier stalled
-// (we hold the instance read lock, which blocks its write-lock acquisition)
+// (we hold the instance lock, which the applier takes for every batch)
 // the bounded queue fills and the next batch is refused, with the refusal
 // visible in the rejected counter and Retry-After set.
 func TestServerBackpressure(t *testing.T) {
@@ -257,11 +257,11 @@ func TestServerBackpressure(t *testing.T) {
 	srv, ts := newTestServer(t, cfg)
 	in := srv.insts[0]
 
-	in.mu.RLock()
+	in.mu.Lock()
 	stalled := true
 	defer func() {
 		if stalled {
-			in.mu.RUnlock()
+			in.mu.Unlock()
 		}
 	}()
 
@@ -296,7 +296,7 @@ func TestServerBackpressure(t *testing.T) {
 	}
 
 	// Unstall: everything admitted must still apply.
-	in.mu.RUnlock()
+	in.mu.Unlock()
 	stalled = false
 	waitDrained(t, in)
 	if got := int(in.batchesApplied.Load()); got != len(statuses)-rejected {
@@ -357,7 +357,7 @@ func TestServerCheckpointRestore(t *testing.T) {
 	}
 	// The label cache was restored warm: the query above must not have run
 	// a collective.
-	if hits, misses := srv2.insts[0].dc.Load().QueryCacheStats(); hits == 0 || misses != 0 {
+	if hits, misses := srv2.insts[0].cacheHits.Load(), srv2.insts[0].cacheMisses.Load(); hits == 0 || misses != 0 {
 		t.Errorf("restored query was not warm: hits=%d misses=%d", hits, misses)
 	}
 	// Admission mirror survived: duplicate insert refused, delete accepted.
@@ -545,7 +545,7 @@ func TestServerDeltaCheckpointChain(t *testing.T) {
 	if fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Errorf("restored answers %v, want %v", after, before)
 	}
-	if hits, misses := srv3.insts[0].dc.Load().QueryCacheStats(); hits == 0 || misses != 0 {
+	if hits, misses := srv3.insts[0].cacheHits.Load(), srv3.insts[0].cacheMisses.Load(); hits == 0 || misses != 0 {
 		t.Errorf("restore from base+delta was not warm: hits=%d misses=%d", hits, misses)
 	}
 	// The delta carried generation 2's two updates, and the restore says so.
