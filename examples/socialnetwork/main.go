@@ -98,10 +98,3 @@ func countIsolated(g *graph.Graph) int {
 	}
 	return n
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -8,6 +8,7 @@
 package agm
 
 import (
+	"maps"
 	"slices"
 	"sort"
 
@@ -78,20 +79,15 @@ func New(cfg core.Config) (*Connectivity, error) {
 // Cluster exposes the cluster for metering.
 func (c *Connectivity) Cluster() *mpc.Cluster { return c.cl }
 
-// batchPayload tells the shards an update batch.
-type batchPayload struct{ b graph.Batch }
-
-func (p batchPayload) Words() int { return 3 * len(p.b) }
-
 // ApplyBatch updates the sketches for a batch of insertions and deletions:
 // one Tell, O(1) rounds — this is all the AGM baseline does per phase.
 func (c *Connectivity) ApplyBatch(b graph.Batch) error {
-	c.cl.Tell(c.coord, batchPayload{b: b}, func(mm *mpc.Machine, msg mpc.Sized) {
+	c.cl.Tell(c.coord, b, func(mm *mpc.Machine, msg mpc.Sized) {
 		sh, ok := mm.Get(slotShard).(*shard)
 		if !ok {
 			return
 		}
-		for _, u := range msg.(batchPayload).b {
+		for _, u := range msg.(graph.Batch) {
 			e := u.Edge.Canonical()
 			for _, v := range []int{e.U, e.V} {
 				if v >= sh.lo && v < sh.hi {
@@ -144,7 +140,7 @@ func (c *Connectivity) query(wantForest bool) ([]int, int, []graph.Edge) {
 		var candidates []graph.Edge
 		var labelsOfCand []int
 		hadFail := false
-		for _, lab := range sortedIntKeys(merged) {
+		for _, lab := range slices.Sorted(maps.Keys(merged)) {
 			e, res := merged[lab].Query(r)
 			switch res {
 			case sketch.Found:
@@ -190,7 +186,7 @@ func (c *Connectivity) query(wantForest bool) ([]int, int, []graph.Edge) {
 			// form cycles among labels; emit an edge only when it truly
 			// merges two supernodes this round.
 			var joined graph.MinUnion
-			for _, self := range sortedIntKeys(hooks) {
+			for _, self := range slices.Sorted(maps.Keys(hooks)) {
 				if _, _, ok := joined.Union(self, hooks[self]); ok {
 					forest = append(forest, hookEdge[self])
 				}
@@ -306,13 +302,4 @@ func contractHooks(hooks map[int]int) labelMap {
 		}
 	}
 	return remap
-}
-
-func sortedIntKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

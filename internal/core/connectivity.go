@@ -302,6 +302,17 @@ func applySketchUpdate(mm *mpc.Machine, payload mpc.Sized) {
 // sub-batches). The batch must be valid against the current graph: no
 // duplicate insertions, deletions only of present edges, no self loops.
 //
+// ApplyBatch does not check that a deleted edge is present. A deletion of an
+// absent edge returns nil and subtracts the edge from both endpoints'
+// sketches, which are then silently wrong (three deletions of the absent
+// {0,1} at N=16 return nil, and a later search exhausts its copies). Core
+// cannot check it in Õ(n) words: a non-tree edge exists only inside the
+// sketch sums, so only the caller's own copy of the graph knows it. The
+// front doors validate first: server admission and the mpcstream replay with
+// graph.Graph.Check, the harness's generators delete only edges of their own
+// graph, and a delta restore's replay is refused by the session's mirror
+// or by its fingerprint comparison.
+//
 // An applied batch is journaled for the next delta checkpoint; a batch that
 // failed may have been applied in part, so the journal no longer describes
 // the state and is dropped.

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -1299,7 +1300,7 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 	for _, c := range compByFrag {
 		fragComps[c] = true
 	}
-	report.FragmentComps = sortedKeys(fragComps)
+	report.FragmentComps = slices.Sorted(maps.Keys(fragComps))
 	for k := range passive {
 		report.PassiveComps = append(report.PassiveComps, compByFrag[k])
 	}
@@ -1650,14 +1651,5 @@ func (f *Forest) SnapshotForest() []graph.WeightedEdge {
 		}
 		return out[i].V < out[j].V
 	})
-	return out
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
 	return out
 }

@@ -11,8 +11,8 @@ package core
 // query_test.go).
 //
 // A DynamicConnectivity is not safe for concurrent use: callers serialize
-// every call, queries included (internal/server holds one Mutex per
-// instance).
+// every call, queries included (internal/server runs every call on one
+// applier goroutine per instance).
 //
 // Every query entry point validates its vertices up front: a vertex
 // outside [0, N) — e.g. a stale QueryMix trace replayed against a smaller
@@ -163,7 +163,7 @@ func (dc *DynamicConnectivity) InvalidateQueryCache() { dc.f.InvalidateCache() }
 // QueryCacheStats reports how many query batches were answered entirely
 // from the label cache (zero rounds) and how many ran a cache-fill
 // collective. The serving layer folds the pair into its cache-hit-rate
-// metrics while it holds the instance lock.
+// metrics on the goroutine that drives the state.
 func (dc *DynamicConnectivity) QueryCacheStats() (hits, misses uint64) {
 	return dc.f.QueryCacheStats()
 }

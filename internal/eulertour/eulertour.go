@@ -309,17 +309,3 @@ func InSubtree(fc, lc, fw, lw Pos) bool { return fc <= fw && lw <= lc }
 func OnPath(fc, lc, fu, lu, fv, lv Pos) bool {
 	return InSubtree(fc, lc, fu, lu) != InSubtree(fc, lc, fv, lv)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

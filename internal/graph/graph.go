@@ -134,6 +134,10 @@ func DelW(u, v int, w int64) Update {
 // Batch is one phase's worth of updates, applied atomically between queries.
 type Batch []Update
 
+// Words is the batch's size as a message: three words an update (op and
+// endpoints). A collective that tells the shards a batch sends the batch.
+func (b Batch) Words() int { return 3 * len(b) }
+
 // MaxVertex returns the largest endpoint referenced by the batch, or -1
 // for an empty batch. Streaming consumers fold it over batches to size a
 // vertex space without materializing the stream.

@@ -93,11 +93,6 @@ func newSparsifier(
 	return sp, nil
 }
 
-// batchPayload carries an update batch to the samplers.
-type batchPayload struct{ b graph.Batch }
-
-func (p batchPayload) Words() int { return 3 * len(p.b) }
-
 // applyBatch updates the pair samplers, re-queries the touched ones, and
 // forwards the outcome changes to the maximal matching on H as deletions
 // plus insertions (the X and Y sets of Theorem 8.2's proof). One Ask: every
@@ -105,13 +100,13 @@ func (p batchPayload) Words() int { return 3 * len(p.b) }
 // [pair, hadOld, old edge id, hasNew, new edge id] frame per pair whose
 // outcome changed, sorted by pair (a pair lives on one machine).
 func (sp *sparsifier) applyBatch(b graph.Batch) error {
-	res := sp.cl.Ask(sp.coord, batchPayload{b: b}, func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
+	res := sp.cl.Ask(sp.coord, b, func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 		sh, ok := mm.Get(slotShard).(*sparsifierShard)
 		if !ok {
 			return nil
 		}
 		var touched []pairKey
-		for _, u := range payload.(batchPayload).b {
+		for _, u := range payload.(graph.Batch) {
 			e := u.Edge.Canonical()
 			p, ok := sp.classify(e)
 			if !ok {

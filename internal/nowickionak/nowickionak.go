@@ -125,11 +125,6 @@ func getShard(mm *mpc.Machine) *shard {
 	return s
 }
 
-// batchPayload carries the update batch to the shards.
-type batchPayload struct{ b graph.Batch }
-
-func (p batchPayload) Words() int { return 3 * len(p.b) }
-
 // ApplyBatch applies a batch of updates and restores maximality.
 func (m *Matcher) ApplyBatch(b graph.Batch) error {
 	if len(b) == 0 {
@@ -182,12 +177,12 @@ func (m *Matcher) ApplyBatch(b graph.Batch) error {
 // lists and then to answer, as the owner of the smaller endpoint, with one
 // [edge id] frame per deleted batch edge whose multiplicity is now zero.
 func (m *Matcher) applyAndReportVanished(b graph.Batch) map[graph.Edge]bool {
-	res := m.cl.Ask(m.coord, batchPayload{b: b}, func(mm *mpc.Machine, msg mpc.Sized) *mpc.MessageBatch {
+	res := m.cl.Ask(m.coord, b, func(mm *mpc.Machine, msg mpc.Sized) *mpc.MessageBatch {
 		sh := getShard(mm)
 		if sh == nil {
 			return nil
 		}
-		batch := msg.(batchPayload).b
+		batch := msg.(graph.Batch)
 		for _, u := range batch {
 			e := u.Edge.Canonical()
 			for _, v := range []int{e.U, e.V} {

@@ -35,16 +35,25 @@ func refuse(status int, format string, args ...any) *refusal {
 func (rf *refusal) write(w http.ResponseWriter) { http.Error(w, rf.msg, rf.status) }
 
 // wireBuf is one hot request's scratch, pooled across requests: the body,
-// the decoded pairs, their answers and the response bytes. An update batch
-// is not pooled, because the queue keeps it.
+// the decoded pairs, their answers and the response bytes, and a query's
+// read op (the instance asked, wb.answer bound once, the reply channel). An
+// update batch is not pooled, because the queue keeps it.
 type wireBuf struct {
 	body  bytes.Buffer
 	pairs []core.Pair
 	ans   []bool
+	comps int
 	out   []byte
+	in    *instance
+	query func() error
+	done  chan error
 }
 
-var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
+var wireBufs = sync.Pool{New: func() any {
+	wb := &wireBuf{done: make(chan error, 1)}
+	wb.query = wb.answer
+	return wb
+}}
 
 // maxPooledBody: a scratch grown past it by one outsized body is dropped,
 // not pooled, so a rare 8 MB request does not stay resident.

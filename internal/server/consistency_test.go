@@ -16,74 +16,81 @@ import (
 	"repro/internal/workload"
 )
 
-// TestNoAnswerFromAFailedBatch pins that a failed batch is on record before
-// the instance lock is free again, so no query answers from the state it
-// left. The batch is one update longer than MaxBatch, so the session applies
-// it in two chunks: the first links 0 to 1, the second fails. In each round a
-// reader waits on the lock while the batch applies and then asks what a
-// query would: the instance must report the failure, or not connect 0 and 1.
-// The reader has waited over a millisecond by then, which puts the lock in
-// its starvation mode: the unlock hands it to the reader at once, before the
-// applier runs another line. (The sleep only makes the check sharp: a reader
-// that gets the lock sooner sees the state before the batch.) Between rounds
-// the test unlinks 0 and 1 and clears the failure. Last, a query that passed
-// the handler's early failure check and then waited on the lock gets the
-// failure.
+// TestNoAnswerFromAFailedBatch pins that no read answers from the state a
+// failed batch left. The batch is one update longer than MaxBatch, so the
+// session applies it in two chunks: the first links 0 and 1, the second
+// fails. Readers ask whether 0 and 1 are connected while it goes through the
+// queue; a read runs between two ops, never inside one, and the applier
+// records the failure before its next op, so no answer may connect them.
+// Once the failure is on record, the next read must get it. Nothing here
+// depends on timing: it holds at GOMAXPROCS=1.
 func TestNoAnswerFromAFailedBatch(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig(t))
+	in := srv.insts[0]
+	var bad graph.Batch
+	for i := 0; i < in.shape.Load().MaxBatch(); i++ {
+		bad = append(bad, graph.Ins(2*i, 2*i+1))
+	}
+	bad = append(bad, graph.Update{Op: graph.Op(99), Edge: graph.Edge{U: 0, V: 1}})
+
+	query := QueryRequest{Pairs: [][2]int{{0, 1}}}
+	var wg, answered sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		answered.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				resp, code, err := postQuery(ts.URL, query)
+				if i == 0 {
+					answered.Done() // the batch is queued after every reader's first answer
+				}
+				switch {
+				case err != nil:
+					t.Error(err)
+					return
+				case code == http.StatusInternalServerError:
+					return
+				case code != http.StatusOK:
+					t.Errorf("status %d, want 200 or 500", code)
+					return
+				case resp.Connected[0]:
+					t.Error("a read answered from the state of a failed batch")
+					return
+				}
+			}
+		}()
+	}
+	answered.Wait()
+	// The mirror refuses the batch, so it goes on the queue directly.
+	in.queue <- op{batch: bad}
+	for deadline := time.Now().Add(10 * time.Second); in.failed() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the failing batch was never recorded")
+		}
+	}
+	if _, code, err := postQuery(ts.URL, query); err != nil || code != http.StatusInternalServerError {
+		t.Errorf("read after the failure: status %d, %v; want 500", code, err)
+	}
+	wg.Wait()
+}
+
+// TestReadAfterStopIsDraining pins that a read never blocks on an applier
+// that has exited: it gets errDraining.
+func TestReadAfterStopIsDraining(t *testing.T) {
 	srv, _ := newTestServer(t, testConfig(t))
 	in := srv.insts[0]
-	var first, undo graph.Batch
-	for i := 0; i < in.dc.Load().MaxBatch(); i++ {
-		first = append(first, graph.Ins(2*i, 2*i+1))
-		undo = append(undo, graph.Del(2*i, 2*i+1))
+	in.drain()
+	got := make(chan error, 1)
+	go func() { got <- in.call(in.reads, func() error { return nil }, make(chan error, 1)) }()
+	select {
+	case err := <-got:
+		if !errors.Is(err, errDraining) {
+			t.Errorf("read after stop: %v, want errDraining", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a read sent after stop did not return")
 	}
-	bad := append(first, graph.Update{Op: graph.Op(99), Edge: graph.Edge{U: 0, V: 1}})
-
-	ask, answer := make(chan struct{}), make(chan bool)
-	go func() {
-		for range ask {
-			in.mu.Lock()
-			torn := in.failed() == nil && in.dc.Load().Connected(0, 1)
-			in.mu.Unlock()
-			answer <- torn
-		}
-	}()
-	defer close(ask)
-	for round := 0; round < 50; round++ {
-		in.mu.Lock()
-		ask <- struct{}{}
-		time.Sleep(2 * time.Millisecond)
-		in.mu.Unlock()
-		in.applyBatch(bad)
-		if <-answer {
-			t.Fatalf("round %d: a reader got the lock with the failed batch applied and not recorded", round)
-		}
-		in.mu.Lock()
-		recorded := in.failed() != nil
-		err := in.sess.Apply(undo)
-		in.failure.Store(nil)
-		in.mu.Unlock()
-		if !recorded || err != nil {
-			t.Fatalf("round %d: failure recorded: %v; undo: %v", round, recorded, err)
-		}
-	}
-
-	// A query that waited on the lock while the batch failed gets the failure.
-	in.mu.Lock()
-	waited := make(chan error)
-	go func() {
-		err := in.lockLive()
-		if err == nil {
-			in.mu.Unlock()
-		}
-		waited <- err
-	}()
-	in.failure.Store(&applyFailure{err: errors.New("boom")})
-	in.mu.Unlock()
-	if err := <-waited; err == nil {
-		t.Error("a query that waited on the lock of a failing batch went on to read its state")
-	}
-	in.failure.Store(nil)
 }
 
 // TestReadsAreLinearizable runs many reader goroutines POSTing query batches
@@ -91,7 +98,7 @@ func TestNoAnswerFromAFailedBatch(t *testing.T) {
 // applied-batch count before and after its request; its answer, the
 // component count included, must be the oracle's on some prefix of the
 // stream within that range. Run under -race, it also fails when a query
-// answers without the instance lock.
+// touches the live state off the applier.
 func TestReadsAreLinearizable(t *testing.T) {
 	const (
 		n         = 64

@@ -10,20 +10,24 @@
 // Each instance is an independent session.Session over a
 // core.DynamicConnectivity on its own MPC cluster, identified by an integer
 // id in [0, Instances). The session owns the lifecycle — apply, checkpoint,
-// restore, resize — and takes no locks: exactly one applier goroutine per
-// instance touches it. The applier drains one FIFO queue of ops. An update
+// restore, resize — and takes no locks: after construction exactly one
+// applier goroutine per instance touches it or its state, which is not safe
+// for concurrent use. The applier drains one FIFO queue of ops. An update
 // batch is one kind of op; a checkpoint, a resize and the final shutdown
 // checkpoint are the other kind, so an instance is one ordered stream of
-// operations. A core.DynamicConnectivity is not safe for concurrent use, so
-// one Mutex per instance serializes every call into it: the applier runs
-// each op under it, and request handlers answer query batches under it, off
-// the queue. A query therefore sees the state between two ops, never inside
-// one. A failed batch is on record before the lock is released, so no query
-// answers from the state it left; the handler checks for the failure once it
-// holds the lock. Counters that the state keeps itself (cache hits and
-// misses, replacement searches) are added to the instance's own by whoever
-// holds the lock, so a scrape never reads the state and a resize's fresh
-// state does not take them back to zero.
+// operations. A query batch or a component lookup is a read op: the handler
+// sends it on a channel of its own, and the applier serves every waiting
+// read before it takes the next queued op. A read therefore sees the state
+// between two ops, never inside one, and waits for at most the op in
+// progress; it takes no queue slot, does not pass admission and never gets
+// a 429. The applier records a failed batch before its next op and answers
+// every later op, reads included, with the failure (500); a read that
+// meets an exited applier gets 503. Handlers see only the fleet's shape
+// (its core.Config, which admission's MaxBatch and the machine count read),
+// published by the applier. Counters that the state keeps itself (cache
+// hits and misses, replacement searches) are added to the instance's own by
+// the applier after every op, so a scrape never reads the state and a
+// resize's fresh state does not take them back to zero.
 //
 // # Endpoints
 //

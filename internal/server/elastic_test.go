@@ -214,7 +214,7 @@ func TestServerResizeErrors(t *testing.T) {
 		b = append(b, graph.Ins(0, v))
 	}
 	for len(b) > 0 {
-		k := heavy.dc.Load().MaxBatch()
+		k := heavy.shape.Load().MaxBatch()
 		if k > len(b) {
 			k = len(b)
 		}

@@ -30,9 +30,11 @@ func (e *badBatchError) Unwrap() error { return e.err }
 // instance is one independently served graph: a session over a
 // DynamicConnectivity, an admission mirror that keeps every queued batch
 // valid by construction, and one ordered queue of ops drained by the
-// applier — the only goroutine that touches the session. A batch is one kind
-// of op; a checkpoint, a resize and the final shutdown checkpoint are the
-// other kind, and each runs after every batch admitted before it.
+// applier — the only goroutine that touches the session after construction.
+// A batch is one kind of op; a checkpoint, a resize and the final shutdown
+// checkpoint are the other kind, and each runs after every batch admitted
+// before it. A query is a read op: the applier takes it off a channel of its
+// own, ahead of the next queued op.
 type instance struct {
 	id  int
 	cfg core.Config
@@ -45,27 +47,24 @@ type instance struct {
 	adm       sync.Mutex
 	accepting bool
 	// mirror is the admission mirror, the session's companion state. It runs
-	// ahead of the cluster by whatever the queue holds, and is guarded by
-	// adm, not mu.
+	// ahead of the cluster by whatever the queue holds, and is guarded by adm.
 	mirror *session.Mirror
 	queue  chan op
+	// reads carries read ops, unbuffered: they take no queue slot and never
+	// pass admission.
+	reads  chan op
 	exited chan struct{} // closed when the applier returns
 
 	// sess owns the cluster state, the checkpoint chain and the lifecycle
 	// over them. It takes no locks; only the applier calls it.
 	sess *session.Session
-
-	// mu serializes every call into the session's live state, which is not
-	// safe for concurrent use: the applier runs each op under it, and query
-	// handlers answer under it, off the queue. dc is that state, published
-	// as an atomic pointer because a resize swaps in a fresh fleet while
-	// lock-free paths — MaxBatch sizing in admission, the fleet size in
-	// scrapes — read its immutable config. cfg itself stays immutable —
-	// handlers read cfg.N without locks.
-	mu sync.Mutex
-	dc atomic.Pointer[core.DynamicConnectivity]
-	// seen is what dc had counted when its counters were last folded into
-	// metrics (foldCounters). Guarded by mu; publish zeroes it.
+	// shape is the live fleet's config, published by the applier: a resize
+	// swaps in a fresh fleet while admission (MaxBatch) and scrapes (the
+	// machine count) read it from other goroutines. cfg itself stays
+	// immutable — handlers read cfg.N.
+	shape atomic.Pointer[core.Config]
+	// seen is what the live state had counted when its counters were last
+	// folded into metrics (foldCounters). Applier only; publish zeroes it.
 	seen stateCounters
 
 	// quiesced is true while a non-batch op holds admission; per-instance
@@ -86,7 +85,8 @@ type instance struct {
 }
 
 // op is one entry of an instance's queue: an admitted batch, or — run set —
-// an operation on the session whose result goes to done.
+// an operation on the session whose result goes to done. A read op is the
+// second kind, sent on the reads channel.
 type op struct {
 	batch graph.Batch
 	run   func() error
@@ -115,6 +115,7 @@ func newInstance(id int, cfg core.Config, queueDepth int, chain *snapshot.Chain)
 		accepting: true,
 		mirror:    session.NewMirror(cfg.N),
 		queue:     make(chan op, queueDepth),
+		reads:     make(chan op),
 		exited:    make(chan struct{}),
 	}
 	scfg := session.Config{
@@ -142,18 +143,26 @@ func newInstance(id int, cfg core.Config, queueDepth int, chain *snapshot.Chain)
 	return in, nil
 }
 
-// publish exposes the session's live state and counters to the lock-free
-// readers. The caller owns the session (construction, or the applier).
+// live is the session's state. Only the applier (or construction) calls it.
+func (in *instance) live() *core.DynamicConnectivity {
+	return in.sess.State().(*core.DynamicConnectivity)
+}
+
+// publish exposes the live fleet's shape to the other goroutines and starts
+// counting the live state's counters afresh. The caller owns the session
+// (construction, or the applier).
 func (in *instance) publish() {
-	in.dc.Store(in.sess.State().(*core.DynamicConnectivity))
+	shape := in.live().Config()
+	in.shape.Store(&shape)
 	in.seen = stateCounters{}
 	in.restoreCycles.Store(in.sess.RestoreCycles())
 }
 
 // foldCounters adds what the live state counted since the last fold to the
-// instance's metrics, which carry on across a resize. The caller holds mu.
+// instance's metrics, which carry on across a resize. The applier calls it
+// after every op.
 func (in *instance) foldCounters() {
-	dc := in.dc.Load()
+	dc := in.live()
 	var now stateCounters
 	now.hits, now.misses = dc.QueryCacheStats()
 	now.search = dc.SearchStats()
@@ -165,60 +174,57 @@ func (in *instance) foldCounters() {
 	in.seen = now
 }
 
-// lockLive takes mu for a query of the live state and returns nil, or returns
-// the instance's failure without holding mu. The applier records a failure
-// before it releases mu, so no query answers from a failed batch's state.
-func (in *instance) lockLive() error {
-	in.mu.Lock()
-	if err := in.failed(); err != nil {
-		in.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// applier is the instance's single writer: it runs the queue's ops in order,
-// each under mu. Admission already validated every queued
-// batch against the mirror, so an apply error here means corrupted state —
-// the instance is marked failed, and from then on the loop discards batches
-// and answers every other op with the failure. It keeps dequeuing, so
-// shutdown never hangs.
+// applier is the instance's one goroutine on the session: it serves every
+// waiting read, then takes the next queued op, until the queue is closed and
+// empty. Admission already validated every queued batch against the
+// mirror, so an apply error here means corrupted state — the instance is
+// marked failed before the next op runs, and from then on the loop discards
+// batches and answers every other op, reads included, with the failure. It
+// keeps dequeuing, so shutdown never hangs.
 func (in *instance) applier() {
 	defer close(in.exited)
-	for o := range in.queue {
+	for {
+		var o op
+		select {
+		case o = <-in.reads:
+		default:
+			ok := true
+			select {
+			case o = <-in.reads:
+			case o, ok = <-in.queue:
+			}
+			if !ok {
+				return
+			}
+		}
 		err := in.failed()
 		switch {
 		case o.run != nil:
 			if err == nil {
-				in.mu.Lock()
 				err = o.run()
-				in.mu.Unlock()
 			}
 			o.done <- err
 		case err == nil:
 			in.applyBatch(o.batch)
 		}
+		in.foldCounters()
 	}
 }
 
-// applyBatch applies one admitted batch and records it — its failure
-// included — before it releases mu, so a query sees either the state before
-// the batch or the batch's record.
+// applyBatch applies one admitted batch and records it, its failure
+// included.
 func (in *instance) applyBatch(b graph.Batch) {
 	start := time.Now()
-	in.mu.Lock()
 	err := in.sess.Apply(b)
-	st := in.dc.Load().Cluster().Stats()
+	st := in.live().Cluster().Stats()
 	in.rounds.Store(uint64(st.Rounds))
 	in.violations.Store(uint64(len(st.Violations)))
-	in.foldCounters()
 	if err != nil {
 		in.failure.Store(&applyFailure{err: err})
 	} else {
 		in.batchesApplied.Add(1)
 		in.updatesApplied.Add(uint64(len(b)))
 	}
-	in.mu.Unlock()
 	in.observeApply(time.Since(start))
 }
 
@@ -243,19 +249,12 @@ func (in *instance) retryAfterSeconds() int {
 		return 1
 	}
 	wait := time.Duration(ew) * time.Duration(len(in.queue)+1)
-	secs := int((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	return min(max(int((wait+time.Second-1)/time.Second), 1), 30)
 }
 
 // machines is the instance's current fleet size (changes on resize).
 func (in *instance) machines() int {
-	return in.dc.Load().Config().MachineCount()
+	return in.shape.Load().MachineCount()
 }
 
 // failed returns the instance's terminal error, if any.
@@ -304,15 +303,22 @@ func (in *instance) do(f func() error) error {
 	}
 	in.quiesced.Store(true)
 	defer in.quiesced.Store(false)
-	return in.send(f)
+	return in.call(in.queue, f, make(chan error, 1))
 }
 
-// send enqueues f as an op and waits for its result. The caller holds adm
-// and has seen accepting.
-func (in *instance) send(f func() error) error {
-	done := make(chan error, 1)
-	in.queue <- op{run: f, done: done}
-	return <-done
+// call sends f as an op on ch — the queue, whose caller holds adm and has
+// seen accepting, or reads, which the applier serves before its next queued
+// op — and returns f's error: the failure instead once the instance has
+// failed, errDraining once the applier has exited. done is the reply
+// channel, with one free slot; a pooled request scratch keeps its own, so a
+// query allocates none.
+func (in *instance) call(ch chan<- op, f func() error, done chan error) error {
+	select {
+	case ch <- op{run: f, done: done}:
+		return <-done
+	case <-in.exited:
+		return errDraining
+	}
 }
 
 // stop shuts the instance down: final (when not nil) runs as the last op,
@@ -324,7 +330,7 @@ func (in *instance) stop(final func() error) (err error) {
 	switch {
 	case in.accepting:
 		if final != nil {
-			err = in.send(final)
+			err = in.call(in.queue, final, make(chan error, 1))
 		}
 		in.accepting = false
 		close(in.queue)

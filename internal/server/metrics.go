@@ -13,8 +13,8 @@ import (
 )
 
 // metrics is every series an instance keeps for /metrics: atomic.Uint64s
-// only, so scrapes never take the instance locks (and TestMetricsEndpoint
-// can bump each word). A new series is a field here (if it is not read off
+// only, so a scrape never waits on the applier (and TestMetricsEndpoint can
+// bump each word). A new series is a field here (if it is not read off
 // other instance state) and a row of families.
 type metrics struct {
 	rounds          atomic.Uint64
@@ -24,8 +24,8 @@ type metrics struct {
 	batchesRejected atomic.Uint64
 	queryBatches    atomic.Uint64
 	restoreCycles   atomic.Uint64
-	// The live state's own counters, folded in by the holder of the
-	// instance lock (instance.foldCounters): a scrape never reads the state.
+	// The live state's own counters, folded in by the applier after every
+	// op (instance.foldCounters): a scrape never reads the state.
 	cacheHits, cacheMisses                         atomic.Uint64
 	searchExhausted, searchRefills, sketchesSummed atomic.Uint64
 	// replayedUpdates counts the journaled updates the delta containers of

@@ -197,11 +197,29 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /instances", s.handleList)
-	s.mux.HandleFunc("POST /instances/{id}/updates", s.handleUpdates)
-	s.mux.HandleFunc("POST /instances/{id}/query", s.handleQuery)
-	s.mux.HandleFunc("GET /instances/{id}/components", s.handleComponents)
-	s.mux.HandleFunc("POST /instances/{id}/resize", s.handleResize)
-	s.mux.HandleFunc("GET /instances/{id}/healthz", s.handleInstanceHealth)
+	s.mux.HandleFunc("POST /instances/{id}/updates", s.perInstance(handleUpdates))
+	s.mux.HandleFunc("POST /instances/{id}/query", s.perInstance(handleQuery))
+	s.mux.HandleFunc("GET /instances/{id}/components", s.perInstance(handleComponents))
+	s.mux.HandleFunc("POST /instances/{id}/resize", s.perInstance(handleResize))
+	s.mux.HandleFunc("GET /instances/{id}/healthz", s.perInstance(handleInstanceHealth))
+}
+
+// perInstance adapts h to a route under /instances/{id}: it resolves the id
+// and writes the error response itself when the server is closing (503) or
+// the id is missing, malformed, or out of range (404).
+func (s *Server) perInstance(h func(http.ResponseWriter, *http.Request, *instance)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.closed.Load() {
+			http.Error(w, "shutting down", http.StatusServiceUnavailable)
+			return
+		}
+		id, err := strconv.Atoi(r.PathValue("id"))
+		if err != nil || id < 0 || id >= len(s.insts) {
+			http.Error(w, fmt.Sprintf("unknown instance %q (have 0..%d)", r.PathValue("id"), len(s.insts)-1), http.StatusNotFound)
+			return
+		}
+		h(w, r, s.insts[id])
+	}
 }
 
 // --- wire types ----------------------------------------------------------
@@ -279,13 +297,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	out := make([]InstanceInfo, 0, len(s.insts))
 	for _, in := range s.insts {
-		dc := in.dc.Load()
+		shape := in.shape.Load()
 		out = append(out, InstanceInfo{
 			ID:         in.id,
 			N:          in.cfg.N,
 			Phi:        in.cfg.Phi,
-			Machines:   dc.Config().MachineCount(),
-			MaxBatch:   dc.MaxBatch(),
+			Machines:   shape.MachineCount(),
+			MaxBatch:   shape.MaxBatch(),
 			QueueDepth: len(in.queue),
 			QueueCap:   cap(in.queue),
 			Healthy:    in.failed() == nil,
@@ -294,33 +312,14 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// instanceOf resolves the {id} path value, writing the error response
-// itself when the id is missing, malformed, or out of range.
-func (s *Server) instanceOf(w http.ResponseWriter, r *http.Request) (*instance, bool) {
-	if s.closed.Load() {
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return nil, false
-	}
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil || id < 0 || id >= len(s.insts) {
-		http.Error(w, fmt.Sprintf("unknown instance %q (have 0..%d)", r.PathValue("id"), len(s.insts)-1), http.StatusNotFound)
-		return nil, false
-	}
-	return s.insts[id], true
-}
-
-func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	in, ok := s.instanceOf(w, r)
-	if !ok {
-		return
-	}
+func handleUpdates(w http.ResponseWriter, r *http.Request, in *instance) {
 	wb := wireBufs.Get().(*wireBuf)
 	defer putWireBuf(wb)
 	if rf := wb.readBody(w, r, "update"); rf != nil {
 		rf.write(w)
 		return
 	}
-	b, rf := decodeUpdates(wb.body.Bytes(), in.dc.Load().MaxBatch())
+	b, rf := decodeUpdates(wb.body.Bytes(), in.shape.Load().MaxBatch())
 	if rf != nil {
 		rf.write(w)
 		return
@@ -346,15 +345,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	in, ok := s.instanceOf(w, r)
-	if !ok {
-		return
-	}
-	if err := in.failed(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+func handleQuery(w http.ResponseWriter, r *http.Request, in *instance) {
 	wb := wireBufs.Get().(*wireBuf)
 	defer putWireBuf(wb)
 	if rf := wb.readBody(w, r, "query"); rf != nil {
@@ -367,29 +358,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rf.write(w)
 		return
 	}
-	if err := in.lockLive(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	wb.in = in
+	if err := in.call(in.reads, wb.query, wb.done); err != nil {
+		readError(w, err)
 		return
 	}
-	dc := in.dc.Load()
-	wb.ans = dc.ConnectedAllInto(wb.ans, pairs)
-	comps := dc.NumComponents()
-	in.foldCounters()
-	in.mu.Unlock()
 	in.queryBatches.Add(1)
-	wb.out = appendQueryResponse(wb.out[:0], wb.ans, comps)
+	wb.out = appendQueryResponse(wb.out[:0], wb.ans, wb.comps)
 	writeBody(w, http.StatusOK, wb.out)
 }
 
-func (s *Server) handleComponents(w http.ResponseWriter, r *http.Request) {
-	in, ok := s.instanceOf(w, r)
-	if !ok {
-		return
+// answer is a query's read op, run by the applier: the answers to wb.pairs
+// and the component count, off wb.in's live state.
+func (wb *wireBuf) answer() error {
+	dc := wb.in.live()
+	wb.ans = dc.ConnectedAllInto(wb.ans, wb.pairs)
+	wb.comps = dc.NumComponents()
+	return nil
+}
+
+// readError answers a read the applier did not run: 503 once the instance
+// is draining, 500 after a failure.
+func readError(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	if errors.Is(err, errDraining) {
+		status = http.StatusServiceUnavailable
 	}
-	if err := in.failed(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	http.Error(w, err.Error(), status)
+}
+
+func handleComponents(w http.ResponseWriter, r *http.Request, in *instance) {
 	raw := r.URL.Query().Get("vertices")
 	if raw == "" {
 		http.Error(w, "missing ?vertices=a,b,c", http.StatusBadRequest)
@@ -405,13 +403,14 @@ func (s *Server) handleComponents(w http.ResponseWriter, r *http.Request) {
 		}
 		vertices = append(vertices, v)
 	}
-	if err := in.lockLive(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	var labels []int
+	if err := in.call(in.reads, func() error {
+		labels = in.live().ComponentsOf(vertices)
+		return nil
+	}, make(chan error, 1)); err != nil {
+		readError(w, err)
 		return
 	}
-	labels := in.dc.Load().ComponentsOf(vertices)
-	in.foldCounters()
-	in.mu.Unlock()
 	in.queryBatches.Add(1)
 	writeJSON(w, http.StatusOK, ComponentsResponse{Labels: labels})
 }
@@ -421,11 +420,7 @@ func (s *Server) handleComponents(w http.ResponseWriter, r *http.Request) {
 // the requested count, 409 when the migrated state does not fit the target
 // fleet's per-machine memory budget (the instance keeps serving at its old
 // shape), 200 with the new shape on success.
-func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
-	in, ok := s.instanceOf(w, r)
-	if !ok {
-		return
-	}
+func handleResize(w http.ResponseWriter, r *http.Request, in *instance) {
 	machines, err := strconv.Atoi(r.URL.Query().Get("machines"))
 	if err != nil {
 		http.Error(w, "missing or malformed ?machines=M (want an integer)", http.StatusBadRequest)
@@ -445,9 +440,10 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
+	shape := in.shape.Load()
 	writeJSON(w, http.StatusOK, ResizeResponse{
-		Machines:           in.machines(),
-		VerticesPerMachine: in.dc.Load().Config().VerticesPerMachine,
+		Machines:           shape.MachineCount(),
+		VerticesPerMachine: shape.VerticesPerMachine,
 	})
 }
 
@@ -455,11 +451,7 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 // liveness and readiness. 503 after an applier failure (dead) and while a
 // checkpoint or resize op holds the instance's admission (alive but not
 // ready); 200 otherwise.
-func (s *Server) handleInstanceHealth(w http.ResponseWriter, r *http.Request) {
-	in, ok := s.instanceOf(w, r)
-	if !ok {
-		return
-	}
+func handleInstanceHealth(w http.ResponseWriter, r *http.Request, in *instance) {
 	if err := in.failed(); err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return

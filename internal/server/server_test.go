@@ -195,7 +195,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 
 	// An oversize batch is refused up front with 413.
 	big := UpdateRequest{}
-	for i := 0; i <= srv.insts[0].dc.Load().MaxBatch(); i++ {
+	for i := 0; i <= srv.insts[0].shape.Load().MaxBatch(); i++ {
 		big.Updates = append(big.Updates, WireUpdate{Op: "insert", U: 0, V: 1})
 	}
 	resp := postJSON(t, ts.URL+"/instances/0/updates", big)
@@ -248,20 +248,26 @@ func TestServerAdmissionDiagnostic(t *testing.T) {
 }
 
 // TestServerBackpressure pins the 429 contract: with the applier stalled
-// (we hold the instance lock, which the applier takes for every batch)
-// the bounded queue fills and the next batch is refused, with the refusal
-// visible in the rejected counter and Retry-After set.
+// (it runs an op that blocks) the bounded queue fills and the next batch is
+// refused, with the refusal visible in the rejected counter and Retry-After
+// set.
 func TestServerBackpressure(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.QueueDepth = 2
 	srv, ts := newTestServer(t, cfg)
 	in := srv.insts[0]
 
-	in.mu.Lock()
+	started, release := make(chan struct{}), make(chan struct{})
+	in.queue <- op{run: func() error {
+		close(started)
+		<-release
+		return nil
+	}, done: make(chan error, 1)}
+	<-started
 	stalled := true
 	defer func() {
 		if stalled {
-			in.mu.Unlock()
+			close(release)
 		}
 	}()
 
@@ -276,8 +282,8 @@ func TestServerBackpressure(t *testing.T) {
 			t.Error("429 without Retry-After")
 		}
 	}
-	// The applier may pull one batch out of the queue and stall holding it,
-	// so up to QueueDepth+1 batches are admitted; the rest must be 429.
+	// The stalled applier holds no queue slot: QueueDepth batches are
+	// admitted and the rest are 429.
 	rejected := 0
 	for _, s := range statuses {
 		switch s {
@@ -288,15 +294,15 @@ func TestServerBackpressure(t *testing.T) {
 			t.Fatalf("unexpected status %d (want 202 or 429)", s)
 		}
 	}
-	if rejected == 0 {
-		t.Fatalf("no batch was refused: statuses %v", statuses)
+	if rejected != len(statuses)-cfg.QueueDepth {
+		t.Fatalf("%d batches refused, want %d: statuses %v", rejected, len(statuses)-cfg.QueueDepth, statuses)
 	}
 	if got := in.batchesRejected.Load(); got != uint64(rejected) {
 		t.Errorf("rejected counter = %d, want %d", got, rejected)
 	}
 
 	// Unstall: everything admitted must still apply.
-	in.mu.Unlock()
+	close(release)
 	stalled = false
 	waitDrained(t, in)
 	if got := int(in.batchesApplied.Load()); got != len(statuses)-rejected {
