@@ -585,12 +585,12 @@ func E12CommunicationPerRound(sizes []int, batches int, seed uint64) *Table {
 // execution engine: the same seeded workload is replayed through dynamic
 // connectivity once per parallelism level, timing the run and checking the
 // engine's core guarantee that Stats (rounds, messages, words, peaks,
-// violations) are bit-identical to the sequential executor. Two workloads
-// are timed: uniform churn, and the hub-centric powerlaw stream whose
+// violations) are bit-identical to the one-worker run. Two workloads are
+// timed: uniform churn, and the hub-centric powerlaw stream whose
 // heavy-tailed degrees skew the per-machine load — the regime the engine's
-// chunked work stealing and sharded merge exist for. This is the one
-// experiment whose numbers are wall-clock, not MPC metrics: it
-// characterizes the simulator substrate, not the algorithm.
+// chunked work stealing exists for. This is the one experiment whose
+// numbers are wall-clock, not MPC metrics: it characterizes the simulator
+// substrate, not the algorithm.
 func E13ParallelSpeedup(n int, parallelisms []int, batches int, seed uint64) *Table {
 	t := &Table{
 		Title:  "E13: execution engine, worker-pool vs sequential wall-clock",
@@ -627,7 +627,7 @@ func E13ParallelSpeedup(n int, parallelisms []int, batches int, seed uint64) *Ta
 		for _, p := range parallelisms {
 			st, wall := run(p)
 			t.Rows = append(t.Rows, []string{
-				wl.name, d(n), d(resolvedParallelism(p)), f2(float64(wall.Microseconds()) / 1000),
+				wl.name, d(n), d(mpc.ResolveParallelism(p)), f2(float64(wall.Microseconds()) / 1000),
 				f2(float64(baseWall) / float64(wall)),
 				d(st.Rounds),
 				fmt.Sprintf("%v", reflect.DeepEqual(st, baseStats)),
@@ -640,10 +640,6 @@ func E13ParallelSpeedup(n int, parallelisms []int, batches int, seed uint64) *Ta
 		"wall-clock of the simulator substrate (not an MPC metric); small n may not amortize the round barrier")
 	return t
 }
-
-// resolvedParallelism normalizes a Config.Parallelism value to the worker
-// count it selects, so the table shows resolved numbers.
-func resolvedParallelism(p int) int { return mpc.ResolveParallelism(p) }
 
 // E14ScenarioSweep streams every listed scenario (default: the whole
 // registry) through every compatible algorithm under the differential

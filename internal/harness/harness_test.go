@@ -58,9 +58,10 @@ func TestDifferentialAllPairs(t *testing.T) {
 // TestParallelismIdenticalReports replays every registered scenario through
 // every compatible algorithm at parallelism 1, 2, and 8: the reports
 // (updates, checks, rounds, final edges) must be bit-identical — the
-// execution engine's core guarantee (sequential loop, work-stealing pool,
-// and sharded parallel merge are interchangeable), made visible through the
-// harness on the full generator registry.
+// execution engine's core guarantee (the one-worker loop and the
+// work-stealing pool are interchangeable, and every round's exchange is one
+// serial pass), made visible through the harness on the full generator
+// registry.
 func TestParallelismIdenticalReports(t *testing.T) {
 	for _, scName := range workload.Names() {
 		sc, err := workload.Get(scName)

@@ -48,25 +48,19 @@
 //
 // # Round pipeline
 //
-// One Step runs in three phases:
+// One Step runs in two phases, as the model's round does:
 //
-//  1. Compute + encode/route. The executor fans the machines out over OS
-//     threads; each invocation runs the machine's StepFunc and then, still
-//     on the same worker, validates its outbox destinations, sizes the
-//     payloads, and buckets the message indices by destination shard
-//     (prepRoute). Encoding therefore overlaps the compute of other
-//     machines instead of serializing behind the round barrier.
-//  2. Sharded merge. The destination space is carved into contiguous
-//     shards (about two per worker), and the executor runs one merge job
-//     per shard: each job walks the senders in ascending machine order and
-//     copies that sender's bucketed messages for its shard into the
-//     destination inboxes. Shards write disjoint inbox ranges, so the
-//     merges run concurrently without locks.
-//  3. Meter fold. A single serial pass folds the per-machine counters into
-//     Stats in machine order — per sender: invalid-destination violations
-//     in outbox order, message/word totals, the send-cap check; then per
-//     destination: the receive-cap check — and finally the fresh inboxes
-//     are swapped in and the round counter advances.
+//  1. Compute. The executor fans the machines out over OS threads; each
+//     invocation runs the machine's StepFunc and writes only its own slots:
+//     its outbox and its post-round store size.
+//  2. Exchange. One serial pass on the calling goroutine, in machine order,
+//     routes and meters the round. Per sender, it reports each invalid
+//     destination as a violation in outbox order, sizes each payload once,
+//     appends the message to its destination's inbox and adds to that
+//     destination's receive total; then it adds the sender's message and
+//     word totals and checks the send cap. After all senders it checks
+//     every receive cap, swaps the fresh inboxes in, samples memory and
+//     advances the round counter.
 //
 // # Determinism
 //
@@ -74,27 +68,27 @@
 // bit-identical at any parallelism level, including Config.Parallelism 1.
 // The argument: phase 1 writes only slot i of cluster-owned arrays from
 // invocation i (the StepFunc concurrency contract), so its outputs are
-// independent of scheduling; phase 2 assembles each inbox from per-sender
-// buckets in ascending sender order, and each sender's bucket preserves its
-// outbox order, so each inbox equals what the serial scan (senders 0..M-1,
-// outbox in order) would produce no matter how shards are scheduled; phase
-// 3 is serial and runs in machine order, so violation strings, counters,
-// and peaks are appended in the serial order too. A Strict-mode violation
-// panics inside phase 3 — after deliveries are merged but before the inbox
-// swap — and the next Step discards the partial merge, so a recovered
-// Strict panic is also scheduling-independent (see the determinism tests in
+// independent of scheduling; phase 2 is serial and runs in machine order,
+// so each inbox holds its messages in ascending sender id (outbox order per
+// sender), and violation strings, counters and peaks are appended in that
+// order too. A Strict-mode violation panics inside phase 2, possibly
+// mid-pass with part of the round already in the spare inboxes and before
+// the inbox swap; the next Step truncates the spare inboxes before it
+// routes, so a recovered Strict panic delivers nothing of the aborted round
+// and is also scheduling-independent (see the determinism tests in
 // merge_test.go and executor_test.go).
 //
-// Executors are pluggable (Config.Parallelism selects the sequential loop
-// or a work-stealing worker pool); the pool claims contiguous index chunks
-// off a shared cursor, so a machine with a skewed share of the round's work
-// costs its one chunk rather than a statically assigned slice of the range.
+// Config.Parallelism sets the executor's worker count. At one worker it is
+// the plain loop on the calling goroutine; above one it is a pool that
+// claims contiguous index chunks off a shared cursor, so a machine with a
+// skewed share of the round's work costs its one chunk rather than a
+// statically assigned slice of the range.
 //
 // The round machinery itself is allocation-free at steady state: the
-// cluster owns its routing buffers (per-machine outboxes, shard buckets,
-// double-buffered inboxes, word counters) and reuses them round over round,
-// and MessageBatch provides a length-prefixed binary codec so algorithms
-// route one packed buffer per (src, dst) machine pair instead of one small
+// cluster owns its routing buffers (per-machine outboxes, double-buffered
+// inboxes, word counters) and reuses them round over round, and
+// MessageBatch provides a length-prefixed binary codec so algorithms route
+// one packed buffer per (src, dst) machine pair instead of one small
 // allocation per logical message. See codec.go and the allocation-budget
 // tests.
 package mpc

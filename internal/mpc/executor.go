@@ -1,44 +1,10 @@
 package mpc
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// Executor schedules the per-machine work of one synchronous round (or one
-// local-computation pass, or one merge-shard sweep). The cluster hands it an
-// index-addressed job; the executor decides how to spread the indices over
-// OS threads.
-//
-// The contract that makes any executor interchangeable with the sequential
-// one is the simulator's concurrency contract (see StepFunc): the callback
-// for index i touches only index i's state and the caller-provided result
-// slot for index i. Under that contract every executor produces the same
-// per-index results, and the cluster folds them into Stats in machine
-// order, so rounds, message ordering, violations, and peaks are bit-identical
-// at any parallelism level.
-type Executor interface {
-	// Run invokes fn(i) once for every i in [0, n), possibly concurrently.
-	// It returns only after every invocation has completed or been
-	// abandoned.
-	//
-	// Panic contract: if any invocation panics, Run re-panics on the
-	// calling goroutine with the panic value of the lowest panicking
-	// index. This is deterministic under every executor: nothing below the
-	// lowest panicking index panics, so that index is always reached and
-	// its panic always recorded, regardless of scheduling. Indices after a
-	// panicking index in the same scheduling unit (the whole range for the
-	// sequential executor, one work-stealing chunk for the pool) are
-	// abandoned; all other indices still run. Callers that recover such a
-	// panic may retry the whole range — per-index results are only
-	// published by completed invocations, and the cluster never merges a
-	// round whose parallel phase panicked.
-	Run(n int, fn func(i int))
-	// Parallelism reports the number of worker goroutines (1 = sequential).
-	Parallelism() int
-}
 
 // ResolveParallelism returns the worker count a Config.Parallelism value
 // selects: 1 for 0 or 1 (sequential), p for p > 1, and runtime.NumCPU()
@@ -54,33 +20,102 @@ func ResolveParallelism(p int) int {
 	}
 }
 
-// NewExecutor returns the executor selected by a Config.Parallelism value:
-// the sequential executor when ResolveParallelism yields 1, otherwise a
-// worker pool of that many goroutines.
-func NewExecutor(parallelism int) Executor {
-	if w := ResolveParallelism(parallelism); w > 1 {
-		return NewWorkerPool(w)
-	}
-	return NewSequentialExecutor()
+// executor schedules the per-machine work of one round's compute phase (or
+// one local-computation pass). The cluster hands it an index-addressed job;
+// at one worker it runs the indices in order on the calling goroutine, above
+// one it spreads them over a pool of long-lived worker goroutines that claim
+// contiguous index chunks off a shared atomic cursor (chunked work
+// stealing). Chunks keep a worker on one cache-friendly run of machines and
+// result slots, while the shared cursor lets idle workers absorb skewed
+// per-machine load — a powerlaw-hot machine costs its one chunk, not a
+// statically assigned 1/workers slice of the round.
+//
+// What makes the pool interchangeable with the plain loop is the
+// simulator's concurrency contract (see StepFunc): the callback for index i
+// touches only index i's state and the caller-provided result slot for
+// index i. Under that contract every worker count produces the same
+// per-index results, and the cluster folds them into Stats in machine
+// order, so rounds, message ordering, violations, and peaks are
+// bit-identical at any parallelism level.
+//
+// The pool's goroutines live as long as the executor is reachable; a
+// runtime cleanup shuts them down when the owning cluster is garbage
+// collected, so creating many clusters (as tests and experiments do) does
+// not leak.
+type executor struct {
+	workers int
+	// tasks wakes pool workers; nil at one worker, where Run is the plain
+	// loop and no goroutine exists.
+	tasks chan *poolRun
+	// run is the reused per-Run state: Run is never invoked concurrently
+	// on one executor (a cluster issues one round at a time), so recycling
+	// it keeps the round dispatch allocation-free.
+	run poolRun
 }
 
-// sequentialExecutor runs every machine on the calling goroutine in index
-// order — the original simulator loop.
-type sequentialExecutor struct{}
-
-// NewSequentialExecutor returns the executor that runs machines one after
-// another on the calling goroutine.
-func NewSequentialExecutor() Executor { return sequentialExecutor{} }
-
-// Run implements Executor.
-func (sequentialExecutor) Run(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
+// newExecutor returns the executor a Config.Parallelism value selects.
+func newExecutor(parallelism int) *executor {
+	e := &executor{workers: ResolveParallelism(parallelism)}
+	if e.workers == 1 {
+		return e
 	}
+	// Buffered so Run never blocks waking workers: at most `workers` wake-
+	// ups are in flight per round.
+	e.tasks = make(chan *poolRun, e.workers)
+	for w := 0; w < e.workers; w++ {
+		// Workers capture only the channel, never e, so an unreachable
+		// executor is collectable; the cleanup then closes the channel and
+		// the workers exit.
+		go poolWorker(e.tasks)
+	}
+	runtime.AddCleanup(e, func(ch chan *poolRun) { close(ch) }, e.tasks)
+	return e
 }
 
-// Parallelism implements Executor.
-func (sequentialExecutor) Parallelism() int { return 1 }
+// Run invokes fn(i) once for every i in [0, n), concurrently above one
+// worker. It returns only after every invocation has completed or been
+// abandoned.
+//
+// Panic contract: if any invocation panics, Run re-panics on the calling
+// goroutine with the panic value of the lowest panicking index. This is
+// deterministic at every worker count: nothing below the lowest panicking
+// index panics, so that index is always reached and its panic always
+// recorded, regardless of scheduling. Indices after a panicking index in
+// the same scheduling unit (the whole range at one worker, one
+// work-stealing chunk in the pool) are abandoned; all other indices still
+// run. Callers that recover such a panic may retry the whole range —
+// per-index results are only published by completed invocations, and the
+// cluster never routes a round whose compute phase panicked.
+func (e *executor) Run(n int, fn func(i int)) {
+	if e.tasks == nil {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	if n <= 0 {
+		return
+	}
+	r := &e.run
+	r.fn = fn
+	r.n = n
+	r.chunk = chunkSize(n, e.workers)
+	r.cursor.Store(0)
+	r.panicked = false
+	wake := e.workers
+	if chunks := (n + r.chunk - 1) / r.chunk; wake > chunks {
+		wake = chunks
+	}
+	r.wg.Add(wake)
+	for w := 0; w < wake; w++ {
+		e.tasks <- r
+	}
+	r.wg.Wait()
+	r.fn = nil
+	if r.panicked {
+		panic(r.panicVal)
+	}
+}
 
 // chunksPerWorker is the oversubscription factor of the work-stealing
 // scheduler: the index range is carved into about chunksPerWorker×workers
@@ -89,16 +124,8 @@ func (sequentialExecutor) Parallelism() int { return 1 }
 // others drain the rest of the range.
 const chunksPerWorker = 8
 
-// poolTask wakes one worker for one Run: every dispatched worker pulls
-// chunks from the shared run state until the cursor is exhausted.
-type poolTask struct {
-	run *poolRun
-}
-
 // poolRun is the shared state of one Run call over the work-stealing pool:
-// the job, the claim cursor, and the completion barrier. It lives on the
-// pool and is reused by every Run (a cluster issues one round at a time),
-// keeping dispatch allocation-free.
+// the job, the claim cursor, and the completion barrier.
 type poolRun struct {
 	fn     func(i int)
 	n      int
@@ -127,65 +154,18 @@ func (r *poolRun) recordPanic(idx int, val any) {
 	}
 }
 
-// WorkerPool is the parallel executor: a fixed set of long-lived worker
-// goroutines that claim contiguous index chunks from a shared atomic cursor
-// (chunked work stealing). Chunks keep a worker on one cache-friendly run
-// of machines and result slots, while the shared cursor lets idle workers
-// absorb skewed per-machine load — a powerlaw-hot machine costs its one
-// chunk, not a statically assigned 1/workers slice of the round.
-//
-// The pool's goroutines live as long as the pool is reachable; a runtime
-// cleanup shuts them down when the owning cluster is garbage collected, so
-// creating many clusters (as tests and experiments do) does not leak.
-type WorkerPool struct {
-	workers int
-	tasks   chan poolTask
-	// run is the reused per-Run state: Run is never invoked concurrently
-	// on one pool (a cluster issues one round at a time), so recycling it
-	// keeps the round dispatch allocation-free.
-	run poolRun
-}
-
-// NewWorkerPool returns a worker-pool executor with the given number of
-// workers; workers <= 0 selects runtime.NumCPU(). A pool of one worker is
-// degenerate, so it returns the sequential executor instead.
-func NewWorkerPool(workers int) Executor {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers == 1 {
-		return sequentialExecutor{}
-	}
-	p := &WorkerPool{
-		workers: workers,
-		// Buffered so Run never blocks waking workers: at most `workers`
-		// tasks are in flight per round.
-		tasks: make(chan poolTask, workers),
-	}
-	for w := 0; w < workers; w++ {
-		// Workers capture only the channel, never p, so an unreachable
-		// pool is collectable; the cleanup then closes the channel and
-		// the workers exit.
-		go poolWorker(p.tasks)
-	}
-	runtime.AddCleanup(p, func(ch chan poolTask) { close(ch) }, p.tasks)
-	return p
-}
-
-// poolWorker drains wake-ups until the pool is shut down; each wake-up
+// poolWorker drains wake-ups until the executor is shut down; each wake-up
 // steals chunks from its run until the range is exhausted.
-func poolWorker(tasks chan poolTask) {
-	for t := range tasks {
-		runChunks(t.run)
-		t.run.wg.Done()
+func poolWorker(tasks chan *poolRun) {
+	for r := range tasks {
+		runChunks(r)
+		r.wg.Done()
 	}
 }
 
 // runChunks claims chunks off the run's cursor until the range is drained.
 // Every chunk is claimed and executed even after a panic elsewhere: that is
-// what makes the re-panic value (the lowest panicking index) deterministic,
-// and it matches the old static sharding, where every shard ran regardless
-// of another shard's panic.
+// what makes the re-panic value (the lowest panicking index) deterministic.
 func runChunks(r *poolRun) {
 	for {
 		lo := int(r.cursor.Add(int64(r.chunk))) - r.chunk
@@ -202,7 +182,7 @@ func runChunks(r *poolRun) {
 
 // runChunk executes one contiguous chunk, converting a panic in fn into a
 // recorded panic on the run (a panicking chunk abandons its remaining
-// indices, as the sequential loop abandons everything after a panic).
+// indices, as the plain loop abandons everything after a panic).
 func runChunk(r *poolRun, lo, hi int) {
 	i := lo
 	defer func() {
@@ -212,34 +192,6 @@ func runChunk(r *poolRun, lo, hi int) {
 	}()
 	for ; i < hi; i++ {
 		r.fn(i)
-	}
-}
-
-// Run implements Executor: it carves [0, n) into contiguous chunks of
-// deterministic size, wakes the workers to steal them off a shared cursor,
-// and waits for the round barrier.
-func (p *WorkerPool) Run(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	r := &p.run
-	r.fn = fn
-	r.n = n
-	r.chunk = chunkSize(n, p.workers)
-	r.cursor.Store(0)
-	r.panicked = false
-	wake := p.workers
-	if chunks := (n + r.chunk - 1) / r.chunk; wake > chunks {
-		wake = chunks
-	}
-	r.wg.Add(wake)
-	for w := 0; w < wake; w++ {
-		p.tasks <- poolTask{run: r}
-	}
-	r.wg.Wait()
-	r.fn = nil
-	if r.panicked {
-		panic(r.panicVal)
 	}
 }
 
@@ -255,9 +207,3 @@ func chunkSize(n, workers int) int {
 	}
 	return c
 }
-
-// Parallelism implements Executor.
-func (p *WorkerPool) Parallelism() int { return p.workers }
-
-// String aids debugging output in benchmarks and experiments.
-func (p *WorkerPool) String() string { return fmt.Sprintf("worker-pool(%d)", p.workers) }

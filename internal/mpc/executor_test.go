@@ -8,27 +8,27 @@ import (
 )
 
 func TestNewExecutorSelection(t *testing.T) {
-	if p := NewExecutor(0).Parallelism(); p != 1 {
-		t.Errorf("NewExecutor(0).Parallelism() = %d, want 1", p)
+	if w := newExecutor(0).workers; w != 1 {
+		t.Errorf("newExecutor(0).workers = %d, want 1", w)
 	}
-	if p := NewExecutor(1).Parallelism(); p != 1 {
-		t.Errorf("NewExecutor(1).Parallelism() = %d, want 1", p)
+	if w := newExecutor(1).workers; w != 1 {
+		t.Errorf("newExecutor(1).workers = %d, want 1", w)
 	}
-	if p := NewExecutor(4).Parallelism(); p != 4 {
-		t.Errorf("NewExecutor(4).Parallelism() = %d, want 4", p)
+	if w := newExecutor(4).workers; w != 4 {
+		t.Errorf("newExecutor(4).workers = %d, want 4", w)
 	}
-	if p := NewExecutor(-1).Parallelism(); p != runtime.NumCPU() && runtime.NumCPU() > 1 {
-		t.Errorf("NewExecutor(-1).Parallelism() = %d, want NumCPU %d", p, runtime.NumCPU())
+	if w := newExecutor(-1).workers; w != runtime.NumCPU() && runtime.NumCPU() > 1 {
+		t.Errorf("newExecutor(-1).workers = %d, want NumCPU %d", w, runtime.NumCPU())
 	}
-	// A pool of one worker degenerates to the sequential executor.
-	if _, seq := NewWorkerPool(1).(sequentialExecutor); !seq {
-		t.Error("NewWorkerPool(1) is not the sequential executor")
+	// One worker is the plain loop on the caller: no pool is started.
+	if newExecutor(1).tasks != nil {
+		t.Error("newExecutor(1) started a worker pool")
 	}
 }
 
 func TestExecutorRunCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 7} {
-		ex := NewWorkerPool(workers)
+		ex := newExecutor(workers)
 		for _, n := range []int{0, 1, 2, 5, 16, 33, 100} {
 			counts := make([]int, n)
 			ex.Run(n, func(i int) { counts[i]++ })
@@ -42,7 +42,7 @@ func TestExecutorRunCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestWorkerPoolPanicPropagation(t *testing.T) {
-	ex := NewWorkerPool(4)
+	ex := newExecutor(4)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -61,7 +61,7 @@ func TestWorkerPoolPanicPropagation(t *testing.T) {
 	})
 }
 
-// TestExecutorPanicContract pins the panic contract both executors share:
+// TestExecutorPanicContract pins the panic contract at every worker count:
 // the re-panic value is the panic of the lowest panicking index (nothing
 // below it panics, so it always runs), every index below the lowest
 // panicking one is invoked exactly once, and no index is ever invoked
@@ -70,11 +70,11 @@ func TestExecutorPanicContract(t *testing.T) {
 	const n, bomb = 100, 37
 	for _, tc := range []struct {
 		name string
-		ex   Executor
+		ex   *executor
 	}{
-		{"sequential", NewSequentialExecutor()},
-		{"pool-4", NewWorkerPool(4)},
-		{"pool-7", NewWorkerPool(7)},
+		{"sequential", newExecutor(1)},
+		{"pool-4", newExecutor(4)},
+		{"pool-7", newExecutor(7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			counts := make([]int, n)
@@ -116,9 +116,9 @@ func TestExecutorPanicContract(t *testing.T) {
 // messaging round, a round whose StepFunc panics at a fixed machine,
 // recovery, and a continuation round that overwrites every per-machine slot
 // the panicking round may have partially written. The observable cluster
-// state — the panic value, Stats (the panicked round merges nothing), the
+// state — the panic value, Stats (the panicked round routes nothing), the
 // redelivered inbox of the continuation round, and the final stores — must
-// be bit-identical under both executors.
+// be bit-identical at every worker count.
 func runPanicRecoveryProgram(t *testing.T, parallelism int) (Stats, string) {
 	t.Helper()
 	const M, bomb = 33, 17
@@ -151,7 +151,7 @@ func runPanicRecoveryProgram(t *testing.T, parallelism int) (Stats, string) {
 	if got := c.Stats(); !reflect.DeepEqual(got, statsBefore) {
 		t.Fatalf("panicked round mutated Stats:\nbefore: %+v\nafter:  %+v", statsBefore, got)
 	}
-	// Round C: round A's messages must be redelivered (round B never merged
+	// Round C: round A's messages must be redelivered (round B never routed
 	// or consumed them), and every machine overwrites the scratch slot.
 	delivered := make([][]int, M)
 	c.Step(func(m *Machine, inbox []Message) []Message {
@@ -170,7 +170,7 @@ func runPanicRecoveryProgram(t *testing.T, parallelism int) (Stats, string) {
 
 // TestStepPanicRecoveryDeterministic asserts the identical observable
 // cluster state after recovering a StepFunc panic at a fixed machine index,
-// across the sequential executor and work-stealing pools of several widths.
+// at one worker and in work-stealing pools of several widths.
 func TestStepPanicRecoveryDeterministic(t *testing.T) {
 	baseStats, baseDigest := runPanicRecoveryProgram(t, 1)
 	for _, p := range []int{2, 4, 8} {

@@ -104,13 +104,12 @@ func (m *Machine) Delete(key string) { delete(m.Store, key) }
 // Cluster is a simulated MPC system.
 //
 // The per-round working buffers (outboxes, the spare inbox set, word
-// counters, the routing-prep slots, the merge-shard buckets) and the
-// executor dispatch closures are allocated once here and reused every
-// round, so a steady-state Step performs no allocation of its own: whatever
-// a round allocates comes from the algorithm's callback.
+// counters) and the executor dispatch closures are allocated once here and
+// reused every round, so a steady-state Step performs no allocation of its
+// own: whatever a round allocates comes from the algorithm's callback.
 type Cluster struct {
 	cfg      Config
-	exec     Executor
+	exec     *executor
 	machines []*Machine
 	inboxes  [][]Message
 	stats    Stats
@@ -123,27 +122,6 @@ type Cluster struct {
 	stateWords []int
 	recvWords  []int
 
-	// Routing prep, written by the parallel phase of Step (each slot i is
-	// written only by the invocation for machine i, so the slots are
-	// race-free under any executor). The encode work that the merge used to
-	// do serially per message — destination validation, payload sizing, and
-	// destination-shard classification — happens here, overlapped with the
-	// round's compute.
-	sendWords []int   // valid payload words sent by machine i
-	msgCount  []int   // valid messages emitted by machine i
-	msgWords  [][]int // per-message payload words, parallel to outs[i] (0 for invalid)
-	invalid   [][]int // invalid destinations of machine i, in outbox order
-
-	// Destination-sharded merge: the destination range [0, M) is split into
-	// mergeShards contiguous ranges of mergePer machines each; routed[i][s]
-	// holds the indices (into outs[i]) of machine i's messages destined for
-	// shard s, bucketed during the parallel phase. routed is nil under the
-	// sequential executor, where the single merge shard scans outboxes
-	// directly.
-	mergeShards int
-	mergePer    int
-	routed      [][][]int32
-
 	// stepFn/localFn/landFn hold the current call's callback for the
 	// preallocated dispatch closures below (building a fresh closure per
 	// round would allocate).
@@ -154,7 +132,6 @@ type Cluster struct {
 	runLocal func(i int)
 	runLand  func(i int)
 	runMeter func(i int)
-	runMerge func(s int)
 
 	// bc and agg are the reusable scratch of Broadcast and AggregateBatches,
 	// runBcast and runAgg their once-built per-round callbacks, runCollect
@@ -184,42 +161,20 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		cfg:        cfg,
-		exec:       NewExecutor(cfg.Parallelism),
+		exec:       newExecutor(cfg.Parallelism),
 		machines:   make([]*Machine, cfg.Machines),
 		inboxes:    make([][]Message, cfg.Machines),
 		outs:       make([][]Message, cfg.Machines),
 		spare:      make([][]Message, cfg.Machines),
 		stateWords: make([]int, cfg.Machines),
 		recvWords:  make([]int, cfg.Machines),
-		sendWords:  make([]int, cfg.Machines),
-		msgCount:   make([]int, cfg.Machines),
-		msgWords:   make([][]int, cfg.Machines),
-		invalid:    make([][]int, cfg.Machines),
 	}
 	for i := range c.machines {
 		c.machines[i] = &Machine{ID: i, Store: make(map[string]Sized)}
 	}
-	// The merge phase is destination-sharded under a parallel executor: a
-	// couple of shards per worker gives the work-stealing scheduler room to
-	// balance destination skew, while a single shard under the sequential
-	// executor degenerates to the serial scan (no bucketing overhead).
-	c.mergeShards = 1
-	if w := c.exec.Parallelism(); w > 1 {
-		c.mergeShards = 2 * w
-		if c.mergeShards > cfg.Machines {
-			c.mergeShards = cfg.Machines
-		}
-		c.routed = make([][][]int32, cfg.Machines)
-		for i := range c.routed {
-			c.routed[i] = make([][]int32, c.mergeShards)
-		}
-	}
-	c.mergePer = (cfg.Machines + c.mergeShards - 1) / c.mergeShards
 	c.runStep = func(i int) {
-		out := c.stepFn(c.machines[i], c.inboxes[i])
-		c.outs[i] = out
+		c.outs[i] = c.stepFn(c.machines[i], c.inboxes[i])
 		c.stateWords[i] = c.machines[i].StateWords()
-		c.prepRoute(i, out)
 	}
 	c.runLocal = func(i int) {
 		c.localFn(c.machines[i])
@@ -234,7 +189,6 @@ func NewCluster(cfg Config) *Cluster {
 	c.runMeter = func(i int) {
 		c.stateWords[i] = c.machines[i].StateWords()
 	}
-	c.runMerge = c.mergeShard
 	c.agg.acc = make([]*MessageBatch, cfg.Machines)
 	c.agg.outs = make([][]Message, cfg.Machines)
 	for i := range c.agg.outs {
@@ -261,8 +215,8 @@ func (c *Cluster) Machines() int { return c.cfg.Machines }
 func (c *Cluster) LocalMemory() int { return c.cfg.LocalMemory }
 
 // Parallelism returns the number of worker goroutines of the cluster's
-// execution engine (1 for the sequential executor).
-func (c *Cluster) Parallelism() int { return c.exec.Parallelism() }
+// execution engine (1 when machines run on the calling goroutine).
+func (c *Cluster) Parallelism() int { return c.exec.workers }
 
 // Machine returns machine i. It is exported for tests and for loading input
 // shards before an execution begins; algorithms must not use it to bypass
@@ -297,161 +251,44 @@ func (c *Cluster) violate(format string, args ...any) {
 // Buffer lifetimes: the inbox slice is valid only for the duration of the
 // callback (its backing array is recycled two rounds later), so callbacks
 // must not retain it — payload values may be retained as usual. The
-// returned slice is copied out during the round's merge phase, so callers
-// may reuse a per-machine outbox buffer across rounds.
+// returned slice is copied out by the round's exchange phase, before the
+// next round's compute, so callers may reuse a per-machine outbox buffer
+// across rounds.
 //
 // Concurrency contract: the cluster may invoke the callback for different
-// machines concurrently (Config.Parallelism), so the callback must touch
-// only the state of the machine it was invoked for — its Store, its inbox,
-// and (for coordinator-side collectives) slots of caller-owned slices or
-// maps indexed by that machine's id or rank. Values received in messages or
+// machines concurrently (Config.Parallelism; the round's routing and
+// metering stay on the calling goroutine), so the callback must touch only
+// the state of the machine it was invoked for — its Store, its inbox, and
+// (for coordinator-side collectives) slots of caller-owned slices or maps
+// indexed by that machine's id or rank. Values received in messages or
 // installed by Broadcast are shared, not copied, and must be treated as
 // read-only. The same contract applies to LocalAt/LocalAll callbacks and to
 // the callbacks of every collective built on Step.
 type StepFunc func(m *Machine, inbox []Message) []Message
 
-// prepRoute is the encode half of the routing pipeline, run inside the
-// parallel phase by the invocation for machine i (overlapped with the other
-// machines' compute): it validates destinations, sizes every payload once,
-// and — under a parallel merge — buckets the outbox by destination shard.
-// All writes go to slot i of caller-owned slices, honoring the executor
-// contract.
-func (c *Cluster) prepRoute(i int, out []Message) {
-	M := c.cfg.Machines
-	words := c.msgWords[i][:0]
-	inv := c.invalid[i][:0]
-	var buckets [][]int32
-	if c.routed != nil {
-		buckets = c.routed[i]
-		for s := range buckets {
-			buckets[s] = buckets[s][:0]
-		}
-	}
-	sw, cnt := 0, 0
-	for k := range out {
-		to := out[k].To
-		if to < 0 || to >= M {
-			inv = append(inv, to)
-			words = append(words, 0)
-			continue
-		}
-		w := 0
-		if p := out[k].Payload; p != nil {
-			w = p.Words()
-		}
-		words = append(words, w)
-		sw += w
-		cnt++
-		if buckets != nil {
-			s := to / c.mergePer
-			buckets[s] = append(buckets[s], int32(k))
-		}
-	}
-	c.msgWords[i] = words
-	c.invalid[i] = inv
-	c.sendWords[i] = sw
-	c.msgCount[i] = cnt
-}
-
-// mergeShard routes every message destined for shard s's contiguous
-// destination range into the spare inbox set and accumulates the per-
-// destination receive totals. Shards own disjoint destination ranges, so
-// concurrent shard sweeps never write the same inbox or counter; within one
-// destination, messages land in ascending sender id and, per sender, in
-// outbox order — the same order the serial merge produces, which is what
-// keeps inbox contents bit-identical at every parallelism level.
-func (c *Cluster) mergeShard(s int) {
-	lo := s * c.mergePer
-	hi := lo + c.mergePer
-	if hi > c.cfg.Machines {
-		hi = c.cfg.Machines
-	}
-	next := c.spare
-	// Truncate this shard's buffers here rather than trusting the previous
-	// round's cleanup: if a Strict-mode violation panicked mid-round and
-	// the caller recovered, the spare set still holds that round's merge,
-	// which must not leak into this one.
-	for dst := lo; dst < hi; dst++ {
-		clear(next[dst])
-		next[dst] = next[dst][:0]
-		c.recvWords[dst] = 0
-	}
-	if c.routed == nil {
-		// Single-shard serial merge: scan the outboxes directly, skipping
-		// invalid destinations (prepRoute already recorded them).
-		for i, out := range c.outs {
-			words := c.msgWords[i]
-			for k := range out {
-				to := out[k].To
-				if to < lo || to >= hi {
-					continue
-				}
-				msg := out[k]
-				msg.From = i
-				next[to] = append(next[to], msg)
-				c.recvWords[to] += words[k]
-			}
-		}
-		return
-	}
-	for i, out := range c.outs {
-		words := c.msgWords[i]
-		for _, k := range c.routed[i][s] {
-			msg := out[k]
-			msg.From = i
-			next[msg.To] = append(next[msg.To], msg)
-			c.recvWords[msg.To] += words[k]
-		}
-	}
-}
-
 // Step executes one synchronous round on all machines.
 //
-// The round is a three-phase pipeline. The compute/encode phase fans fn out
-// across machines through the executor; each invocation writes its outgoing
-// messages and post-round store size into per-machine slots and then
-// immediately prepares its own outbox for routing (prepRoute: destination
-// validation, payload sizing, destination-shard bucketing), so the encode
-// work overlaps the other machines' compute instead of serializing at the
-// barrier. The route phase sweeps the prepared outboxes into the inbox
-// double buffer by contiguous destination shard — also through the
-// executor, since shards own disjoint destinations. The meter phase then
-// folds the per-machine totals into Stats in ascending machine id on the
-// calling goroutine: cap enforcement, violation recording, and memory
-// sampling, batched per machine rather than per message.
+// The round has two phases. The compute phase fans fn out across machines
+// through the executor; each invocation writes only its machine's outgoing
+// messages and post-round store size. The exchange phase then runs on the
+// calling goroutine in machine order (route): it moves every message into
+// its destination's inbox, sizes each payload once, and meters the round —
+// per sender, invalid destinations in outbox order, message and word
+// totals, the send cap; then per destination, the receive cap — before the
+// fresh inboxes are swapped in and memory is sampled.
 //
-// Because inbox order within every destination is ascending sender id (and
-// outbox order per sender) no matter how either parallel phase was
-// scheduled, and the meter fold always runs in machine order, inbox
-// ordering, Stats, and violation reporting are bit-identical at every
-// parallelism level. A Strict-mode cap violation panics during the meter
-// fold, after routing: the round's deliveries are complete but unswapped,
-// and the next Step's route phase truncates them, so a recovered panic
-// cannot leak a partial round into the next one.
+// Because the compute phase writes only per-machine slots and everything
+// after it is one serial pass in machine order, inbox ordering (ascending
+// sender id, outbox order per sender), Stats, and violation reporting are
+// bit-identical at every parallelism level. A Strict-mode violation panics
+// mid-pass, with the spare inboxes partly filled and unswapped; the next
+// Step truncates them before it routes, so a recovered panic delivers
+// nothing of the aborted round.
 func (c *Cluster) Step(fn StepFunc) {
 	c.stepFn = fn
 	c.exec.Run(c.cfg.Machines, c.runStep)
 	c.stepFn = nil
-	c.exec.Run(c.mergeShards, c.runMerge)
-	// Meter fold: batched cap enforcement in machine order. Sender-side
-	// first (invalid destinations in outbox order, then the send cap, per
-	// sender), then receiver-side — the exact order of the old per-message
-	// serial merge, so violation strings line up bit-identically.
-	for i := range c.outs {
-		for _, to := range c.invalid[i] {
-			c.violate("machine %d sent to invalid machine %d", i, to)
-		}
-		sw := c.sendWords[i]
-		c.stats.Messages += int64(c.msgCount[i])
-		c.stats.WordsSent += int64(sw)
-		c.outs[i] = nil
-		if sw > c.cfg.LocalMemory {
-			c.violate("machine %d sent %d words in one round (cap %d)", i, sw, c.cfg.LocalMemory)
-		}
-		if sw > c.stats.MaxSendWords {
-			c.stats.MaxSendWords = sw
-		}
-	}
+	c.route()
 	for i, w := range c.recvWords {
 		if w > c.cfg.LocalMemory {
 			c.violate("machine %d received %d words in one round (cap %d)", i, w, c.cfg.LocalMemory)
@@ -463,8 +300,8 @@ func (c *Cluster) Step(fn StepFunc) {
 	retired := c.inboxes
 	c.inboxes = c.spare
 	// Drop payload references from the retired inboxes eagerly (they are
-	// truncated again, defensively, at the next route phase) and keep their
-	// backing arrays as the next round's merge buffers.
+	// truncated again, defensively, at the next route) and keep their
+	// backing arrays as the next round's delivery buffers.
 	for i := range retired {
 		clear(retired[i])
 		retired[i] = retired[i][:0]
@@ -472,6 +309,52 @@ func (c *Cluster) Step(fn StepFunc) {
 	c.spare = retired
 	c.stats.Rounds++
 	c.reduceMemory(c.stateWords)
+}
+
+// route delivers the outboxes of the compute phase into the spare inbox
+// set, senders in machine order and each outbox in order, and meters the
+// sender side as it goes: an invalid destination is a violation, and a
+// sender's message and word totals are added and its send cap checked once
+// its outbox is routed.
+func (c *Cluster) route() {
+	M := c.cfg.Machines
+	next := c.spare
+	// Truncate here rather than trusting the previous round's cleanup: if a
+	// Strict-mode violation panicked mid-route and the caller recovered, the
+	// spare set still holds part of that round, which must not leak into
+	// this one.
+	for dst := range next {
+		clear(next[dst])
+		next[dst] = next[dst][:0]
+		c.recvWords[dst] = 0
+	}
+	for i, out := range c.outs {
+		sw, cnt := 0, 0
+		for _, msg := range out {
+			if msg.To < 0 || msg.To >= M {
+				c.violate("machine %d sent to invalid machine %d", i, msg.To)
+				continue
+			}
+			w := 0
+			if msg.Payload != nil {
+				w = msg.Payload.Words()
+			}
+			msg.From = i
+			next[msg.To] = append(next[msg.To], msg)
+			c.recvWords[msg.To] += w
+			sw += w
+			cnt++
+		}
+		c.outs[i] = nil
+		c.stats.Messages += int64(cnt)
+		c.stats.WordsSent += int64(sw)
+		if sw > c.cfg.LocalMemory {
+			c.violate("machine %d sent %d words in one round (cap %d)", i, sw, c.cfg.LocalMemory)
+		}
+		if sw > c.stats.MaxSendWords {
+			c.stats.MaxSendWords = sw
+		}
+	}
 }
 
 // meterMemory samples per-machine and total memory at the round boundary:

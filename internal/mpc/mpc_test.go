@@ -369,9 +369,9 @@ func TestBroadcastOversizedPayloadViolates(t *testing.T) {
 }
 
 // TestStrictPanicRecoveryDoesNotReplayMessages guards the reused round
-// buffers against a recovered Strict-mode violation: a panic mid-merge
-// leaves a partial merge in the spare inbox set, and the next Step must
-// discard it rather than deliver last round's messages again.
+// buffers against a recovered Strict-mode violation: a panic mid-route
+// leaves a partly routed round in the spare inbox set, and the next Step
+// must discard it rather than deliver last round's messages again.
 func TestStrictPanicRecoveryDoesNotReplayMessages(t *testing.T) {
 	c := NewCluster(Config{Machines: 3, LocalMemory: 4, Strict: true})
 	func() {
@@ -381,7 +381,7 @@ func TestStrictPanicRecoveryDoesNotReplayMessages(t *testing.T) {
 			}
 		}()
 		c.Step(func(m *Machine, inbox []Message) []Message {
-			// Machine 0 overflows its send cap; its message is merged into
+			// Machine 0 overflows its send cap; its message is routed into
 			// the spare buffers before the cap check panics.
 			if m.ID == 0 {
 				return []Message{{To: 1, Payload: U64s(make([]uint64, 8))}}
