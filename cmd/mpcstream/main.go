@@ -228,9 +228,7 @@ func runScenario(o options, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(out, rep)
-	if rep.Stats != nil {
-		report(out, *rep.Stats, rep.Batches)
-	}
+	report(out, rep.Stats, rep.Batches)
 	if rep.Searches != nil {
 		reportSearches(out, *rep.Searches)
 	}

@@ -115,7 +115,8 @@ func mustRun(t *testing.T, o options) string {
 
 // TestEveryAlgorithmRunsWithoutAnInput: with no input file, every registered
 // algorithm streams the churn scenario it accepts under the differential
-// harness, and connectivity prints the resource lines a replay prints.
+// harness and prints the resource lines a replay prints, summed over its
+// clusters, with no violation; connectivity adds its replacement searches.
 func TestEveryAlgorithmRunsWithoutAnInput(t *testing.T) {
 	scenarioFor := map[string]string{
 		"connectivity": "churn", "bipartite": "churn", "dynmatching": "churn", "nowickionak": "churn",
@@ -132,11 +133,14 @@ func TestEveryAlgorithmRunsWithoutAnInput(t *testing.T) {
 		if !strings.HasPrefix(out, name+" over "+scenario+": ") || !strings.Contains(out, " checks passed") {
 			t.Errorf("%s: not an oracle-checked run of %s:\n%s", name, scenario, out)
 		}
+		if !strings.Contains(out, "\nrounds: ") || !strings.Contains(out, "  violations: 0\n") {
+			t.Errorf("%s: no rounds line, or not a violation-free one:\n%s", name, out)
+		}
 		if name != "connectivity" {
 			continue
 		}
-		if !strings.Contains(out, "\nrounds: ") || !regexp.MustCompile(`\nreplacement searches: .* 0 exhausted\)`).MatchString(out) {
-			t.Errorf("connectivity: no rounds or replacement-search line, or a search was exhausted:\n%s", out)
+		if !regexp.MustCompile(`\nreplacement searches: .* 0 exhausted\)`).MatchString(out) {
+			t.Errorf("connectivity: no replacement-search line, or a search was exhausted:\n%s", out)
 		}
 	}
 }
@@ -245,6 +249,9 @@ func TestResumeOntoAnotherFleetAnyAlgorithm(t *testing.T) {
 		trace := defaults()
 		trace.algo, trace.traceFile = algo, filepath.Join(dir, "crawl.trc")
 		whole := mustRun(t, trace)
+		if !strings.Contains(whole, "\nrounds: ") || !strings.Contains(whole, "  violations: 0\n") {
+			t.Errorf("%s: the replay prints no violation-free rounds line:\n%s", algo, whole)
+		}
 		cut := trace
 		cut.traceBatches, cut.checkpointFile = 8, filepath.Join(dir, algo+".snap")
 		mustRun(t, cut)

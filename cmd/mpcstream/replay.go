@@ -155,9 +155,7 @@ func replay(o options, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "replayed %d batches on %d vertices: %s (oracle-verified)\n",
 		replayed, sess.Shape().N, answer(inst))
-	if c, ok := inst.(interface{ Cluster() *mpc.Cluster }); ok {
-		report(out, c.Cluster().Stats(), replayed)
-	}
+	report(out, harness.SumStats(inst.Clusters()), replayed)
 	if s, ok := inst.(interface{ SearchStats() core.SearchStats }); ok {
 		reportSearches(out, s.SearchStats())
 	}
@@ -174,8 +172,9 @@ func replay(o options, out io.Writer) error {
 	return writeCheckpoint(out, sess, chain)
 }
 
-// report prints a cluster's resource statistics; a scenario run prints the
-// same lines from its harness report.
+// report prints an instance's resource statistics, summed over its clusters
+// (harness.SumStats); a scenario run prints the same lines from its harness
+// report.
 func report(out io.Writer, st mpc.Stats, batches int) {
 	fmt.Fprintf(out, "rounds: %d (%.1f/batch)  messages: %d  words sent: %d\n",
 		st.Rounds, float64(st.Rounds)/float64(batches), st.Messages, st.WordsSent)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/snapshot"
 )
 
@@ -106,3 +107,8 @@ func (t *Tester) Graph() *core.DynamicConnectivity { return t.g }
 
 // Cover exposes the connectivity instance on the double cover.
 func (t *Tester) Cover() *core.DynamicConnectivity { return t.cover }
+
+// Clusters returns the clusters of G and of its double cover, in that order.
+func (t *Tester) Clusters() []*mpc.Cluster {
+	return []*mpc.Cluster{t.g.Cluster(), t.cover.Cluster()}
+}

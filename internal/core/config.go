@@ -74,9 +74,6 @@ type Config struct {
 	SketchCopies int
 	// Seed drives all algorithm randomness (sketch hash functions).
 	Seed uint64
-	// Strict makes the underlying cluster panic on any memory or
-	// communication cap violation.
-	Strict bool
 	// VerticesPerMachine overrides the derived ceil(N^Phi) when positive:
 	// ResizeConfig sets it, and tests use it to force specific cluster
 	// shapes.
@@ -162,14 +159,13 @@ func (c Config) NewFleet(bundle int) (Fleet, error) {
 }
 
 // FixedFleet builds a fleet of the given size and per-machine memory under
-// c's engine settings (Strict, Parallelism), for state whose size is not the
+// c's engine setting (Parallelism), for state whose size is not the
 // vertex count's.
 func (c Config) FixedFleet(machines, localMemory int) Fleet {
 	return Fleet{
 		Cluster: mpc.NewCluster(mpc.Config{
 			Machines:    machines,
 			LocalMemory: localMemory,
-			Strict:      c.Strict,
 			Parallelism: c.Parallelism,
 		}),
 		Part:  mpc.Partition{N: c.N, Machines: machines - 1},

@@ -262,6 +262,9 @@ func (dc *DynamicConnectivity) Forest() *Forest { return dc.f }
 // Cluster exposes the MPC cluster for metering.
 func (dc *DynamicConnectivity) Cluster() *mpc.Cluster { return dc.f.cl }
 
+// Clusters returns the one cluster the instance runs on.
+func (dc *DynamicConnectivity) Clusters() []*mpc.Cluster { return []*mpc.Cluster{dc.f.cl} }
+
 // Config returns the instance's configuration.
 func (dc *DynamicConnectivity) Config() Config { return dc.f.cfg }
 

@@ -344,8 +344,8 @@ func (lc *labelCache) dropParked() { clear(lc.pend) }
 // ledger: the epoch-valid label-cache entries (label plus stamp, two words
 // each), the parked ones (a word per vertex and per fragment label, one per
 // component) and the cached NumComponents readout. Without it the cache lives
-// outside meterMemory, Stats.PeakTotalWords under-reports, and Strict mode
-// cannot catch a cache outgrowing the s-words model. Registered under
+// outside the memory meter, Stats.PeakTotalWords under-reports, and no
+// violation records a cache outgrowing the s-words model. Registered under
 // slotQCache on the coordinator machine; Words is read at round
 // boundaries only, while the coordinator driver is quiescent, so it needs
 // no synchronization.

@@ -166,7 +166,7 @@ func TestCutPayloadIsMetered(t *testing.T) {
 
 	// A path on 32 vertices, cut in k places.
 	const n, k = 32, 4
-	f, err := NewForest(Config{N: n, Phi: 0.6, Seed: 1, Strict: true})
+	f, err := NewForest(Config{N: n, Phi: 0.6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,5 +208,8 @@ func TestCutPayloadIsMetered(t *testing.T) {
 	}
 	if left := len(f.SnapshotForest()); left != n-1-k-3 {
 		t.Errorf("%d tree edges left, want %d", left, n-1-k-3)
+	}
+	if v := f.Cluster().Stats().Violations; len(v) != 0 {
+		t.Errorf("violations: %q", v)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // that pays a broadcast of its own, fails the operation that uses it, by
 // name.
 func TestRoundBudgetPerOperation(t *testing.T) {
-	cfg := Config{N: 64, Phi: 0.6, Seed: 1, Strict: true}
+	cfg := Config{N: 64, Phi: 0.6, Seed: 1}
 	var cl *mpc.Cluster
 	costs := func(name string, want int, op func() error) {
 		t.Helper()
@@ -124,4 +124,9 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 	// sketch Tell: Tell 1 + Ask 2.
 	dc.InvalidateQueryCache()
 	costs("insert batch without a Link, cold cache", 3, func() error { return dc.insert([]graph.Edge{E(1, 3)}) })
+	for _, c := range []*mpc.Cluster{f.Cluster(), dc.Cluster()} {
+		if v := c.Stats().Violations; len(v) != 0 {
+			t.Errorf("violations: %q", v)
+		}
+	}
 }

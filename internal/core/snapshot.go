@@ -55,8 +55,8 @@ const (
 
 // echo is the configuration echo that opens the forest's full section and
 // the delta section: the state-shaping parameters a restoring instance must
-// match (Parallelism and Strict are execution-engine choices, not state, and
-// may differ between writer and reader; so may the fleet shape).
+// match (Parallelism is an execution-engine choice, not state, and may
+// differ between writer and reader; so may the fleet shape).
 func (f *Forest) echo() []snapshot.Part {
 	return []snapshot.Part{
 		snapshot.Echo("N", f.cfg.N),

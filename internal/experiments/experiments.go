@@ -287,7 +287,7 @@ func E6Bipartiteness(n, batches int, seed uint64) *Table {
 	gen := workload.NewBipartiteish(n, seed+4, violateAt)
 	for step := 0; step < batches; step++ {
 		b := gen.Next(bt.MaxBatch())
-		r := batchRounds(func() int { return bt.Graph().Cluster().Stats().Rounds + bt.Cover().Cluster().Stats().Rounds },
+		r := batchRounds(func() int { return harness.SumStats(bt.Clusters()).Rounds },
 			func() { must(bt.ApplyBatch(b)) })
 		got := bt.IsBipartite()
 		want := oracle.IsBipartite(gen.Mirror())
@@ -674,7 +674,7 @@ func E14ScenarioSweep(n, batches int, scenarios []string, seed uint64) *Table {
 			must(err) // a divergence is a broken run, not a table row
 			roundsPerBatch := "n/a"
 			if rep.Batches > 0 {
-				roundsPerBatch = f2(float64(rep.Rounds) / float64(rep.Batches))
+				roundsPerBatch = f2(float64(rep.Stats.Rounds) / float64(rep.Batches))
 			}
 			t.Rows = append(t.Rows, []string{
 				rep.Scenario, rep.Algorithm, d(rep.Batches), d(rep.Updates),

@@ -74,13 +74,9 @@ type connectivityInstance struct{ *core.DynamicConnectivity }
 func (c connectivityInstance) Check(g *graph.Graph) error {
 	return VerifyConnectivity(c.DynamicConnectivity, g)
 }
-func (c connectivityInstance) Rounds() int { return c.Cluster().Stats().Rounds }
 
 type bipartiteInstance struct{ *bipartite.Tester }
 
-func (b bipartiteInstance) Rounds() int {
-	return b.Graph().Cluster().Stats().Rounds + b.Cover().Cluster().Stats().Rounds
-}
 func (b bipartiteInstance) Check(g *graph.Graph) error {
 	got, want := b.IsBipartite(), oracle.IsBipartite(g)
 	if got != want {
@@ -92,7 +88,6 @@ func (b bipartiteInstance) Check(g *graph.Graph) error {
 type exactMSFInstance struct{ *msf.ExactMSF }
 
 func (e exactMSFInstance) MaxBatch() int { return e.Forest().Config().MaxBatch() }
-func (e exactMSFInstance) Rounds() int   { return e.Forest().Cluster().Stats().Rounds }
 func (e exactMSFInstance) ApplyBatch(b graph.Batch) error {
 	edges := make([]graph.WeightedEdge, 0, len(b))
 	for _, u := range b {
@@ -108,13 +103,7 @@ func (e exactMSFInstance) Check(g *graph.Graph) error {
 	if got := e.Weight(); got != want {
 		return fmt.Errorf("MSF weight %d, Kruskal %d", got, want)
 	}
-	snapshot := e.Snapshot()
-	forest := make([]graph.Edge, 0, len(snapshot))
-	var total int64
-	for _, we := range snapshot {
-		forest = append(forest, we.Edge)
-		total += we.Weight
-	}
+	forest, total := unweighted(e.Snapshot())
 	if !oracle.IsSpanningForest(g, forest) {
 		return fmt.Errorf("maintained MSF is not a spanning forest of the mirror")
 	}
@@ -124,37 +113,38 @@ func (e exactMSFInstance) Check(g *graph.Graph) error {
 	return nil
 }
 
+// unweighted returns a weighted forest's edges and its total weight.
+func unweighted(forest []graph.WeightedEdge) ([]graph.Edge, int64) {
+	edges := make([]graph.Edge, len(forest))
+	var total int64
+	for i, we := range forest {
+		edges[i] = we.Edge
+		total += we.Weight
+	}
+	return edges, total
+}
+
 type approxMSFInstance struct {
 	*msf.ApproxMSF
 	eps float64
 }
 
-func (a approxMSFInstance) Rounds() int {
-	rounds := 0
-	for _, dc := range a.Levels() {
-		rounds += dc.Cluster().Stats().Rounds
-	}
-	return rounds
-}
+// Check holds the estimate to [MSF, (1+ε)·MSF] (so a forestless mirror
+// must read exactly 0) and the extracted forest to a spanning forest of
+// the mirror that weighs what the estimate says.
 func (a approxMSFInstance) Check(g *graph.Graph) error {
 	_, want := oracle.MSF(g)
-	if want == 0 {
-		// No spanning edges: both estimates must read exactly zero (a stale
-		// positive weight after the last deletion is a real divergence).
-		if est := a.Weight(); est != 0 {
-			return fmt.Errorf("weight estimate %d on a forestless mirror", est)
-		}
-		if fw := a.ForestWeight(); fw != 0 {
-			return fmt.Errorf("forest weight %d on a forestless mirror", fw)
-		}
-		return nil
-	}
 	bound := (1 + a.eps) * float64(want)
-	if est := a.Weight(); float64(est) < float64(want) || float64(est) > bound {
+	est := a.Weight()
+	if float64(est) < float64(want) || float64(est) > bound {
 		return fmt.Errorf("weight estimate %d outside [%d, %.1f]", est, want, bound)
 	}
-	if fw := a.ForestWeight(); float64(fw) < float64(want) || float64(fw) > bound {
-		return fmt.Errorf("forest weight %d outside [%d, %.1f]", fw, want, bound)
+	forest, fw := unweighted(a.Snapshot())
+	if !oracle.IsSpanningForest(g, forest) {
+		return fmt.Errorf("extracted forest is not a spanning forest of the mirror")
+	}
+	if fw != est {
+		return fmt.Errorf("forest weight %d, weight estimate %d", fw, est)
 	}
 	return nil
 }
@@ -162,7 +152,6 @@ func (a approxMSFInstance) Check(g *graph.Graph) error {
 type greedyMatchingInstance struct{ *matching.GreedyInsertOnly }
 
 func (g greedyMatchingInstance) MaxBatch() int { return 8 }
-func (g greedyMatchingInstance) Rounds() int   { return g.Cluster().Stats().Rounds }
 func (g greedyMatchingInstance) ApplyBatch(b graph.Batch) error {
 	edges := make([]graph.Edge, 0, len(b))
 	for _, u := range b {
@@ -195,13 +184,6 @@ type aklyInstance struct {
 }
 
 func (a aklyInstance) MaxBatch() int { return 8 }
-func (a aklyInstance) Rounds() int {
-	rounds := 0
-	for _, cl := range a.Clusters() {
-		rounds += cl.Stats().Rounds
-	}
-	return rounds
-}
 func (a aklyInstance) Check(g *graph.Graph) error {
 	m := a.Matching()
 	if !oracle.IsMatching(g, m) {
@@ -227,7 +209,6 @@ func (a aklyInstance) FinalCheck(g *graph.Graph) error {
 type nowickiOnakInstance struct{ *nowickionak.Matcher }
 
 func (n nowickiOnakInstance) MaxBatch() int { return 8 }
-func (n nowickiOnakInstance) Rounds() int   { return n.Cluster().Stats().Rounds }
 func (n nowickiOnakInstance) Check(g *graph.Graph) error {
 	if !oracle.IsMaximalMatching(g, n.Matching()) {
 		return fmt.Errorf("maintained matching is not maximal on the mirror")

@@ -183,11 +183,9 @@ func TestCrashReportEqualsUninterrupted(t *testing.T) {
 			t.Fatalf("%s: crash schedule fired 0 times", algo)
 		}
 		if algo == "connectivity" {
-			// The final instance is a restored one: its Stats carry the whole
-			// run, and the search counters add up across every instance.
-			if crash.Stats == nil || crash.Stats.Rounds != crash.Rounds {
-				t.Errorf("connectivity: Stats %+v do not carry the run's %d rounds", crash.Stats, crash.Rounds)
-			}
+			// The final instance is a restored one: the comparison below
+			// holds only if its Stats carry the whole run. The search
+			// counters add up across every instance.
 			if crash.Searches == nil || crash.Searches.Exhausted != 0 {
 				t.Errorf("connectivity: replacement searches %+v missing or exhausted", crash.Searches)
 			}

@@ -138,9 +138,31 @@ type Instance interface {
 	// Check cross-checks the maintained solution against the brute-force
 	// oracles on the mirror graph.
 	Check(mirror *graph.Graph) error
-	// Rounds reports the cumulative MPC rounds consumed, summed over every
-	// cluster the algorithm runs on.
-	Rounds() int
+	// Clusters returns every cluster the algorithm runs on, in a fixed
+	// order; SumStats adds up their Stats.
+	Clusters() []*mpc.Cluster
+}
+
+// SumStats adds up the Stats of the clusters one algorithm runs on: counts
+// add, the per-machine maxima (MaxRecvWords, MaxSendWords,
+// PeakMachineWords) take the largest, and the violations are concatenated
+// in cluster order. PeakTotalWords adds the clusters' peaks, which may fall
+// at different rounds, so the sum is an upper bound on the peak of the
+// whole.
+func SumStats(clusters []*mpc.Cluster) mpc.Stats {
+	var sum mpc.Stats
+	for _, c := range clusters {
+		st := c.Stats()
+		sum.Rounds += st.Rounds
+		sum.Messages += st.Messages
+		sum.WordsSent += st.WordsSent
+		sum.MaxRecvWords = max(sum.MaxRecvWords, st.MaxRecvWords)
+		sum.MaxSendWords = max(sum.MaxSendWords, st.MaxSendWords)
+		sum.PeakMachineWords = max(sum.PeakMachineWords, st.PeakMachineWords)
+		sum.PeakTotalWords += st.PeakTotalWords
+		sum.Violations = append(sum.Violations, st.Violations...)
+	}
+	return sum
 }
 
 // searchCounter is an optional Instance extension for algorithms that expose
@@ -225,9 +247,6 @@ type Report struct {
 	Checks int
 	// FinalEdges is the mirror's edge count after the stream.
 	FinalEdges int
-	// Rounds is the cumulative MPC round count, summed over every cluster
-	// the algorithm runs on (Instance.Rounds).
-	Rounds int
 	// Crashes counts the injected kill/restore cycles (Options.CrashEvery).
 	Crashes int
 	// FullCheckpoints and DeltaCheckpoints count the checkpoint containers
@@ -238,9 +257,10 @@ type Report struct {
 	// them, and ReplayedBatches the batches re-applied during recovery
 	// (everything since the last checkpoint plus the in-flight batch).
 	Faults, Reshards, ReplayedBatches int
-	// Stats is the final instance's cluster statistics; nil unless the
-	// algorithm runs on one Cluster().
-	Stats *mpc.Stats
+	// Stats is the final instance's cluster statistics, summed over every
+	// cluster it runs on (SumStats). A restored instance carries the Stats
+	// of the run it was checkpointed from.
+	Stats mpc.Stats
 	// Searches is the run's replacement-search counters, added up over every
 	// instance the run used; nil unless the algorithm exposes them
 	// (connectivity). Searches.Exhausted counts the searches that spent every
@@ -261,8 +281,11 @@ func (r *Report) String() string {
 	if r.Searches != nil && r.Searches.Exhausted > 0 {
 		crashes += fmt.Sprintf(", %d replacement searches exhausted", r.Searches.Exhausted)
 	}
+	if v := len(r.Stats.Violations); v > 0 {
+		crashes += fmt.Sprintf(", %d model violations", v)
+	}
 	return fmt.Sprintf("%s over %s: %d batches, %d updates, %d edges final, %d checks passed, %d rounds%s",
-		r.Algorithm, r.Scenario, r.Batches, r.Updates, r.FinalEdges, r.Checks, r.Rounds, crashes)
+		r.Algorithm, r.Scenario, r.Batches, r.Updates, r.FinalEdges, r.Checks, r.Stats.Rounds, crashes)
 }
 
 // Run streams the named scenario through the named algorithm, checking the
@@ -436,11 +459,7 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 		}
 	}
 	rep.FinalEdges = gen.Mirror().M()
-	rep.Rounds = inst().Rounds()
-	if c, ok := inst().(interface{ Cluster() *mpc.Cluster }); ok {
-		st := c.Cluster().Stats()
-		rep.Stats = &st
-	}
+	rep.Stats = SumStats(inst().Clusters())
 	countSearches()
 	opt.VerticesPerMachine = sess.Shape().VerticesPerMachine
 	return inst(), opt, rep, nil

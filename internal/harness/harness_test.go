@@ -15,7 +15,8 @@ import (
 // brute-force oracle checks, on the worker-pool execution engine
 // (parallelism 4, so the race detector sees the concurrent path). Every
 // scenario must have at least one compatible algorithm, so the full
-// generator registry is exercised.
+// generator registry is exercised. No run may break a memory or
+// communication cap of the model: every summed Stats records no violation.
 func TestDifferentialAllPairs(t *testing.T) {
 	for _, scName := range workload.Names() {
 		sc, err := workload.Get(scName)
@@ -34,9 +35,12 @@ func TestDifferentialAllPairs(t *testing.T) {
 			compatible++
 			t.Run(scName+"/"+algoName, func(t *testing.T) {
 				t.Parallel()
-				rep, err := Run(algoName, scName, Options{N: 48, Batches: 8, Seed: 3, Parallelism: 4})
+				rep, err := Run(algoName, scName, Options{N: 48, Batches: 20, Seed: 3, Parallelism: 4})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if v := rep.Stats.Violations; len(v) != 0 {
+					t.Errorf("%d violations, the first %q", len(v), v[0])
 				}
 				if rep.Updates == 0 {
 					t.Error("scenario emitted no updates")
@@ -138,8 +142,8 @@ func TestReportString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := rep.String(); strings.Contains(s, "n/a") || !strings.Contains(s, fmt.Sprintf(" %d rounds", rep.Rounds)) {
-		t.Errorf("dynmatching report %q should carry its %d rounds", s, rep.Rounds)
+	if s := rep.String(); strings.Contains(s, "n/a") || !strings.Contains(s, fmt.Sprintf(" %d rounds", rep.Stats.Rounds)) {
+		t.Errorf("dynmatching report %q should carry its %d rounds", s, rep.Stats.Rounds)
 	}
 	rep, err = Run("connectivity", "churn", Options{N: 32, Batches: 4, Seed: 2})
 	if err != nil {
@@ -149,14 +153,19 @@ func TestReportString(t *testing.T) {
 		t.Errorf("connectivity report %q should have real rounds and no exhausted search", s)
 	}
 	rep.Searches.Exhausted = 2
-	if s := rep.String(); !strings.Contains(s, "2 replacement searches exhausted") {
-		t.Errorf("report %q hides its exhausted searches", s)
+	if s := rep.String(); !strings.Contains(s, "2 replacement searches exhausted") || strings.Contains(s, "violations") {
+		t.Errorf("report %q hides its exhausted searches or names violations it has not got", s)
+	}
+	rep.Stats.Violations = []string{"machine 0 stores 9 words (cap 8)"}
+	if s := rep.String(); !strings.Contains(s, ", 1 model violations") {
+		t.Errorf("report %q hides its violation", s)
 	}
 }
 
 // TestEveryAlgorithmReportsRounds runs every registered algorithm for one
 // batch of its first compatible scenario: each is cluster-backed, so each
-// reports the rounds it spent, summed over all of its clusters.
+// reports the rounds, messages and memory it spent, summed over all of its
+// clusters.
 func TestEveryAlgorithmReportsRounds(t *testing.T) {
 	for _, algoName := range AlgorithmNames() {
 		algo, err := GetAlgorithm(algoName)
@@ -175,8 +184,8 @@ func TestEveryAlgorithmReportsRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Batches != 1 || rep.Rounds <= 0 {
-			t.Errorf("%s over %s: %d rounds after %d batches, want > 0 after 1", algoName, scName, rep.Rounds, rep.Batches)
+		if st := rep.Stats; rep.Batches != 1 || st.Rounds <= 0 || st.Messages <= 0 || st.PeakTotalWords <= 0 {
+			t.Errorf("%s over %s: %+v after %d batches, want rounds, messages and words after 1", algoName, scName, st, rep.Batches)
 		}
 	}
 }
@@ -239,5 +248,16 @@ func TestPullLoopIndexing(t *testing.T) {
 	}
 	if rep.FinalEdges != opt.N*(opt.N-1)/2 {
 		t.Errorf("%d edges final, want the complete graph's %d", rep.FinalEdges, opt.N*(opt.N-1)/2)
+	}
+}
+
+// TestApproxMSFForestIsAForest is the regression test for the approximate
+// forest's extraction: keeping an F_i edge whenever its endpoints differ in
+// G_{i-1}'s labels closed a cycle when two such edges reached one G_{i-1}
+// component from the same outside component, and the forest then weighed
+// more than (1+ε) times the MSF (seed 0, batch 10).
+func TestApproxMSFForestIsAForest(t *testing.T) {
+	if _, err := Run("approxmsf", "churn-weighted", Options{Batches: 20}); err != nil {
+		t.Fatal(err)
 	}
 }

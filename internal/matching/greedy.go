@@ -18,8 +18,7 @@
 // vertex-partitioned clusters — the greedy matchings and every embedded
 // maximal matcher — are placed at that shape by core.Config.NewFleet; each
 // sparsifier's pair samplers live on a fixed 9-machine fleet
-// (core.Config.FixedFleet). All of them run at the shape's Parallelism and
-// Strict.
+// (core.Config.FixedFleet). All of them run at the shape's Parallelism.
 package matching
 
 import (
@@ -92,6 +91,9 @@ func NewGreedyInsertOnly(cfg core.Config, alpha float64) (*GreedyInsertOnly, err
 
 // Cluster exposes the cluster for metering.
 func (g *GreedyInsertOnly) Cluster() *mpc.Cluster { return g.cl }
+
+// Clusters returns the one cluster the matching runs on.
+func (g *GreedyInsertOnly) Clusters() []*mpc.Cluster { return []*mpc.Cluster{g.cl} }
 
 // Cap returns the matching-size cap c·n/α.
 func (g *GreedyInsertOnly) Cap() int { return g.cap }

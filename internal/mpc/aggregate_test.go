@@ -33,7 +33,7 @@ func TestAggregateBatchesSum(t *testing.T) {
 	for _, machines := range []int{1, 2, 5, 9} {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("m=%d/p=%d", machines, par), func(t *testing.T) {
-				cl := mpc.NewCluster(mpc.Config{Machines: machines, LocalMemory: 1 << 12, Strict: true, Parallelism: par})
+				cl := mpc.NewCluster(mpc.Config{Machines: machines, LocalMemory: 1 << 12, Parallelism: par})
 				want := map[uint64]uint64{}
 				for id := 0; id < machines; id++ {
 					for k := uint64(0); k < 6; k++ {
@@ -66,7 +66,7 @@ func TestAggregateBatchesSum(t *testing.T) {
 // TestAggregateBatchesEmpty covers the no-contribution and the
 // single-contributor cases.
 func TestAggregateBatchesEmpty(t *testing.T) {
-	cl := mpc.NewCluster(mpc.Config{Machines: 4, LocalMemory: 1 << 12, Strict: true})
+	cl := mpc.NewCluster(mpc.Config{Machines: 4, LocalMemory: 1 << 12})
 	if res := cl.AggregateBatches(0, func(m *mpc.Machine) *mpc.MessageBatch { return nil }, sumCombine); res != nil {
 		t.Fatalf("empty aggregation returned %v frames", res.Len())
 	}
@@ -81,6 +81,9 @@ func TestAggregateBatchesEmpty(t *testing.T) {
 	if !reflect.DeepEqual(got, map[uint64]uint64{7: 42}) {
 		t.Fatalf("single contributor: got %v", got)
 	}
+	if st := cl.Stats(); len(st.Violations) != 0 {
+		t.Fatalf("violations: %v", st.Violations)
+	}
 }
 
 // TestAggregateBatchesDeterministic pins the exact frame order of the final
@@ -88,7 +91,7 @@ func TestAggregateBatchesEmpty(t *testing.T) {
 // by key regardless of how the tree was scheduled.
 func TestAggregateBatchesDeterministic(t *testing.T) {
 	run := func(par int) ([]uint64, mpc.Stats) {
-		cl := mpc.NewCluster(mpc.Config{Machines: 7, LocalMemory: 1 << 12, Strict: true, Parallelism: par})
+		cl := mpc.NewCluster(mpc.Config{Machines: 7, LocalMemory: 1 << 12, Parallelism: par})
 		res := cl.AggregateBatches(3, func(m *mpc.Machine) *mpc.MessageBatch {
 			b := mpc.AcquireMessageBatch()
 			b.Append(uint64(m.ID%3), uint64(m.ID))
@@ -107,8 +110,8 @@ func TestAggregateBatchesDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(seqFlat, parFlat) {
 		t.Errorf("frame stream diverged across parallelism:\nseq %v\npar %v", seqFlat, parFlat)
 	}
-	if !reflect.DeepEqual(seqStats, parStats) {
-		t.Errorf("stats diverged:\nseq %+v\npar %+v", seqStats, parStats)
+	if !reflect.DeepEqual(seqStats, parStats) || len(seqStats.Violations) != 0 {
+		t.Errorf("stats diverged or recorded violations:\nseq %+v\npar %+v", seqStats, parStats)
 	}
 	for i := 2; i < len(seqFlat); i += 2 {
 		if seqFlat[i] <= seqFlat[i-2] {

@@ -51,7 +51,6 @@ func newChurnRounds(t testing.TB, parallelism int) *churnRounds {
 	cl := mpc.NewCluster(mpc.Config{
 		Machines:    machines,
 		LocalMemory: 1 << 16,
-		Strict:      true,
 		Parallelism: parallelism,
 	})
 	cr := &churnRounds{cl: cl, batches: batches}
@@ -143,7 +142,7 @@ func (p *wordsPayload) Words() int { return len(p.xs) }
 func TestAllocsAskSteadyState(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) {
-			cl := mpc.NewCluster(mpc.Config{Machines: 9, LocalMemory: 64, Strict: true, Parallelism: p})
+			cl := mpc.NewCluster(mpc.Config{Machines: 9, LocalMemory: 64, Parallelism: p})
 			q := &wordsPayload{xs: []uint64{2, 3, 5, 7}}
 			answer := func(m *mpc.Machine, q mpc.Sized) *mpc.MessageBatch {
 				b := mpc.AcquireMessageBatch()
@@ -167,6 +166,9 @@ func TestAllocsAskSteadyState(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(100, run); n != 0 && !raceEnabled {
 				t.Fatalf("steady-state Ask + Tell allocate %.1f allocs/op, want 0", n)
+			}
+			if st := cl.Stats(); len(st.Violations) != 0 {
+				t.Fatalf("violations: %v", st.Violations)
 			}
 		})
 	}

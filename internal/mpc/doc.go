@@ -5,10 +5,10 @@
 // A Cluster is a fixed collection of machines that communicate only in
 // synchronous rounds. In each round every machine may read its inbox, perform
 // arbitrary local computation on its local store, and emit messages; the
-// cluster routes the messages, enforces the per-machine communication cap
+// cluster routes the messages, checks the per-machine communication cap
 // (total words sent or received by one machine in one round must not exceed
-// its local memory s), and meters rounds, messages, words moved, and peak
-// memory. Algorithms are written against Step and against the two verbs built
+// its local memory s) and records every breach in Stats, and meters rounds,
+// messages, words moved, and peak memory. Algorithms are written against Step and against the two verbs built
 // on top of it, so their round counts are structural properties of the
 // execution, not estimates:
 //
@@ -71,11 +71,9 @@
 // independent of scheduling; phase 2 is serial and runs in machine order,
 // so each inbox holds its messages in ascending sender id (outbox order per
 // sender), and violation strings, counters and peaks are appended in that
-// order too. A Strict-mode violation panics inside phase 2, possibly
-// mid-pass with part of the round already in the spare inboxes and before
-// the inbox swap; the next Step truncates the spare inboxes before it
-// routes, so a recovered Strict panic delivers nothing of the aborted round
-// and is also scheduling-independent (see the determinism tests in
+// order too. A violation is recorded, never raised: the round still
+// delivers every message to a valid destination, so a run that breaks a cap
+// goes on and its Stats say where (see the determinism tests in
 // merge_test.go and executor_test.go).
 //
 // Config.Parallelism sets the executor's worker count. At one worker it is

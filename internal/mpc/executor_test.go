@@ -184,19 +184,33 @@ func TestStepPanicRecoveryDeterministic(t *testing.T) {
 	}
 }
 
-func TestStrictViolationPanicsUnderParallel(t *testing.T) {
-	c := NewCluster(Config{Machines: 8, LocalMemory: 1, Strict: true, Parallelism: 4})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("strict parallel cluster did not panic on violation")
-		}
-	}()
-	c.Step(func(m *Machine, inbox []Message) []Message {
-		if m.ID != 0 {
-			return nil
-		}
-		return []Message{{To: 1, Payload: U64s{1, 2, 3}}}
-	})
+// TestViolationRecordedUnderParallel: the worker pool records a broken cap
+// exactly as the plain loop does, and the round still delivers.
+func TestViolationRecordedUnderParallel(t *testing.T) {
+	run := func(p int) (Stats, int) {
+		c := NewCluster(Config{Machines: 8, LocalMemory: 1, Parallelism: p})
+		c.Step(func(m *Machine, inbox []Message) []Message {
+			if m.ID != 0 {
+				return nil
+			}
+			return []Message{{To: 1, Payload: U64s{1, 2, 3}}}
+		})
+		delivered := 0
+		c.Land(func(m *Machine, inbox []Message) {
+			if m.ID == 1 {
+				delivered = len(inbox)
+			}
+		})
+		return c.Stats(), delivered
+	}
+	seq, _ := run(1)
+	par, delivered := run(4)
+	if len(par.Violations) != 2 || !reflect.DeepEqual(par, seq) {
+		t.Errorf("p=4 stats %+v, want the p=1 stats %+v with two violations", par, seq)
+	}
+	if delivered != 1 {
+		t.Errorf("p=4: machine 1 was handed %d messages, want the over-cap one", delivered)
+	}
 }
 
 // runEngineProgram drives a deterministic multi-round program that exercises

@@ -3,6 +3,7 @@ package mpc
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -85,104 +86,99 @@ func TestSkewedTrafficDeterministic(t *testing.T) {
 	}
 }
 
-// runStrictMidMergeProgram raises a Strict-mode violation in the send-cap
-// check of round 2 (after the route has already filled part of the spare
-// inboxes), recovers it, and runs two more benign rounds. It returns the
-// recovered panic message and the post-recovery delivery digest.
-func runStrictMidMergeProgram(t *testing.T, parallelism int) (string, string) {
-	t.Helper()
+// runOverCapProgram breaks the send cap in round 2 (machine 11 sends 20
+// words to machine 12 under a cap of 16) and runs two more rounds, the first
+// sending, the second only receiving. It returns the Stats after round 2 and
+// at the end, and the digest of both rounds' deliveries.
+func runOverCapProgram(parallelism int) (Stats, Stats, string) {
 	const M = 41
-	c := NewCluster(Config{Machines: M, LocalMemory: 16, Strict: true, Parallelism: parallelism})
+	c := NewCluster(Config{Machines: M, LocalMemory: 16, Parallelism: parallelism})
 	c.Step(func(m *Machine, inbox []Message) []Message {
 		return []Message{{To: (m.ID + 3) % M, Payload: word(uint64(m.ID))}}
 	})
-	var panicked any
-	func() {
-		defer func() { panicked = recover() }()
-		c.Step(func(m *Machine, inbox []Message) []Message {
-			if m.ID == 11 {
-				// Over the send cap: routed into the spare inboxes, then the
-				// sender's cap check panics mid-route.
-				return []Message{{To: 12, Payload: U64s(make([]uint64, 20))}}
-			}
-			return []Message{{To: (m.ID + 1) % M, Payload: word(2)}}
-		})
-	}()
-	if panicked == nil {
-		t.Fatal("strict over-cap send did not panic")
-	}
-	// Recovery: the partly routed round must be discarded, not delivered.
-	digest := ""
 	c.Step(func(m *Machine, inbox []Message) []Message {
+		if m.ID == 11 {
+			return []Message{{To: 12, Payload: U64s(make([]uint64, 20))}}
+		}
+		return []Message{{To: (m.ID + 1) % M, Payload: word(2)}}
+	})
+	overCap := c.Stats()
+	got := make([]string, M)
+	c.Step(func(m *Machine, inbox []Message) []Message {
+		for _, msg := range inbox {
+			got[m.ID] += fmt.Sprintf("(f%d w%d)", msg.From, msg.Payload.Words())
+		}
+		got[m.ID] += "|"
 		if m.ID%2 == 0 {
 			return []Message{{To: (m.ID + 2) % M, Payload: word(9)}}
 		}
 		return nil
 	})
-	got := make([]string, M)
 	c.Step(func(m *Machine, inbox []Message) []Message {
 		for _, msg := range inbox {
 			got[m.ID] += fmt.Sprintf("(f%d w%d)", msg.From, msg.Payload.Words())
 		}
 		return nil
 	})
+	digest := ""
 	for i := 0; i < M; i++ {
 		digest += fmt.Sprintf("m%d: %s\n", i, got[i])
 	}
-	return fmt.Sprint(panicked), digest
+	return overCap, c.Stats(), digest
 }
 
-// TestStrictViolationMidMergeDeterministic asserts that a Strict-mode
-// violation raised mid-round — after the compute phase, during the route —
-// panics with the identical message at parallelism 1 and 8, and that
-// recovery leaves the identical observable state: the abandoned round's
-// messages never leak into later rounds at any worker count.
-func TestStrictViolationMidMergeDeterministic(t *testing.T) {
-	baseMsg, baseDigest := runStrictMidMergeProgram(t, 1)
+// TestViolationMidRouteDeterministic asserts that a send-cap violation met
+// mid-route is recorded with the identical strings and Stats at parallelism
+// 1, 2 and 8, and that the over-cap round delivers exactly as at p1: its
+// messages arrive once, in the next round, and never after.
+func TestViolationMidRouteDeterministic(t *testing.T) {
+	baseOver, baseFinal, baseDigest := runOverCapProgram(1)
+	want := []string{
+		"machine 11 sent 20 words in one round (cap 16)",
+		"machine 12 received 20 words in one round (cap 16)",
+	}
+	if !reflect.DeepEqual(baseOver.Violations, want) {
+		t.Fatalf("violations %q, want %q", baseOver.Violations, want)
+	}
+	if !strings.Contains(baseDigest, "m12: (f11 w20)|") || strings.Count(baseDigest, "w20") != 1 {
+		t.Errorf("the over-cap message was not delivered exactly once:\n%s", baseDigest)
+	}
 	for _, p := range []int{2, 8} {
-		msg, digest := runStrictMidMergeProgram(t, p)
-		if msg != baseMsg {
-			t.Errorf("parallelism %d: panic message %q, want %q", p, msg, baseMsg)
+		over, final, digest := runOverCapProgram(p)
+		if !reflect.DeepEqual(over, baseOver) || !reflect.DeepEqual(final, baseFinal) {
+			t.Errorf("parallelism %d: stats diverged\nseq: %+v %+v\npar: %+v %+v", p, baseOver, baseFinal, over, final)
 		}
 		if digest != baseDigest {
-			t.Errorf("parallelism %d: post-recovery digest diverged\nseq:\n%s\npar:\n%s", p, baseDigest, digest)
+			t.Errorf("parallelism %d: delivery digest diverged\nseq:\n%s\npar:\n%s", p, baseDigest, digest)
 		}
 	}
 }
 
-// runStrictInvalidProgram raises a Strict-mode invalid-destination
-// violation in round 2: machine 11 sends a valid message and then one to
-// machine M+3, after machines 0–10 have been routed. It recovers the panic
-// and runs two more rounds, the first sending, the second only receiving.
-// It returns the panic text, the Stats after recovery and at the end, and
+// runInvalidProgram sends to an invalid destination in round 2: machine 11
+// sends a valid message, one to machine M+3 and another valid one, after
+// machines 0–10 have been routed. It runs two more rounds, the first sending, the second
+// only receiving, and returns the Stats after round 2 and at the end, and
 // the digest of both rounds' deliveries.
-func runStrictInvalidProgram(t *testing.T, parallelism int) (string, Stats, Stats, string) {
+func runInvalidProgram(t *testing.T, parallelism int) (Stats, Stats, string) {
 	t.Helper()
 	const M = 41
-	c := NewCluster(Config{Machines: M, LocalMemory: 16, Strict: true, Parallelism: parallelism})
+	c := NewCluster(Config{Machines: M, LocalMemory: 16, Parallelism: parallelism})
 	c.Step(func(m *Machine, inbox []Message) []Message {
 		return []Message{{To: (m.ID + 3) % M, Payload: word(100 + uint64(m.ID))}}
 	})
-	var panicked any
-	func() {
-		defer func() { panicked = recover() }()
-		c.Step(func(m *Machine, inbox []Message) []Message {
-			if m.ID == 11 {
-				return []Message{{To: 12, Payload: word(5)}, {To: M + 3, Payload: word(6)}}
-			}
-			return []Message{{To: (m.ID + 1) % M, Payload: word(2)}}
-		})
-	}()
-	if panicked == nil {
-		t.Fatal("strict send to an invalid machine did not panic")
-	}
-	recovered := c.Stats()
+	c.Step(func(m *Machine, inbox []Message) []Message {
+		if m.ID == 11 {
+			return []Message{{To: 12, Payload: word(5)}, {To: M + 3, Payload: word(6)}, {To: 13, Payload: word(7)}}
+		}
+		return []Message{{To: (m.ID + 1) % M, Payload: word(2)}}
+	})
+	invalid := c.Stats()
 	got := make([]string, M)
 	record := func(m *Machine, inbox []Message) {
 		for _, msg := range inbox {
 			v := uint64(msg.Payload.(word))
-			if v == 2 || v == 5 || v == 6 {
-				t.Errorf("machine %d was delivered %d from machine %d of the aborted round", m.ID, v, msg.From)
+			if v == 6 {
+				t.Errorf("machine %d was delivered the message sent to an invalid machine", m.ID)
 			}
 			got[m.ID] += fmt.Sprintf("(f%d v%d)", msg.From, v)
 		}
@@ -203,30 +199,34 @@ func runStrictInvalidProgram(t *testing.T, parallelism int) (string, Stats, Stat
 	for i := 0; i < M; i++ {
 		digest += fmt.Sprintf("m%d: %s\n", i, got[i])
 	}
-	return fmt.Sprint(panicked), recovered, c.Stats(), digest
+	return invalid, c.Stats(), digest
 }
 
-// TestStrictInvalidDestinationDeterministic asserts that a Strict-mode
-// invalid destination, raised mid-route after earlier senders' messages are
-// already in the spare inboxes, panics with the identical text at
-// parallelism 1 and 8, leaves identical Stats, and that the next two rounds
-// deliver identically and nothing of the aborted round.
-func TestStrictInvalidDestinationDeterministic(t *testing.T) {
-	baseMsg, baseRecovered, baseFinal, baseDigest := runStrictInvalidProgram(t, 1)
-	if want := "mpc: machine 11 sent to invalid machine 44"; baseMsg != want {
-		t.Fatalf("panic text %q, want %q", baseMsg, want)
+// TestInvalidDestinationDeterministic asserts that a message to an invalid
+// machine, met mid-route after earlier senders' messages are already in the
+// spare inboxes, is recorded with the identical text at parallelism 1 and
+// 8, is dropped uncounted, and that every valid message of its round is
+// delivered, identically at both settings.
+func TestInvalidDestinationDeterministic(t *testing.T) {
+	baseInvalid, baseFinal, baseDigest := runInvalidProgram(t, 1)
+	if want := []string{"machine 11 sent to invalid machine 44"}; !reflect.DeepEqual(baseInvalid.Violations, want) {
+		t.Fatalf("violations %q, want %q", baseInvalid.Violations, want)
 	}
-	msg, recovered, final, digest := runStrictInvalidProgram(t, 8)
-	if msg != baseMsg {
-		t.Errorf("parallelism 8: panic text %q, want %q", msg, baseMsg)
+	if baseInvalid.Messages != 83 {
+		t.Errorf("%d messages routed in two rounds, want 83 (the invalid one is dropped)", baseInvalid.Messages)
 	}
-	if !reflect.DeepEqual(recovered, baseRecovered) {
-		t.Errorf("parallelism 8: stats after recovery diverged\nseq: %+v\npar: %+v", baseRecovered, recovered)
+	if !strings.Contains(baseDigest, "m12: (f11 v5)|") || !strings.Contains(baseDigest, "m13: (f11 v7)(f12 v2)|") ||
+		strings.Count(baseDigest, " v2)") != 40 {
+		t.Errorf("round 2's valid messages were not all delivered:\n%s", baseDigest)
+	}
+	invalid, final, digest := runInvalidProgram(t, 8)
+	if !reflect.DeepEqual(invalid, baseInvalid) {
+		t.Errorf("parallelism 8: stats after the invalid send diverged\nseq: %+v\npar: %+v", baseInvalid, invalid)
 	}
 	if !reflect.DeepEqual(final, baseFinal) {
 		t.Errorf("parallelism 8: final stats diverged\nseq: %+v\npar: %+v", baseFinal, final)
 	}
 	if digest != baseDigest {
-		t.Errorf("parallelism 8: post-recovery digest diverged\nseq:\n%s\npar:\n%s", baseDigest, digest)
+		t.Errorf("parallelism 8: delivery digest diverged\nseq:\n%s\npar:\n%s", baseDigest, digest)
 	}
 }

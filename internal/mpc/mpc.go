@@ -35,15 +35,12 @@ type Config struct {
 	// LocalMemory is the per-machine memory and per-round communication
 	// budget s, in words; must be positive.
 	LocalMemory int
-	// Strict makes cap violations panic immediately instead of being
-	// recorded in Stats.Violations. Tests use Strict to fail fast.
-	Strict bool
 	// Parallelism selects the execution engine that fans the per-machine
 	// work of every round out over OS threads: 0 or 1 runs machines
 	// sequentially on the calling goroutine, k > 1 uses a worker pool of k
 	// goroutines, and a negative value uses runtime.NumCPU() workers.
 	//
-	// Rounds, message ordering, Stats, and violation reporting are
+	// Rounds, message ordering and Stats, violations included, are
 	// bit-identical at every setting; parallelism changes wall-clock time
 	// only. See StepFunc for the concurrency contract callbacks must obey.
 	Parallelism int
@@ -69,7 +66,8 @@ type Stats struct {
 	// PeakTotalWords is the largest total memory (sum over machines) at any
 	// round boundary.
 	PeakTotalWords int
-	// Violations records cap violations when Strict is off.
+	// Violations records every cap violation and invalid destination, in
+	// the order the round met them. A violation never stops the run.
 	Violations []string
 }
 
@@ -131,7 +129,6 @@ type Cluster struct {
 	runStep  func(i int)
 	runLocal func(i int)
 	runLand  func(i int)
-	runMeter func(i int)
 
 	// bc and agg are the reusable scratch of Broadcast and AggregateBatches,
 	// runBcast and runAgg their once-built per-round callbacks, runCollect
@@ -186,9 +183,6 @@ func NewCluster(cfg Config) *Cluster {
 		c.inboxes[i] = c.inboxes[i][:0]
 		c.stateWords[i] = c.machines[i].StateWords()
 	}
-	c.runMeter = func(i int) {
-		c.stateWords[i] = c.machines[i].StateWords()
-	}
 	c.agg.acc = make([]*MessageBatch, cfg.Machines)
 	c.agg.outs = make([][]Message, cfg.Machines)
 	for i := range c.agg.outs {
@@ -235,13 +229,9 @@ func (c *Cluster) RestoreStats(st Stats) {
 	c.stats = st
 }
 
-// violate records or raises a cap violation.
+// violate records a cap violation.
 func (c *Cluster) violate(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if c.cfg.Strict {
-		panic("mpc: " + msg)
-	}
-	c.stats.Violations = append(c.stats.Violations, msg)
+	c.stats.Violations = append(c.stats.Violations, fmt.Sprintf(format, args...))
 }
 
 // StepFunc is the per-machine computation of one round. It receives the
@@ -279,11 +269,8 @@ type StepFunc func(m *Machine, inbox []Message) []Message
 //
 // Because the compute phase writes only per-machine slots and everything
 // after it is one serial pass in machine order, inbox ordering (ascending
-// sender id, outbox order per sender), Stats, and violation reporting are
-// bit-identical at every parallelism level. A Strict-mode violation panics
-// mid-pass, with the spare inboxes partly filled and unswapped; the next
-// Step truncates them before it routes, so a recovered panic delivers
-// nothing of the aborted round.
+// sender id, outbox order per sender) and Stats, violations included, are
+// bit-identical at every parallelism level.
 func (c *Cluster) Step(fn StepFunc) {
 	c.stepFn = fn
 	c.exec.Run(c.cfg.Machines, c.runStep)
@@ -299,8 +286,7 @@ func (c *Cluster) Step(fn StepFunc) {
 	}
 	retired := c.inboxes
 	c.inboxes = c.spare
-	// Drop payload references from the retired inboxes eagerly (they are
-	// truncated again, defensively, at the next route) and keep their
+	// Drop payload references from the retired inboxes and keep their
 	// backing arrays as the next round's delivery buffers.
 	for i := range retired {
 		clear(retired[i])
@@ -319,15 +305,7 @@ func (c *Cluster) Step(fn StepFunc) {
 func (c *Cluster) route() {
 	M := c.cfg.Machines
 	next := c.spare
-	// Truncate here rather than trusting the previous round's cleanup: if a
-	// Strict-mode violation panicked mid-route and the caller recovered, the
-	// spare set still holds part of that round, which must not leak into
-	// this one.
-	for dst := range next {
-		clear(next[dst])
-		next[dst] = next[dst][:0]
-		c.recvWords[dst] = 0
-	}
+	clear(c.recvWords)
 	for i, out := range c.outs {
 		sw, cnt := 0, 0
 		for _, msg := range out {
@@ -357,14 +335,6 @@ func (c *Cluster) route() {
 	}
 }
 
-// meterMemory samples per-machine and total memory at the round boundary:
-// the store walks run through the executor, the reduction into Stats runs in
-// machine order on the calling goroutine.
-func (c *Cluster) meterMemory() {
-	c.exec.Run(c.cfg.Machines, c.runMeter)
-	c.reduceMemory(c.stateWords)
-}
-
 // reduceMemory folds pre-computed per-machine store sizes into the memory
 // peaks and cap violations, in machine order.
 func (c *Cluster) reduceMemory(stateWords []int) {
@@ -385,10 +355,12 @@ func (c *Cluster) reduceMemory(stateWords []int) {
 
 // LocalAt runs fn on machine id without advancing the round: it models local
 // computation between communication rounds, which is free in the MPC model.
-// Memory is re-metered afterwards so state growth is still observed.
+// Machine id's store is re-metered afterwards (no other store changed) and
+// the memory peaks and caps are checked, so state growth is still observed.
 func (c *Cluster) LocalAt(id int, fn func(m *Machine)) {
 	fn(c.machines[id])
-	c.meterMemory()
+	c.stateWords[id] = c.machines[id].StateWords()
+	c.reduceMemory(c.stateWords)
 }
 
 // LocalAll runs fn on every machine without advancing the round. The
@@ -407,9 +379,9 @@ func (c *Cluster) LocalAll(fn func(m *Machine)) {
 // collective lands its last delivery here instead of stepping for it. fn runs
 // on every machine, those with an empty inbox included, through the executor
 // and under the StepFunc contract (the inbox must not be retained). Memory is
-// re-metered afterwards, so what the landing stores is observed — peaks, cap
-// violations, Strict panics — exactly as at a round boundary. The next Step
-// sees none of the landed messages.
+// re-metered afterwards, so what the landing stores is observed — peaks and
+// cap violations — exactly as at a round boundary. The next Step sees none
+// of the landed messages.
 func (c *Cluster) Land(fn func(m *Machine, inbox []Message)) {
 	c.landFn = fn
 	c.exec.Run(c.cfg.Machines, c.runLand)

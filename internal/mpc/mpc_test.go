@@ -12,7 +12,7 @@ type word uint64
 func (word) Words() int { return 1 }
 
 func newTestCluster(machines, mem int) *Cluster {
-	return NewCluster(Config{Machines: machines, LocalMemory: mem, Strict: false})
+	return NewCluster(Config{Machines: machines, LocalMemory: mem})
 }
 
 func TestNewClusterValidation(t *testing.T) {
@@ -102,19 +102,35 @@ func TestStepEnforcesSendCap(t *testing.T) {
 	}
 }
 
-func TestStrictPanics(t *testing.T) {
-	c := NewCluster(Config{Machines: 2, LocalMemory: 1, Strict: true})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("strict cluster did not panic on violation")
-		}
-	}()
+// TestViolationRecordedAndRunContinues: a broken cap is recorded in Stats,
+// send side then receive side, and the round still delivers, so the run
+// goes on.
+func TestViolationRecordedAndRunContinues(t *testing.T) {
+	c := newTestCluster(2, 1)
 	c.Step(func(m *Machine, inbox []Message) []Message {
 		if m.ID != 0 {
 			return nil
 		}
 		return []Message{{To: 1, Payload: U64s{1, 2, 3}}}
 	})
+	var got []int
+	c.Step(func(m *Machine, inbox []Message) []Message {
+		for _, msg := range inbox {
+			got = append(got, m.ID, msg.From, msg.Payload.Words())
+		}
+		return nil
+	})
+	if want := []int{1, 0, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("deliveries after the over-cap round = %v, want %v", got, want)
+	}
+	st := c.Stats()
+	want := []string{
+		"machine 0 sent 3 words in one round (cap 1)",
+		"machine 1 received 3 words in one round (cap 1)",
+	}
+	if st.Rounds != 2 || !reflect.DeepEqual(st.Violations, want) {
+		t.Errorf("rounds %d, violations %q; want 2 and %q", st.Rounds, st.Violations, want)
+	}
 }
 
 func TestInvalidDestination(t *testing.T) {
@@ -368,42 +384,42 @@ func TestBroadcastOversizedPayloadViolates(t *testing.T) {
 	}
 }
 
-// TestStrictPanicRecoveryDoesNotReplayMessages guards the reused round
-// buffers against a recovered Strict-mode violation: a panic mid-route
-// leaves a partly routed round in the spare inbox set, and the next Step
-// must discard it rather than deliver last round's messages again.
-func TestStrictPanicRecoveryDoesNotReplayMessages(t *testing.T) {
-	c := NewCluster(Config{Machines: 3, LocalMemory: 4, Strict: true})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("over-cap send did not panic in Strict mode")
+// TestOverCapRoundDeliversOnce guards the reused round buffers: a round
+// that breaks the send and receive caps delivers its messages exactly once,
+// in the next round, and nothing of it reaches the round after that, at any
+// parallelism.
+func TestOverCapRoundDeliversOnce(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		c := NewCluster(Config{Machines: 3, LocalMemory: 4, Parallelism: p})
+		got := make([][]int, 3) // per receiver: sender, words, in arrival order
+		collect := func(m *Machine, inbox []Message) {
+			for _, msg := range inbox {
+				got[m.ID] = append(got[m.ID], msg.From, msg.Payload.Words())
 			}
-		}()
+		}
 		c.Step(func(m *Machine, inbox []Message) []Message {
-			// Machine 0 overflows its send cap; its message is routed into
-			// the spare buffers before the cap check panics.
 			if m.ID == 0 {
 				return []Message{{To: 1, Payload: U64s(make([]uint64, 8))}}
 			}
 			return nil
 		})
-	}()
-	var got [][]int
-	c.Step(func(m *Machine, inbox []Message) []Message {
-		if m.ID == 2 {
-			return []Message{{To: 1, Payload: word(7)}}
+		c.Step(func(m *Machine, inbox []Message) []Message {
+			collect(m, inbox)
+			if m.ID == 2 {
+				return []Message{{To: 1, Payload: word(7)}}
+			}
+			return nil
+		})
+		c.Step(func(m *Machine, inbox []Message) []Message {
+			collect(m, inbox)
+			return nil
+		})
+		want := [][]int{nil, {0, 8, 2, 1}, nil}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("p=%d: deliveries = %v, want %v (each message once)", p, got, want)
 		}
-		return nil
-	})
-	c.Step(func(m *Machine, inbox []Message) []Message {
-		for _, msg := range inbox {
-			got = append(got, []int{m.ID, msg.From, msg.Payload.Words()})
+		if v := c.Stats().Violations; len(v) != 2 {
+			t.Errorf("p=%d: violations %q, want the send and the receive cap", p, v)
 		}
-		return nil
-	})
-	want := [][]int{{1, 2, 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-recovery deliveries = %v, want %v (stale messages replayed)", got, want)
 	}
 }

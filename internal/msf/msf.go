@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mpc"
 )
 
 // ExactMSF maintains an exact minimum spanning forest of an insertion-only
@@ -65,6 +66,9 @@ func NewExactMSF(cfg core.Config) (*ExactMSF, error) {
 
 // Forest exposes the underlying engine for metering and snapshots.
 func (m *ExactMSF) Forest() *core.Forest { return m.f }
+
+// Clusters returns the one cluster the forest runs on.
+func (m *ExactMSF) Clusters() []*mpc.Cluster { return []*mpc.Cluster{m.f.Cluster()} }
 
 // SwapWaves reports the cumulative number of exchange iterations performed.
 func (m *ExactMSF) SwapWaves() int { return m.swapWaves }
@@ -233,13 +237,22 @@ func NewApproxMSF(cfg core.Config, eps float64, maxWeight int64) (*ApproxMSF, er
 // Levels returns the level graphs' connectivity instances, G_0 first.
 func (a *ApproxMSF) Levels() []*core.DynamicConnectivity { return a.levels }
 
+// Clusters returns the level instances' clusters, G_0's first.
+func (a *ApproxMSF) Clusters() []*mpc.Cluster {
+	out := make([]*mpc.Cluster, len(a.levels))
+	for i, dc := range a.levels {
+		out[i] = dc.Cluster()
+	}
+	return out
+}
+
 // MaxBatch returns the largest accepted batch.
 func (a *ApproxMSF) MaxBatch() int { return a.levels[0].MaxBatch() }
 
 // ApplyBatch forwards each update to every level whose threshold admits the
 // edge's weight. All levels process their sub-batches in parallel in a real
-// MPC; the simulator executes them sequentially and the experiments report
-// the maximum rounds across levels.
+// MPC; the simulator executes them sequentially, and the harness adds their
+// rounds up (harness.SumStats), a bound on the parallel run's maximum.
 func (a *ApproxMSF) ApplyBatch(b graph.Batch) error {
 	if len(b) > a.MaxBatch() {
 		return fmt.Errorf("msf: batch of %d exceeds MaxBatch %d", len(b), a.MaxBatch())
@@ -282,23 +295,22 @@ func (a *ApproxMSF) Weight() int64 {
 	return est
 }
 
-// Snapshot extracts the approximate MSF: an edge of level i's spanning
-// forest F_i joins the output iff its endpoints are disconnected in
-// G_{i-1} (checked against level i-1's component labels); all F_0 edges
-// join. Each output edge is charged its level's threshold weight, which is
-// within (1+ε) of its true weight.
+// Snapshot extracts the approximate MSF by Kruskal over the levels: the
+// edges of level i's spanning forest F_i are taken in level order, and one
+// joins the output iff it joins two trees of the output so far. After level
+// i the output spans exactly G_i's components, so it holds cc(G_{i-1}) -
+// cc(G_i) edges of level i; each is charged its level's threshold weight,
+// which is within (1+ε) of its true weight, and the forest weighs what
+// Weight estimates.
 func (a *ApproxMSF) Snapshot() []graph.WeightedEdge {
 	var out []graph.WeightedEdge
-	var prevLabels []int
+	var trees graph.MinUnion
 	for i, dc := range a.levels {
-		forest := dc.SnapshotForest()
-		labels := dc.SnapshotComponents()
-		for _, e := range forest {
-			if i == 0 || prevLabels[e.U] != prevLabels[e.V] {
+		for _, e := range dc.SnapshotForest() {
+			if _, _, joined := trees.Union(e.U, e.V); joined {
 				out = append(out, graph.WeightedEdge{Edge: e, Weight: a.thresholds[i]})
 			}
 		}
-		prevLabels = labels
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].U != out[j].U {

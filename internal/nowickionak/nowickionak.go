@@ -16,8 +16,8 @@
 // A Matcher takes a core.Config and is placed by its rule
 // (core.Config.NewFleet): contiguous vertex ranges of VerticesPerMachine
 // vertices, 128 words each, on all machines but the last, the coordinator;
-// it runs at the shape's Parallelism and Strict, and a session resizes it
-// like every other state.
+// it runs at the shape's Parallelism, and a session resizes it like every
+// other state.
 package nowickionak
 
 import (
@@ -119,6 +119,9 @@ func New(cfg core.Config) (*Matcher, error) {
 
 // Cluster exposes the cluster for metering.
 func (m *Matcher) Cluster() *mpc.Cluster { return m.cl }
+
+// Clusters returns the one cluster the matcher runs on.
+func (m *Matcher) Clusters() []*mpc.Cluster { return []*mpc.Cluster{m.cl} }
 
 func getShard(mm *mpc.Machine) *shard {
 	s, _ := mm.Get(slotShard).(*shard)
