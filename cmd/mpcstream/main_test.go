@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/harness"
+	"repro/internal/streamio"
 )
 
 // defaults mirrors the flag defaults (with a fixed parallelism, so tests do
@@ -298,5 +300,71 @@ func TestReplayRefusesInvalidBatch(t *testing.T) {
 	}
 	if _, statErr := os.Stat(o.checkpointFile); !os.IsNotExist(statErr) {
 		t.Error("a refused replay still wrote a checkpoint")
+	}
+}
+
+// TestResumedRoundsPerBatch: a resumed replay spreads the restored,
+// cumulative rounds over the session's cumulative batches, not over the
+// batches this process replayed — with an empty stream (none) and with a
+// one-batch tail.
+func TestResumedRoundsPerBatch(t *testing.T) {
+	dir := t.TempDir()
+	in := func(name string) string { return filepath.Join(dir, name) }
+	const golden = "../../internal/core/testdata/churn32.stream"
+	first := defaults()
+	first.streamFile, first.checkpointFile = golden, in("s.snap")
+	out := mustRun(t, first)
+	var batches int
+	if _, err := fmt.Sscanf(regexp.MustCompile(`replayed \d+ batches`).FindString(out), "replayed %d batches", &batches); err != nil || batches == 0 {
+		t.Fatalf("no replayed batch count in:\n%s", out)
+	}
+
+	// The tail inserts the first pair the stream leaves absent.
+	f, err := os.Open(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	g := graph.New(32)
+	for r := streamio.NewReader(f); ; {
+		b, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := 1
+	for g.Has(0, v) {
+		v++
+	}
+	if err := os.WriteFile(in("empty.stream"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(in("tail.stream"), []byte(fmt.Sprintf("i 0 %d 1\n", v)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rounds := regexp.MustCompile(`rounds: (\d+) \((.*)/batch\)`)
+	for _, tc := range []struct {
+		stream string
+		tail   int
+	}{{"empty.stream", 0}, {"tail.stream", 1}} {
+		resumed := defaults()
+		resumed.resumeFile, resumed.streamFile = in("s.snap"), in(tc.stream)
+		out := mustRun(t, resumed)
+		m := rounds.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("%s: no rounds line in:\n%s", tc.stream, out)
+		}
+		var total int
+		fmt.Sscan(m[1], &total)
+		if want := fmt.Sprintf("%.1f", float64(total)/float64(batches+tc.tail)); m[2] != want {
+			t.Errorf("%s: %s rounds over %d + %d batches printed as %s/batch, want %s", tc.stream, m[1], batches, tc.tail, m[2], want)
+		}
 	}
 }

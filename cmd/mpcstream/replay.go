@@ -155,7 +155,7 @@ func replay(o options, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "replayed %d batches on %d vertices: %s (oracle-verified)\n",
 		replayed, sess.Shape().N, answer(inst))
-	report(out, harness.SumStats(inst.Clusters()), replayed)
+	report(out, harness.SumStats(inst.Clusters()), sess.Applied())
 	if s, ok := inst.(interface{ SearchStats() core.SearchStats }); ok {
 		reportSearches(out, s.SearchStats())
 	}
@@ -173,11 +173,17 @@ func replay(o options, out io.Writer) error {
 }
 
 // report prints an instance's resource statistics, summed over its clusters
-// (harness.SumStats); a scenario run prints the same lines from its harness
-// report.
+// (harness.SumStats), with the rounds spread over the batches those Stats
+// cover: a resumed session's Stats carry the checkpointed run's, so a replay
+// passes the session's cumulative batch count, and n/a is printed at none. A
+// scenario run prints the same lines from its harness report.
 func report(out io.Writer, st mpc.Stats, batches int) {
-	fmt.Fprintf(out, "rounds: %d (%.1f/batch)  messages: %d  words sent: %d\n",
-		st.Rounds, float64(st.Rounds)/float64(batches), st.Messages, st.WordsSent)
+	perBatch := "n/a"
+	if batches > 0 {
+		perBatch = fmt.Sprintf("%.1f", float64(st.Rounds)/float64(batches))
+	}
+	fmt.Fprintf(out, "rounds: %d (%s/batch)  messages: %d  words sent: %d\n",
+		st.Rounds, perBatch, st.Messages, st.WordsSent)
 	fmt.Fprintf(out, "peak machine words: %d  peak total words: %d  violations: %d\n",
 		st.PeakMachineWords, st.PeakTotalWords, len(st.Violations))
 }

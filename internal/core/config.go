@@ -32,10 +32,11 @@
 // Rounds are counted the way package mpc states them — a round is a hop, a
 // collective lands its last delivery — so at a shape whose trees have depth 1
 // an Ask costs 2, a Tell 1 and a Scatter 1: a cold-cache insert batch without
-// a Link is 3 rounds (1 warm), a Cut of tree edges 7 with its labels warm (8
-// public, which sends its closing Tell itself), a Link 4 to 6 warm and 6 cold,
-// a one-level replacement search 2, and a deletion batch 8 for a bridge and
-// 13 when it finds a replacement. TestRoundBudgetPerOperation pins the budget
+// a Link is 2 rounds (1 warm) and one with a warm Link 6, the sketch update
+// riding the batch's first broadcast; a Cut of tree edges 7 with its labels
+// warm (8 public, which sends its closing Tell itself), a Link 4 to 6 warm and
+// 6 cold, a one-level replacement search 2, and a deletion batch 8 for a
+// bridge and 13 when it finds a replacement. TestRoundBudgetPerOperation pins the budget
 // of every step of the update path, TestLedgerPinned the totals of three
 // replayed streams.
 //

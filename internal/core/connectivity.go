@@ -304,6 +304,9 @@ func applySketchUpdate(mm *mpc.Machine, payload mpc.Sized) {
 // deletions (Section 1.2 allows treating them as two consecutive
 // sub-batches). The batch must be valid against the current graph: no
 // duplicate insertions, deletions only of present edges, no self loops.
+// Whatever its mix, a batch pays no broadcast for its sketch update, which
+// rides the first one the batch sends (see apply), and an empty batch sends
+// nothing.
 //
 // ApplyBatch does not check that a deleted edge is present. A deletion of an
 // absent edge returns nil and subtracts the edge from both endpoints'
@@ -328,8 +331,9 @@ func (dc *DynamicConnectivity) ApplyBatch(b graph.Batch) error {
 	return nil
 }
 
-// applyBatch is ApplyBatch less the journal: what a delta restore replays
-// journaled batches through.
+// applyBatch is ApplyBatch less the journal: it splits the batch into its
+// canonical insertions and deletions for apply, and is what a delta restore
+// replays journaled batches through.
 func (dc *DynamicConnectivity) applyBatch(b graph.Batch) error {
 	if len(b) > dc.MaxBatch() {
 		return fmt.Errorf("core: batch of %d exceeds MaxBatch %d", len(b), dc.MaxBatch())
@@ -345,29 +349,25 @@ func (dc *DynamicConnectivity) applyBatch(b graph.Batch) error {
 			return fmt.Errorf("core: unknown op %v", u.Op)
 		}
 	}
-	if len(del) == 0 {
-		return dc.insert(ins)
+	return dc.apply(ins, del)
+}
+
+// apply runs a batch's insertions, then its deletions: the one path of
+// ApplyBatch, Bootstrap and a delta replay. The batch's sketch update rides
+// its first broadcast — a label Ask, the Link's, the Cut's record lookup — or
+// is told by the flush on return when the batch sends none: only a
+// replacement search reads a sketch, and it runs after the Cut's record
+// lookup. An empty batch sends nothing.
+func (dc *DynamicConnectivity) apply(ins, del []graph.Edge) error {
+	if len(ins) == 0 && len(del) == 0 {
+		return nil
 	}
-	// A deletion batch's sketch update rides the next broadcast — the Cut's
-	// record lookup at the latest — since only the replacement search reads
-	// a sketch. An insert-only batch tells its own at once, so that the
-	// sketch writes do not land just before the next query.
 	defer dc.f.flush()
 	dc.f.ride(sketchUpdate{ins: ins, del: del}, applySketchUpdate)
 	if err := dc.link(ins); err != nil {
 		return err
 	}
 	return dc.delete(del)
-}
-
-// insert processes a batch of insertions (Section 6.1): the sketch update,
-// then the tree edges.
-func (dc *DynamicConnectivity) insert(edges []graph.Edge) error {
-	if len(edges) == 0 {
-		return nil
-	}
-	dc.f.tell(sketchUpdate{ins: edges}, applySketchUpdate)
-	return dc.link(edges)
 }
 
 // link links the inserted edges that join two components.
@@ -664,11 +664,7 @@ func (dc *DynamicConnectivity) Bootstrap(edges []graph.Edge) (rounds int, err er
 	before := dc.f.cl.Stats().Rounds
 	k := dc.MaxBatch()
 	for i := 0; i < len(edges); i += k {
-		end := i + k
-		if end > len(edges) {
-			end = len(edges)
-		}
-		if err := dc.insert(edges[i:end]); err != nil {
+		if err := dc.apply(edges[i:min(i+k, len(edges))], nil); err != nil {
 			return dc.f.cl.Stats().Rounds - before, err
 		}
 	}

@@ -545,13 +545,12 @@ func (f *Forest) edgeOwner(e graph.Edge) int {
 
 // ask and tell are the forest's two conversations with the shards, both from
 // the coordinator (mpc.Cluster.Ask, mpc.Cluster.Tell): the payload is handed
-// to the callback and is gone from every store when the call returns. Either
-// carries the pending riders, which every machine applies first.
+// to the callback and is gone from every store when the call returns. Both
+// send through the carrier, so every broadcast the forest makes has one
+// shape: the pending riders, if any, which every machine applies first, then
+// the payload.
 func (f *Forest) ask(q mpc.Sized, answer func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch, combine mpc.BatchCombine) *mpc.MessageBatch {
 	c := &f.pending
-	if len(c.riders) == 0 {
-		return f.cl.Ask(f.coord, q, answer, combine)
-	}
 	c.msg, c.answer = q, answer
 	res := f.cl.Ask(f.coord, c, answerCarried, combine)
 	c.reset()
@@ -560,10 +559,6 @@ func (f *Forest) ask(q mpc.Sized, answer func(mm *mpc.Machine, q mpc.Sized) *mpc
 
 func (f *Forest) tell(msg mpc.Sized, apply func(mm *mpc.Machine, msg mpc.Sized)) {
 	c := &f.pending
-	if len(c.riders) == 0 {
-		f.cl.Tell(f.coord, msg, apply)
-		return
-	}
 	c.msg, c.apply = msg, apply
 	f.cl.Tell(f.coord, c, applyCarried)
 	c.reset()

@@ -66,19 +66,21 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl = dc.Cluster()
+	costs("empty batch", 0, func() error { return dc.ApplyBatch(nil) })
 	var path graph.Batch
 	for v := 0; v < 6; v++ {
 		path = append(path, graph.Update{Op: graph.Insert, Edge: E(v, v+1)})
 	}
-	// Sketch Tell 1, label Ask 2, and a Link whose labels are warm.
-	costs("insert batch with a Link", 1+2+4, func() error { return dc.ApplyBatch(path) })
-	// The Link kept the cache warm; both chords close a cycle: the Tell alone.
-	chords := []graph.Edge{E(0, 2), E(3, 6)}
-	costs("insert batch without a Link, warm across the Link", 1, func() error { return dc.insert(chords) })
-	costs("insert batch without a Link, warm cache", 1, func() error { return dc.insert([]graph.Edge{E(0, 3)}) })
+	// The label Ask 2, carrying the sketch update, and a Link whose labels
+	// are warm.
+	costs("insert batch with a Link", 2+4, func() error { return dc.ApplyBatch(path) })
+	// The Link kept the cache warm; both chords close a cycle: the batch
+	// sends no broadcast, so its sketch update is told on its own.
+	costs("insert batch without a Link, warm across the Link", 1, func() error { return dc.ApplyBatch(graph.Batch{graph.Ins(0, 2), graph.Ins(3, 6)}) })
+	costs("insert batch without a Link, warm cache", 1, func() error { return dc.ApplyBatch(graph.Batch{graph.Ins(0, 3)}) })
 
-	// Delete the tree edge 4-5, one step at a time. In a deletion batch the
-	// sketch update is a rider: no round of its own.
+	// Delete the tree edge 4-5, one step at a time. A batch's sketch update
+	// is a rider: no round of its own.
 	costs("sketch update of a deletion batch", 0, func() error {
 		dc.f.ride(sketchUpdate{del: []graph.Edge{E(4, 5)}}, applySketchUpdate)
 		return nil
@@ -120,10 +122,9 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 	if st := dc.SearchStats(); st.Searches != 3 || st.Levels != 2 || st.Refills != 0 || st.Exhausted != 0 {
 		t.Errorf("search stats %+v, want 3 searches, 2 levels, no refill", st)
 	}
-	// A cold cache pays the label Ask after an insert-only batch's own
-	// sketch Tell: Tell 1 + Ask 2.
+	// A cold cache pays the label Ask, which carries the sketch update.
 	dc.InvalidateQueryCache()
-	costs("insert batch without a Link, cold cache", 3, func() error { return dc.insert([]graph.Edge{E(1, 3)}) })
+	costs("insert batch without a Link, cold cache", 2, func() error { return dc.ApplyBatch(graph.Batch{graph.Ins(1, 3)}) })
 	for _, c := range []*mpc.Cluster{f.Cluster(), dc.Cluster()} {
 		if v := c.Stats().Violations; len(v) != 0 {
 			t.Errorf("violations: %q", v)

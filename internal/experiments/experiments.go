@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"time"
 
@@ -159,6 +160,7 @@ func E2ConnectivityMemory(n int, phi float64, checkpoints []int, seed uint64) *T
 			next++
 		}
 	}
+	checkAgainstOracle(dc, gen.Mirror())
 	t.Remarks = append(t.Remarks, "claim: peak memory flat in m (depends only on n), unlike the O(n+m) of prior work")
 	return t
 }
@@ -189,9 +191,10 @@ func E3QueryVsAGM(sizes []int, seed uint64) *Table {
 		// Ours: the forest is maintained; a query is a readout (constant
 		// rounds — here literally zero extra communication).
 		oursQuery := batchRounds(func() int { return dc.Cluster().Stats().Rounds }, func() { dc.SnapshotForest() })
+		var labels []int
 		var boruvka int
 		agmQuery := batchRounds(func() int { return base.Cluster().Stats().Rounds }, func() {
-			_, boruvka = base.QueryComponents()
+			labels, boruvka = base.QueryComponents()
 		})
 		t.Rows = append(t.Rows, []string{
 			d(n),
@@ -201,6 +204,8 @@ func E3QueryVsAGM(sizes []int, seed uint64) *Table {
 			d(boruvka),
 			d(agmQuery),
 		})
+		verify(dc.NumComponents() == 1 && !slices.ContainsFunc(labels, func(l int) bool { return l != labels[0] }),
+			"E3: the path on %d vertices is not one component in both structures", n)
 	}
 	t.Remarks = append(t.Remarks, "claim: ours O(1) query rounds; AGM Boruvka levels grow ~log n on a path")
 	return t
@@ -236,6 +241,7 @@ func E4ExactMSF(sizes []int, batches int, seed uint64) *Table {
 			d(m.SwapWaves()),
 			fmt.Sprintf("%v (%d)", m.Weight() == want, m.Weight()),
 		})
+		verify(m.Weight() == want, "E4: MSF weight %d at n=%d, Kruskal %d", m.Weight(), n, want)
 	}
 	t.Remarks = append(t.Remarks, "claim: exact weight; constant rounds per batch (exchange waves small)")
 	return t
@@ -267,6 +273,7 @@ func E5ApproxMSF(n int, epss []float64, batches int, seed uint64) *Table {
 			fratio = float64(forestW) / float64(want)
 		}
 		t.Rows = append(t.Rows, []string{f2(eps), d(len(a.Levels())), f2(ratio), f2(fratio), fmt.Sprintf("%v", ok)})
+		verify(ok, "E5: estimate %d or forest %d outside [%d, (1+%.2f)·%d]", est, forestW, want, eps, want)
 	}
 	t.Remarks = append(t.Remarks, "claim: true <= estimate <= (1+eps)*true, for both the weight and the extracted forest")
 	return t
@@ -291,9 +298,7 @@ func E6Bipartiteness(n, batches int, seed uint64) *Table {
 			func() { must(bt.ApplyBatch(b)) })
 		got := bt.IsBipartite()
 		want := oracle.IsBipartite(gen.Mirror())
-		if got != want {
-			panic(fmt.Sprintf("E6 mismatch at step %d: got %v want %v", step, got, want))
-		}
+		verify(got == want, "E6 mismatch at step %d: got %v want %v", step, got, want)
 		t.Rows = append(t.Rows, []string{d(step), fmt.Sprintf("%v", got), fmt.Sprintf("%v", want), d(r)})
 	}
 	t.Remarks = append(t.Remarks, fmt.Sprintf("odd cycle injected at step %d; detection must flip there and agree with the oracle throughout", violateAt))
@@ -407,6 +412,7 @@ func E9BatchScaling(n int, fractions []float64, batchesPer int, seed uint64) *Ta
 		}
 		perBatch := float64(total) / float64(batchesPer)
 		t.Rows = append(t.Rows, []string{d(n), d(k), f2(frac), f2(perBatch), f2(perBatch / float64(k))})
+		checkAgainstOracle(dc, gen.Mirror())
 	}
 	t.Remarks = append(t.Remarks, "claim: rounds/batch flat in batch size => rounds/update falls as 1/batch")
 	return t
@@ -445,6 +451,10 @@ func E10EulerTourAblation(n int, ks []int, seed uint64) *Table {
 				func() { must(sequential.Link([]graph.WeightedEdge{e})) })
 		}
 		t.Rows = append(t.Rows, []string{d(k), d(br), d(sr), f2(float64(sr) / float64(br))})
+		// Both forests place an edge on the same shard, which keeps its
+		// records in edge order, so the same edges read out in one order.
+		verify(slices.Equal(batched.SnapshotForest(), sequential.SnapshotForest()),
+			"E10: the batched and sequential forests of k=%d hold different edges", k)
 	}
 	t.Remarks = append(t.Remarks, "claim: batched join costs the same rounds as a single join; sequential replay costs k times as much")
 	return t
@@ -455,8 +465,15 @@ func E10EulerTourAblation(n int, ks []int, seed uint64) *Table {
 // divergence (experiments must not silently report numbers from a broken
 // run).
 func checkAgainstOracle(dc *core.DynamicConnectivity, g *graph.Graph) {
-	if err := harness.VerifyConnectivity(dc, g); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+	err := harness.VerifyConnectivity(dc, g)
+	verify(err == nil, "experiments: %v", err)
+}
+
+// verify panics with the formatted message unless ok: a table must not
+// report numbers from a broken run.
+func verify(ok bool, format string, args ...any) {
+	if !ok {
+		panic(fmt.Sprintf(format, args...))
 	}
 }
 
@@ -516,11 +533,7 @@ func e11OneRun(n, sketchCopies, batches int, seed uint64) bool {
 	}
 	k := dc.MaxBatch()
 	for i := 0; i < len(all); i += k {
-		end := i + k
-		if end > len(all) {
-			end = len(all)
-		}
-		apply(graph.Batch(all[i:end]))
+		apply(all[i:min(i+k, len(all))])
 	}
 	// Delete batches of current tree edges, forcing replacement searches.
 	prg := hash.NewPRG(seed * 31)
@@ -576,6 +589,7 @@ func E12CommunicationPerRound(sizes []int, batches int, seed uint64) *Table {
 			d(n), d(gen.Mirror().M()), d(st.Rounds),
 			fmt.Sprintf("%d", st.WordsSent), f2(perRound), f2(perRound / float64(n)),
 		})
+		checkAgainstOracle(dc, gen.Mirror())
 	}
 	t.Remarks = append(t.Remarks, "claim: words/round = Õ(n) (the last column stays bounded as n grows)")
 	return t
@@ -729,9 +743,7 @@ func E15QueryThroughput(sizes []int, batches, queries int, seed uint64) *Table {
 		warmRounds := batchRounds(rounds, func() { dc.ConnectedAll(pairs) })
 		want := mix.OracleAnswers(raw)
 		for i := range pairs {
-			if batchedAns[i] != want[i] {
-				panic(fmt.Sprintf("E15: query %v answered %v, oracle %v", pairs[i], batchedAns[i], want[i]))
-			}
+			verify(batchedAns[i] == want[i], "E15: query %v answered %v, oracle %v", pairs[i], batchedAns[i], want[i])
 		}
 		q := float64(queries)
 		speedup := 0.0

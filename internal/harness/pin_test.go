@@ -21,16 +21,16 @@ import (
 // container (meta echo, mirror edge set and connectivity state) and the
 // session delta that extends it (delta meta echo and connectivity delta).
 var containerDigests = map[string]string{
-	"approxmsf":          "e57b5a6b401af9ceea5bf9d936cfe7668775da2d35b53387f5ee05812bdd5e63",
-	"bipartite":          "83dc400bc523d00a1a73cbe58a1a4a51decc78e7243aa5e1c6c3ec08b755420d",
-	"connectivity":       "9b92da57ba341e0db1f60fc3e4f14ba14d095165bad37ed1d4b583d8505fb2ab",
+	"approxmsf":          "097a424cb9d285def631b7820336550c2edf3e224730f67544ba1cdb1a5a047e",
+	"bipartite":          "ec7ac2f885338677f45c222a22a79b5986c05fff024cbe2f70ae093a0f9c22e8",
+	"connectivity":       "36a61e249aac76a0ae76a872d3e525fe4cc8d78d2ba09ed3cbcb32d1f85206c9",
 	"dynmatching":        "04e7598e9568de2fa9f2b74d67635f9f5e2ff7b6f32448409da58d06a693e2da",
 	"matching":           "aa01296f1438d467c26f2bfdae52bcc92ebcbd91a3f70a293cb3fd8b697afac2",
 	"msf":                "6fe53bf7648df08ebc967578fc1fc9900201afb1272eb645a77df5e9a17a2c09",
 	"nowickionak":        "6b67a431c6d8ea0c27a9b9e75c78c87a7f6fede345043b0c24b53f8a9fcd5d31",
-	"connectivity-delta": "4c0b218ad66bfc72206414e9200babe461dfd1cba244005f6dca416313676568",
-	"session":            "8d14b9d017802f8a3800d6e5e1a1e0f8ddecafe65155ae14ee0857ca8b33c590",
-	"session-delta":      "9aff9ed82e008384cfb2f8fb96be0d88cb72818a4d8e7c2bed2513f6282a8a53",
+	"connectivity-delta": "0d210f14826fc0de264dfad8573dce7d3e7478d5d25188cb9c48ac9e56e77e6a",
+	"session":            "54edc55be417220b5a597e65f2661d0b835ad5acd8b5e4747153914c59ac7c68",
+	"session-delta":      "df5baf897be4132607b3c72e9bc6c26c5d2fe610b4b51289af77a49448862dda",
 }
 
 // TestContainerBytesPinned fails when any container's bytes move: a layout
