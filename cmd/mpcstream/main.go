@@ -60,10 +60,13 @@
 // batches (a later -resume replays them on top of the base and prints how
 // many), compacted into a fresh full base every -max-delta-chain deltas, or
 // at once when the delta would hold more than one update per vertex; stale
-// temp files from an interrupted checkpoint
-// are swept before loading. The replay runs on an internal/session Session
-// (the same lifecycle mpcserve and the harness use); snapshots written by a
-// build from before that package are rejected by their meta section tag. With -scenario, -crash-every k injects a seeded
+// temp files from an interrupted checkpoint are swept before loading. The
+// replay runs on an internal/session Session (the same lifecycle mpcserve
+// and the harness use, opened by session.Open); snapshots written by a build
+// from before that package are rejected by their meta section tag. Every
+// algorithm that runs replacement searches (connectivity, bipartite,
+// approxmsf) prints a "replacement searches:" line, summed over every state
+// its session ran (session.Session.Counters). With -scenario, -crash-every k injects a seeded
 // kill/restore cycle roughly every k batches into the differential harness
 // run — every scenario doubles as a crash/recovery scenario, and the oracle
 // checks must still pass after every restore — and -delta-every k cuts a

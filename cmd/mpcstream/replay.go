@@ -104,7 +104,7 @@ func replay(o options, out io.Writer) error {
 	var chain *snapshot.Chain
 	if o.resumeFile == "" {
 		cfg.Mirror = session.NewMirror(shape.N)
-		sess, err = session.New(cfg)
+		sess, err = session.Open(cfg)
 	} else {
 		sess, chain, err = resume(o, cfg, out)
 	}
@@ -156,8 +156,8 @@ func replay(o options, out io.Writer) error {
 	fmt.Fprintf(out, "replayed %d batches on %d vertices: %s (oracle-verified)\n",
 		replayed, sess.Shape().N, answer(inst))
 	report(out, harness.SumStats(inst.Clusters()), sess.Applied())
-	if s, ok := inst.(interface{ SearchStats() core.SearchStats }); ok {
-		reportSearches(out, s.SearchStats())
+	if s := sess.Counters().Searches; s != nil {
+		reportSearches(out, *s)
 	}
 	if o.checkpointFile == "" {
 		return nil
@@ -169,7 +169,16 @@ func replay(o options, out io.Writer) error {
 		chain = snapshot.OpenChain(o.checkpointFile, o.maxDeltaChain)
 		sess.SetChain(chain)
 	}
-	return writeCheckpoint(out, sess, chain)
+	// The next checkpoint of the chain, written atomically (temp file,
+	// fsync, rename) — a delta when the chain was resumed from disk and has
+	// room, a full base otherwise — so an interrupted write never clobbers a
+	// previous good checkpoint with a truncated one.
+	cut, err := sess.Checkpoint()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "%s checkpoint written to %s (%d bytes, chain length %d)\n", cut.Kind, chain.Path(), cut.Bytes, chain.Len())
+	return nil
 }
 
 // report prints an instance's resource statistics, summed over its clusters
@@ -188,8 +197,11 @@ func report(out io.Writer, st mpc.Stats, batches int) {
 		st.PeakMachineWords, st.PeakTotalWords, len(st.Violations))
 }
 
-// reportSearches prints what the replacement searches of this process did
-// (the counters are not checkpointed, so a resumed run counts from zero). A
+// reportSearches prints what the replacement searches of this process did,
+// summed over every state its session ran (session.Session.Counters: a
+// restore or a re-shard resets nothing, but the counters are not
+// checkpointed, so a resumed run counts from zero). Every algorithm that runs
+// replacement searches prints it: connectivity, bipartite and approxmsf. A
 // non-zero exhausted count means a search ran out of sketch copies and the
 // partition may be too fine; refills are the windows of copies fetched beyond
 // a search's first.
@@ -213,33 +225,28 @@ func answer(inst harness.Instance) string {
 	return "solution"
 }
 
-// resume restores a session from the checkpoint chain rooted at -resume:
-// stale temp files from an interrupted checkpoint are swept, then the base
-// snapshot and every delta linking to it are replayed in sequence, and a
-// -resume-machines re-shard is applied. The returned chain is non-nil only
-// when -checkpoint will extend it; mpcstream checkpoints once, at the end,
-// so in every other case the session is detached from the chain it came
-// from.
+// resume restores a session from the checkpoint chain rooted at -resume
+// (session.Open): stale temp files from an interrupted checkpoint are swept,
+// then the base snapshot and every delta linking to it are replayed in
+// sequence, and a -resume-machines re-shard is applied. The returned chain
+// is non-nil only when -checkpoint will extend it; mpcstream checkpoints
+// once, at the end, so in every other case the session is detached from the
+// chain it came from.
 func resume(o options, cfg session.Config, out io.Writer) (*session.Session, *snapshot.Chain, error) {
 	fail := func(err error) (*session.Session, *snapshot.Chain, error) {
 		return nil, nil, fmt.Errorf("resume %s: %w", o.resumeFile, err)
-	}
-	if swept, err := snapshot.SweepStaleTemps(o.resumeFile); err != nil {
-		return fail(err)
-	} else if len(swept) > 0 {
-		fmt.Fprintf(out, "swept %d stale checkpoint temp file(s)\n", len(swept))
 	}
 	// The snapshot's meta echo, not the flags, sizes the vertex space and
 	// the cluster; only the execution engine is the flags' to choose.
 	cfg.Shape = session.Shape{Parallelism: o.parallelism}
 	cfg.Mirror = new(session.Mirror)
 	cfg.Chain = snapshot.OpenChain(o.resumeFile, o.maxDeltaChain)
-	sess, ok, err := session.Resume(cfg)
+	sess, err := session.Open(cfg)
 	if err != nil {
 		return fail(err)
 	}
-	if !ok {
-		return fail(fmt.Errorf("no snapshot at %s", o.resumeFile))
+	if n := cfg.Chain.OrphansRemoved(); n > 0 {
+		fmt.Fprintf(out, "swept %d stale checkpoint file(s)\n", n)
 	}
 	replayed := cfg.Chain.Replayed()
 	fmt.Fprintf(out, "resumed %d vertices, %d edges from %s (chain length %d, %d journaled batches of %d updates replayed)\n",
@@ -256,17 +263,4 @@ func resume(o options, cfg session.Config, out io.Writer) (*session.Session, *sn
 		fmt.Fprintf(out, "re-sharded %d -> %d machines (VerticesPerMachine=%d)\n", was, o.resumeMachines, sess.Shape().VerticesPerMachine)
 	}
 	return sess, nil, nil
-}
-
-// writeCheckpoint saves the next checkpoint of the chain atomically (temp
-// file, fsync, rename) — a delta when the chain was resumed from disk and
-// has room, a full base otherwise — so an interrupted write never clobbers
-// a previous good checkpoint with a truncated one.
-func writeCheckpoint(out io.Writer, sess *session.Session, chain *snapshot.Chain) error {
-	cut, err := sess.Checkpoint()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%s checkpoint written to %s (%d bytes, chain length %d)\n", cut.Kind, chain.Path(), cut.Bytes, chain.Len())
-	return nil
 }

@@ -108,6 +108,14 @@ func (t *Tester) Graph() *core.DynamicConnectivity { return t.g }
 // Cover exposes the connectivity instance on the double cover.
 func (t *Tester) Cover() *core.DynamicConnectivity { return t.cover }
 
+// SearchStats sums the replacement-search counters of G and of its double
+// cover.
+func (t *Tester) SearchStats() core.SearchStats {
+	s := t.g.SearchStats()
+	s.Add(t.cover.SearchStats())
+	return s
+}
+
 // Clusters returns the clusters of G and of its double cover, in that order.
 func (t *Tester) Clusters() []*mpc.Cluster {
 	return []*mpc.Cluster{t.g.Cluster(), t.cover.Cluster()}

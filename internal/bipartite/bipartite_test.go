@@ -119,6 +119,31 @@ func TestRandomizedAgainstOracle(t *testing.T) {
 	}
 }
 
+// TestSearchStatsSumGraphAndCover deletes a tree edge of an even cycle,
+// whose replacement both instances search for: the tester reports the sum
+// of G's and the double cover's counters.
+func TestSearchStatsSumGraphAndCover(t *testing.T) {
+	tt := newTester(t, 16, 7)
+	for _, b := range []graph.Batch{
+		{graph.Ins(0, 1), graph.Ins(1, 2), graph.Ins(2, 3)},
+		{graph.Ins(3, 0)},
+		{graph.Del(0, 1)},
+	} {
+		if err := tt.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, cover := tt.Graph().SearchStats(), tt.Cover().SearchStats()
+	if g.Searches == 0 || cover.Searches == 0 {
+		t.Fatalf("searches: G %d, cover %d; want both to search for the replacement", g.Searches, cover.Searches)
+	}
+	want := g
+	want.Add(cover)
+	if got := tt.SearchStats(); got != want || got.Searches != g.Searches+cover.Searches {
+		t.Errorf("SearchStats = %+v, want G's plus the cover's %+v", got, want)
+	}
+}
+
 func TestBatchCap(t *testing.T) {
 	tt := newTester(t, 16, 6)
 	big := make(graph.Batch, tt.MaxBatch()+1)

@@ -574,7 +574,9 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int, first *first
 }
 
 // SearchStats counts the work of the replacement searches since the
-// instance was built; see DynamicConnectivity.SearchStats.
+// instance was built; see DynamicConnectivity.SearchStats. An algorithm
+// that runs several instances reports their sum (SearchStats.Add), and a
+// session adds up the states it replaced the same way.
 type SearchStats struct {
 	// Searches is the number of replacement searches run (deletion batches
 	// that cut at least one tree edge) and Levels the Borůvka levels they
@@ -597,6 +599,17 @@ type SearchStats struct {
 	SketchesSummed, SketchesSkipped uint64
 }
 
+// Add adds o's counts to s.
+func (s *SearchStats) Add(o SearchStats) {
+	s.Searches += o.Searches
+	s.Levels += o.Levels
+	s.QueryFails += o.QueryFails
+	s.Refills += o.Refills
+	s.Exhausted += o.Exhausted
+	s.SketchesSummed += o.SketchesSummed
+	s.SketchesSkipped += o.SketchesSkipped
+}
+
 // searchCounters is the live form of SearchStats, written by the update
 // path. The sketch counts are atomic because per-machine callbacks add to
 // them under the parallel executor; the coordinator counts the rest.
@@ -611,7 +624,8 @@ func (c *searchCounters) reset() { *c = searchCounters{} }
 // SearchStats reports the replacement-search counters. Like the query-cache
 // hit/miss pair they are process-lifetime observability, not algorithm
 // state: never checkpointed, zero on a restored or re-sharded instance (a
-// delta restore zeroes what its replay counted).
+// delta restore zeroes what its replay counted). A session.Session carries
+// them across such replacements (session.Session.Counters).
 func (dc *DynamicConnectivity) SearchStats() SearchStats {
 	c := &dc.search
 	return SearchStats{

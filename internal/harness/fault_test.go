@@ -108,9 +108,6 @@ func TestFaultReshardTwinBitIdentical(t *testing.T) {
 					if rep.Faults == 0 {
 						t.Fatalf("fault schedule fired 0 times over %d batches: %s", rep.Batches, rep)
 					}
-					if rep.Reshards != rep.Faults {
-						t.Fatalf("%d faults but %d reshards: %s", rep.Faults, rep.Reshards, rep)
-					}
 					if rep.ReplayedBatches < rep.Faults {
 						t.Fatalf("%d faults replayed only %d batches: %s", rep.Faults, rep.ReplayedBatches, rep)
 					}

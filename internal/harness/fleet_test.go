@@ -85,7 +85,7 @@ func TestSessionFleetIsTheRunningFleet(t *testing.T) {
 			if before != 6 {
 				t.Fatalf("harness default shape has %d machines, want 6 (N 48 at 11 vertices per machine)", before)
 			}
-			if err := sess.RecoverOnto(before - 1); err != nil {
+			if _, err := sess.RecoverOnto(before-1, nil); err != nil {
 				t.Fatal(err)
 			}
 			if got := sess.Shape().MachineCount(); got != before-1 {

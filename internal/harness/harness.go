@@ -165,12 +165,6 @@ func SumStats(clusters []*mpc.Cluster) mpc.Stats {
 	return sum
 }
 
-// searchCounter is an optional Instance extension for algorithms that expose
-// the counters of their replacement searches.
-type searchCounter interface {
-	SearchStats() core.SearchStats
-}
-
 // finalChecker is an optional Instance extension for invariants that only
 // hold at the end of a stream (e.g. the AKLY approximation ratio, which is
 // a with-high-probability bound too noisy to assert after every batch).
@@ -252,18 +246,19 @@ type Report struct {
 	// FullCheckpoints and DeltaCheckpoints count the checkpoint containers
 	// written by kind (crash-instant and CheckpointEvery combined).
 	FullCheckpoints, DeltaCheckpoints int
-	// Faults counts the injected machine losses (Options.FaultEvery),
-	// Reshards the snapshot-driven state migrations that recovered from
-	// them, and ReplayedBatches the batches re-applied during recovery
-	// (everything since the last checkpoint plus the in-flight batch).
-	Faults, Reshards, ReplayedBatches int
+	// Faults counts the injected machine losses (Options.FaultEvery), each
+	// recovered by one session.Session.RecoverOnto, and ReplayedBatches the
+	// batches re-applied during recovery (everything since the last
+	// checkpoint plus the in-flight batch).
+	Faults, ReplayedBatches int
 	// Stats is the final instance's cluster statistics, summed over every
 	// cluster it runs on (SumStats). A restored instance carries the Stats
 	// of the run it was checkpointed from.
 	Stats mpc.Stats
 	// Searches is the run's replacement-search counters, added up over every
-	// instance the run used; nil unless the algorithm exposes them
-	// (connectivity). Searches.Exhausted counts the searches that spent every
+	// instance the run used (session.Session.Counters); nil unless the
+	// algorithm runs replacement searches (connectivity, bipartite,
+	// approxmsf). Searches.Exhausted counts the searches that spent every
 	// sketch copy with an active supernode left.
 	Searches *core.SearchStats
 }
@@ -275,8 +270,7 @@ func (r *Report) String() string {
 		crashes = fmt.Sprintf(", %d crash/restore cycles", r.Crashes)
 	}
 	if r.Faults > 0 {
-		crashes += fmt.Sprintf(", %d machine faults (%d reshards, %d batches replayed)",
-			r.Faults, r.Reshards, r.ReplayedBatches)
+		crashes += fmt.Sprintf(", %d machine faults (%d batches replayed)", r.Faults, r.ReplayedBatches)
 	}
 	if r.Searches != nil && r.Searches.Exhausted > 0 {
 		crashes += fmt.Sprintf(", %d replacement searches exhausted", r.Searches.Exhausted)
@@ -347,42 +341,19 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 	fail := func(format string, args ...any) (Instance, Options, *Report, error) {
 		return nil, opt, nil, fmt.Errorf("harness: %s over %s"+format, append([]any{algo.Name, sc.Name}, args...)...)
 	}
-	checkpoint := func() error {
-		cut, err := sess.Checkpoint()
-		if err != nil {
-			return fmt.Errorf("checkpoint (%s): %w", cut.Kind, err)
-		}
-		if cut.Kind == snapshot.KindDelta {
+	// tally counts the container a checkpoint or a recovery's re-base wrote.
+	tally := func(cut session.Cut, err error) error {
+		if err == nil && cut.Kind == snapshot.KindDelta {
 			rep.DeltaCheckpoints++
-		} else {
+		} else if err == nil {
 			rep.FullCheckpoints++
 		}
-		return nil
+		return err
 	}
 	// pending journals the batches applied since the last checkpoint — the
 	// replay set of a fault.
 	var pending []graph.Batch
 	inst := func() Instance { return sess.State().(Instance) }
-	// The search counters are not checkpointed: a restore or a fault
-	// recovery replaces the instance and they start over, so each instance
-	// is read out before it is dropped.
-	countSearches := func() {
-		c, ok := inst().(searchCounter)
-		if !ok {
-			return
-		}
-		if rep.Searches == nil {
-			rep.Searches = new(core.SearchStats)
-		}
-		s, t := rep.Searches, c.SearchStats()
-		s.Searches += t.Searches
-		s.Levels += t.Levels
-		s.QueryFails += t.QueryFails
-		s.Refills += t.Refills
-		s.Exhausted += t.Exhausted
-		s.SketchesSummed += t.SketchesSummed
-		s.SketchesSkipped += t.SketchesSkipped
-	}
 	for i := 0; i < opt.Batches; i++ {
 		b := gen.Next(size)
 		if len(b) == 0 {
@@ -399,12 +370,10 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 				// and re-bases the chain at the new shape; batch i itself
 				// is replayed by the Apply below, on the recovered
 				// instance.
-				countSearches()
-				if err := recoverFault(sess, machines-1, pending, checkpoint); err != nil {
+				if err := tally(sess.RecoverOnto(machines-1, pending)); err != nil {
 					return fail(": machine fault at batch %d: %w", i, err)
 				}
 				rep.Faults++
-				rep.Reshards++
 				rep.ReplayedBatches += len(pending) + 1 // + the in-flight batch
 				pending = pending[:0]
 			}
@@ -424,7 +393,7 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 			rep.Checks++
 		}
 		if opt.CheckpointEvery > 0 && (i+1)%opt.CheckpointEvery == 0 {
-			if err := checkpoint(); err != nil {
+			if err := tally(sess.Checkpoint()); err != nil {
 				return fail(": checkpoint at batch %d: %w", i, err)
 			}
 			pending = pending[:0]
@@ -434,8 +403,7 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 			// the chain, so the crash-instant state is the tip), dropped,
 			// and a fresh one restored from the whole chain. The generator
 			// (the outside world) survives; only the cluster state dies.
-			countSearches()
-			err := checkpoint()
+			err := tally(sess.Checkpoint())
 			if err == nil {
 				_, err = sess.Restore()
 			}
@@ -460,7 +428,7 @@ func runScenario(algo Algorithm, sc workload.Scenario, opt Options) (Instance, O
 	}
 	rep.FinalEdges = gen.Mirror().M()
 	rep.Stats = SumStats(inst().Clusters())
-	countSearches()
+	rep.Searches = sess.Counters().Searches
 	opt.VerticesPerMachine = sess.Shape().VerticesPerMachine
 	return inst(), opt, rep, nil
 }
@@ -480,24 +448,5 @@ func newSession(algo Algorithm, opt Options) (*session.Session, error) {
 	if opt.CrashEvery > 0 || opt.CheckpointEvery > 0 || opt.FaultEvery > 0 {
 		cfg.Chain = snapshot.OpenChainIn(snapshot.NewMemStore(), algo.Name, opt.MaxDeltaChain)
 	}
-	return session.New(cfg)
-}
-
-// recoverFault is the supervised recovery from the loss of one machine:
-// the session re-shards its last checkpoint onto the survivors, the
-// journaled batches are replayed on the recovered instance, and the
-// checkpoint that follows re-bases the chain at the new shape.
-func recoverFault(sess *session.Session, survivors int, pending []graph.Batch, checkpoint func() error) error {
-	if err := sess.RecoverOnto(survivors); err != nil {
-		return err
-	}
-	for j, b := range pending {
-		if err := sess.Apply(b); err != nil {
-			return fmt.Errorf("replay batch %d of %d: %w", j+1, len(pending), err)
-		}
-	}
-	if err := checkpoint(); err != nil {
-		return fmt.Errorf("re-base: %w", err)
-	}
-	return nil
+	return session.Open(cfg)
 }

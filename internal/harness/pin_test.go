@@ -157,7 +157,7 @@ func pinSession(t *testing.T, par int) (full, delta []byte) {
 	store := snapshot.NewMemStore()
 	shape := pinShape
 	shape.Parallelism = par
-	s, err := session.New(session.Config{
+	s, err := session.Open(session.Config{
 		Shape:  shape,
 		New:    func(sh session.Shape) (session.State, error) { return core.NewDynamicConnectivity(sh) },
 		Chain:  snapshot.OpenChainIn(store, "pin", 4),

@@ -246,6 +246,15 @@ func (a *ApproxMSF) Clusters() []*mpc.Cluster {
 	return out
 }
 
+// SearchStats sums the replacement-search counters of every level.
+func (a *ApproxMSF) SearchStats() core.SearchStats {
+	var s core.SearchStats
+	for _, dc := range a.levels {
+		s.Add(dc.SearchStats())
+	}
+	return s
+}
+
 // MaxBatch returns the largest accepted batch.
 func (a *ApproxMSF) MaxBatch() int { return a.levels[0].MaxBatch() }
 

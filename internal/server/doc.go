@@ -24,10 +24,11 @@
 // every later op, reads included, with the failure (500); a read that
 // meets an exited applier gets 503. Handlers see only the fleet's shape
 // (its core.Config, which admission's MaxBatch and the machine count read),
-// published by the applier. Counters that the state keeps itself (cache
-// hits and misses, replacement searches) are added to the instance's own by
-// the applier after every op, so a scrape never reads the state and a
-// resize's fresh state does not take them back to zero.
+// published by the applier. Counters that a state keeps itself (cache hits
+// and misses, replacement searches) are summed by the session over every
+// state it ran (session.Session.Counters), so a resize's fresh state does
+// not take them back to zero; the applier copies that sum into the
+// instance's metrics after every op, so a scrape never reads the session.
 //
 // # Endpoints
 //
@@ -117,9 +118,11 @@
 // the journal into the state and the mirror alike —
 // mpcserve_restore_replayed_updates_total says how many updates. An apply
 // error is terminal: the applier discards the instance's queued batches and
-// answers every later op with the error. New restores any instance whose
-// base exists, after config-echo validation and at the fleet shape the
-// checkpoint was cut at, and the restored label cache keeps warm queries
+// answers every later op with the error. New opens every instance with
+// session.Open, which restores any instance whose base exists — after
+// sweeping the temp files an interrupted write left, config-echo validation
+// and at the fleet shape the checkpoint was cut at — and starts the others
+// empty; the restored label cache keeps warm queries
 // warm: answers after a graceful restart are bit-identical to a process
 // that never restarted. Checkpoints written by a build from before
 // internal/session carry a different meta section tag and are rejected with

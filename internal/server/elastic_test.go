@@ -255,8 +255,9 @@ func TestServerResizeErrors(t *testing.T) {
 
 // TestCountersSurviveResize pins that no counter of the scrape goes down
 // across a live resize. The fresh fleet's state counts cache hits and misses
-// and replacement searches from zero again; the instance adds what each state
-// counted to counters of its own.
+// and replacement searches from zero again; the session folds what the
+// replaced state counted into its own sum (session.Session.Counters), which
+// the instance copies into its metrics.
 func TestCountersSurviveResize(t *testing.T) {
 	srv, ts := newTestServer(t, testConfig(t))
 	traffic := func() {

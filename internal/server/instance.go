@@ -63,9 +63,6 @@ type instance struct {
 	// machine count) read it from other goroutines. cfg itself stays
 	// immutable — handlers read cfg.N.
 	shape atomic.Pointer[core.Config]
-	// seen is what the live state had counted when its counters were last
-	// folded into metrics (foldCounters). Applier only; publish zeroes it.
-	seen stateCounters
 
 	// quiesced is true while a non-batch op holds admission; per-instance
 	// readiness reports 503 for its duration so load balancers steer around
@@ -93,13 +90,6 @@ type op struct {
 	done  chan<- error
 }
 
-// stateCounters are the counters a live state keeps itself and a resize's
-// fresh state starts again from zero.
-type stateCounters struct {
-	hits, misses uint64
-	search       core.SearchStats
-}
-
 // applyFailure records the first applier error; the instance refuses all
 // traffic afterwards (its state may be mid-batch).
 type applyFailure struct{ err error }
@@ -125,17 +115,10 @@ func newInstance(id int, cfg core.Config, queueDepth int, chain *snapshot.Chain)
 		Mirror: in.mirror,
 	}
 	var err error
-	restored := false
-	if chain != nil {
-		in.sess, restored, err = session.Resume(scfg)
-	}
-	if err == nil && !restored {
-		in.sess, err = session.New(scfg)
-	}
-	if err != nil {
+	if in.sess, err = session.Open(scfg); err != nil {
 		return nil, fmt.Errorf("server: instance %d: %w", id, err)
 	}
-	if restored {
+	if chain != nil {
 		in.replayedUpdates.Store(uint64(chain.Replayed().Updates))
 	}
 	in.publish()
@@ -148,30 +131,24 @@ func (in *instance) live() *core.DynamicConnectivity {
 	return in.sess.State().(*core.DynamicConnectivity)
 }
 
-// publish exposes the live fleet's shape to the other goroutines and starts
-// counting the live state's counters afresh. The caller owns the session
-// (construction, or the applier).
+// publish exposes the live fleet's shape to the other goroutines. The
+// caller owns the session (construction, or the applier).
 func (in *instance) publish() {
 	shape := in.live().Config()
 	in.shape.Store(&shape)
-	in.seen = stateCounters{}
 	in.restoreCycles.Store(in.sess.RestoreCycles())
 }
 
-// foldCounters adds what the live state counted since the last fold to the
-// instance's metrics, which carry on across a resize. The applier calls it
-// after every op.
+// foldCounters copies the session's counters — summed over every state it
+// ran, so a resize resets none (session.Session.Counters) — into the
+// instance's metrics. The applier calls it after every op.
 func (in *instance) foldCounters() {
-	dc := in.live()
-	var now stateCounters
-	now.hits, now.misses = dc.QueryCacheStats()
-	now.search = dc.SearchStats()
-	in.cacheHits.Add(now.hits - in.seen.hits)
-	in.cacheMisses.Add(now.misses - in.seen.misses)
-	in.searchExhausted.Add(now.search.Exhausted - in.seen.search.Exhausted)
-	in.searchRefills.Add(now.search.Refills - in.seen.search.Refills)
-	in.sketchesSummed.Add(now.search.SketchesSummed - in.seen.search.SketchesSummed)
-	in.seen = now
+	c := in.sess.Counters()
+	in.cacheHits.Store(c.CacheHits)
+	in.cacheMisses.Store(c.CacheMisses)
+	in.searchExhausted.Store(c.Searches.Exhausted)
+	in.searchRefills.Store(c.Searches.Refills)
+	in.sketchesSummed.Store(c.Searches.SketchesSummed)
 }
 
 // applier is the instance's one goroutine on the session: it serves every

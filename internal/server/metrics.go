@@ -24,8 +24,9 @@ type metrics struct {
 	batchesRejected atomic.Uint64
 	queryBatches    atomic.Uint64
 	restoreCycles   atomic.Uint64
-	// The live state's own counters, folded in by the applier after every
-	// op (instance.foldCounters): a scrape never reads the state.
+	// The session's counters (session.Session.Counters), copied in by the
+	// applier after every op (instance.foldCounters): a scrape never reads
+	// the session.
 	cacheHits, cacheMisses                         atomic.Uint64
 	searchExhausted, searchRefills, sketchesSummed atomic.Uint64
 	// replayedUpdates counts the journaled updates the delta containers of

@@ -89,8 +89,8 @@ type Server struct {
 // an instance — a full base snapshot plus any delta files — that instance is
 // restored from it (config-echo and chain-identity validated), so a
 // gracefully stopped server resumes bit-identically; instances without a
-// base start empty. Stale temp files from a checkpoint interrupted mid-write
-// are swept before loading.
+// base start empty (session.Open). Stale temp files from a checkpoint
+// interrupted mid-write are swept before loading (snapshot.Chain.Restore).
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 16
@@ -113,12 +113,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		var chain *snapshot.Chain
 		if cfg.CheckpointDir != "" {
-			path := instancePath(cfg.CheckpointDir, i)
-			if _, err := snapshot.SweepStaleTemps(path); err != nil {
-				s.stopInstances()
-				return nil, fmt.Errorf("server: sweeping stale temps for instance %d: %w", i, err)
-			}
-			chain = snapshot.OpenChain(path, cfg.MaxDeltaChain)
+			chain = snapshot.OpenChain(instancePath(cfg.CheckpointDir, i), cfg.MaxDeltaChain)
 		}
 		in, err := newInstance(i, icfg, cfg.QueueDepth, chain)
 		if err != nil {

@@ -9,6 +9,35 @@
 // A Session takes no locks: callers that share one across goroutines
 // serialize its methods themselves (see internal/server).
 //
+// # Lifetime
+//
+// Open is the one way to start: it resumes from the chain when the chain
+// holds a base (sweeping, on a snapshot.FileStore, the temp files an
+// interrupted write left; snapshot.Chain.Restore), and starts a fresh state
+// at the configured shape otherwise. From then on the live state is
+// replaced in three ways, and each is a Session method:
+//
+//   - Restore reloads the chain (a crash, or a restart).
+//   - Resize migrates the state onto a fleet of exactly the requested size
+//     and re-bases the chain there with a full checkpoint.
+//   - RecoverOnto is recovery from machine loss, the whole of it: the live
+//     state is poisoned, so the last checkpoint is restored (the empty state
+//     when there is none), migrated onto the largest fleet of at most the
+//     surviving machines that exists (never below one vertex machine plus
+//     the coordinator: a further loss is replaced), the batches the caller
+//     applied since that checkpoint are replayed, and a full checkpoint
+//     re-bases the chain at the new shape. Its Cut is returned; the caller
+//     only keeps the replay list. The mirror is not the fleet's, so a
+//     machine loss leaves it as it was.
+//
+// What a state counts about its own work — replacement searches
+// (core.SearchStats) and label-cache hits and misses — is not algorithm
+// state: no checkpoint carries it, and a restored or migrated state counts
+// from zero. Every replacement therefore folds the outgoing state's counts
+// into the session, and Session.Counters is the sum over every state the
+// session replaced plus the live one. The sum lives in memory only: a
+// process that restarts counts from zero again.
+//
 // # Checkpoint layout
 //
 // Every container a Session writes starts with the meta echo — vertex count,
@@ -31,6 +60,7 @@ package session
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"time"
 
@@ -61,9 +91,10 @@ type Shape = core.Config
 
 // Config parameterizes a Session.
 type Config struct {
-	// Shape is the initial fleet shape. Resume cross-checks N, Phi and Seed
-	// against the checkpoint and takes VerticesPerMachine from it; with N
-	// zero it adopts all four from the checkpoint.
+	// Shape is the initial fleet shape. Open on a chain with a base
+	// cross-checks N, Phi and Seed against the checkpoint and takes
+	// VerticesPerMachine from it; with N zero it adopts all four from the
+	// checkpoint, and a chain without a base is an error.
 	Shape Shape
 	// New builds a fresh, empty state at the given shape.
 	New func(Shape) (State, error)
@@ -74,8 +105,8 @@ type Config struct {
 	Mirror *Mirror
 }
 
-// Session owns one live state, its checkpoint chain, and the counters the
-// meta echo persists.
+// Session owns one live state, its checkpoint chain, the counters the meta
+// echo persists, and the counters of the states it replaced.
 type Session struct {
 	cfg     Config
 	state   State
@@ -84,30 +115,35 @@ type Session struct {
 	mirror  *Mirror
 	applied int
 	cycles  uint64
+	folded  Counters
 }
 
-// New starts a session on a fresh state at cfg.Shape.
-func New(cfg Config) (*Session, error) {
-	s := open(cfg)
-	var err error
-	if s.state, err = cfg.New(cfg.Shape); err != nil {
+// Open starts a session: restored from cfg.Chain when it holds a base, on a
+// fresh state at cfg.Shape otherwise.
+func Open(cfg Config) (*Session, error) {
+	s := &Session{cfg: cfg, shape: cfg.Shape, chain: cfg.Chain, mirror: cfg.Mirror}
+	if err := s.restart(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Resume starts a session from the checkpoint chain in cfg.Chain. ok is
-// false (and the session nil) when the chain holds no base.
-func Resume(cfg Config) (s *Session, ok bool, err error) {
-	s = open(cfg)
-	if ok, err = s.Restore(); !ok {
-		return nil, false, err
+// restart replaces the live state with the chain's, or — when the chain
+// holds no base — with a fresh empty state at the live shape.
+func (s *Session) restart() error {
+	if ok, err := s.Restore(); ok || err != nil {
+		return err
 	}
-	return s, true, nil
-}
-
-func open(cfg Config) *Session {
-	return &Session{cfg: cfg, shape: cfg.Shape, chain: cfg.Chain, mirror: cfg.Mirror}
+	if s.shape.N == 0 {
+		return errors.New("session: no snapshot to take the shape from")
+	}
+	fresh, err := s.cfg.New(s.shape)
+	if err != nil {
+		return err
+	}
+	s.replace(fresh)
+	s.applied = 0
+	return nil
 }
 
 // SetChain redirects future checkpoints to c. A chain that did not
@@ -116,6 +152,46 @@ func (s *Session) SetChain(c *snapshot.Chain) { s.chain = c }
 
 // State returns the live state. Restore, Resize and RecoverOnto replace it.
 func (s *Session) State() State { return s.state }
+
+// Counters is what the states of a session count about their own work (see
+// the package doc, "# Lifetime").
+type Counters struct {
+	// Searches sums the replacement searches; nil when the algorithm runs
+	// none (its state has no SearchStats method).
+	Searches *core.SearchStats
+	// CacheHits and CacheMisses count the query batches a label cache
+	// answered alone and those that ran its fill collective (zero without
+	// one).
+	CacheHits, CacheMisses uint64
+}
+
+// plus returns c with what st counted added.
+func (c Counters) plus(st State) Counters {
+	if s, ok := st.(interface{ SearchStats() core.SearchStats }); ok {
+		sum := s.SearchStats()
+		if c.Searches != nil {
+			sum.Add(*c.Searches)
+		}
+		c.Searches = &sum
+	}
+	if q, ok := st.(interface{ QueryCacheStats() (hits, misses uint64) }); ok {
+		hits, misses := q.QueryCacheStats()
+		c.CacheHits += hits
+		c.CacheMisses += misses
+	}
+	return c
+}
+
+// Counters returns the counters of every state the session replaced plus
+// the live state's.
+func (s *Session) Counters() Counters { return s.folded.plus(s.state) }
+
+// replace installs fresh as the live state, folding what the outgoing one
+// counted into the session first.
+func (s *Session) replace(fresh State) {
+	s.folded = s.folded.plus(s.state)
+	s.state = fresh
+}
 
 // Mirror returns the companion mirror (nil when the session has none).
 func (s *Session) Mirror() *Mirror { return s.mirror }
@@ -227,23 +303,24 @@ func (s *Session) Resize(machines int) (Cut, error) {
 	return cut, nil
 }
 
-// RecoverOnto is recovery from machine loss: the live state is poisoned, so
-// the last checkpoint (or the empty state, if there is none) is restored
-// and migrated onto the at most machines survivors. A loss that would leave
-// no vertex machine recovers onto the minimum fleet, one vertex machine plus
-// the coordinator: the lost machine is replaced. The caller replays whatever
-// it applied since that checkpoint and then checkpoints, which re-bases the
-// chain at the new shape.
-func (s *Session) RecoverOnto(machines int) error {
-	ok, err := s.Restore()
-	if err != nil {
-		return err
+// RecoverOnto is recovery from machine loss (package doc, "# Lifetime"):
+// the last checkpoint — or the empty state, if there is none — restored in
+// place of the poisoned live state, migrated onto the largest fleet of at
+// most machines machines that exists, since (the batches applied after that
+// checkpoint) replayed, and the chain re-based at the new shape. It returns
+// the re-base's Cut (the zero Cut without a chain). The mirror is the front
+// door's, not the fleet's: the loss leaves it as it was, holding since.
+func (s *Session) RecoverOnto(machines int, since []graph.Batch) (Cut, error) {
+	var kept *graph.Graph
+	if s.mirror != nil {
+		kept = s.mirror.g
 	}
-	if !ok {
-		if s.state, err = s.cfg.New(s.shape); err != nil {
-			return err
-		}
-		s.applied = 0
+	err := s.restart()
+	if s.mirror != nil {
+		s.mirror.g = kept
+	}
+	if err != nil {
+		return Cut{}, err
 	}
 	// Equal vertex ranges do not realize every fleet size; the survivors
 	// then form the largest fleet that exists.
@@ -253,16 +330,28 @@ func (s *Session) RecoverOnto(machines int) error {
 			break
 		}
 		if m <= 2 {
-			return err
+			return Cut{}, err
 		}
 	}
-	return s.migrate(tcfg.VerticesPerMachine)
+	if err := s.migrate(tcfg.VerticesPerMachine); err != nil {
+		return Cut{}, err
+	}
+	for j, b := range since {
+		if err := s.Apply(b); err != nil {
+			return Cut{}, fmt.Errorf("replay batch %d of %d: %w", j+1, len(since), err)
+		}
+	}
+	cut, err := s.Checkpoint()
+	if err != nil {
+		return cut, fmt.Errorf("re-base: %w", err)
+	}
+	return cut, nil
 }
 
 // migrate is the one state migration: the live state is saved in memory and
-// loaded into a fresh fleet at the target shape, which replaces it; the
-// chain is severed from its old-shape history. A refused migration
-// leaves the session as it was.
+// loaded into a fresh fleet at the target shape, which replaces it (its
+// counters folded into the session's); the chain is severed from its
+// old-shape history. A refused migration leaves the session as it was.
 func (s *Session) migrate(verticesPerMachine int) error {
 	target := s.shape
 	target.VerticesPerMachine = verticesPerMachine
@@ -277,7 +366,8 @@ func (s *Session) migrate(verticesPerMachine int) error {
 	if err := snapshot.Load(&buf, fresh); err != nil {
 		return &ResizeError{ResizeMigrate, fmt.Errorf("session: re-shard onto VerticesPerMachine=%d: %w", verticesPerMachine, err)}
 	}
-	s.state, s.shape = fresh, target
+	s.replace(fresh)
+	s.shape = target
 	if s.chain != nil {
 		s.chain.Rebase()
 	}
@@ -368,7 +458,8 @@ func (im image) Restore(d *snapshot.Decoder) error {
 	if err := fresh.Restore(d); err != nil {
 		return err
 	}
-	s.state, s.shape, s.applied, s.cycles = fresh, sh, applied, cycles
+	s.replace(fresh)
+	s.shape, s.applied, s.cycles = sh, applied, cycles
 	return nil
 }
 

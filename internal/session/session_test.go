@@ -105,7 +105,7 @@ func fingerprintOf(s *Session) fingerprint {
 func lifecycle(t *testing.T, store snapshot.Store, path string, par int, batches []graph.Batch) fingerprint {
 	t.Helper()
 	open := func() *snapshot.Chain { return snapshot.OpenChainIn(store, path, 4) }
-	s, err := New(testConfig(par, open(), nil))
+	s, err := Open(testConfig(par, open(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +116,9 @@ func lifecycle(t *testing.T, store snapshot.Store, path string, par int, batches
 	live := fingerprintOf(s)
 
 	// Kill: nothing of the process survives but the store.
-	s, ok, err := Resume(testConfig(par, open(), nil))
-	if err != nil || !ok {
-		t.Fatalf("resume = (%v, %v)", ok, err)
+	s, err = Open(testConfig(par, open(), nil))
+	if err != nil {
+		t.Fatalf("resume: %v", err)
 	}
 	if got := fingerprintOf(s); !reflect.DeepEqual(got, live) {
 		t.Fatalf("restored state differs from the killed one:\n  got  %+v\n  want %+v", got, live)
@@ -141,9 +141,9 @@ func lifecycle(t *testing.T, store snapshot.Store, path string, par int, batches
 	cut(t, s, snapshot.KindDelta)
 	live = fingerprintOf(s)
 
-	s, ok, err = Resume(testConfig(par, open(), nil))
-	if err != nil || !ok {
-		t.Fatalf("resume at the new shape = (%v, %v)", ok, err)
+	s, err = Open(testConfig(par, open(), nil))
+	if err != nil {
+		t.Fatalf("resume at the new shape: %v", err)
 	}
 	if got := fingerprintOf(s); !reflect.DeepEqual(got, live) {
 		t.Fatalf("state restored at the new shape differs:\n  got  %+v\n  want %+v", got, live)
@@ -163,7 +163,7 @@ func TestLifecycleBothStores(t *testing.T) {
 	batches := stream(t, 10)
 	var first fingerprint
 	for _, par := range []int{1, 8} {
-		twin, err := New(testConfig(par, nil, nil))
+		twin, err := Open(testConfig(par, nil, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestFailedPutKeepsEverything(t *testing.T) {
 	batches := stream(t, 6)
 	store := &flakyStore{Store: snapshot.NewMemStore()}
 	open := func() *snapshot.Chain { return snapshot.OpenChainIn(store, "s", 4) }
-	s, err := New(testConfig(1, open(), nil))
+	s, err := Open(testConfig(1, open(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +250,9 @@ func TestFailedPutKeepsEverything(t *testing.T) {
 		t.Fatal("checkpoint through a failing store succeeded")
 	}
 	store.broken = false
-	old, ok, err := Resume(testConfig(1, open(), nil))
-	if err != nil || !ok {
-		t.Fatalf("previous chain no longer restores: (%v, %v)", ok, err)
+	old, err := Open(testConfig(1, open(), nil))
+	if err != nil {
+		t.Fatalf("previous chain no longer restores: %v", err)
 	}
 	if got := fingerprintOf(old); !reflect.DeepEqual(got, durable) {
 		t.Errorf("previous chain restores to a different state:\n  got  %+v\n  want %+v", got, durable)
@@ -260,16 +260,16 @@ func TestFailedPutKeepsEverything(t *testing.T) {
 
 	cut(t, s, snapshot.KindFull)
 	live := fingerprintOf(s)
-	fresh, ok, err := Resume(testConfig(1, open(), nil))
-	if err != nil || !ok {
-		t.Fatalf("resume after the retry = (%v, %v)", ok, err)
+	fresh, err := Open(testConfig(1, open(), nil))
+	if err != nil {
+		t.Fatalf("resume after the retry: %v", err)
 	}
 	if got := fingerprintOf(fresh); !reflect.DeepEqual(got, live) {
 		t.Errorf("retried checkpoint lost state:\n  got  %+v\n  want %+v", got, live)
 	}
 }
 
-// TestOldFrontEndLayoutsRejectedByTag feeds Resume the two meta layouts
+// TestOldFrontEndLayoutsRejectedByTag feeds Open the two meta layouts
 // front-end checkpoints carried before the Session existed (mpcserve's
 // section 0x60, mpcstream's 0x50): both are rejected with a section-tag
 // diagnostic before a state is built or the mirror touched — never migrated.
@@ -314,9 +314,9 @@ func TestOldFrontEndLayoutsRejectedByTag(t *testing.T) {
 			if err := cfg.Mirror.Admit(graph.Batch{graph.Ins(0, 1)}); err != nil {
 				t.Fatal(err)
 			}
-			_, ok, err := Resume(cfg)
-			if err == nil || ok {
-				t.Fatalf("old-layout checkpoint accepted: (%v, %v)", ok, err)
+			_, err = Open(cfg)
+			if err == nil {
+				t.Fatal("old-layout checkpoint accepted")
 			}
 			want := fmt.Sprintf("found section %#x where %#x was expected", tc.meta, tagMeta)
 			if !strings.Contains(err.Error(), want) {
@@ -345,7 +345,7 @@ func TestDeltaJournalsEachUpdateOnce(t *testing.T) {
 	} {
 		store := snapshot.NewMemStore()
 		open := func() *snapshot.Chain { return snapshot.OpenChainIn(store, "s", 4) }
-		s, err := New(testConfig(1, open(), nil))
+		s, err := Open(testConfig(1, open(), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,9 +359,9 @@ func TestDeltaJournalsEachUpdateOnce(t *testing.T) {
 		sizes[i] = c.Bytes
 		live := fingerprintOf(s)
 
-		r, ok, err := Resume(testConfig(1, open(), nil))
-		if err != nil || !ok {
-			t.Fatalf("resume = (%v, %v)", ok, err)
+		r, err := Open(testConfig(1, open(), nil))
+		if err != nil {
+			t.Fatalf("resume: %v", err)
 		}
 		if got := fingerprintOf(r); !reflect.DeepEqual(got, live) {
 			t.Errorf("tail of %d updates: restored session differs from the live one:\n  got  %+v\n  want %+v", len(tail), got, live)
@@ -380,15 +380,15 @@ func TestMirrorJournalSectionRejected(t *testing.T) {
 	batches := stream(t, 4)
 	store := snapshot.NewMemStore()
 	open := func() *snapshot.Chain { return snapshot.OpenChainIn(store, "s", 4) }
-	s, err := New(testConfig(1, open(), nil))
+	s, err := Open(testConfig(1, open(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	feed(t, s, batches, 0, 3)
 	cut(t, s, snapshot.KindFull)
-	r, ok, err := Resume(testConfig(1, open(), nil))
-	if err != nil || !ok {
-		t.Fatalf("resume of the base = (%v, %v)", ok, err)
+	r, err := Open(testConfig(1, open(), nil))
+	if err != nil {
+		t.Fatalf("resume of the base: %v", err)
 	}
 	atBase := fingerprintOf(r)
 	feed(t, s, batches, 3, 4)
@@ -434,7 +434,7 @@ func TestMirrorJournalSectionRejected(t *testing.T) {
 	if err := store.Put("s.delta-001", func(w io.Writer) error { _, err := w.Write(delta.Bytes()); return err }); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := Resume(testConfig(1, open(), nil)); ok || err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("resume over the mirror-journal delta = (%v, %v), want %q", ok, err, want)
+	if _, err := Open(testConfig(1, open(), nil)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume over the mirror-journal delta: error %v, want %q", err, want)
 	}
 }

@@ -37,8 +37,9 @@ type Chain struct {
 	tipID  uint64 // identity of the last container in the chain (base if seq==0)
 	seq    int    // number of deltas currently in the chain
 
-	// orphansRemoved counts stale delta files Restore deleted (leftovers of
-	// a crash between base rewrite and delta cleanup during compaction).
+	// orphansRemoved counts the stale files Restore deleted: delta files
+	// left by a crash between base rewrite and delta cleanup during
+	// compaction, and on a FileStore the temp files of an interrupted write.
 	orphansRemoved int
 	// replayed sums the journals the state replayed during the last Restore.
 	replayed Replay
@@ -76,7 +77,8 @@ func (c *Chain) Rebase() { c.linked = false }
 // Len returns the number of deltas currently extending the base.
 func (c *Chain) Len() int { return c.seq }
 
-// OrphansRemoved reports how many stale delta files the last Restore swept.
+// OrphansRemoved reports how many stale files the last Restore swept:
+// orphaned deltas and, on a FileStore, temp files an interrupted write left.
 func (c *Chain) OrphansRemoved() int { return c.orphansRemoved }
 
 // Replayed reports the update batches the last Restore replayed on top of the
@@ -176,7 +178,10 @@ func (c *Chain) countDeltas() int {
 
 // Restore loads the base snapshot and replays every delta that links to it,
 // in sequence, leaving the chain ready to extend with further deltas. It
-// returns (false, nil) when no base exists (fresh start). Chain-identity
+// returns (false, nil) when no base exists (fresh start). On a FileStore it
+// first sweeps the temp files an interrupted write left beside the chain
+// (sweepStaleTemps; a Chain is its directory's one writer, so no write is
+// in flight), counted in OrphansRemoved. Chain-identity
 // validation runs per delta before any of that delta's state is touched:
 // a delta naming a different base is an orphan from a crash mid-compaction
 // and is removed (counted in OrphansRemoved) along with everything after
@@ -187,6 +192,12 @@ func (c *Chain) Restore(state State) (bool, error) {
 	c.linked = false
 	c.orphansRemoved = 0
 	c.replayed = Replay{}
+	if _, ok := c.store.(FileStore); ok {
+		swept, err := sweepStaleTemps(c.path)
+		if c.orphansRemoved = len(swept); err != nil {
+			return false, fmt.Errorf("sweeping stale temps beside %s: %w", c.path, err)
+		}
+	}
 	f, err := c.store.Open(c.path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil

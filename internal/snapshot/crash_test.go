@@ -3,7 +3,6 @@ package snapshot
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -77,7 +76,7 @@ func mustPanic(t *testing.T, f func()) {
 // dying at any stage of the atomic write (FileStore.Put) leaves either the
 // old snapshot complete or the new one complete — a load succeeds either way
 // and never sees a torn file. A death before the rename orphans the temp file, which
-// SweepStaleTemps then removes.
+// sweepStaleTemps then removes.
 func TestWriteFileAtomicCrashPoints(t *testing.T) {
 	for _, tc := range []struct {
 		stage     string
@@ -106,7 +105,7 @@ func TestWriteFileAtomicCrashPoints(t *testing.T) {
 			if got.value != tc.wantValue {
 				t.Errorf("crash at %s: loaded %d, want %d", tc.stage, got.value, tc.wantValue)
 			}
-			swept, err := SweepStaleTemps(path)
+			swept, err := sweepStaleTemps(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +140,7 @@ func TestSweepStaleTempsScope(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	swept, err := SweepStaleTemps(path)
+	swept, err := sweepStaleTemps(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestSweepStaleTempsScope(t *testing.T) {
 		}
 	}
 	// Missing directory: nothing to sweep, not an error.
-	if swept, err := SweepStaleTemps(filepath.Join(dir, "missing", "x.snap")); err != nil || swept != nil {
+	if swept, err := sweepStaleTemps(filepath.Join(dir, "missing", "x.snap")); err != nil || swept != nil {
 		t.Errorf("sweep of missing dir = (%v, %v), want (nil, nil)", swept, err)
 	}
 }
@@ -319,20 +318,20 @@ func TestChainCrashMidDeltaWrite(t *testing.T) {
 		t.Fatal("delta file exists even though the crash hit before rename")
 	}
 
-	// Restart: sweep finds the stranded delta temp, restore sees just the
-	// base (old-complete state), and the journal still holds the unacked
-	// churn so nothing is lost.
-	swept, err := SweepStaleTemps(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(swept) != 1 || !strings.Contains(swept[0], ".delta-001.tmp") {
-		t.Errorf("swept %v, want the stranded delta temp", swept)
+	// Restart: the restore sweeps the stranded delta temp and counts it,
+	// sees just the base (old-complete state), and the journal still holds
+	// the unacked churn so nothing is lost.
+	temps, err := filepath.Glob(path + ".delta-001.tmp*")
+	if err != nil || len(temps) != 1 {
+		t.Fatalf("want one stranded delta temp, have %v (%v)", temps, err)
 	}
 	proc2 := OpenChain(path, 2)
 	st2 := &counterState{tag: 3}
 	if ok, err := proc2.Restore(st2); err != nil || !ok {
 		t.Fatalf("restore = (%v, %v)", ok, err)
+	}
+	if _, err := os.Stat(temps[0]); !os.IsNotExist(err) || proc2.OrphansRemoved() != 1 {
+		t.Errorf("stranded temp still there (%v) or not counted: %d removed, want 1", err, proc2.OrphansRemoved())
 	}
 	if st2.value != 10 {
 		t.Errorf("restored %d, want the base's 10 (the torn delta must not apply)", st2.value)

@@ -36,8 +36,8 @@ func hitCrashPoint(stage string) {
 // temporary file in the same directory, fsyncs it, renames it over the name,
 // and fsyncs the directory so the rename itself is durable. A crash between
 // creating the temp file and the rename orphans the temp (that is the point:
-// the previous container survives); SweepStaleTemps removes such orphans and
-// is run by the restore paths before loading.
+// the previous container survives); Chain.Restore sweeps such orphans
+// before loading.
 type FileStore struct{}
 
 // Put implements Store. Every error, including the ones Close reports at the
@@ -136,14 +136,14 @@ func (m *MemStore) Remove(name string) error {
 	return nil
 }
 
-// SweepStaleTemps removes the temp files a died-mid-write process left next
+// sweepStaleTemps removes the temp files a died-mid-write process left next
 // to the snapshot at path: same directory, named after the snapshot (the
 // exact pattern FileStore.Put uses, including the delta files' temps), never
-// the live snapshot or its deltas themselves. Call it only before any writer
-// is live — the startup restore and resume paths do, which is the only time
-// an orphan can be told from an in-flight write. Returns the removed file
+// the live snapshot or its deltas themselves. Call it only while no write to
+// the chain is in flight — Chain.Restore does, which is the only time an
+// orphan can be told from an in-flight write. Returns the removed file
 // names; a missing directory is not an error (nothing to sweep).
-func SweepStaleTemps(path string) ([]string, error) {
+func sweepStaleTemps(path string) ([]string, error) {
 	dir := filepath.Dir(path)
 	base := filepath.Base(path)
 	entries, err := os.ReadDir(dir)

@@ -28,10 +28,10 @@ type ConvertOptions struct {
 	// DefaultConvertBatch). Batches also cut early whenever an edge would
 	// be touched twice, preserving the generator batch invariant.
 	BatchSize int
-	// MaxLineBytes bounds a single input line (default 16 MiB, matching
-	// streamio).
-	MaxLineBytes int
 }
+
+// maxLineBytes bounds a single input line (16 MiB, matching streamio).
+const maxLineBytes = 16 << 20
 
 // DefaultConvertBatch is the default updates-per-batch of the converter.
 const DefaultConvertBatch = 256
@@ -104,9 +104,6 @@ func ConvertEdgeList(r io.Reader, sink Sink, opt ConvertOptions) (ConvertStats, 
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = DefaultConvertBatch
 	}
-	if opt.MaxLineBytes <= 0 {
-		opt.MaxLineBytes = 16 << 20
-	}
 	c := &converter{
 		sink: sink,
 		opt:  opt,
@@ -115,7 +112,7 @@ func ConvertEdgeList(r io.Reader, sink Sink, opt ConvertOptions) (ConvertStats, 
 	}
 	c.stats.N = 0
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), opt.MaxLineBytes)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	for sc.Scan() {
 		c.stats.Lines++
 		if err := c.line(sc.Text()); err != nil {
@@ -124,7 +121,7 @@ func ConvertEdgeList(r io.Reader, sink Sink, opt ConvertOptions) (ConvertStats, 
 	}
 	if err := sc.Err(); err != nil {
 		if err == bufio.ErrTooLong {
-			return c.stats, fmt.Errorf("trace: convert: line %d: longer than %d bytes", c.stats.Lines+1, opt.MaxLineBytes)
+			return c.stats, fmt.Errorf("trace: convert: line %d: longer than %d bytes", c.stats.Lines+1, maxLineBytes)
 		}
 		return c.stats, fmt.Errorf("trace: convert: %w", err)
 	}

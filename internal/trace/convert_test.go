@@ -166,9 +166,7 @@ func TestConvertErrors(t *testing.T) {
 		{"empty input", "", "no usable edges", ConvertOptions{}},
 		{"only comments", "# nothing\n\n% here\n", "no usable edges", ConvertOptions{}},
 		{"only skipped edges", "3 3\n4 4\n", "no usable edges", ConvertOptions{}},
-		// bufio.Scanner's effective limit is max(MaxLineBytes, initial
-		// buffer cap = 64KB), so the oversized line must clear 64KB.
-		{"line too long", "0 1\n" + strings.Repeat("9", 70_000) + " 1\n", "longer than", ConvertOptions{MaxLineBytes: 1}},
+		{"line too long", "0 1\n" + strings.Repeat("9", maxLineBytes) + " 1\n", "longer than 16777216 bytes", ConvertOptions{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
