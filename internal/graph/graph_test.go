@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -318,5 +320,172 @@ func TestIDSpace(t *testing.T) {
 func TestOpString(t *testing.T) {
 	if Insert.String() != "insert" || Delete.String() != "delete" {
 		t.Error("Op.String wrong")
+	}
+}
+
+// TestOutOfRangeNeverAliases pins what every endpoint-taking method does
+// with a vertex outside [0, n) at n = 10, where the flat id of {0, 15} is
+// the id of the real edge {1, 5}: Has, Weight and Delete report the edge
+// absent, Insert, Neighbors and Degree panic, and none of them answers for
+// or touches another edge.
+func TestOutOfRangeNeverAliases(t *testing.T) {
+	g := New(10)
+	for _, e := range [][2]int{{1, 5}, {0, 9}, {2, 3}} {
+		if err := g.Insert(e[0], e[1], int64(e[0]+e[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for _, tc := range []struct {
+		name       string
+		u, v       int
+		absent     bool // Has, Weight and Delete report absent
+		insertPans bool // Insert panics rather than failing with an error
+	}{
+		{"{0,15} aliases {1,5}", 0, 15, true, true},
+		{"{15,0} aliases {1,5}", 15, 0, true, true},
+		{"{-1,15} aliases {0,5}", -1, 15, true, true},
+		{"{-10,19} aliases {0,9}", -10, 19, true, true},
+		{"{2,-7} aliases {0,3} past the sign", 2, -7, true, true},
+		{"{10,11}", 10, 11, true, true},
+		{"{0,0} is the empty mark", 0, 0, true, false},
+		{"{12,12} self-loop out of range", 12, 12, true, false},
+	} {
+		if g.Has(tc.u, tc.v) {
+			t.Errorf("%s: Has reports present", tc.name)
+		}
+		if w, ok := g.Weight(tc.u, tc.v); ok || w != 0 {
+			t.Errorf("%s: Weight = %d, %v, want 0, false", tc.name, w, ok)
+		}
+		if err := g.Delete(tc.u, tc.v); err == nil {
+			t.Errorf("%s: Delete succeeded", tc.name)
+		}
+		if got := panics(func() { _ = g.Insert(tc.u, tc.v, 1) }); got != tc.insertPans {
+			t.Errorf("%s: Insert panicked: %v, want %v", tc.name, got, tc.insertPans)
+		}
+	}
+	for _, u := range []int{-1, 10, 15} {
+		if !panics(func() { g.Degree(u) }) {
+			t.Errorf("Degree(%d) did not panic", u)
+		}
+		if !panics(func() { g.Neighbors(u, func(int, int64) bool { return true }) }) {
+			t.Errorf("Neighbors(%d) did not panic", u)
+		}
+	}
+	if g.M() != 3 || !g.Has(1, 5) || !g.Has(0, 9) || !g.Has(2, 3) || g.Degree(0) != 1 || g.Degree(1) != 1 {
+		t.Errorf("out-of-range calls changed the graph: %v", g.Edges())
+	}
+	if w, _ := g.Weight(5, 1); w != 6 {
+		t.Errorf("Weight(5,1) = %d, want 6", w)
+	}
+}
+
+// TestIterationOrderDeterministic pins that Edges and Neighbors order is a
+// function of the update history: two graphs fed the same batches, and a
+// Clone of one, iterate alike, before and after further updates.
+func TestIterationOrderDeterministic(t *testing.T) {
+	const n = 64
+	r := rand.New(rand.NewPCG(7, 11))
+	history := func() []Batch {
+		g := New(n)
+		var out []Batch
+		for len(out) < 40 {
+			var b Batch
+			for len(b) < 24 {
+				u, v := r.IntN(n), r.IntN(n)
+				if u == v || g.Has(u, v) && r.IntN(3) > 0 {
+					continue
+				}
+				if g.Has(u, v) {
+					b = append(b, Del(u, v))
+				} else {
+					b = append(b, InsW(u, v, int64(r.IntN(100))))
+				}
+				if g.Check(b) != nil {
+					b = b[:len(b)-1]
+				}
+			}
+			if err := g.Admit(b); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+	batches := history()
+	build := func(bs []Batch) *Graph {
+		g := New(n)
+		for _, b := range bs {
+			if err := g.Admit(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	order := func(g *Graph) string {
+		s := fmt.Sprint(g.Edges())
+		for u := 0; u < n; u++ {
+			g.Neighbors(u, func(v int, w int64) bool {
+				s += fmt.Sprintf(" %d-%d:%d", u, v, w)
+				return true
+			})
+		}
+		return s
+	}
+	half := len(batches) / 2
+	a, b := build(batches[:half]), build(batches[:half])
+	c := a.Clone()
+	want := order(a)
+	if order(b) != want || order(c) != want {
+		t.Fatal("graphs with the same history iterate in different orders")
+	}
+	for _, g := range []*Graph{a, b, c} {
+		for _, bt := range batches[half:] {
+			if err := g.Admit(bt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want = order(a); order(b) != want || order(c) != want {
+		t.Fatal("graphs with the same history iterate in different orders after further batches")
+	}
+}
+
+// TestFromEdges pins the bulk constructor: it builds exactly the listed
+// edge set, whatever the endpoint order, and refuses an endpoint out of
+// range, a self-loop and an edge listed twice.
+func TestFromEdges(t *testing.T) {
+	g, err := FromEdges(6, []WeightedEdge{{Edge: Edge{U: 4, V: 1}, Weight: 3}, NewWeightedEdge(0, 5, -2), NewWeightedEdge(1, 2, 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRef(6)
+	ref.apply(Batch{InsW(1, 4, 3), InsW(0, 5, -2), InsW(1, 2, 7)})
+	if err := ref.sameAs(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Admit(Batch{Ins(3, 4), Del(1, 2), Ins(2, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	ref.apply(Batch{Ins(3, 4), Del(1, 2), Ins(2, 5)})
+	if err := ref.sameAs(g); err != nil {
+		t.Fatalf("after a batch: %v", err)
+	}
+	for _, tc := range []struct {
+		edges []WeightedEdge
+		want  string
+	}{
+		{[]WeightedEdge{NewWeightedEdge(0, 1, 0), {Edge: Edge{U: 2, V: 6}}}, "graph: edge 1: {2,6} outside vertex range [0,6)"},
+		{[]WeightedEdge{{Edge: Edge{U: -1, V: 2}}}, "graph: edge 0: {-1,2} outside vertex range [0,6)"},
+		{[]WeightedEdge{{Edge: Edge{U: 3, V: 3}}}, "graph: edge 0: self-loop {3,3}"},
+		{[]WeightedEdge{NewWeightedEdge(0, 1, 0), NewWeightedEdge(2, 3, 0), {Edge: Edge{U: 1, V: 0}, Weight: 4}}, "graph: edge 2: {1,0} listed twice"},
+	} {
+		if _, err := FromEdges(6, tc.edges); err == nil || err.Error() != tc.want {
+			t.Errorf("FromEdges(%v) = %v, want %q", tc.edges, err, tc.want)
+		}
 	}
 }

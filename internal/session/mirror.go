@@ -2,6 +2,7 @@ package session
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/graph"
@@ -43,18 +44,26 @@ const tagMirror = 0x71
 // weight) rows in edge order, so two equal graphs write equal bytes whatever
 // their insertion history. edges are the rows to write, sorted; a load
 // passes none. Its install replaces the graph with one over the same vertex
-// count holding exactly the rows.
+// count holding exactly the rows, built in one presized pass
+// (graph.FromEdges).
 func (m *Mirror) image(edges []graph.WeightedEdge) *snapshot.Image {
 	n := m.g.N()
 	t := &snapshot.Table{Name: "graph edges", Len: len(edges), Row: func(r int, row []uint64) {
 		row[0], row[1], row[2] = uint64(edges[r].U), uint64(edges[r].V), uint64(edges[r].Weight)
 	}, Layout: snapshot.Layout{Width: 3, Key: 2, Order: "edge", Fields: []snapshot.Field{{Name: "u", Hi: n}, {Name: "v", Hi: n, Above: true}}}}
 	return &snapshot.Image{Pkg: "session", Sections: []snapshot.Section{{Tag: tagMirror, Parts: []snapshot.Part{t}}}, Install: func() {
-		m.g = graph.New(n)
-		for r := range t.Rows() {
+		rows := make([]graph.WeightedEdge, t.Rows())
+		for r := range rows {
 			row := t.At(r)
-			_ = m.g.Insert(int(row[0]), int(row[1]), int64(row[2])) // the layout rules out self-loops and repeats
+			rows[r] = graph.WeightedEdge{Edge: graph.Edge{U: int(row[0]), V: int(row[1])}, Weight: int64(row[2])}
 		}
+		g, err := graph.FromEdges(n, rows)
+		if err != nil {
+			// The layout checks (endpoints in range, u below v, strictly
+			// increasing) rule this out before the install runs.
+			panic(fmt.Sprintf("session: installing a checked mirror image: %v", err))
+		}
+		m.g = g
 	}}
 }
 

@@ -258,8 +258,6 @@ func (c *converter) flush() error {
 	c.stats.Batches++
 	c.stats.Updates += len(c.batch)
 	c.batch = nil
-	for e := range c.used {
-		delete(c.used, e)
-	}
+	clear(c.used)
 	return nil
 }

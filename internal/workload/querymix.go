@@ -63,8 +63,9 @@ func (q *QueryMix) NextQueriesFrom(salt uint64, k int) [][2]int {
 // drawQueries samples k pairs from prg against the current mirror.
 func (q *QueryMix) drawQueries(prg *hash.PRG, k int) [][2]int {
 	out := make([][2]int, 0, k)
-	// Edges() comes back in unspecified (map) order; sort so the sampled
-	// query stream is deterministic for a given seed and update prefix.
+	// Edges() comes back in an order that depends on the update history;
+	// sort so the sampled query stream depends only on the seed and the
+	// edge set.
 	edges := q.Mirror().Edges()
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].U != edges[j].U {

@@ -68,9 +68,9 @@ func coin(prg *hash.PRG, p float64) bool {
 	return float64(prg.NextN(1000))/1000 < p
 }
 
-// sortedEdges returns the live edges in canonical order. Graph.Edges
-// iterates map storage, so its order changes between runs; generators that
-// sample from an edge pool must sort it to stay deterministic.
+// sortedEdges returns the live edges in canonical order. Graph.Edges'
+// order depends on the update history, not only on the edge set; generators
+// that sample from an edge pool sort it so a draw depends on the set alone.
 func sortedEdges(g *graph.Graph) []graph.WeightedEdge {
 	es := g.Edges()
 	sort.Slice(es, func(i, j int) bool {
@@ -399,7 +399,7 @@ func (b *Bursty) Next(size int) graph.Batch {
 			neighbors = append(neighbors, v)
 			return true
 		})
-		sort.Ints(neighbors) // map order is not deterministic
+		sort.Ints(neighbors) // Neighbors' order depends on the update history
 		cleared := true
 		for _, v := range neighbors {
 			if len(st.b) >= size {
