@@ -215,17 +215,19 @@ func New(n int) *Graph {
 	return g
 }
 
-// FromEdges returns the graph on n vertices holding exactly edges, built in
-// one presized pass: every adjacency row is cut from one backing array and
-// the table never grows. It is how a restore installs a checkpointed edge
-// set. It fails on an endpoint outside [0, n), a self-loop or an edge listed
-// twice.
-func FromEdges(n int, edges []WeightedEdge) (*Graph, error) {
+// FromEdges returns the graph on n vertices holding exactly the m edges
+// edge(0), …, edge(m-1), built in one presized pass: every adjacency row is
+// cut from one backing array and the table never grows. It is how a restore
+// installs a checkpointed edge set, reading the rows where they lie. edge is
+// called twice for each i and must return the same edge both times. It
+// fails on an endpoint outside [0, n), a self-loop or an edge listed twice.
+func FromEdges(n, m int, edge func(i int) WeightedEdge) (*Graph, error) {
 	if n <= 0 || n > maxN {
 		panic(fmt.Sprintf("graph: FromEdges(%d)", n))
 	}
 	deg := make([]int, n)
-	for i, e := range edges {
+	for i := range m {
+		e := edge(i)
 		c := e.Canonical()
 		if c.U < 0 || c.V >= n {
 			return nil, fmt.Errorf("graph: edge %d: {%d,%d} outside vertex range [0,%d)", i, e.U, e.V, n)
@@ -237,8 +239,9 @@ func FromEdges(n int, edges []WeightedEdge) (*Graph, error) {
 		deg[c.V]++
 	}
 	g := rows(n, deg)
-	g.resize(tableSize(len(edges)))
-	for i, e := range edges {
+	g.resize(tableSize(m))
+	for i := range m {
+		e := edge(i)
 		c := e.Canonical()
 		id := g.id(c.U, c.V)
 		j, ok := g.find(id)

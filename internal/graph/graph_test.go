@@ -459,7 +459,10 @@ func TestIterationOrderDeterministic(t *testing.T) {
 // edge set, whatever the endpoint order, and refuses an endpoint out of
 // range, a self-loop and an edge listed twice.
 func TestFromEdges(t *testing.T) {
-	g, err := FromEdges(6, []WeightedEdge{{Edge: Edge{U: 4, V: 1}, Weight: 3}, NewWeightedEdge(0, 5, -2), NewWeightedEdge(1, 2, 7)})
+	fromList := func(edges []WeightedEdge) (*Graph, error) {
+		return FromEdges(6, len(edges), func(i int) WeightedEdge { return edges[i] })
+	}
+	g, err := fromList([]WeightedEdge{{Edge: Edge{U: 4, V: 1}, Weight: 3}, NewWeightedEdge(0, 5, -2), NewWeightedEdge(1, 2, 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +487,7 @@ func TestFromEdges(t *testing.T) {
 		{[]WeightedEdge{{Edge: Edge{U: 3, V: 3}}}, "graph: edge 0: self-loop {3,3}"},
 		{[]WeightedEdge{NewWeightedEdge(0, 1, 0), NewWeightedEdge(2, 3, 0), {Edge: Edge{U: 1, V: 0}, Weight: 4}}, "graph: edge 2: {1,0} listed twice"},
 	} {
-		if _, err := FromEdges(6, tc.edges); err == nil || err.Error() != tc.want {
+		if _, err := fromList(tc.edges); err == nil || err.Error() != tc.want {
 			t.Errorf("FromEdges(%v) = %v, want %q", tc.edges, err, tc.want)
 		}
 	}

@@ -50,3 +50,52 @@ func FuzzPRGDeterminism(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFourwiseMatchesHorner holds the table kernel to Horner's rule: for
+// any canonical coefficients and any point, Cubics.At, Cubics.Eval and
+// Cubics.Levels must give exactly Family.Hash and Family.Level. Field
+// arithmetic is exact, so three products and one reduction may not differ
+// from the Horner chain in a single bit. The table holds the fuzzed row, its
+// coefficients reversed and the fuzzed row again, so Eval and Levels also
+// run from a row offset.
+func FuzzFourwiseMatchesHorner(f *testing.F) {
+	const p = Prime
+	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), p, uint8(61))          // x = p
+	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), p+5, uint8(61))        // x above p
+	f.Add(uint64(5), uint64(6), uint64(7), uint64(8), ^uint64(0), uint8(64)) // x = 2^64 - 1
+	f.Add(uint64(9), uint64(8), uint64(7), uint64(6), uint64(0), uint8(61))
+	f.Add(uint64(9), uint64(8), uint64(7), uint64(6), uint64(1), uint8(3))
+	f.Add(uint64(9), uint64(8), uint64(7), uint64(6), p-1, uint8(25))
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(77), uint8(65)) // a zero hash: the level is the cap
+	f.Add(uint64(0), p-1, uint64(0), p-1, p-1, uint8(0))
+	f.Add(p-1, p-1, p-1, p-1, p-1, uint8(255))
+	f.Add(uint64(5), uint64(1), p-1, uint64(0), uint64(1), uint8(61)) // the products sum to exactly p
+	f.Add(p-1, uint64(0), uint64(0), uint64(1), uint64(1)<<61, uint8(1))
+	f.Fuzz(func(t *testing.T, c0, c1, c2, c3, x uint64, max uint8) {
+		row := []uint64{c0 % p, c1 % p, c2 % p, c3 % p}
+		fams := []*Family{
+			{coeffs: row},
+			{coeffs: []uint64{row[3], row[2], row[1], row[0]}},
+			{coeffs: row},
+		}
+		var tab Cubics
+		for _, fam := range fams {
+			tab.c = append(tab.c, fam.coeffs...)
+		}
+		hashes := make([]uint64, len(fams)-1)
+		levels := make([]uint8, len(fams)-1)
+		for lo := range 2 {
+			tab.Eval(x, lo, hashes)
+			tab.Levels(x, int(max), lo, levels)
+			for i := range hashes {
+				fam := fams[lo+i]
+				if want := fam.Hash(x); hashes[i] != want || tab.At(lo+i, x) != want {
+					t.Fatalf("row %d %v at %d: Eval %d, At %d, Horner %d", lo+i, fam.coeffs, x, hashes[i], tab.At(lo+i, x), want)
+				}
+				if want := fam.Level(x, int(max)); int(levels[i]) != want {
+					t.Fatalf("row %d %v at %d: Levels %d, Family.Level %d (cap %d)", lo+i, fam.coeffs, x, levels[i], want, max)
+				}
+			}
+		}
+	})
+}

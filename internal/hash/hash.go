@@ -18,19 +18,9 @@ import (
 // polynomial hash families in this package.
 const Prime uint64 = (1 << 61) - 1
 
-// mulMod returns (a*b) mod Prime using the hardware 128-bit product and
-// Mersenne reduction.
-func mulMod(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	// a, b < 2^61, so the product fits in 122 bits.
-	// Split product as hi*2^64 + lo and reduce modulo 2^61-1 using
-	// 2^61 ≡ 1 (mod p).
-	res := (lo & Prime) + (lo>>61 | hi<<3)
-	if res >= Prime {
-		res -= Prime
-	}
-	return res
-}
+// mulMod returns (a*b) mod Prime for a, b < Prime: the hardware 128-bit
+// product, below 2^122, and its Mersenne reduction.
+func mulMod(a, b uint64) uint64 { return fold(bits.Mul64(a, b)) }
 
 // addMod returns (a+b) mod Prime for a, b < Prime.
 func addMod(a, b uint64) uint64 {
@@ -96,15 +86,20 @@ func NewFamily(k int, prg *PRG) *Family {
 	if k < 1 {
 		panic(fmt.Sprintf("hash: NewFamily with k = %d < 1", k))
 	}
-	coeffs := make([]uint64, k)
-	for i := range coeffs {
-		coeffs[i] = prg.NextN(Prime)
+	return &Family{coeffs: draw(make([]uint64, 0, k), k, prg)}
+}
+
+// draw appends to dst the k coefficients of a random polynomial of degree
+// k-1, constant term first, drawn from prg.
+func draw(dst []uint64, k int, prg *PRG) []uint64 {
+	for range k {
+		dst = append(dst, prg.NextN(Prime))
 	}
 	// The leading coefficient must be nonzero for full independence.
-	if k > 1 && coeffs[k-1] == 0 {
-		coeffs[k-1] = 1
+	if k > 1 && dst[len(dst)-1] == 0 {
+		dst[len(dst)-1] = 1
 	}
-	return &Family{coeffs: coeffs}
+	return dst
 }
 
 // NewPairwise draws a member of a pairwise (2-wise) independent family.
@@ -113,14 +108,16 @@ func NewPairwise(prg *PRG) *Family { return NewFamily(2, prg) }
 // NewFourwise draws a member of a 4-wise independent family.
 func NewFourwise(prg *PRG) *Family { return NewFamily(4, prg) }
 
-// Hash evaluates the polynomial at x (reduced into the field first) and
-// returns a value in [0, Prime).
+// Hash evaluates the polynomial at x (reduced into the field first) by
+// Horner's rule from the leading coefficient and returns a value in
+// [0, Prime).
 func (f *Family) Hash(x uint64) uint64 {
 	if x >= Prime {
 		x %= Prime
 	}
-	var acc uint64
-	for i := len(f.coeffs) - 1; i >= 0; i-- {
+	k := len(f.coeffs) - 1
+	acc := f.coeffs[k]
+	for i := k - 1; i >= 0; i-- {
 		acc = addMod(mulMod(acc, x), f.coeffs[i])
 	}
 	return acc
@@ -142,8 +139,11 @@ func (f *Family) HashRange(x, n uint64) uint64 {
 // by l0-samplers. The coin flips are the bits of Hash(x) from the lowest up,
 // a set bit being tails, so the level is the hash's trailing zero count; a
 // zero hash has no tails and takes the cap whatever it is.
-func (f *Family) Level(x uint64, max int) int {
-	h := f.Hash(x)
+func (f *Family) Level(x uint64, max int) int { return level(f.Hash(x), max) }
+
+// level is the sampling level of a hash value h: its trailing zero count,
+// capped at max, and max for h = 0.
+func level(h uint64, max int) int {
 	if h == 0 {
 		return max
 	}
@@ -153,3 +153,87 @@ func (f *Family) Level(x uint64, max int) int {
 // Words returns the memory footprint of the family in machine words, used by
 // the MPC memory ledger.
 func (f *Family) Words() int { return len(f.coeffs) }
+
+// Cubics is a flat table of cubic polynomials over F_p, one per row, stored
+// four coefficients a row with the constant term first. Row r is the
+// four-wise independent hash that NewFourwise draws, so a table evaluates
+// exactly as a slice of Families would, without a pointer per row.
+//
+// A table evaluates a point against a run of rows at once: x, x² and x³ are
+// computed once, and each row is then three independent bits.Mul64 products
+// summed in 128 bits, one Mersenne reduction and the constant term added.
+// Field arithmetic is exact, so the value is Family.Hash's whatever the order
+// of evaluation. The zero value is an empty table; Draw appends rows.
+type Cubics struct {
+	c []uint64
+}
+
+// Draw appends one row drawn from prg, consuming the same words of the
+// stream as NewFourwise(prg) and hashing as the Family it returns.
+func (t *Cubics) Draw(prg *PRG) { t.c = draw(t.c, 4, prg) }
+
+// At returns row r evaluated at x (reduced into the field first), in
+// [0, Prime).
+func (t Cubics) At(r int, x uint64) uint64 {
+	x, x2, x3 := powers(x)
+	c := (*[4]uint64)(t.c[4*r:])
+	return addMod(fold(products(c, x, x2, x3)), c[0])
+}
+
+// Eval writes rows [lo, lo+len(dst)) evaluated at x to dst.
+func (t Cubics) Eval(x uint64, lo int, dst []uint64) {
+	x, x2, x3 := powers(x)
+	c := t.c[4*lo : 4*(lo+len(dst))]
+	for i := range dst {
+		r := (*[4]uint64)(c[4*i:])
+		dst[i] = addMod(fold(products(r, x, x2, x3)), r[0])
+	}
+}
+
+// Levels writes to dst the sampling levels of x under rows
+// [lo, lo+len(dst)), each capped at max (see Family.Level), which must fit
+// a byte.
+func (t Cubics) Levels(x uint64, max, lo int, dst []uint8) {
+	if max < 0 || max > 255 {
+		panic(fmt.Sprintf("hash: Levels with cap %d", max))
+	}
+	x, x2, x3 := powers(x)
+	c := t.c[4*lo : 4*(lo+len(dst))]
+	for i := range dst {
+		r := (*[4]uint64)(c[4*i:])
+		dst[i] = uint8(level(addMod(fold(products(r, x, x2, x3)), r[0]), max))
+	}
+}
+
+// powers reduces x into the field and returns it with its square and cube.
+func powers(x uint64) (x1, x2, x3 uint64) {
+	if x >= Prime {
+		x %= Prime
+	}
+	x2 = mulMod(x, x)
+	return x, x2, mulMod(x2, x)
+}
+
+// products returns c[1]·x + c[2]·x2 + c[3]·x3 as a 128-bit hi:lo, for
+// canonical coefficients and powers: three independent products, each
+// below 2^122, so the sum fits in 124 bits.
+func products(c *[4]uint64, x, x2, x3 uint64) (hi, lo uint64) {
+	h1, l1 := bits.Mul64(c[1], x)
+	h2, l2 := bits.Mul64(c[2], x2)
+	h3, l3 := bits.Mul64(c[3], x3)
+	lo, k1 := bits.Add64(l1, l2, 0)
+	lo, k2 := bits.Add64(lo, l3, 0)
+	return h1 + h2 + h3 + k1 + k2, lo
+}
+
+// fold returns hi·2^64 + lo mod Prime, canonical, for hi:lo below 2^124.
+// One fold at bit 61 (2^61 ≡ 1) leaves less than 2^64; a second fold and
+// one subtraction make it canonical.
+func fold(hi, lo uint64) uint64 {
+	r := (lo & Prime) + (lo>>61 | hi<<3)
+	r = (r & Prime) + r>>61
+	if r >= Prime {
+		r -= Prime
+	}
+	return r
+}

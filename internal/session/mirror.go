@@ -44,20 +44,18 @@ const tagMirror = 0x71
 // weight) rows in edge order, so two equal graphs write equal bytes whatever
 // their insertion history. edges are the rows to write, sorted; a load
 // passes none. Its install replaces the graph with one over the same vertex
-// count holding exactly the rows, built in one presized pass
-// (graph.FromEdges).
+// count holding exactly the rows, built in one presized pass that reads the
+// decoded table in place (graph.FromEdges).
 func (m *Mirror) image(edges []graph.WeightedEdge) *snapshot.Image {
 	n := m.g.N()
 	t := &snapshot.Table{Name: "graph edges", Len: len(edges), Row: func(r int, row []uint64) {
 		row[0], row[1], row[2] = uint64(edges[r].U), uint64(edges[r].V), uint64(edges[r].Weight)
 	}, Layout: snapshot.Layout{Width: 3, Key: 2, Order: "edge", Fields: []snapshot.Field{{Name: "u", Hi: n}, {Name: "v", Hi: n, Above: true}}}}
 	return &snapshot.Image{Pkg: "session", Sections: []snapshot.Section{{Tag: tagMirror, Parts: []snapshot.Part{t}}}, Install: func() {
-		rows := make([]graph.WeightedEdge, t.Rows())
-		for r := range rows {
+		g, err := graph.FromEdges(n, t.Rows(), func(r int) graph.WeightedEdge {
 			row := t.At(r)
-			rows[r] = graph.WeightedEdge{Edge: graph.Edge{U: int(row[0]), V: int(row[1])}, Weight: int64(row[2])}
-		}
-		g, err := graph.FromEdges(n, rows)
+			return graph.WeightedEdge{Edge: graph.Edge{U: int(row[0]), V: int(row[1])}, Weight: int64(row[2])}
+		})
 		if err != nil {
 			// The layout checks (endpoints in range, u below v, strictly
 			// increasing) rule this out before the install runs.

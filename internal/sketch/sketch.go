@@ -37,19 +37,22 @@
 // slices in place and perform no allocation, which is what keeps the
 // simulator's sketch hot path allocation-free at steady state.
 //
-// Update runs in two passes. The first hashes: every copy's sampling level
-// and fingerprint go into stack arrays (64 copies at a time), with a
-// deletion's sign folded in once as the field negations p − idx and
-// p − h(idx). The second writes: level 0 of every copy in one loop, then the
-// levels above. The t copies of a vertex sketch lie a copy's (levels+1)
-// cells apart, so in a shard's arena each copy's level 0 is its own cache
-// line and, on a sketch not touched lately, its own miss. Hashed and written
-// copy by copy, the copies' cell writes sit between long chains of dependent
-// field products, which fill the processor's window, so one miss resolves
-// before the next is issued. With the hashes done first the writes are
+// Update runs in two passes. The first hashes. A space keeps its t level
+// polynomials and its t fingerprint polynomials in two flat tables
+// (hash.Cubics), and the pass evaluates each table once at the edge id, 64
+// copies at a time: x, x² and x³ are computed once, and every copy is then
+// three independent products and one reduction, not a chain of four
+// dependent ones. The levels land in a stack array of bytes and the
+// fingerprints in one of words, a deletion's sign folded in once as the
+// field negations p − idx and p − h(idx). The second pass writes: level 0
+// of every copy in one loop, then the levels above. The t copies of a
+// vertex sketch lie a copy's (levels+1) cells apart, so in a shard's arena
+// each copy's level 0 is its own cache line and, on a sketch not touched
+// lately, its own miss. With the hashes done first the writes are
 // independent back-to-back loads and stores, and the t misses overlap. The
 // higher levels mostly share level 0's line: level l is written with
-// probability 2^-l.
+// probability 2^-l. Recovery (Query) reads a copy's fingerprint row of the
+// same table.
 //
 // # Soundness of the two-word cell
 //
@@ -144,33 +147,35 @@ func subModP(a, b uint64) uint64 {
 	return a + hash.Prime - b
 }
 
-// cellRecover attempts one-sparse recovery on the cell at w. It succeeds
-// only when the cell reads as exactly one coordinate with value ±1 (the only
-// values arising from simple-graph incidence vectors): first idx = isum
-// checked against fp(idx), then idx = p − isum checked against −fp(idx),
-// each only when idx < idSpace. See the package comment for the bound on
-// false positives.
-func cellRecover(w []uint64, fpHash *hash.Family, idSpace uint64) (idx uint64, ok bool) {
-	if idx = w[offIsum]; idx < idSpace && w[offFp] == fpHash.Hash(idx) {
+// cellRecover attempts one-sparse recovery on the cell at w of copy c, whose
+// fingerprint is row c of fp. It succeeds only when the cell reads as
+// exactly one coordinate with value ±1 (the only values arising from
+// simple-graph incidence vectors): first idx = isum checked against
+// fp(idx), then idx = p − isum checked against −fp(idx), each only when
+// idx < idSpace. See the package comment for the bound on false positives.
+func cellRecover(w []uint64, fp hash.Cubics, c int, idSpace uint64) (idx uint64, ok bool) {
+	if idx = w[offIsum]; idx < idSpace && w[offFp] == fp.At(c, idx) {
 		return idx, true
 	}
-	if idx = subModP(0, w[offIsum]); idx < idSpace && w[offFp] == subModP(0, fpHash.Hash(idx)) {
+	if idx = subModP(0, w[offIsum]); idx < idSpace && w[offFp] == subModP(0, fp.At(c, idx)) {
 		return idx, true
 	}
 	return 0, false
 }
 
 // Space holds the shared randomness for a family of mergeable sketches: t
-// independent copies, each with its own level hash and fingerprint hash.
-// Every sketch that is ever added to another must come from the same Space.
+// independent copies, each with its own level hash and fingerprint hash:
+// row c of levelH and of fpH, two flat tables of four-wise independent
+// polynomials. Every sketch that is ever added to another must come from the
+// same Space.
 type Space struct {
 	idSpace uint64
 	t       int
 	levels  int
 	stride  int // SketchWords(), cached
 	perCopy int // words of one copy: (levels+1) cells
-	levelH  []*hash.Family
-	fpH     []*hash.Family
+	levelH  hash.Cubics
+	fpH     hash.Cubics
 	scratch sync.Pool // *[]uint64 of stride words, see ScratchCopy/Release
 }
 
@@ -193,11 +198,9 @@ func NewSpace(idSpace uint64, t int, prg *hash.PRG) *Space {
 	s := &Space{idSpace: idSpace, t: t, levels: levels}
 	s.perCopy = (levels + 1) * cellWords
 	s.stride = t * s.perCopy
-	s.levelH = make([]*hash.Family, t)
-	s.fpH = make([]*hash.Family, t)
-	for i := 0; i < t; i++ {
-		s.levelH[i] = hash.NewFourwise(prg)
-		s.fpH[i] = hash.NewFourwise(prg)
+	for range t {
+		s.levelH.Draw(prg)
+		s.fpH.Draw(prg)
 	}
 	s.scratch.New = func() any {
 		buf := make([]uint64, s.stride)
@@ -339,16 +342,16 @@ func (sk Sketch) Update(idx uint64, delta int) {
 	if delta < 0 {
 		isum = hash.Prime - isum
 	}
-	var lvl [updateChunk]int
+	var lvl [updateChunk]uint8
 	var fp [updateChunk]uint64
 	lo, hi := sk.CopyRange()
 	for c0 := lo; c0 < hi; c0 += updateChunk {
 		k := min(hi-c0, updateChunk)
 		// First pass: every copy's level and fingerprint, touching no cell.
-		for i := range k {
-			lvl[i] = sp.levelH[c0+i].Level(idx, L)
-			fp[i] = sp.fpH[c0+i].Hash(idx)
-			if delta < 0 {
+		sp.levelH.Levels(idx, L, c0, lvl[:k])
+		sp.fpH.Eval(idx, c0, fp[:k])
+		if delta < 0 {
+			for i := range k {
 				fp[i] = hash.Prime - fp[i]
 			}
 		}
@@ -365,7 +368,7 @@ func (sk Sketch) Update(idx uint64, delta int) {
 		}
 		for i := range k {
 			w := cells[i*stride : (i+1)*stride]
-			for l := 1; l <= lvl[i]; l++ {
+			for l := 1; l <= int(lvl[i]); l++ {
 				w[l*cellWords+offIsum] = addModP(w[l*cellWords+offIsum], isum)
 				w[l*cellWords+offFp] = addModP(w[l*cellWords+offFp], fp[i])
 			}
@@ -425,7 +428,7 @@ func (sk Sketch) Query(c int) (idx uint64, res QueryResult) {
 		if cellZero(w) {
 			continue
 		}
-		if idx, ok := cellRecover(w, sk.space.fpH[c], sk.space.idSpace); ok {
+		if idx, ok := cellRecover(w, sk.space.fpH, c, sk.space.idSpace); ok {
 			return idx, Found
 		}
 	}

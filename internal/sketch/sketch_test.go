@@ -227,14 +227,16 @@ func TestZeroCellNeverRecovers(t *testing.T) {
 		seed -= golden
 	}
 	space := NewGraphSpace(n, 1, hash.NewPRG(seed))
-	if got, ok := cellRecover(make([]uint64, cellWords), space.fpH[0], space.idSpace); !ok || got != 0 {
-		t.Fatalf("fingerprint h(0) = %d: a zero cell does not pass as index 0, the test is vacuous", space.fpH[0].Hash(0))
+	if got, ok := cellRecover(make([]uint64, cellWords), space.fpH, 0, space.idSpace); !ok || got != 0 {
+		t.Fatalf("fingerprint h(0) = %d: a zero cell does not pass as index 0, the test is vacuous", space.fpH.At(0, 0))
 	}
 	// Two edges of sampling level 0: level 0 is two-sparse and every level
 	// above it is a zero cell.
 	sk := space.NewSketch()
+	var lvl [1]uint8
 	for u, added := 1, 0; added < 2; u++ {
-		if id := graph.NewEdge(0, u).ID(n); space.levelH[0].Level(id, space.levels) == 0 {
+		id := graph.NewEdge(0, u).ID(n)
+		if space.levelH.Levels(id, space.levels, 0, lvl[:]); lvl[0] == 0 {
 			sk.Update(id, +1)
 			added++
 		}
@@ -311,7 +313,8 @@ func TestNoRecoveryFromSparseNonUnitVectors(t *testing.T) {
 		{"-a-b-c", []int{-1, -1, -1}},
 	}
 	for seed := uint64(0); seed < 4000; seed++ {
-		fp := hash.NewFourwise(hash.NewPRG(seed))
+		var fp hash.Cubics
+		fp.Draw(hash.NewPRG(seed))
 		draw := hash.NewPRG(^seed)
 		for _, sh := range shapes {
 			idx := make([]uint64, 0, len(sh.values))
@@ -323,20 +326,20 @@ func TestNoRecoveryFromSparseNonUnitVectors(t *testing.T) {
 			}
 			cell := make([]uint64, cellWords)
 			for k, i := range idx {
-				cellAdd(cell, i, fp.Hash(i), sh.values[k])
+				cellAdd(cell, i, fp.At(0, i), sh.values[k])
 			}
 			if isum := cell[offIsum]; isum >= idSpace && subModP(0, isum) >= idSpace {
 				t.Fatalf("seed %d %s %v: ±isum %d outside [0, %d)", seed, sh.name, idx, isum, idSpace)
 			}
-			if got, ok := cellRecover(cell, fp, idSpace); ok {
+			if got, ok := cellRecover(cell, fp, 0, idSpace); ok {
 				t.Fatalf("seed %d %s %v: recovered %d", seed, sh.name, idx, got)
 			}
 		}
 		for _, delta := range []int{1, -1} {
 			i := draw.NextN(idSpace)
 			cell := make([]uint64, cellWords)
-			cellAdd(cell, i, fp.Hash(i), delta)
-			if got, ok := cellRecover(cell, fp, idSpace); !ok || got != i {
+			cellAdd(cell, i, fp.At(0, i), delta)
+			if got, ok := cellRecover(cell, fp, 0, idSpace); !ok || got != i {
 				t.Fatalf("seed %d: one-sparse %+d at %d recovered (%d, %v)", seed, delta, i, got, ok)
 			}
 		}

@@ -8,7 +8,10 @@
 // from equal-seeded PRGs therefore define the same sampler, and every
 // Update/Add/Query sequence must produce identical QueryResults on both
 // paths; the equivalence tests drive exactly that comparison across the
-// workload scenario generators.
+// workload scenario generators. The reference evaluates its families one
+// by one by Horner's rule (hash.Family), where sketch.Space evaluates the
+// same polynomials from its flat tables (hash.Cubics), so the comparison
+// also holds the table kernel to Horner's.
 //
 // The reference deliberately keeps the ℓ0 counter that the flat cell dropped:
 // its cell is three words (counter, index sum, fingerprint) and it recovers
