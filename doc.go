@@ -37,7 +37,7 @@
 // from regressing (see README.md "Round model and determinism").
 //
 // The whole stack is crash-safe: internal/snapshot serializes every
-// algorithm's full distributed state — machine shards, sketch arenas,
+// algorithm's full distributed state — machine shards, sketch state,
 // coordinator caches, cluster Stats — into a versioned, CRC-guarded
 // binary container (reusing the MessageBatch frame encoding), so a killed
 // run restores bit-identically and continues without replaying its

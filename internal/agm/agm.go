@@ -236,13 +236,13 @@ func (c *Connectivity) query(wantForest bool) ([]int, int, []graph.Edge) {
 // geometrically, the regime AGM is designed for.)
 func (c *Connectivity) mergeSupernodeSketches(r int) (sums map[int]sketch.Sketch, release func()) {
 	return sketchcodec.AggregateByLabel(c.cl, c.coord, c.space, r, r+1,
-		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
+		func(mm *mpc.Machine, sums *sketchcodec.Sums) {
 			sh, ok := mm.Get(slotShard).(*shard)
 			if !ok {
 				return
 			}
 			for i, l := range sh.labels {
-				add(l, sh.arena.At(i))
+				sums.Add(uint64(l), sh.arena.At(i))
 			}
 		})
 }

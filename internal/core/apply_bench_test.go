@@ -72,3 +72,50 @@ func BenchmarkDeleteTreeEdgesGiant(b *testing.B) {
 		b.Fatalf("%d of %d searches exhausted", st.Exhausted, st.Searches)
 	}
 }
+
+// BenchmarkApplyInsertOnly is the micro form of ingest-grow's hot path: per
+// op one batch of 256 insertions of edges never seen before on 4096 vertices
+// at φ = 0.75, most of them closing cycles, so an op is the batch's label
+// lookup, its few Links and the insertion of 512 edge ids into their
+// endpoints' lists. BENCH_sketch.json pins its allocs/op and B/op.
+func BenchmarkApplyInsertOnly(b *testing.B) {
+	const n, size = 4096, 256
+	dc, err := core.NewDynamicConnectivity(core.Config{N: n, Phi: 0.75, Seed: 41})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if dc.MaxBatch() < size {
+		b.Fatalf("MaxBatch %d below the batch of %d", dc.MaxBatch(), size)
+	}
+	prg := hash.NewPRG(42)
+	seen := map[graph.Edge]bool{}
+	next := func() graph.Batch {
+		batch := make(graph.Batch, 0, size)
+		for len(batch) < size {
+			u, v := int(prg.NextN(n)), int(prg.NextN(n))
+			if e := (graph.Edge{U: min(u, v), V: max(u, v)}); u != v && !seen[e] {
+				seen[e] = true
+				batch = append(batch, graph.Ins(u, v))
+			}
+		}
+		return batch
+	}
+	// Warm the instance to a connected graph of 4n edges first, so the
+	// measured batches are the steady state.
+	for range 4 * n / size {
+		if err := dc.ApplyBatch(next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	batches := make([]graph.Batch, b.N)
+	for i := range batches {
+		batches[i] = next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, batch := range batches {
+		if err := dc.ApplyBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

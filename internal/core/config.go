@@ -41,7 +41,7 @@
 // replayed streams.
 //
 // Both layers checkpoint in full (snapshot.go, reshard.go: the tree edges and
-// every arena, from which one loader for any source fleet shape derives the
+// the sketch state, from which one loader for any source fleet shape derives the
 // component column and the cached labels). Only DynamicConnectivity has
 // delta checkpoints, and its delta is the batches, not the bytes they
 // dirtied: ApplyBatch journals what it received (a snapshot.Journal, at most

@@ -18,26 +18,6 @@ const (
 	slotWork   = "w" // coordinator workspace during replacement search
 )
 
-// sketchShard holds the AGM vertex sketches of one machine's vertex range,
-// backed by one contiguous sketch arena (one allocation per shard, not one
-// per vertex).
-type sketchShard struct {
-	lo    int
-	n     int
-	arena *sketch.Arena
-}
-
-// Words implements mpc.Sized.
-func (s *sketchShard) Words() int { return s.arena.Words() + 1 }
-
-func (s *sketchShard) of(v int) sketch.VertexSketch { return s.arena.VertexAt(v-s.lo, s.n) }
-
-// sShard returns machine mm's sketch shard, or nil for the coordinator.
-func sShard(mm *mpc.Machine) *sketchShard {
-	s, _ := mm.Get(slotSketch).(*sketchShard)
-	return s
-}
-
 // searchWindow returns how many sketch copies a replacement search fetches
 // at a time: a quarter of the t copies, at least 4. A search reads a handful
 // (levels of Borůvka depth plus a retry for every second query), so the first
@@ -249,8 +229,7 @@ func NewDynamicConnectivity(cfg Config) (*DynamicConnectivity, error) {
 		if vs == nil {
 			return
 		}
-		sh := &sketchShard{lo: vs.lo, n: cfg.N, arena: space.NewArena(vs.hi - vs.lo)}
-		mm.Set(slotSketch, sh)
+		mm.Set(slotSketch, newSketchShard(space, cfg.N, vs.lo, vs.hi))
 	})
 	return dc, nil
 }
@@ -271,35 +250,6 @@ func (dc *DynamicConnectivity) Config() Config { return dc.f.cfg }
 // MaxBatch returns the largest accepted update batch.
 func (dc *DynamicConnectivity) MaxBatch() int { return dc.f.cfg.MaxBatch() }
 
-// sketchUpdate tells the vertex shards a batch's edge insertions and
-// deletions to apply to their sketches: the two lists and the word that
-// separates them.
-type sketchUpdate struct{ ins, del []graph.Edge }
-
-func (u sketchUpdate) Words() int { return 2*(len(u.ins)+len(u.del)) + 1 }
-
-// applySketchUpdate applies a sketchUpdate to the sketches of the endpoints a
-// vertex shard owns (Section 6.1: "updating the sketches").
-func applySketchUpdate(mm *mpc.Machine, payload mpc.Sized) {
-	vs := vShard(mm)
-	if vs == nil {
-		return
-	}
-	sh := sShard(mm)
-	apply := func(edges []graph.Edge, op graph.Op) {
-		for _, e := range edges {
-			for _, v := range [2]int{e.U, e.V} {
-				if vs.owns(v) {
-					sh.of(v).ApplyEdge(v, e, op)
-				}
-			}
-		}
-	}
-	u := payload.(sketchUpdate)
-	apply(u.ins, graph.Insert)
-	apply(u.del, graph.Delete)
-}
-
 // ApplyBatch processes one phase's updates: insertions first, then
 // deletions (Section 1.2 allows treating them as two consecutive
 // sub-batches). The batch must be valid against the current graph: no
@@ -308,16 +258,16 @@ func applySketchUpdate(mm *mpc.Machine, payload mpc.Sized) {
 // rides the first one the batch sends (see apply), and an empty batch sends
 // nothing.
 //
-// ApplyBatch does not check that a deleted edge is present. A deletion of an
-// absent edge returns nil and subtracts the edge from both endpoints'
-// sketches, which are then silently wrong (three deletions of the absent
-// {0,1} at N=16 return nil, and a later search exhausts its copies). Core
-// cannot check it in Õ(n) words: a non-tree edge exists only inside the
-// sketch sums, so only the caller's own copy of the graph knows it. The
-// front doors validate first: server admission and the mpcstream replay with
-// graph.Graph.Check, the harness's generators delete only edges of their own
-// graph, and a delta restore's replay is refused by the session's mirror
-// or by its fingerprint comparison.
+// A list vertex (see sketchShard) checks what it can: it refuses the
+// deletion of an edge it does not hold and the insertion of one it holds,
+// leaving its list as it was, and the batch returns an error naming the
+// first such update. A promoted vertex cannot check, since its edges exist
+// only inside its sketch: it absorbs such an update silently, and its
+// sketch is then wrong. The front doors validate first: server admission
+// and the mpcstream replay with graph.Graph.Check, the harness's generators
+// delete only edges of their own graph, and a delta restore's replay is
+// refused by the session's mirror, an endpoint's list or the fingerprint
+// comparison.
 //
 // An applied batch is journaled for the next delta checkpoint; a batch that
 // failed may have been applied in part, so the journal no longer describes
@@ -357,17 +307,22 @@ func (dc *DynamicConnectivity) applyBatch(b graph.Batch) error {
 // its first broadcast — a label Ask, the Link's, the Cut's record lookup — or
 // is told by the flush on return when the batch sends none: only a
 // replacement search reads a sketch, and it runs after the Cut's record
-// lookup. An empty batch sends nothing.
+// lookup. An empty batch sends nothing. Once the update has landed, an
+// update a list vertex refused fails the batch (refusals).
 func (dc *DynamicConnectivity) apply(ins, del []graph.Edge) error {
 	if len(ins) == 0 && len(del) == 0 {
 		return nil
 	}
-	defer dc.f.flush()
 	dc.f.ride(sketchUpdate{ins: ins, del: del}, applySketchUpdate)
-	if err := dc.link(ins); err != nil {
-		return err
+	err := dc.link(ins)
+	if err == nil {
+		err = dc.delete(del)
 	}
-	return dc.delete(del)
+	dc.f.flush()
+	if err == nil {
+		err = dc.refusals(ins, del)
+	}
+	return err
 }
 
 // link links the inserted edges that join two components.
@@ -419,19 +374,20 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 	return nil
 }
 
-// sumActive feeds add, on one vertex machine, the sketch of every vertex of a
-// fragment the last Cut left active, with its fragment key: the contribution
+// sumActive adds, on one vertex machine, the sketch of every vertex of a
+// fragment the last Cut left active into the sum that sum returns for the
+// vertex and its fragment key, over that sum's copy range: the contribution
 // of Lemma 6.5's sketch-merging step, restricted to the fragments that will
 // query. Vertices of a passive fragment — the largest of its split tour —
 // contribute nothing, so the words summed and shipped are proportional to
 // the smaller sides of the cuts, not to the components cut. It counts the
 // vertex sketches summed and skipped.
-func sumActive(mm *mpc.Machine, vs *vertexShard, c *searchCounters, add func(v int, frag uint64, sk sketch.Sketch)) {
+func sumActive(mm *mpc.Machine, vs *vertexShard, c *searchCounters, sum func(v int, frag uint64) sketch.Sketch) {
 	sh := sShard(mm)
 	summed := 0
 	for i, k := range vs.frag {
 		if k != 0 && !vs.passive[k] {
-			add(vs.lo+i, k, sh.of(vs.lo+i).Sketch)
+			sh.addWindow(sum(vs.lo+i, k), i)
 			summed++
 		}
 	}
@@ -467,7 +423,7 @@ func (dc *DynamicConnectivity) newFirstWindow() *firstWindow {
 // vertex machine, by fragment key.
 func (fw *firstWindow) collect(mm *mpc.Machine, vs *vertexShard) *sketchcodec.Sums {
 	sums := fw.win.NewSums()
-	sumActive(mm, vs, fw.search, func(_ int, frag uint64, sk sketch.Sketch) { sums.Add(frag, sk) })
+	sumActive(mm, vs, fw.search, func(_ int, frag uint64) sketch.Sketch { return sums.Sum(frag) })
 	return sums
 }
 
@@ -494,9 +450,9 @@ func (fw *firstWindow) merge(a, b *mpc.MessageBatch) *mpc.MessageBatch {
 func (dc *DynamicConnectivity) refillWindow(lo, hi int) (sums map[int]sketch.Sketch, release func()) {
 	dc.f.tell(mpc.Ints{lo, hi}, func(*mpc.Machine, mpc.Sized) {})
 	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, dc.space, lo, hi,
-		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
+		func(mm *mpc.Machine, sums *sketchcodec.Sums) {
 			if vs := vShard(mm); vs != nil && vs.nfrag > 0 {
-				sumActive(mm, vs, &dc.search, func(v int, _ uint64, sk sketch.Sketch) { add(vs.compOf(v), sk) })
+				sumActive(mm, vs, &dc.search, func(v int, _ uint64) sketch.Sketch { return sums.Sum(uint64(vs.compOf(v))) })
 			}
 		})
 }

@@ -907,8 +907,9 @@ func TestOldForestLayoutRejectedByTag(t *testing.T) {
 }
 
 // TestLoadRejectsSketchRunOfWrongLength hands Load a valid forest section of
-// a live instance followed by a sketch run one word short: the run is checked
-// before anything is installed, so the target stays the fresh instance.
+// a live instance followed by a sketch section whose one promoted row is one
+// word short: the run is checked before anything is installed, so the target
+// stays the fresh instance.
 func TestLoadRejectsSketchRunOfWrongLength(t *testing.T) {
 	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
 	src, err := NewDynamicConnectivity(cfg)
@@ -925,10 +926,11 @@ func TestLoadRejectsSketchRunOfWrongLength(t *testing.T) {
 	e := snapshot.NewEncoder()
 	src.f.Checkpoint(e)
 	e.Begin(tagSketches)
-	e.Int(cfg.N*src.space.SketchWords() - 1)
-	e.Words(make([]uint64, cfg.N*src.space.SketchWords()-1))
+	e.Int(0) // no list edges
+	e.Int(1) // one promoted row of 1+S words, one word short
+	e.Words(make([]uint64, src.space.SketchWords()))
 	err = snapshot.Load(bytes.NewReader(container(t, e)), target)
-	if err == nil || !strings.Contains(err.Error(), "sketch run of") {
+	if err == nil || !strings.Contains(err.Error(), "overruns section") {
 		t.Fatalf("short sketch run not rejected: %v", err)
 	}
 	if got := target.SnapshotComponents(); !slices.Equal(got, identity(cfg.N)) {
@@ -942,10 +944,44 @@ func TestLoadRejectsSketchRunOfWrongLength(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsSketchEdgeNoListHolds hands Load a valid forest section
+// followed by a sketch section whose one edge joins two promoted vertices:
+// no list holds it, the writer never writes such a row, and the loader
+// rejects it before anything is installed.
+func TestLoadRejectsSketchEdgeNoListHolds(t *testing.T) {
+	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
+	src, err := NewDynamicConnectivity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := NewDynamicConnectivity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := snapshot.NewEncoder()
+	src.f.Checkpoint(e)
+	e.Begin(tagSketches)
+	e.Int(1) // the list edge {0,1}
+	e.Words([]uint64{0, 1})
+	e.Int(2) // vertices 0 and 1 promoted, zero sketches
+	for v := range 2 {
+		e.U64(uint64(v))
+		e.Words(make([]uint64, src.space.SketchWords()))
+	}
+	err = snapshot.Load(bytes.NewReader(container(t, e)), target)
+	if err == nil || !strings.Contains(err.Error(), "edge {0,1} joins two promoted vertices") {
+		t.Fatalf("edge of two promoted vertices not rejected: %v", err)
+	}
+	if got := target.promotedVertices(); len(got) != 0 {
+		t.Fatalf("rejected container promoted %v", got)
+	}
+}
+
 // TestOldSketchLayoutRejectedByTag hands Load a valid forest section of a
-// live instance followed by a sketch run in the retired three-word cell
-// layout (0x18): it is rejected by tag, never migrated, and the target stays
-// the fresh instance.
+// live instance followed by a sketch run in a retired layout — every
+// vertex's sketch in three-word cells (0x18) or in two-word cells (0x1C):
+// it is rejected by tag, never migrated, and the target stays the fresh
+// instance.
 func TestOldSketchLayoutRejectedByTag(t *testing.T) {
 	cfg := Config{N: 8, Phi: 0.6, Seed: 3, VerticesPerMachine: 4}
 	src, err := NewDynamicConnectivity(cfg)
@@ -955,23 +991,28 @@ func TestOldSketchLayoutRejectedByTag(t *testing.T) {
 	if err := src.ApplyBatch(graph.Batch{graph.Ins(0, 1), graph.Ins(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	target, err := NewDynamicConnectivity(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := snapshot.NewEncoder()
-	src.f.Checkpoint(e)
-	e.Begin(0x18)
-	e.Int(cfg.N * src.space.SketchWords() / 2 * 3)
-	e.Words(make([]uint64, cfg.N*src.space.SketchWords()/2*3))
-	err = snapshot.Load(bytes.NewReader(container(t, e)), target)
-	if err == nil || !strings.Contains(err.Error(), "found section 0x18 where 0x1c was expected") {
-		t.Fatalf("three-word sketch run not rejected by tag: %v", err)
-	}
-	if got := target.SnapshotComponents(); !slices.Equal(got, identity(cfg.N)) {
-		t.Fatalf("rejected container left components %v", got)
-	}
-	if got := target.SnapshotForest(); len(got) != 0 {
-		t.Fatalf("rejected container left %d forest edges", len(got))
+	for _, old := range []struct {
+		tag   uint64
+		words int
+	}{{0x18, cfg.N * src.space.SketchWords() / 2 * 3}, {0x1C, cfg.N * src.space.SketchWords()}} {
+		target, err := NewDynamicConnectivity(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := snapshot.NewEncoder()
+		src.f.Checkpoint(e)
+		e.Begin(old.tag)
+		e.Int(old.words)
+		e.Words(make([]uint64, old.words))
+		err = snapshot.Load(bytes.NewReader(container(t, e)), target)
+		if want := fmt.Sprintf("found section %#x where %#x was expected", old.tag, tagSketches); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("sketch run %#x not rejected by tag: %v", old.tag, err)
+		}
+		if got := target.SnapshotComponents(); !slices.Equal(got, identity(cfg.N)) {
+			t.Fatalf("rejected container left components %v", got)
+		}
+		if got := target.SnapshotForest(); len(got) != 0 {
+			t.Fatalf("rejected container left %d forest edges", len(got))
+		}
 	}
 }

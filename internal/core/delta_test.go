@@ -224,10 +224,12 @@ func TestDeltaRejectsOrphanAndOutOfOrder(t *testing.T) {
 }
 
 // bigInstance builds the acceptance-scale instance: 1<<16 vertices with 2
-// sketch copies (the default t = 2 log n + 8 would put the arenas at ~2 GB;
-// two copies keep the full image ~100 MB while preserving the cost shape),
-// warmed with insert-only churn so the replacement search never needs the
-// full copy stack.
+// sketch copies, warmed with 256 batches of insert-only churn (16,384 edges)
+// so the replacement search never needs the full copy stack. A full image
+// holds the state — the tree edges and the edges the list vertices keep,
+// about 1.3 MB here — where a delta holds a batch: a full image no longer
+// holds n sketches, so the graph, not the vertex count, is what makes it
+// cost more than a delta.
 func bigInstance(tb testing.TB) (*core.DynamicConnectivity, *workload.Churn) {
 	tb.Helper()
 	const n = 1 << 16
@@ -236,7 +238,7 @@ func bigInstance(tb testing.TB) (*core.DynamicConnectivity, *workload.Churn) {
 		tb.Fatal(err)
 	}
 	churn := workload.NewChurn(workload.Config{N: n, Seed: 21})
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 256; i++ {
 		if err := dc.ApplyBatch(churn.NextInsertOnly(64)); err != nil {
 			tb.Fatal(err)
 		}
@@ -245,10 +247,11 @@ func bigInstance(tb testing.TB) (*core.DynamicConnectivity, *workload.Churn) {
 }
 
 // TestDeltaCheckpointCheaper is the acceptance bound: on a 1<<16-vertex
-// graph, a delta checkpoint after one 64-update batch must be at least 5×
-// cheaper than a full checkpoint in both bytes and wall time (it is four
-// orders of magnitude in bytes: the delta ships the 64 updates, not the
-// state they touched), and the chain restore must reproduce the full state.
+// graph of 16,384 edges, a delta checkpoint after one 64-update batch must
+// be at least 5× cheaper than a full checkpoint in both bytes and wall time
+// (it is two orders of magnitude in bytes: the delta ships the 64 updates
+// and the n-bit warm set, not the state they touched), and the chain
+// restore must reproduce the full state.
 func TestDeltaCheckpointCheaper(t *testing.T) {
 	dc, churn := bigInstance(t)
 	store := snapshot.NewMemStore()

@@ -119,10 +119,11 @@ func restoreWith(t *testing.T, store *snapshot.MemStore, cfg Config, delta []byt
 
 // TestDeltaRejectsTamperedJournal treats the journal as outside input: each
 // delta below is well-formed as a container (fresh CRC, right chain
-// position) and wrong in one way. A batch dropped from the journal, or two
-// batches swapped, replay without error and are caught by the fingerprint;
-// an update no front door would admit, a batch over the cap and a count
-// prefix past the end of the section are caught before they are applied.
+// position) and wrong in one way. A batch dropped from the journal replays
+// without error and is caught by the fingerprint; two batches swapped delete
+// an edge before it is inserted, which its endpoints' edge lists refuse; an
+// update no front door would admit, a batch over the cap and a count prefix
+// past the end of the section are caught before they are applied.
 // The untampered hand-built delta is, byte for byte, the one the chain
 // writes, and restores.
 func TestDeltaRejectsTamperedJournal(t *testing.T) {
@@ -186,7 +187,7 @@ func TestDeltaRejectsTamperedJournal(t *testing.T) {
 		want       string
 	}{
 		"dropped batch":       {[][]rawUpdate{rawOf(link), rawOf(more)}, -1, "replay diverged"},
-		"swapped batches":     {[][]rawUpdate{rawOf(cut), rawOf(link), rawOf(more)}, -1, "replay diverged"},
+		"swapped batches":     {[][]rawUpdate{rawOf(cut), rawOf(link), rawOf(more)}, -1, "deletes the absent edge"},
 		"vertex out of range": {[][]rawUpdate{rawOf(link), {{uint64(graph.Insert), 3, 16}}}, -1, "vertex out of range [0,16)"},
 		"negative vertex":     {[][]rawUpdate{{{uint64(graph.Delete), -1, 3}}}, -1, "vertex out of range [0,16)"},
 		"self-loop":           {[][]rawUpdate{rawOf(link), {{uint64(graph.Insert), 7, 7}}}, -1, "self loop {7,7}"},

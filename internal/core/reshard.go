@@ -5,8 +5,8 @@ package core
 // consensus problem because placement is a rule, not state: vertices live in
 // contiguous mpc.Partition ranges and edge records on hash.Hash(edgeID) %
 // machines. A full container therefore holds the logical state only, and of
-// that only what the rest is a function of (tree-edge records, per-vertex
-// sketch words, the coordinator's tour counter, the label cache's warm set,
+// that only what the rest is a function of (tree-edge records, the sketch
+// state — edge lists and promoted sketches —, the coordinator's tour counter, the label cache's warm set,
 // cluster stats; see snapshot.go), so there is nothing to regroup: each state
 // has one loader, its Restore, which loads the image Forest.Image declares:
 // it decodes the sections, derives the component column from the tree edges
@@ -24,7 +24,8 @@ package core
 //
 // Failure contract: every error — a configuration mismatch, tree edges that
 // are no forest, tree-edge records no Euler tour of that forest holds, a
-// sketch run of the wrong length, a memory-cap rejection (a per-machine
+// sketch section that is cut short or deals an edge to no list or a list
+// past S, a memory-cap rejection (a per-machine
 // budget that cannot hold the state is never silently installed in violation
 // of the model) — is reported before any target state is touched, so the
 // instance may be reused (snapshot.Image.Load's order).

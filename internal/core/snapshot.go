@@ -6,10 +6,12 @@ package core
 // coordinator-local tour-id counter, whether the component count is cached,
 // the label cache's warm set as an n-bit bitmap, the cluster execution
 // metrics, the tree-edge records sorted by edge id, and, for a
-// DynamicConnectivity, the sketch words of all N vertices as one run. The
-// component column is the minimum-root union-find over the tree edges, so a
-// loader derives it, and with it every warm label and the component count
-// (reshard.go); no fragment key outlives the Cut that made it. No machine id,
+// DynamicConnectivity, its sketch state as the shards keep it (sketchShard):
+// the edges the list vertices hold, each once in edge-id order, and the
+// promoted vertices' sketch words (image). The component column is the
+// minimum-root union-find over the tree edges, so a loader derives it, and
+// with it every warm label and the component count (reshard.go); no
+// fragment key outlives the Cut that made it. No machine id,
 // vertex range or machine count is written: which machine holds what is a
 // rule of the loading instance. Shared randomness (edge hash, sketch spaces)
 // is reconstructed deterministically from the configuration seed, so it is
@@ -19,8 +21,8 @@ package core
 // last acknowledged checkpoint, replayed on restore (CheckpointDelta,
 // RestoreDelta below). The sketches are a seed-fixed linear function of the
 // stream and ApplyBatch is deterministic, so replaying the same chunks onto
-// the same base reproduces shards, arenas and tour ids bit for bit; only the
-// driver state a replay cannot rederive rides along.
+// the same base reproduces shards, edge lists, promotions and tour ids bit
+// for bit; only the driver state a replay cannot rederive rides along.
 //
 // This file holds the echo and the warm-set bitmap both kinds write, the
 // full checkpoint's Checkpoint and Restore (the image they encode and load,
@@ -33,7 +35,11 @@ package core
 // CRC) have already rejected corrupt files before any reader here runs.
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/snapshot"
 )
 
@@ -45,10 +51,12 @@ import (
 // tombstones, arena regions), 0x16 the delta whose echo carried the writer's
 // VerticesPerMachine, 0x17 the forest section and 0x19 the delta that wrote
 // the label cache's labels (and the forest its component column, fragment
-// keys, stamps and epoch) rather than derive them, and 0x18 the sketch run of
-// three-word cells (an ℓ0 counter beside the index sum and fingerprint).
+// keys, stamps and epoch) rather than derive them, 0x18 the sketch run of
+// three-word cells (an ℓ0 counter beside the index sum and fingerprint), and
+// 0x1C the sketch run of every vertex's two-word cells, written when every
+// vertex kept a sketch.
 const (
-	tagSketches    = 0x1C
+	tagSketches    = 0x1D
 	tagForest      = 0x1A
 	tagReplayDelta = 0x1B
 )
@@ -97,17 +105,166 @@ func (f *Forest) Checkpoint(e *snapshot.Encoder) { f.Image().Encode(e) }
 func (f *Forest) Restore(d *snapshot.Decoder) error { return f.Image().Load(d) }
 
 // image is the full dynamic-connectivity image: the forest's section, then
-// one section holding the sketch words of every vertex in vertex order (the
-// arenas back to back), length-checked once, covered by the memory caps and
-// committed with one copy per arena. The sketch spaces are rebuilt from the
-// seed by the constructor; only the arena cell words are reloaded.
+// one section holding the sketch state as the shards keep it (sketchShard),
+// in two tables: the edges the list vertices hold, each once, in edge-id
+// order, and the promoted vertices' sketch words, [vertex, S words] in
+// vertex order. The loader, at the writer's shape or any other, deals each
+// edge to its endpoints that are not promoted and each promoted row to the
+// vertex's owner; an edge that reaches no list, or a list that would outgrow
+// S, is rejected. The sketch spaces are rebuilt from the seed by the
+// constructor; only lists and promoted cells are reloaded.
 func (dc *DynamicConnectivity) image() *snapshot.Image {
 	f := dc.f
 	img := f.Image()
-	sketches := &snapshot.Column{Name: "sketch", Part: f.part, Layout: snapshot.Layout{Width: dc.space.SketchWords()},
-		Words: func(m int) []uint64 { return sShard(f.cl.Machine(m)).arena.Raw() }}
-	img.Sections = append(img.Sections, snapshot.Section{Tag: tagSketches, Parts: []snapshot.Part{sketches}})
+	n, words := f.cfg.N, dc.space.SketchWords()
+	promoted := dc.promotedVertices()
+	ids := dc.listEdges(promoted)
+	edges := &snapshot.Table{Name: "sketch edges", Len: len(ids), Row: func(r int, row []uint64) {
+		row[0], row[1] = ids[r]/uint64(n), ids[r]%uint64(n)
+	}, Layout: snapshot.Layout{Width: 2, Key: 2, Order: "edge-id", Fields: []snapshot.Field{{Name: "u", Hi: n}, {Name: "v", Hi: n, Above: true}}}}
+	rows := &snapshot.Table{Name: "promoted sketches", Len: len(promoted), Row: func(r int, row []uint64) {
+		v := promoted[r]
+		sh := sShard(f.cl.Machine(f.part.Owner(v)))
+		sk, _ := sh.promoted(v - sh.lo)
+		row[0] = uint64(v)
+		copy(row[1:], sk.Cells())
+	}, Layout: snapshot.Layout{Width: 1 + words, Key: 1, Order: "vertex", Fields: []snapshot.Field{{Name: "vertex", Hi: n}}}}
+	img.Sections = append(img.Sections, snapshot.Section{Tag: tagSketches, Parts: []snapshot.Part{edges, rows}})
+
+	check, staged, install := img.Check, img.Staged, img.Install
+	var shards []*sketchShard
+	img.Check = func() (err error) {
+		if err := check(); err != nil {
+			return err
+		}
+		shards, err = dc.dealSketches(edges, rows)
+		return err
+	}
+	img.Staged = func(m int, slot string) mpc.Sized {
+		if slot == slotSketch {
+			return shards[m]
+		}
+		return staged(m, slot)
+	}
+	img.Install = func() {
+		install()
+		f.cl.LocalAll(func(mm *mpc.Machine) {
+			if vShard(mm) != nil {
+				mm.Set(slotSketch, shards[mm.ID])
+			}
+		})
+	}
 	return img
+}
+
+// listEdges returns the ids of the edges the list vertices hold, each once,
+// ascending: an edge is written from its smaller endpoint's list, or from
+// its larger one's when the smaller is one of promoted (ascending).
+func (dc *DynamicConnectivity) listEdges(promoted []int) []uint64 {
+	f := dc.f
+	n := uint64(f.cfg.N)
+	words := 0
+	for m := range f.coord {
+		words += sShard(f.cl.Machine(m)).listWords
+	}
+	ids := make([]uint64, 0, words/2)
+	for m := range f.coord {
+		sh := sShard(f.cl.Machine(m))
+		for i, list := range sh.edges {
+			// The ids from v·n on are the edges whose smaller endpoint is v.
+			j, _ := slices.BinarySearch(list, uint64(sh.lo+i)*n)
+			if len(promoted) > 0 {
+				for _, id := range list[:j] {
+					if _, ok := slices.BinarySearch(promoted, int(id/n)); ok {
+						ids = append(ids, id)
+					}
+				}
+			}
+			ids = append(ids, list[j:]...)
+		}
+	}
+	if len(promoted) > 0 {
+		slices.Sort(ids)
+	}
+	return ids
+}
+
+// promotedVertices returns the promoted vertices, ascending.
+func (dc *DynamicConnectivity) promotedVertices() []int {
+	var vs []int
+	for m := range dc.f.coord {
+		sh := sShard(dc.f.cl.Machine(m))
+		for i, sl := range sh.slot {
+			if sl >= 0 {
+				vs = append(vs, sh.lo+i)
+			}
+		}
+	}
+	return vs
+}
+
+// dealSketches builds the sketch shards of this instance's placement from a
+// decoded image: each promoted row into an arena slot of its vertex's owner,
+// then each edge, in id order, onto the lists of its endpoints that are not
+// promoted, so every list comes out sorted.
+func (dc *DynamicConnectivity) dealSketches(edges, rows *snapshot.Table) ([]*sketchShard, error) {
+	f := dc.f
+	n, words := f.cfg.N, dc.space.SketchWords()
+	shards := make([]*sketchShard, f.coord)
+	for m := range shards {
+		lo, hi := f.part.Range(m)
+		shards[m] = newSketchShard(dc.space, n, lo, hi)
+	}
+	at := func(v int) (*sketchShard, int) {
+		sh := shards[f.part.Owner(v)]
+		return sh, v - sh.lo
+	}
+	for r := range rows.Rows() {
+		row := rows.At(r)
+		sh, i := at(int(row[0]))
+		sl := sh.arena.Append()
+		copy(sh.arena.At(sl).Cells(), row[1:])
+		sh.slot[i] = int32(sl)
+	}
+	// Count each list's edges first, so every shard's lists share one
+	// allocation, each full to its capacity.
+	deg := make([]int, n)
+	for r := range edges.Rows() {
+		row := edges.At(r)
+		held := false
+		for _, v := range [2]int{int(row[0]), int(row[1])} {
+			if sh, i := at(v); sh.slot[i] < 0 {
+				if deg[v]++; deg[v] > words {
+					return nil, fmt.Errorf("core: snapshot sketch edges row %d gives list vertex %d more than %d edges", r, v, words)
+				}
+				held = true
+			}
+		}
+		if !held {
+			return nil, fmt.Errorf("core: snapshot sketch edges row %d: edge {%d,%d} joins two promoted vertices", r, row[0], row[1])
+		}
+	}
+	for _, sh := range shards {
+		for i := range sh.edges {
+			sh.listWords += deg[sh.lo+i]
+		}
+		backing, off := make([]uint64, sh.listWords), 0
+		for i := range sh.edges {
+			d := deg[sh.lo+i]
+			sh.edges[i] = backing[off : off : off+d]
+			off += d
+		}
+	}
+	for r := range edges.Rows() {
+		row := edges.At(r)
+		id := row[0]*uint64(n) + row[1]
+		for _, v := range [2]int{int(row[0]), int(row[1])} {
+			if sh, i := at(v); sh.slot[i] < 0 {
+				sh.edges[i] = append(sh.edges[i], id)
+			}
+		}
+	}
+	return shards, nil
 }
 
 // Checkpoint serializes the full dynamic-connectivity state (image).

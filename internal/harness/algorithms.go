@@ -71,8 +71,14 @@ func VerifyConnectivity(dc *core.DynamicConnectivity, g *graph.Graph) error {
 // chains alternate full and delta containers for it.
 type connectivityInstance struct{ *core.DynamicConnectivity }
 
+// Check holds the answers to the mirror and every vertex sketch to the
+// dense sketch of the mirror's edges at the vertex (CheckSketches), so a run
+// that re-shards, restores or replays checks the state it landed on too.
 func (c connectivityInstance) Check(g *graph.Graph) error {
-	return VerifyConnectivity(c.DynamicConnectivity, g)
+	if err := VerifyConnectivity(c.DynamicConnectivity, g); err != nil {
+		return err
+	}
+	return c.CheckSketches(g)
 }
 
 type bipartiteInstance struct{ *bipartite.Tester }

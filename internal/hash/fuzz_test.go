@@ -57,7 +57,8 @@ func FuzzPRGDeterminism(f *testing.F) {
 // arithmetic is exact, so three products and one reduction may not differ
 // from the Horner chain in a single bit. The table holds the fuzzed row, its
 // coefficients reversed and the fuzzed row again, so Eval and Levels also
-// run from a row offset.
+// run from a row offset, and Cubics.RowAt and Cubics.RowLevels, one row at
+// a run of points, must match them too.
 func FuzzFourwiseMatchesHorner(f *testing.F) {
 	const p = Prime
 	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), p, uint8(61))          // x = p
@@ -94,6 +95,23 @@ func FuzzFourwiseMatchesHorner(f *testing.F) {
 				}
 				if want := fam.Level(x, int(max)); int(levels[i]) != want {
 					t.Fatalf("row %d %v at %d: Levels %d, Family.Level %d (cap %d)", lo+i, fam.coeffs, x, levels[i], want, max)
+				}
+			}
+		}
+		// RowAt and RowLevels read one row at a run of points: x, x+1 and x
+		// again, from shared powers.
+		pts := []Point{PointAt(x), PointAt(x + 1), PointAt(x)}
+		at := make([]uint64, len(pts))
+		lv := make([]uint8, len(pts))
+		for r, fam := range fams {
+			tab.RowAt(r, pts, at)
+			tab.RowLevels(r, pts, int(max), lv)
+			for i, xi := range []uint64{x, x + 1, x} {
+				if want := fam.Hash(xi); at[i] != want {
+					t.Fatalf("row %d %v at %d: RowAt %d, Horner %d", r, fam.coeffs, xi, at[i], want)
+				}
+				if want := fam.Level(xi, int(max)); int(lv[i]) != want {
+					t.Fatalf("row %d %v at %d: RowLevels %d, Family.Level %d (cap %d)", r, fam.coeffs, xi, lv[i], want, max)
 				}
 			}
 		}

@@ -205,6 +205,36 @@ func (t Cubics) Levels(x uint64, max, lo int, dst []uint8) {
 	}
 }
 
+// Point is a field point with its square and cube: the powers a row is
+// evaluated from, computed once for every row read at the point.
+type Point struct{ x, x2, x3 uint64 }
+
+// PointAt reduces x into the field and returns it with its powers.
+func PointAt(x uint64) Point {
+	x, x2, x3 := powers(x)
+	return Point{x, x2, x3}
+}
+
+// RowAt writes row r evaluated at each of pts to dst: the row's
+// coefficients loaded once for a run of points.
+func (t Cubics) RowAt(r int, pts []Point, dst []uint64) {
+	c := (*[4]uint64)(t.c[4*r:])
+	dst = dst[:len(pts)]
+	for i, p := range pts {
+		dst[i] = addMod(fold(products(c, p.x, p.x2, p.x3)), c[0])
+	}
+}
+
+// RowLevels writes to dst the sampling level of each of pts under row r,
+// capped at max, which the caller has checked fits a byte (see Levels).
+func (t Cubics) RowLevels(r int, pts []Point, max int, dst []uint8) {
+	c := (*[4]uint64)(t.c[4*r:])
+	dst = dst[:len(pts)]
+	for i, p := range pts {
+		dst[i] = uint8(level(addMod(fold(products(c, p.x, p.x2, p.x3)), c[0]), max))
+	}
+}
+
 // powers reduces x into the field and returns it with its square and cube.
 func powers(x uint64) (x1, x2, x3 uint64) {
 	if x >= Prime {

@@ -111,7 +111,7 @@
 // an instance is drained, every op is refused and nothing more is written.
 // Every container opens with the session's meta echo. A full base follows
 // it with the mirror's edge set and the cluster state (the tree edges and
-// sketch arenas); a delta with the cluster state's journal of applied
+// sketch state); a delta with the cluster state's journal of applied
 // batches, plus which labels are cached, and stats. FIFO order under held
 // admission is what lets one journal serve both: when a delta is cut the
 // mirror has admitted exactly what the state applied, so a restore replays

@@ -2,16 +2,26 @@ package sketch
 
 import "fmt"
 
-// Arena owns the backing store for a fixed number of sketches of one Space
-// in a single contiguous []uint64, laid out back to back with a stride of
-// SketchWords() words. Machine shards allocate one arena per vertex range
+// Arena owns the backing store for a number of sketches of one Space in a
+// single contiguous []uint64, laid out back to back with a stride of
+// SketchWords() words. A machine shard allocates one arena for its sketches
 // instead of one heap object per vertex sketch, so updating, merging, and
 // encoding sketches touches one flat buffer: no per-sketch pointer chasing
-// and no allocation on the update path.
+// and no allocation on the update path. An arena may also grow a sketch at a
+// time (Append), for a shard that gives a vertex a sketch only once its
+// edges outgrow one.
 type Arena struct {
 	space  *Space
 	buf    []uint64
 	stride int
+}
+
+// Append adds a zero sketch at the end of the arena and returns its index.
+// The backing may move, so views taken before do not alias the arena any
+// more.
+func (a *Arena) Append() int {
+	a.buf = append(a.buf, make([]uint64, a.stride)...)
+	return a.Len() - 1
 }
 
 // NewArena returns an arena backing count zero sketches.

@@ -21,9 +21,9 @@
 //   - an Arena, which backs all the vertex sketches of one machine shard
 //     with a single contiguous allocation (see arena.go);
 //   - Space.NewSketch, a standalone one-allocation sketch;
-//   - Space.ScratchCopy, a sync.Pool-backed copy for the transient
-//     merge-and-query work of the recovery paths, returned with
-//     Space.Release.
+//   - Space.ScratchCopy and Space.Scratch, a sync.Pool-backed copy or zero
+//     window for the transient merge-and-query work of the recovery paths,
+//     returned with Space.Release.
 //
 // The t copies of a sketch are t contiguous runs of (levels+1)×2 words, so a
 // view need not hold all of them: Sketch.Window(lo, hi) is the view of copies
@@ -53,6 +53,15 @@
 // higher levels mostly share level 0's line: level l is written with
 // probability 2^-l. Recovery (Query) reads a copy's fingerprint row of the
 // same table.
+//
+// A sketch is a linear function of its vector, so a vertex whose edges are
+// few can be kept as the list of their ids instead, and a window of its
+// sketch made only when it is summed: Sketch.AddIncidence adds a vertex's
+// signed incidence into a view, the same cells Update would have written. It
+// turns the loop around: the powers of a chunk of ids first (hash.Point),
+// then, copy by copy, the copy's two rows at every id of the chunk
+// (hash.Cubics.RowAt, hash.Cubics.RowLevels) and the copy's cells, which
+// stay in cache while they take the chunk.
 //
 // # Soundness of the two-word cell
 //
@@ -270,10 +279,20 @@ func (s *Space) ScratchCopy(src Sketch) Sketch {
 	return Sketch{space: s, cells: cells, lo: src.lo}
 }
 
-// Release returns a ScratchCopy-obtained sketch to the pool. Releasing a
-// sketch that is still referenced — or one backed by an Arena — corrupts
-// whoever still holds the cells; only pass sketches obtained from the pool
-// whose last use has passed.
+// Scratch returns a view of copies [lo, hi) of the zero vector whose
+// backing comes from the space's sync.Pool, for a sum built up by Add and
+// AddIncidence. Like a ScratchCopy it must be handed back with Release.
+func (s *Space) Scratch(lo, hi int) Sketch {
+	buf := s.scratch.Get().(*[]uint64)
+	cells := (*buf)[:s.WindowWords(lo, hi)]
+	clear(cells)
+	return Sketch{space: s, cells: cells, lo: lo}
+}
+
+// Release returns a ScratchCopy- or Scratch-obtained sketch to the pool.
+// Releasing a sketch that is still referenced — or one backed by an Arena —
+// corrupts whoever still holds the cells; only pass sketches obtained from
+// the pool whose last use has passed.
 func (s *Space) Release(sk Sketch) {
 	if sk.space != s {
 		panic("sketch: Release of a sketch from a different space")
@@ -373,6 +392,61 @@ func (sk Sketch) Update(idx uint64, delta int) {
 				w[l*cellWords+offFp] = addModP(w[l*cellWords+offFp], fp[i])
 			}
 		}
+	}
+}
+
+// incidenceChunk is the number of edges AddIncidence hashes a copy's rows
+// for at once: the size of its stack arrays of points and hashes.
+const incidenceChunk = 32
+
+// AddIncidence adds to the view the incidence vector X_v of vertex v of a
+// graph on n vertices, given the ids of v's live edges in any order: each
+// edge +1 where v is its larger endpoint and -1 where it is the smaller
+// (EdgeSign), which for an edge at v is an id below v·n and one at or above
+// it. By linearity the cells are those of a zero view that took Update for
+// each edge, then was added: the same words bit for bit. It is the kernel
+// that stands in for a vertex kept as its edge list, and checks nothing:
+// every id must lie in the view's id space. It computes the powers of up to
+// incidenceChunk ids at once (hash.PointAt), then, copy by copy, evaluates
+// the copy's level and fingerprint rows at all of them — each row's
+// coefficients loaded once — and writes the copy's cells, which stay in
+// cache while the chunk's ids land in them.
+func (sk Sketch) AddIncidence(n, v int, ids []uint64) {
+	sp := sk.space
+	L, stride := sp.levels, sp.perCopy
+	lo, hi := sk.CopyRange()
+	larger := uint64(v) * uint64(n) // the ids below it have v as their larger endpoint
+	var (
+		pts   [incidenceChunk]hash.Point
+		isums [incidenceChunk]uint64
+		neg   [incidenceChunk]bool
+		lvl   [incidenceChunk]uint8
+		fp    [incidenceChunk]uint64
+	)
+	for len(ids) > 0 {
+		k := min(len(ids), incidenceChunk)
+		for j, id := range ids[:k] {
+			pts[j], isums[j], neg[j] = hash.PointAt(id), id%hash.Prime, id >= larger
+			if neg[j] {
+				isums[j] = hash.Prime - isums[j]
+			}
+		}
+		for c := lo; c < hi; c++ {
+			sp.levelH.RowLevels(c, pts[:k], L, lvl[:k])
+			sp.fpH.RowAt(c, pts[:k], fp[:k])
+			w := sk.cells[(c-lo)*stride : (c-lo+1)*stride]
+			for j := range k {
+				f := fp[j]
+				if neg[j] {
+					f = hash.Prime - f
+				}
+				for l := 0; l <= int(lvl[j]); l++ {
+					w[l*cellWords+offIsum] = addModP(w[l*cellWords+offIsum], isums[j])
+					w[l*cellWords+offFp] = addModP(w[l*cellWords+offFp], f)
+				}
+			}
+		}
+		ids = ids[k:]
 	}
 }
 

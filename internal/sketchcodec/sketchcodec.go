@@ -40,7 +40,7 @@ func (w Window) View(cells []uint64) sketch.Sketch { return w.Space.ViewWindow(c
 func (w Window) Merge(dst, src []uint64) { w.View(dst).Add(w.View(src)) }
 
 // Sums accumulates one machine's per-key sums of a window in the space's
-// pooled scratch: one ScratchCopy per key, no allocation per sketch added.
+// pooled scratch: one Space.Scratch per key, no allocation per sketch added.
 type Sums struct {
 	w    Window
 	keys []uint64
@@ -50,17 +50,21 @@ type Sums struct {
 // NewSums starts an empty accumulation of the window.
 func (w Window) NewSums() *Sums { return &Sums{w: w, acc: map[uint64]sketch.Sketch{}} }
 
+// Sum returns key's partial, a view of the window to add into: zero on the
+// key's first use.
+func (s *Sums) Sum(key uint64) sketch.Sketch {
+	if cur, ok := s.acc[key]; ok {
+		return cur
+	}
+	cur := s.w.Space.Scratch(s.w.Lo, s.w.Hi)
+	s.acc[key] = cur
+	s.keys = append(s.keys, key)
+	return cur
+}
+
 // Add sums the window of sk, a full sketch or any view that holds the window,
 // into key's partial.
-func (s *Sums) Add(key uint64, sk sketch.Sketch) {
-	win := sk.Window(s.w.Lo, s.w.Hi)
-	if cur, ok := s.acc[key]; ok {
-		cur.Add(win)
-		return
-	}
-	s.acc[key] = s.w.Space.ScratchCopy(win)
-	s.keys = append(s.keys, key)
-}
+func (s *Sums) Add(key uint64, sk sketch.Sketch) { s.Sum(key).Add(sk.Window(s.w.Lo, s.w.Hi)) }
 
 // Keys returns the keys added, ascending.
 func (s *Sums) Keys() []uint64 {
@@ -79,10 +83,11 @@ func (s *Sums) Put(key uint64, cells []uint64) {
 
 // AggregateByLabel tree-combines per-label sums of sketch copies [lo, hi) to
 // machine `to` and returns them decoded, keyed by label, as views of that
-// copy range. collect runs on every machine and feeds each (label, sketch)
-// contribution to add — full sketches, or any view that holds the range;
-// contributions to the same label are summed (cell-wise, exactly commutative,
-// so the fold order never shows in the result). Labels must be non-negative.
+// copy range. collect runs on every machine and adds each label's
+// contributions into sums, keyed by the label — Sums.Add of a full sketch or
+// any view that holds the range, or anything added into Sums.Sum; the sums of
+// one label are summed (cell-wise, exactly commutative, so the fold order
+// never shows in the result). Labels must be non-negative.
 //
 // The per-machine accumulation uses the space's scratch pool and the
 // in-flight payloads use pooled message batches, so the steady-state sketch
@@ -95,14 +100,14 @@ func AggregateByLabel(
 	to int,
 	space *sketch.Space,
 	lo, hi int,
-	collect func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)),
+	collect func(mm *mpc.Machine, sums *Sums),
 ) (sums map[int]sketch.Sketch, release func()) {
 	w := Window{Space: space, Lo: lo, Hi: hi}
 	words := w.Words()
 	final := cl.AggregateBatches(to,
 		func(mm *mpc.Machine) *mpc.MessageBatch {
 			acc := w.NewSums()
-			collect(mm, func(label int, sk sketch.Sketch) { acc.Add(uint64(label), sk) })
+			collect(mm, acc)
 			if len(acc.keys) == 0 {
 				return nil
 			}

@@ -52,9 +52,9 @@ func randomContributions(space *sketch.Space, rng *rand.Rand, machines int, on [
 // aggregate sums copies [lo, hi) of the contributions.
 func aggregate(cl *mpc.Cluster, space *sketch.Space, lo, hi int, byMachine [][]contribution) (map[int]sketch.Sketch, func()) {
 	return sketchcodec.AggregateByLabel(cl, cl.Machines()-1, space, lo, hi,
-		func(mm *mpc.Machine, add func(label int, sk sketch.Sketch)) {
+		func(mm *mpc.Machine, sums *sketchcodec.Sums) {
 			for _, c := range byMachine[mm.ID] {
-				add(c.label, c.sk)
+				sums.Add(uint64(c.label), c.sk)
 			}
 		})
 }

@@ -129,14 +129,16 @@
 // core's delta echo that named the writer's VerticesPerMachine (0x16),
 // core's forest section and delta that wrote what they now derive — the
 // component column, fragment keys and cached labels (0x17, 0x19) — and
-// core's sketch run of three-word cells (0x18).
+// core's sketch runs of every vertex's sketch, in three-word cells (0x18) or
+// two-word ones (0x1C), now the edges its list vertices hold and its
+// promoted vertices' sketches (0x1D).
 //
 // # Re-sharding
 //
 // The same container doubles as the migration format for elastic resizing:
 // Load restores a full snapshot onto instances built at any machine count
 // (Reshard is another name for it). A full container holds the logical state
-// — match partners, adjacency, tree-edge records, sketch words, which labels
+// — match partners, adjacency, tree-edge records, sketch state, which labels
 // are cached, cluster stats — in vertex order (edge records in edge-id order),
 // nothing a loader can derive from it (core's component ids are the trees of
 // its forest) and nothing of its placement: no section per
@@ -186,12 +188,12 @@
 //     loaded instance's Stats are the checkpoint's;
 //   - Bitmap: a set of vertices, n bits with no prefix;
 //   - Column: Width words per vertex, placed over an mpc.Partition: written
-//     in vertex order as one length-prefixed run (a sketch run, a match
-//     column), decoded as an alias of the decoder's buffer, length-checked
+//     in vertex order as one length-prefixed run (a match column), decoded as an alias of the decoder's buffer, length-checked
 //     once and committed with one copy per machine;
 //   - Table: count-prefixed rows of Width words in key order (core's tree
-//     edges, one vertex's adjacency, the mirror's edge set), placed by the
-//     state's own rule.
+//     edges, its list vertices' edges and its promoted sketches, one
+//     vertex's adjacency, the mirror's edge set), placed by the state's own
+//     rule.
 //
 // A Layout says what every row keeps: each leading word a Field, a value in
 // [Lo, Hi) (in [0, n) for a vertex, in [-1, n) for a match partner) and,

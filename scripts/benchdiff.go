@@ -7,7 +7,10 @@
 // does not, and is measured by `go run ./bench` instead.
 //
 // One command runs the gate, and the same command with -update refreshes
-// the baseline after an intentional change:
+// the baseline after an intentional change. An update keeps every pinned
+// entry whose reading is still inside its band: it rewrites only the
+// departures, adds new benchmarks and drops deleted ones, so run-to-run
+// noise never moves a pin:
 //
 //	go test -run '^$' -bench . -benchmem -benchtime=100x ./... | go run ./scripts/benchdiff.go
 //
@@ -134,6 +137,14 @@ func pin(fails []string, name, metric string, base, got, tol float64) []string {
 	return fails
 }
 
+// departures appends every way one benchmark's reading g departs from its
+// pinned b.
+func departures(fails []string, name string, b, g Counts) []string {
+	fails = pin(fails, name, "rounds/query", b.RoundsPerQuery, g.RoundsPerQuery, 0)
+	fails = pin(fails, name, "allocs/op", b.AllocsPerOp, g.AllocsPerOp, tolerance)
+	return pin(fails, name, "B/op", b.BytesPerOp, g.BytesPerOp, tolerance)
+}
+
 // compare returns every way got departs from base, sorted by benchmark.
 func compare(base, got map[string]Counts) []string {
 	var fails []string
@@ -143,9 +154,7 @@ func compare(base, got map[string]Counts) []string {
 			fails = append(fails, name+": pinned but not in the bench output; run the whole command, or if the benchmark was deleted rerun with -update")
 			continue
 		}
-		fails = pin(fails, name, "rounds/query", b.RoundsPerQuery, g.RoundsPerQuery, 0)
-		fails = pin(fails, name, "allocs/op", b.AllocsPerOp, g.AllocsPerOp, tolerance)
-		fails = pin(fails, name, "B/op", b.BytesPerOp, g.BytesPerOp, tolerance)
+		fails = departures(fails, name, b, g)
 	}
 	for name := range got {
 		if _, ok := base[name]; !ok {
@@ -156,32 +165,71 @@ func compare(base, got map[string]Counts) []string {
 	return fails
 }
 
-// run is the whole command: parse in, then rewrite or check the baseline.
+// updated is the baseline -update writes: every benchmark of got, keeping
+// the pinned entry of one still inside its band, so a re-pin moves only the
+// departures, adds the new benchmarks and drops the deleted ones. It returns
+// how many entries it rewrote, added and dropped.
+func updated(base, got map[string]Counts) (next map[string]Counts, moved, added, dropped int) {
+	next = make(map[string]Counts, len(got))
+	for name, g := range got {
+		b, ok := base[name]
+		switch {
+		case !ok:
+			added++
+		case len(departures(nil, name, b, g)) > 0:
+			moved++
+		default:
+			g = b
+		}
+		next[name] = g
+	}
+	for name := range base {
+		if _, ok := got[name]; !ok {
+			dropped++
+		}
+	}
+	return next, moved, added, dropped
+}
+
+// readBaseline reads the pinned counts; a missing file pins nothing.
+func readBaseline(path string) (map[string]Counts, error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return map[string]Counts{}, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var base Baseline
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return base.Benchmarks, nil
+}
+
+// run is the whole command: parse in, then update or check the baseline.
 func run(baselinePath string, update bool, in io.Reader, out io.Writer) error {
 	got, err := parseBench(in)
 	if err != nil {
 		return err
 	}
+	base, err := readBaseline(baselinePath)
+	if err != nil {
+		return err
+	}
 	if update {
-		buf, err := json.MarshalIndent(Baseline{Note: "count ledger; check or refresh (-update) with: " + command, Benchmarks: got}, "", "  ")
+		next, moved, added, dropped := updated(base, got)
+		buf, err := json.MarshalIndent(Baseline{Note: "count ledger; check or refresh (-update) with: " + command, Benchmarks: next}, "", "  ")
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(baselinePath, append(buf, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "benchdiff: wrote %d benchmarks to %s\n", len(got), baselinePath)
+		fmt.Fprintf(out, "benchdiff: wrote %d benchmarks to %s (%d re-pinned, %d added, %d dropped)\n", len(next), baselinePath, moved, added, dropped)
 		return nil
 	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var base Baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	if fails := compare(base.Benchmarks, got); len(fails) > 0 {
+	if fails := compare(base, got); len(fails) > 0 {
 		return fmt.Errorf("%d departure(s) from %s:\n  %s", len(fails), baselinePath, strings.Join(fails, "\n  "))
 	}
 	fmt.Fprintf(out, "benchdiff: %d benchmarks match %s (rounds/query exact, allocs/op and B/op ±%g%%)\n", len(got), baselinePath, 100*tolerance)

@@ -170,3 +170,48 @@ func TestRunUpdateRoundTrip(t *testing.T) {
 		t.Errorf("stale baseline: err = %v", err)
 	}
 }
+
+// An update keeps every entry still inside its band, rewrites only the
+// departures, adds new benchmarks and drops deleted ones.
+func TestRunUpdateKeepsEntriesInsideTheBand(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	var out bytes.Buffer
+	if err := run(path, true, strings.NewReader(benchOut), &out); err != nil {
+		t.Fatal(err)
+	}
+	next := strings.NewReplacer(
+		"6352441 B/op", "6400000 B/op", // inside the band: kept at 6352441
+		"200 B/op	      10 allocs/op", "200 B/op	      12 allocs/op", // a departure: re-pinned
+		"BenchmarkStep/pool-skew/64-2", "BenchmarkStep/pool-even/64-2", // one deleted, one new
+	).Replace(benchOut)
+	out.Reset()
+	if err := run(path, true, strings.NewReader(next), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "(1 re-pinned, 1 added, 1 dropped)") {
+		t.Errorf("update printed %q", out.String())
+	}
+	base, err := readBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Counts{
+		"repro/internal/core.BenchmarkConnectedLoop":    {RoundsPerQuery: 4},
+		"repro/internal/core.BenchmarkRestore":          {AllocsPerOp: 152, BytesPerOp: 6352441},
+		"repro/internal/core.BenchmarkShared":           {AllocsPerOp: 12, BytesPerOp: 200},
+		"repro/internal/mpc.BenchmarkStep/pool-even/64": {AllocsPerOp: 129, BytesPerOp: 2608},
+		"repro/internal/mpc.BenchmarkShared":            {},
+	}
+	if len(base) != len(want) {
+		t.Errorf("baseline holds %d entries, want %d: %v", len(base), len(want), base)
+	}
+	for name, w := range want {
+		if g, ok := base[name]; !ok || g != w {
+			t.Errorf("%s = %+v (present %v), want %+v", name, g, ok, w)
+		}
+	}
+	out.Reset()
+	if err := run(path, false, strings.NewReader(next), &out); err != nil {
+		t.Errorf("check after the update: %v", err)
+	}
+}
