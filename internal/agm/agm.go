@@ -91,7 +91,11 @@ func (c *Connectivity) ApplyBatch(b graph.Batch) error {
 			e := u.Edge.Canonical()
 			for _, v := range []int{e.U, e.V} {
 				if v >= sh.lo && v < sh.hi {
-					sh.arena.VertexAt(v-sh.lo, sh.n).ApplyEdge(v, e, u.Op)
+					sign := sketch.EdgeSign(v, e)
+					if u.Op == graph.Delete {
+						sign = -sign
+					}
+					sh.arena.At(v-sh.lo).Update(e.ID(sh.n), sign)
 				}
 			}
 		}

@@ -119,3 +119,51 @@ func BenchmarkApplyInsertOnly(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkApplyPromotedHub is the micro form of a promoted vertex's update
+// path: a path through 4096 vertices at φ = 0.75 and a hub, vertex 0, joined
+// to every other vertex, far past the S words at which a vertex's edge list
+// is promoted to a sketch. Every hub edge but {0,1} closes a cycle, so per
+// op a batch deletes 256 of those chords and a second puts them back: no
+// search, and each update is a list edit at the far endpoint and a ±1
+// coordinate of the hub's sketch (sketch.Sketch.Update). BENCH_sketch.json
+// pins its allocs/op and B/op.
+func BenchmarkApplyPromotedHub(b *testing.B) {
+	const n, size = 4096, 256
+	dc, err := core.NewDynamicConnectivity(core.Config{N: n, Phi: 0.75, Seed: 51})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if dc.MaxBatch() < size {
+		b.Fatalf("MaxBatch %d below the batch of %d", dc.MaxBatch(), size)
+	}
+	var edges []graph.Edge
+	for v := 1; v < n; v++ {
+		edges = append(edges, graph.NewEdge(v-1, v))
+	}
+	for v := 2; v < n; v++ {
+		edges = append(edges, graph.NewEdge(0, v))
+	}
+	if _, err := dc.Bootstrap(edges); err != nil {
+		b.Fatal(err)
+	}
+	del, ins := make(graph.Batch, size), make(graph.Batch, size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range del {
+			v := 2 + (i*size+j)%(n-2)
+			del[j], ins[j] = graph.Del(0, v), graph.Ins(0, v)
+		}
+		if err := dc.ApplyBatch(del); err != nil {
+			b.Fatal(err)
+		}
+		if err := dc.ApplyBatch(ins); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if dc.NumComponents() != 1 {
+		b.Fatalf("%d components after the run, want 1", dc.NumComponents())
+	}
+}

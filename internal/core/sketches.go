@@ -18,10 +18,12 @@ import (
 // its sketch is computed from the list when a search sums it
 // (sketch.Sketch.AddIncidence): the same cells, by linearity. A vertex whose
 // list would grow past S ids is promoted, once, to a slot of the shard's
-// arena built from its list, and is updated as a sketch from then on; it is
-// never demoted, since a sketch cannot give its edges back. Either way a
-// vertex holds at most S words, so the shards keep the paper's Õ(n) total
-// bound, n·S words, at every m, and hold about 2m words on a sparse graph.
+// arena built from its list, and is updated as a sketch from then on, one
+// ±1 coordinate an edge (sketch.Sketch.Update, the same loop run on one
+// id); it is never demoted, since a sketch cannot give its edges back.
+// Either way a vertex holds at most S words, so the shards keep the paper's
+// Õ(n) total bound, n·S words, at every m, and hold about 2m words on a
+// sparse graph.
 type sketchShard struct {
 	lo, n int
 	space *sketch.Space
@@ -66,33 +68,37 @@ func (s *sketchShard) promoted(i int) (sketch.Sketch, bool) {
 	return s.arena.At(int(s.slot[i])), true
 }
 
-// update applies update k of a batch, op on edge e, to the owned endpoint v.
+// update applies update k of a batch, op on edge e, to the owned endpoint v:
+// to its list, or, once the list would outgrow a sketch, to its arena slot,
+// where the edge is one ±1 coordinate of v's incidence vector.
 func (s *sketchShard) update(v int, e graph.Edge, op graph.Op, k int) {
-	i := v - s.lo
-	if sk, ok := s.promoted(i); ok {
-		sketch.VertexView(sk, s.n).ApplyEdge(v, e, op)
-		return
-	}
-	id := e.ID(s.n)
-	list := s.edges[i]
-	j, held := slices.BinarySearch(list, id)
-	switch {
-	case held == (op == graph.Insert):
-		if s.refused == 0 {
-			s.first = k
+	i, id := v-s.lo, e.ID(s.n)
+	if s.slot[i] < 0 {
+		list := s.edges[i]
+		j, held := slices.BinarySearch(list, id)
+		switch {
+		case held == (op == graph.Insert):
+			if s.refused == 0 {
+				s.first = k
+			}
+			s.refused++
+			return
+		case op == graph.Delete:
+			s.edges[i] = slices.Delete(list, j, j+1)
+			s.listWords--
+			return
+		case len(list) < s.space.SketchWords():
+			s.edges[i] = slices.Insert(list, j, id)
+			s.listWords++
+			return
 		}
-		s.refused++
-	case op == graph.Delete:
-		s.edges[i] = slices.Delete(list, j, j+1)
-		s.listWords--
-	case len(list) < s.space.SketchWords():
-		s.edges[i] = slices.Insert(list, j, id)
-		s.listWords++
-	default:
 		s.promote(i)
-		sk, _ := s.promoted(i)
-		sketch.VertexView(sk, s.n).ApplyEdge(v, e, op)
 	}
+	sign := sketch.EdgeSign(v, e)
+	if op == graph.Delete {
+		sign = -sign
+	}
+	s.arena.At(int(s.slot[i])).Update(id, sign)
 }
 
 // promote gives vertex lo+i an arena slot built from its list and drops the
@@ -169,24 +175,30 @@ func (dc *DynamicConnectivity) refusals(ins, del []graph.Edge) error {
 	}
 }
 
-// CheckSketches compares every vertex's sketch with a dense twin, the
-// sketch of its incident edges in g built by Update edge by edge: a list
-// vertex's sketch as a search would sum it, from its list, and a promoted
-// vertex's arena slot, must equal the twin bit for bit. A driver-level
+// CheckSketches compares every vertex's sketch with a dense twin: the
+// sketch loop run over the vertex's incident edges in g, not over the
+// shard's list. A list vertex's sketch as a search would sum it, from its
+// list, and a promoted vertex's arena slot, which took its updates one edge
+// at a time, must equal the twin bit for bit, so the check holds the lists,
+// promotion and the update path to g. The loop itself is held to Horner's
+// rule by package sketch's FuzzIncidenceWindowMatchesArena. A driver-level
 // check for tests and the harness, like SnapshotComponents: no collective,
 // no metering.
 func (dc *DynamicConnectivity) CheckSketches(g *graph.Graph) error {
 	n := dc.f.cfg.N
 	twin, got := dc.space.NewSketch(), dc.space.NewSketch()
+	var ids []uint64
 	for m := range dc.f.coord {
 		sh := sShard(dc.f.cl.Machine(m))
 		for i := range sh.slot {
 			v := sh.lo + i
-			clear(twin.Cells())
+			ids = ids[:0]
 			g.Neighbors(v, func(w int, _ int64) bool {
-				sketch.VertexView(twin, n).ApplyEdge(v, graph.Edge{U: v, V: w}, graph.Insert)
+				ids = append(ids, graph.NewEdge(v, w).ID(n))
 				return true
 			})
+			clear(twin.Cells())
+			twin.AddIncidence(n, v, ids)
 			sk, ok := sh.promoted(i)
 			if !ok {
 				sk = got

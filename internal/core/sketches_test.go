@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"strings"
 	"testing"
@@ -241,4 +243,58 @@ func TestPromotion(t *testing.T) {
 		}
 		roundTrip(t, dc, g)
 	})
+}
+
+// TestLoadRejectsSketchWordPastPrime saves an instance whose hub is
+// promoted, then edits one word of the hub's sketch row past the CRC, as
+// FuzzLoadPastTheCRC's corpus entries do: adding p keeps the word's value
+// mod p but takes it out of the field, where a sum can wrap at 2^64. The
+// loader rejects it, naming the row, before anything is installed.
+func TestLoadRejectsSketchWordPastPrime(t *testing.T) {
+	cfg := Config{N: 128, Phi: 0.6, Seed: 9, SketchCopies: 3, VerticesPerMachine: 16}
+	dc, err := NewDynamicConnectivity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var star graph.Batch
+	for v := 1; v <= dc.space.SketchWords()+1; v++ {
+		star = append(star, graph.Ins(0, v))
+	}
+	for len(star) > 0 {
+		k := min(len(star), dc.MaxBatch())
+		if err := dc.ApplyBatch(star[:k]); err != nil {
+			t.Fatal(err)
+		}
+		star = star[k:]
+	}
+	if got := dc.promotedVertices(); !slices.Equal(got, []int{0}) {
+		t.Fatalf("promoted %v, want [0]", got)
+	}
+	var saved bytes.Buffer
+	if err := snapshot.Save(&saved, dc); err != nil {
+		t.Fatal(err)
+	}
+	data := saved.Bytes()
+	hub, _ := sShard(dc.f.cl.Machine(dc.f.part.Owner(0))).promoted(0)
+	var cells []byte
+	for _, w := range hub.Cells() {
+		cells = binary.LittleEndian.AppendUint64(cells, w)
+	}
+	at := bytes.Index(data, cells)
+	if at < 0 || at != bytes.LastIndex(data, cells) {
+		t.Fatalf("the hub's sketch words are not in the container once (at %d)", at)
+	}
+	binary.LittleEndian.PutUint64(data[at:], binary.LittleEndian.Uint64(data[at:])+hash.Prime)
+	binary.LittleEndian.PutUint64(data[len(data)-8:], uint64(crc32.Checksum(data[:len(data)-8], crc32.MakeTable(crc32.Castagnoli))))
+	target, err := NewDynamicConnectivity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = snapshot.Load(bytes.NewReader(data), target)
+	if err == nil || !strings.Contains(err.Error(), "snapshot promoted sketches row 0: sketch word 0 is") {
+		t.Fatalf("a sketch word past the prime not rejected by row: %v", err)
+	}
+	if got := target.promotedVertices(); len(got) != 0 {
+		t.Fatalf("rejected container promoted %v", got)
+	}
 }

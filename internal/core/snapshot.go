@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
+	"repro/internal/sketch"
 	"repro/internal/snapshot"
 )
 
@@ -110,8 +111,9 @@ func (f *Forest) Restore(d *snapshot.Decoder) error { return f.Image().Load(d) }
 // order, and the promoted vertices' sketch words, [vertex, S words] in
 // vertex order. The loader, at the writer's shape or any other, deals each
 // edge to its endpoints that are not promoted and each promoted row to the
-// vertex's owner; an edge that reaches no list, or a list that would outgrow
-// S, is rejected. The sketch spaces are rebuilt from the seed by the
+// vertex's owner; an edge that reaches no list, a list that would outgrow
+// S, or a sketch word that is not a field element (sketch.CheckCells) is
+// rejected. The sketch spaces are rebuilt from the seed by the
 // constructor; only lists and promoted cells are reloaded.
 func (dc *DynamicConnectivity) image() *snapshot.Image {
 	f := dc.f
@@ -128,7 +130,7 @@ func (dc *DynamicConnectivity) image() *snapshot.Image {
 		sk, _ := sh.promoted(v - sh.lo)
 		row[0] = uint64(v)
 		copy(row[1:], sk.Cells())
-	}, Layout: snapshot.Layout{Width: 1 + words, Key: 1, Order: "vertex", Fields: []snapshot.Field{{Name: "vertex", Hi: n}}}}
+	}, Layout: snapshot.Layout{Width: 1 + words, Key: 1, Order: "vertex", Fields: []snapshot.Field{{Name: "vertex", Hi: n}}, Rest: sketch.CheckCells}}
 	img.Sections = append(img.Sections, snapshot.Section{Tag: tagSketches, Parts: []snapshot.Part{edges, rows}})
 
 	check, staged, install := img.Check, img.Staged, img.Install

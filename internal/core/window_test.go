@@ -151,9 +151,9 @@ func TestWorkspaceCursorRule(t *testing.T) {
 		// fragment 0 is passive. The graph: a cycle through the fragments, so
 		// that every one has an edge leaving it, plus random edges.
 		labelOf := func(v int) int { return v % frags }
-		full := make([]sketch.VertexSketch, frags)
+		full := make([]sketch.Sketch, frags)
 		for f := range full {
-			full[f] = sketch.VertexView(space.NewSketch(), n)
+			full[f] = space.NewSketch()
 		}
 		seen := map[graph.Edge]bool{}
 		addEdge := func(u, v int) {
@@ -165,8 +165,8 @@ func TestWorkspaceCursorRule(t *testing.T) {
 				return
 			}
 			seen[e] = true
-			full[labelOf(u)].ApplyEdge(u, e, graph.Insert)
-			full[labelOf(v)].ApplyEdge(v, e, graph.Insert)
+			full[labelOf(u)].AddIncidence(n, u, []uint64{e.ID(n)})
+			full[labelOf(v)].AddIncidence(n, v, []uint64{e.ID(n)})
 		}
 		for f := 0; f < frags; f++ {
 			addEdge(f, (f+1)%frags+frags)

@@ -52,13 +52,12 @@ func FuzzPRGDeterminism(f *testing.F) {
 }
 
 // FuzzFourwiseMatchesHorner holds the table kernel to Horner's rule: for
-// any canonical coefficients and any point, Cubics.At, Cubics.Eval and
-// Cubics.Levels must give exactly Family.Hash and Family.Level. Field
-// arithmetic is exact, so three products and one reduction may not differ
-// from the Horner chain in a single bit. The table holds the fuzzed row, its
-// coefficients reversed and the fuzzed row again, so Eval and Levels also
-// run from a row offset, and Cubics.RowAt and Cubics.RowLevels, one row at
-// a run of points, must match them too.
+// any canonical coefficients and any point, Cubics.At must give exactly
+// Family.Hash, and Cubics.RowAt and Cubics.RowLevels, one row at a run of
+// points, exactly Family.Hash and Family.Level. Field arithmetic is exact,
+// so three products and one reduction may not differ from the Horner chain
+// in a single bit. The table holds the fuzzed row, its coefficients reversed
+// and the fuzzed row again, so every read also runs from a row offset.
 func FuzzFourwiseMatchesHorner(f *testing.F) {
 	const p = Prime
 	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), p, uint8(61))          // x = p
@@ -83,19 +82,9 @@ func FuzzFourwiseMatchesHorner(f *testing.F) {
 		for _, fam := range fams {
 			tab.c = append(tab.c, fam.coeffs...)
 		}
-		hashes := make([]uint64, len(fams)-1)
-		levels := make([]uint8, len(fams)-1)
-		for lo := range 2 {
-			tab.Eval(x, lo, hashes)
-			tab.Levels(x, int(max), lo, levels)
-			for i := range hashes {
-				fam := fams[lo+i]
-				if want := fam.Hash(x); hashes[i] != want || tab.At(lo+i, x) != want {
-					t.Fatalf("row %d %v at %d: Eval %d, At %d, Horner %d", lo+i, fam.coeffs, x, hashes[i], tab.At(lo+i, x), want)
-				}
-				if want := fam.Level(x, int(max)); int(levels[i]) != want {
-					t.Fatalf("row %d %v at %d: Levels %d, Family.Level %d (cap %d)", lo+i, fam.coeffs, x, levels[i], want, max)
-				}
+		for r, fam := range fams {
+			if want := fam.Hash(x); tab.At(r, x) != want {
+				t.Fatalf("row %d %v at %d: At %d, Horner %d", r, fam.coeffs, x, tab.At(r, x), want)
 			}
 		}
 		// RowAt and RowLevels read one row at a run of points: x, x+1 and x

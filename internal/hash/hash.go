@@ -159,11 +159,14 @@ func (f *Family) Words() int { return len(f.coeffs) }
 // four-wise independent hash that NewFourwise draws, so a table evaluates
 // exactly as a slice of Families would, without a pointer per row.
 //
-// A table evaluates a point against a run of rows at once: x, x² and x³ are
-// computed once, and each row is then three independent bits.Mul64 products
-// summed in 128 bits, one Mersenne reduction and the constant term added.
-// Field arithmetic is exact, so the value is Family.Hash's whatever the order
-// of evaluation. The zero value is an empty table; Draw appends rows.
+// A table evaluates one row at a run of points (RowAt, RowLevels): the
+// powers x, x² and x³ of each point are computed once (PointAt) for every
+// row read at it, the row's coefficients are loaded once for the run, and
+// each value is then three independent bits.Mul64 products summed in 128
+// bits, one Mersenne reduction and the constant term added. At evaluates one
+// row at one point. Field arithmetic is exact, so the value is Family.Hash's
+// whatever the order of evaluation. The zero value is an empty table; Draw
+// appends rows.
 type Cubics struct {
 	c []uint64
 }
@@ -178,31 +181,6 @@ func (t Cubics) At(r int, x uint64) uint64 {
 	x, x2, x3 := powers(x)
 	c := (*[4]uint64)(t.c[4*r:])
 	return addMod(fold(products(c, x, x2, x3)), c[0])
-}
-
-// Eval writes rows [lo, lo+len(dst)) evaluated at x to dst.
-func (t Cubics) Eval(x uint64, lo int, dst []uint64) {
-	x, x2, x3 := powers(x)
-	c := t.c[4*lo : 4*(lo+len(dst))]
-	for i := range dst {
-		r := (*[4]uint64)(c[4*i:])
-		dst[i] = addMod(fold(products(r, x, x2, x3)), r[0])
-	}
-}
-
-// Levels writes to dst the sampling levels of x under rows
-// [lo, lo+len(dst)), each capped at max (see Family.Level), which must fit
-// a byte.
-func (t Cubics) Levels(x uint64, max, lo int, dst []uint8) {
-	if max < 0 || max > 255 {
-		panic(fmt.Sprintf("hash: Levels with cap %d", max))
-	}
-	x, x2, x3 := powers(x)
-	c := t.c[4*lo : 4*(lo+len(dst))]
-	for i := range dst {
-		r := (*[4]uint64)(c[4*i:])
-		dst[i] = uint8(level(addMod(fold(products(r, x, x2, x3)), r[0]), max))
-	}
 }
 
 // Point is a field point with its square and cube: the powers a row is
@@ -226,7 +204,8 @@ func (t Cubics) RowAt(r int, pts []Point, dst []uint64) {
 }
 
 // RowLevels writes to dst the sampling level of each of pts under row r,
-// capped at max, which the caller has checked fits a byte (see Levels).
+// capped at max (see Family.Level). The levels are bytes: max must be below
+// 256, a bound the caller keeps and RowLevels does not check.
 func (t Cubics) RowLevels(r int, pts []Point, max int, dst []uint8) {
 	c := (*[4]uint64)(t.c[4*r:])
 	dst = dst[:len(pts)]

@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"repro/internal/mpc"
+	"repro/internal/sketch"
 	"repro/internal/snapshot"
 )
 
@@ -81,8 +82,9 @@ func (sp *sparsifier) Restore(d *snapshot.Decoder) error { return sp.image().Loa
 // image declares the sparsifier's image: n, the machine count, the cluster
 // stats, then per machine of its fixed fleet whether it holds samplers and,
 // if so, how many pairs, and each pair in pair order — the pair, its last
-// outcome and its sketch cells. The pairs are echoes: they are rederived from
-// the seed, so a load must find exactly this machine's pairs in this order.
+// outcome and its sketch cells, each a field element (sketch.CheckCells).
+// The pairs are echoes: they are rederived from the seed, so a load must
+// find exactly this machine's pairs in this order.
 func (sp *sparsifier) image() *snapshot.Image {
 	parts := []snapshot.Part{snapshot.Echo("n", sp.n), snapshot.Echo("machines", sp.cl.Machines()), snapshot.Stats(sp.cl)}
 	for i := range sp.cl.Machines() {
@@ -97,7 +99,7 @@ func (sp *sparsifier) image() *snapshot.Image {
 			st, at := sh.pairs[p], fmt.Sprintf("machine %d pair %d ", i, r)
 			parts = append(parts, snapshot.Echo(at+"i", p.i), snapshot.Echo(at+"j", p.j),
 				snapshot.Scalar(at+"u", &st.outcome.U), snapshot.Scalar(at+"v", &st.outcome.V), snapshot.Scalar(at+"has", &st.has),
-				&snapshot.Column{Name: at + "sketch", Part: mpc.Partition{N: 1, Machines: 1}, Layout: snapshot.Layout{Width: sh.perSk},
+				&snapshot.Column{Name: at + "sketch", Part: mpc.Partition{N: 1, Machines: 1}, Layout: snapshot.Layout{Width: sh.perSk, Rest: sketch.CheckCells},
 					Words: func(int) []uint64 { return st.sk.Cells() }})
 		}
 	}

@@ -58,15 +58,17 @@ func TestAllocsSketchQuery(t *testing.T) {
 }
 
 func TestAllocsScratchMerge(t *testing.T) {
-	// The pooled scratch path used by the recovery-query merges: copy, sum,
-	// query, release. Release boxes the slice header back into the pool, so
-	// the budget here is the single pool put; everything else must be free.
+	// The pooled scratch path used by the recovery-query merges: a zero
+	// scratch, sum, query, release. Release boxes the slice header back into
+	// the pool, so the budget here is the single pool put; everything else
+	// must be free.
 	space, arena := allocSpace()
 	a, b := arena.At(0), arena.At(1)
 	a.Update(3, +1)
 	b.Update(900, +1)
 	if n := testing.AllocsPerRun(200, func() {
-		s := space.ScratchCopy(a)
+		s := space.Scratch(0, space.Copies())
+		s.Add(a)
 		s.Add(b)
 		s.QueryAny(0)
 		space.Release(s)

@@ -36,9 +36,6 @@ func (s *Space) NewArena(count int) *Arena {
 	}
 }
 
-// Space returns the space whose sketches the arena backs.
-func (a *Arena) Space() *Space { return a.space }
-
 // Len returns the number of sketches the arena backs.
 func (a *Arena) Len() int {
 	if a.stride == 0 {
@@ -57,15 +54,3 @@ func (a *Arena) At(i int) Sketch {
 	off := i * a.stride
 	return Sketch{space: a.space, cells: a.buf[off : off+a.stride : off+a.stride]}
 }
-
-// VertexAt returns sketch i wrapped as the vertex sketch of a graph on n
-// vertices.
-func (a *Arena) VertexAt(i, n int) VertexSketch {
-	return VertexView(a.At(i), n)
-}
-
-// Raw exposes the arena's contiguous backing words for checkpoint codecs:
-// writers read it, and loaders fill it with a checkpointed run of Len()
-// sketches. Like Sketch.Cells, the slice is the arena's private state: do not
-// retain it across arena mutations.
-func (a *Arena) Raw() []uint64 { return a.buf }

@@ -63,12 +63,18 @@ func FuzzSketchRecovery(f *testing.F) {
 	})
 }
 
-// FuzzIncidenceWindowMatchesArena holds AddIncidence to Update: for a random
-// vertex v of a graph on n vertices, a random list of ids (drawn from the
-// seed, then read from raw, eight bytes each) and a random copy range
-// [lo, hi), the kernel's window of v's signed incidence equals, bit for bit,
-// the same window of an arena sketch that took Update for each id, +1 for an
-// id below v·n and -1 for the others.
+// FuzzIncidenceWindowMatchesArena holds the one loop that writes sketch
+// cells to Horner's rule, not to itself. For a random vertex v of a graph
+// on n vertices, a random list of ids (drawn from the seed, then read from
+// raw, eight bytes each) and a random copy range [lo, hi), a scratch window
+// takes v's signed incidence (AddIncidence: +1 for an id below v·n, -1 for
+// the others), then the deletion of the first id as at a promoted vertex
+// (Update with that id's sign negated) and the last id again as a +1
+// coordinate. Its words must equal, bit for bit, the same window of a sketch
+// the test fills itself: hash.NewFourwise families drawn from an
+// equal-seeded PRG in NewSpace's order (per copy the level row, then the
+// fingerprint row), evaluated by Horner's rule, and each signed id added to
+// the cells of levels 0 through its sampling level.
 func FuzzIncidenceWindowMatchesArena(f *testing.F) {
 	const copies = 32
 	le := func(ids ...uint64) []byte {
@@ -99,19 +105,51 @@ func FuzzIncidenceWindowMatchesArena(f *testing.F) {
 		for ; len(raw) >= 8; raw = raw[8:] {
 			ids = append(ids, binary.LittleEndian.Uint64(raw)%uint64(n*n))
 		}
-		arena := space.NewArena(1)
-		for _, id := range ids {
-			sign := -1
+		sign := func(id uint64) int {
 			if id < uint64(v)*uint64(n) {
-				sign = 1
+				return 1
 			}
-			arena.At(0).Update(id, sign)
+			return -1
 		}
 		got := space.Scratch(lo, hi)
 		defer space.Release(got)
 		got.AddIncidence(n, v, ids)
-		if want := arena.At(0).Window(lo, hi).Cells(); !slices.Equal(got.Cells(), want) {
-			t.Fatalf("n=%d v=%d copies [%d,%d) of %d ids: kernel window differs from the arena's", n, v, lo, hi, len(ids))
+		type signed struct {
+			id   uint64
+			sign int
+		}
+		var coords []signed
+		for _, id := range ids {
+			coords = append(coords, signed{id, sign(id)})
+		}
+		if len(ids) > 0 {
+			first, last := ids[0], ids[len(ids)-1]
+			got.Update(first, -sign(first))
+			got.Update(last, +1)
+			coords = append(coords, signed{first, -sign(first)}, signed{last, +1})
+		}
+
+		// The reference: the families NewSpace draws, evaluated by Horner's
+		// rule, written into a whole sketch's words.
+		const p = hash.Prime
+		ref := hash.NewPRG(seed)
+		want := make([]uint64, space.SketchWords())
+		for c := range copies {
+			levelH, fpH := hash.NewFourwise(ref), hash.NewFourwise(ref)
+			cells := want[c*space.perCopy : (c+1)*space.perCopy]
+			for _, x := range coords {
+				isum, fp := x.id%p, fpH.Hash(x.id)
+				if x.sign < 0 {
+					isum, fp = (p-isum)%p, (p-fp)%p
+				}
+				for l := 0; l <= levelH.Level(x.id, space.levels); l++ {
+					cells[l*cellWords+offIsum] = (cells[l*cellWords+offIsum] + isum) % p
+					cells[l*cellWords+offFp] = (cells[l*cellWords+offFp] + fp) % p
+				}
+			}
+		}
+		if w := want[lo*space.perCopy : hi*space.perCopy]; !slices.Equal(got.Cells(), w) {
+			t.Fatalf("n=%d v=%d copies [%d,%d) of %d ids: the kernel's window differs from Horner's", n, v, lo, hi, len(ids))
 		}
 	})
 }

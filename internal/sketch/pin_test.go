@@ -41,10 +41,13 @@ func TestSketchWordsPinned(t *testing.T) {
 			if w >= slots {
 				continue
 			}
-			full.VertexAt(w, n).ApplyEdge(w, e, op)
+			sign := sketch.EdgeSign(w, e)
+			if op == graph.Delete {
+				sign = -sign
+			}
+			full.At(w).Update(e.ID(n), sign)
 			for i, r := range ranges {
-				sk := windowed[i].At(w).Window(r[0], r[1])
-				sketch.VertexView(sk, n).ApplyEdge(w, e, op)
+				windowed[i].At(w).Window(r[0], r[1]).Update(e.ID(n), sign)
 			}
 		}
 	}
@@ -70,18 +73,20 @@ func TestSketchWordsPinned(t *testing.T) {
 		live = append(live, e)
 		apply(e, graph.Insert)
 	}
-	digest := func(words []uint64) string {
+	digest := func(a *sketch.Arena) string {
 		h := sha256.New()
 		var b [8]byte
-		for _, w := range words {
-			binary.LittleEndian.PutUint64(b[:], w)
-			h.Write(b[:])
+		for i := range a.Len() {
+			for _, w := range a.At(i).Cells() {
+				binary.LittleEndian.PutUint64(b[:], w)
+				h.Write(b[:])
+			}
 		}
 		return fmt.Sprintf("%x", h.Sum(nil))
 	}
-	got := map[string]string{"full": digest(full.Raw())}
+	got := map[string]string{"full": digest(full)}
 	for i, r := range ranges {
-		got[fmt.Sprintf("[%d,%d)", r[0], r[1])] = digest(windowed[i].Raw())
+		got[fmt.Sprintf("[%d,%d)", r[0], r[1])] = digest(windowed[i])
 	}
 	for name, want := range sketchWordDigests {
 		if got[name] != want {

@@ -21,9 +21,9 @@
 //   - an Arena, which backs all the vertex sketches of one machine shard
 //     with a single contiguous allocation (see arena.go);
 //   - Space.NewSketch, a standalone one-allocation sketch;
-//   - Space.ScratchCopy and Space.Scratch, a sync.Pool-backed copy or zero
-//     window for the transient merge-and-query work of the recovery paths,
-//     returned with Space.Release.
+//   - Space.Scratch, a sync.Pool-backed zero window for the transient
+//     merge-and-query work of the recovery paths, returned with
+//     Space.Release.
 //
 // The t copies of a sketch are t contiguous runs of (levels+1)×2 words, so a
 // view need not hold all of them: Sketch.Window(lo, hi) is the view of copies
@@ -37,31 +37,24 @@
 // slices in place and perform no allocation, which is what keeps the
 // simulator's sketch hot path allocation-free at steady state.
 //
-// Update runs in two passes. The first hashes. A space keeps its t level
-// polynomials and its t fingerprint polynomials in two flat tables
-// (hash.Cubics), and the pass evaluates each table once at the edge id, 64
-// copies at a time: x, x² and x³ are computed once, and every copy is then
-// three independent products and one reduction, not a chain of four
-// dependent ones. The levels land in a stack array of bytes and the
-// fingerprints in one of words, a deletion's sign folded in once as the
-// field negations p − idx and p − h(idx). The second pass writes: level 0
-// of every copy in one loop, then the levels above. The t copies of a
-// vertex sketch lie a copy's (levels+1) cells apart, so in a shard's arena
-// each copy's level 0 is its own cache line and, on a sketch not touched
-// lately, its own miss. With the hashes done first the writes are
-// independent back-to-back loads and stores, and the t misses overlap. The
-// higher levels mostly share level 0's line: level l is written with
-// probability 2^-l. Recovery (Query) reads a copy's fingerprint row of the
-// same table.
+// One loop writes every cell: the incidence kernel behind Update and
+// AddIncidence. It takes a run of ids and the id from which they enter
+// negated. A vertex's incidence vector is +1 at the edges where the vertex
+// is the larger endpoint, the ids below v·n, and -1 at the others
+// (AddIncidence); Update(idx, delta) is the run of one id, negated from id 0
+// for a deletion and from none for an insertion. The loop computes the
+// powers of a chunk of ids once (hash.PointAt), then, copy by copy,
+// evaluates the copy's level and fingerprint rows at every id of the chunk
+// (hash.Cubics.RowLevels, hash.Cubics.RowAt), each row's coefficients loaded
+// once, and writes the copy's cells, which stay in cache while the chunk's
+// ids land in them. Level l holds every id of sampling level >= l, so level
+// 0 holds the full vector. Recovery (Query) reads a copy's fingerprint row of
+// the same table.
 //
 // A sketch is a linear function of its vector, so a vertex whose edges are
 // few can be kept as the list of their ids instead, and a window of its
-// sketch made only when it is summed: Sketch.AddIncidence adds a vertex's
-// signed incidence into a view, the same cells Update would have written. It
-// turns the loop around: the powers of a chunk of ids first (hash.Point),
-// then, copy by copy, the copy's two rows at every id of the chunk
-// (hash.Cubics.RowAt, hash.Cubics.RowLevels) and the copy's cells, which
-// stay in cache while they take the chunk.
+// sketch made only when it is summed: AddIncidence of the list into the
+// window writes the cells that Update edge by edge would have, bit for bit.
 //
 // # Soundness of the two-word cell
 //
@@ -95,6 +88,7 @@ package sketch
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/graph"
@@ -185,7 +179,7 @@ type Space struct {
 	perCopy int // words of one copy: (levels+1) cells
 	levelH  hash.Cubics
 	fpH     hash.Cubics
-	scratch sync.Pool // *[]uint64 of stride words, see ScratchCopy/Release
+	scratch sync.Pool // *[]uint64 of stride words, see Scratch/Release
 }
 
 // NewSpace creates a space for vectors indexed by [0, idSpace) with t
@@ -263,25 +257,10 @@ func (s *Space) NewSketch() Sketch {
 	return Sketch{space: s, cells: make([]uint64, s.stride)}
 }
 
-// ScratchCopy returns a copy of src, of src's copy range, whose backing
-// comes from the space's sync.Pool. It serves the transient merge-and-query
-// work of the recovery paths (summing fragment or supernode sketches before
-// Query) without allocating at steady state, and without clearing words that
-// the copy overwrites. The caller must hand the sketch back with Release once
-// done and must not use it afterwards.
-func (s *Space) ScratchCopy(src Sketch) Sketch {
-	if src.space != s {
-		panic("sketch: ScratchCopy of a sketch from a different space")
-	}
-	buf := s.scratch.Get().(*[]uint64)
-	cells := (*buf)[:len(src.cells)]
-	copy(cells, src.cells)
-	return Sketch{space: s, cells: cells, lo: src.lo}
-}
-
 // Scratch returns a view of copies [lo, hi) of the zero vector whose
 // backing comes from the space's sync.Pool, for a sum built up by Add and
-// AddIncidence. Like a ScratchCopy it must be handed back with Release.
+// AddIncidence. It must be handed back with Release once done, and not used
+// afterwards.
 func (s *Space) Scratch(lo, hi int) Sketch {
 	buf := s.scratch.Get().(*[]uint64)
 	cells := (*buf)[:s.WindowWords(lo, hi)]
@@ -289,7 +268,7 @@ func (s *Space) Scratch(lo, hi int) Sketch {
 	return Sketch{space: s, cells: cells, lo: lo}
 }
 
-// Release returns a ScratchCopy- or Scratch-obtained sketch to the pool.
+// Release returns a Scratch-obtained sketch to the pool.
 // Releasing a sketch that is still referenced — or one backed by an Arena —
 // corrupts whoever still holds the cells; only pass sketches obtained from
 // the pool whose last use has passed.
@@ -300,9 +279,6 @@ func (s *Space) Release(sk Sketch) {
 	cells := sk.cells[:cap(sk.cells)]
 	s.scratch.Put(&cells)
 }
-
-// Space returns the space the sketch belongs to.
-func (sk Sketch) Space() *Space { return sk.space }
 
 // Words returns the view's size in machine words.
 func (sk Sketch) Words() int { return len(sk.cells) }
@@ -331,6 +307,19 @@ func (sk Sketch) Window(lo, hi int) Sketch {
 // mutating it directly bypasses the cell invariants.
 func (sk Sketch) Cells() []uint64 { return sk.cells }
 
+// CheckCells reports the first of words that is not a field element, below
+// hash.Prime. The words of a sketch loaded from outside the process must
+// all be: the sums that take them reduce once, so a larger word can wrap at
+// 2^64, and the sketch would then answer wrong without an error.
+func CheckCells(words []uint64) error {
+	for i, w := range words {
+		if w >= hash.Prime {
+			return fmt.Errorf("sketch word %d is %d, not below the field prime 2^61-1", i, w)
+		}
+	}
+	return nil
+}
+
 // ViewWindow wraps raw backing words (for example a decoded message frame)
 // as the view of copies [lo, hi): exactly WindowWords(lo, hi) words that
 // such a view of an identical space produced.
@@ -341,11 +330,9 @@ func (s *Space) ViewWindow(cells []uint64, lo, hi int) Sketch {
 	return Sketch{space: s, cells: cells, lo: lo}
 }
 
-// updateChunk is the number of copies Update hashes before it writes their
-// cells: the size of its stack arrays of levels and fingerprints.
-const updateChunk = 64
-
-// Update applies X[idx] += delta; delta must be +1 or -1.
+// Update applies X[idx] += delta; delta must be +1 or -1. It is the
+// incidence kernel run on the one id, negated from id 0 for a deletion and
+// from none for an insertion.
 func (sk Sketch) Update(idx uint64, delta int) {
 	if delta != 1 && delta != -1 {
 		panic(fmt.Sprintf("sketch: delta %d", delta))
@@ -353,51 +340,12 @@ func (sk Sketch) Update(idx uint64, delta int) {
 	if idx >= sk.space.idSpace {
 		panic(fmt.Sprintf("sketch: index %d out of space %d", idx, sk.space.idSpace))
 	}
-	sp := sk.space
-	L, stride := sp.levels, sp.perCopy
-	// A deletion adds the field negations p − idx and p − h(idx); p itself,
-	// the negation of 0, adds as 0 (addModP reduces it).
-	isum := idx % hash.Prime
+	neg := uint64(math.MaxUint64) // above every id: idx enters as +1
 	if delta < 0 {
-		isum = hash.Prime - isum
+		neg = 0
 	}
-	var lvl [updateChunk]uint8
-	var fp [updateChunk]uint64
-	lo, hi := sk.CopyRange()
-	for c0 := lo; c0 < hi; c0 += updateChunk {
-		k := min(hi-c0, updateChunk)
-		// First pass: every copy's level and fingerprint, touching no cell.
-		sp.levelH.Levels(idx, L, c0, lvl[:k])
-		sp.fpH.Eval(idx, c0, fp[:k])
-		if delta < 0 {
-			for i := range k {
-				fp[i] = hash.Prime - fp[i]
-			}
-		}
-		// Second pass: level 0 of every copy, whose k addresses are all
-		// known, so their cache misses overlap; then the levels above, which
-		// an item reaches with probability 2^-l and which mostly share level
-		// 0's cache line. Level l holds every item of sampling level >= l,
-		// so level 0 holds the full vector.
-		cells := sk.cells[(c0-lo)*stride : (c0-lo+k)*stride]
-		for i := range k {
-			w := cells[i*stride : i*stride+cellWords]
-			w[offIsum] = addModP(w[offIsum], isum)
-			w[offFp] = addModP(w[offFp], fp[i])
-		}
-		for i := range k {
-			w := cells[i*stride : (i+1)*stride]
-			for l := 1; l <= int(lvl[i]); l++ {
-				w[l*cellWords+offIsum] = addModP(w[l*cellWords+offIsum], isum)
-				w[l*cellWords+offFp] = addModP(w[l*cellWords+offFp], fp[i])
-			}
-		}
-	}
+	sk.add([]uint64{idx}, neg)
 }
-
-// incidenceChunk is the number of edges AddIncidence hashes a copy's rows
-// for at once: the size of its stack arrays of points and hashes.
-const incidenceChunk = 32
 
 // AddIncidence adds to the view the incidence vector X_v of vertex v of a
 // graph on n vertices, given the ids of v's live edges in any order: each
@@ -406,28 +354,40 @@ const incidenceChunk = 32
 // it. By linearity the cells are those of a zero view that took Update for
 // each edge, then was added: the same words bit for bit. It is the kernel
 // that stands in for a vertex kept as its edge list, and checks nothing:
-// every id must lie in the view's id space. It computes the powers of up to
-// incidenceChunk ids at once (hash.PointAt), then, copy by copy, evaluates
-// the copy's level and fingerprint rows at all of them — each row's
-// coefficients loaded once — and writes the copy's cells, which stay in
-// cache while the chunk's ids land in them.
+// every id must lie in the view's id space.
 func (sk Sketch) AddIncidence(n, v int, ids []uint64) {
+	sk.add(ids, uint64(v)*uint64(n))
+}
+
+// incidenceChunk is the number of ids add hashes a copy's rows for at once:
+// the size of its stack arrays of points and hashes.
+const incidenceChunk = 32
+
+// add adds to the view the vector that is +1 at each of ids below neg and
+// -1 at each at or above it (an id listed twice counts twice). It is the one
+// loop that hashes into cells (see the package doc): it computes the powers
+// of up to incidenceChunk ids at once, then, copy by copy, evaluates the
+// copy's level and fingerprint rows at all of them and writes the copy's
+// cells. An id's sign is settled once, not per copy: its index enters as the
+// field negation p − id, and its fingerprint is negated as it is written.
+// p itself, the negation of 0, adds as 0 (addModP reduces it).
+func (sk Sketch) add(ids []uint64, neg uint64) {
 	sp := sk.space
+	// NewSpace caps levels at 65, so every level fits RowLevels' byte.
 	L, stride := sp.levels, sp.perCopy
 	lo, hi := sk.CopyRange()
-	larger := uint64(v) * uint64(n) // the ids below it have v as their larger endpoint
 	var (
 		pts   [incidenceChunk]hash.Point
 		isums [incidenceChunk]uint64
-		neg   [incidenceChunk]bool
+		negs  [incidenceChunk]bool
 		lvl   [incidenceChunk]uint8
 		fp    [incidenceChunk]uint64
 	)
 	for len(ids) > 0 {
 		k := min(len(ids), incidenceChunk)
 		for j, id := range ids[:k] {
-			pts[j], isums[j], neg[j] = hash.PointAt(id), id%hash.Prime, id >= larger
-			if neg[j] {
+			pts[j], isums[j], negs[j] = hash.PointAt(id), id%hash.Prime, id >= neg
+			if negs[j] {
 				isums[j] = hash.Prime - isums[j]
 			}
 		}
@@ -437,7 +397,7 @@ func (sk Sketch) AddIncidence(n, v int, ids []uint64) {
 			w := sk.cells[(c-lo)*stride : (c-lo+1)*stride]
 			for j := range k {
 				f := fp[j]
-				if neg[j] {
+				if negs[j] {
 					f = hash.Prime - f
 				}
 				for l := 0; l <= int(lvl[j]); l++ {
@@ -470,7 +430,7 @@ func (sk Sketch) Add(other Sketch) {
 }
 
 // Clone returns an independent deep copy of the sketch (one allocation; for
-// an allocation-free transient copy use Space.ScratchCopy).
+// an allocation-free transient sum use Space.Scratch).
 func (sk Sketch) Clone() Sketch {
 	c := Sketch{space: sk.space, cells: make([]uint64, len(sk.cells)), lo: sk.lo}
 	copy(c.cells, sk.cells)
@@ -536,31 +496,4 @@ func EdgeSign(w int, e graph.Edge) int {
 	default:
 		panic(fmt.Sprintf("sketch: vertex %d not an endpoint of %v", w, e))
 	}
-}
-
-// VertexSketch is an AGM sketch of the incidence vector X_v of one vertex:
-// a Sketch view plus the vertex count needed to map edges to coordinates.
-// Like Sketch it is a value; copying it aliases the same cells.
-type VertexSketch struct {
-	Sketch
-	n int
-}
-
-// VertexView wraps an existing sketch view (typically an Arena slot) as the
-// vertex sketch of a graph on n vertices.
-func VertexView(sk Sketch, n int) VertexSketch {
-	if sk.space.idSpace != graph.IDSpace(n) {
-		panic("sketch: space does not match vertex count")
-	}
-	return VertexSketch{Sketch: sk, n: n}
-}
-
-// ApplyEdge updates the sketch of vertex w for an insertion (op =
-// graph.Insert) or deletion of edge e incident to w.
-func (vs VertexSketch) ApplyEdge(w int, e graph.Edge, op graph.Op) {
-	sign := EdgeSign(w, e)
-	if op == graph.Delete {
-		sign = -sign
-	}
-	vs.Update(e.ID(vs.n), sign)
 }

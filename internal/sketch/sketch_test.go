@@ -24,10 +24,21 @@ func sum(sketches ...Sketch) Sketch {
 	return out
 }
 
-// newVertexSketch returns the sketch of an isolated vertex in a graph on n
-// vertices, over a fresh sketch of space.
-func newVertexSketch(space *Space, n int) VertexSketch {
-	return VertexView(space.NewSketch(), n)
+// vertexSketches returns the vertex sketches of a graph on n vertices with
+// the given edges, each a fresh sketch of space that took its vertex's
+// incidence from the list of its edge ids.
+func vertexSketches(space *Space, n int, edges []graph.Edge) []Sketch {
+	lists := make([][]uint64, n)
+	for _, e := range edges {
+		lists[e.U] = append(lists[e.U], e.ID(n))
+		lists[e.V] = append(lists[e.V], e.ID(n))
+	}
+	vs := make([]Sketch, n)
+	for v := range vs {
+		vs[v] = space.NewSketch()
+		vs[v].AddIncidence(n, v, lists[v])
+	}
+	return vs
 }
 
 func TestEmptySketchQueriesEmpty(t *testing.T) {
@@ -236,7 +247,7 @@ func TestZeroCellNeverRecovers(t *testing.T) {
 	var lvl [1]uint8
 	for u, added := 1, 0; added < 2; u++ {
 		id := graph.NewEdge(0, u).ID(n)
-		if space.levelH.Levels(id, space.levels, 0, lvl[:]); lvl[0] == 0 {
+		if space.levelH.RowLevels(0, []hash.Point{hash.PointAt(id)}, space.levels, lvl[:]); lvl[0] == 0 {
 			sk.Update(id, +1)
 			added++
 		}
@@ -383,16 +394,8 @@ func TestVertexSketchCutRecovery(t *testing.T) {
 	// recovers exactly the single cut edge {1,2}.
 	const n = 16
 	sp := NewGraphSpace(n, 12, hash.NewPRG(14))
-	vs := make([]VertexSketch, n)
-	for v := range vs {
-		vs[v] = newVertexSketch(sp, n)
-	}
-	edges := []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(1, 2), graph.NewEdge(2, 3)}
-	for _, e := range edges {
-		vs[e.U].ApplyEdge(e.U, e, graph.Insert)
-		vs[e.V].ApplyEdge(e.V, e, graph.Insert)
-	}
-	cut := sum(vs[0].Sketch, vs[1].Sketch)
+	vs := vertexSketches(sp, n, []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(1, 2), graph.NewEdge(2, 3)})
+	cut := sum(vs[0], vs[1])
 	idx, res := cut.QueryAny(0)
 	if res != Found {
 		t.Fatalf("cut query result %v", res)
@@ -408,15 +411,8 @@ func TestVertexSketchInternalEdgesCancel(t *testing.T) {
 	// A = {0,1,2,3} holding a path 0-1-2-3 has an empty cut.
 	const n = 8
 	sp := NewGraphSpace(n, 8, hash.NewPRG(15))
-	vs := make([]VertexSketch, n)
-	for v := range vs {
-		vs[v] = newVertexSketch(sp, n)
-	}
-	for _, e := range []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(1, 2), graph.NewEdge(2, 3)} {
-		vs[e.U].ApplyEdge(e.U, e, graph.Insert)
-		vs[e.V].ApplyEdge(e.V, e, graph.Insert)
-	}
-	cut := sum(vs[0].Sketch, vs[1].Sketch, vs[2].Sketch, vs[3].Sketch)
+	vs := vertexSketches(sp, n, []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(1, 2), graph.NewEdge(2, 3)})
+	cut := sum(vs[0], vs[1], vs[2], vs[3])
 	if _, res := cut.QueryAny(0); res != Empty {
 		t.Errorf("internal edges did not cancel: %v", res)
 	}
@@ -425,23 +421,12 @@ func TestVertexSketchInternalEdgesCancel(t *testing.T) {
 func TestVertexSketchDeletion(t *testing.T) {
 	const n = 8
 	sp := NewGraphSpace(n, 8, hash.NewPRG(16))
-	a := newVertexSketch(sp, n)
 	e := graph.NewEdge(0, 5)
-	a.ApplyEdge(0, e, graph.Insert)
-	a.ApplyEdge(0, e, graph.Delete)
+	a := vertexSketches(sp, n, []graph.Edge{e})[0]
+	a.Update(e.ID(n), -EdgeSign(0, e))
 	if _, res := a.QueryAny(0); res != Empty {
 		t.Error("insert+delete did not cancel in vertex sketch")
 	}
-}
-
-func TestNewVertexSketchSpaceMismatchPanics(t *testing.T) {
-	sp := NewGraphSpace(8, 2, hash.NewPRG(17))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched space did not panic")
-		}
-	}()
-	newVertexSketch(sp, 9)
 }
 
 func TestQueryResultString(t *testing.T) {
@@ -675,9 +660,9 @@ func TestWindowAddIsAddOnThoseCopies(t *testing.T) {
 	}
 }
 
-// ScratchCopy hands out a pooled copy of exactly the view it is given, and a
-// released window's buffer serves a whole sketch next.
-func TestScratchCopyOfAWindow(t *testing.T) {
+// Scratch hands out a pooled zero view of exactly the copies asked for,
+// and a released window's buffer serves a whole sketch next, cleared.
+func TestScratchOfAWindow(t *testing.T) {
 	sp := newTestSpace(1<<10, 6, 26)
 	sk := sp.NewSketch()
 	for i := uint64(0); i < 30; i++ {
@@ -688,22 +673,24 @@ func TestScratchCopyOfAWindow(t *testing.T) {
 		glo, ghi := got.CopyRange()
 		wlo, whi := want.CopyRange()
 		if glo != wlo || ghi != whi {
-			t.Fatalf("copy holds copies [%d,%d), want [%d,%d)", glo, ghi, wlo, whi)
+			t.Fatalf("view holds copies [%d,%d), want [%d,%d)", glo, ghi, wlo, whi)
 		}
-		for i, x := range want.Cells() {
-			if got.Cells()[i] != x {
-				t.Fatalf("word %d differs", i)
-			}
+		if !slices.Equal(got.Cells(), want.Cells()) {
+			t.Fatal("words differ")
 		}
 	}
 	w := sk.Window(1, 4)
-	c := sp.ScratchCopy(w)
+	c := sp.Scratch(1, 4)
+	equal(c, sp.NewSketch().Window(1, 4))
+	c.Add(w)
 	equal(c, w)
 	orig := sk.Clone()
-	c.Add(w) // the copy is the caller's to change, and changes nothing else
+	c.Add(w) // the scratch is the caller's to change, and changes nothing else
 	equal(sk, orig)
 	sp.Release(c)
-	whole := sp.ScratchCopy(sk)
+	whole := sp.Scratch(0, sp.Copies())
 	defer sp.Release(whole)
+	equal(whole, sp.NewSketch())
+	whole.Add(sk)
 	equal(whole, sk)
 }

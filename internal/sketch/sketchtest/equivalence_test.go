@@ -71,8 +71,9 @@ func (p *paired) compareAll(t *testing.T, context string) {
 // every query outcome of the running sums.
 func (p *paired) comparePrefixSums(t *testing.T, context string) {
 	t.Helper()
-	acc := p.space.ScratchCopy(p.arena.At(0))
+	acc := p.space.Scratch(0, p.space.Copies())
 	defer p.space.Release(acc)
+	acc.Add(p.arena.At(0))
 	refAcc := p.refs[0].Clone()
 	for v := 1; v < p.n; v++ {
 		acc.Add(p.arena.At(v))
@@ -164,7 +165,8 @@ func TestRandomOpsEquivalence(t *testing.T) {
 				refs[i].Add(refs[j])
 			case 3: // sum into a pooled scratch and query it
 				j := int(prg.NextN(sketchN))
-				s := space.ScratchCopy(flat[i])
+				s := space.Scratch(0, copies)
+				s.Add(flat[i])
 				s.Add(flat[j])
 				r := refs[i].Clone()
 				r.Add(refs[j])

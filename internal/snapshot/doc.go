@@ -198,10 +198,12 @@
 // A Layout says what every row keeps: each leading word a Field, a value in
 // [Lo, Hi) (in [0, n) for a vertex, in [-1, n) for a match partner) and,
 // with Above, strictly above the word before it; and the first Key words
-// strictly increasing from row to row, in the order Order names. A count is
-// bounded against its section before anything is sized from it, and a
-// rejection names the part and the row: "core: snapshot tree edges row 1:
-// key [1 2] listed twice or out of edge-id order".
+// strictly increasing from row to row, in the order Order names; and, when
+// Rest is set, the words after the Fields passing it (sketch.CheckCells:
+// every sketch word a field element). A count is bounded against its
+// section before anything is sized from it, and a rejection names the part
+// and the row: "core: snapshot tree edges row 1: key [1 2] listed twice or
+// out of edge-id order".
 //
 // Image.Load runs in one order: decode and validate every part of every
 // section; the state's cross-row checks (Image.Check — core's: the tree

@@ -329,12 +329,14 @@ type Field struct {
 
 // Layout is the shape of a run of rows: Width words each, the leading ones
 // keeping Fields, the first Key of them strictly increasing from row to row
-// as unsigned words (the order Order names; a key's fields keep [0, n)).
+// as unsigned words (the order Order names; a key's fields keep [0, n)),
+// and the words after the Fields passing Rest, when it is set.
 type Layout struct {
 	Width  int
 	Fields []Field
 	Key    int
 	Order  string
+	Rest   func(words []uint64) error
 }
 
 // check validates run, whole rows of l.Width words, and reports the first
@@ -343,7 +345,7 @@ func (l *Layout) check(pkg, name string, run []uint64) error {
 	fail := func(r int, format string, args ...any) error {
 		return fmt.Errorf("%s: snapshot %s row %d: "+format, append([]any{pkg, name, r}, args...)...)
 	}
-	for r := 0; (len(l.Fields) > 0 || l.Key > 0) && (r+1)*l.Width <= len(run); r++ {
+	for r := 0; (len(l.Fields) > 0 || l.Key > 0 || l.Rest != nil) && (r+1)*l.Width <= len(run); r++ {
 		row := run[r*l.Width : (r+1)*l.Width]
 		for j, f := range l.Fields {
 			if x := int(int64(row[j])); f.Lo != f.Hi && (x < f.Lo || x >= f.Hi) {
@@ -354,6 +356,11 @@ func (l *Layout) check(pkg, name string, run []uint64) error {
 		}
 		if r > 0 && l.Key > 0 && slices.Compare(row[:l.Key], run[(r-1)*l.Width:(r-1)*l.Width+l.Key]) <= 0 {
 			return fail(r, "key %v listed twice or out of %s order", row[:l.Key], l.Order)
+		}
+		if l.Rest != nil {
+			if err := l.Rest(row[len(l.Fields):]); err != nil {
+				return fail(r, "%v", err)
+			}
 		}
 	}
 	return nil
