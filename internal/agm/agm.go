@@ -264,7 +264,7 @@ func (c *Connectivity) lookupLabels(vertices []int) map[int]int {
 			if !ok {
 				return nil
 			}
-			b := mpc.AcquireMessageBatch()
+			b := mm.Batch(0)
 			for _, v := range msg.(mpc.Ints) {
 				if v >= sh.lo && v < sh.hi {
 					b.Append(uint64(v), uint64(sh.labels[v-sh.lo]))

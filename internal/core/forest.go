@@ -482,8 +482,9 @@ func newForest(cfg Config, weighted bool, sketchWords int) (*Forest, error) {
 		}
 		q := payload.(*u64Payload).xs
 		i := sort.Search(len(q), func(i int) bool { return int(q[i]) >= vs.lo })
-		b := mpc.AcquireMessageBatch()
-		for ; i < len(q) && int(q[i]) < vs.hi; i++ {
+		j := sort.Search(len(q), func(j int) bool { return int(q[j]) >= vs.hi })
+		b := mm.Batch(3 * (j - i))
+		for ; i < j; i++ {
 			b.Append(q[i], uint64(vs.compOf(int(q[i]))))
 		}
 		return b
@@ -592,10 +593,10 @@ func (f *Forest) flush() {
 
 // The frame combiners of the flat aggregations below (mpc.KeepFirst,
 // mpc.SumValues, mergeMin, mergeStats, mergeHeavier) are all merge-joins over
-// key-sorted [k, ...] frames into a fresh pooled batch (no operand is mutated
-// in place, so pooled buffers cannot alias), and all are commutative per key,
-// so the deterministic sender-order fold of the tree yields the same frames
-// at every parallelism.
+// key-sorted [k, ...] frames into a fresh batch from the cluster's free list,
+// sized for both operands (no operand is mutated in place, so no two batches
+// share a buffer), and all are commutative per key, so the deterministic
+// sender-order fold of the tree yields the same frames at every parallelism.
 
 // mergeMin keeps the smaller value word of colliding [k, v] frames.
 var mergeMin = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
@@ -680,7 +681,7 @@ func collectNumComps(mm *mpc.Machine) *mpc.MessageBatch {
 	if vs == nil {
 		return nil
 	}
-	b := mpc.AcquireMessageBatch()
+	b := mm.Batch(3)
 	b.Append(0, uint64(vs.heads()))
 	return b
 }
@@ -749,6 +750,7 @@ func answerStats(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 	stats := slices.Grow(es.stats[:0], len(query))[:len(query)]
 	clear(stats)
 	es.stats = stats
+	found := 0
 	for i := range es.recs {
 		te := &es.recs[i]
 		for _, v := range [2]int{te.rec.E.U, te.rec.E.V} {
@@ -759,6 +761,7 @@ func answerStats(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 			ps, st := te.rec.PositionsOf(v), &stats[j]
 			if st.F == 0 {
 				st.Tour, st.F, st.L = te.rec.Tour, ps[0], ps[1]
+				found++
 				continue
 			}
 			if ps[0] < st.F {
@@ -769,7 +772,7 @@ func answerStats(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 			}
 		}
 	}
-	b := mpc.AcquireMessageBatch()
+	b := mm.Batch(5*found + 3*len(q.comps))
 	for j, st := range stats {
 		if st.F != 0 {
 			b.Append(uint64(query[j]), uint64(st.Tour), uint64(st.F), uint64(st.L))
@@ -863,7 +866,7 @@ func (f *Forest) minAbove(qs []eulertour.CutQuery) map[int]eulertour.Pos {
 					}
 				}
 			}
-			b := mpc.AcquireMessageBatch()
+			b := mm.Batch(3 * len(queries))
 			// Queries sharing a vertex fold into one frame (min), keeping
 			// the batch strictly key-sorted for the merge-join.
 			for j := 0; j < len(queries); {
@@ -1165,7 +1168,7 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 	sort.Slice(byID, func(i, j int) bool { return byID[i].ID(n) < byID[j].ID(n) })
 	gathered := f.ask(edgeListPayload{edges: byID}, func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 		es := eShard(mm)
-		b := mpc.AcquireMessageBatch()
+		b := mm.Batch(0)
 		for _, e := range payload.(edgeListPayload).edges {
 			if f.edgeOwner(e) != mm.ID {
 				continue
@@ -1241,7 +1244,7 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 				counts[j]++
 			}
 		}
-		return countFrames(mpc.AcquireMessageBatch(), 0, want, counts)
+		return countFrames(mm.Batch(3*len(want)), 0, want, counts)
 	}, mpc.SumValues)
 	tourLens := map[eulertour.TourID]int{}
 	if res != nil {
@@ -1359,8 +1362,12 @@ func (f *Forest) pushFragments() {
 		var out []mpc.Message
 		for i := 0; i < len(es.pairs); {
 			owner := f.part.Owner(int(es.pairs[i][0]))
-			b := mpc.AcquireMessageBatch()
-			for ; i < len(es.pairs) && f.part.Owner(int(es.pairs[i][0])) == owner; i++ {
+			j := i + 1
+			for j < len(es.pairs) && f.part.Owner(int(es.pairs[j][0])) == owner {
+				j++
+			}
+			b := mm.Batch(3 * (j - i))
+			for ; i < j; i++ {
 				b.Append(es.pairs[i][0], es.pairs[i][1])
 			}
 			out = append(out, mpc.Message{To: owner, Payload: b})
@@ -1435,10 +1442,12 @@ func (f *Forest) aggregateFragmentMins(first *firstWindow) map[uint64]int {
 			slices.SortFunc(mins, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 			vs.mins = slices.CompactFunc(mins, func(a, b [2]uint64) bool { return a[0] == b[0] })
 			var sums *sketchcodec.Sums
+			words := 3 * len(vs.mins)
 			if first != nil {
 				sums = first.collect(mm, vs)
+				words += sums.Len() * first.win.Words()
 			}
-			b := mpc.AcquireMessageBatch()
+			b := mm.Batch(words)
 			for _, m := range vs.mins {
 				if sums == nil || vs.passive[m[0]] {
 					b.Append(m[0], m[1])
@@ -1544,6 +1553,7 @@ func (f *Forest) HeaviestOnPaths(pairs [][2]int) (map[int]graph.WeightedEdge, er
 			query := payload.(pathQuery)
 			best := make([]graph.WeightedEdge, len(query.pairs))
 			found := make([]bool, len(query.pairs))
+			nfound := 0
 			for i := range recs {
 				te := &recs[i]
 				for j, pr := range query.pairs {
@@ -1554,6 +1564,9 @@ func (f *Forest) HeaviestOnPaths(pairs [][2]int) (map[int]graph.WeightedEdge, er
 						continue
 					}
 					cand := graph.WeightedEdge{Edge: te.rec.E, Weight: te.weight}
+					if !found[j] {
+						nfound++
+					}
 					if !found[j] || heavier(cand, best[j]) {
 						found[j], best[j] = true, cand
 					}
@@ -1561,7 +1574,7 @@ func (f *Forest) HeaviestOnPaths(pairs [][2]int) (map[int]graph.WeightedEdge, er
 			}
 			// query.pairs is built in ascending idx order, so the frames
 			// [idx, weight, u, v] are key-sorted for the merge-join.
-			b := mpc.AcquireMessageBatch()
+			b := mm.Batch(5 * nfound)
 			for j, ok := range found {
 				if ok {
 					b.Append(uint64(query.pairs[j].idx), uint64(best[j].Weight), uint64(best[j].U), uint64(best[j].V))

@@ -219,3 +219,37 @@ func TestCutPayloadIsMetered(t *testing.T) {
 		t.Errorf("violations: %q", v)
 	}
 }
+
+// TestIdleBuffersWithinPeakWords replays the three streams of
+// TestLedgerPinned on an instance of n = 2^12 vertices (Phi 0.6, Seed 1,
+// parallelism 1, where the free list's contents are deterministic) and
+// bounds what the cluster holds idle afterwards by the memory the model
+// meters: idle bytes ≤ idleFactor × Stats.PeakTotalWords × 8. A class keeps
+// what one round held at once in it, and a buffer is its batch's size
+// rounded up to a power of two, so the idle set is at most twice the words
+// some rounds had in flight; those stay below the stores' peak on these
+// streams, which read 0.26×, 0.79× and 0.80×.
+func TestIdleBuffersWithinPeakWords(t *testing.T) {
+	const idleFactor = 2
+	for _, stream := range []string{"testdata/churn32.stream", "../harness/testdata/window64.stream", "../harness/testdata/powerlaw64.stream"} {
+		t.Run(stream, func(t *testing.T) {
+			batches, _ := readStream(t, stream)
+			dc, err := NewDynamicConnectivity(Config{N: 1 << 12, Phi: 0.6, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range batches {
+				for j := 0; j < len(b); j += dc.MaxBatch() {
+					if err := dc.ApplyBatch(b[j:min(j+dc.MaxBatch(), len(b))]); err != nil {
+						t.Fatalf("batch %d: %v", i, err)
+					}
+				}
+			}
+			idle, peak := 8*dc.Cluster().IdleBufferWords(), 8*dc.Cluster().Stats().PeakTotalWords
+			t.Logf("idle %d B, peak total %d B (%.3f×)", idle, peak, float64(idle)/float64(peak))
+			if idle > idleFactor*peak {
+				t.Errorf("the free list holds %d B idle, over %d × the peak total memory of %d B", idle, idleFactor, peak)
+			}
+		})
+	}
+}

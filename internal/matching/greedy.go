@@ -177,7 +177,7 @@ func (g *GreedyInsertOnly) queryStatus(edges []graph.Edge) map[int]int {
 				}
 			}
 			sort.Ints(owned)
-			b := mpc.AcquireMessageBatch()
+			b := mm.Batch(3 * len(owned))
 			for i, v := range owned {
 				if i > 0 && owned[i-1] == v {
 					continue

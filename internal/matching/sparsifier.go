@@ -124,7 +124,7 @@ func (sp *sparsifier) applyBatch(b graph.Batch) error {
 			touched = append(touched, p)
 		}
 		slices.SortFunc(touched, func(a, b pairKey) int { return cmp.Compare(a.frameKey(), b.frameKey()) })
-		out := mpc.AcquireMessageBatch()
+		out := mm.Batch(0)
 		for _, p := range slices.Compact(touched) {
 			st := sh.pairs[p]
 			oldEdge, hadOld := st.outcome, st.has

@@ -19,13 +19,18 @@ package mpc
 //
 // The tree walks reuse cluster-owned state (the per-rank accumulator slots,
 // the per-machine outboxes, and dispatch callbacks built once at
-// NewCluster), so a steady-state Ask or Tell allocates nothing of its own
-// beyond the pooled batch buffers the callbacks acquire.
+// NewCluster), so a steady-state Ask or Tell allocates nothing of its own.
+// The batches the callbacks answer with come from the cluster's free list
+// (Machine.Batch), each merge's output too (MergeSortedBatches, sized for
+// both operands), and every batch a merge consumes goes back to it, so at
+// steady state the batches allocate nothing either, and the list holds per
+// capacity class about what one round used at once.
 
 // BatchCombine merges two batches into one, returning the result. It runs at
 // internal nodes of the aggregation tree and must be associative up to the
-// key order of the frames; implementations normally acquire a pooled output
-// batch and release both inputs (see MergeSortedBatches).
+// key order of the frames; implementations normally take the output batch
+// from the operands' free list and release both inputs (see
+// MergeSortedBatches).
 type BatchCombine func(a, b *MessageBatch) *MessageBatch
 
 // aggState is the reusable scratch of AggregateBatches, owned by the
@@ -197,14 +202,18 @@ func SumValues(a, b *MessageBatch) *MessageBatch {
 }
 
 // MergeSortedBatches merge-joins two batches whose frames are sorted
-// ascending by their first word (the key) into a fresh pooled batch:
-// distinct keys are copied through, equal keys are handed to combine, which
-// merges the src frame into the dst frame already copied into the output.
-// Both inputs are released; neither operand is mutated in place, so pooled
-// buffers cannot alias. Pass a nil combine to keep the dst frame on key
-// collisions.
+// ascending by their first word (the key) into a fresh batch from the
+// operands' free list, sized for both: distinct keys are copied through,
+// equal keys are handed to combine, which merges the src frame into the dst
+// frame already copied into the output. Both inputs are released; neither
+// operand is mutated in place, so no two batches share a buffer. Pass a nil
+// combine to keep the dst frame on key collisions.
 func MergeSortedBatches(a, b *MessageBatch, combine func(dst, src []uint64)) *MessageBatch {
-	out := AcquireMessageBatch()
+	l := a.list
+	if l == nil {
+		l = b.list
+	}
+	out := l.get(len(a.buf) + len(b.buf))
 	ca, cb := a.Cursor(), b.Cursor()
 	fa, oka := ca.Next()
 	fb, okb := cb.Next()

@@ -44,7 +44,7 @@ func TestAggregateBatchesSum(t *testing.T) {
 				}
 				got := decodeKV(cl.AggregateBatches(machines-1,
 					func(m *mpc.Machine) *mpc.MessageBatch {
-						b := mpc.AcquireMessageBatch()
+						b := m.Batch(0)
 						for k := uint64(0); k < 6; k++ {
 							if (uint64(m.ID)+k)%2 == 0 {
 								b.Append(k, uint64(m.ID)+10*k)
@@ -74,7 +74,7 @@ func TestAggregateBatchesEmpty(t *testing.T) {
 		if m.ID != 2 {
 			return nil
 		}
-		b := mpc.AcquireMessageBatch()
+		b := m.Batch(0)
 		b.Append(7, 42)
 		return b
 	}, sumCombine))
@@ -93,7 +93,7 @@ func TestAggregateBatchesDeterministic(t *testing.T) {
 	run := func(par int) ([]uint64, mpc.Stats) {
 		cl := mpc.NewCluster(mpc.Config{Machines: 7, LocalMemory: 1 << 12, Parallelism: par})
 		res := cl.AggregateBatches(3, func(m *mpc.Machine) *mpc.MessageBatch {
-			b := mpc.AcquireMessageBatch()
+			b := m.Batch(0)
 			b.Append(uint64(m.ID%3), uint64(m.ID))
 			b.Append(uint64(10+m.ID), 1)
 			return b
@@ -123,7 +123,8 @@ func TestAggregateBatchesDeterministic(t *testing.T) {
 // TestMergeSortedBatchesNilCombine checks the keep-dst default and that
 // wide frames pass through intact.
 func TestMergeSortedBatchesNilCombine(t *testing.T) {
-	a, b := mpc.AcquireMessageBatch(), mpc.AcquireMessageBatch()
+	m := mpc.NewCluster(mpc.Config{Machines: 1, LocalMemory: 64}).Machine(0)
+	a, b := m.Batch(0), m.Batch(0)
 	a.Append(1, 100, 101)
 	a.Append(5, 500, 501)
 	b.Append(1, 900, 901)

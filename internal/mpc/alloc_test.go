@@ -64,7 +64,7 @@ func newChurnRounds(t testing.TB, parallelism int) *churnRounds {
 		for i := range bufs[par] {
 			bufs[par][i] = make([]*mpc.MessageBatch, machines)
 			for j := range bufs[par][i] {
-				bufs[par][i][j] = mpc.AcquireMessageBatch()
+				bufs[par][i][j] = cl.Machine(i).Batch(0)
 			}
 		}
 	}
@@ -135,17 +135,18 @@ type wordsPayload struct{ xs []uint64 }
 func (p *wordsPayload) Words() int { return len(p.xs) }
 
 // TestAllocsAskSteadyState: an Ask whose callbacks are built once — the
-// shape of core's label lookup — allocates nothing once the pooled batches
-// and the cluster's outboxes have grown: the broadcast tree, the answer
-// dispatch and the merge-join all run on cluster-owned scratch. Tell shares
-// the broadcast and the dispatch.
+// shape of core's label lookup — allocates nothing once the cluster's free
+// list and outboxes have grown: the broadcast tree, the answer dispatch and
+// the merge-join all run on cluster-owned scratch, the race detector's
+// scheduling included (the list is the cluster's, not a sync.Pool that
+// drops items on purpose). Tell shares the broadcast and the dispatch.
 func TestAllocsAskSteadyState(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) {
 			cl := mpc.NewCluster(mpc.Config{Machines: 9, LocalMemory: 64, Parallelism: p})
 			q := &wordsPayload{xs: []uint64{2, 3, 5, 7}}
 			answer := func(m *mpc.Machine, q mpc.Sized) *mpc.MessageBatch {
-				b := mpc.AcquireMessageBatch()
+				b := m.Batch(0)
 				for _, k := range q.(*wordsPayload).xs {
 					if int(k)%3 == m.ID%3 {
 						b.Append(k, uint64(m.ID))
@@ -164,7 +165,7 @@ func TestAllocsAskSteadyState(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				run()
 			}
-			if n := testing.AllocsPerRun(100, run); n != 0 && !raceEnabled {
+			if n := testing.AllocsPerRun(100, run); n != 0 {
 				t.Fatalf("steady-state Ask + Tell allocate %.1f allocs/op, want 0", n)
 			}
 			if st := cl.Stats(); len(st.Violations) != 0 {

@@ -41,7 +41,7 @@ func collectiveRounds(c *Cluster, w int) int {
 
 // idTimes answers one [id, id*q] frame per machine.
 func idTimes(m *Machine, q Sized) *MessageBatch {
-	b := AcquireMessageBatch()
+	b := m.Batch(0)
 	b.Append(uint64(m.ID), uint64(m.ID)*uint64(q.(word)))
 	return b
 }
@@ -108,7 +108,7 @@ func TestGatherLargeFanIn(t *testing.T) {
 
 // idSum answers one [0, id*q] frame per machine, all under one key.
 func idSum(m *Machine, q Sized) *MessageBatch {
-	b := AcquireMessageBatch()
+	b := m.Batch(0)
 	b.Append(0, uint64(m.ID)*uint64(q.(word)))
 	return b
 }
@@ -132,7 +132,7 @@ func TestAggregateWithNilContributions(t *testing.T) {
 		if m.ID != 3 {
 			return nil
 		}
-		b := AcquireMessageBatch()
+		b := m.Batch(0)
 		b.Append(0, uint64(q.(word)))
 		return b
 	}, SumValues))
@@ -141,10 +141,10 @@ func TestAggregateWithNilContributions(t *testing.T) {
 	}
 	// No answer at all, and only empty answers: both come back nil.
 	if res := c.Ask(4, word(1), func(*Machine, Sized) *MessageBatch { return nil }, SumValues); res != nil {
-		t.Errorf("Ask nobody answered returned %v", res.Raw())
+		t.Errorf("Ask nobody answered returned %v", framesOf(res))
 	}
-	if res := c.Ask(4, word(1), func(*Machine, Sized) *MessageBatch { return AcquireMessageBatch() }, SumValues); res != nil {
-		t.Errorf("Ask answered with empty batches returned %v", res.Raw())
+	if res := c.Ask(4, word(1), func(m *Machine, _ Sized) *MessageBatch { return m.Batch(0) }, SumValues); res != nil {
+		t.Errorf("Ask answered with empty batches returned %v", framesOf(res))
 	}
 	for i, w := range storeWords(c) {
 		if w != 0 {
@@ -156,7 +156,7 @@ func TestAggregateWithNilContributions(t *testing.T) {
 func TestAggregateToNonZeroMachine(t *testing.T) {
 	c := newTestCluster(6, 100)
 	got := framesOf(c.Ask(5, word(1), func(m *Machine, q Sized) *MessageBatch {
-		b := AcquireMessageBatch()
+		b := m.Batch(0)
 		b.Append(0, uint64(q.(word)))
 		return b
 	}, SumValues))
@@ -172,7 +172,7 @@ func TestExchangeLookup(t *testing.T) {
 	got := framesOf(c.Ask(3, U64s{1, 2, 5}, func(m *Machine, q Sized) *MessageBatch {
 		for _, k := range q.(U64s) {
 			if k == uint64(m.ID) {
-				b := AcquireMessageBatch()
+				b := m.Batch(0)
 				b.Append(k, k*k)
 				return b
 			}
@@ -239,7 +239,7 @@ func TestAskIsBroadcastThenAggregate(t *testing.T) {
 		hand := NewCluster(Config{Machines: 13, LocalMemory: 24, Parallelism: p})
 		q := U64s{3, 1, 4, 1, 5}
 		a := framesOf(verbs.Ask(12, q, func(m *Machine, q Sized) *MessageBatch {
-			b := AcquireMessageBatch()
+			b := m.Batch(0)
 			b.Append(uint64(m.ID%4), uint64(len(q.(U64s))))
 			return b
 		}, SumValues))
@@ -249,7 +249,7 @@ func TestAskIsBroadcastThenAggregate(t *testing.T) {
 		b := framesOf(hand.AggregateBatches(12, func(m *Machine) *MessageBatch {
 			q := m.Get(slotTold)
 			m.Delete(slotTold)
-			b := AcquireMessageBatch()
+			b := m.Batch(0)
 			b.Append(uint64(m.ID%4), uint64(len(q.(U64s))))
 			return b
 		}, SumValues))
@@ -273,7 +273,7 @@ func ExampleCluster_Ask() {
 	// Machine 0 asks every machine for (id+1) times the question, summed.
 	sum := c.Ask(0, U64s{10},
 		func(m *Machine, q Sized) *MessageBatch {
-			b := AcquireMessageBatch()
+			b := m.Batch(0)
 			b.Append(0, q.(U64s)[0]*uint64(m.ID+1))
 			return b
 		}, SumValues)

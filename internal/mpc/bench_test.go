@@ -11,7 +11,7 @@ import (
 // state of a fully batched executor round (see also alloc_test.go).
 
 func BenchmarkMessageBatchEncode(b *testing.B) {
-	batch := mpc.AcquireMessageBatch()
+	batch := mpc.NewCluster(mpc.Config{Machines: 1, LocalMemory: 64}).Machine(0).Batch(0)
 	encode := func() {
 		batch.Reset()
 		for f := 0; f < 128; f++ {
@@ -27,7 +27,7 @@ func BenchmarkMessageBatchEncode(b *testing.B) {
 }
 
 func BenchmarkMessageBatchDecode(b *testing.B) {
-	batch := mpc.AcquireMessageBatch()
+	batch := mpc.NewCluster(mpc.Config{Machines: 1, LocalMemory: 64}).Machine(0).Batch(0)
 	for f := 0; f < 128; f++ {
 		batch.Append(uint64(f), uint64(f+1), uint64(f&1))
 	}

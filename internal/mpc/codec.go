@@ -2,6 +2,8 @@ package mpc
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -17,8 +19,10 @@ import (
 //
 // Encoding is append-only (Append or Grow) and decoding is in place: Frames
 // yields sub-slices of the buffer, so a receiver reads frames with zero
-// copies and zero allocations. Buffers are reusable via Reset and poolable
-// via AcquireMessageBatch/Release.
+// copies and zero allocations. A batch comes from its cluster's free list
+// (Machine.Batch, sized by a hint) and goes back to it on Release; a batch
+// whose frames outgrow its buffer moves to a larger one of the same list
+// (see freeList). Reset empties a batch and keeps its buffer.
 //
 // Words (the mpc.Sized accounting) counts the frame contents only: the
 // one-word length prefixes are routing bookkeeping — the boundary
@@ -28,22 +32,110 @@ type MessageBatch struct {
 	buf    []uint64 // frames, each [len, words...]
 	frames int
 	words  int // sum of frame lengths, excluding prefixes
+	// list is the free list the buffer came from and goes back to; nil for
+	// a batch wrapped around a caller's buffer, which Release drops.
+	list *freeList
 }
 
-// batchPool recycles batch buffers across rounds; steady-state encoding
-// allocates nothing once buffer capacities have converged.
-var batchPool = sync.Pool{New: func() any { return new(MessageBatch) }}
+// Capacity classes of a free list: class k holds buffers of exactly 1<<k
+// words, the smallest is 1<<minClass.
+const (
+	minClass   = 4
+	numClasses = 64
+)
 
-// AcquireMessageBatch returns an empty batch from the package pool.
-func AcquireMessageBatch() *MessageBatch {
-	b := batchPool.Get().(*MessageBatch)
+// classOf returns the smallest class whose buffers hold words words.
+func classOf(words int) int {
+	if words <= 1<<minClass {
+		return minClass
+	}
+	return bits.Len(uint(words - 1))
+}
+
+// freeList is a cluster's idle message batches, in power-of-two capacity
+// classes. A batch is taken from the class that fits its size hint and goes
+// back to the class of its capacity on Release, so a three-word answer never
+// takes a buffer a large round grew, and a class holds about as many buffers
+// as one round used at once. Each class keeps at most perClass idle batches
+// (see newFreeList); a batch released past that is dropped.
+//
+// The executor's workers share the list — a collect, a merge or a landing
+// acquires and releases on the worker that runs it — so a mutex guards it;
+// at one worker it is never contended. Only allocation goes through the
+// list: what a batch holds, and so every frame, word and round, is the same
+// whichever buffer carries it.
+type freeList struct {
+	mu       sync.Mutex
+	classes  [numClasses][]*MessageBatch
+	perClass int
+	idle     int // words of capacity held by the idle batches
+}
+
+// newFreeList returns the free list of a cluster of the given machine
+// count. A class keeps at most machines·(machines+1) idle batches: what one
+// round can hold at once in one class under the codec's discipline — one
+// batch per (src, dst) machine pair of a hand-routed Step, plus one merge
+// output per machine of an aggregation tree.
+func newFreeList(machines int) *freeList {
+	return &freeList{perClass: machines * (machines + 1)}
+}
+
+// get returns an empty batch with room for at least words words of frames,
+// length prefixes included. A nil list (a machine or merge of no cluster)
+// allocates a batch of no list.
+func (l *freeList) get(words int) *MessageBatch {
+	if l == nil {
+		return &MessageBatch{buf: make([]uint64, 0, words)}
+	}
+	k := classOf(words)
+	l.mu.Lock()
+	if n := len(l.classes[k]); n > 0 {
+		b := l.classes[k][n-1]
+		l.classes[k][n-1] = nil
+		l.classes[k] = l.classes[k][:n-1]
+		l.idle -= cap(b.buf)
+		l.mu.Unlock()
+		return b
+	}
+	l.mu.Unlock()
+	return &MessageBatch{buf: make([]uint64, 0, 1<<k), list: l}
+}
+
+// put empties b and keeps it idle in the class of its capacity, unless the
+// class is full.
+func (l *freeList) put(b *MessageBatch) {
 	b.Reset()
-	return b
+	k := bits.Len(uint(cap(b.buf))) - 1
+	l.mu.Lock()
+	if len(l.classes[k]) < l.perClass {
+		l.classes[k] = append(l.classes[k], b)
+		l.idle += cap(b.buf)
+	}
+	l.mu.Unlock()
 }
 
-// Release hands the batch back to the pool. The caller must be the last
-// holder: frames yielded from the batch alias its buffer and become invalid.
-func (b *MessageBatch) Release() { batchPool.Put(b) }
+// idleWords returns the capacity, in words, of the batches held idle.
+func (l *freeList) idleWords() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.idle
+}
+
+// Batch returns an empty batch from the cluster's free list with room for
+// at least words words of frames, each frame's length word included: a
+// frame of k words takes k+1. Pass the size when it is known (a batch that
+// outgrows its buffer moves to a larger one, copying what it holds) and 0
+// when it is not. The batch goes back to the list on Release.
+func (m *Machine) Batch(words int) *MessageBatch { return m.buffers.get(words) }
+
+// Release hands the batch back to its cluster's free list. The caller must
+// be the last holder: frames yielded from the batch alias its buffer and
+// become invalid. A batch of no list (MessageBatchFromRaw) is dropped.
+func (b *MessageBatch) Release() {
+	if b.list != nil {
+		b.list.put(b)
+	}
+}
 
 // Reset empties the batch, keeping the buffer capacity for reuse.
 func (b *MessageBatch) Reset() {
@@ -58,8 +150,30 @@ func (b *MessageBatch) Len() int { return b.frames }
 // Words implements Sized: the total content words across frames.
 func (b *MessageBatch) Words() int { return b.words }
 
+// reserve makes room for n more words.
+func (b *MessageBatch) reserve(n int) {
+	if len(b.buf)+n > cap(b.buf) {
+		b.move(len(b.buf) + n)
+	}
+}
+
+// move re-homes the frames in a buffer of at least words words: the next
+// class of the batch's free list that fits, which hands the old buffer back
+// to the list, or a grown slice for a batch of no list.
+func (b *MessageBatch) move(words int) {
+	if b.list == nil {
+		b.buf = slices.Grow(b.buf, words-len(b.buf))
+		return
+	}
+	o := b.list.get(max(words, 2*cap(b.buf)))
+	o.buf = append(o.buf, b.buf...)
+	b.buf, o.buf = o.buf, b.buf
+	b.list.put(o)
+}
+
 // Append adds one frame holding the given words.
 func (b *MessageBatch) Append(words ...uint64) {
+	b.reserve(1 + len(words))
 	b.buf = append(b.buf, uint64(len(words)))
 	b.buf = append(b.buf, words...)
 	b.frames++
@@ -70,14 +184,11 @@ func (b *MessageBatch) Append(words ...uint64) {
 // fill; the slice is valid until the next Append/Grow/Reset. Encode-once:
 // callers write the frame directly into the batch buffer.
 func (b *MessageBatch) Grow(n int) []uint64 {
-	b.buf = append(b.buf, uint64(n))
-	start := len(b.buf)
-	if cap(b.buf)-start >= n {
-		b.buf = b.buf[: start+n : cap(b.buf)]
-		clear(b.buf[start:])
-	} else {
-		b.buf = append(b.buf, make([]uint64, n)...)
-	}
+	b.reserve(1 + n)
+	start := len(b.buf) + 1
+	b.buf = b.buf[:start+n]
+	b.buf[start-1] = uint64(n)
+	clear(b.buf[start:])
 	b.frames++
 	b.words += n
 	return b.buf[start : start+n : start+n]
@@ -96,17 +207,12 @@ func (b *MessageBatch) Frames(yield func(frame []uint64) bool) {
 	}
 }
 
-// Raw exposes the batch's underlying length-prefixed frame buffer for
-// codecs that persist batches verbatim (the snapshot container stores its
-// sections as one frame each). The slice is valid until the next
-// Append/Grow/Reset and must be treated as read-only.
-func (b *MessageBatch) Raw() []uint64 { return b.buf }
-
-// MessageBatchFromRaw wraps a length-prefixed frame buffer (as returned by
-// Raw) as a batch, validating the frame structure first: unlike the
-// routing hot path — where a corrupt frame is a programming error and
-// panics — this entry point is for decoding external input (snapshot
-// files), so a malformed prefix is returned as an error.
+// MessageBatchFromRaw wraps a length-prefixed frame buffer as a batch,
+// validating the frame structure first: unlike the routing hot path — where
+// a corrupt frame is a programming error and panics — this entry point is
+// for decoding external input (snapshot files), so a malformed prefix is
+// returned as an error. The batch belongs to no free list: it aliases buf,
+// and Release drops it.
 func MessageBatchFromRaw(buf []uint64) (*MessageBatch, error) {
 	frames, words := 0, 0
 	for off := 0; off < len(buf); {

@@ -87,6 +87,11 @@
 // inboxes, word counters) and reuses them round over round, and
 // MessageBatch provides a length-prefixed binary codec so algorithms route
 // one packed buffer per (src, dst) machine pair instead of one small
-// allocation per logical message. See codec.go and the allocation-budget
-// tests.
+// allocation per logical message. The cluster owns those buffers too: a
+// callback takes a batch from the cluster's free list through its machine
+// (Machine.Batch, sized by a hint), in power-of-two capacity classes, and
+// Release hands it back to the class of its capacity, so the list holds
+// about what one round used at once rather than the largest batch any round
+// wrote. Cluster.IdleBufferWords reports what it holds. See codec.go and the
+// allocation-budget tests.
 package mpc

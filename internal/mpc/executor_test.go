@@ -251,7 +251,7 @@ func runEngineProgram(parallelism int) (Stats, string) {
 	c.broadcast(3, U64s{1, 2, 3})
 	sum := c.Ask(0, U64s{1},
 		func(m *Machine, q Sized) *MessageBatch {
-			b := AcquireMessageBatch()
+			b := m.Batch(0)
 			b.Append(0, q.(U64s)[0]*uint64(m.ID))
 			return b
 		}, SumValues)
@@ -263,11 +263,11 @@ func runEngineProgram(parallelism int) (Stats, string) {
 			if m.ID%3 != 0 {
 				return nil
 			}
-			b := AcquireMessageBatch()
+			b := m.Batch(0)
 			b.Append(uint64(m.ID), uint64(m.ID)*uint64(q.(word)))
 			return b
 		}, KeepFirst)
-	digest := fmt.Sprintf("sum=%v gathered=%v\n", sum.Raw(), gathered.Raw())
+	digest := fmt.Sprintf("sum=%v gathered=%v\n", framesOf(sum), framesOf(gathered))
 	for i := 0; i < M; i++ {
 		digest += fmt.Sprintf("m%d: state=%d delivered=%v\n", i, c.Machine(i).StateWords(), delivered[i])
 	}

@@ -8,8 +8,8 @@ import (
 
 // padded is a one-frame answer of w words under key 0 whose second word
 // SumValues adds up; the merged batch stays w words wide at every tree node.
-func padded(w int, v uint64) *MessageBatch {
-	b := AcquireMessageBatch()
+func padded(m *Machine, w int, v uint64) *MessageBatch {
+	b := m.Batch(w + 1)
 	f := b.Grow(w)
 	clear(f)
 	f[1] = v
@@ -41,7 +41,7 @@ func TestRoundsAreTreeDepth(t *testing.T) {
 					t.Errorf("%s took %d rounds, want %d", name, got, want)
 				}
 			}
-			answer := func(m *Machine, _ Sized) *MessageBatch { return padded(w, uint64(m.ID)) }
+			answer := func(m *Machine, _ Sized) *MessageBatch { return padded(m, w, uint64(m.ID)) }
 			sum := uint64(tc.M * (tc.M - 1) / 2)
 
 			rounds("Broadcast", tc.depth, func() {

@@ -79,6 +79,8 @@ type Machine struct {
 	ID int
 	// Store holds the machine's local state.
 	Store map[string]Sized
+	// buffers is the cluster's free list of message batches (Batch).
+	buffers *freeList
 }
 
 // StateWords returns the machine's current local memory use in words.
@@ -111,6 +113,9 @@ type Cluster struct {
 	machines []*Machine
 	inboxes  [][]Message
 	stats    Stats
+	// buffers is the free list every message batch of the cluster's
+	// callbacks comes from and goes back to (Machine.Batch).
+	buffers *freeList
 
 	// Reused round scratch. spare is the second half of the inbox double
 	// buffer: every Step fills it, swaps it with inboxes, and truncates the
@@ -165,9 +170,10 @@ func NewCluster(cfg Config) *Cluster {
 		spare:      make([][]Message, cfg.Machines),
 		stateWords: make([]int, cfg.Machines),
 		recvWords:  make([]int, cfg.Machines),
+		buffers:    newFreeList(cfg.Machines),
 	}
 	for i := range c.machines {
-		c.machines[i] = &Machine{ID: i, Store: make(map[string]Sized)}
+		c.machines[i] = &Machine{ID: i, Store: make(map[string]Sized), buffers: c.buffers}
 	}
 	c.runStep = func(i int) {
 		c.outs[i] = c.stepFn(c.machines[i], c.inboxes[i])
@@ -216,6 +222,11 @@ func (c *Cluster) Parallelism() int { return c.exec.workers }
 // shards before an execution begins; algorithms must not use it to bypass
 // message passing mid-run.
 func (c *Cluster) Machine(i int) *Machine { return c.machines[i] }
+
+// IdleBufferWords returns the capacity, in words, of the message batches the
+// cluster's free list holds idle between uses: process memory the model does
+// not meter, beside Stats.PeakTotalWords, which it does.
+func (c *Cluster) IdleBufferWords() int { return c.buffers.idleWords() }
 
 // Stats returns a copy of the execution metrics so far.
 func (c *Cluster) Stats() Stats { return c.stats }

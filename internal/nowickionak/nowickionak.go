@@ -215,8 +215,9 @@ func (m *Matcher) applyAndReportVanished(b graph.Batch) map[graph.Edge]bool {
 			}
 		}
 		slices.Sort(gone)
-		out := mpc.AcquireMessageBatch()
-		for _, id := range slices.Compact(gone) {
+		gone = slices.Compact(gone)
+		out := mm.Batch(2 * len(gone))
+		for _, id := range gone {
 			out.Append(id)
 		}
 		return out
@@ -251,7 +252,7 @@ func (m *Matcher) matchStatus(vertices []int) map[int]int {
 		if sh == nil {
 			return nil
 		}
-		b := mpc.AcquireMessageBatch()
+		b := mm.Batch(0)
 		for _, v := range msg.(mpc.Ints) {
 			if sh.owns(v) {
 				b.Append(uint64(v), uint64(int64(sh.match[v-sh.lo])))
@@ -344,12 +345,12 @@ const (
 	kindConfirm  = 3
 )
 
-// appendProposal adds one [from, to, kind] frame to dst's batch, acquiring
-// the batch on first use.
-func appendProposal(byOwner map[int]*mpc.MessageBatch, dst, from, to, kind int) {
+// appendProposal adds one [from, to, kind] frame to dst's batch, taking the
+// batch from mm's cluster on first use.
+func appendProposal(mm *mpc.Machine, byOwner map[int]*mpc.MessageBatch, dst, from, to, kind int) {
 	b := byOwner[dst]
 	if b == nil {
-		b = mpc.AcquireMessageBatch()
+		b = mm.Batch(0)
 		byOwner[dst] = b
 	}
 	b.Append(uint64(from), uint64(to), uint64(kind))
@@ -403,7 +404,7 @@ func (m *Matcher) rematchRound(pending []int) []bool {
 		byOwner := map[int]*mpc.MessageBatch{}
 		for _, v := range sh.proposing {
 			for o := range sh.adj[v-sh.lo] {
-				appendProposal(byOwner, m.part.Owner(o), v, o, kindPropose)
+				appendProposal(mm, byOwner, m.part.Owner(o), v, o, kindPropose)
 			}
 		}
 		sh.proposing = nil
@@ -444,7 +445,7 @@ func (m *Matcher) rematchRound(pending []int) []bool {
 				if f == best {
 					kind = kindAccept
 				}
-				appendProposal(byOwner, m.part.Owner(f), to, f, kind)
+				appendProposal(mm, byOwner, m.part.Owner(f), to, f, kind)
 			}
 			if best != -1 && pendSet[to] {
 				abstain[to] = true
@@ -480,7 +481,7 @@ func (m *Matcher) rematchRound(pending []int) []bool {
 		byOwner := map[int]*mpc.MessageBatch{}
 		for v, u := range bestAccept {
 			sh.match[v-sh.lo] = u
-			appendProposal(byOwner, m.part.Owner(u), v, u, kindConfirm)
+			appendProposal(mm, byOwner, m.part.Owner(u), v, u, kindConfirm)
 		}
 		return batchMessages(byOwner)
 	})
@@ -552,7 +553,7 @@ func (m *Matcher) Size() int {
 					n++
 				}
 			}
-			b := mpc.AcquireMessageBatch()
+			b := mm.Batch(3)
 			b.Append(0, n)
 			return b
 		}, mpc.SumValues)

@@ -27,7 +27,8 @@
 // published by the applier. Counters that a state keeps itself (cache hits
 // and misses, replacement searches) are summed by the session over every
 // state it ran (session.Session.Counters), so a resize's fresh state does
-// not take them back to zero; the applier copies that sum into the
+// not take them back to zero; the applier copies that sum, and the bytes the
+// live cluster holds idle in its free list of message batches, into the
 // instance's metrics after every op, so a scrape never reads the session.
 //
 // # Endpoints

@@ -122,6 +122,7 @@ func newInstance(id int, cfg core.Config, queueDepth int, chain *snapshot.Chain)
 		in.replayedUpdates.Store(uint64(chain.Replayed().Updates))
 	}
 	in.publish()
+	in.foldCounters()
 	go in.applier()
 	return in, nil
 }
@@ -140,9 +141,11 @@ func (in *instance) publish() {
 }
 
 // foldCounters copies the session's counters — summed over every state it
-// ran, so a resize resets none (session.Session.Counters) — into the
-// instance's metrics. The applier calls it after every op.
+// ran, so a resize resets none (session.Session.Counters) — and the live
+// cluster's idle buffer bytes into the instance's metrics. Construction and
+// the applier, after every op, call it.
 func (in *instance) foldCounters() {
+	in.idleBufferBytes.Store(8 * uint64(in.live().Cluster().IdleBufferWords()))
 	c := in.sess.Counters()
 	in.cacheHits.Store(c.CacheHits)
 	in.cacheMisses.Store(c.CacheMisses)

@@ -37,6 +37,10 @@ type metrics struct {
 	// checkpointErrors counts checkpoint writes that failed, the re-base
 	// after a resize included; none of them fails the instance.
 	checkpointErrors atomic.Uint64
+	// idleBufferBytes is what the live state's cluster holds idle in its
+	// free list of message batches (mpc.Cluster.IdleBufferWords), copied in
+	// with the counters.
+	idleBufferBytes atomic.Uint64
 	// ckpt is indexed like ckptKinds.
 	ckpt  [len(ckptKinds)]struct{ count, bytes, nanos atomic.Uint64 }
 	apply histogram
@@ -141,6 +145,8 @@ var families = [...]family{
 		of: func(in *instance, _ int) uint64 { return in.checkpointErrors.Load() }},
 	{name: "mpcserve_queue_depth", typ: "gauge", help: "Update batches waiting in the bounded queue.",
 		of: func(in *instance, _ int) uint64 { return uint64(len(in.queue)) }},
+	{name: "mpcserve_idle_buffer_bytes", typ: "gauge", help: "Bytes of message-batch buffers the instance's MPC cluster holds idle between rounds: process memory beside what the model meters.",
+		of: func(in *instance, _ int) uint64 { return in.idleBufferBytes.Load() }},
 	{name: "mpcserve_cluster_machines", typ: "gauge", help: "Machines in the instance's MPC fleet (changes on resize).",
 		of: func(in *instance, _ int) uint64 { return uint64(in.machines()) }},
 	{name: "mpcserve_instance_ready", typ: "gauge", help: "1 while the instance admits updates, 0 while a checkpoint or resize op holds it or after a failure.",

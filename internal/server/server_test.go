@@ -383,6 +383,36 @@ func TestServerCheckpointRestore(t *testing.T) {
 // atomic an instance keeps reaches the page, traffic reads as it should, and
 // the page is the table — per row, in order, HELP, TYPE, then a sample per
 // instance (and per kind or bucket) and nothing else.
+// TestMetricsIdleBufferBytes: mpcserve_idle_buffer_bytes is what the live
+// state's cluster holds idle in its free list, as of the applier's last op.
+func TestMetricsIdleBufferBytes(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig(t))
+	in := srv.insts[0]
+	for _, b := range [][]WireUpdate{
+		{{Op: "insert", U: 0, V: 1}, {Op: "insert", U: 1, V: 2}},
+		{{Op: "delete", U: 0, V: 1}},
+	} {
+		resp := postJSON(t, ts.URL+"/instances/0/updates", UpdateRequest{Updates: b})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST updates: %s", resp.Status)
+		}
+		resp.Body.Close()
+		waitDrained(t, in)
+	}
+	var words int
+	if err := in.do(func() error { words = in.live().Cluster().IdleBufferWords(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, in) // the fold after the read has run
+	if words == 0 {
+		t.Fatal("the cluster holds no idle buffer after a batch")
+	}
+	want := fmt.Sprintf(`mpcserve_idle_buffer_bytes{instance="0"} %d`, 8*words)
+	if body := scrapeMetrics(t, ts); !strings.Contains(body, want+"\n") {
+		t.Errorf("metrics output missing %q", want)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, testConfig(t))
 	for _, op := range []string{"insert", "delete"} {

@@ -5,10 +5,12 @@
 // encoded as [label, cells...] frames, merged frame-wise at the internal
 // nodes of the aggregation tree, and decoded in place at the coordinator as
 // views into the final batch buffer — no per-sketch heap objects, no
-// interface-wrapped maps, and no allocation beyond the pooled batch
-// buffers. A call moves one window of sketch copies, [lo, hi): the frames,
-// every sum along the way and the views it returns hold hi-lo copies, so a
-// caller that is about to read few copies pays for few.
+// interface-wrapped maps, and no allocation beyond the batch buffers, which
+// come from the cluster's free list sized for their frames
+// (mpc.Machine.Batch) and go back to it. A call moves one window of sketch
+// copies, [lo, hi): the frames, every sum along the way and the views it
+// returns hold hi-lo copies, so a caller that is about to read few copies
+// pays for few.
 //
 // AggregateByLabel is the whole aggregation. Its three steps — Sums (the
 // per-machine accumulation), Sums.Put (the encode) and Window.Merge (the
@@ -66,6 +68,9 @@ func (s *Sums) Sum(key uint64) sketch.Sketch {
 // into key's partial.
 func (s *Sums) Add(key uint64, sk sketch.Sketch) { s.Sum(key).Add(sk.Window(s.w.Lo, s.w.Hi)) }
 
+// Len returns the number of keys added.
+func (s *Sums) Len() int { return len(s.keys) }
+
 // Keys returns the keys added, ascending.
 func (s *Sums) Keys() []uint64 {
 	slices.Sort(s.keys)
@@ -89,12 +94,15 @@ func (s *Sums) Put(key uint64, cells []uint64) {
 // one label are summed (cell-wise, exactly commutative, so the fold order
 // never shows in the result). Labels must be non-negative.
 //
-// The per-machine accumulation uses the space's scratch pool and the
-// in-flight payloads use pooled message batches, so the steady-state sketch
-// merge path of the recovery queries allocates only map headers. The
-// returned sketches are views into the final batch buffer: they are valid
-// until the caller calls release, which hands the buffer back to the pool and
-// must be called exactly once, after the last use of the views.
+// The per-machine accumulation uses the space's scratch pool. Each machine's
+// contribution is a batch from the cluster's free list sized for its frames
+// (labels × (2 + window words)), and every merge output one sized for its
+// operands, so the steady-state sketch merge path of the recovery queries
+// allocates only map headers and no buffer is larger than its round needs.
+// The returned sketches are views into the final batch buffer: they are
+// valid until the caller calls release, which hands the buffer back to the
+// cluster's free list and must be called exactly once, after the last use of
+// the views.
 func AggregateByLabel(
 	cl *mpc.Cluster,
 	to int,
@@ -111,7 +119,7 @@ func AggregateByLabel(
 			if len(acc.keys) == 0 {
 				return nil
 			}
-			b := mpc.AcquireMessageBatch()
+			b := mm.Batch(len(acc.keys) * (2 + words))
 			for _, k := range acc.Keys() {
 				f := b.Grow(1 + words)
 				f[0] = k
