@@ -235,20 +235,33 @@ func (c *Connectivity) query(wantForest bool) ([]int, int, []graph.Edge) {
 // mergeSupernodeSketches sums copy r of the vertex sketches — the one copy
 // Borůvka round r reads — by current label and gathers the per-label sums to
 // the coordinator as [label, cells...] frames of the batched message codec,
-// valid until release is called. (The volume is bounded by the number of
-// active supernodes; the experiments use graphs whose supernode count shrinks
-// geometrically, the regime AGM is designed for.)
+// valid until release is called: each machine lays out a frame per label it
+// holds, in label order, and adds its vertices' copy into them. (The volume
+// is bounded by the number of active supernodes; the experiments use graphs
+// whose supernode count shrinks geometrically, the regime AGM is designed
+// for.)
 func (c *Connectivity) mergeSupernodeSketches(r int) (sums map[int]sketch.Sketch, release func()) {
-	return sketchcodec.AggregateByLabel(c.cl, c.coord, c.space, r, r+1,
-		func(mm *mpc.Machine, sums *sketchcodec.Sums) {
+	w := sketchcodec.Window{Space: c.space, Lo: r, Hi: r + 1}
+	return sketchcodec.AggregateByLabel(c.cl, c.coord, w,
+		func(mm *mpc.Machine) *mpc.MessageBatch {
 			sh, ok := mm.Get(slotShard).(*shard)
 			if !ok {
-				return
+				return nil
 			}
+			keys := make([]uint64, len(sh.labels))
 			for i, l := range sh.labels {
-				sums.Add(uint64(l), sh.arena.At(i))
+				keys[i] = uint64(l)
 			}
-		})
+			slices.Sort(keys)
+			keys = slices.Compact(keys)
+			b, sums := w.Layout(mm, len(keys), func(i int) ([]uint64, bool) { return keys[i : i+1], true }, nil)
+			for i, l := range sh.labels {
+				j, _ := slices.BinarySearch(keys, uint64(l))
+				sums[j].Add(sh.arena.At(i).Window(r, r+1))
+			}
+			return b
+		},
+		func(label uint64) int { return int(label) })
 }
 
 // lookupLabels resolves current labels for the given vertices: one Ask

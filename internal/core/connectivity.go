@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -374,25 +376,40 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 	return nil
 }
 
-// sumActive adds, on one vertex machine, the sketch of every vertex of a
-// fragment the last Cut left active into the sum that sum returns for the
-// vertex and its fragment key, over that sum's copy range: the contribution
-// of Lemma 6.5's sketch-merging step, restricted to the fragments that will
-// query. Vertices of a passive fragment — the largest of its split tour —
-// contribute nothing, so the words summed and shipped are proportional to
+// sumActive lays out one vertex machine's frames of window w, one for each
+// fragment on its shard in key order (vs.mins), and adds into them the
+// window of every vertex of a fragment the last Cut left active: the
+// contribution of Lemma 6.5's sketch-merging step, restricted to the
+// fragments that will query. A frame is the first head words of the
+// fragment's [key, min vertex] pair, then the window's cells. The frame of
+// a passive fragment — the largest of its split tour — carries no cells,
+// and is laid out only with the min vertex (head 2, the fragment-min pass
+// of the first window). So the words summed and shipped are proportional to
 // the smaller sides of the cuts, not to the components cut. It counts the
 // vertex sketches summed and skipped.
-func sumActive(mm *mpc.Machine, vs *vertexShard, c *searchCounters, sum func(v int, frag uint64) sketch.Sketch) {
+func sumActive(mm *mpc.Machine, vs *vertexShard, w sketchcodec.Window, head int, c *searchCounters) *mpc.MessageBatch {
 	sh := sShard(mm)
+	b, sums := w.Layout(mm, len(vs.mins), func(i int) ([]uint64, bool) {
+		active := !vs.passive[vs.mins[i][0]]
+		if !active && head < 2 {
+			return nil, false
+		}
+		return vs.mins[i][:head], active
+	}, sh.sums)
+	sh.sums = sums
 	summed := 0
 	for i, k := range vs.frag {
-		if k != 0 && !vs.passive[k] {
-			sh.addWindow(sum(vs.lo+i, k), i)
-			summed++
+		if k == 0 || vs.passive[k] {
+			continue
 		}
+		j, _ := slices.BinarySearchFunc(vs.mins, k, func(m [2]uint64, k uint64) int { return cmp.Compare(m[0], k) })
+		sh.addWindow(sums[j], i)
+		summed++
 	}
+	clear(sums) // the batch is the caller's: keep no view of it
 	c.sketchesSummed.Add(uint64(summed))
 	c.sketchesSkipped.Add(uint64(vs.nfrag - summed))
+	return b
 }
 
 // firstWindow is a replacement search's first window of sketch copies,
@@ -402,11 +419,13 @@ func sumActive(mm *mpc.Machine, vs *vertexShard, c *searchCounters, sum func(v i
 // would repeat that pass over the same shards. sums holds, for every
 // fragment the Cut left active, the window of its vertices' sketch sum keyed
 // by the fragment's component id — views into the aggregated batch, valid
-// until release.
+// until release — and comps the component id of every fragment key, by
+// which a refill's sums are named.
 type firstWindow struct {
 	win     sketchcodec.Window
 	search  *searchCounters
 	sums    map[int]sketch.Sketch
+	comps   map[uint64]int
 	release func()
 }
 
@@ -417,14 +436,6 @@ func (dc *DynamicConnectivity) newFirstWindow() *firstWindow {
 		sums:    map[int]sketch.Sketch{},
 		release: func() {},
 	}
-}
-
-// collect sums the window of the active fragments' vertex sketches on one
-// vertex machine, by fragment key.
-func (fw *firstWindow) collect(mm *mpc.Machine, vs *vertexShard) *sketchcodec.Sums {
-	sums := fw.win.NewSums()
-	sumActive(mm, vs, fw.search, func(_ int, frag uint64) sketch.Sketch { return sums.Sum(frag) })
-	return sums
 }
 
 // merge combines colliding [fragment, vertex, cells...] frames: the smaller
@@ -440,21 +451,24 @@ func (fw *firstWindow) merge(a, b *mpc.MessageBatch) *mpc.MessageBatch {
 	})
 }
 
-// refillWindow fetches copies [lo, hi) of the active fragments' sketch sums,
-// keyed by component id, for a search that has read through the window it
-// holds: a Tell asks for them, and they travel as [label, cells...] frames of
-// the batched message codec through one aggregation (O(1/φ) rounds), coming
-// back as views into the final batch buffer, valid until release is called.
-// The Tell that closes the Cut has landed by then (it rides this Tell at the
-// latest), so the shards key by component id.
-func (dc *DynamicConnectivity) refillWindow(lo, hi int) (sums map[int]sketch.Sketch, release func()) {
+// refillWindow fetches copies [lo, hi) of the active fragments' sketch sums
+// for a search that has read through the window it holds: a Tell asks for
+// them, and they travel as [fragment, cells...] frames, laid out and summed
+// into as the first window's are, through one aggregation (O(1/φ) rounds).
+// They come back as views into the final batch buffer, keyed by the
+// fragment's component id (comps) and valid until release is called. Keyed
+// by fragment, the frames need nothing of the Tell that closes the Cut.
+func (dc *DynamicConnectivity) refillWindow(lo, hi int, comps map[uint64]int) (sums map[int]sketch.Sketch, release func()) {
 	dc.f.tell(mpc.Ints{lo, hi}, func(*mpc.Machine, mpc.Sized) {})
-	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, dc.space, lo, hi,
-		func(mm *mpc.Machine, sums *sketchcodec.Sums) {
+	w := sketchcodec.Window{Space: dc.space, Lo: lo, Hi: hi}
+	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, w,
+		func(mm *mpc.Machine) *mpc.MessageBatch {
 			if vs := vShard(mm); vs != nil && vs.nfrag > 0 {
-				sumActive(mm, vs, &dc.search, func(v int, _ uint64) sketch.Sketch { return sums.Sum(uint64(vs.compOf(v))) })
+				return sumActive(mm, vs, w, 1, &dc.search)
 			}
-		})
+			return nil
+		},
+		func(frag uint64) int { return comps[frag] })
 }
 
 // findReplacements runs the AGM-style Borůvka over the fragments at the
@@ -522,7 +536,7 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int, first *first
 			release()
 			lo, hi := ws.hi, min(ws.hi+w, t)
 			var sums map[int]sketch.Sketch
-			sums, release = dc.refillWindow(lo, hi)
+			sums, release = dc.refillWindow(lo, hi, first.comps)
 			ws.install(sums, lo, hi)
 		}
 	}

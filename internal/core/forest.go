@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hash"
 	"repro/internal/mpc"
-	"repro/internal/sketchcodec"
 )
 
 // Machine store slot names.
@@ -38,7 +37,10 @@ type vertexShard struct {
 	// checkpointed.
 	frag  []uint64
 	nfrag int
-	// mins is aggregateFragmentMins' scratch, reused across deletions.
+	// mins is the shard's [fragment, min vertex] pairs sorted by fragment,
+	// computed from frag by aggregateFragmentMins: every window of a
+	// replacement search lays out its frames in this order. Reused across
+	// deletions; like frag, never checkpointed.
 	mins [][2]uint64
 	// passive holds the fragment keys the last Cut declared passive (the
 	// largest fragment of every split tour, see Cut). Set by the Cut's
@@ -1409,12 +1411,14 @@ func (f *Forest) pushFragments() {
 
 // aggregateFragmentMins computes min vertex id per fragment key with one
 // flat min-merging [fragment, vertex] aggregation. Given first, the same
-// frames carry the replacement search's first window: a non-passive
-// fragment's is [fragment, vertex, cells...], the window of its vertices'
-// sketch sum, which the merge adds up while it takes the min, and the
-// coordinator hands first the sums keyed by the fragment's component id.
-// The window is keyed by fragment, not by component, because the component
-// ids are assigned only by the Tell that closes the Cut.
+// frames carry the replacement search's first window: sumActive lays a
+// non-passive fragment's frame out as [fragment, vertex, cells...] and sums
+// the window of its vertices' sketches into the cells, which the merge adds
+// up while it takes the min. The coordinator hands first the sums, keyed by
+// the fragment's component id, and the component id of every fragment, by
+// which a refill names its sums. The frames are keyed by fragment, not by
+// component, because the component ids are assigned only by the Tell that
+// closes the Cut.
 func (f *Forest) aggregateFragmentMins(first *firstWindow) map[uint64]int {
 	f.flush()
 	combine := mergeMin
@@ -1441,21 +1445,12 @@ func (f *Forest) aggregateFragmentMins(first *firstWindow) map[uint64]int {
 			}
 			slices.SortFunc(mins, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 			vs.mins = slices.CompactFunc(mins, func(a, b [2]uint64) bool { return a[0] == b[0] })
-			var sums *sketchcodec.Sums
-			words := 3 * len(vs.mins)
 			if first != nil {
-				sums = first.collect(mm, vs)
-				words += sums.Len() * first.win.Words()
+				return sumActive(mm, vs, first.win, 2, first.search)
 			}
-			b := mm.Batch(words)
+			b := mm.Batch(3 * len(vs.mins))
 			for _, m := range vs.mins {
-				if sums == nil || vs.passive[m[0]] {
-					b.Append(m[0], m[1])
-					continue
-				}
-				fr := b.Grow(2 + first.win.Words())
-				fr[0], fr[1] = m[0], m[1]
-				sums.Put(m[0], fr[2:])
+				b.Append(m[0], m[1])
 			}
 			return b
 		}, combine)
@@ -1470,7 +1465,7 @@ func (f *Forest) aggregateFragmentMins(first *firstWindow) map[uint64]int {
 		}
 	}
 	if first != nil {
-		first.release = res.Release
+		first.comps, first.release = out, res.Release
 	} else {
 		res.Release()
 	}
@@ -1487,7 +1482,7 @@ func (p fragCompsPayload) Words() int { return 2 * len(p.compByFrag) }
 // rides the next broadcast — the replacement search's first label lookup or
 // refill, or the replacement Link's Ask, whichever comes first — since
 // everything before that reads the coordinator's labels (split) or keys by
-// fragment (the first window), not the shards' component ids.
+// fragment (every window of the search), not the shards' component ids.
 func (f *Forest) tellFragComps(compByFrag map[uint64]int) {
 	f.ride(fragCompsPayload{compByFrag: compByFrag}, func(mm *mpc.Machine, payload mpc.Sized) {
 		vs := vShard(mm)

@@ -36,6 +36,9 @@ type sketchShard struct {
 	// listWords is the sum of the list lengths, kept as they change: Words
 	// is read at every round boundary.
 	listWords int
+	// sums is sumActive's views of the frames it sums into, reused across
+	// windows.
+	sums []sketch.Sketch
 	// refused counts the updates of the batch being applied that a list
 	// vertex refused — the deletion of an edge it does not hold, or the
 	// insertion of one it holds — and first is the index of the first of

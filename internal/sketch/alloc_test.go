@@ -8,8 +8,8 @@ import (
 )
 
 // The allocation-budget tests lock in the zero-allocation contract of the
-// flat arena representation: the sketch hot path (Update, Add, Query, and
-// the pooled scratch merge) must not allocate at steady state. They fail
+// flat arena representation: the sketch hot path (Update, Add, Query) must
+// not allocate at steady state. They fail
 // with the measured allocation count so a regression is immediately
 // quantified.
 
@@ -54,25 +54,5 @@ func TestAllocsSketchQuery(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Sketch.Query allocates %.1f allocs/op on the steady state, want 0", n)
-	}
-}
-
-func TestAllocsScratchMerge(t *testing.T) {
-	// The pooled scratch path used by the recovery-query merges: a zero
-	// scratch, sum, query, release. Release boxes the slice header back into
-	// the pool, so the budget here is the single pool put; everything else
-	// must be free.
-	space, arena := allocSpace()
-	a, b := arena.At(0), arena.At(1)
-	a.Update(3, +1)
-	b.Update(900, +1)
-	if n := testing.AllocsPerRun(200, func() {
-		s := space.Scratch(0, space.Copies())
-		s.Add(a)
-		s.Add(b)
-		s.QueryAny(0)
-		space.Release(s)
-	}); n > 1 {
-		t.Fatalf("scratch merge allocates %.1f allocs/op on the steady state, want <= 1 (the pool put)", n)
 	}
 }

@@ -84,29 +84,6 @@ func BenchmarkSketchQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkSketchScratchMerge(b *testing.B) {
-	// The pooled transient-merge pattern of the recovery paths
-	// (sketchcodec.Sums): a zero scratch, fold four sketches, query,
-	// release.
-	space, arena := benchSpace(b)
-	for v := 0; v < 4; v++ {
-		arena.At(v).Update(graph.NewEdge(v, v+50).ID(256), +1)
-	}
-	// Fill the pool first: its per-P table and first buffer are one-time
-	// costs that scale with GOMAXPROCS, not part of the pinned pattern.
-	space.Release(space.Scratch(0, space.Copies()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := space.Scratch(0, space.Copies())
-		for v := 0; v < 4; v++ {
-			s.Add(arena.At(v))
-		}
-		s.QueryAny(0)
-		space.Release(s)
-	}
-}
-
 // BenchmarkAddIncidence sums a degree-16 list vertex into an 8-copy window
 // of a 4096-vertex, t = 32 space: the shape of a search summing a list
 // vertex's window (serve-window's). Its 0 allocs/op holds the kernel's

@@ -66,7 +66,7 @@ func FuzzSketchRecovery(f *testing.F) {
 // FuzzIncidenceWindowMatchesArena holds the one loop that writes sketch
 // cells to Horner's rule, not to itself. For a random vertex v of a graph
 // on n vertices, a random list of ids (drawn from the seed, then read from
-// raw, eight bytes each) and a random copy range [lo, hi), a scratch window
+// raw, eight bytes each) and a random copy range [lo, hi), a zero window
 // takes v's signed incidence (AddIncidence: +1 for an id below v·n, -1 for
 // the others), then the deletion of the first id as at a promoted vertex
 // (Update with that id's sign negated) and the last id again as a +1
@@ -111,8 +111,7 @@ func FuzzIncidenceWindowMatchesArena(f *testing.F) {
 			}
 			return -1
 		}
-		got := space.Scratch(lo, hi)
-		defer space.Release(got)
+		got := space.ViewWindow(make([]uint64, space.WindowWords(lo, hi)), lo, hi)
 		got.AddIncidence(n, v, ids)
 		type signed struct {
 			id   uint64

@@ -21,9 +21,9 @@
 //   - an Arena, which backs all the vertex sketches of one machine shard
 //     with a single contiguous allocation (see arena.go);
 //   - Space.NewSketch, a standalone one-allocation sketch;
-//   - Space.Scratch, a sync.Pool-backed zero window for the transient
-//     merge-and-query work of the recovery paths, returned with
-//     Space.Release.
+//   - Space.ViewWindow, the cells of a message frame: the recovery paths
+//     sum vertex sketches straight into the frames that carry the sums, and
+//     read the sums where they land (package sketchcodec).
 //
 // The t copies of a sketch are t contiguous runs of (levels+1)×2 words, so a
 // view need not hold all of them: Sketch.Window(lo, hi) is the view of copies
@@ -89,7 +89,6 @@ package sketch
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/hash"
@@ -179,7 +178,6 @@ type Space struct {
 	perCopy int // words of one copy: (levels+1) cells
 	levelH  hash.Cubics
 	fpH     hash.Cubics
-	scratch sync.Pool // *[]uint64 of stride words, see Scratch/Release
 }
 
 // NewSpace creates a space for vectors indexed by [0, idSpace) with t
@@ -204,10 +202,6 @@ func NewSpace(idSpace uint64, t int, prg *hash.PRG) *Space {
 	for range t {
 		s.levelH.Draw(prg)
 		s.fpH.Draw(prg)
-	}
-	s.scratch.New = func() any {
-		buf := make([]uint64, s.stride)
-		return &buf
 	}
 	return s
 }
@@ -243,9 +237,9 @@ func (s *Space) checkRange(lo, hi int) {
 // Sketch is a linear ℓ0-sampling sketch of a vector in {-1,0,+1}^idSpace.
 // It is a view: a Space pointer plus the backing words of copies [lo, hi) —
 // all t of them (SketchWords() words) unless the view is a window — which
-// may live in an Arena, a standalone allocation, a pooled scratch buffer or a
-// decoded message frame. Copying a Sketch value aliases the same cells; use
-// Clone for an independent copy. The zero value is not usable; see Valid.
+// may live in an Arena, a standalone allocation or a message frame. Copying
+// a Sketch value aliases the same cells; use Clone for an independent copy.
+// The zero value is not usable.
 type Sketch struct {
 	space *Space
 	cells []uint64
@@ -255,29 +249,6 @@ type Sketch struct {
 // NewSketch returns a standalone sketch of the zero vector (one allocation).
 func (s *Space) NewSketch() Sketch {
 	return Sketch{space: s, cells: make([]uint64, s.stride)}
-}
-
-// Scratch returns a view of copies [lo, hi) of the zero vector whose
-// backing comes from the space's sync.Pool, for a sum built up by Add and
-// AddIncidence. It must be handed back with Release once done, and not used
-// afterwards.
-func (s *Space) Scratch(lo, hi int) Sketch {
-	buf := s.scratch.Get().(*[]uint64)
-	cells := (*buf)[:s.WindowWords(lo, hi)]
-	clear(cells)
-	return Sketch{space: s, cells: cells, lo: lo}
-}
-
-// Release returns a Scratch-obtained sketch to the pool.
-// Releasing a sketch that is still referenced — or one backed by an Arena —
-// corrupts whoever still holds the cells; only pass sketches obtained from
-// the pool whose last use has passed.
-func (s *Space) Release(sk Sketch) {
-	if sk.space != s {
-		panic("sketch: Release of a sketch from a different space")
-	}
-	cells := sk.cells[:cap(sk.cells)]
-	s.scratch.Put(&cells)
 }
 
 // Words returns the view's size in machine words.
@@ -429,8 +400,9 @@ func (sk Sketch) Add(other Sketch) {
 	}
 }
 
-// Clone returns an independent deep copy of the sketch (one allocation; for
-// an allocation-free transient sum use Space.Scratch).
+// Clone returns an independent deep copy of the sketch (one allocation; a
+// transient sum goes into the message frame that carries it, see package
+// sketchcodec).
 func (sk Sketch) Clone() Sketch {
 	c := Sketch{space: sk.space, cells: make([]uint64, len(sk.cells)), lo: sk.lo}
 	copy(c.cells, sk.cells)

@@ -660,9 +660,10 @@ func TestWindowAddIsAddOnThoseCopies(t *testing.T) {
 	}
 }
 
-// Scratch hands out a pooled zero view of exactly the copies asked for,
-// and a released window's buffer serves a whole sketch next, cleared.
-func TestScratchOfAWindow(t *testing.T) {
+// A view wrapped around zero words — the cells of a freshly laid out frame —
+// is the zero window of exactly the copies asked for, and a sum added into
+// it is written into those words and nowhere else.
+func TestViewWindowSumsInPlace(t *testing.T) {
 	sp := newTestSpace(1<<10, 6, 26)
 	sk := sp.NewSketch()
 	for i := uint64(0); i < 30; i++ {
@@ -680,16 +681,18 @@ func TestScratchOfAWindow(t *testing.T) {
 		}
 	}
 	w := sk.Window(1, 4)
-	c := sp.Scratch(1, 4)
+	frame := make([]uint64, 1+sp.WindowWords(1, 4)) // a key word, then the cells
+	c := sp.ViewWindow(frame[1:], 1, 4)
 	equal(c, sp.NewSketch().Window(1, 4))
 	c.Add(w)
 	equal(c, w)
+	if !slices.Equal(frame[1:], w.Cells()) || frame[0] != 0 {
+		t.Fatal("the sum is not in the frame's cells, or it wrote past them")
+	}
 	orig := sk.Clone()
-	c.Add(w) // the scratch is the caller's to change, and changes nothing else
+	c.Add(w) // the frame is the caller's to change, and changes nothing else
 	equal(sk, orig)
-	sp.Release(c)
-	whole := sp.Scratch(0, sp.Copies())
-	defer sp.Release(whole)
+	whole := sp.ViewWindow(make([]uint64, sp.SketchWords()), 0, sp.Copies())
 	equal(whole, sp.NewSketch())
 	whole.Add(sk)
 	equal(whole, sk)

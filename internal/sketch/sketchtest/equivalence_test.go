@@ -71,9 +71,7 @@ func (p *paired) compareAll(t *testing.T, context string) {
 // every query outcome of the running sums.
 func (p *paired) comparePrefixSums(t *testing.T, context string) {
 	t.Helper()
-	acc := p.space.Scratch(0, p.space.Copies())
-	defer p.space.Release(acc)
-	acc.Add(p.arena.At(0))
+	acc := p.arena.At(0).Clone()
 	refAcc := p.refs[0].Clone()
 	for v := 1; v < p.n; v++ {
 		acc.Add(p.arena.At(v))
@@ -163,9 +161,9 @@ func TestRandomOpsEquivalence(t *testing.T) {
 				}
 				flat[i].Add(flat[j])
 				refs[i].Add(refs[j])
-			case 3: // sum into a pooled scratch and query it
+			case 3: // sum into a zero sketch and query it
 				j := int(prg.NextN(sketchN))
-				s := space.Scratch(0, copies)
+				s := space.NewSketch()
 				s.Add(flat[i])
 				s.Add(flat[j])
 				r := refs[i].Clone()
@@ -173,9 +171,8 @@ func TestRandomOpsEquivalence(t *testing.T) {
 				c := int(prg.NextN(copies))
 				gotIdx, gotRes := s.Query(c)
 				wantIdx, wantRes := r.Query(c)
-				space.Release(s)
 				if gotRes != wantRes || (gotRes == sketch.Found && gotIdx != wantIdx) {
-					t.Fatalf("seed %d op %d: scratch sum query: arena (%d, %v) != reference (%d, %v)",
+					t.Fatalf("seed %d op %d: zero-sketch sum query: arena (%d, %v) != reference (%d, %v)",
 						seed, op, gotIdx, gotRes, wantIdx, wantRes)
 				}
 			}

@@ -1,26 +1,29 @@
 // Package sketchcodec moves sketches over the MPC simulator in batched
 // binary form. It is the glue between the flat sketch representation
 // (sketch.Arena / sketch.Sketch views, which expose their cells as raw
-// words) and the mpc.MessageBatch codec: per-label sketch partials are
-// encoded as [label, cells...] frames, merged frame-wise at the internal
-// nodes of the aggregation tree, and decoded in place at the coordinator as
-// views into the final batch buffer — no per-sketch heap objects, no
-// interface-wrapped maps, and no allocation beyond the batch buffers, which
-// come from the cluster's free list sized for their frames
-// (mpc.Machine.Batch) and go back to it. A call moves one window of sketch
-// copies, [lo, hi): the frames, every sum along the way and the views it
-// returns hold hi-lo copies, so a caller that is about to read few copies
-// pays for few.
+// words) and the mpc.MessageBatch codec: per-key sketch sums travel as
+// [key, cells...] frames, merged frame-wise at the internal nodes of the
+// aggregation tree, and decoded in place at the coordinator as views into
+// the final batch buffer. A call moves one window of sketch copies,
+// [lo, hi): the frames, every sum along the way and the views it returns
+// hold hi-lo copies, so a caller that is about to read few copies pays for
+// few.
 //
-// AggregateByLabel is the whole aggregation. Its three steps — Sums (the
-// per-machine accumulation), Sums.Put (the encode) and Window.Merge (the
-// frame combine) — are exported for aggregations whose frames carry more
-// than a sum, which place the cells after words of their own.
+// A sum is written into the frame that carries it. A machine first lays out
+// its frames (Window.Layout): one batch from its cluster's free list, sized
+// for them (mpc.Machine.Batch), the frames in key order with zero cells. Only
+// then does it take views of the cells and add every contribution's window
+// into its key's frame, with sketch.Sketch.Add or
+// sketch.Sketch.AddIncidence. So a sum is written once, where it travels,
+// and nothing per sketch or per key lives on the heap; the batches go back
+// to the free list.
+//
+// AggregateByLabel is the whole aggregation for frames that carry only a
+// sum. Frames that carry more, which place the cells after words of their
+// own, are laid out by the same Layout and combined with Window.Merge.
 package sketchcodec
 
 import (
-	"slices"
-
 	"repro/internal/mpc"
 	"repro/internal/sketch"
 )
@@ -41,102 +44,80 @@ func (w Window) View(cells []uint64) sketch.Sketch { return w.Space.ViewWindow(c
 // Merge adds the src cells into the dst cells: the frame combine of a sum.
 func (w Window) Merge(dst, src []uint64) { w.View(dst).Add(w.View(src)) }
 
-// Sums accumulates one machine's per-key sums of a window in the space's
-// pooled scratch: one Space.Scratch per key, no allocation per sketch added.
-type Sums struct {
-	w    Window
-	keys []uint64
-	acc  map[uint64]sketch.Sketch
-}
-
-// NewSums starts an empty accumulation of the window.
-func (w Window) NewSums() *Sums { return &Sums{w: w, acc: map[uint64]sketch.Sketch{}} }
-
-// Sum returns key's partial, a view of the window to add into: zero on the
-// key's first use.
-func (s *Sums) Sum(key uint64) sketch.Sketch {
-	if cur, ok := s.acc[key]; ok {
-		return cur
-	}
-	cur := s.w.Space.Scratch(s.w.Lo, s.w.Hi)
-	s.acc[key] = cur
-	s.keys = append(s.keys, key)
-	return cur
-}
-
-// Add sums the window of sk, a full sketch or any view that holds the window,
-// into key's partial.
-func (s *Sums) Add(key uint64, sk sketch.Sketch) { s.Sum(key).Add(sk.Window(s.w.Lo, s.w.Hi)) }
-
-// Len returns the number of keys added.
-func (s *Sums) Len() int { return len(s.keys) }
-
-// Keys returns the keys added, ascending.
-func (s *Sums) Keys() []uint64 {
-	slices.Sort(s.keys)
-	return s.keys
-}
-
-// Put writes key's sum into cells (Words() words, typically the tail of a
-// frame) and hands its scratch back to the pool; each key is put once, and
-// must have been added.
-func (s *Sums) Put(key uint64, cells []uint64) {
-	sk := s.acc[key]
-	copy(cells, sk.Cells())
-	s.w.Space.Release(sk)
-}
-
-// AggregateByLabel tree-combines per-label sums of sketch copies [lo, hi) to
-// machine `to` and returns them decoded, keyed by label, as views of that
-// copy range. collect runs on every machine and adds each label's
-// contributions into sums, keyed by the label — Sums.Add of a full sketch or
-// any view that holds the range, or anything added into Sums.Sum; the sums of
-// one label are summed (cell-wise, exactly commutative, so the fold order
-// never shows in the result). Labels must be non-negative.
+// Layout lays out one machine's frames of window sums in one batch from its
+// cluster's free list, sized for them, and returns the batch and the view
+// of every frame's cells to add into. frame(i), for i < n, gives frame i's
+// head — the key first, the keys ascending — and whether the window's
+// cells, zero, follow it; a nil head lays out no frame. sums[i] is the view
+// of frame i's cells, the zero Sketch where none follow; sums reuses the
+// backing array of the slice passed in.
 //
-// The per-machine accumulation uses the space's scratch pool. Each machine's
-// contribution is a batch from the cluster's free list sized for its frames
-// (labels × (2 + window words)), and every merge output one sized for its
-// operands, so the steady-state sketch merge path of the recovery queries
-// allocates only map headers and no buffer is larger than its round needs.
-// The returned sketches are views into the final batch buffer: they are
-// valid until the caller calls release, which hands the buffer back to the
-// cluster's free list and must be called exactly once, after the last use of
-// the views.
+// The views are taken once the last frame is laid out: a batch whose frames
+// outgrow its buffer moves them to a larger one, and a view taken before
+// the move would add into the buffer left behind.
+func (w Window) Layout(mm *mpc.Machine, n int, frame func(i int) (head []uint64, cells bool), sums []sketch.Sketch) (*mpc.MessageBatch, []sketch.Sketch) {
+	words := func(head []uint64, cells bool) int {
+		if cells {
+			return len(head) + w.Words()
+		}
+		return len(head)
+	}
+	size := 0
+	for i := range n {
+		if head, cells := frame(i); head != nil {
+			size += 1 + words(head, cells)
+		}
+	}
+	b := mm.Batch(size)
+	for i := range n {
+		if head, cells := frame(i); head != nil {
+			copy(b.Grow(words(head, cells)), head)
+		}
+	}
+	sums = sums[:0]
+	c := b.Cursor()
+	for i := range n {
+		var sk sketch.Sketch
+		if head, cells := frame(i); head != nil {
+			f, _ := c.Next()
+			if cells {
+				sk = w.View(f[len(head):])
+			}
+		}
+		sums = append(sums, sk)
+	}
+	return b, sums
+}
+
+// AggregateByLabel tree-combines the machines' [key, cells...] frames of
+// window w to machine `to` and returns the sums decoded, keyed by
+// label(key), as views of the window. collect runs on every machine and
+// returns its frames, laid out by w.Layout and summed into, or nil; the
+// frames of one key are summed (cell-wise, exactly commutative, so the fold
+// order never shows in the result). label must give distinct keys distinct
+// labels.
+//
+// Every merge output comes from the cluster's free list sized for its
+// operands, so no buffer is larger than its round needs. The returned
+// sketches are views into the final batch buffer: they are valid until the
+// caller calls release, which hands the buffer back to the cluster's free
+// list and must be called exactly once, after the last use of the views.
 func AggregateByLabel(
 	cl *mpc.Cluster,
 	to int,
-	space *sketch.Space,
-	lo, hi int,
-	collect func(mm *mpc.Machine, sums *Sums),
+	w Window,
+	collect func(mm *mpc.Machine) *mpc.MessageBatch,
+	label func(key uint64) int,
 ) (sums map[int]sketch.Sketch, release func()) {
-	w := Window{Space: space, Lo: lo, Hi: hi}
-	words := w.Words()
-	final := cl.AggregateBatches(to,
-		func(mm *mpc.Machine) *mpc.MessageBatch {
-			acc := w.NewSums()
-			collect(mm, acc)
-			if len(acc.keys) == 0 {
-				return nil
-			}
-			b := mm.Batch(len(acc.keys) * (2 + words))
-			for _, k := range acc.Keys() {
-				f := b.Grow(1 + words)
-				f[0] = k
-				acc.Put(k, f[1:])
-			}
-			return b
-		},
-		func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
-			return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) { w.Merge(dst[1:], src[1:]) })
-		},
-	)
+	final := cl.AggregateBatches(to, collect, func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
+		return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) { w.Merge(dst[1:], src[1:]) })
+	})
 	if final == nil {
 		return map[int]sketch.Sketch{}, func() {}
 	}
 	sums = make(map[int]sketch.Sketch, final.Len())
 	for f := range final.Frames {
-		sums[int(f[0])] = w.View(f[1:])
+		sums[label(f[0])] = w.View(f[1:])
 	}
 	return sums, final.Release
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/hash"
 	"repro/internal/mpc"
 	"repro/internal/sketch"
@@ -49,14 +50,26 @@ func randomContributions(space *sketch.Space, rng *rand.Rand, machines int, on [
 	return byMachine, want
 }
 
-// aggregate sums copies [lo, hi) of the contributions.
+// aggregate sums copies [lo, hi) of the contributions: each machine lays
+// out a frame per label it holds and adds its sketches into them.
 func aggregate(cl *mpc.Cluster, space *sketch.Space, lo, hi int, byMachine [][]contribution) (map[int]sketch.Sketch, func()) {
-	return sketchcodec.AggregateByLabel(cl, cl.Machines()-1, space, lo, hi,
-		func(mm *mpc.Machine, sums *sketchcodec.Sums) {
+	w := sketchcodec.Window{Space: space, Lo: lo, Hi: hi}
+	return sketchcodec.AggregateByLabel(cl, cl.Machines()-1, w,
+		func(mm *mpc.Machine) *mpc.MessageBatch {
+			var keys []uint64
 			for _, c := range byMachine[mm.ID] {
-				sums.Add(uint64(c.label), c.sk)
+				keys = append(keys, uint64(c.label))
 			}
-		})
+			slices.Sort(keys)
+			keys = slices.Compact(keys)
+			b, sums := w.Layout(mm, len(keys), func(i int) ([]uint64, bool) { return keys[i : i+1], true }, nil)
+			for _, c := range byMachine[mm.ID] {
+				j, _ := slices.BinarySearch(keys, uint64(c.label))
+				sums[j].Add(c.sk.Window(lo, hi))
+			}
+			return b
+		},
+		func(key uint64) int { return int(key) })
 }
 
 // checkEqual compares aggregated views of copies [lo, hi) with the same
@@ -163,5 +176,59 @@ func TestAggregateByLabelViewsSurviveNextCall(t *testing.T) {
 		}
 		checkEqual(t, first, firstWant, 1, 4)
 		releaseFirst()
+	}
+}
+
+// sumKey is the one key of layoutSum's frame.
+var sumKey = []uint64{7}
+
+// layoutSum lays out one frame of window w on machine mm, folds the
+// sketches into it, queries the sum and hands the batch back: a machine's
+// frame sum, the pattern of every search window.
+func layoutSum(mm *mpc.Machine, w sketchcodec.Window, sums []sketch.Sketch, sks ...sketch.Sketch) []sketch.Sketch {
+	b, sums := w.Layout(mm, 1, func(int) ([]uint64, bool) { return sumKey, true }, sums)
+	for _, sk := range sks {
+		sums[0].Add(sk)
+	}
+	sums[0].QueryAny(0)
+	b.Release()
+	return sums
+}
+
+// A machine's frame sum allocates nothing at steady state: the batch comes
+// from the cluster's free list and goes back to it, and the views reuse the
+// slice they are handed.
+func TestAllocsLayoutSum(t *testing.T) {
+	space := sketch.NewSpace(1<<10, 6, hash.NewPRG(99))
+	arena := space.NewArena(2)
+	a, b := arena.At(0), arena.At(1)
+	a.Update(3, +1)
+	b.Update(900, +1)
+	mm := newCluster(2, 1).Machine(0)
+	w := sketchcodec.Window{Space: space, Hi: space.Copies()}
+	sums := layoutSum(mm, w, nil, a, b)
+	if n := testing.AllocsPerRun(200, func() { sums = layoutSum(mm, w, sums, a, b) }); n != 0 {
+		t.Fatalf("a frame sum allocates %.1f allocs/op on the steady state, want 0", n)
+	}
+}
+
+// BenchmarkFrameSum is one machine's frame sum at n = 256, t = 12: lay out
+// a frame of all the copies, fold four vertex sketches into it, query,
+// release.
+func BenchmarkFrameSum(b *testing.B) {
+	space := sketch.NewGraphSpace(256, 12, hash.NewPRG(42))
+	arena := space.NewArena(4)
+	sks := make([]sketch.Sketch, 4)
+	for v := range sks {
+		sks[v] = arena.At(v)
+		sks[v].Update(graph.NewEdge(v, v+50).ID(256), +1)
+	}
+	mm := newCluster(2, 1).Machine(0)
+	w := sketchcodec.Window{Space: space, Hi: space.Copies()}
+	sums := layoutSum(mm, w, nil, sks...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sums = layoutSum(mm, w, sums, sks...)
 	}
 }
