@@ -1,4 +1,4 @@
-// Command experiments regenerates every experiment table (E1–E16; see
+// Command experiments regenerates every experiment table (E1–E17; see
 // README.md "Scenarios and experiments").
 //
 // Usage:
@@ -67,7 +67,7 @@ func main() {
 	}
 	for id := range want {
 		switch id {
-		case "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16":
+		case "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17":
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment id %q\n", id)
 			os.Exit(2)
@@ -160,6 +160,13 @@ func main() {
 	})
 	run("E16", func() *experiments.Table {
 		return experiments.E16CrashRecovery(msfSizes, 2*batches, 4, 16)
+	})
+	run("E17", func() *experiments.Table {
+		scale := []int{1 << 10, 1 << 12, 1 << 14, 1 << 16}
+		if *quick {
+			scale = []int{1 << 8, 1 << 10}
+		}
+		return experiments.E17ScaleSweep(scale, 40, 17)
 	})
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

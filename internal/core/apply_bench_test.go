@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hash"
+	"repro/internal/workload"
 )
 
 // BenchmarkDeleteTreeEdgesGiant is the micro form of the churn workloads'
@@ -165,5 +166,39 @@ func BenchmarkApplyPromotedHub(b *testing.B) {
 	b.StopTimer()
 	if dc.NumComponents() != 1 {
 		b.Fatalf("%d components after the run, want 1", dc.NumComponents())
+	}
+}
+
+// BenchmarkBootstrap is the micro form of recover-churn's setup: per op a
+// fresh instance at n = 4096, φ = 0.5 (built off the clock) loads the 16,384
+// edges of a powerlaw stream with Bootstrap. BENCH_sketch.json pins its
+// allocs/op and B/op.
+func BenchmarkBootstrap(b *testing.B) {
+	const n = 4096
+	cfg := core.Config{N: n, Phi: 0.5, Seed: 1}
+	sc, err := workload.Get("powerlaw")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := sc.New(n, 1)
+	for gen.Mirror().M() < 16384 {
+		gen.Next(cfg.MaxBatch())
+	}
+	var edges []graph.Edge
+	for _, e := range gen.Mirror().Edges() {
+		edges = append(edges, e.Edge)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dc, err := core.NewDynamicConnectivity(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := dc.Bootstrap(edges); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -46,7 +46,7 @@ func checkCacheExact(t *testing.T, dc *DynamicConnectivity, g *graph.Graph, at s
 func checkForestTrees(t *testing.T, dc *DynamicConnectivity, at string) []int {
 	t.Helper()
 	comps := dc.SnapshotComponents()
-	trees, roots, err := forestComponents(dc.f.cfg.N, dc.SnapshotForest())
+	trees, roots, err := forestComponents(dc.f.cfg.N, dc.SnapshotForest(), nil)
 	if err != nil {
 		t.Fatalf("%s: %v", at, err)
 	}

@@ -305,7 +305,7 @@ func (dc *DynamicConnectivity) applyBatch(b graph.Batch) error {
 }
 
 // apply runs a batch's insertions, then its deletions: the one path of
-// ApplyBatch, Bootstrap and a delta replay. The batch's sketch update rides
+// ApplyBatch and a delta replay. The batch's sketch update rides
 // its first broadcast — a label Ask, the Link's, the Cut's record lookup — or
 // is told by the flush on return when the batch sends none: only a
 // replacement search reads a sketch, and it runs after the Cut's record
@@ -636,21 +636,3 @@ func (dc *DynamicConnectivity) SnapshotForest() []graph.Edge {
 // SpaceWords reports the per-vertex sketch footprint, used by experiments to
 // report memory in comparable units.
 func (dc *DynamicConnectivity) SpaceWords() int { return dc.space.SketchWords() }
-
-// Bootstrap loads an initial graph into a freshly created instance by
-// replaying it as insertion batches. The paper notes a pre-computation
-// phase can instead solve the initial instance with a static O(log n)-round
-// algorithm (Section 1.1); this convenience method favours simplicity and
-// reports the rounds it spent so experiments can separate preprocessing
-// from steady-state cost.
-func (dc *DynamicConnectivity) Bootstrap(edges []graph.Edge) (rounds int, err error) {
-	dc.journal.Drop() // loaded, not applied batch by batch: the next checkpoint is a full one
-	before := dc.f.cl.Stats().Rounds
-	k := dc.MaxBatch()
-	for i := 0; i < len(edges); i += k {
-		if err := dc.apply(edges[i:min(i+k, len(edges))], nil); err != nil {
-			return dc.f.cl.Stats().Rounds - before, err
-		}
-	}
-	return dc.f.cl.Stats().Rounds - before, nil
-}

@@ -38,6 +38,7 @@ import (
 	"repro/internal/eulertour"
 	"repro/internal/graph"
 	"repro/internal/mpc"
+	"repro/internal/sketch"
 	"repro/internal/snapshot"
 )
 
@@ -61,6 +62,41 @@ func ResizeConfig(cfg Config, machines int) (Config, error) {
 	return out, nil
 }
 
+// imageRows is what a full image writes that is not read off the live
+// instance as it is: the forest's tree-edge records in edge-id order, its
+// tour-id counter and warm set, and, for a DynamicConnectivity, its sketch
+// state — the ids of the edges the list vertices hold, ascending, and the
+// promoted vertices, ascending, with their sketches.
+// A checkpoint reads them off the shards (liveRows); Bootstrap computes them
+// (bootstrap.go). A load fills the parts of the live declaration instead, so
+// next points at the counter it commits to.
+type imageRows struct {
+	recs     []*treeEdge
+	next     *uint64
+	warm     *snapshot.Bitmap
+	lists    []uint64
+	promoted []int
+	sketches []sketch.Sketch
+}
+
+// liveRows reads the forest's rows off its shards and its cache.
+func (f *Forest) liveRows() imageRows {
+	var recs []*treeEdge
+	for i := 0; i < f.cl.Machines(); i++ {
+		es := eShard(f.cl.Machine(i))
+		for j := range es.recs {
+			recs = append(recs, &es.recs[j])
+		}
+	}
+	return imageRows{recs: sortRecs(recs), next: &f.nextID, warm: f.warm()}
+}
+
+// sortRecs sorts records by edge, the order an image writes them in.
+func sortRecs(recs []*treeEdge) []*treeEdge {
+	slices.SortFunc(recs, func(a, b *treeEdge) int { return cmpEdge(a.rec.E, b.rec.E) })
+	return recs
+}
+
 // Image declares the forest's full image: one section holding the
 // configuration echo, the tour-id counter, whether the component count is
 // cached, the label cache's warm set, the cluster stats and the tree-edge
@@ -69,21 +105,16 @@ func ResizeConfig(cfg Config, machines int) (Config, error) {
 // the component count, and reject records no Euler tour of that forest holds
 // (checkTours). A DynamicConnectivity appends its sketch section, an
 // ExactMSF prepends its own.
-func (f *Forest) Image() *snapshot.Image {
+func (f *Forest) Image() *snapshot.Image { return f.image(f.liveRows()) }
+
+// image is Image written from rows.
+func (f *Forest) image(rows imageRows) *snapshot.Image {
 	n := f.cfg.N
-	var live []*treeEdge
-	for i := 0; i < f.cl.Machines(); i++ {
-		es := eShard(f.cl.Machine(i))
-		for j := range es.recs {
-			live = append(live, &es.recs[j])
-		}
-	}
-	slices.SortFunc(live, func(a, b *treeEdge) int { return cmpEdge(a.rec.E, b.rec.E) })
-	next := snapshot.Scalar("next tour id", &f.nextID)
+	next := snapshot.Scalar("next tour id", rows.next)
 	compsOK := snapshot.Scalar("component count cached", &f.cache.numCompsOK)
-	warm := f.warm()
-	edges := &snapshot.Table{Name: "tree edges", Len: len(live), Row: func(r int, row []uint64) {
-		te := live[r]
+	warm := rows.warm
+	edges := &snapshot.Table{Name: "tree edges", Len: len(rows.recs), Row: func(r int, row []uint64) {
+		te := rows.recs[r]
 		copy(row, []uint64{uint64(te.rec.E.U), uint64(te.rec.E.V), uint64(te.rec.Tour),
 			uint64(te.rec.UPos[0]), uint64(te.rec.UPos[1]), uint64(te.rec.VPos[0]), uint64(te.rec.VPos[1]), uint64(te.weight)})
 	}, Layout: snapshot.Layout{Width: 8, Key: 2, Order: "edge-id", Fields: []snapshot.Field{{Name: "u", Hi: n}, {Name: "v", Hi: n, Above: true}}}}
@@ -108,7 +139,7 @@ func (f *Forest) Image() *snapshot.Image {
 					UPos: [2]eulertour.Pos{i(3), i(4)}, VPos: [2]eulertour.Pos{i(5), i(6)}}, weight: int64(w[7])}
 				es[j] = all[j].rec.E
 			}
-			if comp, roots, err = forestComponents(n, es); err != nil {
+			if comp, roots, err = forestComponents(n, es, nil); err != nil {
 				return err
 			}
 			// Rows come in edge-id order, so every group is appended sorted.
@@ -207,8 +238,10 @@ func checkTours(nextID uint64, comp []int, recs []treeEdge) error {
 // forestComponents is the component column the tree edges fix: the
 // minimum-root union-find over them, so every vertex is labelled with the
 // smallest vertex of its tree, and the number of trees. An edge whose
-// endpoints are joined already closes a cycle: the edges are no forest.
-func forestComponents(n int, edges []graph.Edge) (comp []int, roots int, err error) {
+// endpoints are joined already closes a cycle: the edges are no forest. Given
+// joins, such an edge is left out instead, and joins(j) is called for every
+// edge j that joins two trees (Bootstrap picking its forest).
+func forestComponents(n int, edges []graph.Edge, joins func(j int)) (comp []int, roots int, err error) {
 	comp = make([]int, n) // a parent array: comp[v] <= v throughout
 	for v := range comp {
 		comp[v] = v
@@ -223,10 +256,15 @@ func forestComponents(n int, edges []graph.Edge) (comp []int, roots int, err err
 	roots = n
 	for j, e := range edges {
 		ru, rv := find(e.U), find(e.V)
+		if ru == rv && joins != nil {
+			continue
+		}
 		if ru == rv {
 			return nil, 0, fmt.Errorf("core: snapshot tree edges row %d: tree edge {%d,%d} closes a cycle", j, e.U, e.V)
 		}
-		comp[max(ru, rv)] = min(ru, rv)
+		if comp[max(ru, rv)] = min(ru, rv); joins != nil {
+			joins(j)
+		}
 		roots--
 	}
 	for v := range comp { // parents precede their children: one pass flattens

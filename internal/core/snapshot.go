@@ -115,23 +115,37 @@ func (f *Forest) Restore(d *snapshot.Decoder) error { return f.Image().Load(d) }
 // S, or a sketch word that is not a field element (sketch.CheckCells) is
 // rejected. The sketch spaces are rebuilt from the seed by the
 // constructor; only lists and promoted cells are reloaded.
-func (dc *DynamicConnectivity) image() *snapshot.Image {
+func (dc *DynamicConnectivity) image() *snapshot.Image { return dc.imageOf(dc.liveRows()) }
+
+// liveRows reads the rows of a checkpoint off the shards.
+func (dc *DynamicConnectivity) liveRows() imageRows {
 	f := dc.f
-	img := f.Image()
+	rows := f.liveRows()
+	rows.promoted = dc.promotedVertices()
+	rows.lists = dc.listEdges(rows.promoted)
+	for _, v := range rows.promoted {
+		sh := sShard(f.cl.Machine(f.part.Owner(v)))
+		sk, _ := sh.promoted(v - sh.lo)
+		rows.sketches = append(rows.sketches, sk)
+	}
+	return rows
+}
+
+// imageOf is image written from rows: a checkpoint's, read off the shards,
+// or the rows Bootstrap computes.
+func (dc *DynamicConnectivity) imageOf(rows imageRows) *snapshot.Image {
+	f := dc.f
+	img := f.image(rows)
 	n, words := f.cfg.N, dc.space.SketchWords()
-	promoted := dc.promotedVertices()
-	ids := dc.listEdges(promoted)
+	ids, promoted, sketches := rows.lists, rows.promoted, rows.sketches
 	edges := &snapshot.Table{Name: "sketch edges", Len: len(ids), Row: func(r int, row []uint64) {
 		row[0], row[1] = ids[r]/uint64(n), ids[r]%uint64(n)
 	}, Layout: snapshot.Layout{Width: 2, Key: 2, Order: "edge-id", Fields: []snapshot.Field{{Name: "u", Hi: n}, {Name: "v", Hi: n, Above: true}}}}
-	rows := &snapshot.Table{Name: "promoted sketches", Len: len(promoted), Row: func(r int, row []uint64) {
-		v := promoted[r]
-		sh := sShard(f.cl.Machine(f.part.Owner(v)))
-		sk, _ := sh.promoted(v - sh.lo)
-		row[0] = uint64(v)
-		copy(row[1:], sk.Cells())
+	cells := &snapshot.Table{Name: "promoted sketches", Len: len(promoted), Row: func(r int, row []uint64) {
+		row[0] = uint64(promoted[r])
+		copy(row[1:], sketches[r].Cells())
 	}, Layout: snapshot.Layout{Width: 1 + words, Key: 1, Order: "vertex", Fields: []snapshot.Field{{Name: "vertex", Hi: n}}, Rest: sketch.CheckCells}}
-	img.Sections = append(img.Sections, snapshot.Section{Tag: tagSketches, Parts: []snapshot.Part{edges, rows}})
+	img.Sections = append(img.Sections, snapshot.Section{Tag: tagSketches, Parts: []snapshot.Part{edges, cells}})
 
 	check, staged, install := img.Check, img.Staged, img.Install
 	var shards []*sketchShard
@@ -139,7 +153,7 @@ func (dc *DynamicConnectivity) image() *snapshot.Image {
 		if err := check(); err != nil {
 			return err
 		}
-		shards, err = dc.dealSketches(edges, rows)
+		shards, err = dc.dealSketches(edges, cells)
 		return err
 	}
 	img.Staged = func(m int, slot string) mpc.Sized {

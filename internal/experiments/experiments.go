@@ -1,5 +1,5 @@
 // Package experiments implements the measurement harness: one function per
-// experiment E1–E16, each exercising the corresponding theorem's algorithm
+// experiment E1–E17, each exercising the corresponding theorem's algorithm
 // (or, for E13/E14/E16, the simulator substrate, the scenario registry, and
 // the crash-recovery subsystem) on a seeded oblivious workload and
 // returning the table rows the experiment reports. The root bench_test.go and cmd/experiments both drive these
@@ -817,5 +817,53 @@ func E16CrashRecovery(sizes []int, batches, every int, seed uint64) *Table {
 	t.Remarks = append(t.Remarks,
 		"claim: checkpoint -> kill -> restore -> continue is bit-identical to never crashing (Stats, labels, forest)",
 		"crash points are a seeded oblivious schedule (workload.NewCrashSchedule); both runs pass the brute-force oracle")
+	return t
+}
+
+// E17ScaleSweep is the scale table of the connectivity algorithm on the
+// sliding-window shape: at φ = 0.5, for every n, the window of m = 3n edges
+// is loaded with Bootstrap (the preprocessing of Section 1.1, outside the
+// model) in arrival order, then batches mixed batches of MaxBatch updates — the window's
+// expirations and fresh insertions — run through ApplyBatch. It records what
+// they cost in exact counts, per batch: rounds, words sent, the largest
+// number of words a machine received in a round, and the vertex sketches the
+// replacement searches summed. The final partition is checked against the
+// oracle; the counts are reported, not judged.
+func E17ScaleSweep(sizes []int, batches int, seed uint64) *Table {
+	t := &Table{
+		Title:  "E17: scale sweep, sliding window m = 3n, phi = 0.5, after a Bootstrap",
+		Header: []string{"n", "batch", "m", "rounds/batch", "words/batch", "max recv", "sketches summed/batch", "violations"},
+	}
+	for _, n := range sizes {
+		dc, err := core.NewDynamicConnectivity(cfg(n, 0.5, seed))
+		must(err)
+		gen := workload.NewSlidingWindow(n, 3*n, seed+1, 0)
+		k := dc.MaxBatch()
+		// The window's first 3n edges in arrival order, so the forest is
+		// the one their insertion would link: the oldest edges, which the
+		// window expires first.
+		var edges []graph.Edge
+		for len(edges) < 3*n {
+			for _, u := range gen.Next(k) {
+				edges = append(edges, u.Edge)
+			}
+		}
+		verify(len(edges) == gen.Mirror().M(), "E17: %d edges taken, %d in the window", len(edges), gen.Mirror().M())
+		_, err = dc.Bootstrap(edges)
+		must(err)
+		for i := 0; i < batches; i++ {
+			must(dc.ApplyBatch(gen.Next(k)))
+		}
+		checkAgainstOracle(dc, gen.Mirror())
+		st, b := dc.Cluster().Stats(), float64(batches)
+		t.Rows = append(t.Rows, []string{
+			d(n), d(k), d(len(edges)),
+			f2(float64(st.Rounds) / b), f2(float64(st.WordsSent) / b), d(st.MaxRecvWords),
+			f2(float64(dc.SearchStats().SketchesSummed) / b), d(len(st.Violations)),
+		})
+	}
+	t.Remarks = append(t.Remarks,
+		"the load costs no round, so every count is the mixed batches' own; max recv is their largest",
+		"counts only: what they should stay under as n grows is not asserted here")
 	return t
 }

@@ -169,3 +169,15 @@ func TestE16Small(t *testing.T) {
 		t.Errorf("crash run not bit-identical: %v", tb.Rows[0])
 	}
 }
+
+func TestE17Small(t *testing.T) {
+	tb := E17ScaleSweep([]int{256, 1024}, 40, 17)
+	if len(tb.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.Rows))
+	}
+	for _, r := range tb.Rows {
+		if r[3] == "0.00" || r[7] != "0" {
+			t.Errorf("no rounds or a violation: %v", r)
+		}
+	}
+}

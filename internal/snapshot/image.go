@@ -62,6 +62,14 @@ func (img *Image) Encode(e *Encoder) {
 	}
 }
 
+// Checkpoint is Encode and Restore is Load: an image is a State of its own,
+// so one declared over rows a state computed rather than read off its
+// machines is saved like the state and loaded into the state's own image.
+func (img *Image) Checkpoint(e *Encoder) { img.Encode(e) }
+
+// Restore is Load.
+func (img *Image) Restore(d *Decoder) error { return img.Load(d) }
+
 // Load decodes and validates every section, runs the state's cross-row
 // checks, rejects the image if a machine of the fleet could not hold what
 // the install leaves on it, and only then installs and commits, so a
@@ -117,7 +125,7 @@ func (img *Image) fits() error {
 			words += v.Words()
 		}
 		if words > cl.LocalMemory() {
-			return fmt.Errorf("%s: restore onto %d machines rejected: machine %d needs %d words but the per-machine s-words budget is %d — the budget cannot hold the checkpointed state",
+			return fmt.Errorf("%s: load onto %d machines rejected: machine %d needs %d words but the per-machine s-words budget is %d — the budget cannot hold the state",
 				img.Pkg, cl.Machines(), m, words, cl.LocalMemory())
 		}
 	}
