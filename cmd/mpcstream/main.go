@@ -66,28 +66,21 @@
 // from before that package are rejected by their meta section tag. Every
 // algorithm that runs replacement searches (connectivity, bipartite,
 // approxmsf) prints a "replacement searches:" line, summed over every state
-// its session ran (session.Session.Counters). With -scenario, -crash-every k injects a seeded
-// kill/restore cycle roughly every k batches into the differential harness
-// run — every scenario doubles as a crash/recovery scenario, and the oracle
-// checks must still pass after every restore — and -delta-every k cuts a
-// chain checkpoint every k batches, so each restore replays a full base
-// plus a multi-delta chain.
+// its session ran (session.Session.Counters). A scenario run is one
+// uninterrupted pass; kills, machine losses and store faults between its
+// batches are the lifecycle model's to explore
+// (internal/harness TestLifecycleModel), not a flag's.
 //
 // Elasticity (see internal/snapshot doc): -resume-machines M re-shards the
 // restored state of any algorithm onto a fleet of exactly M machines before
 // replaying — the deterministic vertex→machine map makes the migration a
 // pure state redistribution, rejected with a diagnostic when the shrunken
-// per-machine memory budget cannot hold it. With -scenario, -fault-every k kills a
-// seeded machine roughly every k batches; each loss is recovered by
-// re-sharding the last checkpoint onto the surviving fleet and replaying
-// the in-flight batches, with the oracle still checking every batch.
+// per-machine memory budget cannot hold it.
 //
 //	mpcstream -algo connectivity -trace collab.trace -checkpoint state.snap
 //	mpcstream -algo connectivity -resume state.snap -stream more.txt
 //	mpcstream -algo connectivity -resume state.snap -stream more.txt -checkpoint state.snap
 //	mpcstream -algo connectivity -resume state.snap -resume-machines 9 -stream more.txt
-//	mpcstream -algo connectivity -scenario powerlaw -batches 200 -crash-every 50 -delta-every 10
-//	mpcstream -algo connectivity -scenario powerlaw -batches 200 -fault-every 60
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run (see
 // README.md "Running").
@@ -121,7 +114,6 @@ type options struct {
 	parallelism                        int
 	checkpointFile, resumeFile         string
 	resumeMachines                     int
-	crashEvery, faultEvery, deltaEvery int
 	maxDeltaChain                      int
 	cpuProfile, memProfile             string
 }
@@ -151,12 +143,6 @@ func main() {
 		"restore state from a -checkpoint snapshot before replaying further updates (requires -stream or -trace)")
 	flag.IntVar(&o.resumeMachines, "resume-machines", 0,
 		"with -resume: re-shard the restored state onto a fleet of exactly this many machines before replaying (0 = keep the snapshot's shape)")
-	flag.IntVar(&o.crashEvery, "crash-every", 0,
-		"with -scenario: inject a seeded kill+checkpoint+restore cycle roughly every k batches (0 disables)")
-	flag.IntVar(&o.faultEvery, "fault-every", 0,
-		"with -scenario: kill a seeded machine roughly every k batches; each loss recovers by re-sharding the last checkpoint onto the survivors and replaying the journal (0 disables)")
-	flag.IntVar(&o.deltaEvery, "delta-every", 0,
-		"with -scenario: checkpoint every k batches into an in-memory chain (full base, then deltas), so crash restores replay base+chain (0 disables)")
 	flag.IntVar(&o.maxDeltaChain, "max-delta-chain", 8,
 		"delta checkpoints allowed per full base before compaction (0 = full checkpoints only)")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
@@ -223,9 +209,7 @@ func runScenario(o options, out io.Writer) error {
 	}
 	rep, err := harness.Run(o.algo, scenario, harness.Options{
 		N: o.n, Batches: o.batches, Seed: o.seed, Phi: o.phi, Parallelism: o.parallelism,
-		Alpha: o.alpha, Eps: o.eps, MaxWeight: o.maxWeight, CrashEvery: o.crashEvery,
-		FaultEvery:      o.faultEvery,
-		CheckpointEvery: o.deltaEvery, MaxDeltaChain: o.maxDeltaChain,
+		Alpha: o.alpha, Eps: o.eps, MaxWeight: o.maxWeight,
 	})
 	if err != nil {
 		return err
@@ -260,9 +244,6 @@ func validateFlags(f options) error {
 	if f.maxWeight < 1 {
 		return fmt.Errorf("-maxweight must be at least 1 (got %d)", f.maxWeight)
 	}
-	if f.crashEvery < 0 {
-		return fmt.Errorf("-crash-every must be non-negative (got %d)", f.crashEvery)
-	}
 	if f.window < 0 {
 		return fmt.Errorf("-window must be non-negative (got %d)", f.window)
 	}
@@ -274,8 +255,7 @@ func validateFlags(f options) error {
 		if f.traceFile == "" && f.streamFile == "" {
 			return fmt.Errorf("-convert needs at least one output: -trace (binary) and/or -stream (text)")
 		}
-		if f.scenario != "" || f.resumeFile != "" || f.checkpointFile != "" ||
-			f.crashEvery > 0 || f.faultEvery > 0 || f.deltaEvery > 0 || f.traceBatches > 0 {
+		if f.scenario != "" || f.resumeFile != "" || f.checkpointFile != "" || f.traceBatches > 0 {
 			return fmt.Errorf("-convert only combines with -trace/-stream outputs and -window")
 		}
 		return nil
@@ -296,29 +276,14 @@ func validateFlags(f options) error {
 	if f.traceBatches > 0 && f.traceFile == "" {
 		return fmt.Errorf("-trace-batches requires -trace")
 	}
-	if f.crashEvery > 0 && f.scenario == "" {
-		return fmt.Errorf("-crash-every requires -scenario")
-	}
-	if f.faultEvery < 0 {
-		return fmt.Errorf("-fault-every must be non-negative (got %d)", f.faultEvery)
-	}
-	if f.faultEvery > 0 && f.scenario == "" {
-		return fmt.Errorf("-fault-every requires -scenario")
-	}
 	if f.resumeMachines < 0 {
 		return fmt.Errorf("-resume-machines must be non-negative (got %d)", f.resumeMachines)
 	}
 	if f.resumeMachines > 0 && f.resumeFile == "" {
 		return fmt.Errorf("-resume-machines requires -resume")
 	}
-	if f.deltaEvery < 0 {
-		return fmt.Errorf("-delta-every must be non-negative (got %d)", f.deltaEvery)
-	}
 	if f.maxDeltaChain < 0 {
 		return fmt.Errorf("-max-delta-chain must be non-negative (got %d)", f.maxDeltaChain)
-	}
-	if f.deltaEvery > 0 && f.scenario == "" {
-		return fmt.Errorf("-delta-every requires -scenario")
 	}
 	// Checkpoints belong to replays: a scenario's generator state is not
 	// part of a snapshot, so a scenario run can neither continue a restored

@@ -35,10 +35,7 @@ func TestValidateFlags(t *testing.T) {
 		want string // substring of the error; "" = valid
 	}{
 		{"defaults", func(o *options) {}, ""},
-		{"scenario with every decoration", func(o *options) {
-			o.scenario = "churn"
-			o.crashEvery, o.faultEvery, o.deltaEvery = 5, 6, 2
-		}, ""},
+		{"scenario", func(o *options) { o.scenario = "churn" }, ""},
 		{"stream replay with resume onto a resized fleet", func(o *options) {
 			o.streamFile, o.resumeFile, o.resumeMachines, o.checkpointFile = "s", "c", 9, "c"
 		}, ""},
@@ -58,21 +55,15 @@ func TestValidateFlags(t *testing.T) {
 		{"zero maxweight", func(o *options) { o.maxWeight = 0 }, "-maxweight must be at least 1"},
 		{"zero batches on a replay", func(o *options) { o.streamFile, o.batches = "s", 0 }, "-batches must be at least 1"},
 		{"zero phi on a trace replay", func(o *options) { o.traceFile, o.phi = "t", 0 }, "-phi must be in (0, 1]"},
-		{"negative crash-every", func(o *options) { o.crashEvery = -1 }, "-crash-every must be non-negative"},
 		{"negative window", func(o *options) { o.window = -1 }, "-window must be non-negative"},
 		{"negative trace-batches", func(o *options) { o.traceBatches = -1 }, "-trace-batches must be non-negative"},
-		{"negative fault-every", func(o *options) { o.faultEvery = -1 }, "-fault-every must be non-negative"},
 		{"negative resume-machines", func(o *options) { o.resumeMachines = -1 }, "-resume-machines must be non-negative"},
-		{"negative delta-every", func(o *options) { o.deltaEvery = -1 }, "-delta-every must be non-negative"},
 		{"negative max-delta-chain", func(o *options) { o.maxDeltaChain = -1 }, "-max-delta-chain must be non-negative"},
 
 		{"convert without an output", func(o *options) { o.convertFile = "e" }, "-convert needs at least one output"},
 		{"convert with scenario", func(o *options) { o.convertFile, o.traceFile, o.scenario = "e", "t", "churn" }, "-convert only combines with"},
 		{"convert with resume", func(o *options) { o.convertFile, o.traceFile, o.resumeFile = "e", "t", "c" }, "-convert only combines with"},
 		{"convert with checkpoint", func(o *options) { o.convertFile, o.traceFile, o.checkpointFile = "e", "t", "c" }, "-convert only combines with"},
-		{"convert with crash-every", func(o *options) { o.convertFile, o.traceFile, o.crashEvery = "e", "t", 4 }, "-convert only combines with"},
-		{"convert with fault-every", func(o *options) { o.convertFile, o.traceFile, o.faultEvery = "e", "t", 4 }, "-convert only combines with"},
-		{"convert with delta-every", func(o *options) { o.convertFile, o.traceFile, o.deltaEvery = "e", "t", 4 }, "-convert only combines with"},
 		{"convert with trace-batches", func(o *options) { o.convertFile, o.traceFile, o.traceBatches = "e", "t", 4 }, "-convert only combines with"},
 		{"window without convert", func(o *options) { o.window = 40 }, "-window only applies to -convert"},
 
@@ -80,9 +71,6 @@ func TestValidateFlags(t *testing.T) {
 		{"stream and scenario", func(o *options) { o.streamFile, o.scenario = "s", "churn" }, "mutually exclusive"},
 		{"trace and scenario", func(o *options) { o.traceFile, o.scenario = "t", "churn" }, "mutually exclusive"},
 		{"trace-batches without trace", func(o *options) { o.streamFile, o.traceBatches = "s", 4 }, "-trace-batches requires -trace"},
-		{"crash-every without scenario", func(o *options) { o.crashEvery = 4 }, "-crash-every requires -scenario"},
-		{"fault-every without scenario", func(o *options) { o.faultEvery = 4 }, "-fault-every requires -scenario"},
-		{"delta-every without scenario", func(o *options) { o.deltaEvery = 4 }, "-delta-every requires -scenario"},
 		{"resume-machines without resume", func(o *options) { o.streamFile, o.resumeMachines = "s", 9 }, "-resume-machines requires -resume"},
 		{"resume without an input", func(o *options) { o.resumeFile = "c" }, "-resume requires -stream or -trace"},
 		{"checkpoint with scenario", func(o *options) { o.scenario, o.checkpointFile = "churn", "c" }, "-checkpoint requires -stream or -trace"},

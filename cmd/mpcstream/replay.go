@@ -194,7 +194,7 @@ func report(out io.Writer, st mpc.Stats, batches int) {
 	fmt.Fprintf(out, "rounds: %d (%s/batch)  messages: %d  words sent: %d\n",
 		st.Rounds, perBatch, st.Messages, st.WordsSent)
 	fmt.Fprintf(out, "peak machine words: %d  peak total words: %d  violations: %d\n",
-		st.PeakMachineWords, st.PeakTotalWords, len(st.Violations))
+		st.PeakMachineWords, st.PeakTotalWords, st.ViolationCount)
 }
 
 // reportSearches prints what the replacement searches of this process did,

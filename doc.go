@@ -41,9 +41,10 @@
 // coordinator caches, cluster Stats — into a versioned, CRC-guarded
 // binary container (reusing the MessageBatch frame encoding), so a killed
 // run restores bit-identically and continues without replaying its
-// stream. workload.NewCrashSchedule injects seeded kill/restore cycles
-// into any scenario (harness Options.CrashEvery, mpcstream -crash-every),
-// the CLIs persist snapshots (-checkpoint/-resume), and the E16 table
-// plus FuzzSnapshotDecode keep restores exact and corrupt snapshots
-// rejected (see README.md "Checkpoints").
+// stream. One seeded model test, harness TestLifecycleModel, runs every
+// algorithm through checkpoints, kills, resizes, machine losses and a
+// store that fails, against an uninterrupted twin; the CLIs persist
+// snapshots (-checkpoint/-resume), and the E16 table plus
+// FuzzSnapshotDecode keep restores exact and corrupt snapshots rejected
+// (see README.md "Checkpoints").
 package repro

@@ -14,7 +14,7 @@ import (
 
 // mentionRE matches a qualified Go mention in prose: a lower-case package
 // name, an exported identifier, and optionally one member (`core.Config`,
-// `mpc.Cluster.Ask`, `harness.Options.CrashEvery`). An exported second
+// `mpc.Cluster.Ask`, `harness.Options.CheckEvery`). An exported second
 // segment is what tells a mention from a file name (`forest.go`) or a
 // bench metric (`snapshot.full_bytes`).
 var mentionRE = regexp.MustCompile(`(^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)

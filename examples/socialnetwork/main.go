@@ -86,7 +86,7 @@ func main() {
 
 	st := dc.Cluster().Stats()
 	fmt.Printf("MPC resources: %d rounds, peak total memory %d words, %d cap violations\n",
-		st.Rounds, st.PeakTotalWords, len(st.Violations))
+		st.Rounds, st.PeakTotalWords, st.ViolationCount)
 }
 
 func countIsolated(g *graph.Graph) int {

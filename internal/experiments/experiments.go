@@ -124,7 +124,7 @@ func E1ConnectivityRounds(sizes []int, phis []float64, batches int, seed uint64)
 				d(n), f2(phi), d(k),
 				f2(float64(insTotal) / float64(batches)),
 				f2(float64(mixTotal) / float64(batches)),
-				d(len(dc.Cluster().Stats().Violations)),
+				d(dc.Cluster().Stats().ViolationCount),
 			})
 		}
 	}
@@ -821,49 +821,57 @@ func E16CrashRecovery(sizes []int, batches, every int, seed uint64) *Table {
 }
 
 // E17ScaleSweep is the scale table of the connectivity algorithm on the
-// sliding-window shape: at φ = 0.5, for every n, the window of m = 3n edges
-// is loaded with Bootstrap (the preprocessing of Section 1.1, outside the
-// model) in arrival order, then batches mixed batches of MaxBatch updates — the window's
-// expirations and fresh insertions — run through ApplyBatch. It records what
-// they cost in exact counts, per batch: rounds, words sent, the largest
+// sliding-window shape (e17Run), for every n. It records what the mixed
+// batches cost in exact counts, per batch: rounds, words sent, the largest
 // number of words a machine received in a round, and the vertex sketches the
-// replacement searches summed. The final partition is checked against the
-// oracle; the counts are reported, not judged.
+// replacement searches summed. The counts are read before the final
+// partition is checked against the oracle, whose queries run rounds of their
+// own; they are reported, not judged.
 func E17ScaleSweep(sizes []int, batches int, seed uint64) *Table {
 	t := &Table{
 		Title:  "E17: scale sweep, sliding window m = 3n, phi = 0.5, after a Bootstrap",
 		Header: []string{"n", "batch", "m", "rounds/batch", "words/batch", "max recv", "sketches summed/batch", "violations"},
 	}
 	for _, n := range sizes {
-		dc, err := core.NewDynamicConnectivity(cfg(n, 0.5, seed))
-		must(err)
-		gen := workload.NewSlidingWindow(n, 3*n, seed+1, 0)
-		k := dc.MaxBatch()
-		// The window's first 3n edges in arrival order, so the forest is
-		// the one their insertion would link: the oldest edges, which the
-		// window expires first.
-		var edges []graph.Edge
-		for len(edges) < 3*n {
-			for _, u := range gen.Next(k) {
-				edges = append(edges, u.Edge)
-			}
-		}
-		verify(len(edges) == gen.Mirror().M(), "E17: %d edges taken, %d in the window", len(edges), gen.Mirror().M())
-		_, err = dc.Bootstrap(edges)
-		must(err)
-		for i := 0; i < batches; i++ {
-			must(dc.ApplyBatch(gen.Next(k)))
-		}
+		dc, gen, m := e17Run(n, batches, seed)
+		st, searches, b := dc.Cluster().Stats(), dc.SearchStats(), float64(batches)
 		checkAgainstOracle(dc, gen.Mirror())
-		st, b := dc.Cluster().Stats(), float64(batches)
 		t.Rows = append(t.Rows, []string{
-			d(n), d(k), d(len(edges)),
+			d(n), d(dc.MaxBatch()), d(m),
 			f2(float64(st.Rounds) / b), f2(float64(st.WordsSent) / b), d(st.MaxRecvWords),
-			f2(float64(dc.SearchStats().SketchesSummed) / b), d(len(st.Violations)),
+			f2(float64(searches.SketchesSummed) / b), d(st.ViolationCount),
 		})
 	}
 	t.Remarks = append(t.Remarks,
 		"the load costs no round, so every count is the mixed batches' own; max recv is their largest",
 		"counts only: what they should stay under as n grows is not asserted here")
 	return t
+}
+
+// e17Run is E17's shape at n: at φ = 0.5, the window of m = 3n edges is
+// loaded with Bootstrap (the preprocessing of Section 1.1, outside the model)
+// in arrival order, then batches mixed batches of MaxBatch updates — the
+// window's expirations and fresh insertions — run through ApplyBatch. It
+// returns the instance, the window and m.
+func e17Run(n, batches int, seed uint64) (*core.DynamicConnectivity, workload.Generator, int) {
+	dc, err := core.NewDynamicConnectivity(cfg(n, 0.5, seed))
+	must(err)
+	gen := workload.NewSlidingWindow(n, 3*n, seed+1, 0)
+	k := dc.MaxBatch()
+	// The window's first 3n edges in arrival order, so the forest is the one
+	// their insertion would link: the oldest edges, which the window expires
+	// first.
+	var edges []graph.Edge
+	for len(edges) < 3*n {
+		for _, u := range gen.Next(k) {
+			edges = append(edges, u.Edge)
+		}
+	}
+	verify(len(edges) == gen.Mirror().M(), "E17: %d edges taken, %d in the window", len(edges), gen.Mirror().M())
+	_, err = dc.Bootstrap(edges)
+	must(err)
+	for i := 0; i < batches; i++ {
+		must(dc.ApplyBatch(gen.Next(k)))
+	}
+	return dc, gen, len(edges)
 }

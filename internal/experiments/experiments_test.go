@@ -170,14 +170,24 @@ func TestE16Small(t *testing.T) {
 	}
 }
 
+// TestE17Small runs the scale table at two small sizes: every row counts
+// rounds and no violation, and its counts are the mixed batches' own — those
+// of the same run with no oracle check after it, whose queries at 2^10 run
+// rounds of their own.
 func TestE17Small(t *testing.T) {
-	tb := E17ScaleSweep([]int{256, 1024}, 40, 17)
+	sizes := []int{256, 1024}
+	tb := E17ScaleSweep(sizes, 40, 17)
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	for _, r := range tb.Rows {
+	for i, r := range tb.Rows {
 		if r[3] == "0.00" || r[7] != "0" {
 			t.Errorf("no rounds or a violation: %v", r)
+		}
+		dc, _, _ := e17Run(sizes[i], 40, 17)
+		st := dc.Cluster().Stats()
+		if rounds, words := f2(float64(st.Rounds)/40), f2(float64(st.WordsSent)/40); r[3] != rounds || r[4] != words {
+			t.Errorf("n = %d: the row reads %s rounds and %s words a batch, the batches' own are %s and %s", sizes[i], r[3], r[4], rounds, words)
 		}
 	}
 }

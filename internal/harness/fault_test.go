@@ -12,16 +12,55 @@ import (
 	"repro/internal/workload"
 )
 
-// faultOptions is the shared shape for the twin comparison: a pinned
-// initial cluster (7 machines) with a pinned batch size, so the faulted
-// run and its uninterrupted twin consume bit-identical streams regardless
-// of their (different) machine counts.
-func faultOptions(par int) Options {
-	return Options{
-		N: 48, Batches: 12, BatchSize: 4, Seed: 1, Parallelism: par,
-		VerticesPerMachine: 8,
-		FaultEvery:         3,
+// pinScenario is the scenario each algorithm streams for the containers the
+// pins and the load fuzzer read.
+var pinScenario = map[string]string{
+	"connectivity": "churn", "bipartite": "churn", "msf": "grow-weighted", "approxmsf": "churn-weighted",
+	"matching": "grow", "dynmatching": "churn", "nowickionak": "churn",
+}
+
+// pinned returns the named algorithm's instance after its pinScenario at a
+// pinned shape — seven machines of 8 vertices, batches of at most 4 — and
+// the options it ran at: what RunScenario leaves, every batch checked
+// against the oracle as it does (a check runs queries, so it is part of
+// the state).
+func pinned(t testing.TB, name string, par int) (Instance, Options) {
+	t.Helper()
+	opt := Options{N: 48, Batches: 12, BatchSize: 4, Seed: 1, Parallelism: par, VerticesPerMachine: 8}.withDefaults()
+	algo, err := GetAlgorithm(name)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sc, err := workload.Get(pinScenario[name])
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := algo.New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := sc.New(opt.N, opt.Seed+1)
+	for range opt.Batches {
+		b := gen.Next(min(inst.MaxBatch(), opt.BatchSize))
+		if len(b) == 0 {
+			continue
+		}
+		if err := inst.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Check(gen.Mirror()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := inst.Check(gen.Mirror()); err != nil {
+		t.Fatal(err)
+	}
+	if fc, ok := inst.(finalChecker); ok {
+		if err := fc.FinalCheck(gen.Mirror()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return inst, opt
 }
 
 // fingerprint renders the machine-count-independent solution state of an
@@ -72,96 +111,19 @@ func matchingPrint(size int, m []graph.Edge) string {
 	return fmt.Sprintf("size=%d matching=%v", size, m)
 }
 
-// TestFaultReshardTwinBitIdentical is the machine-loss acceptance
-// criterion: for every registered algorithm over every compatible scenario,
-// a run that loses machines mid-stream (each loss recovered by re-sharding
-// the last checkpoint onto the surviving fleet and replaying the journal)
-// must end with a solution bit-identical to an uninterrupted twin run at
-// the surviving machine count — at parallelism 1 and 8, with the
-// brute-force oracle checking both runs batch by batch.
-func TestFaultReshardTwinBitIdentical(t *testing.T) {
-	for _, name := range AlgorithmNames() {
-		algo, err := GetAlgorithm(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, scenario := range workload.Names() {
-			sc, err := workload.Get(scenario)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if Compatible(algo, sc) != nil {
-				continue
-			}
-			for _, par := range []int{1, 8} {
-				t.Run(fmt.Sprintf("%s/%s/p%d", name, scenario, par), func(t *testing.T) {
-					opt := faultOptions(par)
-					if name == "bipartite" {
-						// Its doubled cover graph halves core's MaxBatch of 4
-						// at 8 vertices/machine; the pin must fit every shape.
-						opt.BatchSize = 2
-					}
-					inst, cur, rep, err := runScenario(algo, sc, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rep.Faults == 0 {
-						t.Fatalf("fault schedule fired 0 times over %d batches: %s", rep.Batches, rep)
-					}
-					if rep.ReplayedBatches < rep.Faults {
-						t.Fatalf("%d faults replayed only %d batches: %s", rep.Faults, rep.ReplayedBatches, rep)
-					}
-					if cur.VerticesPerMachine <= opt.VerticesPerMachine {
-						t.Fatalf("fleet never shrank: VerticesPerMachine %d -> %d", opt.VerticesPerMachine, cur.VerticesPerMachine)
-					}
-					twinOpt := opt
-					twinOpt.FaultEvery = 0
-					twinOpt.VerticesPerMachine = cur.VerticesPerMachine
-					twin, _, twinRep, err := runScenario(algo, sc, twinOpt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if twinRep.Batches != rep.Batches || twinRep.Updates != rep.Updates {
-						t.Fatalf("streams diverged: faulted %d batches/%d updates, twin %d/%d",
-							rep.Batches, rep.Updates, twinRep.Batches, twinRep.Updates)
-					}
-					got, want := fingerprint(t, inst), fingerprint(t, twin)
-					if got != want {
-						t.Errorf("solution differs from uninterrupted twin at %d vertices/machine:\n  faulted: %s\n  twin:    %s",
-							cur.VerticesPerMachine, got, want)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestLoadIsReshardAtTheSourceShape pins the single full-checkpoint loader
 // of every registered algorithm from the outside: a container records the
 // state, not its placement, so snapshot.Load into a fresh instance of the
 // shape that wrote it or of another shape re-saves the input byte for byte,
 // and the instance of the other shape holds the source's solution.
 func TestLoadIsReshardAtTheSourceShape(t *testing.T) {
-	scenarioFor := map[string]string{
-		"connectivity": "churn", "bipartite": "churn", "msf": "grow-weighted", "approxmsf": "churn-weighted",
-		"matching": "grow", "dynmatching": "churn", "nowickionak": "churn",
-	}
 	for _, name := range AlgorithmNames() {
 		t.Run(name, func(t *testing.T) {
 			algo, err := GetAlgorithm(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc, err := workload.Get(scenarioFor[name])
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := faultOptions(1)
-			opt.FaultEvery = 0
-			live, opt, _, err := runScenario(algo, sc, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			live, opt := pinned(t, name, 1)
 			var input bytes.Buffer
 			if err := snapshot.Save(&input, live); err != nil {
 				t.Fatal(err)
@@ -197,26 +159,5 @@ func TestLoadIsReshardAtTheSourceShape(t *testing.T) {
 				t.Fatalf("loaded onto another shape:\n  got:  %s\n  want: %s", got, want)
 			}
 		})
-	}
-}
-
-// TestFaultWithCrashAndCheckpoint runs all three failure decorations at
-// once — periodic checkpoints, process crashes, machine faults — and
-// demands the oracle checks keep passing while the chain is re-based
-// across cluster shapes.
-func TestFaultWithCrashAndCheckpoint(t *testing.T) {
-	rep, err := Run("connectivity", "churn", Options{
-		N: 48, Batches: 16, BatchSize: 4, Seed: 5,
-		VerticesPerMachine: 8,
-		FaultEvery:         8, CrashEvery: 5, CheckpointEvery: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Faults == 0 || rep.Crashes == 0 {
-		t.Fatalf("decorations did not all fire: %s", rep)
-	}
-	if rep.Checks == 0 {
-		t.Fatalf("no oracle checks ran: %s", rep)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mpc"
-	"repro/internal/workload"
+	"repro/internal/session"
 )
 
 // placed is one cluster of an instance and the vertex count it is
@@ -60,7 +60,7 @@ func TestSessionFleetIsTheRunningFleet(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt := Options{Parallelism: 2}.withDefaults()
-			sess, err := newSession(algo, opt)
+			sess, err := session.Open(sessionConfig(algo, opt))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,40 +92,6 @@ func TestSessionFleetIsTheRunningFleet(t *testing.T) {
 				t.Fatalf("one machine loss left %d machines of %d", got, before)
 			}
 			check("after a machine loss")
-		})
-	}
-}
-
-// TestFaultsNeverEmptyTheFleet runs every algorithm through a fault every
-// three batches on average, far more losses than the default fleet has
-// machines: once it is down to one vertex machine plus the coordinator,
-// every further loss is replaced, and the run ends on that minimum fleet.
-func TestFaultsNeverEmptyTheFleet(t *testing.T) {
-	for _, name := range AlgorithmNames() {
-		t.Run(name, func(t *testing.T) {
-			algo, err := GetAlgorithm(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scenario := "churn"
-			if algo.InsertOnly {
-				scenario = "grow"
-			}
-			if algo.NeedsWeights {
-				scenario += "-weighted"
-			}
-			opt := Options{N: 48, Batches: 60, Seed: 1, FaultEvery: 3}
-			sc, err := workload.Get(scenario)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, cur, rep, err := runScenario(algo, sc, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := cur.coreCfg().MachineCount(); got != 2 {
-				t.Errorf("%d faults left a fleet of %d machines, want the minimum 2: %s", rep.Faults, got, rep)
-			}
 		})
 	}
 }

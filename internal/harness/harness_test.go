@@ -39,8 +39,8 @@ func TestDifferentialAllPairs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if v := rep.Stats.Violations; len(v) != 0 {
-					t.Errorf("%d violations, the first %q", len(v), v[0])
+				if st := rep.Stats; st.ViolationCount != 0 {
+					t.Errorf("%d violations, the first %q", st.ViolationCount, st.Violations[0])
 				}
 				if rep.Updates == 0 {
 					t.Error("scenario emitted no updates")
@@ -156,7 +156,7 @@ func TestReportString(t *testing.T) {
 	if s := rep.String(); !strings.Contains(s, "2 replacement searches exhausted") || strings.Contains(s, "violations") {
 		t.Errorf("report %q hides its exhausted searches or names violations it has not got", s)
 	}
-	rep.Stats.Violations = []string{"machine 0 stores 9 words (cap 8)"}
+	rep.Stats.ViolationCount, rep.Stats.Violations = 1, []string{"machine 0 stores 9 words (cap 8)"}
 	if s := rep.String(); !strings.Contains(s, ", 1 model violations") {
 		t.Errorf("report %q hides its violation", s)
 	}
@@ -205,11 +205,11 @@ func TestCheckEveryNegativeSkipsChecks(t *testing.T) {
 // TestPullLoopIndexing pins how the harness indexes a generator that stalls:
 // grow on 8 vertices runs out of absent edges well within 40 batches and
 // then emits empty batches. Report.Batches counts only the non-empty ones,
-// while the CheckEvery and CheckpointEvery cadences count generator
-// iterations, empties included (an empty iteration runs neither).
+// while the CheckEvery cadence counts generator iterations, empties included
+// (an empty iteration runs no check).
 func TestPullLoopIndexing(t *testing.T) {
-	const batches, size, checkEvery, checkpointEvery = 40, 2, 3, 4
-	opt := Options{N: 8, Batches: batches, BatchSize: size, Seed: 5, CheckEvery: checkEvery, CheckpointEvery: checkpointEvery}
+	const batches, size, checkEvery = 40, 2, 3
+	opt := Options{N: 8, Batches: batches, BatchSize: size, Seed: 5, CheckEvery: checkEvery}
 	rep, err := Run("connectivity", "grow", opt)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestPullLoopIndexing(t *testing.T) {
 		t.Fatal(err)
 	}
 	twin := sc.New(opt.N, opt.Seed+1)
-	applied, updates, checks, checkpoints := 0, 0, 1, 0 // the end-of-stream check
+	applied, updates, checks := 0, 0, 1 // the end-of-stream check
 	for i := range batches {
 		b := twin.Next(size)
 		if len(b) == 0 {
@@ -230,9 +230,6 @@ func TestPullLoopIndexing(t *testing.T) {
 		if (i+1)%checkEvery == 0 {
 			checks++
 		}
-		if (i+1)%checkpointEvery == 0 {
-			checkpoints++
-		}
 	}
 	if applied == batches {
 		t.Fatal("grow never stalled: the test needs empty batches")
@@ -242,9 +239,6 @@ func TestPullLoopIndexing(t *testing.T) {
 	}
 	if rep.Checks != checks {
 		t.Errorf("%d checks, want %d", rep.Checks, checks)
-	}
-	if got := rep.FullCheckpoints + rep.DeltaCheckpoints; got != checkpoints {
-		t.Errorf("%d checkpoints, want %d", got, checkpoints)
 	}
 	if rep.FinalEdges != opt.N*(opt.N-1)/2 {
 		t.Errorf("%d edges final, want the complete graph's %d", rep.FinalEdges, opt.N*(opt.N-1)/2)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/snapshot"
-	"repro/internal/workload"
 )
 
 // FuzzLoadPastTheCRC edits payload words of every registered algorithm's
@@ -22,23 +21,7 @@ func FuzzLoadPastTheCRC(f *testing.F) {
 	valid := make([][]byte, len(names))
 	opts := make([]Options, len(names))
 	for i, name := range names {
-		algo, err := GetAlgorithm(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		sc, err := workload.Get(map[string]string{
-			"connectivity": "churn", "bipartite": "churn", "msf": "grow-weighted", "approxmsf": "churn-weighted",
-			"matching": "grow", "dynmatching": "churn", "nowickionak": "churn",
-		}[name])
-		if err != nil {
-			f.Fatal(err)
-		}
-		opt := faultOptions(1)
-		opt.FaultEvery = 0
-		live, opt, _, err := runScenario(algo, sc, opt)
-		if err != nil {
-			f.Fatal(err)
-		}
+		live, opt := pinned(f, name, 1)
 		var buf bytes.Buffer
 		if err := snapshot.Save(&buf, live); err != nil {
 			f.Fatal(err)

@@ -55,23 +55,7 @@ func TestContainerBytesPinned(t *testing.T) {
 	}
 	for _, par := range []int{1, 8} {
 		for _, name := range AlgorithmNames() {
-			algo, err := GetAlgorithm(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := workload.Get(map[string]string{
-				"connectivity": "churn", "bipartite": "churn", "msf": "grow-weighted", "approxmsf": "churn-weighted",
-				"matching": "grow", "dynmatching": "churn", "nowickionak": "churn",
-			}[name])
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := faultOptions(par)
-			opt.FaultEvery = 0
-			live, _, _, err := runScenario(algo, sc, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			live, _ := pinned(t, name, par)
 			var buf bytes.Buffer
 			if err := snapshot.Save(&buf, live); err != nil {
 				t.Fatal(err)

@@ -70,8 +70,9 @@
 // invocation i (the StepFunc concurrency contract), so its outputs are
 // independent of scheduling; phase 2 is serial and runs in machine order,
 // so each inbox holds its messages in ascending sender id (outbox order per
-// sender), and violation strings, counters and peaks are appended in that
-// order too. A violation is recorded, never raised: the round still
+// sender), and violations, counters and peaks are recorded in that order
+// too. A violation is counted (its message kept among the first 16), never
+// raised: the round still
 // delivers every message to a valid destination, so a run that breaks a cap
 // goes on and its Stats say where (see the determinism tests in
 // merge_test.go and executor_test.go).

@@ -66,8 +66,12 @@ type Stats struct {
 	// PeakTotalWords is the largest total memory (sum over machines) at any
 	// round boundary.
 	PeakTotalWords int
-	// Violations records every cap violation and invalid destination, in
-	// the order the round met them. A violation never stops the run.
+	// ViolationCount counts every cap violation and invalid destination. A
+	// violation never stops the run.
+	ViolationCount int
+	// Violations describes the first keptViolations (16) of them, in the
+	// order the rounds met them: a run that breaks a cap every round keeps a
+	// count, not a list that grows with it.
 	Violations []string
 }
 
@@ -240,9 +244,16 @@ func (c *Cluster) RestoreStats(st Stats) {
 	c.stats = st
 }
 
-// violate records a cap violation.
+// keptViolations bounds Stats.Violations.
+const keptViolations = 16
+
+// violate counts a cap violation, and describes it while fewer than
+// keptViolations are described.
 func (c *Cluster) violate(format string, args ...any) {
-	c.stats.Violations = append(c.stats.Violations, fmt.Sprintf(format, args...))
+	c.stats.ViolationCount++
+	if len(c.stats.Violations) < keptViolations {
+		c.stats.Violations = append(c.stats.Violations, fmt.Sprintf(format, args...))
+	}
 }
 
 // StepFunc is the per-machine computation of one round. It receives the

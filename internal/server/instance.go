@@ -198,7 +198,7 @@ func (in *instance) applyBatch(b graph.Batch) {
 	err := in.sess.Apply(b)
 	st := in.live().Cluster().Stats()
 	in.rounds.Store(uint64(st.Rounds))
-	in.violations.Store(uint64(len(st.Violations)))
+	in.violations.Store(uint64(st.ViolationCount))
 	if err != nil {
 		in.failure.Store(&applyFailure{err: err})
 	} else {

@@ -1,10 +1,11 @@
 // Package session is the one durable-run lifecycle of the repository: apply
 // batches to an algorithm state, checkpoint it through a snapshot.Chain,
 // restore it after a kill, and migrate it onto a fleet of a different size.
-// The differential harness (crash and machine-fault decorators), the
-// mpcstream replay paths and the mpcserve instances all run on a Session and
-// differ only in what they wrap around it — oracle checks and fault
-// schedules, flags and printing, locks and queues.
+// The differential harness, the mpcstream replay paths and the mpcserve
+// instances all run on a Session and differ only in what they wrap around
+// it — oracle checks, flags and printing, locks and queues. The harness's
+// TestLifecycleModel drives one through seeded sequences of every
+// replacement below, with a store that fails.
 //
 // A Session takes no locks: callers that share one across goroutines
 // serialize its methods themselves (see internal/server).

@@ -3,10 +3,10 @@ package session
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -99,114 +99,6 @@ func fingerprintOf(s *Session) fingerprint {
 	return fingerprint{dc.SnapshotComponents(), forest, dc.Cluster().Stats(), edges, s.Applied(), shape}
 }
 
-// lifecycle runs the scripted durable run — apply → full → apply → delta →
-// kill → restore → resize → re-based full → delta → restore at the new
-// shape → apply — on a chain over store, and returns the final fingerprint.
-func lifecycle(t *testing.T, store snapshot.Store, path string, par int, batches []graph.Batch) fingerprint {
-	t.Helper()
-	open := func() *snapshot.Chain { return snapshot.OpenChainIn(store, path, 4) }
-	s, err := Open(testConfig(par, open(), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, s, batches, 0, 3)
-	cut(t, s, snapshot.KindFull)
-	feed(t, s, batches, 3, 5)
-	cut(t, s, snapshot.KindDelta)
-	live := fingerprintOf(s)
-
-	// Kill: nothing of the process survives but the store.
-	s, err = Open(testConfig(par, open(), nil))
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if got := fingerprintOf(s); !reflect.DeepEqual(got, live) {
-		t.Fatalf("restored state differs from the killed one:\n  got  %+v\n  want %+v", got, live)
-	}
-	if s.RestoreCycles() != 1 {
-		t.Errorf("restore cycles = %d, want 1", s.RestoreCycles())
-	}
-
-	c, err := s.Resize(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Kind != snapshot.KindFull {
-		t.Fatalf("resize re-based the chain with a %q checkpoint, want full", c.Kind)
-	}
-	if got := s.Shape().MachineCount(); got != 9 {
-		t.Fatalf("resized onto %d machines, want 9", got)
-	}
-	feed(t, s, batches, 5, 7)
-	cut(t, s, snapshot.KindDelta)
-	live = fingerprintOf(s)
-
-	s, err = Open(testConfig(par, open(), nil))
-	if err != nil {
-		t.Fatalf("resume at the new shape: %v", err)
-	}
-	if got := fingerprintOf(s); !reflect.DeepEqual(got, live) {
-		t.Fatalf("state restored at the new shape differs:\n  got  %+v\n  want %+v", got, live)
-	}
-	if s.RestoreCycles() != 2 {
-		t.Errorf("restore cycles = %d, want 2", s.RestoreCycles())
-	}
-	feed(t, s, batches, 7, len(batches))
-	return fingerprintOf(s)
-}
-
-// TestLifecycleBothStores runs the scripted lifecycle against the file store
-// and the in-memory store, at parallelism 1 and 8: the two stores must end
-// up holding byte-identical containers, and the final state must equal an
-// uninterrupted twin — same stream, same resize, no chain, never killed.
-func TestLifecycleBothStores(t *testing.T) {
-	batches := stream(t, 10)
-	var first fingerprint
-	for _, par := range []int{1, 8} {
-		twin, err := Open(testConfig(par, nil, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(t, twin, batches, 0, 5)
-		if _, err := twin.Resize(9); err != nil {
-			t.Fatal(err)
-		}
-		feed(t, twin, batches, 5, len(batches))
-		want := fingerprintOf(twin)
-
-		path := filepath.Join(t.TempDir(), "session.snap")
-		mem := snapshot.NewMemStore()
-		onDisk := lifecycle(t, snapshot.FileStore{}, path, par, batches)
-		inMem := lifecycle(t, mem, path, par, batches)
-		for name, got := range map[string]fingerprint{"file store": onDisk, "mem store": inMem} {
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("p%d, %s: final state differs from the uninterrupted twin:\n  got  %+v\n  want %+v", par, name, got, want)
-			}
-		}
-		containers := 0
-		for _, name := range []string{path, path + ".delta-001", path + ".delta-002"} {
-			a, aerr := readAll(snapshot.FileStore{}, name)
-			b, berr := readAll(mem, name)
-			if (aerr == nil) != (berr == nil) {
-				t.Errorf("p%d: %s exists in one store only (file: %v, mem: %v)", par, filepath.Base(name), aerr, berr)
-			} else if aerr == nil {
-				containers++
-				if !bytes.Equal(a, b) {
-					t.Errorf("p%d: container %s differs between the stores", par, filepath.Base(name))
-				}
-			}
-		}
-		if containers != 2 {
-			t.Errorf("p%d: stores hold %d containers, want the re-based full and one delta", par, containers)
-		}
-		if par == 1 {
-			first = want
-		} else if !reflect.DeepEqual(want, first) {
-			t.Errorf("twin at parallelism %d differs from parallelism 1", par)
-		}
-	}
-}
-
 func readAll(store snapshot.Store, name string) ([]byte, error) {
 	f, err := store.Open(name)
 	if err != nil {
@@ -214,59 +106,6 @@ func readAll(store snapshot.Store, name string) ([]byte, error) {
 	}
 	defer f.Close()
 	return io.ReadAll(f)
-}
-
-// flakyStore fails every Put while broken is set.
-type flakyStore struct {
-	snapshot.Store
-	broken bool
-}
-
-func (f *flakyStore) Put(name string, write func(io.Writer) error) error {
-	if f.broken {
-		return errors.New("injected put failure")
-	}
-	return f.Store.Put(name, write)
-}
-
-// TestFailedPutKeepsEverything pins what a failed container write must not
-// lose: the chain written before still restores to the state it captured,
-// and the next checkpoint is a full base that captures everything.
-func TestFailedPutKeepsEverything(t *testing.T) {
-	batches := stream(t, 6)
-	store := &flakyStore{Store: snapshot.NewMemStore()}
-	open := func() *snapshot.Chain { return snapshot.OpenChainIn(store, "s", 4) }
-	s, err := Open(testConfig(1, open(), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, s, batches, 0, 3)
-	cut(t, s, snapshot.KindFull)
-	durable := fingerprintOf(s)
-	feed(t, s, batches, 3, 6)
-
-	store.broken = true
-	if _, err := s.Checkpoint(); err == nil {
-		t.Fatal("checkpoint through a failing store succeeded")
-	}
-	store.broken = false
-	old, err := Open(testConfig(1, open(), nil))
-	if err != nil {
-		t.Fatalf("previous chain no longer restores: %v", err)
-	}
-	if got := fingerprintOf(old); !reflect.DeepEqual(got, durable) {
-		t.Errorf("previous chain restores to a different state:\n  got  %+v\n  want %+v", got, durable)
-	}
-
-	cut(t, s, snapshot.KindFull)
-	live := fingerprintOf(s)
-	fresh, err := Open(testConfig(1, open(), nil))
-	if err != nil {
-		t.Fatalf("resume after the retry: %v", err)
-	}
-	if got := fingerprintOf(fresh); !reflect.DeepEqual(got, live) {
-		t.Errorf("retried checkpoint lost state:\n  got  %+v\n  want %+v", got, live)
-	}
 }
 
 // TestOldFrontEndLayoutsRejectedByTag feeds Open the two meta layouts
@@ -436,5 +275,33 @@ func TestMirrorJournalSectionRejected(t *testing.T) {
 	}
 	if _, err := Open(testConfig(1, open(), nil)); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("resume over the mirror-journal delta: error %v, want %q", err, want)
+	}
+}
+
+// TestOpenSweepsStaleTemps leaves the temp file of a write that died before
+// its rename beside a file-store base: the next Open resumes the base and
+// sweeps the temp, counted with the orphaned deltas.
+func TestOpenSweepsStaleTemps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "session.snap")
+	s, err := Open(testConfig(1, snapshot.OpenChain(path, 4), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, s, stream(t, 3), 0, 3)
+	cut(t, s, snapshot.KindFull)
+	stale := path + ".tmp123"
+	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	chain := snapshot.OpenChain(path, 4)
+	r, err := Open(testConfig(1, chain, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Applied() != 3 || r.RestoreCycles() != 1 {
+		t.Errorf("Open over the base: %d batches applied, %d restore cycles; want 3 and 1", r.Applied(), r.RestoreCycles())
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) || chain.OrphansRemoved() != 1 {
+		t.Errorf("stale temp left (%v) or not counted: %d removed, want 1", err, chain.OrphansRemoved())
 	}
 }

@@ -67,7 +67,7 @@
 // atomic Put, Open, Remove. FileStore is the durable one (temp file, fsync,
 // rename, directory sync; OpenChain uses it); MemStore holds containers in
 // memory for chains that must outlive the state they checkpoint but not the
-// process, which is what the harness's crash and fault decorators need.
+// process.
 // There is one chain implementation over both. It checkpoints one
 // Checkpointer+Restorer (State) per container, as Save and Load do; a state
 // made of parts composes their sections itself (session's image writes the

@@ -254,9 +254,11 @@ type stats struct {
 }
 
 // Stats is the fleet's execution metrics — the counters in mpc.Stats field
-// order, then the count-prefixed violation strings — installed verbatim, so
-// a loaded instance's Stats are the checkpoint's and a resumed run's Stats
-// are bit-identical to an uninterrupted one's.
+// order, then the violation count and the messages the cluster kept of them
+// (the first keptViolations) — installed verbatim, so a loaded instance's
+// Stats are the checkpoint's and a resumed run's Stats are bit-identical to
+// an uninterrupted one's. A part with as many messages as violations is the
+// count-prefixed string list it was before the count was split off.
 func Stats(cl *mpc.Cluster) Part { return &stats{cl: cl} }
 
 func (p *stats) put(e *Encoder) {
@@ -268,7 +270,7 @@ func (p *stats) put(e *Encoder) {
 	e.Int(st.MaxSendWords)
 	e.Int(st.PeakMachineWords)
 	e.Int(st.PeakTotalWords)
-	e.Int(len(st.Violations))
+	e.Int(st.ViolationCount)
 	for _, v := range st.Violations {
 		e.String(v)
 	}
@@ -277,11 +279,18 @@ func (p *stats) put(e *Encoder) {
 func (p *stats) get(d *Decoder, _ string) error {
 	p.st = mpc.Stats{Rounds: d.Int(), Messages: d.I64(), WordsSent: d.I64(),
 		MaxRecvWords: d.Int(), MaxSendWords: d.Int(), PeakMachineWords: d.Int(), PeakTotalWords: d.Int()}
-	for n := d.Count(1); n > 0 && d.Err() == nil; n-- {
+	p.st.ViolationCount = d.Int()
+	if p.st.ViolationCount < 0 {
+		d.fail("section %#x: %d violations", d.tag, p.st.ViolationCount)
+	}
+	for n := min(p.st.ViolationCount, keptViolations); n > 0 && d.Err() == nil; n-- {
 		p.st.Violations = append(p.st.Violations, d.String())
 	}
 	return nil
 }
+
+// keptViolations is how many violation messages an mpc.Cluster keeps.
+const keptViolations = 16
 
 func (p *stats) commit() { p.cl.RestoreStats(p.st) }
 

@@ -187,6 +187,7 @@ func TestClusterStatsRoundTrip(t *testing.T) {
 		MaxSendWords:     11,
 		PeakMachineWords: 12,
 		PeakTotalWords:   13,
+		ViolationCount:   1,
 		Violations:       []string{"machine 3 sent 99 words in one round (cap 10)"},
 	}
 	cluster := func() *mpc.Cluster { return mpc.NewCluster(mpc.Config{Machines: 1, LocalMemory: 1}) }

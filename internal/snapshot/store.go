@@ -93,8 +93,8 @@ func syncDir(dir string) error {
 }
 
 // MemStore keeps containers in memory: the store of a chain that must
-// outlive the state it checkpoints but not the process (the harness's
-// crash and fault decorators). A failed Put leaves the name untouched.
+// outlive the state it checkpoints but not the process. A failed Put leaves
+// the name untouched.
 type MemStore struct {
 	files map[string][]byte
 }

@@ -6,13 +6,12 @@ import (
 	"repro/internal/hash"
 )
 
-// CrashSchedule is the fault-injection decorator of the scenario engine: a
-// seeded, deterministic choice of the batch indices at which a run's
-// cluster is killed and restored from its latest checkpoint. Like every
-// generator in this package it is oblivious — the crash points are a fixed
-// function of the seed, never of algorithm state — so a crash-decorated
-// run of any scenario replays identically, and the differential harness
-// can demand bit-identical results against an uninterrupted twin.
+// CrashSchedule is a seeded, deterministic choice of the batch indices at
+// which a run's cluster is killed and restored from its latest checkpoint
+// (experiment E16). Like every generator in this package it is oblivious —
+// the crash points are a fixed function of the seed, never of algorithm
+// state — so a crash-decorated run replays identically and can be held to
+// an uninterrupted twin.
 //
 // Crash is drawn once per batch, in order; on average one crash fires
 // every `every` batches.
