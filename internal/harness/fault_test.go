@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/session"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
@@ -109,6 +110,106 @@ func fingerprint(t *testing.T, inst Instance) string {
 func matchingPrint(size int, m []graph.Edge) string {
 	sort.Slice(m, func(i, j int) bool { return m[i].ID(48) < m[j].ID(48) })
 	return fmt.Sprintf("size=%d matching=%v", size, m)
+}
+
+// TestFaultReshardTwinBitIdentical is the machine-loss acceptance
+// criterion at fixed points, where TestLifecycleModel draws them: for every
+// registered algorithm over every compatible scenario, a run that loses a
+// machine while every third batch is in flight (each loss recovered by
+// session.Session.RecoverOnto: the last checkpoint re-sharded onto the
+// survivors and the batches since replayed) must end with a solution
+// bit-identical to an uninterrupted twin run at the surviving machine count
+// — at parallelism 1 and 8, with the oracle checking both runs batch by
+// batch.
+func TestFaultReshardTwinBitIdentical(t *testing.T) {
+	for _, name := range AlgorithmNames() {
+		algo, err := GetAlgorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scenario := range workload.Names() {
+			sc, err := workload.Get(scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if Compatible(algo, sc) != nil {
+				continue
+			}
+			for _, par := range []int{1, 8} {
+				t.Run(fmt.Sprintf("%s/%s/p%d", name, scenario, par), func(t *testing.T) {
+					// Seven machines of 8 vertices, with a pinned batch size,
+					// so both runs consume bit-identical streams at their
+					// different machine counts.
+					opt := Options{N: 48, Batches: 12, BatchSize: 4, Seed: 1, Parallelism: par, VerticesPerMachine: 8}.withDefaults()
+					if name == "bipartite" {
+						// Its doubled cover graph halves core's MaxBatch of 4
+						// at 8 vertices/machine; the pin must fit every shape.
+						opt.BatchSize = 2
+					}
+					inst, shape, losses, replayed := lossRun(t, algo, sc, opt, 3)
+					if losses == 0 || replayed < losses {
+						t.Fatalf("%d machine losses replayed %d batches", losses, replayed)
+					}
+					if shape.VerticesPerMachine <= opt.VerticesPerMachine {
+						t.Fatalf("fleet never shrank: VerticesPerMachine %d -> %d", opt.VerticesPerMachine, shape.VerticesPerMachine)
+					}
+					opt.VerticesPerMachine = shape.VerticesPerMachine
+					twin, _, _, _ := lossRun(t, algo, sc, opt, 0)
+					if got, want := fingerprint(t, inst), fingerprint(t, twin); got != want {
+						t.Errorf("solution differs from uninterrupted twin at %d vertices/machine:\n  faulted: %s\n  twin:    %s",
+							shape.VerticesPerMachine, got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// lossRun streams opt.Batches batches of sc through a session on an
+// in-memory chain, checking every batch against the oracle. With lossEvery
+// > 0 a machine dies while every lossEvery-th applied batch is in flight:
+// the batch never lands on the old fleet, RecoverOnto rebuilds the state on
+// one machine fewer from the batches since the last re-base, and the batch
+// is applied there. It returns the final instance and shape, the losses and
+// the batches they replayed, in-flight ones included.
+func lossRun(t *testing.T, algo Algorithm, sc workload.Scenario, opt Options, lossEvery int) (Instance, session.Shape, int, int) {
+	t.Helper()
+	cfg := sessionConfig(algo, opt)
+	cfg.Chain = snapshot.OpenChainIn(snapshot.NewMemStore(), algo.Name, 0)
+	sess, err := session.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := func() Instance { return sess.State().(Instance) }
+	size := min(inst().MaxBatch(), opt.BatchSize)
+	gen := sc.New(opt.N, opt.Seed+1)
+	var since []graph.Batch
+	losses, replayed := 0, 0
+	for i := range opt.Batches {
+		b := gen.Next(size)
+		if len(b) == 0 {
+			continue
+		}
+		if lossEvery > 0 && sess.Applied() > 0 && sess.Applied()%lossEvery == 0 {
+			if _, err := sess.RecoverOnto(sess.Shape().MachineCount()-1, since); err != nil {
+				t.Fatalf("machine loss at batch %d: %v", i, err)
+			}
+			losses, replayed, since = losses+1, replayed+len(since)+1, since[:0]
+		}
+		if err := sess.Apply(b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		since = append(since, append(graph.Batch(nil), b...))
+		if err := inst().Check(gen.Mirror()); err != nil {
+			t.Fatalf("diverged at batch %d: %v", i, err)
+		}
+	}
+	if fc, ok := inst().(finalChecker); ok {
+		if err := fc.FinalCheck(gen.Mirror()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return inst(), sess.Shape(), losses, replayed
 }
 
 // TestLoadIsReshardAtTheSourceShape pins the single full-checkpoint loader
