@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/eulertour"
 	"repro/internal/graph"
 	"repro/internal/mpc"
 	"repro/internal/sketch"
@@ -362,16 +363,20 @@ func (dc *DynamicConnectivity) delete(edges []graph.Edge) error {
 	if len(report.TreeRecords) == 0 {
 		return nil
 	}
-	replacements := dc.findReplacements(report.PassiveComps, first)
+	replacements, stats := dc.findReplacements(report.PassiveComps, first)
 	// Insert the replacement forest; chunked to respect the batch cap (a
 	// subset of a forest over components is still a forest over components).
+	// The first chunk links between the Cut's fragments, so it takes their
+	// sizes from the split plan and its endpoints' stats from the search's
+	// lookups; a later chunk joins what the first merged, and asks.
+	known := &linkFacts{stats: stats, sizes: report.FragmentSizes}
 	chunk := dc.f.cfg.MaxBatch()
 	for len(replacements) > 0 {
 		cut := min(len(replacements), chunk)
-		if err := dc.f.Link(replacements[:cut]); err != nil {
+		if err := dc.f.link(replacements[:cut], known); err != nil {
 			return err
 		}
-		replacements = replacements[cut:]
+		replacements, known = replacements[cut:], nil
 	}
 	return nil
 }
@@ -499,10 +504,15 @@ func (dc *DynamicConnectivity) refillWindow(lo, hi int, comps map[uint64]int) (s
 // (or, when there is none, the replacement Link's Ask), and the fragment and
 // passive keys are dropped by a rider without words when the search ends.
 //
+// A level lookup that sends an Ask also asks its candidates' occurrence
+// stats (Forest.labelsAndStats), and findReplacements returns them: no
+// record moves before the replacement Link, which takes them with the Cut's
+// fragment sizes (linkFacts) instead of an Ask of its own.
+//
 // A search in which a supernode has read through copy t-1 and is still
 // active may return too few edges (a too-fine partition); it is counted in
 // SearchStats.Exhausted, not repaired.
-func (dc *DynamicConnectivity) findReplacements(passiveComps []int, first *firstWindow) []graph.WeightedEdge {
+func (dc *DynamicConnectivity) findReplacements(passiveComps []int, first *firstWindow) ([]graph.WeightedEdge, map[int]eulertour.VertexStats) {
 	dc.search.searches++
 	defer dc.f.dropFrags()
 	ws := newWorkspace(dc.space, dc.f.cfg.N, passiveComps, &dc.search)
@@ -516,20 +526,22 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int, first *first
 
 	t, w := dc.space.Copies(), first.win.Hi
 	var labels []int
+	stats := map[int]eulertour.VertexStats{}
 	for len(ws.active) > 0 {
 		candidates, stalled := ws.query()
 		switch {
 		case len(candidates) > 0:
 			// Resolve candidate endpoints to current components (the
-			// documented O(1)-round lookup per level).
+			// documented O(1)-round lookup per level), and in the same Ask
+			// their stats, which the replacement Link would ask.
 			dc.search.levels++
-			labels, _ = dc.f.labelsInto(labels, endpointsOf(candidates))
+			labels = dc.f.labelsAndStats(labels, endpointsOf(candidates), stats)
 			ws.merge(candidates, labels)
 		case !stalled:
 			// Every query came back Empty: no supernode is active now.
 		case ws.hi == t:
 			dc.search.exhausted++
-			return ws.replacements
+			return ws.replacements, stats
 		default:
 			dc.search.refills++
 			clear(ws.sketches)
@@ -540,7 +552,7 @@ func (dc *DynamicConnectivity) findReplacements(passiveComps []int, first *first
 			ws.install(sums, lo, hi)
 		}
 	}
-	return ws.replacements
+	return ws.replacements, stats
 }
 
 // SearchStats counts the work of the replacement searches since the

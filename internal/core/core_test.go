@@ -389,13 +389,6 @@ func TestNumComponentsFresh(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestBootstrap(t *testing.T) {
 	const n = 32
 	dc, err := NewDynamicConnectivity(Config{N: n, Phi: 0.6, Seed: 51})

@@ -57,6 +57,8 @@ type vertexShard struct {
 	// every shard.
 	passiveOf map[int]uint64
 	alone     []int
+	// counts is countVertices' scratch, one slot per component asked.
+	counts []uint64
 }
 
 // Words implements mpc.Sized.
@@ -378,12 +380,19 @@ type Forest struct {
 	edgeHash *hash.Family
 	nextID   uint64 // coordinator-local tour-id counter
 	cache    labelCache
-	// answerLabels is the per-machine answer callback of the label resolve,
-	// built once so the steady-state query path allocates nothing.
-	answerLabels func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch
+	// answerLabels and readLabel are the label resolve's answer and decode,
+	// and mergeAnswers (over combineFrames) every Ask's combine: built once,
+	// so the steady-state query path allocates nothing.
+	answerLabels  answerFunc
+	readLabel     func(v uint64, frame []uint64)
+	combineFrames func(dst, src []uint64)
+	mergeAnswers  mpc.BatchCombine
 	// pending holds the riders waiting for the forest's next broadcast (see
-	// ride).
+	// ride) and the questions posed for its next Ask (see pose).
 	pending carrier
+	// factsTaken, when set, sees what a Link took from its linkFacts instead
+	// of asking (a test's check that they are what the Ask would answer).
+	factsTaken func(terminals, comps []int, known *linkFacts)
 }
 
 // rider is a Tell whose effect nothing reads before the forest's next
@@ -393,19 +402,67 @@ type rider struct {
 	apply func(mm *mpc.Machine, msg mpc.Sized)
 }
 
+// A broadcast's question set. An Ask carries one or more questions, each
+// tagged by its place in the set: question i answers [i<<tagShift | key, ...]
+// frames. Each machine appends every question's frames to one answer batch,
+// question by question, so the batch is key-sorted, and one merge-join up the
+// tree combines two colliding frames by the rule of the question whose tag
+// they carry. Every key a question answers — a vertex, component or edge id,
+// below N² — stays below 2^tagShift.
+const (
+	tagShift = 60
+	keyMask  = 1<<tagShift - 1
+)
+
+// answerFunc is one question's answer on one machine: it appends the
+// machine's frames, their keys or'ed with tag and ascending, to b and returns
+// the batch. b is nil while the set's earlier questions have said nothing on
+// the machine; the answer then takes a batch of its own (answerBatch), or
+// returns nil when it has nothing to say either.
+type answerFunc func(mm *mpc.Machine, q mpc.Sized, tag uint64, b *mpc.MessageBatch) *mpc.MessageBatch
+
+// question is one question of a broadcast: its payload, its answer, how a
+// frame one machine answered absorbs the src frame another answered for the
+// same key (nil keeps the first), and how the coordinator reads each frame of
+// the merged answer, handed its key without the tag.
+type question struct {
+	msg     mpc.Sized
+	answer  answerFunc
+	combine func(dst, src []uint64)
+	read    func(key uint64, frame []uint64)
+}
+
+// answerBatch returns b, or, when the set's earlier questions left none, a
+// batch of mm's sized for words words.
+func answerBatch(mm *mpc.Machine, b *mpc.MessageBatch, words int) *mpc.MessageBatch {
+	if b == nil {
+		return mm.Batch(words)
+	}
+	return b
+}
+
 // carrier is a broadcast with the pending riders ahead of it: every machine
-// applies the riders, in the order they were queued, and then answers or
-// applies the broadcast's own payload. Its words are all of theirs, so what
-// the riders tell is counted on the broadcast that carries it.
+// applies the riders, in the order they were queued, and then answers the
+// broadcast's questions or applies its message. Its words are all of theirs,
+// so what the riders tell is counted on the broadcast that carries it.
 type carrier struct {
 	riders []rider
+	qs     []question
 	msg    mpc.Sized
-	answer func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch
 	apply  func(mm *mpc.Machine, msg mpc.Sized)
 }
 
 // Words implements mpc.Sized.
-func (c *carrier) Words() int { return c.msg.Words() + c.riderWords() }
+func (c *carrier) Words() int {
+	w := c.riderWords()
+	for _, q := range c.qs {
+		w += q.msg.Words()
+	}
+	if c.msg != nil {
+		w += c.msg.Words()
+	}
+	return w
+}
 
 func (c *carrier) riderWords() int {
 	w := 0
@@ -426,13 +483,20 @@ func (c *carrier) land(mm *mpc.Machine) {
 func (c *carrier) reset() {
 	clear(c.riders)
 	c.riders = c.riders[:0]
-	c.msg, c.answer, c.apply = nil, nil, nil
+	clear(c.qs)
+	c.qs = c.qs[:0]
+	c.msg, c.apply = nil, nil
 }
 
 func answerCarried(mm *mpc.Machine, p mpc.Sized) *mpc.MessageBatch {
 	c := p.(*carrier)
 	c.land(mm)
-	return c.answer(mm, c.msg)
+	var b *mpc.MessageBatch
+	for i := range c.qs {
+		q := &c.qs[i]
+		b = q.answer(mm, q.msg, uint64(i)<<tagShift, b)
+	}
+	return b
 }
 
 func applyCarried(mm *mpc.Machine, p mpc.Sized) {
@@ -477,19 +541,28 @@ func newForest(cfg Config, weighted bool, sketchWords int) (*Forest, error) {
 			pend:   map[int]*parkedComp{},
 		},
 	}
-	f.answerLabels = func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
+	f.answerLabels = func(mm *mpc.Machine, payload mpc.Sized, tag uint64, b *mpc.MessageBatch) *mpc.MessageBatch {
 		vs := vShard(mm)
 		if vs == nil {
-			return nil
+			return b
 		}
 		q := payload.(*u64Payload).xs
 		i := sort.Search(len(q), func(i int) bool { return int(q[i]) >= vs.lo })
 		j := sort.Search(len(q), func(j int) bool { return int(q[j]) >= vs.hi })
-		b := mm.Batch(3 * (j - i))
+		b = answerBatch(mm, b, 3*(j-i))
 		for ; i < j; i++ {
-			b.Append(q[i], uint64(vs.compOf(int(q[i]))))
+			b.Append(tag|q[i], uint64(vs.compOf(int(q[i]))))
 		}
 		return b
+	}
+	f.readLabel = func(v uint64, fr []uint64) { f.cache.labels[v] = int(fr[1]) }
+	f.combineFrames = func(dst, src []uint64) {
+		if combine := f.pending.qs[dst[0]>>tagShift].combine; combine != nil {
+			combine(dst, src)
+		}
+	}
+	f.mergeAnswers = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
+		return mpc.MergeSortedBatches(a, b, f.combineFrames)
 	}
 	cl.LocalAll(func(mm *mpc.Machine) {
 		if mm.ID != f.coord {
@@ -552,13 +625,26 @@ func (f *Forest) edgeOwner(e graph.Edge) int {
 // send through the carrier, so every broadcast the forest makes has one
 // shape: the pending riders, if any, which every machine applies first, then
 // the payload.
-func (f *Forest) ask(q mpc.Sized, answer func(mm *mpc.Machine, q mpc.Sized) *mpc.MessageBatch, combine mpc.BatchCombine) *mpc.MessageBatch {
+//
+// ask sends the questions posed so far (pose) and qs as one question set and
+// hands every frame of the merged answer to the read of its question.
+func (f *Forest) ask(qs ...question) {
 	c := &f.pending
-	c.msg, c.answer = q, answer
-	res := f.cl.Ask(f.coord, c, answerCarried, combine)
+	c.qs = append(c.qs, qs...)
+	if len(c.qs) > 1<<(64-tagShift) {
+		panic(fmt.Sprintf("core: %d questions in one broadcast", len(c.qs)))
+	}
+	if res := f.cl.Ask(f.coord, c, answerCarried, f.mergeAnswers); res != nil {
+		for fr := range res.Frames {
+			c.qs[fr[0]>>tagShift].read(fr[0]&keyMask, fr)
+		}
+		res.Release()
+	}
 	c.reset()
-	return res
 }
+
+// pose queues a question for the forest's next ask.
+func (f *Forest) pose(q question) { f.pending.qs = append(f.pending.qs, q) }
 
 func (f *Forest) tell(msg mpc.Sized, apply func(mm *mpc.Machine, msg mpc.Sized)) {
 	c := &f.pending
@@ -593,20 +679,20 @@ func (f *Forest) flush() {
 	}
 }
 
-// The frame combiners of the flat aggregations below (mpc.KeepFirst,
-// mpc.SumValues, mergeMin, mergeStats, mergeHeavier) are all merge-joins over
-// key-sorted [k, ...] frames into a fresh batch from the cluster's free list,
-// sized for both operands (no operand is mutated in place, so no two batches
-// share a buffer), and all are commutative per key, so the deterministic
-// sender-order fold of the tree yields the same frames at every parallelism.
+// The frame combines below (minValue, widenStats, sumCount, heavierFrame)
+// and the aggregations' combines (mpc.KeepFirst, mpc.SumValues, mergeMin)
+// are all merge-joins over key-sorted [k, ...] frames into a fresh batch from
+// the cluster's free list, sized for both operands (no operand is mutated in
+// place, so no two batches share a buffer), and all are commutative per key,
+// so the deterministic sender-order fold of the tree yields the same frames
+// at every parallelism.
 
-// mergeMin keeps the smaller value word of colliding [k, v] frames.
+// minValue keeps the smaller value word of colliding [k, v] frames.
+func minValue(dst, src []uint64) { dst[1] = min(dst[1], src[1]) }
+
+// mergeMin is minValue's aggregation combine.
 var mergeMin = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
-	return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) {
-		if src[1] < dst[1] {
-			dst[1] = src[1]
-		}
-	})
+	return mpc.MergeSortedBatches(a, b, minValue)
 }
 
 // InvalidateCache drops the coordinator label cache — every cached component
@@ -642,14 +728,13 @@ func (f *Forest) checkQueryVertex(v int) {
 	}
 }
 
-// resolveMisses runs the cache-fill collective for the miss list staged in
-// the cache: one Ask carrying the sorted misses, answered with [vertex, comp]
-// frames (O(1/φ) rounds), decoded into the cache. No-op when the list is
-// empty.
-func (f *Forest) resolveMisses() {
+// poseMisses poses the cache-fill question for the miss list staged in the
+// cache (the sorted misses, answered with [vertex, comp] frames decoded into
+// the cache) and reports whether it did: not when the list is empty.
+func (f *Forest) poseMisses() bool {
 	lc := &f.cache
 	if len(lc.miss) == 0 {
-		return
+		return false
 	}
 	sort.Ints(lc.miss)
 	q := lc.query.xs[:0]
@@ -657,23 +742,8 @@ func (f *Forest) resolveMisses() {
 		q = append(q, uint64(v))
 	}
 	lc.query.xs = q
-	if res := f.ask(&lc.query, f.answerLabels, mpc.KeepFirst); res != nil {
-		for fr := range res.Frames {
-			lc.labels[fr[0]] = int(fr[1])
-		}
-		res.Release()
-	}
-}
-
-// countFrames appends one [tag|key, count] frame per key counted at least
-// once.
-func countFrames(b *mpc.MessageBatch, tag uint64, keys []int, counts []uint64) *mpc.MessageBatch {
-	for j, c := range counts {
-		if c > 0 {
-			b.Append(tag|uint64(keys[j]), c)
-		}
-	}
-	return b
+	f.pose(question{msg: &lc.query, answer: f.answerLabels, read: f.readLabel})
+	return true
 }
 
 // collectNumComps emits one [0, heads] frame per vertex machine: with the
@@ -710,41 +780,32 @@ func (f *Forest) NumComponents() int {
 	return n
 }
 
-// statsQuery is the question of a batched f/l query and, for a Link, of the
-// sizes of the components it joins: vertices and comps are sorted and
-// distinct.
-type statsQuery struct{ vertices, comps []int }
-
-func (q statsQuery) Words() int { return len(q.vertices) + len(q.comps) }
-
-// sizeTag marks the [sizeTag|comp, count] frames of a Link's answer: a key
-// range of its own (bit 62, as fragKeyOfVertex's), above every [v, tour, f,
-// l] frame's, so each machine's answer is key-sorted with the stats first.
-const sizeTag = uint64(1) << 62
-
-// mergeStats combines colliding [v, tour, f, l] frames — same tour, min f,
-// max l — and sums colliding [sizeTag|comp, count] ones.
-var mergeStats = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
-	return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) {
-		if dst[0]&sizeTag != 0 {
-			dst[1] += src[1]
-			return
-		}
-		if src[2] < dst[2] {
-			dst[2] = src[2]
-		}
-		if src[3] > dst[3] {
-			dst[3] = src[3]
-		}
-	})
+// statsQuestion asks the occurrence statistics (tour, f, l) of vertices,
+// sorted and distinct: the edge shards scan their records and answer [v,
+// tour, f, l] frames, merged to the smallest f and the largest l. Every
+// listed vertex gets an entry in stats, Tour == NoTour until its frame is
+// read: a singleton has no record.
+func statsQuestion(vertices []int, stats map[int]eulertour.VertexStats) question {
+	for _, v := range vertices {
+		stats[v] = eulertour.VertexStats{Tour: eulertour.NoTour}
+	}
+	return question{msg: mpc.Ints(vertices), answer: occurrenceFrames, combine: widenStats,
+		read: func(v uint64, fr []uint64) {
+			stats[int(v)] = eulertour.VertexStats{Tour: eulertour.TourID(fr[1]), F: eulertour.Pos(fr[2]), L: eulertour.Pos(fr[3])}
+		}}
 }
 
-// answerStats answers a statsQuery on one machine: the edge shard scans its
-// records for [v, tour, f, l] frames, the vertex shard counts the listed
-// components' vertices.
-func answerStats(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
-	q := payload.(statsQuery)
-	query := q.vertices
+// widenStats combines colliding [v, tour, f, l] frames: same tour, min f,
+// max l.
+func widenStats(dst, src []uint64) {
+	dst[2] = min(dst[2], src[2])
+	dst[3] = max(dst[3], src[3])
+}
+
+// occurrenceFrames answers statsQuestion on one machine: its edge shard's
+// records, scanned once.
+func occurrenceFrames(mm *mpc.Machine, payload mpc.Sized, tag uint64, b *mpc.MessageBatch) *mpc.MessageBatch {
+	query := payload.(mpc.Ints)
 	// Accumulate per query slot (query is sorted, so the emitted frames are
 	// key-sorted for free). A slot's F is 0 until a record names its vertex:
 	// positions start at 1.
@@ -766,37 +827,64 @@ func answerStats(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
 				found++
 				continue
 			}
-			if ps[0] < st.F {
-				st.F = ps[0]
-			}
-			if ps[1] > st.L {
-				st.L = ps[1]
-			}
+			st.F = min(st.F, ps[0])
+			st.L = max(st.L, ps[1])
 		}
 	}
-	b := mm.Batch(5*found + 3*len(q.comps))
+	b = answerBatch(mm, b, 5*found)
 	for j, st := range stats {
 		if st.F != 0 {
-			b.Append(uint64(query[j]), uint64(st.Tour), uint64(st.F), uint64(st.L))
+			b.Append(tag|uint64(query[j]), uint64(st.Tour), uint64(st.F), uint64(st.L))
 		}
 	}
+	return b
+}
+
+// sizesQuestion asks the vertex count of every listed component, sorted and
+// distinct: each vertex shard counts its vertices of each, and the counts
+// are summed up the tree into sizes.
+func sizesQuestion(comps []int, sizes map[int]int) question {
+	return question{msg: mpc.Ints(comps), answer: countVertices, combine: sumCount,
+		read: func(c uint64, fr []uint64) { sizes[int(c)] = int(fr[1]) }}
+}
+
+// sumCount adds the counts of colliding [k, count] frames.
+func sumCount(dst, src []uint64) { dst[1] += src[1] }
+
+// countVertices answers sizesQuestion on one machine.
+func countVertices(mm *mpc.Machine, payload mpc.Sized, tag uint64, b *mpc.MessageBatch) *mpc.MessageBatch {
+	comps := payload.(mpc.Ints)
 	vs := vShard(mm)
-	if vs == nil || len(q.comps) == 0 {
+	if vs == nil || len(comps) == 0 {
 		return b
 	}
-	counts := make([]uint64, len(q.comps))
+	counts := slices.Grow(vs.counts[:0], len(comps))[:len(comps)]
+	clear(counts)
+	vs.counts = counts
 	for _, c := range vs.comp {
-		if j, ok := slices.BinarySearch(q.comps, c); ok {
+		if j, ok := slices.BinarySearch(comps, c); ok {
 			counts[j]++
 		}
 	}
-	return countFrames(b, sizeTag, q.comps, counts)
+	b = answerBatch(mm, b, 3*len(comps))
+	for j, n := range counts {
+		if n > 0 {
+			b.Append(tag|uint64(comps[j]), n)
+		}
+	}
+	return b
+}
+
+// sortedSet returns the distinct members of xs, ascending, in a fresh slice.
+func sortedSet(xs []int) []int {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Stats resolves occurrence statistics (tour, f, l) for the given vertices
-// with one Ask: the edge shards scan their records and answer [v, tour, f, l]
-// frames, min/max-merged along the aggregation tree (O(1/φ) rounds).
-// Singleton vertices come back with Tour == NoTour.
+// with one Ask (statsQuestion, O(1/φ) rounds). Singleton vertices come back
+// with Tour == NoTour.
 func (f *Forest) Stats(vertices []int) map[int]eulertour.VertexStats {
 	stats, _ := f.statsAndSizes(vertices, nil)
 	return stats
@@ -805,31 +893,10 @@ func (f *Forest) Stats(vertices []int) map[int]eulertour.VertexStats {
 // statsAndSizes is Stats plus, in the same Ask, the vertex count of every
 // listed component (sorted and distinct): what a Link asks before it plans.
 func (f *Forest) statsAndSizes(vertices, comps []int) (map[int]eulertour.VertexStats, map[int]int) {
-	q := slices.Clone(vertices)
-	slices.Sort(q)
-	q = slices.Compact(q)
-	merged := f.ask(statsQuery{vertices: q, comps: comps}, answerStats, mergeStats)
+	q := sortedSet(vertices)
 	stats := make(map[int]eulertour.VertexStats, len(q))
 	sizes := make(map[int]int, len(comps))
-	if merged != nil {
-		for fr := range merged.Frames {
-			if fr[0]&sizeTag != 0 {
-				sizes[int(fr[0]&^sizeTag)] = int(fr[1])
-				continue
-			}
-			stats[int(fr[0])] = eulertour.VertexStats{
-				Tour: eulertour.TourID(fr[1]),
-				F:    eulertour.Pos(fr[2]),
-				L:    eulertour.Pos(fr[3]),
-			}
-		}
-		merged.Release()
-	}
-	for _, v := range q {
-		if _, ok := stats[v]; !ok {
-			stats[v] = eulertour.VertexStats{Tour: eulertour.NoTour}
-		}
-	}
+	f.ask(statsQuestion(q, stats), sizesQuestion(comps, sizes))
 	return stats, sizes
 }
 
@@ -844,59 +911,56 @@ func (q cutQueryPayload) Words() int { return 2 * len(q.qs) }
 // tree min-merges them (frames are emitted only when an occurrence was
 // found, so every value word is positive).
 func (f *Forest) minAbove(qs []eulertour.CutQuery) map[int]eulertour.Pos {
+	out := make(map[int]eulertour.Pos, len(qs))
 	if len(qs) == 0 {
-		return map[int]eulertour.Pos{}
+		return out
 	}
 	sorted := make([]eulertour.CutQuery, len(qs))
 	copy(sorted, qs)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Vertex < sorted[j].Vertex })
-	res := f.ask(cutQueryPayload{qs: sorted},
-		func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
-			recs := eShard(mm).recs
-			queries := payload.(cutQueryPayload).qs
-			best := make([]eulertour.Pos, len(queries))
-			for i := range recs {
-				te := &recs[i]
-				for _, v := range [2]int{te.rec.E.U, te.rec.E.V} {
-					j := sort.Search(len(queries), func(j int) bool { return queries[j].Vertex >= v })
-					for ; j < len(queries) && queries[j].Vertex == v; j++ {
-						for _, p := range te.rec.PositionsOf(v) {
-							if p > queries[j].Cut && (best[j] == 0 || p < best[j]) {
-								best[j] = p
-							}
-						}
-					}
-				}
-			}
-			b := mm.Batch(3 * len(queries))
-			// Queries sharing a vertex fold into one frame (min), keeping
-			// the batch strictly key-sorted for the merge-join.
-			for j := 0; j < len(queries); {
-				p := best[j]
-				k := j + 1
-				for ; k < len(queries) && queries[k].Vertex == queries[j].Vertex; k++ {
-					if best[k] != 0 && (p == 0 || best[k] < p) {
-						p = best[k]
-					}
-				}
-				if p != 0 {
-					b.Append(uint64(queries[j].Vertex), uint64(p))
-				}
-				j = k
-			}
-			return b
-		}, mergeMin)
-	out := make(map[int]eulertour.Pos, len(qs))
 	for _, q := range qs {
 		out[q.Vertex] = 0 // "no occurrence above the cut" is a valid answer
 	}
-	if res != nil {
-		for fr := range res.Frames {
-			out[int(fr[0])] = eulertour.Pos(fr[1])
-		}
-		res.Release()
-	}
+	f.ask(question{msg: cutQueryPayload{qs: sorted}, answer: firstAboveFrames, combine: minValue,
+		read: func(v uint64, fr []uint64) { out[int(v)] = eulertour.Pos(fr[1]) }})
 	return out
+}
+
+// firstAboveFrames answers minAbove's question on one machine.
+func firstAboveFrames(mm *mpc.Machine, payload mpc.Sized, tag uint64, b *mpc.MessageBatch) *mpc.MessageBatch {
+	recs := eShard(mm).recs
+	queries := payload.(cutQueryPayload).qs
+	best := make([]eulertour.Pos, len(queries))
+	for i := range recs {
+		te := &recs[i]
+		for _, v := range [2]int{te.rec.E.U, te.rec.E.V} {
+			j := sort.Search(len(queries), func(j int) bool { return queries[j].Vertex >= v })
+			for ; j < len(queries) && queries[j].Vertex == v; j++ {
+				for _, p := range te.rec.PositionsOf(v) {
+					if p > queries[j].Cut && (best[j] == 0 || p < best[j]) {
+						best[j] = p
+					}
+				}
+			}
+		}
+	}
+	b = answerBatch(mm, b, 3*len(queries))
+	// Queries sharing a vertex fold into one frame (min), keeping the batch
+	// strictly key-sorted for the merge-join.
+	for j := 0; j < len(queries); {
+		p := best[j]
+		k := j + 1
+		for ; k < len(queries) && queries[k].Vertex == queries[j].Vertex; k++ {
+			if best[k] != 0 && (p == 0 || best[k] < p) {
+				p = best[k]
+			}
+		}
+		if p != 0 {
+			b.Append(tag|uint64(queries[j].Vertex), uint64(p))
+		}
+		j = k
+	}
+	return b
 }
 
 // relabelPayload tells every machine a batch of relabel descriptors and,
@@ -939,8 +1003,48 @@ func (p recordsPayload) Words() int { return 8 * len(p.records) }
 // component pair and no cycles over components (i.e. it must be a spanning
 // forest of the auxiliary graph H, as produced by the connectivity
 // algorithm or by MSF's per-pair minimum filter). Weights are stored only by
-// weighted forests.
-func (f *Forest) Link(edges []graph.WeightedEdge) error {
+// weighted forests. It costs a label Ask when an endpoint's label is not
+// cached, one Ask for the endpoints' occurrence stats and their components'
+// sizes (statsQuestion, sizesQuestion), a rotation Ask when the plan rotates
+// a tour at a vertex another edge attaches to, the relabel Tell and the
+// record Scatter: 4 to 8 rounds at depth 1.
+func (f *Forest) Link(edges []graph.WeightedEdge) error { return f.link(edges, nil) }
+
+// linkFacts is what a replacement Link would ask, known before it: the
+// occurrence stats of the vertices the search's level lookups asked about and
+// the size of every fragment its Cut made (CutReport.FragmentSizes). Nothing
+// moves a record or a position between those lookups and the Link — the
+// Cut's closing Tell rewrites vertex-shard component ids only, a refill's
+// Tell nothing — so they are what the Link's Ask would answer.
+type linkFacts struct {
+	stats map[int]eulertour.VertexStats
+	sizes map[int]int
+}
+
+// covers reports whether k knows the stats of every terminal and the size of
+// every component in comps; when it does not, the Link asks.
+func (k *linkFacts) covers(terminals, comps []int) bool {
+	if k == nil {
+		return false
+	}
+	for _, v := range terminals {
+		if _, ok := k.stats[v]; !ok {
+			return false
+		}
+	}
+	for _, c := range comps {
+		if _, ok := k.sizes[c]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// link is Link given what it may take instead of its stats Ask (known, nil
+// for none): a replacement Link whose facts cover its terminals and their
+// components sends only the relabel Tell and the record Scatter, and a
+// rotation Ask when it needs one.
+func (f *Forest) link(edges []graph.WeightedEdge, known *linkFacts) error {
 	if len(edges) == 0 {
 		return nil
 	}
@@ -956,9 +1060,17 @@ func (f *Forest) Link(edges []graph.WeightedEdge) error {
 	// labels[2i] and labels[2i+1] are the components of plainEdges[i].
 	terminals := endpointsOf(plainEdges)
 	labels, _ := f.labelsInto(nil, terminals)
-	keys := slices.Clone(labels)
-	slices.Sort(keys)
-	stats, sizes := f.statsAndSizes(terminals, slices.Compact(keys))
+	comps := sortedSet(labels)
+	var stats map[int]eulertour.VertexStats
+	var sizes map[int]int
+	if known.covers(terminals, comps) {
+		stats, sizes = known.stats, known.sizes
+		if f.factsTaken != nil {
+			f.factsTaken(terminals, comps, known)
+		}
+	} else {
+		stats, sizes = f.statsAndSizes(terminals, comps)
+	}
 
 	planner, err := f.preparePlanner(plainEdges, terminals, labels, stats, sizes)
 	if err != nil {
@@ -1117,6 +1229,11 @@ type CutReport struct {
 	// search neither sums nor queries the sketches of a passive fragment;
 	// the other fragments of its old component find the edges that reach it.
 	PassiveComps []int
+	// FragmentSizes is the vertex count of every fragment, keyed by its
+	// component id: Len/4 + 1 for a fragment with a tour of Len positions,
+	// 1 for a lone vertex. Read off the split plan, it is what a count of the
+	// fragment's vertices would answer.
+	FragmentSizes map[int]int
 }
 
 // edgeListPayload carries a set of edges.
@@ -1132,7 +1249,10 @@ func (p edgeListPayload) Words() int { return 2 * len(p.edges) }
 // of every affected vertex is named on the vertex shards for the closing Tell
 // that assigns the component ids, and dropped with it. The closing Tell is
 // the one step a DynamicConnectivity's Cut leaves to ride the next broadcast;
-// Cut sends it before it returns.
+// Cut sends it before it returns. Rounds at depth 1: the record lookup's Ask
+// 2 (a second Ask, 2 more, only when a deleted tree edge had both endpoints
+// cold), the relabel Tell 1, the fragment push 1, the fragment-min
+// aggregation 1 and the closing Tell 1.
 func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 	report, err := f.cut(edges, nil)
 	f.dropFrags()
@@ -1148,6 +1268,14 @@ func (f *Forest) Cut(edges []graph.Edge) (*CutReport, error) {
 // drops both (dropFrags) when the deletion is over. Given first, its
 // fragment-min aggregation also carries the replacement search's first
 // window (aggregateFragmentMins).
+//
+// The record lookup is the Cut's one Ask: it asks the tree records among
+// the deletions, the labels of their cold endpoints and the sizes of their
+// warm endpoints' components, since the deletions that are tree edges are
+// known only from its answer. A split tour's length is then 4(s − 1), s its
+// component's size; only a tree edge whose endpoints were both cold leaves
+// its component unsized, and a sizes Ask follows. The cache is stamped for
+// the tree edges' endpoints alone, as a label Ask of those would stamp it.
 func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error) {
 	if len(edges) == 0 {
 		return &CutReport{}, nil
@@ -1160,50 +1288,38 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 	for i, e := range edges {
 		canon[i] = e.Canonical()
 	}
-	// Locate (and implicitly claim) the tree records among the deletions.
-	// The query travels sorted by edge id so each shard's found records come
-	// out as key-sorted [eid, tour, up0, up1, vp0, vp1, weight] frames; an
-	// edge lives on exactly one shard, so the merge-join never combines.
-	n := f.cfg.N
-	byID := make([]graph.Edge, len(canon))
-	copy(byID, canon)
-	sort.Slice(byID, func(i, j int) bool { return byID[i].ID(n) < byID[j].ID(n) })
-	gathered := f.ask(edgeListPayload{edges: byID}, func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
-		es := eShard(mm)
-		b := mm.Batch(0)
-		for _, e := range payload.(edgeListPayload).edges {
-			if f.edgeOwner(e) != mm.ID {
-				continue
-			}
-			if i, ok := es.find(e); ok {
-				te := &es.recs[i]
-				fr := b.Grow(7)
-				fr[0] = e.ID(n)
-				fr[1] = uint64(te.rec.Tour)
-				fr[2], fr[3] = uint64(te.rec.UPos[0]), uint64(te.rec.UPos[1])
-				fr[4], fr[5] = uint64(te.rec.VPos[0]), uint64(te.rec.VPos[1])
-				fr[6] = uint64(te.weight)
+	// One Ask finds what the split needs: the tree records among the
+	// deletions, the labels of their cold endpoints and the sizes of the
+	// components of their warm ones. A tour holds 4 positions per tree edge
+	// and a component of s vertices has s − 1 of them, so a split tour's
+	// length is 4(s − 1).
+	lc := &f.cache
+	var cold, warmComps []int
+	for _, e := range canon {
+		for _, v := range [2]int{e.U, e.V} {
+			switch c := lc.labels[v]; {
+			case lc.stamp[v] != lc.epoch:
+				cold = append(cold, v)
+			case len(warmComps) == 0 || warmComps[len(warmComps)-1] != c:
+				warmComps = append(warmComps, c)
 			}
 		}
-		return b
-	}, mpc.KeepFirst)
-	report := &CutReport{}
-	deletedByEdge := map[graph.Edge]treeEdge{}
-	if gathered != nil {
-		for fr := range gathered.Frames {
-			e := graph.EdgeFromID(fr[0], n)
-			deletedByEdge[e] = treeEdge{
-				rec: eulertour.Record{
-					E:    e,
-					Tour: eulertour.TourID(fr[1]),
-					UPos: [2]eulertour.Pos{eulertour.Pos(fr[2]), eulertour.Pos(fr[3])},
-					VPos: [2]eulertour.Pos{eulertour.Pos(fr[4]), eulertour.Pos(fr[5])},
-				},
-				weight: int64(fr[6]),
-			}
-		}
-		gathered.Release()
 	}
+	deletedByEdge := map[graph.Edge]treeEdge{}
+	f.pose(f.recordsQuestion(canon, deletedByEdge))
+	var coldLabels map[int]int
+	if len(cold) > 0 {
+		q := &u64Payload{}
+		for _, v := range sortedSet(cold) {
+			q.xs = append(q.xs, uint64(v))
+		}
+		coldLabels = make(map[int]int, len(q.xs))
+		f.pose(question{msg: q, answer: f.answerLabels, read: func(v uint64, fr []uint64) { coldLabels[int(v)] = int(fr[1]) }})
+	}
+	slices.Sort(warmComps)
+	sizes := map[int]int{}
+	f.ask(sizesQuestion(slices.Compact(warmComps), sizes))
+	report := &CutReport{}
 	var deletedRecs []eulertour.Record
 	for _, e := range canon {
 		if te, ok := deletedByEdge[e]; ok {
@@ -1216,51 +1332,32 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 	if len(deletedRecs) == 0 {
 		return report, nil
 	}
-	// Affected components: the components of the deleted tree edges.
-	endpoints := make([]int, 0, 2*len(deletedRecs))
+	// Affected components: the components of the deleted tree edges. The
+	// cache takes the labels of their cold endpoints, as a label Ask of
+	// those endpoints would have stamped them.
+	labels := make([]int, 0, 2*len(deletedRecs))
+	var unsized []int
 	for _, r := range deletedRecs {
-		endpoints = append(endpoints, r.E.U, r.E.V)
-	}
-	labels, _ := f.labelsInto(nil, endpoints)
-	// Tour lengths: remaining records per tour, plus the deleted ones.
-	delPerTour := map[eulertour.TourID]int{}
-	for _, r := range deletedRecs {
-		delPerTour[r.Tour]++
-	}
-	tourList := make([]int, 0, len(delPerTour))
-	for t := range delPerTour {
-		tourList = append(tourList, int(t))
-	}
-	sort.Ints(tourList)
-	res := f.ask(mpc.Ints(tourList), func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
-		want := payload.(mpc.Ints)
-		counts := make([]uint64, len(want))
-		recs := eShard(mm).recs
-		last, j, ok := -1, 0, false // searched once per run of one tour
-		for i := range recs {
-			if t := int(recs[i].rec.Tour); t != last {
-				last = t
-				j, ok = slices.BinarySearch(want, t)
+		for _, v := range [2]int{r.E.U, r.E.V} {
+			if lc.stamp[v] != lc.epoch {
+				lc.stamp[v] = lc.epoch
+				lc.valid++
+				lc.labels[v] = coldLabels[v]
 			}
-			if ok {
-				counts[j]++
-			}
+			labels = append(labels, lc.labels[v])
 		}
-		return countFrames(mm.Batch(3*len(want)), 0, want, counts)
-	}, mpc.SumValues)
-	tourLens := map[eulertour.TourID]int{}
-	if res != nil {
-		for fr := range res.Frames {
-			// The records are still present at count time, so the count is
-			// the full pre-split edge count of the tour.
-			tourLens[eulertour.TourID(fr[0])] = 4 * int(fr[1])
+		if _, ok := sizes[labels[len(labels)-1]]; !ok {
+			unsized = append(unsized, labels[len(labels)-1])
 		}
-		res.Release()
 	}
-	for t := range delPerTour {
-		if _, ok := tourLens[t]; !ok {
-			tourLens[t] = 0
-		}
+	// A tree edge both of whose endpoints were cold names its component only
+	// in the answer: its size takes an Ask of its own.
+	if len(unsized) > 0 {
+		f.ask(sizesQuestion(sortedSet(unsized), sizes))
+	}
+	tourLens := make(map[eulertour.TourID]int, len(deletedRecs))
+	for i, r := range deletedRecs {
+		tourLens[r.Tour] = 4 * (sizes[labels[2*i]] - 1)
 	}
 	fresh := []eulertour.TourID{eulertour.TourID(f.nextID), 0} // [lo, hi)
 	plan, err := eulertour.PlanSplit(tourLens, deletedRecs, f.nextTour)
@@ -1273,7 +1370,7 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 	// belonged to the component its deleted edges' endpoints were labelled
 	// with.
 	drop := make(map[graph.Edge]bool, len(deletedRecs))
-	compOfTour := make(map[eulertour.TourID]int, len(delPerTour))
+	compOfTour := make(map[eulertour.TourID]int, len(tourLens))
 	for i, r := range deletedRecs {
 		drop[r.E] = true
 		compOfTour[r.Tour] = labels[2*i]
@@ -1305,6 +1402,14 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 		report.PassiveComps = append(report.PassiveComps, compByFrag[k])
 	}
 	sort.Ints(report.PassiveComps)
+	report.FragmentSizes = make(map[int]int, len(plan.Fragments))
+	for _, fr := range plan.Fragments {
+		if fr.Tour == eulertour.NoTour {
+			report.FragmentSizes[compByFrag[fragKeyOfVertex(fr.Root)]] = 1
+		} else {
+			report.FragmentSizes[compByFrag[fragKeyOfTour(fr.Tour)]] = fr.Len/4 + 1
+		}
+	}
 	// The label cache follows the closing Tell.
 	tourFrags := map[int][]int{}
 	for _, fr := range plan.Fragments {
@@ -1316,6 +1421,49 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 	f.cache.split(passiveOf, compByFrag, tourFrags)
 	f.tellFragComps(compByFrag)
 	return report, nil
+}
+
+// recordsQuestion asks the records of the listed edges that are tree edges,
+// into found. The question travels sorted by edge id so each shard's found
+// records come out as key-sorted [eid, tour, up0, up1, vp0, vp1, weight]
+// frames; an edge lives on exactly one shard, its edgeOwner, the one shard
+// that looks it up, so the merge-join never combines.
+func (f *Forest) recordsQuestion(edges []graph.Edge, found map[graph.Edge]treeEdge) question {
+	n := f.cfg.N
+	byID := slices.Clone(edges)
+	slices.SortFunc(byID, func(a, b graph.Edge) int { return cmp.Compare(a.ID(n), b.ID(n)) })
+	return question{msg: edgeListPayload{edges: byID},
+		answer: func(mm *mpc.Machine, payload mpc.Sized, tag uint64, b *mpc.MessageBatch) *mpc.MessageBatch {
+			es := eShard(mm)
+			b = answerBatch(mm, b, 0)
+			for _, e := range payload.(edgeListPayload).edges {
+				if f.edgeOwner(e) != mm.ID {
+					continue
+				}
+				if i, ok := es.find(e); ok {
+					te := &es.recs[i]
+					fr := b.Grow(7)
+					fr[0] = tag | e.ID(n)
+					fr[1] = uint64(te.rec.Tour)
+					fr[2], fr[3] = uint64(te.rec.UPos[0]), uint64(te.rec.UPos[1])
+					fr[4], fr[5] = uint64(te.rec.VPos[0]), uint64(te.rec.VPos[1])
+					fr[6] = uint64(te.weight)
+				}
+			}
+			return b
+		},
+		read: func(id uint64, fr []uint64) {
+			e := graph.EdgeFromID(id, n)
+			found[e] = treeEdge{
+				rec: eulertour.Record{
+					E:    e,
+					Tour: eulertour.TourID(fr[1]),
+					UPos: [2]eulertour.Pos{eulertour.Pos(fr[2]), eulertour.Pos(fr[3])},
+					VPos: [2]eulertour.Pos{eulertour.Pos(fr[4]), eulertour.Pos(fr[5])},
+				},
+				weight: int64(fr[6]),
+			}
+		}}
 }
 
 // passiveFragments names, for the component of every split tour, the key of
@@ -1542,64 +1690,59 @@ func (f *Forest) HeaviestOnPaths(pairs [][2]int) (map[int]graph.WeightedEdge, er
 			idx: i, tour: su.Tour, fu: su.F, lu: su.L, fv: sv.F, lv: sv.L,
 		})
 	}
-	res := f.ask(q,
-		func(mm *mpc.Machine, payload mpc.Sized) *mpc.MessageBatch {
-			recs := eShard(mm).recs
-			query := payload.(pathQuery)
-			best := make([]graph.WeightedEdge, len(query.pairs))
-			found := make([]bool, len(query.pairs))
-			nfound := 0
-			for i := range recs {
-				te := &recs[i]
-				for j, pr := range query.pairs {
-					if te.rec.Tour != pr.tour {
-						continue
-					}
-					if !eulertour.OnPath(te.rec.ChildF(), te.rec.ChildL(), pr.fu, pr.lu, pr.fv, pr.lv) {
-						continue
-					}
-					cand := graph.WeightedEdge{Edge: te.rec.E, Weight: te.weight}
-					if !found[j] {
-						nfound++
-					}
-					if !found[j] || heavier(cand, best[j]) {
-						found[j], best[j] = true, cand
-					}
-				}
-			}
-			// query.pairs is built in ascending idx order, so the frames
-			// [idx, weight, u, v] are key-sorted for the merge-join.
-			b := mm.Batch(5 * nfound)
-			for j, ok := range found {
-				if ok {
-					b.Append(uint64(query.pairs[j].idx), uint64(best[j].Weight), uint64(best[j].U), uint64(best[j].V))
-				}
-			}
-			return b
-		}, mergeHeavier)
 	out := map[int]graph.WeightedEdge{}
-	if res != nil {
-		for fr := range res.Frames {
-			out[int(fr[0])] = graph.WeightedEdge{
-				Edge:   graph.Edge{U: int(fr[2]), V: int(fr[3])},
-				Weight: int64(fr[1]),
-			}
-		}
-		res.Release()
-	}
+	f.ask(question{msg: q, answer: heaviestFrames, combine: heavierFrame,
+		read: func(idx uint64, fr []uint64) {
+			out[int(idx)] = graph.WeightedEdge{Edge: graph.Edge{U: int(fr[2]), V: int(fr[3])}, Weight: int64(fr[1])}
+		}})
 	return out, nil
 }
 
-// mergeHeavier keeps the heavier candidate of colliding [idx, weight, u, v]
-// frames, with the same canonical tie-break as heavier.
-var mergeHeavier = func(a, b *mpc.MessageBatch) *mpc.MessageBatch {
-	return mpc.MergeSortedBatches(a, b, func(dst, src []uint64) {
-		d := graph.WeightedEdge{Edge: graph.Edge{U: int(dst[2]), V: int(dst[3])}, Weight: int64(dst[1])}
-		s := graph.WeightedEdge{Edge: graph.Edge{U: int(src[2]), V: int(src[3])}, Weight: int64(src[1])}
-		if heavier(s, d) {
-			copy(dst[1:], src[1:])
+// heaviestFrames answers HeaviestOnPaths' question on one machine: for each
+// pair, the heaviest record of its edge shard on the pair's tree path.
+func heaviestFrames(mm *mpc.Machine, payload mpc.Sized, tag uint64, b *mpc.MessageBatch) *mpc.MessageBatch {
+	recs := eShard(mm).recs
+	query := payload.(pathQuery)
+	best := make([]graph.WeightedEdge, len(query.pairs))
+	found := make([]bool, len(query.pairs))
+	nfound := 0
+	for i := range recs {
+		te := &recs[i]
+		for j, pr := range query.pairs {
+			if te.rec.Tour != pr.tour {
+				continue
+			}
+			if !eulertour.OnPath(te.rec.ChildF(), te.rec.ChildL(), pr.fu, pr.lu, pr.fv, pr.lv) {
+				continue
+			}
+			cand := graph.WeightedEdge{Edge: te.rec.E, Weight: te.weight}
+			if !found[j] {
+				nfound++
+			}
+			if !found[j] || heavier(cand, best[j]) {
+				found[j], best[j] = true, cand
+			}
 		}
-	})
+	}
+	// query.pairs is built in ascending idx order, so the frames [idx,
+	// weight, u, v] are key-sorted for the merge-join.
+	b = answerBatch(mm, b, 5*nfound)
+	for j, ok := range found {
+		if ok {
+			b.Append(tag|uint64(query.pairs[j].idx), uint64(best[j].Weight), uint64(best[j].U), uint64(best[j].V))
+		}
+	}
+	return b
+}
+
+// heavierFrame keeps the heavier candidate of colliding [idx, weight, u, v]
+// frames, with the same canonical tie-break as heavier.
+func heavierFrame(dst, src []uint64) {
+	d := graph.WeightedEdge{Edge: graph.Edge{U: int(dst[2]), V: int(dst[3])}, Weight: int64(dst[1])}
+	s := graph.WeightedEdge{Edge: graph.Edge{U: int(src[2]), V: int(src[3])}, Weight: int64(src[1])}
+	if heavier(s, d) {
+		copy(dst[1:], src[1:])
+	}
 }
 
 // heavier orders weighted edges by weight, breaking ties canonically so the

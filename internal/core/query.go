@@ -19,7 +19,11 @@ package core
 // instance — fails with a diagnostic "core: query vertex out of range"
 // panic instead of an index error deep inside the label cache.
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/eulertour"
+)
 
 // Pair is one connectivity query: "are U and V in the same component?".
 type Pair struct{ U, V int }
@@ -29,6 +33,16 @@ type Pair struct{ U, V int }
 // cache-fill collective, and reports whether there were none (warm). The
 // caller then reads lc.labels.
 func (f *Forest) fillLabels(vertices []int, pairs []Pair) (warm bool) {
+	if f.stageLabels(vertices, pairs) {
+		return true
+	}
+	f.ask()
+	return false
+}
+
+// stageLabels is fillLabels up to the Ask: when there are misses it poses
+// the cache-fill question and reports false, and the caller asks.
+func (f *Forest) stageLabels(vertices []int, pairs []Pair) (warm bool) {
 	for _, v := range vertices {
 		f.checkQueryVertex(v)
 	}
@@ -45,8 +59,7 @@ func (f *Forest) fillLabels(vertices []int, pairs []Pair) (warm bool) {
 		lc.stampMiss(p.U)
 		lc.stampMiss(p.V)
 	}
-	f.resolveMisses()
-	return len(lc.miss) == 0
+	return !f.poseMisses()
 }
 
 // stampMiss stages v on the miss list unless the cache holds it already.
@@ -70,15 +83,31 @@ func (f *Forest) countQuery(warm bool) {
 
 // labelsInto appends the component label of every listed vertex to dst[:0],
 // aligned with the input, and reports whether the cache was warm. It is the
-// label lookup of the update path (Link, Cut, the replacement search), which
-// is not a query batch and books no hit or miss.
+// label lookup of the update path (Link, the replacement search), which is
+// not a query batch and books no hit or miss.
 func (f *Forest) labelsInto(dst []int, vertices []int) ([]int, bool) {
 	warm := f.fillLabels(vertices, nil)
+	return f.appendLabels(dst, vertices), warm
+}
+
+// labelsAndStats is labelsInto for a replacement search's level lookup:
+// when the lookup sends its Ask, the same Ask asks the occurrence stats of
+// vertices (statsQuestion) into stats, which the replacement Link then need
+// not ask (linkFacts). A lookup the cache answers asks nothing.
+func (f *Forest) labelsAndStats(dst []int, vertices []int, stats map[int]eulertour.VertexStats) []int {
+	if !f.stageLabels(vertices, nil) {
+		f.ask(statsQuestion(sortedSet(vertices), stats))
+	}
+	return f.appendLabels(dst, vertices)
+}
+
+// appendLabels appends the cached label of every listed vertex to dst[:0].
+func (f *Forest) appendLabels(dst []int, vertices []int) []int {
 	dst = slices.Grow(dst[:0], len(vertices))
 	for _, v := range vertices {
 		dst = append(dst, f.cache.labels[v])
 	}
-	return dst, warm
+	return dst
 }
 
 // ComponentsOf resolves the component label of every listed vertex,

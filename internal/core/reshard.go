@@ -48,10 +48,15 @@ import (
 // vertex machines plus the coordinator. Not every count is realizable under
 // the contiguous equal-range partition (e.g. growing past N+1 machines
 // leaves empty shards); unrealizable counts are rejected with a diagnostic
-// naming the nearest realizable fleet.
+// naming the nearest realizable fleet. A resize to the count cfg already
+// runs on returns cfg as it is, so a shape whose VerticesPerMachine is
+// derived from φ keeps it.
 func ResizeConfig(cfg Config, machines int) (Config, error) {
 	if machines < 2 {
 		return Config{}, fmt.Errorf("core: resize to %d machines: need at least one vertex machine plus the coordinator", machines)
+	}
+	if machines == cfg.MachineCount() {
+		return cfg, nil
 	}
 	out := cfg
 	out.VerticesPerMachine = (cfg.N + machines - 2) / (machines - 1)

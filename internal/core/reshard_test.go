@@ -32,8 +32,8 @@ func collectBatches(t *testing.T, scenario string, n, batches, size int, seed ui
 // TestResizeConfig pins the shape math of the elastic resize: the
 // 4096-vertex fleet used by the emulated-thousand-machine acceptance run
 // has exactly 1025 machines at 4 vertices/machine, halves to 513 at 8, and
-// doubles to 2049 at 2; counts no equal-range partition realizes are
-// descriptive errors.
+// doubles to 2049 at 2; a resize to the count a shape has keeps it; counts
+// no equal-range partition realizes are descriptive errors.
 func TestResizeConfig(t *testing.T) {
 	cfg := core.Config{N: 4096, Phi: 0.6, Seed: 9, VerticesPerMachine: 4}
 	if got := cfg.MachineCount(); got != 1025 {
@@ -51,6 +51,13 @@ func TestResizeConfig(t *testing.T) {
 			t.Fatalf("ResizeConfig(%d) = vpm %d (%d machines), want vpm %d",
 				tc.machines, out.VerticesPerMachine, out.MachineCount(), tc.vpm)
 		}
+	}
+	// A resize to the count a φ-derived shape already runs on keeps the
+	// shape: ceil(48^0.6) = 11 vertices a machine on 6 machines, where the
+	// resize rule alone would pick (48+4)/5 = 10.
+	derived := core.Config{N: 48, Phi: 0.6, Seed: 9}
+	if out, err := core.ResizeConfig(derived, derived.MachineCount()); err != nil || out != derived {
+		t.Fatalf("ResizeConfig to the %d machines it has = %+v, %v; want the shape unchanged", derived.MachineCount(), out, err)
 	}
 	if _, err := core.ResizeConfig(cfg, 1); err == nil {
 		t.Fatal("ResizeConfig(1) accepted a coordinator-only fleet")

@@ -11,13 +11,16 @@ import (
 	"repro/internal/workload"
 )
 
-// settled fails unless nothing rides pending on f and its shards hold the
-// oracle's components of g. The pending list is read first: reading the
-// components flushes it.
+// settled fails unless nothing rides pending on f, no question waits for
+// its Ask, and its shards hold the oracle's components of g. The pending
+// list is read first: reading the components flushes it.
 func settled(t *testing.T, f *Forest, g *graph.Graph, at string) {
 	t.Helper()
 	if k := len(f.pending.riders); k != 0 {
 		t.Fatalf("%s: %d riders still pending", at, k)
+	}
+	if k := len(f.pending.qs); k != 0 {
+		t.Fatalf("%s: %d questions posed and never asked", at, k)
 	}
 	want, got := oracle.Components(g), f.SnapshotComponents()
 	for v := range want {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/eulertour"
 	"repro/internal/graph"
 	"repro/internal/mpc"
 )
@@ -55,10 +56,17 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 	costs("Link with a rotation query, warm across the Links", 6, func() error { return f.Link(weighted(E(1, 3), E(4, 5))) })
 	f.ComponentsOf([]int{6, 7})
 	costs("Link, warm cache", 4, func() error { return f.Link(weighted(E(6, 7))) })
-	// A public Cut sends its closing Tell before it returns: two Asks (records,
-	// tour lengths), the relabel Tell, the fragment push, the fragment-min
+	// A public Cut sends its closing Tell before it returns: one Ask (the
+	// records, carrying the size of the warm endpoints' component, whose tour
+	// is 4(s − 1) long), the relabel Tell, the fragment push, the fragment-min
 	// aggregation and the closing Tell.
-	costs("Cut on a bare forest, labels warm", 8, func() error { _, err := f.Cut([]graph.Edge{E(6, 7)}); return err })
+	costs("Cut on a bare forest, labels warm", 6, func() error { _, err := f.Cut([]graph.Edge{E(6, 7)}); return err })
+	// With both endpoints of the tree edge cold, the lookup carries their
+	// labels instead, and the component it names is sized by an Ask of its
+	// own: 8, never more than the 10 that a label Ask and a count of the
+	// tour's records cost on top of the lookup.
+	f.InvalidateCache()
+	costs("Cut on a bare forest, both endpoints cold", 8, func() error { _, err := f.Cut([]graph.Edge{E(0, 1)}); return err })
 
 	// The connectivity algorithm on the path 0-1-…-6.
 	dc, err := NewDynamicConnectivity(cfg)
@@ -85,35 +93,41 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 		dc.f.ride(sketchUpdate{del: []graph.Edge{E(4, 5)}}, applySketchUpdate)
 		return nil
 	})
-	// Cut, its labels warm: two Asks (records, carrying the sketch update;
-	// tour lengths), the relabel Tell, the fragment push and the fragment-min
-	// aggregation, which also carries the search's first window. The closing
-	// Tell is left to ride.
+	// Cut, its labels warm: the records Ask (carrying the sketch update and
+	// the size of the component), the relabel Tell, the fragment push and the
+	// fragment-min aggregation, which also carries the search's first window.
+	// The closing Tell is left to ride.
 	first := dc.newFirstWindow()
 	var report *CutReport
-	costs("Cut of a tree edge", 7, func() (err error) { report, err = dc.f.cut([]graph.Edge{E(4, 5)}, first); return err })
+	costs("Cut of a tree edge", 5, func() (err error) { report, err = dc.f.cut([]graph.Edge{E(4, 5)}, first); return err })
 	// {5,6} is the small side and finds 3-6 at its first query: one level's
 	// label Ask (the Cut parked 3, whose old component now spans two tours),
-	// which carries the closing Tell.
+	// which carries the closing Tell and asks the stats of 3 and 6.
 	var replacements []graph.WeightedEdge
+	var stats map[int]eulertour.VertexStats
 	costs("replacement search, one level", 2, func() error {
-		replacements = dc.findReplacements(report.PassiveComps, first)
+		replacements, stats = dc.findReplacements(report.PassiveComps, first)
 		return nil
 	})
 	if len(replacements) != 1 || replacements[0].Edge != E(3, 6) {
 		t.Fatalf("replacements %v, want the chord 3-6", replacements)
 	}
-	costs("Link of the replacement (labels warm from the search)", 4, func() error { return dc.f.Link(replacements) })
+	// The labels are warm from the search, the stats came with its lookup and
+	// the fragments' sizes with the split plan: the relabel Tell and the
+	// record Scatter.
+	costs("Link of the replacement (labels warm from the search)", 2, func() error {
+		return dc.f.link(replacements, &linkFacts{stats: stats, sizes: report.FragmentSizes})
+	})
 
 	// 5-6 is a bridge now: the search learns Empty from the window the Cut
 	// delivered, and the closing Tell is sent at the end of the batch. The
 	// Link reunited what the Cut parked, so the Cut is warm again.
-	costs("delete batch of a bridge", 7+1, func() error {
+	costs("delete batch of a bridge", 5+1, func() error {
 		return dc.ApplyBatch(graph.Batch{{Op: graph.Delete, Edge: E(5, 6)}})
 	})
 	// A whole deletion batch that finds a replacement: a chord at 0 stands in
 	// for 1-2.
-	costs("delete batch with a replacement", 7+2+4, func() error {
+	costs("delete batch with a replacement", 5+2+2, func() error {
 		return dc.ApplyBatch(graph.Batch{{Op: graph.Delete, Edge: E(1, 2)}})
 	})
 	if dc.Connected(5, 6) || !dc.Connected(1, 2) {
@@ -125,6 +139,51 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 	// A cold cache pays the label Ask, which carries the sketch update.
 	dc.InvalidateQueryCache()
 	costs("insert batch without a Link, cold cache", 2, func() error { return dc.ApplyBatch(graph.Batch{graph.Ins(1, 3)}) })
+
+	// A mixed batch on the path 10-11-12-13 with the chord 10-12: 20-21
+	// joins two singletons, then 11-12 is cut and 10-12 replaces it. The
+	// insert Link pays the label Ask of 20 and 21 (carrying the sketch
+	// update) and a Link of singletons (stats and sizes Ask, relabel Tell,
+	// record Scatter); the Cut is warm (5) and parks 10 and 12, so the
+	// search's one level asks (2), and the replacement Link takes what that
+	// Ask and the split plan told it (2).
+	var chain graph.Batch
+	for v := 10; v < 13; v++ {
+		chain = append(chain, graph.Ins(v, v+1))
+	}
+	if err := dc.ApplyBatch(append(chain, graph.Ins(10, 12))); err != nil {
+		t.Fatal(err)
+	}
+	costs("mixed batch: insert Link, Cut, replacement", 2+4+5+2+2, func() error {
+		return dc.ApplyBatch(graph.Batch{graph.Ins(20, 21), graph.Del(11, 12)})
+	})
+	if !dc.Connected(11, 12) || !dc.Connected(20, 21) || dc.Connected(10, 20) {
+		t.Error("connectivity wrong after the mixed batch")
+	}
+	// A chunk of replacements past MaxBatch() joins what the first chunk
+	// merged, so it asks stats and sizes as any Link does (4). ApplyBatch
+	// never gets that far — k ≤ MaxBatch() tree-edge deletions leave at most
+	// k replacements — so the row links one search's replacement the way a
+	// later chunk would, with nothing known. Cut 12-13; the chord 11-13 takes
+	// its place.
+	if err := dc.ApplyBatch(graph.Batch{graph.Ins(11, 13)}); err != nil {
+		t.Fatal(err)
+	}
+	dc.f.ride(sketchUpdate{del: []graph.Edge{E(12, 13)}}, applySketchUpdate)
+	first = dc.newFirstWindow()
+	if report, err = dc.f.cut([]graph.Edge{E(12, 13)}, first); err != nil {
+		t.Fatal(err)
+	}
+	replacements, _ = dc.findReplacements(report.PassiveComps, first)
+	if len(replacements) != 1 || replacements[0].Edge != E(11, 13) {
+		t.Fatalf("replacements %v, want the chord 11-13", replacements)
+	}
+	costs("Link of a replacement chunk past MaxBatch()", 4, func() error { return dc.f.link(replacements, nil) })
+	dc.f.cache.dropParked()
+	dc.f.flush()
+	if !dc.Connected(12, 13) {
+		t.Error("connectivity wrong after the chunk's Link")
+	}
 	for _, c := range []*mpc.Cluster{f.Cluster(), dc.Cluster()} {
 		if v := c.Stats().Violations; len(v) != 0 {
 			t.Errorf("violations: %q", v)

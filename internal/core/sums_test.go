@@ -102,7 +102,8 @@ func applyCheckingWindows(t *testing.T, dc *DynamicConnectivity, g *graph.Graph,
 				release()
 				checked++
 			}
-			for _, e := range dc.findReplacements(report.PassiveComps, first) {
+			replacements, _ := dc.findReplacements(report.PassiveComps, first)
+			for _, e := range replacements {
 				if err := dc.f.Link([]graph.WeightedEdge{e}); err != nil {
 					t.Fatalf("%s: %v", at, err)
 				}

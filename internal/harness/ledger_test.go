@@ -61,17 +61,28 @@ var ledgerInputs = map[string][]string{
 // nowickionak did not move. Then a vertex kept its edge list until the list
 // would outgrow its sketch, which moved PeakTotalWords and Peak of the same
 // three and nothing else: connectivity 37123 → 1667 / 36851 → 1211, bipartite
-// 129412 → 4612 / 129074 → 3722 and approxmsf 581464 → 8750.
+// 129412 → 4612 / 129074 → 3722 and approxmsf 581464 → 8750. Then a
+// deletion batch began to ask each question once (the Cut's label Ask and
+// tour-length count ride its record lookup, the replacement Link's stats
+// Ask rides the search's level lookup), which moved the four algorithms
+// that cut a forest, and their Output not at all: connectivity Rounds 309 →
+// 263 / 586 → 482, Messages 1382 → 1203 / 2383 → 2079, WordsSent 28810 →
+// 28340 / 31313 → 31067, PeakTotalWords 1667 → 1703 / 1211 → 1235;
+// bipartite Rounds 784 → 662 / 1357 → 1129, Messages 4442 → 3901 / 6919 →
+// 6069, WordsSent 108535 → 106930 / 116071 → 115111, PeakTotalWords 4612 →
+// 4700 / 3722 → 3802; approxmsf Rounds 1046 → 1022, Messages 3989 → 3919,
+// WordsSent 46853 → 46833; msf (its public Cut) Rounds 342 → 320 and
+// Messages 1556 → 1485. matching, dynmatching and nowickionak did not move.
 var algorithmLedgers = map[string]algoLedger{
-	"approxmsf/churn-weighted": {1046, 3989, 46853, 8750, 0xf3a469b1ba244090, 0xbd17258065ffdb07, 0x22af3f9d37778c8b, 0xa90a34c1a528c838},
-	"bipartite/powerlaw64":     {1357, 6919, 116071, 3722, 0x53f7c4947176230a, 0x966eebb95858f62, 0xf2f1e2c9f496d58d, 0x1fc0ea139c9c6df2},
-	"bipartite/window64":       {784, 4442, 108535, 4612, 0xade40f696dae3c09, 0x87e93b70cb4c95c9, 0xecb5810c6bda62f9, 0xc7496765ef59eb46},
-	"connectivity/powerlaw64":  {586, 2383, 31313, 1211, 0xe52f47d94ed224f0, 0xbb25b57015592a18, 0xe2ca5b5ab65fe551, 0x383a179d62d9a41b},
-	"connectivity/window64":    {309, 1382, 28810, 1667, 0x49ecdf53a8cacbc3, 0x3520775cf861ca0a, 0x6342a58926591042, 0x9521e61b036086b0},
+	"approxmsf/churn-weighted": {1022, 3919, 46833, 8750, 0xf111ab9641016e93, 0x6f21ea7da22417df, 0x22af3f9d37778c8b, 0xa90a34c1a528c838},
+	"bipartite/powerlaw64":     {1129, 6069, 115111, 3802, 0xe113aec4a21ef35, 0x2420ddcd74d544d1, 0xd3f7dc4725e0f329, 0x1fc0ea139c9c6df2},
+	"bipartite/window64":       {662, 3901, 106930, 4700, 0xff6cb8711abb0ae8, 0xfe149f37815605f5, 0x8ad830d91f64af79, 0xc7496765ef59eb46},
+	"connectivity/powerlaw64":  {482, 2079, 31067, 1235, 0x684194a33fdccf20, 0xff3bd37cea3db89b, 0x1563feed163480e9, 0x383a179d62d9a41b},
+	"connectivity/window64":    {263, 1203, 28340, 1703, 0xdbd3b8a56b854c8, 0x11feb3f755cb44cb, 0x5a8b0b34cc04f2c2, 0x9521e61b036086b0},
 	"dynmatching/powerlaw64":   {907, 3113, 41870, 9121, 0x327fea448295c0c8, 0x9630a3444234cde3, 0x1751b823d5437dda, 0xb5296539488ec5d2},
 	"dynmatching/window64":     {866, 3025, 41783, 9175, 0xbe0ce7f0864e16cb, 0xd02074b1f55562f3, 0xb22b45ec09bb2585, 0x4a84eba639763b57},
 	"matching/grow":            {42, 193, 1858, 170, 0x7e440b9dfd34f84f, 0xf28d74e3ae82b971, 0x66885633bfd2f525, 0x3e323f4b860d41ea},
-	"msf/grow-weighted":        {342, 1556, 15869, 952, 0xea097227aa8860fa, 0x8b9fabca62132b59, 0x971fe12c9f7de558, 0x21761d1519c7006e},
+	"msf/grow-weighted":        {320, 1485, 15869, 952, 0x59cfab44a409bfd0, 0x8b9fabca62132b59, 0x971fe12c9f7de558, 0x21761d1519c7006e},
 	"nowickionak/powerlaw64":   {223, 848, 7942, 866, 0x8f076df3d3b4e2dc, 0x891dcb6389969979, 0x7fbe4435ec5f778a, 0x6510289f4fca2f37},
 	"nowickionak/window64":     {214, 882, 8912, 1050, 0x7c4b5f33d330490f, 0x1643fdedc55276ad, 0xcac11299f840b7c5, 0xc9c154697795c021},
 }

@@ -63,6 +63,10 @@ type faultStore struct {
 	armed op
 }
 
+// Unwrap exposes the store beneath, so a chain on a FileStore sweeps the
+// temps of interrupted writes through the wrapper.
+func (f *faultStore) Unwrap() snapshot.Store { return f.Store }
+
 func (f *faultStore) take(kinds ...op) op {
 	if !slices.Contains(kinds, f.armed) {
 		return 0
@@ -531,7 +535,7 @@ func (r *modelRun) durable(kind string) {
 
 // follow resizes the twin onto the subjects' fleet.
 func (r *modelRun) follow() {
-	if sh := r.subjects[0].sess.Shape(); sh.VerticesPerMachine != r.twin.Shape().VerticesPerMachine {
+	if sh := r.subjects[0].sess.Shape(); sh.MachineCount() != r.twin.Shape().MachineCount() {
 		if _, err := r.twin.Resize(sh.MachineCount()); err != nil {
 			r.fatalf(nil, "resize to %d: %v", sh.MachineCount(), err)
 		}

@@ -26,14 +26,16 @@ import (
 // with the sketch section (tag 0x1D, list edges and promoted rows, in place
 // of 0x1C's n sketches) and the Stats' smaller PeakTotalWords;
 // connectivity-delta and session-delta moved with the Stats alone. msf,
-// matching, dynmatching and nowickionak did not move.
+// matching, dynmatching and nowickionak did not move. Then msf moved with
+// its Stats alone (Rounds and Messages), when a Cut's record lookup began to
+// carry the labels and component sizes its split needs.
 var containerDigests = map[string]string{
 	"approxmsf":          "4b44c57fba7da2296e00ec6fa3ba24af31e0007b89e7987005363dde994a09d6",
 	"bipartite":          "0e66b71e9ab1494d8ae0a56aef215ba6724c6e57293121f226c003f6a279f0b9",
 	"connectivity":       "7747e53ddff068b39e064227c8a49b1721feb6cef6264ccbe292ebec066a5b91",
 	"dynmatching":        "04e7598e9568de2fa9f2b74d67635f9f5e2ff7b6f32448409da58d06a693e2da",
 	"matching":           "aa01296f1438d467c26f2bfdae52bcc92ebcbd91a3f70a293cb3fd8b697afac2",
-	"msf":                "6fe53bf7648df08ebc967578fc1fc9900201afb1272eb645a77df5e9a17a2c09",
+	"msf":                "cf7ac87c08589d2a4b572503273ce5335db5be35d62ec891c2957bd8d5be3448",
 	"nowickionak":        "6b67a431c6d8ea0c27a9b9e75c78c87a7f6fede345043b0c24b53f8a9fcd5d31",
 	"connectivity-delta": "9a51ac573bc296f9254b30556ef1fee4d547b8524fccfa0de552edccb12d1303",
 	"session":            "1133c7b32223bafdfc358ba8c2ba7bed54d7c2fab8ec5590733d4b1cf4d1caed",

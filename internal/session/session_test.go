@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mpc"
@@ -303,5 +304,63 @@ func TestOpenSweepsStaleTemps(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) || chain.OrphansRemoved() != 1 {
 		t.Errorf("stale temp left (%v) or not counted: %d removed, want 1", err, chain.OrphansRemoved())
+	}
+}
+
+// TestSameCountResizeKeepsTheShape resizes a bipartiteness session onto
+// the machine count it already runs on: a shape whose VerticesPerMachine is
+// derived from φ (ceil(48^0.6) = 11 vertices a machine, 6 machines) keeps
+// it, so every batch that follows sends as many messages as it does on a
+// twin that was never resized.
+func TestSameCountResizeKeepsTheShape(t *testing.T) {
+	const n = 48
+	newSession := func() *Session {
+		s, err := Open(Config{
+			Shape: Shape{N: n, Phi: 0.6, Seed: 11},
+			New:   func(sh Shape) (State, error) { return bipartite.New(sh) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sc, err := workload.Get("community")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := sc.New(n, 5)
+	batches := make([]graph.Batch, 24)
+	for i := range batches {
+		batches[i] = gen.Next(4)
+	}
+	resized, twin := newSession(), newSession()
+	apply := func(s *Session, b graph.Batch) int64 {
+		messages := func() (m int64) {
+			for _, cl := range s.State().(*bipartite.Tester).Clusters() {
+				m += cl.Stats().Messages
+			}
+			return m
+		}
+		before := messages()
+		if err := s.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		return messages() - before
+	}
+	for _, b := range batches[:8] {
+		apply(resized, b)
+		apply(twin, b)
+	}
+	shape := resized.Shape()
+	if _, err := resized.Resize(shape.MachineCount()); err != nil {
+		t.Fatal(err)
+	}
+	if got := resized.Shape(); got != shape {
+		t.Errorf("a resize to the %d machines it has moved the shape from %+v to %+v", shape.MachineCount(), shape, got)
+	}
+	for i, b := range batches[8:] {
+		if got, want := apply(resized, b), apply(twin, b); got != want {
+			t.Errorf("batch %d after the resize sent %d messages, the twin %d", 8+i, got, want)
+		}
 	}
 }

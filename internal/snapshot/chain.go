@@ -176,13 +176,30 @@ func (c *Chain) countDeltas() int {
 	}
 }
 
+// onFiles reports whether s keeps its containers in files: it is a
+// FileStore, or wraps one under layers that each expose the Store beneath
+// them as Unwrap() Store.
+func onFiles(s Store) bool {
+	for {
+		switch st := s.(type) {
+		case FileStore:
+			return true
+		case interface{ Unwrap() Store }:
+			s = st.Unwrap()
+		default:
+			return false
+		}
+	}
+}
+
 // Restore loads the base snapshot and replays every delta that links to it,
 // in sequence, leaving the chain ready to extend with further deltas. It
-// returns (false, nil) when no base exists (fresh start). On a FileStore it
-// first sweeps the temp files an interrupted write left beside the chain
-// (sweepStaleTemps; a Chain is its directory's one writer, so no write is
-// in flight), counted in OrphansRemoved. Chain-identity
-// validation runs per delta before any of that delta's state is touched:
+// returns (false, nil) when no base exists (fresh start). On a FileStore,
+// or a Store that wraps one (onFiles), it first sweeps the temp files an
+// interrupted write left beside the chain (sweepStaleTemps; a Chain is its
+// directory's one writer, so no write is in flight), counted in
+// OrphansRemoved. Chain-identity validation runs per delta before any of
+// that delta's state is touched:
 // a delta naming a different base is an orphan from a crash mid-compaction
 // and is removed (counted in OrphansRemoved) along with everything after
 // it; a corrupt or torn container is a hard error, because the chain it
@@ -192,7 +209,7 @@ func (c *Chain) Restore(state State) (bool, error) {
 	c.linked = false
 	c.orphansRemoved = 0
 	c.replayed = Replay{}
-	if _, ok := c.store.(FileStore); ok {
+	if onFiles(c.store) {
 		swept, err := sweepStaleTemps(c.path)
 		if c.orphansRemoved = len(swept); err != nil {
 			return false, fmt.Errorf("sweeping stale temps beside %s: %w", c.path, err)

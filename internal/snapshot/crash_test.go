@@ -337,3 +337,34 @@ func TestChainCrashMidDeltaWrite(t *testing.T) {
 		t.Errorf("restored %d, want the base's 10 (the torn delta must not apply)", st2.value)
 	}
 }
+
+// wrappedStore is a Store over another that exposes it, as a fault-injecting
+// or metering layer would.
+type wrappedStore struct{ Store }
+
+func (w wrappedStore) Unwrap() Store { return w.Store }
+
+// TestRestoreSweepsThroughAWrapper leaves the temp of an interrupted write
+// beside a chain whose FileStore sits under two wrappers: Restore reaches
+// the FileStore through their Unwrap, sweeps the temp and counts it.
+func TestRestoreSweepsThroughAWrapper(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.snap")
+	store := wrappedStore{wrappedStore{FileStore{}}}
+	live := &counterState{tag: 3}
+	live.bump(7)
+	if _, _, err := OpenChainIn(store, path, 2).Checkpoint(live); err != nil {
+		t.Fatal(err)
+	}
+	stale := path + ".tmp42"
+	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	chain := OpenChainIn(store, path, 2)
+	st := &counterState{tag: 3}
+	if ok, err := chain.Restore(st); err != nil || !ok || st.value != 7 {
+		t.Fatalf("restore = (%v, %v), value %d; want the base's 7", ok, err, st.value)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) || chain.OrphansRemoved() != 1 {
+		t.Errorf("stale temp left (%v) or not counted: %d removed, want 1", err, chain.OrphansRemoved())
+	}
+}
