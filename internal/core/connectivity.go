@@ -333,7 +333,7 @@ func (dc *DynamicConnectivity) link(edges []graph.Edge) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	labels, _ := dc.f.labelsInto(nil, endpointsOf(edges))
+	labels, _ := dc.f.labelsInto(phaseLinkLabels, nil, endpointsOf(edges))
 	// F_H: greedily keep the edges that merge two still-distinct components
 	// (a spanning forest of the auxiliary graph H). The rest are non-tree
 	// edges and require nothing beyond the sketch update.
@@ -464,7 +464,7 @@ func (fw *firstWindow) merge(a, b *mpc.MessageBatch) *mpc.MessageBatch {
 // fragment's component id (comps) and valid until release is called. Keyed
 // by fragment, the frames need nothing of the Tell that closes the Cut.
 func (dc *DynamicConnectivity) refillWindow(lo, hi int, comps map[uint64]int) (sums map[int]sketch.Sketch, release func()) {
-	dc.f.tell(mpc.Ints{lo, hi}, func(*mpc.Machine, mpc.Sized) {})
+	dc.f.tell(phaseSearchRefill, mpc.Ints{lo, hi}, func(*mpc.Machine, mpc.Sized) {})
 	w := sketchcodec.Window{Space: dc.space, Lo: lo, Hi: hi}
 	return sketchcodec.AggregateByLabel(dc.f.cl, dc.f.coord, w,
 		func(mm *mpc.Machine) *mpc.MessageBatch {

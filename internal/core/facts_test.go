@@ -29,7 +29,7 @@ func TestSizesAnswerForTheShards(t *testing.T) {
 				at, taken := "", 0
 				dc.f.factsTaken = func(terminals, comps []int, known *linkFacts) {
 					taken++
-					stats, sizes := dc.f.statsAndSizes(terminals, comps)
+					stats, sizes := dc.f.statsAndSizes(phaseLinkStats, terminals, comps)
 					for _, v := range terminals {
 						if known.stats[v] != stats[v] {
 							t.Errorf("%s: the Link took stats %+v for %d, the shards answer %+v", at, known.stats[v], v, stats[v])

@@ -619,16 +619,39 @@ func (f *Forest) edgeOwner(e graph.Edge) int {
 	return int(f.edgeHash.Hash(e.ID(f.cfg.N)) % uint64(f.cl.Machines()))
 }
 
+// The phases the forest charges its rounds to (mpc.Cluster.Phase): every
+// collective names its phase where it is sent, so each round core sends is
+// charged to the step of the operation that sent it, the riders a broadcast
+// carries included.
+const (
+	phaseQueryLabels  = "query/labels"
+	phaseQueryComps   = "query/num-comps"
+	phaseLinkLabels   = "link/labels"
+	phaseLinkStats    = "link/stats"
+	phaseLinkMinAbove = "link/min-above"
+	phaseLinkRelabel  = "link/relabel"
+	phaseCutLookup    = "cut/lookup"
+	phaseCutRelabel   = "cut/relabel"
+	phaseCutPush      = "cut/push"
+	phaseCutFragMins  = "cut/fragment-mins"
+	phaseSearchLookup = "search/lookup"
+	phaseSearchRefill = "search/refill"
+	phasePathStats    = "path/stats"
+	phasePathHeaviest = "path/heaviest"
+	phaseFlush        = "flush"
+)
+
 // ask and tell are the forest's two conversations with the shards, both from
-// the coordinator (mpc.Cluster.Ask, mpc.Cluster.Tell): the payload is handed
-// to the callback and is gone from every store when the call returns. Both
-// send through the carrier, so every broadcast the forest makes has one
-// shape: the pending riders, if any, which every machine applies first, then
-// the payload.
+// the coordinator (mpc.Cluster.Ask, mpc.Cluster.TellParts), each charged to
+// the phase it names: the payload is handed to the callback and is gone from
+// every store when the call returns. Both send through the carrier, so every
+// broadcast the forest makes has one shape: the pending riders, if any, which
+// every machine applies first, then the payload.
 //
 // ask sends the questions posed so far (pose) and qs as one question set and
 // hands every frame of the merged answer to the read of its question.
-func (f *Forest) ask(qs ...question) {
+func (f *Forest) ask(phase string, qs ...question) {
+	f.cl.Phase(phase)
 	c := &f.pending
 	c.qs = append(c.qs, qs...)
 	if len(c.qs) > 1<<(64-tagShift) {
@@ -646,12 +669,18 @@ func (f *Forest) ask(qs ...question) {
 // pose queues a question for the forest's next ask.
 func (f *Forest) pose(q question) { f.pending.qs = append(f.pending.qs, q) }
 
-func (f *Forest) tell(msg mpc.Sized, apply func(mm *mpc.Machine, msg mpc.Sized)) {
+// tell broadcasts msg for apply, and sends records, each a recordsPayload
+// for its edgeOwner, in the broadcast's first round: every edge shard lands
+// its records after apply has run, so apply never sees one.
+func (f *Forest) tell(phase string, msg mpc.Sized, apply func(mm *mpc.Machine, msg mpc.Sized), records ...mpc.Message) {
 	c := &f.pending
 	c.msg, c.apply = msg, apply
-	f.cl.Tell(f.coord, c, applyCarried)
+	f.cl.Phase(phase)
+	f.cl.TellParts(f.coord, c, records, applyCarried, landRecords)
 	c.reset()
 }
+
+func landRecords(mm *mpc.Machine, p mpc.Sized) { eShard(mm).land(p.(recordsPayload).records) }
 
 // ride queues a Tell for the forest's next ask or tell: for a message whose
 // effect nothing reads before then, the broadcast it would have paid. Every
@@ -672,7 +701,7 @@ func (f *Forest) flush() {
 	switch {
 	case len(c.riders) == 0:
 	case c.riderWords() > 0:
-		f.tell(noWords, func(*mpc.Machine, mpc.Sized) {})
+		f.tell(phaseFlush, noWords, func(*mpc.Machine, mpc.Sized) {})
 	default:
 		f.cl.LocalAll(c.land)
 		c.reset()
@@ -768,6 +797,7 @@ func (f *Forest) NumComponents() int {
 		return lc.numComps
 	}
 	f.flush()
+	f.cl.Phase(phaseQueryComps)
 	n := 0
 	if res := f.cl.AggregateBatches(f.coord, collectNumComps, mpc.SumValues); res != nil {
 		for fr := range res.Frames {
@@ -883,20 +913,21 @@ func sortedSet(xs []int) []int {
 }
 
 // Stats resolves occurrence statistics (tour, f, l) for the given vertices
-// with one Ask (statsQuestion, O(1/φ) rounds). Singleton vertices come back
+// with one Ask (statsQuestion, O(1/φ) rounds), charged to the phase of the
+// path queries that ask it (HeaviestOnPaths). Singleton vertices come back
 // with Tour == NoTour.
 func (f *Forest) Stats(vertices []int) map[int]eulertour.VertexStats {
-	stats, _ := f.statsAndSizes(vertices, nil)
+	stats, _ := f.statsAndSizes(phasePathStats, vertices, nil)
 	return stats
 }
 
 // statsAndSizes is Stats plus, in the same Ask, the vertex count of every
 // listed component (sorted and distinct): what a Link asks before it plans.
-func (f *Forest) statsAndSizes(vertices, comps []int) (map[int]eulertour.VertexStats, map[int]int) {
+func (f *Forest) statsAndSizes(phase string, vertices, comps []int) (map[int]eulertour.VertexStats, map[int]int) {
 	q := sortedSet(vertices)
 	stats := make(map[int]eulertour.VertexStats, len(q))
 	sizes := make(map[int]int, len(comps))
-	f.ask(statsQuestion(q, stats), sizesQuestion(comps, sizes))
+	f.ask(phase, statsQuestion(q, stats), sizesQuestion(comps, sizes))
 	return stats, sizes
 }
 
@@ -906,10 +937,11 @@ type cutQueryPayload struct{ qs []eulertour.CutQuery }
 func (q cutQueryPayload) Words() int { return 2 * len(q.qs) }
 
 // minAbove resolves, for each query, the smallest occurrence of the vertex
-// strictly above the cut (0 when none). Queries are asked sorted by
-// vertex so each machine's [vertex, pos] partials come out key-sorted; the
-// tree min-merges them (frames are emitted only when an occurrence was
-// found, so every value word is positive).
+// strictly above the cut (0 when none), with an Ask only when there is a
+// query: the planner asks only what its stats do not answer. Queries are
+// asked sorted by vertex so each machine's [vertex, pos] partials come out
+// key-sorted; the tree min-merges them (frames are emitted only when an
+// occurrence was found, so every value word is positive).
 func (f *Forest) minAbove(qs []eulertour.CutQuery) map[int]eulertour.Pos {
 	out := make(map[int]eulertour.Pos, len(qs))
 	if len(qs) == 0 {
@@ -921,7 +953,7 @@ func (f *Forest) minAbove(qs []eulertour.CutQuery) map[int]eulertour.Pos {
 	for _, q := range qs {
 		out[q.Vertex] = 0 // "no occurrence above the cut" is a valid answer
 	}
-	f.ask(question{msg: cutQueryPayload{qs: sorted}, answer: firstAboveFrames, combine: minValue,
+	f.ask(phaseLinkMinAbove, question{msg: cutQueryPayload{qs: sorted}, answer: firstAboveFrames, combine: minValue,
 		read: func(v uint64, fr []uint64) { out[int(v)] = eulertour.Pos(fr[1]) }})
 	return out
 }
@@ -1005,9 +1037,12 @@ func (p recordsPayload) Words() int { return 8 * len(p.records) }
 // algorithm or by MSF's per-pair minimum filter). Weights are stored only by
 // weighted forests. It costs a label Ask when an endpoint's label is not
 // cached, one Ask for the endpoints' occurrence stats and their components'
-// sizes (statsQuestion, sizesQuestion), a rotation Ask when the plan rotates
-// a tour at a vertex another edge attaches to, the relabel Tell and the
-// record Scatter: 4 to 8 rounds at depth 1.
+// sizes (statsQuestion, sizesQuestion), a rotation Ask only when the plan
+// rotates a tour at an attach terminal and another edge attaches at one of
+// that terminal's ancestors, whose stats straddle the rotation's cut and so
+// do not place the attachment (eulertour.JoinPlanner.CutQueries), and the
+// relabel Tell, whose first round also carries the new records to their
+// edge shards: 3 to 7 rounds at depth 1.
 func (f *Forest) Link(edges []graph.WeightedEdge) error { return f.link(edges, nil) }
 
 // linkFacts is what a replacement Link would ask, known before it: the
@@ -1042,8 +1077,8 @@ func (k *linkFacts) covers(terminals, comps []int) bool {
 
 // link is Link given what it may take instead of its stats Ask (known, nil
 // for none): a replacement Link whose facts cover its terminals and their
-// components sends only the relabel Tell and the record Scatter, and a
-// rotation Ask when it needs one.
+// components sends only the relabel Tell, with its records, and a rotation
+// Ask when it needs one.
 func (f *Forest) link(edges []graph.WeightedEdge, known *linkFacts) error {
 	if len(edges) == 0 {
 		return nil
@@ -1059,7 +1094,7 @@ func (f *Forest) link(edges []graph.WeightedEdge, known *linkFacts) error {
 	}
 	// labels[2i] and labels[2i+1] are the components of plainEdges[i].
 	terminals := endpointsOf(plainEdges)
-	labels, _ := f.labelsInto(nil, terminals)
+	labels, _ := f.labelsInto(phaseLinkLabels, nil, terminals)
 	comps := sortedSet(labels)
 	var stats map[int]eulertour.VertexStats
 	var sizes map[int]int
@@ -1069,7 +1104,7 @@ func (f *Forest) link(edges []graph.WeightedEdge, known *linkFacts) error {
 			f.factsTaken(terminals, comps, known)
 		}
 	} else {
-		stats, sizes = f.statsAndSizes(terminals, comps)
+		stats, sizes = f.statsAndSizes(phaseLinkStats, terminals, comps)
 	}
 
 	planner, err := f.preparePlanner(plainEdges, terminals, labels, stats, sizes)
@@ -1093,26 +1128,18 @@ func (f *Forest) link(edges []graph.WeightedEdge, known *linkFacts) error {
 			compMap[c] = newComp
 		}
 	}
-	f.applyRelabels(relabelPayload{relabels: res.Relabels, compMap: compMap})
-	// Route the new records to their shard owners.
-	newRecs := res.NewRecords
-	f.flush()
-	f.cl.Scatter(f.coord,
-		func(mm *mpc.Machine) []mpc.Message {
-			byOwner := map[int][]treeEdge{}
-			for _, r := range newRecs {
-				byOwner[f.edgeOwner(r.E)] = append(byOwner[f.edgeOwner(r.E)], treeEdge{rec: r, weight: weightOf[r.E]})
-			}
-			var out []mpc.Message
-			for owner, rs := range byOwner {
-				out = append(out, mpc.Message{To: owner, Payload: recordsPayload{records: rs}})
-			}
-			return out
-		},
-		func(mm *mpc.Machine, msg mpc.Message) {
-			eShard(mm).land(msg.Payload.(recordsPayload).records)
-		},
-	)
+	// The new records ride the relabel Tell to their shard owners, one part
+	// per owner, and land after the relabel walk.
+	byOwner := map[int][]treeEdge{}
+	for _, r := range res.NewRecords {
+		o := f.edgeOwner(r.E)
+		byOwner[o] = append(byOwner[o], treeEdge{rec: r, weight: weightOf[r.E]})
+	}
+	records := make([]mpc.Message, 0, len(byOwner))
+	for _, o := range slices.Sorted(maps.Keys(byOwner)) {
+		records = append(records, mpc.Message{To: o, Payload: recordsPayload{records: byOwner[o]}})
+	}
+	f.applyRelabels(phaseLinkRelabel, relabelPayload{relabels: res.Relabels, compMap: compMap}, records...)
 	return nil
 }
 
@@ -1171,13 +1198,14 @@ func (f *Forest) preparePlanner(edges []graph.Edge, terminals, labels []int, sta
 // edge shards do it in one walk that also collects the pairs a Cut's
 // fragment push sends (edgeShard.relabel); what a Cut tells the vertex shards
 // for the push stays behind there for pushFragments, its passive keys for the
-// replacement search; its component ids change only at tellFragComps.
-func (f *Forest) applyRelabels(payload relabelPayload) {
+// replacement search; its component ids change only at tellFragComps. A
+// Link's new records ride the Tell (Forest.tell) and land after the walk.
+func (f *Forest) applyRelabels(phase string, payload relabelPayload, records ...mpc.Message) {
 	if len(payload.compMap) > 0 {
 		f.cache.relink(payload.compMap)
 	}
 	payload.set = eulertour.NewRelabelSet(payload.relabels)
-	f.tell(payload, func(mm *mpc.Machine, msg mpc.Sized) {
+	f.tell(phase, payload, func(mm *mpc.Machine, msg mpc.Sized) {
 		p := msg.(relabelPayload)
 		eShard(mm).relabel(p, func(e graph.Edge) bool { return f.edgeOwner(e) == mm.ID })
 		vs := vShard(mm)
@@ -1192,7 +1220,7 @@ func (f *Forest) applyRelabels(payload relabelPayload) {
 				}
 			}
 		}
-	})
+	}, records...)
 }
 
 // dropFrags drops the fragment and passive keys a Cut left on the vertex
@@ -1318,7 +1346,7 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 	}
 	slices.Sort(warmComps)
 	sizes := map[int]int{}
-	f.ask(sizesQuestion(slices.Compact(warmComps), sizes))
+	f.ask(phaseCutLookup, sizesQuestion(slices.Compact(warmComps), sizes))
 	report := &CutReport{}
 	var deletedRecs []eulertour.Record
 	for _, e := range canon {
@@ -1353,7 +1381,7 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 	// A tree edge both of whose endpoints were cold names its component only
 	// in the answer: its size takes an Ask of its own.
 	if len(unsized) > 0 {
-		f.ask(sizesQuestion(sortedSet(unsized), sizes))
+		f.ask(phaseCutLookup, sizesQuestion(sortedSet(unsized), sizes))
 	}
 	tourLens := make(map[eulertour.TourID]int, len(deletedRecs))
 	for i, r := range deletedRecs {
@@ -1389,7 +1417,7 @@ func (f *Forest) cut(edges []graph.Edge, first *firstWindow) (*CutReport, error)
 		}
 	}
 	slices.Sort(alone)
-	f.applyRelabels(relabelPayload{relabels: plan.Relabels, drop: drop, fresh: fresh, passiveOf: passiveOf, alone: alone, passive: passive})
+	f.applyRelabels(phaseCutRelabel, relabelPayload{relabels: plan.Relabels, drop: drop, fresh: fresh, passiveOf: passiveOf, alone: alone, passive: passive})
 	f.pushFragments()
 	// Assign fragment component ids: min vertex id per fragment.
 	compByFrag := f.aggregateFragmentMins(first)
@@ -1500,6 +1528,7 @@ func passiveFragments(frags []eulertour.Fragment, compOfTour map[eulertour.TourI
 // owner) pair. One round: the vertex shards land the push.
 func (f *Forest) pushFragments() {
 	f.flush()
+	f.cl.Phase(phaseCutPush)
 	// The round: edge shards emit deduplicated (vertex, frag) pairs.
 	f.cl.Step(func(mm *mpc.Machine, inbox []mpc.Message) []mpc.Message {
 		es := eShard(mm)
@@ -1569,6 +1598,7 @@ func (f *Forest) pushFragments() {
 // closes the Cut.
 func (f *Forest) aggregateFragmentMins(first *firstWindow) map[uint64]int {
 	f.flush()
+	f.cl.Phase(phaseCutFragMins)
 	combine := mergeMin
 	if first != nil {
 		combine = first.merge
@@ -1691,7 +1721,7 @@ func (f *Forest) HeaviestOnPaths(pairs [][2]int) (map[int]graph.WeightedEdge, er
 		})
 	}
 	out := map[int]graph.WeightedEdge{}
-	f.ask(question{msg: q, answer: heaviestFrames, combine: heavierFrame,
+	f.ask(phasePathHeaviest, question{msg: q, answer: heaviestFrames, combine: heavierFrame,
 		read: func(idx uint64, fr []uint64) {
 			out[int(idx)] = graph.WeightedEdge{Edge: graph.Edge{U: int(fr[2]), V: int(fr[3])}, Weight: int64(fr[1])}
 		}})

@@ -4,10 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/eulertour"
 	"repro/internal/graph"
+	"repro/internal/mpc"
 )
 
 // ledger is the part of mpc.Stats a replay pins absolutely.
@@ -72,37 +75,120 @@ type ledger struct {
 // 5003 / 28810 → 28340 / 31313 → 31067 and PeakTotalWords 762 → 767 / 1667
 // → 1703 / 1211 → 1235. churn32 sends more: most of its deletions are
 // non-tree edges, and their lookup now also counts the vertices of their
-// components; the peaks rise because one broadcast holds what two did.
+// components; the peaks rise because one broadcast holds what two did; then
+// a Link began to send its new records in its relabel Tell's first round
+// (mpc.Cluster.TellParts) instead of a Scatter of their own, and to ask the
+// rotation query only for a host whose stats straddle the cut: Rounds 126 →
+// 115 / 263 → 214 / 482 → 426, Messages 469 → 469 / 1203 → 1162 / 2079 →
+// 2069 and WordsSent 5003 → 5003 / 28340 → 28218 / 31067 → 31027 (the
+// rotation Asks that are no longer sent), PeakTotalWords unchanged.
 func TestLedgerPinned(t *testing.T) {
-	for _, tc := range []struct {
-		stream string
-		want   ledger
-	}{
-		{"testdata/churn32.stream", ledger{126, 469, 5003, 767}},
-		{"../harness/testdata/window64.stream", ledger{263, 1203, 28340, 1703}},
-		{"../harness/testdata/powerlaw64.stream", ledger{482, 2079, 31067, 1235}},
-	} {
-		batches, n := readStream(t, tc.stream)
+	for _, tc := range pinnedStreams {
 		for _, p := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/p%d", tc.stream, p), func(t *testing.T) {
-				dc, err := NewDynamicConnectivity(Config{N: n, Phi: 0.6, Seed: 1, Parallelism: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, b := range batches {
-					for j := 0; j < len(b); j += dc.MaxBatch() {
-						if err := dc.ApplyBatch(b[j:min(j+dc.MaxBatch(), len(b))]); err != nil {
-							t.Fatalf("batch %d: %v", i, err)
-						}
-					}
-				}
-				st := dc.Cluster().Stats()
+				st := replayStream(t, tc.stream, p).Cluster().Stats()
 				got := ledger{st.Rounds, st.Messages, st.WordsSent, st.PeakTotalWords}
 				if got != tc.want {
 					t.Errorf("ledger %+v, pinned %+v", got, tc.want)
 				}
 				if len(st.Violations) != 0 {
 					t.Errorf("violations: %v", st.Violations[0])
+				}
+			})
+		}
+	}
+}
+
+// pinnedStreams are the three replays TestLedgerPinned and
+// TestPhaseLedgerPinned pin, with their totals and their per-phase table
+// (name, rounds, messages, words), in the order the phases were first
+// charged. The phases sum to the totals.
+var pinnedStreams = []struct {
+	stream string
+	want   ledger
+	phases []mpc.PhaseStats
+}{
+	{"testdata/churn32.stream", ledger{115, 469, 5003, 767}, []mpc.PhaseStats{
+		{Name: "link/labels", Rounds: 32, Messages: 102, WordsSent: 906},
+		{Name: "link/stats", Rounds: 22, Messages: 88, WordsSent: 730},
+		{Name: "link/relabel", Rounds: 11, Messages: 72, WordsSent: 1436},
+		{Name: "link/min-above", Rounds: 2, Messages: 6, WordsSent: 12},
+		{Name: "cut/lookup", Rounds: 22, Messages: 88, WordsSent: 595},
+		{Name: "cut/relabel", Rounds: 1, Messages: 4, WordsSent: 84},
+		{Name: "cut/push", Rounds: 1, Messages: 13, WordsSent: 32},
+		{Name: "cut/fragment-mins", Rounds: 1, Messages: 4, WordsSent: 400},
+		{Name: "flush", Rounds: 23, Messages: 92, WordsSent: 808},
+	}},
+	{"../harness/testdata/window64.stream", ledger{214, 1162, 28218, 1703}, []mpc.PhaseStats{
+		{Name: "link/labels", Rounds: 38, Messages: 136, WordsSent: 1583},
+		{Name: "link/stats", Rounds: 44, Messages: 220, WordsSent: 2138},
+		{Name: "link/relabel", Rounds: 33, Messages: 236, WordsSent: 6572},
+		{Name: "link/min-above", Rounds: 2, Messages: 6, WordsSent: 12},
+		{Name: "flush", Rounds: 15, Messages: 75, WordsSent: 855},
+		{Name: "cut/lookup", Rounds: 24, Messages: 120, WordsSent: 1403},
+		{Name: "cut/relabel", Rounds: 12, Messages: 60, WordsSent: 2085},
+		{Name: "cut/push", Rounds: 12, Messages: 145, WordsSent: 504},
+		{Name: "cut/fragment-mins", Rounds: 12, Messages: 60, WordsSent: 11764},
+		{Name: "search/lookup", Rounds: 22, Messages: 104, WordsSent: 1302},
+	}},
+	{"../harness/testdata/powerlaw64.stream", ledger{426, 2069, 31027, 1235}, []mpc.PhaseStats{
+		{Name: "link/labels", Rounds: 74, Messages: 285, WordsSent: 3103},
+		{Name: "link/stats", Rounds: 74, Messages: 365, WordsSent: 2752},
+		{Name: "link/relabel", Rounds: 52, Messages: 345, WordsSent: 6823},
+		{Name: "link/min-above", Rounds: 4, Messages: 13, WordsSent: 26},
+		{Name: "cut/lookup", Rounds: 86, Messages: 417, WordsSent: 1788},
+		{Name: "cut/relabel", Rounds: 31, Messages: 155, WordsSent: 3210},
+		{Name: "cut/push", Rounds: 31, Messages: 149, WordsSent: 404},
+		{Name: "cut/fragment-mins", Rounds: 31, Messages: 152, WordsSent: 11660},
+		{Name: "search/lookup", Rounds: 30, Messages: 123, WordsSent: 911},
+		{Name: "flush", Rounds: 13, Messages: 65, WordsSent: 350},
+	}},
+}
+
+// replayStream replays a checked-in stream through a DynamicConnectivity
+// (Phi 0.6, Seed 1, batches chunked to MaxBatch) at parallelism p.
+func replayStream(t *testing.T, stream string, p int) *DynamicConnectivity {
+	t.Helper()
+	batches, n := readStream(t, stream)
+	dc, err := NewDynamicConnectivity(Config{N: n, Phi: 0.6, Seed: 1, Parallelism: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range batches {
+		for j := 0; j < len(b); j += dc.MaxBatch() {
+			if err := dc.ApplyBatch(b[j:min(j+dc.MaxBatch(), len(b))]); err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+		}
+	}
+	return dc
+}
+
+// TestPhaseLedgerPinned pins where the rounds, messages and words of
+// TestLedgerPinned's replays go: the per-phase table mpc.Cluster.Phases
+// keeps, at parallelism 1 and 8, whose columns sum to the pinned totals. A
+// change that removes a collective shows as the row it leaves; one that
+// moves a collective's cost from one step to another, as two rows that move.
+func TestPhaseLedgerPinned(t *testing.T) {
+	for _, tc := range pinnedStreams {
+		for _, p := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/p%d", tc.stream, p), func(t *testing.T) {
+				got := replayStream(t, tc.stream, p).Cluster().Phases()
+				var sum ledger
+				for _, ph := range got {
+					sum.Rounds += ph.Rounds
+					sum.Messages += ph.Messages
+					sum.WordsSent += ph.WordsSent
+				}
+				if want := (ledger{tc.want.Rounds, tc.want.Messages, tc.want.WordsSent, 0}); sum != want {
+					t.Errorf("phases sum to %+v, the pinned totals are %+v", sum, want)
+				}
+				if !reflect.DeepEqual(got, tc.phases) {
+					var b strings.Builder
+					for _, ph := range got {
+						fmt.Fprintf(&b, "\n\t\t{Name: %q, Rounds: %d, Messages: %d, WordsSent: %d},", ph.Name, ph.Rounds, ph.Messages, ph.WordsSent)
+					}
+					t.Errorf("phases%s\npinned %+v", b.String(), tc.phases)
 				}
 			})
 		}
@@ -217,7 +303,7 @@ func TestCutPayloadIsMetered(t *testing.T) {
 	// The Tell on its own: a drop list of three more tree edges costs every
 	// receiving machine two words an edge, and the records are gone.
 	before := f.Cluster().Stats().WordsSent
-	f.applyRelabels(relabelPayload{drop: p.drop})
+	f.applyRelabels(phaseCutRelabel, relabelPayload{drop: p.drop})
 	receivers := int64(f.Cluster().Machines() - 1)
 	if sent := f.Cluster().Stats().WordsSent - before; sent != receivers*2*3 {
 		t.Errorf("telling a drop list of 3 edges sent %d words, want %d", sent, receivers*2*3)

@@ -30,13 +30,13 @@ type Pair struct{ U, V int }
 
 // fillLabels makes the label cache cover vertices and the endpoints of pairs
 // (either may be nil): it stamps the misses and resolves them with the one
-// cache-fill collective, and reports whether there were none (warm). The
-// caller then reads lc.labels.
-func (f *Forest) fillLabels(vertices []int, pairs []Pair) (warm bool) {
+// cache-fill collective, charged to phase, and reports whether there were
+// none (warm). The caller then reads lc.labels.
+func (f *Forest) fillLabels(phase string, vertices []int, pairs []Pair) (warm bool) {
 	if f.stageLabels(vertices, pairs) {
 		return true
 	}
-	f.ask()
+	f.ask(phase)
 	return false
 }
 
@@ -82,11 +82,11 @@ func (f *Forest) countQuery(warm bool) {
 }
 
 // labelsInto appends the component label of every listed vertex to dst[:0],
-// aligned with the input, and reports whether the cache was warm. It is the
-// label lookup of the update path (Link, the replacement search), which is
-// not a query batch and books no hit or miss.
-func (f *Forest) labelsInto(dst []int, vertices []int) ([]int, bool) {
-	warm := f.fillLabels(vertices, nil)
+// aligned with the input, and reports whether the cache was warm. It books
+// no hit or miss: the update path (a Link's label lookup) is not a query
+// batch, and ComponentsOfInto books its own.
+func (f *Forest) labelsInto(phase string, dst []int, vertices []int) ([]int, bool) {
+	warm := f.fillLabels(phase, vertices, nil)
 	return f.appendLabels(dst, vertices), warm
 }
 
@@ -96,7 +96,7 @@ func (f *Forest) labelsInto(dst []int, vertices []int) ([]int, bool) {
 // not ask (linkFacts). A lookup the cache answers asks nothing.
 func (f *Forest) labelsAndStats(dst []int, vertices []int, stats map[int]eulertour.VertexStats) []int {
 	if !f.stageLabels(vertices, nil) {
-		f.ask(statsQuestion(sortedSet(vertices), stats))
+		f.ask(phaseSearchLookup, statsQuestion(sortedSet(vertices), stats))
 	}
 	return f.appendLabels(dst, vertices)
 }
@@ -120,7 +120,7 @@ func (f *Forest) ComponentsOf(vertices []int) []int {
 // ComponentsOfInto is ComponentsOf appending into dst[:0] (allocation-free
 // when dst has capacity).
 func (f *Forest) ComponentsOfInto(dst []int, vertices []int) []int {
-	dst, warm := f.labelsInto(dst, vertices)
+	dst, warm := f.labelsInto(phaseQueryLabels, dst, vertices)
 	f.countQuery(warm)
 	return dst
 }
@@ -135,7 +135,7 @@ func (f *Forest) ConnectedAll(pairs []Pair) []bool {
 // ConnectedAllInto is ConnectedAll appending into dst[:0] (allocation-free
 // when dst has capacity).
 func (f *Forest) ConnectedAllInto(dst []bool, pairs []Pair) []bool {
-	warm := f.fillLabels(nil, pairs)
+	warm := f.fillLabels(phaseQueryLabels, nil, pairs)
 	labels := f.cache.labels
 	dst = slices.Grow(dst[:0], len(pairs))
 	for _, p := range pairs {
@@ -149,7 +149,7 @@ func (f *Forest) ConnectedAllInto(dst []bool, pairs []Pair) []bool {
 // on a cache miss, zero rounds when both endpoints are cached).
 func (f *Forest) Connected(u, v int) bool {
 	pair := [1]Pair{{u, v}}
-	warm := f.fillLabels(nil, pair[:])
+	warm := f.fillLabels(phaseQueryLabels, nil, pair[:])
 	same := f.cache.labels[u] == f.cache.labels[v]
 	f.countQuery(warm)
 	return same

@@ -11,9 +11,10 @@ import (
 // TestRoundBudgetPerOperation pins what each step of the update path costs
 // in rounds at a shape whose broadcast and aggregation trees all have depth 1
 // (N 64, φ 0.6: six machines, every payload far below the fanout), where the
-// unit costs of the collectives are an Ask 2 (down, up), a Tell 1, a Scatter
-// 1, an aggregation 1 and a direct push 1, and a rider (Forest.ride) 0: it
-// is carried by the next Ask or Tell. The insert and the Cut figures follow
+// unit costs of the collectives are an Ask 2 (down, up), a Tell 1 (a Link's
+// new records ride its relabel Tell's one round), an aggregation 1 and a
+// direct push 1, and a rider (Forest.ride) 0: it is carried by the next Ask
+// or Tell. The insert and the Cut figures follow
 // from the code by counting collectives; the search and the Link figures are
 // as measured. A receive-only round put back into any collective, or a rider
 // that pays a broadcast of its own, fails the operation that uses it, by
@@ -41,21 +42,39 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 	}
 
 	// Link, on a bare forest. Cold label cache: two Asks (labels; component
-	// sizes and occurrence stats in one), the relabel Tell and the record
-	// Scatter. A Link rewrites the labels it caches, so every later Link over
-	// vertices already seen skips the label Ask.
+	// sizes and occurrence stats in one) and the relabel Tell, which carries
+	// the new records. A Link rewrites the labels it caches, so every later
+	// Link over vertices already seen skips the label Ask.
 	f, err := NewForest(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl = f.Cluster()
-	costs("Link of singletons, cold cache", 6, func() error { return f.Link(weighted(E(0, 1), E(2, 3), E(5, 6))) })
-	costs("Link onto a tree, cold at 4", 6, func() error { return f.Link(weighted(E(3, 4))) })
+	costs("Link of singletons, cold cache", 5, func() error { return f.Link(weighted(E(0, 1), E(2, 3), E(5, 6))) })
+	costs("Link onto a tree, cold at 4", 5, func() error { return f.Link(weighted(E(3, 4))) })
 	// {2,3,4} hangs off {0,1} at 3 and is rotated there, and hosts {5,6} at
-	// 4: a third Ask places the attachment in rotated coordinates.
-	costs("Link with a rotation query, warm across the Links", 6, func() error { return f.Link(weighted(E(1, 3), E(4, 5))) })
-	f.ComponentsOf([]int{6, 7})
-	costs("Link, warm cache", 4, func() error { return f.Link(weighted(E(6, 7))) })
+	// 4. The tour of 2-3-4 is rooted at 2, so 4 is seen first and last below
+	// 3's last occurrence, the cut: its stats say it has no occurrence above
+	// the cut, and no rotation Ask is sent.
+	costs("Link with a rotation its stats place, warm across the Links", 3, func() error { return f.Link(weighted(E(1, 3), E(4, 5))) })
+	f.ComponentsOf([]int{6, 7, 10, 11, 12, 13})
+	costs("Link, warm cache", 3, func() error { return f.Link(weighted(E(6, 7))) })
+	// The path 10-11-12, rooted at 10, hangs off 0 at 12 and is rotated
+	// there, and hosts {13} at 11: 11 is seen before and after 12's last
+	// occurrence, so its stats straddle the cut, and a third Ask places the
+	// attachment in rotated coordinates.
+	costs("Link of a path, warm cache", 3, func() error { return f.Link(weighted(E(10, 11), E(11, 12))) })
+	costs("Link with a rotation query, warm cache", 5, func() error { return f.Link(weighted(E(0, 12), E(11, 13))) })
+	// Of the two Links that rotate a tour, only the second asked.
+	rotation := 0
+	for _, ph := range cl.Phases() {
+		if ph.Name == phaseLinkMinAbove {
+			rotation = ph.Rounds
+		}
+	}
+	if rotation != 2 {
+		t.Errorf("the rotation Asks took %d rounds, want the one Ask's 2", rotation)
+	}
 	// A public Cut sends its closing Tell before it returns: one Ask (the
 	// records, carrying the size of the warm endpoints' component, whose tour
 	// is 4(s − 1) long), the relabel Tell, the fragment push, the fragment-min
@@ -81,7 +100,7 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 	}
 	// The label Ask 2, carrying the sketch update, and a Link whose labels
 	// are warm.
-	costs("insert batch with a Link", 2+4, func() error { return dc.ApplyBatch(path) })
+	costs("insert batch with a Link", 2+3, func() error { return dc.ApplyBatch(path) })
 	// The Link kept the cache warm; both chords close a cycle: the batch
 	// sends no broadcast, so its sketch update is told on its own.
 	costs("insert batch without a Link, warm across the Link", 1, func() error { return dc.ApplyBatch(graph.Batch{graph.Ins(0, 2), graph.Ins(3, 6)}) })
@@ -113,9 +132,9 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 		t.Fatalf("replacements %v, want the chord 3-6", replacements)
 	}
 	// The labels are warm from the search, the stats came with its lookup and
-	// the fragments' sizes with the split plan: the relabel Tell and the
-	// record Scatter.
-	costs("Link of the replacement (labels warm from the search)", 2, func() error {
+	// the fragments' sizes with the split plan: the relabel Tell, carrying the
+	// record.
+	costs("Link of the replacement (labels warm from the search)", 1, func() error {
 		return dc.f.link(replacements, &linkFacts{stats: stats, sizes: report.FragmentSizes})
 	})
 
@@ -127,7 +146,7 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 	})
 	// A whole deletion batch that finds a replacement: a chord at 0 stands in
 	// for 1-2.
-	costs("delete batch with a replacement", 5+2+2, func() error {
+	costs("delete batch with a replacement", 5+2+1, func() error {
 		return dc.ApplyBatch(graph.Batch{{Op: graph.Delete, Edge: E(1, 2)}})
 	})
 	if dc.Connected(5, 6) || !dc.Connected(1, 2) {
@@ -143,10 +162,10 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 	// A mixed batch on the path 10-11-12-13 with the chord 10-12: 20-21
 	// joins two singletons, then 11-12 is cut and 10-12 replaces it. The
 	// insert Link pays the label Ask of 20 and 21 (carrying the sketch
-	// update) and a Link of singletons (stats and sizes Ask, relabel Tell,
-	// record Scatter); the Cut is warm (5) and parks 10 and 12, so the
+	// update) and a Link of singletons (stats and sizes Ask, relabel Tell
+	// with the record); the Cut is warm (5) and parks 10 and 12, so the
 	// search's one level asks (2), and the replacement Link takes what that
-	// Ask and the split plan told it (2).
+	// Ask and the split plan told it (1).
 	var chain graph.Batch
 	for v := 10; v < 13; v++ {
 		chain = append(chain, graph.Ins(v, v+1))
@@ -154,14 +173,14 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 	if err := dc.ApplyBatch(append(chain, graph.Ins(10, 12))); err != nil {
 		t.Fatal(err)
 	}
-	costs("mixed batch: insert Link, Cut, replacement", 2+4+5+2+2, func() error {
+	costs("mixed batch: insert Link, Cut, replacement", 2+3+5+2+1, func() error {
 		return dc.ApplyBatch(graph.Batch{graph.Ins(20, 21), graph.Del(11, 12)})
 	})
 	if !dc.Connected(11, 12) || !dc.Connected(20, 21) || dc.Connected(10, 20) {
 		t.Error("connectivity wrong after the mixed batch")
 	}
 	// A chunk of replacements past MaxBatch() joins what the first chunk
-	// merged, so it asks stats and sizes as any Link does (4). ApplyBatch
+	// merged, so it asks stats and sizes as any Link does (3). ApplyBatch
 	// never gets that far — k ≤ MaxBatch() tree-edge deletions leave at most
 	// k replacements — so the row links one search's replacement the way a
 	// later chunk would, with nothing known. Cut 12-13; the chord 11-13 takes
@@ -178,7 +197,7 @@ func TestRoundBudgetPerOperation(t *testing.T) {
 	if len(replacements) != 1 || replacements[0].Edge != E(11, 13) {
 		t.Fatalf("replacements %v, want the chord 11-13", replacements)
 	}
-	costs("Link of a replacement chunk past MaxBatch()", 4, func() error { return dc.f.link(replacements, nil) })
+	costs("Link of a replacement chunk past MaxBatch()", 3, func() error { return dc.f.link(replacements, nil) })
 	dc.f.cache.dropParked()
 	dc.f.flush()
 	if !dc.Connected(12, 13) {

@@ -104,7 +104,8 @@ func TestSketchesMatchDenseTwin(t *testing.T) {
 // edge past them, and stays promoted when its degree falls again. After
 // every batch the sketches match their dense twins and the components the
 // oracle's; the state survives a full checkpoint, re-saved byte for byte,
-// and a reshard onto another fleet shape, with the same promoted vertices.
+// and a reshard onto another fleet shape, with the same promoted vertices
+// and every list laid out with room to grow.
 func TestPromotion(t *testing.T) {
 	const n = 128
 	cfg := Config{N: n, Phi: 0.6, Seed: 9, SketchCopies: 3, VerticesPerMachine: 16}
@@ -149,6 +150,17 @@ func TestPromotion(t *testing.T) {
 			}
 			if got, want := loaded.promotedVertices(), dc.promotedVertices(); !slices.Equal(got, want) {
 				t.Fatalf("load at %d vertices/machine promoted %v, the source %v", vpm, got, want)
+			}
+			// Every loaded list has room for its next inserts (listSlack),
+			// short of S: the first insert after a load lands in place.
+			for m := range loaded.f.cl.Machines() {
+				if sh := sShard(loaded.f.cl.Machine(m)); sh != nil {
+					for i, l := range sh.edges {
+						if want := min(len(l)+max(2, len(l)/4), 96); sh.slot[i] < 0 && cap(l) != want {
+							t.Fatalf("load at %d vertices/machine: vertex %d's list of %d edges has capacity %d, want %d", vpm, sh.lo+i, len(l), cap(l), want)
+						}
+					}
+				}
 			}
 			var again bytes.Buffer
 			if err := snapshot.Save(&again, loaded); err != nil {

@@ -243,7 +243,7 @@ func (dc *DynamicConnectivity) dealSketches(edges, rows *snapshot.Table) ([]*ske
 		sh.slot[i] = int32(sl)
 	}
 	// Count each list's edges first, so every shard's lists share one
-	// allocation, each full to its capacity.
+	// allocation, each with room to grow (listSlack) before it reallocates.
 	deg := make([]int, n)
 	for r := range edges.Rows() {
 		row := edges.At(r)
@@ -261,14 +261,20 @@ func (dc *DynamicConnectivity) dealSketches(edges, rows *snapshot.Table) ([]*ske
 		}
 	}
 	for _, sh := range shards {
+		room := 0
 		for i := range sh.edges {
-			sh.listWords += deg[sh.lo+i]
+			if sh.slot[i] < 0 {
+				sh.listWords += deg[sh.lo+i]
+				room += listSlack(deg[sh.lo+i], words)
+			}
 		}
-		backing, off := make([]uint64, sh.listWords), 0
+		backing, off := make([]uint64, room), 0
 		for i := range sh.edges {
-			d := deg[sh.lo+i]
-			sh.edges[i] = backing[off : off : off+d]
-			off += d
+			if sh.slot[i] < 0 {
+				c := listSlack(deg[sh.lo+i], words)
+				sh.edges[i] = backing[off : off : off+c]
+				off += c
+			}
 		}
 	}
 	for r := range edges.Rows() {
@@ -282,6 +288,13 @@ func (dc *DynamicConnectivity) dealSketches(edges, rows *snapshot.Table) ([]*ske
 	}
 	return shards, nil
 }
+
+// listSlack is the capacity a loaded list of d edges is laid out with: a
+// quarter more, at least two more, never past the s words at which the
+// vertex is promoted. The first inserts after a load then land in place
+// instead of copying the list out of the shared backing array. Words meters
+// the lengths, not the capacities.
+func listSlack(d, s int) int { return min(d+max(2, d/4), s) }
 
 // Checkpoint serializes the full dynamic-connectivity state (image).
 func (dc *DynamicConnectivity) Checkpoint(e *snapshot.Encoder) { dc.image().Encode(e) }

@@ -1,6 +1,7 @@
 package eulertour
 
 import (
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -381,6 +382,44 @@ func TestRandomizedJoinSplitChurn(t *testing.T) {
 		t.Run(string(rune('a'+int(seed-1))), func(t *testing.T) {
 			churn(t, newHost(40), seed, 30)
 		})
+	}
+}
+
+// TestRotationQueriesFromStats holds the join planner's filtered rotation
+// queries to brute force: on random forests under churn, every join is
+// planned again with the min-above-cut of every host in a rotated component
+// found by scanning the records, and the two plans must be equal. Over the
+// run both kinds of host must occur: one whose stats answer (its first
+// occurrence above the cut, or its last below) and one whose stats straddle
+// the cut, which the planner still asks.
+func TestRotationQueriesFromStats(t *testing.T) {
+	var answered, asked int
+	for seed := uint64(1); seed <= 24; seed++ {
+		h := newHost(48)
+		h.onJoin = func(edges []graph.Edge, res *JoinResult, first TourID) {
+			next := first
+			pl, brute, err := h.planJoin(edges, true, func() TourID { next++; return next - 1 })
+			if err != nil {
+				t.Fatalf("seed %d: brute-force plan of %v: %v", seed, edges, err)
+			}
+			if !reflect.DeepEqual(res, brute) {
+				t.Fatalf("seed %d: join %v planned\n%+v\nwith every rotation query scanned\n%+v", seed, edges, res, brute)
+			}
+			hosts := map[int]bool{}
+			for child, par := range pl.parent {
+				if _, rotated := pl.cuts[par]; rotated && pl.hostVertex(child) != pl.attachTerminal(par) {
+					hosts[pl.hostVertex(child)] = true
+				}
+			}
+			qs := len(pl.CutQueries())
+			answered += len(hosts) - qs
+			asked += qs
+		}
+		churn(t, h, seed, 40)
+	}
+	t.Logf("rotated hosts: %d answered by their stats, %d asked", answered, asked)
+	if answered == 0 || asked == 0 {
+		t.Errorf("rotated hosts: %d answered by their stats, %d asked; want both", answered, asked)
 	}
 }
 

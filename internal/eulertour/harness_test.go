@@ -20,6 +20,9 @@ type host struct {
 	// onRelabel, if set, sees every relabel batch with the records it is
 	// about to rewrite, before relabel rewrites them.
 	onRelabel func(recs []Record, rels []Relabel)
+	// onJoin, if set, sees every join plan before it is applied, with the
+	// first tour id it allocated.
+	onJoin func(edges []graph.Edge, res *JoinResult, first TourID)
 }
 
 func newHost(n int) *host {
@@ -113,6 +116,32 @@ func (h *host) tourOf(comp int, labels []int) (TourID, int) {
 // insertBatch runs the full join flow for a set of edges that connect
 // distinct components (a forest over components).
 func (h *host) insertBatch(edges []graph.Edge) error {
+	first := h.nextID
+	_, res, err := h.planJoin(edges, false, h.next)
+	if err != nil {
+		return err
+	}
+	if h.onJoin != nil {
+		h.onJoin(edges, res, first)
+	}
+	if err := h.relabel(res.Relabels); err != nil {
+		return err
+	}
+	for _, nr := range res.NewRecords {
+		rec := nr
+		if _, dup := h.recs[rec.E]; dup {
+			return fmt.Errorf("duplicate record %v", rec.E)
+		}
+		h.recs[rec.E] = &rec
+	}
+	return nil
+}
+
+// planJoin plans the join of edges against the current records. The
+// planner's CutQueries are answered by scanning; with every set, so is the
+// min-above-cut of every host of an attachment in a rotated component, the
+// ones the planner reads off the stats included.
+func (h *host) planJoin(edges []graph.Edge, every bool, next func() TourID) (*JoinPlanner, *JoinResult, error) {
 	labels, _ := h.components()
 	compSet := make(map[int]bool)
 	for _, e := range edges {
@@ -127,35 +156,30 @@ func (h *host) insertBatch(edges []graph.Edge) error {
 	sort.Slice(comps, func(i, j int) bool { return comps[i].Key < comps[j].Key })
 	pl, err := NewJoinPlanner(comps, edges, func(v int) int { return labels[v] })
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	stats := make(map[int]VertexStats)
 	for _, v := range pl.Terminals() {
 		stats[v] = h.stats(v)
 	}
 	if err := pl.SetStats(stats); err != nil {
-		return err
+		return nil, nil, err
 	}
 	minAb := make(map[int]Pos)
 	for _, q := range pl.CutQueries() {
 		minAb[q.Vertex] = h.minAbove(q.Vertex, q.Cut)
 	}
-	pl.SetMinAbove(minAb)
-	res, err := pl.Plan(h.next)
-	if err != nil {
-		return err
-	}
-	if err := h.relabel(res.Relabels); err != nil {
-		return err
-	}
-	for _, nr := range res.NewRecords {
-		rec := nr
-		if _, dup := h.recs[rec.E]; dup {
-			return fmt.Errorf("duplicate record %v", rec.E)
+	if every {
+		for child, par := range pl.parent {
+			if cut, rotated := pl.cuts[par]; rotated {
+				v := pl.hostVertex(child)
+				minAb[v] = h.minAbove(v, cut)
+			}
 		}
-		h.recs[rec.E] = &rec
 	}
-	return nil
+	pl.SetMinAbove(minAb)
+	res, err := pl.Plan(next)
+	return pl, res, err
 }
 
 // deleteBatch runs the full split flow for a set of existing tree edges.

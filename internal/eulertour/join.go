@@ -57,7 +57,7 @@ type attachment struct {
 //	p, _ := NewJoinPlanner(comps, edges, compOf)
 //	stats := query(p.Terminals())        // distributed f/l lookup, O(1) rounds
 //	p.SetStats(stats)
-//	more := query2(p.CutQueries())       // distributed min-above-cut lookup
+//	more := query2(p.CutQueries())       // min-above-cut lookup, when a host's stats straddle a cut
 //	p.SetMinAbove(more)
 //	res, _ := p.Plan(nextTour)
 //
@@ -223,7 +223,9 @@ func (p *JoinPlanner) SetStats(stats map[int]VertexStats) error {
 // CutQueries returns the stage-2 queries: for every terminal that hosts an
 // attachment inside a rotated component, the smallest occurrence above the
 // component's rotation cut is needed to place the attachment in rotated
-// coordinates.
+// coordinates. The host's stats answer it unless they straddle the cut
+// (statsAnswer), which they do only for an ancestor of the attach terminal
+// the component is rotated at: only those are asked.
 func (p *JoinPlanner) CutQueries() []CutQuery {
 	if p.stats == nil {
 		panic("eulertour: CutQueries before SetStats")
@@ -238,6 +240,9 @@ func (p *JoinPlanner) CutQueries() []CutQuery {
 		host := p.hostVertex(child)
 		if host == p.attachTerminal(par) || seen[host] {
 			continue // the rotation root maps to position 0; no query needed
+		}
+		if _, ok := statsAnswer(p.stats[host], cut); ok {
+			continue
 		}
 		seen[host] = true
 		out = append(out, CutQuery{Vertex: host, Cut: cut})
@@ -256,9 +261,26 @@ func (p *JoinPlanner) hostVertex(child int) int {
 	return e.U
 }
 
-// SetMinAbove supplies the stage-2 results keyed by vertex.
+// SetMinAbove supplies the stage-2 results keyed by vertex. An answer for a
+// host CutQueries did not ask is taken over what its stats say; the two agree.
 func (p *JoinPlanner) SetMinAbove(minAbove map[int]Pos) {
 	p.minAb = minAbove
+}
+
+// statsAnswer is the smallest occurrence above cut of a vertex whose first
+// and last occurrences are st.F and st.L (0: none), when those decide it: the
+// first occurrence lies above the cut, or the last below it. A position is
+// one vertex's occurrence, so a host other than the attach terminal holding
+// the cut is never on it; one that straddles it (F < cut < L) is an ancestor
+// of that terminal, and only its records know where it is seen next.
+func statsAnswer(st VertexStats, cut Pos) (Pos, bool) {
+	switch {
+	case st.F > cut:
+		return st.F, true
+	case st.L < cut:
+		return 0, true
+	}
+	return 0, false
 }
 
 // hostPos returns the insertion point of an attachment hosted at vertex v
@@ -289,7 +311,9 @@ func (p *JoinPlanner) hostPos(comp, v int) (Pos, error) {
 	}
 	ma, ok := p.minAb[v]
 	if !ok {
-		return 0, fmt.Errorf("eulertour: missing min-above-cut for host %d", v)
+		if ma, ok = statsAnswer(st, cut); !ok {
+			return 0, fmt.Errorf("eulertour: missing min-above-cut for host %d", v)
+		}
 	}
 	L := TourLen(info.Size)
 	if ma > 0 {

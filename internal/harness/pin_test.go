@@ -28,18 +28,23 @@ import (
 // connectivity-delta and session-delta moved with the Stats alone. msf,
 // matching, dynmatching and nowickionak did not move. Then msf moved with
 // its Stats alone (Rounds and Messages), when a Cut's record lookup began to
-// carry the labels and component sizes its split needs.
+// carry the labels and component sizes its split needs. Then approxmsf,
+// bipartite, connectivity, msf and session moved with their Stats alone
+// (Rounds, Messages, WordsSent; approxmsf's PeakTotalWords too), when a
+// Link's records began to ride its relabel Tell and its rotation query to be
+// asked only when the stats cannot answer it; connectivity-delta and
+// session-delta with their Stats and the chain identity of their base.
 var containerDigests = map[string]string{
-	"approxmsf":          "4b44c57fba7da2296e00ec6fa3ba24af31e0007b89e7987005363dde994a09d6",
-	"bipartite":          "0e66b71e9ab1494d8ae0a56aef215ba6724c6e57293121f226c003f6a279f0b9",
-	"connectivity":       "7747e53ddff068b39e064227c8a49b1721feb6cef6264ccbe292ebec066a5b91",
+	"approxmsf":          "2e4e61fe576c7c7c1ecf61f1a23a21aef299c161f84fae55d91790d1d0f74a76",
+	"bipartite":          "b5862a7283cefb059dc58b99cf53d6c09bca7ec038b595ab4d5f8a572c4e5c2a",
+	"connectivity":       "19963dca53a5bbf1dd0b0064e36969dadc2f8790dd25be28ab8876b2732d3f2e",
 	"dynmatching":        "04e7598e9568de2fa9f2b74d67635f9f5e2ff7b6f32448409da58d06a693e2da",
 	"matching":           "aa01296f1438d467c26f2bfdae52bcc92ebcbd91a3f70a293cb3fd8b697afac2",
-	"msf":                "cf7ac87c08589d2a4b572503273ce5335db5be35d62ec891c2957bd8d5be3448",
+	"msf":                "a3531994f040a9b614e96f1707e0fc41b1c9594ab1df7851bae7b85e5f6f5ba7",
 	"nowickionak":        "6b67a431c6d8ea0c27a9b9e75c78c87a7f6fede345043b0c24b53f8a9fcd5d31",
-	"connectivity-delta": "9a51ac573bc296f9254b30556ef1fee4d547b8524fccfa0de552edccb12d1303",
-	"session":            "1133c7b32223bafdfc358ba8c2ba7bed54d7c2fab8ec5590733d4b1cf4d1caed",
-	"session-delta":      "cb956a1d368256ccd712c499fe386c548c24229d2fce6f4e24c8b85a87139169",
+	"connectivity-delta": "6956cb393981296e16516d5ba803288806904af8faa0d12c93ec127c1396cb50",
+	"session":            "6b1bec1125bac97c07af250cf60fd942f29422119225b0e12101d6afebe1ae51",
+	"session-delta":      "4d4acf7065fee12c02f592e16d5ff7f6b889d069c55b5764e31b46987efd6aad",
 }
 
 // TestContainerBytesPinned fails when any container's bytes move: a layout

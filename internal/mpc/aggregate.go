@@ -142,11 +142,12 @@ func (c *Cluster) AggregateBatches(to int, collect func(m *Machine) *MessageBatc
 // broadcast and the callback that consumes it.
 const slotTold = "mpc.told"
 
-// toldState holds the callback of the Ask or Tell in progress, for the
+// toldState holds the callbacks of the Ask or Tell in progress, for the
 // once-built Cluster.runAnswer / Cluster.runTold.
 type toldState struct {
-	answer func(m *Machine, question Sized) *MessageBatch
-	apply  func(m *Machine, msg Sized)
+	answer  func(m *Machine, question Sized) *MessageBatch
+	apply   func(m *Machine, msg Sized)
+	receive func(m *Machine, part Sized)
 }
 
 // takeTold removes the broadcast payload from m's store and returns it.
@@ -158,7 +159,21 @@ func takeTold(m *Machine) Sized {
 
 func (c *Cluster) answerTold(m *Machine) *MessageBatch { return c.told.answer(m, takeTold(m)) }
 
-func (c *Cluster) applyTold(m *Machine) { c.told.apply(m, takeTold(m)) }
+// applyTold runs the Tell's apply on m, then hands m its parts, if any, and
+// empties its part list.
+func (c *Cluster) applyTold(m *Machine) {
+	c.told.apply(m, takeTold(m))
+	pl, ok := m.Store[slotParts].(*partList)
+	if !ok {
+		return
+	}
+	delete(m.Store, slotParts)
+	for _, p := range pl.parts {
+		c.told.receive(m, p)
+	}
+	clear(pl.parts)
+	pl.parts, pl.words = pl.parts[:0], 0
+}
 
 // Ask broadcasts question from machine `from`, collects one answer batch
 // per machine and returns their tree-combined merge at `from` (nil when no
@@ -184,10 +199,26 @@ func (c *Cluster) Ask(from int, question Sized, answer func(m *Machine, question
 // the executor, under the StepFunc concurrency contract). apply is handed
 // the message, which is shared and read-only. Rounds: the broadcast's depth.
 func (c *Cluster) Tell(from int, msg Sized, apply func(m *Machine, msg Sized)) {
+	c.TellParts(from, msg, nil, apply, nil)
+}
+
+// TellParts is Tell with addressed parts: messages from `from`, each to one
+// machine, sent in the broadcast's first round beside its copies of msg,
+// where a Scatter would pay a round of its own. The parts' words are taken
+// off the sender's s before the broadcast's fanout is sized, so they deepen
+// the tree rather than break the send cap, unless even fanout 2 does not fit
+// beside them (then the cap violation is recorded and the round delivers
+// all the same). They are counted in that round's messages and words, and
+// held in their addressee's store, metered, from the round they arrive
+// until they are consumed: on every machine, after apply has run, receive is
+// handed its parts, in the order given, and they leave the store. So apply
+// never sees a part. Rounds: the broadcast's depth, 1 at depth 1.
+func (c *Cluster) TellParts(from int, msg Sized, parts []Message, apply func(m *Machine, msg Sized), receive func(m *Machine, part Sized)) {
+	c.bc.parts = parts
 	c.broadcast(from, msg)
-	c.told.apply = apply
+	c.told.apply, c.told.receive = apply, receive
 	c.LocalAll(c.runTold)
-	c.told.apply = nil
+	c.told.apply, c.told.receive = nil, nil
 }
 
 // KeepFirst is the BatchCombine for answers whose keys each have one owner:

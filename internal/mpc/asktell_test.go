@@ -3,6 +3,8 @@ package mpc
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -226,6 +228,143 @@ func TestTellAppliesEverywhere(t *testing.T) {
 		if peak, want := c.Stats().PeakTotalWords, 4*M; peak != want {
 			t.Errorf("M=%d: PeakTotalWords = %d, want %d", M, peak, want)
 		}
+	}
+}
+
+// tellWithParts runs one TellParts on a fresh cluster: a one-word message
+// from machine from, and the parts given as (machine, words) pairs, each part
+// a U64s whose words are its machine's id. It returns the cluster, the parts
+// every machine was handed, in order, and whether each machine's apply saw its
+// parts metered in its store and ran before the first of them was handed over.
+func tellWithParts(t *testing.T, cfg Config, from int, parts [][2]int) (*Cluster, [][]U64s, []bool) {
+	t.Helper()
+	c := NewCluster(cfg)
+	var msgs []Message
+	want := make([]int, cfg.Machines)
+	for _, p := range parts {
+		msgs = append(msgs, Message{To: p[0], Payload: U64s(slices.Repeat([]uint64{uint64(p[0])}, p[1]))})
+		want[p[0]] += p[1]
+	}
+	got := make([][]U64s, cfg.Machines)
+	ok := make([]bool, cfg.Machines)
+	c.TellParts(from, word(1), msgs,
+		func(m *Machine, msg Sized) {
+			held := 0
+			if pl := m.Get(slotParts); pl != nil {
+				held = pl.Words()
+			}
+			ok[m.ID] = held == want[m.ID] && len(got[m.ID]) == 0
+		},
+		func(m *Machine, part Sized) { got[m.ID] = append(got[m.ID], part.(U64s)) })
+	for i := range cfg.Machines {
+		if c.Machine(i).Get(slotParts) != nil || c.Machine(i).Get(slotTold) != nil {
+			t.Errorf("machine %d still holds its parts or the message", i)
+		}
+	}
+	return c, got, ok
+}
+
+// TestTellPartsRideTheFirstRound: the parts of a TellParts travel in the
+// broadcast's first round, so the Tell costs its broadcast's depth — the
+// tree sized with the parts' words taken off the sender's round — at depth 1
+// and at depth 2 alike; they are counted in that round's messages and
+// words (the sender's largest send is its copies plus the parts), held
+// metered by their addressee, handed over after its apply in the order
+// given, and the Stats are the same at parallelism 1 and 8. A single machine
+// hands itself its parts. Parts that push the sender over s break its cap,
+// and are delivered all the same.
+func TestTellPartsRideTheFirstRound(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		M, s     int
+		parts    [][2]int
+		depth    int
+		violates bool
+	}{
+		{"depth 1", 6, 100, [][2]int{{0, 3}, {4, 2}, {2, 5}, {4, 1}}, 1, false},
+		{"depth 2", 64, 40, [][2]int{{5, 4}, {63, 4}, {0, 2}, {5, 2}}, 2, false},
+		{"one machine", 1, 16, [][2]int{{0, 3}, {0, 2}}, 1, false},
+		{"over the cap", 4, 10, [][2]int{{3, 6}, {2, 6}}, 2, true},
+	} {
+		var stats []Stats
+		for _, p := range []int{1, 8} {
+			c, got, ok := tellWithParts(t, Config{Machines: tc.M, LocalMemory: tc.s, Parallelism: p}, 0, tc.parts)
+			st := c.Stats()
+			stats = append(stats, st)
+			partWords, want := 0, make([][]U64s, tc.M)
+			for _, pt := range tc.parts {
+				partWords += pt[1]
+				want[pt[0]] = append(want[pt[0]], U64s(slices.Repeat([]uint64{uint64(pt[0])}, pt[1])))
+			}
+			for i := range tc.M {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s p%d: machine %d was handed %v, want %v", tc.name, p, i, got[i], want[i])
+				}
+				if !ok[i] {
+					t.Errorf("%s p%d: machine %d did not hold its parts, metered, while its apply ran", tc.name, p, i)
+				}
+			}
+			f := fanoutWithin(tc.s-partWords, 1)
+			if d := treeDepth(tc.M, f); st.Rounds != d || d != tc.depth {
+				t.Errorf("%s p%d: %d rounds, tree depth %d, want %d", tc.name, p, st.Rounds, d, tc.depth)
+			}
+			if w := int64(tc.M - 1 + partWords); st.Messages != int64(tc.M-1+len(tc.parts)) || st.WordsSent != w {
+				t.Errorf("%s p%d: %d messages and %d words, want %d and %d", tc.name, p, st.Messages, st.WordsSent, tc.M-1+len(tc.parts), w)
+			}
+			if w := min(f-1, tc.M-1) + partWords; st.MaxSendWords != w {
+				t.Errorf("%s p%d: the largest send is %d words, want the first round's %d", tc.name, p, st.MaxSendWords, w)
+			}
+			if broke := st.ViolationCount > 0 && strings.Contains(st.Violations[0], "machine 0 sent"); broke != tc.violates || (!tc.violates && st.ViolationCount > 0) {
+				t.Errorf("%s p%d: violations %v", tc.name, p, st.Violations)
+			}
+		}
+		if !reflect.DeepEqual(stats[0], stats[1]) {
+			t.Errorf("%s: stats at p1 %+v, at p8 %+v", tc.name, stats[0], stats[1])
+		}
+	}
+}
+
+// TestPhasesSumToStats: every round is charged to the phase named last
+// (Cluster.Phase), "" before the first, with the messages and words it
+// routed; a phase named again adds to its row, one that sends nothing has
+// none, and the rows sum to Stats, at parallelism 1 and 8 alike.
+func TestPhasesSumToStats(t *testing.T) {
+	var rows [][]PhaseStats
+	for _, p := range []int{1, 8} {
+		c := NewCluster(Config{Machines: 13, LocalMemory: 24, Parallelism: p})
+		c.Tell(0, word(1), func(*Machine, Sized) {})
+		c.Phase("ask")
+		before := c.Stats().Rounds
+		framesOf(c.Ask(3, word(2), idTimes, KeepFirst))
+		ask := c.Stats().Rounds - before
+		c.Phase("tell")
+		c.Tell(5, U64s{1, 2, 3}, func(*Machine, Sized) {})
+		c.Phase("silent")
+		c.LocalAll(func(*Machine) {})
+		c.Phase("ask")
+		framesOf(c.Ask(3, word(2), idTimes, KeepFirst))
+		got := c.Phases()
+		var sum PhaseStats
+		names := []string{}
+		for _, ph := range got {
+			names = append(names, ph.Name)
+			sum.Rounds += ph.Rounds
+			sum.Messages += ph.Messages
+			sum.WordsSent += ph.WordsSent
+		}
+		if want := []string{"", "ask", "tell"}; !reflect.DeepEqual(names, want) {
+			t.Errorf("p%d: phases %q, want %q", p, names, want)
+		}
+		if st := c.Stats(); sum.Rounds != st.Rounds || sum.Messages != st.Messages || sum.WordsSent != st.WordsSent {
+			t.Errorf("p%d: phases sum to %+v, stats %+v", p, sum, st)
+		}
+		if got[1].Rounds != 2*ask {
+			t.Errorf("p%d: two Asks of %d rounds charged %d", p, ask, got[1].Rounds)
+		}
+		rows = append(rows, got)
+	}
+	if !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Errorf("phases at p1 %+v, at p8 %+v", rows[0], rows[1])
 	}
 }
 

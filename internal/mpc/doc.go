@@ -16,7 +16,9 @@
 //     machine answer with one MessageBatch of key-sorted [key, ...] frames,
 //     and merge-joins the answers up an aggregation tree back to `from`;
 //   - Tell(from, msg, apply) broadcasts the message and runs apply on every
-//     machine between rounds.
+//     machine between rounds; TellParts also sends addressed parts, each to
+//     one machine, in the broadcast's first round, and hands every machine
+//     its parts after its apply.
 //
 // Every per-machine callback — a Step's compute, a Tell's apply, an Ask's
 // answer, an AggregateBatches contribution, a LocalAll or a Land — runs
@@ -32,7 +34,14 @@
 // advancing the round counter — and every counted round is one on which some
 // machine may send: Tell and AggregateBatches cost their tree depth
 // ceil(log_f M), Ask the way down plus the way up (2 when both trees have
-// depth 1), Scatter 1.
+// depth 1), Scatter 1. A Tell's parts cost no round of their own: they are
+// counted in the first round's messages and words, and the sender's share
+// of that round is taken off s before the fanout is sized.
+//
+// Every round is charged to the phase named last (Cluster.Phase), with the
+// messages and words it routed: Cluster.Phases is where a run's rounds went,
+// counted in the one serial pass that meters them, so it is the same at any
+// parallelism and sums to Stats on a cluster built fresh.
 //
 // Drop on consume: the payload is in every machine's store, and metered
 // there, from the round it arrives until the machine's callback is handed

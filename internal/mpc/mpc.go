@@ -1,6 +1,9 @@
 package mpc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Sized is implemented by any value whose size in machine words is known.
 // All message payloads and all machine-store values must be Sized so the
@@ -75,6 +78,15 @@ type Stats struct {
 	Violations []string
 }
 
+// PhaseStats is what the rounds charged to one named phase cost
+// (Cluster.Phase): the rounds, and the messages and words they routed.
+type PhaseStats struct {
+	Name      string
+	Rounds    int
+	Messages  int64
+	WordsSent int64
+}
+
 // Machine is one MPC machine. Its Store maps named slots to Sized state; the
 // cluster sums the slots to meter memory. Algorithms typically keep one shard
 // struct per machine under a well-known slot name.
@@ -117,6 +129,11 @@ type Cluster struct {
 	machines []*Machine
 	inboxes  [][]Message
 	stats    Stats
+	// phases are the per-phase counters in the order phases were first
+	// charged, phase the row of phaseName (-1 until its first round).
+	phases    []PhaseStats
+	phaseName string
+	phase     int
 	// buffers is the free list every message batch of the cluster's
 	// callbacks comes from and goes back to (Machine.Batch).
 	buffers *freeList
@@ -175,6 +192,7 @@ func NewCluster(cfg Config) *Cluster {
 		stateWords: make([]int, cfg.Machines),
 		recvWords:  make([]int, cfg.Machines),
 		buffers:    newFreeList(cfg.Machines),
+		phase:      -1,
 	}
 	for i := range c.machines {
 		c.machines[i] = &Machine{ID: i, Store: make(map[string]Sized), buffers: c.buffers}
@@ -202,6 +220,8 @@ func NewCluster(cfg Config) *Cluster {
 	c.runCollect = c.aggCollect
 	c.landAgg = c.aggLand
 	c.bc.outs = make([][]Message, cfg.Machines)
+	c.bc.nparts = make([]int, cfg.Machines)
+	c.bc.held = make([]partList, cfg.Machines)
 	c.runBcast = c.bcastStep
 	c.landBcast = c.bcastLand
 	c.runAnswer = c.answerTold
@@ -242,6 +262,39 @@ func (c *Cluster) Stats() Stats { return c.stats }
 func (c *Cluster) RestoreStats(st Stats) {
 	st.Violations = append([]string(nil), st.Violations...)
 	c.stats = st
+}
+
+// Phase charges every round that follows, with the messages and words it
+// routes, to the named phase, until the next call; rounds before the first
+// call are charged to the phase "". The counts are kept beside Stats, not in
+// it: they are never checkpointed and RestoreStats leaves them alone, so on a
+// cluster built fresh they sum to Stats' Rounds, Messages and WordsSent.
+// A phase's row is made at its first round, so a named phase that sends
+// nothing has none, and once every phase has its row nothing allocates.
+func (c *Cluster) Phase(name string) {
+	if name != c.phaseName {
+		c.phaseName, c.phase = name, -1
+	}
+}
+
+// Phases returns the per-phase counts, in the order the phases were first
+// charged.
+func (c *Cluster) Phases() []PhaseStats { return append([]PhaseStats(nil), c.phases...) }
+
+// charge adds one round of msgs messages and words words to the current
+// phase.
+func (c *Cluster) charge(msgs, words int64) {
+	if c.phase < 0 {
+		c.phase = slices.IndexFunc(c.phases, func(p PhaseStats) bool { return p.Name == c.phaseName })
+		if c.phase < 0 {
+			c.phases = append(c.phases, PhaseStats{Name: c.phaseName})
+			c.phase = len(c.phases) - 1
+		}
+	}
+	p := &c.phases[c.phase]
+	p.Rounds++
+	p.Messages += msgs
+	p.WordsSent += words
 }
 
 // keptViolations bounds Stats.Violations.
@@ -297,7 +350,9 @@ func (c *Cluster) Step(fn StepFunc) {
 	c.stepFn = fn
 	c.exec.Run(c.cfg.Machines, c.runStep)
 	c.stepFn = nil
+	msgs, words := c.stats.Messages, c.stats.WordsSent
 	c.route()
+	c.charge(c.stats.Messages-msgs, c.stats.WordsSent-words)
 	for i, w := range c.recvWords {
 		if w > c.cfg.LocalMemory {
 			c.violate("machine %d received %d words in one round (cap %d)", i, w, c.cfg.LocalMemory)
@@ -414,15 +469,14 @@ func (c *Cluster) Land(fn func(m *Machine, inbox []Message)) {
 // fanout returns the broadcast/aggregation tree fanout for payloads of w
 // words: the number of children one machine can serve within its
 // communication budget, at least 2.
-func (c *Cluster) fanout(w int) int {
+func (c *Cluster) fanout(w int) int { return fanoutWithin(c.cfg.LocalMemory, w) }
+
+// fanoutWithin is fanout for a sender with s words of its round to spare.
+func fanoutWithin(s, w int) int {
 	if w <= 0 {
 		w = 1
 	}
-	f := c.cfg.LocalMemory / w
-	if f < 2 {
-		f = 2
-	}
-	return f
+	return max(s/w, 2)
 }
 
 // treeDepth returns ceil(log_f(m)) with a minimum of 1.
@@ -441,27 +495,52 @@ func treeDepth(m, f int) int {
 
 // bcastState is the reusable scratch of Broadcast, owned by the cluster:
 // one outbox per machine plus the parameters of the call in progress for the
-// once-built dispatch callback (Cluster.runBcast).
+// once-built dispatch callback (Cluster.runBcast). parts are the addressed
+// parts of a TellParts, sent with the first round; nparts[i] counts those
+// addressed to machine i, which lead its inbox of that round, and held[i] is
+// the list its store holds them in until they are handed over.
 type bcastState struct {
 	outs     [][]Message
 	from     int
 	payload  Sized
 	frontier int // ranks [0, frontier) hold the payload
 	fanout   int
+	parts    []Message
+	nparts   []int
+	held     []partList
 }
+
+// partList is the store slot of the parts one machine was addressed: metered
+// from the round they arrive until its Tell hands them over.
+type partList struct {
+	parts []Sized
+	words int
+}
+
+// Words implements Sized.
+func (p *partList) Words() int { return p.words }
+
+// slotParts is the store slot a machine's parts occupy.
+const slotParts = "mpc.parts"
 
 // bcastStep is the per-round callback of Broadcast: store what arrived, and
 // if this machine's rank is inside the frontier, serve its fanout-1 children.
-// Machines are ranked so that the source is rank 0 of a contiguous tree.
+// Machines are ranked so that the source is rank 0 of a contiguous tree. In
+// the first round the source sends the parts ahead of the copies.
 func (c *Cluster) bcastStep(m *Machine, inbox []Message) []Message {
 	bc := &c.bc
-	c.bcastLand(m, inbox)
+	if bc.frontier > 1 { // the first round has nothing to land
+		c.bcastLand(m, inbox)
+	}
 	M := c.cfg.Machines
 	r := (m.ID - bc.from + M) % M
 	if r >= bc.frontier {
 		return nil
 	}
 	out := bc.outs[m.ID][:0]
+	if bc.frontier == 1 {
+		out = append(out, bc.parts...)
+	}
 	for ch := 1; ch < bc.fanout; ch++ {
 		cr := r + ch*bc.frontier
 		if cr >= M {
@@ -473,8 +552,21 @@ func (c *Cluster) bcastStep(m *Machine, inbox []Message) []Message {
 	return out
 }
 
-// bcastLand stores the payload a machine was just delivered.
+// bcastLand stores what a machine was just delivered: its parts, which lead
+// the inbox of the first round, in its part list, and the payload.
 func (c *Cluster) bcastLand(m *Machine, inbox []Message) {
+	if n := c.bc.nparts[m.ID]; n > 0 {
+		c.bc.nparts[m.ID] = 0
+		pl := &c.bc.held[m.ID]
+		for _, msg := range inbox[:n] {
+			pl.parts = append(pl.parts, msg.Payload)
+			if msg.Payload != nil {
+				pl.words += msg.Payload.Words()
+			}
+		}
+		m.Set(slotParts, pl)
+		inbox = inbox[n:]
+	}
 	for _, msg := range inbox {
 		m.Set(slotTold, msg.Payload)
 	}
@@ -482,14 +574,25 @@ func (c *Cluster) bcastLand(m *Machine, inbox []Message) {
 
 // broadcast delivers payload from machine `from` to every machine via a
 // fanout tree, storing it on arrival under slotTold, where Ask and Tell pick
-// it up. It costs the tree depth, ceil(log_f M) rounds where f = s / payload
-// words (1 on a single machine); the last round's deliveries are landed, not
-// stepped for. The payload value is shared (not copied); receivers must treat
-// it as read-only. A steady-state broadcast allocates nothing.
+// it up, and the parts queued by TellParts (bc.parts) in the first round. It
+// costs the tree depth, ceil(log_f M) rounds where f = s / payload words, s
+// less the parts' words (1 on a single machine); the last round's deliveries
+// are landed, not stepped for. The payload value is shared (not copied);
+// receivers must treat it as read-only. A steady-state broadcast allocates
+// nothing.
 func (c *Cluster) broadcast(from int, payload Sized) {
 	bc := &c.bc
 	bc.from, bc.payload = from, payload
-	bc.fanout = c.fanout(payload.Words())
+	partWords := 0
+	for _, p := range bc.parts {
+		if p.Payload != nil {
+			partWords += p.Payload.Words()
+		}
+		if p.To >= 0 && p.To < c.cfg.Machines {
+			bc.nparts[p.To]++
+		}
+	}
+	bc.fanout = fanoutWithin(c.cfg.LocalMemory-partWords, payload.Words())
 	c.machines[from].Set(slotTold, payload)
 	bc.frontier = 1
 	for d := treeDepth(c.cfg.Machines, bc.fanout); d > 0; d-- {
@@ -497,13 +600,13 @@ func (c *Cluster) broadcast(from int, payload Sized) {
 		bc.frontier *= bc.fanout
 	}
 	// Land the deliveries of the last round: it always makes some unless the
-	// machine is alone (the depth is minimal, so the frontier was short of M),
-	// and then re-metering an unchanged store would only repeat its
-	// violations.
-	if c.cfg.Machines > 1 {
+	// machine is alone (the depth is minimal, so the frontier was short of M)
+	// and was addressed no part, and then re-metering an unchanged store would
+	// only repeat its violations.
+	if c.cfg.Machines > 1 || len(bc.parts) > 0 {
 		c.Land(c.landBcast)
 	}
-	bc.payload = nil
+	bc.payload, bc.parts = nil, nil
 }
 
 // Scatter delivers messages produced at a single machine in one round: the
