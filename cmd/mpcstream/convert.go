@@ -24,7 +24,8 @@ func (m multiSink) WriteBatch(b graph.Batch) error {
 
 // runConvert streams a SNAP-style edge list into the requested trace
 // (binary) and/or stream (text) outputs. Input and outputs are all
-// streamed; memory is bounded by the live-edge window plus one segment.
+// streamed; memory is the converter's live edges (trace package doc,
+// "# Memory guarantees") plus one segment.
 func runConvert(o options, out io.Writer) error {
 	in, tracePath, streamPath := o.convertFile, o.traceFile, o.streamFile
 	inf, err := os.Open(in)

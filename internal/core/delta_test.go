@@ -261,29 +261,22 @@ func TestDeltaCheckpointCheaper(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	time1 := func(fn func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			fn()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	var fullBuf bytes.Buffer
-	fullNs := time1(func() {
+	// Time full saves and deltas in alternation and keep the best of each,
+	// so a burst of load on the host slows both sides alike.
+	var fullBuf, deltaBuf bytes.Buffer
+	fullNs, deltaNs := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for range 7 {
+		start := time.Now()
 		fullBuf.Reset()
 		if err := snapshot.Save(&fullBuf, dc); err != nil {
 			t.Fatal(err)
 		}
-	})
-	var deltaBuf bytes.Buffer
-	deltaNs := time1(func() {
+		fullNs = min(fullNs, time.Since(start))
+		start = time.Now()
 		deltaBuf.Reset()
 		writeDelta(t, &deltaBuf, dc)
-	})
+		deltaNs = min(deltaNs, time.Since(start))
+	}
 	t.Logf("full: %d bytes in %v; delta: %d bytes in %v (ratios %.1f× bytes, %.1f× ns)",
 		fullBuf.Len(), fullNs, deltaBuf.Len(), deltaNs,
 		float64(fullBuf.Len())/float64(deltaBuf.Len()), float64(fullNs)/float64(deltaNs))

@@ -21,11 +21,12 @@ package streamio
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/graph"
 )
@@ -54,19 +55,21 @@ func NewReader(r io.Reader) *Reader {
 // exhausted. Errors name the offending line.
 func (r *Reader) Next() (graph.Batch, error) {
 	var cur graph.Batch
+	var f [4][]byte
 	for r.sc.Scan() {
 		r.line++
-		line := strings.TrimSpace(r.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := r.sc.Bytes()
+		n := Fields(line, f[:])
+		if n == 0 || f[0][0] == '#' {
 			continue
 		}
-		if line == "--" {
+		if n == 1 && string(f[0]) == "--" {
 			if len(cur) > 0 {
 				return cur, nil
 			}
 			continue
 		}
-		up, err := parseUpdate(line, r.line)
+		up, err := parseUpdate(line, f[:min(n, len(f))], n, r.line)
 		if err != nil {
 			return nil, err
 		}
@@ -84,41 +87,110 @@ func (r *Reader) Next() (graph.Batch, error) {
 	return nil, io.EOF
 }
 
-// parseUpdate parses one "op u v [w]" line.
-func parseUpdate(line string, lineNo int) (graph.Update, error) {
+// parseUpdate parses one "op u v [w]" line whose first fields are f and
+// whose field count is n.
+func parseUpdate(line []byte, f [][]byte, n, lineNo int) (graph.Update, error) {
 	var zero graph.Update
-	fields := strings.Fields(line)
-	if len(fields) < 3 || len(fields) > 4 {
-		return zero, fmt.Errorf("streamio: line %d: want 'op u v [w]', got %q", lineNo, line)
+	if n < 3 || n > 4 {
+		return zero, fmt.Errorf("streamio: line %d: want 'op u v [w]', got %q", lineNo, bytes.TrimSpace(line))
 	}
 	var op graph.Op
-	switch fields[0] {
+	switch string(f[0]) {
 	case "i":
 		op = graph.Insert
 	case "d":
 		op = graph.Delete
 	default:
-		return zero, fmt.Errorf("streamio: line %d: unknown op %q", lineNo, fields[0])
+		return zero, fmt.Errorf("streamio: line %d: unknown op %q", lineNo, f[0])
 	}
-	u, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return zero, fmt.Errorf("streamio: line %d: bad vertex %q", lineNo, fields[1])
+	u, ok := ParseInt(f[1])
+	if !ok {
+		return zero, fmt.Errorf("streamio: line %d: bad vertex %q", lineNo, f[1])
 	}
-	v, err := strconv.Atoi(fields[2])
-	if err != nil {
-		return zero, fmt.Errorf("streamio: line %d: bad vertex %q", lineNo, fields[2])
+	v, ok := ParseInt(f[2])
+	if !ok {
+		return zero, fmt.Errorf("streamio: line %d: bad vertex %q", lineNo, f[2])
 	}
 	if u == v {
 		return zero, fmt.Errorf("streamio: line %d: self loop", lineNo)
 	}
 	var w int64
-	if len(fields) == 4 {
-		w, err = strconv.ParseInt(fields[3], 10, 64)
-		if err != nil {
-			return zero, fmt.Errorf("streamio: line %d: bad weight %q", lineNo, fields[3])
+	if n == 4 {
+		if w, ok = ParseInt(f[3]); !ok {
+			return zero, fmt.Errorf("streamio: line %d: bad weight %q", lineNo, f[3])
 		}
 	}
-	return graph.Update{Op: op, Edge: graph.NewEdge(u, v), Weight: w}, nil
+	return graph.Update{Op: op, Edge: graph.NewEdge(int(u), int(v)), Weight: w}, nil
+}
+
+// Fields splits line where strings.Fields splits it: around each run of
+// white space as unicode.IsSpace defines it, a byte at or above 0x80
+// decoded as UTF-8 (an invalid byte is a one-byte non-space, as ranging
+// over a string reads it). It stores the first len(f) fields in f, each a
+// subslice of line, and returns how many fields the line has. So a line
+// is blank when it has none, and strings.TrimSpace of it starts with the
+// first field's first byte.
+func Fields(line []byte, f [][]byte) int {
+	n, start := 0, -1
+	for i := 0; i < len(line); {
+		c, w := line[i], 1
+		var space bool
+		if c < utf8.RuneSelf {
+			space = c == ' ' || c-'\t' <= '\r'-'\t'
+		} else {
+			var r rune
+			r, w = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case space && start >= 0:
+			if n < len(f) {
+				f[n] = line[start:i]
+			}
+			n, start = n+1, -1
+		case !space && start < 0:
+			start = i
+		}
+		i += w
+	}
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = line[start:]
+		}
+		n++
+	}
+	return n
+}
+
+// ParseInt parses b as strconv.ParseInt(string(b), 10, 64) does — an
+// optional sign, then one or more decimal digits, within the int64 range —
+// without allocating. ok is false wherever ParseInt returns an error.
+func ParseInt(b []byte) (x int64, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (b[0] == '+' || neg) {
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	const limit = 1 << 63 // the magnitude of math.MinInt64
+	var m uint64
+	for _, c := range b {
+		d := c - '0'
+		if d > 9 || m > limit/10 {
+			return 0, false
+		}
+		if m = m*10 + uint64(d); m > limit {
+			return 0, false
+		}
+	}
+	if neg {
+		return -int64(m), true // m == limit wraps to math.MinInt64, as it should
+	}
+	if m == limit {
+		return 0, false
+	}
+	return int64(m), true
 }
 
 // Writer serializes a stream one batch at a time, in the format Reader

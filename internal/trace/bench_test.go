@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/hash"
 )
 
 // benchEdgeList is a ~64k-line timestamped edge list shared by the
@@ -41,6 +42,31 @@ func BenchmarkConvertEdgeList(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := ConvertEdgeList(strings.NewReader(benchEdgeList), nullSink{}, ConvertOptions{Window: 2000}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// noWindowEdgeList is a ~64k-line timestamped edge list at the shape the
+// end-to-end ingest benchmark converts: n = 4096, endpoints drawn at random,
+// no window, so nearly every line inserts a new live edge.
+var noWindowEdgeList = func() string {
+	var sb strings.Builder
+	const n, lines = 4096, 64 * 1024
+	prg := hash.NewPRG(1)
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&sb, "%d %d %d\n", prg.NextN(n), prg.NextN(n), i/3)
+	}
+	return sb.String()
+}()
+
+// BenchmarkConvertEdgeListNoWindow measures the conversion path without a
+// window, at BatchSize 256: parse, the live-edge set and batch cutting.
+func BenchmarkConvertEdgeListNoWindow(b *testing.B) {
+	b.SetBytes(int64(len(noWindowEdgeList)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ConvertEdgeList(strings.NewReader(noWindowEdgeList), nullSink{}, ConvertOptions{BatchSize: 256}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,10 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"repro/internal/graph"
+	"repro/internal/streamio"
 )
 
 // Sink consumes converted batches. Both trace.Writer and streamio.Writer
@@ -55,13 +54,12 @@ type ConvertStats struct {
 	Weighted bool
 }
 
-// liveEdge is one window entry: the edge, its insert time, and its weight
-// (re-emitted on expiry so deletions carry the insert weight, matching the
-// generator convention).
+// liveEdge is one window entry: the edge's key, its insert time, and its
+// weight (re-emitted on expiry so deletions carry the insert weight,
+// matching the generator convention).
 type liveEdge struct {
-	e graph.Edge
-	t int64
-	w int64
+	key  uint64
+	t, w int64
 }
 
 // converter is the streaming state of one ConvertEdgeList call.
@@ -70,16 +68,18 @@ type converter struct {
 	opt   ConvertOptions
 	stats ConvertStats
 
-	// live maps each live edge to its weight; fifo holds the live edges in
-	// insert order (input timestamps are required non-decreasing, so the
-	// FIFO is also ordered by time and expiry pops only from the front).
-	live map[graph.Edge]int64
+	// live holds the key of every live edge. Under a window, fifo holds the
+	// live edges in insert order (input timestamps are required
+	// non-decreasing, so the FIFO is also ordered by time and expiry pops
+	// only from the front); without one nothing ever expires and there is
+	// no FIFO.
+	live keySet
 	fifo []liveEdge
 
 	// batch accumulates the next output batch; used enforces the
 	// at-most-once-per-edge batch invariant.
 	batch graph.Batch
-	used  map[graph.Edge]bool
+	used  batchSet
 
 	lastT  int64
 	anyT   bool
@@ -87,8 +87,7 @@ type converter struct {
 }
 
 // ConvertEdgeList streams a SNAP-style text edge list from r into sink as
-// timestamp-ordered batches, in memory bounded by the live-edge window plus
-// one batch. Lines are:
+// timestamp-ordered batches. Lines are:
 //
 //	u v          insertion at line-order time
 //	u v t        insertion at time t
@@ -100,22 +99,21 @@ type converter struct {
 // input, so out-of-order timestamps are an error naming the line.
 // Self-loops and duplicates of live edges are skipped and counted.
 // Converting an input with no usable edges is an error.
+//
+// Besides one batch and one line, the converter holds one word per live
+// edge in an open-addressing set at a load of at most 3/4, and, only when
+// Window > 0, a FIFO of the live edges with their times and weights. A line
+// is split in place and costs no allocation.
 func ConvertEdgeList(r io.Reader, sink Sink, opt ConvertOptions) (ConvertStats, error) {
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = DefaultConvertBatch
 	}
-	c := &converter{
-		sink: sink,
-		opt:  opt,
-		live: map[graph.Edge]int64{},
-		used: map[graph.Edge]bool{},
-	}
-	c.stats.N = 0
+	c := &converter{sink: sink, opt: opt, live: newKeySet(), used: newBatchSet()}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	for sc.Scan() {
 		c.stats.Lines++
-		if err := c.line(sc.Text()); err != nil {
+		if err := c.line(sc.Bytes()); err != nil {
 			return c.stats, err
 		}
 	}
@@ -136,29 +134,29 @@ func ConvertEdgeList(r io.Reader, sink Sink, opt ConvertOptions) (ConvertStats, 
 }
 
 // line processes one input line.
-func (c *converter) line(s string) error {
-	trimmed := strings.TrimSpace(s)
-	if trimmed == "" || trimmed[0] == '#' || trimmed[0] == '%' {
+func (c *converter) line(b []byte) error {
+	var f [4][]byte
+	n := streamio.Fields(b, f[:])
+	if n == 0 || f[0][0] == '#' || f[0][0] == '%' {
 		return nil
 	}
-	f := strings.Fields(trimmed)
 	if c.fields == 0 {
-		switch len(f) {
+		switch n {
 		case 2, 3, 4:
-			c.fields = len(f)
+			c.fields = n
 		default:
-			return fmt.Errorf("trace: convert: line %d: %d fields, want 2 (u v), 3 (u v t), or 4 (u v w t)", c.stats.Lines, len(f))
+			return fmt.Errorf("trace: convert: line %d: %d fields, want 2 (u v), 3 (u v t), or 4 (u v w t)", c.stats.Lines, n)
 		}
 	}
-	if len(f) != c.fields {
-		return fmt.Errorf("trace: convert: line %d: %d fields where the first data line had %d", c.stats.Lines, len(f), c.fields)
+	if n != c.fields {
+		return fmt.Errorf("trace: convert: line %d: %d fields where the first data line had %d", c.stats.Lines, n, c.fields)
 	}
-	u, err := strconv.Atoi(f[0])
-	if err != nil {
+	u, ok := streamio.ParseInt(f[0])
+	if !ok {
 		return fmt.Errorf("trace: convert: line %d: bad vertex %q", c.stats.Lines, f[0])
 	}
-	v, err := strconv.Atoi(f[1])
-	if err != nil {
+	v, ok := streamio.ParseInt(f[1])
+	if !ok {
 		return fmt.Errorf("trace: convert: line %d: bad vertex %q", c.stats.Lines, f[1])
 	}
 	if u < 0 || v < 0 {
@@ -169,19 +167,19 @@ func (c *converter) line(s string) error {
 	}
 	var w int64
 	t := int64(c.stats.Edges) // 2-field lines: line order is the clock
-	switch c.fields {
+	switch n {
 	case 3:
-		if t, err = strconv.ParseInt(f[2], 10, 64); err != nil {
+		if t, ok = streamio.ParseInt(f[2]); !ok {
 			return fmt.Errorf("trace: convert: line %d: bad timestamp %q", c.stats.Lines, f[2])
 		}
 	case 4:
-		if w, err = strconv.ParseInt(f[2], 10, 64); err != nil {
+		if w, ok = streamio.ParseInt(f[2]); !ok {
 			return fmt.Errorf("trace: convert: line %d: bad weight %q", c.stats.Lines, f[2])
 		}
 		if w < 1 {
 			return fmt.Errorf("trace: convert: line %d: weight %d, want >= 1", c.stats.Lines, w)
 		}
-		if t, err = strconv.ParseInt(f[3], 10, 64); err != nil {
+		if t, ok = streamio.ParseInt(f[3]); !ok {
 			return fmt.Errorf("trace: convert: line %d: bad timestamp %q", c.stats.Lines, f[3])
 		}
 	}
@@ -198,36 +196,32 @@ func (c *converter) line(s string) error {
 		c.stats.SelfLoops++
 		return nil
 	}
-	e := graph.NewEdge(u, v)
-	if _, dup := c.live[e]; dup {
+	lo, hi := min(u, v), max(u, v)
+	k := edgeKey(lo, hi)
+	if !c.live.add(k) {
 		c.stats.Duplicates++
 		return nil
 	}
-	if m := e.V; m >= c.stats.N {
-		c.stats.N = m + 1
+	if int(hi) >= c.stats.N {
+		c.stats.N = int(hi) + 1
 	}
 	if w != 0 {
 		c.stats.Weighted = true
 	}
-	c.live[e] = w
-	c.fifo = append(c.fifo, liveEdge{e: e, t: t, w: w})
-	return c.emit(graph.Update{Op: graph.Insert, Edge: e, Weight: w})
+	if c.opt.Window > 0 {
+		c.fifo = append(c.fifo, liveEdge{key: k, t: t, w: w})
+	}
+	return c.emit(graph.Insert, k, w)
 }
 
 // expire emits deletions for every live edge whose window closed before t.
 func (c *converter) expire(t int64) error {
-	if c.opt.Window <= 0 {
-		return nil
-	}
 	for len(c.fifo) > 0 && c.fifo[0].t <= t-c.opt.Window {
 		le := c.fifo[0]
 		c.fifo = c.fifo[1:]
-		if _, ok := c.live[le.e]; !ok {
-			continue // already expired by an earlier window pass
-		}
-		delete(c.live, le.e)
+		c.live.remove(le.key)
 		c.stats.Expired++
-		if err := c.emit(graph.Update{Op: graph.Delete, Edge: le.e, Weight: le.w}); err != nil {
+		if err := c.emit(graph.Delete, le.key, le.w); err != nil {
 			return err
 		}
 	}
@@ -236,18 +230,24 @@ func (c *converter) expire(t int64) error {
 
 // emit appends one update to the current batch, flushing first when the
 // batch is full or would touch the update's edge twice.
-func (c *converter) emit(up graph.Update) error {
-	if len(c.batch) >= c.opt.BatchSize || c.used[up.Edge] {
+func (c *converter) emit(op graph.Op, k uint64, w int64) error {
+	if len(c.batch) >= c.opt.BatchSize {
 		if err := c.flush(); err != nil {
 			return err
 		}
 	}
-	c.used[up.Edge] = true
-	c.batch = append(c.batch, up)
+	if !c.used.mark(k) {
+		if err := c.flush(); err != nil {
+			return err
+		}
+		c.used.mark(k)
+	}
+	c.batch = append(c.batch, graph.Update{Op: op, Edge: keyEdge(k), Weight: w})
 	return nil
 }
 
-// flush hands the accumulated batch to the sink.
+// flush hands the accumulated batch to the sink, which may keep it, and
+// starts the next one.
 func (c *converter) flush() error {
 	if len(c.batch) == 0 {
 		return nil
@@ -257,7 +257,130 @@ func (c *converter) flush() error {
 	}
 	c.stats.Batches++
 	c.stats.Updates += len(c.batch)
-	c.batch = nil
-	clear(c.used)
+	c.batch = make(graph.Batch, 0, min(c.opt.BatchSize, maxBatchPresize))
+	c.used.next()
 	return nil
 }
+
+// maxBatchPresize caps the capacity a new batch is allocated with, so a huge
+// BatchSize grows its batches by appending instead of reserving them whole.
+const maxBatchPresize = 4096
+
+// edgeKey packs edge {u, v}, u < v < MaxVertices = 2^31, into one word.
+// u < v rules out key 0, which marks an empty slot.
+func edgeKey(u, v int64) uint64 { return uint64(u)<<31 | uint64(v) }
+
+// keyEdge unpacks an edgeKey.
+func keyEdge(k uint64) graph.Edge { return graph.Edge{U: int(k >> 31), V: int(k & (1<<31 - 1))} }
+
+// fibHome is the slot of a table of 2^(64-shift) slots that a probe for k
+// starts at (Fibonacci hashing, as graph.Graph's edge table).
+func fibHome(k uint64, shift uint) int { return int(k * 0x9e3779b97f4a7c15 >> shift) }
+
+// keySet is a set of nonzero keys: one open-addressing table of words with
+// linear probing and backward-shift deletion (no tombstones), grown at a
+// load of 3/4.
+type keySet struct {
+	slots []uint64 // a power-of-two length; 0 is an empty slot
+	shift uint     // 64 − log2(len(slots))
+	n     int
+}
+
+func newKeySet() keySet { return keySet{slots: make([]uint64, 8), shift: 61} }
+
+// find returns the slot holding k and true, or the empty slot that ends k's
+// probe and false.
+func (s *keySet) find(k uint64) (int, bool) {
+	mask := len(s.slots) - 1
+	for j := fibHome(k, s.shift); ; j = (j + 1) & mask {
+		switch s.slots[j] {
+		case k:
+			return j, true
+		case 0:
+			return j, false
+		}
+	}
+}
+
+// add inserts k and reports whether it was absent.
+func (s *keySet) add(k uint64) bool {
+	j, ok := s.find(k)
+	if ok {
+		return false
+	}
+	if 4*(s.n+1) > 3*len(s.slots) {
+		old := s.slots
+		s.slots, s.shift = make([]uint64, 2*len(old)), s.shift-1
+		for _, o := range old {
+			if o != 0 {
+				i, _ := s.find(o)
+				s.slots[i] = o
+			}
+		}
+		j, _ = s.find(k)
+	}
+	s.slots[j] = k
+	s.n++
+	return true
+}
+
+// remove deletes k, which the set holds, shifting back every later entry
+// of its probe run that may move into the gap.
+func (s *keySet) remove(k uint64) {
+	j, _ := s.find(k)
+	mask := len(s.slots) - 1
+	for i := (j + 1) & mask; s.slots[i] != 0; i = (i + 1) & mask {
+		// The entry at i may fill the gap at j when j lies on its probe
+		// path, between its home and i.
+		if (i-fibHome(s.slots[i], s.shift))&mask >= (i-j)&mask {
+			s.slots[j] = s.slots[i]
+			j = i
+		}
+	}
+	s.slots[j] = 0
+	s.n--
+}
+
+// batchSet records the keys the current batch has touched. A slot holds a
+// key and the number of the batch that marked it, and a slot an earlier
+// batch marked counts as empty, so starting a batch is one increment, not a
+// clear. The table grows at a load of 1/2, so it ends sized to the largest
+// batch.
+type batchSet struct {
+	slots []stamped // a power-of-two length
+	shift uint      // 64 − log2(len(slots))
+	batch uint64    // the current batch's number, from 1
+	n     int       // keys the current batch marked
+}
+
+type stamped struct{ key, batch uint64 }
+
+func newBatchSet() batchSet { return batchSet{slots: make([]stamped, 8), shift: 61, batch: 1} }
+
+// mark records k for the current batch and reports whether it was not yet
+// recorded.
+func (s *batchSet) mark(k uint64) bool {
+	mask := len(s.slots) - 1
+	j := fibHome(k, s.shift)
+	for ; s.slots[j].batch == s.batch; j = (j + 1) & mask {
+		if s.slots[j].key == k {
+			return false
+		}
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.slots, s.shift, s.n = make([]stamped, 2*len(old)), s.shift-1, 0
+		for _, o := range old {
+			if o.batch == s.batch {
+				s.mark(o.key)
+			}
+		}
+		return s.mark(k)
+	}
+	s.slots[j] = stamped{key: k, batch: s.batch}
+	s.n++
+	return true
+}
+
+// next starts a new batch: every key is unmarked.
+func (s *batchSet) next() { s.batch, s.n = s.batch+1, 0 }

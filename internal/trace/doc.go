@@ -51,9 +51,15 @@
 //
 // Writer buffers at most one segment of batches before encoding it;
 // Reader holds at most one decoded segment. Neither ever materializes the
-// stream, so replay and conversion memory are O(segment + batch),
-// independent of trace size. The converter additionally holds the live-edge
-// window (O(live edges)) to validate duplicates and emit expirations.
+// stream, so replay memory is O(segment + batch), independent of trace
+// size. The converter also holds its live edges, to skip duplicates: one
+// word per live edge in an open-addressing set kept at a load of at most
+// 3/4 (11 to 22 bytes an edge). Without a window every edge stays live, so
+// that set grows with the distinct edges of the input and is all the
+// converter adds. Only with a window (ConvertOptions.Window > 0) does it
+// also keep a FIFO of the live edges with their times and weights (24 bytes
+// an edge), from which it emits the expirations. Its per-batch edge check
+// is a table sized to the largest batch.
 //
 // # Version policy
 //
