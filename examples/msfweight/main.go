@@ -41,8 +41,7 @@ func main() {
 	_, kruskal := oracle.MSF(gen.Mirror())
 	fmt.Printf("exact MSF: maintained weight %d, offline Kruskal %d (equal: %v)\n",
 		exact.Weight(), kruskal, exact.Weight() == kruskal)
-	fmt.Printf("  exchange waves used: %d; rounds: %d\n",
-		exact.SwapWaves(), exact.Forest().Cluster().Stats().Rounds)
+	fmt.Printf("  rounds: %d\n", exact.Forest().Cluster().Stats().Rounds)
 
 	// Part 2: (1+eps)-approximate MSF weight under dynamic churn.
 	const eps = 0.25

@@ -9,7 +9,9 @@
 //   - Forest is the distributed Euler-tour spanning-forest engine: it owns
 //     the MPC cluster, the vertex shards (component ids) and the edge shards
 //     (tree-edge records with dart positions), and executes batched Link,
-//     Cut, component lookups, occurrence-stats queries and Identify-Path.
+//     Cut, component lookups, occurrence-stats queries and Identify-Path,
+//     asked of a set of terminals at once: the heaviest tree edge of every
+//     edge of their virtual tree (Forest.HeaviestSeparating).
 //     A Cut names the fragment of every vertex of a component it splits on
 //     the vertex shards, but the edge shards push only the small fragments:
 //     the largest fragment of each split tour, and the vertices left alone,

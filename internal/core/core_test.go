@@ -351,31 +351,59 @@ func TestForestCutNonTreeOnly(t *testing.T) {
 	}
 }
 
-func TestHeaviestOnPaths(t *testing.T) {
-	f, err := NewWeightedForest(Config{N: 8, Phi: 0.9, Seed: 3})
+// tourTerminals is the HeaviestSeparating question over vertices.
+func tourTerminals(f *Forest, vertices ...int) []TourTerminals {
+	_, tours := Terminals(f.Stats(vertices))
+	return tours
+}
+
+// TestHeaviestSeparating asks the virtual tree of terminals 0, 3 and 4 on
+// the tree 0-1-2-3 plus 1-4, whose branching vertex 1 is no terminal, of
+// 5 and 6 on the tree 5-6, and of 7 alone on 7-8: one answer per virtual
+// edge, its path's heaviest edge, runs nested or disjoint, and nothing for
+// the tour with one terminal.
+func TestHeaviestSeparating(t *testing.T) {
+	f, err := NewWeightedForest(Config{N: 10, Phi: 0.9, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Path 0-1-2-3 with weights 5, 9, 2.
-	if err := f.Link([]graph.WeightedEdge{
-		graph.NewWeightedEdge(0, 1, 5),
-		graph.NewWeightedEdge(1, 2, 9),
-		graph.NewWeightedEdge(2, 3, 2),
-	}); err != nil {
-		t.Fatal(err)
+	for _, batch := range [][]graph.WeightedEdge{
+		{graph.NewWeightedEdge(0, 1, 5), graph.NewWeightedEdge(1, 2, 9), graph.NewWeightedEdge(2, 3, 2)},
+		{graph.NewWeightedEdge(1, 4, 7), graph.NewWeightedEdge(5, 6, 1), graph.NewWeightedEdge(7, 8, 4)},
+	} {
+		if err := f.Link(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := f.HeaviestOnPaths([][2]int{{0, 3}, {2, 3}, {0, 5}})
-	if err != nil {
-		t.Fatal(err)
+	tours := tourTerminals(f, 0, 3, 4, 5, 6, 7)
+	if len(tours) != 3 {
+		t.Fatalf("terminals grouped into %d tours: %+v", len(tours), tours)
 	}
-	if e, ok := got[0]; !ok || e.Weight != 9 {
-		t.Errorf("heaviest on 0-3 = %+v", got[0])
+	before := f.Cluster().Stats().Rounds
+	got := f.HeaviestSeparating(tours)
+	if r := f.Cluster().Stats().Rounds - before; r != 2 {
+		t.Errorf("HeaviestSeparating took %d rounds, want one Ask (2)", r)
 	}
-	if e, ok := got[1]; !ok || e.Weight != 2 {
-		t.Errorf("heaviest on 2-3 = %+v", got[1])
+	var edges []graph.WeightedEdge
+	for run, e := range got {
+		edges = append(edges, e)
+		if run[0] >= run[1] || run[1] > 6 {
+			t.Errorf("run %v out of range", run)
+		}
+		for other := range got {
+			if disjoint := run[1] <= other[0] || other[1] <= run[0]; !disjoint &&
+				!(run[0] <= other[0] && other[1] <= run[1]) && !(other[0] <= run[0] && run[1] <= other[1]) {
+				t.Errorf("runs %v and %v cross", run, other)
+			}
+		}
 	}
-	if _, ok := got[2]; ok {
-		t.Error("cross-component path returned an edge")
+	slices.SortFunc(edges, func(a, b graph.WeightedEdge) int { return cmpEdge(a.Edge, b.Edge) })
+	want := []graph.WeightedEdge{
+		graph.NewWeightedEdge(0, 1, 5), graph.NewWeightedEdge(1, 2, 9),
+		graph.NewWeightedEdge(1, 4, 7), graph.NewWeightedEdge(5, 6, 1),
+	}
+	if !slices.Equal(edges, want) {
+		t.Errorf("heaviest per virtual edge = %v, want %v", edges, want)
 	}
 }
 

@@ -914,7 +914,7 @@ func sortedSet(xs []int) []int {
 
 // Stats resolves occurrence statistics (tour, f, l) for the given vertices
 // with one Ask (statsQuestion, O(1/φ) rounds), charged to the phase of the
-// path queries that ask it (HeaviestOnPaths). Singleton vertices come back
+// path queries that ask it (HeaviestSeparating). Singleton vertices come back
 // with Tour == NoTour.
 func (f *Forest) Stats(vertices []int) map[int]eulertour.VertexStats {
 	stats, _ := f.statsAndSizes(phasePathStats, vertices, nil)
@@ -1679,93 +1679,116 @@ func (f *Forest) tellFragComps(compByFrag map[uint64]int) {
 	})
 }
 
-// pathQuery carries a batch of Identify-Path requests: vertex pairs with
-// their occurrence intervals.
-type pathQuery struct {
-	pairs []pathPair
+// TourTerminals is one tour's part of a HeaviestSeparating question: the
+// tour and the first occurrences of its terminals, ascending.
+type TourTerminals struct {
+	Tour eulertour.TourID
+	F    []eulertour.Pos
 }
 
-type pathPair struct {
-	idx            int
-	tour           eulertour.TourID
-	fu, lu, fv, lv eulertour.Pos
+// Terminals orders the vertices of stats that lie on a tree as
+// HeaviestSeparating indexes them — by tour in id order, each tour's by
+// first occurrence — and returns them with the tours to ask about.
+func Terminals(stats map[int]eulertour.VertexStats) ([]int, []TourTerminals) {
+	var terms []int
+	for v, st := range stats {
+		if st.Tour != eulertour.NoTour {
+			terms = append(terms, v)
+		}
+	}
+	slices.SortFunc(terms, func(a, b int) int {
+		return cmp.Or(cmp.Compare(stats[a].Tour, stats[b].Tour), cmp.Compare(stats[a].F, stats[b].F))
+	})
+	var tours []TourTerminals
+	for _, v := range terms {
+		if j := len(tours) - 1; j < 0 || tours[j].Tour != stats[v].Tour {
+			tours = append(tours, TourTerminals{Tour: stats[v].Tour})
+		}
+		tours[len(tours)-1].F = append(tours[len(tours)-1].F, stats[v].F)
+	}
+	return terms, tours
 }
 
-func (q pathQuery) Words() int { return 6 * len(q.pairs) }
+// separatingQuery is HeaviestSeparating's question: the tours, where each
+// tour's terminals start in the concatenated index (base) and the total T.
+// index finds a tour's place; it is derived from the tours, shared read-only
+// by every machine, and not metered.
+type separatingQuery struct {
+	tours []TourTerminals
+	base  []int
+	total int
+	index map[eulertour.TourID]int
+}
 
-// HeaviestOnPaths executes a batch of Identify-Path operations (Section 7.1,
-// Lemma 7.2): for each pair (u, v) in the same tree, it returns the
-// maximum-weight edge on the unique tree path between them. Pairs in
-// different trees or equal pairs yield no entry. Costs O(1) collective
-// operations.
-func (f *Forest) HeaviestOnPaths(pairs [][2]int) (map[int]graph.WeightedEdge, error) {
-	if len(pairs) == 0 {
-		return map[int]graph.WeightedEdge{}, nil
+func (q separatingQuery) Words() int { return q.total + 2*len(q.tours) }
+
+// HeaviestSeparating answers, in one Ask, the heaviest tree edge of every
+// run of terminals (Section 7.1's Identify-Path, asked of the terminals'
+// virtual tree at once). The terminals of each tour are indexed in the
+// order of their first occurrences, and the tours are concatenated. A tree
+// edge's child subtree holds exactly the terminals whose first occurrence
+// lies in the child's interval, a run [lo, hi) of its tour's indices, and
+// the edge separates its tour's terminals when the run holds some of them
+// but not all. The separating edges of one run form the tree path of one
+// edge of the virtual tree, so the answer, keyed by [lo, hi), names that
+// edge's heaviest tree edge (canonical tie-break, heavier). Runs are nested
+// or disjoint. A tour of one terminal has no separating edge, so when no
+// tour holds two the answer is empty and nothing is asked.
+func (f *Forest) HeaviestSeparating(tours []TourTerminals) map[[2]int]graph.WeightedEdge {
+	q := separatingQuery{tours: tours, base: make([]int, len(tours)), index: make(map[eulertour.TourID]int, len(tours))}
+	for i, t := range tours {
+		q.base[i], q.index[t.Tour] = q.total, i
+		q.total += len(t.F)
 	}
-	if len(pairs) > f.cfg.MaxBatch() {
-		return nil, fmt.Errorf("core: batch of %d exceeds MaxBatch %d", len(pairs), f.cfg.MaxBatch())
+	out := map[[2]int]graph.WeightedEdge{}
+	if q.total == len(tours) {
+		return out
 	}
-	var vertices []int
-	for _, p := range pairs {
-		vertices = append(vertices, p[0], p[1])
-	}
-	stats := f.Stats(vertices)
-	q := pathQuery{}
-	for i, p := range pairs {
-		su, sv := stats[p[0]], stats[p[1]]
-		if su.Tour == eulertour.NoTour || su.Tour != sv.Tour {
+	span := uint64(q.total + 1)
+	f.ask(phasePathHeaviest, question{msg: q, answer: separatingFrames, combine: heavierFrame,
+		read: func(run uint64, fr []uint64) {
+			out[[2]int{int(run / span), int(run % span)}] = graph.WeightedEdge{Edge: graph.Edge{U: int(fr[2]), V: int(fr[3])}, Weight: int64(fr[1])}
+		}})
+	return out
+}
+
+// separatingFrames answers HeaviestSeparating's question on one machine: the
+// heaviest record of its edge shard per run, as [lo·(T+1)+hi, weight, u, v]
+// frames, key-sorted for the merge-join.
+func separatingFrames(mm *mpc.Machine, payload mpc.Sized, tag uint64, b *mpc.MessageBatch) *mpc.MessageBatch {
+	q := payload.(separatingQuery)
+	best := map[uint64]graph.WeightedEdge{}
+	recs := eShard(mm).recs
+	for j := range recs {
+		te := &recs[j]
+		i, ok := q.index[te.rec.Tour]
+		if !ok {
 			continue
 		}
-		q.pairs = append(q.pairs, pathPair{
-			idx: i, tour: su.Tour, fu: su.F, lu: su.L, fv: sv.F, lv: sv.L,
-		})
-	}
-	out := map[int]graph.WeightedEdge{}
-	f.ask(phasePathHeaviest, question{msg: q, answer: heaviestFrames, combine: heavierFrame,
-		read: func(idx uint64, fr []uint64) {
-			out[int(idx)] = graph.WeightedEdge{Edge: graph.Edge{U: int(fr[2]), V: int(fr[3])}, Weight: int64(fr[1])}
-		}})
-	return out, nil
-}
-
-// heaviestFrames answers HeaviestOnPaths' question on one machine: for each
-// pair, the heaviest record of its edge shard on the pair's tree path.
-func heaviestFrames(mm *mpc.Machine, payload mpc.Sized, tag uint64, b *mpc.MessageBatch) *mpc.MessageBatch {
-	recs := eShard(mm).recs
-	query := payload.(pathQuery)
-	best := make([]graph.WeightedEdge, len(query.pairs))
-	found := make([]bool, len(query.pairs))
-	nfound := 0
-	for i := range recs {
-		te := &recs[i]
-		for j, pr := range query.pairs {
-			if te.rec.Tour != pr.tour {
-				continue
-			}
-			if !eulertour.OnPath(te.rec.ChildF(), te.rec.ChildL(), pr.fu, pr.lu, pr.fv, pr.lv) {
-				continue
-			}
-			cand := graph.WeightedEdge{Edge: te.rec.E, Weight: te.weight}
-			if !found[j] {
-				nfound++
-			}
-			if !found[j] || heavier(cand, best[j]) {
-				found[j], best[j] = true, cand
-			}
+		fs := q.tours[i].F
+		lo, _ := slices.BinarySearch(fs, te.rec.ChildF())
+		hi, _ := slices.BinarySearch(fs, te.rec.ChildL()+1)
+		if lo == hi || hi-lo == len(fs) {
+			continue
+		}
+		run := uint64(q.base[i]+lo)*uint64(q.total+1) + uint64(q.base[i]+hi)
+		cand := graph.WeightedEdge{Edge: te.rec.E, Weight: te.weight}
+		if cur, ok := best[run]; !ok || heavier(cand, cur) {
+			best[run] = cand
 		}
 	}
-	// query.pairs is built in ascending idx order, so the frames [idx,
-	// weight, u, v] are key-sorted for the merge-join.
-	b = answerBatch(mm, b, 5*nfound)
-	for j, ok := range found {
-		if ok {
-			b.Append(tag|uint64(query.pairs[j].idx), uint64(best[j].Weight), uint64(best[j].U), uint64(best[j].V))
-		}
+	if len(best) == 0 {
+		return b
+	}
+	b = answerBatch(mm, b, 5*len(best))
+	for _, run := range slices.Sorted(maps.Keys(best)) {
+		e := best[run]
+		b.Append(tag|run, uint64(e.Weight), uint64(e.U), uint64(e.V))
 	}
 	return b
 }
 
-// heavierFrame keeps the heavier candidate of colliding [idx, weight, u, v]
+// heavierFrame keeps the heavier candidate of colliding [key, weight, u, v]
 // frames, with the same canonical tie-break as heavier.
 func heavierFrame(dst, src []uint64) {
 	d := graph.WeightedEdge{Edge: graph.Edge{U: int(dst[2]), V: int(dst[3])}, Weight: int64(dst[1])}

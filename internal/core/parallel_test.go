@@ -56,9 +56,9 @@ func TestParallelismDeterminism(t *testing.T) {
 }
 
 // TestParallelForestOps exercises the weighted-forest operations (Link, Cut,
-// HeaviestOnPaths) under a parallel engine against the sequential baseline.
+// HeaviestSeparating) under a parallel engine against the sequential baseline.
 func TestParallelForestOps(t *testing.T) {
-	run := func(parallelism int) (mpc.Stats, []graph.WeightedEdge, map[int]graph.WeightedEdge) {
+	run := func(parallelism int) (mpc.Stats, []graph.WeightedEdge, map[[2]int]graph.WeightedEdge) {
 		f, err := NewWeightedForest(Config{N: 64, Phi: 0.7, Seed: 3, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
@@ -76,9 +76,9 @@ func TestParallelForestOps(t *testing.T) {
 		if _, err := f.Cut([]graph.Edge{{U: 10, V: 11}, {U: 30, V: 31}}); err != nil {
 			t.Fatal(err)
 		}
-		heavy, err := f.HeaviestOnPaths([][2]int{{0, 10}, {12, 30}, {32, 48}})
-		if err != nil {
-			t.Fatal(err)
+		heavy := f.HeaviestSeparating(tourTerminals(f, 0, 5, 10, 12, 20, 30, 32, 40, 48))
+		if len(heavy) == 0 {
+			t.Fatal("no virtual edge answered")
 		}
 		return f.Cluster().Stats(), f.SnapshotForest(), heavy
 	}
@@ -91,6 +91,6 @@ func TestParallelForestOps(t *testing.T) {
 		t.Error("forest snapshots diverged")
 	}
 	if !reflect.DeepEqual(seqHeavy, parHeavy) {
-		t.Error("HeaviestOnPaths results diverged")
+		t.Error("HeaviestSeparating results diverged")
 	}
 }

@@ -15,8 +15,11 @@
 //   - the child side of an edge is the endpoint whose two positions form the
 //     inner interval, and that endpoint's positions on the record are its
 //     global f and l;
-//   - subtree membership and path membership (Lemma 7.2) are interval
-//     predicates on (f, l) pairs.
+//   - subtree membership is an interval predicate: w lies in the subtree of
+//     an edge's child c iff f(c) <= f(w) <= l(c), so the subtree of a tree
+//     edge holds a run of any vertex set ordered by f, and the edge is on
+//     the tree path between two vertices iff its run holds exactly one of
+//     them (Lemma 7.2).
 //
 // Batch operations (Section 6) are compiled by coordinator-side planners
 // (see join.go and split.go) into O(k) Relabel descriptors plus O(k) new
@@ -294,18 +297,4 @@ type VertexStats struct {
 	// MinAbove is the smallest occurrence > the queried cut, or 0 if none.
 	// Only meaningful when a cut query was issued.
 	MinAbove Pos
-}
-
-// InSubtree reports whether vertex w (with occurrences spanning [fw, lw])
-// lies in the subtree rooted at the child vertex whose occurrence interval
-// is [fc, lc].
-func InSubtree(fc, lc, fw, lw Pos) bool { return fc <= fw && lw <= lc }
-
-// OnPath reports whether a tree edge whose child side has occurrence
-// interval [fc, lc] lies on the unique tree path between u (interval
-// [fu, lu]) and v (interval [fv, lv]). The edge is on the path iff exactly
-// one of u, v lies in the child's subtree (Lemma 7.2, restated as an XOR of
-// interval containments).
-func OnPath(fc, lc, fu, lu, fv, lv Pos) bool {
-	return InSubtree(fc, lc, fu, lu) != InSubtree(fc, lc, fv, lv)
 }

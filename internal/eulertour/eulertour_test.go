@@ -330,9 +330,13 @@ func TestJoinPlannerValidation(t *testing.T) {
 	}
 }
 
-func TestOnPathAgainstOracle(t *testing.T) {
-	// Build a random tree, then compare the OnPath predicate against the
-	// oracle's BFS path for many vertex pairs.
+// TestSeparatingRunsAgainstOracle checks the property an exact-MSF batch's
+// virtual tree rests on: with a set of terminals ordered by first
+// occurrence, the terminals in a tree edge's child subtree are the run whose
+// first occurrences lie in [ChildF, ChildL], and the edge separates them —
+// the run holds some but not all — exactly when the oracle's path between
+// some two terminals crosses it.
+func TestSeparatingRunsAgainstOracle(t *testing.T) {
 	const n = 24
 	prg := hash.NewPRG(31)
 	h := newHost(n)
@@ -345,31 +349,41 @@ func TestOnPathAgainstOracle(t *testing.T) {
 	h.checkTours(t)
 	forest := h.forestEdges()
 	for trial := 0; trial < 60; trial++ {
-		u := int(prg.NextN(n))
-		v := int(prg.NextN(n))
-		if u == v {
-			continue
-		}
-		want := map[graph.Edge]bool{}
-		for _, e := range oracle.ForestPath(n, forest, u, v) {
-			want[e.Canonical()] = true
-		}
-		su, sv := h.stats(u), h.stats(v)
-		for _, r := range h.recs {
-			got := OnPath(r.ChildF(), r.ChildL(), su.F, su.L, sv.F, sv.L)
-			if got != want[r.E] {
-				t.Fatalf("u=%d v=%d edge %v: OnPath=%v oracle=%v", u, v, r.E, got, want[r.E])
+		var terms []int
+		for v := 0; v < n; v++ {
+			if prg.NextN(4) == 0 {
+				terms = append(terms, v)
 			}
 		}
-	}
-}
-
-func TestInSubtree(t *testing.T) {
-	if !InSubtree(2, 9, 3, 5) {
-		t.Error("contained interval rejected")
-	}
-	if InSubtree(2, 9, 1, 5) || InSubtree(2, 9, 3, 10) {
-		t.Error("straddling interval accepted")
+		want := map[graph.Edge]bool{}
+		for i, u := range terms {
+			for _, v := range terms[i+1:] {
+				for _, e := range oracle.ForestPath(n, forest, u, v) {
+					want[e.Canonical()] = true
+				}
+			}
+		}
+		fs := make([]Pos, len(terms))
+		for i, v := range terms {
+			fs[i] = h.stats(v).F
+		}
+		slices.Sort(fs)
+		for _, r := range h.recs {
+			lo, _ := slices.BinarySearch(fs, r.ChildF())
+			hi, _ := slices.BinarySearch(fs, r.ChildL()+1)
+			inside := 0
+			for _, v := range terms {
+				if f := h.stats(v).F; r.ChildF() <= f && f <= r.ChildL() {
+					inside++
+				}
+			}
+			if inside != hi-lo {
+				t.Fatalf("terminals %v edge %v: run [%d, %d) but %d terminals below", terms, r.E, lo, hi, inside)
+			}
+			if got := lo < hi && hi-lo < len(fs); got != want[r.E] {
+				t.Fatalf("terminals %v edge %v: separating=%v oracle=%v", terms, r.E, got, want[r.E])
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,9 @@ func TestE4Small(t *testing.T) {
 	tb := E4ExactMSF([]int{32}, 4, 4)
 	if !strings.HasPrefix(tb.Rows[0][3], "true") {
 		t.Errorf("MSF not exact: %v", tb.Rows[0])
+	}
+	if most, err := strconv.Atoi(tb.Rows[0][2]); err != nil || most > 21 {
+		t.Errorf("max rounds/batch %q, past one wave's 21: %v", tb.Rows[0][2], tb.Rows[0])
 	}
 }
 

@@ -84,7 +84,13 @@ var ledgerInputs = map[string][]string{
 // 285, Messages 1485 → 1461, WordsSent 15869 → 15771. Peak moved for all
 // four: a Link's records now sit in their shards' stores together with its
 // relabel Tell, where the two used to be held one after the other;
-// approxmsf's summed final peak is the one that rose.
+// approxmsf's summed final peak is the one that rose. Then an exact-MSF
+// batch began to take one wave (one question over its terminals' virtual
+// tree, one Cut, one Link) where it iterated exchange waves to a fixpoint,
+// which moved msf alone, Output not at all: Rounds 285 → 192, Messages 1461
+// → 1005, WordsSent 15771 → 13126, PeakTotalWords 952 → 1064. The peak is
+// set in link/relabel: the one Link lands every batch edge Kruskal takes
+// beside its relabel Tell, where the waves spread them over smaller Links.
 var algorithmLedgers = map[string]algoLedger{
 	"approxmsf/churn-weighted": {843, 3858, 46699, 9050, 0xf91169bf2885e591, 0x3ccb88cc1a8118cf, 0x7258d7fcffd526d4, 0xa90a34c1a528c838},
 	"bipartite/powerlaw64":     {992, 6029, 114901, 3802, 0x771b611a48a669a6, 0xa30d9f786fa014c0, 0x414fb0a028ffc667, 0x1fc0ea139c9c6df2},
@@ -94,7 +100,7 @@ var algorithmLedgers = map[string]algoLedger{
 	"dynmatching/powerlaw64":   {907, 3113, 41870, 9121, 0x327fea448295c0c8, 0x9630a3444234cde3, 0x1751b823d5437dda, 0xb5296539488ec5d2},
 	"dynmatching/window64":     {866, 3025, 41783, 9175, 0xbe0ce7f0864e16cb, 0xd02074b1f55562f3, 0xb22b45ec09bb2585, 0x4a84eba639763b57},
 	"matching/grow":            {42, 193, 1858, 170, 0x7e440b9dfd34f84f, 0xf28d74e3ae82b971, 0x66885633bfd2f525, 0x3e323f4b860d41ea},
-	"msf/grow-weighted":        {285, 1461, 15771, 952, 0x9d341987cca34a99, 0xc2febfeb39d5a5e0, 0xa1501238d8ecc4db, 0x21761d1519c7006e},
+	"msf/grow-weighted":        {192, 1005, 13126, 1064, 0x3048f8ce4bd10551, 0x78b41e858b993b4a, 0x47bb5d7ea4b6a966, 0x21761d1519c7006e},
 	"nowickionak/powerlaw64":   {223, 848, 7942, 866, 0x8f076df3d3b4e2dc, 0x891dcb6389969979, 0x7fbe4435ec5f778a, 0x6510289f4fca2f37},
 	"nowickionak/window64":     {214, 882, 8912, 1050, 0x7c4b5f33d330490f, 0x1643fdedc55276ad, 0xcac11299f840b7c5, 0xc9c154697795c021},
 }

@@ -33,14 +33,17 @@ import (
 // (Rounds, Messages, WordsSent; approxmsf's PeakTotalWords too), when a
 // Link's records began to ride its relabel Tell and its rotation query to be
 // asked only when the stats cannot answer it; connectivity-delta and
-// session-delta with their Stats and the chain identity of their base.
+// session-delta with their Stats and the chain identity of their base. Then
+// msf moved alone, when an exact-MSF batch began to take one wave: its
+// section took tag 0x22 without the exchange-wave count, and its Stats
+// moved with the rounds it saves (its tree edges did not).
 var containerDigests = map[string]string{
 	"approxmsf":          "2e4e61fe576c7c7c1ecf61f1a23a21aef299c161f84fae55d91790d1d0f74a76",
 	"bipartite":          "b5862a7283cefb059dc58b99cf53d6c09bca7ec038b595ab4d5f8a572c4e5c2a",
 	"connectivity":       "19963dca53a5bbf1dd0b0064e36969dadc2f8790dd25be28ab8876b2732d3f2e",
 	"dynmatching":        "04e7598e9568de2fa9f2b74d67635f9f5e2ff7b6f32448409da58d06a693e2da",
 	"matching":           "aa01296f1438d467c26f2bfdae52bcc92ebcbd91a3f70a293cb3fd8b697afac2",
-	"msf":                "a3531994f040a9b614e96f1707e0fc41b1c9594ab1df7851bae7b85e5f6f5ba7",
+	"msf":                "1545dd311d279389d34b28ac09e7b7343e50c2c7b8da292d99999071c30c1c02",
 	"nowickionak":        "6b67a431c6d8ea0c27a9b9e75c78c87a7f6fede345043b0c24b53f8a9fcd5d31",
 	"connectivity-delta": "6956cb393981296e16516d5ba803288806904af8faa0d12c93ec127c1396cb50",
 	"session":            "6b1bec1125bac97c07af250cf60fd942f29422119225b0e12101d6afebe1ae51",

@@ -2,8 +2,11 @@
 // connectivity engine (Section 7 of the paper):
 //
 //   - ExactMSF: an exact minimum spanning forest under insertion-only
-//     streams (Theorem 7.1(i)), maintained on a weighted Euler-tour forest
-//     with batched Identify-Path heaviest-edge exchanges (Section 7.1).
+//     streams (Theorem 7.1(i)), maintained on a weighted Euler-tour forest.
+//     A batch closing cycles takes one wave of Section 7.1: one Identify-Path
+//     question over the virtual tree of the batch's terminals
+//     (core.Forest.HeaviestSeparating), Kruskal on that compressed instance
+//     at the coordinator, one Cut and one Link.
 //   - ApproxMSF: a (1+ε)-approximation of the MSF weight under fully dynamic
 //     streams, via O(log_{1+ε} W) connectivity instances on the level graphs
 //     G_0, ..., G_t (Section 7.2.1, after Chazelle et al.), and a
@@ -12,24 +15,26 @@
 package msf
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/eulertour"
 	"repro/internal/graph"
 	"repro/internal/mpc"
 )
 
 // ExactMSF maintains an exact minimum spanning forest of an insertion-only
-// weighted graph in O(1) collective rounds per batch of Õ(n^φ) insertions.
+// weighted graph in O(1) collective rounds per batch of Õ(n^φ) insertions,
+// one wave per batch (InsertBatch). Among edges of equal weight the forest
+// keeps the one it holds over a new one, then the smaller canonical
+// endpoints.
 type ExactMSF struct {
 	f *core.Forest
-	// swapWaves counts Identify-Path exchange iterations, reported by the
-	// experiments (the paper's single-wave description is iterated to a
-	// fixpoint to stay exact on batches with interacting exchanges; see
-	// README.md "Deviations").
-	swapWaves int
 	// weight caches the forest weight between updates (valid iff weightOK),
 	// so repeated Weight readouts between batches cost no snapshot walk.
 	weight   int64
@@ -70,109 +75,123 @@ func (m *ExactMSF) Forest() *core.Forest { return m.f }
 // Clusters returns the one cluster the forest runs on.
 func (m *ExactMSF) Clusters() []*mpc.Cluster { return []*mpc.Cluster{m.f.Cluster()} }
 
-// SwapWaves reports the cumulative number of exchange iterations performed.
-func (m *ExactMSF) SwapWaves() int { return m.swapWaves }
-
-// InsertBatch processes a batch of edge insertions (at most MaxBatch),
-// maintaining the exact MSF. The algorithm follows Section 7.1.2: edges
-// joining distinct components are inserted through the batched Link (taking
-// the minimum-weight edge per component merge), and intra-component edges
-// trigger batched Identify-Path operations that exchange them against the
-// heaviest path edges, iterated until no exchange improves the forest.
+// InsertBatch processes a batch B of edge insertions (at most MaxBatch) in
+// one wave (Section 7.1.2). The MSF of the forest plus B is the MSF of a
+// compressed instance of O(k) words: B and the virtual tree of its
+// terminals (the endpoints that lie on a tree), each of whose edges stands
+// for a tree path and weighs what the heaviest edge on it weighs. The
+// coordinator runs Kruskal on it; a virtual edge it leaves out names the
+// tree edge to cut, a batch edge it takes one to link. Rounds at depth 1,
+// step by step:
+//
+//   - the endpoints' labels: 0 warm, 2 cold. When B closes no cycle over
+//     the components, B is one Link (3 to 7) and the batch ends here;
+//   - the endpoints' occurrence stats (core.Forest.Stats): 2;
+//   - the heaviest edge of every virtual edge
+//     (core.Forest.HeaviestSeparating): 2, skipped when no tree holds two
+//     terminals;
+//   - one Cut of the tree edges left out: 6 to 8, 0 when there is none;
+//   - one Link of the batch edges taken: 3 to 7, 0 when there is none.
+//
+// So a batch costs at most 21 rounds.
 func (m *ExactMSF) InsertBatch(edges []graph.WeightedEdge) error {
 	if len(edges) > m.f.Config().MaxBatch() {
 		return fmt.Errorf("msf: batch of %d exceeds MaxBatch %d", len(edges), m.f.Config().MaxBatch())
 	}
 	m.weightOK = false
-	pending := make([]graph.WeightedEdge, len(edges))
+	batch := make([]graph.WeightedEdge, len(edges))
 	for i, e := range edges {
-		pending[i] = graph.WeightedEdge{Edge: e.Edge.Canonical(), Weight: e.Weight}
+		batch[i] = graph.WeightedEdge{Edge: e.Edge.Canonical(), Weight: e.Weight}
 	}
-	var endpoints, labels []int
-	for iter := 0; len(pending) > 0; iter++ {
-		if iter > 4*len(edges)+8 {
-			return fmt.Errorf("msf: exchange did not converge after %d waves", iter)
-		}
-		// Kruskal over components: lightest edges that merge distinct
-		// components are linked; the rest stay pending.
-		sort.Slice(pending, func(i, j int) bool {
-			if pending[i].Weight != pending[j].Weight {
-				return pending[i].Weight < pending[j].Weight
-			}
-			if pending[i].U != pending[j].U {
-				return pending[i].U < pending[j].U
-			}
-			return pending[i].V < pending[j].V
-		})
-		endpoints = endpoints[:0]
-		for _, e := range pending {
-			endpoints = append(endpoints, e.U, e.V)
-		}
-		// labels[2i] and labels[2i+1] are the components of pending[i].
-		labels = m.f.ComponentsOfInto(labels, endpoints)
-		var merged graph.MinUnion
-		var link []graph.WeightedEdge
-		// Edges that are intra-component against the *pre-link* labels but
-		// merged through new links must wait a wave; only edges whose two
-		// endpoints were already in one component can exchange now.
-		var exchange, wait []graph.WeightedEdge
-		for i, e := range pending {
-			switch _, _, ok := merged.Union(labels[2*i], labels[2*i+1]); {
-			case ok:
-				link = append(link, e)
-			case labels[2*i] == labels[2*i+1]:
-				exchange = append(exchange, e)
-			default:
-				wait = append(wait, e)
-			}
-		}
-		if len(link) > 0 {
-			if err := m.f.Link(link); err != nil {
-				return err
-			}
-		}
-		pending = wait
-		if len(exchange) == 0 {
-			continue
-		}
-		m.swapWaves++
-		pairs := make([][2]int, len(exchange))
-		for i, e := range exchange {
-			pairs[i] = [2]int{e.U, e.V}
-		}
-		heaviest, err := m.f.HeaviestOnPaths(pairs)
-		if err != nil {
-			return err
-		}
-		// Claim each heaviest edge at most once per wave; contested or
-		// non-improving candidates are resolved next wave or discarded.
-		claimed := map[graph.Edge]bool{}
-		var cuts []graph.Edge
-		for i, e := range exchange {
-			h, ok := heaviest[i]
-			if !ok {
-				return fmt.Errorf("msf: no path found for intra-component edge %v", e.Edge)
-			}
-			if h.Weight <= e.Weight {
-				continue // the new edge cannot improve the forest: discard
-			}
-			if claimed[h.Edge] {
-				pending = append(pending, e) // retry next wave
-				continue
-			}
-			claimed[h.Edge] = true
-			cuts = append(cuts, h.Edge)
-			// Both the new edge and the cut edge become candidates again;
-			// the next wave's Kruskal keeps whichever is lighter.
-			pending = append(pending, e, graph.WeightedEdge{Edge: h.Edge, Weight: h.Weight})
-		}
-		if len(cuts) > 0 {
-			if _, err := m.f.Cut(cuts); err != nil {
-				return err
-			}
+	slices.SortFunc(batch, func(a, b graph.WeightedEdge) int {
+		return cmp.Or(cmp.Compare(a.Weight, b.Weight), cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	endpoints := make([]int, 0, 2*len(batch))
+	for _, e := range batch {
+		endpoints = append(endpoints, e.U, e.V)
+	}
+	// labels[2i] and labels[2i+1] are the components of batch[i].
+	labels := m.f.ComponentsOfInto(nil, endpoints)
+	var comps graph.MinUnion
+	acyclic := true
+	for i := range batch {
+		_, _, joined := comps.Union(labels[2*i], labels[2*i+1])
+		acyclic = acyclic && joined
+	}
+	if acyclic {
+		return m.f.Link(batch)
+	}
+	cuts, links := m.exchange(batch, m.f.Stats(endpoints))
+	if _, err := m.f.Cut(cuts); err != nil {
+		return err
+	}
+	return m.f.Link(links)
+}
+
+// candidate is one edge of the compressed instance between nodes u and v: a
+// virtual edge (batch 0), carrying the heaviest tree edge of its path, or a
+// batch edge (batch 1). Kruskal takes them by weight, then the virtual edge
+// first, then by canonical endpoints.
+type candidate struct {
+	e           graph.WeightedEdge
+	u, v, batch int
+}
+
+// exchange builds the virtual tree of the batch's terminals from their stats
+// and runs Kruskal over its edges and the batch: it returns the tree edges
+// to cut and the batch edges to link. The runs HeaviestSeparating answers,
+// over the terminals as core.Terminals indexes them, are the virtual edges,
+// nested or disjoint: sorted by start, widest first, a run's parent is the
+// innermost run still open, or its tour's top. A terminal is the node of the
+// narrowest run that starts at it, or its tour's top, and a singleton
+// endpoint is its own node. Node ids: v for a singleton v, n + t for the top
+// of tour t, -1 - r for run r.
+func (m *ExactMSF) exchange(batch []graph.WeightedEdge, stats map[int]eulertour.VertexStats) (cuts []graph.Edge, links []graph.WeightedEdge) {
+	n, node := m.f.Config().N, make(map[int]int, len(stats))
+	for v, st := range stats {
+		node[v] = v
+		if st.Tour != eulertour.NoTour {
+			node[v] = n + int(st.Tour)
 		}
 	}
-	return nil
+	terms, tours := core.Terminals(stats)
+	heaviest := m.f.HeaviestSeparating(tours)
+	runs := slices.SortedFunc(maps.Keys(heaviest), func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(b[1], a[1]))
+	})
+	cands := make([]candidate, 0, len(runs)+len(batch))
+	var open []int
+	for r, run := range runs {
+		for len(open) > 0 && runs[open[len(open)-1]][1] <= run[0] {
+			open = open[:len(open)-1]
+		}
+		// With no run open, no run starting at run[0] came before, so the
+		// node of the terminal there is still its tour's top.
+		first, parent := terms[run[0]], node[terms[run[0]]]
+		if len(open) > 0 {
+			parent = -1 - open[len(open)-1]
+		}
+		node[first] = -1 - r // the narrowest run starting there comes last
+		cands = append(cands, candidate{heaviest[run], -1 - r, parent, 0})
+		open = append(open, r)
+	}
+	for _, e := range batch {
+		cands = append(cands, candidate{e, node[e.U], node[e.V], 1})
+	}
+	slices.SortFunc(cands, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.e.Weight, b.e.Weight), cmp.Compare(a.batch, b.batch),
+			cmp.Compare(a.e.U, b.e.U), cmp.Compare(a.e.V, b.e.V))
+	})
+	var trees graph.MinUnion
+	for _, c := range cands {
+		switch _, _, joined := trees.Union(c.u, c.v); {
+		case c.batch == 0 && !joined:
+			cuts = append(cuts, c.e.Edge)
+		case c.batch == 1 && joined:
+			links = append(links, c.e)
+		}
+	}
+	return cuts, links
 }
 
 // Weight returns the current forest weight (driver-level readout of the

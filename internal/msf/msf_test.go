@@ -2,7 +2,10 @@ package msf
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"repro/internal/hash"
 	"repro/internal/oracle"
 	"repro/internal/snapshot"
+	"repro/internal/workload"
 )
 
 func cfg(n int, phi float64, seed uint64) core.Config {
@@ -119,6 +123,11 @@ func TestExactMSFEqualWeights(t *testing.T) {
 	)
 	em.insert(graph.NewWeightedEdge(0, 2, 5)) // tie: no improvement
 	em.check()
+	// Ties go to the edge the forest holds: 0-2 is not taken.
+	want := []graph.WeightedEdge{graph.NewWeightedEdge(0, 1, 5), graph.NewWeightedEdge(1, 2, 5)}
+	if got := em.m.Snapshot(); !slices.Equal(got, want) {
+		t.Errorf("forest %v, want %v", got, want)
+	}
 }
 
 func TestExactMSFRandomizedAgainstKruskal(t *testing.T) {
@@ -155,6 +164,81 @@ func TestExactMSFRandomizedAgainstKruskal(t *testing.T) {
 				em.check()
 			}
 		})
+	}
+}
+
+// TestExactMSFVirtualTree inserts one batch over the trees 0-1-2, 1-3-4
+// (vertex 1 branches and is no terminal) and 5-6-7: 0-4 and 2-4 close
+// cycles that share the virtual edge 1→3, which carries the heaviest edge
+// of both, and 7-0 closes a cycle through both trees only with 3-5, a batch
+// edge that joins them. Weights are distinct, so the MSF is unique and is
+// checked edge for edge against Kruskal.
+func TestExactMSFVirtualTree(t *testing.T) {
+	em := newExactMirror(t, 64, 0.6, 9)
+	em.insert(graph.NewWeightedEdge(0, 1, 10), graph.NewWeightedEdge(1, 2, 20), graph.NewWeightedEdge(1, 3, 30), graph.NewWeightedEdge(3, 4, 6))
+	em.insert(graph.NewWeightedEdge(5, 6, 11), graph.NewWeightedEdge(6, 7, 40))
+	em.insert(
+		graph.NewWeightedEdge(0, 4, 12),
+		graph.NewWeightedEdge(2, 4, 15),
+		graph.NewWeightedEdge(3, 5, 1),
+		graph.NewWeightedEdge(0, 7, 2),
+	)
+	em.check()
+	want, _ := oracle.MSF(em.g)
+	slices.SortFunc(want, func(a, b graph.WeightedEdge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	if got := em.m.Snapshot(); !slices.Equal(got, want) {
+		t.Fatalf("forest %v, Kruskal %v", got, want)
+	}
+}
+
+// TestExactMSFRoundBudget pins the rounds of an acyclic batch and of an
+// exchanging batch at a shape whose trees have depth 1 (N 64, φ 0.6), and
+// holds every batch of E4's churn at n = 1024 (φ 0.6, weights up to 64, 30
+// batches of MaxBatch insertions) to the bound InsertBatch states: 21.
+func TestExactMSFRoundBudget(t *testing.T) {
+	em := newExactMirror(t, 64, 0.6, 1)
+	rounds := func(edges ...graph.WeightedEdge) int {
+		t.Helper()
+		before := em.m.Forest().Cluster().Stats().Rounds
+		em.insert(edges...)
+		return em.m.Forest().Cluster().Stats().Rounds - before
+	}
+	// Cold labels (2), then one Link of singletons: its stats Ask (2) and
+	// its relabel Tell (1).
+	if r := rounds(graph.NewWeightedEdge(0, 1, 5), graph.NewWeightedEdge(1, 2, 9), graph.NewWeightedEdge(2, 3, 7)); r != 5 {
+		t.Errorf("acyclic batch took %d rounds, want 5", r)
+	}
+	// Warm labels (0), the stats (2), the heaviest separating edges (2),
+	// the Cut of 1-2 with its endpoints warm (6) and the Link of 0-2 (5):
+	// the Cut left 0 and 2 in two tours of the component it split, so their
+	// labels are parked and the Link asks them before its stats and its
+	// relabel Tell.
+	if r := rounds(graph.NewWeightedEdge(0, 2, 4)); r != 15 {
+		t.Errorf("exchanging batch took %d rounds, want 15", r)
+	}
+	em.check()
+
+	const n, bound = 1024, 21
+	m, err := NewExactMSF(cfg(n, 0.6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewChurn(workload.Config{N: n, Seed: 3, MaxWeight: 64})
+	for i := 0; i < 30; i++ {
+		var edges []graph.WeightedEdge
+		for _, u := range gen.NextInsertOnly(m.Forest().Config().MaxBatch()) {
+			edges = append(edges, graph.WeightedEdge{Edge: u.Edge, Weight: u.Weight})
+		}
+		before := m.Forest().Cluster().Stats().Rounds
+		if err := m.InsertBatch(edges); err != nil {
+			t.Fatal(err)
+		}
+		if r := m.Forest().Cluster().Stats().Rounds - before; r > bound {
+			t.Errorf("batch %d took %d rounds, past the bound %d", i, r, bound)
+		}
+	}
+	if _, want := oracle.MSF(gen.Mirror()); m.Weight() != want {
+		t.Errorf("weight %d, Kruskal %d", m.Weight(), want)
 	}
 }
 
@@ -373,7 +457,6 @@ func TestRestoreCountsTheWeightReadout(t *testing.T) {
 	build := func(weightOK bool) []byte {
 		e := snapshot.NewEncoder()
 		e.Begin(tagExactMSF)
-		e.Int(0) // swap waves
 		e.I64(0) // weight
 		if weightOK {
 			e.U64(1)
@@ -410,5 +493,28 @@ func TestRestoreCountsTheWeightReadout(t *testing.T) {
 	}
 	if err := snapshot.Load(bytes.NewReader(build(false)), m); err != nil {
 		t.Fatalf("the container without the weight readout: %v", err)
+	}
+}
+
+// TestRetiredExactLayoutRejectedByTag feeds Load a container in the retired
+// exact-MSF layout (0x20, which counted exchange waves ahead of the weight):
+// it is rejected by tag, never migrated.
+func TestRetiredExactLayoutRejectedByTag(t *testing.T) {
+	e := snapshot.NewEncoder()
+	e.Begin(0x20)
+	e.Int(3) // exchange waves
+	e.I64(0) // weight
+	e.U64(0) // weight cached
+	var buf bytes.Buffer
+	if _, err := e.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewExactMSF(cfg(16, 0.6, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = snapshot.Load(&buf, m)
+	if want := fmt.Sprintf("found section %#x where %#x was expected", 0x20, tagExactMSF); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("retired layout not rejected by tag: %v", err)
 	}
 }

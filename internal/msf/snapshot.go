@@ -1,7 +1,7 @@
 package msf
 
 // Checkpoint/restore of the MSF algorithms (see package snapshot). The
-// exact MSF is its driver-level counters plus its weighted forest, one image
+// exact MSF is its cached weight readout plus its weighted forest, one image
 // on the forest's fleet; the approximate structures are their per-level
 // connectivity instances (the thresholds are rederived from eps and
 // validated by the level count). Each loads a full container written at any
@@ -16,21 +16,23 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Section tags of the msf layer.
+// Section tags of the msf layer. A layout that changes takes a new tag and
+// the old one stays retired, rejected by tag, never migrated: 0x20 was the
+// exact MSF's section while it counted its exchange waves.
 const (
-	tagExactMSF  = 0x20
+	tagExactMSF  = 0x22
 	tagApproxMSF = 0x21
 )
 
 // image is the exact MSF's full image: a section of its driver-level
-// counters ahead of the forest's (core.Forest.Image). The coordinator's cap
+// weight readout ahead of the forest's (core.Forest.Image). The coordinator's cap
 // check counts the weight readout the load installs (weightMeter).
 func (m *ExactMSF) image() *snapshot.Image {
 	img := m.f.Image()
 	img.Pkg = "msf"
 	weightOK := snapshot.Scalar("weight cached", &m.weightOK)
 	img.Sections = append([]snapshot.Section{{Tag: tagExactMSF, Parts: []snapshot.Part{
-		snapshot.Scalar("swap waves", &m.swapWaves), snapshot.Scalar("weight", &m.weight), weightOK,
+		snapshot.Scalar("weight", &m.weight), weightOK,
 	}}}, img.Sections...)
 	staged := img.Staged
 	img.Staged = func(i int, slot string) mpc.Sized {

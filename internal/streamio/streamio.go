@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"unicode"
 	"unicode/utf8"
 
@@ -198,6 +199,9 @@ func ParseInt(b []byte) (x int64, ok bool) {
 type Writer struct {
 	bw      *bufio.Writer
 	batches int
+	// line is the scratch one batch is formatted into, reused across
+	// batches.
+	line []byte
 }
 
 // NewWriter returns a Writer over w.
@@ -206,34 +210,35 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // WriteBatch appends one batch (preceded by a separator when it is not the
-// first). The batch is buffered; call Flush when done.
+// first). The batch is formatted with strconv into the Writer's scratch and
+// buffered; call Flush when done.
 func (w *Writer) WriteBatch(b graph.Batch) error {
 	if len(b) == 0 {
 		return nil
 	}
+	out := w.line[:0]
 	if w.batches > 0 {
-		if _, err := fmt.Fprintln(w.bw, "--"); err != nil {
-			return err
-		}
+		out = append(out, "--\n"...)
 	}
 	w.batches++
 	for _, u := range b {
-		op := "i"
+		op := byte('i')
 		if u.Op == graph.Delete {
-			op = "d"
+			op = 'd'
 		}
-		var err error
+		out = append(out, op, ' ')
+		out = strconv.AppendInt(out, int64(u.Edge.U), 10)
+		out = append(out, ' ')
+		out = strconv.AppendInt(out, int64(u.Edge.V), 10)
 		if u.Weight != 0 {
-			_, err = fmt.Fprintf(w.bw, "%s %d %d %d\n", op, u.Edge.U, u.Edge.V, u.Weight)
-		} else {
-			_, err = fmt.Fprintf(w.bw, "%s %d %d\n", op, u.Edge.U, u.Edge.V)
+			out = append(out, ' ')
+			out = strconv.AppendInt(out, u.Weight, 10)
 		}
-		if err != nil {
-			return err
-		}
+		out = append(out, '\n')
 	}
-	return nil
+	w.line = out
+	_, err := w.bw.Write(out)
+	return err
 }
 
-// Flush writes any buffered output to the underlying writer.
 func (w *Writer) Flush() error { return w.bw.Flush() }

@@ -2,7 +2,9 @@ package streamio
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -126,5 +128,84 @@ func TestEmptyStream(t *testing.T) {
 	}
 	if len(batches) != 0 {
 		t.Errorf("batches = %v", batches)
+	}
+}
+
+// fmtReference is the Writer's format spelled with fmt, one Fprintf per
+// update: what WriteBatch must write byte for byte.
+func fmtReference(w io.Writer, batches []graph.Batch) {
+	first := true
+	for _, b := range batches {
+		if len(b) == 0 {
+			continue
+		}
+		if !first {
+			fmt.Fprintln(w, "--")
+		}
+		first = false
+		for _, u := range b {
+			op := "i"
+			if u.Op == graph.Delete {
+				op = "d"
+			}
+			if u.Weight != 0 {
+				fmt.Fprintf(w, "%s %d %d %d\n", op, u.Edge.U, u.Edge.V, u.Weight)
+			} else {
+				fmt.Fprintf(w, "%s %d %d\n", op, u.Edge.U, u.Edge.V)
+			}
+		}
+	}
+}
+
+// randomBatches draws batches of random updates, empty batches and
+// negative, zero and extreme weights included.
+func randomBatches(prg *hash.PRG, n int) []graph.Batch {
+	weights := []int64{0, 1, -1, 64, -12345, math.MaxInt64, math.MinInt64}
+	var batches []graph.Batch
+	for i := 0; i < n; i++ {
+		b := make(graph.Batch, prg.NextN(6))
+		for j := range b {
+			u, v := int(prg.NextN(1<<20)), int(prg.NextN(1<<20))
+			b[j] = graph.Update{Op: graph.Op(prg.NextN(2)), Edge: graph.Edge{U: u, V: v}, Weight: int64(prg.Next())}
+			if prg.NextN(2) == 0 {
+				b[j].Weight = weights[prg.NextN(uint64(len(weights)))]
+			}
+		}
+		batches = append(batches, b)
+	}
+	return batches
+}
+
+// TestWriterMatchesFmt holds WriteBatch to the fmt reference on random
+// batches, byte for byte.
+func TestWriterMatchesFmt(t *testing.T) {
+	prg := hash.NewPRG(11)
+	for trial := 0; trial < 50; trial++ {
+		batches := randomBatches(prg, int(prg.NextN(8)))
+		var got, want bytes.Buffer
+		if err := write(&got, batches); err != nil {
+			t.Fatal(err)
+		}
+		fmtReference(&want, batches)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("trial %d: wrote\n%s\nfmt writes\n%s", trial, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// BenchmarkWriteBatch writes 256-update batches through one Writer: after
+// its scratch has grown once, a batch allocates nothing.
+func BenchmarkWriteBatch(b *testing.B) {
+	gen := workload.NewChurn(workload.Config{N: 4096, Seed: 5, MaxWeight: 64})
+	batches := make([]graph.Batch, 16)
+	for i := range batches {
+		batches[i] = gen.Next(256)
+	}
+	w := NewWriter(io.Discard)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.WriteBatch(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
